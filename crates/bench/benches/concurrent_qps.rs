@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, Criterion, Throughput};
+use hana_bench::median_nanos;
 use hana_core::HanaPlatform;
 use hana_session::{SessionManager, WorkloadClass};
 use hana_types::{Row, Value};
@@ -59,18 +60,6 @@ fn setup() -> Arc<SessionManager> {
 
 fn counter(name: &str) -> u64 {
     hana_obs::registry().counter(name).get()
-}
-
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = std::time::Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
 }
 
 fn bench_concurrent_qps(c: &mut Criterion) {

@@ -8,9 +8,9 @@
 //! rows-shuffled counts observed through the metrics registry.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use criterion::{criterion_group, Criterion, Throughput};
+use hana_bench::median_nanos;
 use hana_core::{HanaPlatform, Session};
 use hana_types::{Row, Value};
 
@@ -88,18 +88,6 @@ fn bench_dist_shuffle(c: &mut Criterion) {
         b.iter(|| gather_all_group_by(&hana, &s))
     });
     group.finish();
-}
-
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
 }
 
 /// Delta of a global registry counter across `f`.

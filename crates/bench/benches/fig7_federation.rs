@@ -126,7 +126,7 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
                     left_key: "d.d_id".into(),
                     right_key: "f.f_dim".into(),
                     kind: JoinKind::Inner,
-                    dist: hana_query::DistJoinStrategy::Runtime,
+                    dist: hana_query::DistJoinStrategy::Repartition,
                 },
                 schema: joined,
                 est_rows: 100.0,

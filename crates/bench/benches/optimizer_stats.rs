@@ -1,32 +1,26 @@
 //! Cost-based optimizer benchmarks: what the persisted column
-//! statistics buy at plan time and at run time.
+//! statistics buy at run time.
 //!
-//! Three measurements, emitted to `BENCH_optimizer_stats.json`:
+//! Two measurements, emitted to `BENCH_optimizer_stats.json`:
 //!
-//! 1. **Planning latency** — a point lookup planned from the persisted
-//!    synopsis vs the heuristic fallback that rebuilds plan-time
-//!    histograms from the column store.
-//! 2. **Broadcast↔repartition flip** — the same distributed join shape
-//!    with a 50-row and a 40 000-row build side: statistics flip the
+//! 1. **Broadcast↔repartition flip** — the same distributed join shape
+//!    with a 50-row and a 40 000-row build side: the planner flips the
 //!    exchange strategy, and each choice is compared against the forced
-//!    alternative (via the runtime knob) to price the decision.
-//! 3. **Remote-scan↔semijoin flip** — the same federated join shape
+//!    alternative (the same plan with the join's `DistJoinStrategy`
+//!    overwritten) to price the decision.
+//! 2. **Remote-scan↔semijoin flip** — the same federated join shape
 //!    with a selective and an unselective remote filter: statistics
 //!    flip the SDA strategy between pulling the remote rows and
 //!    shipping the local keys.
 //!
-//! No environment knob is set anywhere: every strategy choice under
-//! "stats" comes from the synopses collected at MERGE DELTA / bulk
-//! load. The forced alternatives use the thread-scoped knob override,
-//! which only the `Runtime` (statistics-less) path consults.
-
-use std::time::Instant;
+//! Every strategy choice comes from the synopses collected at
+//! MERGE DELTA / bulk load and the tables' live row counts.
 
 use criterion::{criterion_group, Criterion};
+use hana_bench::median_nanos;
 use hana_core::{HanaPlatform, Session};
 use hana_query::{
-    override_broadcast_build_row_limit, DistJoinStrategy, FederationStrategy, PlanNode, PlanOp,
-    PlannerContext, NO_STATS,
+    DistJoinStrategy, FederationStrategy, PlanNode, PlanOp, PlannerContext, NO_STATS,
 };
 use hana_sql::{parse_statement, Statement};
 use hana_types::{Row, Value};
@@ -40,10 +34,6 @@ const REMOTE_ROWS: i64 = 20_000;
 
 const TINY_JOIN: &str = "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k";
 const HUGE_JOIN: &str = "SELECT f.v, h.v FROM facts f JOIN huge h ON f.k = h.k";
-// Point lookup on the 40k-row *local* merged table: the heuristic
-// fallback rebuilds a plan-time histogram from the column store on
-// every plan; the synopsis path just reads the persisted one.
-const POINT_Q: &str = "SELECT v FROM huge WHERE k = 12345";
 
 fn sda_join(bound: i64) -> String {
     format!(
@@ -144,8 +134,8 @@ fn plan_with_stats(hana: &HanaPlatform, sql: &str) -> PlanNode {
         .unwrap()
 }
 
-/// Plan with statistics switched off — the heuristic / runtime-knob
-/// path, used as the baseline and to force the alternative exchange.
+/// Plan with no synopsis at all: live row counts and default
+/// selectivities only (what the SDA flip is compared against).
 fn plan_without_stats(hana: &HanaPlatform, sql: &str) -> PlanNode {
     PlannerContext::new(hana.catalog().as_ref())
         .with_stats(&NO_STATS)
@@ -154,14 +144,31 @@ fn plan_without_stats(hana: &HanaPlatform, sql: &str) -> PlanNode {
         .unwrap()
 }
 
-fn hash_join_dist(node: &PlanNode) -> Option<DistJoinStrategy> {
-    match &node.op {
-        PlanOp::HashJoin { dist, .. } => Some(*dist),
+/// The exchange strategy slot of the first hash join in the tree.
+fn hash_join_dist(node: &mut PlanNode) -> Option<&mut DistJoinStrategy> {
+    match &mut node.op {
+        PlanOp::HashJoin { dist, .. } => Some(dist),
         PlanOp::Filter { input, .. }
         | PlanOp::Aggregate { input, .. }
         | PlanOp::Finish { input, .. } => hash_join_dist(input),
         _ => None,
     }
+}
+
+/// Plan `sql`, check the planner chose `expected`, and return the plan
+/// together with a copy forced onto `alternative`.
+fn planned_and_forced(
+    hana: &HanaPlatform,
+    sql: &str,
+    expected: DistJoinStrategy,
+    alternative: DistJoinStrategy,
+) -> (PlanNode, PlanNode) {
+    let planned = plan_with_stats(hana, sql);
+    let mut forced = planned.clone();
+    let slot = hash_join_dist(&mut forced).expect("plan has a hash join");
+    assert_eq!(*slot, expected, "{}", planned.explain());
+    *slot = alternative;
+    (planned, forced)
 }
 
 fn sda_strategy(plan: &PlanNode) -> &'static str {
@@ -178,12 +185,6 @@ fn sda_strategy(plan: &PlanNode) -> &'static str {
 fn bench_optimizer_stats(c: &mut Criterion) {
     let (hana, s) = setup();
     let mut group = c.benchmark_group("optimizer_stats");
-    group.bench_function("plan/point_lookup_stats", |b| {
-        b.iter(|| plan_with_stats(&hana, POINT_Q))
-    });
-    group.bench_function("plan/point_lookup_heuristic", |b| {
-        b.iter(|| plan_without_stats(&hana, POINT_Q))
-    });
     let tiny = plan_with_stats(&hana, TINY_JOIN);
     group.bench_function("dist_join/tiny_build_broadcast", |b| {
         b.iter(|| hana.execute_plan(&s, &tiny).unwrap().len())
@@ -195,77 +196,40 @@ fn bench_optimizer_stats(c: &mut Criterion) {
     group.finish();
 }
 
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
-}
-
 fn emit_json() {
     let (hana, s) = setup();
 
-    // ---- planning latency: synopsis vs rebuilt histograms ----
-    let plan_stats_ns = median_nanos(|| {
-        plan_with_stats(&hana, POINT_Q);
-    });
-    let plan_heur_ns = median_nanos(|| {
-        plan_without_stats(&hana, POINT_Q);
-    });
-    let plan_speedup = plan_heur_ns as f64 / plan_stats_ns as f64;
-    println!(
-        "optimizer_stats: point-lookup planning {:.3} ms from synopsis \
-         ({plan_speedup:.2}x vs {:.3} ms heuristic histogram rebuild)",
-        plan_stats_ns as f64 / 1e6,
-        plan_heur_ns as f64 / 1e6,
-    );
-
-    // ---- flip (a): broadcast <-> repartition, no knob set ----
-    assert!(
-        std::env::var(hana_query::ENV_BROADCAST_BUILD_ROW_LIMIT).is_err(),
-        "the flip must come from statistics, not the env knob"
-    );
-    let tiny = plan_with_stats(&hana, TINY_JOIN);
-    let huge = plan_with_stats(&hana, HUGE_JOIN);
-    assert_eq!(hash_join_dist(&tiny), Some(DistJoinStrategy::Broadcast));
-    assert_eq!(hash_join_dist(&huge), Some(DistJoinStrategy::Repartition));
+    // ---- flip (a): broadcast <-> repartition ----
+    use DistJoinStrategy::{Broadcast, Repartition};
+    let (tiny, tiny_forced) = planned_and_forced(&hana, TINY_JOIN, Broadcast, Repartition);
+    let (huge, huge_forced) = planned_and_forced(&hana, HUGE_JOIN, Repartition, Broadcast);
     let tiny_expected = (TINY_ROWS as usize) * (FACT_ROWS / FACT_KEYS as usize);
     let huge_expected = (FACT_KEYS as usize) * (FACT_ROWS / FACT_KEYS as usize);
     assert_eq!(hana.execute_plan(&s, &tiny).unwrap().len(), tiny_expected);
     assert_eq!(hana.execute_plan(&s, &huge).unwrap().len(), huge_expected);
 
-    // Forced alternatives: a statistics-less plan resolves the exchange
-    // at run time through the (thread-overridden) knob.
-    let tiny_runtime = plan_without_stats(&hana, TINY_JOIN);
-    let huge_runtime = plan_without_stats(&hana, HUGE_JOIN);
+    // Forced alternatives compute the same join.
     assert_eq!(
-        hash_join_dist(&tiny_runtime),
-        Some(DistJoinStrategy::Runtime)
+        hana.execute_plan(&s, &tiny_forced).unwrap().len(),
+        tiny_expected
+    );
+    assert_eq!(
+        hana.execute_plan(&s, &huge_forced).unwrap().len(),
+        huge_expected
     );
 
     let tiny_ns = median_nanos(|| {
         hana.execute_plan(&s, &tiny).unwrap();
     });
-    let tiny_forced_ns = {
-        let _g = override_broadcast_build_row_limit(1); // tiny side must gather
-        median_nanos(|| {
-            hana.execute_plan(&s, &tiny_runtime).unwrap();
-        })
-    };
+    let tiny_forced_ns = median_nanos(|| {
+        hana.execute_plan(&s, &tiny_forced).unwrap();
+    });
     let huge_ns = median_nanos(|| {
         hana.execute_plan(&s, &huge).unwrap();
     });
-    let huge_forced_ns = {
-        let _g = override_broadcast_build_row_limit(usize::MAX); // huge side must broadcast
-        median_nanos(|| {
-            hana.execute_plan(&s, &huge_runtime).unwrap();
-        })
-    };
+    let huge_forced_ns = median_nanos(|| {
+        hana.execute_plan(&s, &huge_forced).unwrap();
+    });
     let tiny_speedup = tiny_forced_ns as f64 / tiny_ns as f64;
     let huge_speedup = huge_forced_ns as f64 / huge_ns as f64;
     println!(
@@ -298,7 +262,7 @@ fn emit_json() {
     let heur_unselective = sda_strategy(&plan_without_stats(&hana, &sda_join(19_000)));
     println!(
         "optimizer_stats: federated join f_val<3 -> remote-scan {:.3} ms, \
-         f_val<19000 -> semijoin {:.3} ms (heuristic would pick \
+         f_val<19000 -> semijoin {:.3} ms (without synopses: \
          {heur_selective} / {heur_unselective})",
         selective_ns as f64 / 1e6,
         unselective_ns as f64 / 1e6,
@@ -306,8 +270,6 @@ fn emit_json() {
 
     let json = format!(
         "{{\n  \"bench\": \"optimizer_stats\",\n  \
-         \"planning\": {{\"stats_median_ns\": {plan_stats_ns}, \
-         \"heuristic_median_ns\": {plan_heur_ns}, \"speedup\": {plan_speedup:.3}}},\n  \
          \"dist_join\": {{\"fact_rows\": {FACT_ROWS}, \"partitions\": {PARTITIONS}, \
          \"tiny_build_rows\": {TINY_ROWS}, \"huge_build_rows\": {HUGE_ROWS}, \
          \"tiny\": {{\"strategy\": \"broadcast\", \"median_ns\": {tiny_ns}, \

@@ -5,9 +5,8 @@
 //! `BENCH_parallel_scan.json` at the repository root with median
 //! wall-clock numbers and per-worker-count speedups.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use hana_bench::median_nanos;
 use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_exec::{ExecConfig, ExecContext};
 use hana_types::{DataType, Schema, Value};
@@ -50,18 +49,6 @@ fn bench_parallel_scan(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
 }
 
 /// Direct `Instant` medians for the machine-readable summary (the

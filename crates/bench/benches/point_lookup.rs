@@ -11,18 +11,18 @@
 //! 3. **Compiled filter** — an arithmetic predicate + projection that
 //!    column-scan pushdown cannot absorb, executed by the bytecode VM
 //!    (one dispatch per opcode per 1024-row block) vs the per-row
-//!    tree-walking evaluator (forced via the thread-scoped knob).
+//!    tree-walking evaluator (`hana_sql::evaluate`, applied by hand to
+//!    the same scan output).
 //!
 //! Both tables hold identical data, so every indexed answer is checked
 //! against the scan answer before timing; the EXPLAIN assertions pin
 //! the plans actually being compared (Index Seek with `stats`
 //! provenance vs Table Scan).
 
-use std::time::Instant;
-
 use criterion::{criterion_group, Criterion};
+use hana_bench::median_nanos;
 use hana_core::{HanaPlatform, Session};
-use hana_query::override_compiled_expressions;
+use hana_sql::{evaluate, evaluate_predicate, parse_statement, Statement};
 use hana_types::{Row, Value};
 
 const ROWS: i64 = 400_000;
@@ -86,6 +86,22 @@ fn sorted_ints(hana: &HanaPlatform, s: &Session, sql: &str) -> Vec<Value> {
     vals
 }
 
+/// The tree-walk baseline for [`VM_Q`]: the same full scan of
+/// `orders_heap`, then its WHERE and its projection evaluated row at a
+/// time by the interpreter the VM is checked against.
+fn tree_walk(hana: &HanaPlatform, s: &Session) -> Vec<Value> {
+    let Statement::Query(q) = parse_statement(VM_Q).unwrap() else {
+        unreachable!("VM_Q is a query")
+    };
+    let (filter, projection) = (q.filter.as_ref().unwrap(), &q.select[0].expr);
+    let scan = hana.execute_sql(s, "SELECT * FROM orders_heap").unwrap();
+    scan.rows
+        .iter()
+        .filter(|r| evaluate_predicate(filter, &scan.schema, r).unwrap())
+        .map(|r| evaluate(projection, &scan.schema, r).unwrap())
+        .collect()
+}
+
 fn bench_point_lookup(c: &mut Criterion) {
     let (hana, s) = setup();
     let mut group = c.benchmark_group("point_lookup");
@@ -99,22 +115,9 @@ fn bench_point_lookup(c: &mut Criterion) {
         b.iter(|| hana.execute_sql(&s, VM_Q).unwrap().rows.len())
     });
     group.bench_function("filter/interpreted", |b| {
-        let _g = override_compiled_expressions(false);
-        b.iter(|| hana.execute_sql(&s, VM_Q).unwrap().rows.len())
+        b.iter(|| tree_walk(&hana, &s).len())
     });
     group.finish();
-}
-
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
 }
 
 fn emit_json() {
@@ -141,10 +144,8 @@ fn emit_json() {
         sorted_ints(&hana, &s, RANGE_SCAN)
     );
     let compiled_rows = sorted_ints(&hana, &s, VM_Q);
-    let interpreted_rows = {
-        let _g = override_compiled_expressions(false);
-        sorted_ints(&hana, &s, VM_Q)
-    };
+    let mut interpreted_rows = tree_walk(&hana, &s);
+    interpreted_rows.sort();
     assert_eq!(compiled_rows, interpreted_rows);
     assert_eq!(compiled_rows.len(), 40_000);
 
@@ -163,12 +164,9 @@ fn emit_json() {
     let vm_ns = median_nanos(|| {
         hana.execute_sql(&s, VM_Q).unwrap();
     });
-    let tree_ns = {
-        let _g = override_compiled_expressions(false);
-        median_nanos(|| {
-            hana.execute_sql(&s, VM_Q).unwrap();
-        })
-    };
+    let tree_ns = median_nanos(|| {
+        tree_walk(&hana, &s);
+    });
 
     let point_speedup = point_scan_ns as f64 / point_ix_ns as f64;
     let range_speedup = range_scan_ns as f64 / range_ix_ns as f64;

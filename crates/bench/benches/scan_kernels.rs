@@ -7,9 +7,8 @@
 //! wall-clock numbers, speedups, and the block scanned/skipped counts
 //! observed through the metrics registry.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, Criterion, Throughput};
+use hana_bench::median_nanos;
 use hana_columnar::{RowIdBitmap, VidCodec, VidMatch, BLOCK_ROWS};
 use hana_core::HanaPlatform;
 use hana_types::{Row, Value};
@@ -87,18 +86,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-fn median_nanos(mut f: impl FnMut()) -> u128 {
-    const RUNS: usize = 15;
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[RUNS / 2]
 }
 
 /// Median scan times for one codec/match pair, with the vectorized

@@ -13,6 +13,21 @@ use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig, MrFunctionRegistry};
 use hana_tpch::{federated_tables, local_tables, queries, TpchQuery};
 use hana_types::Result;
 
+/// Median wall time of 15 runs of `f`, in nanoseconds — the sampler
+/// behind the `BENCH_*.json` summaries (the criterion stand-in reports
+/// means on stdout only).
+pub fn median_nanos(mut f: impl FnMut()) -> u128 {
+    const RUNS: usize = 15;
+    let mut samples = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let start = Instant::now();
+        f();
+        samples.push(start.elapsed().as_nanos());
+    }
+    samples.sort_unstable();
+    samples[RUNS / 2]
+}
+
 /// The side-by-side setup of Figure 11 loaded with TPC-H data.
 pub struct TpchWorld {
     /// The platform (single point of access).

@@ -82,21 +82,6 @@ impl SecondaryIndex {
         self.delta.clear();
     }
 
-    /// Number of distinct keys currently indexed (main-side exact,
-    /// delta-side additive) — the live NDV that feeds heuristic seek
-    /// cardinality estimates when no persisted statistics exist.
-    pub fn distinct_keys(&self) -> usize {
-        let mut distinct = self.delta.len();
-        let mut prev: Option<&Vec<Value>> = None;
-        for (key, _) in &self.main {
-            if prev != Some(key) && !self.delta.contains_key(key) {
-                distinct += 1;
-            }
-            prev = Some(key);
-        }
-        distinct
-    }
-
     /// Total indexed entries (monitoring).
     pub fn entry_count(&self) -> usize {
         self.main.len() + self.delta.values().map(Vec::len).sum::<usize>()
@@ -230,7 +215,6 @@ mod tests {
             vec![1, 3]
         );
         assert_eq!(ix.seek(&[Value::Int(9)], None), Vec::<usize>::new());
-        assert_eq!(ix.distinct_keys(), 4);
         assert_eq!(ix.entry_count(), 5);
     }
 

@@ -297,8 +297,9 @@ impl TableStatistics {
 
 impl ColumnTable {
     /// Collect a full statistics synopsis of this table (every column,
-    /// all row slots regardless of visibility — the same domain the
-    /// plan-time histograms covered).
+    /// all row slots regardless of visibility — the same domain
+    /// [`ColumnTable::row_count`], which the planner multiplies the
+    /// selectivities by, counts).
     pub fn collect_statistics(&self) -> TableStatistics {
         let rows = self.row_count() as u64;
         let columns = self

@@ -458,9 +458,9 @@ impl ColumnTable {
     }
 
     /// Sorted `(value, frequency)` pairs of a column across main and
-    /// delta (nulls excluded) — exactly the input the q-optimal
-    /// histogram construction of `hana-query` expects, courtesy of the
-    /// ordered dictionary.
+    /// delta (nulls excluded) — the input of
+    /// [`ColumnStats::from_frequencies`](crate::ColumnStats::from_frequencies)
+    /// when a synopsis is collected.
     pub fn value_frequencies(&self, col: usize) -> Vec<(Value, u64)> {
         let mut freq: std::collections::BTreeMap<Value, u64> = std::collections::BTreeMap::new();
         for row in 0..self.row_count() {
@@ -587,8 +587,7 @@ impl ColumnTable {
         self.indexes = indexes;
     }
 
-    /// Sorted distinct values of a column (dictionary view; feeds the
-    /// q-optimal histogram construction in `hana-query`).
+    /// Sorted distinct values of a column (dictionary view).
     pub fn distinct_values(&self, col: usize) -> Vec<Value> {
         let pair = &self.columns[col];
         let mut vals: Vec<Value> = pair.main.dictionary().values().to_vec();

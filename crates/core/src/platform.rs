@@ -132,7 +132,7 @@ impl HanaPlatform {
     /// checkpoint snapshot, then replay every committed suffix record.
     /// Returns the platform and the number of replayed statements.
     pub fn open_durable(dir: &Path) -> Result<(HanaPlatform, usize)> {
-        Self::open_durable_with(dir, hana_txn::WalConfig::from_env())
+        Self::open_durable_with(dir, hana_txn::WalConfig::default())
     }
 
     /// [`open_durable`](Self::open_durable) with an explicit WAL
@@ -212,8 +212,8 @@ impl HanaPlatform {
     }
 
     /// The parallel execution engine (worker pool, morsel config and
-    /// per-query metrics). Shared with the query layer; sized from
-    /// `HANA_EXEC_WORKERS` or the machine's available parallelism.
+    /// per-query metrics). Shared with the query layer; sized from the
+    /// machine's available parallelism.
     pub fn exec(&self) -> &Arc<ExecContext> {
         &self.exec
     }
@@ -1719,7 +1719,10 @@ impl HanaPlatform {
         // the ledger entry (replay double-applies) or vice versa
         // (replay loses the epoch).
         let _fence = self.ingest.fence();
-        let cid = self.tm.current_snapshot().cid();
+        // Cut at a commit ID whose predecessors have all applied: a
+        // commit still between CID assignment and phase 2 would be
+        // recorded as covered without its rows.
+        let cid = self.tm.applied_commit_id();
         let mut entries = Vec::new();
         for (name, _) in self.catalog.list_tables() {
             let entry = self.catalog.table(&name)?;

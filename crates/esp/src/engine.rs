@@ -50,7 +50,7 @@ pub enum EspTargetKind {
 
 /// Default bound of a stream's input queue: events admitted into the
 /// engine ahead of processing before further [`EspEngine::send`] calls
-/// block. Overridable via `HANA_ESP_INPUT_QUEUE_EVENTS`.
+/// block ([`EspEngine::set_input_queue_cap`] changes it per engine).
 pub const DEFAULT_INPUT_QUEUE_EVENTS: usize = 65_536;
 
 /// Per-stream admission gate: a counting semaphore in front of the
@@ -115,22 +115,6 @@ struct GateGuard<'a>(&'a StreamGate);
 impl Drop for GateGuard<'_> {
     fn drop(&mut self) {
         self.0.release();
-    }
-}
-
-fn input_queue_cap_from_env() -> usize {
-    match std::env::var("HANA_ESP_INPUT_QUEUE_EVENTS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                hana_obs::warn(format!(
-                    "esp: ignoring invalid HANA_ESP_INPUT_QUEUE_EVENTS='{raw}' \
-                     (want a positive integer); using {DEFAULT_INPUT_QUEUE_EVENTS}"
-                ));
-                DEFAULT_INPUT_QUEUE_EVENTS
-            }
-        },
-        Err(_) => DEFAULT_INPUT_QUEUE_EVENTS,
     }
 }
 
@@ -207,7 +191,7 @@ impl EspEngine {
         EspEngine {
             inner: Mutex::new(Inner::default()),
             gates: Mutex::new(HashMap::new()),
-            input_cap: AtomicUsize::new(input_queue_cap_from_env()),
+            input_cap: AtomicUsize::new(DEFAULT_INPUT_QUEUE_EVENTS),
         }
     }
 

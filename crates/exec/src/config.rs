@@ -7,18 +7,11 @@ use std::num::NonZeroUsize;
 /// boundaries align with `RowIdBitmap` words.
 pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 
-/// Environment variable overriding the worker count.
-pub const ENV_WORKERS: &str = "HANA_EXEC_WORKERS";
-
-/// Environment variable overriding the morsel size (rows).
-pub const ENV_MORSEL_ROWS: &str = "HANA_EXEC_MORSEL_ROWS";
-
-/// Tuning knobs for the execution engine.
+/// Configuration of the execution engine, fixed when an
+/// [`ExecContext`](crate::ExecContext) is built.
 ///
 /// Defaults: `workers` = available hardware parallelism,
-/// `morsel_rows` = [`DEFAULT_MORSEL_ROWS`]. Both can be overridden via
-/// the `HANA_EXEC_WORKERS` / `HANA_EXEC_MORSEL_ROWS` environment
-/// variables (invalid or zero values fall back to the defaults).
+/// `morsel_rows` = [`DEFAULT_MORSEL_ROWS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of pool worker threads.
@@ -40,18 +33,6 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Configuration from the environment, falling back to defaults.
-    pub fn from_env() -> ExecConfig {
-        let mut cfg = ExecConfig::default();
-        if let Some(n) = read_env_usize(ENV_WORKERS) {
-            cfg.workers = n;
-        }
-        if let Some(n) = read_env_usize(ENV_MORSEL_ROWS) {
-            cfg.morsel_rows = n;
-        }
-        cfg
-    }
-
     /// Copy of this config with a specific worker count.
     pub fn with_workers(mut self, workers: usize) -> ExecConfig {
         self.workers = workers.max(1);
@@ -67,34 +48,6 @@ impl ExecConfig {
     /// Morsel size rounded up to a multiple of 64 (bitmap word rows).
     pub fn aligned_morsel_rows(&self) -> usize {
         crate::morsel::align_morsel_rows(self.morsel_rows)
-    }
-}
-
-fn read_env_usize(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    parse_env_usize(name, &raw)
-}
-
-/// Parse one environment override. Invalid values no longer fall back
-/// *silently*: a warning is recorded through `hana-obs` (counted under
-/// `hana_obs_warnings_total` and kept in the snapshot's recent-warnings
-/// list) before the default is used.
-fn parse_env_usize(name: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        Ok(_) => {
-            hana_obs::warn(format!(
-                "{name}={raw:?} must be a positive integer; falling back to the default"
-            ));
-            None
-        }
-        Err(e) => {
-            hana_obs::warn(format!(
-                "{name}={raw:?} is not a valid positive integer ({e}); \
-                 falling back to the default"
-            ));
-            None
-        }
     }
 }
 
@@ -115,75 +68,5 @@ mod tests {
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.morsel_rows, 1);
         assert_eq!(cfg.aligned_morsel_rows(), 64);
-    }
-
-    /// Count of recorded obs warnings (global, monotone).
-    fn warnings() -> u64 {
-        hana_obs::registry()
-            .counter("hana_obs_warnings_total")
-            .get()
-    }
-
-    #[test]
-    fn malformed_env_values_warn_and_fall_back() {
-        for raw in [
-            "abc",
-            "-3",
-            "0",
-            "1.5",
-            "",
-            "  ",
-            "4x",
-            "99999999999999999999999",
-        ] {
-            let before = warnings();
-            assert_eq!(
-                parse_env_usize(ENV_WORKERS, raw),
-                None,
-                "{raw:?} must fall back"
-            );
-            assert_eq!(warnings(), before + 1, "{raw:?} must warn");
-        }
-        let snap = hana_obs::registry().snapshot();
-        assert!(
-            snap.warnings.iter().any(|w| w.contains(ENV_WORKERS)),
-            "warning names the variable: {:?}",
-            snap.warnings
-        );
-    }
-
-    #[test]
-    fn valid_env_values_parse_without_warning() {
-        for (raw, expect) in [("1", 1usize), (" 8 ", 8), ("65536", 65_536)] {
-            let before = warnings();
-            assert_eq!(parse_env_usize(ENV_MORSEL_ROWS, raw), Some(expect));
-            assert_eq!(warnings(), before, "{raw:?} must not warn");
-        }
-    }
-
-    #[test]
-    fn from_env_applies_and_rejects_overrides() {
-        // Env vars are process-global: this is the only test that sets
-        // them, and it restores the previous state before returning.
-        let saved: Vec<Option<String>> = [ENV_WORKERS, ENV_MORSEL_ROWS]
-            .iter()
-            .map(|v| std::env::var(v).ok())
-            .collect();
-        std::env::set_var(ENV_WORKERS, "3");
-        std::env::set_var(ENV_MORSEL_ROWS, "not-a-number");
-        let before = warnings();
-        let cfg = ExecConfig::from_env();
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(
-            cfg.morsel_rows, DEFAULT_MORSEL_ROWS,
-            "invalid value falls back"
-        );
-        assert_eq!(warnings(), before + 1);
-        for (var, old) in [ENV_WORKERS, ENV_MORSEL_ROWS].iter().zip(saved) {
-            match old {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
-            }
-        }
     }
 }

@@ -53,9 +53,9 @@ impl ExecContext {
     }
 
     /// The process-wide context, created on first use from
-    /// [`ExecConfig::from_env`].
+    /// [`ExecConfig::default`].
     pub fn global() -> &'static Arc<ExecContext> {
-        GLOBAL.get_or_init(|| ExecContext::new(ExecConfig::from_env()))
+        GLOBAL.get_or_init(|| ExecContext::new(ExecConfig::default()))
     }
 
     /// The configuration this context was built with.

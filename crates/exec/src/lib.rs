@@ -28,7 +28,7 @@ mod morsel;
 mod pool;
 
 pub use admission::{controller_of, AdmissionController, AdmissionPermit, ClassConfig, Rejection};
-pub use config::{ExecConfig, DEFAULT_MORSEL_ROWS, ENV_MORSEL_ROWS, ENV_WORKERS};
+pub use config::{ExecConfig, DEFAULT_MORSEL_ROWS};
 pub use context::ExecContext;
 pub use graph::{GraphError, TaskGraph, TaskId};
 pub use metrics::{

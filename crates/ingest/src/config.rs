@@ -1,13 +1,13 @@
-//! Pipeline tuning knobs, overridable from the environment.
+//! Pipeline configuration, fixed when the runtime is installed.
 
 use std::time::Duration;
 
 use hana_sda::RetryPolicy;
 
-/// Default rows per micro-batch (`HANA_INGEST_BATCH_ROWS`).
+/// Default rows per micro-batch.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
-/// Default bound on buffered batches (`HANA_INGEST_MAX_INFLIGHT`): the
+/// Default bound on buffered batches: the
 /// pipeline holds at most `batch_rows × max_inflight` rows; a full
 /// buffer blocks [`IngestPipeline::submit`](crate::IngestPipeline::submit)
 /// — and through the ESP sink, `EspEngine::send` — until the worker
@@ -44,15 +44,6 @@ impl Default for IngestConfig {
 }
 
 impl IngestConfig {
-    /// Defaults overridden by `HANA_INGEST_BATCH_ROWS` and
-    /// `HANA_INGEST_MAX_INFLIGHT`; malformed values warn and fall back.
-    pub fn from_env() -> IngestConfig {
-        let mut cfg = IngestConfig::default();
-        cfg.batch_rows = env_positive("HANA_INGEST_BATCH_ROWS", cfg.batch_rows);
-        cfg.max_inflight = env_positive("HANA_INGEST_MAX_INFLIGHT", cfg.max_inflight);
-        cfg
-    }
-
     /// Copy with a specific batch size.
     pub fn with_batch_rows(mut self, rows: usize) -> IngestConfig {
         self.batch_rows = rows.max(1);
@@ -77,36 +68,9 @@ impl IngestConfig {
     }
 }
 
-fn env_positive(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                hana_obs::warn(format!(
-                    "ingest: ignoring invalid {var}='{raw}' (want a positive integer); \
-                     using {default}"
-                ));
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parsing_warns_and_falls_back() {
-        assert_eq!(env_positive("HANA_INGEST_TEST_UNSET", 7), 7);
-        std::env::set_var("HANA_INGEST_TEST_BAD", "minus three");
-        assert_eq!(env_positive("HANA_INGEST_TEST_BAD", 7), 7);
-        std::env::set_var("HANA_INGEST_TEST_GOOD", " 64 ");
-        assert_eq!(env_positive("HANA_INGEST_TEST_GOOD", 7), 64);
-        std::env::remove_var("HANA_INGEST_TEST_BAD");
-        std::env::remove_var("HANA_INGEST_TEST_GOOD");
-    }
 
     #[test]
     fn capacity_is_batch_times_inflight() {

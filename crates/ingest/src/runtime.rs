@@ -35,10 +35,10 @@ pub struct IngestRuntime {
 }
 
 impl IngestRuntime {
-    /// Build a runtime with [`IngestConfig::from_env`] and register it
+    /// Build a runtime with [`IngestConfig::default`] and register it
     /// as the platform's ingest driver.
     pub fn install(platform: &Arc<HanaPlatform>, session: &Session) -> Arc<IngestRuntime> {
-        IngestRuntime::install_with(platform, session, IngestConfig::from_env())
+        IngestRuntime::install_with(platform, session, IngestConfig::default())
     }
 
     /// [`IngestRuntime::install`] with an explicit configuration.

@@ -111,8 +111,8 @@ pub trait Catalog: Send + Sync {
     fn iq_engine(&self, source: &str) -> Result<Arc<IqEngine>>;
 
     /// Persisted statistics the planner consults for this catalog.
-    /// Defaults to the empty provider (every estimate falls back to
-    /// plan-time heuristics); the platform catalog overrides this with
+    /// Defaults to the empty provider (every predicate is priced at its
+    /// default selectivity); the platform catalog overrides this with
     /// its versioned stats registry.
     fn stats(&self) -> &dyn crate::stats::StatsProvider {
         &crate::stats::NO_STATS

@@ -1,41 +1,14 @@
 //! The planner's injection point.
 //!
 //! [`PlannerContext`] bundles everything a planning run depends on —
-//! catalog, statistics, cost model, resolved knobs — into one value
-//! (the old ad-hoc `Planner::new(catalog)` constructors are gone; build
-//! through [`PlannerContext::new`]). Knobs are resolved **once**, when
-//! the context is built, so a plan sees a consistent snapshot even if
-//! the environment changes mid-flight.
+//! catalog, statistics, cost model — into one value. A plan is a pure
+//! function of it: nothing is read from the process environment or
+//! from thread-local state.
 
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
 use crate::planner::Planner;
 use crate::stats::StatsProvider;
-
-/// Knob values resolved at context-construction time.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerKnobs {
-    /// Broadcast-join build-side row limit — the **fallback** bound the
-    /// executor applies at runtime when the planner had no statistics
-    /// to decide broadcast-vs-repartition itself.
-    pub broadcast_build_row_limit: usize,
-}
-
-impl PlannerKnobs {
-    /// Resolve every knob through its usual chain (thread override,
-    /// then environment, then compiled default).
-    pub fn resolved() -> PlannerKnobs {
-        PlannerKnobs {
-            broadcast_build_row_limit: crate::knobs::broadcast_build_row_limit(),
-        }
-    }
-}
-
-impl Default for PlannerKnobs {
-    fn default() -> Self {
-        PlannerKnobs::resolved()
-    }
-}
 
 /// Everything one planning run depends on.
 #[derive(Clone, Copy)]
@@ -46,20 +19,17 @@ pub struct PlannerContext<'a> {
     pub stats: &'a dyn StatsProvider,
     /// Cost constants for federation strategy choice.
     pub cost: CostModel,
-    /// Knob snapshot.
-    pub knobs: PlannerKnobs,
 }
 
 impl<'a> PlannerContext<'a> {
     /// A context over `catalog` with the catalog's own statistics
     /// provider ([`Catalog::stats`], the empty provider unless
-    /// overridden), the default cost model, and knobs resolved now.
+    /// overridden) and the default cost model.
     pub fn new(catalog: &'a dyn Catalog) -> PlannerContext<'a> {
         PlannerContext {
             catalog,
             stats: catalog.stats(),
             cost: CostModel::default(),
-            knobs: PlannerKnobs::resolved(),
         }
     }
 
@@ -72,12 +42,6 @@ impl<'a> PlannerContext<'a> {
     /// Override the cost model (ablation benches).
     pub fn with_cost_model(mut self, cost: CostModel) -> PlannerContext<'a> {
         self.cost = cost;
-        self
-    }
-
-    /// Override the knob snapshot.
-    pub fn with_knobs(mut self, knobs: PlannerKnobs) -> PlannerContext<'a> {
-        self.knobs = knobs;
         self
     }
 

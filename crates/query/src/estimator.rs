@@ -1,43 +1,38 @@
-//! Statistics-backed cardinality estimation.
+//! Cardinality estimation from the catalog and its synopses.
 //!
-//! The planner asks these helpers first; only when no synopsis exists
-//! for a table does it fall back to the plan-time heuristics (rebuilt
-//! histograms, default selectivities). Every estimate returned here is
-//! clamped to `[0, row_count]` by the underlying `ColumnStats`
-//! estimators.
+//! One rule prices every local scan: the table's live row count (an
+//! O(1) read) times one selectivity per pushed-down predicate — taken
+//! from the column's persisted synopsis when one covers it, and the
+//! predicate's default selectivity when none does, the same rule remote
+//! and function bindings use. Planning never reads table data.
 
 use hana_columnar::{ColumnPredicate, TableStatistics};
 
-/// Estimated output rows of a scan with the given pushed-down
-/// predicates, from a persisted synopsis.
-pub(crate) fn scan_estimate(stats: &TableStatistics, preds: &[(String, ColumnPredicate)]) -> f64 {
-    let mut est = stats.row_count as f64;
-    for (col, pred) in preds {
-        let bare = col.rsplit('.').next().unwrap_or(col);
-        match stats.column(bare) {
-            Some(c) => est *= c.selectivity(pred),
-            None => est *= pred.default_selectivity(),
-        }
+/// Selectivity (`0..=1`) of one pushed-down predicate on a (possibly
+/// binding-qualified) column.
+pub(crate) fn selectivity(
+    stats: Option<&TableStatistics>,
+    col: &str,
+    pred: &ColumnPredicate,
+) -> f64 {
+    let bare = col.rsplit('.').next().unwrap_or(col);
+    match stats.and_then(|s| s.column(bare)) {
+        Some(c) => c.selectivity(pred),
+        None => pred.default_selectivity(),
     }
-    est.max(if preds.is_empty() { 1.0 } else { 0.0 })
 }
 
-/// Estimated output rows of a distributed scan: per-partition synopses
-/// are filtered by the prune `mask` (true = partition survives) and
-/// estimated independently, so partition-skewed data is priced
-/// per-fragment rather than by a uniform fraction.
-pub(crate) fn dist_scan_estimate(
-    parts: &[TableStatistics],
-    mask: &[bool],
+/// Estimated output rows of a scan over `live_rows` rows with the given
+/// pushed-down predicates.
+pub(crate) fn scan_estimate(
+    live_rows: f64,
+    stats: Option<&TableStatistics>,
     preds: &[(String, ColumnPredicate)],
 ) -> f64 {
-    let est: f64 = parts
-        .iter()
-        .zip(mask.iter().copied().chain(std::iter::repeat(true)))
-        .filter(|(_, keep)| *keep)
-        .map(|(p, _)| scan_estimate(p, preds))
-        .sum();
-    est.max(1.0)
+    let est = preds.iter().fold(live_rows, |est, (col, pred)| {
+        est * selectivity(stats, col, pred)
+    });
+    est.max(if preds.is_empty() { 1.0 } else { 0.0 })
 }
 
 /// Distinct-count of a (possibly binding-qualified) key column, if the

@@ -9,21 +9,13 @@ use hana_types::{Accumulator, AggFunc, HanaError, Result, ResultSet, Row, Schema
 
 use crate::catalog::{Catalog, TableSource};
 use crate::hash::{FxBuildHasher, FxHashMap};
-use crate::plan::{PlanNode, PlanOp};
+use crate::plan::{DistJoinStrategy, PlanNode, PlanOp};
 
 /// Inputs at or above this many rows are routed through the parallel
 /// execution engine (table scans and group-by aggregation); smaller
 /// inputs run serially — one default morsel's worth of rows, below
 /// which fan-out overhead buys nothing.
 pub const PARALLEL_ROW_THRESHOLD: usize = 65_536;
-
-/// Default broadcast-join build-side limit: build sides at or below
-/// this many rows are broadcast to the nodes of a distributed probe
-/// side (fragment-local join); larger build sides fall back to
-/// gathering the probe side at the coordinator. The effective limit is
-/// resolved per statement by [`crate::broadcast_build_row_limit`]
-/// (thread override, then environment, then this default).
-pub const BROADCAST_BUILD_ROW_LIMIT: usize = 16_384;
 
 /// Execute a SQL query against the catalog under snapshot `cid`, using
 /// the process-wide [`ExecContext`] for parallel operators.
@@ -261,40 +253,29 @@ fn execute_plan_inner(
             kind,
             dist,
         } => {
-            // Distributed fast path: when the probe side is a
-            // partitioned scan and the build side is small, broadcast
-            // the build rows to the surviving nodes and join
-            // fragment-locally, shipping only join results. The planner
-            // decides broadcast-vs-repartition from the persisted
-            // statistics when it can; `Runtime` defers to the build-side
-            // row-limit knob, the pre-statistics behaviour.
-            if let PlanOp::DistScan { table, preds, .. } = &left.op {
+            // Distributed fast path, when the planner chose it: the
+            // probe side is a partitioned scan and the build side is
+            // estimated small, so broadcast the build rows to the
+            // surviving nodes and join fragment-locally, shipping only
+            // join results.
+            if let (DistJoinStrategy::Broadcast, PlanOp::DistScan { table, preds, .. }) =
+                (dist, &left.op)
+            {
                 if let Ok(TableSource::Distributed(dt)) = catalog.resolve_table(table) {
                     let r = execute_plan_with(exec, right, catalog, cid)?;
-                    let broadcast = match dist {
-                        crate::DistJoinStrategy::Broadcast => true,
-                        crate::DistJoinStrategy::Repartition => false,
-                        crate::DistJoinStrategy::Runtime => {
-                            r.rows.len() <= crate::knobs::broadcast_build_row_limit()
-                        }
-                    };
-                    if broadcast {
-                        span.attr("broadcast_join", 1);
-                        return dist_broadcast_join(
-                            &dt,
-                            &left.schema,
-                            preds,
-                            &r,
-                            left_key,
-                            right_key,
-                            *kind,
-                            &plan.schema,
-                            cid,
-                            span,
-                        );
-                    }
-                    let l = execute_plan_with(exec, left, catalog, cid)?;
-                    return hash_join(&l, &r, left_key, right_key, *kind, &plan.schema);
+                    span.attr("broadcast_join", 1);
+                    return dist_broadcast_join(
+                        &dt,
+                        &left.schema,
+                        preds,
+                        &r,
+                        left_key,
+                        right_key,
+                        *kind,
+                        &plan.schema,
+                        cid,
+                        span,
+                    );
                 }
             }
             let l = execute_plan_with(exec, left, catalog, cid)?;
@@ -528,26 +509,20 @@ fn execute_plan_inner(
 
 /// Apply a filter predicate over materialized rows.
 ///
-/// When expression compilation is on and the predicate lowers to
-/// bytecode, rows run through the VM one [`BLOCK_ROWS`] block at a
-/// time. Block-level evaluation can raise an error the tree-walk's
-/// per-row short-circuit would have skipped (see [`crate::vm`]), and a
-/// predicate may legally evaluate to a non-boolean the tree-walk
-/// reports with its own message — any such block falls back to the
-/// row-at-a-time evaluator, which is the authority for both results
-/// and errors.
+/// When the predicate lowers to bytecode, rows run through the VM one
+/// [`BLOCK_ROWS`] block at a time. Block-level evaluation can raise an
+/// error the tree-walk's per-row short-circuit would have skipped (see
+/// [`crate::vm`]), and a predicate may legally evaluate to a
+/// non-boolean the tree-walk reports with its own message — any such
+/// block falls back to the row-at-a-time evaluator, which is the
+/// authority for both results and errors.
 fn filter_rows(
     pred: &Expr,
     schema: &Schema,
     rows: Vec<Row>,
     span: &hana_obs::Span,
 ) -> Result<Vec<Row>> {
-    let prog = if crate::knobs::compiled_expressions() {
-        crate::compile::compile_expr(pred, schema)
-    } else {
-        None
-    };
-    let Some(prog) = prog else {
+    let Some(prog) = crate::compile::compile_expr(pred, schema) else {
         let mut out = Vec::with_capacity(rows.len());
         for r in rows {
             if evaluate_predicate(pred, schema, &r)? {
@@ -593,7 +568,7 @@ fn filter_rows(
 /// Returns `Ok(None)` when the shape does not fit and the tree-walking
 /// epilogue should run instead.
 fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Option<ResultSet>> {
-    if !crate::knobs::compiled_expressions() || q.select.is_empty() {
+    if q.select.is_empty() {
         return Ok(None);
     }
     let aggregated = !q.group_by.is_empty()

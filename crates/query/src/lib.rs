@@ -1,8 +1,8 @@
 //! # hana-query
 //!
 //! The federated query processor of the platform (§3.1 "Query
-//! Processing" + §4.2): a cost-based planner with q-error-bounded
-//! histograms, placement analysis over local / extended / remote
+//! Processing" + §4.2): a cost-based planner over persisted column
+//! synopses, placement analysis over local / extended / remote
 //! sources, the four federation strategies of the paper (remote scan,
 //! semijoin, table relocation, union plan), whole-query and
 //! remote-prefix shipping below the distributed exchange operator, and a
@@ -19,8 +19,6 @@ mod cost;
 mod estimator;
 mod executor;
 mod hash;
-mod histogram;
-mod knobs;
 mod plan;
 mod planner;
 mod stats;
@@ -28,19 +26,13 @@ mod vm;
 
 pub use catalog::{Catalog, TableFunction, TableSource};
 pub use compile::compile_expr;
-pub use context::{PlannerContext, PlannerKnobs};
+pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
     execute_plan, execute_plan_with, execute_query, execute_query_with, explain_query,
-    BROADCAST_BUILD_ROW_LIMIT, PARALLEL_ROW_THRESHOLD,
+    PARALLEL_ROW_THRESHOLD,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use histogram::{Bucket, QHistogram};
-pub use knobs::{
-    broadcast_build_row_limit, compiled_expressions, override_broadcast_build_row_limit,
-    override_compiled_expressions, BroadcastLimitGuard, CompiledExpressionsGuard,
-    ENV_BROADCAST_BUILD_ROW_LIMIT, ENV_COMPILED_EXPRESSIONS,
-};
 pub use plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
 pub use planner::Planner;
 pub use stats::{MemoryStatsProvider, NoStats, StatsProvider, NO_STATS};

@@ -22,8 +22,8 @@ pub struct PlanNode {
 pub enum EstSource {
     /// Derived from persisted column statistics.
     Stats,
-    /// Fallback heuristics (plan-time histograms, default
-    /// selectivities).
+    /// No synopsis covered the input: row counts and default
+    /// selectivities only.
     #[default]
     Heuristic,
 }
@@ -47,8 +47,9 @@ impl EstSource {
     }
 }
 
-/// How a hash join above a distributed probe side moves data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a hash join above a distributed probe side moves data — decided
+/// at plan time from the two sides' estimated rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistJoinStrategy {
     /// Replicate the build rows to every surviving node; join
     /// fragment-locally, ship only results.
@@ -56,11 +57,6 @@ pub enum DistJoinStrategy {
     /// Gather the probe side to the coordinator (repartition-style
     /// shuffle) and join there.
     Repartition,
-    /// No statistics at plan time: the executor decides at runtime by
-    /// comparing the materialized build side against the
-    /// broadcast-build row-limit knob.
-    #[default]
-    Runtime,
 }
 
 impl DistJoinStrategy {
@@ -69,7 +65,6 @@ impl DistJoinStrategy {
         match self {
             DistJoinStrategy::Broadcast => "broadcast",
             DistJoinStrategy::Repartition => "repartition",
-            DistJoinStrategy::Runtime => "runtime-knob",
         }
     }
 }

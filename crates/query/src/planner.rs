@@ -16,16 +16,18 @@
 //!    *table relocation* (§3.1, Figure 7); hybrid tables always use the
 //!    *union plan* at scan level.
 //!
-//! Estimation is **statistics-first**: when the [`StatsProvider`] of the
-//! [`PlannerContext`] has a persisted synopsis for a table, scans are
-//! priced from its histograms, equi-joins from key distinct-counts
-//! (containment assumption), and distributed joins pick
-//! broadcast-vs-repartition from per-partition row counts. Every
-//! estimate carries an [`EstSource`] provenance marker; without
-//! statistics the planner falls back to the plan-time heuristics and
-//! marks the node `heuristic`.
+//! Planning is a pure function of the catalog and its synopses: scans
+//! are priced as live row count × per-column selectivity (from the
+//! [`StatsProvider`](crate::StatsProvider)'s synopsis where one covers
+//! the column, the predicate's default selectivity where none does),
+//! equi-joins from key distinct-counts (containment assumption), and
+//! distributed joins pick broadcast-vs-repartition from those estimates
+//! at plan time. Table data is never read, and no setting outside the
+//! [`PlannerContext`] is consulted. Every estimate carries an
+//! [`EstSource`] marker: `stats` when a synopsis backed it,
+//! `heuristic` when only row counts and default selectivities did.
 
-use hana_columnar::{ColumnPredicate, ColumnTable};
+use hana_columnar::{ColumnPredicate, ColumnTable, TableStatistics};
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, infer_type};
 use hana_sql::{BinOp, Expr, JoinKind, Query, SelectItem, TableRef};
 use hana_types::{ColumnDef, HanaError, Result, Schema, Value};
@@ -34,11 +36,7 @@ use crate::catalog::TableSource;
 use crate::context::PlannerContext;
 use crate::cost::JoinSituation;
 use crate::estimator;
-use crate::histogram::QHistogram;
 use crate::plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
-
-#[allow(unused_imports)] // doc links
-use crate::stats::StatsProvider;
 
 /// The planner.
 pub struct Planner<'a> {
@@ -561,19 +559,21 @@ impl<'a> Planner<'a> {
                 est_source,
             },
             BindingKind::Table(ts) => match ts {
-                TableSource::Column(t) => match self.try_index_seek(b, &t.read(), &lowered) {
-                    Some(node) => node,
-                    None => PlanNode {
-                        op: PlanOp::ColumnScan {
-                            binding: b.name.clone(),
-                            table: b.table.clone(),
-                            preds: lowered,
+                TableSource::Column(t) => {
+                    match self.try_index_seek(b, &t.read(), &lowered, est, est_source) {
+                        Some(node) => node,
+                        None => PlanNode {
+                            op: PlanOp::ColumnScan {
+                                binding: b.name.clone(),
+                                table: b.table.clone(),
+                                preds: lowered,
+                            },
+                            schema: b.schema.clone(),
+                            est_rows: est,
+                            est_source,
                         },
-                        schema: b.schema.clone(),
-                        est_rows: est,
-                        est_source,
-                    },
-                },
+                    }
+                }
                 TableSource::Row(_) => PlanNode {
                     op: PlanOp::RowScan {
                         binding: b.name.clone(),
@@ -646,21 +646,21 @@ impl<'a> Planner<'a> {
     /// worth it when the estimated selected fraction stays at or below
     /// 1/4 — beyond that, the ordered walk touches enough of the key
     /// space that the vectorized full scan is the better skip-scan.
-    /// With a persisted synopsis the estimate comes from the statistics
-    /// (`stats` provenance); otherwise the index's own live distinct-key
-    /// count feeds the heuristic.
+    /// The seek returns exactly the rows the scan would, so it carries
+    /// the binding's scan estimate (`est`, `est_source`).
     fn try_index_seek(
         &self,
         b: &Binding,
         table: &ColumnTable,
         lowered: &[(String, ColumnPredicate)],
+        est: f64,
+        est_source: EstSource,
     ) -> Option<PlanNode> {
         struct Candidate<'ix> {
             ix: &'ix hana_columnar::SecondaryIndex,
             prefix: Vec<(String, Value)>,
             range: Option<(String, ColumnPredicate)>,
             used: Vec<bool>,
-            key_width: usize,
         }
         if lowered.is_empty() {
             return None;
@@ -711,45 +711,15 @@ impl<'a> Planner<'a> {
                     prefix,
                     range,
                     used,
-                    key_width: cols.len(),
                 });
             }
         }
         let cand = best?;
-        let row_count = table.row_count() as f64;
-        let stats = self.ctx.stats.table_stats(&b.table);
-        let (est, est_source) = match &stats {
-            Some(s) => (estimator::scan_estimate(s, lowered), EstSource::Stats),
-            None => {
-                // The live index NDV feeds the heuristic: an equality
-                // prefix over `k` of `w` key columns selects about
-                // `rows / ndv^(k/w)`; range and residual predicates
-                // scale by their default selectivities on top. Counting
-                // distinct keys walks the index, so it is only paid
-                // here, on the statistics-less path.
-                let ndv = cand.ix.distinct_keys().max(1) as f64;
-                let mut est =
-                    row_count / ndv.powf(cand.prefix.len() as f64 / cand.key_width as f64);
-                if let Some((_, p)) = &cand.range {
-                    est *= p.default_selectivity();
-                }
-                for (i, (_, p)) in lowered.iter().enumerate() {
-                    if !cand.used[i] {
-                        est *= p.default_selectivity();
-                    }
-                }
-                (est.max(1.0), EstSource::Heuristic)
-            }
-        };
         if cand.prefix.is_empty() {
-            let seek_preds: Vec<(String, ColumnPredicate)> = cand.range.iter().cloned().collect();
-            let fraction = match &stats {
-                Some(s) => estimator::scan_estimate(s, &seek_preds) / (s.row_count as f64).max(1.0),
-                None => seek_preds
-                    .first()
-                    .map(|(_, p)| p.default_selectivity())
-                    .unwrap_or(1.0),
-            };
+            let stats = self.ctx.stats.table_stats(&b.table);
+            let fraction = cand.range.as_ref().map_or(1.0, |(col, p)| {
+                estimator::selectivity(stats.as_deref(), col, p)
+            });
             if fraction > 0.25 {
                 return None;
             }
@@ -892,70 +862,50 @@ impl<'a> Planner<'a> {
     // ---- estimation ----
 
     /// Estimated rows of a binding after its pushed-down predicates,
-    /// with the provenance of the estimate. Persisted synopses win;
-    /// plan-time heuristics (rebuilt dictionary histograms, default
-    /// selectivities) are the fallback.
+    /// with the provenance of the estimate: live row count × one
+    /// selectivity per predicate (see [`estimator::scan_estimate`]).
     fn binding_estimate(&self, b: &Binding) -> (f64, EstSource) {
         let lowered = lower_preds(&b.preds);
+        let local = |live_rows: usize| {
+            let stats = self.ctx.stats.table_stats(&b.table);
+            (
+                estimator::scan_estimate(live_rows as f64, stats.as_deref(), &lowered),
+                provenance(stats.as_deref()),
+            )
+        };
         match &b.source {
             BindingKind::Function { .. } => (100.0, EstSource::Heuristic),
             BindingKind::Table(ts) => match ts {
-                TableSource::Column(t) => {
-                    if let Some(stats) = self.ctx.stats.table_stats(&b.table) {
-                        return (estimator::scan_estimate(&stats, &lowered), EstSource::Stats);
-                    }
-                    let t = t.read();
-                    let mut est = t.row_count() as f64;
-                    for (col, pred) in &lowered {
-                        // Histogram over the ordered dictionary ([16]).
-                        if let Some(idx) = t.schema().index_of(col) {
-                            let hist = QHistogram::build(&t.value_frequencies(idx), 0, 2.0);
-                            est *= hist.selectivity(pred);
-                        } else {
-                            est *= pred.default_selectivity();
-                        }
-                    }
-                    (
-                        est.max(if lowered.is_empty() { 1.0 } else { 0.0 }),
-                        EstSource::Heuristic,
-                    )
-                }
-                TableSource::Row(t) => {
-                    if let Some(stats) = self.ctx.stats.table_stats(&b.table) {
-                        return (estimator::scan_estimate(&stats, &lowered), EstSource::Stats);
-                    }
-                    let rows = t.read().version_count() as f64;
-                    (
-                        lowered
-                            .iter()
-                            .fold(rows, |e, (_, p)| e * p.default_selectivity()),
-                        EstSource::Heuristic,
-                    )
-                }
+                TableSource::Column(t) => local(t.read().row_count()),
+                TableSource::Row(t) => local(t.read().version_count()),
                 TableSource::Distributed(t) => {
-                    // Pruning scales the scanned fraction; per-row
-                    // selectivity applies on top.
+                    // Pruned partitions contribute nothing; each
+                    // surviving one is priced from its own live rows and
+                    // synopsis (the table-level one where the provider
+                    // keeps no per-partition synopses), so skewed data
+                    // is not averaged away.
                     let mask = prune_mask(t, &lowered);
-                    if let Some(parts) = self.ctx.stats.partition_stats(&b.table) {
-                        return (
-                            estimator::dist_scan_estimate(&parts, &mask, &lowered),
-                            EstSource::Stats,
-                        );
-                    }
-                    let fraction =
-                        mask.iter().filter(|&&m| m).count() as f64 / mask.len().max(1) as f64;
-                    if let Some(stats) = self.ctx.stats.table_stats(&b.table) {
-                        return (
-                            (estimator::scan_estimate(&stats, &lowered) * fraction).max(1.0),
-                            EstSource::Stats,
-                        );
-                    }
-                    let rows = t.row_count() as f64;
-                    let sel: f64 = lowered
+                    let parts = self.ctx.stats.partition_stats(&b.table);
+                    let table = match parts {
+                        Some(_) => None,
+                        None => self.ctx.stats.table_stats(&b.table),
+                    };
+                    let synopsis = |node: usize| -> Option<&TableStatistics> {
+                        match &parts {
+                            Some(p) => p.get(node),
+                            None => table.as_deref(),
+                        }
+                    };
+                    let est: f64 = t
+                        .nodes()
                         .iter()
-                        .map(|(_, p)| p.default_selectivity())
-                        .product();
-                    ((rows * fraction * sel).max(1.0), EstSource::Heuristic)
+                        .enumerate()
+                        .filter(|(node, _)| mask[*node])
+                        .map(|(node, n)| {
+                            estimator::scan_estimate(n.row_count() as f64, synopsis(node), &lowered)
+                        })
+                        .sum();
+                    (est.max(1.0), provenance(synopsis(0)))
                 }
                 TableSource::Hybrid {
                     hot,
@@ -1020,20 +970,16 @@ impl<'a> Planner<'a> {
     }
 
     /// Decide broadcast-vs-repartition for a hash join whose probe side
-    /// is a distributed scan. Broadcasting ships the build side to every
-    /// surviving partition; gathering (the repartition fallback) ships
-    /// the probe rows to the coordinator instead. Without statistics on
-    /// both sides the decision is deferred to the executor's runtime
-    /// row-limit knob.
+    /// is a distributed scan, from the two sides' estimates. Broadcasting
+    /// ships the build side to every surviving partition; gathering (the
+    /// repartition fallback, and what a purely local join does anyway)
+    /// ships the probe rows to the coordinator instead.
     fn dist_join_strategy(&self, left: &PlanNode, right: &PlanNode) -> DistJoinStrategy {
         let PlanOp::DistScan { table, preds, .. } = &left.op else {
-            return DistJoinStrategy::Runtime;
+            return DistJoinStrategy::Repartition;
         };
-        if left.est_source != EstSource::Stats || right.est_source != EstSource::Stats {
-            return DistJoinStrategy::Runtime;
-        }
         let Ok(TableSource::Distributed(t)) = self.ctx.catalog.resolve_table(table) else {
-            return DistJoinStrategy::Runtime;
+            return DistJoinStrategy::Repartition;
         };
         let mask = prune_mask(&t, preds);
         let surviving = mask.iter().filter(|&&k| k).count().max(1) as f64;
@@ -1099,6 +1045,14 @@ impl<'a> Planner<'a> {
 
     fn remote_rows(&self, source: &str, table: &str) -> f64 {
         self.remote_rows_opt(source, table).unwrap_or(10_000.0)
+    }
+}
+
+/// `stats` when a synopsis backed the estimate, `heuristic` otherwise.
+fn provenance(stats: Option<&TableStatistics>) -> EstSource {
+    match stats {
+        Some(_) => EstSource::Stats,
+        None => EstSource::Heuristic,
     }
 }
 

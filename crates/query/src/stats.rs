@@ -4,8 +4,8 @@
 //! column statistics of `hana-columnar`: the catalog layer (`hana-core`)
 //! implements it over its versioned stats registry, tests use
 //! [`MemoryStatsProvider`], and [`NoStats`] is the default when no
-//! provider is wired in (every estimate then falls back to the plan-time
-//! heuristics, exactly the pre-statistics behaviour).
+//! provider is wired in (every predicate is then priced at its default
+//! selectivity over the live row count).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,8 +25,8 @@ pub trait StatsProvider: Send + Sync {
     }
 }
 
-/// The empty provider: every lookup misses, estimates fall back to
-/// heuristics.
+/// The empty provider: every lookup misses, predicates are priced at
+/// their default selectivities.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoStats;
 

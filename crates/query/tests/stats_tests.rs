@@ -14,11 +14,11 @@ use hana_dist::{DistTable, PartitionSpec};
 use hana_iq::IqEngine;
 use hana_query::{
     execute_query, Catalog, DistJoinStrategy, EstSource, FederationStrategy, MemoryStatsProvider,
-    PlanNode, PlanOp, PlannerContext, StatsProvider, TableSource,
+    PlanNode, PlanOp, PlannerContext, StatsProvider, TableFunction, TableSource,
 };
 use hana_sda::{IqAdapter, SdaAdapter, SdaRegistry};
 use hana_sql::{parse_statement, Statement};
-use hana_types::{DataType, HanaError, Result, Row, Schema, Value};
+use hana_types::{DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use proptest::prelude::*;
 
@@ -27,6 +27,7 @@ use proptest::prelude::*;
 /// without the platform.
 struct StatsCatalog {
     tables: HashMap<String, TableSource>,
+    functions: HashMap<String, Arc<dyn TableFunction>>,
     sda: SdaRegistry,
     iq: Option<Arc<IqEngine>>,
     stats: MemoryStatsProvider,
@@ -36,6 +37,7 @@ impl StatsCatalog {
     fn new() -> StatsCatalog {
         StatsCatalog {
             tables: HashMap::new(),
+            functions: HashMap::new(),
             sda: SdaRegistry::new(),
             iq: None,
             stats: MemoryStatsProvider::new(),
@@ -49,6 +51,13 @@ impl Catalog for StatsCatalog {
             .get(&name.to_ascii_lowercase())
             .cloned()
             .ok_or_else(|| HanaError::Catalog(format!("unknown table '{name}'")))
+    }
+
+    fn resolve_function(&self, name: &str) -> Result<Arc<dyn TableFunction>> {
+        self.functions
+            .get(&name.to_ascii_lowercase())
+            .cloned()
+            .ok_or_else(|| HanaError::Catalog(format!("unknown table function '{name}'")))
     }
 
     fn sda(&self) -> &SdaRegistry {
@@ -306,13 +315,9 @@ fn dist_world() -> StatsCatalog {
 }
 
 /// The planner flips broadcast→repartition as the build side grows —
-/// driven purely by persisted statistics, no environment knob set.
+/// decided at plan time from the two sides' estimated rows.
 #[test]
 fn dist_join_flips_broadcast_to_repartition_on_build_size() {
-    assert!(
-        std::env::var(hana_query::ENV_BROADCAST_BUILD_ROW_LIMIT).is_err(),
-        "the flip must come from statistics, not the env knob"
-    );
     let cat = dist_world();
 
     let small = plan(
@@ -347,16 +352,26 @@ fn dist_join_flips_broadcast_to_repartition_on_build_size() {
         big.explain()
     );
 
-    // Without statistics the decision defers to the runtime knob.
-    let runtime = PlannerContext::new(&cat)
+    // Without any synopsis the decision is still made at plan time,
+    // from the live row counts alone (20 × 4 partitions ≤ 20 000).
+    let no_synopsis = PlannerContext::new(&cat)
         .with_stats(&hana_query::NO_STATS)
         .planner()
         .plan(&query(
             "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k",
         ))
         .unwrap();
-    assert_eq!(hash_join_dist(&runtime), Some(DistJoinStrategy::Runtime));
-    assert!(runtime.explain().contains("exchange: runtime-knob"));
+    assert_eq!(
+        hash_join_dist(&no_synopsis),
+        Some(DistJoinStrategy::Broadcast)
+    );
+    assert!(
+        no_synopsis
+            .explain()
+            .contains("exchange: broadcast (est 20 rows [heuristic])"),
+        "{}",
+        no_synopsis.explain()
+    );
 
     // Both strategies execute correctly: each tiny key matches 200 fact
     // rows; each huge key below 100 matches 200.
@@ -374,6 +389,80 @@ fn dist_join_flips_broadcast_to_repartition_on_build_size() {
     )
     .unwrap();
     assert_eq!(rs.len(), 100 * 200);
+}
+
+/// A table function returning `rows` rows of `(k, label)`; nothing is
+/// known about it at plan time (the planner prices it at 100 rows).
+struct Labels {
+    rows: i64,
+}
+
+impl TableFunction for Labels {
+    fn schema(&self) -> Schema {
+        Schema::of(&[("k", DataType::Int), ("label", DataType::Int)])
+    }
+    fn invoke(&self, _args: &[Value]) -> Result<ResultSet> {
+        let rows = (0..self.rows)
+            .map(|i| Row::from_values([Value::Int(i), Value::Int(i * 7)]))
+            .collect();
+        Ok(ResultSet::new(self.schema(), rows))
+    }
+}
+
+/// A build side with no synopsis at all (a table function) still gets
+/// its exchange decided at plan time and shown in EXPLAIN — broadcast
+/// over the 20 000-row probe side, repartition over a 100-row one — and
+/// either way the join returns exactly the rows of the same join over a
+/// single-node copy of the probe table.
+#[test]
+fn dist_join_over_a_build_side_without_synopsis_is_planned_and_exact() {
+    let mut cat = dist_world();
+    cat.functions
+        .insert("labels".into(), Arc::new(Labels { rows: 40 }));
+    let solo = column_table("solo", 20_000, 100);
+    cat.tables.insert(
+        "solo".into(),
+        TableSource::Column(Arc::new(RwLock::new(solo))),
+    );
+    let small = DistTable::new(
+        "smallfacts",
+        Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]),
+        PartitionSpec::Hash {
+            column: "k".into(),
+            partitions: 4,
+        },
+    )
+    .unwrap();
+    for i in 0..100i64 {
+        small.insert(&[Value::Int(i), Value::Int(i)], 1).unwrap();
+    }
+    cat.tables.insert(
+        "smallfacts".into(),
+        TableSource::Distributed(Arc::new(small)),
+    );
+
+    let sql = |probe: &str| {
+        format!("SELECT f.v, l.label FROM {probe} f JOIN labels() l ON f.k = l.k ORDER BY f.v")
+    };
+    let broadcast = plan(&cat, &sql("facts"));
+    assert!(
+        broadcast.explain().contains("exchange: broadcast"),
+        "100 estimated build rows x 4 partitions <= 20 000 probe rows:\n{}",
+        broadcast.explain()
+    );
+    let repartition = plan(&cat, &sql("smallfacts"));
+    assert!(
+        repartition.explain().contains("exchange: repartition"),
+        "100 estimated build rows x 4 partitions > 100 probe rows:\n{}",
+        repartition.explain()
+    );
+
+    let dist = execute_query(&query(&sql("facts")), &cat, 1).unwrap();
+    let single = execute_query(&query(&sql("solo")), &cat, 1).unwrap();
+    assert_eq!(dist.len(), 40 * 200);
+    assert_eq!(dist.rows, single.rows, "dist join ≡ solo join");
+    let rs = execute_query(&query(&sql("smallfacts")), &cat, 1).unwrap();
+    assert_eq!(rs.len(), 40, "one probe row per label key");
 }
 
 // ---------------------------------------------------------------------
@@ -467,24 +556,35 @@ fn federated_join_flips_remote_scan_to_semijoin_on_remote_selectivity() {
 // Statistics are advisory.
 // ---------------------------------------------------------------------
 
-/// Wildly wrong statistics change the plan, never the answer.
+/// Wildly wrong statistics change the plan, never the answer. Row
+/// counts are read live, so the only thing a synopsis can lie about is
+/// selectivity.
 #[test]
 fn stale_statistics_never_change_results() {
-    let sql = "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k";
+    let sql = "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k WHERE f.v >= 0";
     let cat = dist_world();
+    assert_eq!(
+        hash_join_dist(&plan(&cat, sql)),
+        Some(DistJoinStrategy::Broadcast)
+    );
     let fresh = execute_query(&query(sql), &cat, 1).unwrap();
 
-    // Fabricate a synopsis claiming `tiny` is enormous and `facts`
-    // minuscule — the exchange decision inverts...
-    let lying: Vec<(Value, u64)> = (0..20i64).map(|i| (Value::Int(i), 50_000)).collect();
-    cat.stats.put(TableStatistics {
-        table: "tiny".into(),
-        row_count: 1_000_000,
-        columns: vec![
-            ColumnStats::from_frequencies("k", &lying, 0, 8),
-            ColumnStats::from_frequencies("v", &lying, 0, 8),
-        ],
-    });
+    // Fabricate partition synopses claiming every `facts.v` is
+    // negative: `v >= 0` then looks like it selects nothing, the probe
+    // side looks smaller than the build side, and the exchange decision
+    // inverts...
+    let lying: Vec<(Value, u64)> = (-20..0i64).map(|i| (Value::Int(i), 250)).collect();
+    let parts = (0..4)
+        .map(|_| TableStatistics {
+            table: "facts".into(),
+            row_count: 5_000,
+            columns: vec![
+                ColumnStats::from_frequencies("k", &lying, 0, 8),
+                ColumnStats::from_frequencies("v", &lying, 0, 8),
+            ],
+        })
+        .collect();
+    cat.stats.put_partitions("facts", parts);
     let stale_plan = plan(&cat, sql);
     assert_eq!(
         hash_join_dist(&stale_plan),

@@ -29,7 +29,6 @@
 mod plan_cache;
 mod workload;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,7 +82,6 @@ impl SessionManager {
             cache: Arc::clone(&self.cache),
             workload: Arc::clone(&self.workload),
             auth,
-            broadcast_limit: AtomicUsize::new(0),
         })
     }
 
@@ -130,9 +128,6 @@ pub struct Session {
     cache: Arc<PlanCache>,
     workload: Arc<WorkloadManager>,
     auth: hana_core::Session,
-    /// Per-session broadcast build-side limit; 0 = unset (inherit the
-    /// environment/default resolution in hana-query).
-    broadcast_limit: AtomicUsize,
 }
 
 impl Session {
@@ -144,23 +139,6 @@ impl Session {
     /// The authenticated user.
     pub fn user(&self) -> &str {
         &self.auth.user
-    }
-
-    /// Set (or clear with `None`) this session's broadcast build-side
-    /// row limit. While set, it overrides the
-    /// `HANA_BROADCAST_BUILD_ROW_LIMIT` environment variable and the
-    /// compiled-in default for statements this session executes.
-    pub fn set_broadcast_build_row_limit(&self, limit: Option<usize>) {
-        self.broadcast_limit
-            .store(limit.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// The session's broadcast limit setting, if any.
-    pub fn broadcast_build_row_limit(&self) -> Option<usize> {
-        match self.broadcast_limit.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(n),
-        }
     }
 
     /// Parse once; execute later with [`Session::execute_prepared`].
@@ -237,12 +215,7 @@ impl Session {
         let class = self.workload.classify(&plan);
         let _permit = self.workload.admit(class)?;
         let start = Instant::now();
-        let result = {
-            let _g = self
-                .broadcast_build_row_limit()
-                .map(hana_query::override_broadcast_build_row_limit);
-            self.platform.execute_plan(&self.auth, &plan)
-        };
+        let result = self.platform.execute_plan(&self.auth, &plan);
         record_latency(class, start, result.is_ok());
         result
     }
@@ -306,18 +279,14 @@ mod tests {
         let ps = s1.prepare("SELECT v FROM t WHERE k = ?").unwrap();
         s1.execute_prepared(&ps, &[Value::Int(1)]).unwrap();
         assert_eq!(mgr.plan_cache().len(), 1);
-        let hits = hana_obs::registry()
-            .counter("hana_session_plan_cache_hits_total")
-            .get();
+        let (hits, _) = mgr.plan_cache().stats();
         // Same binding again: a hit, from a different session too.
         s1.execute_prepared(&ps, &[Value::Int(1)]).unwrap();
         let s2 = mgr.connect("SYSTEM", "manager").unwrap();
         let ps2 = s2.prepare("SELECT v FROM t WHERE k = ?").unwrap();
         s2.execute_prepared(&ps2, &[Value::Int(1)]).unwrap();
         assert_eq!(
-            hana_obs::registry()
-                .counter("hana_session_plan_cache_hits_total")
-                .get(),
+            mgr.plan_cache().stats().0,
             hits + 2,
             "repeat executions hit the shared cache"
         );
@@ -362,11 +331,9 @@ mod tests {
         s.execute("CREATE INDEX ix_k ON t (k)").unwrap();
         let rs = s.execute_prepared(&ps, &[Value::Int(1)]).unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(10));
-        assert_eq!(
-            invalidations(),
-            before + 1,
-            "stale plan dropped, not reused"
-        );
+        // The counter is process-global (sibling tests purge their own
+        // caches), so the delta is a lower bound.
+        assert!(invalidations() > before, "stale plan dropped, not reused");
         let explain = s.execute("EXPLAIN SELECT v FROM t WHERE k = 1").unwrap();
         let text: Vec<String> = explain.rows.iter().map(|r| r[0].to_string()).collect();
         assert!(
@@ -379,7 +346,7 @@ mod tests {
         s.execute("DROP INDEX ix_k").unwrap();
         let rs = s.execute_prepared(&ps, &[Value::Int(1)]).unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(10));
-        assert_eq!(invalidations(), before + 1);
+        assert!(invalidations() > before);
     }
 
     #[test]
@@ -389,16 +356,5 @@ mod tests {
         let ps = s.prepare("SELECT v FROM t WHERE k = ?").unwrap();
         let err = s.execute_prepared(&ps, &[]).unwrap_err();
         assert_eq!(err.kind(), "plan");
-    }
-
-    #[test]
-    fn per_session_broadcast_setting() {
-        let mgr = manager();
-        let s = mgr.connect("SYSTEM", "manager").unwrap();
-        assert_eq!(s.broadcast_build_row_limit(), None);
-        s.set_broadcast_build_row_limit(Some(42));
-        assert_eq!(s.broadcast_build_row_limit(), Some(42));
-        s.set_broadcast_build_row_limit(None);
-        assert_eq!(s.broadcast_build_row_limit(), None);
     }
 }

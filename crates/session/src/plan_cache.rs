@@ -10,7 +10,9 @@
 //!
 //! Counters in the global `hana-obs` registry:
 //! `hana_session_plan_cache_{hits,misses,evictions,invalidations}_total`
-//! and the `hana_session_plan_cache_entries` gauge.
+//! and the `hana_session_plan_cache_entries` gauge. Those are shared by
+//! every cache in the process; [`PlanCache::stats`] reads this cache's
+//! own hit/miss counts.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,6 +36,9 @@ struct CacheState {
     seen_version: u64,
     /// Logical clock for LRU ordering.
     tick: u64,
+    /// Lookups this cache answered / could not answer.
+    hits: u64,
+    misses: u64,
 }
 
 /// Shared, version-aware LRU plan cache.
@@ -51,6 +56,8 @@ impl PlanCache {
                 entries: HashMap::new(),
                 seen_version: 0,
                 tick: 0,
+                hits: 0,
+                misses: 0,
             }),
         }
     }
@@ -80,13 +87,17 @@ impl PlanCache {
             }
             _ => None,
         };
+        let outcome_counter = if hit.is_some() {
+            st.hits += 1;
+            "hana_session_plan_cache_hits_total"
+        } else {
+            st.misses += 1;
+            "hana_session_plan_cache_misses_total"
+        };
         obs.gauge("hana_session_plan_cache_entries")
             .set(st.entries.len() as i64);
         drop(st);
-        match &hit {
-            Some(_) => obs.counter("hana_session_plan_cache_hits_total").inc(),
-            None => obs.counter("hana_session_plan_cache_misses_total").inc(),
-        }
+        obs.counter(outcome_counter).inc();
         hit
     }
 
@@ -123,6 +134,12 @@ impl PlanCache {
         );
         obs.gauge("hana_session_plan_cache_entries")
             .set(st.entries.len() as i64);
+    }
+
+    /// `(hits, misses)` of this cache's lookups since it was created.
+    pub fn stats(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.hits, st.misses)
     }
 
     /// Number of cached plans.
@@ -168,6 +185,8 @@ mod tests {
         })
     }
 
+    /// A process-global counter: sibling tests move it too, so assert
+    /// lower bounds on its deltas, never equality.
     fn counter(name: &str) -> u64 {
         hana_obs::registry().counter(name).get()
     }
@@ -179,6 +198,7 @@ mod tests {
         cache.insert("q1".into(), 1, plan(10.0));
         let hit = cache.get("q1", 1).expect("hit");
         assert_eq!(hit.est_rows, 10.0);
+        assert_eq!(cache.stats(), (1, 1), "one miss, then one hit");
     }
 
     #[test]
@@ -188,9 +208,8 @@ mod tests {
         cache.insert("q2".into(), 1, plan(20.0));
         let inv_before = counter("hana_session_plan_cache_invalidations_total");
         assert!(cache.get("q1", 2).is_none(), "stale entry must not hit");
-        assert_eq!(
-            counter("hana_session_plan_cache_invalidations_total"),
-            inv_before + 2,
+        assert!(
+            counter("hana_session_plan_cache_invalidations_total") >= inv_before + 2,
             "both version-1 entries purged"
         );
         assert!(cache.is_empty());
@@ -216,10 +235,7 @@ mod tests {
         assert!(cache.get("a", 1).is_some());
         let ev_before = counter("hana_session_plan_cache_evictions_total");
         cache.insert("c".into(), 1, plan(3.0));
-        assert_eq!(
-            counter("hana_session_plan_cache_evictions_total"),
-            ev_before + 1
-        );
+        assert!(counter("hana_session_plan_cache_evictions_total") > ev_before);
         assert!(cache.get("a", 1).is_some(), "recently used survives");
         assert!(cache.get("b", 1).is_none(), "LRU evicted");
         assert!(cache.get("c", 1).is_some());

@@ -28,9 +28,7 @@ fn ingest_batches_keep_cached_plans_valid_until_merge() {
     // A streaming cadence of epoch commits: the cached plan must keep
     // hitting (no catalog version bump per micro-batch).
     let v_before = platform.catalog_version();
-    let hits_before = hana_obs::registry()
-        .counter("hana_session_plan_cache_hits_total")
-        .get();
+    let (hits_before, misses_before) = manager.plan_cache().stats();
     for epoch in 1..=10u64 {
         let rows: Vec<Row> = (0..8i64)
             .map(|i| Row::from_values([Value::Int(i % 3), Value::Int(epoch as i64 * 8 + i)]))
@@ -47,11 +45,9 @@ fn ingest_batches_keep_cached_plans_valid_until_merge() {
         v_before,
         "epoch commits must not bump the catalog version"
     );
-    let hits_after = hana_obs::registry()
-        .counter("hana_session_plan_cache_hits_total")
-        .get();
-    assert!(
-        hits_after >= hits_before + 10,
+    assert_eq!(
+        manager.plan_cache().stats(),
+        (hits_before + 10, misses_before),
         "every per-epoch lookup reused the cached plan"
     );
 

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use hana_types::{HanaError, Result};
 
@@ -63,6 +63,12 @@ pub struct TransactionManager {
     /// the lock — that is what lets group commit batch concurrent
     /// committers into one fsync.
     commit_order: Mutex<()>,
+    /// Held shared by every commit from CID assignment until its
+    /// participants have applied;
+    /// [`applied_commit_id`](Self::applied_commit_id) takes it
+    /// exclusively to read a CID none of whose predecessors is still in
+    /// flight.
+    apply_gate: RwLock<()>,
     active: Mutex<HashMap<u64, Snapshot>>,
     in_doubt: Mutex<Vec<(u64, Vec<String>)>>,
 }
@@ -102,6 +108,7 @@ impl TransactionManager {
             last_cid: AtomicU64::new(max_cid),
             wal,
             commit_order: Mutex::new(()),
+            apply_gate: RwLock::new(()),
             active: Mutex::new(HashMap::new()),
             in_doubt: Mutex::new(Vec::new()),
         }
@@ -136,6 +143,20 @@ impl TransactionManager {
         self.last_cid.load(Ordering::SeqCst)
     }
 
+    /// A commit ID whose every predecessor (itself included) has been
+    /// applied by its participants — the only safe cut for a checkpoint.
+    /// [`last_commit_id`](Self::last_commit_id) runs ahead of it while a
+    /// commit sits between CID assignment and phase 2: a snapshot cut
+    /// there would record the CID as covered without its rows, and
+    /// recovery would then skip the log records that carry them. Waits
+    /// for in-flight commits to finish applying; commits arriving
+    /// meanwhile queue behind the cut, which holds the gate only to read
+    /// the counter.
+    pub fn applied_commit_id(&self) -> u64 {
+        let _quiesced = self.apply_gate.write();
+        self.last_cid.load(Ordering::SeqCst)
+    }
+
     /// Append a logical redo record for `tid`. The record is not
     /// individually fsynced — it becomes durable with (and strictly
     /// before) the transaction's commit record, which is all redo needs.
@@ -148,9 +169,9 @@ impl TransactionManager {
     }
 
     /// Durably checkpoint `payload`, an opaque engine snapshot covering
-    /// every commit up to and including `cid` (which must not exceed
-    /// [`last_commit_id`](Self::last_commit_id) — the caller captured
-    /// the snapshot, so the caller knows the cid it is consistent at).
+    /// every commit up to and including `cid` (which the caller read
+    /// from [`applied_commit_id`](Self::applied_commit_id) before
+    /// capturing the snapshot, so every covered commit's rows are in it).
     /// Sealed log segments are pruned only when no transaction is
     /// active.
     pub fn checkpoint(&self, cid: u64, payload: &[u8]) -> Result<()> {
@@ -208,7 +229,10 @@ impl TransactionManager {
         // Commit point: assign the CID and enqueue the commit record
         // under the ordering lock (so records hit the log in CID order),
         // then wait for durability *outside* it — concurrent committers
-        // pile into one group-commit fsync here.
+        // pile into one group-commit fsync here. The apply gate is held
+        // (shared) until phase 2 is done, so a checkpoint cut never
+        // lands between this CID becoming visible and its rows applying.
+        let _applying = self.apply_gate.read();
         let (cid, ticket) = {
             let _order = self.commit_order.lock();
             let cid = self.last_cid.fetch_add(1, Ordering::SeqCst) + 1;
@@ -468,6 +492,61 @@ mod tests {
         assert!(tm.in_doubt().is_empty());
         assert_eq!(iq.aborted.lock().as_slice(), &[tid]);
         assert!(tm.abort_in_doubt(tid, &[]).is_err());
+    }
+
+    /// A checkpoint cut requested while a commit sits between CID
+    /// assignment and phase 2 must wait for the apply. Phase 2 itself
+    /// requests the cut, so the interleaving is forced rather than
+    /// hoped for: the CID is already visible, the cut stays pending, and
+    /// it completes — at that CID — only once the apply has returned.
+    #[test]
+    fn applied_commit_id_waits_for_in_flight_phase_two() {
+        struct CutDuringApply {
+            tm: Arc<TransactionManager>,
+            cut: Mutex<Option<std::thread::JoinHandle<u64>>>,
+        }
+        impl TwoPhaseParticipant for CutDuringApply {
+            fn name(&self) -> &str {
+                "hana"
+            }
+            fn prepare(&self, _tid: u64) -> Result<Vote> {
+                Ok(Vote::Prepared)
+            }
+            fn commit(&self, _tid: u64, cid: u64) -> Result<()> {
+                assert_eq!(self.tm.last_commit_id(), cid, "CID visible before apply");
+                let (done, pending) = std::sync::mpsc::channel();
+                let tm = Arc::clone(&self.tm);
+                let cut = std::thread::spawn(move || {
+                    let cid = tm.applied_commit_id();
+                    let _ = done.send(());
+                    cid
+                });
+                assert!(
+                    pending
+                        .recv_timeout(std::time::Duration::from_millis(100))
+                        .is_err(),
+                    "checkpoint cut completed while the commit was still applying"
+                );
+                *self.cut.lock() = Some(cut);
+                Ok(())
+            }
+            fn abort(&self, _tid: u64) -> Result<()> {
+                Ok(())
+            }
+        }
+
+        let tm = Arc::new(TransactionManager::new());
+        let p = Arc::new(CutDuringApply {
+            tm: Arc::clone(&tm),
+            cut: Mutex::new(None),
+        });
+        let t = tm.begin();
+        let receipt = tm
+            .commit(t, &[Arc::clone(&p) as Arc<dyn TwoPhaseParticipant>])
+            .unwrap();
+        let cut = p.cut.lock().take().expect("phase 2 ran");
+        assert_eq!(cut.join().unwrap(), receipt.cid);
+        assert_eq!(tm.applied_commit_id(), receipt.cid, "idle: cut = last cid");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Appenders enqueue framed bytes under the queue lock (preserving
 //! append order); callers that need durability also enqueue a waiter
 //! and block on it. The committer drains the queue, sleeps out the
-//! configurable batching window (`HANA_WAL_GROUP_COMMIT_US`) so
+//! batching window (`WalConfig::group_commit_window`) so
 //! stragglers can join, writes the whole batch once and fsyncs once —
 //! then wakes every waiter in the batch. A write/fsync failure fails
 //! the whole batch and poisons the log: no later append can succeed,

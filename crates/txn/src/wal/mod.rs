@@ -122,7 +122,7 @@ impl fmt::Display for LogRecord {
     }
 }
 
-/// Durability knobs, read from the environment by default.
+/// Durability configuration, fixed when the log is opened.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Group-commit batching window. Zero disables the committer thread:
@@ -144,28 +144,6 @@ impl Default for WalConfig {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             fsyncs_until_fail: None,
         }
-    }
-}
-
-impl WalConfig {
-    /// Read `HANA_WAL_GROUP_COMMIT_US` (batching window in microseconds,
-    /// 0 = per-commit fsync) and `HANA_WAL_SEGMENT_BYTES` from the
-    /// environment, defaulting sensibly.
-    pub fn from_env() -> WalConfig {
-        let mut cfg = WalConfig::default();
-        if let Some(us) = std::env::var("HANA_WAL_GROUP_COMMIT_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.group_commit_window = Duration::from_micros(us);
-        }
-        if let Some(bytes) = std::env::var("HANA_WAL_SEGMENT_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.segment_bytes = bytes.max(1);
-        }
-        cfg
     }
 }
 
@@ -260,14 +238,14 @@ impl Wal {
     pub fn with_file(path: &Path) -> Result<Wal> {
         Wal::open_storage(
             Storage::SingleFile(path.to_path_buf()),
-            WalConfig::from_env(),
+            WalConfig::default(),
         )
     }
 
-    /// A durable segmented log in directory `dir`, with environment
+    /// A durable segmented log in directory `dir`, with the default
     /// configuration.
     pub fn open_dir(dir: &Path) -> Result<Wal> {
-        Wal::open_dir_with(dir, WalConfig::from_env())
+        Wal::open_dir_with(dir, WalConfig::default())
     }
 
     /// A durable segmented log in directory `dir` with explicit config.

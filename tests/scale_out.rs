@@ -3,20 +3,24 @@
 //! instead of rows, prune partitions from predicates, and degrade under
 //! link faults along the SDA error taxonomy.
 
-use std::sync::Mutex;
-
 use hana_data_platform::dist::FaultPlan;
 use hana_data_platform::platform::{HanaPlatform, Session};
 use hana_data_platform::query::TableSource;
 use hana_data_platform::{Row, Value};
 use proptest::prelude::*;
 
-/// The `hana_dist_*` counters are process-global; tests that assert
-/// exact deltas serialize on this lock.
-static METRICS_LOCK: Mutex<()> = Mutex::new(());
-
-fn counter(name: &str) -> u64 {
-    hana_data_platform::obs::registry().counter(name).get()
+/// An attribute of one operator span of a statement's own profile. The
+/// `hana_dist_*` counters carry the same numbers process-wide, where
+/// sibling tests move them; the profile belongs to the statement.
+fn span_attr(profile: &hana_data_platform::obs::QueryProfile, span: &str, attr: &str) -> u64 {
+    let node = profile
+        .find(span)
+        .unwrap_or_else(|| panic!("no {span} span in:\n{}", profile.render()));
+    node.attrs
+        .iter()
+        .find(|(k, _)| k == attr)
+        .unwrap_or_else(|| panic!("{span} has no {attr} attribute"))
+        .1
 }
 
 /// A platform with a hash-partitioned table `t` and an identical
@@ -55,7 +59,6 @@ fn dist_table(
 
 #[test]
 fn partitioned_group_by_is_byte_identical_and_ships_partials() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let (hana, s) = setup(4, 5_000);
     let dt = dist_table(&hana, "t");
     assert_eq!(dt.node_count(), 4);
@@ -65,9 +68,11 @@ fn partitioned_group_by_is_byte_identical_and_ships_partials() {
     );
 
     let sql = "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM t GROUP BY k ORDER BY k";
-    let before = counter("hana_dist_rows_shuffled_total");
-    let dist = hana.execute_sql(&s, sql).unwrap();
-    let shuffled = counter("hana_dist_rows_shuffled_total") - before;
+    let (dist, profile) = hana.profile_query(&s, sql).unwrap();
+    let shuffled = profile
+        .find("exchange[partial_agg]")
+        .and_then(|x| x.rows)
+        .expect("partial-aggregate exchange reports its shipped groups");
     let solo = hana
         .execute_sql(&s, &sql.replace("FROM t", "FROM solo"))
         .unwrap();
@@ -88,16 +93,13 @@ fn partitioned_group_by_is_byte_identical_and_ships_partials() {
 
 #[test]
 fn selective_predicate_prunes_partitions() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let (hana, s) = setup(4, 2_000);
 
-    let scanned0 = counter("hana_dist_partitions_scanned_total");
-    let pruned0 = counter("hana_dist_partitions_pruned_total");
-    let dist = hana
-        .execute_sql(&s, "SELECT COUNT(*) FROM t WHERE k = 7")
+    let (dist, profile) = hana
+        .profile_query(&s, "SELECT COUNT(*) FROM t WHERE k = 7")
         .unwrap();
-    let scanned = counter("hana_dist_partitions_scanned_total") - scanned0;
-    let pruned = counter("hana_dist_partitions_pruned_total") - pruned0;
+    let scanned = span_attr(&profile, "dist_scan[t]", "partitions_scanned");
+    let pruned = span_attr(&profile, "dist_scan[t]", "partitions_pruned");
 
     let solo = hana
         .execute_sql(&s, "SELECT COUNT(*) FROM solo WHERE k = 7")
@@ -109,7 +111,6 @@ fn selective_predicate_prunes_partitions() {
 
 #[test]
 fn range_partitioning_prunes_order_predicates() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let hana = HanaPlatform::new_in_memory();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(
@@ -123,11 +124,10 @@ fn range_partitioning_prunes_order_predicates() {
         .collect();
     hana.load_rows(&s, "r", &data).unwrap();
 
-    let pruned0 = counter("hana_dist_partitions_pruned_total");
-    let rs = hana
-        .execute_sql(&s, "SELECT k, v FROM r WHERE k < 6 ORDER BY v")
+    let (rs, profile) = hana
+        .profile_query(&s, "SELECT k, v FROM r WHERE k < 6 ORDER BY v")
         .unwrap();
-    let pruned = counter("hana_dist_partitions_pruned_total") - pruned0;
+    let pruned = span_attr(&profile, "dist_scan[r]", "partitions_pruned");
     assert_eq!(
         pruned, 3,
         "k < 6 lives entirely in the first range partition"
