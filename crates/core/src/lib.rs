@@ -22,6 +22,7 @@
 //! ```
 
 mod catalog;
+mod ddl;
 mod durability;
 mod ingest;
 mod platform;
@@ -30,8 +31,8 @@ mod security;
 mod writes;
 
 pub use catalog::{PlatformCatalog, StatsEntry, TableEntry, TableKindInfo};
+pub use durability::Backup;
 pub use ingest::{IngestCommit, IngestDriver};
-pub use platform::{Backup, HanaPlatform, INTERNAL_IQ_SOURCE};
+pub use platform::{HanaPlatform, INTERNAL_IQ_SOURCE};
 pub use repository::{Artifact, ArtifactKind, DeliveryUnit, Repository};
 pub use security::{Privilege, SecurityManager, Session};
-pub use writes::{LocalOp, LocalWrites};

@@ -12,105 +12,46 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use hana_columnar::{ColumnTable, IndexDef};
 use hana_esp::{EspEngine, Sink};
 use hana_exec::ExecContext;
 use hana_hadoop::{Hive, MrFunctionRegistry};
 use hana_iq::IqEngine;
 use hana_query::{execute_query_with, Catalog as _, PlannerContext, TableFunction, TableSource};
-use hana_rowstore::RowTable;
 use hana_sda::{
     ChaosAdapter, ChaosConfig, HadoopMrAdapter, HiveOdbcAdapter, IqAdapter, RemoteCacheConfig,
-    RemoteContext, RemoteSourceStats, RetryPolicy, SdaAdapter,
+    RemoteSourceStats, SdaAdapter,
 };
-use hana_sql::{
-    evaluate, evaluate_predicate, parse_script, parse_statement, ColumnSpec, CreateTable, Expr,
-    PartitionBy, Statement, TableKind,
-};
+use hana_sql::{parse_script, parse_statement, Statement};
 use hana_txn::{TransactionManager, TwoPhaseParticipant, TxnHandle};
 use hana_types::{ColumnDef, DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::catalog::{PlatformCatalog, TableEntry, TableKindInfo};
-use crate::ingest::{IngestCommit, IngestDriver};
+use crate::ddl::indexed_fragment;
+use crate::ingest::IngestDriver;
 use crate::repository::{ArtifactKind, DeliveryUnit, Repository};
 use crate::security::{Privilege, SecurityManager, Session};
-use crate::writes::{LocalOp, LocalWrites};
+use crate::writes::LocalWrites;
 
 /// SDA source name of the internal, shielded IQ instance.
 pub const INTERNAL_IQ_SOURCE: &str = "_iq_internal";
 
-/// Record separator for bulk-load WAL payloads.
-const ROW_SEP: char = '\u{1e}';
-
-/// Marker payload prefix for distributed bulk loads whose row data lives
-/// in the per-partition logs rather than the coordinator log.
-const DIST_LOAD_MARKER: &str = "--DISTLOAD\u{1}";
-
-/// Payload prefix of a streaming-ingest epoch whose rows are inline:
-/// `INGEST <pipeline> <epoch> <table> <rows>` (field-separated).
-const INGEST_MARKER: &str = "INGEST\u{1}";
-
-/// Payload prefix of a streaming-ingest epoch into a distributed table:
-/// the rows live in the per-partition logs, the coordinator record only
-/// carries `INGESTD <pipeline> <epoch> <table>`.
-const INGEST_DIST_MARKER: &str = "INGESTD\u{1}";
-
 type AdapterFactory = Box<dyn Fn(&str) -> Arc<dyn SdaAdapter> + Send + Sync>;
-
-/// A logical, transactionally consistent backup spanning the in-memory
-/// store and the extended storage (§3.1: "consistent backup and recovery
-/// of both engines").
-pub struct Backup {
-    /// The snapshot commit ID everything was captured under.
-    pub cid: u64,
-    pub(crate) entries: Vec<BackupEntry>,
-    /// Streaming-ingest ledger at the snapshot cut: `(pipeline,
-    /// highest committed epoch)` — restoring it keeps epoch dedup
-    /// working after the log prefix holding those epochs is pruned.
-    pub(crate) ingest_epochs: Vec<(String, u64)>,
-}
-
-pub(crate) struct BackupEntry {
-    pub(crate) name: String,
-    pub(crate) kind: TableKindInfo,
-    pub(crate) schema: Schema,
-    pub(crate) rows: Vec<Row>,
-    pub(crate) cold_rows: Vec<Row>,
-    /// Secondary index definitions (checkpoints prune the log, so
-    /// CREATE INDEX records cannot be relied on surviving replay).
-    pub(crate) indexes: Vec<IndexDef>,
-}
-
-impl Backup {
-    /// Number of captured tables.
-    pub fn table_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total captured rows.
-    pub fn row_count(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.rows.len() + e.cold_rows.len())
-            .sum()
-    }
-}
 
 /// The platform facade.
 pub struct HanaPlatform {
-    catalog: Arc<PlatformCatalog>,
-    tm: Arc<TransactionManager>,
-    iq: Arc<IqEngine>,
-    exec: Arc<ExecContext>,
+    pub(crate) catalog: Arc<PlatformCatalog>,
+    pub(crate) tm: Arc<TransactionManager>,
+    pub(crate) iq: Arc<IqEngine>,
+    pub(crate) exec: Arc<ExecContext>,
     esp: Arc<EspEngine>,
-    security: SecurityManager,
+    pub(crate) security: SecurityManager,
     repository: Mutex<Repository>,
-    local_writes: Arc<LocalWrites>,
+    pub(crate) local_writes: Arc<LocalWrites>,
     /// session id -> open explicit transaction.
     active_txns: Mutex<HashMap<u64, TxnHandle>>,
     adapter_factories: RwLock<HashMap<String, AdapterFactory>>,
     /// Streaming-ingest epoch ledger + checkpoint fence.
-    ingest: crate::ingest::IngestLedger,
+    pub(crate) ingest: crate::ingest::IngestLedger,
     /// The registered `CREATE STREAM SINK` driver (hana-ingest).
     ingest_driver: RwLock<Option<Arc<dyn crate::ingest::IngestDriver>>>,
 }
@@ -145,27 +86,6 @@ impl HanaPlatform {
         let platform = Self::build(TransactionManager::with_shared_wal(Arc::clone(&wal)));
         let replayed = platform.recover_from_wal(&wal)?;
         Ok((platform, replayed))
-    }
-
-    /// Restore the checkpoint and replay the committed log suffix. The
-    /// platform's own WAL is put in passive mode for the duration so
-    /// replaying a statement does not log it a second time.
-    fn recover_from_wal(&self, wal: &hana_txn::Wal) -> Result<usize> {
-        wal.set_passive(true);
-        let result = (|| {
-            let report = wal.recover();
-            let session = self.connect("SYSTEM", "manager")?;
-            let mut after_cid = 0;
-            if let Some(ckpt) = wal.latest_checkpoint() {
-                let backup = crate::durability::decode_backup(&ckpt.payload)?;
-                after_cid = ckpt.cid;
-                self.restore(&session, &backup)?;
-            }
-            let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
-            self.replay_records(&session, wal, &committed, after_cid)
-        })();
-        wal.set_passive(false);
-        result
     }
 
     fn build(tm: TransactionManager) -> HanaPlatform {
@@ -331,8 +251,9 @@ impl HanaPlatform {
 
     /// Run one SQL query under a fresh tracer and return its result
     /// together with the `EXPLAIN ANALYZE`-style profile tree (wall
-    /// time, rows, bytes and worker count per operator). Statements
-    /// other than queries execute normally but produce an empty tree.
+    /// time, rows, bytes and worker count per operator). UPDATE and
+    /// DELETE report the leaf they located their rows with; other
+    /// statements execute normally but produce an empty tree.
     pub fn profile_query(
         &self,
         session: &Session,
@@ -354,7 +275,7 @@ impl HanaPlatform {
 
     // ---- transactions ----
 
-    fn participants(&self) -> Vec<Arc<dyn TwoPhaseParticipant>> {
+    pub(crate) fn participants(&self) -> Vec<Arc<dyn TwoPhaseParticipant>> {
         vec![
             Arc::clone(&self.local_writes) as Arc<dyn TwoPhaseParticipant>,
             Arc::clone(&self.iq) as Arc<dyn TwoPhaseParticipant>,
@@ -488,15 +409,14 @@ impl HanaPlatform {
             } => {
                 self.security.check(session, Privilege::Ddl)?;
                 let entry = self.catalog.table(&table)?;
-                match &entry.source {
-                    TableSource::Column(t) => t.write().create_index(&name, &columns)?,
-                    TableSource::Hybrid { hot, .. } => hot.write().create_index(&name, &columns)?,
-                    _ => {
-                        return Err(HanaError::Unsupported(format!(
+                indexed_fragment(&entry.source)
+                    .ok_or_else(|| {
+                        HanaError::Unsupported(format!(
                             "'{table}' does not support secondary indexes"
-                        )))
-                    }
-                }
+                        ))
+                    })?
+                    .write()
+                    .create_index(&name, &columns)?;
                 // Index metadata changes which plans are valid: bump the
                 // catalog version so cached plans re-prepare.
                 self.catalog.bump_version();
@@ -510,15 +430,12 @@ impl HanaPlatform {
                     None => self.find_index_owner(&name)?,
                 };
                 let entry = self.catalog.table(&owner)?;
-                match &entry.source {
-                    TableSource::Column(t) => t.write().drop_index(&name)?,
-                    TableSource::Hybrid { hot, .. } => hot.write().drop_index(&name)?,
-                    _ => {
-                        return Err(HanaError::Catalog(format!(
-                            "table '{owner}' has no index '{name}'"
-                        )))
-                    }
-                }
+                indexed_fragment(&entry.source)
+                    .ok_or_else(|| {
+                        HanaError::Catalog(format!("table '{owner}' has no index '{name}'"))
+                    })?
+                    .write()
+                    .drop_index(&name)?;
                 self.catalog.bump_version();
                 self.log_ddl(sql_text)?;
                 Ok(ok_result())
@@ -612,15 +529,15 @@ impl HanaPlatform {
                 rows,
             } => {
                 self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
-                    p.buffer_insert(tid, cid, &table, columns.as_deref(), &rows)
+                let n = self.run_dml(session, sql_text, |p, tid, _| {
+                    p.dml_insert(tid, &table, columns.as_deref(), &rows)
                 })?;
                 Ok(count_result(n))
             }
             Statement::Delete { table, filter } => {
                 self.security.check(session, Privilege::Write)?;
                 let n = self.run_dml(session, sql_text, |p, tid, cid| {
-                    p.buffer_delete(tid, cid, &table, filter.as_ref())
+                    p.dml_delete(tid, cid, &table, filter.as_ref())
                 })?;
                 Ok(count_result(n))
             }
@@ -631,7 +548,7 @@ impl HanaPlatform {
             } => {
                 self.security.check(session, Privilege::Write)?;
                 let n = self.run_dml(session, sql_text, |p, tid, cid| {
-                    p.buffer_update(tid, cid, &table, &assignments, filter.as_ref())
+                    p.dml_update(tid, cid, &table, &assignments, filter.as_ref())
                 })?;
                 Ok(count_result(n))
             }
@@ -745,724 +662,11 @@ impl HanaPlatform {
         }
     }
 
-    // ---- DDL ----
-
-    fn create_table(&self, ct: CreateTable) -> Result<()> {
-        let schema = schema_from_specs(&ct.columns)?;
-        if let Some(p) = &ct.partition {
-            // Partitioned scale-out table: fragments on the in-process
-            // node landscape, one per partition.
-            if ct.extended.is_some() {
-                return Err(HanaError::Unsupported(
-                    "PARTITION BY cannot be combined with extended storage".into(),
-                ));
-            }
-            if ct.kind != TableKind::Column {
-                return Err(HanaError::Unsupported(
-                    "PARTITION BY is supported on column tables only".into(),
-                ));
-            }
-            let dt = Arc::new(hana_dist::DistTable::new(
-                &ct.name,
-                schema,
-                partition_spec(p),
-            )?);
-            if let Some(base) = self.tm.wal().dir() {
-                // Durable platform: give every partition its own log
-                // under the coordinator's directory so scale-out loads
-                // are durable per partition.
-                let pdir = base.join("dist").join(ct.name.to_ascii_lowercase());
-                dt.attach_wal(&pdir)?;
-            }
-            return self.catalog.add_table(
-                &ct.name,
-                TableEntry {
-                    source: TableSource::Distributed(dt),
-                    kind: TableKindInfo::Distributed {
-                        partition: p.clone(),
-                    },
-                },
-            );
-        }
-        match &ct.extended {
-            None => match ct.kind {
-                TableKind::Column => {
-                    let table = ColumnTable::new(&ct.name, schema);
-                    self.catalog.add_table(
-                        &ct.name,
-                        TableEntry {
-                            source: TableSource::Column(Arc::new(RwLock::new(table))),
-                            kind: TableKindInfo::Column,
-                        },
-                    )
-                }
-                TableKind::Row => {
-                    let pk = ct
-                        .columns
-                        .iter()
-                        .find(|c| c.primary_key)
-                        .map(|c| c.name.clone());
-                    let table = RowTable::new(&ct.name, schema, pk.as_deref())?;
-                    self.catalog.add_table(
-                        &ct.name,
-                        TableEntry {
-                            source: TableSource::Row(Arc::new(RwLock::new(table))),
-                            kind: TableKindInfo::Row,
-                        },
-                    )
-                }
-            },
-            Some(ext) if !ext.hybrid => {
-                // Whole table in the extended store (§3.1 scenario 1).
-                self.iq.create_table(&ct.name, schema.clone())?;
-                self.catalog.add_table(
-                    &ct.name,
-                    TableEntry {
-                        source: TableSource::Extended {
-                            source: INTERNAL_IQ_SOURCE.into(),
-                            remote_table: ct.name.to_ascii_lowercase(),
-                            schema,
-                        },
-                        kind: TableKindInfo::Extended,
-                    },
-                )
-            }
-            Some(ext) => {
-                // Hybrid table (§3.1 scenario 2): hot in-memory
-                // partition + cold IQ partition, aged by the flag column.
-                let aging = ext.aging_column.clone().ok_or_else(|| {
-                    HanaError::Parse("hybrid tables need AGING ON <flag column>".into())
-                })?;
-                let idx = schema.require(&aging)?;
-                if schema.column(idx).data_type != DataType::Bool {
-                    return Err(HanaError::Catalog(format!(
-                        "aging column '{aging}' must be BOOLEAN"
-                    )));
-                }
-                let cold_table = format!("{}__cold", ct.name.to_ascii_lowercase());
-                self.iq.create_table(&cold_table, schema.clone())?;
-                let hot = ColumnTable::new(&ct.name, schema);
-                self.catalog.add_table(
-                    &ct.name,
-                    TableEntry {
-                        source: TableSource::Hybrid {
-                            hot: Arc::new(RwLock::new(hot)),
-                            source: INTERNAL_IQ_SOURCE.into(),
-                            cold_table: cold_table.clone(),
-                            aging_column: aging.clone(),
-                        },
-                        kind: TableKindInfo::Hybrid {
-                            aging_column: aging,
-                            cold_table,
-                        },
-                    },
-                )
-            }
-        }
-    }
-
-    fn drop_table(&self, name: &str) -> Result<()> {
-        let entry = self.catalog.remove_table(name)?;
-        if let TableSource::Distributed(dt) = &entry.source {
-            if let Some(wals) = dt.partition_wals() {
-                // The table is gone; its partition logs are dead weight.
-                let dir = wals.dir().to_path_buf();
-                drop(wals);
-                if let Err(e) = std::fs::remove_dir_all(&dir) {
-                    hana_obs::warn(format!(
-                        "could not remove partition logs at {}: {e}",
-                        dir.display()
-                    ));
-                }
-            }
-        }
-        match entry.kind {
-            TableKindInfo::Extended => self.iq.drop_table(name)?,
-            TableKindInfo::Hybrid { cold_table, .. } => self.iq.drop_table(&cold_table)?,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Resolve which table owns an index named without an `ON` clause.
-    fn find_index_owner(&self, index: &str) -> Result<String> {
-        for (name, _) in self.catalog.list_tables() {
-            let Ok(entry) = self.catalog.table(&name) else {
-                continue;
-            };
-            let found = match &entry.source {
-                TableSource::Column(t) => t.read().index(index).is_some(),
-                TableSource::Hybrid { hot, .. } => hot.read().index(index).is_some(),
-                _ => false,
-            };
-            if found {
-                return Ok(name);
-            }
-        }
-        Err(HanaError::Catalog(format!("unknown index '{index}'")))
-    }
-
     fn log_ddl(&self, sql: &str) -> Result<()> {
         let txn = self.tm.begin();
         self.tm.log_data(txn.tid, "hana", sql)?;
         self.tm.commit(txn, &[])?;
         Ok(())
-    }
-
-    // ---- DML buffering ----
-
-    fn buffer_insert(
-        &self,
-        tid: u64,
-        _cid: u64,
-        table: &str,
-        columns: Option<&[String]>,
-        value_rows: &[Vec<Expr>],
-    ) -> Result<usize> {
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        let empty = Schema::default();
-        let mut rows = Vec::with_capacity(value_rows.len());
-        for exprs in value_rows {
-            let values: Vec<Value> = exprs
-                .iter()
-                .map(|e| evaluate(e, &empty, &Row::new()))
-                .collect::<Result<_>>()?;
-            let row = match columns {
-                None => values,
-                Some(cols) => {
-                    if cols.len() != values.len() {
-                        return Err(HanaError::Execution(format!(
-                            "{} columns but {} values",
-                            cols.len(),
-                            values.len()
-                        )));
-                    }
-                    let mut full = vec![Value::Null; schema.len()];
-                    for (c, v) in cols.iter().zip(values) {
-                        full[schema.require(c)?] = v;
-                    }
-                    full
-                }
-            };
-            schema.check_row(&row)?;
-            rows.push(row);
-        }
-        let n = rows.len();
-        match &entry.source {
-            TableSource::Column(t) => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-            }
-            TableSource::Row(t) => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-            }
-            TableSource::Hybrid { hot, .. } => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(hot),
-                            row,
-                        },
-                    );
-                }
-            }
-            TableSource::Extended { remote_table, .. } => {
-                self.iq
-                    .buffer_insert(tid, remote_table, rows.into_iter().map(Row).collect())?;
-            }
-            TableSource::Distributed(dt) => {
-                // Routed insert: each row buffers against its home
-                // node's fragment.
-                for row in rows {
-                    let node = dt.route(&row);
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(dt.nodes()[node].table()),
-                            row,
-                        },
-                    );
-                }
-            }
-            TableSource::Virtual { .. } => {
-                return Err(HanaError::Unsupported(format!(
-                    "virtual table '{table}' is read-only (no CAP_DML)"
-                )));
-            }
-        }
-        Ok(n)
-    }
-
-    fn buffer_delete(
-        &self,
-        tid: u64,
-        cid: u64,
-        table: &str,
-        filter: Option<&Expr>,
-    ) -> Result<usize> {
-        let entry = self.catalog.table(table)?;
-        match &entry.source {
-            TableSource::Column(t) => {
-                let victims = {
-                    let tr = t.read();
-                    matching_column_rows(&tr, filter, cid)?
-                };
-                let n = victims.len();
-                for row_id in victims {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(t),
-                            row_id,
-                        },
-                    );
-                }
-                Ok(n)
-            }
-            TableSource::Row(t) => {
-                let tr = t.read();
-                let schema = tr.schema().clone();
-                let slots = tr.slots_matching(hana_txn::Snapshot::at(cid), |row| match filter {
-                    None => true,
-                    Some(f) => evaluate_predicate(f, &schema, row).unwrap_or(false),
-                });
-                drop(tr);
-                let n = slots.len();
-                for slot in slots {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowDelete {
-                            table: Arc::clone(t),
-                            slot,
-                        },
-                    );
-                }
-                Ok(n)
-            }
-            TableSource::Hybrid {
-                hot, cold_table, ..
-            } => {
-                let victims = {
-                    let tr = hot.read();
-                    matching_column_rows(&tr, filter, cid)?
-                };
-                let mut n = victims.len();
-                for row_id in victims {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(hot),
-                            row_id,
-                        },
-                    );
-                }
-                n += self.iq_delete(tid, cid, cold_table, filter)?;
-                Ok(n)
-            }
-            TableSource::Extended { remote_table, .. } => {
-                self.iq_delete(tid, cid, remote_table, filter)
-            }
-            TableSource::Distributed(dt) => {
-                let mut n = 0;
-                for node in dt.nodes() {
-                    let victims = {
-                        let tr = node.table().read();
-                        matching_column_rows(&tr, filter, cid)?
-                    };
-                    n += victims.len();
-                    for row_id in victims {
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnDelete {
-                                table: Arc::clone(node.table()),
-                                row_id,
-                            },
-                        );
-                    }
-                }
-                Ok(n)
-            }
-            TableSource::Virtual { .. } => Err(HanaError::Unsupported(format!(
-                "virtual table '{table}' is read-only (no CAP_DML)"
-            ))),
-        }
-    }
-
-    fn iq_delete(
-        &self,
-        tid: u64,
-        cid: u64,
-        remote_table: &str,
-        filter: Option<&Expr>,
-    ) -> Result<usize> {
-        let preds = match filter {
-            None => Vec::new(),
-            Some(f) => {
-                let (pushed, residual) = hana_sda::split_pushdown(f);
-                if !residual.is_empty() {
-                    return Err(HanaError::Unsupported(format!(
-                        "DELETE filter not fully pushable to the extended store: {residual:?}"
-                    )));
-                }
-                pushed
-            }
-        };
-        self.iq.buffer_delete(tid, remote_table, &preds, cid)
-    }
-
-    fn buffer_update(
-        &self,
-        tid: u64,
-        cid: u64,
-        table: &str,
-        assignments: &[(String, Expr)],
-        filter: Option<&Expr>,
-    ) -> Result<usize> {
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        let apply = |row: &Row| -> Result<Vec<Value>> {
-            let mut new_row = row.values().to_vec();
-            for (col, e) in assignments {
-                new_row[schema.require(col)?] = evaluate(e, &schema, row)?;
-            }
-            Ok(new_row)
-        };
-        match &entry.source {
-            // Hybrid tables update their hot partition; cold data is
-            // read-mostly ("rarely accessed", §3.1) and must be un-aged
-            // before modification.
-            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
-                let (victims, new_rows) = {
-                    let tr = t.read();
-                    let victims = matching_column_rows(&tr, filter, cid)?;
-                    let new_rows: Vec<Vec<Value>> = victims
-                        .iter()
-                        .map(|&r| {
-                            apply(&Row::from_values((0..schema.len()).map(|c| tr.value(r, c))))
-                        })
-                        .collect::<Result<_>>()?;
-                    (victims, new_rows)
-                };
-                let n = victims.len();
-                for (row_id, row) in victims.into_iter().zip(new_rows) {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(t),
-                            row_id,
-                        },
-                    );
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-                Ok(n)
-            }
-            TableSource::Row(t) => {
-                let tr = t.read();
-                let sch = tr.schema().clone();
-                let slots = tr.slots_matching(hana_txn::Snapshot::at(cid), |row| match filter {
-                    None => true,
-                    Some(f) => evaluate_predicate(f, &sch, row).unwrap_or(false),
-                });
-                let updates: Vec<(usize, Vec<Value>)> = slots
-                    .iter()
-                    .map(|&s| {
-                        let old = tr.slot_values(s).expect("slot exists").clone();
-                        Ok((s, apply(&old)?))
-                    })
-                    .collect::<Result<_>>()?;
-                drop(tr);
-                let n = updates.len();
-                for (slot, row) in updates {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowDelete {
-                            table: Arc::clone(t),
-                            slot,
-                        },
-                    );
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-                Ok(n)
-            }
-            TableSource::Distributed(dt) => {
-                let mut n = 0;
-                for node in dt.nodes() {
-                    let (victims, new_rows) = {
-                        let tr = node.table().read();
-                        let victims = matching_column_rows(&tr, filter, cid)?;
-                        let new_rows: Vec<Vec<Value>> = victims
-                            .iter()
-                            .map(|&r| {
-                                apply(&Row::from_values((0..schema.len()).map(|c| tr.value(r, c))))
-                            })
-                            .collect::<Result<_>>()?;
-                        (victims, new_rows)
-                    };
-                    n += victims.len();
-                    for (row_id, row) in victims.into_iter().zip(new_rows) {
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnDelete {
-                                table: Arc::clone(node.table()),
-                                row_id,
-                            },
-                        );
-                        // Re-route the new image: a partition-key update
-                        // may move the row to a different node.
-                        let home = dt.route(&row);
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnInsert {
-                                table: Arc::clone(dt.nodes()[home].table()),
-                                row,
-                            },
-                        );
-                    }
-                }
-                Ok(n)
-            }
-            _ => Err(HanaError::Unsupported(format!(
-                "UPDATE is supported on local tables only, not '{table}'"
-            ))),
-        }
-    }
-
-    // ---- bulk load ----
-
-    /// Bulk-load rows through a single transaction. For extended tables
-    /// this is the §3.1 **direct load** path ("directly moves the data
-    /// into the external store without taking a detour via the in-memory
-    /// store").
-    pub fn load_rows(&self, session: &Session, table: &str, rows: &[Row]) -> Result<usize> {
-        self.security.check(session, Privilege::Write)?;
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        for row in rows {
-            schema.check_row(row.values())?;
-        }
-        let txn = self.tm.begin();
-        let dist_logged = match self.bulk_buffer(&txn, table, &entry, rows) {
-            Ok(d) => d,
-            Err(e) => {
-                // Abort so a retry of the same load starts clean.
-                let _ = self.tm.abort(txn, &self.participants());
-                return Err(e);
-            }
-        };
-        // Log the bulk load for point-in-time recovery: a marker when
-        // the rows already sit durably in partition logs, the full row
-        // payload otherwise.
-        let payload = if dist_logged {
-            format!("{DIST_LOAD_MARKER}{table}")
-        } else {
-            format!("LOAD\u{1}{table}\u{1}{}", encode_rows(rows))
-        };
-        let tid = txn.tid;
-        self.tm.log_data(tid, "hana", &payload)?;
-        let receipt = self.tm.commit(txn, &self.participants())?;
-        if dist_logged {
-            if let TableSource::Distributed(dt) = &entry.source {
-                // Best-effort bookkeeping marker in the partition logs;
-                // the coordinator's commit record is the source of truth.
-                dt.log_commit(tid, receipt.cid);
-            }
-        }
-        // Bulk load is a natural statistics trigger (§3.1 synopses):
-        // restore and ESP ingestion funnel through here too, so
-        // recovered tables come back with fresh statistics.
-        self.refresh_statistics(table)?;
-        // Bulk load is also a checkpoint barrier: the snapshot it
-        // triggers keeps recovery from replaying the (potentially large)
-        // load payload ever again.
-        self.maybe_checkpoint();
-        Ok(rows.len())
-    }
-
-    /// Buffer `rows` into `entry`'s storage under `txn` — the shared
-    /// apply half of [`load_rows`](Self::load_rows) and
-    /// [`commit_ingest_batch`](Self::commit_ingest_batch). Distributed
-    /// tables route through the repartition exchange and write their
-    /// per-partition logs; returns whether they did (`dist_logged`).
-    fn bulk_buffer(
-        &self,
-        txn: &TxnHandle,
-        table: &str,
-        entry: &TableEntry,
-        rows: &[Row],
-    ) -> Result<bool> {
-        let mut dist_logged = false;
-        match &entry.source {
-            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        txn.tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row: row.values().to_vec(),
-                        },
-                    );
-                }
-            }
-            TableSource::Row(t) => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        txn.tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row: row.values().to_vec(),
-                        },
-                    );
-                }
-            }
-            TableSource::Extended { remote_table, .. } => {
-                self.iq
-                    .buffer_insert(txn.tid, remote_table, rows.to_vec())?;
-            }
-            TableSource::Distributed(dt) => {
-                // Bulk load goes through the repartition exchange: rows
-                // are bucketed by partition key and shipped to their
-                // home nodes over the links (accounted + fault-checked).
-                let ctx = RemoteContext::snapshot(txn.snapshot.cid());
-                let buckets =
-                    hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
-                for (node, bucket) in buckets.into_iter().enumerate() {
-                    for row in bucket {
-                        self.local_writes.buffer(
-                            txn.tid,
-                            LocalOp::ColumnInsert {
-                                table: Arc::clone(dt.nodes()[node].table()),
-                                row: row.0,
-                            },
-                        );
-                    }
-                }
-                // Coordinated durability: write the rows to their home
-                // partitions' logs and fsync them *before* the
-                // coordinator's commit record, so a committed coordinator
-                // record guarantees every partition has its rows. The
-                // coordinator log then only carries a marker.
-                if dt.wal_attached() && !self.tm.wal().passive() {
-                    for row in rows {
-                        dt.log_insert(txn.tid, row.values())?;
-                    }
-                    dt.sync_wal()?;
-                    dist_logged = true;
-                }
-            }
-            TableSource::Virtual { .. } => {
-                return Err(HanaError::Unsupported(format!(
-                    "virtual table '{table}' is read-only"
-                )));
-            }
-        }
-        Ok(dist_logged)
-    }
-
-    // ---- streaming ingest (exactly-once epochs) ----
-
-    /// Commit one streaming-ingest batch under `(pipeline, epoch)`,
-    /// exactly once: if the ledger already covers `epoch` (producer
-    /// retry after a lost ack, or WAL replay), nothing is applied and
-    /// [`IngestCommit::Deduplicated`] is returned. Otherwise the rows
-    /// are bulk-applied (distributed tables via the repartition
-    /// exchange + per-partition logs), the epoch is logged with the
-    /// batch's transaction, and the ledger advances — all under the
-    /// epoch fence, so a concurrent checkpoint cut (MERGE DELTA, bulk
-    /// load) sees either none or all of the epoch.
-    ///
-    /// Deliberately *not* per-batch: statistics refresh (a catalog
-    /// version bump would invalidate every cached session plan on each
-    /// micro-batch) and checkpointing (a full snapshot per batch).
-    /// Delta merges and explicit checkpoints cover both at a sane
-    /// cadence.
-    pub fn commit_ingest_batch(
-        &self,
-        session: &Session,
-        pipeline: &str,
-        epoch: u64,
-        table: &str,
-        rows: &[Row],
-    ) -> Result<IngestCommit> {
-        self.security.check(session, Privilege::Stream)?;
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        for row in rows {
-            schema.check_row(row.values())?;
-        }
-        let _fence = self.ingest.fence();
-        let last = self.ingest.last_epoch(pipeline);
-        if epoch <= last {
-            hana_obs::registry()
-                .counter("hana_ingest_epochs_deduped_total")
-                .inc();
-            return Ok(IngestCommit::Deduplicated { last_epoch: last });
-        }
-        let txn = self.tm.begin();
-        let dist_logged = match self.bulk_buffer(&txn, table, &entry, rows) {
-            Ok(d) => d,
-            Err(e) => {
-                // Abort so a chunk-level or batch-level retry of the
-                // same epoch starts from a clean slate.
-                let _ = self.tm.abort(txn, &self.participants());
-                return Err(e);
-            }
-        };
-        let payload = if dist_logged {
-            format!("{INGEST_DIST_MARKER}{pipeline}\u{1}{epoch}\u{1}{table}")
-        } else {
-            format!(
-                "{INGEST_MARKER}{pipeline}\u{1}{epoch}\u{1}{table}\u{1}{}",
-                encode_rows(rows)
-            )
-        };
-        let tid = txn.tid;
-        if let Err(e) = self.tm.log_data(tid, "ingest", &payload) {
-            let _ = self.tm.abort(txn, &self.participants());
-            return Err(e);
-        }
-        let receipt = self.tm.commit(txn, &self.participants())?;
-        if dist_logged {
-            if let TableSource::Distributed(dt) = &entry.source {
-                dt.log_commit(tid, receipt.cid);
-            }
-        }
-        self.ingest.note(pipeline, epoch);
-        hana_obs::registry()
-            .counter("hana_ingest_epochs_committed_total")
-            .inc();
-        hana_obs::registry()
-            .counter("hana_ingest_rows_committed_total")
-            .add(rows.len() as u64);
-        Ok(IngestCommit::Committed { cid: receipt.cid })
     }
 
     /// The highest committed epoch of an ingest pipeline (`0` = none).
@@ -1565,57 +769,6 @@ impl HanaPlatform {
         Ok(())
     }
 
-    // ---- aging (§3.1 "built-in aging mechanism") ----
-
-    /// Move rows whose aging flag is set from the hot partition to the
-    /// cold (extended) partition of a hybrid table. Returns moved rows.
-    pub fn run_aging(&self, session: &Session, table: &str) -> Result<usize> {
-        self.security.check(session, Privilege::Write)?;
-        let entry = self.catalog.table(table)?;
-        let TableSource::Hybrid {
-            hot,
-            cold_table,
-            aging_column,
-            ..
-        } = &entry.source
-        else {
-            return Err(HanaError::Unsupported(format!(
-                "'{table}' is not a hybrid table"
-            )));
-        };
-        let cid = self.tm.current_snapshot().cid();
-        let (victims, rows) = {
-            let tr = hot.read();
-            let col = tr.schema().require(aging_column)?;
-            let hits = tr.scan(
-                col,
-                &hana_columnar::ColumnPredicate::Eq(Value::Bool(true)),
-                cid,
-            )?;
-            let victims: Vec<usize> = hits.iter().collect();
-            let rows = tr.collect_rows(&hits, &[]);
-            (victims, rows)
-        };
-        if victims.is_empty() {
-            return Ok(0);
-        }
-        let txn = self.tm.begin();
-        self.iq.buffer_insert(txn.tid, cold_table, rows)?;
-        for row_id in &victims {
-            self.local_writes.buffer(
-                txn.tid,
-                LocalOp::ColumnDelete {
-                    table: Arc::clone(hot),
-                    row_id: *row_id,
-                },
-            );
-        }
-        self.tm
-            .log_data(txn.tid, "hana", &format!("-- aging {table}"))?;
-        self.tm.commit(txn, &self.participants())?;
-        Ok(victims.len())
-    }
-
     // ---- repository / lifecycle ----
 
     /// Store an artifact in the repository.
@@ -1673,337 +826,6 @@ impl HanaPlatform {
         Ok(())
     }
 
-    // ---- backup / recovery ----
-
-    /// Take a consistent logical backup across the in-memory store and
-    /// the extended storage (one snapshot CID for both).
-    pub fn backup(&self, session: &Session) -> Result<Backup> {
-        self.security.check(session, Privilege::Operate)?;
-        self.snapshot_backup()
-    }
-
-    /// Durably checkpoint the platform: capture a transactionally
-    /// consistent snapshot of every table, write it as the WAL's
-    /// checkpoint sidecar and prune sealed log segments, so the next
-    /// recovery restores the snapshot and replays only the log suffix.
-    /// Returns the snapshot commit ID. Errors if the platform's WAL is
-    /// not a durable segment directory.
-    pub fn write_checkpoint(&self) -> Result<u64> {
-        let backup = self.snapshot_backup()?;
-        let cid = backup.cid;
-        let payload = crate::durability::encode_backup(&backup);
-        self.tm.checkpoint(cid, &payload)?;
-        Ok(cid)
-    }
-
-    /// Checkpoint barrier: merge-delta and bulk load call this. A no-op
-    /// on non-durable platforms and during recovery replay; a checkpoint
-    /// failure is surfaced as a warning, never as a failure of the
-    /// statement that triggered it (the log alone still recovers).
-    fn maybe_checkpoint(&self) {
-        let wal = self.tm.wal();
-        if !wal.is_durable_dir() || wal.passive() {
-            return;
-        }
-        if let Err(e) = self.write_checkpoint() {
-            hana_obs::warn(format!("checkpoint barrier failed: {e}"));
-        }
-    }
-
-    fn snapshot_backup(&self) -> Result<Backup> {
-        // Epoch fence (see `IngestLedger`): no ingest epoch can commit
-        // between reading the snapshot cid and reading the ledger, so
-        // the captured table rows and ledger agree on exactly which
-        // epochs are inside the snapshot. Without this, a checkpoint
-        // cut racing an epoch commit could snapshot the rows but not
-        // the ledger entry (replay double-applies) or vice versa
-        // (replay loses the epoch).
-        let _fence = self.ingest.fence();
-        // Cut at a commit ID whose predecessors have all applied: a
-        // commit still between CID assignment and phase 2 would be
-        // recorded as covered without its rows.
-        let cid = self.tm.applied_commit_id();
-        let mut entries = Vec::new();
-        for (name, _) in self.catalog.list_tables() {
-            let entry = self.catalog.table(&name)?;
-            let schema = entry.source.schema();
-            let (rows, cold_rows) = match &entry.source {
-                TableSource::Column(t) => (t.read().snapshot_rows(cid), Vec::new()),
-                TableSource::Row(t) => (t.read().scan(hana_txn::Snapshot::at(cid)), Vec::new()),
-                TableSource::Extended { remote_table, .. } => {
-                    (self.iq.scan(remote_table, &[], None, cid)?.rows, Vec::new())
-                }
-                TableSource::Hybrid {
-                    hot, cold_table, ..
-                } => (
-                    hot.read().snapshot_rows(cid),
-                    self.iq.scan(cold_table, &[], None, cid)?.rows,
-                ),
-                TableSource::Distributed(dt) => (dt.snapshot_rows(cid), Vec::new()),
-                TableSource::Virtual { .. } => continue, // remote data
-            };
-            let indexes = match &entry.source {
-                TableSource::Column(t) => t.read().index_defs(),
-                TableSource::Hybrid { hot, .. } => hot.read().index_defs(),
-                _ => Vec::new(),
-            };
-            entries.push(BackupEntry {
-                name,
-                kind: entry.kind.clone(),
-                schema,
-                rows,
-                cold_rows,
-                indexes,
-            });
-        }
-        Ok(Backup {
-            cid,
-            entries,
-            ingest_epochs: self.ingest.entries(),
-        })
-    }
-
-    /// Restore a backup: captured tables are dropped, recreated and
-    /// reloaded (in-memory and extended partitions together).
-    pub fn restore(&self, session: &Session, backup: &Backup) -> Result<()> {
-        self.security.check(session, Privilege::Operate)?;
-        // Ledger first: any epoch captured in the snapshot must dedup
-        // if the log suffix (or a producer) re-delivers it.
-        for (pipeline, epoch) in &backup.ingest_epochs {
-            self.ingest.note(pipeline, *epoch);
-        }
-        for e in &backup.entries {
-            if self.catalog.has_table(&e.name) {
-                self.drop_table(&e.name)?;
-            }
-            let specs: Vec<ColumnSpec> = e
-                .schema
-                .columns()
-                .iter()
-                .map(|c| ColumnSpec {
-                    name: c.name.clone(),
-                    type_name: c.data_type.sql_name().to_string(),
-                    not_null: !c.nullable,
-                    primary_key: false,
-                })
-                .collect();
-            let (kind, extended) = match &e.kind {
-                TableKindInfo::Column
-                | TableKindInfo::Virtual
-                | TableKindInfo::Distributed { .. } => (TableKind::Column, None),
-                TableKindInfo::Row => (TableKind::Row, None),
-                TableKindInfo::Extended => (
-                    TableKind::Column,
-                    Some(hana_sql::ExtendedSpec {
-                        hybrid: false,
-                        aging_column: None,
-                    }),
-                ),
-                TableKindInfo::Hybrid { aging_column, .. } => (
-                    TableKind::Column,
-                    Some(hana_sql::ExtendedSpec {
-                        hybrid: true,
-                        aging_column: Some(aging_column.clone()),
-                    }),
-                ),
-            };
-            let partition = match &e.kind {
-                TableKindInfo::Distributed { partition } => Some(partition.clone()),
-                _ => None,
-            };
-            self.create_table(CreateTable {
-                name: e.name.clone(),
-                kind,
-                columns: specs,
-                extended,
-                partition,
-            })?;
-            if !e.rows.is_empty() {
-                self.load_rows(session, &e.name, &e.rows)?;
-            }
-            if !e.indexes.is_empty() {
-                let entry = self.catalog.table(&e.name)?;
-                for ix in &e.indexes {
-                    match &entry.source {
-                        TableSource::Column(t) => t.write().create_index(&ix.name, &ix.columns)?,
-                        TableSource::Hybrid { hot, .. } => {
-                            hot.write().create_index(&ix.name, &ix.columns)?
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if !e.cold_rows.is_empty() {
-                // Straight into the cold partition.
-                let entry = self.catalog.table(&e.name)?;
-                if let TableSource::Hybrid { cold_table, .. } = &entry.source {
-                    let txn = self.tm.begin();
-                    self.iq
-                        .buffer_insert(txn.tid, cold_table, e.cold_rows.clone())?;
-                    self.tm.commit(txn, &self.participants())?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuild a platform by replaying the WAL at `path` up to
-    /// `upto_cid` (`None` = everything) — logical point-in-time
-    /// recovery. Returns the platform and the number of replayed
-    /// statements.
-    pub fn recover_replay(path: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
-        let wal = hana_txn::Wal::with_file(path)?;
-        let report = match upto_cid {
-            Some(cid) => wal.recover_to(cid),
-            None => wal.recover(),
-        };
-        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
-        let platform = HanaPlatform::new_in_memory();
-        let session = platform.connect("SYSTEM", "manager")?;
-        let replayed = platform.replay_records(&session, &wal, &committed, 0)?;
-        Ok((platform, replayed))
-    }
-
-    /// Re-apply the committed records of `wal` whose commit IDs are
-    /// greater than `after_cid` — the "roll forward from a backup" half
-    /// of point-in-time recovery: restore a [`Backup`], then replay the
-    /// log after [`Backup::cid`]. When `wal` is the platform's own log
-    /// the replay runs in passive mode so nothing is logged twice.
-    pub fn replay_wal_after(
-        &self,
-        session: &Session,
-        wal: &hana_txn::Wal,
-        after_cid: u64,
-    ) -> Result<usize> {
-        self.security.check(session, Privilege::Operate)?;
-        let report = wal.recover();
-        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
-        let own = Arc::clone(self.tm.wal());
-        let replaying_own_log = std::ptr::eq(own.as_ref(), wal as *const _);
-        if replaying_own_log {
-            own.set_passive(true);
-        }
-        let result = self.replay_records(session, wal, &committed, after_cid);
-        if replaying_own_log {
-            own.set_passive(false);
-        }
-        result
-    }
-
-    /// Shared redo loop: walk `wal`'s data records, keep those of
-    /// committed transactions past `after_cid`, and re-apply each
-    /// through the normal execution path (bulk loads through
-    /// [`load_rows`](Self::load_rows), distributed-load markers through
-    /// partition-log redo, everything else as SQL).
-    fn replay_records(
-        &self,
-        session: &Session,
-        wal: &hana_txn::Wal,
-        committed: &HashMap<u64, u64>,
-        after_cid: u64,
-    ) -> Result<usize> {
-        let mut replayed = 0usize;
-        for rec in wal.records() {
-            let hana_txn::LogRecord::Data { tid, payload, .. } = rec else {
-                continue;
-            };
-            let Some(&cid) = committed.get(&tid) else {
-                continue;
-            };
-            if cid <= after_cid {
-                continue;
-            }
-            if let Some(table) = payload.strip_prefix(DIST_LOAD_MARKER) {
-                // The coordinator log only holds a marker; the rows live
-                // in the table's per-partition logs. Allocate a fresh
-                // commit ID for the redone rows, then pull them in.
-                let entry = self.catalog.table(table)?;
-                let TableSource::Distributed(dt) = &entry.source else {
-                    return Err(HanaError::Io(format!(
-                        "DISTLOAD record for non-distributed table '{table}'"
-                    )));
-                };
-                let txn = self.tm.begin();
-                let receipt = self.tm.commit(txn, &[])?;
-                dt.redo_txn(tid, receipt.cid)?;
-                self.refresh_statistics(table)?;
-            } else if let Some(rest) = payload.strip_prefix(INGEST_DIST_MARKER) {
-                // Distributed ingest epoch: rows live in the partition
-                // logs. Replay through the ledger so an epoch that is
-                // already inside the restored checkpoint (or appears
-                // twice in the log) applies exactly once.
-                let (pipeline, epoch, table) = parse_ingest_header(rest)?;
-                let _fence = self.ingest.fence();
-                if epoch <= self.ingest.last_epoch(pipeline) {
-                    hana_obs::registry()
-                        .counter("hana_ingest_epochs_deduped_total")
-                        .inc();
-                    continue;
-                }
-                let entry = self.catalog.table(table)?;
-                let TableSource::Distributed(dt) = &entry.source else {
-                    return Err(HanaError::Io(format!(
-                        "INGESTD record for non-distributed table '{table}'"
-                    )));
-                };
-                let txn = self.tm.begin();
-                let receipt = self.tm.commit(txn, &[])?;
-                dt.redo_txn(tid, receipt.cid)?;
-                self.ingest.note(pipeline, epoch);
-                hana_obs::registry()
-                    .counter("hana_ingest_epochs_replayed_total")
-                    .inc();
-            } else if let Some(rest) = payload.strip_prefix(INGEST_MARKER) {
-                let (pipeline, epoch, rest) = {
-                    let mut parts = rest.splitn(4, '\u{1}');
-                    let (Some(p), Some(e), Some(t), Some(rows_text)) =
-                        (parts.next(), parts.next(), parts.next(), parts.next())
-                    else {
-                        return Err(HanaError::Io("corrupt INGEST record".into()));
-                    };
-                    let epoch: u64 = e
-                        .parse()
-                        .map_err(|_| HanaError::Io("corrupt INGEST epoch".into()))?;
-                    (p, epoch, (t, rows_text))
-                };
-                let (table, rows_text) = rest;
-                let schema = self.catalog.table(table)?.source.schema();
-                let rows: Vec<Row> = rows_text
-                    .split(ROW_SEP)
-                    .filter(|s| !s.is_empty())
-                    .map(|line| parse_load_row(line, &schema))
-                    .collect::<Result<_>>()?;
-                // The normal commit path dedups against the ledger and,
-                // with the WAL passive, logs nothing a second time.
-                match self.commit_ingest_batch(session, pipeline, epoch, table, &rows)? {
-                    IngestCommit::Committed { .. } => {
-                        hana_obs::registry()
-                            .counter("hana_ingest_epochs_replayed_total")
-                            .inc();
-                    }
-                    IngestCommit::Deduplicated { .. } => continue,
-                }
-            } else if payload.starts_with("--") {
-                continue; // structural marker, nothing to redo
-            } else if let Some(rest) = payload.strip_prefix("LOAD\u{1}") {
-                let (table, rows_text) = rest
-                    .split_once('\u{1}')
-                    .ok_or_else(|| HanaError::Io("corrupt LOAD record".into()))?;
-                let schema = self.catalog.table(table)?.source.schema();
-                let rows: Vec<Row> = rows_text
-                    .split(ROW_SEP)
-                    .filter(|s| !s.is_empty())
-                    .map(|line| parse_load_row(line, &schema))
-                    .collect::<Result<_>>()?;
-                self.load_rows(session, table, &rows)?;
-            } else {
-                self.execute_sql(session, &payload)?;
-            }
-            replayed += 1;
-        }
-        Ok(replayed)
-    }
-
     /// Landscape summary (single administration interface, §2).
     pub fn landscape_info(&self) -> String {
         let tables = self.catalog.list_tables();
@@ -2029,59 +851,6 @@ impl HanaPlatform {
     }
 }
 
-/// Resolve matching row IDs of a column table at statement time.
-fn matching_column_rows(
-    table: &ColumnTable,
-    filter: Option<&Expr>,
-    cid: u64,
-) -> Result<Vec<usize>> {
-    let schema = table.schema().clone();
-    let visible = table.visible(cid);
-    let mut out = Vec::new();
-    for row_id in visible.iter() {
-        let row = Row::from_values((0..schema.len()).map(|c| table.value(row_id, c)));
-        let keep = match filter {
-            None => true,
-            Some(f) => evaluate_predicate(f, &schema, &row)?,
-        };
-        if keep {
-            out.push(row_id);
-        }
-    }
-    Ok(out)
-}
-
-/// Translate the parsed `PARTITION BY` clause into a runtime spec.
-fn partition_spec(p: &PartitionBy) -> hana_dist::PartitionSpec {
-    match p {
-        PartitionBy::Hash { column, partitions } => hana_dist::PartitionSpec::Hash {
-            column: column.clone(),
-            partitions: *partitions,
-        },
-        PartitionBy::Range {
-            column,
-            split_points,
-        } => hana_dist::PartitionSpec::Range {
-            column: column.clone(),
-            split_points: split_points.clone(),
-        },
-    }
-}
-
-fn schema_from_specs(specs: &[ColumnSpec]) -> Result<Schema> {
-    let cols: Vec<ColumnDef> = specs
-        .iter()
-        .map(|c| {
-            Ok(ColumnDef {
-                name: c.name.clone(),
-                data_type: DataType::parse_sql(&c.type_name)?,
-                nullable: !c.not_null && !c.primary_key,
-            })
-        })
-        .collect::<Result<_>>()?;
-    Schema::new(cols)
-}
-
 fn ok_result() -> ResultSet {
     ResultSet::empty(Schema::of(&[("result", DataType::Varchar)]))
 }
@@ -2091,40 +860,6 @@ fn count_result(n: usize) -> ResultSet {
         Schema::of(&[("rows_affected", DataType::BigInt)]),
         vec![Row::from_values([Value::Int(n as i64)])],
     )
-}
-
-/// Split the `pipeline \u{1} epoch \u{1} table` header of an INGESTD
-/// payload.
-fn parse_ingest_header(rest: &str) -> Result<(&str, u64, &str)> {
-    let mut parts = rest.splitn(3, '\u{1}');
-    let (Some(pipeline), Some(epoch), Some(table)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(HanaError::Io("corrupt INGESTD record".into()));
-    };
-    let epoch = epoch
-        .parse()
-        .map_err(|_| HanaError::Io("corrupt INGESTD epoch".into()))?;
-    Ok((pipeline, epoch, table))
-}
-
-/// Delimit rows for a WAL payload (inverse of [`parse_load_row`]).
-fn encode_rows(rows: &[Row]) -> String {
-    rows.iter()
-        .map(|r| r.to_delimited('\u{1f}'))
-        .collect::<Vec<_>>()
-        .join(&ROW_SEP.to_string())
-}
-
-fn parse_load_row(line: &str, schema: &Schema) -> Result<Row> {
-    let fields: Vec<&str> = line.split('\u{1f}').collect();
-    if fields.len() != schema.len() {
-        return Err(HanaError::Io("corrupt LOAD row".into()));
-    }
-    let mut vals = Vec::with_capacity(fields.len());
-    for (f, c) in fields.iter().zip(schema.columns()) {
-        vals.push(Value::parse_typed(f, c.data_type)?);
-    }
-    Ok(Row(vals))
 }
 
 /// Split a script on semicolons outside string literals, so each

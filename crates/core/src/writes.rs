@@ -1,5 +1,9 @@
-//! The "hana" two-phase-commit participant: buffered writes against the
-//! in-memory stores, applied atomically at commit with the transaction's
+//! The write path: every change to a table — INSERT, UPDATE, DELETE,
+//! bulk load, streaming-ingest epoch, restore, aging, and the redo of
+//! all of them — resolves the table once to a [`WriteTarget`] and
+//! buffers through [`HanaPlatform::buffer`]; the in-memory half is the
+//! "hana" two-phase-commit participant [`LocalWrites`], whose buffered
+//! operations apply atomically at commit under the transaction's
 //! commit ID.
 
 use std::collections::HashMap;
@@ -8,62 +12,59 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use hana_columnar::ColumnTable;
+use hana_dist::DistTable;
+use hana_query::{locate_rows, Located, TableSource};
 use hana_rowstore::RowTable;
-use hana_txn::{TwoPhaseParticipant, Vote};
-use hana_types::{Result, Value};
+use hana_sda::{RemoteContext, RetryPolicy};
+use hana_sql::{evaluate, BinOp, Expr};
+use hana_txn::{CommitReceipt, TwoPhaseParticipant, TxnHandle, Vote};
+use hana_types::{HanaError, Result, Row, Schema, Value};
+
+use crate::catalog::TableKindInfo;
+use crate::durability::bulk_payload;
+use crate::ingest::IngestCommit;
+use crate::platform::HanaPlatform;
+use crate::security::{Privilege, Session};
+
+/// An in-memory fragment rows are inserted into and deleted from.
+#[derive(Clone)]
+pub(crate) enum Fragment {
+    /// A column table: plain, the hot partition of a hybrid table, or
+    /// one node's share of a distributed table.
+    Column(Arc<RwLock<ColumnTable>>),
+    /// A row table.
+    Row(Arc<RwLock<RowTable>>),
+}
 
 /// One buffered local operation.
-pub enum LocalOp {
-    /// Insert into a column table.
-    ColumnInsert {
-        /// Target table.
-        table: Arc<RwLock<ColumnTable>>,
-        /// The row.
-        row: Vec<Value>,
-    },
-    /// Delete a (statement-time-resolved) row of a column table.
-    ColumnDelete {
-        /// Target table.
-        table: Arc<RwLock<ColumnTable>>,
-        /// Row id.
-        row_id: usize,
-    },
-    /// Insert into a row table.
-    RowInsert {
-        /// Target table.
-        table: Arc<RwLock<RowTable>>,
-        /// The row.
-        row: Vec<Value>,
-    },
-    /// Delete a slot of a row table.
-    RowDelete {
-        /// Target table.
-        table: Arc<RwLock<RowTable>>,
-        /// Slot id.
-        slot: usize,
-    },
+pub(crate) enum LocalOp {
+    /// Insert `row` into a fragment.
+    Insert { into: Fragment, row: Vec<Value> },
+    /// Delete the (statement-time-resolved) row id / slot `id`.
+    Delete { from: Fragment, id: usize },
 }
 
 /// The local-store participant. Writes buffer per transaction and become
 /// visible only under the commit ID the coordinator assigns.
 #[derive(Default)]
-pub struct LocalWrites {
+pub(crate) struct LocalWrites {
     pending: Mutex<HashMap<u64, Vec<LocalOp>>>,
 }
 
 impl LocalWrites {
     /// A fresh participant.
-    pub fn new() -> LocalWrites {
+    pub(crate) fn new() -> LocalWrites {
         LocalWrites::default()
     }
 
     /// Buffer an operation for transaction `tid`.
-    pub fn buffer(&self, tid: u64, op: LocalOp) {
+    pub(crate) fn buffer(&self, tid: u64, op: LocalOp) {
         self.pending.lock().entry(tid).or_default().push(op);
     }
 
-    /// Buffered operation count for `tid` (tests/monitoring).
-    pub fn pending_ops(&self, tid: u64) -> usize {
+    /// Buffered operation count for `tid`.
+    #[cfg(test)]
+    fn pending_ops(&self, tid: u64) -> usize {
         self.pending.lock().get(&tid).map(Vec::len).unwrap_or(0)
     }
 }
@@ -86,10 +87,16 @@ impl TwoPhaseParticipant for LocalWrites {
         let mut batch_keys: Vec<hana_types::Value> = Vec::new();
         for op in ops.iter() {
             match op {
-                LocalOp::ColumnInsert { table, row } => {
+                LocalOp::Insert {
+                    into: Fragment::Column(table),
+                    row,
+                } => {
                     table.read().schema().check_row(row)?;
                 }
-                LocalOp::RowInsert { table, row } => {
+                LocalOp::Insert {
+                    into: Fragment::Row(table),
+                    row,
+                } => {
                     let t = table.read();
                     t.schema().check_row(row)?;
                     if let Some(pk) = t.pk_column() {
@@ -110,7 +117,7 @@ impl TwoPhaseParticipant for LocalWrites {
                         batch_keys.push(key.clone());
                     }
                 }
-                LocalOp::ColumnDelete { .. } | LocalOp::RowDelete { .. } => {}
+                LocalOp::Delete { .. } => {}
             }
         }
         Ok(Vote::Prepared)
@@ -122,18 +129,14 @@ impl TwoPhaseParticipant for LocalWrites {
         };
         for op in ops {
             match op {
-                LocalOp::ColumnInsert { table, row } => {
-                    table.write().insert(&row, cid)?;
-                }
-                LocalOp::ColumnDelete { table, row_id } => {
-                    table.write().delete(row_id, cid)?;
-                }
-                LocalOp::RowInsert { table, row } => {
-                    table.write().insert(&row, cid)?;
-                }
-                LocalOp::RowDelete { table, slot } => {
-                    table.write().delete_slot(slot, cid)?;
-                }
+                LocalOp::Insert { into, row } => match into {
+                    Fragment::Column(t) => t.write().insert(&row, cid).map(drop)?,
+                    Fragment::Row(t) => t.write().insert(&row, cid).map(drop)?,
+                },
+                LocalOp::Delete { from, id } => match from {
+                    Fragment::Column(t) => t.write().delete(id, cid)?,
+                    Fragment::Row(t) => t.write().delete_slot(id, cid)?,
+                },
             }
         }
         Ok(())
@@ -142,6 +145,418 @@ impl TwoPhaseParticipant for LocalWrites {
     fn abort(&self, tid: u64) -> Result<()> {
         self.pending.lock().remove(&tid);
         Ok(())
+    }
+}
+
+/// A table resolved for writing (§3.1: one logical table, whichever
+/// stores hold it).
+pub(crate) struct WriteTarget {
+    /// The in-memory fragments: one column fragment (plain table, hot
+    /// partition of a hybrid table), one per node of a distributed table
+    /// (index = node id, the [`Located::fragment`] numbering), or the
+    /// row fragment. Empty for a table held entirely by the extended
+    /// store.
+    local: Vec<Fragment>,
+    /// The extended-store table behind it: the whole table, or the cold
+    /// partition of a hybrid table.
+    iq: Option<String>,
+    /// The router, see [`route`](Self::route).
+    pub(crate) dist: Option<Arc<DistTable>>,
+    pub(crate) schema: Schema,
+}
+
+impl WriteTarget {
+    /// Bucket `rows` by the fragment that takes them: a distributed
+    /// table sends each row to its home node's fragment; every other
+    /// table has one insert target.
+    pub(crate) fn route(&self, rows: Vec<Row>) -> Vec<Vec<Row>> {
+        match &self.dist {
+            Some(dt) => dt.bucket(rows),
+            None => vec![rows],
+        }
+    }
+
+    /// The same table with only its extended-store side: rows buffered
+    /// against it go straight to the cold partition.
+    pub(crate) fn cold(self) -> WriteTarget {
+        WriteTarget {
+            local: Vec::new(),
+            dist: None,
+            ..self
+        }
+    }
+}
+
+impl HanaPlatform {
+    /// Resolve `table` for writing — the one place the write path looks
+    /// at where a table's data lives.
+    pub(crate) fn write_target(&self, table: &str) -> Result<WriteTarget> {
+        let source = self.catalog.table(table)?.source;
+        let column = |t: &Arc<RwLock<ColumnTable>>| Fragment::Column(Arc::clone(t));
+        let (local, iq, dist) = match &source {
+            TableSource::Column(t) => (vec![column(t)], None, None),
+            TableSource::Row(t) => (vec![Fragment::Row(Arc::clone(t))], None, None),
+            TableSource::Hybrid {
+                hot, cold_table, ..
+            } => (vec![column(hot)], Some(cold_table.clone()), None),
+            TableSource::Extended { remote_table, .. } => {
+                (Vec::new(), Some(remote_table.clone()), None)
+            }
+            TableSource::Distributed(dt) => (
+                dt.nodes().iter().map(|n| column(n.table())).collect(),
+                None,
+                Some(Arc::clone(dt)),
+            ),
+            TableSource::Virtual { .. } => {
+                return Err(HanaError::Unsupported(format!(
+                    "virtual table '{table}' is read-only (no CAP_DML)"
+                )))
+            }
+        };
+        Ok(WriteTarget {
+            local,
+            iq,
+            dist,
+            schema: source.schema(),
+        })
+    }
+
+    /// The one write routine: under transaction `tid`, buffer the
+    /// deletion of `victims` (as [`locate_rows`] found them) from their
+    /// fragments and the insertion of the `routed` rows (bucketed by
+    /// [`WriteTarget::route`] or the repartition exchange) into theirs —
+    /// or hand them to the extended store when the target has no
+    /// in-memory side. Nothing is visible before commit.
+    pub(crate) fn buffer(
+        &self,
+        tid: u64,
+        target: &WriteTarget,
+        victims: Vec<Located>,
+        routed: Vec<Vec<Row>>,
+    ) -> Result<()> {
+        for hit in victims {
+            let from = &target.local[hit.fragment];
+            for id in hit.ids {
+                let from = from.clone();
+                self.local_writes.buffer(tid, LocalOp::Delete { from, id });
+            }
+        }
+        for (home, rows) in routed.into_iter().enumerate() {
+            match (target.local.get(home), &target.iq) {
+                _ if rows.is_empty() => {}
+                (Some(into), _) => {
+                    for Row(row) in rows {
+                        let into = into.clone();
+                        self.local_writes.buffer(tid, LocalOp::Insert { into, row });
+                    }
+                }
+                (None, Some(iq_table)) => self.iq.buffer_insert(tid, iq_table, rows)?,
+                (None, None) => {
+                    return Err(HanaError::Storage(
+                        "no partition of the table can hold the rows".into(),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The rows of `target`'s in-memory fragments that `filter` selects
+    /// under `cid`, found with the access path SELECT would use.
+    fn locate(
+        &self,
+        table: &str,
+        target: &WriteTarget,
+        filter: Option<&Expr>,
+        cid: u64,
+    ) -> Result<Vec<Located>> {
+        if target.local.is_empty() {
+            return Ok(Vec::new());
+        }
+        locate_rows(&self.exec, self.catalog.as_ref(), table, filter, cid)
+    }
+
+    /// Run `f` in a fresh transaction: commit on success, abort on
+    /// failure so a retry starts from a clean slate.
+    pub(crate) fn in_txn<T>(
+        &self,
+        f: impl FnOnce(&TxnHandle) -> Result<T>,
+    ) -> Result<(T, CommitReceipt)> {
+        let txn = self.tm.begin();
+        match f(&txn) {
+            Ok(v) => Ok((v, self.tm.commit(txn, &self.participants())?)),
+            Err(e) => {
+                let _ = self.tm.abort(txn, &self.participants());
+                Err(e)
+            }
+        }
+    }
+
+    // ---- DML ----
+
+    pub(crate) fn dml_insert(
+        &self,
+        tid: u64,
+        table: &str,
+        columns: Option<&[String]>,
+        value_rows: &[Vec<Expr>],
+    ) -> Result<usize> {
+        let target = self.write_target(table)?;
+        let schema = &target.schema;
+        let empty = Schema::default();
+        let mut rows = Vec::with_capacity(value_rows.len());
+        for exprs in value_rows {
+            let values: Vec<Value> = exprs
+                .iter()
+                .map(|e| evaluate(e, &empty, &Row::new()))
+                .collect::<Result<_>>()?;
+            let row = match columns {
+                None => values,
+                Some(cols) => {
+                    if cols.len() != values.len() {
+                        return Err(HanaError::Execution(format!(
+                            "{} columns but {} values",
+                            cols.len(),
+                            values.len()
+                        )));
+                    }
+                    let mut full = vec![Value::Null; schema.len()];
+                    for (c, v) in cols.iter().zip(values) {
+                        full[schema.require(c)?] = v;
+                    }
+                    full
+                }
+            };
+            schema.check_row(&row)?;
+            rows.push(Row(row));
+        }
+        let n = rows.len();
+        self.buffer(tid, &target, Vec::new(), target.route(rows))?;
+        Ok(n)
+    }
+
+    pub(crate) fn dml_delete(
+        &self,
+        tid: u64,
+        cid: u64,
+        table: &str,
+        filter: Option<&Expr>,
+    ) -> Result<usize> {
+        let target = self.write_target(table)?;
+        // The extended store resolves its own victims, from pushed-down
+        // predicates only; refuse before anything is buffered.
+        let pushed = match (&target.iq, filter) {
+            (Some(_), Some(f)) => {
+                let (pushed, residual) = hana_sda::split_pushdown(f);
+                if !residual.is_empty() {
+                    return Err(HanaError::Unsupported(format!(
+                        "DELETE filter not fully pushable to the extended store: {residual:?}"
+                    )));
+                }
+                pushed
+            }
+            _ => Vec::new(),
+        };
+        let victims = self.locate(table, &target, filter, cid)?;
+        let mut n: usize = victims.iter().map(|hit| hit.ids.len()).sum();
+        self.buffer(tid, &target, victims, Vec::new())?;
+        if let Some(iq_table) = &target.iq {
+            n += self.iq.buffer_delete(tid, iq_table, &pushed, cid)?;
+        }
+        Ok(n)
+    }
+
+    /// UPDATE = delete the located rows + insert their new images, each
+    /// re-routed (a partition-key update may move a row to another
+    /// node). Hybrid tables update their hot partition; cold data is
+    /// read-mostly ("rarely accessed", §3.1) and must be un-aged before
+    /// modification.
+    pub(crate) fn dml_update(
+        &self,
+        tid: u64,
+        cid: u64,
+        table: &str,
+        assignments: &[(String, Expr)],
+        filter: Option<&Expr>,
+    ) -> Result<usize> {
+        let target = self.write_target(table)?;
+        if target.local.is_empty() {
+            return Err(HanaError::Unsupported(format!(
+                "UPDATE is supported on local tables only, not '{table}'"
+            )));
+        }
+        let schema = &target.schema;
+        let victims = self.locate(table, &target, filter, cid)?;
+        let mut images = Vec::new();
+        for old in victims.iter().flat_map(|hit| &hit.rows) {
+            let mut new_row = old.values().to_vec();
+            for (col, e) in assignments {
+                new_row[schema.require(col)?] = evaluate(e, schema, old)?;
+            }
+            images.push(Row(new_row));
+        }
+        let n = images.len();
+        self.buffer(tid, &target, victims, target.route(images))?;
+        Ok(n)
+    }
+
+    // ---- bulk load ----
+
+    /// Bulk-load rows through a single transaction. For extended tables
+    /// this is the §3.1 **direct load** path ("directly moves the data
+    /// into the external store without taking a detour via the in-memory
+    /// store").
+    pub fn load_rows(&self, session: &Session, table: &str, rows: &[Row]) -> Result<usize> {
+        self.security.check(session, Privilege::Write)?;
+        let target = self.bulk_target(table, rows)?;
+        self.bulk_commit(table, &target, rows, None)?;
+        // Bulk load is a natural statistics trigger (§3.1 synopses):
+        // restore and ESP ingestion funnel through here too, so
+        // recovered tables come back with fresh statistics.
+        self.refresh_statistics(table)?;
+        // Bulk load is also a checkpoint barrier: the snapshot it
+        // triggers keeps recovery from replaying the (potentially large)
+        // load payload ever again.
+        self.maybe_checkpoint();
+        Ok(rows.len())
+    }
+
+    /// Resolve `table` for a bulk transaction and check `rows` against
+    /// its schema.
+    fn bulk_target(&self, table: &str, rows: &[Row]) -> Result<WriteTarget> {
+        let target = self.write_target(table)?;
+        for row in rows {
+            target.schema.check_row(row.values())?;
+        }
+        Ok(target)
+    }
+
+    /// The one bulk transaction sequence, shared by
+    /// [`load_rows`](Self::load_rows) and
+    /// [`commit_ingest_batch`](Self::commit_ingest_batch): begin →
+    /// buffer → log → commit, aborting on any failure before the commit
+    /// point. Rows bound for a distributed table cross the repartition
+    /// exchange to their home nodes (accounted and fault-checked like
+    /// any shuffle) and, on a durable platform, are written to their
+    /// partitions' logs and fsynced *before* the coordinator's commit
+    /// record, which then carries only a marker — a committed
+    /// coordinator record guarantees every partition has its rows.
+    /// Returns the commit ID.
+    fn bulk_commit(
+        &self,
+        table: &str,
+        target: &WriteTarget,
+        rows: &[Row],
+        ingest: Option<(&str, u64)>,
+    ) -> Result<u64> {
+        let ((tid, in_partition_logs), receipt) = self.in_txn(|txn| {
+            let mut in_partition_logs = false;
+            let routed = match &target.dist {
+                None => target.route(rows.to_vec()),
+                Some(dt) => {
+                    let ctx = RemoteContext::snapshot(txn.snapshot.cid());
+                    let delivered =
+                        hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
+                    in_partition_logs =
+                        !self.tm.wal().passive() && dt.log_buckets(txn.tid, &delivered)?;
+                    delivered
+                }
+            };
+            self.buffer(txn.tid, target, Vec::new(), routed)?;
+            let inline = (!in_partition_logs).then_some(rows);
+            self.tm
+                .log_data(txn.tid, "hana", &bulk_payload(table, ingest, inline))?;
+            Ok((txn.tid, in_partition_logs))
+        })?;
+        if let (true, Some(dt)) = (in_partition_logs, &target.dist) {
+            // Best-effort bookkeeping marker in the partition logs; the
+            // coordinator's commit record is the source of truth.
+            dt.log_commit(tid, receipt.cid);
+        }
+        Ok(receipt.cid)
+    }
+
+    // ---- streaming ingest (exactly-once epochs) ----
+
+    /// Commit one streaming-ingest batch under `(pipeline, epoch)`,
+    /// exactly once: if the ledger already covers `epoch` (producer
+    /// retry after a lost ack, or WAL replay), nothing is applied and
+    /// [`IngestCommit::Deduplicated`] is returned. Otherwise the rows
+    /// go through the bulk transaction sequence of
+    /// [`load_rows`](Self::load_rows) with the epoch stamped into its
+    /// log record, and the ledger advances — all under the epoch fence,
+    /// so a concurrent checkpoint cut (MERGE DELTA, bulk load) sees
+    /// either none or all of the epoch.
+    ///
+    /// Deliberately *not* per-batch: statistics refresh (a catalog
+    /// version bump would invalidate every cached session plan on each
+    /// micro-batch) and checkpointing (a full snapshot per batch).
+    /// Delta merges and explicit checkpoints cover both at a sane
+    /// cadence.
+    pub fn commit_ingest_batch(
+        &self,
+        session: &Session,
+        pipeline: &str,
+        epoch: u64,
+        table: &str,
+        rows: &[Row],
+    ) -> Result<IngestCommit> {
+        self.security.check(session, Privilege::Stream)?;
+        let target = self.bulk_target(table, rows)?;
+        let _fence = self.ingest.fence();
+        let last = self.ingest.last_epoch(pipeline);
+        if epoch <= last {
+            hana_obs::registry()
+                .counter("hana_ingest_epochs_deduped_total")
+                .inc();
+            return Ok(IngestCommit::Deduplicated { last_epoch: last });
+        }
+        let cid = self.bulk_commit(table, &target, rows, Some((pipeline, epoch)))?;
+        self.ingest.note(pipeline, epoch);
+        hana_obs::registry()
+            .counter("hana_ingest_epochs_committed_total")
+            .inc();
+        hana_obs::registry()
+            .counter("hana_ingest_rows_committed_total")
+            .add(rows.len() as u64);
+        Ok(IngestCommit::Committed { cid })
+    }
+
+    // ---- aging (§3.1 "built-in aging mechanism") ----
+
+    /// Move rows whose aging flag is set from the hot partition to the
+    /// cold (extended) partition of a hybrid table. Returns moved rows.
+    pub fn run_aging(&self, session: &Session, table: &str) -> Result<usize> {
+        self.security.check(session, Privilege::Write)?;
+        let TableKindInfo::Hybrid { aging_column, .. } = self.catalog.table(table)?.kind else {
+            return Err(HanaError::Unsupported(format!(
+                "'{table}' is not a hybrid table"
+            )));
+        };
+        let target = self.write_target(table)?;
+        let flagged = Expr::Binary {
+            left: Box::new(Expr::col(&aging_column)),
+            op: BinOp::Eq,
+            right: Box::new(Expr::lit(true)),
+        };
+        let cid = self.tm.current_snapshot().cid();
+        let mut victims = self.locate(table, &target, Some(&flagged), cid)?;
+        let rows: Vec<Row> = victims
+            .iter_mut()
+            .flat_map(|hit| std::mem::take(&mut hit.rows))
+            .collect();
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        let moved = rows.len();
+        self.in_txn(|txn| {
+            self.buffer(txn.tid, &target, victims, Vec::new())?;
+            let cold = target.cold();
+            self.buffer(txn.tid, &cold, Vec::new(), cold.route(rows))?;
+            self.tm
+                .log_data(txn.tid, "hana", &format!("-- aging {table}"))
+        })?;
+        Ok(moved)
     }
 }
 
@@ -162,8 +577,8 @@ mod tests {
         let txn = tm.begin();
         writes.buffer(
             txn.tid,
-            LocalOp::ColumnInsert {
-                table: Arc::clone(&table),
+            LocalOp::Insert {
+                into: Fragment::Column(Arc::clone(&table)),
                 row: vec![Value::Int(1)],
             },
         );
@@ -185,8 +600,8 @@ mod tests {
         let txn = tm.begin();
         writes.buffer(
             txn.tid,
-            LocalOp::ColumnInsert {
-                table: Arc::clone(&table),
+            LocalOp::Insert {
+                into: Fragment::Column(Arc::clone(&table)),
                 row: vec![Value::Int(1)],
             },
         );

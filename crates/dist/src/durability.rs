@@ -23,12 +23,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hana_txn::{LogRecord, Wal};
-use hana_types::{HanaError, Result, Row, Value};
+use hana_types::{decode_row, encode_row, Result, Row};
 
 use crate::table::DistTable;
-
-/// Field separator inside one partition redo payload.
-const FIELD_SEP: char = '\u{1f}';
 
 /// One WAL per node of a distributed table.
 pub struct PartitionWals {
@@ -71,41 +68,32 @@ impl DistTable {
         Ok(())
     }
 
-    /// Whether per-partition WALs are attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal_slot().read().is_some()
-    }
-
     /// The attached partition logs, if any.
     pub fn partition_wals(&self) -> Option<Arc<PartitionWals>> {
         self.wal_slot().read().clone()
     }
 
-    /// Log one routed row image to its home partition's WAL (no fsync;
-    /// [`DistTable::sync_wal`] is the durability point). A no-op when no
-    /// WAL is attached.
-    pub fn log_insert(&self, tid: u64, row: &[Value]) -> Result<()> {
+    /// Log the routed row images of `tid` — `buckets[node]`, as the
+    /// repartition exchange delivered them — to their home partitions'
+    /// WALs and make those logs durable. Called *before* the
+    /// coordinator's commit record, so a durable commit implies durable
+    /// partition redo. Returns `false`, logging nothing, when no WAL is
+    /// attached.
+    pub fn log_buckets(&self, tid: u64, buckets: &[Vec<Row>]) -> Result<bool> {
         let Some(wals) = self.partition_wals() else {
-            return Ok(());
+            return Ok(false);
         };
-        let node = self.route(row);
-        wals.wals[node].append(LogRecord::Data {
-            tid,
-            engine: "dist".into(),
-            payload: Row(row.to_vec()).to_delimited(FIELD_SEP),
-        })
-    }
-
-    /// Make every partition log durable. Called *before* the
-    /// coordinator's commit record so a durable commit implies durable
-    /// partition redo.
-    pub fn sync_wal(&self) -> Result<()> {
-        if let Some(wals) = self.partition_wals() {
-            for w in &wals.wals {
-                w.sync()?;
+        for (wal, bucket) in wals.wals.iter().zip(buckets) {
+            for row in bucket {
+                wal.append(LogRecord::Data {
+                    tid,
+                    engine: "dist".into(),
+                    payload: encode_row(row.values()),
+                })?;
             }
+            wal.sync()?;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Post-commit bookkeeping: mark `tid` committed in every partition
@@ -122,43 +110,27 @@ impl DistTable {
         }
     }
 
-    /// Redo the partition-logged inserts of coordinator-committed
-    /// transaction `tid`, applying them at `cid` into each node's
-    /// fragment. Returns the number of rows applied.
-    pub fn redo_txn(&self, tid: u64, cid: u64) -> Result<usize> {
+    /// The partition-logged row images of coordinator-committed
+    /// transaction `tid`, in node order — recovery re-applies them
+    /// through the platform's bulk write path.
+    pub fn redo_rows(&self, tid: u64) -> Result<Vec<Row>> {
         let Some(wals) = self.partition_wals() else {
-            return Ok(0);
+            return Ok(Vec::new());
         };
-        let schema = self.schema().clone();
-        let mut applied = 0usize;
-        for (node, wal) in wals.wals.iter().enumerate() {
+        let mut rows = Vec::new();
+        for wal in &wals.wals {
             for rec in wal.records() {
-                let LogRecord::Data {
-                    tid: t, payload, ..
-                } = rec
-                else {
-                    continue;
-                };
-                if t != tid {
-                    continue;
+                match rec {
+                    LogRecord::Data {
+                        tid: t, payload, ..
+                    } if t == tid => rows.push(decode_row(&payload, self.schema())?),
+                    _ => {}
                 }
-                let fields: Vec<&str> = payload.split(FIELD_SEP).collect();
-                if fields.len() != schema.len() {
-                    return Err(HanaError::Io(format!(
-                        "corrupt partition redo record for txn {tid} on node {node}"
-                    )));
-                }
-                let mut vals = Vec::with_capacity(fields.len());
-                for (f, c) in fields.iter().zip(schema.columns()) {
-                    vals.push(Value::parse_typed(f, c.data_type)?);
-                }
-                self.nodes()[node].insert(&vals, cid)?;
-                applied += 1;
             }
         }
         hana_obs::registry()
             .counter("hana_dist_partition_redo_rows_total")
-            .add(applied as u64);
-        Ok(applied)
+            .add(rows.len() as u64);
+        Ok(rows)
     }
 }

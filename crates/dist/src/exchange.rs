@@ -112,10 +112,7 @@ pub fn repartition(
 ) -> Result<Vec<Vec<Row>>> {
     let span = hana_obs::span("exchange[repartition]");
     span.attr("nodes", table.node_count() as u64);
-    let mut buckets: Vec<Vec<Row>> = (0..table.node_count()).map(|_| Vec::new()).collect();
-    for row in rows {
-        buckets[table.route(row.values())].push(row);
-    }
+    let buckets = table.bucket(rows);
     let mut out = Vec::with_capacity(buckets.len());
     let mut total_rows = 0u64;
     let mut total_bytes = 0u64;
@@ -207,8 +204,12 @@ mod tests {
         let after = hana_obs::registry()
             .counter("hana_dist_rows_shuffled_total")
             .get();
-        assert_eq!(after - before, 12);
-        assert!(t.link(0).stats().rows >= 5);
-        assert!(t.link(2).stats().rows >= 7);
+        // The exact accounting is asserted on the links this test owns;
+        // sibling tests move the process-global counter concurrently, so
+        // it only bounds from below.
+        assert_eq!(t.link(0).stats().rows, 5);
+        assert_eq!(t.link(1).stats().rows, 0);
+        assert_eq!(t.link(2).stats().rows, 7);
+        assert!(after - before >= 12);
     }
 }

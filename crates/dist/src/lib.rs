@@ -29,7 +29,7 @@ mod table;
 pub use durability::PartitionWals;
 pub use exchange::{broadcast, gather, repartition, transfer_accounted};
 pub use link::{FaultPlan, Link, LinkStats, DEFAULT_CHUNK_ROWS};
-pub use node::DistNode;
+pub use node::{DistNode, NodeHits};
 pub use partition::PartitionSpec;
 pub use table::{DistTable, NodeParts, PruneOutcome};
 

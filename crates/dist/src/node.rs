@@ -4,13 +4,23 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use hana_columnar::{ColumnPredicate, ColumnTable};
+use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap};
 use hana_exec::{ExecConfig, ExecContext};
 use hana_types::{Result, Row, Schema, Value};
 
 /// Rows at or above this count route a node-local scan through the
 /// node's morsel pool (mirrors the executor's threshold).
 const NODE_PARALLEL_ROW_THRESHOLD: usize = 65_536;
+
+/// One node's share of a located row set.
+pub struct NodeHits {
+    /// The node the rows live on.
+    pub node: usize,
+    /// Fragment-local row ids of the hits.
+    pub ids: Vec<usize>,
+    /// The hit rows, in `ids` order.
+    pub rows: Vec<Row>,
+}
 
 /// One node of the landscape: fragment `id` of a distributed table,
 /// owned exclusively by this node, scanned and merged on the node's own
@@ -60,9 +70,29 @@ impl DistNode {
     }
 
     /// Scan the fragment under `cid` with name-resolved predicates,
-    /// materializing the hit rows. Large fragments scan morsel-parallel
-    /// on the node's own pool.
+    /// materializing the hit rows.
     pub fn scan(&self, preds: &[(String, ColumnPredicate)], cid: u64) -> Result<Vec<Row>> {
+        Ok(self.hits(preds, cid)?.1)
+    }
+
+    /// [`scan`](Self::scan) that keeps each hit's fragment-local row id
+    /// next to its row (DML resolves its victims with them).
+    pub fn locate(&self, preds: &[(String, ColumnPredicate)], cid: u64) -> Result<NodeHits> {
+        let (hits, rows) = self.hits(preds, cid)?;
+        Ok(NodeHits {
+            node: self.id,
+            ids: hits.iter().collect(),
+            rows,
+        })
+    }
+
+    /// The hit bitmap and the hit rows. Large fragments scan
+    /// morsel-parallel on the node's own pool.
+    fn hits(
+        &self,
+        preds: &[(String, ColumnPredicate)],
+        cid: u64,
+    ) -> Result<(RowIdBitmap, Vec<Row>)> {
         let t = self.table.read();
         let resolved: Vec<(usize, ColumnPredicate)> = preds
             .iter()
@@ -73,7 +103,8 @@ impl DistNode {
         } else {
             t.scan_all(&resolved, cid)?
         };
-        Ok(t.collect_rows(&hits, &[]))
+        let rows = t.collect_rows(&hits, &[]);
+        Ok((hits, rows))
     }
 
     /// Snapshot of all rows visible at `cid` (backup, gather-all).

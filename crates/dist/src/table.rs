@@ -9,7 +9,7 @@ use hana_types::{Result, Row, Schema, Value};
 
 use crate::durability::PartitionWals;
 use crate::link::Link;
-use crate::node::DistNode;
+use crate::node::{DistNode, NodeHits};
 use crate::partition::PartitionSpec;
 
 /// Default worker threads per node pool.
@@ -128,6 +128,15 @@ impl DistTable {
         self.spec.partition_of(&row[self.key_col])
     }
 
+    /// Bucket `rows` by home node, in node order.
+    pub fn bucket(&self, rows: Vec<Row>) -> Vec<Vec<Row>> {
+        let mut buckets: Vec<Vec<Row>> = (0..self.node_count()).map(|_| Vec::new()).collect();
+        for row in rows {
+            buckets[self.route(row.values())].push(row);
+        }
+        buckets
+    }
+
     /// Insert one row at its home node.
     pub fn insert(&self, row: &[Value], cid: u64) -> Result<usize> {
         self.nodes[self.route(row)].insert(row, cid)
@@ -185,14 +194,35 @@ impl DistTable {
         preds: &[(String, ColumnPredicate)],
         cid: u64,
     ) -> Result<(PruneOutcome, NodeParts)> {
+        self.on_survivors(preds, |node| Ok((node.id(), node.scan(preds, cid)?)))
+    }
+
+    /// [`scan_partitions`](Self::scan_partitions) that keeps each hit's
+    /// fragment-local row id next to its row: UPDATE/DELETE prune and
+    /// scan exactly like the equivalent SELECT, then buffer their
+    /// victims against the owning node.
+    pub fn locate_partitions(
+        &self,
+        preds: &[(String, ColumnPredicate)],
+        cid: u64,
+    ) -> Result<(PruneOutcome, Vec<NodeHits>)> {
+        self.on_survivors(preds, |node| node.locate(preds, cid))
+    }
+
+    /// Prune with `preds`, then run `f` on every surviving node.
+    fn on_survivors<T>(
+        &self,
+        preds: &[(String, ColumnPredicate)],
+        f: impl Fn(&DistNode) -> Result<T>,
+    ) -> Result<(PruneOutcome, Vec<T>)> {
         let outcome = self.prune(preds);
-        let mut parts = Vec::new();
+        let mut out = Vec::new();
         for (node, keep) in self.nodes.iter().zip(&outcome.mask) {
             if *keep {
-                parts.push((node.id(), node.scan(preds, cid)?));
+                out.push(f(node)?);
             }
         }
-        Ok((outcome, parts))
+        Ok((outcome, out))
     }
 }
 

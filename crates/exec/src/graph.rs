@@ -188,6 +188,7 @@ impl TaskGraph {
             dependents.push(std::mem::take(&mut node.dependents));
             deps.push(AtomicUsize::new(node.deps));
         }
+        let roots: Vec<usize> = (0..n).filter(|&i| self.nodes[i].deps == 0).collect();
         let state = Arc::new(GraphState {
             jobs,
             dependents,
@@ -197,10 +198,12 @@ impl TaskGraph {
             panic: Mutex::new(None),
         });
 
-        for idx in 0..n {
-            if state.deps[idx].load(Ordering::Acquire) == 0 {
-                schedule(Arc::clone(&state), Arc::clone(pool), idx);
-            }
+        // The roots are fixed before anything runs: a running task
+        // drives its dependents' counters to zero and schedules them
+        // itself, so re-reading the counters here would schedule such a
+        // task a second time.
+        for idx in roots {
+            schedule(Arc::clone(&state), Arc::clone(pool), idx);
         }
 
         let mut remaining = state.remaining.lock().unwrap();

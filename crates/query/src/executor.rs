@@ -1,7 +1,8 @@
 //! The plan executor.
 
-use hana_columnar::BLOCK_ROWS;
+use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap, BLOCK_ROWS};
 use hana_exec::ExecContext;
+use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
 use hana_sql::finish::{finish_query, project_final, sort_rows};
 use hana_sql::{evaluate, evaluate_predicate, resolve_column, Expr, JoinKind, Query, TableRef};
@@ -51,7 +52,7 @@ pub fn execute_plan(plan: &PlanNode, catalog: &dyn Catalog, cid: u64) -> Result<
 }
 
 /// Operator name a plan node reports its span under.
-fn span_name(op: &PlanOp) -> String {
+pub(crate) fn span_name(op: &PlanOp) -> String {
     match op {
         PlanOp::ColumnScan { table, .. } => format!("column_scan[{table}]"),
         PlanOp::IndexSeek { table, index, .. } => format!("index_seek[{table}.{index}]"),
@@ -104,62 +105,12 @@ fn execute_plan_inner(
     span: &hana_obs::Span,
 ) -> Result<ResultSet> {
     match &plan.op {
-        PlanOp::ColumnScan { table, preds, .. } => {
+        PlanOp::ColumnScan { table, .. } | PlanOp::IndexSeek { table, .. } => {
             let TableSource::Column(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a column table")));
             };
             let t = t.read();
-            let resolved: Vec<(usize, hana_columnar::ColumnPredicate)> = preds
-                .iter()
-                .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
-                .collect::<Result<_>>()?;
-            // Morsel-parallel above the row threshold; bit-identical to
-            // the serial scan (see ColumnTable::par_scan_all).
-            let hits = if t.row_count() >= PARALLEL_ROW_THRESHOLD {
-                span.set_workers(exec.config().workers as u64);
-                t.par_scan_all(exec, &resolved, cid)?
-            } else {
-                t.scan_all(&resolved, cid)?
-            };
-            span.attr("input_rows", t.row_count() as u64);
-            Ok(ResultSet::new(
-                plan.schema.clone(),
-                t.collect_rows(&hits, &[]),
-            ))
-        }
-        PlanOp::IndexSeek {
-            table,
-            index,
-            prefix,
-            range,
-            residual,
-            ..
-        } => {
-            let TableSource::Column(t) = catalog.resolve_table(table)? else {
-                return Err(HanaError::Plan(format!("'{table}' is not a column table")));
-            };
-            let t = t.read();
-            let prefix_vals: Vec<Value> = prefix.iter().map(|(_, v)| v.clone()).collect();
-            let mut hits =
-                t.index_seek(index, &prefix_vals, range.as_ref().map(|(_, p)| p), cid)?;
-            span.attr("input_rows", t.row_count() as u64);
-            span.attr("seek_hits", hits.count() as u64);
-            // Residual predicates the index key does not cover are
-            // re-checked per hit — seek output stays bit-identical to
-            // the equivalent scan.
-            if !residual.is_empty() {
-                let resolved: Vec<(usize, hana_columnar::ColumnPredicate)> = residual
-                    .iter()
-                    .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
-                    .collect::<Result<_>>()?;
-                let mut filtered = hana_columnar::RowIdBitmap::new(hits.len());
-                for row in hits.iter() {
-                    if resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))) {
-                        filtered.set(row);
-                    }
-                }
-                hits = filtered;
-            }
+            let hits = column_leaf_hits(exec, &t, &plan.op, cid, span)?;
             Ok(ResultSet::new(
                 plan.schema.clone(),
                 t.collect_rows(&hits, &[]),
@@ -169,14 +120,7 @@ fn execute_plan_inner(
             let TableSource::Row(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a row table")));
             };
-            let t = t.read();
-            let resolved: Vec<(usize, hana_columnar::ColumnPredicate)> = preds
-                .iter()
-                .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
-                .collect::<Result<_>>()?;
-            let rows = t.scan_filtered(hana_txn::Snapshot::at(cid), |row| {
-                resolved.iter().all(|(i, p)| p.matches(&row[*i]))
-            });
+            let (_, rows) = row_leaf_hits(&t.read(), preds, cid)?;
             Ok(ResultSet::new(plan.schema.clone(), rows))
         }
         PlanOp::DistScan { table, preds, .. } => {
@@ -205,15 +149,11 @@ fn execute_plan_inner(
             };
             // Hot partition: local column scan.
             let hot = hot.read();
-            let resolved: Vec<(usize, hana_columnar::ColumnPredicate)> = preds
-                .iter()
-                .map(|(c, p)| hot.schema().require(c).map(|i| (i, p.clone())))
-                .collect::<Result<_>>()?;
-            let hits = hot.scan_all(&resolved, cid)?;
+            let hits = column_leaf_hits(exec, &hot, &plan.op, cid, span)?;
             let mut rows = hot.collect_rows(&hits, &[]);
             // Cold partition: pushdown scan at the extended store.
             let iq = catalog.iq_engine(&source)?;
-            let named: Vec<(String, hana_columnar::ColumnPredicate)> = preds.to_vec();
+            let named: Vec<(String, ColumnPredicate)> = preds.to_vec();
             let cold = iq.scan(&cold_table, &named, None, cid)?;
             rows.extend(cold.rows);
             Ok(ResultSet::new(plan.schema.clone(), rows))
@@ -507,7 +447,111 @@ fn execute_plan_inner(
     }
 }
 
+/// Name-resolve pushed-down predicates against a fragment's schema.
+fn resolve_preds(
+    schema: &Schema,
+    preds: &[(String, ColumnPredicate)],
+) -> Result<Vec<(usize, ColumnPredicate)>> {
+    preds
+        .iter()
+        .map(|(c, p)| schema.require(c).map(|i| (i, p.clone())))
+        .collect()
+}
+
+/// The row ids a column-fragment leaf selects in `t` under `cid`,
+/// before any row is materialized: the pushed-down predicates of a
+/// `ColumnScan` (or the hot side of a `HybridScan`) through the scan
+/// kernels — morsel-parallel above the row threshold, bit-identical to
+/// the serial scan (see `ColumnTable::par_scan_all`) — or an
+/// `IndexSeek`'s ordered seek. SELECT materializes these hits, the
+/// fused group-by aggregates over them, and UPDATE/DELETE take them as
+/// their victims ([`crate::locate_rows`]).
+pub(crate) fn column_leaf_hits(
+    exec: &ExecContext,
+    t: &ColumnTable,
+    op: &PlanOp,
+    cid: u64,
+    span: &hana_obs::Span,
+) -> Result<RowIdBitmap> {
+    span.attr("input_rows", t.row_count() as u64);
+    match op {
+        PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
+            let resolved = resolve_preds(t.schema(), preds)?;
+            if t.row_count() >= PARALLEL_ROW_THRESHOLD {
+                span.set_workers(exec.config().workers as u64);
+                t.par_scan_all(exec, &resolved, cid)
+            } else {
+                t.scan_all(&resolved, cid)
+            }
+        }
+        PlanOp::IndexSeek {
+            index,
+            prefix,
+            range,
+            residual,
+            ..
+        } => {
+            let prefix_vals: Vec<Value> = prefix.iter().map(|(_, v)| v.clone()).collect();
+            let mut hits =
+                t.index_seek(index, &prefix_vals, range.as_ref().map(|(_, p)| p), cid)?;
+            span.attr("seek_hits", hits.count() as u64);
+            // Residual predicates the index key does not cover are
+            // re-checked per hit — seek output stays bit-identical to
+            // the equivalent scan.
+            if !residual.is_empty() {
+                let resolved = resolve_preds(t.schema(), residual)?;
+                let mut filtered = RowIdBitmap::new(hits.len());
+                for row in hits.iter() {
+                    if resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))) {
+                        filtered.set(row);
+                    }
+                }
+                hits = filtered;
+            }
+            Ok(hits)
+        }
+        _ => Err(HanaError::Plan(
+            "only column-fragment leaves select row ids".into(),
+        )),
+    }
+}
+
+/// The slots of a row table a `RowScan` leaf selects under `cid`, and
+/// the rows stored in them.
+pub(crate) fn row_leaf_hits(
+    t: &RowTable,
+    preds: &[(String, ColumnPredicate)],
+    cid: u64,
+) -> Result<(Vec<usize>, Vec<Row>)> {
+    let resolved = resolve_preds(t.schema(), preds)?;
+    let slots = t.slots_matching(hana_txn::Snapshot::at(cid), |row| {
+        resolved.iter().all(|(i, p)| p.matches(&row[*i]))
+    });
+    let rows = slots
+        .iter()
+        .map(|&slot| t.slot_values(slot).expect("slot just matched").clone())
+        .collect();
+    Ok((slots, rows))
+}
+
 /// Apply a filter predicate over materialized rows.
+fn filter_rows(
+    pred: &Expr,
+    schema: &Schema,
+    rows: Vec<Row>,
+    span: &hana_obs::Span,
+) -> Result<Vec<Row>> {
+    let keep = filter_mask(pred, schema, &rows, span)?;
+    let mut out = Vec::with_capacity(rows.len());
+    for (r, k) in rows.into_iter().zip(keep) {
+        if k {
+            out.push(r);
+        }
+    }
+    Ok(out)
+}
+
+/// Which of `rows` satisfy `pred`.
 ///
 /// When the predicate lowers to bytecode, rows run through the VM one
 /// [`BLOCK_ROWS`] block at a time. Block-level evaluation can raise an
@@ -516,49 +560,39 @@ fn execute_plan_inner(
 /// non-boolean the tree-walk reports with its own message — any such
 /// block falls back to the row-at-a-time evaluator, which is the
 /// authority for both results and errors.
-fn filter_rows(
+pub(crate) fn filter_mask(
     pred: &Expr,
     schema: &Schema,
-    rows: Vec<Row>,
+    rows: &[Row],
     span: &hana_obs::Span,
-) -> Result<Vec<Row>> {
-    let Some(prog) = crate::compile::compile_expr(pred, schema) else {
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            if evaluate_predicate(pred, schema, &r)? {
-                out.push(r);
-            }
-        }
-        return Ok(out);
-    };
-    let mut keep = vec![false; rows.len()];
+) -> Result<Vec<bool>> {
+    let prog = crate::compile::compile_expr(pred, schema);
+    let mut keep = Vec::with_capacity(rows.len());
     let mut regs: Vec<Vec<Value>> = Vec::new();
     let mut compiled_blocks = 0u64;
-    for (bi, block) in rows.chunks(BLOCK_ROWS).enumerate() {
-        let base = bi * BLOCK_ROWS;
-        let vm_ok = prog.run_block(block, &mut regs).is_ok()
-            && regs[prog.result]
-                .iter()
-                .all(|v| matches!(v, Value::Bool(_) | Value::Null));
-        if vm_ok {
-            compiled_blocks += 1;
-            for (i, v) in regs[prog.result].iter().enumerate() {
-                keep[base + i] = *v == Value::Bool(true);
+    for block in rows.chunks(BLOCK_ROWS) {
+        let compiled = prog.as_ref().filter(|p| {
+            p.run_block(block, &mut regs).is_ok()
+                && regs[p.result]
+                    .iter()
+                    .all(|v| matches!(v, Value::Bool(_) | Value::Null))
+        });
+        match compiled {
+            Some(p) => {
+                compiled_blocks += 1;
+                keep.extend(regs[p.result].iter().map(|v| *v == Value::Bool(true)));
             }
-        } else {
-            for (i, r) in block.iter().enumerate() {
-                keep[base + i] = evaluate_predicate(pred, schema, r)?;
+            None => {
+                for r in block {
+                    keep.push(evaluate_predicate(pred, schema, r)?);
+                }
             }
         }
     }
-    span.attr("compiled_blocks", compiled_blocks);
-    let mut out = Vec::with_capacity(rows.len());
-    for (r, k) in rows.into_iter().zip(keep) {
-        if k {
-            out.push(r);
-        }
+    if prog.is_some() {
+        span.attr("compiled_blocks", compiled_blocks);
     }
-    Ok(out)
+    Ok(keep)
 }
 
 /// The Finish epilogue through the VM: when the query has no
@@ -700,7 +734,7 @@ fn try_fused_group_by(
     cid: u64,
     span: &hana_obs::Span,
 ) -> Result<Option<ResultSet>> {
-    let PlanOp::ColumnScan { table, preds, .. } = &input.op else {
+    let PlanOp::ColumnScan { table, .. } = &input.op else {
         return Ok(None);
     };
     let [Expr::Column { qualifier, name }] = group_by else {
@@ -735,18 +769,8 @@ fn try_fused_group_by(
 
     // The scan itself, reported under its usual operator span so
     // profiles keep the query -> group_by -> column_scan[t] shape.
-    let resolved: Vec<(usize, hana_columnar::ColumnPredicate)> = preds
-        .iter()
-        .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
-        .collect::<Result<_>>()?;
     let scan_span = hana_obs::span(&span_name(&input.op));
-    let hits = if t.row_count() >= PARALLEL_ROW_THRESHOLD {
-        scan_span.set_workers(exec.config().workers as u64);
-        t.par_scan_all(exec, &resolved, cid)?
-    } else {
-        t.scan_all(&resolved, cid)?
-    };
-    scan_span.attr("input_rows", t.row_count() as u64);
+    let hits = column_leaf_hits(exec, &t, &input.op, cid, &scan_span)?;
     scan_span.set_rows(hits.count() as u64);
     drop(scan_span);
 
@@ -919,7 +943,7 @@ fn try_distributed_group_by(
 fn dist_broadcast_join(
     dt: &hana_dist::DistTable,
     left_schema: &Schema,
-    preds: &[(String, hana_columnar::ColumnPredicate)],
+    preds: &[(String, ColumnPredicate)],
     r: &ResultSet,
     left_key: &str,
     right_key: &str,

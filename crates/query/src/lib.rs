@@ -19,6 +19,7 @@ mod cost;
 mod estimator;
 mod executor;
 mod hash;
+mod locate;
 mod plan;
 mod planner;
 mod stats;
@@ -33,6 +34,7 @@ pub use executor::{
     PARALLEL_ROW_THRESHOLD,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use locate::{locate_rows, Located};
 pub use plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
 pub use planner::Planner;
 pub use stats::{MemoryStatsProvider, NoStats, StatsProvider, NO_STATS};

@@ -170,16 +170,6 @@ impl RowTable {
             .collect()
     }
 
-    /// Visible rows matching `pred`.
-    pub fn scan_filtered(&self, snapshot: Snapshot, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
-        self.rows
-            .iter()
-            .filter(|r| snapshot.visible(r.created, r.deleted))
-            .filter(|r| pred(&r.values))
-            .map(|r| r.values.clone())
-            .collect()
-    }
-
     /// Number of rows visible under `snapshot`.
     pub fn len(&self, snapshot: Snapshot) -> usize {
         self.rows
@@ -314,7 +304,7 @@ mod tests {
         t.delete_by_key(&Value::Int(5), 2).unwrap();
         let snap = Snapshot::at(2);
         assert_eq!(t.len(snap), 9);
-        let rich = t.scan_filtered(snap, |r| r[1] >= Value::Double(70.0));
+        let rich = t.slots_matching(snap, |r| r[1] >= Value::Double(70.0));
         assert_eq!(rich.len(), 3);
         assert_eq!(t.scan(Snapshot::at(1)).len(), 10);
     }

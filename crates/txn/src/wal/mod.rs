@@ -79,7 +79,7 @@ impl LogRecord {
                 tid,
                 engine,
                 payload,
-            } => format!("D\t{tid}\t{engine}\t{}", payload.replace('\n', "\\n")),
+            } => format!("D\t{tid}\t{engine}\t{payload}"),
             LogRecord::Prepare { tid, participant } => format!("P\t{tid}\t{participant}"),
             LogRecord::Commit { tid, cid } => format!("C\t{tid}\t{cid}"),
             LogRecord::Abort { tid } => format!("A\t{tid}"),
@@ -97,7 +97,7 @@ impl LogRecord {
             "D" => LogRecord::Data {
                 tid,
                 engine: parts.next().ok_or_else(bad)?.to_string(),
-                payload: parts.next().ok_or_else(bad)?.replace("\\n", "\n"),
+                payload: parts.next().ok_or_else(bad)?.to_string(),
             },
             "P" => LogRecord::Prepare {
                 tid,
@@ -687,7 +687,7 @@ mod tests {
             LogRecord::Data {
                 tid: 3,
                 engine: "hana".into(),
-                payload: "INSERT\nWITH NEWLINE".into(),
+                payload: "INSERT\nWITH NEWLINE, 'C:\\new' AND\tTAB".into(),
             },
             LogRecord::Prepare {
                 tid: 3,

@@ -11,6 +11,7 @@
 //! [`Schema`] lookups are `O(1)` after construction.
 
 mod agg;
+mod codec;
 mod datatype;
 mod date;
 mod error;
@@ -20,6 +21,7 @@ mod schema;
 mod value;
 
 pub use agg::{Accumulator, AggFunc};
+pub use codec::{decode_row, decode_rows, encode_row, encode_rows};
 pub use datatype::DataType;
 pub use date::Date;
 pub use error::{HanaError, Result};

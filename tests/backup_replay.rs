@@ -20,27 +20,51 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One random DML statement against tables `w` (column) and `r` (row).
+/// Strings the durable formats must carry verbatim, as SQL literals.
+const NASTY: [&str; 10] = [
+    "",
+    "null",
+    "\\N",
+    "C:\\new",
+    "two\nlines",
+    "a\u{1}b\u{1d}c\u{1e}d\u{1f}e",
+    "it''s \"quoted\"",
+    "tab\there",
+    "héllo ✓ 日本",
+    "plain",
+];
+
+/// One random DML statement against tables `w` (column), `r` (row) and
+/// `x` (column, indexed on `k` — redo locates these rows by seek).
 fn random_dml(rng: &mut TestRng, i: u64) -> String {
-    match rng.below(10) {
+    let nasty = NASTY[rng.below(NASTY.len() as u64) as usize];
+    match rng.below(16) {
         0..=4 => format!("INSERT INTO w VALUES ({}, {})", rng.below(15), i),
         5 => format!("UPDATE w SET v = {} WHERE k = {}", 1000 + i, rng.below(15)),
         6 => format!("DELETE FROM w WHERE k = {}", rng.below(15)),
         7..=8 => format!("INSERT INTO r VALUES ({}, 'v{}')", i, rng.below(50)),
-        _ => format!("UPDATE r SET s = 's{}' WHERE k > {}", i, rng.below(40)),
+        9 => format!("UPDATE r SET s = 's{}' WHERE k > {}", i, rng.below(40)),
+        10..=12 => format!(
+            "INSERT INTO x VALUES ({}, '{nasty}', {}.25)",
+            rng.below(12),
+            rng.below(9)
+        ),
+        13 => format!("UPDATE x SET s = '{nasty}' WHERE k = {}", rng.below(12)),
+        14 => format!(
+            "UPDATE x SET k = k + 1, d = d * 2 WHERE k = {} AND d + 1 > 2",
+            rng.below(12)
+        ),
+        _ => format!("DELETE FROM x WHERE k = {} AND s <> 'plain'", rng.below(12)),
     }
 }
 
-fn table_state(hana: &HanaPlatform, s: &Session) -> (Vec<Row>, Vec<Row>) {
-    let w = hana
-        .execute_sql(s, "SELECT k, v FROM w ORDER BY k, v")
-        .unwrap()
-        .rows;
-    let r = hana
-        .execute_sql(s, "SELECT k, s FROM r ORDER BY k, s")
-        .unwrap()
-        .rows;
-    (w, r)
+fn table_state(hana: &HanaPlatform, s: &Session) -> [Vec<Row>; 3] {
+    [
+        "SELECT k, v FROM w ORDER BY k, v",
+        "SELECT k, s FROM r ORDER BY k, s",
+        "SELECT k, s, d FROM x ORDER BY k, s, d",
+    ]
+    .map(|q| hana.execute_sql(s, q).unwrap().rows)
 }
 
 #[test]
@@ -58,6 +82,12 @@ fn restore_plus_replay_equals_uninterrupted_execution() {
             .unwrap();
         a.execute_sql(&sa, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(20))")
             .unwrap();
+        a.execute_sql(
+            &sa,
+            "CREATE COLUMN TABLE x (k INTEGER, s VARCHAR(20), d DOUBLE)",
+        )
+        .unwrap();
+        a.execute_sql(&sa, "CREATE INDEX ix_x ON x (k)").unwrap();
         let seed: Vec<Row> = (0..8)
             .map(|i| Row::from_values([Value::Int(i % 5), Value::Int(i)]))
             .collect();

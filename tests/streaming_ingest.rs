@@ -23,6 +23,25 @@ fn dist_links(hana: &HanaPlatform, table: &str) -> Vec<Arc<hana_data_platform::d
 }
 
 #[test]
+fn a_retried_epoch_with_malformed_rows_is_an_error_not_a_dedup() {
+    let hana = HanaPlatform::new_in_memory();
+    let s = hana.connect("SYSTEM", "manager").unwrap();
+    hana.execute_sql(
+        &s,
+        "CREATE COLUMN TABLE readings (k INTEGER, v VARCHAR(16))",
+    )
+    .unwrap();
+    let good = [Row::from_values([Value::Int(1), Value::from("a")])];
+    hana.commit_ingest_batch(&s, "feed", 1, "readings", &good)
+        .unwrap();
+    // The schema check precedes the ledger lookup.
+    let bad = [Row::from_values([Value::from("not an int"), Value::Int(2)])];
+    assert!(hana
+        .commit_ingest_batch(&s, "feed", 1, "readings", &bad)
+        .is_err());
+}
+
+#[test]
 fn create_stream_sink_sql_roundtrip() {
     let hana = Arc::new(HanaPlatform::new_in_memory());
     let s = hana.connect("SYSTEM", "manager").unwrap();
