@@ -102,6 +102,34 @@ impl RowIdBitmap {
         self.clear_tail();
     }
 
+    /// Clear every set bit whose row fails `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(w * 64 + bit) {
+                    *word &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// Join bitmaps over adjacent row ranges into one over their union
+    /// (part `i`'s row 0 follows part `i - 1`'s last row). Every part
+    /// but the last must cover a multiple of 64 rows, so parts own
+    /// whole words. Panics otherwise.
+    pub fn concat(parts: impl IntoIterator<Item = RowIdBitmap>) -> RowIdBitmap {
+        let mut out = RowIdBitmap::new(0);
+        for part in parts {
+            assert_eq!(out.len % 64, 0, "only the last part may end inside a word");
+            out.len += part.len;
+            out.words.extend(part.words);
+        }
+        out
+    }
+
     /// Iterate over set row IDs in ascending order.
     pub fn iter(&self) -> SetBits<'_> {
         SetBits {
@@ -208,6 +236,21 @@ mod tests {
         n.not();
         assert_eq!(n.count(), 50);
         assert!(n.get(99) && !n.get(0));
+    }
+
+    #[test]
+    fn retain_and_concat() {
+        let mut a = RowIdBitmap::all_set(128);
+        a.retain(|row| row % 3 == 0);
+        assert_eq!(a.count(), 43);
+        let mut b = RowIdBitmap::new(70);
+        b.set(0);
+        b.set(69);
+        let joined = RowIdBitmap::concat([a.clone(), b]);
+        assert_eq!(joined.len(), 198);
+        let expected: Vec<usize> = a.iter().chain([128, 197]).collect();
+        assert_eq!(joined.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(RowIdBitmap::concat([]), RowIdBitmap::new(0));
     }
 
     #[test]

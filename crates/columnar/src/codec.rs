@@ -346,11 +346,13 @@ impl VidCodec {
         self.scan_range_into(m, out, offset, 0, self.len());
     }
 
-    /// Range-restricted [`VidCodec::scan_into`]: set bits at
-    /// `offset + row` for matching rows with `start <= row < end`.
+    /// Range-restricted [`VidCodec::scan_into`]: for matching rows with
+    /// `start <= row < end`, set the bit at `offset + (row - start)` —
+    /// `offset` is where the range's first row lands, so a morsel scans
+    /// into a bitmap of its own length.
     ///
-    /// Equivalent to a full scan masked to `[start, end)`; used by
-    /// morsel-parallel scans where each task owns one disjoint range.
+    /// Equivalent to a full scan masked to `[start, end)` and shifted
+    /// down by `start`; each morsel task owns one disjoint range.
     /// RLE seeks to the first overlapping run; Sparse binary-searches
     /// the exception positions; Plain runs the blockwise skip-scan over
     /// the covered blocks.
@@ -384,7 +386,10 @@ impl VidCodec {
                         break;
                     }
                     if m.test(vid) {
-                        out.set_range(offset + run_start.max(start), offset + run_end.min(end));
+                        out.set_range(
+                            offset + run_start.max(start) - start,
+                            offset + run_end.min(end) - start,
+                        );
                     }
                     run_start = run_end;
                 }
@@ -401,16 +406,16 @@ impl VidCodec {
                 let lo = positions.partition_point(|&p| (p as usize) < start);
                 let hi = positions.partition_point(|&p| (p as usize) < end);
                 if m.test(*dominant) {
-                    out.set_range(offset + start, offset + end);
+                    out.set_range(offset, offset + end - start);
                     for (i, &p) in positions[lo..hi].iter().enumerate() {
                         if !m.test(vids.get(lo + i) as u32) {
-                            out.unset(offset + p as usize);
+                            out.unset(offset + p as usize - start);
                         }
                     }
                 } else {
                     for (i, &p) in positions[lo..hi].iter().enumerate() {
                         if m.test(vids.get(lo + i) as u32) {
-                            out.set(offset + p as usize);
+                            out.set(offset + p as usize - start);
                         }
                     }
                 }
@@ -460,6 +465,7 @@ impl VidCodec {
             }
             scanned += 1;
             let rows = b_end - b_start;
+            let b_out = offset + b_start - start;
             v.unpack_range(b_start, &mut buf[..rows]);
             match &m.kind {
                 // Hot path: inclusive vid range, nulls excluded, folds
@@ -470,14 +476,14 @@ impl VidCodec {
                     let lo = *lo as u64;
                     for (i, &vid) in buf[..rows].iter().enumerate() {
                         if vid.wrapping_sub(lo) <= span {
-                            out.set(offset + b_start + i);
+                            out.set(b_out + i);
                         }
                     }
                 }
                 _ => {
                     for (i, &vid) in buf[..rows].iter().enumerate() {
                         if m.test(vid as u32) {
-                            out.set(offset + b_start + i);
+                            out.set(b_out + i);
                         }
                     }
                 }
@@ -505,7 +511,7 @@ impl VidCodec {
         let end = end.min(self.len());
         for row in start..end {
             if m.test(self.get(row)) {
-                out.set(offset + row);
+                out.set(offset + row - start);
             }
         }
     }

@@ -62,14 +62,8 @@ impl MainColumn {
         &self.codec
     }
 
-    /// Scan: set bits at `offset + row` for matching rows.
-    pub fn scan_into(&self, pred: &ColumnPredicate, out: &mut RowIdBitmap, offset: usize) {
-        let m = pred.compile_ordered(&self.dict);
-        self.codec.scan_into(&m, out, offset);
-    }
-
-    /// Scan restricted to fragment rows `start..end` (morsel-parallel
-    /// path); equivalent to `scan_into` masked to that range.
+    /// Scan restricted to fragment rows `start..end`: a matching row
+    /// sets the bit at `offset + (row - start)`.
     pub fn scan_range_into(
         &self,
         pred: &ColumnPredicate,
@@ -146,21 +140,8 @@ impl DeltaColumn {
         &self.vids
     }
 
-    /// Scan: set bits at `offset + row` for matching rows.
-    pub fn scan_into(&self, pred: &ColumnPredicate, out: &mut RowIdBitmap, offset: usize) {
-        let m = pred.compile_delta(&self.dict);
-        if m.is_empty() {
-            return;
-        }
-        for (row, &vid) in self.vids.iter().enumerate() {
-            if m.test(vid) {
-                out.set(offset + row);
-            }
-        }
-    }
-
-    /// Scan restricted to fragment rows `start..end` (morsel-parallel
-    /// path); equivalent to `scan_into` masked to that range.
+    /// Scan restricted to fragment rows `start..end`: a matching row
+    /// sets the bit at `offset + (row - start)`.
     pub fn scan_range_into(
         &self,
         pred: &ColumnPredicate,
@@ -176,7 +157,7 @@ impl DeltaColumn {
         }
         for (row, &vid) in self.vids[start..end].iter().enumerate() {
             if m.test(vid) {
-                out.set(offset + start + row);
+                out.set(offset + row);
             }
         }
     }
@@ -237,10 +218,10 @@ mod tests {
         let m = MainColumn::build(&v);
         assert_eq!(m.get(1), Value::Null);
         let mut out = RowIdBitmap::new(3);
-        m.scan_into(&ColumnPredicate::IsNull, &mut out, 0);
+        m.scan_range_into(&ColumnPredicate::IsNull, &mut out, 0, 0, 3);
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
         let mut out = RowIdBitmap::new(3);
-        m.scan_into(&ColumnPredicate::IsNotNull, &mut out, 0);
+        m.scan_range_into(&ColumnPredicate::IsNotNull, &mut out, 0, 0, 3);
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 
@@ -255,7 +236,7 @@ mod tests {
         assert_eq!(d.get(0), Value::Int(9));
         assert_eq!(d.get(4), Value::Null);
         let mut out = RowIdBitmap::new(5);
-        d.scan_into(&ColumnPredicate::Ge(Value::Int(4)), &mut out, 0);
+        d.scan_range_into(&ColumnPredicate::Ge(Value::Int(4)), &mut out, 0, 0, 5);
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
     }
 
@@ -275,8 +256,8 @@ mod tests {
         ] {
             let mut a = RowIdBitmap::new(v.len());
             let mut b = RowIdBitmap::new(v.len());
-            m.scan_into(&pred, &mut a, 0);
-            d.scan_into(&pred, &mut b, 0);
+            m.scan_range_into(&pred, &mut a, 0, 0, v.len());
+            d.scan_range_into(&pred, &mut b, 0, 0, v.len());
             assert_eq!(a, b, "{pred:?}");
         }
     }

@@ -9,6 +9,7 @@
 //!
 //! ```
 //! use hana_columnar::{ColumnTable, ColumnPredicate};
+//! use hana_exec::ExecContext;
 //! use hana_types::{Schema, DataType, Value};
 //!
 //! let mut t = ColumnTable::new("sensors", Schema::of(&[
@@ -17,7 +18,8 @@
 //! ]));
 //! t.insert(&[Value::from("P-100"), Value::Double(97.5)], 1).unwrap();
 //! t.insert(&[Value::from("P-200"), Value::Double(42.0)], 1).unwrap();
-//! let hits = t.scan(1, &ColumnPredicate::Gt(Value::Double(90.0)), 1).unwrap();
+//! let preds = [(1, ColumnPredicate::Gt(Value::Double(90.0)))];
+//! let hits = t.scan_all(ExecContext::global(), &preds, 1).unwrap();
 //! assert_eq!(hits.count(), 1);
 //! ```
 

@@ -1,7 +1,7 @@
 //! The in-memory column table: per-column main + delta fragments with
 //! MVCC row-version metadata and delta merge.
 
-use hana_exec::{current_query_metrics, ExecContext, Morsel};
+use hana_exec::{ExecContext, Morsel};
 use hana_types::{HanaError, Result, Row, Schema, Value};
 
 use crate::bitmap::RowIdBitmap;
@@ -166,6 +166,11 @@ impl ColumnTable {
         self.versions.delete(row, cid)
     }
 
+    /// Whether `row` exists and no commit has deleted it.
+    pub fn is_live(&self, row: usize) -> bool {
+        self.versions.deleted.get(row) == Some(&NEVER)
+    }
+
     /// The value at (`row`, `col`), ignoring visibility.
     pub fn value(&self, row: usize, col: usize) -> Value {
         let pair = &self.columns[col];
@@ -187,197 +192,61 @@ impl ColumnTable {
         b
     }
 
-    /// Scan one column with a predicate under snapshot `cid`.
-    pub fn scan(&self, col: usize, pred: &ColumnPredicate, cid: u64) -> Result<RowIdBitmap> {
-        if col >= self.columns.len() {
-            return Err(HanaError::Storage(format!(
-                "column index {col} out of range for '{}'",
-                self.name
-            )));
-        }
-        let mut out = RowIdBitmap::new(self.versions.len());
-        let pair = &self.columns[col];
-        pair.main.scan_into(pred, &mut out, 0);
-        pair.delta.scan_into(pred, &mut out, self.main_rows);
-        out.and(&self.visible(cid));
-        Ok(out)
-    }
-
-    /// Check a column index, mirroring [`ColumnTable::scan`]'s error.
-    fn check_col(&self, col: usize) -> Result<()> {
-        if col >= self.columns.len() {
-            return Err(HanaError::Storage(format!(
-                "column index {col} out of range for '{}'",
-                self.name
-            )));
-        }
-        Ok(())
-    }
-
-    /// Scan one column within row range `[m.start, m.end)`: matching
-    /// bits for the main and delta portions of the range, masked by
-    /// visibility. Only bits inside the morsel are set.
-    fn scan_morsel(
+    /// The table's one scan: rows visible under snapshot `cid` that
+    /// satisfy every predicate of `preds` (none = all visible rows).
+    ///
+    /// The row domain is sliced into `exec`'s morsels; each morsel
+    /// intersects the predicates' range scans over its slice of the
+    /// main and delta fragments in a bitmap of its own length, then
+    /// checks visibility once, for the surviving rows only. Morsel
+    /// boundaries are 64-row aligned, so the per-morsel bitmaps join
+    /// word by word, and the result does not depend on the morsel size
+    /// or on whether [`ExecContext::scatter`] ran the morsels on the
+    /// pool or inline — a table of one morsel is the serial scan.
+    pub fn scan_all(
         &self,
-        col: usize,
-        pred: &ColumnPredicate,
+        exec: &ExecContext,
+        preds: &[(usize, ColumnPredicate)],
         cid: u64,
-        m: Morsel,
-        out: &mut RowIdBitmap,
-    ) {
+    ) -> Result<RowIdBitmap> {
+        if let Some((col, _)) = preds.iter().find(|(col, _)| *col >= self.columns.len()) {
+            return Err(HanaError::Storage(format!(
+                "column index {col} out of range for '{}'",
+                self.name
+            )));
+        }
+        let parts = exec.scatter(exec.morsels(self.versions.len()), |m| {
+            let mut acc = RowIdBitmap::all_set(m.len());
+            for (col, pred) in preds {
+                let mut hits = RowIdBitmap::new(m.len());
+                self.scan_morsel(*col, pred, m, &mut hits);
+                acc.and(&hits);
+            }
+            acc.retain(|row| self.versions.visible(m.start + row, cid));
+            acc
+        });
+        Ok(RowIdBitmap::concat(parts))
+    }
+
+    /// Scan one column within table rows `[m.start, m.end)`, over the
+    /// main and delta portions of the range; row `m.start + i` sets bit
+    /// `i` of `out`.
+    fn scan_morsel(&self, col: usize, pred: &ColumnPredicate, m: Morsel, out: &mut RowIdBitmap) {
         let pair = &self.columns[col];
         let main_end = m.end.min(self.main_rows);
         if m.start < main_end {
             pair.main.scan_range_into(pred, out, 0, m.start, main_end);
         }
         if m.end > self.main_rows {
-            let delta_start = m.start.max(self.main_rows) - self.main_rows;
+            let first = m.start.max(self.main_rows);
             pair.delta.scan_range_into(
                 pred,
                 out,
-                self.main_rows,
-                delta_start,
+                first - m.start,
+                first - self.main_rows,
                 m.end - self.main_rows,
             );
         }
-        for row in m.start..m.end {
-            if out.get(row) && !self.versions.visible(row, cid) {
-                out.unset(row);
-            }
-        }
-    }
-
-    /// Whether a scatter over `morsels` would actually overlap work:
-    /// with one worker or one morsel the fork-join only adds queue and
-    /// per-morsel bitmap-merge overhead, so scans take a serial path
-    /// (still routed through a single-task scatter for accounting).
-    fn scan_serially(exec: &ExecContext, n_morsels: usize) -> bool {
-        exec.config().workers <= 1 || n_morsels <= 1
-    }
-
-    /// Morsel-parallel [`ColumnTable::scan`]: the row domain is sliced
-    /// into cache-sized morsels, scanned concurrently on `exec`'s
-    /// worker pool, and the per-morsel bitmaps are OR-merged. Morsel
-    /// boundaries are 64-row aligned, so tasks touch disjoint bitmap
-    /// words and the result is bit-identical to the serial scan.
-    ///
-    /// With an effective worker count of 1 (or a single morsel) the
-    /// scan instead runs [`ColumnTable::scan`] as one task: same
-    /// result, no per-morsel bitmap allocations or OR-merge.
-    pub fn par_scan(
-        &self,
-        exec: &ExecContext,
-        col: usize,
-        pred: &ColumnPredicate,
-        cid: u64,
-    ) -> Result<RowIdBitmap> {
-        self.check_col(col)?;
-        let len = self.versions.len();
-        let morsels = exec.morsels(len);
-        if let Some(q) = current_query_metrics() {
-            q.add_morsels(morsels.len() as u64);
-            q.add_tasks(morsels.len() as u64);
-        }
-        if Self::scan_serially(exec, morsels.len()) {
-            let mut parts = exec.scatter(vec![()], |()| {
-                let started = std::time::Instant::now();
-                let out = self.scan(col, pred, cid).expect("column checked");
-                (out, started.elapsed().as_nanos() as u64)
-            });
-            let (out, nanos) = parts.pop().expect("single task");
-            if let Some(q) = current_query_metrics() {
-                q.add_cpu_nanos(nanos);
-            }
-            return Ok(out);
-        }
-        let parts = exec.scatter(morsels, |m| {
-            let started = std::time::Instant::now();
-            let mut local = RowIdBitmap::new(len);
-            self.scan_morsel(col, pred, cid, m, &mut local);
-            (local, started.elapsed().as_nanos() as u64)
-        });
-        let mut out = RowIdBitmap::new(len);
-        let mut cpu_nanos = 0u64;
-        for (local, nanos) in parts {
-            out.or(&local);
-            cpu_nanos += nanos;
-        }
-        if let Some(q) = current_query_metrics() {
-            q.add_cpu_nanos(cpu_nanos);
-        }
-        Ok(out)
-    }
-
-    /// Morsel-parallel [`ColumnTable::scan_all`]: each morsel computes
-    /// visibility for its row range and intersects every predicate's
-    /// range scan, then the disjoint results are OR-merged.
-    ///
-    /// Falls back to serial [`ColumnTable::scan_all`] as a single task
-    /// when a scatter could not overlap any work (see
-    /// [`ColumnTable::par_scan`]).
-    pub fn par_scan_all(
-        &self,
-        exec: &ExecContext,
-        preds: &[(usize, ColumnPredicate)],
-        cid: u64,
-    ) -> Result<RowIdBitmap> {
-        for (col, _) in preds {
-            self.check_col(*col)?;
-        }
-        let len = self.versions.len();
-        let morsels = exec.morsels(len);
-        if let Some(q) = current_query_metrics() {
-            q.add_morsels(morsels.len() as u64);
-            q.add_tasks(morsels.len() as u64);
-        }
-        if Self::scan_serially(exec, morsels.len()) {
-            let mut parts = exec.scatter(vec![()], |()| {
-                let started = std::time::Instant::now();
-                let out = self.scan_all(preds, cid).expect("columns checked");
-                (out, started.elapsed().as_nanos() as u64)
-            });
-            let (out, nanos) = parts.pop().expect("single task");
-            if let Some(q) = current_query_metrics() {
-                q.add_cpu_nanos(nanos);
-            }
-            return Ok(out);
-        }
-        let parts = exec.scatter(morsels, |m| {
-            let started = std::time::Instant::now();
-            let mut acc = RowIdBitmap::new(len);
-            acc.set_range(m.start, m.end);
-            for row in m.start..m.end {
-                if !self.versions.visible(row, cid) {
-                    acc.unset(row);
-                }
-            }
-            for (col, pred) in preds {
-                let mut hits = RowIdBitmap::new(len);
-                self.scan_morsel(*col, pred, cid, m, &mut hits);
-                acc.and(&hits);
-            }
-            (acc, started.elapsed().as_nanos() as u64)
-        });
-        let mut out = RowIdBitmap::new(len);
-        let mut cpu_nanos = 0u64;
-        for (local, nanos) in parts {
-            out.or(&local);
-            cpu_nanos += nanos;
-        }
-        if let Some(q) = current_query_metrics() {
-            q.add_cpu_nanos(cpu_nanos);
-        }
-        Ok(out)
-    }
-
-    /// Scan several conjunctive predicates, intersecting the bitmaps.
-    pub fn scan_all(&self, preds: &[(usize, ColumnPredicate)], cid: u64) -> Result<RowIdBitmap> {
-        let mut acc = self.visible(cid);
-        for (col, pred) in preds {
-            let b = self.scan(*col, pred, cid)?;
-            acc.and(&b);
-        }
-        Ok(acc)
     }
 
     /// Materialize the given rows, projected to `projection` columns
@@ -603,6 +472,14 @@ mod tests {
     use super::*;
     use hana_types::DataType;
 
+    /// Single-predicate scan on the process-wide context.
+    fn scan(t: &ColumnTable, col: usize, pred: ColumnPredicate, cid: u64) -> Vec<usize> {
+        t.scan_all(ExecContext::global(), &[(col, pred)], cid)
+            .unwrap()
+            .iter()
+            .collect()
+    }
+
     fn table() -> ColumnTable {
         ColumnTable::new(
             "t",
@@ -618,8 +495,10 @@ mod tests {
         // Snapshot at cid 15 sees only the first row.
         assert_eq!(t.visible(15).count(), 1);
         assert_eq!(t.visible(20).count(), 2);
-        let hits = t.scan(0, &ColumnPredicate::Ge(Value::Int(1)), 15).unwrap();
-        assert_eq!(hits.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(scan(&t, 0, ColumnPredicate::Ge(Value::Int(1)), 15), vec![0]);
+        assert!(t
+            .scan_all(ExecContext::global(), &[(2, ColumnPredicate::IsNull)], 15)
+            .is_err());
     }
 
     #[test]
@@ -641,24 +520,13 @@ mod tests {
             t.insert(&[Value::Int(i), Value::from(format!("v{}", i % 7))], 5)
                 .unwrap();
         }
-        let before = t
-            .scan(
-                0,
-                &ColumnPredicate::Between(Value::Int(10), Value::Int(20)),
-                5,
-            )
-            .unwrap();
+        let between = ColumnPredicate::Between(Value::Int(10), Value::Int(20));
+        let before = scan(&t, 0, between.clone(), 5);
         assert_eq!(t.delta_rows(), 100);
         t.merge_delta();
         assert_eq!(t.delta_rows(), 0);
         assert_eq!(t.merge_count(), 1);
-        let after = t
-            .scan(
-                0,
-                &ColumnPredicate::Between(Value::Int(10), Value::Int(20)),
-                5,
-            )
-            .unwrap();
+        let after = scan(&t, 0, between, 5);
         assert_eq!(before, after);
         assert_eq!(t.value(42, 0), Value::Int(42));
         // Inserts continue to work after a merge.
@@ -698,6 +566,7 @@ mod tests {
         }
         let hits = t
             .scan_all(
+                ExecContext::global(),
                 &[
                     (0, ColumnPredicate::Ge(Value::Int(4))),
                     (1, ColumnPredicate::Eq(Value::from("even"))),
@@ -739,12 +608,8 @@ mod tests {
                 .iter()
                 .collect::<Vec<_>>()
         };
-        let scan = |t: &ColumnTable, v: i64, cid: u64| {
-            t.scan(0, &ColumnPredicate::Eq(Value::Int(v)), cid)
-                .unwrap()
-                .iter()
-                .collect::<Vec<_>>()
-        };
+        let scan =
+            |t: &ColumnTable, v: i64, cid: u64| scan(t, 0, ColumnPredicate::Eq(Value::Int(v)), cid);
         assert_eq!(seek(&t, 3, 1), scan(&t, 3, 1));
         // Post-DML: inserts land on the index delta, deletes vanish via
         // visibility.

@@ -7,6 +7,30 @@ use hana_columnar::{
 use hana_exec::{ExecConfig, ExecContext};
 use hana_types::{DataType, Schema, Value};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
+
+/// One worker and one morsel for any table these tests build: the
+/// serial scan every other configuration must reproduce bit for bit.
+fn serial() -> &'static ExecContext {
+    &grid()[0]
+}
+
+/// workers ∈ {1, 2, 4} × morsel_rows ∈ {65 536, 128, 64}, built once.
+fn grid() -> &'static [Arc<ExecContext>] {
+    static GRID: OnceLock<Vec<Arc<ExecContext>>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let mut grid = Vec::new();
+        for workers in [1, 2, 4] {
+            for morsel_rows in [65_536, 128, 64] {
+                let cfg = ExecConfig::default()
+                    .with_workers(workers)
+                    .with_morsel_rows(morsel_rows);
+                grid.push(ExecContext::new(cfg));
+            }
+        }
+        grid
+    })
+}
 
 proptest! {
     /// Bit packing is lossless for any width/value combination.
@@ -88,7 +112,7 @@ proptest! {
         }
         let hi = lo + span;
         let pred = ColumnPredicate::Between(Value::Int(lo), Value::Int(hi));
-        let got = t.scan(0, &pred, 5).unwrap();
+        let got = t.scan_all(serial(), &[(0, pred)], 5).unwrap();
         let expected: Vec<usize> = rows.iter().enumerate()
             .filter(|&(i, &(v, _))| !deleted.contains(&i) && v >= lo && v <= hi)
             .map(|(i, _)| i)
@@ -109,67 +133,57 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 
-    /// Morsel-parallel scans return the exact bitmap of the serial scan
-    /// for any table shape: delta-only, merged main, deletions, and any
-    /// worker count. Tiny morsels force multi-morsel coverage.
+    /// The one table scan returns the same bitmap — and the rows a
+    /// row-at-a-time oracle selects — at every worker count and morsel
+    /// size, over a merged main plus a fresh delta, rows deleted before
+    /// and after the snapshot, rows created after it, and zero to two
+    /// predicates. 64-row morsels cut these tables into up to seven.
     #[test]
-    fn par_scan_matches_serial(
-        rows in prop::collection::vec((0i64..40, 0u8..3), 1..400),
-        lo in 0i64..40,
-        span in 0i64..10,
-        merge in any::<bool>(),
-        workers in 1usize..5,
-    ) {
-        let mut t = ColumnTable::new("p", Schema::of(&[("v", DataType::Int)]));
-        for (i, &(v, action)) in rows.iter().enumerate() {
-            t.insert(&[Value::Int(v)], 1).unwrap();
-            if action == 2 {
-                t.delete(i, 2).unwrap();
-            }
-        }
-        if merge {
-            t.merge_delta();
-        }
-        let pred = ColumnPredicate::Between(Value::Int(lo), Value::Int(lo + span));
-        let serial = t.scan(0, &pred, 5).unwrap();
-        let exec = ExecContext::new(
-            ExecConfig::default().with_workers(workers).with_morsel_rows(64),
-        );
-        let parallel = t.par_scan(&exec, 0, &pred, 5).unwrap();
-        prop_assert_eq!(parallel, serial);
-    }
-
-    /// Conjunctive parallel scans match the serial intersection scan.
-    #[test]
-    fn par_scan_all_matches_serial(
-        rows in prop::collection::vec((0i64..20, 0i64..20, 0u8..3), 1..300),
+    fn scan_all_is_identical_at_every_worker_and_morsel_count(
+        rows in prop::collection::vec((0i64..20, 0i64..20, 0u8..5), 1..400),
         a_lo in 0i64..20,
         b_lo in 0i64..20,
-        merge in any::<bool>(),
+        n_preds in 0usize..3,
+        merge_at in 0usize..400,
     ) {
+        const CID: u64 = 5;
         let mut t = ColumnTable::new(
             "p",
             Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
         );
         for (i, &(a, b, action)) in rows.iter().enumerate() {
-            t.insert(&[Value::Int(a), Value::Int(b)], 1).unwrap();
-            if action == 2 {
-                t.delete(i, 2).unwrap();
+            // 3: created after the snapshot; 2 / 4: deleted before / after it.
+            let created = if action == 3 { CID + 4 } else { 1 };
+            t.insert(&[Value::Int(a), Value::Int(b)], created).unwrap();
+            match action {
+                2 => t.delete(i, 2).unwrap(),
+                4 => t.delete(i, CID + 4).unwrap(),
+                _ => {}
+            }
+            if i == merge_at {
+                t.merge_delta();
             }
         }
-        if merge {
-            t.merge_delta();
-        }
-        let preds = vec![
+        let preds = [
             (0, ColumnPredicate::Between(Value::Int(a_lo), Value::Int(a_lo + 6))),
             (1, ColumnPredicate::Between(Value::Int(b_lo), Value::Int(b_lo + 6))),
         ];
-        let serial = t.scan_all(&preds, 5).unwrap();
-        let exec = ExecContext::new(
-            ExecConfig::default().with_workers(3).with_morsel_rows(64),
-        );
-        let parallel = t.par_scan_all(&exec, &preds, 5).unwrap();
-        prop_assert_eq!(parallel, serial);
+        let preds = &preds[..n_preds];
+        let expected: Vec<usize> = rows.iter().enumerate()
+            .filter(|&(_, &(a, b, action))| {
+                action != 2 && action != 3
+                    && (n_preds < 1 || (a_lo..=a_lo + 6).contains(&a))
+                    && (n_preds < 2 || (b_lo..=b_lo + 6).contains(&b))
+            })
+            .map(|(i, _)| i)
+            .collect();
+        let reference = t.scan_all(serial(), preds, CID).unwrap();
+        prop_assert_eq!(reference.len(), rows.len());
+        prop_assert_eq!(reference.iter().collect::<Vec<_>>(), expected);
+        for exec in grid() {
+            let got = t.scan_all(exec, preds, CID).unwrap();
+            prop_assert_eq!(&got, &reference, "{:?}", exec.config());
+        }
     }
 
     /// Bulk bit-unpacking reproduces per-element `get` for every bit
@@ -264,11 +278,19 @@ proptest! {
 
         let (s, e) = (a % (len + 1), b % (len + 1));
         let (start, end) = (s.min(e), s.max(e));
-        let mut fast = RowIdBitmap::new(len);
-        let mut slow = RowIdBitmap::new(len);
-        c.scan_range_into(&m, &mut fast, 0, start, end);
-        c.scan_range_into_scalar(&m, &mut slow, 0, start, end);
+        // A range scan is the full scan cut to the range and shifted
+        // so the range's first row lands at `offset`.
+        let full = fast;
+        let mut fast = RowIdBitmap::new(7 + end - start);
+        let mut slow = RowIdBitmap::new(7 + end - start);
+        c.scan_range_into(&m, &mut fast, 7, start, end);
+        c.scan_range_into_scalar(&m, &mut slow, 7, start, end);
         prop_assert_eq!(&fast, &slow);
+        let shifted: Vec<usize> = full.iter()
+            .filter(|&row| row >= start && row < end)
+            .map(|row| 7 + row - start)
+            .collect();
+        prop_assert_eq!(fast.iter().collect::<Vec<_>>(), shifted);
     }
 
     /// MainColumn::build + materialize is the identity (nulls included).
@@ -283,29 +305,6 @@ proptest! {
     )) {
         let m = MainColumn::build(&values);
         prop_assert_eq!(m.materialize(), values);
-    }
-}
-
-/// With a single worker every morsel runs on the same thread in queue
-/// order, so repeated parallel scans must be bit-identical — and equal
-/// to the serial scan.
-#[test]
-fn single_worker_par_scan_is_deterministic() {
-    let mut t = ColumnTable::new("p", Schema::of(&[("v", DataType::Int)]));
-    for i in 0..1_000i64 {
-        t.insert(&[Value::Int(i % 97)], 1).unwrap();
-    }
-    t.merge_delta();
-    for i in 1_000..1_300i64 {
-        t.insert(&[Value::Int(i % 97)], 1).unwrap();
-    }
-    let pred = ColumnPredicate::Between(Value::Int(10), Value::Int(40));
-    let serial = t.scan(0, &pred, 5).unwrap();
-    let exec = ExecContext::new(ExecConfig::default().with_workers(1).with_morsel_rows(64));
-    let first = t.par_scan(&exec, 0, &pred, 5).unwrap();
-    assert_eq!(first, serial);
-    for _ in 0..10 {
-        assert_eq!(t.par_scan(&exec, 0, &pred, 5).unwrap(), first);
     }
 }
 
@@ -330,7 +329,7 @@ fn assert_seek_matches_scan(
     if let Some(p) = range {
         preds.push((prefix.len(), p.clone()));
     }
-    let scan: Vec<usize> = t.scan_all(&preds, cid).unwrap().iter().collect();
+    let scan: Vec<usize> = t.scan_all(serial(), &preds, cid).unwrap().iter().collect();
     assert_eq!(seek, scan, "prefix {prefix:?} range {range:?} cid {cid}");
 }
 

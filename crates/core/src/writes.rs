@@ -36,6 +36,47 @@ pub(crate) enum Fragment {
     Row(Arc<RwLock<RowTable>>),
 }
 
+impl Fragment {
+    /// The fragment's identity: its address, stable while any buffered
+    /// operation holds the `Arc`.
+    fn addr(&self) -> usize {
+        match self {
+            Fragment::Column(t) => Arc::as_ptr(t) as usize,
+            Fragment::Row(t) => Arc::as_ptr(t) as usize,
+        }
+    }
+
+    /// Apply `ops`, all of them against this fragment, under `cid` and
+    /// one write lock: a reader sees all of them or none, never an
+    /// updated row's old image deleted and its new image still missing.
+    fn apply(&self, ops: &[LocalOp], cid: u64) -> Result<()> {
+        match self {
+            Fragment::Column(t) => {
+                let mut t = t.write();
+                ops.iter().try_for_each(|op| match op {
+                    LocalOp::Insert { row, .. } => t.insert(row, cid).map(drop),
+                    LocalOp::Delete { id, .. } => t.delete(*id, cid),
+                })
+            }
+            Fragment::Row(t) => {
+                let mut t = t.write();
+                ops.iter().try_for_each(|op| match op {
+                    LocalOp::Insert { row, .. } => t.insert(row, cid).map(drop),
+                    LocalOp::Delete { id, .. } => t.delete_slot(*id, cid),
+                })
+            }
+        }
+    }
+
+    /// Whether row `id` exists and no commit has deleted it.
+    fn is_live(&self, id: usize) -> bool {
+        match self {
+            Fragment::Column(t) => t.read().is_live(id),
+            Fragment::Row(t) => t.read().is_live(id),
+        }
+    }
+}
+
 /// One buffered local operation.
 pub(crate) enum LocalOp {
     /// Insert `row` into a fragment.
@@ -44,11 +85,50 @@ pub(crate) enum LocalOp {
     Delete { from: Fragment, id: usize },
 }
 
+impl LocalOp {
+    fn fragment(&self) -> &Fragment {
+        match self {
+            LocalOp::Insert { into, .. } => into,
+            LocalOp::Delete { from, .. } => from,
+        }
+    }
+}
+
 /// The local-store participant. Writes buffer per transaction and become
 /// visible only under the commit ID the coordinator assigns.
+///
+/// Write-write conflicts resolve **first committer wins**: `prepare`
+/// claims every row the transaction deletes (a DELETE's victims, an
+/// UPDATE's old images), and votes no when a row is already gone or
+/// another prepared transaction holds it. A claim lasts until its
+/// transaction's `commit` has applied or its `abort` has run, so no
+/// transaction can pass `prepare` and then find its victim deleted
+/// after the commit point.
 #[derive(Default)]
 pub(crate) struct LocalWrites {
-    pending: Mutex<HashMap<u64, Vec<LocalOp>>>,
+    state: Mutex<WriteState>,
+}
+
+#[derive(Default)]
+struct WriteState {
+    pending: HashMap<u64, Vec<LocalOp>>,
+    /// Rows claimed for deletion, `(fragment address, row id)` →
+    /// claiming tid.
+    claims: HashMap<(usize, usize), u64>,
+}
+
+impl WriteState {
+    /// Drop the claims `tid` holds on the rows `ops` delete.
+    fn release(&mut self, tid: u64, ops: &[LocalOp]) {
+        for op in ops {
+            if let LocalOp::Delete { from, id } = op {
+                let key = (from.addr(), *id);
+                if self.claims.get(&key) == Some(&tid) {
+                    self.claims.remove(&key);
+                }
+            }
+        }
+    }
 }
 
 impl LocalWrites {
@@ -59,13 +139,14 @@ impl LocalWrites {
 
     /// Buffer an operation for transaction `tid`.
     pub(crate) fn buffer(&self, tid: u64, op: LocalOp) {
-        self.pending.lock().entry(tid).or_default().push(op);
+        self.state.lock().pending.entry(tid).or_default().push(op);
     }
 
     /// Buffered operation count for `tid`.
     #[cfg(test)]
     fn pending_ops(&self, tid: u64) -> usize {
-        self.pending.lock().get(&tid).map(Vec::len).unwrap_or(0)
+        let state = self.state.lock();
+        state.pending.get(&tid).map(Vec::len).unwrap_or(0)
     }
 }
 
@@ -78,9 +159,12 @@ impl TwoPhaseParticipant for LocalWrites {
         // In-memory stores become durable through the coordinator's WAL
         // (logical logging). Prepare validates constraints *before* the
         // commit point so a no-vote can still abort the transaction:
-        // schema conformance and primary-key uniqueness (against the
-        // latest state and within the buffered batch).
-        let pending = self.pending.lock();
+        // schema conformance, primary-key uniqueness (against the
+        // latest state and within the buffered batch) and write-write
+        // conflicts. A no-vote leaves its claims to the `abort` the
+        // coordinator sends every participant.
+        let mut state = self.state.lock();
+        let WriteState { pending, claims } = &mut *state;
         let Some(ops) = pending.get(&tid).filter(|v| !v.is_empty()) else {
             return Ok(Vote::ReadOnly);
         };
@@ -117,33 +201,42 @@ impl TwoPhaseParticipant for LocalWrites {
                         batch_keys.push(key.clone());
                     }
                 }
-                LocalOp::Delete { .. } => {}
+                LocalOp::Delete { from, id } => {
+                    let key = (from.addr(), *id);
+                    if !from.is_live(*id) || claims.contains_key(&key) {
+                        return Err(HanaError::Transaction(format!(
+                            "write-write conflict: row {id} was deleted or updated by a \
+                             concurrent transaction (first committer wins)"
+                        )));
+                    }
+                    claims.insert(key, tid);
+                }
             }
         }
         Ok(Vote::Prepared)
     }
 
     fn commit(&self, tid: u64, cid: u64) -> Result<()> {
-        let Some(ops) = self.pending.lock().remove(&tid) else {
+        let Some(mut ops) = self.state.lock().pending.remove(&tid) else {
             return Ok(());
         };
-        for op in ops {
-            match op {
-                LocalOp::Insert { into, row } => match into {
-                    Fragment::Column(t) => t.write().insert(&row, cid).map(drop)?,
-                    Fragment::Row(t) => t.write().insert(&row, cid).map(drop)?,
-                },
-                LocalOp::Delete { from, id } => match from {
-                    Fragment::Column(t) => t.write().delete(id, cid)?,
-                    Fragment::Row(t) => t.write().delete_slot(id, cid)?,
-                },
-            }
-        }
-        Ok(())
+        // Fragment by fragment (the sort is stable: each fragment sees
+        // its operations in statement order).
+        ops.sort_by_key(|op| op.fragment().addr());
+        let applied = ops
+            .chunk_by(|a, b| a.fragment().addr() == b.fragment().addr())
+            .try_for_each(|run| run[0].fragment().apply(run, cid));
+        // Only now may another transaction's `prepare` look at these
+        // rows: it finds them deleted.
+        self.state.lock().release(tid, &ops);
+        applied
     }
 
     fn abort(&self, tid: u64) -> Result<()> {
-        self.pending.lock().remove(&tid);
+        let mut state = self.state.lock();
+        if let Some(ops) = state.pending.remove(&tid) {
+            state.release(tid, &ops);
+        }
         Ok(())
     }
 }

@@ -8,10 +8,6 @@ use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap};
 use hana_exec::{ExecConfig, ExecContext};
 use hana_types::{Result, Row, Schema, Value};
 
-/// Rows at or above this count route a node-local scan through the
-/// node's morsel pool (mirrors the executor's threshold).
-const NODE_PARALLEL_ROW_THRESHOLD: usize = 65_536;
-
 /// One node's share of a located row set.
 pub struct NodeHits {
     /// The node the rows live on.
@@ -86,8 +82,8 @@ impl DistNode {
         })
     }
 
-    /// The hit bitmap and the hit rows. Large fragments scan
-    /// morsel-parallel on the node's own pool.
+    /// The hit bitmap and the hit rows, scanned morsel by morsel on the
+    /// node's own pool.
     fn hits(
         &self,
         preds: &[(String, ColumnPredicate)],
@@ -98,11 +94,7 @@ impl DistNode {
             .iter()
             .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
             .collect::<Result<_>>()?;
-        let hits = if t.row_count() >= NODE_PARALLEL_ROW_THRESHOLD {
-            t.par_scan_all(&self.exec, &resolved, cid)?
-        } else {
-            t.scan_all(&resolved, cid)?
-        };
+        let hits = t.scan_all(&self.exec, &resolved, cid)?;
         let rows = t.collect_rows(&hits, &[]);
         Ok((hits, rows))
     }

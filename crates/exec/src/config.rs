@@ -44,11 +44,6 @@ impl ExecConfig {
         self.morsel_rows = rows.max(1);
         self
     }
-
-    /// Morsel size rounded up to a multiple of 64 (bitmap word rows).
-    pub fn aligned_morsel_rows(&self) -> usize {
-        crate::morsel::align_morsel_rows(self.morsel_rows)
-    }
 }
 
 #[cfg(test)]
@@ -67,6 +62,5 @@ mod tests {
         let cfg = ExecConfig::default().with_workers(0).with_morsel_rows(0);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.morsel_rows, 1);
-        assert_eq!(cfg.aligned_morsel_rows(), 64);
     }
 }

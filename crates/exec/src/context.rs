@@ -1,26 +1,25 @@
-//! The execution context: configuration + worker pool + metrics.
+//! The execution context: configuration + worker pool.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use hana_obs::{Counter, Histogram};
+use hana_obs::{Counter, Gauge, Histogram};
 
 use crate::config::ExecConfig;
-use crate::metrics::{MetricsRegistry, QueryGuard};
 use crate::morsel::{morsels, Morsel};
 use crate::pool::{PoolMetricsSnapshot, WorkerPool};
 
 static GLOBAL: OnceLock<Arc<ExecContext>> = OnceLock::new();
 
-/// One execution engine instance: a [`WorkerPool`], the [`ExecConfig`]
-/// it was built from, and a [`MetricsRegistry`] for per-query counters.
+/// One execution engine instance: a [`WorkerPool`] and the
+/// [`ExecConfig`] it was built from.
 ///
-/// Components normally share the process-wide [`ExecContext::global`]
-/// (configured from the environment); tests build private contexts with
-/// [`ExecContext::new`] to pin worker counts.
+/// Components normally share the process-wide [`ExecContext::global`];
+/// tests build private contexts with [`ExecContext::new`] to pin worker
+/// counts and morsel sizes.
 ///
-/// Besides the per-query [`MetricsRegistry`], every context reports
-/// pool-level throughput into the global `hana-obs` registry:
+/// Every context reports its throughput into the global `hana-obs`
+/// registry:
 /// `hana_exec_morsels_total`, `hana_exec_tasks_total`,
 /// `hana_exec_scatters_total`, the `hana_exec_scatter_ns` latency
 /// histogram, and the `hana_exec_pool_utilization_permille` /
@@ -29,11 +28,12 @@ static GLOBAL: OnceLock<Arc<ExecContext>> = OnceLock::new();
 pub struct ExecContext {
     config: ExecConfig,
     pool: Arc<WorkerPool>,
-    registry: MetricsRegistry,
     obs_morsels: Arc<Counter>,
     obs_tasks: Arc<Counter>,
     obs_scatters: Arc<Counter>,
     obs_scatter_ns: Arc<Histogram>,
+    obs_utilization: Arc<Gauge>,
+    obs_queue_depth: Arc<Gauge>,
 }
 
 impl ExecContext {
@@ -43,12 +43,13 @@ impl ExecContext {
         obs.gauge("hana_exec_workers").set(config.workers as i64);
         Arc::new(ExecContext {
             pool: WorkerPool::new(config.workers),
-            registry: MetricsRegistry::new(),
             config,
             obs_morsels: obs.counter("hana_exec_morsels_total"),
             obs_tasks: obs.counter("hana_exec_tasks_total"),
             obs_scatters: obs.counter("hana_exec_scatters_total"),
             obs_scatter_ns: obs.histogram("hana_exec_scatter_ns"),
+            obs_utilization: obs.gauge("hana_exec_pool_utilization_permille"),
+            obs_queue_depth: obs.gauge("hana_exec_pool_queue_depth"),
         })
     }
 
@@ -63,21 +64,6 @@ impl ExecContext {
         &self.config
     }
 
-    /// The worker pool.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// The per-query metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Begin tracking a named query (see [`MetricsRegistry::begin_query`]).
-    pub fn begin_query(&self, name: &str) -> QueryGuard {
-        self.registry.begin_query(name)
-    }
-
     /// Slice `[0, total_rows)` into morsels of the configured size.
     pub fn morsels(&self, total_rows: usize) -> Vec<Morsel> {
         let ms = morsels(total_rows, self.config.morsel_rows);
@@ -85,12 +71,12 @@ impl ExecContext {
         ms
     }
 
-    /// Fork-join over items on the pool (see [`WorkerPool::scatter`]).
-    ///
-    /// With a single worker (or a single item) there is nothing to
-    /// overlap, so the items run inline on the calling thread — same
-    /// results, same counters, none of the queue/wake overhead that
-    /// made 1-worker "parallel" scans slower than serial ones.
+    /// Fork-join over items (see [`WorkerPool::scatter`]) — and the one
+    /// place the engine decides between serial and parallel execution:
+    /// callers slice their work into morsels and hand all of them over,
+    /// however few. With a single worker or a single item there is
+    /// nothing to overlap, so the items run inline on the calling
+    /// thread — same results, same counters, no queue or wake-up.
     pub fn scatter<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
@@ -119,11 +105,8 @@ impl ExecContext {
 
     fn publish_pool_gauges(&self) -> PoolMetricsSnapshot {
         let m = self.pool.metrics_snapshot();
-        let obs = hana_obs::registry();
-        obs.gauge("hana_exec_pool_utilization_permille")
-            .set((m.utilization * 1000.0) as i64);
-        obs.gauge("hana_exec_pool_queue_depth")
-            .set(m.queue_depth as i64);
+        self.obs_utilization.set((m.utilization * 1000.0) as i64);
+        self.obs_queue_depth.set(m.queue_depth as i64);
         m
     }
 }
@@ -133,17 +116,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn context_runs_scatter_with_metrics() {
-        let ctx = ExecContext::new(ExecConfig::default().with_workers(2).with_morsel_rows(64));
-        let guard = ctx.begin_query("sum");
-        let ms = ctx.morsels(1000);
-        guard.metrics().add_morsels(ms.len() as u64);
-        let parts = ctx.scatter(ms, |m| (m.start..m.end).sum::<usize>());
-        drop(guard);
-        assert_eq!(parts.iter().sum::<usize>(), (0..1000).sum::<usize>());
-        let snap = ctx.metrics().snapshot("sum").unwrap();
-        assert_eq!(snap.morsels, 16);
-        assert!(snap.wall_nanos > 0);
+    fn scatter_over_morsels_is_the_same_serial_or_parallel() {
+        let expected = (0..1000).sum::<usize>();
+        for (workers, morsel_rows) in [(1, 64), (2, 64), (4, 128), (4, 65_536)] {
+            let ctx = ExecContext::new(
+                ExecConfig::default()
+                    .with_workers(workers)
+                    .with_morsel_rows(morsel_rows),
+            );
+            let ms = ctx.morsels(1000);
+            assert_eq!(ms.len(), 1000usize.div_ceil(morsel_rows));
+            let parts = ctx.scatter(ms, |m| (m.start..m.end).sum::<usize>());
+            assert_eq!(parts.iter().sum::<usize>(), expected);
+        }
     }
 
     #[test]

@@ -1,110 +1,73 @@
-//! Fixed worker pool with per-worker work-stealing deques.
+//! Fixed worker pool with one shared job queue and one primitive.
 //!
-//! Each worker owns a deque: it pushes and pops work at the back (LIFO,
-//! for cache locality on nested spawns) while idle workers steal from
-//! the front (FIFO, taking the oldest — and for morsel scans the
-//! largest-remaining — work). External submissions land in a shared
-//! injector queue. Workers look for work in the order own deque →
-//! injector → steal, then park briefly.
-//!
-//! [`WorkerPool::scatter`] is the fork-join primitive used by parallel
-//! scans: it fans a `Vec` of items out as one task per item, blocks the
-//! calling thread until every task finished, and re-raises the first
-//! task panic in the caller. Because the caller provably outlives all
-//! tasks, `scatter` accepts borrowing (non-`'static`) items and
-//! closures.
+//! [`WorkerPool::scatter`] is the fork-join used by parallel scans and
+//! aggregations: it fans a `Vec` of items out as one task per item,
+//! blocks the calling thread until every task finished, and re-raises
+//! the first task panic in the caller. Because the caller provably
+//! outlives all tasks, `scatter` accepts borrowing (non-`'static`)
+//! items and closures.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How long an idle worker parks before re-polling the queues.
-const PARK_TIMEOUT: Duration = Duration::from_millis(2);
+/// Lock one of the pool's mutexes. Jobs and `scatter` closures run with
+/// none of them held, so none can be poisoned.
+fn held<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("no task code runs under the pool's locks")
+}
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// `(pool id, worker index)` when the current thread is a pool worker.
-    static CURRENT_WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
+    /// Id of the pool the current thread is a worker of (0 = none).
+    static CURRENT_POOL: Cell<u64> = const { Cell::new(0) };
 }
 
 #[derive(Default)]
-struct WorkerStats {
-    tasks: AtomicU64,
-    steals: AtomicU64,
-    busy_nanos: AtomicU64,
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 struct Shared {
     pool_id: u64,
-    injector: Mutex<VecDeque<Job>>,
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    stats: Vec<WorkerStats>,
-    park: Mutex<()>,
+    queue: Mutex<Queue>,
     wake: Condvar,
-    shutdown: AtomicBool,
+    tasks: AtomicU64,
+    busy_nanos: AtomicU64,
 }
 
-impl Shared {
-    fn find_job(&self, id: usize) -> Option<Job> {
-        // 1. Own deque, LIFO end.
-        if let Some(job) = self.deques[id].lock().unwrap().pop_back() {
-            return Some(job);
-        }
-        // 2. Shared injector, FIFO.
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        // 3. Steal from a victim's FIFO end, scanning round-robin.
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (id + off) % n;
-            if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
-                self.stats[id].steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn queue_depth(&self) -> usize {
-        let mut depth = self.injector.lock().unwrap().len();
-        for d in &self.deques {
-            depth += d.lock().unwrap().len();
-        }
-        depth
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, id: usize) {
-    CURRENT_WORKER.with(|c| c.set(Some((shared.pool_id, id))));
+fn worker_loop(shared: Arc<Shared>) {
+    CURRENT_POOL.with(|c| c.set(shared.pool_id));
+    let mut queue = held(&shared.queue);
     loop {
-        if let Some(job) = shared.find_job(id) {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             let started = Instant::now();
-            // A panicking job must not kill the worker; fork-join
-            // callers wrap jobs in their own catch and re-raise.
+            // A panicking job must not kill the worker; `scatter` wraps
+            // jobs in its own catch and re-raises in the caller.
             let _ = catch_unwind(AssertUnwindSafe(job));
-            let stats = &shared.stats[id];
-            stats
+            shared
                 .busy_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            stats.tasks.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+            shared.tasks.fetch_add(1, Ordering::Relaxed);
+            queue = held(&shared.queue);
+        } else if queue.shutdown {
             break;
+        } else {
+            queue = shared
+                .wake
+                .wait(queue)
+                .expect("no task code runs under the pool's locks");
         }
-        let guard = shared.park.lock().unwrap();
-        // Timed park: bounds the window where a submission's wake-up
-        // races with this worker going idle.
-        let _ = shared.wake.wait_timeout(guard, PARK_TIMEOUT).unwrap();
     }
 }
 
@@ -115,9 +78,7 @@ pub struct PoolMetricsSnapshot {
     pub workers: usize,
     /// Total tasks executed since pool start.
     pub tasks_executed: u64,
-    /// Total successful steals from sibling deques.
-    pub steals: u64,
-    /// Tasks currently queued (injector plus all deques).
+    /// Tasks currently queued.
     pub queue_depth: usize,
     /// Sum of per-worker time spent running tasks, in nanoseconds.
     pub busy_nanos: u64,
@@ -128,8 +89,7 @@ pub struct PoolMetricsSnapshot {
     pub utilization: f64,
 }
 
-/// A fixed set of worker threads executing submitted jobs, with
-/// per-worker work-stealing deques and a shared injector.
+/// A fixed set of worker threads draining one shared FIFO job queue.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -143,19 +103,17 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            stats: (0..workers).map(|_| WorkerStats::default()).collect(),
-            park: Mutex::new(()),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            tasks: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hana-exec-{id}"))
-                    .spawn(move || worker_loop(shared, id))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -174,28 +132,7 @@ impl WorkerPool {
 
     /// Whether the calling thread is one of this pool's workers.
     pub fn on_worker_thread(&self) -> bool {
-        CURRENT_WORKER.with(|c| c.get().is_some_and(|(pool, _)| pool == self.shared.pool_id))
-    }
-
-    /// Submit a fire-and-forget job. From a worker thread of this pool
-    /// the job goes to that worker's own deque (stealable by siblings);
-    /// otherwise it goes to the shared injector. A panicking job is
-    /// swallowed (use [`WorkerPool::scatter`] for panic propagation).
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.push_job(Box::new(job));
-    }
-
-    fn push_job(&self, job: Job) {
-        let worker = CURRENT_WORKER.with(|c| {
-            c.get()
-                .filter(|&(pool, _)| pool == self.shared.pool_id)
-                .map(|(_, id)| id)
-        });
-        match worker {
-            Some(id) => self.shared.deques[id].lock().unwrap().push_back(job),
-            None => self.shared.injector.lock().unwrap().push_back(job),
-        }
-        self.shared.wake.notify_one();
+        CURRENT_POOL.with(Cell::get) == self.shared.pool_id
     }
 
     /// Fork-join: run `f` over every item on the pool, blocking until
@@ -211,10 +148,7 @@ impl WorkerPool {
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.on_worker_thread() || self.workers == 0 {
+        if self.on_worker_thread() {
             return items.into_iter().map(f).collect();
         }
 
@@ -234,81 +168,66 @@ impl WorkerPool {
         });
 
         let f = &f;
-        for (idx, item) in items.into_iter().enumerate() {
-            let state = Arc::clone(&state);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                    Ok(value) => state.results.lock().unwrap()[idx] = Some(value),
-                    Err(payload) => {
-                        let mut slot = state.panic.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(payload);
+        let jobs: Vec<Job> = items
+            .into_iter()
+            .enumerate()
+            .map(|(idx, item)| {
+                let state = Arc::clone(&state);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                        Ok(value) => held(&state.results)[idx] = Some(value),
+                        Err(payload) => {
+                            let mut slot = held(&state.panic);
+                            if slot.is_none() {
+                                *slot = Some(payload);
+                            }
                         }
                     }
-                }
-                let mut remaining = state.remaining.lock().unwrap();
-                *remaining -= 1;
-                if *remaining == 0 {
-                    state.done.notify_all();
-                }
-            });
-            // SAFETY: this thread blocks below until `remaining` hits
-            // zero, i.e. until every job (and its borrows of `f` and
-            // the items) has finished — the scoped-thread pattern. The
-            // panic path also waits for all jobs before re-raising.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            self.push_job(job);
-        }
+                    let mut remaining = held(&state.remaining);
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        state.done.notify_all();
+                    }
+                });
+                // SAFETY: this thread blocks below until `remaining`
+                // hits zero, i.e. until every job (and its borrows of
+                // `f` and the items) has finished — the scoped-thread
+                // pattern. The panic path also waits for all jobs
+                // before re-raising.
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
+            })
+            .collect();
+        held(&self.shared.queue).jobs.extend(jobs);
+        self.shared.wake.notify_all();
 
-        let mut remaining = state.remaining.lock().unwrap();
+        let mut remaining = held(&state.remaining);
         while *remaining > 0 {
-            remaining = state.done.wait(remaining).unwrap();
+            remaining = state
+                .done
+                .wait(remaining)
+                .expect("no task code runs under the pool's locks");
         }
         drop(remaining);
 
-        if let Some(payload) = state.panic.lock().unwrap().take() {
+        if let Some(payload) = held(&state.panic).take() {
             resume_unwind(payload);
         }
-        let mut results = state.results.lock().unwrap();
+        let mut results = held(&state.results);
         results
             .iter_mut()
             .map(|slot| slot.take().expect("scatter task completed without result"))
             .collect()
     }
 
-    /// Tasks currently queued across the injector and all deques.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth()
-    }
-
     /// Current utilization/load counters.
     pub fn metrics_snapshot(&self) -> PoolMetricsSnapshot {
-        let tasks_executed: u64 = self
-            .shared
-            .stats
-            .iter()
-            .map(|s| s.tasks.load(Ordering::Relaxed))
-            .sum();
-        let steals: u64 = self
-            .shared
-            .stats
-            .iter()
-            .map(|s| s.steals.load(Ordering::Relaxed))
-            .sum();
-        let busy_nanos: u64 = self
-            .shared
-            .stats
-            .iter()
-            .map(|s| s.busy_nanos.load(Ordering::Relaxed))
-            .sum();
+        let busy_nanos = self.shared.busy_nanos.load(Ordering::Relaxed);
         let wall_nanos = self.started.elapsed().as_nanos() as u64;
         let capacity = (wall_nanos as f64) * (self.workers as f64);
         PoolMetricsSnapshot {
             workers: self.workers,
-            tasks_executed,
-            steals,
-            queue_depth: self.shared.queue_depth(),
+            tasks_executed: self.shared.tasks.load(Ordering::Relaxed),
+            queue_depth: held(&self.shared.queue).jobs.len(),
             busy_nanos,
             wall_nanos,
             utilization: if capacity > 0.0 {
@@ -322,10 +241,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        if let Ok(mut queue) = self.shared.queue.lock() {
+            queue.shutdown = true;
+        }
         self.shared.wake.notify_all();
-        for handle in self.handles.lock().unwrap().drain(..) {
-            let _ = handle.join();
+        if let Ok(mut handles) = self.handles.lock() {
+            for handle in handles.drain(..) {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -333,13 +256,14 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn scatter_returns_results_in_order() {
         let pool = WorkerPool::new(4);
         let doubled = pool.scatter((0..100).collect(), |i: usize| i * 2);
         assert_eq!(doubled, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(pool.scatter(Vec::new(), |i: usize| i), Vec::<usize>::new());
     }
 
     #[test]
@@ -368,49 +292,35 @@ mod tests {
     }
 
     #[test]
-    fn spawn_executes_jobs() {
-        let pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..50 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while counter.load(Ordering::SeqCst) < 50 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn single_worker_pool_is_deterministic() {
+    fn nested_scatter_runs_inline_on_the_worker() {
+        // One worker: an inner scatter that queued its items behind the
+        // outer task it is called from would never finish.
         let pool = WorkerPool::new(1);
-        let out = pool.scatter((0..20).collect(), |i: usize| i);
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        // Worker stats are bumped after the job body returns, so give
-        // the worker a moment to finish accounting the last task.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.metrics_snapshot().tasks_executed < 20 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        let m = pool.metrics_snapshot();
-        assert_eq!(m.workers, 1);
-        assert!(m.tasks_executed >= 20);
-        assert_eq!(m.steals, 0, "no siblings to steal from");
+        let sums = pool.scatter(vec![10usize, 20], |base| {
+            assert!(pool.on_worker_thread());
+            let inner = pool.scatter((0..4).collect(), |i: usize| {
+                assert!(pool.on_worker_thread());
+                base + i
+            });
+            inner.iter().sum::<usize>()
+        });
+        assert_eq!(sums, vec![46, 86]);
+        assert!(!pool.on_worker_thread());
     }
 
     #[test]
     fn metrics_count_tasks() {
         let pool = WorkerPool::new(4);
         pool.scatter((0..64).collect(), |i: usize| i);
+        // Worker stats are bumped after the job body returns, so give
+        // the workers a moment to finish accounting the last tasks.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.metrics_snapshot().tasks_executed < 64 && Instant::now() < deadline {
             std::thread::yield_now();
         }
         let m = pool.metrics_snapshot();
-        assert!(m.tasks_executed >= 64);
+        assert_eq!(m.workers, 4);
+        assert_eq!(m.tasks_executed, 64);
         assert_eq!(m.queue_depth, 0);
         assert!(m.utilization >= 0.0 && m.utilization <= 1.0);
     }

@@ -374,10 +374,10 @@ impl IqEngine {
 
     /// Scan a table, returning the projected schema and rows.
     ///
-    /// Multi-chunk tables scan their chunks concurrently on the global
-    /// execution pool (the buffer cache is internally synchronized);
-    /// results are concatenated in chunk order, so the output is
-    /// identical to the serial scan.
+    /// The chunks are scattered over the global execution pool (the
+    /// buffer cache is internally synchronized); results are
+    /// concatenated in chunk order, so the output is identical to a
+    /// serial scan.
     pub fn scan(
         &self,
         table: &str,
@@ -408,20 +408,9 @@ impl IqEngine {
         )?;
         let visible_chunks: Vec<&Chunk> =
             t.chunks.iter().filter(|c| c.created_cid <= cid).collect();
-        let per_chunk: Vec<Result<Vec<Row>>> = if visible_chunks.len() > 1 {
-            let exec = hana_exec::ExecContext::global();
-            if let Some(q) = hana_exec::current_query_metrics() {
-                q.add_tasks(visible_chunks.len() as u64);
-            }
-            exec.scatter(visible_chunks, |chunk| {
-                self.scan_chunk_rows(t, chunk, &preds, &proj_cols, cid)
-            })
-        } else {
-            visible_chunks
-                .into_iter()
-                .map(|chunk| self.scan_chunk_rows(t, chunk, &preds, &proj_cols, cid))
-                .collect()
-        };
+        let per_chunk = hana_exec::ExecContext::global().scatter(visible_chunks, |chunk| {
+            self.scan_chunk_rows(t, chunk, &preds, &proj_cols, cid)
+        });
         let mut rows = Vec::new();
         for chunk_rows in per_chunk {
             rows.extend(chunk_rows?);

@@ -12,11 +12,8 @@ use crate::catalog::{Catalog, TableSource};
 use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::plan::{DistJoinStrategy, PlanNode, PlanOp};
 
-/// Inputs at or above this many rows are routed through the parallel
-/// execution engine (table scans and group-by aggregation); smaller
-/// inputs run serially — one default morsel's worth of rows, below
-/// which fan-out overhead buys nothing.
-pub const PARALLEL_ROW_THRESHOLD: usize = 65_536;
+/// A group table: accumulator states keyed by the group-by values.
+type Groups = FxHashMap<Vec<Value>, Vec<Accumulator>>;
 
 /// Execute a SQL query against the catalog under snapshot `cid`, using
 /// the process-wide [`ExecContext`] for parallel operators.
@@ -383,56 +380,20 @@ fn execute_plan_inner(
                 return Ok(rs);
             }
             let inp = execute_plan_with(exec, input, catalog, cid)?;
-            // Above the threshold, aggregate row chunks into partial
-            // hash tables on the pool and merge the accumulators
-            // (partial aggregation, MapReduce-combiner style).
-            let mut groups: FxHashMap<Vec<Value>, Vec<Accumulator>> =
-                if inp.rows.len() >= PARALLEL_ROW_THRESHOLD {
-                    let chunk_rows = exec.config().aligned_morsel_rows();
-                    let chunks: Vec<&[Row]> = inp.rows.chunks(chunk_rows).collect();
-                    if let Some(q) = hana_exec::current_query_metrics() {
-                        q.add_morsels(chunks.len() as u64);
-                        q.add_tasks(chunks.len() as u64);
-                    }
-                    span.set_workers(exec.config().workers as u64);
-                    span.attr("partials", chunks.len() as u64);
-                    let partials = exec.scatter(chunks, |rows| {
-                        aggregate_chunk(rows, group_by, aggs, &inp.schema)
-                    });
-                    let mut merged: FxHashMap<Vec<Value>, Vec<Accumulator>> = FxHashMap::default();
-                    for partial in partials {
-                        for (key, accs) in partial? {
-                            match merged.entry(key) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    for (into, from) in e.get_mut().iter_mut().zip(&accs) {
-                                        into.merge(from);
-                                    }
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(accs);
-                                }
-                            }
-                        }
-                    }
-                    merged
-                } else {
-                    aggregate_chunk(&inp.rows, group_by, aggs, &inp.schema)?
-                };
-            if groups.is_empty() && group_by.is_empty() {
-                groups.insert(
-                    Vec::new(),
-                    aggs.iter().map(|(f, _)| f.accumulator()).collect(),
-                );
+            // Aggregate morsel-sized row chunks into partial group
+            // tables and merge the accumulators (partial aggregation,
+            // MapReduce-combiner style).
+            let morsels = exec.morsels(inp.rows.len()).into_iter();
+            let chunks: Vec<&[Row]> = morsels.map(|m| &inp.rows[m.start..m.end]).collect();
+            span.set_workers(exec.config().workers as u64);
+            span.attr("partials", chunks.len() as u64);
+            let mut groups = Groups::default();
+            for partial in exec.scatter(chunks, |rows| {
+                aggregate_chunk(rows, group_by, aggs, &inp.schema)
+            }) {
+                merge_groups(&mut groups, partial?);
             }
-            let mut rows: Vec<Row> = groups
-                .into_iter()
-                .map(|(mut key, accs)| {
-                    key.extend(accs.iter().map(|a| a.finish()));
-                    Row(key)
-                })
-                .collect();
-            rows.sort();
-            Ok(ResultSet::new(plan.schema.clone(), rows))
+            Ok(finish_groups(groups, group_by, aggs, &plan.schema))
         }
         PlanOp::Finish { input, query } => {
             let inp = execute_plan_with(exec, input, catalog, cid)?;
@@ -460,10 +421,9 @@ fn resolve_preds(
 
 /// The row ids a column-fragment leaf selects in `t` under `cid`,
 /// before any row is materialized: the pushed-down predicates of a
-/// `ColumnScan` (or the hot side of a `HybridScan`) through the scan
-/// kernels — morsel-parallel above the row threshold, bit-identical to
-/// the serial scan (see `ColumnTable::par_scan_all`) — or an
-/// `IndexSeek`'s ordered seek. SELECT materializes these hits, the
+/// `ColumnScan` (or the hot side of a `HybridScan`) through the table's
+/// morsel scan (`ColumnTable::scan_all`), or an `IndexSeek`'s ordered
+/// seek. SELECT materializes these hits, the
 /// fused group-by aggregates over them, and UPDATE/DELETE take them as
 /// their victims ([`crate::locate_rows`]).
 pub(crate) fn column_leaf_hits(
@@ -477,12 +437,8 @@ pub(crate) fn column_leaf_hits(
     match op {
         PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
             let resolved = resolve_preds(t.schema(), preds)?;
-            if t.row_count() >= PARALLEL_ROW_THRESHOLD {
-                span.set_workers(exec.config().workers as u64);
-                t.par_scan_all(exec, &resolved, cid)
-            } else {
-                t.scan_all(&resolved, cid)
-            }
+            span.set_workers(exec.config().workers as u64);
+            t.scan_all(exec, &resolved, cid)
         }
         PlanOp::IndexSeek {
             index,
@@ -500,13 +456,7 @@ pub(crate) fn column_leaf_hits(
             // the equivalent scan.
             if !residual.is_empty() {
                 let resolved = resolve_preds(t.schema(), residual)?;
-                let mut filtered = RowIdBitmap::new(hits.len());
-                for row in hits.iter() {
-                    if resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))) {
-                        filtered.set(row);
-                    }
-                }
-                hits = filtered;
+                hits.retain(|row| resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))));
             }
             Ok(hits)
         }
@@ -682,6 +632,52 @@ fn accumulate_row(
     Ok(())
 }
 
+/// Fold a partial group table into `into`, merging the accumulators of
+/// groups both hold.
+fn merge_groups(
+    into: &mut Groups,
+    partial: impl IntoIterator<Item = (Vec<Value>, Vec<Accumulator>)>,
+) {
+    for (key, accs) in partial {
+        match into.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                for (into, from) in e.get_mut().iter_mut().zip(&accs) {
+                    into.merge(from);
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(accs);
+            }
+        }
+    }
+}
+
+/// Turn a merged group table into the operator's sorted result: one
+/// row per group, group values then finished aggregates. A global
+/// aggregate (no GROUP BY) over no rows still yields its one row.
+fn finish_groups(
+    mut groups: Groups,
+    group_by: &[Expr],
+    aggs: &[(AggFunc, Option<Expr>)],
+    out_schema: &Schema,
+) -> ResultSet {
+    if groups.is_empty() && group_by.is_empty() {
+        groups.insert(
+            Vec::new(),
+            aggs.iter().map(|(f, _)| f.accumulator()).collect(),
+        );
+    }
+    let mut rows: Vec<Row> = groups
+        .into_iter()
+        .map(|(mut key, accs)| {
+            key.extend(accs.iter().map(|a| a.finish()));
+            Row(key)
+        })
+        .collect();
+    rows.sort();
+    ResultSet::new(out_schema.clone(), rows)
+}
+
 /// Group-and-accumulate one chunk of rows into a partial hash table.
 ///
 /// The table is FxHash-keyed and probed with a reused scratch key
@@ -693,8 +689,8 @@ fn aggregate_chunk(
     group_by: &[Expr],
     aggs: &[(AggFunc, Option<Expr>)],
     schema: &Schema,
-) -> Result<FxHashMap<Vec<Value>, Vec<Accumulator>>> {
-    let mut groups: FxHashMap<Vec<Value>, Vec<Accumulator>> = FxHashMap::default();
+) -> Result<Groups> {
+    let mut groups = Groups::default();
     let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
     for r in rows {
         key.clear();
@@ -811,37 +807,18 @@ fn try_fused_group_by(
 
     // Materialize each distinct group once; main and delta fragments
     // dictionary-encode independently, so merge by decoded value.
-    let mut by_value: FxHashMap<Value, Vec<Accumulator>> = FxHashMap::default();
-    for (vid, accs) in main_groups.into_iter().enumerate() {
-        if let Some(accs) = accs {
-            by_value.insert(main_dict.decode(vid as u32), accs);
-        }
-    }
-    for (vid, accs) in delta_groups.into_iter().enumerate() {
-        if let Some(accs) = accs {
-            match by_value.entry(delta_dict.decode(vid as u32)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (into, from) in e.get_mut().iter_mut().zip(&accs) {
-                        into.merge(from);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-            }
-        }
-    }
-    let mut rows: Vec<Row> = by_value
-        .into_iter()
-        .map(|(key, accs)| {
-            let mut vals = Vec::with_capacity(1 + accs.len());
-            vals.push(key);
-            vals.extend(accs.iter().map(|a| a.finish()));
-            Row(vals)
-        })
-        .collect();
-    rows.sort();
-    Ok(Some(ResultSet::new(out_schema.clone(), rows)))
+    let mut groups = Groups::default();
+    let main = main_groups.into_iter().enumerate();
+    merge_groups(
+        &mut groups,
+        main.filter_map(|(vid, accs)| Some((vec![main_dict.decode(vid as u32)], accs?))),
+    );
+    let delta = delta_groups.into_iter().enumerate();
+    merge_groups(
+        &mut groups,
+        delta.filter_map(|(vid, accs)| Some((vec![delta_dict.decode(vid as u32)], accs?))),
+    );
+    Ok(Some(finish_groups(groups, group_by, aggs, out_schema)))
 }
 
 /// Partition-wise partial aggregation over a distributed scan.
@@ -884,7 +861,7 @@ fn try_distributed_group_by(
 
     let xspan = hana_obs::span("exchange[partial_agg]");
     xspan.attr("nodes", parts.len() as u64);
-    let mut merged: FxHashMap<Vec<Value>, Vec<Accumulator>> = FxHashMap::default();
+    let mut merged = Groups::default();
     let mut shipped_groups = 0u64;
     let mut shipped_bytes = 0u64;
     for (node, rows) in parts {
@@ -902,38 +879,13 @@ fn try_distributed_group_by(
         )?;
         shipped_groups += delivered.len() as u64;
         shipped_bytes += bytes;
-        for (key, accs) in delivered {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (into, from) in e.get_mut().iter_mut().zip(&accs) {
-                        into.merge(from);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-            }
-        }
+        merge_groups(&mut merged, delivered);
     }
     xspan.set_rows(shipped_groups);
     xspan.set_bytes(shipped_bytes);
     drop(xspan);
 
-    if merged.is_empty() && group_by.is_empty() {
-        merged.insert(
-            Vec::new(),
-            aggs.iter().map(|(f, _)| f.accumulator()).collect(),
-        );
-    }
-    let mut rows: Vec<Row> = merged
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.iter().map(|a| a.finish()));
-            Row(key)
-        })
-        .collect();
-    rows.sort();
-    Ok(Some(ResultSet::new(out_schema.clone(), rows)))
+    Ok(Some(finish_groups(merged, group_by, aggs, out_schema)))
 }
 
 /// Broadcast-build distributed hash join: replicate the build rows to

@@ -31,7 +31,6 @@ pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
     execute_plan, execute_plan_with, execute_query, execute_query_with, explain_query,
-    PARALLEL_ROW_THRESHOLD,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use locate::{locate_rows, Located};

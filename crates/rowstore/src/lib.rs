@@ -200,6 +200,11 @@ impl RowTable {
             .collect()
     }
 
+    /// Whether `slot` exists and no commit has deleted it.
+    pub fn is_live(&self, slot: usize) -> bool {
+        self.rows.get(slot).is_some_and(|r| r.deleted == NEVER)
+    }
+
     /// The values stored in `slot` (regardless of visibility).
     pub fn slot_values(&self, slot: usize) -> Option<&Row> {
         self.rows.get(slot).map(|r| &r.values)
