@@ -12,6 +12,13 @@ use crate::catalog::{Catalog, TableSource};
 use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::plan::{DistJoinStrategy, PlanNode, PlanOp};
 
+/// `build_side` attribute of a `hash_join` span: the table went over
+/// the left input.
+pub const BUILD_LEFT: u64 = 0;
+/// `build_side` attribute of a `hash_join` span: the table went over
+/// the right input.
+pub const BUILD_RIGHT: u64 = 1;
+
 /// A group table: accumulator states keyed by the group-by values.
 type Groups = FxHashMap<Vec<Value>, Vec<Accumulator>>;
 
@@ -108,9 +115,12 @@ fn execute_plan_inner(
             };
             let t = t.read();
             let hits = column_leaf_hits(exec, &t, &plan.op, cid, span)?;
+            let projection = leaf_projection(&plan.schema, t.schema())?;
+            span.attr("columns", projection.len() as u64);
+            span.attr("table_columns", t.schema().len() as u64);
             Ok(ResultSet::new(
                 plan.schema.clone(),
-                t.collect_rows(&hits, &[]),
+                t.collect_rows(&hits, &projection),
             ))
         }
         PlanOp::RowScan { table, preds, .. } => {
@@ -217,7 +227,7 @@ fn execute_plan_inner(
             }
             let l = execute_plan_with(exec, left, catalog, cid)?;
             let r = execute_plan_with(exec, right, catalog, cid)?;
-            hash_join(&l, &r, left_key, right_key, *kind, &plan.schema)
+            hash_join(l, r, left_key, right_key, *kind, &plan.schema, span)
         }
         PlanOp::NestedLoopJoin { left, right, on } => {
             let l = execute_plan_with(exec, left, catalog, cid)?;
@@ -279,12 +289,13 @@ fn execute_plan_inner(
                     .sda()
                     .execute_remote(source, &sub, &RemoteContext::snapshot(cid))?;
             hash_join(
-                &l,
-                &reduced,
+                l,
+                reduced,
                 local_key,
                 remote_key,
                 JoinKind::Inner,
                 &plan.schema,
+                span,
             )
         }
         PlanOp::RelocateJoin {
@@ -303,7 +314,7 @@ fn execute_plan_inner(
                 .columns()
                 .iter()
                 .map(|c| hana_types::ColumnDef {
-                    name: c.name.rsplit('.').next().unwrap_or(&c.name).to_string(),
+                    name: unqualified(&c.name).to_string(),
                     data_type: c.data_type,
                     nullable: true,
                 })
@@ -312,7 +323,7 @@ fn execute_plan_inner(
             let rctx = RemoteContext::snapshot(cid);
             let adapter = catalog.sda().source(source)?.adapter;
             let temp = adapter.create_temp_table(ship_schema, &l.rows, &rctx)?;
-            let bare_key = local_key.rsplit('.').next().unwrap_or(local_key);
+            let bare_key = unqualified(local_key);
             let sub = Query {
                 from: Some(TableRef::Named {
                     name: temp.clone(),
@@ -406,6 +417,19 @@ fn execute_plan_inner(
             Ok(ResultSet::new(schema, rows))
         }
     }
+}
+
+/// The table columns a column-table leaf materialises, in output
+/// order: the planner prunes the leaf's schema to the columns the query
+/// names (`binding.column`), and this maps them back to table positions.
+fn leaf_projection(leaf: &Schema, table: &Schema) -> Result<Vec<usize>> {
+    let cols = leaf.columns().iter();
+    cols.map(|c| table.require(unqualified(&c.name))).collect()
+}
+
+/// A possibly binding-qualified column name without its qualifier.
+fn unqualified(name: &str) -> &str {
+    name.rsplit('.').next().unwrap_or(name)
 }
 
 /// Name-resolve pushed-down predicates against a fragment's schema.
@@ -733,32 +757,34 @@ fn try_fused_group_by(
     let PlanOp::ColumnScan { table, .. } = &input.op else {
         return Ok(None);
     };
-    let [Expr::Column { qualifier, name }] = group_by else {
+    let [group] = group_by else {
         return Ok(None);
     };
     let Ok(TableSource::Column(t)) = catalog.resolve_table(table) else {
         return Ok(None);
     };
     let t = t.read();
-    // The scan emits all table columns in table order; if the plan
-    // schema disagrees, positions cannot be trusted — fall back.
-    if input.schema.len() != t.schema().len() {
-        return Ok(None);
-    }
-    let Ok(group_col) = resolve_column(&input.schema, qualifier.as_deref(), name) else {
+    // The leaf's schema is pruned to the columns the query names:
+    // resolve against it, then map to the table's own positions.
+    let projection = leaf_projection(&input.schema, t.schema())?;
+    let table_col = |e: &Expr| match e {
+        Expr::Column { qualifier, name } => {
+            let i = resolve_column(&input.schema, qualifier.as_deref(), name).ok()?;
+            Some(projection[i])
+        }
+        _ => None,
+    };
+    let Some(group_col) = table_col(group) else {
         return Ok(None);
     };
     let mut agg_cols: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
     for (_, arg) in aggs {
         match arg {
-            None => agg_cols.push(None),
-            Some(Expr::Column { qualifier, name }) => {
-                match resolve_column(&input.schema, qualifier.as_deref(), name) {
-                    Ok(i) => agg_cols.push(Some(i)),
-                    Err(_) => return Ok(None),
-                }
-            }
-            Some(_) => return Ok(None),
+            None => agg_cols.push(None), // COUNT(*)
+            Some(e) => match table_col(e) {
+                Some(c) => agg_cols.push(Some(c)),
+                None => return Ok(None),
+            },
         }
     }
     span.attr("fused", 1);
@@ -915,7 +941,10 @@ fn dist_broadcast_join(
     for ((node, rows), (_, build)) in parts.into_iter().zip(copies) {
         let l = ResultSet::new(left_schema.clone(), rows);
         let b = ResultSet::new(r.schema.clone(), build);
-        let out = hash_join(&l, &b, left_key, right_key, kind, out_schema)?;
+        // Each fragment-local join reports its own build and probe rows.
+        let local = hana_obs::span(&format!("hash_join[{}#p{node}]", dt.name()));
+        let out = hash_join(l, b, left_key, right_key, kind, out_schema, &local)?;
+        local.set_rows(out.rows.len() as u64);
         joined_parts.push((node, out.rows));
     }
     let rows = hana_dist::gather(dt, &ctx, &policy, joined_parts)?;
@@ -941,41 +970,79 @@ fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
     resolve_column(schema, q, n)
 }
 
+/// Equi-join `l` and `r` into `left ++ right` rows.
+///
+/// The hash table goes over whichever input actually has fewer rows
+/// (a `LeftOuter` join always builds right, so unmatched left rows fall
+/// out of the probe). It is one `key -> first build row` map plus a
+/// `next` chain threaded in build-row order, so there is no per-key
+/// allocation, and output order is a function of the two inputs alone:
+/// probe order, then build order. The probe side is consumed — a probe
+/// row moves into its last match, only earlier matches clone it.
+/// The span reports `build_rows`, `probe_rows` and `build_side`
+/// ([`BUILD_LEFT`] / [`BUILD_RIGHT`]).
 fn hash_join(
-    l: &ResultSet,
-    r: &ResultSet,
+    l: ResultSet,
+    r: ResultSet,
     left_key: &str,
     right_key: &str,
     kind: JoinKind,
     out_schema: &Schema,
+    span: &hana_obs::Span,
 ) -> Result<ResultSet> {
     let li = resolve_key(&l.schema, left_key)?;
     let ri = resolve_key(&r.schema, right_key)?;
-    let mut build: FxHashMap<&Value, Vec<usize>> =
-        FxHashMap::with_capacity_and_hasher(r.rows.len(), FxBuildHasher::default());
-    for (i, row) in r.rows.iter().enumerate() {
-        if !row[ri].is_null() {
-            build.entry(&row[ri]).or_default().push(i);
+    let build_left = kind == JoinKind::Inner && l.rows.len() < r.rows.len();
+    let (build, bi, probe, pi) = if build_left {
+        (l.rows, li, r.rows, ri)
+    } else {
+        (r.rows, ri, l.rows, li)
+    };
+    span.attr("build_rows", build.len() as u64);
+    span.attr("probe_rows", probe.len() as u64);
+    span.attr(
+        "build_side",
+        if build_left { BUILD_LEFT } else { BUILD_RIGHT },
+    );
+
+    const END: usize = usize::MAX;
+    let mut heads: FxHashMap<&Value, usize> =
+        FxHashMap::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
+    let mut next = vec![END; build.len()];
+    for (i, row) in build.iter().enumerate().rev() {
+        if !row[bi].is_null() {
+            next[i] = heads.insert(&row[bi], i).unwrap_or(END);
         }
     }
-    let mut rows = Vec::with_capacity(l.rows.len());
-    for lr in &l.rows {
-        match build.get(&lr[li]) {
-            Some(matches) => {
-                for &i in matches {
-                    rows.push(lr.clone().concat(r.rows[i].clone()));
-                }
-            }
-            None => {
-                if kind == JoinKind::LeftOuter {
-                    let total = lr.values().len() + r.schema.len();
-                    let mut vals = Vec::with_capacity(total);
-                    vals.extend_from_slice(lr.values());
-                    vals.resize(total, Value::Null);
-                    rows.push(Row(vals));
-                }
-            }
+    let width = out_schema.len();
+    let emit = |mut p: Vec<Value>, b: &Row| {
+        if build_left {
+            let mut vals = Vec::with_capacity(width);
+            vals.extend_from_slice(b.values());
+            vals.append(&mut p);
+            Row(vals)
+        } else {
+            p.reserve_exact(b.len());
+            p.extend_from_slice(b.values());
+            Row(p)
         }
+    };
+    let mut rows = Vec::with_capacity(probe.len());
+    for Row(mut p) in probe {
+        let mut m = heads.get(&p[pi]).copied().unwrap_or(END);
+        if m == END {
+            if kind == JoinKind::LeftOuter {
+                p.resize(width, Value::Null);
+                rows.push(Row(p));
+            }
+            continue;
+        }
+        // Every match but the last clones the probe row; the last takes it.
+        while next[m] != END {
+            rows.push(emit(p.clone(), &build[m]));
+            m = next[m];
+        }
+        rows.push(emit(p, &build[m]));
     }
     Ok(ResultSet::new(out_schema.clone(), rows))
 }

@@ -5,7 +5,8 @@
 //! overhead for the executor's internal join/aggregation tables, whose
 //! keys come from the engine, not the network. This is the
 //! multiply-rotate scheme popularized by rustc's `FxHasher`: one
-//! rotate, one xor and one multiply per 8 input bytes.
+//! rotate, one xor and one multiply per 8 input bytes, plus one
+//! finalising mix in `finish()`.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -64,9 +65,17 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The multiply only carries input bits upward, and hashbrown takes
+    /// the bucket from the low bits and the control byte from the top 7.
+    /// A `Value::Int` hashes as the bit pattern of its `f64` — ≥ 32
+    /// trailing zeros — so the raw state has the same low half for every
+    /// integer key and the table degenerates to one probe chain. Fold the
+    /// high half down, multiply once more so the top bits see every input
+    /// bit, and fold again.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let h = (self.hash ^ (self.hash >> 32)).wrapping_mul(SEED);
+        h ^ (h >> 32)
     }
 }
 
@@ -92,6 +101,48 @@ mod tests {
         assert_ne!(hash_of(&"abc"), hash_of(&"abd"));
         // Unaligned tails must contribute.
         assert_ne!(hash_of(&"123456789"), hash_of(&"123456780"));
+    }
+
+    /// Hashbrown indexes buckets by the low bits and tags slots with the
+    /// top 7: a key family must spread over both.
+    fn assert_spreads<T: Hash>(family: &str, keys: impl Iterator<Item = T>) {
+        let mut low = std::collections::HashSet::new();
+        let mut top = std::collections::HashSet::new();
+        let mut n = 0usize;
+        for k in keys {
+            let h = hash_of(&k);
+            low.insert(h & 0x1_FFFF);
+            top.insert(h >> 57);
+            n += 1;
+        }
+        let want = n.min(1 << 17) * 6 / 10;
+        assert!(
+            low.len() >= want,
+            "{family}: {} distinct low-17-bit values over {n} keys, want >= {want}",
+            low.len()
+        );
+        assert_eq!(top.len(), 128, "{family}: control bits");
+    }
+
+    #[test]
+    fn numeric_and_date_keys_spread_over_buckets_and_control_bits() {
+        use hana_types::{Date, Value};
+        assert_spreads("int", (1..=200_000).map(Value::Int));
+        assert_spreads("int x4", (1..=200_000).map(|i| Value::Int(i * 4)));
+        assert_spreads("int x32", (1..=200_000).map(|i| Value::Int(i * 32)));
+        assert_spreads("double", (1..=200_000).map(|i| Value::Double(i as f64)));
+        assert_spreads("date", (0..20_000).map(|d| Value::Date(Date(d))));
+        assert_spreads("group key", (1..=200_000).map(|i| vec![Value::Int(i)]));
+    }
+
+    #[test]
+    fn int_and_integral_double_hash_equal() {
+        use hana_types::Value;
+        let two53 = 1i64 << 53;
+        for n in [0, 1, 2, -7, two53, -two53] {
+            assert_eq!(hash_of(&Value::Int(n)), hash_of(&Value::Double(n as f64)));
+        }
+        assert_eq!(hash_of(&Value::Int(0)), hash_of(&Value::Double(-0.0)));
     }
 
     #[test]

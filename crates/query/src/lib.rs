@@ -30,7 +30,8 @@ pub use compile::compile_expr;
 pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
-    execute_plan, execute_plan_with, execute_query, execute_query_with, explain_query,
+    execute_plan, execute_plan_with, execute_query, execute_query_with, explain_query, BUILD_LEFT,
+    BUILD_RIGHT,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use locate::{locate_rows, Located};

@@ -68,6 +68,7 @@ impl<'a> Planner<'a> {
     /// Compile a query into a physical plan.
     pub fn plan(&self, q: &Query) -> Result<PlanNode> {
         let mut bindings = self.resolve_bindings(q)?;
+        prune_unreferenced(q, &mut bindings);
 
         // Partition WHERE conjuncts: per-binding vs residual.
         let mut residual: Vec<Expr> = Vec::new();
@@ -208,11 +209,10 @@ impl<'a> Planner<'a> {
         bindings: &[Binding],
         residual: &mut Vec<Expr>,
     ) -> Result<Option<PlanNode>> {
-        // `SELECT *` (empty or wildcard select list) exposes the join
-        // column order directly: do not reorder.
+        // `SELECT *` exposes the join column order directly: do not
+        // reorder.
         if bindings.len() < 3
-            || q.select.is_empty()
-            || q.select.iter().any(|s| matches!(s.expr, Expr::Wildcard))
+            || selects_star(q)
             || q.joins.iter().any(|j| j.kind != JoinKind::Inner)
         {
             return Ok(None);
@@ -450,32 +450,12 @@ impl<'a> Planner<'a> {
         // Needed columns: every column of the query owned by a prefix
         // binding (dedup by output name).
         let mut needed: Vec<(Option<String>, String)> = Vec::new();
-        let mut push_cols = |e: &Expr| {
-            for (qual, name) in e.columns() {
-                if let Some(i) = binding_of_column(bindings, qual.as_deref(), name) {
-                    if i < len && !needed.iter().any(|(_, n)| n == name) {
-                        needed.push((qual.clone(), name.to_string()));
-                    }
+        for (qual, name) in query_exprs(q).flat_map(Expr::columns) {
+            if let Some(i) = binding_of_column(bindings, qual.as_deref(), name) {
+                if i < len && !needed.iter().any(|(_, n)| n == name) {
+                    needed.push((qual.clone(), name.to_string()));
                 }
             }
-        };
-        for item in &q.select {
-            push_cols(&item.expr);
-        }
-        for j in &q.joins {
-            push_cols(&j.on);
-        }
-        if let Some(f) = &q.filter {
-            push_cols(f);
-        }
-        for g in &q.group_by {
-            push_cols(g);
-        }
-        if let Some(h) = &q.having {
-            push_cols(h);
-        }
-        for (e, _) in &q.order_by {
-            push_cols(e);
         }
 
         let remote_table_name = |b: &Binding| b.remote_table_name();
@@ -1117,6 +1097,82 @@ fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> PlanNode {
         };
     }
     node
+}
+
+/// `SELECT *`: an empty or wildcard select list names every column.
+fn selects_star(q: &Query) -> bool {
+    q.select.is_empty() || q.select.iter().any(|s| matches!(s.expr, Expr::Wildcard))
+}
+
+/// Every expression of the query that can name a column.
+fn query_exprs(q: &Query) -> impl Iterator<Item = &Expr> {
+    let select = q.select.iter().map(|s| &s.expr);
+    let on = q.joins.iter().map(|j| &j.on);
+    let order = q.order_by.iter().map(|(e, _)| e);
+    select
+        .chain(on)
+        .chain(&q.filter)
+        .chain(&q.group_by)
+        .chain(&q.having)
+        .chain(order)
+}
+
+/// Prune the schema of every local column-table binding to the columns
+/// the query names, so its leaf decodes and clones only those
+/// (`SELECT *` keeps all; a binding nothing names, as under
+/// `COUNT(*)`, keeps its first column — a row needs one).
+///
+/// A reference marks the binding its qualifier names; an unqualified
+/// one, or one whose qualifier is no binding of that column (which
+/// `resolve_column` then suffix-matches), marks every binding with a
+/// column of that name — so what resolved, or was ambiguous, over the
+/// full schemas still is over the pruned ones.
+fn prune_unreferenced(q: &Query, bindings: &mut [Binding]) {
+    if selects_star(q) {
+        return;
+    }
+    let mut keep: Vec<Vec<bool>> = bindings
+        .iter()
+        .map(|b| vec![false; b.schema.len()])
+        .collect();
+    // One scratch key and hit list for the whole walk: this runs per
+    // planned statement, point lookups included.
+    let (mut key, mut hits) = (String::new(), Vec::new());
+    let mut mark = |e: &Expr| {
+        let Expr::Column { qualifier, name } = e else {
+            return;
+        };
+        // (binding, column) of every binding with a column of that name.
+        hits.clear();
+        for (bi, b) in bindings.iter().enumerate() {
+            key.clear();
+            key.extend([b.name.as_str(), ".", name.as_str()]);
+            if let Some(i) = b.schema.index_of(&key) {
+                hits.push((bi, i));
+            }
+        }
+        let owner = hits
+            .iter()
+            .find(|(bi, _)| Some(&bindings[*bi].name) == qualifier.as_ref());
+        for &(bi, i) in owner.map_or(&hits[..], std::slice::from_ref) {
+            keep[bi][i] = true;
+        }
+    };
+    query_exprs(q).for_each(|e| e.walk(&mut mark));
+    for (b, mut keep) in bindings.iter_mut().zip(keep) {
+        if !matches!(b.source, BindingKind::Table(TableSource::Column(_))) {
+            continue;
+        }
+        if !keep.contains(&false) {
+            continue;
+        }
+        if !keep.contains(&true) {
+            keep[0] = true;
+        }
+        let cols = b.schema.columns().iter().zip(keep);
+        let cols = cols.filter(|(_, k)| *k).map(|(c, _)| c.clone()).collect();
+        b.schema = Schema::new(cols).expect("subset of a valid schema");
+    }
 }
 
 /// Which binding owns column `(qualifier, name)`? `None` if ambiguous or

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use hana_data_platform::platform::{HanaPlatform, Session};
-use hana_data_platform::query::TableSource;
+use hana_data_platform::query::{locate_rows, TableSource};
 use hana_data_platform::sql::{evaluate, evaluate_predicate, parse_statement, Expr, Statement};
 use hana_data_platform::{Row, Schema, Value};
 
@@ -263,4 +263,37 @@ fn keyed_dml_on_a_large_table_seeks_instead_of_scanning() {
 
     let left = hana.execute_sql(&s, "SELECT COUNT(*) FROM big").unwrap();
     assert_eq!(left.scalar().unwrap().as_i64(), Some(99_998));
+}
+
+/// `locate_rows` plans `SELECT *`: whatever the filter names, a located
+/// row carries every column of the table (an UPDATE rewrites the whole
+/// row from it), never the SELECT path's pruned leaf projection.
+#[test]
+fn located_rows_carry_every_column() {
+    let hana = HanaPlatform::new_in_memory();
+    let s = hana.connect("SYSTEM", "manager").unwrap();
+    create(&hana, &s, "column");
+    let mut rng = TestRng::deterministic("dml_locate-columns");
+    let rows: Vec<Row> = (0..50).map(|_| random_row(&mut rng)).collect();
+    hana.load_rows(&s, "t", &rows).unwrap();
+    hana.execute_sql(&s, "CREATE INDEX ix_k ON t (k)").unwrap();
+
+    let cid = hana.transaction_manager().last_commit_id();
+    let exec = hana_exec::ExecContext::global();
+    let schema: Schema = hana.catalog().table("t").unwrap().source.schema();
+    for sql in [
+        "SELECT g FROM t WHERE k = 7",
+        "SELECT g FROM t WHERE g + 1 > 2",
+    ] {
+        let filter = filter_of(sql);
+        let located = locate_rows(exec, hana.catalog().as_ref(), "t", Some(&filter), cid).unwrap();
+        let got: Vec<Row> = located.into_iter().flat_map(|l| l.rows).collect();
+        let want: Vec<Row> = rows
+            .iter()
+            .filter(|r| evaluate_predicate(&filter, &schema, r).unwrap())
+            .cloned()
+            .collect();
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(multiset(&got), multiset(&want), "{sql}");
+    }
 }

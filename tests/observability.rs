@@ -227,6 +227,81 @@ fn profile_query_federated_records_remote_span() {
     assert!(remote.bytes.unwrap_or(0) > 0);
 }
 
+fn attr(node: &hana_data_platform::obs::ProfileNode, name: &str) -> u64 {
+    let found = node.attrs.iter().find(|(n, _)| n == name);
+    found
+        .unwrap_or_else(|| panic!("span {} has no attr {name}: {:?}", node.name, node.attrs))
+        .1
+}
+
+/// The profile alone says what a join and its leaves cost: which input
+/// the hash table went over, how many rows each side had, and how many
+/// of the table's columns each leaf materialised.
+#[test]
+fn profile_query_shows_build_side_and_leaf_columns() {
+    use hana_data_platform::query::{BUILD_LEFT, BUILD_RIGHT};
+    let hana = HanaPlatform::new_in_memory();
+    let s = hana.connect("SYSTEM", "manager").unwrap();
+    hana.execute_sql(
+        &s,
+        "CREATE COLUMN TABLE t (k INTEGER, v INTEGER, note VARCHAR(8))",
+    )
+    .unwrap();
+    hana.execute_sql(
+        &s,
+        "CREATE COLUMN TABLE d (id INTEGER, name VARCHAR(8), pad INTEGER)",
+    )
+    .unwrap();
+    let rows =
+        (0..1_000).map(|i| Row::from_values([Value::Int(i), Value::Int(i % 7), Value::from("n")]));
+    hana.load_rows(&s, "t", &rows.collect::<Vec<_>>()).unwrap();
+    let rows = (0..7).map(|i| Row::from_values([Value::Int(i), Value::from("d"), Value::Int(0)]));
+    hana.load_rows(&s, "d", &rows.collect::<Vec<_>>()).unwrap();
+
+    // Whichever way round the join is written, the 7-row input is built.
+    for (sql, side) in [
+        (
+            "SELECT t.k, d.name FROM t JOIN d ON t.v = d.id",
+            BUILD_RIGHT,
+        ),
+        ("SELECT t.k, d.name FROM d JOIN t ON t.v = d.id", BUILD_LEFT),
+    ] {
+        let (rs, profile) = hana.profile_query(&s, sql).unwrap();
+        assert_eq!(rs.len(), 1_000, "{sql}");
+        let join = profile.find("hash_join").expect("hash_join span");
+        assert_eq!(attr(join, "build_rows"), 7, "{}", profile.render());
+        assert_eq!(attr(join, "probe_rows"), 1_000);
+        assert_eq!(attr(join, "build_side"), side, "{}", profile.render());
+        for leaf in ["column_scan[t]", "column_scan[d]"] {
+            let scan = profile.find(leaf).expect("leaf span");
+            assert_eq!(attr(scan, "columns"), 2, "{}", profile.render());
+            assert_eq!(attr(scan, "table_columns"), 3);
+        }
+    }
+    // An outer join keeps its build side: unmatched left rows fall out
+    // of the probe.
+    let (_, profile) = hana
+        .profile_query(&s, "SELECT t.k, d.name FROM d LEFT JOIN t ON t.v = d.id")
+        .unwrap();
+    let join = profile.find("hash_join").expect("hash_join span");
+    assert_eq!(attr(join, "build_side"), BUILD_RIGHT);
+    assert_eq!(attr(join, "build_rows"), 1_000);
+
+    // A leaf pruned to the named columns still feeds the fused,
+    // vid-keyed group-by; `SELECT *` still materialises every column.
+    let (rs, profile) = hana
+        .profile_query(&s, "SELECT v, COUNT(*), SUM(k) FROM t GROUP BY v")
+        .unwrap();
+    assert_eq!(rs.len(), 7);
+    let group_by = profile.find("group_by").expect("group_by span");
+    assert_eq!(attr(group_by, "fused"), 1, "{}", profile.render());
+    let (_, profile) = hana
+        .profile_query(&s, "SELECT * FROM t WHERE k < 5")
+        .unwrap();
+    let scan = profile.find("column_scan[t]").expect("leaf span");
+    assert_eq!(attr(scan, "columns"), 3);
+}
+
 /// Every counter present in `before` must be <= its value in `after`.
 fn assert_monotone(
     before: &hana_data_platform::obs::RegistrySnapshot,
