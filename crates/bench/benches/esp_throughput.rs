@@ -1,8 +1,10 @@
 //! E8 — ESP ingest throughput for the §3.2 use cases: plain window
 //! retention, prefilter + aggregate, ESP join enrichment, and pattern
-//! matching.
+//! matching (medians of 15 runs of 20 000 events).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use hana_bench::median_nanos;
 use hana_esp::EspEngine;
 use hana_types::{DataType, ResultSet, Row, Schema, Value};
 
@@ -32,68 +34,71 @@ fn ev(i: usize) -> Row {
     ])
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("esp_throughput");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(EVENTS as u64));
+fn main() {
+    let report = |name: &str, nanos: u128| {
+        println!(
+            "{name:<24}: {:>8.3} ms  ({:.2} M events/s)",
+            nanos as f64 / 1e6,
+            EVENTS as f64 * 1e3 / nanos as f64
+        );
+    };
 
-    group.bench_function("prefilter_window_ingest", |b| {
-        b.iter(|| {
+    report(
+        "prefilter_window_ingest",
+        median_nanos(|| {
             let esp = engine();
             for i in 0..EVENTS {
                 esp.send("events", i as i64, ev(i)).unwrap();
             }
-            esp.window_snapshot("health").unwrap()
-        })
-    });
+            black_box(esp.window_snapshot("health").unwrap());
+        }),
+    );
 
-    group.bench_function("esp_join_enrichment", |b| {
-        let esp = engine();
-        esp.register_reference(
-            "cells",
-            ResultSet::new(
-                Schema::of(&[("cell_id", DataType::Varchar), ("city", DataType::Varchar)]),
-                (0..4)
-                    .map(|i| {
-                        Row::from_values([
-                            Value::from(format!("c{}", i + 1)),
-                            Value::from(format!("city-{i}")),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        esp.deploy(
-            "CREATE OUTPUT STREAM located AS \
-             SELECT e.cell, r.city, e.load FROM events e JOIN cells r ON e.cell = r.cell_id \
-             WHERE e.load > 50",
-        )
-        .unwrap();
-        b.iter(|| {
+    let esp = engine();
+    esp.register_reference(
+        "cells",
+        ResultSet::new(
+            Schema::of(&[("cell_id", DataType::Varchar), ("city", DataType::Varchar)]),
+            (0..4)
+                .map(|i| {
+                    Row::from_values([
+                        Value::from(format!("c{}", i + 1)),
+                        Value::from(format!("city-{i}")),
+                    ])
+                })
+                .collect(),
+        ),
+    );
+    esp.deploy(
+        "CREATE OUTPUT STREAM located AS \
+         SELECT e.cell, r.city, e.load FROM events e JOIN cells r ON e.cell = r.cell_id \
+         WHERE e.load > 50",
+    )
+    .unwrap();
+    report(
+        "esp_join_enrichment",
+        median_nanos(|| {
             for i in 0..EVENTS {
                 esp.send("events", i as i64, ev(i)).unwrap();
             }
-        })
-    });
+        }),
+    );
 
-    group.bench_function("pattern_matching", |b| {
-        let esp = engine();
-        esp.define_pattern(
-            "spike",
-            "events",
-            &["load > 90", "load > 95", "kind = 'billing'"],
-            60,
-        )
-        .unwrap();
-        b.iter(|| {
+    let esp = engine();
+    esp.define_pattern(
+        "spike",
+        "events",
+        &["load > 90", "load > 95", "kind = 'billing'"],
+        60,
+    )
+    .unwrap();
+    report(
+        "pattern_matching",
+        median_nanos(|| {
             for i in 0..EVENTS {
                 esp.send("events", i as i64 * 1000, ev(i)).unwrap();
             }
-            esp.take_alerts("spike")
-        })
-    });
-    group.finish();
+            black_box(esp.take_alerts("spike"));
+        }),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,16 +2,17 @@
 //! TPC-H setup.
 //!
 //! The full 12-query tables are produced by
-//! `cargo run --release --example tpch_federated`; this Criterion bench
-//! measures representative queries from both groups (all-remote Q6/Q1*
-//! and mixed Q14) in SDA-normal vs. cache-hit mode, plus the one-time
-//! materialization (CTAS) cost.
+//! `cargo run --release --example tpch_federated`; this generator takes
+//! representative queries from both groups (all-remote Q6/Q1* and mixed
+//! Q14) in SDA-normal vs. cache-hit mode, plus the one-time
+//! materialization (CTAS) cost. Per row: the MR jobs one execution
+//! launches and the time the cluster models for it (both repeat
+//! exactly), and the measured median of 15 executions.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use hana_bench::{TpchWorld, WorldConfig};
-use hana_tpch::queries;
+use hana_bench::{median_nanos, QueryRun, TpchWorld, WorldConfig};
+use hana_tpch::{queries, TpchQuery};
 
 fn config() -> WorldConfig {
     WorldConfig {
@@ -25,54 +26,64 @@ fn config() -> WorldConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+/// One row: `first` gives the job count and the modelled time, the
+/// measured column is the median over 15 further executions.
+fn report(label: &str, first: QueryRun, mut run: impl FnMut() -> QueryRun) {
+    let measured = median_nanos(|| {
+        run();
+    });
+    println!(
+        "{label:<14} | {:>4} | {:>6.1}ms | {:>6.2}ms",
+        first.mr_jobs,
+        first.modelled.as_secs_f64() * 1e3,
+        measured as f64 / 1e6
+    );
+}
+
+fn main() {
     let cfg = config();
     let remote_world = TpchWorld::build(&cfg, false).unwrap();
     let local_part_world = TpchWorld::build(&cfg, true).unwrap();
     remote_world.hana.set_remote_cache(true, 1_000_000);
     local_part_world.hana.set_remote_cache(true, 1_000_000);
     let all = queries();
+    let query = |name: &str| -> TpchQuery { all.iter().find(|q| q.name == name).unwrap().clone() };
 
-    let mut group = c.benchmark_group("fig14");
-    group.sample_size(10);
+    println!("query/mode     | jobs | modelled | measured");
     for name in ["Q6", "Q1*", "Q14"] {
-        let q = all.iter().find(|q| q.name == name).unwrap().clone();
+        let q = query(name);
         let world = if remote_world.fits(name) {
             &remote_world
         } else {
             &local_part_world
         };
-        let tag = name.replace('*', "s");
-        group.bench_function(format!("{tag}/normal"), |b| {
-            b.iter(|| world.run(&q, false).unwrap())
-        });
-        // Warm the cache once, then measure steady-state hits.
+        report(
+            &format!("{name}/normal"),
+            world.run(&q, false).unwrap(),
+            || world.run(&q, false).unwrap(),
+        );
+        // Materialize once, then measure steady-state hits.
         world.run(&q, true).unwrap();
-        group.bench_function(format!("{tag}/cache_hit"), |b| {
-            b.iter(|| world.run(&q, true).unwrap())
-        });
+        report(
+            &format!("{name}/cache_hit"),
+            world.run(&q, true).unwrap(),
+            || world.run(&q, true).unwrap(),
+        );
     }
-    group.finish();
 
-    // Figure 15: the one-time materialization cost (CTAS) for Q6.
-    let mut group = c.benchmark_group("fig15_materialization_overhead");
-    group.sample_size(10);
-    let q6 = all.iter().find(|q| q.name == "Q6").unwrap().clone();
-    group.bench_function("Q6/ctas_cost", |b| {
-        b.iter(|| {
-            // Force a fresh materialization by running against a query
-            // variant with a unique predicate (distinct cache key).
-            static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut q = q6.clone();
-            q.sql = q
-                .sql
-                .replace("l_quantity < 24", &format!("l_quantity < {}", 24 + (n % 3)));
-            remote_world.run(&q, true).unwrap()
-        })
-    });
-    group.finish();
+    // Figure 15: the one-time materialization cost (CTAS) for Q6. Each
+    // execution gets a predicate no earlier one used (a distinct cache
+    // key), so every one of them materializes.
+    let q6 = query("Q6");
+    let mut n = 0;
+    let mut fresh_ctas = || {
+        n += 1;
+        let mut q = q6.clone();
+        q.sql = q
+            .sql
+            .replace("l_quantity < 24", &format!("l_quantity < {}", 24 + n));
+        remote_world.run(&q, true).unwrap()
+    };
+    let first = fresh_ctas();
+    report("Q6/ctas", first, fresh_ctas);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,10 +2,13 @@
 //! more than a factor of 10 compared to row-oriented storage and more
 //! than a factor of 3 compared to columnar storage".
 //!
-//! Benchmarks ingest and scan throughput of the three layouts and prints
-//! the measured compression factors once at startup.
+//! Prints the measured compression factors of the three layouts, then
+//! ingest and scan throughput of the time-series engine (medians of 15
+//! runs).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::hint::black_box;
+
+use hana_bench::median_nanos;
 use hana_columnar::{Compensation, TimeSeriesTable};
 
 const POINTS: usize = 100_000;
@@ -48,29 +51,35 @@ fn report_compression() {
     assert!(col as f64 / ts as f64 > 3.0);
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     report_compression();
 
-    let mut group = c.benchmark_group("fig2_timeseries");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(POINTS as u64));
-    group.bench_function(BenchmarkId::new("ingest", POINTS), |b| {
-        b.iter(|| build(POINTS))
-    });
-
+    let report = |name: &str, nanos: u128| {
+        println!(
+            "{name:<18}: {:>8.3} ms  ({:.1} M points/s)",
+            nanos as f64 / 1e6,
+            POINTS as f64 * 1e3 / nanos as f64
+        );
+    };
+    report(
+        "ingest",
+        median_nanos(|| {
+            black_box(build(POINTS));
+        }),
+    );
     let table = build(POINTS);
-    group.bench_function(BenchmarkId::new("scan_compensated", POINTS), |b| {
-        b.iter(|| {
+    report(
+        "scan_compensated",
+        median_nanos(|| {
             let v = table.series_values(0);
             assert_eq!(v.len(), POINTS);
-            v
-        })
-    });
-    group.bench_function(BenchmarkId::new("windowed_avg", POINTS), |b| {
-        b.iter(|| table.avg(0, 0, POINTS as i64 * 60_000_000 / 2))
-    });
-    group.finish();
+            black_box(v);
+        }),
+    );
+    report(
+        "windowed_avg",
+        median_nanos(|| {
+            black_box(table.avg(0, 0, POINTS as i64 * 60_000_000 / 2));
+        }),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

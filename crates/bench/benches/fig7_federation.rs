@@ -4,12 +4,16 @@
 //! plus the optimizer's own choice.
 //!
 //! Plans are constructed explicitly so each strategy is measured even
-//! when the cost model would not pick it.
+//! when the cost model would not pick it. Times are measured medians
+//! of 15 runs; there is no modelled component — the extended store is
+//! reached in-process and its adapter charges no start-up or transfer
+//! cost (only the Hive cluster of Figures 14/15 does).
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hana_bench::median_nanos;
 use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_iq::IqEngine;
 use hana_query::{
@@ -165,25 +169,26 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cat = world();
     let expected = (FACT_ROWS / DIM_ROWS) as usize;
+    println!("strategy          | measured (modelled: none)");
+    let report = |name: &str, nanos: u128| println!("{name:<17} | {:>6.2}ms", nanos as f64 / 1e6);
 
-    let mut group = c.benchmark_group("fig7_federation");
-    group.sample_size(10);
     for strategy in [
         FederationStrategy::RemoteScan,
         FederationStrategy::SemiJoin,
         FederationStrategy::TableRelocation,
     ] {
         let plan = strategy_plan(&cat, strategy);
-        group.bench_function(strategy.name().replace(' ', "_"), |b| {
-            b.iter(|| {
+        report(
+            strategy.name(),
+            median_nanos(|| {
                 let rs = execute_plan(&plan, &cat, 1).unwrap();
                 assert_eq!(rs.len(), expected, "{strategy:?}");
-                rs
-            })
-        });
+                black_box(rs);
+            }),
+        );
     }
     // What the cost-based optimizer actually picks for the scenario.
     let Statement::Query(q) = parse_statement(
@@ -194,16 +199,15 @@ fn bench(c: &mut Criterion) {
         unreachable!()
     };
     let chosen = PlannerContext::new(&cat).planner().plan(&q).unwrap();
+    assert!(chosen.strategies().contains(&FederationStrategy::SemiJoin));
+    report(
+        "optimizer choice",
+        median_nanos(|| {
+            black_box(execute_plan(&chosen, &cat, 1).unwrap());
+        }),
+    );
     println!(
         "optimizer choice for the Figure 7 scenario: {:?}",
         chosen.strategies()
     );
-    assert!(chosen.strategies().contains(&FederationStrategy::SemiJoin));
-    group.bench_function("optimizer_choice", |b| {
-        b.iter(|| execute_plan(&chosen, &cat, 1).unwrap())
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

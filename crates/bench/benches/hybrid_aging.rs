@@ -1,7 +1,10 @@
 //! E7 — hybrid tables: aging cost and the query-performance trade-off
-//! between all-hot, hybrid (union plan) and all-cold placements.
+//! between all-hot, hybrid (union plan) and all-cold placements
+//! (medians of 15 runs).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use hana_bench::median_nanos;
 use hana_core::HanaPlatform;
 use hana_types::{Row, Value};
 
@@ -32,35 +35,31 @@ fn platform_with_hybrid(aged_fraction: f64) -> (HanaPlatform, hana_core::Session
     (hana, s)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hybrid_aging");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
+fn main() {
+    let report = |name: &str, nanos: u128| println!("{name:<28}: {:>8.3} ms", nanos as f64 / 1e6);
 
-    group.bench_function("aging_run_80pct", |b| {
-        b.iter(|| {
+    // Load + merge + age, 80 % of the rows flagged.
+    report(
+        "load_and_age_80pct",
+        median_nanos(|| {
             let (hana, s) = platform_with_hybrid(0.8);
             let moved = hana.run_aging(&s, "sales").unwrap();
             assert_eq!(moved as i64, ROWS * 8 / 10);
-            hana
-        })
-    });
+        }),
+    );
 
     // Query cost by placement (same data, different hot/cold split).
     let q = "SELECT year, SUM(amount) FROM sales WHERE year >= 2015 GROUP BY year";
     for (label, aged) in [("all_hot", 0.0), ("mixed_50_50", 0.5), ("mostly_cold", 0.9)] {
         let (hana, s) = platform_with_hybrid(aged);
         hana.run_aging(&s, "sales").unwrap();
-        group.bench_function(format!("aggregate_query/{label}"), |b| {
-            b.iter(|| {
+        report(
+            &format!("aggregate_query/{label}"),
+            median_nanos(|| {
                 let rs = hana.execute_sql(&s, q).unwrap();
                 assert_eq!(rs.len(), 5);
-                rs
-            })
-        });
+                black_box(rs);
+            }),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

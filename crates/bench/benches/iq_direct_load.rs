@@ -1,8 +1,10 @@
 //! E9 — extended storage: direct-load throughput ("Big Data scenarios
 //! with high ingestion rate requirements", §3.1) and the zone-map /
-//! bitmap-index pruning ablation.
+//! bitmap-index pruning ablation (medians of 15 runs).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use hana_bench::median_nanos;
 use hana_columnar::ColumnPredicate;
 use hana_iq::IqEngine;
 use hana_types::{DataType, Row, Schema, Value};
@@ -29,74 +31,59 @@ fn schema() -> Schema {
     ])
 }
 
-fn bench_direct_load(c: &mut Criterion) {
+fn main() {
+    let report = |name: &str, nanos: u128| println!("{name:<24}: {:>8.3} ms", nanos as f64 / 1e6);
+
     let data = rows(ROWS);
-    let mut group = c.benchmark_group("iq_direct_load");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
-    group.bench_function("bulk_load_100k", |b| {
-        b.iter(|| {
+    report(
+        "bulk_load_100k",
+        median_nanos(|| {
             let iq = IqEngine::new("iq-load", 512).unwrap();
             iq.create_table("t", schema()).unwrap();
             iq.direct_load("t", &data, 1).unwrap();
-            iq
-        })
-    });
-    group.finish();
-}
+        }),
+    );
 
-fn bench_pruning(c: &mut Criterion) {
     let iq = IqEngine::new("iq-prune", 4096).unwrap();
     iq.create_table("t", schema()).unwrap();
-    iq.direct_load("t", &rows(ROWS), 1).unwrap();
-
-    let mut group = c.benchmark_group("iq_scan_ablation");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
+    iq.direct_load("t", &data, 1).unwrap();
+    let scan = |column: &str, pred: ColumnPredicate, project: &str| {
+        median_nanos(|| {
+            black_box(
+                iq.scan(
+                    "t",
+                    &[(column.to_string(), pred.clone())],
+                    Some(&[project.to_string()]),
+                    1,
+                )
+                .unwrap(),
+            );
+        })
+    };
     // Zone maps prune: the id column is load-ordered, so a narrow range
     // touches one chunk in ~25.
-    group.bench_function("range_scan_prunable", |b| {
-        b.iter(|| {
-            iq.scan(
-                "t",
-                &[(
-                    "id".into(),
-                    ColumnPredicate::Between(Value::Int(1_000), Value::Int(1_100)),
-                )],
-                Some(&["id".to_string()]),
-                1,
-            )
-            .unwrap()
-        })
-    });
+    report(
+        "range_scan_prunable",
+        scan(
+            "id",
+            ColumnPredicate::Between(Value::Int(1_000), Value::Int(1_100)),
+            "id",
+        ),
+    );
     // The same selectivity on an unordered column defeats zone maps.
-    group.bench_function("range_scan_unprunable", |b| {
-        b.iter(|| {
-            iq.scan(
-                "t",
-                &[(
-                    "v".into(),
-                    ColumnPredicate::Between(Value::Double(10.0), Value::Double(11.0)),
-                )],
-                Some(&["id".to_string()]),
-                1,
-            )
-            .unwrap()
-        })
-    });
+    report(
+        "range_scan_unprunable",
+        scan(
+            "v",
+            ColumnPredicate::Between(Value::Double(10.0), Value::Double(11.0)),
+            "id",
+        ),
+    );
     // Equality on a 3-value column: served by the FP-style bitmap index.
-    group.bench_function("bitmap_index_equality", |b| {
-        b.iter(|| {
-            iq.scan(
-                "t",
-                &[("kind".into(), ColumnPredicate::Eq(Value::from("gps")))],
-                Some(&["kind".to_string()]),
-                1,
-            )
-            .unwrap()
-        })
-    });
-    group.finish();
+    report(
+        "bitmap_index_equality",
+        scan("kind", ColumnPredicate::Eq(Value::from("gps")), "kind"),
+    );
 
     let (hits, misses) = iq.cache().stats();
     let pruned = iq
@@ -105,6 +92,3 @@ fn bench_pruning(c: &mut Criterion) {
         .load(std::sync::atomic::Ordering::Relaxed);
     println!("buffer cache: {hits} hits / {misses} misses; chunks pruned: {pruned}");
 }
-
-criterion_group!(benches, bench_direct_load, bench_pruning);
-criterion_main!(benches);

@@ -1,8 +1,10 @@
 //! E6 — PAL: apriori mining cost over warranty-claim-style transactions
 //! (§4.1) and classifier scoring latency ("classify new readouts …
-//! in real-time").
+//! in real-time"); medians of 15 runs.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use hana_bench::median_nanos;
 use hana_pal::{apriori, kmeans, AprioriParams, RuleClassifier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,20 +31,19 @@ fn transactions(n: usize) -> Vec<Vec<String>> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let txs = transactions(10_000);
     let params = AprioriParams {
         min_support: 0.005,
         min_confidence: 0.8,
         max_len: 3,
     };
+    let ms = |nanos: u128| nanos as f64 / 1e6;
 
-    let mut group = c.benchmark_group("pal");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(txs.len() as u64));
-    group.bench_function("apriori_10k_transactions", |b| {
-        b.iter(|| apriori(&txs, params).unwrap())
+    let mining = median_nanos(|| {
+        black_box(apriori(&txs, params).unwrap());
     });
+    println!("apriori_10k_transactions : {:>8.3} ms", ms(mining));
 
     let rules = apriori(&txs, params).unwrap();
     println!("mined {} rules (confidence >= 0.8)", rules.len());
@@ -52,21 +53,24 @@ fn bench(c: &mut Criterion) {
         "hot".to_string(),
         "city".to_string(),
     ];
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("classifier_score_single_readout", |b| {
-        b.iter(|| clf.score(&readout))
+    // One score is tens of nanoseconds: time a batch per sample.
+    const SCORES: u32 = 10_000;
+    let scoring = median_nanos(|| {
+        for _ in 0..SCORES {
+            black_box(clf.score(black_box(&readout)));
+        }
     });
+    println!(
+        "classifier_score_readout : {:>8.1} ns",
+        scoring as f64 / SCORES as f64
+    );
 
     // k-means on load profiles.
     let points: Vec<Vec<f64>> = (0..5_000)
         .map(|i| vec![(i % 100) as f64, ((i * 7) % 50) as f64])
         .collect();
-    group.throughput(Throughput::Elements(points.len() as u64));
-    group.bench_function("kmeans_5k_points_k4", |b| {
-        b.iter(|| kmeans(&points, 4, 25).unwrap())
+    let clustering = median_nanos(|| {
+        black_box(kmeans(&points, 4, 25).unwrap());
     });
-    group.finish();
+    println!("kmeans_5k_points_k4      : {:>8.3} ms", ms(clustering));
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! # hana-bench
 //!
-//! Shared harness code for the benchmark suite: the TPC-H federation
-//! world of the paper's §4.4 experiment (HANA + Hive side-by-side with
-//! the paper's table placement) and the measurement loop that
-//! regenerates Figures 14 and 15.
+//! The generators of the paper's figures (EXPERIMENTS.md E1–E9): the
+//! TPC-H federation world of the §4.4 experiment (HANA + Hive
+//! side-by-side with the paper's table placement), the measurement loop
+//! that regenerates Figures 14 and 15, and the median sampler the
+//! `benches/` figure generators share. Regression numbers live in
+//! `benchmark/`, not here.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,9 +15,7 @@ use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig, MrFunctionRegistry};
 use hana_tpch::{federated_tables, local_tables, queries, TpchQuery};
 use hana_types::Result;
 
-/// Median wall time of 15 runs of `f`, in nanoseconds — the sampler
-/// behind the `BENCH_*.json` summaries (the criterion stand-in reports
-/// means on stdout only).
+/// Median wall time of 15 runs of `f`, in nanoseconds.
 pub fn median_nanos(mut f: impl FnMut()) -> u128 {
     const RUNS: usize = 15;
     let mut samples = Vec::with_capacity(RUNS);
@@ -40,7 +40,8 @@ pub struct TpchWorld {
     pub part_local: bool,
 }
 
-/// Cluster knobs of the simulated Hadoop environment.
+/// Cluster knobs of the simulated Hadoop environment. The three costs
+/// are modelled — charged to `MrCluster::modelled`, never waited for.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// TPC-H scale factor (0.01 ≈ 1.5k customers / ~60k lineitems).
@@ -147,16 +148,43 @@ impl TpchWorld {
     }
 
     /// Run one query, optionally with `WITH HINT (USE_REMOTE_CACHE)`.
-    /// Returns the elapsed time and row count.
-    pub fn run(&self, q: &TpchQuery, cached: bool) -> Result<(Duration, usize)> {
+    pub fn run(&self, q: &TpchQuery, cached: bool) -> Result<QueryRun> {
         let sql = if cached {
             format!("{} WITH HINT (USE_REMOTE_CACHE)", q.sql)
         } else {
             q.sql.clone()
         };
+        let cluster = self.hive.cluster();
+        let (jobs_before, modelled_before) = (cluster.counters().0, cluster.modelled());
         let start = Instant::now();
         let rs = self.hana.execute_sql(&self.session, &sql)?;
-        Ok((start.elapsed(), rs.len()))
+        Ok(QueryRun {
+            measured: start.elapsed(),
+            modelled: cluster.modelled() - modelled_before,
+            mr_jobs: cluster.counters().0 - jobs_before,
+            rows: rs.len(),
+        })
+    }
+}
+
+/// What one execution of one query cost and returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryRun {
+    /// Wall time of the statement; nothing in it sleeps.
+    pub measured: Duration,
+    /// MR start-up and ODBC transfer time the Hive cluster charged
+    /// meanwhile — a function of the plan and the data, not of the run.
+    pub modelled: Duration,
+    /// MapReduce jobs the statement launched.
+    pub mr_jobs: u64,
+    /// Result rows.
+    pub rows: usize,
+}
+
+impl QueryRun {
+    /// Modelled + measured: the runtime the figures are computed on.
+    pub fn total(&self) -> Duration {
+        self.modelled + self.measured
     }
 }
 
@@ -168,25 +196,24 @@ pub struct MaterializationRow {
     /// Whether every referenced table is federated.
     pub all_remote: bool,
     /// Baseline (SDA normal mode).
-    pub normal: Duration,
+    pub normal: QueryRun,
     /// First hinted execution (materializes).
-    pub first_cached: Duration,
+    pub first_cached: QueryRun,
     /// Steady-state hinted execution (cache hit).
-    pub steady_cached: Duration,
-    /// Result rows (sanity: identical across modes).
-    pub rows: usize,
+    pub steady_cached: QueryRun,
 }
 
 impl MaterializationRow {
     /// Figure 14's metric: runtime benefit of remote materialization.
     pub fn benefit_percent(&self) -> f64 {
-        100.0 * (1.0 - self.steady_cached.as_secs_f64() / self.normal.as_secs_f64().max(1e-9))
+        let normal = self.normal.total().as_secs_f64().max(1e-9);
+        100.0 * (1.0 - self.steady_cached.total().as_secs_f64() / normal)
     }
 
     /// Figure 15's metric: one-time materialization overhead.
     pub fn overhead_percent(&self) -> f64 {
-        100.0
-            * (self.first_cached.as_secs_f64() / self.normal.as_secs_f64().max(1e-9) - 1.0).max(0.0)
+        let normal = self.normal.total().as_secs_f64().max(1e-9);
+        100.0 * (self.first_cached.total().as_secs_f64() / normal - 1.0).max(0.0)
     }
 }
 
@@ -208,54 +235,75 @@ pub fn run_materialization_experiment(config: &WorldConfig) -> Result<Vec<Materi
         };
         // Warm the engines once so allocator effects don't skew the
         // first measurement.
-        let (_, expected_rows) = world.run(&q, false)?;
-        let (normal, n1) = world.run(&q, false)?;
-        let (first_cached, n2) = world.run(&q, true)?;
-        let (steady_cached, n3) = world.run(&q, true)?;
-        assert_eq!(n1, expected_rows, "{}: normal runs agree", q.name);
-        assert_eq!(n1, n2, "{}: materialized run returns same rows", q.name);
-        assert_eq!(n1, n3, "{}: cache hit returns same rows", q.name);
+        let warm_up = world.run(&q, false)?;
+        let normal = world.run(&q, false)?;
+        let first_cached = world.run(&q, true)?;
+        let steady_cached = world.run(&q, true)?;
+        assert_eq!(normal.rows, warm_up.rows, "{}: normal runs agree", q.name);
+        assert_eq!(
+            normal.rows, first_cached.rows,
+            "{}: materialized run returns same rows",
+            q.name
+        );
+        assert_eq!(
+            normal.rows, steady_cached.rows,
+            "{}: cache hit returns same rows",
+            q.name
+        );
         rows.push(MaterializationRow {
             name: q.name,
             all_remote: q.all_remote,
             normal,
             first_cached,
             steady_cached,
-            rows: n1,
         });
     }
     Ok(rows)
 }
 
-/// Render the Figure 14 + Figure 15 tables as text.
+/// Render the Figure 14 + Figure 15 tables as text: per mode the MR
+/// jobs launched, the modelled and the measured time; the percentages
+/// are computed on modelled + measured.
 pub fn render_figures(rows: &[MaterializationRow]) -> String {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut sorted: Vec<&MaterializationRow> = rows.iter().collect();
     sorted.sort_by(|a, b| b.benefit_percent().total_cmp(&a.benefit_percent()));
     let mut out = String::new();
     out.push_str("Figure 14 — runtime benefit of remote materialization\n");
-    out.push_str("query   | placement  | normal     | cache hit  | benefit %\n");
-    out.push_str("--------+------------+------------+------------+----------\n");
+    out.push_str(
+        "        |            |        normal (SDA)         |          cache hit          |\n\
+         query   | placement  | jobs | modelled | measured | jobs | modelled | measured | benefit %\n\
+         --------+------------+------+----------+----------+------+----------+----------+----------\n",
+    );
     for r in &sorted {
         out.push_str(&format!(
-            "{:<7} | {:<10} | {:>8.1}ms | {:>8.1}ms | {:>7.2}\n",
+            "{:<7} | {:<10} | {:>4} | {:>6.1}ms | {:>6.1}ms | {:>4} | {:>6.1}ms | {:>6.1}ms | {:>7.2}\n",
             r.name,
             if r.all_remote { "all-remote" } else { "mixed" },
-            r.normal.as_secs_f64() * 1e3,
-            r.steady_cached.as_secs_f64() * 1e3,
+            r.normal.mr_jobs,
+            ms(r.normal.modelled),
+            ms(r.normal.measured),
+            r.steady_cached.mr_jobs,
+            ms(r.steady_cached.modelled),
+            ms(r.steady_cached.measured),
             r.benefit_percent(),
         ));
     }
     out.push('\n');
     let mut by_overhead: Vec<&MaterializationRow> = rows.iter().collect();
     by_overhead.sort_by(|a, b| b.overhead_percent().total_cmp(&a.overhead_percent()));
-    out.push_str("Figure 15 — one-time materialization overhead\n");
-    out.push_str("query   | first cached | overhead %\n");
-    out.push_str("--------+--------------+-----------\n");
+    out.push_str("Figure 15 — one-time materialization overhead (first hinted run)\n");
+    out.push_str(
+        "query   | jobs | modelled | measured | overhead %\n\
+         --------+------+----------+----------+-----------\n",
+    );
     for r in &by_overhead {
         out.push_str(&format!(
-            "{:<7} | {:>10.1}ms | {:>8.2}\n",
+            "{:<7} | {:>4} | {:>6.1}ms | {:>6.1}ms | {:>8.2}\n",
             r.name,
-            r.first_cached.as_secs_f64() * 1e3,
+            r.first_cached.mr_jobs,
+            ms(r.first_cached.modelled),
+            ms(r.first_cached.measured),
             r.overhead_percent(),
         ));
     }

@@ -492,30 +492,6 @@ impl VidCodec {
         record_block_counts(scanned, skipped);
     }
 
-    /// Scalar reference scan: per-row [`get`](Self::get) + per-row
-    /// [`VidMatch::test`], no block skipping. Kept as the correctness
-    /// oracle for proptests and the baseline for the kernel benches.
-    pub fn scan_into_scalar(&self, m: &VidMatch, out: &mut RowIdBitmap, offset: usize) {
-        self.scan_range_into_scalar(m, out, offset, 0, self.len());
-    }
-
-    /// Scalar reference for [`VidCodec::scan_range_into`].
-    pub fn scan_range_into_scalar(
-        &self,
-        m: &VidMatch,
-        out: &mut RowIdBitmap,
-        offset: usize,
-        start: usize,
-        end: usize,
-    ) {
-        let end = end.min(self.len());
-        for row in start..end {
-            if m.test(self.get(row)) {
-                out.set(offset + row - start);
-            }
-        }
-    }
-
     /// Compressed payload size in bytes (what codec selection minimizes).
     pub fn payload_bytes(&self) -> usize {
         self.repr.payload_bytes()
@@ -648,9 +624,6 @@ mod tests {
             let mut out = RowIdBitmap::new(vids.len());
             codec.scan_into(&m, &mut out, 0);
             assert_eq!(out.iter().collect::<Vec<_>>(), expected, "{}", codec.name());
-            let mut scalar = RowIdBitmap::new(vids.len());
-            codec.scan_into_scalar(&m, &mut scalar, 0);
-            assert_eq!(scalar.iter().collect::<Vec<_>>(), expected);
         }
     }
 
@@ -695,15 +668,12 @@ mod tests {
             .collect();
         let c = VidCodec::encode(&vids);
         assert_eq!(c.name(), "plain");
-        let m = VidMatch::range(2000, 2500);
         let mut fast = RowIdBitmap::new(vids.len());
-        let mut slow = RowIdBitmap::new(vids.len());
-        c.scan_into(&m, &mut fast, 0);
-        c.scan_into_scalar(&m, &mut slow, 0);
-        assert_eq!(
-            fast.iter().collect::<Vec<_>>(),
-            slow.iter().collect::<Vec<_>>()
-        );
+        c.scan_into(&VidMatch::range(2000, 2500), &mut fast, 0);
+        let expected: Vec<usize> = (0..vids.len())
+            .filter(|&row| (2000..=2500).contains(&vids[row]))
+            .collect();
+        assert_eq!(fast.iter().collect::<Vec<_>>(), expected);
         assert!(fast.count() > 0);
     }
 

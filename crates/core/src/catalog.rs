@@ -204,26 +204,6 @@ impl PlatformCatalog {
     pub fn statistics(&self, name: &str) -> Option<StatsEntry> {
         self.stats.read().get(&name.to_ascii_lowercase()).cloned()
     }
-
-    /// Drop a table's persisted statistics (without dropping the table).
-    pub fn drop_statistics(&self, name: &str) -> bool {
-        let dropped = self
-            .stats
-            .write()
-            .remove(&name.to_ascii_lowercase())
-            .is_some();
-        if dropped {
-            self.bump_version();
-        }
-        dropped
-    }
-
-    /// Names of all tables with persisted statistics.
-    pub fn tables_with_statistics(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.stats.read().keys().cloned().collect();
-        out.sort();
-        out
-    }
 }
 
 impl StatsProvider for PlatformCatalog {

@@ -19,7 +19,7 @@ use hana_iq::IqEngine;
 use hana_query::{execute_query_with, Catalog as _, PlannerContext, TableFunction, TableSource};
 use hana_sda::{
     ChaosAdapter, ChaosConfig, HadoopMrAdapter, HiveOdbcAdapter, IqAdapter, RemoteCacheConfig,
-    RemoteSourceStats, SdaAdapter,
+    SdaAdapter,
 };
 use hana_sql::{parse_script, parse_statement, Statement};
 use hana_txn::{TransactionManager, TwoPhaseParticipant, TxnHandle};
@@ -190,12 +190,6 @@ impl HanaPlatform {
     /// thresholds.
     pub fn set_remote_cache_config(&self, config: RemoteCacheConfig) {
         self.catalog.sda().set_cache_config(config);
-    }
-
-    /// Resilience statistics of one remote source: breaker state and
-    /// counters, retries spent, stale fallbacks served.
-    pub fn remote_source_stats(&self, source: &str) -> Result<RemoteSourceStats> {
-        self.catalog.sda().source_stats(source)
     }
 
     /// Interpose a deterministic fault injector around a registered

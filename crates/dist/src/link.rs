@@ -73,12 +73,6 @@ impl FaultPlan {
         }
     }
 
-    /// Copy of this plan with per-send latency injected.
-    pub fn with_slow_us(mut self, slow_us: u64) -> FaultPlan {
-        self.slow_us = slow_us;
-        self
-    }
-
     /// Copy of this plan with a specific timeout share.
     pub fn with_timeout_share(mut self, share: f64) -> FaultPlan {
         self.timeout_share = share.clamp(0.0, 1.0);

@@ -227,31 +227,6 @@ impl AdmissionController {
         }
     }
 
-    /// Non-blocking admit: a permit if a slot is free right now, else
-    /// the same rejection taxonomy with a zero wait.
-    pub fn try_admit(&self, class: &str) -> Result<AdmissionPermit<'_>, Rejection> {
-        let obs = hana_obs::registry();
-        let start = Instant::now();
-        let mut st = self.state.lock().unwrap();
-        let idx = st
-            .classes
-            .iter()
-            .position(|c| c.cfg.name == class)
-            .ok_or_else(|| Rejection::UnknownClass(class.to_string()))?;
-        if self.admissible(&st, idx, None) {
-            let stats = self.grant(&mut st, idx);
-            drop(st);
-            Ok(self.permit(idx, class, start, stats, obs))
-        } else {
-            obs.counter(&format!("hana_admission_rejected_total_{class}"))
-                .inc();
-            Err(Rejection::QueueFull {
-                class: class.to_string(),
-                max_queue: st.classes[idx].cfg.max_queue,
-            })
-        }
-    }
-
     /// Whether a statement of class `idx` could start right now.
     ///
     /// Three conditions: class headroom; FIFO order (an already-queued

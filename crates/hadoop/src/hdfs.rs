@@ -35,8 +35,6 @@ pub struct Hdfs {
     replication: usize,
     datanodes: Vec<AtomicU64>, // bytes stored per node
     files: RwLock<BTreeMap<String, HdfsFile>>,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
 }
 
 impl Hdfs {
@@ -54,8 +52,6 @@ impl Hdfs {
             replication: replication.clamp(1, n),
             datanodes: (0..n).map(|_| AtomicU64::new(0)).collect(),
             files: RwLock::new(BTreeMap::new()),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
         }
     }
 
@@ -110,8 +106,6 @@ impl Hdfs {
                 for &n in &last.replicas {
                     self.datanodes[n].fetch_add(take as u64, Ordering::Relaxed);
                 }
-                self.bytes_written
-                    .fetch_add((take * last.replicas.len()) as u64, Ordering::Relaxed);
                 data = &data[take..];
             }
         }
@@ -131,8 +125,6 @@ impl Hdfs {
             for &n in &replicas {
                 self.datanodes[n].fetch_add(chunk.len() as u64, Ordering::Relaxed);
             }
-            self.bytes_written
-                .fetch_add((chunk.len() * replicas.len()) as u64, Ordering::Relaxed);
             file.len += chunk.len();
             file.blocks.push(Block {
                 data: chunk.to_vec(),
@@ -176,8 +168,6 @@ impl Hdfs {
         for b in &file.blocks {
             out.extend_from_slice(&b.data);
         }
-        self.bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
 
@@ -277,14 +267,6 @@ impl Hdfs {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// `(bytes_read, bytes_written_incl_replication)`.
-    pub fn io_stats(&self) -> (u64, u64) {
-        (
-            self.bytes_read.load(Ordering::Relaxed),
-            self.bytes_written.load(Ordering::Relaxed),
-        )
     }
 
     /// Total logical bytes stored.

@@ -309,7 +309,7 @@ impl Hive {
         let (jobs_before, _, _) = self.cluster.counters();
         // Phase 1: derive and register the schema (a metadata round-trip,
         // charged as one job-startup delay).
-        std::thread::sleep(self.cluster.config().job_startup);
+        self.cluster.charge(self.cluster.config().job_startup);
         let rs = self.execute_query(q)?;
         self.create_table(name, rs.schema.clone())?;
         // Phase 2: populate the target table.

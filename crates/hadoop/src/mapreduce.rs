@@ -11,6 +11,10 @@
 //! exists because each job pays fixed scheduling/JVM-startup costs.
 //! [`MrConfig::job_startup`] and [`MrConfig::task_startup`] make those
 //! costs explicit and configurable so the reproduction can sweep them.
+//! They are *charged*, never slept: the cluster keeps a monotone
+//! modelled-time counter ([`MrCluster::modelled`]) beside its job
+//! counters, so a figure built on it is the same on every run and on
+//! any core count.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,6 +110,10 @@ pub struct JobStats {
     pub output_records: u64,
     /// Wall-clock duration.
     pub elapsed: Duration,
+    /// Modelled start-up time this job charged to its cluster:
+    /// `job_startup` plus one `task_startup` per wave of map tasks and
+    /// per wave of reduce tasks over the worker slots.
+    pub modelled: Duration,
 }
 
 /// The cluster: an HDFS plus the job execution engine.
@@ -115,6 +123,7 @@ pub struct MrCluster {
     jobs_run: AtomicU64,
     total_map_tasks: AtomicU64,
     total_reduce_tasks: AtomicU64,
+    modelled_nanos: AtomicU64,
 }
 
 impl MrCluster {
@@ -126,6 +135,7 @@ impl MrCluster {
             jobs_run: AtomicU64::new(0),
             total_map_tasks: AtomicU64::new(0),
             total_reduce_tasks: AtomicU64::new(0),
+            modelled_nanos: AtomicU64::new(0),
         }
     }
 
@@ -148,6 +158,31 @@ impl MrCluster {
         )
     }
 
+    /// Modelled time charged so far: job and task start-up of every
+    /// job run, plus whatever a client charged for moving results out
+    /// of the cluster. Nothing ever waits for it.
+    pub fn modelled(&self) -> Duration {
+        Duration::from_nanos(self.modelled_nanos.load(Ordering::Relaxed))
+    }
+
+    /// Add `cost` to the modelled time.
+    pub fn charge(&self, cost: Duration) {
+        let nanos = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
+        self.modelled_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Charge one `task_startup` per wave of `tasks` over the worker
+    /// slots — the makespan of a phase whose every task pays it.
+    fn charge_phase(&self, tasks: usize) -> Duration {
+        let waves = tasks.div_ceil(self.config.worker_slots.max(1));
+        let cost = self
+            .config
+            .task_startup
+            .saturating_mul(u32::try_from(waves).unwrap_or(u32::MAX));
+        self.charge(cost);
+        cost
+    }
+
     /// Run a job to completion.
     pub fn run_job(
         &self,
@@ -162,8 +197,9 @@ impl MrCluster {
                 spec.name, spec.num_reducers
             )));
         }
-        std::thread::sleep(self.config.job_startup);
         self.jobs_run.fetch_add(1, Ordering::Relaxed);
+        self.charge(self.config.job_startup);
+        let mut modelled = self.config.job_startup;
 
         // Clear a stale output dir (Hadoop would refuse; we overwrite to
         // keep the harness ergonomic).
@@ -186,6 +222,7 @@ impl MrCluster {
                 });
             }
         }
+        modelled += self.charge_phase(tasks.len());
         let input_records = AtomicU64::new(0);
         let map_output_records = AtomicU64::new(0);
         let nparts = spec.num_reducers.max(1);
@@ -202,7 +239,6 @@ impl MrCluster {
                         return;
                     }
                     let task = &tasks[idx];
-                    std::thread::sleep(self.config.task_startup);
                     // A task owns an equal share of the file's lines (the
                     // simulator reads whole files; the share models block
                     // locality).
@@ -260,6 +296,7 @@ impl MrCluster {
                 .append_lines(&format!("{}/part-m-00000", spec.output_dir), &lines)?;
         } else {
             let reducer = reducer.expect("checked above");
+            modelled += self.charge_phase(nparts);
             let reduce_err: Mutex<Option<HanaError>> = Mutex::new(None);
             let next_part = AtomicU64::new(0);
             crossbeam::scope(|scope| {
@@ -269,7 +306,6 @@ impl MrCluster {
                         if p >= nparts || reduce_err.lock().is_some() {
                             return;
                         }
-                        std::thread::sleep(self.config.task_startup);
                         let kvs = std::mem::take(&mut *partitions[p].lock());
                         // Shuffle sort: group values by key.
                         let mut grouped: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -305,6 +341,7 @@ impl MrCluster {
             map_output_records: map_output_records.into_inner(),
             output_records: output_records.into_inner(),
             elapsed: start.elapsed(),
+            modelled,
         })
     }
 
@@ -454,6 +491,50 @@ mod tests {
         let out = mr.read_output("/out/c").unwrap();
         // 50 distinct word{i} keys + "filler".
         assert_eq!(out.len(), 51);
+    }
+
+    #[test]
+    fn start_up_costs_are_charged_not_slept() {
+        let (slots, reducers) = (3, 5);
+        let cfg = MrConfig {
+            worker_slots: slots,
+            job_startup: Duration::from_secs(1),
+            task_startup: Duration::from_millis(250),
+        };
+        let mr = MrCluster::new(Arc::new(Hdfs::with_config(4, 64, 2)), cfg);
+        let lines: Vec<String> = (0..50).map(|i| format!("word{i} filler filler")).collect();
+        mr.hdfs().append_lines("/in/big", &lines).unwrap();
+        let mut spec = JobSpec {
+            name: "count".into(),
+            inputs: vec!["/in/big".into()],
+            output_dir: "/out/c".into(),
+            num_reducers: reducers,
+            combiner: None,
+        };
+        let start = Instant::now();
+        let stats = mr
+            .run_job(&spec, Arc::new(WordMapper), Some(Arc::new(SumReducer)))
+            .unwrap();
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "a 1 s job start-up is modelled, not waited for: {:?}",
+            start.elapsed()
+        );
+        assert!(stats.map_tasks > slots, "more than one wave of map tasks");
+        let waves = (stats.map_tasks.div_ceil(slots) + reducers.div_ceil(slots)) as u32;
+        let expected = Duration::from_secs(1) + Duration::from_millis(250) * waves;
+        assert_eq!(stats.modelled, expected);
+        assert_eq!(mr.modelled(), expected);
+
+        // A map-only job has no reduce wave, and the counter only grows.
+        spec.num_reducers = 0;
+        let map_only = mr.run_job(&spec, Arc::new(WordMapper), None).unwrap();
+        let map_waves = stats.map_tasks.div_ceil(slots) as u32;
+        assert_eq!(
+            map_only.modelled,
+            Duration::from_secs(1) + Duration::from_millis(250) * map_waves
+        );
+        assert_eq!(mr.modelled(), expected + map_only.modelled);
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl BufferCache {
         )
     }
 
-    /// Reset the hit/miss counters (benchmark harness).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
     /// Number of cached pages.
     pub fn resident_pages(&self) -> usize {
         self.inner.lock().map.len()

@@ -1,12 +1,11 @@
 //! The planner's injection point.
 //!
 //! [`PlannerContext`] bundles everything a planning run depends on —
-//! catalog, statistics, cost model — into one value. A plan is a pure
+//! catalog and statistics — into one value. A plan is a pure
 //! function of it: nothing is read from the process environment or
 //! from thread-local state.
 
 use crate::catalog::Catalog;
-use crate::cost::CostModel;
 use crate::planner::Planner;
 use crate::stats::StatsProvider;
 
@@ -17,31 +16,22 @@ pub struct PlannerContext<'a> {
     pub catalog: &'a dyn Catalog,
     /// Persisted statistics (defaults to [`crate::NoStats`]).
     pub stats: &'a dyn StatsProvider,
-    /// Cost constants for federation strategy choice.
-    pub cost: CostModel,
 }
 
 impl<'a> PlannerContext<'a> {
     /// A context over `catalog` with the catalog's own statistics
     /// provider ([`Catalog::stats`], the empty provider unless
-    /// overridden) and the default cost model.
+    /// overridden).
     pub fn new(catalog: &'a dyn Catalog) -> PlannerContext<'a> {
         PlannerContext {
             catalog,
             stats: catalog.stats(),
-            cost: CostModel::default(),
         }
     }
 
     /// Use persisted statistics from `stats`.
     pub fn with_stats(mut self, stats: &'a dyn StatsProvider) -> PlannerContext<'a> {
         self.stats = stats;
-        self
-    }
-
-    /// Override the cost model (ablation benches).
-    pub fn with_cost_model(mut self, cost: CostModel) -> PlannerContext<'a> {
-        self.cost = cost;
         self
     }
 

@@ -34,7 +34,7 @@ use hana_types::{ColumnDef, HanaError, Result, Schema, Value};
 
 use crate::catalog::TableSource;
 use crate::context::PlannerContext;
-use crate::cost::JoinSituation;
+use crate::cost::{CostModel, JoinSituation};
 use crate::estimator;
 use crate::plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
 
@@ -786,7 +786,7 @@ impl<'a> Planner<'a> {
         if caps.cap_joins {
             options.push(FederationStrategy::TableRelocation);
         }
-        let (strategy, _) = self.ctx.cost.pick(&options, &situation);
+        let (strategy, _) = CostModel::default().pick(&options, &situation);
         let schema = acc.schema.join(&b.schema)?;
         let est = situation.join_out;
         match strategy {

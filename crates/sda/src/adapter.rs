@@ -133,11 +133,13 @@ pub trait SdaAdapter: Send + Sync {
 /// ODBC transfer cost of fetching results back into HANA — the paper's
 /// mixed queries show lower materialization benefit precisely because
 /// "the results fetched from the remote source are joined with local
-/// tables in HANA", and that fetch is not free.
+/// tables in HANA", and that fetch is not free. The cost is charged to
+/// the Hive cluster's modelled time (`MrCluster::modelled`), beside the
+/// job start-up costs it trades against; nothing sleeps.
 pub struct HiveOdbcAdapter {
     hive: Arc<Hive>,
     dsn: String,
-    row_cost: std::time::Duration,
+    row_cost_us: u64,
 }
 
 impl HiveOdbcAdapter {
@@ -157,7 +159,7 @@ impl HiveOdbcAdapter {
         HiveOdbcAdapter {
             hive,
             dsn,
-            row_cost: std::time::Duration::from_micros(row_cost_us),
+            row_cost_us,
         }
     }
 
@@ -167,9 +169,10 @@ impl HiveOdbcAdapter {
     }
 
     fn charge_transfer(&self, rows: usize) {
-        if !self.row_cost.is_zero() && rows > 0 {
-            std::thread::sleep(self.row_cost * rows as u32);
-        }
+        let micros = self.row_cost_us.saturating_mul(rows as u64);
+        self.hive
+            .cluster()
+            .charge(std::time::Duration::from_micros(micros));
     }
 }
 
@@ -203,7 +206,6 @@ impl SdaAdapter for HiveOdbcAdapter {
         ctx.check_deadline("hive query submission")?;
         let rs = self.hive.execute_query(q)?;
         self.charge_transfer(rs.len());
-        // The per-row ODBC transfer cost counts against the budget too.
         ctx.check_deadline("hive result transfer")?;
         Ok(rs)
     }

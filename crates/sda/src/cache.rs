@@ -39,6 +39,9 @@ use crate::breaker::BreakerConfig;
 use crate::context::RemoteContext;
 use crate::retry::RetryPolicy;
 
+/// Bound on the number of locally retained fallback results.
+const STALE_FALLBACK_MAX_ENTRIES: usize = 256;
+
 /// Federation-layer configuration: the paper's two remote-cache
 /// parameters plus the resilience knobs (stale fallback, retry budget,
 /// breaker thresholds). Extend via the `with_*` builder methods — new
@@ -55,8 +58,6 @@ pub struct RemoteCacheConfig {
     pub enable_stale_fallback: bool,
     /// Upper bound on the age of a served stale copy.
     pub stale_fallback_max_age: Duration,
-    /// Bound on the number of locally retained fallback results.
-    pub stale_fallback_max_entries: usize,
     /// Default retry policy for remote calls (a [`RemoteContext`] can
     /// override per call).
     pub retry: RetryPolicy,
@@ -71,7 +72,6 @@ impl Default for RemoteCacheConfig {
             remote_cache_validity: 1_000,
             enable_stale_fallback: true,
             stale_fallback_max_age: Duration::from_secs(300),
-            stale_fallback_max_entries: 256,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
         }
@@ -103,13 +103,6 @@ impl RemoteCacheConfig {
     /// Copy of this config with stale fallback disabled.
     pub fn without_stale_fallback(mut self) -> RemoteCacheConfig {
         self.enable_stale_fallback = false;
-        self
-    }
-
-    /// Copy of this config with a specific fallback-store entry bound
-    /// (≥ 1).
-    pub fn with_stale_fallback_entries(mut self, max: usize) -> RemoteCacheConfig {
-        self.stale_fallback_max_entries = max.max(1);
         self
     }
 
@@ -297,7 +290,7 @@ impl RemoteCache {
             return;
         }
         let mut fb = self.fallback.lock();
-        if !fb.contains_key(&key) && fb.len() >= cfg.stale_fallback_max_entries {
+        if !fb.contains_key(&key) && fb.len() >= STALE_FALLBACK_MAX_ENTRIES {
             // Evict the oldest entry to stay bounded.
             if let Some(oldest) = fb.iter().min_by_key(|(_, e)| e.stored_at).map(|(k, _)| *k) {
                 fb.remove(&oldest);
@@ -333,11 +326,6 @@ impl RemoteCache {
             }
             None => None,
         }
-    }
-
-    /// Number of live local fallback copies.
-    pub fn fallback_len(&self) -> usize {
-        self.fallback.lock().len()
     }
 
     /// Invalidate everything (tests / `ALTER SYSTEM CLEAR CACHE`).

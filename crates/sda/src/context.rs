@@ -62,12 +62,6 @@ impl RemoteContext {
         self
     }
 
-    /// Copy of this context with an absolute deadline.
-    pub fn with_deadline_at(mut self, at: Instant) -> RemoteContext {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Copy of this context with a per-call retry policy, overriding
     /// the source's configured default.
     pub fn with_retry(mut self, policy: RetryPolicy) -> RemoteContext {

@@ -276,17 +276,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The name the query can refer to this source by.
-    pub fn binding_name(&self) -> &str {
-        match self {
-            TableRef::Named { name, alias } => alias.as_deref().unwrap_or(name),
-            TableRef::Function { name, alias, .. } => alias.as_deref().unwrap_or(name),
-            TableRef::Subquery { alias, .. } => alias,
-        }
-    }
-}
-
 /// A JOIN clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinClause {

@@ -7,7 +7,7 @@
 //! sort and limit. Hive's plan driver, the extended-storage adapter and
 //! the federated executor all share this code.
 
-use hana_types::{AggFunc, ColumnDef, DataType, HanaError, Result, Row, Schema, Value};
+use hana_types::{AggFunc, ColumnDef, DataType, Result, Row, Schema, Value};
 
 use crate::ast::{BinOp, Expr, Query};
 use crate::eval::{evaluate, evaluate_predicate, resolve_column};
@@ -256,12 +256,6 @@ pub fn infer_type(e: &Expr, schema: &Schema) -> DataType {
             .unwrap_or(DataType::Varchar),
         _ => DataType::Bool,
     }
-}
-
-/// Map a select-list/order-by epilogue error into a plan error with the
-/// query text attached (shared error-shaping helper).
-pub fn plan_error(q: &Query, e: HanaError) -> HanaError {
-    HanaError::Plan(format!("{e} while finishing '{q}'"))
 }
 
 #[cfg(test)]

@@ -86,13 +86,6 @@ impl TransactionManager {
         )))
     }
 
-    /// A manager over a segmented log directory.
-    pub fn with_log_dir(dir: &Path) -> Result<TransactionManager> {
-        Ok(TransactionManager::with_shared_wal(Arc::new(
-            Wal::open_dir(dir)?,
-        )))
-    }
-
     /// A manager sharing `wal` with other components (the platform holds
     /// a handle for data logging and checkpoints).
     pub fn with_shared_wal(wal: Arc<Wal>) -> TransactionManager {

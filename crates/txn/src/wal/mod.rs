@@ -126,8 +126,7 @@ impl fmt::Display for LogRecord {
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Group-commit batching window. Zero disables the committer thread:
-    /// every durable append pays its own write + fsync (the baseline the
-    /// `wal_commit` bench compares against).
+    /// every durable append pays its own write + fsync.
     pub group_commit_window: Duration,
     /// Size at which the active segment rolls over (directory mode).
     pub segment_bytes: u64,

@@ -180,8 +180,13 @@ fn main() {
     let mut peaks = mr.read_output("/analysis/peaks").unwrap();
     peaks.sort();
     println!(
-        "MapReduce archive analysis ({} map tasks, {} records): peak load per cell = {:?}\n",
-        stats.map_tasks, stats.input_records, peaks
+        "MapReduce archive analysis ({} map tasks, {} records; modelled start-up {:.1}ms, \
+         measured {:.1}ms): peak load per cell = {:?}\n",
+        stats.map_tasks,
+        stats.input_records,
+        stats.modelled.as_secs_f64() * 1e3,
+        stats.elapsed.as_secs_f64() * 1e3,
+        peaks
     );
 
     // ---- replay the archive to verify an improved pattern -----------

@@ -7,7 +7,10 @@
 //! PART for Q14/Q19) live in HANA column tables. Every query runs in
 //! SDA normal mode, then with `WITH HINT (USE_REMOTE_CACHE)` twice —
 //! the first hinted run pays the CTAS materialization, the second reads
-//! the materialized temp table through Hive's fetch task.
+//! the materialized temp table through Hive's fetch task. Each mode
+//! prints the MR jobs it launched, the start-up and transfer time the
+//! cluster modelled (charged, never slept) and the measured wall time;
+//! the percentages are computed on modelled + measured.
 //!
 //! Run with: `cargo run --release --example tpch_federated [scale]`
 

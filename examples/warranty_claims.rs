@@ -122,20 +122,29 @@ fn main() {
     // First hinted run materializes at the remote source; repeated runs
     // hit the Hive-side cache (Figure 13 behaviour).
     let hinted = format!("{extraction} WITH HINT (USE_REMOTE_CACHE)");
-    let t0 = std::time::Instant::now();
-    let rs = hana.execute_sql(&session, &hinted).unwrap();
-    let first = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let rs2 = hana.execute_sql(&session, &hinted).unwrap();
-    let hit = t0.elapsed();
+    // Measured wall time beside the MR start-up time the cluster
+    // modelled meanwhile (charged, never slept).
+    let timed = |sql: &str| {
+        let modelled_before = hive.cluster().modelled();
+        let start = std::time::Instant::now();
+        let rs = hana.execute_sql(&session, sql).unwrap();
+        let measured = start.elapsed();
+        (rs, hive.cluster().modelled() - modelled_before, measured)
+    };
+    let (rs, first_modelled, first_measured) = timed(&hinted);
+    let (rs2, hit_modelled, hit_measured) = timed(&hinted);
     assert_eq!(rs.len(), rs2.len());
     let (hits, misses) = hana.catalog().sda().cache.stats();
     println!(
-        "\nExtraction of {} read-outs: first (materializing) run {:.1}ms, \
-         cache hit {:.1}ms — cache stats {hits} hit(s) / {misses} miss(es)\n",
+        "\nExtraction of {} read-outs — cache stats {hits} hit(s) / {misses} miss(es)\n\
+         run                  | modelled | measured\n\
+         first (materializes) | {:>6.1}ms | {:>6.1}ms\n\
+         cache hit            | {:>6.1}ms | {:>6.1}ms\n",
         rs.len(),
-        first.as_secs_f64() * 1e3,
-        hit.as_secs_f64() * 1e3
+        first_modelled.as_secs_f64() * 1e3,
+        first_measured.as_secs_f64() * 1e3,
+        hit_modelled.as_secs_f64() * 1e3,
+        hit_measured.as_secs_f64() * 1e3
     );
 
     // ---- PAL: apriori over the extracted transactions ---------------

@@ -1,12 +1,14 @@
 //! E4/E5 — the Figure 14/15 shape, asserted end to end at a small scale
-//! factor: every query returns identical results in normal, first-cached
-//! and steady-cached mode (checked inside the harness); every cache hit
-//! is faster than normal execution; the all-remote group benefits more
-//! than the mixed group; and materialization overhead stays bounded.
+//! factor on modelled + measured time and on MR job counts: every query
+//! returns identical results in normal, first-cached and steady-cached
+//! mode (checked inside the harness); every cache hit is cheaper than
+//! normal execution; the all-remote group benefits more than the mixed
+//! group; materialization overhead stays bounded; and the modelled part
+//! is a function of the configuration, not of the run.
 
 use std::time::Duration;
 
-use hana_bench::{run_materialization_experiment, WorldConfig};
+use hana_bench::{run_materialization_experiment, MaterializationRow, QueryRun, WorldConfig};
 
 #[test]
 fn figure_14_15_shape_reproduced() {
@@ -19,8 +21,39 @@ fn figure_14_15_shape_reproduced() {
         block_size: 1024 * 1024,
         odbc_row_cost_us: 60,
     };
-    let rows = run_materialization_experiment(&config).expect("experiment");
-    assert_eq!(rows.len(), 12, "all twelve paper queries ran");
+    let first = run_materialization_experiment(&config).expect("experiment");
+    let second = run_materialization_experiment(&config).expect("second experiment");
+    assert_eq!(first.len(), 12, "all twelve paper queries ran");
+
+    // The modelled part is a function of the configuration alone: both
+    // experiments charge the same time and launch the same jobs per
+    // query and mode.
+    let modelled = |rows: &[MaterializationRow]| -> Vec<_> {
+        rows.iter()
+            .map(|r| {
+                [r.normal, r.first_cached, r.steady_cached].map(|run| (run.modelled, run.mr_jobs))
+            })
+            .collect()
+    };
+    assert_eq!(modelled(&first), modelled(&second));
+
+    // The measured part is one sample per query and mode on a shared
+    // box: keep the faster of the two, so that one scheduling hiccup
+    // cannot decide a figure.
+    let faster = |a: QueryRun, b: QueryRun| QueryRun {
+        measured: a.measured.min(b.measured),
+        ..a
+    };
+    let rows: Vec<MaterializationRow> = first
+        .iter()
+        .zip(&second)
+        .map(|(a, b)| MaterializationRow {
+            normal: faster(a.normal, b.normal),
+            first_cached: faster(a.first_cached, b.first_cached),
+            steady_cached: faster(a.steady_cached, b.steady_cached),
+            ..a.clone()
+        })
+        .collect();
 
     // Figure 14: every query benefits from remote materialization.
     for r in &rows {
@@ -30,6 +63,36 @@ fn figure_14_15_shape_reproduced() {
             r.name,
             r.benefit_percent()
         );
+        // Where the benefit comes from: a hit re-runs none of the jobs
+        // of a materialized sub-query, and materializing runs the jobs
+        // of the normal plan once more inside the CTAS. A sub-query the
+        // cache policy bypasses runs its jobs in every mode, hence `<=`.
+        assert!(
+            r.steady_cached.mr_jobs <= r.normal.mr_jobs
+                && r.normal.mr_jobs <= r.first_cached.mr_jobs,
+            "{}: MR jobs steady {} <= normal {} <= first {}",
+            r.name,
+            r.steady_cached.mr_jobs,
+            r.normal.mr_jobs,
+            r.first_cached.mr_jobs
+        );
+        assert!(r.normal.mr_jobs > 0, "{} ships an MR DAG", r.name);
+        assert!(
+            r.steady_cached.modelled < r.normal.modelled
+                && r.normal.modelled < r.first_cached.modelled,
+            "{}: modelled steady {:?} < normal {:?} < first {:?}",
+            r.name,
+            r.steady_cached.modelled,
+            r.normal.modelled,
+            r.first_cached.modelled
+        );
+        if r.all_remote {
+            assert_eq!(
+                r.steady_cached.mr_jobs, 0,
+                "{}: an all-remote hit is one Hive fetch task",
+                r.name
+            );
+        }
     }
     // The paper's grouping: the all-remote queries gain more than the
     // queries joined with local HANA tables.
@@ -50,7 +113,7 @@ fn figure_14_15_shape_reproduced() {
     assert!(avg(true) > 75.0, "paper: top group gains >75%");
 
     // Figure 15: the one-time overhead is bounded (the paper's worst
-    // case is ~63%; leave generous headroom for timing noise).
+    // case is ~63%).
     for r in &rows {
         assert!(
             r.overhead_percent() < 150.0,
