@@ -251,12 +251,66 @@ impl Hdfs {
         self.append(path, buf.as_bytes())
     }
 
+    /// Read a whole file as text.
+    pub fn read_text(&self, path: &str) -> Result<String> {
+        utf8(self.read(path)?, path)
+    }
+
     /// Read a file as text lines.
     pub fn read_lines(&self, path: &str) -> Result<Vec<String>> {
-        let data = self.read(path)?;
-        let text = String::from_utf8(data)
-            .map_err(|_| HanaError::Io(format!("HDFS: '{path}' is not valid UTF-8")))?;
-        Ok(text.lines().map(|l| l.to_string()).collect())
+        Ok(self.read_text(path)?.lines().map(str::to_string).collect())
+    }
+
+    /// The input split of block `block`: the lines that *start* in the
+    /// block, the last one finished from the blocks that follow — the
+    /// rule of Hadoop's `LineRecordReader`, under which the splits of a
+    /// file are a partition of its lines whatever the block size. A
+    /// block in the middle of one long line owns no line at all.
+    pub fn read_split(&self, path: &str, block: usize) -> Result<String> {
+        let norm = Self::normalize(path);
+        let files = self.files.read();
+        let file = files
+            .get(&norm)
+            .ok_or_else(|| HanaError::Io(format!("HDFS: no such file '{norm}'")))?;
+        // Every block but the last is full, so byte `pos` of the file
+        // is byte `pos % block_size` of block `pos / block_size`.
+        let size = self.block_size;
+        if block * size >= file.len {
+            return Ok(String::new());
+        }
+        let block_end = ((block + 1) * size).min(file.len);
+        // One past the first newline at or after `from`, if there is one.
+        let after_newline = |from: usize| {
+            let mut skip = from % size;
+            for (b, blk) in file.blocks.iter().enumerate().skip(from / size) {
+                if let Some(i) = blk.data[skip..].iter().position(|&c| c == b'\n') {
+                    return Some(b * size + skip + i + 1);
+                }
+                skip = 0;
+            }
+            None
+        };
+        // A line starts at byte 0 and after every newline: back up one
+        // byte, so that a line starting exactly at the block boundary
+        // is this split's and not the previous one's.
+        let start = match block {
+            0 => Some(0),
+            _ => after_newline(block * size - 1),
+        };
+        let Some(start) = start.filter(|&s| s < block_end) else {
+            return Ok(String::new());
+        };
+        let end = after_newline(block_end - 1).unwrap_or(file.len);
+        let mut out = Vec::with_capacity(end - start);
+        for (b, blk) in file.blocks.iter().enumerate().skip(start / size) {
+            let base = b * size;
+            if base >= end {
+                break;
+            }
+            let from = start.saturating_sub(base);
+            out.extend_from_slice(&blk.data[from..(end - base).min(blk.data.len())]);
+        }
+        utf8(out, &norm)
     }
 
     // ---- cluster accounting ----
@@ -273,6 +327,10 @@ impl Hdfs {
     pub fn used_bytes(&self) -> usize {
         self.files.read().values().map(|f| f.len).sum()
     }
+}
+
+fn utf8(data: Vec<u8>, path: &str) -> Result<String> {
+    String::from_utf8(data).map_err(|_| HanaError::Io(format!("HDFS: '{path}' is not valid UTF-8")))
 }
 
 #[cfg(test)]
@@ -334,6 +392,17 @@ mod tests {
         fs.append_lines("/t.csv", &["c|3"]).unwrap();
         assert_eq!(fs.read_lines("/t.csv").unwrap(), vec!["a|1", "b|2", "c|3"]);
         assert!(fs.read_lines("/missing").is_err());
+    }
+
+    #[test]
+    fn a_split_is_the_lines_that_start_in_its_block() {
+        let fs = Hdfs::with_config(1, 4, 1);
+        // Blocks: "ab\nc" "defg" "hij\n" "k\n".
+        fs.write("/f", b"ab\ncdefghij\nk\n").unwrap();
+        assert_eq!(fs.block_count("/f").unwrap(), 4);
+        let splits: Vec<String> = (0..5).map(|b| fs.read_split("/f", b).unwrap()).collect();
+        assert_eq!(splits, ["ab\ncdefghij\n", "", "", "k\n", ""]);
+        assert!(fs.read_split("/missing", 0).is_err());
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //!   statistics (row count, file count) — the statistics SDA reads for
 //!   federated cost estimation;
 //! * a compiler that turns a `SELECT` into a **DAG of MR jobs**: one
-//!   filtered scan job per source with pushable predicates, one
-//!   repartition-join job per join, one aggregation job (with combiner)
-//!   for GROUP BY, plus map-only residual-filter jobs;
+//!   map-only scan job per source, one repartition-join job per join,
+//!   a map-only residual-filter job for conjuncts that span sources and
+//!   one aggregation job for GROUP BY. The compiler does what Hive's
+//!   optimiser does before a job is launched — predicate push-down into
+//!   the table scan, column pruning, map-side aggregation — and binds
+//!   every expression to its stage's schema, so an unknown column fails
+//!   the statement, not a row;
 //! * Hive's **fetch-task** fast path: a bare `SELECT *` (no predicates,
 //!   joins or aggregates) reads HDFS directly with no MR job at all —
 //!   this is exactly why the remote materialization of §4.4 pays off;
@@ -18,8 +22,16 @@
 //! HAVING, final projection, DISTINCT and ORDER BY are applied by the
 //! driver after the last job, as Hive's plan driver does for small final
 //! result sets.
+//!
+//! Tables and the intermediates between scan, join and filter jobs are
+//! Hive text files (`^A`-separated fields, `\N` for NULL) that a map
+//! task decodes lazily: it splits a line into field slices and parses
+//! only the fields its expressions read. Partial aggregates travel
+//! typed, through [`hana_types::encode_row`]. A line that does not
+//! decode, or an expression that cannot be evaluated, fails the job.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::str::Lines;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,14 +42,17 @@ use hana_sql::{
     evaluate, evaluate_predicate, parse_statement, resolve_column, BinOp, Expr, JoinKind, Query,
     Statement, TableRef,
 };
-use hana_types::{Accumulator, AggFunc, HanaError, Result, ResultSet, Row, Schema, Value};
+use hana_types::{
+    decode_values, encode_row, Accumulator, AggFunc, DataType, HanaError, Result, ResultSet, Row,
+    Schema, Value,
+};
 
-use crate::mapreduce::{JobSpec, MrCluster, KV};
+use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer, KV};
 
 /// Hive's default field separator (^A).
 pub const FIELD_SEP: char = '\u{1}';
-/// Separator inside composite MR keys.
-const KEY_SEP: char = '\u{2}';
+/// How the text format spells NULL.
+const NULL_FIELD: &str = "\\N";
 
 /// MetaStore entry for one table.
 #[derive(Debug, Clone)]
@@ -74,14 +89,6 @@ pub struct CtasStats {
     pub rows: u64,
     /// MR jobs the SELECT part required.
     pub select_jobs: u64,
-}
-
-/// A materialized intermediate between DAG stages.
-struct Derived {
-    /// HDFS files holding the rows.
-    files: Vec<String>,
-    /// Their schema.
-    schema: Schema,
 }
 
 /// The Hive engine.
@@ -196,9 +203,21 @@ impl Hive {
             .ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{name}'")))?;
         for row in rows {
             table.schema.check_row(row.values())?;
+            // What the text format cannot hold must not get in.
+            let unreadable = |s: &str| s == NULL_FIELD || s.contains([FIELD_SEP, '\n', '\r']);
+            if let Some(s) = row
+                .values()
+                .iter()
+                .filter_map(Value::as_str)
+                .find(|s| unreadable(s))
+            {
+                return Err(HanaError::Unsupported(format!(
+                    "hive text format cannot hold the string {s:?}"
+                )));
+            }
         }
         let file = format!("{}/data-{:05}", table.location, table.file_count);
-        let lines: Vec<String> = rows.iter().map(|r| r.to_delimited(FIELD_SEP)).collect();
+        let lines: Vec<String> = rows.iter().map(to_line).collect();
         self.cluster.hdfs().append_lines(&file, &lines)?;
         table.row_count += rows.len() as u64;
         table.file_count += 1;
@@ -225,77 +244,10 @@ impl Hive {
         if let Some(rs) = self.try_fetch_task(q)? {
             return Ok(rs);
         }
-
-        let from = q
-            .from
-            .as_ref()
-            .ok_or_else(|| HanaError::Plan("query without FROM".into()))?;
-
-        // Split the WHERE clause into per-source pushdowns and residuals.
-        let mut bindings: Vec<(String, String)> = Vec::new(); // (binding, table)
-        let (b, t) = named_binding(from)?;
-        bindings.push((b, t));
-        for j in &q.joins {
-            let (b, t) = named_binding(&j.table)?;
-            if j.kind != JoinKind::Inner {
-                return Err(HanaError::Unsupported(
-                    "hive compiler supports inner joins only".into(),
-                ));
-            }
-            bindings.push((b, t));
-        }
-        let conjuncts: Vec<Expr> = q
-            .filter
-            .as_ref()
-            .map(|f| f.conjuncts().into_iter().cloned().collect())
-            .unwrap_or_default();
-
-        // Stage 1: scan job per source (filter + needed-column projection
-        // is folded into the mapper).
-        let mut derived: Vec<Derived> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
-        // Assign each conjunct to the single source it references, if any.
-        let mut per_source: Vec<Vec<Expr>> = vec![Vec::new(); bindings.len()];
-        for c in &conjuncts {
-            match single_source_of(c, &bindings) {
-                Some(i) => per_source[i].push(c.clone()),
-                None => residual.push(c.clone()),
-            }
-        }
-        for (i, (binding, table)) in bindings.iter().enumerate() {
-            derived.push(self.scan_stage(binding, table, &per_source[i])?);
-        }
-
-        // Stage 2: pairwise repartition joins.
-        let mut acc = derived.remove(0);
-        for (join_idx, j) in q.joins.iter().enumerate() {
-            let right = derived.remove(0);
-            let on = &j.on;
-            // Equi-join keys; `true` (comma join) means residuals carry
-            // the condition — not supported here, require explicit ON.
-            let (lk, rk) = equi_keys(on, &acc.schema, &right.schema)?;
-            acc = self.join_stage(acc, right, lk, rk, join_idx)?;
-        }
-
-        // Stage 3: residual filter job (conditions spanning sources).
-        if !residual.is_empty() {
-            let pred = residual
-                .into_iter()
-                .reduce(|a, b| a.and(b))
-                .expect("non-empty");
-            acc = self.filter_stage(acc, &pred)?;
-        }
-
-        // Stage 4: aggregation job if needed.
-        let has_aggs = q.select.iter().any(|s| s.expr.contains_aggregate())
-            || q.having.as_ref().is_some_and(|h| h.contains_aggregate());
-        let (rows, schema) = if !q.group_by.is_empty() || has_aggs {
-            let (r, s) = self.aggregate_stage(&acc, q)?;
-            (r, s)
-        } else {
-            (self.read_derived(&acc)?, acc.schema.clone())
-        };
-
+        // Compile first: an unknown column or an unsupported join fails
+        // the statement before its first job is launched.
+        let plan = self.compile(q)?;
+        let (rows, schema) = self.run(plan)?;
         // Driver-side epilogue: HAVING, projection, DISTINCT, ORDER BY,
         // LIMIT (shared with the other engines).
         let (rows, schema) = finish_query(rows, &schema, q)?;
@@ -321,8 +273,6 @@ impl Hive {
         })
     }
 
-    // ---- stages ----
-
     fn try_fetch_task(&self, q: &Query) -> Result<Option<ResultSet>> {
         let simple = q.joins.is_empty()
             && q.filter.is_none()
@@ -335,21 +285,196 @@ impl Hive {
         let Some(TableRef::Named { name, .. }) = &q.from else {
             return Ok(None);
         };
-        let table = {
-            let ms = self.metastore.read();
-            match ms.get(&name.to_ascii_lowercase()) {
-                Some(t) => t.clone(),
-                None => return Ok(None),
-            }
+        let Some(table) = self
+            .metastore
+            .read()
+            .get(&name.to_ascii_lowercase())
+            .cloned()
+        else {
+            return Ok(None);
         };
-        let mut rows = Vec::with_capacity(table.row_count as usize);
-        for file in self.cluster.hdfs().list(&table.location) {
-            for line in self.cluster.hdfs().read_lines(&file)? {
-                rows.push(parse_row(&line, &table.schema)?);
-            }
-        }
+        let files = self.cluster.hdfs().list(&table.location);
+        let rows = self.read_rows(&files, |line| parse_row(line, &table.schema))?;
         let (rows, schema) = finish_query(rows, &table.schema, q)?;
         Ok(Some(ResultSet::new(schema, rows)))
+    }
+
+    /// Decode every line of `files` on the driver.
+    fn read_rows(
+        &self,
+        files: &[String],
+        decode: impl Fn(&str) -> Result<Row>,
+    ) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        for file in files {
+            let text = self.cluster.hdfs().read_text(file)?;
+            for line in text.lines() {
+                rows.push(decode(line)?);
+            }
+        }
+        Ok(rows)
+    }
+
+    // ---- the compiler: statement -> jobs, no job launched ----
+
+    fn compile(&self, q: &Query) -> Result<Plan> {
+        let from = q
+            .from
+            .as_ref()
+            .ok_or_else(|| HanaError::Plan("query without FROM".into()))?;
+        let mut bindings = vec![self.bind_table(from)?];
+        for j in &q.joins {
+            if j.kind != JoinKind::Inner {
+                return Err(HanaError::Unsupported(
+                    "hive compiler supports inner joins only".into(),
+                ));
+            }
+            bindings.push(self.bind_table(&j.table)?);
+        }
+
+        // Predicate push-down: a WHERE conjunct over one source moves
+        // into that source's table scan, the rest wait for the joins.
+        let mut pushed: Vec<Vec<Expr>> = vec![Vec::new(); bindings.len()];
+        let mut residual: Vec<Expr> = Vec::new();
+        for c in q.filter.iter().flat_map(Expr::conjuncts) {
+            match single_source_of(c, &bindings) {
+                Some(i) => pushed[i].push(c.clone()),
+                None => residual.push(c.clone()),
+            }
+        }
+
+        // Column pruning: a scan emits the columns some later operator
+        // names. Its own predicate is evaluated before the cut.
+        let later = q.select.iter().map(|s| &s.expr);
+        let later = later.chain(q.joins.iter().map(|j| &j.on));
+        let later = later.chain(&residual).chain(&q.group_by).chain(&q.having);
+        let later = later.chain(q.order_by.iter().map(|(e, _)| e));
+        let keep = named_columns(q, later, &bindings);
+
+        // Stage 1: one filtered, pruned scan job per source.
+        let mut scans = Vec::with_capacity(bindings.len());
+        let mut schemas = Vec::with_capacity(bindings.len());
+        for ((b, preds), keep) in bindings.iter().zip(pushed).zip(keep) {
+            let full = b.table.schema.qualified(&b.name);
+            let pred = preds.into_iter().reduce(Expr::and);
+            let cols = keep.iter().map(|&i| full.column(i).clone()).collect();
+            scans.push(Scan {
+                name: format!("scan {} as {}", b.table.name, b.name),
+                tmp: format!("scan-{}", b.name),
+                inputs: self.cluster.hdfs().list(&b.table.location),
+                mapper: Arc::new(FilterMapper {
+                    arity: full.len(),
+                    pred: pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?,
+                    keep: (keep.len() < full.len()).then_some(keep),
+                }),
+            });
+            schemas.push(Schema::new(cols)?);
+        }
+
+        // Stage 2: pairwise repartition joins, left-deep.
+        let mut schemas = schemas.into_iter();
+        let mut schema = schemas.next().expect("FROM binds one table");
+        let mut joins = Vec::with_capacity(q.joins.len());
+        for (j, right) in q.joins.iter().zip(schemas) {
+            // `true` (comma join) means residuals carry the condition —
+            // not supported here, require an explicit ON.
+            let (lk, rk) = equi_keys(&j.on, &schema, &right)?;
+            joins.push(Join {
+                left: (lk, schema.column(lk).data_type),
+                right: (rk, right.column(rk).data_type),
+            });
+            schema = schema.join(&right)?;
+        }
+
+        // Stage 3: residual filter job (conditions spanning sources).
+        let residual = match residual.into_iter().reduce(Expr::and) {
+            Some(p) => Some(Arc::new(FilterMapper {
+                arity: schema.len(),
+                pred: Some(BoundExprs::bind(&schema, vec![p])?),
+                keep: None,
+            })),
+            None => None,
+        };
+
+        // Stage 4: aggregation job if needed.
+        let aggs = collect_aggregates(q);
+        let agg = if q.group_by.is_empty() && aggs.is_empty() {
+            None
+        } else {
+            // Output schema: `_g0.._gN` then `_a0.._aM` (shared convention).
+            let out_schema = aggregate_output_schema(q, &schema)?;
+            let (funcs, args): (Vec<AggFunc>, Vec<Option<Expr>>) = aggs.into_iter().unzip();
+            // Bound together, group keys first, each distinct expression
+            // once (Q1 sums and averages the same column); COUNT(*)
+            // reads nothing.
+            let mut exprs = q.group_by.clone();
+            let mut place = |e: Expr| {
+                exprs.iter().position(|x| *x == e).unwrap_or_else(|| {
+                    exprs.push(e);
+                    exprs.len() - 1
+                })
+            };
+            let arg_of = args.into_iter().map(|a| a.map(&mut place)).collect();
+            Some(Agg {
+                mapper: Arc::new(AggMapper {
+                    arity: schema.len(),
+                    exprs: BoundExprs::bind(&schema, exprs)?,
+                    group_keys: q.group_by.len(),
+                    arg_of,
+                    funcs,
+                }),
+                schema: out_schema,
+            })
+        };
+        Ok(Plan {
+            scans,
+            joins,
+            residual,
+            agg,
+            schema,
+        })
+    }
+
+    fn bind_table(&self, t: &TableRef) -> Result<Binding> {
+        let TableRef::Named { name, alias } = t else {
+            return Err(HanaError::Unsupported(format!(
+                "hive FROM supports named tables only, got {t:?}"
+            )));
+        };
+        let table = self
+            .metastore
+            .read()
+            .get(&name.to_ascii_lowercase())
+            .cloned();
+        Ok(Binding {
+            name: alias.clone().unwrap_or_else(|| name.clone()),
+            table: table
+                .ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{name}'")))?,
+        })
+    }
+
+    // ---- the driver: launch the jobs of a plan in DAG order ----
+
+    fn run(&self, plan: Plan) -> Result<(Vec<Row>, Schema)> {
+        let mut scanned = Vec::with_capacity(plan.scans.len());
+        for s in plan.scans {
+            scanned.push(self.map_only(s.name, &s.tmp, s.inputs, s.mapper)?);
+        }
+        let mut scanned = scanned.into_iter();
+        let mut files = scanned.next().expect("FROM binds one table");
+        for ((idx, join), right) in plan.joins.into_iter().enumerate().zip(scanned) {
+            files = self.join_stage(files, right, join, idx)?;
+        }
+        if let Some(filter) = plan.residual {
+            files = self.map_only("residual-filter".into(), "filter", files, filter)?;
+        }
+        match plan.agg {
+            Some(agg) => Ok((self.aggregate_stage(files, &agg)?, agg.schema)),
+            None => {
+                let rows = self.read_rows(&files, |line| parse_row(line, &plan.schema))?;
+                Ok((rows, plan.schema))
+            }
+        }
     }
 
     fn tmp_dir(&self, stage: &str) -> String {
@@ -359,357 +484,475 @@ impl Hive {
         )
     }
 
-    /// Map-only scan of a base table with pushed-down predicates; output
-    /// columns are qualified with the binding name.
-    fn scan_stage(&self, binding: &str, table: &str, preds: &[Expr]) -> Result<Derived> {
-        let t = {
-            let ms = self.metastore.read();
-            ms.get(&table.to_ascii_lowercase())
-                .ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{table}'")))?
-                .clone()
-        };
-        let out_schema = t.schema.qualified(binding);
-        let inputs = self.cluster.hdfs().list(&t.location);
+    /// A map-only job over `inputs` (a table scan or the residual
+    /// filter); returns its output files. No input, no job.
+    fn map_only(
+        &self,
+        name: String,
+        tmp: &str,
+        inputs: Vec<String>,
+        mapper: Arc<FilterMapper>,
+    ) -> Result<Vec<String>> {
         if inputs.is_empty() {
-            return Ok(Derived {
-                files: Vec::new(),
-                schema: out_schema,
-            });
+            return Ok(inputs);
         }
-        let pred = preds.iter().cloned().reduce(|a, b| a.and(b));
-        let schema = t.schema.clone();
-        // Predicates reference qualified names; evaluate against the
-        // qualified schema.
-        let qschema = out_schema.clone();
-        let mapper = move |_k: &str, line: &str, out: &mut Vec<KV>| {
-            let Ok(row) = parse_row(line, &schema) else {
-                return;
-            };
-            if let Some(p) = &pred {
-                match evaluate_predicate(p, &qschema, &row) {
-                    Ok(true) => {}
-                    _ => return,
-                }
-            }
-            out.push((String::new(), line.to_string()));
-        };
-        let out_dir = self.tmp_dir(&format!("scan-{binding}"));
+        let output_dir = self.tmp_dir(tmp);
         let spec = JobSpec {
-            name: format!("scan {table} as {binding}"),
+            name,
             inputs,
-            output_dir: out_dir.clone(),
+            output_dir,
             num_reducers: 0,
-            combiner: None,
         };
-        self.cluster.run_job(&spec, Arc::new(mapper), None)?;
-        Ok(Derived {
-            files: self.cluster.hdfs().list(&out_dir),
-            schema: out_schema,
-        })
+        self.cluster.run_job(&spec, mapper, None)?;
+        Ok(self.cluster.hdfs().list(&spec.output_dir))
     }
 
-    /// Repartition join: both inputs are mapped to (key, tagged-row),
+    /// Repartition join: both inputs are mapped to (key, tagged line),
     /// the reducer emits concatenated matches.
     fn join_stage(
         &self,
-        left: Derived,
-        right: Derived,
-        left_key: usize,
-        right_key: usize,
+        left: Vec<String>,
+        right: Vec<String>,
+        join: Join,
         join_idx: usize,
-    ) -> Result<Derived> {
-        let out_schema = left.schema.join(&right.schema)?;
-        let out_dir = self.tmp_dir(&format!("join-{join_idx}"));
-        let left_files: std::collections::HashSet<String> = left.files.iter().cloned().collect();
-        let left_schema = left.schema.clone();
-        let right_schema = right.schema.clone();
-        let mapper = move |path: &str, line: &str, out: &mut Vec<KV>| {
-            let is_left = left_files.contains(path);
-            let schema = if is_left { &left_schema } else { &right_schema };
-            let key_col = if is_left { left_key } else { right_key };
-            let Ok(row) = parse_row(line, schema) else {
-                return;
-            };
-            let key = &row[key_col];
-            if key.is_null() {
-                return;
-            }
-            let tag = if is_left { "L" } else { "R" };
-            out.push((key.to_string(), format!("{tag}{line}")));
+    ) -> Result<Vec<String>> {
+        if left.is_empty() && right.is_empty() {
+            return Ok(left);
+        }
+        let mapper = JoinMapper {
+            left_files: left.iter().cloned().collect(),
+            join,
         };
-        struct JoinReducer;
-        impl crate::mapreduce::Reducer for JoinReducer {
-            fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) {
-                let lefts: Vec<&str> = values
-                    .iter()
-                    .filter(|v| v.starts_with('L'))
-                    .map(|v| &v[1..])
-                    .collect();
-                let rights: Vec<&str> = values
-                    .iter()
-                    .filter(|v| v.starts_with('R'))
-                    .map(|v| &v[1..])
-                    .collect();
-                for l in &lefts {
-                    for r in &rights {
-                        out.push(format!("{l}{FIELD_SEP}{r}"));
-                    }
-                }
-            }
-        }
-        let mut inputs = left.files.clone();
-        inputs.extend(right.files.clone());
-        if inputs.is_empty() {
-            return Ok(Derived {
-                files: Vec::new(),
-                schema: out_schema,
-            });
-        }
         let spec = JobSpec {
             name: format!("repartition-join-{join_idx}"),
-            inputs,
-            output_dir: out_dir.clone(),
+            inputs: left.into_iter().chain(right).collect(),
+            output_dir: self.tmp_dir(&format!("join-{join_idx}")),
             num_reducers: 3,
-            combiner: None,
         };
         self.cluster
             .run_job(&spec, Arc::new(mapper), Some(Arc::new(JoinReducer)))?;
-        Ok(Derived {
-            files: self.cluster.hdfs().list(&out_dir),
-            schema: out_schema,
-        })
+        Ok(self.cluster.hdfs().list(&spec.output_dir))
     }
 
-    /// Map-only filter over an intermediate.
-    fn filter_stage(&self, input: Derived, pred: &Expr) -> Result<Derived> {
-        if input.files.is_empty() {
-            return Ok(input);
-        }
-        let out_dir = self.tmp_dir("filter");
-        let schema = input.schema.clone();
-        let pred = pred.clone();
-        let mapper = move |_k: &str, line: &str, out: &mut Vec<KV>| {
-            if let Ok(row) = parse_row(line, &schema) {
-                if evaluate_predicate(&pred, &schema, &row).unwrap_or(false) {
-                    out.push((String::new(), line.to_string()));
-                }
-            }
+    /// Group-by MR job: each map task aggregates its split and ships one
+    /// partial state per group, the reducers merge and finish them.
+    fn aggregate_stage(&self, inputs: Vec<String>, agg: &Agg) -> Result<Vec<Row>> {
+        let funcs = &agg.mapper.funcs;
+        let global = agg.mapper.group_keys == 0;
+        // What every aggregate is over no rows; a global aggregate over
+        // nothing is one such row, a grouped one none.
+        let empty = || {
+            let finished = funcs.iter().map(|f| f.accumulator().finish());
+            vec![Row::from_values(finished)]
         };
-        let spec = JobSpec {
-            name: "residual-filter".into(),
-            inputs: input.files.clone(),
-            output_dir: out_dir.clone(),
-            num_reducers: 0,
-            combiner: None,
-        };
-        self.cluster.run_job(&spec, Arc::new(mapper), None)?;
-        Ok(Derived {
-            files: self.cluster.hdfs().list(&out_dir),
-            schema: input.schema,
-        })
-    }
-
-    /// Group-by MR job: mapper emits (group key, agg inputs), a combiner
-    /// pre-aggregates, the reducer finalizes.
-    fn aggregate_stage(&self, input: &Derived, q: &Query) -> Result<(Vec<Row>, Schema)> {
-        let aggs = collect_aggregates(q);
-        let group_by = q.group_by.clone();
-        let in_schema = input.schema.clone();
-
-        // Output schema: `_g0.._gN` then `_a0.._aM` (shared convention).
-        let out_schema = aggregate_output_schema(q, &in_schema)?;
-
-        if input.files.is_empty() {
-            // Global aggregate over empty input: one row of empty aggs.
-            if group_by.is_empty() {
-                let row = Row::from_values(aggs.iter().map(|(f, _)| f.accumulator().finish()));
-                return Ok((vec![row], out_schema));
-            }
-            return Ok((Vec::new(), out_schema));
+        if inputs.is_empty() {
+            return Ok(if global { empty() } else { Vec::new() });
         }
-
-        let aggs_m = aggs.clone();
-        let gb_m = group_by.clone();
-        let schema_m = in_schema.clone();
-        let mapper = move |_k: &str, line: &str, out: &mut Vec<KV>| {
-            let Ok(row) = parse_row(line, &schema_m) else {
-                return;
-            };
-            let mut key = String::new();
-            for (i, g) in gb_m.iter().enumerate() {
-                if i > 0 {
-                    key.push(KEY_SEP);
-                }
-                match evaluate(g, &schema_m, &row) {
-                    Ok(v) if v.is_null() => key.push_str("\\N"),
-                    Ok(v) => key.push_str(&v.to_string()),
-                    Err(_) => return,
-                }
-            }
-            let mut val = String::new();
-            for (i, (_, arg)) in aggs_m.iter().enumerate() {
-                if i > 0 {
-                    val.push(FIELD_SEP);
-                }
-                let v = match arg {
-                    Some(e) => evaluate(e, &schema_m, &row).unwrap_or(Value::Null),
-                    None => Value::Int(1), // COUNT(*) marker
-                };
-                if v.is_null() {
-                    val.push_str("\\N");
-                } else {
-                    val.push_str(&v.to_string());
-                }
-            }
-            out.push((key, val));
-        };
-
-        /// Reducer finalizing (or combining) partial aggregates.
-        struct AggReducer {
-            aggs: Vec<(AggFunc, Option<Expr>)>,
-            /// Combiners re-emit partial rows; the final pass emits
-            /// key + finished values.
-            is_final: bool,
-        }
-        impl crate::mapreduce::Reducer for AggReducer {
-            fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
-                let mut accs: Vec<Accumulator> =
-                    self.aggs.iter().map(|(f, _)| f.accumulator()).collect();
-                for v in values {
-                    for (acc, field) in accs.iter_mut().zip(v.split(FIELD_SEP)) {
-                        let val = if field == "\\N" {
-                            Value::Null
-                        } else if let Ok(i) = field.parse::<i64>() {
-                            Value::Int(i)
-                        } else if let Ok(d) = field.parse::<f64>() {
-                            Value::Double(d)
-                        } else {
-                            Value::Varchar(field.to_string())
-                        };
-                        acc.add(&val);
-                    }
-                }
-                if self.is_final {
-                    let mut line = String::new();
-                    if !key.is_empty() {
-                        line.push_str(&key.replace(KEY_SEP, &FIELD_SEP.to_string()));
-                        line.push(FIELD_SEP);
-                    }
-                    for (i, acc) in accs.iter().enumerate() {
-                        if i > 0 {
-                            line.push(FIELD_SEP);
-                        }
-                        let v = acc.finish();
-                        if v.is_null() {
-                            line.push_str("\\N");
-                        } else {
-                            line.push_str(&v.to_string());
-                        }
-                    }
-                    out.push(line);
-                } else {
-                    // Partial: COUNT/AVG are not combinable as plain
-                    // re-addition; re-emit raw values instead.
-                    for v in values {
-                        out.push(v.clone());
-                    }
-                }
-            }
-        }
-
-        let out_dir = self.tmp_dir("agg");
         let spec = JobSpec {
             name: "group-by".into(),
-            inputs: input.files.clone(),
-            output_dir: out_dir.clone(),
-            num_reducers: if group_by.is_empty() { 1 } else { 3 },
-            combiner: None,
+            inputs,
+            output_dir: self.tmp_dir("agg"),
+            num_reducers: if global { 1 } else { 3 },
         };
-        self.cluster.run_job(
-            &spec,
-            Arc::new(mapper),
-            Some(Arc::new(AggReducer {
-                aggs: aggs.clone(),
-                is_final: true,
-            })),
-        )?;
+        let reducer = AggReducer(funcs.clone());
+        let mapper: Arc<AggMapper> = Arc::clone(&agg.mapper);
+        self.cluster
+            .run_job(&spec, mapper, Some(Arc::new(reducer)))?;
 
-        // Parse output lines against the output schema. Group-key fields
-        // were serialized as display text; re-type them from the input.
-        let mut rows = Vec::new();
-        for file in self.cluster.hdfs().list(&out_dir) {
-            for line in self.cluster.hdfs().read_lines(&file)? {
-                rows.push(parse_row(&line, &out_schema)?);
+        let files = self.cluster.hdfs().list(&spec.output_dir);
+        let rows = self.read_rows(&files, |line| {
+            let values = decode_values(line)?;
+            if values.len() != agg.schema.len() {
+                return Err(corrupt(line, values.len(), agg.schema.len()));
             }
+            Ok(Row(values))
+        })?;
+        // No row survived the earlier stages: no group reached a reducer.
+        Ok(if rows.is_empty() && global {
+            empty()
+        } else {
+            rows
+        })
+    }
+}
+
+/// One FROM / JOIN entry: the name the statement calls it and its
+/// MetaStore entry as of compile time.
+struct Binding {
+    name: String,
+    table: HiveTable,
+}
+
+/// A compiled statement: the jobs of its DAG, ready to launch.
+struct Plan {
+    /// One map-only scan per binding, in FROM / JOIN order.
+    scans: Vec<Scan>,
+    /// One repartition join per JOIN clause.
+    joins: Vec<Join>,
+    /// The map-only filter for conjuncts that span sources.
+    residual: Option<Arc<FilterMapper>>,
+    agg: Option<Agg>,
+    /// Schema of the text lines the last of the stages above leaves.
+    schema: Schema,
+}
+
+struct Scan {
+    /// Job name.
+    name: String,
+    /// Stem of the output directory.
+    tmp: String,
+    /// The table's data files.
+    inputs: Vec<String>,
+    mapper: Arc<FilterMapper>,
+}
+
+/// `(field, type)` of the equi-join key in the left and right input.
+struct Join {
+    left: (usize, DataType),
+    right: (usize, DataType),
+}
+
+struct Agg {
+    mapper: Arc<AggMapper>,
+    /// `_g0.._gN, _a0.._aM`.
+    schema: Schema,
+}
+
+/// Expressions of one stage bound to the schema of its input lines:
+/// every column reference is resolved once, at compile time — an
+/// unknown or ambiguous one is an error there, not a row dropped at run
+/// time — and renamed to the exact name of a column of `schema`, which
+/// holds just the fields the expressions read. A map task decodes those
+/// fields and no others (Hive's LazySimpleSerDe).
+struct BoundExprs {
+    exprs: Vec<Expr>,
+    /// Per expression, its position in `schema` when it is a bare column
+    /// reference: that one is read without a name lookup.
+    columns: Vec<Option<usize>>,
+    /// Input field and type of each column of `schema`.
+    fields: Vec<(usize, DataType)>,
+    schema: Schema,
+}
+
+impl BoundExprs {
+    fn bind(input: &Schema, mut exprs: Vec<Expr>) -> Result<BoundExprs> {
+        let mut read = vec![false; input.len()];
+        let mut unresolved = None;
+        for e in &mut exprs {
+            e.walk_mut(&mut |n| {
+                let Expr::Column { qualifier, name } = n else {
+                    return;
+                };
+                match resolve_column(input, qualifier.as_deref(), name) {
+                    Ok(i) => {
+                        read[i] = true;
+                        *qualifier = None;
+                        name.clone_from(&input.column(i).name);
+                    }
+                    Err(e) => unresolved = Some(e),
+                }
+            });
         }
-        // Global aggregation over non-empty input but zero surviving rows
-        // is handled by the reduce task only if a partition existed; add
-        // the empty-row case.
-        if rows.is_empty() && group_by.is_empty() {
-            rows.push(Row::from_values(
-                aggs.iter().map(|(f, _)| f.accumulator().finish()),
-            ));
+        if let Some(e) = unresolved {
+            return Err(e);
         }
-        Ok((rows, out_schema))
+        let cols = input.columns().iter().enumerate().filter(|(i, _)| read[*i]);
+        let fields = cols.clone().map(|(i, c)| (i, c.data_type)).collect();
+        let schema = Schema::new(cols.map(|(_, c)| c.clone()).collect())?;
+        let column = |e: &Expr| match e {
+            Expr::Column { name, .. } => schema.index_of(name),
+            _ => None,
+        };
+        Ok(BoundExprs {
+            columns: exprs.iter().map(column).collect(),
+            exprs,
+            fields,
+            schema,
+        })
     }
 
-    fn read_derived(&self, d: &Derived) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        for f in &d.files {
-            for line in self.cluster.hdfs().read_lines(f)? {
-                rows.push(parse_row(&line, &d.schema)?);
+    /// Decode the fields the expressions read into `row`.
+    fn decode(&self, fields: &[&str], row: &mut Row) -> Result<()> {
+        row.0.clear();
+        for &(i, ty) in &self.fields {
+            row.0.push(parse_field(fields[i], ty)?);
+        }
+        Ok(())
+    }
+
+    /// The value of expression `i` over a decoded row.
+    fn eval(&self, i: usize, row: &Row) -> Result<Value> {
+        match self.columns[i] {
+            Some(c) => Ok(row[c].clone()),
+            None => evaluate(&self.exprs[i], &self.schema, row),
+        }
+    }
+}
+
+/// Split `line` into `fields`; a line of another arity is corrupt.
+fn split_fields<'a>(line: &'a str, arity: usize, fields: &mut Vec<&'a str>) -> Result<()> {
+    fields.clear();
+    // A byte loop: `str::split` pays a searcher set-up per short field.
+    let mut start = 0;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if b == FIELD_SEP as u8 {
+            fields.push(&line[start..i]);
+            start = i + 1;
+        }
+    }
+    fields.push(&line[start..]);
+    if fields.len() == arity {
+        Ok(())
+    } else {
+        Err(corrupt(line, fields.len(), arity))
+    }
+}
+
+fn corrupt(line: &str, found: usize, expected: usize) -> HanaError {
+    HanaError::Execution(format!(
+        "line has {found} fields, schema {expected} columns: '{line}'"
+    ))
+}
+
+/// The table-scan and residual-filter operator: keep the lines that
+/// satisfy `pred`, cut to the fields `keep`.
+struct FilterMapper {
+    arity: usize,
+    /// One predicate; `None` keeps every line.
+    pred: Option<BoundExprs>,
+    /// Fields of a surviving line to emit; `None` emits the line.
+    keep: Option<Vec<usize>>,
+}
+
+impl Mapper for FilterMapper {
+    fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+        let mut fields = Vec::with_capacity(self.arity);
+        let mut row = Row::new();
+        for line in lines {
+            split_fields(line, self.arity, &mut fields)?;
+            if let Some(pred) = &self.pred {
+                pred.decode(&fields, &mut row)?;
+                if !evaluate_predicate(&pred.exprs[0], &pred.schema, &row)? {
+                    continue;
+                }
+            }
+            let cut = match &self.keep {
+                None => line.to_string(),
+                Some(keep) => {
+                    let mut cut = String::with_capacity(line.len());
+                    for (n, &i) in keep.iter().enumerate() {
+                        if n > 0 {
+                            cut.push(FIELD_SEP);
+                        }
+                        cut.push_str(fields[i]);
+                    }
+                    cut
+                }
+            };
+            out.push((String::new(), cut));
+        }
+        Ok(())
+    }
+}
+
+/// The map side of a repartition join: decodes the key field only and
+/// ships the line as it is, tagged with its side. NULL keys join nothing.
+struct JoinMapper {
+    left_files: HashSet<String>,
+    join: Join,
+}
+
+impl Mapper for JoinMapper {
+    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+        let (tag, (field, ty)) = match self.left_files.contains(path) {
+            true => ('L', self.join.left),
+            false => ('R', self.join.right),
+        };
+        for line in lines {
+            let key = line.split(FIELD_SEP).nth(field).ok_or_else(|| {
+                HanaError::Execution(format!("line has no field {field} to join on: '{line}'"))
+            })?;
+            let key = parse_field(key, ty)?;
+            if !key.is_null() {
+                let mut tagged = String::with_capacity(1 + line.len());
+                tagged.push(tag);
+                tagged.push_str(line);
+                out.push((key.to_string(), tagged));
             }
         }
-        Ok(rows)
+        Ok(())
+    }
+}
+
+/// The reduce side of a repartition join: left lines × right lines of
+/// one key.
+struct JoinReducer;
+
+impl Reducer for JoinReducer {
+    fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) {
+        let side = |tag| values.iter().filter_map(move |v| v.strip_prefix(tag));
+        for l in side('L') {
+            for r in side('R') {
+                out.push(format!("{l}{FIELD_SEP}{r}"));
+            }
+        }
+    }
+}
+
+/// The map side of GROUP BY: a hash table of accumulators per split
+/// (Hive's map-side aggregation), shipped as one `(group key, partial
+/// states)` pair per group, both through `hana_types::encode_row` —
+/// values keep their types from here to the driver.
+struct AggMapper {
+    arity: usize,
+    /// The group-by expressions, then the aggregate arguments.
+    exprs: BoundExprs,
+    group_keys: usize,
+    /// Per aggregate, where its argument is in `exprs` (`COUNT(*)` has
+    /// none).
+    arg_of: Vec<Option<usize>>,
+    funcs: Vec<AggFunc>,
+}
+
+impl Mapper for AggMapper {
+    fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+        let mut fields = Vec::with_capacity(self.arity);
+        let mut row = Row::new();
+        for line in lines {
+            split_fields(line, self.arity, &mut fields)?;
+            self.exprs.decode(&fields, &mut row)?;
+            let key = (0..self.group_keys).map(|g| self.exprs.eval(g, &row));
+            let accs = groups
+                .entry(key.collect::<Result<_>>()?)
+                .or_insert_with(|| self.funcs.iter().map(AggFunc::accumulator).collect());
+            for (acc, arg) in accs.iter_mut().zip(&self.arg_of) {
+                match arg {
+                    Some(i) => acc.add(&self.exprs.eval(*i, &row)?),
+                    None => acc.add(&Value::Null), // COUNT(*) counts the row
+                }
+            }
+        }
+        for (key, accs) in groups {
+            let states: Vec<Value> = accs.iter().flat_map(Accumulator::state).collect();
+            out.push((encode_row(&key), encode_row(&states)));
+        }
+        Ok(())
+    }
+}
+
+/// The reduce side of GROUP BY: merges the partial states of one group
+/// and writes the group key and the finished aggregates as one
+/// `encode_row` line.
+struct AggReducer(Vec<AggFunc>);
+
+impl Reducer for AggReducer {
+    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
+        const MAP_WROTE_IT: &str = "the map tasks of this job encoded it";
+        let mut accs: Vec<Accumulator> = self.0.iter().map(AggFunc::accumulator).collect();
+        for v in values {
+            let states = decode_values(v).expect(MAP_WROTE_IT);
+            for ((acc, f), state) in accs.iter_mut().zip(&self.0).zip(states.chunks(5)) {
+                acc.merge(&f.accumulator_from_state(state).expect(MAP_WROTE_IT));
+            }
+        }
+        let mut row = decode_values(key).expect(MAP_WROTE_IT);
+        row.extend(accs.iter().map(Accumulator::finish));
+        out.push(encode_row(&row));
+    }
+}
+
+/// Render a row as one line of a Hive text file: `^A`-separated fields,
+/// `\N` for NULL, every other value as [`parse_field`] reads it back.
+fn to_line(row: &Row) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (i, v) in row.values().iter().enumerate() {
+        if i > 0 {
+            out.push(FIELD_SEP);
+        }
+        // Writing into a String cannot fail.
+        let _ = match v {
+            Value::Null => write!(out, "{NULL_FIELD}"),
+            // `Display` says `ts:5`, `parse_typed` reads `5`.
+            Value::Timestamp(t) => write!(out, "{t}"),
+            other => write!(out, "{other}"),
+        };
+    }
+    out
+}
+
+/// Decode one field. Only `\N` is NULL in a VARCHAR column: `''` and
+/// `'null'` are strings.
+fn parse_field(field: &str, ty: DataType) -> Result<Value> {
+    match ty {
+        _ if field == NULL_FIELD => Ok(Value::Null),
+        DataType::Varchar => Ok(Value::Varchar(field.to_string())),
+        _ => Value::parse_typed(field, ty),
     }
 }
 
 /// Parse a ^A-separated line against a schema.
 pub fn parse_row(line: &str, schema: &Schema) -> Result<Row> {
-    let fields: Vec<&str> = line.split(FIELD_SEP).collect();
-    if fields.len() != schema.len() {
-        return Err(HanaError::Execution(format!(
-            "line has {} fields, schema {} columns",
-            fields.len(),
-            schema.len()
-        )));
-    }
-    let mut vals = Vec::with_capacity(fields.len());
-    for (f, c) in fields.iter().zip(schema.columns()) {
-        vals.push(Value::parse_typed(f, c.data_type)?);
-    }
-    Ok(Row(vals))
+    let mut fields = Vec::with_capacity(schema.len());
+    split_fields(line, schema.len(), &mut fields)?;
+    let decoded = fields.iter().zip(schema.columns());
+    let decoded = decoded.map(|(f, c)| parse_field(f, c.data_type));
+    decoded.collect::<Result<Vec<Value>>>().map(Row)
 }
 
-fn named_binding(t: &TableRef) -> Result<(String, String)> {
-    match t {
-        TableRef::Named { name, alias } => {
-            Ok((alias.clone().unwrap_or_else(|| name.clone()), name.clone()))
-        }
-        other => Err(HanaError::Unsupported(format!(
-            "hive FROM supports named tables only, got {other:?}"
-        ))),
+/// Per binding, the (ascending) columns that `exprs` name; every column
+/// when the statement has no select list. A reference marks the binding
+/// its qualifier names; an unqualified one — or one whose qualifier is
+/// no binding with that column — marks every binding with a column of
+/// that name, so that what was ambiguous over the full schemas still is
+/// over the pruned ones. A binding nothing names (`COUNT(*)`) keeps its
+/// first column: a line needs a field.
+fn named_columns<'a>(
+    q: &Query,
+    exprs: impl Iterator<Item = &'a Expr>,
+    bindings: &[Binding],
+) -> Vec<Vec<usize>> {
+    let arity = |b: &Binding| b.table.schema.len();
+    if q.select.is_empty() || q.select.iter().any(|s| matches!(s.expr, Expr::Wildcard)) {
+        return bindings.iter().map(|b| (0..arity(b)).collect()).collect();
     }
+    let mut named: Vec<Vec<bool>> = bindings.iter().map(|b| vec![false; arity(b)]).collect();
+    for (qualifier, name) in exprs.flat_map(Expr::columns) {
+        let hits = bindings.iter().enumerate();
+        let hits = hits.filter_map(|(b, binding)| Some((b, binding.table.schema.index_of(name)?)));
+        let hits: Vec<(usize, usize)> = hits.collect();
+        let owner = hits
+            .iter()
+            .find(|(b, _)| Some(&bindings[*b].name) == qualifier.as_ref());
+        for &(b, i) in owner.map_or(&hits[..], std::slice::from_ref) {
+            named[b][i] = true;
+        }
+    }
+    let kept = named.into_iter().map(|named| {
+        let kept: Vec<usize> = (0..named.len()).filter(|&i| named[i]).collect();
+        if kept.is_empty() {
+            vec![0]
+        } else {
+            kept
+        }
+    });
+    kept.collect()
 }
 
 /// If every column of `e` resolves inside a single binding's table, the
 /// binding index; `None` otherwise.
-fn single_source_of(e: &Expr, bindings: &[(String, String)]) -> Option<usize> {
-    let cols = e.columns();
-    if cols.is_empty() {
-        return None;
-    }
+fn single_source_of(e: &Expr, bindings: &[Binding]) -> Option<usize> {
     let mut source: Option<usize> = None;
-    for (q, name) in cols {
+    for (q, _) in e.columns() {
         let idx = match q {
-            Some(q) => bindings.iter().position(|(b, _)| b == q)?,
+            Some(q) => bindings.iter().position(|b| b.name == *q)?,
             // Unqualified: attribute by TPC-H style prefix match is
             // unsafe; instead assume it belongs to whichever single
             // binding — only valid when there is exactly one.
             None if bindings.len() == 1 => 0,
             None => return None,
         };
-        let _ = name;
         match source {
             None => source = Some(idx),
             Some(s) if s == idx => {}

@@ -1,11 +1,13 @@
 //! # hana-hadoop
 //!
 //! The simulated Hadoop stack the platform federates with (§4 of the
-//! paper): a block-based, replicated **HDFS**, a multi-threaded
-//! **MapReduce** engine with explicit job/task startup costs, a **Hive**
-//! layer (MetaStore with statistics, HiveQL→MR-DAG compiler, fetch-task
-//! fast path, two-phase CTAS), and a registry of custom MR programs
-//! that back `CREATE VIRTUAL FUNCTION`.
+//! paper): a block-based, replicated **HDFS** whose files are read one
+//! input split at a time, a multi-threaded **MapReduce** engine with
+//! modelled job/task startup costs and split-scoped mappers, a **Hive**
+//! layer (MetaStore with statistics, a HiveQL→MR-DAG compiler that
+//! pushes predicates into scans, prunes columns and aggregates
+//! map-side, fetch-task fast path, two-phase CTAS), and a registry of
+//! custom MR programs that back `CREATE VIRTUAL FUNCTION`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -33,7 +35,5 @@ mod mrfunc;
 
 pub use hdfs::{Hdfs, DEFAULT_BLOCK_SIZE};
 pub use hive::{parse_row, CtasStats, Hive, HiveTable, TableStats, FIELD_SEP};
-pub use mapreduce::{
-    partition_of, Combiner, JobSpec, JobStats, Mapper, MrCluster, MrConfig, Reducer, KV,
-};
+pub use mapreduce::{partition_of, JobSpec, JobStats, Mapper, MrCluster, MrConfig, Reducer, KV};
 pub use mrfunc::{output_line, MrFunction, MrFunctionRegistry};

@@ -1,10 +1,13 @@
 //! The MapReduce engine.
 //!
 //! A faithful miniature of Hadoop 1.x execution: jobs are split into map
-//! tasks (one per input block), map output is hash-partitioned into
-//! `num_reducers` buckets, optionally combined, sorted by key and reduced;
-//! reducers write `part-r-NNNNN` files into the job's output directory.
-//! Tasks run on a bounded worker pool (crossbeam scoped threads).
+//! tasks (one per input block, each reading the lines that start in its
+//! block), map output is hash-partitioned into `num_reducers` buckets,
+//! sorted by key and reduced; reducers write `part-r-NNNNN` files into
+//! the job's output directory. A mapper sees its whole split in one
+//! call, so pre-aggregation (Hadoop's in-mapper combining) is the
+//! mapper's own business. Tasks run on a bounded worker pool (crossbeam
+//! scoped threads).
 //!
 //! **Why overheads are modeled.** The paper's Figure 14/15 experiment
 //! measures the benefit of *not re-running* Hive's MR DAGs; that benefit
@@ -16,7 +19,7 @@
 //! counters, so a figure built on it is the same on every run and on
 //! any core count.
 
-use std::collections::BTreeMap;
+use std::str::Lines;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,10 +33,15 @@ use crate::hdfs::Hdfs;
 /// A map output / reduce input pair.
 pub type KV = (String, String);
 
-/// User map function: one input line -> any number of key/value pairs.
+/// User map function, called once per input split.
+///
+/// A record-at-a-time closure `Fn(path, line, out)` is a `Mapper`
+/// through the blanket impl below; implement the trait directly to keep
+/// state across the records of a split, or to fail the job.
 pub trait Mapper: Send + Sync {
-    /// Map one record. `key` is the input file path, `value` the line.
-    fn map(&self, key: &str, value: &str, out: &mut Vec<KV>);
+    /// Map the records of one split of input file `path`. An error
+    /// fails the job.
+    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()>;
 }
 
 /// User reduce function: one key + all its values -> output lines.
@@ -46,17 +54,12 @@ impl<F> Mapper for F
 where
     F: Fn(&str, &str, &mut Vec<KV>) + Send + Sync,
 {
-    fn map(&self, key: &str, value: &str, out: &mut Vec<KV>) {
-        self(key, value, out)
+    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+        for line in lines {
+            self(path, line, out);
+        }
+        Ok(())
     }
-}
-
-/// Local pre-aggregation run over each map task's output. Unlike a
-/// [`Reducer`], a combiner's output must stay in value format (it is fed
-/// back into the shuffle, not written to files).
-pub trait Combiner: Send + Sync {
-    /// Combine the local values of one key into fewer values.
-    fn combine(&self, key: &str, values: &[String]) -> Vec<String>;
 }
 
 /// Engine configuration.
@@ -91,8 +94,6 @@ pub struct JobSpec {
     /// Number of reduce tasks. `0` makes the job map-only: map output
     /// values are written directly (keys discarded).
     pub num_reducers: usize,
-    /// Optional combiner, run over each map task's local output.
-    pub combiner: Option<Arc<dyn Combiner>>,
 }
 
 /// Outcome of one job.
@@ -104,7 +105,7 @@ pub struct JobStats {
     pub reduce_tasks: usize,
     /// Records read by mappers.
     pub input_records: u64,
-    /// Records emitted by mappers (before combining).
+    /// Records emitted by mappers.
     pub map_output_records: u64,
     /// Records written by reducers (or mappers when map-only).
     pub output_records: u64,
@@ -206,21 +207,10 @@ impl MrCluster {
         self.hdfs.delete_dir(&spec.output_dir);
 
         // ---- map phase: one task per input block ----
-        struct MapTask {
-            path: String,
-            block: usize,
-            nblocks: usize,
-        }
-        let mut tasks = Vec::new();
+        let mut tasks: Vec<(&str, usize)> = Vec::new();
         for path in &spec.inputs {
             let nblocks = self.hdfs.block_count(path)?.max(1);
-            for block in 0..nblocks {
-                tasks.push(MapTask {
-                    path: path.clone(),
-                    block,
-                    nblocks,
-                });
-            }
+            tasks.extend((0..nblocks).map(|block| (path.as_str(), block)));
         }
         modelled += self.charge_phase(tasks.len());
         let input_records = AtomicU64::new(0);
@@ -238,33 +228,18 @@ impl MrCluster {
                     if idx >= tasks.len() || map_err.lock().is_some() {
                         return;
                     }
-                    let task = &tasks[idx];
-                    // A task owns an equal share of the file's lines (the
-                    // simulator reads whole files; the share models block
-                    // locality).
-                    let lines = match self.hdfs.read_lines(&task.path) {
-                        Ok(l) => l,
-                        Err(e) => {
-                            *map_err.lock() = Some(e);
-                            return;
-                        }
-                    };
-                    let share: Vec<&String> = lines
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % task.nblocks == task.block)
-                        .map(|(_, l)| l)
-                        .collect();
-                    input_records.fetch_add(share.len() as u64, Ordering::Relaxed);
+                    let (path, block) = tasks[idx];
+                    // A task reads its own split and nothing else.
                     let mut out = Vec::new();
-                    for line in share {
-                        mapper.map(&task.path, line, &mut out);
+                    let mapped = self.hdfs.read_split(path, block).and_then(|split| {
+                        input_records.fetch_add(split.lines().count() as u64, Ordering::Relaxed);
+                        mapper.map_split(path, split.lines(), &mut out)
+                    });
+                    if let Err(e) = mapped {
+                        *map_err.lock() = Some(e);
+                        return;
                     }
                     map_output_records.fetch_add(out.len() as u64, Ordering::Relaxed);
-                    // Local combine.
-                    if let Some(comb) = &spec.combiner {
-                        out = combine(comb.as_ref(), out);
-                    }
                     // Partition by key hash.
                     let mut buckets: Vec<Vec<KV>> = (0..nparts).map(|_| Vec::new()).collect();
                     for kv in out {
@@ -306,15 +281,18 @@ impl MrCluster {
                         if p >= nparts || reduce_err.lock().is_some() {
                             return;
                         }
-                        let kvs = std::mem::take(&mut *partitions[p].lock());
-                        // Shuffle sort: group values by key.
-                        let mut grouped: BTreeMap<String, Vec<String>> = BTreeMap::new();
-                        for (k, v) in kvs {
-                            grouped.entry(k).or_default().push(v);
-                        }
+                        let mut kvs = std::mem::take(&mut *partitions[p].lock());
+                        // Shuffle sort: equal keys become one run, whose
+                        // values are the reducer's input.
+                        kvs.sort_by(|a, b| a.0.cmp(&b.0));
+                        let (keys, values): (Vec<String>, Vec<String>) = kvs.into_iter().unzip();
                         let mut lines = Vec::new();
-                        for (k, vs) in &grouped {
-                            reducer.reduce(k, vs, &mut lines);
+                        let mut run = 0;
+                        for (end, key) in keys.iter().enumerate() {
+                            if keys.get(end + 1) != Some(key) {
+                                reducer.reduce(key, &values[run..=end], &mut lines);
+                                run = end + 1;
+                            }
                         }
                         output_records.fetch_add(lines.len() as u64, Ordering::Relaxed);
                         if let Err(e) = self
@@ -349,7 +327,7 @@ impl MrCluster {
     pub fn read_output(&self, output_dir: &str) -> Result<Vec<String>> {
         let mut lines = Vec::new();
         for part in self.hdfs.list(output_dir) {
-            lines.extend(self.hdfs.read_lines(&part)?);
+            lines.extend(self.hdfs.read_text(&part)?.lines().map(str::to_string));
         }
         Ok(lines)
     }
@@ -365,29 +343,23 @@ pub fn partition_of(key: &str, nparts: usize) -> usize {
     (h % nparts as u64) as usize
 }
 
-/// Run a combiner over local map output.
-fn combine(comb: &dyn Combiner, kvs: Vec<KV>) -> Vec<KV> {
-    let mut grouped: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (k, v) in kvs {
-        grouped.entry(k).or_default().push(v);
-    }
-    let mut out = Vec::new();
-    for (k, vs) in &grouped {
-        out.extend(comb.combine(k, vs).into_iter().map(|v| (k.clone(), v)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
+    /// Counts words over its whole split and emits one pair per
+    /// distinct word: pre-aggregation inside the map task.
     struct WordMapper;
     impl Mapper for WordMapper {
-        fn map(&self, _k: &str, line: &str, out: &mut Vec<KV>) {
-            for w in line.split_whitespace() {
-                out.push((w.to_lowercase(), "1".into()));
+        fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+            let mut counts: BTreeMap<String, i64> = BTreeMap::new();
+            for w in lines.flat_map(str::split_whitespace) {
+                *counts.entry(w.to_lowercase()).or_default() += 1;
             }
+            out.extend(counts.into_iter().map(|(w, n)| (w, n.to_string())));
+            Ok(())
         }
     }
 
@@ -396,15 +368,6 @@ mod tests {
         fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
             let n: i64 = values.iter().map(|v| v.parse::<i64>().unwrap_or(0)).sum();
             out.push(format!("{key}\t{n}"));
-        }
-    }
-
-    /// Value-preserving partial sum.
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        fn combine(&self, _key: &str, values: &[String]) -> Vec<String> {
-            let n: i64 = values.iter().map(|v| v.parse::<i64>().unwrap_or(0)).sum();
-            vec![n.to_string()]
         }
     }
 
@@ -431,13 +394,16 @@ mod tests {
             inputs: vec!["/in/a.txt".into()],
             output_dir: "/out/wc".into(),
             num_reducers: 3,
-            combiner: Some(Arc::new(SumCombiner)),
         };
         let stats = mr
             .run_job(&spec, Arc::new(WordMapper), Some(Arc::new(SumReducer)))
             .unwrap();
         assert_eq!(stats.input_records, 3);
-        assert!(stats.map_tasks >= 1);
+        assert_eq!(stats.map_tasks, 1, "52 bytes fit one 64-byte block");
+        assert_eq!(
+            stats.map_output_records, 9,
+            "\"the\" left the map task once, already counted"
+        );
         assert_eq!(stats.reduce_tasks, 3);
         let mut out = mr.read_output("/out/wc").unwrap();
         out.sort();
@@ -462,7 +428,6 @@ mod tests {
             inputs: vec!["/in/x".into()],
             output_dir: "/out/f".into(),
             num_reducers: 0,
-            combiner: None,
         };
         let stats = mr.run_job(&spec, Arc::new(mapper), None).unwrap();
         assert_eq!(stats.output_records, 2);
@@ -481,7 +446,6 @@ mod tests {
             inputs: vec!["/in/big".into()],
             output_dir: "/out/c".into(),
             num_reducers: 2,
-            combiner: None,
         };
         let stats = mr
             .run_job(&spec, Arc::new(WordMapper), Some(Arc::new(SumReducer)))
@@ -509,7 +473,6 @@ mod tests {
             inputs: vec!["/in/big".into()],
             output_dir: "/out/c".into(),
             num_reducers: reducers,
-            combiner: None,
         };
         let start = Instant::now();
         let stats = mr
@@ -545,7 +508,6 @@ mod tests {
             inputs: vec!["/does/not/exist".into()],
             output_dir: "/out/e".into(),
             num_reducers: 1,
-            combiner: None,
         };
         assert!(mr
             .run_job(&spec, Arc::new(WordMapper), Some(Arc::new(SumReducer)))
@@ -557,11 +519,42 @@ mod tests {
             inputs: vec!["/in/ok".into()],
             output_dir: "/out/e2".into(),
             num_reducers: 1,
-            combiner: None,
         };
         assert!(mr.run_job(&spec2, Arc::new(WordMapper), None).is_err());
         let (jobs, _, _) = mr.counters();
         assert_eq!(jobs, 1, "failed-validation job was never started");
+    }
+
+    #[test]
+    fn a_mapper_error_fails_the_job() {
+        struct Picky;
+        impl Mapper for Picky {
+            fn map_split(&self, _path: &str, lines: Lines<'_>, _out: &mut Vec<KV>) -> Result<()> {
+                match lines.into_iter().find(|l| l.contains("bad")) {
+                    Some(l) => Err(HanaError::Execution(format!("cannot map '{l}'"))),
+                    None => Ok(()),
+                }
+            }
+        }
+        let mr = cluster();
+        let lines: Vec<String> = (0..40).map(|i| format!("record {i} of forty")).collect();
+        mr.hdfs().append_lines("/in/ok", &lines).unwrap();
+        mr.hdfs().append_lines("/in/x", &lines).unwrap();
+        mr.hdfs().append_lines("/in/x", &["a bad record"]).unwrap();
+        let spec = |input: &str| JobSpec {
+            name: "picky".into(),
+            inputs: vec![input.into()],
+            output_dir: "/out/p".into(),
+            num_reducers: 0,
+        };
+        assert!(mr.run_job(&spec("/in/ok"), Arc::new(Picky), None).is_ok());
+        let err = mr
+            .run_job(&spec("/in/x"), Arc::new(Picky), None)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("cannot map 'a bad record'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -97,14 +97,13 @@ impl MrFunctionRegistry {
             inputs,
             output_dir: out_dir.clone(),
             num_reducers: func.num_reducers,
-            combiner: None,
         };
         self.cluster
             .run_job(&spec, Arc::clone(&func.mapper), func.reducer.clone())?;
         let mut rows = Vec::new();
         for file in self.cluster.hdfs().list(&out_dir) {
-            for line in self.cluster.hdfs().read_lines(&file)? {
-                rows.push(parse_row(&line, &func.output_schema)?);
+            for line in self.cluster.hdfs().read_text(&file)?.lines() {
+                rows.push(parse_row(line, &func.output_schema)?);
             }
         }
         Ok(ResultSet::new(func.output_schema.clone(), rows))

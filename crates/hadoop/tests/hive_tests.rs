@@ -284,3 +284,378 @@ fn virtual_function_registry_runs_custom_jobs() {
     assert_eq!(sorted.rows[0][1], Value::Double(97.9));
     assert!(registry.invoke("no.such.Driver").is_err());
 }
+
+// ---- the text format reads back what `load` accepted, or the job fails ----
+
+/// `u(k INT, t TIMESTAMP, s VARCHAR)` with strings the old reader took
+/// for NULL.
+fn hive_with_u() -> Hive {
+    let hive = Hive::new(fast_cluster());
+    hive.create_table(
+        "u",
+        Schema::of(&[
+            ("k", DataType::Int),
+            ("t", DataType::Timestamp),
+            ("s", DataType::Varchar),
+        ]),
+    )
+    .unwrap();
+    let row = |k: i64, s: Value| Row::from_values([Value::Int(k), Value::Timestamp(k * 5), s]);
+    hive.load(
+        "u",
+        &[
+            row(1, Value::from("null")),
+            row(2, Value::from("")),
+            row(3, Value::Null),
+        ],
+    )
+    .unwrap();
+    hive
+}
+
+#[test]
+fn every_data_type_round_trips_through_the_text_format() {
+    let hive = hive_with_u();
+    let rs = hive.execute("SELECT * FROM u").unwrap().sorted_by(&[0]);
+    assert_eq!(rs.rows[0][1], Value::Timestamp(5));
+    assert_eq!(rs.rows[0][2], Value::from("null"), "'null' is a string");
+    assert_eq!(rs.rows[1][2], Value::from(""), "'' is a string");
+    assert_eq!(rs.rows[2][2], Value::Null, "only \\N is NULL");
+    // The same through MR jobs: no row vanishes on the way.
+    let rs = hive.execute("SELECT k FROM u WHERE k >= 1").unwrap();
+    assert_eq!(rs.len(), 3);
+    let rs = hive.execute("SELECT COUNT(*), COUNT(s) FROM u").unwrap();
+    assert_eq!(rs.rows[0].values(), &[Value::Int(3), Value::Int(2)]);
+    let rs = hive
+        .execute("SELECT k FROM u WHERE t > 5 AND s = ''")
+        .unwrap();
+    assert_eq!(rs.rows, vec![Row::from_values([Value::Int(2)])]);
+}
+
+#[test]
+fn what_the_text_format_cannot_hold_is_rejected_at_load() {
+    let hive = hive_with_u();
+    for s in ["a\u{1}b", "two\nlines", "\\N"] {
+        let row = Row::from_values([Value::Int(9), Value::Timestamp(9), Value::from(s)]);
+        assert!(hive.load("u", &[row]).is_err(), "{s:?} must not load");
+    }
+    assert_eq!(hive.table_stats("u").unwrap().row_count, 3);
+}
+
+#[test]
+fn a_line_that_does_not_decode_fails_the_job() {
+    let hive = hive_with_u();
+    // A data file written behind Hive's back: `k` is not a number.
+    hive.cluster()
+        .hdfs()
+        .append_lines("/warehouse/u/data-99999", &["x\u{1}5\u{1}s"])
+        .unwrap();
+    let err = hive.execute("SELECT s FROM u WHERE k >= 1").unwrap_err();
+    assert!(err.to_string().contains("cannot parse 'x'"), "{err}");
+    assert!(hive
+        .execute("SELECT COUNT(k) FROM u WHERE s = 's'")
+        .is_err());
+    // Lazy decoding: a statement that never reads `k` never trips on it.
+    let rs = hive.execute("SELECT s FROM u WHERE s = 's'").unwrap();
+    assert_eq!(rs.len(), 1);
+    // A line of the wrong arity is corrupt for every statement.
+    hive.cluster()
+        .hdfs()
+        .append_lines("/warehouse/u/data-99999", &["1\u{1}5"])
+        .unwrap();
+    let err = hive.execute("SELECT s FROM u WHERE s = 's'").unwrap_err();
+    assert!(err.to_string().contains("2 fields"), "{err}");
+}
+
+#[test]
+fn a_predicate_that_cannot_be_evaluated_fails_the_job() {
+    let hive = hive_with_u();
+    // NOT of a string: an evaluation error, which used to read as "false".
+    assert!(hive.execute("SELECT k FROM u WHERE NOT s").is_err());
+    assert!(hive
+        .execute("SELECT UPPER(k), COUNT(*) FROM u GROUP BY UPPER(k)")
+        .is_err());
+}
+
+#[test]
+fn an_unknown_column_is_a_compile_error_before_any_job() {
+    let hive = setup_hive();
+    let before = hive.cluster().counters().0;
+    for sql in [
+        "SELECT c_custkey FROM customer WHERE no_such > 1",
+        "SELECT c_name, COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey \
+         WHERE c_custkey + o_nope > 1 GROUP BY c_name",
+        "SELECT COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey GROUP BY nope",
+        "SELECT SUM(nope) FROM orders WHERE o_totalprice > 0",
+    ] {
+        let err = hive.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("unknown column"), "{sql}: {err}");
+    }
+    assert_eq!(hive.cluster().counters().0, before, "no job was launched");
+}
+
+// ---- aggregates keep their types from the map task to the driver ----
+
+#[test]
+fn aggregates_do_not_guess_types_back_from_text() {
+    let hive = Hive::new(fast_cluster());
+    hive.create_table(
+        "t",
+        Schema::of(&[
+            ("k", DataType::Varchar),
+            ("s", DataType::Varchar),
+            ("d", DataType::Date),
+        ]),
+    )
+    .unwrap();
+    let date = |s: &str| Value::Date(hana_types::Date::parse(s).unwrap());
+    // A group key with the separator of the old composite shuffle key.
+    let odd_key = "a\u{2}b";
+    hive.load(
+        "t",
+        &[
+            Row::from_values([Value::from("x"), Value::from("007"), date("1995-06-17")]),
+            Row::from_values([Value::from("x"), Value::from("7"), date("1994-01-02")]),
+            Row::from_values([Value::from("y"), Value::from("1e3"), date("1996-03-04")]),
+            Row::from_values([Value::from(odd_key), Value::from("z"), Value::Null]),
+        ],
+    )
+    .unwrap();
+    let rs = hive
+        .execute(
+            "SELECT k, s, MIN(s), MAX(s), MIN(d), MAX(d), COUNT(d) FROM t \
+             WHERE s <> 'none' GROUP BY k, s",
+        )
+        .unwrap()
+        .sorted_by(&[0, 1]);
+    assert_eq!(rs.len(), 4);
+    let rs = hive
+        .execute("SELECT k, MIN(s), MAX(s), MIN(d), MAX(d), COUNT(d) FROM t GROUP BY k")
+        .unwrap()
+        .sorted_by(&[0]);
+    let expect = [
+        (odd_key, "z", "z", Value::Null, Value::Null, 0),
+        ("x", "007", "7", date("1994-01-02"), date("1995-06-17"), 2),
+        ("y", "1e3", "1e3", date("1996-03-04"), date("1996-03-04"), 1),
+    ];
+    assert_eq!(rs.len(), expect.len());
+    assert_eq!(rs.schema.column(1).data_type, DataType::Varchar);
+    assert_eq!(rs.schema.column(3).data_type, DataType::Date);
+    for (row, (k, min_s, max_s, min_d, max_d, n)) in rs.rows.iter().zip(expect) {
+        let want = [
+            Value::from(k),
+            Value::from(min_s),
+            Value::from(max_s),
+            min_d,
+            max_d,
+            Value::Int(n),
+        ];
+        assert_eq!(row.values(), &want);
+    }
+    // Typed as it is valued: the result materializes (remote cache, CTAS).
+    let Statement::Query(q) = parse_statement("SELECT k, MIN(s) AS lo FROM t GROUP BY k").unwrap()
+    else {
+        panic!()
+    };
+    assert_eq!(hive.create_table_as_select("lows", &q).unwrap().rows, 3);
+    let lows = hive.execute("SELECT lo FROM lows").unwrap().sorted_by(&[0]);
+    assert_eq!(lows.rows[0][0], Value::from("007"));
+}
+
+#[test]
+fn partial_states_merge_across_map_tasks() {
+    // 64-byte blocks: a few rows per split, so every group is merged
+    // from many partial states, sums of integers stay integers and AVG
+    // is a quotient of merged sums, not an average of averages.
+    let cfg = MrConfig {
+        worker_slots: 3,
+        job_startup: Duration::ZERO,
+        task_startup: Duration::ZERO,
+    };
+    let cluster = Arc::new(MrCluster::new(Arc::new(Hdfs::with_config(3, 64, 1)), cfg));
+    let hive = Hive::new(cluster);
+    hive.create_table(
+        "m",
+        Schema::of(&[
+            ("g", DataType::Int),
+            ("v", DataType::Int),
+            ("x", DataType::Double),
+        ]),
+    )
+    .unwrap();
+    let rows: Vec<Row> = (0..500i64)
+        .map(|i| {
+            let x = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Double(i as f64 / 4.0)
+            };
+            Row::from_values([Value::Int(i % 3), Value::Int(i), x])
+        })
+        .collect();
+    hive.load("m", &rows).unwrap();
+    let before = hive.cluster().counters();
+    let rs = hive
+        .execute(
+            "SELECT g, COUNT(*), COUNT(x), SUM(v), AVG(v), MIN(x), MAX(v + 1) \
+             FROM m WHERE v >= 0 GROUP BY g",
+        )
+        .unwrap()
+        .sorted_by(&[0]);
+    let after = hive.cluster().counters();
+    assert_eq!(after.0 - before.0, 2, "a scan and a group-by job");
+    assert!(after.1 - before.1 > 50, "many splits: {:?}", after);
+    for g in 0..3i64 {
+        let vs: Vec<i64> = (0..500).filter(|i| i % 3 == g).collect();
+        let xs: Vec<f64> = vs
+            .iter()
+            .filter(|i| *i % 7 != 0)
+            .map(|i| *i as f64 / 4.0)
+            .collect();
+        let sum: i64 = vs.iter().sum();
+        let want = [
+            Value::Int(g),
+            Value::Int(vs.len() as i64),
+            Value::Int(xs.len() as i64),
+            Value::Int(sum),
+            Value::Double(sum as f64 / vs.len() as f64),
+            Value::Double(xs.iter().copied().fold(f64::MAX, f64::min)),
+            Value::Int(vs.iter().max().unwrap() + 1),
+        ];
+        assert_eq!(rs.rows[g as usize].values(), &want, "group {g}");
+    }
+    // A global aggregate whose predicate keeps nothing is one row of
+    // empty aggregates, and a grouped one no row.
+    let rs = hive
+        .execute("SELECT COUNT(*), SUM(v), MIN(x) FROM m WHERE v < 0")
+        .unwrap();
+    assert_eq!(
+        rs.rows,
+        vec![Row::from_values([Value::Int(0), Value::Null, Value::Null])]
+    );
+    let rs = hive
+        .execute("SELECT g, COUNT(*) FROM m WHERE v < 0 GROUP BY g")
+        .unwrap();
+    assert!(rs.is_empty());
+}
+
+// ---- column pruning changes what a job carries, never what it answers ----
+
+/// `a(k, v, x)`, `b(k, w, x)`, `c(w, y)`: `k` and `x` exist in two
+/// bindings, `w` in two others.
+fn hive_with_overlapping_names() -> Hive {
+    let hive = Hive::new(fast_cluster());
+    let int3 = |a: &str, b: &str, c: &str| {
+        Schema::of(&[(a, DataType::Int), (b, DataType::Int), (c, DataType::Int)])
+    };
+    hive.create_table("a", int3("k", "v", "x")).unwrap();
+    hive.create_table("b", int3("k", "w", "x")).unwrap();
+    hive.create_table(
+        "c",
+        Schema::of(&[("w", DataType::Int), ("y", DataType::Varchar)]),
+    )
+    .unwrap();
+    let ints = |vals: [i64; 3]| Row::from_values(vals.map(Value::Int));
+    let a: Vec<Row> = (0..40).map(|i| ints([i % 10, i, i % 4])).collect();
+    let b: Vec<Row> = (0..30).map(|i| ints([i % 10, i % 6, i % 5])).collect();
+    let c: Vec<Row> = (0..6)
+        .map(|i| Row::from_values([Value::Int(i), Value::from(format!("y{}", i % 2))]))
+        .collect();
+    hive.load("a", &a).unwrap();
+    hive.load("b", &b).unwrap();
+    hive.load("c", &c).unwrap();
+    hive
+}
+
+fn sorted_rows(rs: &hana_types::ResultSet) -> Vec<Row> {
+    let mut rows = rs.rows.clone();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn pruned_plan_answers_like_the_plan_with_every_column_kept() {
+    let hive = hive_with_overlapping_names();
+    const FROM2: &str = "FROM a JOIN b ON a.k = b.k";
+    const FROM3: &str = "FROM a JOIN b ON a.k = b.k JOIN c ON b.w = c.w";
+    // (select list, FROM, rest): no select list keeps every column, so
+    // `SELECT *` projected by the test is the unpruned plan.
+    let plain = [
+        ("a.v, b.w", FROM2, "WHERE a.x > 1"),
+        ("v, w", FROM2, "WHERE a.x > b.x"),
+        ("v, b.x", FROM2, "WHERE v > 3 AND b.x < 4"),
+        ("a.k, y, v", FROM3, "WHERE y = 'y1' AND a.x + b.x > 2"),
+        ("c.w, a.x", FROM3, ""),
+        // Unqualified and in two bindings: ambiguous both ways.
+        ("v, x", FROM2, ""),
+        ("v", FROM2, "WHERE x > 1"),
+        ("v, w", FROM3, ""),
+        // ON resolves each side within its own input: `k` is `a.k`.
+        ("a.v", "FROM a JOIN b ON k = b.k", ""),
+    ];
+    let mut answered = 0;
+    for (select, from, rest) in plain {
+        let pruned = hive.execute(&format!("SELECT {select} {from} {rest}"));
+        let kept = hive.execute(&format!("SELECT * {from} {rest}"));
+        let (pruned, kept) = match (pruned, kept) {
+            (Ok(p), Ok(k)) => (p, k),
+            (Err(_), Err(_)) => continue,
+            // `SELECT *` names no column, so only the pruned statement
+            // can trip on an ambiguous select item.
+            (Err(e), Ok(_)) => {
+                assert!(e.to_string().contains("ambiguous"), "{select}: {e}");
+                continue;
+            }
+            (Ok(_), Err(e)) => panic!("{select} {rest}: only the unpruned plan fails: {e}"),
+        };
+        // Project the unpruned result by the pruned statement's names.
+        let cols: Vec<usize> = select
+            .split(", ")
+            .map(|name| {
+                let bare = name.rsplit('.').next().unwrap();
+                let hits: Vec<usize> = (0..kept.schema.len())
+                    .filter(|&i| {
+                        let col = &kept.schema.column(i).name;
+                        col == name || (!name.contains('.') && col.ends_with(&format!(".{bare}")))
+                    })
+                    .collect();
+                assert_eq!(hits.len(), 1, "{name} in {}", kept.schema);
+                hits[0]
+            })
+            .collect();
+        let mut projected: Vec<Row> = kept.rows.iter().map(|r| r.project(&cols)).collect();
+        projected.sort();
+        assert!(!projected.is_empty(), "{select} {rest}: a vacuous case");
+        assert_eq!(sorted_rows(&pruned), projected, "{select} {from} {rest}");
+        answered += 1;
+    }
+    assert_eq!(
+        answered, 6,
+        "the three ambiguous statements fail, the rest answer"
+    );
+
+    // Aggregated statements: the unpruned variant counts every column
+    // of every binding, which keeps them all in every stage.
+    let every_column = "COUNT(a.k), COUNT(a.v), COUNT(a.x), COUNT(b.k), COUNT(b.w), COUNT(b.x)";
+    for (select, rest) in [
+        ("a.k, SUM(v), MAX(b.x)", "WHERE a.x > 0 GROUP BY a.k"),
+        (
+            "w, COUNT(*), MIN(a.x + b.x)",
+            "GROUP BY w HAVING COUNT(*) > 2",
+        ),
+        ("SUM(v * w)", "WHERE a.x < b.x"),
+    ] {
+        let width = select.split(", ").count();
+        let pruned = hive
+            .execute(&format!("SELECT {select} {FROM2} {rest}"))
+            .unwrap();
+        let kept = hive
+            .execute(&format!("SELECT {select}, {every_column} {FROM2} {rest}"))
+            .unwrap();
+        let cols: Vec<usize> = (0..width).collect();
+        let mut projected: Vec<Row> = kept.rows.iter().map(|r| r.project(&cols)).collect();
+        projected.sort();
+        assert!(!projected.is_empty(), "{select} {rest}: a vacuous case");
+        assert_eq!(sorted_rows(&pruned), projected, "{select} {rest}");
+    }
+}

@@ -584,12 +584,26 @@ impl<'a> Planner<'a> {
                     est_rows: est,
                     est_source,
                 },
-                TableSource::Extended { source, .. } | TableSource::Virtual { source, .. } => {
+                TableSource::Extended { source, schema, .. }
+                | TableSource::Virtual { source, schema, .. } => {
                     // A single remote table accessed without a join
                     // strategy: ship a remote scan sub-query. The
                     // remote side evaluates full SQL, so *every*
                     // binding predicate ships — no local re-check.
+                    // The columns `prune_unreferenced` left are the
+                    // select list (`*` when it left them all).
+                    let pruned = b.schema.len() < schema.len();
+                    let shipped = b.schema.columns().iter().filter(|_| pruned);
                     let sub = Query {
+                        select: shipped
+                            .map(|c| SelectItem {
+                                expr: Expr::Column {
+                                    qualifier: Some(b.name.clone()),
+                                    name: c.name.rsplit('.').next().unwrap_or(&c.name).to_string(),
+                                },
+                                alias: None,
+                            })
+                            .collect(),
                         from: Some(TableRef::Named {
                             name: b.remote_table_name(),
                             alias: Some(b.name.clone()),
@@ -764,13 +778,17 @@ impl<'a> Planner<'a> {
             .map(|n| n as f64);
         let join_out =
             estimator::join_out(acc.est_rows, remote_filtered, local_key_ndv, remote_key_ndv);
+        // A semijoin or a relocated join fetches every remote column
+        // (`SELECT *` built at execution time); only a remote-scan leaf
+        // ships the pruned select list.
+        let full = ts.schema().qualified(&b.name);
         let situation = JoinSituation {
             local_rows: acc.est_rows,
             remote_total,
             remote_filtered,
             join_out,
             local_width: self.node_width(&acc),
-            remote_width: b.schema.len() as f64,
+            remote_width: full.len() as f64,
             local_key_ndv: local_key_ndv.unwrap_or(0.0),
             remote_key_ndv: remote_key_ndv.unwrap_or(0.0),
         };
@@ -787,7 +805,7 @@ impl<'a> Planner<'a> {
             options.push(FederationStrategy::TableRelocation);
         }
         let (strategy, _) = CostModel::default().pick(&options, &situation);
-        let schema = acc.schema.join(&b.schema)?;
+        let schema = acc.schema.join(&full)?;
         let est = situation.join_out;
         match strategy {
             FederationStrategy::RemoteScan => {
@@ -1117,10 +1135,12 @@ fn query_exprs(q: &Query) -> impl Iterator<Item = &Expr> {
         .chain(order)
 }
 
-/// Prune the schema of every local column-table binding to the columns
-/// the query names, so its leaf decodes and clones only those
-/// (`SELECT *` keeps all; a binding nothing names, as under
-/// `COUNT(*)`, keeps its first column — a row needs one).
+/// Prune the schema of every local column-table binding and of every
+/// virtual or extended-storage binding to the columns the query names,
+/// so that a local leaf decodes and clones only those and a remote-scan
+/// leaf ships them as its select list (`SELECT *` keeps all; a binding
+/// nothing names, as under `COUNT(*)`, keeps its first column — a row
+/// needs one).
 ///
 /// A reference marks the binding its qualifier names; an unqualified
 /// one, or one whose qualifier is no binding of that column (which
@@ -1160,7 +1180,13 @@ fn prune_unreferenced(q: &Query, bindings: &mut [Binding]) {
     };
     query_exprs(q).for_each(|e| e.walk(&mut mark));
     for (b, mut keep) in bindings.iter_mut().zip(keep) {
-        if !matches!(b.source, BindingKind::Table(TableSource::Column(_))) {
+        let prunable = matches!(
+            b.source,
+            BindingKind::Table(
+                TableSource::Column(_) | TableSource::Virtual { .. } | TableSource::Extended { .. }
+            )
+        );
+        if !prunable {
             continue;
         }
         if !keep.contains(&false) {

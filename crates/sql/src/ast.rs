@@ -509,6 +509,40 @@ impl Expr {
         }
     }
 
+    /// Depth-first visit that may rewrite nodes in place; a node `f`
+    /// replaced is descended into as replaced.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        match self {
+            Expr::Unary { expr, .. } => expr.walk_mut(f),
+            Expr::Binary { left, right, .. } => {
+                left.walk_mut(f);
+                right.walk_mut(f);
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.walk_mut(f);
+                list.iter_mut().for_each(|e| e.walk_mut(f));
+            }
+            Expr::Between { expr, lo, hi, .. } => {
+                expr.walk_mut(f);
+                lo.walk_mut(f);
+                hi.walk_mut(f);
+            }
+            Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => expr.walk_mut(f),
+            Expr::Func { args, .. } => args.iter_mut().for_each(|a| a.walk_mut(f)),
+            Expr::Case { whens, else_expr } => {
+                for (c, v) in whens {
+                    c.walk_mut(f);
+                    v.walk_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.walk_mut(f);
+                }
+            }
+            Expr::Literal(_) | Expr::Parameter(_) | Expr::Column { .. } | Expr::Wildcard => {}
+        }
+    }
+
     /// Whether the expression (transitively) contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
         let mut found = false;

@@ -212,77 +212,23 @@ fn bind_table_ref(t: &TableRef, params: &[Value]) -> Result<TableRef> {
 }
 
 fn bind_expr(e: &Expr, params: &[Value]) -> Result<Expr> {
-    Ok(match e {
-        Expr::Parameter(i) => {
-            let v = params.get(*i).ok_or_else(|| {
-                HanaError::Plan(format!("no value bound for parameter {}", i + 1))
-            })?;
-            Expr::Literal(v.clone())
+    let mut bound = e.clone();
+    let mut unbound = None;
+    bound.walk_mut(&mut |n| {
+        if let Expr::Parameter(i) = n {
+            match params.get(*i) {
+                Some(v) => *n = Expr::Literal(v.clone()),
+                None => unbound = Some(*i),
+            }
         }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Wildcard => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(bind_expr(expr, params)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(bind_expr(left, params)?),
-            op: *op,
-            right: Box::new(bind_expr(right, params)?),
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(bind_expr(expr, params)?),
-            list: list
-                .iter()
-                .map(|e| bind_expr(e, params))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(bind_expr(expr, params)?),
-            lo: Box::new(bind_expr(lo, params)?),
-            hi: Box::new(bind_expr(hi, params)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(bind_expr(expr, params)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(bind_expr(expr, params)?),
-            negated: *negated,
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| bind_expr(a, params))
-                .collect::<Result<_>>()?,
-        },
-        Expr::Case { whens, else_expr } => Expr::Case {
-            whens: whens
-                .iter()
-                .map(|(c, v)| Ok((bind_expr(c, params)?, bind_expr(v, params)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(bind_expr(e, params)?)),
-                None => None,
-            },
-        },
-    })
+    });
+    match unbound {
+        Some(i) => Err(HanaError::Plan(format!(
+            "no value bound for parameter {}",
+            i + 1
+        ))),
+        None => Ok(bound),
+    }
 }
 
 #[cfg(test)]

@@ -101,15 +101,17 @@ pub fn substitute_aggregates(
 }
 
 /// The schema an aggregation stage must produce for query `q`:
-/// `_g0.._gN` (typed from the input schema) then `_a0.._aM`.
+/// `_g0.._gN` (typed from the input schema) then `_a0.._aM` (a count is
+/// an integer, MIN and MAX have the type of what they compare).
 pub fn aggregate_output_schema(q: &Query, input: &Schema) -> Result<Schema> {
     let mut cols = Vec::new();
     for (i, g) in q.group_by.iter().enumerate() {
         cols.push(ColumnDef::new(&format!("_g{i}"), infer_type(g, input)));
     }
-    for (i, (f, _)) in collect_aggregates(q).iter().enumerate() {
-        let dt = match f {
-            AggFunc::Count | AggFunc::CountStar => DataType::BigInt,
+    for (i, (f, arg)) in collect_aggregates(q).iter().enumerate() {
+        let dt = match (f, arg) {
+            (AggFunc::Count | AggFunc::CountStar, _) => DataType::BigInt,
+            (AggFunc::Min | AggFunc::Max, Some(arg)) => infer_type(arg, input),
             _ => DataType::Double,
         };
         cols.push(ColumnDef::new(&format!("_a{i}"), dt));

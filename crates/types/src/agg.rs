@@ -57,6 +57,27 @@ impl AggFunc {
             max: None,
         }
     }
+
+    /// Rebuild an accumulator of this function from [`Accumulator::state`].
+    pub fn accumulator_from_state(&self, state: &[Value]) -> Result<Accumulator> {
+        let some = |v: &Value| (!v.is_null()).then(|| v.clone());
+        match state {
+            [Value::Int(count), Value::Double(sum), int_sum @ (Value::Int(_) | Value::Null), min, max] => {
+                Ok(Accumulator {
+                    func: *self,
+                    count: *count,
+                    sum: *sum,
+                    int_sum: int_sum.as_i64(),
+                    min: some(min),
+                    max: some(max),
+                })
+            }
+            other => Err(HanaError::Execution(format!(
+                "not the state of a {} accumulator: {other:?}",
+                self.sql_name()
+            ))),
+        }
+    }
 }
 
 /// Incremental state for one aggregate.
@@ -154,8 +175,22 @@ impl Accumulator {
         }
     }
 
+    /// The partial state as plain values — `[count, sum, exact integer
+    /// sum or NULL, min or NULL, max or NULL]` — so that it travels
+    /// through whatever row codec the caller already has.
+    /// [`AggFunc::accumulator_from_state`] is the inverse.
+    pub fn state(&self) -> [Value; 5] {
+        [
+            Value::Int(self.count),
+            Value::Double(self.sum),
+            self.int_sum.map_or(Value::Null, Value::Int),
+            self.min.clone().unwrap_or(Value::Null),
+            self.max.clone().unwrap_or(Value::Null),
+        ]
+    }
+
     /// Merge another accumulator of the same function (partial
-    /// aggregation across partitions / MapReduce combiners).
+    /// aggregation across partitions / MapReduce map tasks).
     pub fn merge(&mut self, other: &Accumulator) {
         debug_assert_eq!(self.func, other.func);
         self.count += other.count;
@@ -241,6 +276,39 @@ mod tests {
         n.add(&Value::Int(9));
         m.merge(&n);
         assert_eq!(m.finish(), Value::Int(9));
+    }
+
+    #[test]
+    fn state_round_trips() {
+        let inputs = [Value::from("1e3"), Value::Null, Value::from("007")];
+        for func in [
+            AggFunc::CountStar,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
+            let mut acc = func.accumulator();
+            inputs.iter().for_each(|v| acc.add(v));
+            let back = func.accumulator_from_state(&acc.state()).unwrap();
+            assert_eq!(back.finish(), acc.finish(), "{func:?}");
+            assert_eq!(back.state(), acc.state(), "{func:?}");
+        }
+        // An integer sum stays exact, an overflowed one stays a double.
+        let mut sum = AggFunc::Sum.accumulator();
+        sum.add(&Value::Int(i64::MAX));
+        let back = AggFunc::Sum.accumulator_from_state(&sum.state()).unwrap();
+        assert_eq!(back.finish(), Value::Int(i64::MAX));
+        sum.add(&Value::Int(1));
+        let back = AggFunc::Sum.accumulator_from_state(&sum.state()).unwrap();
+        assert_eq!(back.finish(), sum.finish());
+        assert!(matches!(back.finish(), Value::Double(_)));
+        // An empty accumulator, and a state that is none.
+        let empty = AggFunc::Min.accumulator();
+        let back = AggFunc::Min.accumulator_from_state(&empty.state()).unwrap();
+        assert_eq!(back.finish(), Value::Null);
+        assert!(AggFunc::Sum
+            .accumulator_from_state(&[Value::Int(1)])
+            .is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The durable row codec: an exact text encoding of rows for WAL
 //! payloads, checkpoint records and partition logs.
 //!
-//! Unlike the Hive/HDFS line format ([`Row::to_delimited`] +
+//! Unlike the delimited line format ([`Row::to_delimited`] +
 //! [`Value::parse_typed`]), which renders NULL, `''` and `'null'` alike
 //! and cannot carry its own delimiters, this pair is a bijection on
-//! every [`Value`]: each field starts with a one-character type tag
+//! every [`Value`] — which is also why Hive's map tasks ship their
+//! partial aggregate states through it: each field starts with a one-character type tag
 //! (`N`ull, `B`ool, `I`nt, `D`ouble, `S`tring, d`A`te, `T`imestamp),
 //! doubles print in their shortest round-tripping form, and strings
 //! escape the backslash and the four control characters the durable
@@ -109,13 +110,19 @@ fn decode_value(field: &str) -> Result<Value> {
     })
 }
 
+/// Decode the values [`encode_row`] wrote, whatever they are (an empty
+/// text is the empty row).
+pub fn decode_values(text: &str) -> Result<Vec<Value>> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split(VAL_SEP).map(decode_value).collect()
+}
+
 /// Decode one row and check it against `schema` (arity, nullability,
 /// assignable types) — the text comes from disk.
 pub fn decode_row(text: &str, schema: &Schema) -> Result<Row> {
-    let vals: Vec<Value> = text
-        .split(VAL_SEP)
-        .map(decode_value)
-        .collect::<Result<_>>()?;
+    let vals = decode_values(text)?;
     schema.check_row(&vals)?;
     Ok(Row(vals))
 }

@@ -52,11 +52,33 @@ impl Date {
     /// Parse an ISO `YYYY-MM-DD` string, validating month and day ranges.
     pub fn parse(s: &str) -> Result<Date> {
         let bad = || HanaError::Parse(format!("invalid date literal '{s}', expected YYYY-MM-DD"));
-        let mut it = s.split('-');
-        let y: i32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let m: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let d: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+        // The ten bytes every writer in the platform produces, without
+        // a splitter and three integer parsers: text tables hold dates
+        // by the hundred thousand.
+        let digits = |text: &[u8]| {
+            let digit = |n: u32, c: &u8| c.is_ascii_digit().then(|| n * 10 + (c - b'0') as u32);
+            text.iter().try_fold(0, digit)
+        };
+        let canonical = match s.as_bytes() {
+            [y @ .., b'-', m1, m2, b'-', d1, d2] if y.len() == 4 => {
+                digits(y).zip(digits(&[*m1, *m2])).zip(digits(&[*d1, *d2]))
+            }
+            _ => None,
+        };
+        let (y, m, d) = match canonical {
+            Some(((y, m), d)) => (y as i32, m, d),
+            None => {
+                let mut it = s.split('-');
+                let y: i32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+                let m: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+                let d: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+                if it.next().is_some() {
+                    return Err(bad());
+                }
+                (y, m, d)
+            }
+        };
+        if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
             return Err(bad());
         }
         let date = Date::from_ymd(y, m, d);

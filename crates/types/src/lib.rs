@@ -21,7 +21,7 @@ mod schema;
 mod value;
 
 pub use agg::{Accumulator, AggFunc};
-pub use codec::{decode_row, decode_rows, encode_row, encode_rows};
+pub use codec::{decode_row, decode_rows, decode_values, encode_row, encode_rows};
 pub use datatype::DataType;
 pub use date::Date;
 pub use error::{HanaError, Result};

@@ -51,7 +51,8 @@ impl Row {
         Row(indices.iter().map(|&i| self.0[i].clone()).collect())
     }
 
-    /// Render as a delimited text line (the HDFS text file format).
+    /// Render as a delimited text line (the ESP archive format; Hive
+    /// tables have a writer of their own that reads back what it wrote).
     pub fn to_delimited(&self, sep: char) -> String {
         let mut out = String::new();
         for (i, v) in self.0.iter().enumerate() {

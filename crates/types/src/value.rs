@@ -182,7 +182,8 @@ impl Value {
     }
 
     /// Parse a literal of the requested type from text (used by the CSV
-    /// loaders, the HDFS text format and the TPC-H generator).
+    /// loaders, the non-string fields of Hive's text format and the
+    /// TPC-H generator). The empty string, `\N` and `null` are NULL.
     pub fn parse_typed(text: &str, ty: DataType) -> Result<Value> {
         if text.is_empty() || text == "\\N" || text.eq_ignore_ascii_case("null") {
             return Ok(Value::Null);

@@ -171,7 +171,6 @@ fn main() {
                 inputs: vec!["/archive/network/day1".into()],
                 output_dir: "/analysis/peaks".into(),
                 num_reducers: 2,
-                combiner: None,
             },
             Arc::new(mapper),
             Some(Arc::new(MaxLoad)),

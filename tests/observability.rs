@@ -227,6 +227,42 @@ fn profile_query_federated_records_remote_span() {
     assert!(remote.bytes.unwrap_or(0) > 0);
 }
 
+/// A lone virtual table is fetched with the columns the query names,
+/// not with `SELECT *`: Q14 reads 4 of LINEITEM's 15 columns.
+#[test]
+fn explain_shows_the_select_list_a_remote_scan_ships() {
+    let config = hana_bench::WorldConfig {
+        scale: 0.002,
+        job_startup: Duration::ZERO,
+        task_startup: Duration::ZERO,
+        odbc_row_cost_us: 0,
+        ..hana_bench::WorldConfig::default()
+    };
+    let world = hana_bench::TpchWorld::build(&config, true).unwrap();
+    let queries = hana_data_platform::tpch::queries();
+    let q14 = queries.iter().find(|q| q.name == "Q14").unwrap();
+    let explain = format!("EXPLAIN {}", q14.sql);
+    let plan = world.hana.execute_sql(&world.session, &explain).unwrap();
+    let shipped: Vec<String> = plan
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .filter(|line| line.contains("Shipped:"))
+        .collect();
+    assert_eq!(
+        shipped.iter().map(|l| l.trim()).collect::<Vec<_>>(),
+        [
+            "Shipped: SELECT l.l_partkey, l.l_extendedprice, l.l_discount, l.l_shipdate \
+          FROM lineitem l WHERE ((l.l_shipdate >= DATE '1995-09-01') \
+          AND (l.l_shipdate < DATE '1995-10-01'))"
+        ]
+    );
+    // The narrow fetch answers what the wide one did.
+    let rs = world.hana.execute_sql(&world.session, &q14.sql).unwrap();
+    assert_eq!(rs.len(), 1);
+    assert!(rs.rows[0][1].as_f64().unwrap() > 0.0, "{:?}", rs.rows[0]);
+}
+
 fn attr(node: &hana_data_platform::obs::ProfileNode, name: &str) -> u64 {
     let found = node.attrs.iter().find(|(n, _)| n == name);
     found
