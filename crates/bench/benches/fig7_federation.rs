@@ -17,8 +17,8 @@ use hana_bench::median_nanos;
 use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_iq::IqEngine;
 use hana_query::{
-    execute_plan, Catalog, EstSource, FederationStrategy, PlanNode, PlanOp, PlannerContext,
-    TableSource,
+    execute_plan, Catalog, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,
+    PlannerContext, TableSource,
 };
 use hana_sda::{IqAdapter, SdaAdapter, SdaRegistry};
 use hana_sql::{parse_statement, Expr, JoinKind, Statement};
@@ -96,7 +96,10 @@ fn local_scan(cat: &BenchCatalog) -> PlanNode {
         op: PlanOp::ColumnScan {
             binding: "d".into(),
             table: "dim".into(),
-            preds: vec![("d_id".into(), ColumnPredicate::Eq(Value::Int(42)))],
+            preds: vec![(
+                "d_id".into(),
+                ColumnPredicate::Eq(Operand::Lit(Value::Int(42))),
+            )],
         },
         schema,
         est_rows: 1.0,

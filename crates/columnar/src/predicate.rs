@@ -11,31 +11,58 @@ use hana_types::Value;
 
 use crate::dictionary::{DeltaDictionary, OrderedDictionary, NULL_VID};
 
-/// A predicate over a single column.
+/// A predicate over a single column. Its operands are values wherever
+/// a predicate is evaluated; a cached plan holds the same shapes over
+/// operands that may be slots, and [`ColumnPredicate::try_map`]s them to
+/// values per run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ColumnPredicate {
+pub enum ColumnPredicate<V = Value> {
     /// `col = v`
-    Eq(Value),
+    Eq(V),
     /// `col <> v`
-    Ne(Value),
+    Ne(V),
     /// `col < v`
-    Lt(Value),
+    Lt(V),
     /// `col <= v`
-    Le(Value),
+    Le(V),
     /// `col > v`
-    Gt(Value),
+    Gt(V),
     /// `col >= v`
-    Ge(Value),
+    Ge(V),
     /// `col BETWEEN lo AND hi` (inclusive)
-    Between(Value, Value),
+    Between(V, V),
     /// `col IN (…)`
-    InList(Vec<Value>),
+    InList(Vec<V>),
     /// `col LIKE pattern`
     Like(String),
     /// `col IS NULL`
     IsNull,
     /// `col IS NOT NULL`
     IsNotNull,
+}
+
+impl<V> ColumnPredicate<V> {
+    /// The same predicate with every operand mapped through `f`.
+    pub fn try_map<U, E>(
+        &self,
+        mut f: impl FnMut(&V) -> Result<U, E>,
+    ) -> Result<ColumnPredicate<U>, E> {
+        Ok(match self {
+            ColumnPredicate::Eq(v) => ColumnPredicate::Eq(f(v)?),
+            ColumnPredicate::Ne(v) => ColumnPredicate::Ne(f(v)?),
+            ColumnPredicate::Lt(v) => ColumnPredicate::Lt(f(v)?),
+            ColumnPredicate::Le(v) => ColumnPredicate::Le(f(v)?),
+            ColumnPredicate::Gt(v) => ColumnPredicate::Gt(f(v)?),
+            ColumnPredicate::Ge(v) => ColumnPredicate::Ge(f(v)?),
+            ColumnPredicate::Between(lo, hi) => ColumnPredicate::Between(f(lo)?, f(hi)?),
+            ColumnPredicate::InList(list) => {
+                ColumnPredicate::InList(list.iter().map(f).collect::<Result<_, E>>()?)
+            }
+            ColumnPredicate::Like(p) => ColumnPredicate::Like(p.clone()),
+            ColumnPredicate::IsNull => ColumnPredicate::IsNull,
+            ColumnPredicate::IsNotNull => ColumnPredicate::IsNotNull,
+        })
+    }
 }
 
 impl ColumnPredicate {

@@ -322,8 +322,31 @@ impl HanaPlatform {
         session: &Session,
         q: &hana_sql::Query,
     ) -> Result<hana_query::PlanNode> {
+        self.plan_shape(session, q, &[])
+    }
+
+    /// Compile a statement *shape* — a query whose compared literals
+    /// are slots ([`hana_sql::Query::lift_literals`]) — priced for
+    /// `values` and valid for every value vector of the shape.
+    /// [`HanaPlatform::plan_query`] is the zero-value call.
+    pub fn plan_shape(
+        &self,
+        session: &Session,
+        shape: &hana_sql::Query,
+        values: &[Value],
+    ) -> Result<hana_query::PlanNode> {
         self.security.check(session, Privilege::Select)?;
-        PlannerContext::new(self.catalog.as_ref()).planner().plan(q)
+        let planner = PlannerContext::new(self.catalog.as_ref()).planner();
+        planner.plan_with(shape, values)
+    }
+
+    /// Whether `plan`, compiled for another value vector of its shape,
+    /// is priced more than 10× off for `values`: `Some` of the
+    /// magnitude class to keep a second plan under
+    /// ([`hana_query::Planner::drift`]).
+    pub fn plan_drift(&self, plan: &hana_query::PlanNode, values: &[Value]) -> Option<String> {
+        let planner = PlannerContext::new(self.catalog.as_ref()).planner();
+        planner.drift(plan, values)
     }
 
     /// Execute a previously compiled plan under the session's current
@@ -335,9 +358,21 @@ impl HanaPlatform {
         session: &Session,
         plan: &hana_query::PlanNode,
     ) -> Result<ResultSet> {
+        self.execute_plan_bound(session, plan, &[])
+    }
+
+    /// Execute a plan compiled by [`HanaPlatform::plan_shape`] with the
+    /// values its slots read. [`HanaPlatform::execute_plan`] is the
+    /// zero-value call.
+    pub fn execute_plan_bound(
+        &self,
+        session: &Session,
+        plan: &hana_query::PlanNode,
+        values: &[Value],
+    ) -> Result<ResultSet> {
         self.security.check(session, Privilege::Select)?;
         let cid = self.snapshot_cid(session);
-        hana_query::execute_plan_with(&self.exec, plan, self.catalog.as_ref(), cid)
+        hana_query::execute_plan_bound(&self.exec, plan, values, self.catalog.as_ref(), cid)
     }
 
     /// Current catalog version (bumped by DDL, function registration and

@@ -4,13 +4,29 @@ use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap, BLOCK_ROWS};
 use hana_exec::ExecContext;
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
-use hana_sql::finish::{finish_query, project_final, sort_rows};
+use hana_sql::finish::{bound_order, finish_shape, project_shape, sort_rows};
 use hana_sql::{evaluate, evaluate_predicate, resolve_column, Expr, JoinKind, Query, TableRef};
 use hana_types::{Accumulator, AggFunc, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::catalog::{Catalog, TableSource};
 use crate::hash::{FxBuildHasher, FxHashMap};
-use crate::plan::{DistJoinStrategy, PlanNode, PlanOp};
+use crate::plan::{
+    bind_predicate, bind_predicates, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
+};
+
+/// What one run of a plan reads besides the plan: where it executes,
+/// the snapshot it sees, and the values behind the plan's slots. A plan
+/// is compiled once per statement shape; the values are resolved where
+/// they are consumed — a leaf binds its predicates, an operator over
+/// expressions binds them when it starts, a shipped sub-query is bound
+/// to literals before it leaves.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'a> {
+    pub exec: &'a ExecContext,
+    pub catalog: &'a dyn Catalog,
+    pub cid: u64,
+    pub values: &'a [Value],
+}
 
 /// `build_side` attribute of a `hash_join` span: the table went over
 /// the left input.
@@ -81,40 +97,62 @@ pub(crate) fn span_name(op: &PlanOp) -> String {
     }
 }
 
-/// Execute a physical plan with an explicit execution context.
-///
-/// Every operator runs under an observability span named after the
-/// plan node (`column_scan[t]`, `group_by`, `hash_join`, …) carrying
-/// output rows/bytes — [`hana_obs::Tracer::profile`] turns the spans of
-/// one query into an `EXPLAIN ANALYZE`-style tree. Without an installed
-/// tracer the spans are inert.
+/// Execute a physical plan with an explicit execution context: the
+/// zero-value call of [`execute_plan_bound`].
 pub fn execute_plan_with(
     exec: &ExecContext,
     plan: &PlanNode,
     catalog: &dyn Catalog,
     cid: u64,
 ) -> Result<ResultSet> {
+    execute_plan_bound(exec, plan, &[], catalog, cid)
+}
+
+/// Execute a physical plan whose slots read `values`.
+///
+/// Every operator runs under an observability span named after the
+/// plan node (`column_scan[t]`, `group_by`, `hash_join`, …) carrying
+/// output rows/bytes — [`hana_obs::Tracer::profile`] turns the spans of
+/// one query into an `EXPLAIN ANALYZE`-style tree. Without an installed
+/// tracer the spans are inert.
+pub fn execute_plan_bound(
+    exec: &ExecContext,
+    plan: &PlanNode,
+    values: &[Value],
+    catalog: &dyn Catalog,
+    cid: u64,
+) -> Result<ResultSet> {
+    let run = Run {
+        exec,
+        catalog,
+        cid,
+        values,
+    };
+    run_node(&run, plan)
+}
+
+fn run_node(run: &Run, plan: &PlanNode) -> Result<ResultSet> {
     let span = hana_obs::span(&span_name(&plan.op));
-    let rs = execute_plan_inner(exec, plan, catalog, cid, &span)?;
+    let rs = run_operator(run, plan, &span)?;
     span.set_rows(rs.rows.len() as u64);
     span.set_bytes(rs.approx_bytes());
     Ok(rs)
 }
 
-fn execute_plan_inner(
-    exec: &ExecContext,
-    plan: &PlanNode,
-    catalog: &dyn Catalog,
-    cid: u64,
-    span: &hana_obs::Span,
-) -> Result<ResultSet> {
+fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<ResultSet> {
+    let &Run {
+        exec,
+        catalog,
+        cid,
+        values,
+    } = run;
     match &plan.op {
         PlanOp::ColumnScan { table, .. } | PlanOp::IndexSeek { table, .. } => {
             let TableSource::Column(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a column table")));
             };
             let t = t.read();
-            let hits = column_leaf_hits(exec, &t, &plan.op, cid, span)?;
+            let hits = column_leaf_hits(run, &t, &plan.op, span)?;
             let projection = leaf_projection(&plan.schema, t.schema())?;
             span.attr("columns", projection.len() as u64);
             span.attr("table_columns", t.schema().len() as u64);
@@ -127,7 +165,7 @@ fn execute_plan_inner(
             let TableSource::Row(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a row table")));
             };
-            let (_, rows) = row_leaf_hits(&t.read(), preds, cid)?;
+            let (_, rows) = row_leaf_hits(&t.read(), &bind_predicates(preds, values)?, cid)?;
             Ok(ResultSet::new(plan.schema.clone(), rows))
         }
         PlanOp::DistScan { table, preds, .. } => {
@@ -138,7 +176,7 @@ fn execute_plan_inner(
             };
             let ctx = RemoteContext::snapshot(cid);
             let policy = RetryPolicy::default();
-            let (outcome, parts) = t.scan_partitions(preds, cid)?;
+            let (outcome, parts) = t.scan_partitions(&bind_predicates(preds, values)?, cid)?;
             span.attr("partitions_scanned", outcome.scanned);
             span.attr("partitions_pruned", outcome.pruned);
             let rows = hana_dist::gather(&t, &ctx, &policy, parts)?;
@@ -156,16 +194,26 @@ fn execute_plan_inner(
             };
             // Hot partition: local column scan.
             let hot = hot.read();
-            let hits = column_leaf_hits(exec, &hot, &plan.op, cid, span)?;
+            let hits = column_leaf_hits(run, &hot, &plan.op, span)?;
             let mut rows = hot.collect_rows(&hits, &[]);
             // Cold partition: pushdown scan at the extended store.
             let iq = catalog.iq_engine(&source)?;
-            let named: Vec<(String, ColumnPredicate)> = preds.to_vec();
+            let named = bind_predicates(preds, values)?;
             let cold = iq.scan(&cold_table, &named, None, cid)?;
             rows.extend(cold.rows);
             Ok(ResultSet::new(plan.schema.clone(), rows))
         }
         PlanOp::RemoteQuery { source, query, .. } => {
+            // The remote source, its cache key and the HiveQL text know
+            // nothing of slots: what leaves is the statement written
+            // with literals.
+            let bound;
+            let query = if values.is_empty() {
+                query
+            } else {
+                bound = query.bind(values)?;
+                &bound
+            };
             let (rs, _) =
                 catalog
                     .sda()
@@ -183,7 +231,7 @@ fn execute_plan_inner(
             let empty = Schema::default();
             let arg_vals: Vec<Value> = args
                 .iter()
-                .map(|a| evaluate(a, &empty, &Row::new()))
+                .map(|a| evaluate(&*a.bound(values)?, &empty, &Row::new()))
                 .collect::<Result<_>>()?;
             let rs = f.invoke(&arg_vals)?;
             if rs.schema.len() == plan.schema.len() {
@@ -209,12 +257,12 @@ fn execute_plan_inner(
                 (dist, &left.op)
             {
                 if let Ok(TableSource::Distributed(dt)) = catalog.resolve_table(table) {
-                    let r = execute_plan_with(exec, right, catalog, cid)?;
+                    let r = run_node(run, right)?;
                     span.attr("broadcast_join", 1);
                     return dist_broadcast_join(
                         &dt,
                         &left.schema,
-                        preds,
+                        &bind_predicates(preds, values)?,
                         &r,
                         left_key,
                         right_key,
@@ -225,18 +273,19 @@ fn execute_plan_inner(
                     );
                 }
             }
-            let l = execute_plan_with(exec, left, catalog, cid)?;
-            let r = execute_plan_with(exec, right, catalog, cid)?;
+            let l = run_node(run, left)?;
+            let r = run_node(run, right)?;
             hash_join(l, r, left_key, right_key, *kind, &plan.schema, span)
         }
         PlanOp::NestedLoopJoin { left, right, on } => {
-            let l = execute_plan_with(exec, left, catalog, cid)?;
-            let r = execute_plan_with(exec, right, catalog, cid)?;
+            let l = run_node(run, left)?;
+            let r = run_node(run, right)?;
+            let on = on.bound(values)?;
             let mut rows = Vec::new();
             for lr in &l.rows {
                 for rr in &r.rows {
                     let joined = lr.clone().concat(rr.clone());
-                    if evaluate_predicate(on, &plan.schema, &joined)? {
+                    if evaluate_predicate(&on, &plan.schema, &joined)? {
                         rows.push(joined);
                     }
                 }
@@ -252,7 +301,7 @@ fn execute_plan_inner(
             remote_key,
             remote_binding,
         } => {
-            let l = execute_plan_with(exec, local, catalog, cid)?;
+            let l = run_node(run, local)?;
             // Distinct non-null local join keys.
             let ki = resolve_key(&l.schema, local_key)?;
             let mut keys: Vec<Value> = l
@@ -272,9 +321,8 @@ fn execute_plan_inner(
                 list: keys.into_iter().map(Expr::Literal).collect(),
                 negated: false,
             };
-            let filter = remote_preds
-                .iter()
-                .cloned()
+            let filter = bound_exprs(remote_preds, values)?
+                .into_iter()
                 .fold(in_pred, |acc, p| acc.and(p));
             let sub = Query {
                 from: Some(TableRef::Named {
@@ -307,7 +355,7 @@ fn execute_plan_inner(
             remote_key,
             remote_binding,
         } => {
-            let l = execute_plan_with(exec, local, catalog, cid)?;
+            let l = run_node(run, local)?;
             // Ship the local rows with bare column names.
             let bare: Vec<hana_types::ColumnDef> = l
                 .schema
@@ -341,7 +389,9 @@ fn execute_plan_inner(
                         right: Box::new(col_expr(remote_key)),
                     },
                 }],
-                filter: remote_preds.iter().cloned().reduce(|a, b| a.and(b)),
+                filter: bound_exprs(remote_preds, values)?
+                    .into_iter()
+                    .reduce(|a, b| a.and(b)),
                 ..Query::default()
             };
             let (rs, _) = catalog.sda().execute_remote(source, &sub, &rctx)?;
@@ -358,8 +408,8 @@ fn execute_plan_inner(
             }
         }
         PlanOp::Filter { input, pred } => {
-            let inp = execute_plan_with(exec, input, catalog, cid)?;
-            let rows = filter_rows(pred, &inp.schema, inp.rows, span)?;
+            let inp = run_node(run, input)?;
+            let rows = filter_rows(&*pred.bound(values)?, &inp.schema, inp.rows, span)?;
             Ok(ResultSet::new(plan.schema.clone(), rows))
         }
         PlanOp::Aggregate {
@@ -367,30 +417,35 @@ fn execute_plan_inner(
             group_by,
             aggs,
         } => {
+            let bound;
+            let (group_by, aggs) = if values.is_empty() {
+                (&group_by[..], &aggs[..])
+            } else {
+                let bind = |(f, arg): &(AggFunc, Option<Expr>)| {
+                    let arg = arg.as_ref().map(|e| e.bound(values)).transpose()?;
+                    Ok((*f, arg.map(std::borrow::Cow::into_owned)))
+                };
+                bound = (
+                    bound_exprs(group_by, values)?,
+                    aggs.iter().map(bind).collect::<Result<Vec<_>>>()?,
+                );
+                (&bound.0[..], &bound.1[..])
+            };
             // Distributed fast path: aggregate each partition on its
             // node and ship only the partial aggregate states — the
             // shuffle carries groups, not rows.
             if let Some(rs) =
-                try_distributed_group_by(&plan.schema, input, group_by, aggs, catalog, cid, span)?
+                try_distributed_group_by(run, &plan.schema, input, group_by, aggs, span)?
             {
                 return Ok(rs);
             }
             // Late-materialization fast path: group-by over a single
             // dictionary-encoded column keys accumulators on packed
             // vids and decodes each distinct group's value once.
-            if let Some(rs) = try_fused_group_by(
-                exec,
-                &plan.schema,
-                input,
-                group_by,
-                aggs,
-                catalog,
-                cid,
-                span,
-            )? {
+            if let Some(rs) = try_fused_group_by(run, &plan.schema, input, group_by, aggs, span)? {
                 return Ok(rs);
             }
-            let inp = execute_plan_with(exec, input, catalog, cid)?;
+            let inp = run_node(run, input)?;
             // Aggregate morsel-sized row chunks into partial group
             // tables and merge the accumulators (partial aggregation,
             // MapReduce-combiner style).
@@ -407,13 +462,13 @@ fn execute_plan_inner(
             Ok(finish_groups(groups, group_by, aggs, &plan.schema))
         }
         PlanOp::Finish { input, query } => {
-            let inp = execute_plan_with(exec, input, catalog, cid)?;
-            if let Some(rs) = try_vm_finish(&inp, query, span)? {
+            let inp = run_node(run, input)?;
+            if let Some(rs) = try_vm_finish(&inp, query, values, span)? {
                 return Ok(rs);
             }
             // When the child already satisfied the whole query remotely,
             // the planner does not emit Finish; here the epilogue runs.
-            let (rows, schema) = finish_query(inp.rows, &inp.schema, query)?;
+            let (rows, schema) = finish_shape(inp.rows, &inp.schema, query, values)?;
             Ok(ResultSet::new(schema, rows))
         }
     }
@@ -432,15 +487,21 @@ fn unqualified(name: &str) -> &str {
     name.rsplit('.').next().unwrap_or(name)
 }
 
-/// Name-resolve pushed-down predicates against a fragment's schema.
+/// Pushed-down predicates as a fragment evaluates them: columns
+/// resolved against its schema, slots read from `values`.
 fn resolve_preds(
     schema: &Schema,
-    preds: &[(String, ColumnPredicate)],
+    preds: &[PlanPredicate],
+    values: &[Value],
 ) -> Result<Vec<(usize, ColumnPredicate)>> {
-    preds
-        .iter()
-        .map(|(c, p)| schema.require(c).map(|i| (i, p.clone())))
-        .collect()
+    let resolve = |(c, p): &PlanPredicate| Ok((schema.require(c)?, bind_predicate(p, values)?));
+    preds.iter().map(resolve).collect()
+}
+
+/// `exprs` with their slots bound.
+fn bound_exprs(exprs: &[Expr], values: &[Value]) -> Result<Vec<Expr>> {
+    let bind = |e: &Expr| Ok(e.bound(values)?.into_owned());
+    exprs.iter().map(bind).collect()
 }
 
 /// The row ids a column-fragment leaf selects in `t` under `cid`,
@@ -451,16 +512,18 @@ fn resolve_preds(
 /// fused group-by aggregates over them, and UPDATE/DELETE take them as
 /// their victims ([`crate::locate_rows`]).
 pub(crate) fn column_leaf_hits(
-    exec: &ExecContext,
+    run: &Run,
     t: &ColumnTable,
     op: &PlanOp,
-    cid: u64,
     span: &hana_obs::Span,
 ) -> Result<RowIdBitmap> {
+    let &Run {
+        exec, cid, values, ..
+    } = run;
     span.attr("input_rows", t.row_count() as u64);
     match op {
         PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
-            let resolved = resolve_preds(t.schema(), preds)?;
+            let resolved = resolve_preds(t.schema(), preds, values)?;
             span.set_workers(exec.config().workers as u64);
             t.scan_all(exec, &resolved, cid)
         }
@@ -471,15 +534,18 @@ pub(crate) fn column_leaf_hits(
             residual,
             ..
         } => {
-            let prefix_vals: Vec<Value> = prefix.iter().map(|(_, v)| v.clone()).collect();
-            let mut hits =
-                t.index_seek(index, &prefix_vals, range.as_ref().map(|(_, p)| p), cid)?;
+            let prefix_vals: Vec<Value> = prefix
+                .iter()
+                .map(|(_, o)| o.resolve(values).cloned())
+                .collect::<Result<_>>()?;
+            let range = range.as_ref().map(|(_, p)| bind_predicate(p, values));
+            let mut hits = t.index_seek(index, &prefix_vals, range.transpose()?.as_ref(), cid)?;
             span.attr("seek_hits", hits.count() as u64);
             // Residual predicates the index key does not cover are
             // re-checked per hit — seek output stays bit-identical to
             // the equivalent scan.
             if !residual.is_empty() {
-                let resolved = resolve_preds(t.schema(), residual)?;
+                let resolved = resolve_preds(t.schema(), residual, values)?;
                 hits.retain(|row| resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))));
             }
             Ok(hits)
@@ -497,7 +563,10 @@ pub(crate) fn row_leaf_hits(
     preds: &[(String, ColumnPredicate)],
     cid: u64,
 ) -> Result<(Vec<usize>, Vec<Row>)> {
-    let resolved = resolve_preds(t.schema(), preds)?;
+    let resolved: Vec<(usize, &ColumnPredicate)> = preds
+        .iter()
+        .map(|(c, p)| Ok((t.schema().require(c)?, p)))
+        .collect::<Result<_>>()?;
     let slots = t.slots_matching(hana_txn::Snapshot::at(cid), |row| {
         resolved.iter().all(|(i, p)| p.matches(&row[*i]))
     });
@@ -575,7 +644,12 @@ pub(crate) fn filter_mask(
 /// DISTINCT / ORDER BY / LIMIT exactly as [`finish_query`] would.
 /// Returns `Ok(None)` when the shape does not fit and the tree-walking
 /// epilogue should run instead.
-fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Option<ResultSet>> {
+fn try_vm_finish(
+    inp: &ResultSet,
+    q: &Query,
+    values: &[Value],
+    span: &hana_obs::Span,
+) -> Result<Option<ResultSet>> {
     if q.select.is_empty() {
         return Ok(None);
     }
@@ -585,10 +659,14 @@ fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Op
     if aggregated {
         return Ok(None);
     }
-    let progs: Option<Vec<crate::vm::Program>> = q
+    let select: Vec<std::borrow::Cow<Expr>> = q
         .select
         .iter()
-        .map(|s| crate::compile::compile_expr(&s.expr, &inp.schema))
+        .map(|s| s.expr.bound(values))
+        .collect::<Result<_>>()?;
+    let progs: Option<Vec<crate::vm::Program>> = select
+        .iter()
+        .map(|e| crate::compile::compile_expr(e, &inp.schema))
         .collect();
     let Some(progs) = progs else {
         return Ok(None);
@@ -596,7 +674,7 @@ fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Op
     span.attr("compiled", 1);
     // The output schema from the shared projection code, so names,
     // de-duplication and inferred types match the tree-walk path.
-    let (_, out_schema) = project_final(&[], &inp.schema, q)?;
+    let (_, out_schema) = project_shape(&[], &inp.schema, q, values)?;
     let mut rows: Vec<Row> = Vec::with_capacity(inp.rows.len());
     let mut regs: Vec<Vec<Value>> = Vec::new();
     for block in inp.rows.chunks(BLOCK_ROWS) {
@@ -619,9 +697,9 @@ fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Op
             // the authority for rows the VM cannot evaluate.
             rows.truncate(base);
             for r in block {
-                let mut vals = Vec::with_capacity(q.select.len());
-                for s in &q.select {
-                    vals.push(evaluate(&s.expr, &inp.schema, r)?);
+                let mut vals = Vec::with_capacity(select.len());
+                for e in &select {
+                    vals.push(evaluate(e, &inp.schema, r)?);
                 }
                 rows.push(Row(vals));
             }
@@ -632,7 +710,7 @@ fn try_vm_finish(inp: &ResultSet, q: &Query, span: &hana_obs::Span) -> Result<Op
         rows.retain(|r| seen.insert(r.clone()));
     }
     if !q.order_by.is_empty() {
-        sort_rows(&mut rows, &out_schema, &q.order_by)?;
+        sort_rows(&mut rows, &out_schema, &bound_order(&q.order_by, values)?)?;
     }
     if let Some(n) = q.limit {
         rows.truncate(n);
@@ -743,15 +821,12 @@ fn aggregate_chunk(
 /// once per *distinct group* at finish (then main/delta groups merge by
 /// value). Returns `Ok(None)` when the plan shape does not fit, and the
 /// caller falls back to the generic row-at-a-time aggregation.
-#[allow(clippy::too_many_arguments)]
 fn try_fused_group_by(
-    exec: &ExecContext,
+    run: &Run,
     out_schema: &Schema,
     input: &PlanNode,
     group_by: &[Expr],
     aggs: &[(AggFunc, Option<Expr>)],
-    catalog: &dyn Catalog,
-    cid: u64,
     span: &hana_obs::Span,
 ) -> Result<Option<ResultSet>> {
     let PlanOp::ColumnScan { table, .. } = &input.op else {
@@ -760,7 +835,7 @@ fn try_fused_group_by(
     let [group] = group_by else {
         return Ok(None);
     };
-    let Ok(TableSource::Column(t)) = catalog.resolve_table(table) else {
+    let Ok(TableSource::Column(t)) = run.catalog.resolve_table(table) else {
         return Ok(None);
     };
     let t = t.read();
@@ -792,7 +867,7 @@ fn try_fused_group_by(
     // The scan itself, reported under its usual operator span so
     // profiles keep the query -> group_by -> column_scan[t] shape.
     let scan_span = hana_obs::span(&span_name(&input.op));
-    let hits = column_leaf_hits(exec, &t, &input.op, cid, &scan_span)?;
+    let hits = column_leaf_hits(run, &t, &input.op, &scan_span)?;
     scan_span.set_rows(hits.count() as u64);
     drop(scan_span);
 
@@ -858,20 +933,20 @@ fn try_fused_group_by(
 /// aggregation path already relies on. Returns `Ok(None)` when the
 /// input is not a distributed scan.
 fn try_distributed_group_by(
+    run: &Run,
     out_schema: &Schema,
     input: &PlanNode,
     group_by: &[Expr],
     aggs: &[(AggFunc, Option<Expr>)],
-    catalog: &dyn Catalog,
-    cid: u64,
     span: &hana_obs::Span,
 ) -> Result<Option<ResultSet>> {
     let PlanOp::DistScan { table, preds, .. } = &input.op else {
         return Ok(None);
     };
-    let Ok(TableSource::Distributed(t)) = catalog.resolve_table(table) else {
+    let Ok(TableSource::Distributed(t)) = run.catalog.resolve_table(table) else {
         return Ok(None);
     };
+    let cid = run.cid;
     span.attr("distributed", 1);
     let ctx = RemoteContext::snapshot(cid);
     let policy = RetryPolicy::default();
@@ -879,7 +954,7 @@ fn try_distributed_group_by(
     // The scan itself, reported under its usual operator span so
     // profiles keep the query -> group_by -> dist_scan[t] shape.
     let scan_span = hana_obs::span(&span_name(&input.op));
-    let (outcome, parts) = t.scan_partitions(preds, cid)?;
+    let (outcome, parts) = t.scan_partitions(&bind_predicates(preds, run.values)?, cid)?;
     scan_span.attr("partitions_scanned", outcome.scanned);
     scan_span.attr("partitions_pruned", outcome.pruned);
     scan_span.set_rows(parts.iter().map(|(_, r)| r.len() as u64).sum());

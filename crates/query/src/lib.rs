@@ -30,18 +30,25 @@ pub use compile::compile_expr;
 pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
-    execute_plan, execute_plan_with, execute_query, execute_query_with, explain_query, BUILD_LEFT,
-    BUILD_RIGHT,
+    execute_plan, execute_plan_bound, execute_plan_with, execute_query, execute_query_with,
+    explain_query, BUILD_LEFT, BUILD_RIGHT,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use locate::{locate_rows, Located};
-pub use plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
+pub use plan::{
+    bind_predicates, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,
+    PlanPredicate,
+};
 pub use planner::Planner;
 pub use stats::{MemoryStatsProvider, NoStats, StatsProvider, NO_STATS};
 pub use vm::{ArithOp, CmpOp, Op, Program, Reg};
 
-/// Lower a conjunct into a pushable column predicate (re-exported from
-/// SDA so the planner and external callers share one definition).
-pub fn pushdown_expr(e: &hana_sql::Expr) -> Option<(String, hana_columnar::ColumnPredicate)> {
-    hana_sda::expr_to_column_predicate(e)
+/// Lower a conjunct into a pushable column predicate whose operands
+/// are literals or slots (SDA's lowering, so the planner and the remote
+/// adapters share one definition of what is pushable).
+pub fn pushdown_expr(e: &hana_sql::Expr) -> Option<PlanPredicate> {
+    hana_sda::lower_conjunct(e, &|operand| match operand {
+        hana_sql::Expr::Parameter(i) => Some(Operand::Slot(*i)),
+        literal => hana_sda::literal(literal).map(Operand::Lit),
+    })
 }

@@ -5,7 +5,8 @@ use hana_sql::{Expr, Query, TableRef};
 use hana_types::{HanaError, Result, Row};
 
 use crate::catalog::{Catalog, TableSource};
-use crate::executor::{column_leaf_hits, filter_mask, row_leaf_hits, span_name};
+use crate::executor::{column_leaf_hits, filter_mask, row_leaf_hits, span_name, Run};
+use crate::plan::bind_predicates;
 use crate::plan::PlanOp;
 
 /// The rows of one local fragment a filter selects.
@@ -46,7 +47,14 @@ pub fn locate_rows(
         filter: filter.cloned(),
         ..Query::default()
     };
+    // The statement is planned as written: no slots, no values.
     let plan = crate::PlannerContext::new(catalog).planner().plan(&query)?;
+    let run = Run {
+        exec,
+        catalog,
+        cid,
+        values: &[],
+    };
     // Finish → Filter* → leaf.
     let mut node = match &plan.op {
         PlanOp::Finish { input, .. } => input.as_ref(),
@@ -62,7 +70,7 @@ pub fn locate_rows(
         (PlanOp::ColumnScan { .. } | PlanOp::IndexSeek { .. }, TableSource::Column(t))
         | (PlanOp::HybridScan { .. }, TableSource::Hybrid { hot: t, .. }) => {
             let t = t.read();
-            let hits = column_leaf_hits(exec, &t, &node.op, cid, &span)?;
+            let hits = column_leaf_hits(&run, &t, &node.op, &span)?;
             vec![Located {
                 fragment: 0,
                 ids: hits.iter().collect(),
@@ -70,7 +78,7 @@ pub fn locate_rows(
             }]
         }
         (PlanOp::RowScan { preds, .. }, TableSource::Row(t)) => {
-            let (ids, rows) = row_leaf_hits(&t.read(), preds, cid)?;
+            let (ids, rows) = row_leaf_hits(&t.read(), &bind_predicates(preds, &[])?, cid)?;
             vec![Located {
                 fragment: 0,
                 ids,
@@ -78,7 +86,7 @@ pub fn locate_rows(
             }]
         }
         (PlanOp::DistScan { preds, .. }, TableSource::Distributed(t)) => {
-            let (outcome, hits) = t.locate_partitions(preds, cid)?;
+            let (outcome, hits) = t.locate_partitions(&bind_predicates(preds, &[])?, cid)?;
             span.attr("partitions_scanned", outcome.scanned);
             span.attr("partitions_pruned", outcome.pruned);
             hits.into_iter()

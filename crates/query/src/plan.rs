@@ -1,11 +1,58 @@
 //! Physical plans and EXPLAIN rendering.
 
 use hana_columnar::ColumnPredicate;
+use hana_sql::probe::{note, Work};
 use hana_sql::{Expr, JoinKind, Query};
-use hana_types::{AggFunc, Schema, Value};
+use hana_types::{AggFunc, HanaError, Result, Schema, Value};
+
+/// A predicate operand in a plan: a literal of the statement, or a slot
+/// of the value vector the statement runs with. A plan is compiled once
+/// per statement *shape*; what differs between two statements of one
+/// shape is only what their slots hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Operand {
+    /// A value written in the statement.
+    Lit(Value),
+    /// `values[i]` of the run.
+    Slot(usize),
+}
+
+impl Operand {
+    /// The value behind the operand under `values`.
+    pub fn resolve<'a>(&'a self, values: &'a [Value]) -> Result<&'a Value> {
+        match self {
+            Operand::Lit(v) => Ok(v),
+            Operand::Slot(i) => values
+                .get(*i)
+                .ok_or_else(|| HanaError::Plan(format!("no value bound for parameter {}", i + 1))),
+        }
+    }
+}
+
+/// A pushed-down predicate as a plan holds it: `(column, predicate)`
+/// over [`Operand`]s.
+pub type PlanPredicate = (String, ColumnPredicate<Operand>);
+
+/// The predicates of a leaf with their slots read from `values` — what
+/// the storage layer evaluates, and what the estimator prices.
+pub fn bind_predicates(
+    preds: &[PlanPredicate],
+    values: &[Value],
+) -> Result<Vec<(String, ColumnPredicate)>> {
+    let bind = |(col, p): &PlanPredicate| Ok((col.clone(), bind_predicate(p, values)?));
+    preds.iter().map(bind).collect()
+}
+
+/// One predicate with its slots read from `values`.
+pub(crate) fn bind_predicate(
+    p: &ColumnPredicate<Operand>,
+    values: &[Value],
+) -> Result<ColumnPredicate> {
+    p.try_map(|o| o.resolve(values).cloned())
+}
 
 /// A physical plan node with its output schema and cardinality estimate.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PlanNode {
     /// The operator.
     pub op: PlanOp,
@@ -15,6 +62,20 @@ pub struct PlanNode {
     pub est_rows: f64,
     /// Where the estimate came from (EXPLAIN shows the marker).
     pub est_source: EstSource,
+}
+
+// Cloning a plan is work a plan-cache hit must not do: tallied, so a
+// test can assert it (see `hana_sql::probe`).
+impl Clone for PlanNode {
+    fn clone(&self) -> PlanNode {
+        note(Work::PlanClone);
+        PlanNode {
+            op: self.op.clone(),
+            schema: self.schema.clone(),
+            est_rows: self.est_rows,
+            est_source: self.est_source,
+        }
+    }
 }
 
 /// Provenance of a cardinality estimate.
@@ -105,7 +166,7 @@ pub enum PlanOp {
         /// Catalog table name.
         table: String,
         /// Pushed-down predicates.
-        preds: Vec<(String, ColumnPredicate)>,
+        preds: Vec<PlanPredicate>,
     },
     /// Ordered seek on a secondary index of a column table: an equality
     /// prefix over the leading indexed columns, an optional range on the
@@ -118,11 +179,11 @@ pub enum PlanOp {
         /// Index name.
         index: String,
         /// Equality prefix `(column, value)` in key order.
-        prefix: Vec<(String, Value)>,
+        prefix: Vec<(String, Operand)>,
         /// Range predicate on the key column after the prefix.
-        range: Option<(String, ColumnPredicate)>,
+        range: Option<PlanPredicate>,
         /// Pushed-down predicates the index does not consume.
-        residual: Vec<(String, ColumnPredicate)>,
+        residual: Vec<PlanPredicate>,
     },
     /// Scan of a local row table.
     RowScan {
@@ -131,7 +192,7 @@ pub enum PlanOp {
         /// Catalog table name.
         table: String,
         /// Pushed-down predicates.
-        preds: Vec<(String, ColumnPredicate)>,
+        preds: Vec<PlanPredicate>,
     },
     /// Scan of a distributed (partitioned) table: prune partitions by
     /// the pushed-down predicates, scan the surviving fragments on their
@@ -142,7 +203,7 @@ pub enum PlanOp {
         /// Catalog table name.
         table: String,
         /// Pushed-down predicates.
-        preds: Vec<(String, ColumnPredicate)>,
+        preds: Vec<PlanPredicate>,
     },
     /// Hybrid table scan: hot partition locally, cold partition at the
     /// extended store, unioned (the §3.1 "Union Plan" at scan level).
@@ -152,7 +213,7 @@ pub enum PlanOp {
         /// Catalog table name.
         table: String,
         /// Pushed-down predicates (applied to both partitions).
-        preds: Vec<(String, ColumnPredicate)>,
+        preds: Vec<PlanPredicate>,
     },
     /// A shipped sub-query executed at a remote source (below the
     /// distributed exchange operator), via SDA with the remote cache.
@@ -262,11 +323,23 @@ pub enum PlanOp {
     },
 }
 
+/// `e` as EXPLAIN prints it: bound where `values` cover its slots.
+fn shown<'e>(e: &'e Expr, values: &[Value]) -> std::borrow::Cow<'e, Expr> {
+    e.bound(values).unwrap_or(std::borrow::Cow::Borrowed(e))
+}
+
 impl PlanNode {
     /// Render the plan tree as indented text (the Figure 12/13 style).
     pub fn explain(&self) -> String {
+        self.explain_bound(&[])
+    }
+
+    /// [`PlanNode::explain`] of a plan compiled for a statement shape:
+    /// the expressions it prints read their slots from `values`, so the
+    /// text is the one the statement written with literals explains to.
+    pub fn explain_bound(&self, values: &[Value]) -> String {
         let mut out = String::new();
-        self.render(0, &mut out);
+        self.render(0, values, &mut out);
         out
     }
 
@@ -284,7 +357,7 @@ impl PlanNode {
         out.push('\n');
     }
 
-    fn render(&self, indent: usize, out: &mut String) {
+    fn render(&self, indent: usize, values: &[Value], out: &mut String) {
         match &self.op {
             PlanOp::ColumnScan {
                 binding,
@@ -372,7 +445,9 @@ impl PlanNode {
                         self.est_label()
                     ),
                 );
-                Self::line(indent + 1, out, &format!("Shipped: {query}"));
+                let bound = query.bind(values);
+                let shipped = bound.as_ref().unwrap_or(query);
+                Self::line(indent + 1, out, &format!("Shipped: {shipped}"));
             }
             PlanOp::FunctionScan {
                 binding, function, ..
@@ -408,17 +483,21 @@ impl PlanNode {
                         self.est_label()
                     ),
                 );
-                left.render(indent + 1, out);
-                right.render(indent + 1, out);
+                left.render(indent + 1, values, out);
+                right.render(indent + 1, values, out);
             }
             PlanOp::NestedLoopJoin { left, right, on } => {
                 Self::line(
                     indent,
                     out,
-                    &format!("Nested Loop Join ON {on} ({})", self.est_label()),
+                    &format!(
+                        "Nested Loop Join ON {} ({})",
+                        shown(on, values),
+                        self.est_label()
+                    ),
                 );
-                left.render(indent + 1, out);
-                right.render(indent + 1, out);
+                left.render(indent + 1, values, out);
+                right.render(indent + 1, values, out);
             }
             PlanOp::SemiJoin {
                 local,
@@ -436,7 +515,7 @@ impl PlanNode {
                         self.est_label()
                     ),
                 );
-                local.render(indent + 1, out);
+                local.render(indent + 1, values, out);
             }
             PlanOp::RelocateJoin {
                 local,
@@ -452,15 +531,15 @@ impl PlanNode {
                         self.est_label()
                     ),
                 );
-                local.render(indent + 1, out);
+                local.render(indent + 1, values, out);
             }
             PlanOp::Filter { input, pred } => {
                 Self::line(
                     indent,
                     out,
-                    &format!("Filter {pred} ({})", self.est_label()),
+                    &format!("Filter {} ({})", shown(pred, values), self.est_label()),
                 );
-                input.render(indent + 1, out);
+                input.render(indent + 1, values, out);
             }
             PlanOp::Aggregate {
                 input, group_by, aggs,
@@ -475,11 +554,11 @@ impl PlanNode {
                         self.est_label()
                     ),
                 );
-                input.render(indent + 1, out);
+                input.render(indent + 1, values, out);
             }
             PlanOp::Finish { input, .. } => {
                 Self::line(indent, out, "Project / Order / Limit");
-                input.render(indent + 1, out);
+                input.render(indent + 1, values, out);
             }
         }
     }

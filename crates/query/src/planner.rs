@@ -26,6 +26,15 @@
 //! [`PlannerContext`] is consulted. Every estimate carries an
 //! [`EstSource`] marker: `stats` when a synopsis backed it,
 //! `heuristic` when only row counts and default selectivities did.
+//!
+//! What is planned is a statement *shape* and the values it runs with
+//! ([`Planner::plan_with`]): wherever a decision reads a predicate
+//! operand it reads the value behind it — a literal of the statement or
+//! the slot's entry in the value vector — so a shape plans exactly as
+//! the statement written with those literals would. The plan it emits
+//! keeps the slots ([`Operand`]), is correct for every value vector of
+//! the shape, and [`Planner::drift`] says when one is far enough from
+//! the one it was priced for to deserve its own.
 
 use hana_columnar::{ColumnPredicate, ColumnTable, TableStatistics};
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, infer_type};
@@ -36,11 +45,16 @@ use crate::catalog::TableSource;
 use crate::context::PlannerContext;
 use crate::cost::{CostModel, JoinSituation};
 use crate::estimator;
-use crate::plan::{DistJoinStrategy, EstSource, FederationStrategy, PlanNode, PlanOp};
+use crate::plan::{
+    bind_predicates, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,
+    PlanPredicate,
+};
 
 /// The planner.
 pub struct Planner<'a> {
     ctx: PlannerContext<'a>,
+    /// The values the statement being planned runs with.
+    values: &'a [Value],
 }
 
 /// One resolved FROM/JOIN binding.
@@ -52,6 +66,11 @@ struct Binding {
     schema: Schema,
     /// Conjuncts assigned to this binding.
     preds: Vec<Expr>,
+    /// The conjuncts that lower to column predicates, as the plan keeps
+    /// them...
+    lowered: Vec<PlanPredicate>,
+    /// ...and with their slots read: what estimates are made from.
+    bound: Vec<(String, ColumnPredicate)>,
 }
 
 enum BindingKind {
@@ -62,11 +81,26 @@ enum BindingKind {
 impl<'a> Planner<'a> {
     /// Build the planner from a fully assembled context.
     pub fn with_context(ctx: PlannerContext<'a>) -> Planner<'a> {
-        Planner { ctx }
+        Planner { ctx, values: &[] }
     }
 
     /// Compile a query into a physical plan.
     pub fn plan(&self, q: &Query) -> Result<PlanNode> {
+        self.plan_with(q, &[])
+    }
+
+    /// Compile a query shape into a physical plan, priced for `values`
+    /// and correct for every value vector of the shape.
+    pub fn plan_with<'b>(&'b self, q: &Query, values: &'b [Value]) -> Result<PlanNode> {
+        hana_sql::probe::note(hana_sql::probe::Work::Plan);
+        let run = Planner {
+            ctx: self.ctx,
+            values,
+        };
+        run.plan_shape(q)
+    }
+
+    fn plan_shape(&self, q: &Query) -> Result<PlanNode> {
         let mut bindings = self.resolve_bindings(q)?;
         prune_unreferenced(q, &mut bindings);
 
@@ -79,6 +113,10 @@ impl<'a> Planner<'a> {
                     None => residual.push(c.clone()),
                 }
             }
+        }
+        for b in &mut bindings {
+            b.lowered = b.preds.iter().filter_map(crate::pushdown_expr).collect();
+            b.bound = bind_predicates(&b.lowered, self.values)?;
         }
 
         // 1. Whole-query shipping.
@@ -305,6 +343,8 @@ impl<'a> Planner<'a> {
                     source: BindingKind::Table(source),
                     schema,
                     preds: Vec::new(),
+                    lowered: Vec::new(),
+                    bound: Vec::new(),
                 })
             }
             TableRef::Function { name, args, alias } => {
@@ -320,6 +360,8 @@ impl<'a> Planner<'a> {
                     },
                     schema,
                     preds: Vec::new(),
+                    lowered: Vec::new(),
+                    bound: Vec::new(),
                 })
             }
             TableRef::Subquery { .. } => Err(HanaError::Unsupported(
@@ -526,7 +568,7 @@ impl<'a> Planner<'a> {
 
     fn leaf(&self, b: &Binding, hints: &[String]) -> Result<PlanNode> {
         let (est, est_source) = self.binding_estimate(b);
-        let lowered = lower_preds(&b.preds);
+        let lowered = b.lowered.clone();
         let node = match &b.source {
             BindingKind::Function { function, args } => PlanNode {
                 op: PlanOp::FunctionScan {
@@ -540,7 +582,7 @@ impl<'a> Planner<'a> {
             },
             BindingKind::Table(ts) => match ts {
                 TableSource::Column(t) => {
-                    match self.try_index_seek(b, &t.read(), &lowered, est, est_source) {
+                    match self.try_index_seek(b, &t.read(), est, est_source) {
                         Some(node) => node,
                         None => PlanNode {
                             op: PlanOp::ColumnScan {
@@ -646,16 +688,17 @@ impl<'a> Planner<'a> {
         &self,
         b: &Binding,
         table: &ColumnTable,
-        lowered: &[(String, ColumnPredicate)],
         est: f64,
         est_source: EstSource,
     ) -> Option<PlanNode> {
         struct Candidate<'ix> {
             ix: &'ix hana_columnar::SecondaryIndex,
-            prefix: Vec<(String, Value)>,
-            range: Option<(String, ColumnPredicate)>,
+            prefix: Vec<(String, Operand)>,
+            /// Position in `lowered` of the range predicate.
+            range: Option<usize>,
             used: Vec<bool>,
         }
+        let lowered = &b.lowered;
         if lowered.is_empty() {
             return None;
         }
@@ -663,7 +706,7 @@ impl<'a> Planner<'a> {
         for ix in table.indexes() {
             let cols = &ix.def().columns;
             let mut used = vec![false; lowered.len()];
-            let mut prefix: Vec<(String, Value)> = Vec::new();
+            let mut prefix: Vec<(String, Operand)> = Vec::new();
             for col in cols {
                 let eq = lowered.iter().enumerate().find_map(|(i, (c, p))| match p {
                     ColumnPredicate::Eq(v) if !used[i] && c == col => Some((i, v.clone())),
@@ -688,9 +731,9 @@ impl<'a> Planner<'a> {
                                 | ColumnPredicate::Between(_, _)
                         )
                 });
-                if let Some((i, (c, p))) = hit {
+                if let Some((i, _)) = hit {
                     used[i] = true;
-                    range = Some((c.clone(), p.clone()));
+                    range = Some(i);
                 }
             }
             if prefix.is_empty() && range.is_none() {
@@ -711,14 +754,15 @@ impl<'a> Planner<'a> {
         let cand = best?;
         if cand.prefix.is_empty() {
             let stats = self.ctx.stats.table_stats(&b.table);
-            let fraction = cand.range.as_ref().map_or(1.0, |(col, p)| {
+            let fraction = cand.range.map_or(1.0, |i| {
+                let (col, p) = &b.bound[i];
                 estimator::selectivity(stats.as_deref(), col, p)
             });
             if fraction > 0.25 {
                 return None;
             }
         }
-        let residual: Vec<(String, ColumnPredicate)> = lowered
+        let residual: Vec<PlanPredicate> = lowered
             .iter()
             .enumerate()
             .filter(|(i, _)| !cand.used[*i])
@@ -730,7 +774,7 @@ impl<'a> Planner<'a> {
                 table: b.table.clone(),
                 index: cand.ix.def().name.clone(),
                 prefix: cand.prefix,
-                range: cand.range,
+                range: cand.range.map(|i| lowered[i].clone()),
                 residual,
             },
             schema: b.schema.clone(),
@@ -760,7 +804,8 @@ impl<'a> Planner<'a> {
             Some(n) => (n, true),
             None => (10_000.0, false),
         };
-        let sel: f64 = lower_preds(&b.preds)
+        let sel: f64 = b
+            .bound
             .iter()
             .map(|(col, p)| {
                 adapter
@@ -863,81 +908,178 @@ impl<'a> Planner<'a> {
     /// with the provenance of the estimate: live row count × one
     /// selectivity per predicate (see [`estimator::scan_estimate`]).
     fn binding_estimate(&self, b: &Binding) -> (f64, EstSource) {
-        let lowered = lower_preds(&b.preds);
+        match &b.source {
+            BindingKind::Function { .. } => (100.0, EstSource::Heuristic),
+            BindingKind::Table(ts) => self.table_estimate(ts, &b.table, &b.bound),
+        }
+    }
+
+    /// Estimated rows of `table` under the pushed-down predicates
+    /// `lowered`, and where the estimate came from.
+    fn table_estimate(
+        &self,
+        ts: &TableSource,
+        table: &str,
+        lowered: &[(String, ColumnPredicate)],
+    ) -> (f64, EstSource) {
         let local = |live_rows: usize| {
-            let stats = self.ctx.stats.table_stats(&b.table);
+            let stats = self.ctx.stats.table_stats(table);
             (
-                estimator::scan_estimate(live_rows as f64, stats.as_deref(), &lowered),
+                estimator::scan_estimate(live_rows as f64, stats.as_deref(), lowered),
                 provenance(stats.as_deref()),
             )
         };
-        match &b.source {
-            BindingKind::Function { .. } => (100.0, EstSource::Heuristic),
-            BindingKind::Table(ts) => match ts {
-                TableSource::Column(t) => local(t.read().row_count()),
-                TableSource::Row(t) => local(t.read().version_count()),
-                TableSource::Distributed(t) => {
-                    // Pruned partitions contribute nothing; each
-                    // surviving one is priced from its own live rows and
-                    // synopsis (the table-level one where the provider
-                    // keeps no per-partition synopses), so skewed data
-                    // is not averaged away.
-                    let mask = prune_mask(t, &lowered);
-                    let parts = self.ctx.stats.partition_stats(&b.table);
-                    let table = match parts {
-                        Some(_) => None,
-                        None => self.ctx.stats.table_stats(&b.table),
-                    };
-                    let synopsis = |node: usize| -> Option<&TableStatistics> {
-                        match &parts {
-                            Some(p) => p.get(node),
-                            None => table.as_deref(),
-                        }
-                    };
-                    let est: f64 = t
-                        .nodes()
-                        .iter()
-                        .enumerate()
-                        .filter(|(node, _)| mask[*node])
-                        .map(|(node, n)| {
-                            estimator::scan_estimate(n.row_count() as f64, synopsis(node), &lowered)
-                        })
-                        .sum();
-                    (est.max(1.0), provenance(synopsis(0)))
-                }
-                TableSource::Hybrid {
-                    hot,
-                    source,
-                    cold_table,
-                    ..
-                } => {
-                    let hot_rows = hot.read().row_count() as f64;
-                    let cold_rows = self.remote_rows(source, cold_table);
-                    let sel: f64 = lowered
-                        .iter()
-                        .map(|(_, p)| p.default_selectivity())
-                        .product();
-                    ((hot_rows + cold_rows) * sel, EstSource::Heuristic)
-                }
-                TableSource::Extended {
-                    source,
-                    remote_table,
-                    ..
-                }
-                | TableSource::Virtual {
-                    source,
-                    remote_table,
-                    ..
-                } => {
-                    let total = self.remote_rows(source, remote_table);
-                    let sel: f64 = lowered
-                        .iter()
-                        .map(|(_, p)| p.default_selectivity())
-                        .product();
-                    ((total * sel).max(1.0), EstSource::Heuristic)
-                }
-            },
+        match ts {
+            TableSource::Column(t) => local(t.read().row_count()),
+            TableSource::Row(t) => local(t.read().version_count()),
+            TableSource::Distributed(t) => {
+                // Pruned partitions contribute nothing; each
+                // surviving one is priced from its own live rows and
+                // synopsis (the table-level one where the provider
+                // keeps no per-partition synopses), so skewed data
+                // is not averaged away.
+                let mask = prune_mask(t, lowered);
+                let parts = self.ctx.stats.partition_stats(table);
+                let whole = match parts {
+                    Some(_) => None,
+                    None => self.ctx.stats.table_stats(table),
+                };
+                let synopsis = |node: usize| -> Option<&TableStatistics> {
+                    match &parts {
+                        Some(p) => p.get(node),
+                        None => whole.as_deref(),
+                    }
+                };
+                let est: f64 = t
+                    .nodes()
+                    .iter()
+                    .enumerate()
+                    .filter(|(node, _)| mask[*node])
+                    .map(|(node, n)| {
+                        estimator::scan_estimate(n.row_count() as f64, synopsis(node), lowered)
+                    })
+                    .sum();
+                (est.max(1.0), provenance(synopsis(0)))
+            }
+            TableSource::Hybrid {
+                hot,
+                source,
+                cold_table,
+                ..
+            } => {
+                let hot_rows = hot.read().row_count() as f64;
+                let cold_rows = self.remote_rows(source, cold_table);
+                let sel: f64 = lowered
+                    .iter()
+                    .map(|(_, p)| p.default_selectivity())
+                    .product();
+                ((hot_rows + cold_rows) * sel, EstSource::Heuristic)
+            }
+            TableSource::Extended {
+                source,
+                remote_table,
+                ..
+            }
+            | TableSource::Virtual {
+                source,
+                remote_table,
+                ..
+            } => {
+                let total = self.remote_rows(source, remote_table);
+                let sel: f64 = lowered
+                    .iter()
+                    .map(|(_, p)| p.default_selectivity())
+                    .product();
+                ((total * sel).max(1.0), EstSource::Heuristic)
+            }
         }
+    }
+
+    /// Whether `plan` — compiled for another value vector of its shape —
+    /// is still priced right for this one.
+    ///
+    /// Only a leaf holding a slot in a *non-equality* predicate can be
+    /// far off: a range is as wide as its bounds say, while an equality
+    /// or `IN` slot selects a value's share of the column whatever the
+    /// value (so a plan of nothing but those, every OLTP point read, is
+    /// never re-priced). Each such leaf is re-estimated from the synopsis
+    /// with `values`; when one lands more than 10× away from the
+    /// estimate the plan carries, the answer is `Some` of the leaves'
+    /// magnitude classes (`⌊log10 rows⌋`, joined by `,`), under which
+    /// the caller keeps a second plan for bindings of that size.
+    pub fn drift(&self, plan: &PlanNode, values: &[Value]) -> Option<String> {
+        let mut classes = Vec::new();
+        let mut far = false;
+        self.leaf_drift(plan, values, &mut classes, &mut far);
+        far.then(|| classes.join(","))
+    }
+
+    fn leaf_drift(
+        &self,
+        node: &PlanNode,
+        values: &[Value],
+        classes: &mut Vec<String>,
+        far: &mut bool,
+    ) {
+        let ranged = |(_, p): &PlanPredicate| {
+            let slot = |o: &Operand| matches!(o, Operand::Slot(_));
+            match p {
+                ColumnPredicate::Ne(o)
+                | ColumnPredicate::Lt(o)
+                | ColumnPredicate::Le(o)
+                | ColumnPredicate::Gt(o)
+                | ColumnPredicate::Ge(o) => slot(o),
+                ColumnPredicate::Between(lo, hi) => slot(lo) || slot(hi),
+                _ => false,
+            }
+        };
+        let (table, preds): (&str, Vec<PlanPredicate>) = match &node.op {
+            PlanOp::ColumnScan { table, preds, .. }
+            | PlanOp::RowScan { table, preds, .. }
+            | PlanOp::DistScan { table, preds, .. }
+            | PlanOp::HybridScan { table, preds, .. } => {
+                if !preds.iter().any(ranged) {
+                    return;
+                }
+                (table, preds.clone())
+            }
+            PlanOp::IndexSeek {
+                table,
+                prefix,
+                range,
+                residual,
+                ..
+            } => {
+                if !range.iter().chain(residual).any(ranged) {
+                    return;
+                }
+                let prefix = prefix.iter().cloned();
+                let eq = prefix.map(|(col, o)| (col, ColumnPredicate::Eq(o)));
+                let rest = range.iter().chain(residual).cloned();
+                (table, eq.chain(rest).collect())
+            }
+            PlanOp::HashJoin { left, right, .. } | PlanOp::NestedLoopJoin { left, right, .. } => {
+                self.leaf_drift(left, values, classes, far);
+                return self.leaf_drift(right, values, classes, far);
+            }
+            PlanOp::SemiJoin { local: input, .. }
+            | PlanOp::RelocateJoin { local: input, .. }
+            | PlanOp::Filter { input, .. }
+            | PlanOp::Aggregate { input, .. }
+            | PlanOp::Finish { input, .. } => return self.leaf_drift(input, values, classes, far),
+            // Priced from default selectivities, whatever the values.
+            PlanOp::RemoteQuery { .. } | PlanOp::FunctionScan { .. } => return,
+        };
+        let (Ok(ts), Ok(bound)) = (
+            self.ctx.catalog.resolve_table(table),
+            bind_predicates(&preds, values),
+        ) else {
+            return;
+        };
+        let (now, _) = self.table_estimate(&ts, table, &bound);
+        let (now, then) = (now.max(1.0), node.est_rows.max(1.0));
+        *far |= now > then * 10.0 || then > now * 10.0;
+        classes.push(format!("{}", now.log10().floor()));
     }
 
     /// Distinct-count of a (possibly binding-qualified) join key from
@@ -979,7 +1121,12 @@ impl<'a> Planner<'a> {
         let Ok(TableSource::Distributed(t)) = self.ctx.catalog.resolve_table(table) else {
             return DistJoinStrategy::Repartition;
         };
-        let mask = prune_mask(&t, preds);
+        // Priced for this run's values; either exchange is correct for
+        // any others.
+        let Ok(preds) = bind_predicates(preds, self.values) else {
+            return DistJoinStrategy::Repartition;
+        };
+        let mask = prune_mask(&t, &preds);
         let surviving = mask.iter().filter(|&&k| k).count().max(1) as f64;
         if right.est_rows * surviving <= left.est_rows {
             DistJoinStrategy::Broadcast
@@ -1085,12 +1232,6 @@ impl Binding {
             _ => self.table.clone(),
         }
     }
-}
-
-/// Lower assigned conjuncts to column predicates, dropping the ones that
-/// cannot be lowered (they are still shipped/evaluated as expressions).
-fn lower_preds(preds: &[Expr]) -> Vec<(String, hana_columnar::ColumnPredicate)> {
-    preds.iter().filter_map(crate::pushdown_expr).collect()
 }
 
 /// Wrap a local leaf in Filter operators for every binding predicate

@@ -612,3 +612,80 @@ fn stale_statistics_never_change_results() {
     let none = execute_query(&query(sql), &cat, 1).unwrap();
     assert_eq!(sort(&fresh), sort(&none));
 }
+
+// ---------------------------------------------------------------------
+// A statement shape plans as the literal statement does.
+// ---------------------------------------------------------------------
+
+/// Every flip case above, planned twice: as written, and as its shape —
+/// compared literals lifted to slots — with the lifted values beside it.
+/// The decisions are made from the values behind the slots, so EXPLAIN
+/// is the same text both ways, and executing the shape's plan with its
+/// values returns the literal statement's rows.
+#[test]
+fn a_lifted_shape_plans_and_answers_like_the_literal_statement() {
+    let mut greedy = StatsCatalog::new();
+    for (name, rows) in [("big", 5_000i64), ("mid", 500), ("small", 50)] {
+        let t = column_table(name, rows, 50);
+        greedy.stats.put(t.collect_statistics());
+        greedy
+            .tables
+            .insert(name.into(), TableSource::Column(Arc::new(RwLock::new(t))));
+    }
+    let remote = |bound: i64| {
+        format!(
+            "SELECT d.v, f.f_val FROM dim d JOIN fact f ON d.k = f.f_dim \
+             WHERE d.k < 5 AND f.f_val < {bound}"
+        )
+    };
+    let cases: Vec<(StatsCatalog, Vec<String>)> = vec![
+        (
+            greedy,
+            vec!["SELECT b.v, m.v, s.v FROM big b JOIN mid m ON b.k = m.k \
+                 JOIN small s ON m.k = s.k WHERE b.v < 4000 AND s.v <> 7"
+                .into()],
+        ),
+        (
+            dist_world(),
+            vec![
+                "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k WHERE f.v >= 0".into(),
+                "SELECT f.v, h.v FROM facts f JOIN huge h ON f.k = h.k WHERE h.v < 20000".into(),
+                // Partition pruning on the hash column, at plan time and
+                // again per run.
+                "SELECT f.v, t.v FROM facts f JOIN tiny t ON f.k = t.k WHERE f.k = 3".into(),
+                "SELECT k, COUNT(*) FROM facts WHERE k IN (1, 2, 50) AND v > 100 GROUP BY k".into(),
+            ],
+        ),
+        (sda_world(), vec![remote(3), remote(19_000)]),
+    ];
+    let mut strategies = Vec::new();
+    for (cat, sqls) in &cases {
+        for sql in sqls {
+            let literal = plan(cat, sql);
+            let mut shape = query(sql);
+            let (_, values) = shape.lift_literals();
+            assert!(!values.is_empty(), "{sql}: nothing to lift");
+            let planner = PlannerContext::new(cat).planner();
+            let lifted = planner.plan_with(&shape, &values).unwrap();
+            assert_eq!(lifted.explain_bound(&values), literal.explain(), "{sql}");
+            strategies.extend(lifted.strategies());
+            if let Some(dist) = hash_join_dist(&lifted) {
+                assert_eq!(Some(dist), hash_join_dist(&literal), "{sql}");
+            }
+            // Priced for these values, the plan does not drift from them.
+            assert_eq!(planner.drift(&lifted, &values), None, "{sql}");
+
+            let exec = hana_exec::ExecContext::global();
+            let got = hana_query::execute_plan_bound(exec, &lifted, &values, cat, 1).unwrap();
+            let mut want = execute_query(&query(sql), cat, 1).unwrap().rows;
+            let mut got = got.rows;
+            got.sort();
+            want.sort();
+            assert!(!want.is_empty(), "{sql}: a vacuous comparison");
+            assert_eq!(got, want, "{sql}");
+        }
+    }
+    // Both sides of the federated flip were reached through slots.
+    assert!(strategies.contains(&FederationStrategy::RemoteScan));
+    assert!(strategies.contains(&FederationStrategy::SemiJoin));
+}

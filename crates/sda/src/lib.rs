@@ -39,6 +39,6 @@ pub use cache::{CacheOutcome, RemoteCache, RemoteCacheConfig};
 pub use capability::CapabilitySet;
 pub use context::{AttemptRecord, RemoteContext};
 pub use fault::{ChaosAdapter, ChaosConfig};
-pub use pushdown::{expr_to_column_predicate, split_pushdown};
+pub use pushdown::{expr_to_column_predicate, literal, lower_conjunct, split_pushdown};
 pub use registry::{RemoteSource, RemoteSourceStats, SdaRegistry, VirtualFunction, VirtualTable};
 pub use retry::{run_with_retry, RetryPolicy};

@@ -12,9 +12,24 @@ use hana_types::Value;
 
 /// Try to lower one conjunct to `(column_name, predicate)`.
 pub fn expr_to_column_predicate(e: &Expr) -> Option<(String, ColumnPredicate)> {
+    lower_conjunct(e, &literal)
+}
+
+/// Try to lower one conjunct to `(column_name, predicate)` over
+/// whatever `operand` reads an operand expression as: [`literal`] for a
+/// statement about to run, a literal-or-slot for a plan that will be
+/// cached.
+pub fn lower_conjunct<V>(
+    e: &Expr,
+    operand: &impl Fn(&Expr) -> Option<V>,
+) -> Option<(String, ColumnPredicate<V>)> {
     match e {
         Expr::Binary { left, op, right } => {
-            let (col, lit, flipped) = column_and_literal(left, right)?;
+            let (col, lit, flipped) = match (column_name(left), column_name(right)) {
+                (Some(c), _) => (c, operand(right)?, false),
+                (None, Some(c)) => (c, operand(left)?, true),
+                (None, None) => return None,
+            };
             let pred = match (op, flipped) {
                 (BinOp::Eq, _) => ColumnPredicate::Eq(lit),
                 (BinOp::Ne, _) => ColumnPredicate::Ne(lit),
@@ -37,7 +52,7 @@ pub fn expr_to_column_predicate(e: &Expr) -> Option<(String, ColumnPredicate)> {
             negated: false,
         } => {
             let col = column_name(expr)?;
-            Some((col, ColumnPredicate::Between(literal(lo)?, literal(hi)?)))
+            Some((col, ColumnPredicate::Between(operand(lo)?, operand(hi)?)))
         }
         Expr::InList {
             expr,
@@ -45,7 +60,7 @@ pub fn expr_to_column_predicate(e: &Expr) -> Option<(String, ColumnPredicate)> {
             negated: false,
         } => {
             let col = column_name(expr)?;
-            let vals: Option<Vec<Value>> = list.iter().map(literal).collect();
+            let vals: Option<Vec<V>> = list.iter().map(operand).collect();
             Some((col, ColumnPredicate::InList(vals?)))
         }
         Expr::Like {
@@ -88,7 +103,8 @@ fn column_name(e: &Expr) -> Option<String> {
     }
 }
 
-fn literal(e: &Expr) -> Option<Value> {
+/// The value of a literal operand (a negated numeric literal is one).
+pub fn literal(e: &Expr) -> Option<Value> {
     match e {
         Expr::Literal(v) => Some(v.clone()),
         Expr::Unary {
@@ -101,17 +117,6 @@ fn literal(e: &Expr) -> Option<Value> {
         },
         _ => None,
     }
-}
-
-/// `(column, literal, operands_flipped)`.
-fn column_and_literal(left: &Expr, right: &Expr) -> Option<(String, Value, bool)> {
-    if let (Some(c), Some(l)) = (column_name(left), literal(right)) {
-        return Some((c, l, false));
-    }
-    if let (Some(l), Some(c)) = (literal(left), column_name(right)) {
-        return Some((c, l, true));
-    }
-    None
 }
 
 #[cfg(test)]

@@ -29,12 +29,14 @@
 mod plan_cache;
 mod workload;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use hana_core::HanaPlatform;
-use hana_sql::{parse_statement, Statement};
-use hana_types::{Result, ResultSet, Value};
+use hana_query::PlanNode;
+use hana_sql::{parse_statement, Query, Statement};
+use hana_types::{HanaError, Result, ResultSet, Value};
 
 pub use plan_cache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use workload::{WorkloadClass, WorkloadConfig, WorkloadManager};
@@ -101,10 +103,61 @@ impl SessionManager {
     }
 }
 
+/// A query as the plan cache knows it: its shape (compared literals
+/// lifted to slots after the user's own `?`), the shape's canonical
+/// text, and the lifted values. Two statements that differ only in the
+/// values they compare with have one shape, one text and one plan.
+struct Shape {
+    query: Query,
+    text: String,
+    lifted: Vec<Value>,
+}
+
+impl Shape {
+    /// The shape of `query`, and how many `?` the query itself declares.
+    fn of(mut query: Query) -> (Shape, usize) {
+        let (params, lifted) = query.lift_literals();
+        let shape = Shape {
+            text: query.to_string(),
+            query,
+            lifted,
+        };
+        (shape, params)
+    }
+
+    /// The plan-cache key for one value vector: the shape's text and
+    /// the type of each value, so `k = 5` and `k = 'x'` never share a
+    /// plan (a plan's estimates, and the names and types it gives
+    /// output columns, depend on value types and on nothing else of a
+    /// value). The tags follow a `:`, which is not one of them.
+    fn key(&self, values: &[Value]) -> String {
+        let mut key = String::with_capacity(self.text.len() + 2 + values.len());
+        key.push_str(&self.text);
+        key.push_str(" :");
+        key.extend(values.iter().map(|v| match v {
+            Value::Null => 'n',
+            Value::Bool(_) => 'b',
+            Value::Int(_) => 'i',
+            Value::Double(_) => 'd',
+            Value::Varchar(_) => 's',
+            Value::Date(_) => 't',
+            Value::Timestamp(_) => 'u',
+        }));
+        key
+    }
+}
+
+enum Prepared {
+    /// A query: planned per shape, executed with values beside it.
+    Query(Shape),
+    /// Anything else runs from its bound text (the WAL logs it).
+    Other(Statement),
+}
+
 /// A statement parsed once, executable many times with different
 /// positional parameters. Create with [`Session::prepare`].
 pub struct PreparedStatement {
-    stmt: Arc<Statement>,
+    prepared: Prepared,
     param_count: usize,
     sql: String,
 }
@@ -141,15 +194,26 @@ impl Session {
         &self.auth.user
     }
 
-    /// Parse once; execute later with [`Session::execute_prepared`].
+    /// Parse once — and, for a query, find its shape and cache key
+    /// once; execute later with [`Session::execute_prepared`].
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
         let stmt = parse_statement(sql)?;
         hana_obs::registry()
             .counter("hana_session_prepares_total")
             .inc();
+        let (prepared, param_count) = match stmt {
+            Statement::Query(q) => {
+                let (shape, params) = Shape::of(q);
+                (Prepared::Query(shape), params)
+            }
+            other => {
+                let params = other.param_count();
+                (Prepared::Other(other), params)
+            }
+        };
         Ok(PreparedStatement {
-            param_count: stmt.param_count(),
-            stmt: Arc::new(stmt),
+            prepared,
+            param_count,
             sql: sql.to_string(),
         })
     }
@@ -161,23 +225,38 @@ impl Session {
         prepared: &PreparedStatement,
         params: &[Value],
     ) -> Result<ResultSet> {
-        let bound = prepared.stmt.bind_params(params)?;
-        // The WAL/DDL log must see the *bound* text (literals, not
-        // `?`); statements the renderer doesn't cover can't carry
-        // parameters, so their original text is already exact.
-        let text = bound.to_sql_text().unwrap_or_else(|| prepared.sql.clone());
-        self.execute_statement(bound, &text)
+        check_arity(prepared.param_count, params)?;
+        match &prepared.prepared {
+            Prepared::Query(shape) => self.execute_shape(shape, params),
+            Prepared::Other(stmt) => {
+                let bound = stmt.bind_params(params)?;
+                // The WAL/DDL log must see the *bound* text (literals,
+                // not `?`); statements the renderer doesn't cover can't
+                // carry parameters, so their original text is exact.
+                let text = bound.to_sql_text().unwrap_or_else(|| prepared.sql.clone());
+                self.execute_statement(bound, &text)
+            }
+        }
     }
 
-    /// Parse and execute one SQL statement.
+    /// Parse and execute one SQL statement. A query finds the plan of
+    /// its shape, so it shares one cache entry with every statement —
+    /// ad-hoc or prepared — that differs from it only in the values it
+    /// compares with.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
-        self.execute_statement(parse_statement(sql)?, sql)
+        match parse_statement(sql)? {
+            Statement::Query(q) => {
+                let (shape, params) = Shape::of(q);
+                check_arity(params, &[])?;
+                self.execute_shape(&shape, &[])
+            }
+            other => self.execute_statement(other, sql),
+        }
     }
 
     fn execute_statement(&self, stmt: Statement, sql_text: &str) -> Result<ResultSet> {
         let _session_span = hana_obs::span("session_statement");
         match stmt {
-            Statement::Query(q) => self.execute_query(q),
             // DML is transactional work: admitted as OLTP so analytical
             // floods cannot starve writes, but never plan-cached (DML
             // goes through the platform's WAL/txn path wholesale).
@@ -187,7 +266,8 @@ impl Session {
                 let _permit = self.workload.admit(WorkloadClass::Oltp)?;
                 let start = Instant::now();
                 let result = self.platform.execute_parsed(&self.auth, dml, sql_text);
-                record_latency(WorkloadClass::Oltp, start, result.is_ok());
+                self.workload
+                    .record(WorkloadClass::Oltp, start, result.is_ok());
                 result
             }
             // DDL and transaction control bypass admission: they hold
@@ -197,27 +277,49 @@ impl Session {
         }
     }
 
-    fn execute_query(&self, q: hana_sql::Query) -> Result<ResultSet> {
-        // Canonical text (AST rendered back to SQL) is the cache key:
-        // formatting and case differences collapse onto one entry, and
-        // bound parameters appear as literals so each distinct binding
-        // gets the plan its cardinality estimates deserve.
-        let key = q.to_string();
-        let version = self.platform.catalog_version();
-        let plan = match self.cache.get(&key, version) {
-            Some(plan) => plan,
-            None => {
-                let compiled = Arc::new(self.platform.plan_query(&self.auth, &q)?);
-                self.cache.insert(key, version, Arc::clone(&compiled));
-                compiled
-            }
+    /// The one route of a query: the plan of its shape, run with the
+    /// user's parameters followed by the lifted values. A cache hit
+    /// copies no AST, renders nothing and plans nothing.
+    fn execute_shape(&self, shape: &Shape, params: &[Value]) -> Result<ResultSet> {
+        let _session_span = hana_obs::span("session_statement");
+        let values: Cow<[Value]> = if shape.lifted.is_empty() {
+            Cow::Borrowed(params)
+        } else {
+            Cow::Owned([params, &shape.lifted].concat())
         };
+        let key = shape.key(&values);
+        let version = self.platform.catalog_version();
+        let mut plan = self.cached_plan(&key, version, shape, &values)?;
+        // A cached plan is correct for any values; it stays *good* while
+        // its range leaves are priced within 10× of what these values
+        // select. Beyond that, bindings of this size get their own.
+        if let Some(class) = self.platform.plan_drift(&plan, &values) {
+            plan = self.cached_plan(&format!("{key} #{class}"), version, shape, &values)?;
+        }
         let class = self.workload.classify(&plan);
         let _permit = self.workload.admit(class)?;
         let start = Instant::now();
-        let result = self.platform.execute_plan(&self.auth, &plan);
-        record_latency(class, start, result.is_ok());
+        let result = self.platform.execute_plan_bound(&self.auth, &plan, &values);
+        self.workload.record(class, start, result.is_ok());
         result
+    }
+
+    /// The plan cached under `key`, compiled for `values` and inserted
+    /// when there is none.
+    fn cached_plan(
+        &self,
+        key: &str,
+        version: u64,
+        shape: &Shape,
+        values: &[Value],
+    ) -> Result<Arc<PlanNode>> {
+        if let Some(plan) = self.cache.get(key, version) {
+            return Ok(plan);
+        }
+        let compiled = Arc::new(self.platform.plan_shape(&self.auth, &shape.query, values)?);
+        self.cache
+            .insert(key.to_string(), version, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Shortcut: this session's view of the platform's observability
@@ -227,18 +329,15 @@ impl Session {
     }
 }
 
-/// Record per-class statement latency and outcome counters.
-fn record_latency(class: WorkloadClass, start: Instant, ok: bool) {
-    let obs = hana_obs::registry();
-    let name = class.name();
-    obs.histogram(&format!("hana_session_latency_ns_{name}"))
-        .record(start.elapsed().as_nanos() as u64);
-    obs.counter(&format!("hana_session_statements_total_{name}"))
-        .inc();
-    if !ok {
-        obs.counter(&format!("hana_session_errors_total_{name}"))
-            .inc();
+/// A bind mismatch is a caller bug worth failing loudly on.
+fn check_arity(declared: usize, params: &[Value]) -> Result<()> {
+    if declared == params.len() {
+        return Ok(());
     }
+    Err(HanaError::Plan(format!(
+        "statement declares {declared} parameter(s) but {} value(s) were bound",
+        params.len()
+    )))
 }
 
 #[cfg(test)]

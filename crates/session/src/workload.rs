@@ -8,9 +8,11 @@
 //! by default, so analytical bursts queue (and eventually shed with a
 //! retryable `overloaded` error) while point lookups keep flowing.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hana_exec::{AdmissionController, AdmissionPermit, ClassConfig, Rejection};
+use hana_obs::{Counter, Histogram};
 use hana_query::{PlanNode, PlanOp};
 use hana_types::{HanaError, Result};
 
@@ -66,10 +68,34 @@ impl Default for WorkloadConfig {
     }
 }
 
+/// The per-class instruments of the global `hana-obs` registry,
+/// resolved once: `hana_session_latency_ns_<class>`,
+/// `hana_session_statements_total_<class>`,
+/// `hana_session_errors_total_<class>`.
+struct ClassInstruments {
+    latency: Arc<Histogram>,
+    statements: Arc<Counter>,
+    errors: Arc<Counter>,
+}
+
+impl ClassInstruments {
+    fn of(class: WorkloadClass) -> ClassInstruments {
+        let obs = hana_obs::registry();
+        let name = class.name();
+        ClassInstruments {
+            latency: obs.histogram(&format!("hana_session_latency_ns_{name}")),
+            statements: obs.counter(&format!("hana_session_statements_total_{name}")),
+            errors: obs.counter(&format!("hana_session_errors_total_{name}")),
+        }
+    }
+}
+
 /// Classifies statements and admission-controls them per class.
 pub struct WorkloadManager {
     controller: AdmissionController,
     olap_row_threshold: f64,
+    oltp: ClassInstruments,
+    olap: ClassInstruments,
 }
 
 impl WorkloadManager {
@@ -78,6 +104,24 @@ impl WorkloadManager {
         WorkloadManager {
             controller: AdmissionController::new(vec![cfg.oltp, cfg.olap], cfg.total_limit),
             olap_row_threshold: cfg.olap_row_threshold,
+            oltp: ClassInstruments::of(WorkloadClass::Oltp),
+            olap: ClassInstruments::of(WorkloadClass::Olap),
+        }
+    }
+
+    /// Record one executed statement of `class`: its latency since
+    /// `start` and its outcome.
+    pub fn record(&self, class: WorkloadClass, start: Instant, ok: bool) {
+        let instruments = match class {
+            WorkloadClass::Oltp => &self.oltp,
+            WorkloadClass::Olap => &self.olap,
+        };
+        instruments
+            .latency
+            .record(start.elapsed().as_nanos() as u64);
+        instruments.statements.inc();
+        if !ok {
+            instruments.errors.inc();
         }
     }
 

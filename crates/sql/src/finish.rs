@@ -121,11 +121,20 @@ pub fn aggregate_output_schema(q: &Query, input: &Schema) -> Result<Schema> {
 
 /// Apply HAVING to aggregated rows (which use the `_g`/`_a` convention).
 pub fn apply_having(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<Vec<Row>> {
+    having_shape(rows, schema, q, &[])
+}
+
+/// Aggregate calls are matched between clauses by equality of their
+/// *shape*, so every clause is substituted first and bound second: two
+/// calls that differ only in a slot stay two columns of the aggregation
+/// stage whatever the slots hold.
+fn having_shape(rows: Vec<Row>, schema: &Schema, q: &Query, values: &[Value]) -> Result<Vec<Row>> {
     let Some(h) = &q.having else {
         return Ok(rows);
     };
     let aggs = collect_aggregates(q);
     let pred = substitute_aggregates(h, &q.group_by, &aggs);
+    let pred = pred.bound(values)?;
     let mut kept = Vec::with_capacity(rows.len());
     for r in rows {
         if evaluate_predicate(&pred, schema, &r)? {
@@ -138,6 +147,17 @@ pub fn apply_having(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<Vec<Ro
 /// Evaluate the final select list (over raw or aggregated rows) and
 /// produce the output schema. SELECT * passes through.
 pub fn project_final(rows: &[Row], schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
+    project_shape(rows, schema, q, &[])
+}
+
+/// [`project_final`] of a query shape: slots of the select list read
+/// `values`, and name and type the output as the literals would.
+pub fn project_shape(
+    rows: &[Row],
+    schema: &Schema,
+    q: &Query,
+    values: &[Value],
+) -> Result<(Vec<Row>, Schema)> {
     if q.select.is_empty() {
         return Ok((rows.to_vec(), schema.clone()));
     }
@@ -149,19 +169,20 @@ pub fn project_final(rows: &[Row], schema: &Schema, q: &Query) -> Result<(Vec<Ro
         .select
         .iter()
         .map(|s| {
-            if aggregated {
+            let e = if aggregated {
                 substitute_aggregates(&s.expr, &q.group_by, &aggs)
             } else {
                 s.expr.clone()
-            }
+            };
+            Ok(e.bound(values)?.into_owned())
         })
-        .collect();
+        .collect::<Result<_>>()?;
     let mut out_cols = Vec::with_capacity(exprs.len());
     for (item, expr) in q.select.iter().zip(&exprs) {
-        let name = item
-            .alias
-            .clone()
-            .unwrap_or_else(|| item.expr.default_name());
+        let name = match &item.alias {
+            Some(alias) => alias.clone(),
+            None => item.expr.bound(values)?.default_name(),
+        };
         out_cols.push(ColumnDef::new(&name, infer_type(expr, schema)));
     }
     // De-duplicate repeated output names.
@@ -213,20 +234,36 @@ pub fn sort_rows(rows: &mut [Row], schema: &Schema, order_by: &[(Expr, bool)]) -
 
 /// Finish a query from the aggregated (or raw) intermediate: HAVING,
 /// projection, DISTINCT, ORDER BY, LIMIT. The one-stop driver epilogue.
-pub fn finish_query(mut rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
-    rows = apply_having(rows, schema, q)?;
-    let (mut rows, out_schema) = project_final(&rows, schema, q)?;
+pub fn finish_query(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
+    finish_shape(rows, schema, q, &[])
+}
+
+/// [`finish_query`] of a query shape, its slots reading `values`.
+pub fn finish_shape(
+    mut rows: Vec<Row>,
+    schema: &Schema,
+    q: &Query,
+    values: &[Value],
+) -> Result<(Vec<Row>, Schema)> {
+    rows = having_shape(rows, schema, q, values)?;
+    let (mut rows, out_schema) = project_shape(&rows, schema, q, values)?;
     if q.distinct {
         let mut seen = std::collections::HashSet::new();
         rows.retain(|r| seen.insert(r.clone()));
     }
     if !q.order_by.is_empty() {
-        sort_rows(&mut rows, &out_schema, &q.order_by)?;
+        sort_rows(&mut rows, &out_schema, &bound_order(&q.order_by, values)?)?;
     }
     if let Some(n) = q.limit {
         rows.truncate(n);
     }
     Ok((rows, out_schema))
+}
+
+/// ORDER BY keys with their slots bound.
+pub fn bound_order(order_by: &[(Expr, bool)], values: &[Value]) -> Result<Vec<(Expr, bool)>> {
+    let key = |(e, asc): &(Expr, bool)| Ok((e.bound(values)?.into_owned(), *asc));
+    order_by.iter().map(key).collect()
 }
 
 /// Best-effort static type inference for derived columns.

@@ -49,13 +49,23 @@ impl Token {
 
 /// Tokenize `input`, skipping whitespace and `--` comments.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    Ok(tokenize_with_offsets(input)?.0)
+}
+
+/// [`tokenize`], plus the byte offset in `input` each token starts at
+/// (parallel to the tokens) — what the parser positions its errors with.
+pub(crate) fn tokenize_with_offsets(input: &str) -> Result<(Vec<Token>, Vec<u32>)> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
+    let mut offsets: Vec<u32> = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
-        let c = bytes[i] as char;
+        let start = i;
+        // Every arm advances by whole characters, so `i` stays on a
+        // character boundary.
+        let c = input[i..].chars().next().expect("i < len, on a boundary");
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_whitespace() => i += c.len_utf8(),
             '-' if bytes.get(i + 1) == Some(&b'-') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
@@ -145,7 +155,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i = next;
             }
             c if c.is_ascii_digit() => {
-                let start = i;
                 while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.') {
                     // Don't swallow a dot that isn't part of a decimal.
                     if bytes[i] == b'.'
@@ -160,25 +169,26 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 out.push(Token::Number(input[start..i].to_string()));
             }
             c if c.is_alphabetic() || c == '_' || c == '#' => {
-                let start = i;
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
-                    if ch.is_alphanumeric() || ch == '_' || ch == '#' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let word = |ch: &char| ch.is_alphanumeric() || *ch == '_' || *ch == '#';
+                i += input[i..]
+                    .chars()
+                    .take_while(word)
+                    .map(char::len_utf8)
+                    .sum::<usize>();
                 out.push(Token::Ident(input[start..i].to_string()));
             }
             other => {
                 return Err(HanaError::Parse(format!(
-                    "unexpected character '{other}' at byte {i}"
-                )))
+                    "unexpected character at byte {i}: '{other}'"
+                )));
             }
         }
+        // An arm that pushed a token pushed one, and it began at `start`.
+        if out.len() > offsets.len() {
+            offsets.push(start as u32);
+        }
     }
-    Ok(out)
+    Ok((out, offsets))
 }
 
 /// Read a quoted run starting at `start` (which holds the quote char);
@@ -205,7 +215,8 @@ fn read_quoted(input: &str, start: usize, quote: char) -> Result<(String, usize)
         }
     }
     Err(HanaError::Parse(format!(
-        "unterminated {quote}-quoted literal starting at byte {start}"
+        "unterminated {quote}-quoted literal at byte {start}: '{}'",
+        &input[start..]
     )))
 }
 
@@ -292,5 +303,54 @@ mod tests {
     fn temp_table_names() {
         let toks = tokenize("SELECT * FROM #tmp_1").unwrap();
         assert!(toks.contains(&Token::Ident("#tmp_1".into())));
+    }
+
+    #[test]
+    fn offsets_are_the_byte_each_token_starts_at() {
+        let sql = "SELECT  v -- why\n FROM t WHERE s = 'it''s' AND k>=?";
+        let (toks, offsets) = tokenize_with_offsets(sql).unwrap();
+        assert_eq!(toks.len(), offsets.len());
+        for (tok, &at) in toks.iter().zip(&offsets) {
+            let rest = &sql[at as usize..];
+            match tok {
+                Token::Ident(s) | Token::Number(s) => assert!(rest.starts_with(s.as_str())),
+                Token::StringLit(_) => assert!(rest.starts_with('\'')),
+                Token::QuotedIdent(_) => assert!(rest.starts_with('"')),
+                Token::Symbol(_) => assert!(!rest.starts_with(char::is_whitespace)),
+            }
+        }
+        assert_eq!(offsets[0], 0);
+        assert_eq!(&sql[offsets[2] as usize..][..4], "FROM");
+        assert_eq!(&sql[*offsets.last().unwrap() as usize..], "?");
+    }
+
+    #[test]
+    fn lexical_errors_name_the_byte_and_the_text() {
+        let err = |sql: &str| tokenize(sql).unwrap_err().to_string();
+        assert!(
+            err("a @ b").contains("unexpected character at byte 2: '@'"),
+            "{}",
+            err("a @ b")
+        );
+        assert!(
+            err("SELECT 'open").contains("at byte 7: ''open'"),
+            "{}",
+            err("SELECT 'open")
+        );
+        // Characters, not bytes: a multi-byte one is named whole, and
+        // offsets after it are still byte offsets.
+        assert!(
+            err("SELECT é, a € b").contains("unexpected character at byte 13: '€'"),
+            "{}",
+            err("SELECT é, a € b")
+        );
+    }
+
+    #[test]
+    fn identifiers_may_be_non_ascii() {
+        let (toks, offsets) = tokenize_with_offsets("SELECT größe\u{a0}FROM tÿ").unwrap();
+        assert_eq!(toks[1], Token::Ident("größe".into()));
+        assert_eq!(toks[3], Token::Ident("tÿ".into()));
+        assert_eq!(offsets, vec![0, 7, 16, 21]);
     }
 }

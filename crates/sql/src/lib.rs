@@ -23,6 +23,7 @@ mod eval;
 pub mod finish;
 mod lexer;
 mod parser;
+pub mod probe;
 mod render;
 
 pub use ast::{

@@ -3,16 +3,14 @@
 use hana_types::{Date, HanaError, Result, Value};
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Symbol, Token};
+use crate::lexer::{tokenize_with_offsets, Symbol, Token};
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
+///
+/// Every [`HanaError::Parse`] names the byte of `sql` it arose at and
+/// quotes the token there: `expected keyword FROM at byte 9: 'FORM'`.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
+    let mut p = Parser::new(sql)?;
     let stmt = p.statement()?;
     p.eat_symbol(Symbol::Semicolon);
     p.expect_end()?;
@@ -21,12 +19,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 
 /// Parse a script of `;`-separated statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
+    let mut p = Parser::new(sql)?;
     let mut out = Vec::new();
     loop {
         while p.eat_symbol(Symbol::Semicolon) {}
@@ -38,15 +31,29 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     Ok(out)
 }
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
+    /// Byte offset in `src` of each token.
+    offsets: Vec<u32>,
     pos: usize,
     /// Number of `?` placeholders seen so far; assigns each its
     /// 0-based positional index in text order.
     params: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>> {
+        let (tokens, offsets) = tokenize_with_offsets(src)?;
+        Ok(Parser {
+            src,
+            tokens,
+            offsets,
+            pos: 0,
+            params: 0,
+        })
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -59,20 +66,27 @@ impl Parser {
         self.tokens.get(self.pos + offset)
     }
 
-    fn advance(&mut self) -> Option<&Token> {
-        let t = self.tokens.get(self.pos);
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// A parse error at the current token.
+    fn err<T>(&self, msg: &str) -> Result<T> {
+        self.err_at(self.pos, msg)
     }
 
-    fn err<T>(&self, msg: &str) -> Result<T> {
+    /// A parse error at token `pos`: the byte it starts at and its
+    /// text, or the end of the input.
+    fn err_at<T>(&self, pos: usize, msg: &str) -> Result<T> {
+        let Some(&start) = self.offsets.get(pos) else {
+            return Err(HanaError::Parse(format!(
+                "{msg} at byte {}: end of input",
+                self.src.len()
+            )));
+        };
+        let end = self
+            .offsets
+            .get(pos + 1)
+            .map_or(self.src.len(), |&o| o as usize);
+        let token = self.src[start as usize..end].trim_end();
         Err(HanaError::Parse(format!(
-            "{msg} (at token {} of {}: {:?})",
-            self.pos,
-            self.tokens.len(),
-            self.peek()
+            "{msg} at byte {start}: '{token}'"
         )))
     }
 
@@ -124,13 +138,13 @@ impl Parser {
 
     /// An identifier (bare or quoted), lower-cased.
     fn identifier(&mut self) -> Result<String> {
-        match self.advance() {
-            Some(Token::Ident(s)) => Ok(s.to_ascii_lowercase()),
-            Some(Token::QuotedIdent(s)) => Ok(s.to_ascii_lowercase()),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                self.err("expected identifier")
+        match self.peek() {
+            Some(Token::Ident(s) | Token::QuotedIdent(s)) => {
+                let name = s.to_ascii_lowercase();
+                self.pos += 1;
+                Ok(name)
             }
+            _ => self.err("expected identifier"),
         }
     }
 
@@ -144,12 +158,13 @@ impl Parser {
     }
 
     fn string_lit(&mut self) -> Result<String> {
-        match self.advance() {
-            Some(Token::StringLit(s)) => Ok(s.clone()),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                self.err("expected string literal")
+        match self.peek() {
+            Some(Token::StringLit(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                Ok(s)
             }
+            _ => self.err("expected string literal"),
         }
     }
 
@@ -323,13 +338,14 @@ impl Parser {
         } else {
             None
         };
+        let clause_at = self.pos;
         let partition = self.partition_clause()?;
         if let Some(p) = &partition {
             if !columns.iter().any(|c| c.name == p.column()) {
-                return Err(HanaError::Parse(format!(
-                    "unknown partitioning column '{}'",
-                    p.column()
-                )));
+                return self.err_at(
+                    clause_at,
+                    &format!("unknown partitioning column '{}'", p.column()),
+                );
             }
         }
         Ok(Statement::CreateTable(CreateTable {
@@ -355,7 +371,7 @@ impl Parser {
             self.expect_kw("partitions")?;
             let partitions = self.usize_lit()?;
             if partitions == 0 {
-                return self.err("PARTITIONS must be at least 1");
+                return self.err_at(self.pos - 1, "PARTITIONS must be at least 1");
             }
             return Ok(Some(PartitionBy::Hash { column, partitions }));
         }
@@ -365,6 +381,7 @@ impl Parser {
             self.expect_symbol(Symbol::RParen)?;
             self.expect_kw("split")?;
             self.expect_kw("at")?;
+            let list_at = self.pos;
             self.expect_symbol(Symbol::LParen)?;
             let mut split_points = Vec::new();
             loop {
@@ -375,7 +392,7 @@ impl Parser {
             }
             self.expect_symbol(Symbol::RParen)?;
             if split_points.windows(2).any(|w| w[0] >= w[1]) {
-                return self.err("RANGE split points must be strictly ascending");
+                return self.err_at(list_at, "RANGE split points must be strictly ascending");
             }
             return Ok(Some(PartitionBy::Range {
                 column,
@@ -388,9 +405,10 @@ impl Parser {
     /// A bare literal (numeric, string or DATE '…') for DDL positions
     /// such as RANGE split points.
     fn literal_value(&mut self) -> Result<Value> {
+        let at = self.pos;
         match self.primary()? {
             Expr::Literal(v) => Ok(v),
-            _ => self.err("expected literal value"),
+            _ => self.err_at(at, "expected literal value"),
         }
     }
 
@@ -401,15 +419,17 @@ impl Parser {
         if self.eat_symbol(Symbol::LParen) {
             name.push('(');
             loop {
-                match self.advance() {
+                match self.peek() {
                     Some(Token::Number(n)) => name.push_str(n),
                     Some(Token::Symbol(Symbol::Comma)) => name.push(','),
                     Some(Token::Symbol(Symbol::RParen)) => {
                         name.push(')');
+                        self.pos += 1;
                         break;
                     }
                     _ => return self.err("malformed type length"),
                 }
+                self.pos += 1;
             }
         }
         Ok(name)
@@ -418,11 +438,12 @@ impl Parser {
     fn create_remote_source(&mut self) -> Result<Statement> {
         let name = self.identifier()?;
         self.expect_kw("adapter")?;
-        let adapter = match self.advance() {
+        let adapter = match self.peek() {
             Some(Token::QuotedIdent(s)) | Some(Token::StringLit(s)) => s.clone(),
             Some(Token::Ident(s)) => s.to_ascii_lowercase(),
             _ => return self.err("expected adapter name"),
         };
+        self.pos += 1;
         self.expect_kw("configuration")?;
         let configuration = self.string_lit()?;
         let (mut credential_type, mut credentials) = (None, None);
@@ -648,14 +669,15 @@ impl Parser {
     }
 
     fn usize_lit(&mut self) -> Result<usize> {
-        match self.advance() {
-            Some(Token::Number(n)) => n
-                .parse()
-                .map_err(|_| HanaError::Parse(format!("bad row count '{n}'"))),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                self.err("expected row count")
-            }
+        match self.peek() {
+            Some(Token::Number(n)) => match n.parse() {
+                Ok(count) => {
+                    self.pos += 1;
+                    Ok(count)
+                }
+                Err(_) => self.err("bad row count"),
+            },
+            _ => self.err("expected row count"),
         }
     }
 
@@ -853,10 +875,15 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_symbol(Symbol::Minus) {
-            let inner = self.unary()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                expr: Box::new(inner),
+            // A negated numeric literal is a literal: `-5` compares,
+            // pushes down, lifts and renders as the one value it is.
+            return Ok(match self.unary()? {
+                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(i.wrapping_neg())),
+                Expr::Literal(Value::Double(d)) => Expr::Literal(Value::Double(-d)),
+                inner => Expr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(inner),
+                },
             });
         }
         self.primary()
@@ -871,18 +898,15 @@ impl Parser {
         }
         match self.peek().cloned() {
             Some(Token::Number(n)) => {
-                self.pos += 1;
                 let v = if n.contains('.') {
-                    Value::Double(
-                        n.parse()
-                            .map_err(|_| HanaError::Parse(format!("bad numeric literal '{n}'")))?,
-                    )
+                    n.parse().map(Value::Double).ok()
                 } else {
-                    Value::Int(
-                        n.parse()
-                            .map_err(|_| HanaError::Parse(format!("bad numeric literal '{n}'")))?,
-                    )
+                    n.parse().map(Value::Int).ok()
                 };
+                let Some(v) = v else {
+                    return self.err("bad numeric literal");
+                };
+                self.pos += 1;
                 Ok(Expr::Literal(v))
             }
             Some(Token::StringLit(s)) => {
@@ -901,10 +925,13 @@ impl Parser {
             }
             Some(Token::Ident(word)) if word.eq_ignore_ascii_case("date") => {
                 // DATE 'YYYY-MM-DD'
-                if matches!(self.peek_at(1), Some(Token::StringLit(_))) {
-                    self.pos += 1;
-                    let s = self.string_lit()?;
-                    return Ok(Expr::Literal(Value::Date(Date::parse(&s)?)));
+                if let Some(Token::StringLit(s)) = self.peek_at(1) {
+                    let Ok(date) = Date::parse(s) else {
+                        return self
+                            .err_at(self.pos + 1, "invalid date literal, expected YYYY-MM-DD");
+                    };
+                    self.pos += 2;
+                    return Ok(Expr::Literal(Value::Date(date)));
                 }
                 self.ident_expr()
             }
@@ -1369,5 +1396,174 @@ mod tests {
         let Statement::Query(q) = s else { panic!() };
         assert_eq!(q.joins.len(), 2);
         assert_eq!(q.joins[0].on, Expr::lit(true));
+    }
+
+    /// The message of the parse error `sql` raises.
+    fn parse_error(sql: &str) -> String {
+        match parse_statement(sql) {
+            Err(HanaError::Parse(m)) => m,
+            other => panic!("{sql}: expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// Every parse error says `at byte N` and quotes the input there:
+    /// one case per family of `self.err` call sites.
+    #[test]
+    fn parse_errors_point_at_a_byte() {
+        for (sql, at, token, msg) in [
+            // expect_kw / expect_symbol / expect_end
+            ("DELETE FORM t", 7, "FORM", "expected keyword from"),
+            ("SELECT v FROM t WHERE k IN 5", 27, "5", "expected LParen"),
+            ("MERGE DELTA t", 12, "t", "expected keyword of"),
+            ("SELECT 1 FROM t; garbage", 17, "garbage", "trailing input"),
+            // identifier / string_lit / usize_lit
+            ("DROP TABLE 5", 11, "5", "expected identifier"),
+            (
+                "CREATE REMOTE SOURCE s ADAPTER \"a\" CONFIGURATION 5",
+                49,
+                "5",
+                "expected string literal",
+            ),
+            ("SELECT v FROM t LIMIT x", 22, "x", "expected row count"),
+            (
+                "SELECT v FROM t LIMIT 99999999999999999999",
+                22,
+                "99999999999999999999",
+                "bad row count",
+            ),
+            // statement / create / partition clause
+            ("SELEC 1", 0, "SELEC", "unrecognized statement"),
+            (
+                "CREATE REMOTE SOURCE s ADAPTER 5",
+                31,
+                "5",
+                "expected adapter name",
+            ),
+            (
+                "CREATE TABLE t (a DECIMAL(x))",
+                26,
+                "x",
+                "malformed type length",
+            ),
+            (
+                "CREATE TABLE t (a INT) PARTITION BY HASH(a) PARTITIONS 0",
+                55,
+                "0",
+                "PARTITIONS must be at least 1",
+            ),
+            (
+                "CREATE TABLE t (a INT) PARTITION BY ROUND_ROBIN(a)",
+                36,
+                "ROUND_ROBIN",
+                "expected HASH or RANGE",
+            ),
+            (
+                "CREATE TABLE t (a INT) PARTITION BY RANGE(a) SPLIT AT (10, 10)",
+                54,
+                "(",
+                "strictly ascending",
+            ),
+            (
+                "CREATE TABLE t (a INT) PARTITION BY RANGE(a) SPLIT AT (a)",
+                55,
+                "a",
+                "expected literal value",
+            ),
+            (
+                "CREATE TABLE t (a INT) PARTITION BY HASH(b) PARTITIONS 2",
+                23,
+                "PARTITION",
+                "unknown partitioning column 'b'",
+            ),
+            // expressions
+            (
+                "SELECT * FROM t WHERE a NOT 5",
+                28,
+                "5",
+                "expected IN, BETWEEN or LIKE",
+            ),
+            (
+                "SELECT v FROM t WHERE k = FROM",
+                26,
+                "FROM",
+                "reserved word",
+            ),
+            (
+                "SELECT v FROM t WHERE k = )",
+                26,
+                ")",
+                "expected expression",
+            ),
+            ("SELECT CASE END FROM t", 12, "END", "at least one WHEN"),
+            (
+                "SELECT v FROM t WHERE d < DATE '1995-13-45'",
+                31,
+                "'1995-13-45'",
+                "invalid date literal",
+            ),
+            // the two numeric-literal sites
+            (
+                "SELECT v FROM t WHERE k = 99999999999999999999",
+                26,
+                "99999999999999999999",
+                "bad numeric literal",
+            ),
+            (
+                "SELECT v FROM t WHERE k = 1.5.5",
+                26,
+                "1.5.5",
+                "bad numeric literal",
+            ),
+        ] {
+            let m = parse_error(sql);
+            assert!(m.contains(msg), "{sql}: {m}");
+            assert!(
+                m.ends_with(&format!("at byte {at}: '{token}'")),
+                "{sql}: {m}"
+            );
+        }
+        // Past the last token there is nothing to quote.
+        let m = parse_error("SELECT v FROM");
+        assert!(
+            m.ends_with("expected identifier at byte 13: end of input"),
+            "{m}"
+        );
+    }
+
+    /// A `?` where no value can go — a LIKE pattern, a row budget — is a
+    /// positioned parse error when the statement is prepared, not an
+    /// unbound parameter when it runs.
+    #[test]
+    fn placeholders_where_no_value_can_go_are_parse_errors() {
+        let m = parse_error("SELECT v FROM t WHERE s LIKE ?");
+        assert!(
+            m.ends_with("expected string literal at byte 29: '?'"),
+            "{m}"
+        );
+        let m = parse_error("SELECT v FROM t LIMIT ?");
+        assert!(m.ends_with("expected row count at byte 22: '?'"), "{m}");
+        let m = parse_error("SELECT TOP ? v FROM t");
+        assert!(m.ends_with("expected row count at byte 11: '?'"), "{m}");
+    }
+
+    #[test]
+    fn a_negated_numeric_literal_is_a_literal() {
+        let Statement::Query(q) =
+            parse_statement("SELECT * FROM t WHERE a > -5 AND b < - 2.5 AND c = -d").unwrap()
+        else {
+            panic!()
+        };
+        let parts = q.filter.as_ref().unwrap().conjuncts();
+        assert!(matches!(parts[0], Expr::Binary { right, .. } if **right == Expr::lit(-5)));
+        assert!(matches!(parts[1], Expr::Binary { right, .. } if **right == Expr::lit(-2.5)));
+        assert!(matches!(
+            parts[2],
+            Expr::Binary { right, .. } if matches!(**right, Expr::Unary { op: UnaryOp::Neg, .. })
+        ));
+        // Render and re-parse is a fixpoint.
+        let Statement::Query(again) = parse_statement(&q.to_string()).unwrap() else {
+            panic!()
+        };
+        assert_eq!(q, again);
     }
 }

@@ -17,7 +17,9 @@ impl fmt::Display for Expr {
             Expr::Literal(Value::Varchar(s)) => write!(f, "'{}'", s.replace('\'', "''")),
             Expr::Literal(Value::Date(d)) => write!(f, "DATE '{d}'"),
             Expr::Literal(v) => write!(f, "{v}"),
-            Expr::Parameter(_) => write!(f, "?"),
+            // Numbered, so that two shapes whose slots sit in different
+            // places never render to one text (the plan-cache key).
+            Expr::Parameter(i) => write!(f, "?{}", i + 1),
             Expr::Column { qualifier, name } => match qualifier {
                 Some(q) => write!(f, "{q}.{name}"),
                 None => write!(f, "{name}"),
@@ -142,6 +144,7 @@ impl fmt::Display for TableRef {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        crate::probe::note(crate::probe::Work::Render);
         write!(f, "SELECT ")?;
         if self.distinct {
             write!(f, "DISTINCT ")?;
@@ -212,6 +215,7 @@ impl Statement {
     /// execute from their original text.
     pub fn to_sql_text(&self) -> Option<String> {
         use std::fmt::Write as _;
+        crate::probe::note(crate::probe::Work::Render);
         match self {
             Statement::Query(q) => Some(q.to_string()),
             Statement::Explain(q) => Some(format!("EXPLAIN {q}")),
