@@ -396,26 +396,29 @@ impl HanaPlatform {
     ) -> Result<usize> {
         let target = self.write_target(table)?;
         let schema = &target.schema;
+        let positions = columns.map(|cols| cols.iter().map(|c| schema.require(c)).collect());
+        let positions: Option<Vec<usize>> = positions.transpose()?;
+        // A VALUES item reads no column: one that names one is unknown.
         let empty = Schema::default();
         let mut rows = Vec::with_capacity(value_rows.len());
         for exprs in value_rows {
             let values: Vec<Value> = exprs
                 .iter()
-                .map(|e| evaluate(e, &empty, &Row::new()))
+                .map(|e| evaluate(&e.resolve(&empty, &[])?, &Row::new()))
                 .collect::<Result<_>>()?;
-            let row = match columns {
+            let row = match &positions {
                 None => values,
-                Some(cols) => {
-                    if cols.len() != values.len() {
+                Some(at) => {
+                    if at.len() != values.len() {
                         return Err(HanaError::Execution(format!(
                             "{} columns but {} values",
-                            cols.len(),
+                            at.len(),
                             values.len()
                         )));
                     }
                     let mut full = vec![Value::Null; schema.len()];
-                    for (c, v) in cols.iter().zip(values) {
-                        full[schema.require(c)?] = v;
+                    for (&i, v) in at.iter().zip(values) {
+                        full[i] = v;
                     }
                     full
                 }
@@ -479,12 +482,19 @@ impl HanaPlatform {
             )));
         }
         let schema = &target.schema;
+        // Targets and values are resolved once, before any row is located.
+        let resolve =
+            |(col, e): &(String, Expr)| Ok((schema.require(col)?, e.resolve(schema, &[])?));
+        let assignments = assignments
+            .iter()
+            .map(resolve)
+            .collect::<Result<Vec<_>>>()?;
         let victims = self.locate(table, &target, filter, cid)?;
         let mut images = Vec::new();
         for old in victims.iter().flat_map(|hit| &hit.rows) {
             let mut new_row = old.values().to_vec();
-            for (col, e) in assignments {
-                new_row[schema.require(col)?] = evaluate(e, schema, old)?;
+            for (at, e) in &assignments {
+                new_row[*at] = evaluate(e, old)?;
             }
             images.push(Row(new_row));
         }

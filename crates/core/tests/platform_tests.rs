@@ -591,11 +591,12 @@ fn index_seek_explain_provenance_and_results() {
     assert_eq!(seek_row, rs.rows[0]);
 }
 
-/// Statements whose filters and projections run through the bytecode
-/// VM return exactly what the tree-walking evaluator computes over the
-/// same rows — the tree-walk is the oracle, applied here by hand.
+/// Statements whose filters run in a `Filter` operator and whose
+/// projections run in `Finish` return exactly what `evaluate` and
+/// `finish_query` compute over the same rows — the oracle, applied here
+/// by hand.
 #[test]
-fn compiled_expressions_agree_with_the_tree_walk_oracle() {
+fn executor_agrees_with_the_evaluate_oracle() {
     let (hana, s) = platform();
     hana.execute_sql(
         &s,
@@ -610,8 +611,8 @@ fn compiled_expressions_agree_with_the_tree_walk_oracle() {
         )
         .unwrap();
     }
-    // Non-pushable filters land in PlanOp::Filter (the VM's territory);
-    // expression projections land in Finish.
+    // Non-pushable filters land in PlanOp::Filter; expression
+    // projections land in Finish.
     let queries = [
         "SELECT k FROM t WHERE k * 2 + 1 < 50 ORDER BY k",
         "SELECT k + v, v * 3 FROM t WHERE k - v > 100 ORDER BY k + v LIMIT 20",
@@ -621,19 +622,20 @@ fn compiled_expressions_agree_with_the_tree_walk_oracle() {
     ];
     let all = hana.execute_sql(&s, "SELECT k, v, tag FROM t").unwrap();
     for sql in queries {
-        let compiled = hana.execute_sql(&s, sql).unwrap();
+        let executed = hana.execute_sql(&s, sql).unwrap();
         let hana_sql::Statement::Query(q) = hana_sql::parse_statement(sql).unwrap() else {
             panic!("not a query: {sql}")
         };
         let filter = q.filter.as_ref().expect("every probe has a WHERE");
+        let filter = filter.resolve(&all.schema, &[]).unwrap();
         let kept: Vec<Row> = all
             .rows
             .iter()
-            .filter(|r| hana_sql::evaluate_predicate(filter, &all.schema, r).unwrap())
+            .filter(|r| hana_sql::evaluate_predicate(&filter, r).unwrap())
             .cloned()
             .collect();
         let (rows, schema) = hana_sql::finish::finish_query(kept, &all.schema, &q).unwrap();
-        assert_eq!(compiled.rows, rows, "{sql}");
-        assert_eq!(compiled.schema.to_string(), schema.to_string(), "{sql}");
+        assert_eq!(executed.rows, rows, "{sql}");
+        assert_eq!(executed.schema.to_string(), schema.to_string(), "{sql}");
     }
 }

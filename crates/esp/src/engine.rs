@@ -23,12 +23,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use hana_hadoop::Hdfs;
-use hana_sql::{Expr, JoinKind, Query, TableRef};
+use hana_sql::finish::Projection;
+use hana_sql::{evaluate_predicate, Expr, JoinKind, Query, TableRef};
 use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::ccl::{parse_ccl, CclStatement};
 use crate::pattern::PatternMatcher;
-use crate::window::{event_passes, validate_window_query, window_output, WindowState};
+use crate::window::{WindowQuery, WindowState};
 
 /// Write callback type of a [`Sink::Table`].
 pub type TableWriter = Arc<dyn Fn(&str, &Schema, &[Row]) -> Result<()> + Send + Sync>;
@@ -142,16 +143,17 @@ pub enum Sink {
 
 struct WindowDef {
     source: String,
-    query: Query,
+    window: WindowQuery,
     state: WindowState,
-    input_schema: Schema,
 }
 
+/// An output stream; its WHERE filter and select list are resolved
+/// against the joined evaluation schema (stream + reference bindings)
+/// when it is defined.
 struct OutStreamDef {
     source: String,
-    query: Query,
-    /// Joined evaluation schema (stream + reference bindings).
-    eval_schema: Schema,
+    filter: Option<Expr>,
+    projection: Projection,
     /// Reference joins: `(ref_name, stream_key_idx, ref_key_idx)`
     ref_joins: Vec<(String, usize, usize)>,
 }
@@ -240,15 +242,13 @@ impl EspEngine {
                 inner.streams.insert(name, schema);
             }
             CclStatement::CreateWindow { name, query, keep } => {
-                validate_window_query(&query)?;
                 let (source, input_schema) = resolve_source(&inner, &query)?;
                 inner.windows.insert(
                     name,
                     WindowDef {
                         source,
-                        query,
+                        window: WindowQuery::new(query, input_schema)?,
                         state: WindowState::new(keep),
-                        input_schema,
                     },
                 );
             }
@@ -354,7 +354,7 @@ impl EspEngine {
             name.to_ascii_lowercase(),
             PatternDef {
                 source: stream.to_ascii_lowercase(),
-                matcher: PatternMatcher::new(exprs, within_secs, schema),
+                matcher: PatternMatcher::new(exprs, within_secs, &schema)?,
                 alerts: Vec::new(),
             },
         );
@@ -393,27 +393,22 @@ impl EspEngine {
             .map(|(n, _)| n.clone())
             .collect();
         for name in out_names {
-            let (rows_out, out_schema) = {
-                let def = &inner.out_streams[&name];
-                let Some(joined) = enrich(&inner, def, &row)? else {
-                    continue; // reference join dropped the event
-                };
-                if !event_passes(&def.query.filter, &def.eval_schema, &joined) {
+            let def = &inner.out_streams[&name];
+            let Some(joined) = enrich(&inner, def, &row)? else {
+                continue; // reference join dropped the event
+            };
+            if let Some(f) = &def.filter {
+                if !evaluate_predicate(f, &joined)? {
                     continue;
                 }
-                let (rows, out_schema) = hana_sql::finish::project_final(
-                    std::slice::from_ref(&joined),
-                    &def.eval_schema,
-                    &def.query,
-                )?;
-                (rows, out_schema)
-            };
-            inner.events_emitted += rows_out.len() as u64;
+            }
+            let out = [def.projection.project(&joined)?];
             if let Some(sinks) = inner.sinks.get(&name) {
                 for (_, s) in sinks {
-                    emit(s, &out_schema, &rows_out)?;
+                    emit(s, def.projection.schema(), &out)?;
                 }
             }
+            inner.events_emitted += 1;
         }
 
         // 3. Windows (WHERE applies before retention).
@@ -425,7 +420,7 @@ impl EspEngine {
             .collect();
         for name in win_names {
             let def = inner.windows.get_mut(&name).expect("window exists");
-            if event_passes(&def.query.filter, &def.input_schema, &row) {
+            if def.window.admits(&row)? {
                 def.state.push(ts, row.clone());
             } else {
                 def.state.retire(ts);
@@ -441,7 +436,7 @@ impl EspEngine {
             .collect();
         for name in pat_names {
             let def = inner.patterns.get_mut(&name).expect("pattern exists");
-            let completed = def.matcher.on_event(ts, &row);
+            let completed = def.matcher.on_event(ts, &row)?;
             def.alerts.extend(completed);
         }
         Ok(())
@@ -454,10 +449,7 @@ impl EspEngine {
             .windows
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| HanaError::Stream(format!("unknown window '{name}'")))?;
-        // Filter was applied at ingestion; compute on a filter-less copy.
-        let mut q = def.query.clone();
-        q.filter = None;
-        let out = window_output(&def.state, &q, &def.input_schema)?;
+        let out = def.window.output(&def.state)?;
         Ok(ResultSet::new(out.schema, out.rows))
     }
 
@@ -614,10 +606,11 @@ fn build_out_stream(inner: &Inner, query: Query) -> Result<OutStreamDef> {
         eval_schema = eval_schema.join(&ref_schema)?;
         ref_joins.push((ref_name.clone(), skey, rkey));
     }
+    let filter = query.filter.as_ref();
     Ok(OutStreamDef {
         source: source.clone(),
-        query,
-        eval_schema,
+        filter: filter.map(|f| f.resolve(&eval_schema, &[])).transpose()?,
+        projection: Projection::new(&eval_schema, &query, &[])?,
         ref_joins,
     })
 }

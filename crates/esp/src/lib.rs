@@ -34,4 +34,4 @@ pub use engine::{
     DEFAULT_INPUT_QUEUE_EVENTS,
 };
 pub use pattern::PatternMatcher;
-pub use window::{validate_window_query, window_output, Keep, WindowState};
+pub use window::{validate_window_query, Keep, WindowQuery, WindowState};

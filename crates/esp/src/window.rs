@@ -1,9 +1,9 @@
 //! Stream windows with retention and incremental aggregation.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-use hana_sql::finish::{as_aggregate, collect_aggregates};
-use hana_sql::{evaluate, Expr, Query};
+use hana_sql::finish::{aggregate_output_schema, as_aggregate, collect_aggregates, finish_query};
+use hana_sql::{evaluate, evaluate_predicate, Expr, Query};
 use hana_types::{Accumulator, AggFunc, HanaError, Result, Row, Schema, Value};
 
 /// Retention policy of a window (`KEEP n ROWS` / `KEEP n SECONDS`).
@@ -94,58 +94,93 @@ impl WindowState {
     }
 }
 
-/// Evaluate the aggregating SELECT of a window definition over the
-/// retained rows, producing the window's output relation.
-///
-/// Uses the shared `_g/_a` convention and driver epilogue, so windows
-/// aggregate exactly like every other engine in the platform.
-pub fn window_output(
-    state: &WindowState,
-    query: &Query,
-    input_schema: &Schema,
-) -> Result<ResultRows> {
-    let rows = state.rows();
-    let aggs = collect_aggregates(query);
-    if query.group_by.is_empty() && aggs.is_empty() {
-        // Plain (non-aggregating) window: retained rows, projected.
-        let (out, schema) = hana_sql::finish::finish_query(rows, input_schema, query)?;
-        return Ok(ResultRows { rows: out, schema });
+/// A window definition's SELECT, its WHERE filter, group keys and
+/// aggregate arguments resolved against the input stream once, when
+/// the window is defined: an unknown column is a definition error, not
+/// an event dropped.
+pub struct WindowQuery {
+    query: Query,
+    input_schema: Schema,
+    filter: Option<Expr>,
+    group_by: Vec<Expr>,
+    aggs: Vec<(AggFunc, Option<Expr>)>,
+}
+
+impl WindowQuery {
+    /// Validate `query` ([`validate_window_query`]) and resolve it over
+    /// events of `input_schema`.
+    pub fn new(query: Query, input_schema: Schema) -> Result<WindowQuery> {
+        validate_window_query(&query)?;
+        let resolve = |e: &Expr| e.resolve(&input_schema, &[]);
+        let filter = query.filter.as_ref().map(resolve).transpose()?;
+        let group_by = query.group_by.iter().map(resolve).collect::<Result<_>>()?;
+        let arg =
+            |(f, arg): &(AggFunc, Option<Expr>)| Ok((*f, arg.as_ref().map(resolve).transpose()?));
+        let aggs = collect_aggregates(&query)
+            .iter()
+            .map(arg)
+            .collect::<Result<_>>()?;
+        Ok(WindowQuery {
+            query,
+            input_schema,
+            filter,
+            group_by,
+            aggs,
+        })
     }
-    // Hash-aggregate the window contents.
-    let mut groups: std::collections::HashMap<Vec<Value>, Vec<Accumulator>> =
-        std::collections::HashMap::new();
-    for r in &rows {
-        let mut key = Vec::with_capacity(query.group_by.len());
-        for g in &query.group_by {
-            key.push(evaluate(g, input_schema, r)?);
+
+    /// Whether an event passes the WHERE filter (applied before
+    /// retention).
+    pub fn admits(&self, row: &Row) -> Result<bool> {
+        self.filter
+            .as_ref()
+            .map_or(Ok(true), |f| evaluate_predicate(f, row))
+    }
+
+    /// Evaluate the SELECT over the retained rows, producing the
+    /// window's output relation.
+    ///
+    /// Uses the shared `_g/_a` convention and driver epilogue, so windows
+    /// aggregate exactly like every other engine in the platform.
+    pub fn output(&self, state: &WindowState) -> Result<ResultRows> {
+        let (query, rows) = (&self.query, state.rows());
+        if query.group_by.is_empty() && self.aggs.is_empty() {
+            // Plain (non-aggregating) window: retained rows, projected.
+            let (out, schema) = finish_query(rows, &self.input_schema, query)?;
+            return Ok(ResultRows { rows: out, schema });
         }
-        let accs = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|(f, _)| f.accumulator()).collect());
-        for (acc, (_, arg)) in accs.iter_mut().zip(&aggs) {
-            match arg {
-                Some(e) => acc.add(&evaluate(e, input_schema, r)?),
-                None => acc.add(&Value::Null),
+        // Hash-aggregate the window contents.
+        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+        for r in &rows {
+            let key = self.group_by.iter().map(|g| evaluate(g, r));
+            let accs = groups
+                .entry(key.collect::<Result<_>>()?)
+                .or_insert_with(|| self.aggs.iter().map(|(f, _)| f.accumulator()).collect());
+            for (acc, (_, arg)) in accs.iter_mut().zip(&self.aggs) {
+                match arg {
+                    Some(e) => acc.add(&evaluate(e, r)?),
+                    None => acc.add(&Value::Null),
+                }
             }
         }
+        if groups.is_empty() && query.group_by.is_empty() {
+            groups.insert(
+                Vec::new(),
+                self.aggs.iter().map(|(f, _)| f.accumulator()).collect(),
+            );
+        }
+        let agg_schema = aggregate_output_schema(query, &self.input_schema)?;
+        let mut agg_rows: Vec<Row> = groups
+            .into_iter()
+            .map(|(mut k, accs)| {
+                k.extend(accs.iter().map(|a| a.finish()));
+                Row(k)
+            })
+            .collect();
+        agg_rows.sort();
+        let (out, schema) = finish_query(agg_rows, &agg_schema, query)?;
+        Ok(ResultRows { rows: out, schema })
     }
-    if groups.is_empty() && query.group_by.is_empty() {
-        groups.insert(
-            Vec::new(),
-            aggs.iter().map(|(f, _)| f.accumulator()).collect(),
-        );
-    }
-    let agg_schema = hana_sql::finish::aggregate_output_schema(query, input_schema)?;
-    let mut agg_rows: Vec<Row> = groups
-        .into_iter()
-        .map(|(mut k, accs)| {
-            k.extend(accs.iter().map(|a| a.finish()));
-            Row(k)
-        })
-        .collect();
-    agg_rows.sort();
-    let (out, schema) = hana_sql::finish::finish_query(agg_rows, &agg_schema, query)?;
-    Ok(ResultRows { rows: out, schema })
 }
 
 /// A window's output relation.
@@ -184,14 +219,6 @@ pub fn validate_window_query(query: &Query) -> Result<()> {
     Ok(())
 }
 
-/// Helper used by the engine: evaluate a WHERE filter on one event.
-pub fn event_passes(filter: &Option<Expr>, schema: &Schema, row: &Row) -> bool {
-    match filter {
-        None => true,
-        Some(f) => hana_sql::evaluate_predicate(f, schema, row).unwrap_or(false),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +238,11 @@ mod tests {
 
     fn ev(cell: &str, load: f64) -> Row {
         Row::from_values([Value::from(cell), Value::Double(load)])
+    }
+
+    fn output(w: &WindowState, sql: &str) -> ResultRows {
+        let window = WindowQuery::new(q(sql), schema()).unwrap();
+        window.output(w).unwrap()
     }
 
     #[test]
@@ -242,12 +274,10 @@ mod tests {
         for (c, l) in [("c1", 10.0), ("c2", 20.0), ("c1", 30.0)] {
             w.push(0, ev(c, l));
         }
-        let out = window_output(
+        let out = output(
             &w,
-            &q("SELECT cell, AVG(load) AS avg_load, COUNT(*) FROM s GROUP BY cell ORDER BY cell"),
-            &schema(),
-        )
-        .unwrap();
+            "SELECT cell, AVG(load) AS avg_load, COUNT(*) FROM s GROUP BY cell ORDER BY cell",
+        );
         assert_eq!(out.rows.len(), 2);
         assert_eq!(out.rows[0][1], Value::Double(20.0));
         assert_eq!(out.schema.index_of("avg_load"), Some(1));
@@ -257,7 +287,7 @@ mod tests {
     fn plain_window_projects() {
         let mut w = WindowState::new(Keep::Rows(10));
         w.push(0, ev("c9", 99.0));
-        let out = window_output(&w, &q("SELECT load FROM s WHERE cell = 'c9'"), &schema()).unwrap();
+        let out = output(&w, "SELECT load FROM s WHERE cell = 'c9'");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0][0], Value::Double(99.0));
     }
@@ -265,7 +295,7 @@ mod tests {
     #[test]
     fn empty_window_global_aggregate() {
         let w = WindowState::new(Keep::Rows(5));
-        let out = window_output(&w, &q("SELECT COUNT(*), SUM(load) FROM s"), &schema()).unwrap();
+        let out = output(&w, "SELECT COUNT(*), SUM(load) FROM s");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0][0], Value::Int(0));
         assert!(out.rows[0][1].is_null());

@@ -365,3 +365,38 @@ fn sinks_detach_individually_by_id() {
     );
     assert!(esp.target_kind("nope").is_err());
 }
+
+/// A CCL filter, window key or pattern step over an unknown column is
+/// refused when it is defined — not a definition every event silently
+/// fails.
+#[test]
+fn an_unknown_column_fails_when_the_ccl_is_defined() {
+    let esp = telecom_engine();
+    for ccl in [
+        "CREATE OUTPUT STREAM bad AS SELECT cell FROM network_events WHERE nosuch > 95;",
+        "CREATE OUTPUT STREAM bad AS SELECT nosuch FROM network_events;",
+        "CREATE OUTPUT WINDOW bad AS SELECT cell, COUNT(*) AS n FROM network_events \
+         WHERE nosuch = 'status' GROUP BY cell KEEP 10 ROWS;",
+        "CREATE OUTPUT WINDOW bad AS SELECT nosuch, COUNT(*) AS n FROM network_events \
+         GROUP BY nosuch KEEP 10 ROWS;",
+        "CREATE OUTPUT WINDOW bad AS SELECT cell, SUM(nosuch) AS n FROM network_events \
+         GROUP BY cell KEEP 10 ROWS;",
+    ] {
+        let err = esp
+            .deploy(ccl)
+            .err()
+            .unwrap_or_else(|| panic!("{ccl} deployed"));
+        assert!(
+            err.to_string().contains("unknown column 'nosuch'"),
+            "{ccl}: {err}"
+        );
+    }
+    let err = esp
+        .define_pattern("bad", "network_events", &["nosuch = 'warn'"], 10)
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown column 'nosuch'"), "{err}");
+    // What was defined still runs.
+    esp.send("network_events", 0, ev("c1", "status", 99.0))
+        .unwrap();
+    assert_eq!(esp.window_snapshot("cell_health").unwrap().len(), 1);
+}

@@ -618,57 +618,44 @@ struct Agg {
     schema: Schema,
 }
 
-/// Expressions of one stage bound to the schema of its input lines:
-/// every column reference is resolved once, at compile time — an
-/// unknown or ambiguous one is an error there, not a row dropped at run
-/// time — and renamed to the exact name of a column of `schema`, which
-/// holds just the fields the expressions read. A map task decodes those
-/// fields and no others (Hive's LazySimpleSerDe).
+/// Expressions of one stage resolved against the schema of its input
+/// lines: every column reference is resolved once, at compile time —
+/// an unknown or ambiguous one is an error there, not a row dropped at
+/// run time — to its position among `fields`, the only fields a map
+/// task decodes (Hive's LazySimpleSerDe).
 struct BoundExprs {
     exprs: Vec<Expr>,
-    /// Per expression, its position in `schema` when it is a bare column
-    /// reference: that one is read without a name lookup.
-    columns: Vec<Option<usize>>,
-    /// Input field and type of each column of `schema`.
+    /// Input field and type of each decoded position.
     fields: Vec<(usize, DataType)>,
-    schema: Schema,
 }
 
 impl BoundExprs {
-    fn bind(input: &Schema, mut exprs: Vec<Expr>) -> Result<BoundExprs> {
+    fn bind(input: &Schema, exprs: Vec<Expr>) -> Result<BoundExprs> {
+        let resolved = exprs.iter().map(|e| e.resolve(input, &[]));
+        let mut exprs = resolved.collect::<Result<Vec<Expr>>>()?;
         let mut read = vec![false; input.len()];
-        let mut unresolved = None;
-        for e in &mut exprs {
-            e.walk_mut(&mut |n| {
-                let Expr::Column { qualifier, name } = n else {
-                    return;
-                };
-                match resolve_column(input, qualifier.as_deref(), name) {
-                    Ok(i) => {
-                        read[i] = true;
-                        *qualifier = None;
-                        name.clone_from(&input.column(i).name);
-                    }
-                    Err(e) => unresolved = Some(e),
+        for e in &exprs {
+            e.walk(&mut |n| {
+                if let Expr::Field(i) = n {
+                    read[*i] = true;
                 }
             });
         }
-        if let Some(e) = unresolved {
-            return Err(e);
+        // Input field -> decoded position.
+        let mut position = vec![0; input.len()];
+        let mut fields = Vec::new();
+        for (i, c) in input.columns().iter().enumerate().filter(|(i, _)| read[*i]) {
+            position[i] = fields.len();
+            fields.push((i, c.data_type));
         }
-        let cols = input.columns().iter().enumerate().filter(|(i, _)| read[*i]);
-        let fields = cols.clone().map(|(i, c)| (i, c.data_type)).collect();
-        let schema = Schema::new(cols.map(|(_, c)| c.clone()).collect())?;
-        let column = |e: &Expr| match e {
-            Expr::Column { name, .. } => schema.index_of(name),
-            _ => None,
-        };
-        Ok(BoundExprs {
-            columns: exprs.iter().map(column).collect(),
-            exprs,
-            fields,
-            schema,
-        })
+        for e in &mut exprs {
+            e.walk_mut(&mut |n| {
+                if let Expr::Field(i) = n {
+                    *i = position[*i];
+                }
+            });
+        }
+        Ok(BoundExprs { exprs, fields })
     }
 
     /// Decode the fields the expressions read into `row`.
@@ -678,14 +665,6 @@ impl BoundExprs {
             row.0.push(parse_field(fields[i], ty)?);
         }
         Ok(())
-    }
-
-    /// The value of expression `i` over a decoded row.
-    fn eval(&self, i: usize, row: &Row) -> Result<Value> {
-        match self.columns[i] {
-            Some(c) => Ok(row[c].clone()),
-            None => evaluate(&self.exprs[i], &self.schema, row),
-        }
     }
 }
 
@@ -732,7 +711,7 @@ impl Mapper for FilterMapper {
             split_fields(line, self.arity, &mut fields)?;
             if let Some(pred) = &self.pred {
                 pred.decode(&fields, &mut row)?;
-                if !evaluate_predicate(&pred.exprs[0], &pred.schema, &row)? {
+                if !evaluate_predicate(&pred.exprs[0], &row)? {
                     continue;
                 }
             }
@@ -822,13 +801,14 @@ impl Mapper for AggMapper {
         for line in lines {
             split_fields(line, self.arity, &mut fields)?;
             self.exprs.decode(&fields, &mut row)?;
-            let key = (0..self.group_keys).map(|g| self.exprs.eval(g, &row));
+            let exprs = &self.exprs.exprs;
+            let key = exprs[..self.group_keys].iter().map(|g| evaluate(g, &row));
             let accs = groups
                 .entry(key.collect::<Result<_>>()?)
                 .or_insert_with(|| self.funcs.iter().map(AggFunc::accumulator).collect());
             for (acc, arg) in accs.iter_mut().zip(&self.arg_of) {
                 match arg {
-                    Some(i) => acc.add(&self.exprs.eval(*i, &row)?),
+                    Some(i) => acc.add(&evaluate(&exprs[*i], &row)?),
                     None => acc.add(&Value::Null), // COUNT(*) counts the row
                 }
             }

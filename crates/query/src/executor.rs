@@ -4,7 +4,7 @@ use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap, BLOCK_ROWS};
 use hana_exec::ExecContext;
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
-use hana_sql::finish::{bound_order, finish_shape, project_shape, sort_rows};
+use hana_sql::finish::finish_shape;
 use hana_sql::{evaluate, evaluate_predicate, resolve_column, Expr, JoinKind, Query, TableRef};
 use hana_types::{Accumulator, AggFunc, HanaError, Result, ResultSet, Row, Schema, Value};
 
@@ -18,8 +18,9 @@ use crate::plan::{
 /// the snapshot it sees, and the values behind the plan's slots. A plan
 /// is compiled once per statement shape; the values are resolved where
 /// they are consumed — a leaf binds its predicates, an operator over
-/// expressions binds them when it starts, a shipped sub-query is bound
-/// to literals before it leaves.
+/// expressions resolves them (names to positions, slots to literals)
+/// before its first row, a shipped sub-query is bound to literals
+/// before it leaves.
 #[derive(Clone, Copy)]
 pub(crate) struct Run<'a> {
     pub exec: &'a ExecContext,
@@ -37,6 +38,9 @@ pub const BUILD_RIGHT: u64 = 1;
 
 /// A group table: accumulator states keyed by the group-by values.
 type Groups = FxHashMap<Vec<Value>, Vec<Accumulator>>;
+
+/// An aggregate call and its argument (`COUNT(*)` has none).
+type AggCall = (AggFunc, Option<Expr>);
 
 /// Execute a SQL query against the catalog under snapshot `cid`, using
 /// the process-wide [`ExecContext`] for parallel operators.
@@ -231,7 +235,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
             let empty = Schema::default();
             let arg_vals: Vec<Value> = args
                 .iter()
-                .map(|a| evaluate(&*a.bound(values)?, &empty, &Row::new()))
+                .map(|a| evaluate(&a.resolve(&empty, values)?, &Row::new()))
                 .collect::<Result<_>>()?;
             let rs = f.invoke(&arg_vals)?;
             if rs.schema.len() == plan.schema.len() {
@@ -253,39 +257,24 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
             // estimated small, so broadcast the build rows to the
             // surviving nodes and join fragment-locally, shipping only
             // join results.
-            if let (DistJoinStrategy::Broadcast, PlanOp::DistScan { table, preds, .. }) =
-                (dist, &left.op)
-            {
-                if let Ok(TableSource::Distributed(dt)) = catalog.resolve_table(table) {
-                    let r = run_node(run, right)?;
-                    span.attr("broadcast_join", 1);
-                    return dist_broadcast_join(
-                        &dt,
-                        &left.schema,
-                        &bind_predicates(preds, values)?,
-                        &r,
-                        left_key,
-                        right_key,
-                        *kind,
-                        &plan.schema,
-                        cid,
-                        span,
-                    );
-                }
+            if let (DistJoinStrategy::Broadcast, PlanOp::DistScan { .. }) = (dist, &left.op) {
+                let r = run_node(run, right)?;
+                span.attr("broadcast_join", 1);
+                return dist_broadcast_join(run, plan, &r, span);
             }
             let l = run_node(run, left)?;
             let r = run_node(run, right)?;
             hash_join(l, r, left_key, right_key, *kind, &plan.schema, span)
         }
         PlanOp::NestedLoopJoin { left, right, on } => {
+            let on = on.resolve(&plan.schema, values)?;
             let l = run_node(run, left)?;
             let r = run_node(run, right)?;
-            let on = on.bound(values)?;
             let mut rows = Vec::new();
             for lr in &l.rows {
                 for rr in &r.rows {
                     let joined = lr.clone().concat(rr.clone());
-                    if evaluate_predicate(&on, &plan.schema, &joined)? {
+                    if evaluate_predicate(&on, &joined)? {
                         rows.push(joined);
                     }
                 }
@@ -409,7 +398,13 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
         }
         PlanOp::Filter { input, pred } => {
             let inp = run_node(run, input)?;
-            let rows = filter_rows(&*pred.bound(values)?, &inp.schema, inp.rows, span)?;
+            let pred = pred.resolve(&inp.schema, values)?;
+            let mut rows = Vec::with_capacity(inp.rows.len());
+            for r in inp.rows {
+                if evaluate_predicate(&pred, &r)? {
+                    rows.push(r);
+                }
+            }
             Ok(ResultSet::new(plan.schema.clone(), rows))
         }
         PlanOp::Aggregate {
@@ -417,20 +412,6 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
             group_by,
             aggs,
         } => {
-            let bound;
-            let (group_by, aggs) = if values.is_empty() {
-                (&group_by[..], &aggs[..])
-            } else {
-                let bind = |(f, arg): &(AggFunc, Option<Expr>)| {
-                    let arg = arg.as_ref().map(|e| e.bound(values)).transpose()?;
-                    Ok((*f, arg.map(std::borrow::Cow::into_owned)))
-                };
-                bound = (
-                    bound_exprs(group_by, values)?,
-                    aggs.iter().map(bind).collect::<Result<Vec<_>>>()?,
-                );
-                (&bound.0[..], &bound.1[..])
-            };
             // Distributed fast path: aggregate each partition on its
             // node and ship only the partial aggregate states — the
             // shuffle carries groups, not rows.
@@ -446,6 +427,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
                 return Ok(rs);
             }
             let inp = run_node(run, input)?;
+            let (group_by, aggs) = resolve_aggregate(group_by, aggs, &inp.schema, values)?;
             // Aggregate morsel-sized row chunks into partial group
             // tables and merge the accumulators (partial aggregation,
             // MapReduce-combiner style).
@@ -454,18 +436,13 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Res
             span.set_workers(exec.config().workers as u64);
             span.attr("partials", chunks.len() as u64);
             let mut groups = Groups::default();
-            for partial in exec.scatter(chunks, |rows| {
-                aggregate_chunk(rows, group_by, aggs, &inp.schema)
-            }) {
+            for partial in exec.scatter(chunks, |rows| aggregate_chunk(rows, &group_by, &aggs)) {
                 merge_groups(&mut groups, partial?);
             }
-            Ok(finish_groups(groups, group_by, aggs, &plan.schema))
+            Ok(finish_groups(groups, &group_by, &aggs, &plan.schema))
         }
         PlanOp::Finish { input, query } => {
             let inp = run_node(run, input)?;
-            if let Some(rs) = try_vm_finish(&inp, query, values, span)? {
-                return Ok(rs);
-            }
             // When the child already satisfied the whole query remotely,
             // the planner does not emit Finish; here the epilogue runs.
             let (rows, schema) = finish_shape(inp.rows, &inp.schema, query, values)?;
@@ -577,157 +554,25 @@ pub(crate) fn row_leaf_hits(
     Ok((slots, rows))
 }
 
-/// Apply a filter predicate over materialized rows.
-fn filter_rows(
-    pred: &Expr,
+/// A group-by's keys and aggregate arguments resolved over rows of
+/// `schema`, their slots reading `values`.
+fn resolve_aggregate(
+    group_by: &[Expr],
+    aggs: &[AggCall],
     schema: &Schema,
-    rows: Vec<Row>,
-    span: &hana_obs::Span,
-) -> Result<Vec<Row>> {
-    let keep = filter_mask(pred, schema, &rows, span)?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (r, k) in rows.into_iter().zip(keep) {
-        if k {
-            out.push(r);
-        }
-    }
-    Ok(out)
-}
-
-/// Which of `rows` satisfy `pred`.
-///
-/// When the predicate lowers to bytecode, rows run through the VM one
-/// [`BLOCK_ROWS`] block at a time. Block-level evaluation can raise an
-/// error the tree-walk's per-row short-circuit would have skipped (see
-/// [`crate::vm`]), and a predicate may legally evaluate to a
-/// non-boolean the tree-walk reports with its own message — any such
-/// block falls back to the row-at-a-time evaluator, which is the
-/// authority for both results and errors.
-pub(crate) fn filter_mask(
-    pred: &Expr,
-    schema: &Schema,
-    rows: &[Row],
-    span: &hana_obs::Span,
-) -> Result<Vec<bool>> {
-    let prog = crate::compile::compile_expr(pred, schema);
-    let mut keep = Vec::with_capacity(rows.len());
-    let mut regs: Vec<Vec<Value>> = Vec::new();
-    let mut compiled_blocks = 0u64;
-    for block in rows.chunks(BLOCK_ROWS) {
-        let compiled = prog.as_ref().filter(|p| {
-            p.run_block(block, &mut regs).is_ok()
-                && regs[p.result]
-                    .iter()
-                    .all(|v| matches!(v, Value::Bool(_) | Value::Null))
-        });
-        match compiled {
-            Some(p) => {
-                compiled_blocks += 1;
-                keep.extend(regs[p.result].iter().map(|v| *v == Value::Bool(true)));
-            }
-            None => {
-                for r in block {
-                    keep.push(evaluate_predicate(pred, schema, r)?);
-                }
-            }
-        }
-    }
-    if prog.is_some() {
-        span.attr("compiled_blocks", compiled_blocks);
-    }
-    Ok(keep)
-}
-
-/// The Finish epilogue through the VM: when the query has no
-/// aggregation and no HAVING and every select item compiles, project
-/// each block with one bytecode program per output column, then apply
-/// DISTINCT / ORDER BY / LIMIT exactly as [`finish_query`] would.
-/// Returns `Ok(None)` when the shape does not fit and the tree-walking
-/// epilogue should run instead.
-fn try_vm_finish(
-    inp: &ResultSet,
-    q: &Query,
     values: &[Value],
-    span: &hana_obs::Span,
-) -> Result<Option<ResultSet>> {
-    if q.select.is_empty() {
-        return Ok(None);
-    }
-    let aggregated = !q.group_by.is_empty()
-        || q.having.is_some()
-        || q.select.iter().any(|s| s.expr.contains_aggregate());
-    if aggregated {
-        return Ok(None);
-    }
-    let select: Vec<std::borrow::Cow<Expr>> = q
-        .select
-        .iter()
-        .map(|s| s.expr.bound(values))
-        .collect::<Result<_>>()?;
-    let progs: Option<Vec<crate::vm::Program>> = select
-        .iter()
-        .map(|e| crate::compile::compile_expr(e, &inp.schema))
-        .collect();
-    let Some(progs) = progs else {
-        return Ok(None);
-    };
-    span.attr("compiled", 1);
-    // The output schema from the shared projection code, so names,
-    // de-duplication and inferred types match the tree-walk path.
-    let (_, out_schema) = project_shape(&[], &inp.schema, q, values)?;
-    let mut rows: Vec<Row> = Vec::with_capacity(inp.rows.len());
-    let mut regs: Vec<Vec<Value>> = Vec::new();
-    for block in inp.rows.chunks(BLOCK_ROWS) {
-        let base = rows.len();
-        for _ in 0..block.len() {
-            rows.push(Row(vec![Value::Null; progs.len()]));
-        }
-        let mut vm_ok = true;
-        for (ci, p) in progs.iter().enumerate() {
-            if p.run_block(block, &mut regs).is_err() {
-                vm_ok = false;
-                break;
-            }
-            for i in 0..block.len() {
-                rows[base + i].0[ci] = std::mem::replace(&mut regs[p.result][i], Value::Null);
-            }
-        }
-        if !vm_ok {
-            // Same per-block fallback as the filter: the tree-walk is
-            // the authority for rows the VM cannot evaluate.
-            rows.truncate(base);
-            for r in block {
-                let mut vals = Vec::with_capacity(select.len());
-                for e in &select {
-                    vals.push(evaluate(e, &inp.schema, r)?);
-                }
-                rows.push(Row(vals));
-            }
-        }
-    }
-    if q.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
-    }
-    if !q.order_by.is_empty() {
-        sort_rows(&mut rows, &out_schema, &bound_order(&q.order_by, values)?)?;
-    }
-    if let Some(n) = q.limit {
-        rows.truncate(n);
-    }
-    Ok(Some(ResultSet::new(out_schema, rows)))
+) -> Result<(Vec<Expr>, Vec<AggCall>)> {
+    let resolve = |e: &Expr| e.resolve(schema, values);
+    let arg = |(f, arg): &AggCall| Ok((*f, arg.as_ref().map(resolve).transpose()?));
+    let keys = group_by.iter().map(resolve).collect::<Result<_>>()?;
+    Ok((keys, aggs.iter().map(arg).collect::<Result<_>>()?))
 }
 
 /// Feed one row into a group's accumulators.
-fn accumulate_row(
-    accs: &mut [Accumulator],
-    aggs: &[(AggFunc, Option<Expr>)],
-    schema: &Schema,
-    r: &Row,
-) -> Result<()> {
+fn accumulate_row(accs: &mut [Accumulator], aggs: &[AggCall], r: &Row) -> Result<()> {
     for (acc, (_, arg)) in accs.iter_mut().zip(aggs) {
         match arg {
-            Some(e) => acc.add(&evaluate(e, schema, r)?),
+            Some(e) => acc.add(&evaluate(e, r)?),
             None => acc.add(&Value::Null), // COUNT(*)
         }
     }
@@ -760,7 +605,7 @@ fn merge_groups(
 fn finish_groups(
     mut groups: Groups,
     group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
+    aggs: &[AggCall],
     out_schema: &Schema,
 ) -> ResultSet {
     if groups.is_empty() && group_by.is_empty() {
@@ -786,24 +631,19 @@ fn finish_groups(
 /// (`Vec<Value>: Borrow<[Value]>`), so the per-row hot path does one
 /// lookup and zero allocations; the key is only cloned into the table
 /// once per distinct group.
-fn aggregate_chunk(
-    rows: &[Row],
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    schema: &Schema,
-) -> Result<Groups> {
+fn aggregate_chunk(rows: &[Row], group_by: &[Expr], aggs: &[AggCall]) -> Result<Groups> {
     let mut groups = Groups::default();
     let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
     for r in rows {
         key.clear();
         for g in group_by {
-            key.push(evaluate(g, schema, r)?);
+            key.push(evaluate(g, r)?);
         }
         if let Some(accs) = groups.get_mut(key.as_slice()) {
-            accumulate_row(accs, aggs, schema, r)?;
+            accumulate_row(accs, aggs, r)?;
         } else {
             let mut accs: Vec<Accumulator> = aggs.iter().map(|(f, _)| f.accumulator()).collect();
-            accumulate_row(&mut accs, aggs, schema, r)?;
+            accumulate_row(&mut accs, aggs, r)?;
             groups.insert(key.clone(), accs);
         }
     }
@@ -826,7 +666,7 @@ fn try_fused_group_by(
     out_schema: &Schema,
     input: &PlanNode,
     group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
+    aggs: &[AggCall],
     span: &hana_obs::Span,
 ) -> Result<Option<ResultSet>> {
     let PlanOp::ColumnScan { table, .. } = &input.op else {
@@ -842,21 +682,20 @@ fn try_fused_group_by(
     // The leaf's schema is pruned to the columns the query names:
     // resolve against it, then map to the table's own positions.
     let projection = leaf_projection(&input.schema, t.schema())?;
-    let table_col = |e: &Expr| match e {
-        Expr::Column { qualifier, name } => {
-            let i = resolve_column(&input.schema, qualifier.as_deref(), name).ok()?;
-            Some(projection[i])
+    let table_col = |e: &Expr| -> Result<Option<usize>> {
+        match e.resolve(&input.schema, run.values)? {
+            Expr::Field(i) => Ok(Some(projection[i])),
+            _ => Ok(None),
         }
-        _ => None,
     };
-    let Some(group_col) = table_col(group) else {
+    let Some(group_col) = table_col(group)? else {
         return Ok(None);
     };
     let mut agg_cols: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
     for (_, arg) in aggs {
         match arg {
             None => agg_cols.push(None), // COUNT(*)
-            Some(e) => match table_col(e) {
+            Some(e) => match table_col(e)? {
                 Some(c) => agg_cols.push(Some(c)),
                 None => return Ok(None),
             },
@@ -937,7 +776,7 @@ fn try_distributed_group_by(
     out_schema: &Schema,
     input: &PlanNode,
     group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
+    aggs: &[AggCall],
     span: &hana_obs::Span,
 ) -> Result<Option<ResultSet>> {
     let PlanOp::DistScan { table, preds, .. } = &input.op else {
@@ -946,6 +785,7 @@ fn try_distributed_group_by(
     let Ok(TableSource::Distributed(t)) = run.catalog.resolve_table(table) else {
         return Ok(None);
     };
+    let (group_by, aggs) = resolve_aggregate(group_by, aggs, &input.schema, run.values)?;
     let cid = run.cid;
     span.attr("distributed", 1);
     let ctx = RemoteContext::snapshot(cid);
@@ -966,7 +806,7 @@ fn try_distributed_group_by(
     let mut shipped_groups = 0u64;
     let mut shipped_bytes = 0u64;
     for (node, rows) in parts {
-        let partial = aggregate_chunk(&rows, group_by, aggs, &input.schema)?;
+        let partial = aggregate_chunk(&rows, &group_by, &aggs)?;
         let items: Vec<(Vec<Value>, Vec<Accumulator>)> = partial.into_iter().collect();
         let (delivered, bytes) = hana_dist::transfer_accounted(
             t.link(node),
@@ -986,44 +826,59 @@ fn try_distributed_group_by(
     xspan.set_bytes(shipped_bytes);
     drop(xspan);
 
-    Ok(Some(finish_groups(merged, group_by, aggs, out_schema)))
+    Ok(Some(finish_groups(merged, &group_by, &aggs, out_schema)))
 }
 
-/// Broadcast-build distributed hash join: replicate the build rows to
-/// every surviving node of the partitioned probe side, join each
+/// Broadcast-build distributed hash join of `join`, whose probe side is
+/// a partitioned scan and whose build side ran into `r`: replicate the
+/// build rows to every surviving node of the probe side, join each
 /// fragment locally, gather only the join results.
-#[allow(clippy::too_many_arguments)]
 fn dist_broadcast_join(
-    dt: &hana_dist::DistTable,
-    left_schema: &Schema,
-    preds: &[(String, ColumnPredicate)],
+    run: &Run,
+    join: &PlanNode,
     r: &ResultSet,
-    left_key: &str,
-    right_key: &str,
-    kind: JoinKind,
-    out_schema: &Schema,
-    cid: u64,
     span: &hana_obs::Span,
 ) -> Result<ResultSet> {
+    let PlanOp::HashJoin {
+        left,
+        left_key,
+        right_key,
+        kind,
+        ..
+    } = &join.op
+    else {
+        return Err(HanaError::Plan("a broadcast join is a hash join".into()));
+    };
+    let PlanOp::DistScan { table, preds, .. } = &left.op else {
+        return Err(HanaError::Plan(
+            "a broadcast join probes a dist_scan".into(),
+        ));
+    };
+    let TableSource::Distributed(dt) = run.catalog.resolve_table(table)? else {
+        return Err(HanaError::Plan(format!(
+            "'{table}' is not a distributed table"
+        )));
+    };
+    let cid = run.cid;
     let ctx = RemoteContext::snapshot(cid);
     let policy = RetryPolicy::default();
-    let (outcome, parts) = dt.scan_partitions(preds, cid)?;
+    let (outcome, parts) = dt.scan_partitions(&bind_predicates(preds, run.values)?, cid)?;
     span.attr("partitions_scanned", outcome.scanned);
     span.attr("partitions_pruned", outcome.pruned);
     let targets: Vec<usize> = parts.iter().map(|(n, _)| *n).collect();
-    let copies = hana_dist::broadcast(dt, &ctx, &policy, &r.rows, &targets)?;
+    let copies = hana_dist::broadcast(&dt, &ctx, &policy, &r.rows, &targets)?;
     let mut joined_parts = Vec::with_capacity(parts.len());
     for ((node, rows), (_, build)) in parts.into_iter().zip(copies) {
-        let l = ResultSet::new(left_schema.clone(), rows);
+        let l = ResultSet::new(left.schema.clone(), rows);
         let b = ResultSet::new(r.schema.clone(), build);
         // Each fragment-local join reports its own build and probe rows.
         let local = hana_obs::span(&format!("hash_join[{}#p{node}]", dt.name()));
-        let out = hash_join(l, b, left_key, right_key, kind, out_schema, &local)?;
+        let out = hash_join(l, b, left_key, right_key, *kind, &join.schema, &local)?;
         local.set_rows(out.rows.len() as u64);
         joined_parts.push((node, out.rows));
     }
-    let rows = hana_dist::gather(dt, &ctx, &policy, joined_parts)?;
-    Ok(ResultSet::new(out_schema.clone(), rows))
+    let rows = hana_dist::gather(&dt, &ctx, &policy, joined_parts)?;
+    Ok(ResultSet::new(join.schema.clone(), rows))
 }
 
 /// Build a column expression from a possibly qualified key name.

@@ -13,7 +13,6 @@
 //! here.
 
 mod catalog;
-mod compile;
 mod context;
 mod cost;
 mod estimator;
@@ -23,10 +22,8 @@ mod locate;
 mod plan;
 mod planner;
 mod stats;
-mod vm;
 
 pub use catalog::{Catalog, TableFunction, TableSource};
-pub use compile::compile_expr;
 pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
@@ -41,7 +38,6 @@ pub use plan::{
 };
 pub use planner::Planner;
 pub use stats::{MemoryStatsProvider, NoStats, StatsProvider, NO_STATS};
-pub use vm::{ArithOp, CmpOp, Op, Program, Reg};
 
 /// Lower a conjunct into a pushable column predicate whose operands
 /// are literals or slots (SDA's lowering, so the planner and the remote

@@ -1,11 +1,11 @@
 //! Locating rows for UPDATE/DELETE with the SELECT access path.
 
 use hana_exec::ExecContext;
-use hana_sql::{Expr, Query, TableRef};
+use hana_sql::{evaluate_predicate, Expr, Query, TableRef};
 use hana_types::{HanaError, Result, Row};
 
 use crate::catalog::{Catalog, TableSource};
-use crate::executor::{column_leaf_hits, filter_mask, row_leaf_hits, span_name, Run};
+use crate::executor::{column_leaf_hits, row_leaf_hits, span_name, Run};
 use crate::plan::bind_predicates;
 use crate::plan::PlanOp;
 
@@ -65,6 +65,8 @@ pub fn locate_rows(
         residual.push(pred);
         node = input;
     }
+    let residual = residual.into_iter().map(|p| p.resolve(&node.schema, &[]));
+    let residual = residual.collect::<Result<Vec<_>>>()?;
     let span = hana_obs::span(&span_name(&node.op));
     let mut located = match (&node.op, catalog.resolve_table(table)?) {
         (PlanOp::ColumnScan { .. } | PlanOp::IndexSeek { .. }, TableSource::Column(t))
@@ -105,9 +107,10 @@ pub fn locate_rows(
     };
     let candidates: usize = located.iter().map(|l| l.ids.len()).sum();
     span.attr("candidate_rows", candidates as u64);
-    for pred in residual {
+    for pred in &residual {
         for l in &mut located {
-            let keep = filter_mask(pred, &node.schema, &l.rows, &span)?;
+            let keep = l.rows.iter().map(|r| evaluate_predicate(pred, r));
+            let keep = keep.collect::<Result<Vec<bool>>>()?;
             let mut flags = keep.iter();
             l.ids.retain(|_| *flags.next().expect("one flag per id"));
             let mut flags = keep.iter();

@@ -1235,8 +1235,8 @@ impl Binding {
 }
 
 /// Wrap a local leaf in Filter operators for every binding predicate
-/// that did not lower to a [`ColumnPredicate`] — the expression engine
-/// (bytecode VM with tree-walk fallback) evaluates those per block.
+/// that did not lower to a [`ColumnPredicate`] — the Filter resolves
+/// each once per run and evaluates it per row.
 fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> PlanNode {
     for pred in preds {
         if crate::pushdown_expr(pred).is_some() {

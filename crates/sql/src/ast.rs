@@ -312,6 +312,11 @@ pub enum Expr {
         /// Column name, lower-cased.
         name: String,
     },
+    /// A column reference resolved to its position in the rows an
+    /// operator reads ([`Expr::resolve`]); the only kind the row
+    /// evaluator reads. The parser never produces one and no plan holds
+    /// one.
+    Field(usize),
     /// `*` (only valid in COUNT(*) and the select list).
     Wildcard,
     /// Unary operator.
@@ -505,7 +510,11 @@ impl Expr {
                     e.walk(f);
                 }
             }
-            Expr::Literal(_) | Expr::Parameter(_) | Expr::Column { .. } | Expr::Wildcard => {}
+            Expr::Literal(_)
+            | Expr::Parameter(_)
+            | Expr::Column { .. }
+            | Expr::Field(_)
+            | Expr::Wildcard => {}
         }
     }
 
@@ -539,7 +548,11 @@ impl Expr {
                     e.walk_mut(f);
                 }
             }
-            Expr::Literal(_) | Expr::Parameter(_) | Expr::Column { .. } | Expr::Wildcard => {}
+            Expr::Literal(_)
+            | Expr::Parameter(_)
+            | Expr::Column { .. }
+            | Expr::Field(_)
+            | Expr::Wildcard => {}
         }
     }
 

@@ -301,9 +301,9 @@ fn bind_expr(e: &Expr, values: &[Value]) -> Result<Expr> {
 
 impl Expr {
     /// This expression with every slot replaced by the literal at its
-    /// index; borrowed as it is when it holds no slot. An operator
-    /// whose expression the row evaluator runs binds it once, when it
-    /// starts.
+    /// index; borrowed as it is when it holds no slot. For text —
+    /// EXPLAIN, a shipped sub-query, an output column's name; what the
+    /// row evaluator runs is [`Expr::resolve`]d instead.
     pub fn bound(&self, values: &[Value]) -> Result<Cow<'_, Expr>> {
         let mut slots = false;
         self.walk(&mut |e| slots |= matches!(e, Expr::Parameter(_)));
@@ -321,13 +321,15 @@ impl Expr {
             }
         });
         match unbound {
-            Some(i) => Err(HanaError::Plan(format!(
-                "no value bound for parameter {}",
-                i + 1
-            ))),
+            Some(i) => Err(no_value_bound(i)),
             None => Ok(Cow::Owned(bound)),
         }
     }
+}
+
+/// The error for slot `i` with no value in the statement's vector.
+pub(crate) fn no_value_bound(i: usize) -> HanaError {
+    HanaError::Plan(format!("no value bound for parameter {}", i + 1))
 }
 
 #[cfg(test)]

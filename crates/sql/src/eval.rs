@@ -5,30 +5,60 @@
 //! `hana-query`, the Hive compiler's map tasks in `hana-hadoop`, and the
 //! CCL filters of `hana-esp`. Aggregate calls are *not* evaluated here —
 //! executors replace them with pre-computed columns before calling in.
+//!
+//! Names are resolved once per expression per operator run, by
+//! [`Expr::resolve`]; [`evaluate`] reads positions only, so an unknown
+//! or ambiguous column is an error before any row is read.
 
 use hana_types::{HanaError, Result, Row, Schema, Value};
 
 use crate::ast::{BinOp, Expr, UnaryOp};
 
-/// Evaluate `expr` against one row of `schema`.
-///
-/// Column references resolve by name; a qualified reference `t.c` first
-/// tries `t.c` verbatim (join outputs use qualified column names), then
-/// bare `c`.
-pub fn evaluate(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
+impl Expr {
+    /// This expression as [`evaluate`] reads it over rows of `schema`:
+    /// every column reference becomes its [`Expr::Field`] position and
+    /// every slot the literal at its index in `values`. The first column
+    /// that does not resolve, or slot without a value, is the error.
+    pub fn resolve(&self, schema: &Schema, values: &[Value]) -> Result<Expr> {
+        let mut resolved = self.clone();
+        let mut failed = None;
+        resolved.walk_mut(&mut |n| {
+            let replacement = match n {
+                Expr::Column { qualifier, name } => {
+                    resolve_column(schema, qualifier.as_deref(), name).map(Expr::Field)
+                }
+                Expr::Parameter(i) => match values.get(*i) {
+                    Some(v) => Ok(Expr::Literal(v.clone())),
+                    None => Err(crate::bind::no_value_bound(*i)),
+                },
+                _ => return,
+            };
+            match replacement {
+                Ok(e) => *n = e,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        });
+        failed.map_or(Ok(resolved), Err)
+    }
+}
+
+/// Evaluate a resolved expression ([`Expr::resolve`]) against one row.
+pub fn evaluate(expr: &Expr, row: &Row) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
+        Expr::Field(i) => Ok(row[*i].clone()),
         Expr::Parameter(i) => Err(HanaError::Plan(format!(
             "unbound parameter ?{} — bind values before execution",
             i + 1
         ))),
-        Expr::Column { qualifier, name } => {
-            let idx = resolve_column(schema, qualifier.as_deref(), name)?;
-            Ok(row[idx].clone())
-        }
+        Expr::Column { .. } => Err(HanaError::Plan(format!(
+            "internal error: column '{expr}' reached the evaluator unresolved"
+        ))),
         Expr::Wildcard => Err(HanaError::Plan("'*' is only valid inside COUNT(*)".into())),
         Expr::Unary { op, expr } => {
-            let v = evaluate(expr, schema, row)?;
+            let v = evaluate(expr, row)?;
             match op {
                 UnaryOp::Neg => Value::Int(0).sub(&v),
                 UnaryOp::Not => match v {
@@ -41,25 +71,25 @@ pub fn evaluate(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
             }
         }
         Expr::Binary { left, op, right } => {
-            let l = evaluate(left, schema, row)?;
+            let l = evaluate(left, row)?;
             match op {
                 // Short-circuit three-valued logic.
                 BinOp::And => match l {
                     Value::Bool(false) => Ok(Value::Bool(false)),
                     _ => {
-                        let r = evaluate(right, schema, row)?;
+                        let r = evaluate(right, row)?;
                         tvl_and(&l, &r)
                     }
                 },
                 BinOp::Or => match l {
                     Value::Bool(true) => Ok(Value::Bool(true)),
                     _ => {
-                        let r = evaluate(right, schema, row)?;
+                        let r = evaluate(right, row)?;
                         tvl_or(&l, &r)
                     }
                 },
                 _ => {
-                    let r = evaluate(right, schema, row)?;
+                    let r = evaluate(right, row)?;
                     apply_binop(*op, &l, &r)
                 }
             }
@@ -69,13 +99,13 @@ pub fn evaluate(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
             list,
             negated,
         } => {
-            let v = evaluate(expr, schema, row)?;
+            let v = evaluate(expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut found = false;
             for item in list {
-                let w = evaluate(item, schema, row)?;
+                let w = evaluate(item, row)?;
                 if v.sql_cmp(&w) == Some(std::cmp::Ordering::Equal) {
                     found = true;
                     break;
@@ -89,9 +119,9 @@ pub fn evaluate(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
             hi,
             negated,
         } => {
-            let v = evaluate(expr, schema, row)?;
-            let l = evaluate(lo, schema, row)?;
-            let h = evaluate(hi, schema, row)?;
+            let v = evaluate(expr, row)?;
+            let l = evaluate(lo, row)?;
+            let h = evaluate(hi, row)?;
             if v.is_null() || l.is_null() || h.is_null() {
                 return Ok(Value::Null);
             }
@@ -103,34 +133,34 @@ pub fn evaluate(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
             pattern,
             negated,
         } => {
-            let v = evaluate(expr, schema, row)?;
+            let v = evaluate(expr, row)?;
             match v.sql_like(pattern) {
                 None => Ok(Value::Null),
                 Some(m) => Ok(Value::Bool(m != *negated)),
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = evaluate(expr, schema, row)?;
+            let v = evaluate(expr, row)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
-        Expr::Func { name, args } => eval_scalar_function(name, args, schema, row),
+        Expr::Func { name, args } => eval_scalar_function(name, args, row),
         Expr::Case { whens, else_expr } => {
             for (cond, val) in whens {
-                if evaluate(cond, schema, row)? == Value::Bool(true) {
-                    return evaluate(val, schema, row);
+                if evaluate(cond, row)? == Value::Bool(true) {
+                    return evaluate(val, row);
                 }
             }
             match else_expr {
-                Some(e) => evaluate(e, schema, row),
+                Some(e) => evaluate(e, row),
                 None => Ok(Value::Null),
             }
         }
     }
 }
 
-/// Evaluate a predicate expression; SQL semantics collapse NULL to false.
-pub fn evaluate_predicate(expr: &Expr, schema: &Schema, row: &Row) -> Result<bool> {
-    match evaluate(expr, schema, row)? {
+/// Evaluate a resolved predicate; SQL semantics collapse NULL to false.
+pub fn evaluate_predicate(expr: &Expr, row: &Row) -> Result<bool> {
+    match evaluate(expr, row)? {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),
         other => Err(HanaError::Execution(format!(
@@ -139,29 +169,33 @@ pub fn evaluate_predicate(expr: &Expr, schema: &Schema, row: &Row) -> Result<boo
     }
 }
 
-/// Resolve a possibly-qualified column against a schema.
+/// Resolve a possibly-qualified column against a schema: `t.c` first
+/// as `t.c` verbatim (join outputs use qualified column names), then
+/// bare `c`, then the one column named `<binding>.c` if exactly one is.
+/// Allocates only to report an error.
 pub fn resolve_column(schema: &Schema, qualifier: Option<&str>, name: &str) -> Result<usize> {
+    let columns = schema.columns().iter().map(|c| c.name.as_str());
     if let Some(q) = qualifier {
-        let qualified = format!("{q}.{name}");
-        if let Some(i) = schema.index_of(&qualified) {
+        let qualified = |c: &str| {
+            c.len() == q.len() + 1 + name.len()
+                && c.as_bytes()[q.len()] == b'.'
+                && c[..q.len()].eq_ignore_ascii_case(q)
+                && c[q.len() + 1..].eq_ignore_ascii_case(name)
+        };
+        if let Some(i) = columns.clone().position(qualified) {
             return Ok(i);
         }
     }
     if let Some(i) = schema.index_of(name) {
         return Ok(i);
     }
-    // Fall back to a suffix match: `c` finds `t.c` if unambiguous.
-    let suffix = format!(".{name}");
-    let matches: Vec<usize> = schema
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.name.ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [one] => Ok(*one),
-        [] => Err(HanaError::Plan(format!(
+    let suffixed = |c: &str| {
+        c.len() > name.len() && c.ends_with(name) && c.as_bytes()[c.len() - name.len() - 1] == b'.'
+    };
+    let mut matches = columns.enumerate().filter(|(_, c)| suffixed(c));
+    match (matches.next(), matches.next()) {
+        (Some((i, _)), None) => Ok(i),
+        (None, _) => Err(HanaError::Plan(format!(
             "unknown column '{}{name}' in schema {schema}",
             qualifier.map(|q| format!("{q}.")).unwrap_or_default()
         ))),
@@ -212,8 +246,8 @@ fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// Scalar (non-aggregate) SQL functions.
-fn eval_scalar_function(name: &str, args: &[Expr], schema: &Schema, row: &Row) -> Result<Value> {
-    let eval_arg = |i: usize| evaluate(&args[i], schema, row);
+fn eval_scalar_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
+    let eval_arg = |i: usize| evaluate(&args[i], row);
     let need = |n: usize| -> Result<()> {
         if args.len() == n {
             Ok(())
@@ -311,7 +345,7 @@ fn eval_scalar_function(name: &str, args: &[Expr], schema: &Schema, row: &Row) -
         }
         "COALESCE" | "IFNULL" => {
             for a in args {
-                let v = evaluate(a, schema, row)?;
+                let v = evaluate(a, row)?;
                 if !v.is_null() {
                     return Ok(v);
                 }
@@ -361,7 +395,7 @@ mod tests {
     fn check(pred: &str, expected: bool) {
         let e = where_expr(pred);
         assert_eq!(
-            evaluate_predicate(&e, &schema(), &row()).unwrap(),
+            evaluate_predicate(&e.resolve(&schema(), &[]).unwrap(), &row()).unwrap(),
             expected,
             "{pred}"
         );
@@ -396,14 +430,14 @@ mod tests {
             "x BETWEEN 1 AND 2",
             "x LIKE 'a'",
         ] {
-            let e = where_expr(pred);
-            assert!(!evaluate_predicate(&e, &s, &null_row).unwrap(), "{pred}");
+            let e = where_expr(pred).resolve(&s, &[]).unwrap();
+            assert!(!evaluate_predicate(&e, &null_row).unwrap(), "{pred}");
         }
         // ... but OR TRUE short-circuits.
-        let e = where_expr("x = 1 OR 1 = 1");
-        assert!(evaluate_predicate(&e, &s, &null_row).unwrap());
-        let e = where_expr("x = 1 AND 1 = 1");
-        assert!(!evaluate_predicate(&e, &s, &null_row).unwrap());
+        let e = where_expr("x = 1 OR 1 = 1").resolve(&s, &[]).unwrap();
+        assert!(evaluate_predicate(&e, &null_row).unwrap());
+        let e = where_expr("x = 1 AND 1 = 1").resolve(&s, &[]).unwrap();
+        assert!(!evaluate_predicate(&e, &null_row).unwrap());
     }
 
     #[test]
@@ -414,7 +448,7 @@ mod tests {
             let Statement::Query(q) = parse_statement(&format!("SELECT {src}")).unwrap() else {
                 panic!()
             };
-            evaluate(&q.select[0].expr, &sch, &r).unwrap()
+            evaluate(&q.select[0].expr.resolve(&sch, &[]).unwrap(), &r).unwrap()
         };
         assert_eq!(eval("YEAR(ship)"), Value::Int(1995));
         assert_eq!(eval("MONTH(ship)"), Value::Int(6));
@@ -447,13 +481,27 @@ mod tests {
     }
 
     #[test]
+    fn resolution_reads_positions_and_binds_slots() {
+        let e = where_expr("disc < ? AND id = 7");
+        let bound = e.resolve(&schema(), &[Value::Double(0.1)]).unwrap();
+        assert_eq!(bound.to_string(), "((#3 < 0.1) AND (#0 = 7))");
+        assert!(evaluate_predicate(&bound, &row()).unwrap());
+        let err = e.resolve(&schema(), &[]).unwrap_err();
+        assert!(err.to_string().contains("no value bound for parameter 1"));
+    }
+
+    #[test]
     fn errors() {
         let e = where_expr("id = 7");
         let wrong = Schema::of(&[("other", DataType::Int)]);
-        assert!(evaluate(&e, &wrong, &Row::from_values([Value::Int(1)])).is_err());
+        let err = e.resolve(&wrong, &[]).unwrap_err();
+        assert!(err.to_string().contains("unknown column 'id'"), "{err}");
+        // Only a resolved expression reaches the evaluator.
+        let err = evaluate(&e, &row()).unwrap_err();
+        assert!(err.to_string().contains("unresolved"), "{err}");
         let Statement::Query(q) = parse_statement("SELECT NOSUCHFN(1)").unwrap() else {
             panic!()
         };
-        assert!(evaluate(&q.select[0].expr, &schema(), &row()).is_err());
+        assert!(evaluate(&q.select[0].expr, &row()).is_err());
     }
 }

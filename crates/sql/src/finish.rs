@@ -7,7 +7,7 @@
 //! sort and limit. Hive's plan driver, the extended-storage adapter and
 //! the federated executor all share this code.
 
-use hana_types::{AggFunc, ColumnDef, DataType, Result, Row, Schema, Value};
+use hana_types::{AggFunc, ColumnDef, DataType, HanaError, Result, Row, Schema, Value};
 
 use crate::ast::{BinOp, Expr, Query};
 use crate::eval::{evaluate, evaluate_predicate, resolve_column};
@@ -119,117 +119,152 @@ pub fn aggregate_output_schema(q: &Query, input: &Schema) -> Result<Schema> {
     Schema::new(cols)
 }
 
-/// Apply HAVING to aggregated rows (which use the `_g`/`_a` convention).
-pub fn apply_having(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<Vec<Row>> {
-    having_shape(rows, schema, q, &[])
+/// Whether `q` runs over an aggregation stage's `_g`/`_a` rows — the
+/// planner's and every engine's rule: it groups or calls an aggregate.
+fn aggregated(q: &Query, aggs: &[(AggFunc, Option<Expr>)]) -> bool {
+    !q.group_by.is_empty() || !aggs.is_empty()
 }
 
+/// Apply HAVING to aggregated rows (which use the `_g`/`_a` convention).
+///
 /// Aggregate calls are matched between clauses by equality of their
-/// *shape*, so every clause is substituted first and bound second: two
-/// calls that differ only in a slot stay two columns of the aggregation
-/// stage whatever the slots hold.
+/// *shape*, so every clause is substituted first and resolved second:
+/// two calls that differ only in a slot stay two columns of the
+/// aggregation stage whatever the slots hold.
 fn having_shape(rows: Vec<Row>, schema: &Schema, q: &Query, values: &[Value]) -> Result<Vec<Row>> {
     let Some(h) = &q.having else {
         return Ok(rows);
     };
     let aggs = collect_aggregates(q);
-    let pred = substitute_aggregates(h, &q.group_by, &aggs);
-    let pred = pred.bound(values)?;
+    let pred = substitute_aggregates(h, &q.group_by, &aggs).resolve(schema, values)?;
     let mut kept = Vec::with_capacity(rows.len());
     for r in rows {
-        if evaluate_predicate(&pred, schema, &r)? {
+        if evaluate_predicate(&pred, &r)? {
             kept.push(r);
         }
     }
     Ok(kept)
 }
 
-/// Evaluate the final select list (over raw or aggregated rows) and
-/// produce the output schema. SELECT * passes through.
-pub fn project_final(rows: &[Row], schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
-    project_shape(rows, schema, q, &[])
+/// A select list resolved against the rows it projects (raw rows, or
+/// an aggregation stage's `_g`/`_a` rows): the output schema and one
+/// positional expression per output column. `SELECT *` passes rows
+/// through.
+pub struct Projection {
+    /// `None` for `SELECT *`.
+    exprs: Option<Vec<Expr>>,
+    schema: Schema,
 }
 
-/// [`project_final`] of a query shape: slots of the select list read
-/// `values`, and name and type the output as the literals would.
-pub fn project_shape(
-    rows: &[Row],
-    schema: &Schema,
-    q: &Query,
-    values: &[Value],
-) -> Result<(Vec<Row>, Schema)> {
-    if q.select.is_empty() {
-        return Ok((rows.to_vec(), schema.clone()));
-    }
-    let aggregated = !q.group_by.is_empty()
-        || q.select.iter().any(|s| s.expr.contains_aggregate())
-        || q.having.as_ref().is_some_and(|h| h.contains_aggregate());
-    let aggs = collect_aggregates(q);
-    let exprs: Vec<Expr> = q
-        .select
-        .iter()
-        .map(|s| {
+impl Projection {
+    /// Resolve `q`'s select list over rows of `input`, its slots reading
+    /// `values`; the output is named and typed as the literals would
+    /// name and type it.
+    pub fn new(input: &Schema, q: &Query, values: &[Value]) -> Result<Projection> {
+        if q.select.is_empty() {
+            return Ok(Projection {
+                exprs: None,
+                schema: input.clone(),
+            });
+        }
+        let aggs = collect_aggregates(q);
+        let aggregated = aggregated(q, &aggs);
+        let mut exprs = Vec::with_capacity(q.select.len());
+        let mut out_cols = Vec::with_capacity(q.select.len());
+        for item in &q.select {
             let e = if aggregated {
-                substitute_aggregates(&s.expr, &q.group_by, &aggs)
+                substitute_aggregates(&item.expr, &q.group_by, &aggs).resolve(input, values)?
             } else {
-                s.expr.clone()
+                item.expr.resolve(input, values)?
             };
-            Ok(e.bound(values)?.into_owned())
-        })
-        .collect::<Result<_>>()?;
-    let mut out_cols = Vec::with_capacity(exprs.len());
-    for (item, expr) in q.select.iter().zip(&exprs) {
-        let name = match &item.alias {
-            Some(alias) => alias.clone(),
-            None => item.expr.bound(values)?.default_name(),
-        };
-        out_cols.push(ColumnDef::new(&name, infer_type(expr, schema)));
-    }
-    // De-duplicate repeated output names.
-    let mut seen = std::collections::HashSet::new();
-    for (i, c) in out_cols.iter_mut().enumerate() {
-        if !seen.insert(c.name.clone()) {
-            c.name = format!("{}_{i}", c.name);
-            seen.insert(c.name.clone());
+            let name = match &item.alias {
+                Some(alias) => alias.clone(),
+                None => item.expr.bound(values)?.default_name(),
+            };
+            out_cols.push(ColumnDef::new(&name, infer_type(&e, input)));
+            exprs.push(e);
         }
-    }
-    let out_schema = Schema::new(out_cols)?;
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for r in rows {
-        let mut vals = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            vals.push(evaluate(e, schema, r)?);
-        }
-        out_rows.push(Row(vals));
-    }
-    Ok((out_rows, out_schema))
-}
-
-/// Sort rows by ORDER BY expressions evaluated against `schema`.
-/// ORDER BY may reference output aliases or (for aggregated queries)
-/// aggregate calls, which are substituted first by the caller if needed.
-pub fn sort_rows(rows: &mut [Row], schema: &Schema, order_by: &[(Expr, bool)]) -> Result<()> {
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for r in rows.iter() {
-        let mut keys = Vec::with_capacity(order_by.len());
-        for (e, _) in order_by {
-            keys.push(evaluate(e, schema, r).unwrap_or(Value::Null));
-        }
-        keyed.push((keys, r.clone()));
-    }
-    keyed.sort_by(|a, b| {
-        for (i, (_, asc)) in order_by.iter().enumerate() {
-            let ord = a.0[i].cmp(&b.0[i]);
-            if !ord.is_eq() {
-                return if *asc { ord } else { ord.reverse() };
+        // De-duplicate repeated output names.
+        let mut seen = std::collections::HashSet::new();
+        for (i, c) in out_cols.iter_mut().enumerate() {
+            if !seen.insert(c.name.clone()) {
+                c.name = format!("{}_{i}", c.name);
+                seen.insert(c.name.clone());
             }
         }
-        std::cmp::Ordering::Equal
-    });
-    for (dst, (_, src)) in rows.iter_mut().zip(keyed) {
-        *dst = src;
+        Ok(Projection {
+            exprs: Some(exprs),
+            schema: Schema::new(out_cols)?,
+        })
     }
-    Ok(())
+
+    /// The output schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The output row of one input row.
+    pub fn project(&self, row: &Row) -> Result<Row> {
+        match &self.exprs {
+            None => Ok(row.clone()),
+            Some(exprs) => exprs
+                .iter()
+                .map(|e| evaluate(e, row))
+                .collect::<Result<_>>()
+                .map(Row),
+        }
+    }
+}
+
+/// Where an ORDER BY key is read.
+enum SortKey {
+    /// From the output row: an output column or alias, or — under
+    /// DISTINCT — the select item the key is.
+    Output(Expr),
+    /// From the input row while it is projected: a `_gN` / `_aN`
+    /// column of an aggregated query, otherwise an input column.
+    Input(Expr),
+}
+
+/// Resolve each ORDER BY key once, in this order: an output column or
+/// alias (an unqualified, aggregate-free key all of whose columns the
+/// output has); else the key over the input — substituted to `_gN` /
+/// `_aN` columns when the query is aggregated. Under DISTINCT the rows
+/// are deduplicated on their output, so such a key must be one of the
+/// select items; a key that resolves nowhere is an error.
+fn sort_keys(
+    q: &Query,
+    input: &Schema,
+    projection: &Projection,
+    values: &[Value],
+) -> Result<Vec<(SortKey, bool)>> {
+    let aggs = collect_aggregates(q);
+    let over_input = |e: &Expr| match aggregated(q, &aggs) {
+        true => substitute_aggregates(e, &q.group_by, &aggs).resolve(input, values),
+        false => e.resolve(input, values),
+    };
+    let key = |(e, asc): &(Expr, bool)| {
+        let unqualified = e.columns().iter().all(|(qualifier, _)| qualifier.is_none());
+        if unqualified && !e.contains_aggregate() {
+            if let Ok(k) = e.resolve(projection.schema(), values) {
+                return Ok((SortKey::Output(k), *asc));
+            }
+        }
+        let k = over_input(e)?;
+        if !q.distinct {
+            return Ok((SortKey::Input(k), *asc));
+        }
+        let Some(exprs) = &projection.exprs else {
+            return Ok((SortKey::Output(k), *asc));
+        };
+        match exprs.iter().position(|s| *s == k) {
+            Some(i) => Ok((SortKey::Output(Expr::Field(i)), *asc)),
+            None => Err(HanaError::Plan(format!(
+                "ORDER BY {e} is not in the select list of a SELECT DISTINCT"
+            ))),
+        }
+    };
+    q.order_by.iter().map(key).collect()
 }
 
 /// Finish a query from the aggregated (or raw) intermediate: HAVING,
@@ -238,38 +273,52 @@ pub fn finish_query(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<(Vec<R
     finish_shape(rows, schema, q, &[])
 }
 
-/// [`finish_query`] of a query shape, its slots reading `values`.
+/// [`finish_query`] of a query shape, its slots reading `values`. Every
+/// expression is resolved before the first row.
 pub fn finish_shape(
-    mut rows: Vec<Row>,
+    rows: Vec<Row>,
     schema: &Schema,
     q: &Query,
     values: &[Value],
 ) -> Result<(Vec<Row>, Schema)> {
-    rows = having_shape(rows, schema, q, values)?;
-    let (mut rows, out_schema) = project_shape(&rows, schema, q, values)?;
+    let projection = Projection::new(schema, q, values)?;
+    let keys = sort_keys(q, schema, &projection, values)?;
+    let rows = having_shape(rows, schema, q, values)?;
+    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+    for input in &rows {
+        let row = projection.project(input)?;
+        let read = |(key, _): &(SortKey, bool)| match key {
+            SortKey::Output(e) => evaluate(e, &row),
+            SortKey::Input(e) => evaluate(e, input),
+        };
+        let key = keys.iter().map(read).collect::<Result<Vec<Value>>>()?;
+        keyed.push((key, row));
+    }
     if q.distinct {
         let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
+        keyed.retain(|(_, r)| seen.insert(r.clone()));
     }
-    if !q.order_by.is_empty() {
-        sort_rows(&mut rows, &out_schema, &bound_order(&q.order_by, values)?)?;
+    if !keys.is_empty() {
+        keyed.sort_by(|(a, _), (b, _)| {
+            for ((_, asc), (a, b)) in keys.iter().zip(a.iter().zip(b)) {
+                let ord = a.cmp(b);
+                if !ord.is_eq() {
+                    return if *asc { ord } else { ord.reverse() };
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
     }
-    if let Some(n) = q.limit {
-        rows.truncate(n);
-    }
-    Ok((rows, out_schema))
-}
-
-/// ORDER BY keys with their slots bound.
-pub fn bound_order(order_by: &[(Expr, bool)], values: &[Value]) -> Result<Vec<(Expr, bool)>> {
-    let key = |(e, asc): &(Expr, bool)| Ok((e.bound(values)?.into_owned(), *asc));
-    order_by.iter().map(key).collect()
+    let limit = q.limit.unwrap_or(usize::MAX);
+    let rows = keyed.into_iter().take(limit).map(|(_, r)| r).collect();
+    Ok((rows, projection.schema))
 }
 
 /// Best-effort static type inference for derived columns.
 pub fn infer_type(e: &Expr, schema: &Schema) -> DataType {
     match e {
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Varchar),
+        Expr::Field(i) => schema.column(*i).data_type,
         Expr::Column { qualifier, name } => resolve_column(schema, qualifier.as_deref(), name)
             .map(|i| schema.column(i).data_type)
             .unwrap_or(DataType::Varchar),

@@ -24,6 +24,9 @@ impl fmt::Display for Expr {
                 Some(q) => write!(f, "{q}.{name}"),
                 None => write!(f, "{name}"),
             },
+            // Positions live only in resolved expressions, which no plan,
+            // shipped statement or cache key is rendered from.
+            Expr::Field(i) => write!(f, "#{i}"),
             Expr::Wildcard => write!(f, "*"),
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Neg => write!(f, "(-{expr})"),

@@ -95,6 +95,9 @@ impl Schema {
         if let Some(&i) = self.by_name.get(name) {
             return Some(i);
         }
+        if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+            return None;
+        }
         self.by_name.get(&name.to_ascii_lowercase()).copied()
     }
 

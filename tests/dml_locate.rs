@@ -156,13 +156,13 @@ proptest! {
         let p = conjuncts.join(" AND ");
         let select = format!("SELECT * FROM t WHERE {p}");
         let schema: Schema = hana.catalog().table("t").unwrap().source.schema();
-        let filter = filter_of(&select);
+        let filter = filter_of(&select).resolve(&schema, &[]).unwrap();
 
         let before = all_rows(&hana, &s);
         let (hit, miss): (Vec<Row>, Vec<Row>) = before
             .iter()
             .cloned()
-            .partition(|r| evaluate_predicate(&filter, &schema, r).unwrap());
+            .partition(|r| evaluate_predicate(&filter, r).unwrap());
         let selected = hana.execute_sql(&s, &select).unwrap().rows;
         prop_assert_eq!(multiset(&selected), multiset(&hit), "SELECT vs oracle: {}", p);
 
@@ -176,10 +176,11 @@ proptest! {
             let set = filter_of(&format!("SELECT * FROM t WHERE {expr} = 0"));
             let Expr::Binary { left: new_value, .. } = set else { unreachable!() };
             let at = schema.require(col).unwrap();
+            let new_value = new_value.resolve(&schema, &[]).unwrap();
             let mut expected = miss.clone();
             for old in &hit {
                 let mut new = old.clone();
-                new.0[at] = evaluate(&new_value, &schema, old).unwrap();
+                new.0[at] = evaluate(&new_value, old).unwrap();
                 expected.push(new);
             }
             (format!("UPDATE t SET {col} = {expr} WHERE {p}"), expected)
@@ -288,9 +289,10 @@ fn located_rows_carry_every_column() {
         let filter = filter_of(sql);
         let located = locate_rows(exec, hana.catalog().as_ref(), "t", Some(&filter), cid).unwrap();
         let got: Vec<Row> = located.into_iter().flat_map(|l| l.rows).collect();
+        let resolved = filter.resolve(&schema, &[]).unwrap();
         let want: Vec<Row> = rows
             .iter()
-            .filter(|r| evaluate_predicate(&filter, &schema, r).unwrap())
+            .filter(|r| evaluate_predicate(&resolved, r).unwrap())
             .cloned()
             .collect();
         assert!(!want.is_empty(), "{sql}");

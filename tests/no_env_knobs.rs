@@ -108,12 +108,10 @@ fn scenario(dir: &Path) -> Outcome {
     // The statements whose behaviour the two query knobs used to bend.
     let (_, profile) = hana.profile_query(&s, STATEMENTS[1]).unwrap();
     let filter = profile.find("filter").expect("non-pushable filter");
-    assert!(
-        filter
-            .attrs
-            .iter()
-            .any(|(k, blocks)| k == "compiled_blocks" && *blocks > 0),
-        "the bytecode VM is simply on:\n{}",
+    assert_eq!(
+        filter.rows,
+        Some(20),
+        "the filter operator runs and keeps k < 19.5:\n{}",
         profile.render()
     );
     assert!(
