@@ -172,10 +172,11 @@ impl Iterator for SetBits<'_> {
                 let row = self.word_idx * 64 + bit;
                 return (row < self.len).then_some(row);
             }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
+            // Skip empty words in one sweep: a point seek's bitmap is
+            // thousands of zero words around one set bit.
+            let rest = self.words.get(self.word_idx + 1..).unwrap_or_default();
+            let skip = rest.iter().position(|&w| w != 0)?;
+            self.word_idx += 1 + skip;
             self.current = self.words[self.word_idx];
         }
     }

@@ -245,9 +245,8 @@ impl VidCodec {
     /// `BLOCK_ROWS` except possibly for the last block).
     ///
     /// This is the shared decode kernel behind vectorized scans and the
-    /// executor's late-materializing group-by: downstream code operates
-    /// on a dense `u32` vid block instead of calling [`get`](Self::get)
-    /// per row.
+    /// executor's column leaf: downstream code operates on a dense
+    /// `u32` vid block instead of calling [`get`](Self::get) per row.
     pub fn unpack_block(&self, block: usize, out: &mut [u32; BLOCK_ROWS]) -> usize {
         let start = block * BLOCK_ROWS;
         let len = self.len();

@@ -1,5 +1,7 @@
 //! Column fragments: read-optimized main and write-optimized delta.
 
+use std::sync::Arc;
+
 use hana_types::Value;
 
 use crate::bitmap::RowIdBitmap;
@@ -8,10 +10,12 @@ use crate::dictionary::{DeltaDictionary, OrderedDictionary};
 use crate::predicate::ColumnPredicate;
 
 /// Read-optimized, immutable column fragment: an ordered dictionary plus
-/// a compressed value-ID vector.
+/// a compressed value-ID vector. The dictionary is shared: a batch of
+/// vids read from this fragment holds a handle to it, so the vids stay
+/// decodable after the table's lock is released.
 #[derive(Debug, Clone)]
 pub struct MainColumn {
-    dict: OrderedDictionary,
+    dict: Arc<OrderedDictionary>,
     codec: VidCodec,
 }
 
@@ -19,7 +23,7 @@ impl MainColumn {
     /// An empty main fragment.
     pub fn empty() -> MainColumn {
         MainColumn {
-            dict: OrderedDictionary::default(),
+            dict: Arc::default(),
             codec: VidCodec::encode(&[]),
         }
     }
@@ -33,7 +37,7 @@ impl MainColumn {
             .collect();
         MainColumn {
             codec: VidCodec::encode(&vids),
-            dict,
+            dict: Arc::new(dict),
         }
     }
 
@@ -52,8 +56,9 @@ impl MainColumn {
         self.dict.decode(self.codec.get(row))
     }
 
-    /// The fragment's ordered dictionary.
-    pub fn dictionary(&self) -> &OrderedDictionary {
+    /// The fragment's ordered dictionary (a handle to it, for readers
+    /// that keep vids beyond the table's lock).
+    pub fn dictionary(&self) -> &Arc<OrderedDictionary> {
         &self.dict
     }
 
@@ -134,8 +139,8 @@ impl DeltaColumn {
 
     /// The raw (uncompressed) value-ID vector, one entry per row.
     ///
-    /// Exposed so the executor's late-materializing group-by can key
-    /// delta rows on vids without decoding values.
+    /// Exposed so the executor's column leaf decodes each distinct
+    /// value of the delta rows it reads once, not once per row.
     pub fn vids(&self) -> &[u32] {
         &self.vids
     }

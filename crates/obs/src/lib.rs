@@ -46,4 +46,4 @@ pub use profile::{ProfileNode, QueryProfile};
 pub use registry::{
     registry, warn, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
 };
-pub use trace::{current_tracer, span, Span, SpanRecord, Tracer, TracerGuard};
+pub use trace::{current_tracer, span, span_with, Span, SpanRecord, Tracer, TracerGuard};

@@ -181,9 +181,16 @@ pub fn current_tracer() -> Option<Arc<Tracer>> {
 /// innermost open span. Without an installed tracer this is a no-op
 /// and returns an inert guard.
 pub fn span(name: &str) -> Span {
+    span_with(|| name.to_string())
+}
+
+/// [`span`] whose name is built only when a tracer records it: a hot
+/// path that formats its span name pays nothing without one.
+pub fn span_with(name: impl FnOnce() -> String) -> Span {
     let Some(tracer) = current_tracer() else {
         return Span { inner: None };
     };
+    let name = name();
     let token = tracer.token;
     let parent = OPEN_SPANS.with(|s| {
         s.borrow()
@@ -192,7 +199,7 @@ pub fn span(name: &str) -> Span {
             .find(|(t, _)| *t == token)
             .map(|&(_, id)| id)
     });
-    tracer.start_span(name, parent)
+    tracer.start_span(&name, parent)
 }
 
 /// RAII span guard: finished exactly once, when dropped (or via the
@@ -220,6 +227,15 @@ impl Span {
     /// Report output bytes (estimated).
     pub fn set_bytes(&self, n: u64) {
         self.update(|rec| rec.bytes = Some(n));
+    }
+
+    /// Report output bytes computed by `n`, which runs only when this
+    /// span records (an estimate that walks the output is skipped
+    /// without a tracer).
+    pub fn set_bytes_with(&self, n: impl FnOnce() -> u64) {
+        if self.is_recording() {
+            self.set_bytes(n());
+        }
     }
 
     /// Report worker threads used.
@@ -266,6 +282,33 @@ mod tests {
         let s = span("orphan");
         assert!(!s.is_recording());
         s.set_rows(5); // no-op, must not panic
+    }
+
+    #[test]
+    fn lazy_values_are_computed_only_when_recording() {
+        let called = std::cell::Cell::new(0);
+        let name = || {
+            called.set(called.get() + 1);
+            "lazy".to_string()
+        };
+        let bytes = || {
+            called.set(called.get() + 1);
+            42
+        };
+        let inert = span_with(name);
+        inert.set_bytes_with(bytes);
+        assert!(!inert.is_recording());
+        assert_eq!(called.get(), 0, "no tracer: neither closure runs");
+        drop(inert);
+
+        let tracer = Tracer::new();
+        {
+            let _g = tracer.install();
+            span_with(name).set_bytes_with(bytes);
+        }
+        assert_eq!(called.get(), 2);
+        let spans = tracer.spans();
+        assert_eq!((spans[0].name.as_str(), spans[0].bytes), ("lazy", Some(42)));
     }
 
     #[test]

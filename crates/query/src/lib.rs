@@ -5,19 +5,24 @@
 //! synopses, placement analysis over local / extended / remote
 //! sources, the four federation strategies of the paper (remote scan,
 //! semijoin, table relocation, union plan), whole-query and
-//! remote-prefix shipping below the distributed exchange operator, and a
-//! row-at-a-time executor with hash joins and hash aggregation.
+//! remote-prefix shipping below the distributed exchange operator, and an
+//! executor whose operators hand each other column batches (hash joins,
+//! hash aggregation) and build rows once, at the result.
 //!
 //! The entry points are [`execute_query`] and [`explain_query`]; the
 //! platform facade (`hana-core`) implements [`Catalog`] and routes SQL
 //! here.
 
+mod aggregate;
+mod batch;
 mod catalog;
 mod context;
 mod cost;
 mod estimator;
+mod eval;
 mod executor;
 mod hash;
+mod join;
 mod locate;
 mod plan;
 mod planner;
@@ -28,9 +33,10 @@ pub use context::PlannerContext;
 pub use cost::{CostModel, JoinSituation};
 pub use executor::{
     execute_plan, execute_plan_bound, execute_plan_with, execute_query, execute_query_with,
-    explain_query, BUILD_LEFT, BUILD_RIGHT,
+    explain_query,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use join::{BUILD_LEFT, BUILD_RIGHT};
 pub use locate::{locate_rows, Located};
 pub use plan::{
     bind_predicates, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,

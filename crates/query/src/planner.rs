@@ -78,6 +78,16 @@ enum BindingKind {
     Function { function: String, args: Vec<Expr> },
 }
 
+/// An equi-join of the plan so far with one more binding, and each
+/// key's distinct count where a synopsis knows it.
+struct JoinStep {
+    left_key: String,
+    right_key: String,
+    kind: JoinKind,
+    left_ndv: Option<f64>,
+    right_ndv: Option<f64>,
+}
+
 impl<'a> Planner<'a> {
     /// Build the planner from a fully assembled context.
     pub fn with_context(ctx: PlannerContext<'a>) -> Planner<'a> {
@@ -155,14 +165,13 @@ impl<'a> Planner<'a> {
                                 && !matches!(ts, TableSource::Hybrid { .. })
                                 && join.kind == JoinKind::Inner =>
                         {
-                            acc =
-                                self.plan_remote_join(acc, &bindings, b, ts, &lk, &rk, &q.hints)?;
+                            let on = self.equi_join(&bindings, lk, rk, join.kind);
+                            acc = self.plan_remote_join(acc, b, ts, on, &q.hints)?;
                         }
                         (_, Ok((lk, rk))) => {
-                            let lndv = self.key_ndv_of(&bindings, &lk);
-                            let rndv = self.key_ndv_of(&bindings, &rk);
+                            let on = self.equi_join(&bindings, lk, rk, join.kind);
                             let right = self.leaf(b, &q.hints)?;
-                            acc = self.join_node(acc, right, lk, rk, join.kind, lndv, rndv)?;
+                            acc = self.join_node(acc, right, on)?;
                         }
                         (_, Err(_)) => {
                             let right = self.leaf(b, &q.hints)?;
@@ -304,10 +313,9 @@ impl<'a> Planner<'a> {
             };
             used_joins[ji] = true;
             used_bindings[bi] = true;
-            let lndv = self.key_ndv_of(bindings, &lk);
-            let rndv = self.key_ndv_of(bindings, &rk);
+            let on = self.equi_join(bindings, lk, rk, JoinKind::Inner);
             let right = self.leaf(&bindings[bi], &q.hints)?;
-            acc = self.join_node(acc, right, lk, rk, JoinKind::Inner, lndv, rndv)?;
+            acc = self.join_node(acc, right, on)?;
         }
         for (ji, j) in q.joins.iter().enumerate() {
             if !used_joins[ji] {
@@ -785,17 +793,15 @@ impl<'a> Planner<'a> {
 
     // ---- remote join strategies ----
 
-    #[allow(clippy::too_many_arguments)]
     fn plan_remote_join(
         &self,
         acc: PlanNode,
-        bindings: &[Binding],
         b: &Binding,
         ts: &TableSource,
-        left_key: &str,
-        right_key: &str,
+        mut on: JoinStep,
         hints: &[String],
     ) -> Result<PlanNode> {
+        let right_key = on.right_key.as_str();
         let source = ts.remote_source().expect("remote binding").to_string();
         let adapter = self.ctx.catalog.sda().source(&source)?.adapter;
         let caps = adapter.capabilities();
@@ -817,7 +823,7 @@ impl<'a> Planner<'a> {
         // Key synopses: local side from the persisted statistics, remote
         // side from the source's own metadata, when either exists.
         let bare_rk = right_key.rsplit('.').next().unwrap_or(right_key);
-        let local_key_ndv = self.key_ndv_of(bindings, left_key);
+        let local_key_ndv = on.left_ndv;
         let remote_key_ndv = adapter
             .column_distinct(&remote_table, bare_rk)
             .map(|n| n as f64);
@@ -855,15 +861,8 @@ impl<'a> Planner<'a> {
         match strategy {
             FederationStrategy::RemoteScan => {
                 let right = self.leaf(b, hints)?;
-                let mut node = self.join_node(
-                    acc,
-                    right,
-                    left_key.to_string(),
-                    right_key.to_string(),
-                    JoinKind::Inner,
-                    local_key_ndv,
-                    remote_key_ndv,
-                )?;
+                on.right_ndv = remote_key_ndv;
+                let mut node = self.join_node(acc, right, on)?;
                 // The strategy decision already priced this join with
                 // the adapter-estimated remote cardinality; keep it.
                 node.est_rows = est;
@@ -873,11 +872,11 @@ impl<'a> Planner<'a> {
             FederationStrategy::SemiJoin => Ok(PlanNode {
                 op: PlanOp::SemiJoin {
                     local: Box::new(acc),
-                    local_key: left_key.to_string(),
+                    local_key: on.left_key,
                     source,
                     remote_table: b.remote_table_name(),
                     remote_preds: b.preds.clone(),
-                    remote_key: right_key.to_string(),
+                    remote_key: on.right_key,
                     remote_binding: b.name.clone(),
                 },
                 schema,
@@ -887,11 +886,11 @@ impl<'a> Planner<'a> {
             FederationStrategy::TableRelocation => Ok(PlanNode {
                 op: PlanOp::RelocateJoin {
                     local: Box::new(acc),
-                    local_key: left_key.to_string(),
+                    local_key: on.left_key,
                     source,
                     remote_table: b.remote_table_name(),
                     remote_preds: b.preds.clone(),
-                    remote_key: right_key.to_string(),
+                    remote_key: on.right_key,
                     remote_binding: b.name.clone(),
                 },
                 schema,
@@ -1135,21 +1134,36 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// `left_key = right_key` with each key's distinct count from the
+    /// persisted synopses.
+    fn equi_join(
+        &self,
+        bindings: &[Binding],
+        left_key: String,
+        right_key: String,
+        kind: JoinKind,
+    ) -> JoinStep {
+        JoinStep {
+            left_ndv: self.key_ndv_of(bindings, &left_key),
+            right_ndv: self.key_ndv_of(bindings, &right_key),
+            left_key,
+            right_key,
+            kind,
+        }
+    }
+
     /// An ndv-aware hash-join node. With a key synopsis on either side
     /// the output is priced under the containment assumption and keeps
     /// the `stats` provenance; otherwise the legacy `min(|L|, |R|)`
     /// heuristic applies.
-    #[allow(clippy::too_many_arguments)]
-    fn join_node(
-        &self,
-        left: PlanNode,
-        right: PlanNode,
-        left_key: String,
-        right_key: String,
-        kind: JoinKind,
-        left_ndv: Option<f64>,
-        right_ndv: Option<f64>,
-    ) -> Result<PlanNode> {
+    fn join_node(&self, left: PlanNode, right: PlanNode, on: JoinStep) -> Result<PlanNode> {
+        let JoinStep {
+            left_key,
+            right_key,
+            kind,
+            left_ndv,
+            right_ndv,
+        } = on;
         let schema = left.schema.join(&right.schema)?;
         let (est, est_source) = if left_ndv.is_some() || right_ndv.is_some() {
             (

@@ -6,6 +6,7 @@
 //! shipped sub-queries, and (where supported) materializes results
 //! remotely via CTAS.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hana_columnar::ColumnPredicate;
@@ -126,6 +127,11 @@ pub trait SdaAdapter: Send + Sync {
 
 // ---------------------------------------------------------------- hive
 
+/// Names of shipped temp tables: drawn, not read off the clock, so
+/// concurrent relocations — through any adapter over one Hive — never
+/// pick the same one.
+static TEMP_TABLES: AtomicU64 = AtomicU64::new(0);
+
 /// The `hiveodbc` adapter: ships HiveQL over a simulated ODBC
 /// connection (§4.2, Figure 10).
 ///
@@ -231,9 +237,16 @@ impl SdaAdapter for HiveOdbcAdapter {
         ctx: &RemoteContext,
     ) -> Result<String> {
         ctx.check_deadline("hive temp-table shipping")?;
-        let name = format!("tmp_shipped_{}", self.hive.current_tick());
+        let name = format!(
+            "tmp_shipped_{}",
+            TEMP_TABLES.fetch_add(1, Ordering::Relaxed)
+        );
         self.hive.create_table(&name, schema)?;
-        self.hive.load(&name, rows)?;
+        // A row the text format refuses leaves no half-shipped table.
+        if let Err(e) = self.hive.load(&name, rows) {
+            let _ = self.hive.drop_table(&name);
+            return Err(e);
+        }
         Ok(name)
     }
 }

@@ -143,7 +143,7 @@ pub fn evaluate(expr: &Expr, row: &Row) -> Result<Value> {
             let v = evaluate(expr, row)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
-        Expr::Func { name, args } => eval_scalar_function(name, args, row),
+        Expr::Func { name, args } => scalar_function(name, args.len(), |i| evaluate(&args[i], row)),
         Expr::Case { whens, else_expr } => {
             for (cond, val) in whens {
                 if evaluate(cond, row)? == Value::Bool(true) {
@@ -245,16 +245,22 @@ fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-/// Scalar (non-aggregate) SQL functions.
-fn eval_scalar_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
-    let eval_arg = |i: usize| evaluate(&args[i], row);
+/// A scalar (non-aggregate) SQL function over `argc` arguments, each
+/// read through `arg(i)` when — and only when — the function needs it:
+/// `COALESCE` stops at its first non-NULL argument, `SUBSTR` reads its
+/// bounds only for a string. Every evaluator calls this, so a function
+/// means the same, and fails on the same inputs, everywhere.
+pub fn scalar_function(
+    name: &str,
+    argc: usize,
+    mut eval_arg: impl FnMut(usize) -> Result<Value>,
+) -> Result<Value> {
     let need = |n: usize| -> Result<()> {
-        if args.len() == n {
+        if argc == n {
             Ok(())
         } else {
             Err(HanaError::Plan(format!(
-                "{name} expects {n} argument(s), got {}",
-                args.len()
+                "{name} expects {n} argument(s), got {argc}"
             )))
         }
     };
@@ -318,7 +324,7 @@ fn eval_scalar_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
         }
         "SUBSTR" | "SUBSTRING" => {
             // SUBSTR(s, start[, len]) with 1-based start.
-            if args.len() != 2 && args.len() != 3 {
+            if argc != 2 && argc != 3 {
                 return Err(HanaError::Plan("SUBSTR expects 2 or 3 arguments".into()));
             }
             let s = match eval_arg(0)? {
@@ -332,7 +338,7 @@ fn eval_scalar_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
                 .max(1) as usize;
             let chars: Vec<char> = s.chars().collect();
             let from = (start - 1).min(chars.len());
-            let to = if args.len() == 3 {
+            let to = if argc == 3 {
                 let len = eval_arg(2)?
                     .as_i64()
                     .ok_or_else(|| HanaError::Execution("SUBSTR len must be integer".into()))?
@@ -344,8 +350,8 @@ fn eval_scalar_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
             Ok(Value::Varchar(chars[from..to].iter().collect()))
         }
         "COALESCE" | "IFNULL" => {
-            for a in args {
-                let v = evaluate(a, row)?;
+            for i in 0..argc {
+                let v = eval_arg(i)?;
                 if !v.is_null() {
                     return Ok(v);
                 }

@@ -113,11 +113,16 @@ impl Accumulator {
             (Some(acc), Value::Int(i)) => acc.checked_add(*i),
             _ => None,
         };
-        if self.min.as_ref().is_none_or(|m| v < m) {
-            self.min = Some(v.clone());
-        }
-        if self.max.as_ref().is_none_or(|m| v > m) {
-            self.max = Some(v.clone());
+        // Only MIN and MAX read their extremes: the other functions
+        // neither compare nor clone their inputs.
+        match self.func {
+            AggFunc::Min if self.min.as_ref().is_none_or(|m| v < m) => {
+                self.min = Some(v.clone());
+            }
+            AggFunc::Max if self.max.as_ref().is_none_or(|m| v > m) => {
+                self.max = Some(v.clone());
+            }
+            _ => {}
         }
     }
 
@@ -176,7 +181,8 @@ impl Accumulator {
     }
 
     /// The partial state as plain values — `[count, sum, exact integer
-    /// sum or NULL, min or NULL, max or NULL]` — so that it travels
+    /// sum or NULL, min or NULL, max or NULL]`, the extremes NULL for
+    /// every function but MIN and MAX — so that it travels
     /// through whatever row codec the caller already has.
     /// [`AggFunc::accumulator_from_state`] is the inverse.
     pub fn state(&self) -> [Value; 5] {
@@ -309,6 +315,30 @@ mod tests {
         assert!(AggFunc::Sum
             .accumulator_from_state(&[Value::Int(1)])
             .is_err());
+    }
+
+    #[test]
+    fn only_min_and_max_keep_extremes() {
+        let inputs = [Value::Int(3), Value::from("x"), Value::Double(0.5)];
+        for func in [
+            AggFunc::CountStar,
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+        ] {
+            let mut acc = func.accumulator();
+            inputs.iter().for_each(|v| acc.add(v));
+            let [.., min, max] = acc.state();
+            assert_eq!((min, max), (Value::Null, Value::Null), "{func:?}");
+        }
+        let mut min = AggFunc::Min.accumulator();
+        let mut max = AggFunc::Max.accumulator();
+        for v in &inputs {
+            min.add(v);
+            max.add(v);
+        }
+        assert_eq!(min.state()[3], Value::Double(0.5));
+        assert_eq!(max.state()[4], Value::from("x"));
     }
 
     #[test]

@@ -192,11 +192,14 @@ fn profile_query_group_by_nests_consistently() {
     assert_eq!(root.name, "query");
     let group_by = profile.find("group_by").expect("group_by span");
     assert!(group_by.rows.unwrap_or(0) >= 2);
-    // Single-column GROUP BY over a base-table scan takes the fused,
-    // vid-keyed late-materialization path and marks the span.
+    // The group key reaches the group-by as a dictionary column and
+    // is grouped on its vids.
     assert!(
-        group_by.attrs.iter().any(|(k, v)| k == "fused" && *v == 1),
-        "fused group-by should engage: {}",
+        group_by
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "vid_keys" && *v == 1),
+        "the group-by should key on vids: {}",
         profile.render()
     );
     let scan = profile.find("column_scan[lineitem]").expect("scan span");
@@ -323,19 +326,42 @@ fn profile_query_shows_build_side_and_leaf_columns() {
     assert_eq!(attr(join, "build_side"), BUILD_RIGHT);
     assert_eq!(attr(join, "build_rows"), 1_000);
 
-    // A leaf pruned to the named columns still feeds the fused,
-    // vid-keyed group-by; `SELECT *` still materialises every column.
+    // A leaf pruned to the named columns still feeds the vid-keyed
+    // group-by; `SELECT *` still materialises every column.
     let (rs, profile) = hana
         .profile_query(&s, "SELECT v, COUNT(*), SUM(k) FROM t GROUP BY v")
         .unwrap();
     assert_eq!(rs.len(), 7);
     let group_by = profile.find("group_by").expect("group_by span");
-    assert_eq!(attr(group_by, "fused"), 1, "{}", profile.render());
+    assert_eq!(attr(group_by, "vid_keys"), 1, "{}", profile.render());
     let (_, profile) = hana
         .profile_query(&s, "SELECT * FROM t WHERE k < 5")
         .unwrap();
     let scan = profile.find("column_scan[t]").expect("leaf span");
     assert_eq!(attr(scan, "columns"), 3);
+}
+
+/// An operator span reports the bytes it hands on only when traced, and
+/// traced it still does.
+#[test]
+fn traced_operator_spans_carry_bytes() {
+    let hana = HanaPlatform::new_in_memory();
+    let s = hana.connect("SYSTEM", "manager").unwrap();
+    load_big_lineitem(&hana, &s);
+    let (_, profile) = hana
+        .profile_query(
+            &s,
+            "SELECT l_status, SUM(l_total) AS total FROM lineitem \
+             WHERE l_id < 100 GROUP BY l_status",
+        )
+        .unwrap();
+    for name in ["column_scan[lineitem]", "group_by", "finish"] {
+        let span = profile.find(name).expect("operator span");
+        assert!(span.bytes.unwrap_or(0) > 0, "{name}: {}", profile.render());
+    }
+    // 100 rows of an integer, a one-letter string and a double.
+    let scan = profile.find("column_scan[lineitem]").unwrap();
+    assert_eq!(scan.bytes, Some(100 * (8 + 1 + 8)), "{}", profile.render());
 }
 
 /// Every counter present in `before` must be <= its value in `after`.
