@@ -100,6 +100,7 @@ fn local_scan(cat: &BenchCatalog) -> PlanNode {
                 "d_id".into(),
                 ColumnPredicate::Eq(Operand::Lit(Value::Int(42))),
             )],
+            projection: vec![0, 1],
         },
         schema,
         est_rows: 1.0,
@@ -130,8 +131,8 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
                 op: PlanOp::HashJoin {
                     left: Box::new(local),
                     right: Box::new(remote),
-                    left_key: "d.d_id".into(),
-                    right_key: "f.f_dim".into(),
+                    left_key: 0,  // d.d_id
+                    right_key: 0, // f.f_dim
                     kind: JoinKind::Inner,
                     dist: hana_query::DistJoinStrategy::Repartition,
                 },
@@ -143,11 +144,11 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
         FederationStrategy::SemiJoin => PlanNode {
             op: PlanOp::SemiJoin {
                 local: Box::new(local),
-                local_key: "d.d_id".into(),
+                local_key: 0, // d.d_id
                 source: "iq".into(),
                 remote_table: "fact".into(),
                 remote_preds: Vec::<Expr>::new(),
-                remote_key: "f.f_dim".into(),
+                remote_key: 0, // f_dim
                 remote_binding: "f".into(),
             },
             schema: joined,
@@ -157,11 +158,11 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
         FederationStrategy::TableRelocation => PlanNode {
             op: PlanOp::RelocateJoin {
                 local: Box::new(local),
-                local_key: "d.d_id".into(),
+                local_key: 0, // d.d_id
                 source: "iq".into(),
                 remote_table: "fact".into(),
                 remote_preds: Vec::<Expr>::new(),
-                remote_key: "f.f_dim".into(),
+                remote_key: 0, // f_dim
                 remote_binding: "f".into(),
             },
             schema: joined,

@@ -602,9 +602,10 @@ fn build_out_stream(inner: &Inner, query: Query) -> Result<OutStreamDef> {
         let ref_binding = ref_alias.clone().unwrap_or_else(|| ref_name.clone());
         let ref_schema = reference.schema.qualified(&ref_binding);
         // The ON must be stream_col = ref_col.
-        let (skey, rkey) = join_keys(&j.on, &eval_schema, &ref_schema)?;
+        let (skey, rkey) = hana_sql::equi_keys(&j.on, &eval_schema, &ref_schema)
+            .ok_or_else(|| HanaError::Stream(format!("ESP join needs an equi ON, got {}", j.on)))?;
         eval_schema = eval_schema.join(&ref_schema)?;
-        ref_joins.push((ref_name.clone(), skey, rkey));
+        ref_joins.push((ref_name.clone(), skey.at, rkey.at));
     }
     let filter = query.filter.as_ref();
     Ok(OutStreamDef {
@@ -613,43 +614,6 @@ fn build_out_stream(inner: &Inner, query: Query) -> Result<OutStreamDef> {
         projection: Projection::new(&eval_schema, &query, &[])?,
         ref_joins,
     })
-}
-
-fn join_keys(on: &Expr, left: &Schema, right: &Schema) -> Result<(usize, usize)> {
-    if let Expr::Binary {
-        left: l,
-        op: hana_sql::BinOp::Eq,
-        right: r,
-    } = on
-    {
-        if let (
-            Expr::Column {
-                qualifier: lq,
-                name: ln,
-            },
-            Expr::Column {
-                qualifier: rq,
-                name: rn,
-            },
-        ) = (l.as_ref(), r.as_ref())
-        {
-            if let (Ok(a), Ok(b)) = (
-                hana_sql::resolve_column(left, lq.as_deref(), ln),
-                hana_sql::resolve_column(right, rq.as_deref(), rn),
-            ) {
-                return Ok((a, b));
-            }
-            if let (Ok(a), Ok(b)) = (
-                hana_sql::resolve_column(left, rq.as_deref(), rn),
-                hana_sql::resolve_column(right, lq.as_deref(), ln),
-            ) {
-                return Ok((a, b));
-            }
-        }
-    }
-    Err(HanaError::Stream(format!(
-        "ESP join needs an equi ON, got {on}"
-    )))
 }
 
 /// Enrich one event through the definition's reference joins; `None`

@@ -39,8 +39,8 @@ use parking_lot::RwLock;
 
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, finish_query};
 use hana_sql::{
-    evaluate, evaluate_predicate, parse_statement, resolve_column, BinOp, Expr, JoinKind, Query,
-    Statement, TableRef,
+    equi_keys, evaluate, evaluate_predicate, parse_statement, Expr, JoinKind, Query, Statement,
+    TableRef,
 };
 use hana_types::{
     decode_values, encode_row, Accumulator, AggFunc, DataType, HanaError, Result, ResultSet, Row,
@@ -378,7 +378,13 @@ impl Hive {
         for (j, right) in q.joins.iter().zip(schemas) {
             // `true` (comma join) means residuals carry the condition —
             // not supported here, require an explicit ON.
-            let (lk, rk) = equi_keys(&j.on, &schema, &right)?;
+            let (lk, rk) = equi_keys(&j.on, &schema, &right).ok_or_else(|| {
+                HanaError::Unsupported(format!(
+                    "hive joins require a simple equi-join ON clause, got {:?}",
+                    j.on
+                ))
+            })?;
+            let (lk, rk) = (lk.at, rk.at);
             joins.push(Join {
                 left: (lk, schema.column(lk).data_type),
                 right: (rk, right.column(rk).data_type),
@@ -940,43 +946,4 @@ fn single_source_of(e: &Expr, bindings: &[Binding]) -> Option<usize> {
         }
     }
     source
-}
-
-/// Extract equi-join key columns from an ON expression.
-fn equi_keys(on: &Expr, left: &Schema, right: &Schema) -> Result<(usize, usize)> {
-    if let Expr::Binary {
-        left: l,
-        op: BinOp::Eq,
-        right: r,
-    } = on
-    {
-        if let (
-            Expr::Column {
-                qualifier: lq,
-                name: ln,
-            },
-            Expr::Column {
-                qualifier: rq,
-                name: rn,
-            },
-        ) = (l.as_ref(), r.as_ref())
-        {
-            // Try (l in left, r in right) then the swap.
-            if let (Ok(a), Ok(b)) = (
-                resolve_column(left, lq.as_deref(), ln),
-                resolve_column(right, rq.as_deref(), rn),
-            ) {
-                return Ok((a, b));
-            }
-            if let (Ok(a), Ok(b)) = (
-                resolve_column(left, rq.as_deref(), rn),
-                resolve_column(right, lq.as_deref(), ln),
-            ) {
-                return Ok((a, b));
-            }
-        }
-    }
-    Err(HanaError::Unsupported(format!(
-        "hive joins require a simple equi-join ON clause, got {on:?}"
-    )))
 }

@@ -470,28 +470,6 @@ impl IqEngine {
                 let inp = self.execute(input, cid)?;
                 aggregate_rows(&inp, group_by, aggregates)
             }
-            IqPlan::Sort { input, keys } => {
-                let mut inp = self.execute(input, cid)?;
-                let key_idx: Vec<(usize, bool)> = keys
-                    .iter()
-                    .map(|(k, asc)| inp.schema.require(k).map(|i| (i, *asc)))
-                    .collect::<Result<_>>()?;
-                inp.rows.sort_by(|a, b| {
-                    for &(i, asc) in &key_idx {
-                        let ord = a[i].cmp(&b[i]);
-                        if !ord.is_eq() {
-                            return if asc { ord } else { ord.reverse() };
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(inp)
-            }
-            IqPlan::Limit { input, n } => {
-                let mut inp = self.execute(input, cid)?;
-                inp.rows.truncate(*n);
-                Ok(inp)
-            }
         }
     }
 

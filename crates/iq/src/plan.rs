@@ -2,8 +2,9 @@
 //!
 //! Per §3.1, SAP HANA pushes whole sub-plans below the distributed
 //! exchange operator to the IQ query processor: scans with predicates,
-//! group-bys, order-bys, joins and nested sub-plans. [`IqPlan`] is the
-//! shape of those shipped sub-plans.
+//! group-bys, joins and nested sub-plans. [`IqPlan`] is the shape of
+//! those shipped sub-plans; the driver epilogue (`finish_query`) sorts
+//! and limits what they return.
 
 use hana_columnar::ColumnPredicate;
 use hana_types::AggFunc;
@@ -40,20 +41,6 @@ pub enum IqPlan {
         group_by: Vec<String>,
         /// Aggregates: function + input column (`None` for `COUNT(*)`).
         aggregates: Vec<(AggFunc, Option<String>)>,
-    },
-    /// Sort by `(column, ascending)` keys.
-    Sort {
-        /// Input plan.
-        input: Box<IqPlan>,
-        /// Sort keys.
-        keys: Vec<(String, bool)>,
-    },
-    /// Keep the first `n` rows.
-    Limit {
-        /// Input plan.
-        input: Box<IqPlan>,
-        /// Row budget.
-        n: usize,
     },
 }
 
@@ -103,8 +90,6 @@ impl IqPlan {
             IqPlan::Aggregate {
                 input, group_by, ..
             } => format!("IQ GroupBy({:?})[{}]", group_by, input.describe()),
-            IqPlan::Sort { input, .. } => format!("IQ Sort[{}]", input.describe()),
-            IqPlan::Limit { input, n } => format!("IQ Limit({n})[{}]", input.describe()),
         }
     }
 }

@@ -118,7 +118,7 @@ fn pushed_down_group_by_matches_manual() {
 }
 
 #[test]
-fn join_and_sort_and_limit_pushdown() {
+fn join_pushdown() {
     let iq = engine_with_data(100);
     iq.create_table(
         "status_names",
@@ -134,26 +134,28 @@ fn join_and_sort_and_limit_pushdown() {
         1,
     )
     .unwrap();
-    let plan = IqPlan::Limit {
-        input: Box::new(IqPlan::Sort {
-            input: Box::new(IqPlan::Join {
-                left: Box::new(IqPlan::scan("status_names")),
-                right: Box::new(IqPlan::scan_where(
-                    "orders",
-                    vec![("o_id".into(), ColumnPredicate::Lt(Value::Int(10)))],
-                )),
-                left_col: "code".into(),
-                right_col: "o_status".into(),
-            }),
-            keys: vec![("o_total".into(), false)],
-        }),
-        n: 3,
+    let plan = IqPlan::Join {
+        left: Box::new(IqPlan::scan("status_names")),
+        right: Box::new(IqPlan::scan_where(
+            "orders",
+            vec![("o_id".into(), ColumnPredicate::Lt(Value::Int(10)))],
+        )),
+        left_col: "code".into(),
+        right_col: "o_status".into(),
     };
     let rs = iq.execute(&plan, 1).unwrap();
-    assert_eq!(rs.len(), 3);
-    // Highest totals among ids 0..9: 9, 8, 7.
-    assert_eq!(rs.rows[0].values().last().unwrap(), &Value::Double(13.5));
-    assert!(rs.schema.index_of("label").is_some());
+    // Every one of ids 0..9 has a status with a label.
+    assert_eq!(rs.len(), 10);
+    let label = rs.schema.index_of("label").unwrap();
+    let status = rs.schema.index_of("o_status").unwrap();
+    for r in &rs.rows {
+        let want = if r[status] == Value::from("OPEN") {
+            "In progress"
+        } else {
+            "Completed"
+        };
+        assert_eq!(r[label], Value::from(want));
+    }
 }
 
 #[test]

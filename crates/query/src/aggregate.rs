@@ -220,11 +220,17 @@ fn merge_keyed<K: Hash + Eq + Clone>(
     (keys, accs)
 }
 
-/// Group the rows in play of one batch by `keys` and accumulate `aggs`;
-/// also the number of key columns grouped on their vids.
-pub(crate) fn group_batch(b: &Batch, keys: &[Expr], aggs: &[AggCall]) -> Result<(Groups, usize)> {
+/// Group the rows in play of one batch by `keys` and accumulate `aggs`,
+/// their slots reading `values`; also the number of key columns grouped
+/// on their vids.
+pub(crate) fn group_batch(
+    b: &Batch,
+    keys: &[Expr],
+    aggs: &[AggCall],
+    values: &[Value],
+) -> Result<(Groups, usize)> {
     let sel = &b.sel;
-    let key_cols = keys.iter().map(|k| eval_batch(k, b, sel));
+    let key_cols = keys.iter().map(|k| eval_batch(k, b, sel, values));
     let key_cols = key_cols.collect::<Result<Vec<_>>>()?;
     let vid_keys = key_cols
         .iter()
@@ -255,7 +261,7 @@ pub(crate) fn group_batch(b: &Batch, keys: &[Expr], aggs: &[AggCall]) -> Result<
         match arg {
             // COUNT(*)
             None => (0..gids.len()).for_each(|j| accs[acc(j)].add(&Value::Null)),
-            Some(e) => eval_batch(e, b, sel)?.for_each(|j, v| accs[acc(j)].add(v)),
+            Some(e) => eval_batch(e, b, sel, values)?.for_each(|j, v| accs[acc(j)].add(v)),
         }
     }
     let groups = Groups {

@@ -1,7 +1,8 @@
 //! Expressions over column batches: the executor's one evaluator.
 //!
-//! [`eval_batch`] computes a resolved expression (`Expr::resolve`) for
-//! the rows `sel` of a batch, column at a time. Int, Double and Date
+//! [`eval_batch`] computes a plan's expression (columns resolved to
+//! positions, slots read from the run's values) for the rows `sel` of a
+//! batch, column at a time. Int, Double and Date
 //! arithmetic and comparisons run as typed loops; a predicate over a
 //! dictionary column and a constant is decided once per dictionary
 //! entry and mapped over the vids; every other combination loops over
@@ -19,6 +20,7 @@ use hana_sql::{scalar_function, BinOp, Expr, UnaryOp};
 use hana_types::{HanaError, Result, Value};
 
 use crate::batch::{Batch, Column, Dictionary, Numbers};
+use crate::plan::Operand;
 
 /// Truth values, one byte a row: SQL's three, and "not a boolean".
 const F: u8 = 0;
@@ -26,8 +28,14 @@ const T: u8 = 1;
 const NULL: u8 = 2;
 const NOT_BOOL: u8 = 3;
 
-/// `e` over rows `sel` of `b`: one value per row of `sel`, in order.
-pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<'a, Column>> {
+/// `e` over rows `sel` of `b`, its slots reading `values`: one value
+/// per row of `sel`, in order.
+pub(crate) fn eval_batch<'a>(
+    e: &Expr,
+    b: &'a Batch,
+    sel: &[u32],
+    values: &[Value],
+) -> Result<Cow<'a, Column>> {
     let n = sel.len();
     if n == 0 {
         return Ok(Cow::Owned(Column::Values(Vec::new())));
@@ -41,13 +49,13 @@ pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<
         } => arith(
             BinOp::Sub,
             &Column::Const(Value::Int(0), n),
-            &*eval_batch(expr, b, sel)?,
+            &*eval_batch(expr, b, sel, values)?,
         )?,
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
         } => {
-            let v = eval_batch(expr, b, sel)?;
+            let v = eval_batch(expr, b, sel, values)?;
             let t = truth(&v);
             if let Some(j) = t.iter().position(|&x| x == NOT_BOOL) {
                 let other = v.get(j);
@@ -61,9 +69,12 @@ pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<
             left,
             op: op @ (BinOp::And | BinOp::Or),
             right,
-        } => logic(*op == BinOp::And, left, right, b, sel)?,
+        } => logic(*op == BinOp::And, (left, right), b, sel, values)?,
         Expr::Binary { left, op, right } => {
-            let (l, r) = (eval_batch(left, b, sel)?, eval_batch(right, b, sel)?);
+            let (l, r) = (
+                eval_batch(left, b, sel, values)?,
+                eval_batch(right, b, sel, values)?,
+            );
             match op {
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, &l, &r)?,
                 _ => from_truth(compare(*op, &l, &r)),
@@ -73,15 +84,21 @@ pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<
             expr,
             list,
             negated,
-        } => in_list(&*eval_batch(expr, b, sel)?, list, *negated, b, sel)?,
+        } => {
+            let v = eval_batch(expr, b, sel, values)?;
+            in_list(&v, (list, *negated), b, sel, values)?
+        }
         Expr::Between {
             expr,
             lo,
             hi,
             negated,
         } => {
-            let v = eval_batch(expr, b, sel)?;
-            let (lo, hi) = (eval_batch(lo, b, sel)?, eval_batch(hi, b, sel)?);
+            let v = eval_batch(expr, b, sel, values)?;
+            let (lo, hi) = (
+                eval_batch(lo, b, sel, values)?,
+                eval_batch(hi, b, sel, values)?,
+            );
             let (ge, le) = (compare(BinOp::Ge, &v, &lo), compare(BinOp::Le, &v, &hi));
             let inside = |(g, l): (&u8, &u8)| match (*g, *l) {
                 (NULL, _) | (_, NULL) => NULL,
@@ -95,29 +112,24 @@ pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<
             negated,
         } => {
             let like = |v: &Value| v.sql_like(pattern).map_or(NULL, |m| (m != *negated) as u8);
-            from_truth(per_value(&*eval_batch(expr, b, sel)?, like))
+            from_truth(per_value(&*eval_batch(expr, b, sel, values)?, like))
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval_batch(expr, b, sel)?;
+            let v = eval_batch(expr, b, sel, values)?;
             Column::Bool((0..n).map(|j| v.is_null(j) != *negated).collect())
         }
         Expr::Func { name, args } => {
             // Each argument is read per row, when the function reads it.
             let arg = |row: u32| {
                 move |i: usize| -> Result<Value> {
-                    Ok(eval_batch(&args[i], b, &[row])?.get(0).into_owned())
+                    Ok(eval_batch(&args[i], b, &[row], values)?.get(0).into_owned())
                 }
             };
             let call = |&row: &u32| scalar_function(name, args.len(), arg(row));
             Column::from_values(sel.iter().map(call).collect::<Result<_>>()?)
         }
-        Expr::Case { whens, else_expr } => case(whens, else_expr.as_deref(), b, sel)?,
-        Expr::Parameter(i) => {
-            return Err(HanaError::Plan(format!(
-                "unbound parameter ?{} — bind values before execution",
-                i + 1
-            )))
-        }
+        Expr::Case { whens, else_expr } => case((whens, else_expr.as_deref()), b, sel, values)?,
+        Expr::Parameter(i) => Column::Const(Operand::Slot(*i).value(values)?.clone(), n),
         Expr::Column { .. } => {
             return Err(HanaError::Plan(format!(
                 "internal error: column '{e}' reached the evaluator unresolved"
@@ -130,8 +142,8 @@ pub(crate) fn eval_batch<'a>(e: &Expr, b: &'a Batch, sel: &[u32]) -> Result<Cow<
 
 /// The rows of `sel` predicate `pred` holds on (NULL does not hold; a
 /// value that is not a boolean is an error).
-pub(crate) fn select(pred: &Expr, b: &Batch, sel: &[u32]) -> Result<Vec<u32>> {
-    let v = eval_batch(pred, b, sel)?;
+pub(crate) fn select(pred: &Expr, b: &Batch, sel: &[u32], values: &[Value]) -> Result<Vec<u32>> {
+    let v = eval_batch(pred, b, sel, values)?;
     let t = truth(&v);
     if let Some(j) = t.iter().position(|&x| x == NOT_BOOL) {
         let other = v.get(j);
@@ -194,11 +206,17 @@ fn per_entry(d: &Dictionary, vids: &[u32], f: impl Fn(&Value) -> u8) -> Vec<u8> 
 
 /// AND / OR with SQL's short circuit: the right side is computed only
 /// on the rows the left side leaves undecided.
-fn logic(and: bool, left: &Expr, right: &Expr, b: &Batch, sel: &[u32]) -> Result<Column> {
+fn logic(
+    and: bool,
+    (left, right): (&Expr, &Expr),
+    b: &Batch,
+    sel: &[u32],
+    values: &[Value],
+) -> Result<Column> {
     let decided = if and { F } else { T };
-    let l = truth(&*eval_batch(left, b, sel)?);
+    let l = truth(&*eval_batch(left, b, sel, values)?);
     let rest = keep(sel, &l, |x| x != decided);
-    let mut r = truth(&*eval_batch(right, b, &rest)?).into_iter();
+    let mut r = truth(&*eval_batch(right, b, &rest, values)?).into_iter();
     let combine = |x: &u8| match *x {
         x if x == decided => decided,
         // A value that is not a boolean reads as unknown here.
@@ -311,7 +329,13 @@ fn compare(op: BinOp, l: &Column, r: &Column) -> Vec<u8> {
 
 /// `v IN (list)`: NULL for a NULL `v`; otherwise item after item, each
 /// computed only on the rows no earlier item matched.
-fn in_list(v: &Column, list: &[Expr], negated: bool, b: &Batch, sel: &[u32]) -> Result<Column> {
+fn in_list(
+    v: &Column,
+    (list, negated): (&[Expr], bool),
+    b: &Batch,
+    sel: &[u32],
+    values: &[Value],
+) -> Result<Column> {
     let literals: Option<Vec<&Value>> = list
         .iter()
         .map(|e| match e {
@@ -333,7 +357,7 @@ fn in_list(v: &Column, list: &[Expr], negated: bool, b: &Batch, sel: &[u32]) -> 
             break;
         }
         let rows: Vec<u32> = rest.iter().map(|&j| sel[j]).collect();
-        let w = eval_batch(item, b, &rows)?;
+        let w = eval_batch(item, b, &rows, values)?;
         let mut k = 0;
         rest.retain(|&j| {
             let hit = v.get(j).sql_cmp(&w.get(k)) == Some(Ordering::Equal);
@@ -352,16 +376,16 @@ fn in_list(v: &Column, list: &[Expr], negated: bool, b: &Batch, sel: &[u32]) -> 
 /// CASE: each condition on the rows no earlier arm took, each result
 /// on the rows its condition holds on.
 fn case(
-    whens: &[(Expr, Expr)],
-    else_expr: Option<&Expr>,
+    (whens, else_expr): (&[(Expr, Expr)], Option<&Expr>),
     b: &Batch,
     sel: &[u32],
+    values: &[Value],
 ) -> Result<Column> {
     let mut out = vec![Value::Null; sel.len()];
     let mut rest: Vec<usize> = (0..sel.len()).collect();
     let rows = |at: &[usize]| at.iter().map(|&j| sel[j]).collect::<Vec<u32>>();
     let mut fill = |at: &[usize], e: &Expr| -> Result<()> {
-        let v = eval_batch(e, b, &rows(at))?;
+        let v = eval_batch(e, b, &rows(at), values)?;
         for (k, &j) in at.iter().enumerate() {
             out[j] = v.get(k).into_owned();
         }
@@ -371,7 +395,7 @@ fn case(
         if rest.is_empty() {
             break;
         }
-        let t = truth(&*eval_batch(cond, b, &rows(&rest))?);
+        let t = truth(&*eval_batch(cond, b, &rows(&rest), values)?);
         let (hit, miss): (Vec<_>, Vec<_>) = rest.iter().zip(&t).partition(|(_, x)| **x == T);
         let hit: Vec<usize> = hit.into_iter().map(|(&j, _)| j).collect();
         fill(&hit, then)?;

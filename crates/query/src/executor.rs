@@ -7,7 +7,7 @@ use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap};
 use hana_exec::ExecContext;
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
-use hana_sql::finish::finish_shape;
+use hana_sql::finish::named;
 use hana_sql::{Expr, JoinKind, Query, TableRef};
 use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
 
@@ -15,18 +15,18 @@ use crate::aggregate::{group_batch, AggCall, Groups};
 use crate::batch::{Batch, Batches, Column};
 use crate::catalog::{Catalog, TableSource};
 use crate::eval::{eval_batch, select};
-use crate::join::{hash_join, resolve_key, EquiJoin};
+use crate::join::{hash_join, EquiJoin};
 use crate::plan::{
     bind_predicate, bind_predicates, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
 };
 
 /// What one run of a plan reads besides the plan: where it executes,
 /// the snapshot it sees, and the values behind the plan's slots. A plan
-/// is compiled once per statement shape; the values are resolved where
-/// they are consumed — a leaf binds its predicates, an operator over
-/// expressions resolves them (names to positions, slots to literals)
-/// before its first row, a shipped sub-query is bound to literals
-/// before it leaves.
+/// is compiled once per statement shape, with every name resolved; a
+/// run binds only slots, where they are consumed — a leaf binds its
+/// predicates, an expression reads its slots as it is evaluated, the
+/// epilogue binds the few expressions that hold one, a shipped
+/// sub-query is bound to literals before it leaves.
 #[derive(Clone, Copy)]
 pub(crate) struct Run<'a> {
     pub exec: &'a ExecContext,
@@ -126,13 +126,13 @@ pub fn execute_plan_bound(
         cid,
         values,
     };
-    let PlanOp::Finish { input, query } = &plan.op else {
+    let PlanOp::Finish { input, epilogue } = &plan.op else {
         return Ok(run_node(&run, plan)?.into_result_set());
     };
     // The epilogue runs over rows: they are built here, once.
     let span = hana_obs::span("finish");
     let inp = run_node(&run, input)?.into_result_set();
-    let (rows, schema) = finish_shape(inp.rows, &inp.schema, query, values)?;
+    let (rows, schema) = epilogue.apply(inp.rows, values)?;
     let rs = ResultSet::new(schema, rows);
     span.set_rows(rs.rows.len() as u64);
     span.set_bytes_with(|| rs.approx_bytes());
@@ -147,11 +147,11 @@ fn run_node(run: &Run, plan: &PlanNode) -> Result<Batches> {
     Ok(out)
 }
 
-/// `rows` under the plan's schema when the arity matches (names may
-/// differ between engines), under their own otherwise.
-fn aligned(plan: &PlanNode, rs: ResultSet) -> Batches {
-    match rs.schema.len() == plan.schema.len() {
-        true => Batches::from_rows(plan.schema.clone(), rs.rows),
+/// `rows` under `schema` when the arity matches (names may differ
+/// between engines), under their own otherwise.
+fn aligned(schema: &Schema, rs: ResultSet) -> Batches {
+    match rs.schema.len() == schema.len() {
+        true => Batches::from_rows(schema.clone(), rs.rows),
         false => Batches::from_rows(rs.schema, rs.rows),
     }
 }
@@ -168,21 +168,25 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
         batches,
     };
     match &plan.op {
-        PlanOp::ColumnScan { table, .. } | PlanOp::IndexSeek { table, .. } => {
+        PlanOp::ColumnScan {
+            table, projection, ..
+        }
+        | PlanOp::IndexSeek {
+            table, projection, ..
+        } => {
             let TableSource::Column(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a column table")));
             };
             let t = t.read();
-            let projection = leaf_projection(&plan.schema, t.schema())?;
             span.attr("columns", projection.len() as u64);
             span.attr("table_columns", t.schema().len() as u64);
-            Ok(batches(column_leaf(run, &t, &plan.op, &projection, span)?))
+            Ok(batches(column_leaf(run, &t, &plan.op, projection, span)?))
         }
         PlanOp::RowScan { table, preds, .. } => {
             let TableSource::Row(t) = catalog.resolve_table(table)? else {
                 return Err(HanaError::Plan(format!("'{table}' is not a row table")));
             };
-            let (_, rows) = row_leaf_hits(&t.read(), &bind_predicates(preds, values)?, cid)?;
+            let (_, rows) = row_leaf_hits(&t.read(), preds, values, cid)?;
             Ok(Batches::from_rows(plan.schema.clone(), rows))
         }
         PlanOp::DistScan { table, preds, .. } => {
@@ -223,9 +227,10 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
         PlanOp::RemoteQuery { source, query, .. } => {
             // The remote source, its cache key and the HiveQL text know
             // nothing of slots: what leaves is the statement written
-            // with literals.
+            // with literals, and its output is named as that statement
+            // names it.
             let bound;
-            let query = if values.is_empty() {
+            let shipped = if values.is_empty() {
                 query
             } else {
                 bound = query.bind(values)?;
@@ -234,22 +239,16 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             let (rs, _) =
                 catalog
                     .sda()
-                    .execute_remote(source, query, &RemoteContext::snapshot(cid))?;
-            Ok(aligned(plan, rs))
+                    .execute_remote(source, shipped, &RemoteContext::snapshot(cid))?;
+            Ok(aligned(&*named(&plan.schema, &query.select, values)?, rs))
         }
         PlanOp::FunctionScan { function, args, .. } => {
             let f = catalog.resolve_function(function)?;
             // Arguments are literals: computed over one row of nothing.
             let one = Batch::new(Vec::new(), 1);
-            let arg = |a: &Expr| {
-                Ok(
-                    eval_batch(&a.resolve(&Schema::default(), values)?, &one, &[0])?
-                        .get(0)
-                        .into_owned(),
-                )
-            };
+            let arg = |a: &Expr| Ok(eval_batch(a, &one, &[0], values)?.get(0).into_owned());
             let arg_vals: Vec<Value> = args.iter().map(arg).collect::<Result<_>>()?;
-            Ok(aligned(plan, f.invoke(&arg_vals)?))
+            Ok(aligned(&plan.schema, f.invoke(&arg_vals)?))
         }
         PlanOp::HashJoin {
             left,
@@ -272,14 +271,13 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             let l = run_node(run, left)?;
             let r = run_node(run, right)?;
             let on = EquiJoin {
-                left_key,
-                right_key,
+                left_key: *left_key,
+                right_key: *right_key,
                 kind: *kind,
             };
             hash_join(exec, l, r, on, &plan.schema, span)
         }
         PlanOp::NestedLoopJoin { left, right, on } => {
-            let on = on.resolve(&plan.schema, values)?;
             let l = run_node(run, left)?;
             let r = run_node(run, right)?.concat();
             // Left rows in chunks whose pairs with every right row fill
@@ -293,7 +291,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                     let ri: Vec<u32> = rows.iter().flat_map(|_| 0..r.len as u32).collect();
                     let columns = b.gather(&li).chain(r.gather(&ri)).collect();
                     let mut pairs = Batch::new(columns, li.len());
-                    pairs.sel = select(&on, &pairs, &pairs.sel)?;
+                    pairs.sel = select(on, &pairs, &pairs.sel, values)?;
                     out.push(pairs);
                 }
             }
@@ -310,10 +308,9 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
         } => {
             let l = run_node(run, local)?;
             // Distinct non-null local join keys.
-            let ki = resolve_key(&l.schema, local_key)?;
             let mut keys: Vec<Value> = Vec::new();
             for b in &l.batches {
-                let col = b.column(ki, &b.sel);
+                let col = b.column(*local_key, &b.sel);
                 keys.extend(
                     (0..col.len())
                         .map(|j| col.get(j))
@@ -328,7 +325,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             }
             // Remote reduction: the IN-clause variant of §3.1.
             let in_pred = Expr::InList {
-                expr: Box::new(col_expr(remote_key)),
+                expr: Box::new(remote_column(plan, local, *remote_key, remote_binding)),
                 list: keys.into_iter().map(Expr::Literal).collect(),
                 negated: false,
             };
@@ -348,8 +345,8 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                     .sda()
                     .execute_remote(source, &sub, &RemoteContext::snapshot(cid))?;
             let on = EquiJoin {
-                left_key: local_key,
-                right_key: remote_key,
+                left_key: *local_key,
+                right_key: *remote_key,
                 kind: JoinKind::Inner,
             };
             let reduced = Batches::from_rows(reduced.schema, reduced.rows);
@@ -383,7 +380,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             let rctx = RemoteContext::snapshot(cid);
             let adapter = catalog.sda().source(source)?.adapter;
             let rows = l.into_result_set().rows;
-            let temp = adapter.create_temp_table(ship_schema, &rows, &rctx)?;
+            let temp = adapter.create_temp_table(ship_schema.clone(), &rows, &rctx)?;
             let sub = Query {
                 from: Some(TableRef::Named {
                     name: temp.clone(),
@@ -396,9 +393,9 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                         alias: Some(remote_binding.clone()),
                     },
                     on: Expr::Binary {
-                        left: Box::new(Expr::col(unqualified(local_key))),
+                        left: Box::new(Expr::col(&ship_schema.column(*local_key).name)),
                         op: hana_sql::BinOp::Eq,
-                        right: Box::new(col_expr(remote_key)),
+                        right: Box::new(remote_column(plan, local, *remote_key, remote_binding)),
                     },
                 }],
                 filter,
@@ -421,9 +418,8 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
         }
         PlanOp::Filter { input, pred } => {
             let mut inp = run_node(run, input)?;
-            let pred = pred.resolve(&inp.schema, values)?;
             for b in &mut inp.batches {
-                b.sel = select(&pred, b, &b.sel)?;
+                b.sel = select(pred, b, &b.sel, values)?;
             }
             Ok(batches(inp.batches))
         }
@@ -436,18 +432,17 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                 PlanOp::DistScan { .. } => dist_group_by(run, input, group_by, aggs, span)?,
                 _ => {
                     let inp = run_node(run, input)?;
-                    let (keys, aggs) = resolve_aggregate(group_by, aggs, &inp.schema, values)?;
                     // One partial group table per batch (morsel, main or
                     // delta), merged by key.
                     span.set_workers(exec.config().workers as u64);
                     span.attr("partials", inp.batches.len() as u64);
                     let parts = exec.scatter(inp.batches.iter().collect(), |b| {
-                        group_batch(b, &keys, &aggs)
+                        group_batch(b, group_by, aggs, values)
                     });
                     let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
                     let vid_keys = parts.iter().map(|(_, v)| *v).min().unwrap_or(0);
                     span.attr("vid_keys", vid_keys as u64);
-                    Groups::merge(&aggs, parts.into_iter().map(|(g, _)| g).collect())
+                    Groups::merge(aggs, parts.into_iter().map(|(g, _)| g).collect())
                 }
             };
             Ok(batches(vec![groups.finish(group_by.len(), aggs)]))
@@ -521,7 +516,6 @@ fn dist_group_by(
             "'{table}' is not a distributed table"
         )));
     };
-    let (keys, aggs) = resolve_aggregate(group_by, aggs, &input.schema, run.values)?;
     let cid = run.cid;
     span.attr("distributed", 1);
     let ctx = RemoteContext::snapshot(cid);
@@ -541,7 +535,8 @@ fn dist_group_by(
     let mut shipped = Vec::with_capacity(parts.len());
     let mut shipped_bytes = 0u64;
     for (node, rows) in parts {
-        let (partial, _) = group_batch(&Batch::from_rows(rows, input.schema.len()), &keys, &aggs)?;
+        let rows = Batch::from_rows(rows, input.schema.len());
+        let (partial, _) = group_batch(&rows, group_by, aggs, run.values)?;
         let (delivered, bytes) = hana_dist::transfer_accounted(
             t.link(node),
             &ctx,
@@ -553,19 +548,11 @@ fn dist_group_by(
             },
         )?;
         shipped_bytes += bytes;
-        shipped.push(Groups::from_items(&aggs, delivered));
+        shipped.push(Groups::from_items(aggs, delivered));
     }
     xspan.set_rows(shipped.iter().map(|g| g.len() as u64).sum());
     xspan.set_bytes(shipped_bytes);
-    Ok(Groups::merge(&aggs, shipped))
-}
-
-/// The table columns a column-table leaf materialises, in output
-/// order: the planner prunes the leaf's schema to the columns the query
-/// names (`binding.column`), and this maps them back to table positions.
-fn leaf_projection(leaf: &Schema, table: &Schema) -> Result<Vec<usize>> {
-    let cols = leaf.columns().iter();
-    cols.map(|c| table.require(unqualified(&c.name))).collect()
+    Ok(Groups::merge(aggs, shipped))
 }
 
 /// A possibly binding-qualified column name without its qualifier.
@@ -621,7 +608,7 @@ pub(crate) fn column_leaf_hits(
         } => {
             let prefix_vals: Vec<Value> = prefix
                 .iter()
-                .map(|(_, o)| o.resolve(values).cloned())
+                .map(|(_, o)| o.value(values).cloned())
                 .collect::<Result<_>>()?;
             let range = range.as_ref().map(|(_, p)| bind_predicate(p, values));
             let mut hits = t.index_seek(index, &prefix_vals, range.transpose()?.as_ref(), cid)?;
@@ -647,13 +634,11 @@ pub(crate) fn column_leaf_hits(
 /// the rows stored in them.
 pub(crate) fn row_leaf_hits(
     t: &RowTable,
-    preds: &[(String, ColumnPredicate)],
+    preds: &[PlanPredicate],
+    values: &[Value],
     cid: u64,
 ) -> Result<(Vec<usize>, Vec<Row>)> {
-    let resolved: Vec<(usize, &ColumnPredicate)> = preds
-        .iter()
-        .map(|(c, p)| Ok((t.schema().require(c)?, p)))
-        .collect::<Result<_>>()?;
+    let resolved = resolve_preds(t.schema(), preds, values)?;
     let slots = t.slots_matching(hana_txn::Snapshot::at(cid), |row| {
         resolved.iter().all(|(i, p)| p.matches(&row[*i]))
     });
@@ -662,20 +647,6 @@ pub(crate) fn row_leaf_hits(
         .map(|&slot| t.slot_values(slot).expect("slot just matched").clone())
         .collect();
     Ok((slots, rows))
-}
-
-/// A group-by's keys and aggregate arguments resolved over rows of
-/// `schema`, their slots reading `values`.
-fn resolve_aggregate(
-    group_by: &[Expr],
-    aggs: &[AggCall],
-    schema: &Schema,
-    values: &[Value],
-) -> Result<(Vec<Expr>, Vec<AggCall>)> {
-    let resolve = |e: &Expr| e.resolve(schema, values);
-    let arg = |(f, arg): &AggCall| Ok((*f, arg.as_ref().map(resolve).transpose()?));
-    let keys = group_by.iter().map(resolve).collect::<Result<_>>()?;
-    Ok((keys, aggs.iter().map(arg).collect::<Result<_>>()?))
 }
 
 /// Broadcast-build distributed hash join of `join`, whose probe side is
@@ -724,8 +695,8 @@ fn dist_broadcast_join(
         // Each fragment-local join reports its own build and probe rows.
         let local = hana_obs::span_with(|| format!("hash_join[{}#p{node}]", dt.name()));
         let on = EquiJoin {
-            left_key,
-            right_key,
+            left_key: *left_key,
+            right_key: *right_key,
             kind: *kind,
         };
         let out = hash_join(run.exec, l, b, on, &join.schema, &local)?;
@@ -736,13 +707,14 @@ fn dist_broadcast_join(
     Ok(Batches::from_rows(join.schema.clone(), rows))
 }
 
-/// Build a column expression from a possibly qualified key name.
-fn col_expr(key: &str) -> Expr {
-    match key.split_once('.') {
-        Some((q, n)) => Expr::Column {
-            qualifier: Some(q.to_string()),
-            name: n.to_string(),
-        },
-        None => Expr::col(key),
+/// The remote key of a semijoin or relocation as a column of the
+/// sub-query it ships: the key among the remote table's columns, which
+/// `join`'s output holds after `local`'s, qualified by the remote
+/// binding.
+fn remote_column(join: &PlanNode, local: &PlanNode, key: usize, binding: &str) -> Expr {
+    let name = &join.schema.column(local.schema.len() + key).name;
+    Expr::Column {
+        qualifier: Some(binding.to_string()),
+        name: unqualified(name).to_string(),
     }
 }

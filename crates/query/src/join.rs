@@ -13,7 +13,7 @@
 use std::hash::Hash;
 
 use hana_exec::ExecContext;
-use hana_sql::{resolve_column, JoinKind};
+use hana_sql::JoinKind;
 use hana_types::{Result, Schema, Value};
 
 use crate::batch::{Batch, Batches, Column, NULL_ROW};
@@ -28,15 +28,6 @@ pub const BUILD_RIGHT: u64 = 1;
 
 /// End of a build-row chain.
 const END: u32 = NULL_ROW;
-
-/// The position of a possibly qualified key column.
-pub(crate) fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
-    let (q, n) = match key.split_once('.') {
-        Some((q, n)) => (Some(q), n),
-        None => (None, key),
-    };
-    resolve_column(schema, q, n)
-}
 
 /// A build side's first row per key, and the next row of each row with
 /// the same key.
@@ -96,10 +87,11 @@ fn int_keys(col: &Column) -> Option<Vec<Option<i64>>> {
     }
 }
 
-/// An equi-join condition: `left.left_key = right.right_key`.
-pub(crate) struct EquiJoin<'a> {
-    pub left_key: &'a str,
-    pub right_key: &'a str,
+/// An equi-join condition: the key at `left_key` of the left rows
+/// equals the key at `right_key` of the right rows.
+pub(crate) struct EquiJoin {
+    pub left_key: usize,
+    pub right_key: usize,
     pub kind: JoinKind,
 }
 
@@ -114,9 +106,7 @@ pub(crate) fn hash_join(
     out_schema: &Schema,
     span: &hana_obs::Span,
 ) -> Result<Batches> {
-    let kind = on.kind;
-    let li = resolve_key(&l.schema, on.left_key)?;
-    let ri = resolve_key(&r.schema, on.right_key)?;
+    let (kind, li, ri) = (on.kind, on.left_key, on.right_key);
     let build_left = kind == JoinKind::Inner && l.rows() < r.rows();
     let (build, bi, probe, pi) = match build_left {
         true => (l, li, r, ri),

@@ -6,8 +6,7 @@ use hana_types::{HanaError, Result, Row};
 
 use crate::catalog::{Catalog, TableSource};
 use crate::executor::{column_leaf_hits, row_leaf_hits, span_name, Run};
-use crate::plan::bind_predicates;
-use crate::plan::PlanOp;
+use crate::plan::{bind_predicates, PlanOp};
 
 /// The rows of one local fragment a filter selects.
 pub struct Located {
@@ -60,13 +59,12 @@ pub fn locate_rows(
         PlanOp::Finish { input, .. } => input.as_ref(),
         _ => &plan,
     };
+    // The residual predicates, resolved over the leaf's (whole) rows.
     let mut residual = Vec::new();
     while let PlanOp::Filter { input, pred } = &node.op {
         residual.push(pred);
         node = input;
     }
-    let residual = residual.into_iter().map(|p| p.resolve(&node.schema, &[]));
-    let residual = residual.collect::<Result<Vec<_>>>()?;
     let span = hana_obs::span(&span_name(&node.op));
     let mut located = match (&node.op, catalog.resolve_table(table)?) {
         (PlanOp::ColumnScan { .. } | PlanOp::IndexSeek { .. }, TableSource::Column(t))
@@ -80,7 +78,7 @@ pub fn locate_rows(
             }]
         }
         (PlanOp::RowScan { preds, .. }, TableSource::Row(t)) => {
-            let (ids, rows) = row_leaf_hits(&t.read(), &bind_predicates(preds, &[])?, cid)?;
+            let (ids, rows) = row_leaf_hits(&t.read(), preds, &[], cid)?;
             vec![Located {
                 fragment: 0,
                 ids,
@@ -107,7 +105,7 @@ pub fn locate_rows(
     };
     let candidates: usize = located.iter().map(|l| l.ids.len()).sum();
     span.attr("candidate_rows", candidates as u64);
-    for pred in &residual {
+    for pred in residual {
         for l in &mut located {
             let keep = l.rows.iter().map(|r| evaluate_predicate(pred, r));
             let keep = keep.collect::<Result<Vec<bool>>>()?;

@@ -1,6 +1,7 @@
 //! Physical plans and EXPLAIN rendering.
 
 use hana_columnar::ColumnPredicate;
+use hana_sql::finish::Epilogue;
 use hana_sql::probe::{note, Work};
 use hana_sql::{Expr, JoinKind, Query};
 use hana_types::{AggFunc, HanaError, Result, Schema, Value};
@@ -19,7 +20,7 @@ pub enum Operand {
 
 impl Operand {
     /// The value behind the operand under `values`.
-    pub fn resolve<'a>(&'a self, values: &'a [Value]) -> Result<&'a Value> {
+    pub fn value<'a>(&'a self, values: &'a [Value]) -> Result<&'a Value> {
         match self {
             Operand::Lit(v) => Ok(v),
             Operand::Slot(i) => values
@@ -48,10 +49,17 @@ pub(crate) fn bind_predicate(
     p: &ColumnPredicate<Operand>,
     values: &[Value],
 ) -> Result<ColumnPredicate> {
-    p.try_map(|o| o.resolve(values).cloned())
+    p.try_map(|o| o.value(values).cloned())
 }
 
 /// A physical plan node with its output schema and cardinality estimate.
+///
+/// A plan is resolved: every column an operator reads is a position in
+/// the rows of its input ([`Expr::Field`], `usize` join keys, a leaf's
+/// table projection) — only the pushed-down predicates of a leaf keep
+/// their column names, for the estimator and the storage layers. Slots
+/// ([`Expr::Parameter`], [`Operand::Slot`]) stay in the plan; a run reads
+/// them where it consumes them.
 #[derive(Debug)]
 pub struct PlanNode {
     /// The operator.
@@ -167,6 +175,8 @@ pub enum PlanOp {
         table: String,
         /// Pushed-down predicates.
         preds: Vec<PlanPredicate>,
+        /// The table columns the leaf reads, in the order of its schema.
+        projection: Vec<usize>,
     },
     /// Ordered seek on a secondary index of a column table: an equality
     /// prefix over the leading indexed columns, an optional range on the
@@ -184,6 +194,8 @@ pub enum PlanOp {
         range: Option<PlanPredicate>,
         /// Pushed-down predicates the index does not consume.
         residual: Vec<PlanPredicate>,
+        /// The table columns the leaf reads, in the order of its schema.
+        projection: Vec<usize>,
     },
     /// Scan of a local row table.
     RowScan {
@@ -232,7 +244,7 @@ pub enum PlanOp {
         binding: String,
         /// Function name.
         function: String,
-        /// Arguments (must be literal-foldable).
+        /// Arguments (literals and slots; no column).
         args: Vec<Expr>,
     },
     /// In-memory hash join (equi).
@@ -241,10 +253,10 @@ pub enum PlanOp {
         left: Box<PlanNode>,
         /// Probe side.
         right: Box<PlanNode>,
-        /// Join key column in the left schema.
-        left_key: String,
-        /// Join key column in the right schema.
-        right_key: String,
+        /// Join key position in the left rows.
+        left_key: usize,
+        /// Join key position in the right rows.
+        right_key: usize,
         /// Join kind.
         kind: JoinKind,
         /// Exchange strategy when the probe side is distributed
@@ -257,7 +269,7 @@ pub enum PlanOp {
         left: Box<PlanNode>,
         /// Right input.
         right: Box<PlanNode>,
-        /// ON condition (`true` = cross join).
+        /// ON condition over the joined rows (`true` = cross join).
         on: Expr,
     },
     /// Semi-join reduction: execute `local`, ship its distinct join
@@ -266,16 +278,16 @@ pub enum PlanOp {
     SemiJoin {
         /// Local input (already planned).
         local: Box<PlanNode>,
-        /// Join key in the local schema.
-        local_key: String,
+        /// Join key position in the local rows.
+        local_key: usize,
         /// SDA source of the remote side.
         source: String,
         /// Remote table.
         remote_table: String,
         /// Predicates pushed to the remote side (as SQL expressions).
         remote_preds: Vec<Expr>,
-        /// Join key in the remote table.
-        remote_key: String,
+        /// Join key position among the remote table's columns.
+        remote_key: usize,
         /// Remote binding name (for schema qualification).
         remote_binding: String,
     },
@@ -284,16 +296,16 @@ pub enum PlanOp {
     RelocateJoin {
         /// Local input (already planned).
         local: Box<PlanNode>,
-        /// Join key in the local schema.
-        local_key: String,
+        /// Join key position in the local rows.
+        local_key: usize,
         /// SDA source of the remote side.
         source: String,
         /// Remote table.
         remote_table: String,
         /// Predicates pushed to the remote side (as SQL expressions).
         remote_preds: Vec<Expr>,
-        /// Join key in the remote table.
-        remote_key: String,
+        /// Join key position among the remote table's columns.
+        remote_key: usize,
         /// Remote binding name.
         remote_binding: String,
     },
@@ -301,31 +313,44 @@ pub enum PlanOp {
     Filter {
         /// Input.
         input: Box<PlanNode>,
-        /// Predicate.
+        /// Predicate over the input rows.
         pred: Expr,
     },
     /// Hash aggregation producing `_g0.._gN, _a0.._aM`.
     Aggregate {
         /// Input.
         input: Box<PlanNode>,
-        /// Group-by expressions.
+        /// Group-by expressions over the input rows.
         group_by: Vec<Expr>,
-        /// Aggregates (canonical order).
+        /// Aggregates over the input rows (canonical order).
         aggs: Vec<(AggFunc, Option<Expr>)>,
     },
     /// Driver epilogue: HAVING, final projection, DISTINCT, ORDER BY,
-    /// LIMIT — applied from the original query.
+    /// LIMIT.
     Finish {
         /// Input.
         input: Box<PlanNode>,
-        /// The original query.
-        query: Query,
+        /// The epilogue, resolved over the input rows.
+        epilogue: Epilogue,
     },
 }
 
-/// `e` as EXPLAIN prints it: bound where `values` cover its slots.
-fn shown<'e>(e: &'e Expr, values: &[Value]) -> std::borrow::Cow<'e, Expr> {
-    e.bound(values).unwrap_or(std::borrow::Cow::Borrowed(e))
+/// `e` as EXPLAIN prints it: columns as `schema` names them, slots
+/// bound where `values` cover them.
+fn shown(e: &Expr, schema: &Schema, values: &[Value]) -> Expr {
+    let mut e = e
+        .bound(values)
+        .map_or_else(|_| e.clone(), |b| b.into_owned());
+    e.walk_mut(&mut |n| {
+        if let Expr::Field(i) = n {
+            let name = schema.column(*i).name.clone();
+            *n = Expr::Column {
+                qualifier: None,
+                name,
+            };
+        }
+    });
+    e
 }
 
 impl PlanNode {
@@ -363,6 +388,7 @@ impl PlanNode {
                 binding,
                 table,
                 preds,
+                ..
             } => Self::line(
                 indent,
                 out,
@@ -379,6 +405,7 @@ impl PlanNode {
                 prefix,
                 range,
                 residual,
+                ..
             } => {
                 let range_text = match range {
                     Some((col, _)) => format!(", range on {col}"),
@@ -479,7 +506,9 @@ impl PlanNode {
                     indent,
                     out,
                     &format!(
-                        "Hash Join ({k}) ON {left_key} = {right_key}{xch} ({})",
+                        "Hash Join ({k}) ON {} = {}{xch} ({})",
+                        left.schema.column(*left_key).name,
+                        right.schema.column(*right_key).name,
                         self.est_label()
                     ),
                 );
@@ -492,7 +521,7 @@ impl PlanNode {
                     out,
                     &format!(
                         "Nested Loop Join ON {} ({})",
-                        shown(on, values),
+                        shown(on, &self.schema, values),
                         self.est_label()
                     ),
                 );
@@ -507,11 +536,13 @@ impl PlanNode {
                 remote_key,
                 ..
             } => {
+                let remote = &self.schema.column(local.schema.len() + remote_key).name;
                 Self::line(
                     indent,
                     out,
                     &format!(
-                        "Semijoin: ship {local_key} keys -> {source}.{remote_table}.{remote_key} ({})",
+                        "Semijoin: ship {} keys -> {source}.{remote_table}.{remote} ({})",
+                        local.schema.column(*local_key).name,
                         self.est_label()
                     ),
                 );
@@ -537,7 +568,11 @@ impl PlanNode {
                 Self::line(
                     indent,
                     out,
-                    &format!("Filter {} ({})", shown(pred, values), self.est_label()),
+                    &format!(
+                        "Filter {} ({})",
+                        shown(pred, &input.schema, values),
+                        self.est_label()
+                    ),
                 );
                 input.render(indent + 1, values, out);
             }

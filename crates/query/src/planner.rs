@@ -35,10 +35,17 @@
 //! keeps the slots ([`Operand`]), is correct for every value vector of
 //! the shape, and [`Planner::drift`] says when one is far enough from
 //! the one it was priced for to deserve its own.
+//!
+//! The plan is also where names are resolved, once: every expression,
+//! join key and leaf projection it emits reads positions in the rows of
+//! its input, so a run of a cached plan looks no name up (see
+//! [`PlanNode`]).
 
 use hana_columnar::{ColumnPredicate, ColumnTable, TableStatistics};
-use hana_sql::finish::{aggregate_output_schema, collect_aggregates, infer_type};
-use hana_sql::{BinOp, Expr, JoinKind, Query, SelectItem, TableRef};
+use hana_sql::finish::{
+    aggregate_output_schema, collect_aggregates, infer_type, output_names, Epilogue,
+};
+use hana_sql::{equi_keys, EquiKey, Expr, JoinKind, Query, SelectItem, TableRef};
 use hana_types::{ColumnDef, HanaError, Result, Schema, Value};
 
 use crate::catalog::TableSource;
@@ -64,6 +71,8 @@ struct Binding {
     source: BindingKind,
     /// Schema qualified with the binding name.
     schema: Schema,
+    /// The position in the source's columns of each `schema` column.
+    projection: Vec<usize>,
     /// Conjuncts assigned to this binding.
     preds: Vec<Expr>,
     /// The conjuncts that lower to column predicates, as the plan keeps
@@ -78,11 +87,11 @@ enum BindingKind {
     Function { function: String, args: Vec<Expr> },
 }
 
-/// An equi-join of the plan so far with one more binding, and each
-/// key's distinct count where a synopsis knows it.
+/// An equi-join of the plan so far with one more binding: the key
+/// positions, and each key's distinct count where a synopsis knows it.
 struct JoinStep {
-    left_key: String,
-    right_key: String,
+    left_key: usize,
+    right_key: usize,
     kind: JoinKind,
     left_ndv: Option<f64>,
     right_ndv: Option<f64>,
@@ -160,7 +169,7 @@ impl<'a> Planner<'a> {
                     match (&b.source, keys) {
                         // Remote single table with an equi join:
                         // strategy choice.
-                        (BindingKind::Table(ts), Ok((lk, rk)))
+                        (BindingKind::Table(ts), Some((lk, rk)))
                             if ts.remote_source().is_some()
                                 && !matches!(ts, TableSource::Hybrid { .. })
                                 && join.kind == JoinKind::Inner =>
@@ -168,14 +177,14 @@ impl<'a> Planner<'a> {
                             let on = self.equi_join(&bindings, lk, rk, join.kind);
                             acc = self.plan_remote_join(acc, b, ts, on, &q.hints)?;
                         }
-                        (_, Ok((lk, rk))) => {
+                        (_, Some((lk, rk))) => {
                             let on = self.equi_join(&bindings, lk, rk, join.kind);
                             let right = self.leaf(b, &q.hints)?;
                             acc = self.join_node(acc, right, on)?;
                         }
-                        (_, Err(_)) => {
+                        (_, None) => {
                             let right = self.leaf(b, &q.hints)?;
-                            acc = nested_loop_node(acc, right, join.on.clone())?;
+                            acc = nested_loop_node(acc, right, &join.on)?;
                         }
                     }
                 }
@@ -190,8 +199,8 @@ impl<'a> Planner<'a> {
             let est_source = acc.est_source;
             acc = PlanNode {
                 op: PlanOp::Filter {
+                    pred: pred.positional(&acc.schema)?,
                     input: Box::new(acc),
-                    pred,
                 },
                 schema,
                 est_rows: est.max(1.0),
@@ -209,10 +218,14 @@ impl<'a> Planner<'a> {
                 (acc.est_rows / 10.0).max(1.0)
             };
             let est_source = acc.est_source;
+            let at = |e: &Expr| e.positional(&acc.schema);
+            let group_by = q.group_by.iter().map(at).collect::<Result<_>>()?;
+            let arg = |(f, a): &(_, Option<Expr>)| Ok((*f, a.as_ref().map(at).transpose()?));
+            let aggs = aggs.iter().map(arg).collect::<Result<_>>()?;
             acc = PlanNode {
                 op: PlanOp::Aggregate {
                     input: Box::new(acc),
-                    group_by: q.group_by.clone(),
+                    group_by,
                     aggs,
                 },
                 schema,
@@ -223,12 +236,13 @@ impl<'a> Planner<'a> {
 
         // 6. Epilogue.
         let est = q.limit.map(|n| n as f64).unwrap_or(acc.est_rows);
-        let schema = acc.schema.clone();
+        let epilogue = Epilogue::new(&acc.schema, q, self.values)?;
+        let schema = epilogue.schema().clone();
         let est_source = acc.est_source;
         Ok(PlanNode {
             op: PlanOp::Finish {
                 input: Box::new(acc),
-                query: q.clone(),
+                epilogue,
             },
             schema,
             est_rows: est,
@@ -286,7 +300,7 @@ impl<'a> Planner<'a> {
         for _ in 1..bindings.len() {
             // Cheapest (join condition, unplaced binding) pair whose
             // equi keys straddle the accumulated side and the candidate.
-            let mut best: Option<(usize, usize, String, String, f64)> = None;
+            let mut best: Option<(usize, usize, EquiKey, EquiKey, f64)> = None;
             for (ji, j) in q.joins.iter().enumerate() {
                 if used_joins[ji] {
                     continue;
@@ -295,11 +309,11 @@ impl<'a> Planner<'a> {
                     if used_bindings[bi] {
                         continue;
                     }
-                    let Ok((lk, rk)) = equi_keys(&j.on, &acc.schema, &b.schema) else {
+                    let Some((lk, rk)) = equi_keys(&j.on, &acc.schema, &b.schema) else {
                         continue;
                     };
-                    let lndv = self.key_ndv_of(bindings, &lk);
-                    let rndv = self.key_ndv_of(bindings, &rk);
+                    let lndv = self.key_ndv_of(bindings, lk);
+                    let rndv = self.key_ndv_of(bindings, rk);
                     let est = estimator::join_out(acc.est_rows, ests[bi].0, lndv, rndv);
                     if best.as_ref().is_none_or(|(.., e)| est < *e) {
                         best = Some((ji, bi, lk, rk, est));
@@ -349,6 +363,7 @@ impl<'a> Planner<'a> {
                     name: binding,
                     table: name.clone(),
                     source: BindingKind::Table(source),
+                    projection: (0..schema.len()).collect(),
                     schema,
                     preds: Vec::new(),
                     lowered: Vec::new(),
@@ -359,13 +374,17 @@ impl<'a> Planner<'a> {
                 let f = self.ctx.catalog.resolve_function(name)?;
                 let binding = alias.clone().unwrap_or_else(|| name.clone());
                 let schema = f.schema().qualified(&binding);
+                // Arguments are literals and slots: they name no column.
+                let none = Schema::default();
+                let args = args.iter().map(|a| a.positional(&none));
                 Ok(Binding {
                     name: binding,
                     table: name.clone(),
                     source: BindingKind::Function {
                         function: name.clone(),
-                        args: args.clone(),
+                        args: args.collect::<Result<_>>()?,
                     },
+                    projection: (0..schema.len()).collect(),
                     schema,
                     preds: Vec::new(),
                     lowered: Vec::new(),
@@ -386,7 +405,7 @@ impl<'a> Planner<'a> {
         }
         let mut owner = None;
         for (q, name) in cols {
-            let idx = binding_of_column(bindings, q.as_deref(), name)?;
+            let (idx, _) = binding_of_column(bindings, q.as_deref(), name)?;
             match owner {
                 None => owner = Some(idx),
                 Some(o) if o == idx => {}
@@ -442,7 +461,21 @@ impl<'a> Planner<'a> {
         }
         // Estimate: first table after filters (rough but monotone).
         let (est, _) = self.binding_estimate(&bindings[0]);
-        let schema = output_schema_guess(q, bindings)?;
+        // Named as the epilogue names the output (a run whose slots
+        // name a column renames it), typed over the joined bindings.
+        let joined = join_schemas(bindings);
+        let schema = match q.select.is_empty() {
+            true => joined,
+            false => {
+                let names = output_names(&q.select, self.values)?;
+                let mut columns = Vec::with_capacity(names.len());
+                for (name, item) in names.iter().zip(&q.select) {
+                    let e = item.expr.bound(self.values)?;
+                    columns.push(ColumnDef::new(name, infer_type(&e, &joined)));
+                }
+                Schema::new(columns)?
+            }
+        };
         Ok(Some(PlanNode {
             op: PlanOp::RemoteQuery {
                 source: source.to_string(),
@@ -483,7 +516,7 @@ impl<'a> Planner<'a> {
             }
             // The ON must resolve entirely within the prefix.
             let prefix_schema = join_schemas(&bindings[..=i + 1]);
-            if equi_keys_within(&j.on, &prefix_schema).is_none() {
+            if equi_keys(&j.on, &prefix_schema, &prefix_schema).is_none() {
                 break;
             }
             len = i + 2;
@@ -498,12 +531,12 @@ impl<'a> Planner<'a> {
             _ => unreachable!("prefix starts with a table"),
         };
         // Needed columns: every column of the query owned by a prefix
-        // binding (dedup by output name).
-        let mut needed: Vec<(Option<String>, String)> = Vec::new();
+        // binding (dedup by output name), named as its binding names it.
+        let mut needed: Vec<(Option<String>, String, &ColumnDef)> = Vec::new();
         for (qual, name) in query_exprs(q).flat_map(Expr::columns) {
-            if let Some(i) = binding_of_column(bindings, qual.as_deref(), name) {
-                if i < len && !needed.iter().any(|(_, n)| n == name) {
-                    needed.push((qual.clone(), name.to_string()));
+            if let Some((i, c)) = binding_of_column(bindings, qual.as_deref(), name) {
+                if i < len && !needed.iter().any(|(_, n, _)| n == name) {
+                    needed.push((qual.clone(), name.to_string(), bindings[i].schema.column(c)));
                 }
             }
         }
@@ -512,7 +545,7 @@ impl<'a> Planner<'a> {
         let sub = Query {
             select: needed
                 .iter()
-                .map(|(qual, name)| SelectItem {
+                .map(|(qual, name, _)| SelectItem {
                     expr: Expr::Column {
                         qualifier: qual.clone(),
                         name: name.clone(),
@@ -543,18 +576,9 @@ impl<'a> Planner<'a> {
             hints: q.hints.clone(),
             ..Query::default()
         };
-        // Output schema: bare column names typed from the bindings.
-        let joined = join_schemas(&bindings[..len]);
-        let cols: Vec<ColumnDef> = needed
+        let cols = needed
             .iter()
-            .map(|(qual, name)| {
-                let e = Expr::Column {
-                    qualifier: qual.clone(),
-                    name: name.clone(),
-                };
-                ColumnDef::new(name, infer_type(&e, &joined))
-            })
-            .collect();
+            .map(|(.., c)| ColumnDef::new(&c.name, c.data_type));
         let est = bindings[..len]
             .iter()
             .map(|b| self.binding_estimate(b).0)
@@ -566,7 +590,7 @@ impl<'a> Planner<'a> {
                 query: sub,
                 label: "remote prefix".into(),
             },
-            schema: Schema::new(cols)?,
+            schema: Schema::new(cols.collect())?,
             est_rows: est,
             est_source: EstSource::Heuristic,
         })
@@ -597,6 +621,7 @@ impl<'a> Planner<'a> {
                                 binding: b.name.clone(),
                                 table: b.table.clone(),
                                 preds: lowered,
+                                projection: b.projection.clone(),
                             },
                             schema: b.schema.clone(),
                             est_rows: est,
@@ -643,13 +668,13 @@ impl<'a> Planner<'a> {
                     // The columns `prune_unreferenced` left are the
                     // select list (`*` when it left them all).
                     let pruned = b.schema.len() < schema.len();
-                    let shipped = b.schema.columns().iter().filter(|_| pruned);
+                    let shipped = b.projection.iter().filter(|_| pruned);
                     let sub = Query {
                         select: shipped
-                            .map(|c| SelectItem {
+                            .map(|&i| SelectItem {
                                 expr: Expr::Column {
                                     qualifier: Some(b.name.clone()),
-                                    name: c.name.rsplit('.').next().unwrap_or(&c.name).to_string(),
+                                    name: schema.column(i).name.clone(),
                                 },
                                 alias: None,
                             })
@@ -679,7 +704,7 @@ impl<'a> Planner<'a> {
         // cannot evaluate (arithmetic, functions, OR trees — anything
         // `pushdown_expr` refuses) re-apply as Filter operators above
         // the leaf; dropping them would change results.
-        Ok(wrap_unlowerable(node, &b.preds))
+        wrap_unlowerable(node, &b.preds)
     }
 
     /// Try to turn a column-table leaf into a secondary-index seek.
@@ -784,6 +809,7 @@ impl<'a> Planner<'a> {
                 prefix: cand.prefix,
                 range: cand.range.map(|i| lowered[i].clone()),
                 residual,
+                projection: b.projection.clone(),
             },
             schema: b.schema.clone(),
             est_rows: est,
@@ -801,7 +827,8 @@ impl<'a> Planner<'a> {
         mut on: JoinStep,
         hints: &[String],
     ) -> Result<PlanNode> {
-        let right_key = on.right_key.as_str();
+        // The key among the remote table's columns.
+        let remote_key = b.projection[on.right_key];
         let source = ts.remote_source().expect("remote binding").to_string();
         let adapter = self.ctx.catalog.sda().source(&source)?.adapter;
         let caps = adapter.capabilities();
@@ -822,10 +849,9 @@ impl<'a> Planner<'a> {
         let remote_filtered = (remote_total * sel).max(1.0);
         // Key synopses: local side from the persisted statistics, remote
         // side from the source's own metadata, when either exists.
-        let bare_rk = right_key.rsplit('.').next().unwrap_or(right_key);
         let local_key_ndv = on.left_ndv;
         let remote_key_ndv = adapter
-            .column_distinct(&remote_table, bare_rk)
+            .column_distinct(&remote_table, &ts.schema().column(remote_key).name)
             .map(|n| n as f64);
         let join_out =
             estimator::join_out(acc.est_rows, remote_filtered, local_key_ndv, remote_key_ndv);
@@ -876,7 +902,7 @@ impl<'a> Planner<'a> {
                     source,
                     remote_table: b.remote_table_name(),
                     remote_preds: b.preds.clone(),
-                    remote_key: on.right_key,
+                    remote_key,
                     remote_binding: b.name.clone(),
                 },
                 schema,
@@ -890,7 +916,7 @@ impl<'a> Planner<'a> {
                     source,
                     remote_table: b.remote_table_name(),
                     remote_preds: b.preds.clone(),
-                    remote_key: on.right_key,
+                    remote_key,
                     remote_binding: b.name.clone(),
                 },
                 schema,
@@ -1081,16 +1107,12 @@ impl<'a> Planner<'a> {
         classes.push(format!("{}", now.log10().floor()));
     }
 
-    /// Distinct-count of a (possibly binding-qualified) join key from
-    /// the persisted synopsis of its owning binding's table.
-    fn key_ndv_of(&self, bindings: &[Binding], key: &str) -> Option<f64> {
-        let (qual, name) = match key.split_once('.') {
-            Some((q, n)) => (Some(q), n),
-            None => (None, key),
-        };
-        let idx = binding_of_column(bindings, qual, name)?;
+    /// Distinct-count of a join key from the persisted synopsis of its
+    /// owning binding's table.
+    fn key_ndv_of(&self, bindings: &[Binding], key: EquiKey) -> Option<f64> {
+        let (idx, _) = binding_of_column(bindings, key.qualifier, key.name)?;
         let stats = self.ctx.stats.table_stats(&bindings[idx].table)?;
-        estimator::key_ndv(&stats, name)
+        estimator::key_ndv(&stats, key.name)
     }
 
     /// Width of a plan node in column-equivalents: average row bytes
@@ -1139,15 +1161,15 @@ impl<'a> Planner<'a> {
     fn equi_join(
         &self,
         bindings: &[Binding],
-        left_key: String,
-        right_key: String,
+        left_key: EquiKey,
+        right_key: EquiKey,
         kind: JoinKind,
     ) -> JoinStep {
         JoinStep {
-            left_ndv: self.key_ndv_of(bindings, &left_key),
-            right_ndv: self.key_ndv_of(bindings, &right_key),
-            left_key,
-            right_key,
+            left_ndv: self.key_ndv_of(bindings, left_key),
+            right_ndv: self.key_ndv_of(bindings, right_key),
+            left_key: left_key.at,
+            right_key: right_key.at,
             kind,
         }
     }
@@ -1249,9 +1271,8 @@ impl Binding {
 }
 
 /// Wrap a local leaf in Filter operators for every binding predicate
-/// that did not lower to a [`ColumnPredicate`] — the Filter resolves
-/// each once per run and evaluates it per row.
-fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> PlanNode {
+/// that did not lower to a [`ColumnPredicate`].
+fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> Result<PlanNode> {
     for pred in preds {
         if crate::pushdown_expr(pred).is_some() {
             continue;
@@ -1261,15 +1282,15 @@ fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> PlanNode {
         let est_source = node.est_source;
         node = PlanNode {
             op: PlanOp::Filter {
+                pred: pred.positional(&node.schema)?,
                 input: Box::new(node),
-                pred: pred.clone(),
             },
             schema,
             est_rows: est,
             est_source,
         };
     }
-    node
+    Ok(node)
 }
 
 /// `SELECT *`: an empty or wildcard select list names every column.
@@ -1350,26 +1371,30 @@ fn prune_unreferenced(q: &Query, bindings: &mut [Binding]) {
         if !keep.contains(&true) {
             keep[0] = true;
         }
-        let cols = b.schema.columns().iter().zip(keep);
-        let cols = cols.filter(|(_, k)| *k).map(|(c, _)| c.clone()).collect();
-        b.schema = Schema::new(cols).expect("subset of a valid schema");
+        let kept = |i: &usize| keep[*i];
+        b.projection = (0..keep.len()).filter(kept).collect();
+        let cols = b.projection.iter().map(|&i| b.schema.column(i).clone());
+        b.schema = Schema::new(cols.collect()).expect("subset of a valid schema");
     }
 }
 
-/// Which binding owns column `(qualifier, name)`? `None` if ambiguous or
-/// unknown.
-fn binding_of_column(bindings: &[Binding], qualifier: Option<&str>, name: &str) -> Option<usize> {
+/// Which binding owns column `(qualifier, name)`, and at which position
+/// of its schema? `None` if ambiguous or unknown.
+fn binding_of_column(
+    bindings: &[Binding],
+    qualifier: Option<&str>,
+    name: &str,
+) -> Option<(usize, usize)> {
     let mut found = None;
     for (i, b) in bindings.iter().enumerate() {
-        let hit = match qualifier {
-            Some(q) => q == b.name && b.schema.index_of(&format!("{q}.{name}")).is_some(),
-            None => b.schema.index_of(&format!("{}.{name}", b.name)).is_some(),
-        };
-        if hit {
+        if qualifier.is_some_and(|q| q != b.name) {
+            continue;
+        }
+        if let Some(c) = b.schema.index_of(&format!("{}.{name}", b.name)) {
             if found.is_some() {
                 return None; // ambiguous
             }
-            found = Some(i);
+            found = Some((i, c));
         }
     }
     found
@@ -1383,114 +1408,17 @@ fn join_schemas(bindings: &[Binding]) -> Schema {
     schema
 }
 
-/// Extract equi-join keys: one side in `left`, the other in `right`.
-fn equi_keys(on: &Expr, left: &Schema, right: &Schema) -> Result<(String, String)> {
-    if let Expr::Binary {
-        left: l,
-        op: BinOp::Eq,
-        right: r,
-    } = on
-    {
-        if let (
-            Expr::Column {
-                qualifier: lq,
-                name: ln,
-            },
-            Expr::Column {
-                qualifier: rq,
-                name: rn,
-            },
-        ) = (l.as_ref(), r.as_ref())
-        {
-            let lref = |q: &Option<String>, n: &str| {
-                q.as_ref()
-                    .map(|q| format!("{q}.{n}"))
-                    .unwrap_or_else(|| n.to_string())
-            };
-            let (a, b) = (lref(lq, ln), lref(rq, rn));
-            if resolves(left, &a) && resolves(right, &b) {
-                return Ok((a, b));
-            }
-            if resolves(left, &b) && resolves(right, &a) {
-                return Ok((b, a));
-            }
-        }
-    }
-    Err(HanaError::Plan(format!("not an equi join: {on}")))
-}
-
-/// Both keys within one (prefix) schema?
-fn equi_keys_within(on: &Expr, schema: &Schema) -> Option<()> {
-    if let Expr::Binary {
-        left,
-        op: BinOp::Eq,
-        right,
-    } = on
-    {
-        if let (
-            Expr::Column {
-                qualifier: lq,
-                name: ln,
-            },
-            Expr::Column {
-                qualifier: rq,
-                name: rn,
-            },
-        ) = (left.as_ref(), right.as_ref())
-        {
-            let ok = |q: &Option<String>, n: &str| {
-                hana_sql::resolve_column(schema, q.as_deref(), n).is_ok()
-            };
-            if ok(lq, ln) && ok(rq, rn) {
-                return Some(());
-            }
-        }
-    }
-    None
-}
-
-fn resolves(schema: &Schema, key: &str) -> bool {
-    let (q, n) = match key.split_once('.') {
-        Some((q, n)) => (Some(q), n),
-        None => (None, key),
-    };
-    hana_sql::resolve_column(schema, q, n).is_ok()
-}
-
-fn nested_loop_node(left: PlanNode, right: PlanNode, on: Expr) -> Result<PlanNode> {
+fn nested_loop_node(left: PlanNode, right: PlanNode, on: &Expr) -> Result<PlanNode> {
     let schema = left.schema.join(&right.schema)?;
     let est = (left.est_rows * right.est_rows * 0.1).max(1.0);
     Ok(PlanNode {
         op: PlanOp::NestedLoopJoin {
             left: Box::new(left),
             right: Box::new(right),
-            on,
+            on: on.positional(&schema)?,
         },
         schema,
         est_rows: est,
         est_source: EstSource::Heuristic,
     })
-}
-
-/// Rough output schema for a whole-shipped query: reuse the finishing
-/// logic's naming over the joined binding schemas.
-fn output_schema_guess(q: &Query, bindings: &[Binding]) -> Result<Schema> {
-    let joined = join_schemas(bindings);
-    if q.select.is_empty() {
-        return Ok(joined);
-    }
-    let mut cols = Vec::with_capacity(q.select.len());
-    let mut seen = std::collections::HashSet::new();
-    for item in &q.select {
-        let mut name = item
-            .alias
-            .clone()
-            .unwrap_or_else(|| item.expr.default_name());
-        if !seen.insert(name.clone()) {
-            name = format!("{name}_{}", cols.len());
-            seen.insert(name.clone());
-        }
-        cols.push(ColumnDef::new(&name, infer_type(&item.expr, &joined)));
-    }
-    Schema::new(cols)
 }

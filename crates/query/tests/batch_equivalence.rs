@@ -249,6 +249,7 @@ fn scan(cat: &TestCatalog, name: &str) -> PlanNode {
         binding: name.into(),
         table: name.into(),
         preds: Vec::new(),
+        projection: (0..schema.len()).collect(),
     };
     node(op, schema)
 }
@@ -257,8 +258,8 @@ fn filtered(input: PlanNode, pred: Expr) -> PlanNode {
     let schema = input.schema.clone();
     node(
         PlanOp::Filter {
+            pred: pred.resolve(&schema, &[]).unwrap(),
             input: Box::new(input),
-            pred,
         },
         schema,
     )
@@ -270,8 +271,8 @@ fn join(cat: &TestCatalog, kind: JoinKind) -> PlanNode {
     let op = PlanOp::HashJoin {
         left: Box::new(l),
         right: Box::new(r),
-        left_key: "a.k".into(),
-        right_key: "b.k".into(),
+        left_key: 4,  // a.k
+        right_key: 4, // b.k
         kind,
         dist: DistJoinStrategy::Repartition,
     };
@@ -285,10 +286,11 @@ fn aggregate(input: PlanNode, keys: Vec<Expr>, aggs: Vec<AggCall>) -> PlanNode {
     let names = names.chain((0..aggs.len()).map(|i| format!("_a{i}")));
     let cols: Vec<(String, DataType)> = names.map(|n| (n, DataType::Varchar)).collect();
     let cols: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let at = |e: Expr| e.resolve(&input.schema, &[]).unwrap();
     let op = PlanOp::Aggregate {
+        group_by: keys.into_iter().map(at).collect(),
+        aggs: aggs.into_iter().map(|(f, a)| (f, a.map(at))).collect(),
         input: Box::new(input),
-        group_by: keys,
-        aggs,
     };
     node(op, Schema::of(&cols))
 }

@@ -23,7 +23,8 @@ use hana_query::{
     TableFunction, TableSource,
 };
 use hana_sda::SdaRegistry;
-use hana_sql::{parse_statement, JoinKind, Statement};
+use hana_sql::finish::Epilogue;
+use hana_sql::{parse_statement, Expr, JoinKind, Query, Statement};
 use hana_types::{DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 /// A table function handing back fixed rows: a leaf that, unlike a
@@ -125,8 +126,8 @@ fn join_plan(kind: JoinKind) -> PlanNode {
         op: PlanOp::HashJoin {
             left: Box::new(l),
             right: Box::new(r),
-            left_key: "l.k".into(),
-            right_key: "r.k".into(),
+            left_key: 0,  // l.k
+            right_key: 0, // r.k
             kind,
             dist: DistJoinStrategy::Repartition,
         },
@@ -283,24 +284,76 @@ fn random_query(rng: &mut TestRng) -> String {
 }
 
 /// Undo the planner's pruning: every column-table leaf hands back the
-/// whole table again, and the schemas above it follow.
-fn widen(node: &mut PlanNode) {
+/// whole table again, and the operators above it read the same columns
+/// at their new positions.
+fn widen(node: &mut PlanNode, q: &Query) {
     match &mut node.op {
-        PlanOp::ColumnScan { binding, .. } | PlanOp::IndexSeek { binding, .. } => {
-            node.schema = Schema::of(&COLUMNS).qualified(binding);
+        PlanOp::ColumnScan {
+            binding,
+            projection,
+            ..
         }
-        PlanOp::Filter { input, .. } => {
-            widen(input);
+        | PlanOp::IndexSeek {
+            binding,
+            projection,
+            ..
+        } => {
+            node.schema = Schema::of(&COLUMNS).qualified(binding);
+            *projection = (0..COLUMNS.len()).collect();
+        }
+        PlanOp::Filter { input, pred } => {
+            let before = input.schema.clone();
+            widen(input, q);
+            moved(pred, &before, &input.schema);
             node.schema = input.schema.clone();
         }
-        PlanOp::HashJoin { left, right, .. } => {
-            widen(left);
-            widen(right);
+        PlanOp::HashJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+            ..
+        } => {
+            let (l, r) = (left.schema.clone(), right.schema.clone());
+            widen(left, q);
+            widen(right, q);
+            *left_key = at(*left_key, &l, &left.schema);
+            *right_key = at(*right_key, &r, &right.schema);
             node.schema = left.schema.join(&right.schema).unwrap();
         }
-        PlanOp::Aggregate { input, .. } | PlanOp::Finish { input, .. } => widen(input),
+        PlanOp::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let before = input.schema.clone();
+            widen(input, q);
+            let args = aggs.iter_mut().filter_map(|(_, a)| a.as_mut());
+            for e in group_by.iter_mut().chain(args) {
+                moved(e, &before, &input.schema);
+            }
+        }
+        PlanOp::Finish { input, epilogue } => {
+            widen(input, q);
+            *epilogue = Epilogue::new(&input.schema, q, &[]).unwrap();
+        }
         other => panic!("unexpected operator {other:?}"),
     }
+}
+
+/// The position in `after` of column `i` of `before`.
+fn at(i: usize, before: &Schema, after: &Schema) -> usize {
+    after.index_of(&before.column(i).name).unwrap()
+}
+
+/// `e`, which reads rows of `before`, reading the same columns of rows
+/// of `after`.
+fn moved(e: &mut Expr, before: &Schema, after: &Schema) {
+    e.walk_mut(&mut |n| {
+        if let Expr::Field(i) = n {
+            *i = at(*i, before, after);
+        }
+    });
 }
 
 fn leaf_widths(node: &PlanNode, out: &mut Vec<usize>) {
@@ -328,7 +381,7 @@ proptest! {
         };
         let pruned = PlannerContext::new(&cat).planner().plan(&q).unwrap();
         let mut full = pruned.clone();
-        widen(&mut full);
+        widen(&mut full, &q);
 
         let mut widths = Vec::new();
         leaf_widths(&pruned, &mut widths);

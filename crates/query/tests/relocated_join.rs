@@ -82,6 +82,7 @@ fn relocation(cat: &TestCatalog, remote_table: &str) -> PlanNode {
             binding: "d".into(),
             table: "dim".into(),
             preds: Vec::new(),
+            projection: vec![0, 1],
         },
         schema: local_schema.clone(),
         est_rows: 3.0,
@@ -90,11 +91,11 @@ fn relocation(cat: &TestCatalog, remote_table: &str) -> PlanNode {
     PlanNode {
         op: PlanOp::RelocateJoin {
             local: Box::new(local),
-            local_key: "d.d_id".into(),
+            local_key: 0, // d.d_id
             source: "hive1".into(),
             remote_table: remote_table.into(),
             remote_preds: Vec::new(),
-            remote_key: "e.e_id".into(),
+            remote_key: 0, // e_id
             remote_binding: "e".into(),
         },
         schema: local_schema.join(&remote.qualified("e")).unwrap(),

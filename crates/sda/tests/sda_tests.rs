@@ -294,6 +294,29 @@ fn iq_adapter_ships_plans() {
 }
 
 #[test]
+fn iq_adapter_sorts_and_limits_what_the_engine_returns() {
+    let iq = Arc::new(IqEngine::new("iq", 128).unwrap());
+    iq.create_table(
+        "sales",
+        Schema::of(&[("region", DataType::Varchar), ("amount", DataType::Double)]),
+    )
+    .unwrap();
+    let rows: Vec<Row> = (0..100)
+        .map(|i| Row::from_values([Value::from("EMEA"), Value::Double(((i * 37) % 100) as f64)]))
+        .collect();
+    iq.direct_load("sales", &rows, 1).unwrap();
+    let adapter = IqAdapter::new(Arc::clone(&iq));
+    let rs = adapter
+        .execute(
+            &query("SELECT amount FROM sales WHERE amount < 50 ORDER BY amount DESC LIMIT 3"),
+            &RemoteContext::snapshot(1),
+        )
+        .unwrap();
+    let amounts: Vec<f64> = rs.rows.iter().map(|r| r[0].as_f64().unwrap()).collect();
+    assert_eq!(amounts, [49.0, 48.0, 47.0]);
+}
+
+#[test]
 fn capability_gates_shape_shipping() {
     let hive = hive_with_data();
     let adapter = HiveOdbcAdapter::new(hive, "DSN=hive1");

@@ -392,6 +392,7 @@ mod tests {
                 binding: "t".into(),
                 table: "t".into(),
                 preds: Vec::new(),
+                projection: Vec::new(),
             },
             schema: Schema::of(&[]),
             est_rows: est,

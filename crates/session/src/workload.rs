@@ -200,6 +200,7 @@ mod tests {
                 binding: "t".into(),
                 table: "t".into(),
                 preds: Vec::new(),
+                projection: Vec::new(),
             },
             schema: Schema::of(&[]),
             est_rows: est,
@@ -242,10 +243,11 @@ mod tests {
             hana_sql::Statement::Query(q) => q,
             _ => unreachable!(),
         };
+        let input = Schema::of(&[("v", hana_types::DataType::Int)]);
         let finish = PlanNode {
             op: PlanOp::Finish {
                 input: Box::new(scan(1.0)),
-                query,
+                epilogue: hana_sql::finish::Epilogue::new(&input, &query, &[]).unwrap(),
             },
             schema: Schema::of(&[]),
             est_rows: 1.0,

@@ -302,8 +302,9 @@ pub enum Expr {
     /// A literal value.
     Literal(Value),
     /// A positional parameter placeholder (`?`), 0-indexed in text
-    /// order. Bound to a literal via [`Statement::bind_params`] before
-    /// planning/execution; evaluating an unbound parameter errors.
+    /// order: a slot of the value vector a statement runs with. A plan
+    /// keeps its slots and reads them where it consumes them;
+    /// [`evaluate`](crate::evaluate) of one is an error.
     Parameter(usize),
     /// A (possibly qualified) column reference.
     Column {
@@ -313,9 +314,9 @@ pub enum Expr {
         name: String,
     },
     /// A column reference resolved to its position in the rows an
-    /// operator reads ([`Expr::resolve`]); the only kind the row
-    /// evaluator reads. The parser never produces one and no plan holds
-    /// one.
+    /// operator reads ([`Expr::positional`]); the only kind an evaluator
+    /// reads. The parser never produces one; a plan holds nothing else —
+    /// the planner resolves every name once, when it compiles the plan.
     Field(usize),
     /// `*` (only valid in COUNT(*) and the select list).
     Wildcard,

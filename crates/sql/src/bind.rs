@@ -300,14 +300,19 @@ fn bind_expr(e: &Expr, values: &[Value]) -> Result<Expr> {
 }
 
 impl Expr {
-    /// This expression with every slot replaced by the literal at its
-    /// index; borrowed as it is when it holds no slot. For text —
-    /// EXPLAIN, a shipped sub-query, an output column's name; what the
-    /// row evaluator runs is [`Expr::resolve`]d instead.
-    pub fn bound(&self, values: &[Value]) -> Result<Cow<'_, Expr>> {
+    /// Whether the expression holds a slot.
+    pub fn has_slots(&self) -> bool {
         let mut slots = false;
         self.walk(&mut |e| slots |= matches!(e, Expr::Parameter(_)));
-        if !slots {
+        slots
+    }
+
+    /// This expression with every slot replaced by the literal at its
+    /// index; borrowed as it is when it holds no slot — what a run of a
+    /// plan evaluates, and the text of EXPLAIN, a shipped sub-query or an
+    /// output column's name.
+    pub fn bound(&self, values: &[Value]) -> Result<Cow<'_, Expr>> {
+        if !self.has_slots() {
             return Ok(Cow::Borrowed(self));
         }
         let mut bound = self.clone();

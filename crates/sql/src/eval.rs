@@ -6,42 +6,87 @@
 //! CCL filters of `hana-esp`. Aggregate calls are *not* evaluated here —
 //! executors replace them with pre-computed columns before calling in.
 //!
-//! Names are resolved once per expression per operator run, by
-//! [`Expr::resolve`]; [`evaluate`] reads positions only, so an unknown
-//! or ambiguous column is an error before any row is read.
+//! Names are resolved once, by [`Expr::positional`] — a planner does it
+//! when it compiles a plan — and [`evaluate`] reads positions only, so
+//! an unknown or ambiguous column is an error before any row is read.
 
 use hana_types::{HanaError, Result, Row, Schema, Value};
 
 use crate::ast::{BinOp, Expr, UnaryOp};
 
 impl Expr {
-    /// This expression as [`evaluate`] reads it over rows of `schema`:
-    /// every column reference becomes its [`Expr::Field`] position and
-    /// every slot the literal at its index in `values`. The first column
-    /// that does not resolve, or slot without a value, is the error.
-    pub fn resolve(&self, schema: &Schema, values: &[Value]) -> Result<Expr> {
+    /// This expression over rows of `schema`: every column reference
+    /// becomes its [`Expr::Field`] position; slots stay slots. The first
+    /// column that does not resolve is the error.
+    pub fn positional(&self, schema: &Schema) -> Result<Expr> {
         let mut resolved = self.clone();
         let mut failed = None;
         resolved.walk_mut(&mut |n| {
-            let replacement = match n {
-                Expr::Column { qualifier, name } => {
-                    resolve_column(schema, qualifier.as_deref(), name).map(Expr::Field)
-                }
-                Expr::Parameter(i) => match values.get(*i) {
-                    Some(v) => Ok(Expr::Literal(v.clone())),
-                    None => Err(crate::bind::no_value_bound(*i)),
-                },
-                _ => return,
-            };
-            match replacement {
-                Ok(e) => *n = e,
-                Err(e) => {
-                    failed.get_or_insert(e);
+            if let Expr::Column { qualifier, name } = n {
+                match resolve_column(schema, qualifier.as_deref(), name) {
+                    Ok(i) => *n = Expr::Field(i),
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
                 }
             }
         });
         failed.map_or(Ok(resolved), Err)
     }
+
+    /// This expression as [`evaluate`] reads it over rows of `schema`:
+    /// [`Expr::positional`], then every slot the literal at its index in
+    /// `values`.
+    pub fn resolve(&self, schema: &Schema, values: &[Value]) -> Result<Expr> {
+        Ok(self.positional(schema)?.bound(values)?.into_owned())
+    }
+}
+
+/// One side of an equi-join condition: the column reference as the
+/// condition names it, and its position in that side's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EquiKey<'e> {
+    /// Position in the rows of the side.
+    pub at: usize,
+    /// Qualifier of the reference, if it has one.
+    pub qualifier: Option<&'e str>,
+    /// Column name of the reference.
+    pub name: &'e str,
+}
+
+/// `on` as an equi-join of rows of `left` with rows of `right`: `a = b`
+/// between two column references, one resolving in each schema (as
+/// written, else swapped). The left key first; `None` when `on` is no
+/// such condition. Every engine that hash-joins takes its keys from
+/// here.
+pub fn equi_keys<'e>(
+    on: &'e Expr,
+    left: &Schema,
+    right: &Schema,
+) -> Option<(EquiKey<'e>, EquiKey<'e>)> {
+    let Expr::Binary {
+        left: a,
+        op: BinOp::Eq,
+        right: b,
+    } = on
+    else {
+        return None;
+    };
+    let column = |e: &'e Expr| match e {
+        Expr::Column { qualifier, name } => Some((qualifier.as_deref(), name.as_str())),
+        _ => None,
+    };
+    let (a, b) = (column(a)?, column(b)?);
+    let key = |schema: &Schema, (qualifier, name): (Option<&'e str>, &'e str)| {
+        let at = resolve_column(schema, qualifier, name).ok()?;
+        Some(EquiKey {
+            at,
+            qualifier,
+            name,
+        })
+    };
+    let oriented = |l, r| Some((key(left, l)?, key(right, r)?));
+    oriented(a, b).or_else(|| oriented(b, a))
 }
 
 /// Evaluate a resolved expression ([`Expr::resolve`]) against one row.

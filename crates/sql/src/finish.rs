@@ -7,9 +7,11 @@
 //! sort and limit. Hive's plan driver, the extended-storage adapter and
 //! the federated executor all share this code.
 
+use std::borrow::Cow;
+
 use hana_types::{AggFunc, ColumnDef, DataType, HanaError, Result, Row, Schema, Value};
 
-use crate::ast::{BinOp, Expr, Query};
+use crate::ast::{BinOp, Expr, Query, SelectItem};
 use crate::eval::{evaluate, evaluate_predicate, resolve_column};
 
 /// All aggregate calls in the query (select list, HAVING, ORDER BY), in
@@ -125,76 +127,90 @@ fn aggregated(q: &Query, aggs: &[(AggFunc, Option<Expr>)]) -> bool {
     !q.group_by.is_empty() || !aggs.is_empty()
 }
 
-/// Apply HAVING to aggregated rows (which use the `_g`/`_a` convention).
-///
-/// Aggregate calls are matched between clauses by equality of their
-/// *shape*, so every clause is substituted first and resolved second:
-/// two calls that differ only in a slot stay two columns of the
-/// aggregation stage whatever the slots hold.
-fn having_shape(rows: Vec<Row>, schema: &Schema, q: &Query, values: &[Value]) -> Result<Vec<Row>> {
-    let Some(h) = &q.having else {
-        return Ok(rows);
-    };
-    let aggs = collect_aggregates(q);
-    let pred = substitute_aggregates(h, &q.group_by, &aggs).resolve(schema, values)?;
-    let mut kept = Vec::with_capacity(rows.len());
-    for r in rows {
-        if evaluate_predicate(&pred, &r)? {
-            kept.push(r);
+/// The output name of each item of a select list whose slots hold
+/// `values`: its alias, else the name the statement written with those
+/// literals gives it; a repeated name gets its position appended. The
+/// one naming rule of every engine's output.
+pub fn output_names(select: &[SelectItem], values: &[Value]) -> Result<Vec<String>> {
+    let mut names = Vec::with_capacity(select.len());
+    let mut seen = std::collections::HashSet::new();
+    for (i, item) in select.iter().enumerate() {
+        let mut name = match &item.alias {
+            Some(alias) => alias.clone(),
+            None => item.expr.bound(values)?.default_name(),
+        };
+        if !seen.insert(name.clone()) {
+            name = format!("{name}_{i}");
+            seen.insert(name.clone());
         }
+        names.push(name);
     }
-    Ok(kept)
+    Ok(names)
+}
+
+/// `schema`, the output of select list `select`, named for a run whose
+/// slots hold `values`: borrowed as it is unless a name depends on a
+/// slot (an unaliased item that holds one).
+pub fn named<'s>(
+    schema: &'s Schema,
+    select: &[SelectItem],
+    values: &[Value],
+) -> Result<Cow<'s, Schema>> {
+    let by_slot = |s: &SelectItem| s.alias.is_none() && s.expr.has_slots();
+    if select.len() != schema.len() || !select.iter().any(by_slot) {
+        return Ok(Cow::Borrowed(schema));
+    }
+    let names = output_names(select, values)?.into_iter();
+    let columns = schema.columns().iter().zip(names);
+    let columns = columns.map(|(c, name)| ColumnDef::new(&name, c.data_type));
+    Ok(Cow::Owned(Schema::new(columns.collect())?))
 }
 
 /// A select list resolved against the rows it projects (raw rows, or
 /// an aggregation stage's `_g`/`_a` rows): the output schema and one
 /// positional expression per output column. `SELECT *` passes rows
 /// through.
+#[derive(Debug, Clone)]
 pub struct Projection {
     /// `None` for `SELECT *`.
     exprs: Option<Vec<Expr>>,
     schema: Schema,
+    /// The select list, kept when an expression holds a slot: a run
+    /// reads those, and names the output anew.
+    slotted: Option<Vec<SelectItem>>,
 }
 
 impl Projection {
-    /// Resolve `q`'s select list over rows of `input`, its slots reading
-    /// `values`; the output is named and typed as the literals would
-    /// name and type it.
+    /// Resolve `q`'s select list over rows of `input`; the output is
+    /// named and typed as the statement written with `values` for its
+    /// slots would name and type it.
     pub fn new(input: &Schema, q: &Query, values: &[Value]) -> Result<Projection> {
         if q.select.is_empty() {
             return Ok(Projection {
                 exprs: None,
                 schema: input.clone(),
+                slotted: None,
             });
         }
         let aggs = collect_aggregates(q);
         let aggregated = aggregated(q, &aggs);
         let mut exprs = Vec::with_capacity(q.select.len());
-        let mut out_cols = Vec::with_capacity(q.select.len());
         for item in &q.select {
-            let e = if aggregated {
-                substitute_aggregates(&item.expr, &q.group_by, &aggs).resolve(input, values)?
-            } else {
-                item.expr.resolve(input, values)?
-            };
-            let name = match &item.alias {
-                Some(alias) => alias.clone(),
-                None => item.expr.bound(values)?.default_name(),
-            };
-            out_cols.push(ColumnDef::new(&name, infer_type(&e, input)));
-            exprs.push(e);
+            exprs.push(match aggregated {
+                true => substitute_aggregates(&item.expr, &q.group_by, &aggs).positional(input)?,
+                false => item.expr.positional(input)?,
+            });
         }
-        // De-duplicate repeated output names.
-        let mut seen = std::collections::HashSet::new();
-        for (i, c) in out_cols.iter_mut().enumerate() {
-            if !seen.insert(c.name.clone()) {
-                c.name = format!("{}_{i}", c.name);
-                seen.insert(c.name.clone());
-            }
+        let names = output_names(&q.select, values)?;
+        let mut columns = Vec::with_capacity(exprs.len());
+        for (name, e) in names.iter().zip(&exprs) {
+            columns.push(ColumnDef::new(name, infer_type(&*e.bound(values)?, input)));
         }
+        let slotted = exprs.iter().any(Expr::has_slots).then(|| q.select.clone());
         Ok(Projection {
             exprs: Some(exprs),
-            schema: Schema::new(out_cols)?,
+            schema: Schema::new(columns)?,
+            slotted,
         })
     }
 
@@ -203,7 +219,8 @@ impl Projection {
         &self.schema
     }
 
-    /// The output row of one input row.
+    /// The output row of one input row (of a projection without slots,
+    /// or one bound to a run's values).
     pub fn project(&self, row: &Row) -> Result<Row> {
         match &self.exprs {
             None => Ok(row.clone()),
@@ -214,16 +231,32 @@ impl Projection {
                 .map(Row),
         }
     }
+
+    /// The projection of a run whose slots hold `values`: borrowed as it
+    /// is when it holds none.
+    fn bound(&self, values: &[Value]) -> Result<Cow<'_, Projection>> {
+        let (Some(select), Some(exprs)) = (&self.slotted, &self.exprs) else {
+            return Ok(Cow::Borrowed(self));
+        };
+        let bind = |e: &Expr| Ok(e.bound(values)?.into_owned());
+        Ok(Cow::Owned(Projection {
+            exprs: Some(exprs.iter().map(bind).collect::<Result<_>>()?),
+            schema: named(&self.schema, select, values)?.into_owned(),
+            slotted: None,
+        }))
+    }
 }
 
-/// Where an ORDER BY key is read.
-enum SortKey {
-    /// From the output row: an output column or alias, or — under
-    /// DISTINCT — the select item the key is.
-    Output(Expr),
-    /// From the input row while it is projected: a `_gN` / `_aN`
-    /// column of an aggregated query, otherwise an input column.
-    Input(Expr),
+/// An ORDER BY key, resolved once.
+#[derive(Debug, Clone)]
+struct SortKey {
+    expr: Expr,
+    /// Read from the output row: an output column or alias, or — under
+    /// DISTINCT — the select item the key is. Otherwise from the input
+    /// row while it is projected: a `_gN` / `_aN` column of an
+    /// aggregated query, else an input column.
+    output: bool,
+    asc: bool,
 }
 
 /// Resolve each ORDER BY key once, in this order: an output column or
@@ -232,33 +265,33 @@ enum SortKey {
 /// `_aN` columns when the query is aggregated. Under DISTINCT the rows
 /// are deduplicated on their output, so such a key must be one of the
 /// select items; a key that resolves nowhere is an error.
-fn sort_keys(
-    q: &Query,
-    input: &Schema,
-    projection: &Projection,
-    values: &[Value],
-) -> Result<Vec<(SortKey, bool)>> {
+fn sort_keys(q: &Query, input: &Schema, projection: &Projection) -> Result<Vec<SortKey>> {
     let aggs = collect_aggregates(q);
     let over_input = |e: &Expr| match aggregated(q, &aggs) {
-        true => substitute_aggregates(e, &q.group_by, &aggs).resolve(input, values),
-        false => e.resolve(input, values),
+        true => substitute_aggregates(e, &q.group_by, &aggs).positional(input),
+        false => e.positional(input),
     };
     let key = |(e, asc): &(Expr, bool)| {
+        let key = |expr, output| SortKey {
+            expr,
+            output,
+            asc: *asc,
+        };
         let unqualified = e.columns().iter().all(|(qualifier, _)| qualifier.is_none());
         if unqualified && !e.contains_aggregate() {
-            if let Ok(k) = e.resolve(projection.schema(), values) {
-                return Ok((SortKey::Output(k), *asc));
+            if let Ok(k) = e.positional(projection.schema()) {
+                return Ok(key(k, true));
             }
         }
         let k = over_input(e)?;
         if !q.distinct {
-            return Ok((SortKey::Input(k), *asc));
+            return Ok(key(k, false));
         }
         let Some(exprs) = &projection.exprs else {
-            return Ok((SortKey::Output(k), *asc));
+            return Ok(key(k, true));
         };
         match exprs.iter().position(|s| *s == k) {
-            Some(i) => Ok((SortKey::Output(Expr::Field(i)), *asc)),
+            Some(i) => Ok(key(Expr::Field(i), true)),
             None => Err(HanaError::Plan(format!(
                 "ORDER BY {e} is not in the select list of a SELECT DISTINCT"
             ))),
@@ -267,51 +300,93 @@ fn sort_keys(
     q.order_by.iter().map(key).collect()
 }
 
+/// A query's driver epilogue — HAVING, the select list, DISTINCT, ORDER
+/// BY, LIMIT — resolved once over the rows it finishes, with its output
+/// schema. Slots stay slots: [`Epilogue::apply`] reads them from the
+/// values of a run. A plan's `Finish` holds one; Hive, IQ and ESP
+/// windows build and apply one per query ([`finish_query`]).
+#[derive(Debug, Clone)]
+pub struct Epilogue {
+    having: Option<Expr>,
+    projection: Projection,
+    keys: Vec<SortKey>,
+    distinct: bool,
+    limit: Option<usize>,
+}
+
+impl Epilogue {
+    /// Resolve `q`'s epilogue over rows of `input` (raw rows, or an
+    /// aggregation stage's `_g`/`_a` rows). Aggregate calls are matched
+    /// between clauses by equality of their *shape*: two calls that
+    /// differ only in a slot stay two columns of the aggregation stage
+    /// whatever the slots hold.
+    pub fn new(input: &Schema, q: &Query, values: &[Value]) -> Result<Epilogue> {
+        let projection = Projection::new(input, q, values)?;
+        let keys = sort_keys(q, input, &projection)?;
+        let substituted = |h| substitute_aggregates(h, &q.group_by, &collect_aggregates(q));
+        let having = q.having.as_ref().map(|h| substituted(h).positional(input));
+        Ok(Epilogue {
+            having: having.transpose()?,
+            projection,
+            keys,
+            distinct: q.distinct,
+            limit: q.limit,
+        })
+    }
+
+    /// The output schema as planned (a run renames an output column
+    /// whose name depends on a slot).
+    pub fn schema(&self) -> &Schema {
+        self.projection.schema()
+    }
+
+    /// HAVING, projection, DISTINCT, ORDER BY and LIMIT over `rows`, for
+    /// a run whose slots hold `values`: the output rows and their schema.
+    pub fn apply(&self, rows: Vec<Row>, values: &[Value]) -> Result<(Vec<Row>, Schema)> {
+        let projection = self.projection.bound(values)?;
+        let having = self.having.as_ref().map(|h| h.bound(values)).transpose()?;
+        let keys = self.keys.iter().map(|k| k.expr.bound(values));
+        let keys = keys.collect::<Result<Vec<_>>>()?;
+        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+        for input in &rows {
+            if let Some(h) = &having {
+                if !evaluate_predicate(h, input)? {
+                    continue;
+                }
+            }
+            let row = projection.project(input)?;
+            let read = |(k, e): (&SortKey, &Cow<Expr>)| match k.output {
+                true => evaluate(e, &row),
+                false => evaluate(e, input),
+            };
+            let key = self.keys.iter().zip(&keys).map(read);
+            keyed.push((key.collect::<Result<_>>()?, row));
+        }
+        if self.distinct {
+            let mut seen = std::collections::HashSet::new();
+            keyed.retain(|(_, r)| seen.insert(r.clone()));
+        }
+        if !keys.is_empty() {
+            keyed.sort_by(|(a, _), (b, _)| {
+                for (k, (a, b)) in self.keys.iter().zip(a.iter().zip(b)) {
+                    let ord = a.cmp(b);
+                    if !ord.is_eq() {
+                        return if k.asc { ord } else { ord.reverse() };
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        let limit = self.limit.unwrap_or(usize::MAX);
+        let rows = keyed.into_iter().take(limit).map(|(_, r)| r).collect();
+        Ok((rows, projection.schema.clone()))
+    }
+}
+
 /// Finish a query from the aggregated (or raw) intermediate: HAVING,
 /// projection, DISTINCT, ORDER BY, LIMIT. The one-stop driver epilogue.
 pub fn finish_query(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
-    finish_shape(rows, schema, q, &[])
-}
-
-/// [`finish_query`] of a query shape, its slots reading `values`. Every
-/// expression is resolved before the first row.
-pub fn finish_shape(
-    rows: Vec<Row>,
-    schema: &Schema,
-    q: &Query,
-    values: &[Value],
-) -> Result<(Vec<Row>, Schema)> {
-    let projection = Projection::new(schema, q, values)?;
-    let keys = sort_keys(q, schema, &projection, values)?;
-    let rows = having_shape(rows, schema, q, values)?;
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for input in &rows {
-        let row = projection.project(input)?;
-        let read = |(key, _): &(SortKey, bool)| match key {
-            SortKey::Output(e) => evaluate(e, &row),
-            SortKey::Input(e) => evaluate(e, input),
-        };
-        let key = keys.iter().map(read).collect::<Result<Vec<Value>>>()?;
-        keyed.push((key, row));
-    }
-    if q.distinct {
-        let mut seen = std::collections::HashSet::new();
-        keyed.retain(|(_, r)| seen.insert(r.clone()));
-    }
-    if !keys.is_empty() {
-        keyed.sort_by(|(a, _), (b, _)| {
-            for ((_, asc), (a, b)) in keys.iter().zip(a.iter().zip(b)) {
-                let ord = a.cmp(b);
-                if !ord.is_eq() {
-                    return if *asc { ord } else { ord.reverse() };
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    let limit = q.limit.unwrap_or(usize::MAX);
-    let rows = keyed.into_iter().take(limit).map(|(_, r)| r).collect();
-    Ok((rows, projection.schema))
+    Epilogue::new(schema, q, &[])?.apply(rows, &[])
 }
 
 /// Best-effort static type inference for derived columns.

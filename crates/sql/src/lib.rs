@@ -30,6 +30,6 @@ pub use ast::{
     BinOp, ColumnSpec, CreateTable, Expr, ExtendedSpec, JoinClause, JoinKind, PartitionBy, Query,
     SelectItem, Statement, TableKind, TableRef, UnaryOp,
 };
-pub use eval::{evaluate, evaluate_predicate, resolve_column, scalar_function};
+pub use eval::{equi_keys, evaluate, evaluate_predicate, resolve_column, scalar_function, EquiKey};
 pub use lexer::{tokenize, Symbol, Token};
 pub use parser::{parse_script, parse_statement};

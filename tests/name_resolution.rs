@@ -1,9 +1,11 @@
-//! Column names are resolved once per expression per operator run,
-//! before the first row: ORDER BY sorts by what it names, and an
-//! unknown column is an error whether or not a row ever reaches the
-//! expression that names it.
+//! Column names are resolved once, when the statement is planned:
+//! ORDER BY sorts by what it names, and an unknown or ambiguous column
+//! is an error whether or not a row ever reaches the expression that
+//! names it — EXPLAIN included.
 
 use hana_data_platform::platform::{HanaPlatform, Session};
+use hana_data_platform::query::explain_query;
+use hana_data_platform::sql::{parse_statement, Statement};
 use hana_data_platform::{Row, Value};
 
 /// `t (k, v)`, seven rows: `v = 20` twice (k 1, 2), `v = 30` four times
@@ -139,4 +141,55 @@ fn an_update_naming_an_unknown_column_fails_with_no_row_located() {
         [[170]],
         "nothing changed"
     );
+}
+
+#[test]
+fn explain_fails_on_an_unknown_or_ambiguous_column_in_every_clause() {
+    let (hana, _) = seven_rows();
+    let explain = |sql: &str| {
+        let Ok(Statement::Query(q)) = parse_statement(sql) else {
+            panic!("not a query: {sql}")
+        };
+        explain_query(&q, hana.catalog().as_ref(), 0)
+    };
+    // `t` and `e` both have `k` and `v`: a bare one in a join of the two
+    // is ambiguous.
+    let join = "FROM t JOIN e ON t.k = e.k";
+    for (clause, unknown, ambiguous) in [
+        (
+            "residual WHERE",
+            format!("SELECT t.k {join} WHERE t.v < nosuch"),
+            format!("SELECT t.v {join} WHERE k > 1"),
+        ),
+        (
+            "GROUP BY",
+            "SELECT COUNT(*) FROM t GROUP BY nosuch".to_string(),
+            format!("SELECT COUNT(*) {join} GROUP BY k"),
+        ),
+        (
+            "HAVING",
+            "SELECT v FROM t GROUP BY v HAVING nosuch > 1".to_string(),
+            format!("SELECT t.v {join} GROUP BY t.v HAVING MAX(k) > 1"),
+        ),
+        (
+            "ORDER BY",
+            "SELECT k FROM t ORDER BY nosuch".to_string(),
+            format!("SELECT t.v {join} ORDER BY k"),
+        ),
+        (
+            "select list",
+            "SELECT nosuch FROM t".to_string(),
+            format!("SELECT k {join}"),
+        ),
+        (
+            "join ON",
+            "SELECT t.k FROM t JOIN e ON t.k = nosuch".to_string(),
+            "SELECT t.v FROM t JOIN e ON t.k = k + 0".to_string(),
+        ),
+    ] {
+        let err = explain(&unknown).expect_err(&unknown).to_string();
+        assert!(err.contains("unknown column 'nosuch'"), "{clause}: {err}");
+        let err = explain(&ambiguous).expect_err(&ambiguous).to_string();
+        assert!(err.contains("ambiguous column 'k'"), "{clause}: {err}");
+    }
 }

@@ -173,3 +173,48 @@ fn the_shape_path_hits_the_remote_cache_the_text_path_filled() {
         "{materialized} sub-queries materialized"
     );
 }
+
+/// A `?` in the select list of a query shipped whole to Hive names its
+/// output column after the value bound to it, as the statement written
+/// with that literal names it — on the run that plans the shape and on
+/// the run that finds it cached.
+#[test]
+fn a_slot_in_a_whole_shipped_select_list_is_named_after_its_value() {
+    let config = WorldConfig {
+        scale: SCALE,
+        seed: SEED,
+        job_startup: Duration::ZERO,
+        task_startup: Duration::ZERO,
+        odbc_row_cost_us: 0,
+        ..WorldConfig::default()
+    };
+    let world = TpchWorld::build(&config, false).unwrap();
+    let mgr = SessionManager::new(Arc::clone(&world.hana));
+    let session = mgr.connect("SYSTEM", "manager").unwrap();
+    let names = |rs: &ResultSet| -> Vec<String> {
+        rs.schema.columns().iter().map(|c| c.name.clone()).collect()
+    };
+    let sql = "SELECT ?, c_name FROM customer WHERE c_custkey < 4";
+    let explain = world
+        .hana
+        .execute_sql(
+            &world.session,
+            &format!("EXPLAIN {}", sql.replace('?', "5")),
+        )
+        .unwrap();
+    assert!(
+        format!("{:?}", explain.rows).contains("whole query"),
+        "{:?}",
+        explain.rows
+    );
+    let prepared = session.prepare(sql).unwrap();
+    for v in [5, 6] {
+        let got = session
+            .execute_prepared(&prepared, &[Value::Int(v)])
+            .unwrap();
+        let want = session.execute(&sql.replace('?', &v.to_string())).unwrap();
+        assert_eq!(names(&got), names(&want), "bound to {v}");
+        assert_eq!(names(&got)[0], v.to_string());
+        assert_eq!(canonical(&got), canonical(&want), "bound to {v}");
+    }
+}
