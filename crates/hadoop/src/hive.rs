@@ -5,14 +5,18 @@
 //! * a **MetaStore** mapping tables to HDFS directories, schemas and
 //!   statistics (row count, file count) — the statistics SDA reads for
 //!   federated cost estimation;
-//! * a compiler that turns a `SELECT` into a **DAG of MR jobs**: one
-//!   map-only scan job per source, one repartition-join job per join,
-//!   a map-only residual-filter job for conjuncts that span sources and
-//!   one aggregation job for GROUP BY. The compiler does what Hive's
-//!   optimiser does before a job is launched — predicate push-down into
-//!   the table scan, column pruning, map-side aggregation — and binds
-//!   every expression to its stage's schema, so an unknown column fails
-//!   the statement, not a row;
+//! * a compiler that turns a `SELECT` into the **DAG of MR jobs** Hive's
+//!   own compiler builds: one repartition-join job per join and one
+//!   aggregation job for GROUP BY. A table scan is no job of its own:
+//!   its pushed predicate and column cut run in the map function of the
+//!   first job that reads the table (Hive's TableScan → Filter → Select
+//!   → ReduceSink inside one map task), and conjuncts that span sources
+//!   are evaluated in the last join's reducer, where the joined row is
+//!   formed. Only a statement with neither a join nor a GROUP BY runs a
+//!   map-only scan job. The compiler does what Hive's optimiser does
+//!   before a job is launched — predicate push-down, column pruning,
+//!   map-side aggregation — and binds every expression to its stage's
+//!   schema, so an unknown column fails the statement, not a row;
 //! * Hive's **fetch-task** fast path: a bare `SELECT *` (no predicates,
 //!   joins or aggregates) reads HDFS directly with no MR job at all —
 //!   this is exactly why the remote materialization of §4.4 pays off;
@@ -23,19 +27,20 @@
 //! driver after the last job, as Hive's plan driver does for small final
 //! result sets.
 //!
-//! Tables and the intermediates between scan, join and filter jobs are
-//! Hive text files (`^A`-separated fields, `\N` for NULL) that a map
-//! task decodes lazily: it splits a line into field slices and parses
-//! only the fields its expressions read. Partial aggregates travel
-//! typed, through [`hana_types::encode_row`]. A line that does not
-//! decode, or an expression that cannot be evaluated, fails the job.
+//! Tables and the intermediates between jobs are Hive text files
+//! (`^A`-separated fields, `\N` for NULL). Every reader of them — each
+//! map function, the driver's final read, the fetch task — goes through
+//! one record reader, [`read_records`], which finds line and field
+//! boundaries in a single pass; a map task then parses only the fields
+//! its expressions read. Join keys and partial aggregates travel typed,
+//! through [`hana_types::encode_row`]. A line that does not decode, or
+//! an expression that cannot be evaluated, fails the job.
 
-use std::collections::{HashMap, HashSet};
-use std::str::Lines;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, finish_query};
 use hana_sql::{
@@ -43,10 +48,11 @@ use hana_sql::{
     TableRef,
 };
 use hana_types::{
-    decode_values, encode_row, Accumulator, AggFunc, DataType, HanaError, Result, ResultSet, Row,
-    Schema, Value,
+    decode_values, encode_row, Accumulator, AggFunc, DataType, FxHashMap, HanaError, Result,
+    ResultSet, Row, Schema, Value,
 };
 
+use crate::hdfs::Hdfs;
 use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer, KV};
 
 /// Hive's default field separator (^A).
@@ -294,25 +300,12 @@ impl Hive {
             return Ok(None);
         };
         let files = self.cluster.hdfs().list(&table.location);
-        let rows = self.read_rows(&files, |line| parse_row(line, &table.schema))?;
-        let (rows, schema) = finish_query(rows, &table.schema, q)?;
+        let schema = &table.schema;
+        let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
+            decode_fields(fields, schema)
+        })?;
+        let (rows, schema) = finish_query(rows, schema, q)?;
         Ok(Some(ResultSet::new(schema, rows)))
-    }
-
-    /// Decode every line of `files` on the driver.
-    fn read_rows(
-        &self,
-        files: &[String],
-        decode: impl Fn(&str) -> Result<Row>,
-    ) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        for file in files {
-            let text = self.cluster.hdfs().read_text(file)?;
-            for line in text.lines() {
-                rows.push(decode(line)?);
-            }
-        }
-        Ok(rows)
     }
 
     // ---- the compiler: statement -> jobs, no job launched ----
@@ -351,27 +344,27 @@ impl Hive {
         let later = later.chain(q.order_by.iter().map(|(e, _)| e));
         let keep = named_columns(q, later, &bindings);
 
-        // Stage 1: one filtered, pruned scan job per source.
-        let mut scans = Vec::with_capacity(bindings.len());
+        // One filtered, pruned scan per source, run by the map function
+        // of the first job that reads the source.
+        let mut sources = Vec::with_capacity(bindings.len());
         let mut schemas = Vec::with_capacity(bindings.len());
         for ((b, preds), keep) in bindings.iter().zip(pushed).zip(keep) {
             let full = b.table.schema.qualified(&b.name);
             let pred = preds.into_iter().reduce(Expr::and);
             let cols = keep.iter().map(|&i| full.column(i).clone()).collect();
-            scans.push(Scan {
-                name: format!("scan {} as {}", b.table.name, b.name),
-                tmp: format!("scan-{}", b.name),
-                inputs: self.cluster.hdfs().list(&b.table.location),
-                mapper: Arc::new(FilterMapper {
+            sources.push(Input {
+                name: format!("{} as {}", b.table.name, b.name),
+                files: self.cluster.hdfs().list(&b.table.location),
+                scan: Scan {
                     arity: full.len(),
                     pred: pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?,
                     keep: (keep.len() < full.len()).then_some(keep),
-                }),
+                },
             });
             schemas.push(Schema::new(cols)?);
         }
 
-        // Stage 2: pairwise repartition joins, left-deep.
+        // Pairwise repartition joins, left-deep.
         let mut schemas = schemas.into_iter();
         let mut schema = schemas.next().expect("FROM binds one table");
         let mut joins = Vec::with_capacity(q.joins.len());
@@ -392,17 +385,13 @@ impl Hive {
             schema = schema.join(&right)?;
         }
 
-        // Stage 3: residual filter job (conditions spanning sources).
-        let residual = match residual.into_iter().reduce(Expr::and) {
-            Some(p) => Some(Arc::new(FilterMapper {
-                arity: schema.len(),
-                pred: Some(BoundExprs::bind(&schema, vec![p])?),
-                keep: None,
-            })),
-            None => None,
-        };
+        // Conditions spanning sources, over the joined row.
+        let residual = residual.into_iter().reduce(Expr::and);
+        let residual = residual
+            .map(|p| BoundExprs::bind(&schema, vec![p]))
+            .transpose()?;
 
-        // Stage 4: aggregation job if needed.
+        // The aggregation job, if needed.
         let aggs = collect_aggregates(q);
         let agg = if q.group_by.is_empty() && aggs.is_empty() {
             None
@@ -422,18 +411,15 @@ impl Hive {
             };
             let arg_of = args.into_iter().map(|a| a.map(&mut place)).collect();
             Some(Agg {
-                mapper: Arc::new(AggMapper {
-                    arity: schema.len(),
-                    exprs: BoundExprs::bind(&schema, exprs)?,
-                    group_keys: q.group_by.len(),
-                    arg_of,
-                    funcs,
-                }),
+                exprs: BoundExprs::bind(&schema, exprs)?,
+                group_keys: q.group_by.len(),
+                arg_of,
+                funcs,
                 schema: out_schema,
             })
         };
         Ok(Plan {
-            scans,
+            sources,
             joins,
             residual,
             agg,
@@ -462,23 +448,37 @@ impl Hive {
     // ---- the driver: launch the jobs of a plan in DAG order ----
 
     fn run(&self, plan: Plan) -> Result<(Vec<Row>, Schema)> {
-        let mut scanned = Vec::with_capacity(plan.scans.len());
-        for s in plan.scans {
-            scanned.push(self.map_only(s.name, &s.tmp, s.inputs, s.mapper)?);
+        let Plan {
+            sources,
+            joins,
+            mut residual,
+            agg,
+            schema,
+        } = plan;
+        let last = joins.len();
+        let mut sources = sources.into_iter();
+        let mut input = sources.next().expect("FROM binds one table");
+        for ((idx, join), right) in joins.into_iter().enumerate().zip(sources) {
+            // Hive's Filter after the last Join, where the row it reads
+            // is formed.
+            let residual = if idx + 1 == last {
+                residual.take()
+            } else {
+                None
+            };
+            input = self.join_stage(input, right, join, residual, idx)?;
         }
-        let mut scanned = scanned.into_iter();
-        let mut files = scanned.next().expect("FROM binds one table");
-        for ((idx, join), right) in plan.joins.into_iter().enumerate().zip(scanned) {
-            files = self.join_stage(files, right, join, idx)?;
-        }
-        if let Some(filter) = plan.residual {
-            files = self.map_only("residual-filter".into(), "filter", files, filter)?;
-        }
-        match plan.agg {
-            Some(agg) => Ok((self.aggregate_stage(files, &agg)?, agg.schema)),
+        match agg {
+            Some(agg) => self.aggregate_stage(input, agg),
             None => {
-                let rows = self.read_rows(&files, |line| parse_row(line, &plan.schema))?;
-                Ok((rows, plan.schema))
+                let files = match last {
+                    0 => self.map_only(input)?,
+                    _ => input.files,
+                };
+                let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
+                    decode_fields(fields, &schema)
+                })?;
+                Ok((rows, schema))
             }
         }
     }
@@ -490,95 +490,115 @@ impl Hive {
         )
     }
 
-    /// A map-only job over `inputs` (a table scan or the residual
-    /// filter); returns its output files. No input, no job.
-    fn map_only(
-        &self,
-        name: String,
-        tmp: &str,
-        inputs: Vec<String>,
-        mapper: Arc<FilterMapper>,
-    ) -> Result<Vec<String>> {
-        if inputs.is_empty() {
-            return Ok(inputs);
+    /// The map-only job of a statement with neither a join nor a GROUP
+    /// BY: the scan alone. Returns its output files; no input, no job.
+    fn map_only(&self, input: Input) -> Result<Vec<String>> {
+        if input.files.is_empty() {
+            return Ok(input.files);
         }
-        let output_dir = self.tmp_dir(tmp);
         let spec = JobSpec {
-            name,
-            inputs,
-            output_dir,
+            name: format!("scan {}", input.name),
+            inputs: input.files,
+            output_dir: self.tmp_dir("scan"),
             num_reducers: 0,
         };
-        self.cluster.run_job(&spec, mapper, None)?;
+        self.cluster.run_job(&spec, Arc::new(input.scan), None)?;
         Ok(self.cluster.hdfs().list(&spec.output_dir))
     }
 
-    /// Repartition join: both inputs are mapped to (key, tagged line),
-    /// the reducer emits concatenated matches.
+    /// Repartition join: each map task runs the scan of the side it was
+    /// scheduled for and ships `(key, tagged cut line)`; the reducers
+    /// emit the concatenated matches that `residual` keeps.
     fn join_stage(
         &self,
-        left: Vec<String>,
-        right: Vec<String>,
+        left: Input,
+        right: Input,
         join: Join,
+        residual: Option<BoundExprs>,
         join_idx: usize,
-    ) -> Result<Vec<String>> {
-        if left.is_empty() && right.is_empty() {
-            return Ok(left);
+    ) -> Result<Input> {
+        let name = format!("repartition-join-{join_idx}");
+        let arity = left.scan.width() + right.scan.width();
+        let joined = |files| Input {
+            name: name.clone(),
+            files,
+            scan: Scan::identity(arity),
+        };
+        if left.files.is_empty() && right.files.is_empty() {
+            return Ok(joined(Vec::new()));
         }
         let mapper = JoinMapper {
-            left_files: left.iter().cloned().collect(),
-            join,
+            left_inputs: left.files.len(),
+            as_double: join.left.1 == DataType::Double || join.right.1 == DataType::Double,
+            sides: [(left.scan, join.left), (right.scan, join.right)],
         };
+        let reducer = Arc::new(JoinReducer {
+            residual,
+            arity,
+            failed: Mutex::new(None),
+        });
         let spec = JobSpec {
-            name: format!("repartition-join-{join_idx}"),
-            inputs: left.into_iter().chain(right).collect(),
+            name: name.clone(),
+            inputs: left.files.into_iter().chain(right.files).collect(),
             output_dir: self.tmp_dir(&format!("join-{join_idx}")),
             num_reducers: 3,
         };
+        let reduce: Arc<dyn Reducer> = reducer.clone();
         self.cluster
-            .run_job(&spec, Arc::new(mapper), Some(Arc::new(JoinReducer)))?;
-        Ok(self.cluster.hdfs().list(&spec.output_dir))
+            .run_job(&spec, Arc::new(mapper), Some(reduce))?;
+        if let Some(e) = reducer.failed.lock().take() {
+            return Err(e);
+        }
+        Ok(joined(self.cluster.hdfs().list(&spec.output_dir)))
     }
 
-    /// Group-by MR job: each map task aggregates its split and ships one
-    /// partial state per group, the reducers merge and finish them.
-    fn aggregate_stage(&self, inputs: Vec<String>, agg: &Agg) -> Result<Vec<Row>> {
-        let funcs = &agg.mapper.funcs;
-        let global = agg.mapper.group_keys == 0;
+    /// Group-by MR job: each map task runs the scan of its input,
+    /// aggregates what survives and ships one partial state per group;
+    /// the reducers merge and finish them.
+    fn aggregate_stage(&self, input: Input, agg: Agg) -> Result<(Vec<Row>, Schema)> {
+        let funcs = agg.funcs.clone();
+        let schema = agg.schema.clone();
+        let global = agg.group_keys == 0;
         // What every aggregate is over no rows; a global aggregate over
         // nothing is one such row, a grouped one none.
         let empty = || {
             let finished = funcs.iter().map(|f| f.accumulator().finish());
             vec![Row::from_values(finished)]
         };
-        if inputs.is_empty() {
-            return Ok(if global { empty() } else { Vec::new() });
+        if input.files.is_empty() {
+            return Ok((if global { empty() } else { Vec::new() }, schema));
         }
         let spec = JobSpec {
             name: "group-by".into(),
-            inputs,
+            inputs: input.files,
             output_dir: self.tmp_dir("agg"),
             num_reducers: if global { 1 } else { 3 },
         };
+        let mapper = AggMapper {
+            scan: input.scan,
+            agg,
+        };
         let reducer = AggReducer(funcs.clone());
-        let mapper: Arc<AggMapper> = Arc::clone(&agg.mapper);
         self.cluster
-            .run_job(&spec, mapper, Some(Arc::new(reducer)))?;
+            .run_job(&spec, Arc::new(mapper), Some(Arc::new(reducer)))?;
 
+        // An output line is one `encode_row`, which escapes `^A`: one
+        // field.
         let files = self.cluster.hdfs().list(&spec.output_dir);
-        let rows = self.read_rows(&files, |line| {
-            let values = decode_values(line)?;
-            if values.len() != agg.schema.len() {
-                return Err(corrupt(line, values.len(), agg.schema.len()));
+        let rows = read_rows(self.cluster.hdfs(), &files, 1, |fields| {
+            let values = decode_values(fields[0])?;
+            if values.len() != schema.len() {
+                return Err(corrupt(fields[0], values.len(), schema.len()));
             }
             Ok(Row(values))
         })?;
-        // No row survived the earlier stages: no group reached a reducer.
-        Ok(if rows.is_empty() && global {
+        // No row survived the scan and joins: no group reached a reducer.
+        let rows = if rows.is_empty() && global {
             empty()
         } else {
             rows
-        })
+        };
+        Ok((rows, schema))
     }
 }
 
@@ -591,37 +611,59 @@ struct Binding {
 
 /// A compiled statement: the jobs of its DAG, ready to launch.
 struct Plan {
-    /// One map-only scan per binding, in FROM / JOIN order.
-    scans: Vec<Scan>,
+    /// One input per binding, in FROM / JOIN order: the table's files
+    /// and the scan the first job that reads them runs.
+    sources: Vec<Input>,
     /// One repartition join per JOIN clause.
     joins: Vec<Join>,
-    /// The map-only filter for conjuncts that span sources.
-    residual: Option<Arc<FilterMapper>>,
+    /// The conjuncts that span sources, over the joined row; the last
+    /// join's reducer evaluates them.
+    residual: Option<BoundExprs>,
     agg: Option<Agg>,
-    /// Schema of the text lines the last of the stages above leaves.
+    /// Schema of the rows the scans and joins leave.
     schema: Schema,
 }
 
-struct Scan {
-    /// Job name.
+/// What a job reads: files, and the scan its map function runs over
+/// their lines before anything else.
+struct Input {
+    /// `<table> as <binding>`, or the job that wrote the files.
     name: String,
-    /// Stem of the output directory.
-    tmp: String,
-    /// The table's data files.
-    inputs: Vec<String>,
-    mapper: Arc<FilterMapper>,
+    files: Vec<String>,
+    scan: Scan,
 }
 
-/// `(field, type)` of the equi-join key in the left and right input.
+/// `(field, type)` of the equi-join key among the fields the scan of
+/// the left and of the right input emits.
 struct Join {
     left: (usize, DataType),
     right: (usize, DataType),
 }
 
+/// A GROUP BY or global aggregate, bound to the rows it reads.
 struct Agg {
-    mapper: Arc<AggMapper>,
+    /// The group-by expressions, then the aggregate arguments.
+    exprs: BoundExprs,
+    group_keys: usize,
+    /// Per aggregate, where its argument is in `exprs` (`COUNT(*)` has
+    /// none).
+    arg_of: Vec<Option<usize>>,
+    funcs: Vec<AggFunc>,
     /// `_g0.._gN, _a0.._aM`.
     schema: Schema,
+}
+
+impl Agg {
+    /// Add `row` to the accumulators of its group.
+    fn accumulate(&self, accs: &mut [Accumulator], row: &Row) -> Result<()> {
+        for (acc, arg) in accs.iter_mut().zip(&self.arg_of) {
+            match arg {
+                Some(i) => acc.add(&evaluate(&self.exprs.exprs[*i], row)?),
+                None => acc.add(&Value::Null), // COUNT(*) counts the row
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Expressions of one stage resolved against the schema of its input
@@ -674,22 +716,100 @@ impl BoundExprs {
     }
 }
 
-/// Split `line` into `fields`; a line of another arity is corrupt.
-fn split_fields<'a>(line: &'a str, arity: usize, fields: &mut Vec<&'a str>) -> Result<()> {
-    fields.clear();
-    // A byte loop: `str::split` pays a searcher set-up per short field.
-    let mut start = 0;
-    for (i, &b) in line.as_bytes().iter().enumerate() {
-        if b == FIELD_SEP as u8 {
-            fields.push(&line[start..i]);
-            start = i + 1;
+// ---- the record reader ----
+
+/// [`FIELD_SEP`] as the byte it is encoded to.
+const SEP: u8 = FIELD_SEP as u8;
+/// `0x01` in each byte lane of a word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+/// The low seven bits of each byte lane.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// The high bit of each zero byte of `w`, and no other bit: adding
+/// `0x7f` to a lane's low seven bits carries into the lane's high bit
+/// unless they are zero, and never into the next lane.
+#[inline]
+fn zero_lanes(w: u64) -> u64 {
+    !((w & LOW7).wrapping_add(LOW7) | w | LOW7)
+}
+
+/// Hive's record reader: calls `record(line, fields)` for each line of
+/// `split` in order — the lines `str::lines` yields, each cut at every
+/// `^A` as `split('\u{1}')` cuts it — and returns how many lines there
+/// were. One pass finds line and field boundaries together, testing
+/// eight bytes per step for `^A` and `\n`; neither byte occurs inside a
+/// multi-byte UTF-8 character, so every boundary is a character
+/// boundary. A line with other than `arity` fields is corrupt; it, or
+/// an error from `record`, ends the read with that error.
+pub fn read_records<'a>(
+    split: &'a str,
+    arity: usize,
+    mut record: impl FnMut(&'a str, &[&'a str]) -> Result<()>,
+) -> Result<u64> {
+    let bytes = split.as_bytes();
+    let mut fields = Vec::with_capacity(arity);
+    let (mut line_start, mut field_start, mut records) = (0, 0, 0);
+    // A `^A` or `\n` at `at`, or the end of the split.
+    let mut boundary = |at: usize| {
+        let end = match bytes.get(at) {
+            Some(&SEP) => {
+                fields.push(&split[field_start..at]);
+                field_start = at + 1;
+                return Ok(());
+            }
+            // `\r\n` ends a line too, as it does for `str::lines`.
+            Some(_) if at > line_start && bytes[at - 1] == b'\r' => at - 1,
+            Some(_) => at,
+            // A last line without a line break.
+            None if at > line_start => at,
+            None => return Ok(()),
+        };
+        fields.push(&split[field_start..end]);
+        let line = &split[line_start..end];
+        if fields.len() != arity {
+            return Err(corrupt(line, fields.len(), arity));
+        }
+        record(line, &fields)?;
+        fields.clear();
+        records += 1;
+        (line_start, field_start) = (at + 1, at + 1);
+        Ok(())
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let mut hits = zero_lanes(w ^ LANES) | zero_lanes(w ^ (LANES * u64::from(b'\n')));
+        while hits != 0 {
+            boundary(base + hits.trailing_zeros() as usize / 8)?;
+            hits &= hits - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b == SEP || b == b'\n' {
+            boundary(base + i)?;
         }
     }
-    fields.push(&line[start..]);
-    if fields.len() == arity {
+    boundary(bytes.len())?;
+    Ok(records)
+}
+
+/// The fields of `line`, one line without its line break. The reader
+/// finds no line in the empty text; as one line, it is one empty field.
+fn line_fields(line: &str, arity: usize) -> Result<Vec<&str>> {
+    let mut fields = Vec::with_capacity(arity);
+    let lines = read_records(line, arity, |_, f| {
+        fields.extend_from_slice(f);
         Ok(())
-    } else {
-        Err(corrupt(line, fields.len(), arity))
+    })?;
+    match lines {
+        1 => Ok(fields),
+        0 if arity == 1 => Ok(vec![line]),
+        0 => Err(corrupt(line, 1, arity)),
+        n => Err(HanaError::Execution(format!(
+            "one line expected, found {n}: '{line}'"
+        ))),
     }
 }
 
@@ -699,131 +819,236 @@ fn corrupt(line: &str, found: usize, expected: usize) -> HanaError {
     ))
 }
 
-/// The table-scan and residual-filter operator: keep the lines that
-/// satisfy `pred`, cut to the fields `keep`.
-struct FilterMapper {
+/// Decode every line of `files` on the driver.
+pub(crate) fn read_rows(
+    hdfs: &Hdfs,
+    files: &[String],
     arity: usize,
-    /// One predicate; `None` keeps every line.
+    decode: impl Fn(&[&str]) -> Result<Row>,
+) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    for file in files {
+        let text = hdfs.read_text(file)?;
+        read_records(&text, arity, |_, fields| {
+            rows.push(decode(fields)?);
+            Ok(())
+        })?;
+    }
+    Ok(rows)
+}
+
+/// `fields` as one line of Hive text, after `prefix`.
+fn text_line(prefix: &str, fields: &[&str]) -> String {
+    let len = fields.iter().map(|f| f.len() + 1).sum::<usize>();
+    let mut line = String::with_capacity(prefix.len() + len);
+    line.push_str(prefix);
+    for (i, f) in fields.iter().enumerate() {
+        if i > 0 {
+            line.push(FIELD_SEP);
+        }
+        line.push_str(f);
+    }
+    line
+}
+
+// ---- the operators inside the jobs ----
+
+/// Hive's TableScan → Filter → Select over the lines of one input: keep
+/// the lines that satisfy `pred`, cut to the fields `keep`. It runs in
+/// the map function of the job that reads the input; over the output of
+/// an earlier job it is the identity.
+struct Scan {
+    /// Fields of an input line.
+    arity: usize,
+    /// The conjuncts pushed into the scan; `None` keeps every line.
     pred: Option<BoundExprs>,
-    /// Fields of a surviving line to emit; `None` emits the line.
+    /// Fields of a surviving line to emit; `None` emits them all.
     keep: Option<Vec<usize>>,
 }
 
-impl Mapper for FilterMapper {
-    fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
-        let mut fields = Vec::with_capacity(self.arity);
+impl Scan {
+    /// Lines of `arity` fields, read as they are.
+    fn identity(arity: usize) -> Scan {
+        Scan {
+            arity,
+            pred: None,
+            keep: None,
+        }
+    }
+
+    /// Fields of an emitted line.
+    fn width(&self) -> usize {
+        self.keep.as_ref().map_or(self.arity, Vec::len)
+    }
+
+    /// Call `emit` with the cut fields of each line of `split` that
+    /// satisfies the predicate; returns how many lines were read.
+    fn run<'a>(
+        &self,
+        split: &'a str,
+        mut emit: impl FnMut(&[&'a str]) -> Result<()>,
+    ) -> Result<u64> {
         let mut row = Row::new();
-        for line in lines {
-            split_fields(line, self.arity, &mut fields)?;
+        let mut cut = Vec::with_capacity(self.width());
+        read_records(split, self.arity, |_, fields| {
             if let Some(pred) = &self.pred {
-                pred.decode(&fields, &mut row)?;
+                pred.decode(fields, &mut row)?;
                 if !evaluate_predicate(&pred.exprs[0], &row)? {
-                    continue;
+                    return Ok(());
                 }
             }
-            let cut = match &self.keep {
-                None => line.to_string(),
+            match &self.keep {
+                None => emit(fields),
                 Some(keep) => {
-                    let mut cut = String::with_capacity(line.len());
-                    for (n, &i) in keep.iter().enumerate() {
-                        if n > 0 {
-                            cut.push(FIELD_SEP);
-                        }
-                        cut.push_str(fields[i]);
-                    }
-                    cut
+                    cut.clear();
+                    cut.extend(keep.iter().map(|&i| fields[i]));
+                    emit(&cut)
                 }
-            };
-            out.push((String::new(), cut));
-        }
-        Ok(())
+            }
+        })
     }
 }
 
-/// The map side of a repartition join: decodes the key field only and
-/// ships the line as it is, tagged with its side. NULL keys join nothing.
+/// The map-only job: the scan alone, writing the lines it cuts.
+impl Mapper for Scan {
+    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+        self.run(split, |cut| {
+            out.push((String::new(), text_line("", cut)));
+            Ok(())
+        })
+    }
+}
+
+/// The map side of a repartition join: runs the scan of its side,
+/// decodes the key field only and ships the cut line tagged with its
+/// side. NULL keys join nothing.
 struct JoinMapper {
-    left_files: HashSet<String>,
-    join: Join,
+    /// The scan of the left and of the right input, and the position
+    /// and type of the key among the fields it emits.
+    sides: [(Scan, (usize, DataType)); 2],
+    /// How many of `JobSpec::inputs` are the left side's, which come
+    /// first: a task's side is the input it was scheduled for, never its
+    /// file — `FROM t a JOIN t b` lists t's files on both sides (Hadoop's
+    /// `MultipleInputs`).
+    left_inputs: usize,
+    /// One side's key is a DOUBLE: an INT key meets it as a double.
+    as_double: bool,
 }
 
 impl Mapper for JoinMapper {
-    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
-        let (tag, (field, ty)) = match self.left_files.contains(path) {
-            true => ('L', self.join.left),
-            false => ('R', self.join.right),
+    fn map_split(&self, input: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+        let (tag, (scan, (field, ty))) = match input < self.left_inputs {
+            true => ("L", &self.sides[0]),
+            false => ("R", &self.sides[1]),
         };
-        for line in lines {
-            let key = line.split(FIELD_SEP).nth(field).ok_or_else(|| {
-                HanaError::Execution(format!("line has no field {field} to join on: '{line}'"))
-            })?;
-            let key = parse_field(key, ty)?;
+        scan.run(split, |cut| {
+            let key = parse_field(cut[*field], *ty)?;
             if !key.is_null() {
-                let mut tagged = String::with_capacity(1 + line.len());
-                tagged.push(tag);
-                tagged.push_str(line);
-                out.push((key.to_string(), tagged));
+                out.push((join_key(key, self.as_double), text_line(tag, cut)));
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
+/// The shuffle key of a join key: two are equal exactly when the values
+/// are (`Value`'s equality, which the local hash join uses), so INT `1`
+/// meets DOUBLE `1.0` and `-0.0` meets `0.0`. With `as_double` an
+/// integer ships as the double it equals; without, integers stay exact.
+fn join_key(key: Value, as_double: bool) -> String {
+    let key = match key {
+        Value::Int(i) if as_double => Value::Double(i as f64),
+        // A float pattern matches by `==`: `-0.0` too.
+        Value::Double(0.0) => Value::Double(0.0),
+        key => key,
+    };
+    encode_row(&[key])
+}
+
 /// The reduce side of a repartition join: left lines × right lines of
-/// one key.
-struct JoinReducer;
+/// one key, those the residual predicate keeps.
+struct JoinReducer {
+    /// The conjuncts that span sources, over the joined line — Hive's
+    /// Filter after Join; only the last join has them.
+    residual: Option<BoundExprs>,
+    /// Fields of a joined line.
+    arity: usize,
+    /// The first residual predicate that failed to evaluate: a reduce
+    /// function cannot fail its job, so the driver fails the statement
+    /// once the job is done.
+    failed: Mutex<Option<HanaError>>,
+}
+
+impl JoinReducer {
+    /// Whether the residual predicate keeps the joined `line`.
+    fn keeps(&self, line: &str, row: &mut Row) -> Result<bool> {
+        let Some(pred) = &self.residual else {
+            return Ok(true);
+        };
+        pred.decode(&line_fields(line, self.arity)?, row)?;
+        evaluate_predicate(&pred.exprs[0], row)
+    }
+}
 
 impl Reducer for JoinReducer {
     fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) {
         let side = |tag| values.iter().filter_map(move |v| v.strip_prefix(tag));
+        let mut row = Row::new();
         for l in side('L') {
             for r in side('R') {
-                out.push(format!("{l}{FIELD_SEP}{r}"));
+                let line = format!("{l}{FIELD_SEP}{r}");
+                match self.keeps(&line, &mut row) {
+                    Ok(true) => out.push(line),
+                    Ok(false) => {}
+                    Err(e) => {
+                        self.failed.lock().get_or_insert(e);
+                        return;
+                    }
+                }
             }
         }
     }
 }
 
-/// The map side of GROUP BY: a hash table of accumulators per split
-/// (Hive's map-side aggregation), shipped as one `(group key, partial
-/// states)` pair per group, both through `hana_types::encode_row` —
-/// values keep their types from here to the driver.
+/// The map side of GROUP BY: runs the scan of its input and keeps a
+/// hash table of accumulators per split (Hive's map-side aggregation),
+/// shipped as one `(group key, partial states)` pair per group, both
+/// through `hana_types::encode_row` — values keep their types from here
+/// to the driver.
 struct AggMapper {
-    arity: usize,
-    /// The group-by expressions, then the aggregate arguments.
-    exprs: BoundExprs,
-    group_keys: usize,
-    /// Per aggregate, where its argument is in `exprs` (`COUNT(*)` has
-    /// none).
-    arg_of: Vec<Option<usize>>,
-    funcs: Vec<AggFunc>,
+    scan: Scan,
+    agg: Agg,
 }
 
 impl Mapper for AggMapper {
-    fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        let mut fields = Vec::with_capacity(self.arity);
+    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+        let agg = &self.agg;
+        let mut groups: FxHashMap<Vec<Value>, Vec<Accumulator>> = FxHashMap::default();
         let mut row = Row::new();
-        for line in lines {
-            split_fields(line, self.arity, &mut fields)?;
-            self.exprs.decode(&fields, &mut row)?;
-            let exprs = &self.exprs.exprs;
-            let key = exprs[..self.group_keys].iter().map(|g| evaluate(g, &row));
-            let accs = groups
-                .entry(key.collect::<Result<_>>()?)
-                .or_insert_with(|| self.funcs.iter().map(AggFunc::accumulator).collect());
-            for (acc, arg) in accs.iter_mut().zip(&self.arg_of) {
-                match arg {
-                    Some(i) => acc.add(&evaluate(&exprs[*i], &row)?),
-                    None => acc.add(&Value::Null), // COUNT(*) counts the row
+        // One key buffer probes the table; a new group clones it.
+        let mut key = Vec::with_capacity(agg.group_keys);
+        let read = self.scan.run(split, |fields| {
+            agg.exprs.decode(fields, &mut row)?;
+            key.clear();
+            for g in &agg.exprs.exprs[..agg.group_keys] {
+                key.push(evaluate(g, &row)?);
+            }
+            match groups.get_mut(&key) {
+                Some(accs) => agg.accumulate(accs, &row),
+                None => {
+                    let mut accs: Vec<Accumulator> =
+                        agg.funcs.iter().map(AggFunc::accumulator).collect();
+                    agg.accumulate(&mut accs, &row)?;
+                    groups.insert(key.clone(), accs);
+                    Ok(())
                 }
             }
-        }
+        })?;
         for (key, accs) in groups {
             let states: Vec<Value> = accs.iter().flat_map(Accumulator::state).collect();
             out.push((encode_row(&key), encode_row(&states)));
         }
-        Ok(())
+        Ok(read)
     }
 }
 
@@ -878,13 +1103,17 @@ fn parse_field(field: &str, ty: DataType) -> Result<Value> {
     }
 }
 
-/// Parse a ^A-separated line against a schema.
-pub fn parse_row(line: &str, schema: &Schema) -> Result<Row> {
-    let mut fields = Vec::with_capacity(schema.len());
-    split_fields(line, schema.len(), &mut fields)?;
+/// Decode the fields of a line against `schema`.
+pub(crate) fn decode_fields(fields: &[&str], schema: &Schema) -> Result<Row> {
     let decoded = fields.iter().zip(schema.columns());
     let decoded = decoded.map(|(f, c)| parse_field(f, c.data_type));
     decoded.collect::<Result<Vec<Value>>>().map(Row)
+}
+
+/// Parse one ^A-separated line, without its line break, against a
+/// schema.
+pub fn parse_row(line: &str, schema: &Schema) -> Result<Row> {
+    decode_fields(&line_fields(line, schema.len())?, schema)
 }
 
 /// Per binding, the (ascending) columns that `exprs` name; every column
@@ -926,19 +1155,18 @@ fn named_columns<'a>(
     kept.collect()
 }
 
-/// If every column of `e` resolves inside a single binding's table, the
-/// binding index; `None` otherwise.
+/// The binding whose scan a WHERE conjunct can run in: the one every
+/// column of `e` resolves in — any conjunct, when there is one binding
+/// — or `None`, for a conjunct the joins must wait for.
 fn single_source_of(e: &Expr, bindings: &[Binding]) -> Option<usize> {
+    if bindings.len() == 1 {
+        return Some(0);
+    }
     let mut source: Option<usize> = None;
     for (q, _) in e.columns() {
-        let idx = match q {
-            Some(q) => bindings.iter().position(|b| b.name == *q)?,
-            // Unqualified: attribute by TPC-H style prefix match is
-            // unsafe; instead assume it belongs to whichever single
-            // binding — only valid when there is exactly one.
-            None if bindings.len() == 1 => 0,
-            None => return None,
-        };
+        // Unqualified: attribution by TPC-H style prefix match is
+        // unsafe, so it waits for the joins.
+        let idx = bindings.iter().position(|b| Some(&b.name) == q.as_ref())?;
         match source {
             None => source = Some(idx),
             Some(s) if s == idx => {}

@@ -3,11 +3,14 @@
 //! The simulated Hadoop stack the platform federates with (§4 of the
 //! paper): a block-based, replicated **HDFS** whose files are read one
 //! input split at a time, a multi-threaded **MapReduce** engine with
-//! modelled job/task startup costs and split-scoped mappers, a **Hive**
-//! layer (MetaStore with statistics, a HiveQL→MR-DAG compiler that
-//! pushes predicates into scans, prunes columns and aggregates
-//! map-side, fetch-task fast path, two-phase CTAS), and a registry of
-//! custom MR programs that back `CREATE VIRTUAL FUNCTION`.
+//! modelled job/task startup costs and split-scoped mappers that know
+//! which job input they read, a **Hive** layer (MetaStore with
+//! statistics, a HiveQL→MR-DAG compiler that runs each table scan —
+//! pushed predicate, column cut — inside the map phase of the join or
+//! group-by job that reads it and aggregates map-side, a one-pass
+//! record reader for its text files, fetch-task fast path, two-phase
+//! CTAS), and a registry of custom MR programs that back `CREATE
+//! VIRTUAL FUNCTION`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -34,6 +37,6 @@ mod mapreduce;
 mod mrfunc;
 
 pub use hdfs::{Hdfs, DEFAULT_BLOCK_SIZE};
-pub use hive::{parse_row, CtasStats, Hive, HiveTable, TableStats, FIELD_SEP};
+pub use hive::{parse_row, read_records, CtasStats, Hive, HiveTable, TableStats, FIELD_SEP};
 pub use mapreduce::{partition_of, JobSpec, JobStats, Mapper, MrCluster, MrConfig, Reducer, KV};
 pub use mrfunc::{output_line, MrFunction, MrFunctionRegistry};

@@ -6,7 +6,10 @@
 //! sorted by key and reduced; reducers write `part-r-NNNNN` files into
 //! the job's output directory. A mapper sees its whole split in one
 //! call, so pre-aggregation (Hadoop's in-mapper combining) is the
-//! mapper's own business. Tasks run on a bounded worker pool (crossbeam
+//! mapper's own business, and it counts the records it reads. A task
+//! knows which of the job's inputs it was scheduled for — Hadoop's
+//! `MultipleInputs` — so one job can map the same file twice, as two
+//! different inputs. Tasks run on a bounded worker pool (crossbeam
 //! scoped threads).
 //!
 //! **Why overheads are modeled.** The paper's Figure 14/15 experiment
@@ -19,7 +22,6 @@
 //! counters, so a figure built on it is the same on every run and on
 //! any core count.
 
-use std::str::Lines;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,11 +39,13 @@ pub type KV = (String, String);
 ///
 /// A record-at-a-time closure `Fn(path, line, out)` is a `Mapper`
 /// through the blanket impl below; implement the trait directly to keep
-/// state across the records of a split, or to fail the job.
+/// state across the records of a split, to read records of another
+/// shape than a line, or to fail the job.
 pub trait Mapper: Send + Sync {
-    /// Map the records of one split of input file `path`. An error
-    /// fails the job.
-    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()>;
+    /// Map `split`, one input split of `JobSpec::inputs[input]` (file
+    /// `path`), and return how many records it held. An error fails the
+    /// job.
+    fn map_split(&self, input: usize, path: &str, split: &str, out: &mut Vec<KV>) -> Result<u64>;
 }
 
 /// User reduce function: one key + all its values -> output lines.
@@ -54,11 +58,13 @@ impl<F> Mapper for F
 where
     F: Fn(&str, &str, &mut Vec<KV>) + Send + Sync,
 {
-    fn map_split(&self, path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
-        for line in lines {
+    fn map_split(&self, _input: usize, path: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+        let mut records = 0;
+        for line in split.lines() {
             self(path, line, out);
+            records += 1;
         }
-        Ok(())
+        Ok(records)
     }
 }
 
@@ -87,7 +93,8 @@ impl Default for MrConfig {
 pub struct JobSpec {
     /// Human-readable job name.
     pub name: String,
-    /// HDFS input files.
+    /// HDFS input files. A file listed twice is two inputs, and each
+    /// map task is told the index of the one it reads.
     pub inputs: Vec<String>,
     /// HDFS output directory (part files are written under it).
     pub output_dir: String,
@@ -207,10 +214,10 @@ impl MrCluster {
         self.hdfs.delete_dir(&spec.output_dir);
 
         // ---- map phase: one task per input block ----
-        let mut tasks: Vec<(&str, usize)> = Vec::new();
-        for path in &spec.inputs {
+        let mut tasks: Vec<(usize, &str, usize)> = Vec::new();
+        for (input, path) in spec.inputs.iter().enumerate() {
             let nblocks = self.hdfs.block_count(path)?.max(1);
-            tasks.extend((0..nblocks).map(|block| (path.as_str(), block)));
+            tasks.extend((0..nblocks).map(|block| (input, path.as_str(), block)));
         }
         modelled += self.charge_phase(tasks.len());
         let input_records = AtomicU64::new(0);
@@ -228,17 +235,20 @@ impl MrCluster {
                     if idx >= tasks.len() || map_err.lock().is_some() {
                         return;
                     }
-                    let (path, block) = tasks[idx];
+                    let (input, path, block) = tasks[idx];
                     // A task reads its own split and nothing else.
                     let mut out = Vec::new();
-                    let mapped = self.hdfs.read_split(path, block).and_then(|split| {
-                        input_records.fetch_add(split.lines().count() as u64, Ordering::Relaxed);
-                        mapper.map_split(path, split.lines(), &mut out)
-                    });
-                    if let Err(e) = mapped {
-                        *map_err.lock() = Some(e);
-                        return;
-                    }
+                    let mapped = self
+                        .hdfs
+                        .read_split(path, block)
+                        .and_then(|split| mapper.map_split(input, path, &split, &mut out));
+                    match mapped {
+                        Ok(records) => input_records.fetch_add(records, Ordering::Relaxed),
+                        Err(e) => {
+                            *map_err.lock() = Some(e);
+                            return;
+                        }
+                    };
                     map_output_records.fetch_add(out.len() as u64, Ordering::Relaxed);
                     // Partition by key hash.
                     let mut buckets: Vec<Vec<KV>> = (0..nparts).map(|_| Vec::new()).collect();
@@ -353,13 +363,17 @@ mod tests {
     /// distinct word: pre-aggregation inside the map task.
     struct WordMapper;
     impl Mapper for WordMapper {
-        fn map_split(&self, _path: &str, lines: Lines<'_>, out: &mut Vec<KV>) -> Result<()> {
+        fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
             let mut counts: BTreeMap<String, i64> = BTreeMap::new();
-            for w in lines.flat_map(str::split_whitespace) {
-                *counts.entry(w.to_lowercase()).or_default() += 1;
+            let mut records = 0;
+            for line in split.lines() {
+                records += 1;
+                for w in line.split_whitespace() {
+                    *counts.entry(w.to_lowercase()).or_default() += 1;
+                }
             }
             out.extend(counts.into_iter().map(|(w, n)| (w, n.to_string())));
-            Ok(())
+            Ok(records)
         }
     }
 
@@ -434,6 +448,40 @@ mod tests {
         let out = mr.read_output("/out/f").unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|l| l.starts_with("KEEP")));
+    }
+
+    #[test]
+    fn a_file_listed_twice_is_two_inputs() {
+        struct TagByInput;
+        impl Mapper for TagByInput {
+            fn map_split(
+                &self,
+                input: usize,
+                _: &str,
+                split: &str,
+                out: &mut Vec<KV>,
+            ) -> Result<u64> {
+                let mut records = 0;
+                for line in split.lines() {
+                    out.push((String::new(), format!("{input}:{line}")));
+                    records += 1;
+                }
+                Ok(records)
+            }
+        }
+        let mr = cluster();
+        mr.hdfs().append_lines("/in/t", &["a", "b"]).unwrap();
+        let spec = JobSpec {
+            name: "tag".into(),
+            inputs: vec!["/in/t".into(), "/in/t".into()],
+            output_dir: "/out/t".into(),
+            num_reducers: 0,
+        };
+        let stats = mr.run_job(&spec, Arc::new(TagByInput), None).unwrap();
+        assert_eq!(stats.input_records, 4);
+        let mut out = mr.read_output("/out/t").unwrap();
+        out.sort();
+        assert_eq!(out, ["0:a", "0:b", "1:a", "1:b"]);
     }
 
     #[test]
@@ -529,10 +577,11 @@ mod tests {
     fn a_mapper_error_fails_the_job() {
         struct Picky;
         impl Mapper for Picky {
-            fn map_split(&self, _path: &str, lines: Lines<'_>, _out: &mut Vec<KV>) -> Result<()> {
-                match lines.into_iter().find(|l| l.contains("bad")) {
+            fn map_split(&self, _: usize, _: &str, split: &str, _: &mut Vec<KV>) -> Result<u64> {
+                let lines: Vec<&str> = split.lines().collect();
+                match lines.iter().find(|l| l.contains("bad")) {
                     Some(l) => Err(HanaError::Execution(format!("cannot map '{l}'"))),
-                    None => Ok(()),
+                    None => Ok(lines.len() as u64),
                 }
             }
         }

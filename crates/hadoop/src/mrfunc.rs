@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 
 use hana_types::{HanaError, Result, ResultSet, Schema};
 
-use crate::hive::{parse_row, FIELD_SEP};
+use crate::hive::{decode_fields, read_rows, FIELD_SEP};
 use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer};
 
 /// A registered MR program.
@@ -100,13 +100,12 @@ impl MrFunctionRegistry {
         };
         self.cluster
             .run_job(&spec, Arc::clone(&func.mapper), func.reducer.clone())?;
-        let mut rows = Vec::new();
-        for file in self.cluster.hdfs().list(&out_dir) {
-            for line in self.cluster.hdfs().read_text(&file)?.lines() {
-                rows.push(parse_row(line, &func.output_schema)?);
-            }
-        }
-        Ok(ResultSet::new(func.output_schema.clone(), rows))
+        let files = self.cluster.hdfs().list(&out_dir);
+        let schema = &func.output_schema;
+        let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
+            decode_fields(fields, schema)
+        })?;
+        Ok(ResultSet::new(schema.clone(), rows))
     }
 }
 

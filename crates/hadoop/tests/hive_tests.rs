@@ -503,7 +503,11 @@ fn partial_states_merge_across_map_tasks() {
         .unwrap()
         .sorted_by(&[0]);
     let after = hive.cluster().counters();
-    assert_eq!(after.0 - before.0, 2, "a scan and a group-by job");
+    assert_eq!(
+        after.0 - before.0,
+        1,
+        "one group-by job, scanning in its map tasks"
+    );
     assert!(after.1 - before.1 > 50, "many splits: {:?}", after);
     for g in 0..3i64 {
         let vs: Vec<i64> = (0..500).filter(|i| i % 3 == g).collect();
@@ -658,4 +662,127 @@ fn pruned_plan_answers_like_the_plan_with_every_column_kept() {
         assert!(!projected.is_empty(), "{select} {rest}: a vacuous case");
         assert_eq!(sorted_rows(&pruned), projected, "{select} {rest}");
     }
+}
+
+// ---- the DAG is Hive's own: scans run inside the jobs that read them ----
+
+/// `(jobs, reduce tasks)` a statement launched, and its answer.
+fn launched(hive: &Hive, sql: &str) -> ((u64, u64), hana_types::Result<hana_types::ResultSet>) {
+    let before = hive.cluster().counters();
+    let rs = hive.execute(sql);
+    let after = hive.cluster().counters();
+    ((after.0 - before.0, after.2 - before.2), rs)
+}
+
+#[test]
+fn scans_and_spanning_conjuncts_run_inside_the_join_and_group_by_jobs() {
+    let hive = setup_hive();
+    let ((jobs, reducers), rs) = launched(
+        &hive,
+        "SELECT c_mktsegment, COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey \
+         WHERE o_totalprice > 120 GROUP BY c_mktsegment",
+    );
+    assert_eq!(rs.unwrap().len(), 2);
+    assert_eq!(jobs, 2, "a join and a group-by, no scan job in front");
+    assert_eq!(reducers, 3 + 3, "both jobs reduce: none is map-only");
+
+    // A conjunct over both sides is evaluated in the join's reducer.
+    let ((jobs, _), rs) = launched(
+        &hive,
+        "SELECT c_custkey, o_orderkey FROM customer JOIN orders ON c_custkey = o_custkey \
+         WHERE c_custkey * 100 + 1000 < o_orderkey",
+    );
+    assert_eq!(jobs, 1, "no job for the spanning conjunct");
+    // customer: c_custkey = i for i < 20; orders: (1000 + j, j % 20).
+    let mut want: Vec<Row> = (0..100i64)
+        .map(|j| (j % 20, 1000 + j))
+        .filter(|(c, o)| c * 100 + 1000 < *o)
+        .map(|(c, o)| Row::from_values([Value::Int(c), Value::Int(o)]))
+        .collect();
+    want.sort();
+    assert!(!want.is_empty(), "a vacuous case");
+    assert_eq!(sorted_rows(&rs.unwrap()), want);
+
+    // And one that cannot be evaluated fails the statement.
+    let (_, rs) = launched(
+        &hive,
+        "SELECT c_custkey FROM customer JOIN orders ON c_custkey = o_custkey \
+         WHERE NOT (c_custkey + o_orderkey)",
+    );
+    assert!(rs.is_err(), "{rs:?}");
+}
+
+#[test]
+fn a_self_join_scans_each_side_with_its_own_predicate() {
+    // Both sides read a's files: a task's side is the job input it was
+    // scheduled for, not the file it reads.
+    let hive = hive_with_overlapping_names();
+    let rs = hive
+        .execute("SELECT p.v, q.v FROM a p JOIN a q ON p.k = q.k WHERE p.x = 1 AND q.v > 25")
+        .unwrap();
+    // a(k, v, x) = (i % 10, i, i % 4) for i < 40.
+    let a: Vec<[i64; 3]> = (0..40).map(|i| [i % 10, i, i % 4]).collect();
+    let p = a.iter().filter(|p| p[2] == 1);
+    let pairs = p.flat_map(|p| {
+        a.iter()
+            .filter(move |q| q[0] == p[0] && q[1] > 25)
+            .map(move |q| (p, q))
+    });
+    let mut want: Vec<Row> = pairs
+        .map(|(p, q)| Row::from_values([Value::Int(p[1]), Value::Int(q[1])]))
+        .collect();
+    want.sort();
+    assert!(!want.is_empty(), "a vacuous case");
+    assert_eq!(sorted_rows(&rs), want);
+}
+
+#[test]
+fn join_keys_meet_as_values_not_as_their_text() {
+    let hive = Hive::new(fast_cluster());
+    let one = |name: &str, col: &str, ty: DataType, values: &[Value]| {
+        hive.create_table(name, Schema::of(&[(col, ty)])).unwrap();
+        let rows: Vec<Row> = values
+            .iter()
+            .map(|v| Row::from_values([v.clone()]))
+            .collect();
+        hive.load(name, &rows).unwrap();
+        rows
+    };
+    let ints = one("ints", "k", DataType::Int, &[Value::Int(1), Value::Int(0)]);
+    let dbls = one(
+        "dbls",
+        "d",
+        DataType::Double,
+        &[Value::Double(1.0), Value::Double(-0.0)],
+    );
+    let zero = one("zero", "z", DataType::Double, &[Value::Double(0.0)]);
+    // The local hash join matches keys by `Value` equality: INT 1 is
+    // DOUBLE 1.0, and -0.0 is 0.0.
+    let local = |l: &[Row], r: &[Row]| {
+        let pairs = l
+            .iter()
+            .flat_map(|a| r.iter().filter(move |b| a[0] == b[0]).map(move |b| (a, b)));
+        let mut rows: Vec<Row> = pairs
+            .map(|(a, b)| Row::from_values([a[0].clone(), b[0].clone()]))
+            .collect();
+        rows.sort();
+        rows
+    };
+    for (sql, want) in [
+        (
+            "SELECT k, d FROM ints JOIN dbls ON k = d",
+            local(&ints, &dbls),
+        ),
+        (
+            "SELECT d, z FROM dbls JOIN zero ON d = z",
+            local(&dbls, &zero),
+        ),
+    ] {
+        assert!(!want.is_empty(), "{sql}: a vacuous case");
+        assert_eq!(sorted_rows(&hive.execute(sql).unwrap()), want, "{sql}");
+    }
+    assert_eq!(local(&ints, &dbls).len(), 2);
+    // A scan's predicate compares the same way.
+    let rs = hive.execute("SELECT d FROM dbls WHERE d = 0").unwrap();
+    assert_eq!(rs.len(), 1);
 }

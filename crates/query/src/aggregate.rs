@@ -19,11 +19,10 @@ use std::sync::Arc;
 
 use hana_columnar::OrderedDictionary;
 use hana_sql::Expr;
-use hana_types::{Accumulator, AggFunc, Result, Row, Value};
+use hana_types::{Accumulator, AggFunc, FxHashMap, Result, Row, Value};
 
 use crate::batch::{Batch, Column, Dictionary};
 use crate::eval::eval_batch;
-use crate::hash::FxHashMap;
 
 /// An aggregate call and its argument (`COUNT(*)` has none).
 pub(crate) type AggCall = (AggFunc, Option<Expr>);

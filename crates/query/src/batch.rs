@@ -12,9 +12,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use hana_columnar::{DeltaColumn, MainColumn, OrderedDictionary, BLOCK_ROWS, NULL_VID};
-use hana_types::{Date, ResultSet, Row, Schema, Value};
-
-use crate::hash::FxHashMap;
+use hana_types::{Date, FxHashMap, ResultSet, Row, Schema, Value};
 
 /// A gather index that pads with NULL (the unmatched side of an outer
 /// join).

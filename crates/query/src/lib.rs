@@ -21,7 +21,6 @@ mod cost;
 mod estimator;
 mod eval;
 mod executor;
-mod hash;
 mod join;
 mod locate;
 mod plan;
@@ -35,7 +34,7 @@ pub use executor::{
     execute_plan, execute_plan_bound, execute_plan_with, execute_query, execute_query_with,
     explain_query,
 };
-pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use hana_types::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{BUILD_LEFT, BUILD_RIGHT};
 pub use locate::{locate_rows, Located};
 pub use plan::{

@@ -15,6 +15,7 @@ mod codec;
 mod datatype;
 mod date;
 mod error;
+mod hash;
 mod resultset;
 mod row;
 mod schema;
@@ -25,6 +26,7 @@ pub use codec::{decode_row, decode_rows, decode_values, encode_row, encode_rows}
 pub use datatype::DataType;
 pub use date::Date;
 pub use error::{HanaError, Result};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use resultset::ResultSet;
 pub use row::Row;
 pub use schema::{ColumnDef, Schema};
