@@ -1,7 +1,5 @@
 //! Column fragments: read-optimized main and write-optimized delta.
 
-use std::sync::Arc;
-
 use hana_types::Value;
 
 use crate::bitmap::RowIdBitmap;
@@ -10,12 +8,12 @@ use crate::dictionary::{DeltaDictionary, OrderedDictionary};
 use crate::predicate::ColumnPredicate;
 
 /// Read-optimized, immutable column fragment: an ordered dictionary plus
-/// a compressed value-ID vector. The dictionary is shared: a batch of
-/// vids read from this fragment holds a handle to it, so the vids stay
-/// decodable after the table's lock is released.
+/// a compressed value-ID vector. The dictionary's values are shared: a
+/// batch of vids read from this fragment holds a handle to them, so the
+/// vids stay decodable after the table's lock is released.
 #[derive(Debug, Clone)]
 pub struct MainColumn {
-    dict: Arc<OrderedDictionary>,
+    dict: OrderedDictionary,
     codec: VidCodec,
 }
 
@@ -23,7 +21,7 @@ impl MainColumn {
     /// An empty main fragment.
     pub fn empty() -> MainColumn {
         MainColumn {
-            dict: Arc::default(),
+            dict: OrderedDictionary::default(),
             codec: VidCodec::encode(&[]),
         }
     }
@@ -37,7 +35,7 @@ impl MainColumn {
             .collect();
         MainColumn {
             codec: VidCodec::encode(&vids),
-            dict: Arc::new(dict),
+            dict,
         }
     }
 
@@ -56,9 +54,8 @@ impl MainColumn {
         self.dict.decode(self.codec.get(row))
     }
 
-    /// The fragment's ordered dictionary (a handle to it, for readers
-    /// that keep vids beyond the table's lock).
-    pub fn dictionary(&self) -> &Arc<OrderedDictionary> {
+    /// The fragment's ordered dictionary.
+    pub fn dictionary(&self) -> &OrderedDictionary {
         &self.dict
     }
 

@@ -11,18 +11,21 @@
 //! get IDs starting at 1.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hana_types::Value;
 
 /// Reserved value ID for SQL NULL.
 pub const NULL_VID: u32 = 0;
 
-/// Sorted, deduplicated dictionary of the main store.
+/// Sorted, deduplicated dictionary of the main store. Immutable once
+/// built: its values are one shared slice, which a reader that keeps
+/// vids beyond the table's lock holds a handle to.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedDictionary {
     /// Distinct non-null values in ascending order; `values[i]` has
     /// value ID `i + 1`.
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl OrderedDictionary {
@@ -35,7 +38,8 @@ impl OrderedDictionary {
             .collect();
         vals.sort_unstable();
         vals.dedup();
-        OrderedDictionary { values: vals }
+        let values = vals.into();
+        OrderedDictionary { values }
     }
 
     /// Number of distinct non-null values.
@@ -101,8 +105,9 @@ impl OrderedDictionary {
         (start < end).then(|| (start as u32 + 1, end as u32))
     }
 
-    /// All distinct values in ascending order.
-    pub fn values(&self) -> &[Value] {
+    /// All distinct values in ascending order: vid `v > 0` is
+    /// `values[v - 1]`.
+    pub fn values(&self) -> &Arc<[Value]> {
         &self.values
     }
 

@@ -16,7 +16,8 @@ use hana_dist::DistTable;
 use hana_query::{locate_rows, Located, TableSource};
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
-use hana_sql::{evaluate, BinOp, Expr};
+use hana_sql::batch::{eval_batch, Batch};
+use hana_sql::{BinOp, Expr};
 use hana_txn::{CommitReceipt, TwoPhaseParticipant, TxnHandle, Vote};
 use hana_types::{HanaError, Result, Row, Schema, Value};
 
@@ -399,13 +400,16 @@ impl HanaPlatform {
         let positions = columns.map(|cols| cols.iter().map(|c| schema.require(c)).collect());
         let positions: Option<Vec<usize>> = positions.transpose()?;
         // A VALUES item reads no column: one that names one is unknown.
-        let empty = Schema::default();
+        // Each is computed over one row of nothing.
+        let (empty, one) = (Schema::default(), Batch::new(Vec::new(), 1));
+        let value = |e: &Expr| {
+            Ok(eval_batch(&e.resolve(&empty, &[])?, &one, &[0], &[])?
+                .get(0)
+                .into_owned())
+        };
         let mut rows = Vec::with_capacity(value_rows.len());
         for exprs in value_rows {
-            let values: Vec<Value> = exprs
-                .iter()
-                .map(|e| evaluate(&e.resolve(&empty, &[])?, &Row::new()))
-                .collect::<Result<_>>()?;
+            let values: Vec<Value> = exprs.iter().map(value).collect::<Result<_>>()?;
             let row = match &positions {
                 None => values,
                 Some(at) => {
@@ -490,14 +494,18 @@ impl HanaPlatform {
             .map(resolve)
             .collect::<Result<Vec<_>>>()?;
         let victims = self.locate(table, &target, filter, cid)?;
-        let mut images = Vec::new();
-        for old in victims.iter().flat_map(|hit| &hit.rows) {
-            let mut new_row = old.values().to_vec();
-            for (at, e) in &assignments {
-                new_row[*at] = evaluate(e, old)?;
-            }
-            images.push(Row(new_row));
+        // The located rows as one batch; every new value is computed
+        // over all of them, from the old values.
+        let old = victims.iter().flat_map(|hit| hit.rows.iter().cloned());
+        let mut rows = Batch::from_rows(old.collect(), schema.len());
+        let new =
+            |(at, e): &(usize, Expr)| Ok((*at, eval_batch(e, &rows, &rows.sel, &[])?.into_owned()));
+        let new = assignments.iter().map(new).collect::<Result<Vec<_>>>()?;
+        for (at, column) in new {
+            rows.columns[at] = column;
         }
+        let mut images = Vec::new();
+        rows.push_rows(&mut images);
         let n = images.len();
         self.buffer(tid, &target, victims, target.route(images))?;
         Ok(n)

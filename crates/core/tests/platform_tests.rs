@@ -592,9 +592,9 @@ fn index_seek_explain_provenance_and_results() {
 }
 
 /// Statements whose filters run in a `Filter` operator and whose
-/// projections run in `Finish` return exactly what `evaluate` and
-/// `finish_query` compute over the same rows — the oracle, applied here
-/// by hand.
+/// projections run in `Finish` return exactly what `evaluate` and an
+/// `Epilogue` compute over the same rows — the oracle, applied here by
+/// hand.
 #[test]
 fn executor_agrees_with_the_evaluate_oracle() {
     let (hana, s) = platform();
@@ -634,8 +634,14 @@ fn executor_agrees_with_the_evaluate_oracle() {
             .filter(|r| hana_sql::evaluate_predicate(&filter, r).unwrap())
             .cloned()
             .collect();
-        let (rows, schema) = hana_sql::finish::finish_query(kept, &all.schema, &q).unwrap();
-        assert_eq!(executed.rows, rows, "{sql}");
-        assert_eq!(executed.schema.to_string(), schema.to_string(), "{sql}");
+        let epilogue = hana_sql::finish::Epilogue::new(&all.schema, &q, &[]).unwrap();
+        let kept = hana_sql::batch::Batch::from_rows(kept, all.schema.len());
+        let want = epilogue.apply(kept, &[]).unwrap();
+        assert_eq!(executed.rows, want.rows, "{sql}");
+        assert_eq!(
+            executed.schema.to_string(),
+            want.schema.to_string(),
+            "{sql}"
+        );
     }
 }

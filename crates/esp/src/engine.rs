@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use hana_hadoop::Hdfs;
 use hana_sql::finish::Projection;
-use hana_sql::{evaluate_predicate, Expr, JoinKind, Query, TableRef};
+use hana_sql::{evaluate, evaluate_predicate, Expr, JoinKind, Query, TableRef};
 use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::ccl::{parse_ccl, CclStatement};
@@ -397,12 +397,18 @@ impl EspEngine {
             let Some(joined) = enrich(&inner, def, &row)? else {
                 continue; // reference join dropped the event
             };
+            // One event is no batch: the row evaluator filters and
+            // projects it.
             if let Some(f) = &def.filter {
                 if !evaluate_predicate(f, &joined)? {
                     continue;
                 }
             }
-            let out = [def.projection.project(&joined)?];
+            let project = |e| evaluate(e, &joined);
+            let out = [match def.projection.exprs() {
+                Some(exprs) => Row(exprs.iter().map(project).collect::<Result<_>>()?),
+                None => joined,
+            }];
             if let Some(sinks) = inner.sinks.get(&name) {
                 for (_, s) in sinks {
                     emit(s, def.projection.schema(), &out)?;
@@ -449,8 +455,7 @@ impl EspEngine {
             .windows
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| HanaError::Stream(format!("unknown window '{name}'")))?;
-        let out = def.window.output(&def.state)?;
-        Ok(ResultSet::new(out.schema, out.rows))
+        def.window.output(&def.state)
     }
 
     /// The output schema of a window (for catalog registration).

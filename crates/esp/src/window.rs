@@ -1,10 +1,15 @@
-//! Stream windows with retention and incremental aggregation.
+//! Stream windows with retention.
+//!
+//! A window admits one event at a time with the row evaluator (one
+//! event is no batch); its output is computed over all retained rows at
+//! once, by the group-by and epilogue every engine shares.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use hana_sql::finish::{aggregate_output_schema, as_aggregate, collect_aggregates, finish_query};
-use hana_sql::{evaluate, evaluate_predicate, Expr, Query};
-use hana_types::{Accumulator, AggFunc, HanaError, Result, Row, Schema, Value};
+use hana_sql::batch::{group_batch, AggCall, Batch};
+use hana_sql::finish::{aggregate_output_schema, as_aggregate, collect_aggregates, Epilogue};
+use hana_sql::{evaluate_predicate, Expr, Query};
+use hana_types::{AggFunc, HanaError, Result, ResultSet, Row, Schema};
 
 /// Retention policy of a window (`KEEP n ROWS` / `KEEP n SECONDS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,16 +99,16 @@ impl WindowState {
     }
 }
 
-/// A window definition's SELECT, its WHERE filter, group keys and
-/// aggregate arguments resolved against the input stream once, when
-/// the window is defined: an unknown column is a definition error, not
-/// an event dropped.
+/// A window definition's SELECT — its WHERE filter, group keys,
+/// aggregate arguments and epilogue — resolved against the input stream
+/// once, when the window is defined: an unknown column is a definition
+/// error, not an event dropped or a snapshot that fails.
 pub struct WindowQuery {
-    query: Query,
-    input_schema: Schema,
+    width: usize,
     filter: Option<Expr>,
-    group_by: Vec<Expr>,
-    aggs: Vec<(AggFunc, Option<Expr>)>,
+    /// The group keys and aggregate calls of an aggregating window.
+    grouping: Option<(Vec<Expr>, Vec<AggCall>)>,
+    epilogue: Epilogue,
 }
 
 impl WindowQuery {
@@ -113,19 +118,23 @@ impl WindowQuery {
         validate_window_query(&query)?;
         let resolve = |e: &Expr| e.resolve(&input_schema, &[]);
         let filter = query.filter.as_ref().map(resolve).transpose()?;
-        let group_by = query.group_by.iter().map(resolve).collect::<Result<_>>()?;
-        let arg =
-            |(f, arg): &(AggFunc, Option<Expr>)| Ok((*f, arg.as_ref().map(resolve).transpose()?));
-        let aggs = collect_aggregates(&query)
-            .iter()
-            .map(arg)
-            .collect::<Result<_>>()?;
+        let aggs = collect_aggregates(&query);
+        // A plain window projects its retained rows, an aggregating one
+        // the `_g`/`_a` rows of its groups.
+        let (grouping, epilogue) = if query.group_by.is_empty() && aggs.is_empty() {
+            (None, Epilogue::new(&input_schema, &query, &[])?)
+        } else {
+            let group_by = query.group_by.iter().map(resolve).collect::<Result<_>>()?;
+            let arg = |(f, arg): &AggCall| Ok((*f, arg.as_ref().map(resolve).transpose()?));
+            let aggs = aggs.iter().map(arg).collect::<Result<_>>()?;
+            let groups = aggregate_output_schema(&query, &input_schema)?;
+            (Some((group_by, aggs)), Epilogue::new(&groups, &query, &[])?)
+        };
         Ok(WindowQuery {
-            query,
-            input_schema,
+            width: input_schema.len(),
             filter,
-            group_by,
-            aggs,
+            grouping,
+            epilogue,
         })
     }
 
@@ -140,55 +149,20 @@ impl WindowQuery {
     /// Evaluate the SELECT over the retained rows, producing the
     /// window's output relation.
     ///
-    /// Uses the shared `_g/_a` convention and driver epilogue, so windows
-    /// aggregate exactly like every other engine in the platform.
-    pub fn output(&self, state: &WindowState) -> Result<ResultRows> {
-        let (query, rows) = (&self.query, state.rows());
-        if query.group_by.is_empty() && self.aggs.is_empty() {
-            // Plain (non-aggregating) window: retained rows, projected.
-            let (out, schema) = finish_query(rows, &self.input_schema, query)?;
-            return Ok(ResultRows { rows: out, schema });
-        }
-        // Hash-aggregate the window contents.
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        for r in &rows {
-            let key = self.group_by.iter().map(|g| evaluate(g, r));
-            let accs = groups
-                .entry(key.collect::<Result<_>>()?)
-                .or_insert_with(|| self.aggs.iter().map(|(f, _)| f.accumulator()).collect());
-            for (acc, (_, arg)) in accs.iter_mut().zip(&self.aggs) {
-                match arg {
-                    Some(e) => acc.add(&evaluate(e, r)?),
-                    None => acc.add(&Value::Null),
-                }
+    /// Uses the shared `_g/_a` convention, group-by and driver epilogue,
+    /// so windows aggregate exactly like every other engine in the
+    /// platform.
+    pub fn output(&self, state: &WindowState) -> Result<ResultSet> {
+        let rows = Batch::from_rows(state.rows(), self.width);
+        let input = match &self.grouping {
+            None => rows,
+            Some((keys, aggs)) => {
+                let (groups, _) = group_batch(&rows, keys, aggs, &[])?;
+                groups.finish(keys.len(), aggs)
             }
-        }
-        if groups.is_empty() && query.group_by.is_empty() {
-            groups.insert(
-                Vec::new(),
-                self.aggs.iter().map(|(f, _)| f.accumulator()).collect(),
-            );
-        }
-        let agg_schema = aggregate_output_schema(query, &self.input_schema)?;
-        let mut agg_rows: Vec<Row> = groups
-            .into_iter()
-            .map(|(mut k, accs)| {
-                k.extend(accs.iter().map(|a| a.finish()));
-                Row(k)
-            })
-            .collect();
-        agg_rows.sort();
-        let (out, schema) = finish_query(agg_rows, &agg_schema, query)?;
-        Ok(ResultRows { rows: out, schema })
+        };
+        self.epilogue.apply(input, &[])
     }
-}
-
-/// A window's output relation.
-pub struct ResultRows {
-    /// Output rows.
-    pub rows: Vec<Row>,
-    /// Output schema.
-    pub schema: Schema,
 }
 
 /// Validate at definition time that a window query's aggregates are
@@ -223,7 +197,7 @@ pub fn validate_window_query(query: &Query) -> Result<()> {
 mod tests {
     use super::*;
     use hana_sql::{parse_statement, Statement};
-    use hana_types::DataType;
+    use hana_types::{DataType, Value};
 
     fn q(sql: &str) -> Query {
         let Statement::Query(q) = parse_statement(sql).unwrap() else {
@@ -240,7 +214,7 @@ mod tests {
         Row::from_values([Value::from(cell), Value::Double(load)])
     }
 
-    fn output(w: &WindowState, sql: &str) -> ResultRows {
+    fn output(w: &WindowState, sql: &str) -> ResultSet {
         let window = WindowQuery::new(q(sql), schema()).unwrap();
         window.output(w).unwrap()
     }

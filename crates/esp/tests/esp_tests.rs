@@ -381,6 +381,9 @@ fn an_unknown_column_fails_when_the_ccl_is_defined() {
          GROUP BY nosuch KEEP 10 ROWS;",
         "CREATE OUTPUT WINDOW bad AS SELECT cell, SUM(nosuch) AS n FROM network_events \
          GROUP BY cell KEEP 10 ROWS;",
+        "CREATE OUTPUT WINDOW bad AS SELECT nosuch FROM network_events KEEP 10 ROWS;",
+        "CREATE OUTPUT WINDOW bad AS SELECT cell, COUNT(*) AS n FROM network_events \
+         GROUP BY cell ORDER BY nosuch KEEP 10 ROWS;",
     ] {
         let err = esp
             .deploy(ccl)

@@ -16,7 +16,8 @@
 //!   map-only scan job. The compiler does what Hive's optimiser does
 //!   before a job is launched — predicate push-down, column pruning,
 //!   map-side aggregation — and binds every expression to its stage's
-//!   schema, so an unknown column fails the statement, not a row;
+//!   schema, the driver's epilogue included, so an unknown column fails
+//!   the statement before its first job, not a row;
 //! * Hive's **fetch-task** fast path: a bare `SELECT *` (no predicates,
 //!   joins or aggregates) reads HDFS directly with no MR job at all —
 //!   this is exactly why the remote materialization of §4.4 pays off;
@@ -25,16 +26,20 @@
 //!
 //! HAVING, final projection, DISTINCT and ORDER BY are applied by the
 //! driver after the last job, as Hive's plan driver does for small final
-//! result sets.
+//! result sets: the compiled plan's [`Epilogue`].
 //!
 //! Tables and the intermediates between jobs are Hive text files
 //! (`^A`-separated fields, `\N` for NULL). Every reader of them — each
 //! map function, the driver's final read, the fetch task — goes through
 //! one record reader, [`read_records`], which finds line and field
-//! boundaries in a single pass; a map task then parses only the fields
-//! its expressions read. Join keys and partial aggregates travel typed,
-//! through [`hana_types::encode_row`]. A line that does not decode, or
-//! an expression that cannot be evaluated, fails the job.
+//! boundaries in a single pass. As in Hive's vectorized operators,
+//! expressions run over column batches: a map task decodes the fields
+//! they read a split at a time and filters ([`select`]) or groups
+//! ([`group_batch`]) the batch, and a join's reducer runs the spanning
+//! conjuncts over one key's joined lines at once. Join keys and partial
+//! aggregates travel typed, through [`hana_types::encode_row`]. A line
+//! that does not decode, or an expression that cannot be evaluated,
+//! fails the job.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,14 +47,12 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use hana_sql::finish::{aggregate_output_schema, collect_aggregates, finish_query};
-use hana_sql::{
-    equi_keys, evaluate, evaluate_predicate, parse_statement, Expr, JoinKind, Query, Statement,
-    TableRef,
-};
+use hana_sql::batch::{group_batch, select, AggCall, Batch, Column, Groups};
+use hana_sql::finish::{aggregate_output_schema, collect_aggregates, Epilogue};
+use hana_sql::{equi_keys, parse_statement, Expr, JoinKind, Query, Statement, TableRef};
 use hana_types::{
-    decode_values, encode_row, Accumulator, AggFunc, DataType, FxHashMap, HanaError, Result,
-    ResultSet, Row, Schema, Value,
+    decode_values, encode_row, Accumulator, AggFunc, DataType, HanaError, Result, ResultSet, Row,
+    Schema, Value,
 };
 
 use crate::hdfs::Hdfs;
@@ -252,12 +255,7 @@ impl Hive {
         }
         // Compile first: an unknown column or an unsupported join fails
         // the statement before its first job is launched.
-        let plan = self.compile(q)?;
-        let (rows, schema) = self.run(plan)?;
-        // Driver-side epilogue: HAVING, projection, DISTINCT, ORDER BY,
-        // LIMIT (shared with the other engines).
-        let (rows, schema) = finish_query(rows, &schema, q)?;
-        Ok(ResultSet::new(schema, rows))
+        self.run(self.compile(q)?)
     }
 
     /// `CREATE TABLE name AS SELECT …` — Hive's two-phase implementation
@@ -299,13 +297,15 @@ impl Hive {
         else {
             return Ok(None);
         };
-        let files = self.cluster.hdfs().list(&table.location);
         let schema = &table.schema;
+        let epilogue = Epilogue::new(schema, q, &[])?;
+        let files = self.cluster.hdfs().list(&table.location);
         let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
             decode_fields(fields, schema)
         })?;
-        let (rows, schema) = finish_query(rows, schema, q)?;
-        Ok(Some(ResultSet::new(schema, rows)))
+        Ok(Some(
+            epilogue.apply(Batch::from_rows(rows, schema.len()), &[])?,
+        ))
     }
 
     // ---- the compiler: statement -> jobs, no job launched ----
@@ -398,32 +398,31 @@ impl Hive {
         } else {
             // Output schema: `_g0.._gN` then `_a0.._aM` (shared convention).
             let out_schema = aggregate_output_schema(q, &schema)?;
-            let (funcs, args): (Vec<AggFunc>, Vec<Option<Expr>>) = aggs.into_iter().unzip();
-            // Bound together, group keys first, each distinct expression
-            // once (Q1 sums and averages the same column); COUNT(*)
-            // reads nothing.
-            let mut exprs = q.group_by.clone();
-            let mut place = |e: Expr| {
-                exprs.iter().position(|x| *x == e).unwrap_or_else(|| {
-                    exprs.push(e);
-                    exprs.len() - 1
-                })
-            };
-            let arg_of = args.into_iter().map(|a| a.map(&mut place)).collect();
+            // Bound together, group keys first, so that the fields they
+            // read are decoded once; COUNT(*) reads nothing.
+            let args = aggs.iter().filter_map(|(_, arg)| arg.as_ref());
+            let exprs = q.group_by.iter().chain(args).cloned().collect();
+            let BoundExprs { mut exprs, fields } = BoundExprs::bind(&schema, exprs)?;
+            let mut args = exprs.split_off(q.group_by.len()).into_iter();
+            let mut bound = |_| args.next().expect("one bound expression per argument");
+            let aggs = aggs.into_iter().map(|(f, arg)| (f, arg.map(&mut bound)));
             Some(Agg {
-                exprs: BoundExprs::bind(&schema, exprs)?,
-                group_keys: q.group_by.len(),
-                arg_of,
-                funcs,
+                fields,
+                keys: exprs,
+                aggs: aggs.collect(),
                 schema: out_schema,
             })
         };
+        // The driver's epilogue, over the rows the last job leaves.
+        let last = agg.as_ref().map_or(&schema, |a| &a.schema);
+        let epilogue = Epilogue::new(last, q, &[])?;
         Ok(Plan {
             sources,
             joins,
             residual,
             agg,
             schema,
+            epilogue,
         })
     }
 
@@ -447,13 +446,14 @@ impl Hive {
 
     // ---- the driver: launch the jobs of a plan in DAG order ----
 
-    fn run(&self, plan: Plan) -> Result<(Vec<Row>, Schema)> {
+    fn run(&self, plan: Plan) -> Result<ResultSet> {
         let Plan {
             sources,
             joins,
             mut residual,
             agg,
             schema,
+            epilogue,
         } = plan;
         let last = joins.len();
         let mut sources = sources.into_iter();
@@ -468,8 +468,8 @@ impl Hive {
             };
             input = self.join_stage(input, right, join, residual, idx)?;
         }
-        match agg {
-            Some(agg) => self.aggregate_stage(input, agg),
+        let rows = match agg {
+            Some(agg) => self.aggregate_stage(input, agg)?,
             None => {
                 let files = match last {
                     0 => self.map_only(input)?,
@@ -478,9 +478,10 @@ impl Hive {
                 let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
                     decode_fields(fields, &schema)
                 })?;
-                Ok((rows, schema))
+                Batch::from_rows(rows, schema.len())
             }
-        }
+        };
+        epilogue.apply(rows, &[])
     }
 
     fn tmp_dir(&self, stage: &str) -> String {
@@ -555,30 +556,26 @@ impl Hive {
     /// Group-by MR job: each map task runs the scan of its input,
     /// aggregates what survives and ships one partial state per group;
     /// the reducers merge and finish them.
-    fn aggregate_stage(&self, input: Input, agg: Agg) -> Result<(Vec<Row>, Schema)> {
-        let funcs = agg.funcs.clone();
-        let schema = agg.schema.clone();
-        let global = agg.group_keys == 0;
-        // What every aggregate is over no rows; a global aggregate over
-        // nothing is one such row, a grouped one none.
-        let empty = || {
-            let finished = funcs.iter().map(|f| f.accumulator().finish());
-            vec![Row::from_values(finished)]
-        };
+    fn aggregate_stage(&self, input: Input, agg: Agg) -> Result<Batch> {
+        let funcs: Vec<AggFunc> = agg.aggs.iter().map(|(f, _)| *f).collect();
+        let width = agg.schema.len();
+        // When no group reaches a reducer: the group-by's answer to no
+        // rows (a global aggregate's one row, a grouped one's none).
+        let nothing = Groups::from_items(&agg.aggs, Vec::new()).finish(agg.keys.len(), &agg.aggs);
         if input.files.is_empty() {
-            return Ok((if global { empty() } else { Vec::new() }, schema));
+            return Ok(nothing);
         }
         let spec = JobSpec {
             name: "group-by".into(),
             inputs: input.files,
             output_dir: self.tmp_dir("agg"),
-            num_reducers: if global { 1 } else { 3 },
+            num_reducers: if agg.keys.is_empty() { 1 } else { 3 },
         };
         let mapper = AggMapper {
             scan: input.scan,
             agg,
         };
-        let reducer = AggReducer(funcs.clone());
+        let reducer = AggReducer(funcs);
         self.cluster
             .run_job(&spec, Arc::new(mapper), Some(Arc::new(reducer)))?;
 
@@ -587,18 +584,15 @@ impl Hive {
         let files = self.cluster.hdfs().list(&spec.output_dir);
         let rows = read_rows(self.cluster.hdfs(), &files, 1, |fields| {
             let values = decode_values(fields[0])?;
-            if values.len() != schema.len() {
-                return Err(corrupt(fields[0], values.len(), schema.len()));
+            if values.len() != width {
+                return Err(corrupt(fields[0], values.len(), width));
             }
             Ok(Row(values))
         })?;
-        // No row survived the scan and joins: no group reached a reducer.
-        let rows = if rows.is_empty() && global {
-            empty()
-        } else {
-            rows
-        };
-        Ok((rows, schema))
+        Ok(match rows.is_empty() {
+            true => nothing,
+            false => Batch::from_rows(rows, width),
+        })
     }
 }
 
@@ -622,6 +616,9 @@ struct Plan {
     agg: Option<Agg>,
     /// Schema of the rows the scans and joins leave.
     schema: Schema,
+    /// HAVING, the select list, DISTINCT, ORDER BY and LIMIT, over the
+    /// rows the last job leaves.
+    epilogue: Epilogue,
 }
 
 /// What a job reads: files, and the scan its map function runs over
@@ -642,78 +639,56 @@ struct Join {
 
 /// A GROUP BY or global aggregate, bound to the rows it reads.
 struct Agg {
-    /// The group-by expressions, then the aggregate arguments.
-    exprs: BoundExprs,
-    group_keys: usize,
-    /// Per aggregate, where its argument is in `exprs` (`COUNT(*)` has
-    /// none).
-    arg_of: Vec<Option<usize>>,
-    funcs: Vec<AggFunc>,
+    /// Per field of a line, its type if an expression reads it.
+    fields: Vec<Option<DataType>>,
+    /// The group-by expressions.
+    keys: Vec<Expr>,
+    /// The aggregate calls (`COUNT(*)` has no argument).
+    aggs: Vec<AggCall>,
     /// `_g0.._gN, _a0.._aM`.
     schema: Schema,
-}
-
-impl Agg {
-    /// Add `row` to the accumulators of its group.
-    fn accumulate(&self, accs: &mut [Accumulator], row: &Row) -> Result<()> {
-        for (acc, arg) in accs.iter_mut().zip(&self.arg_of) {
-            match arg {
-                Some(i) => acc.add(&evaluate(&self.exprs.exprs[*i], row)?),
-                None => acc.add(&Value::Null), // COUNT(*) counts the row
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Expressions of one stage resolved against the schema of its input
 /// lines: every column reference is resolved once, at compile time —
 /// an unknown or ambiguous one is an error there, not a row dropped at
-/// run time — to its position among `fields`, the only fields a map
-/// task decodes (Hive's LazySimpleSerDe).
+/// run time — to its field of the line, and only the fields they read
+/// are decoded (Hive's LazySimpleSerDe).
 struct BoundExprs {
     exprs: Vec<Expr>,
-    /// Input field and type of each decoded position.
-    fields: Vec<(usize, DataType)>,
+    /// Per field of a line, its type if an expression reads it.
+    fields: Vec<Option<DataType>>,
 }
 
 impl BoundExprs {
     fn bind(input: &Schema, exprs: Vec<Expr>) -> Result<BoundExprs> {
         let resolved = exprs.iter().map(|e| e.resolve(input, &[]));
-        let mut exprs = resolved.collect::<Result<Vec<Expr>>>()?;
-        let mut read = vec![false; input.len()];
+        let exprs = resolved.collect::<Result<Vec<Expr>>>()?;
+        let mut fields = vec![None; input.len()];
         for e in &exprs {
             e.walk(&mut |n| {
                 if let Expr::Field(i) = n {
-                    read[*i] = true;
-                }
-            });
-        }
-        // Input field -> decoded position.
-        let mut position = vec![0; input.len()];
-        let mut fields = Vec::new();
-        for (i, c) in input.columns().iter().enumerate().filter(|(i, _)| read[*i]) {
-            position[i] = fields.len();
-            fields.push((i, c.data_type));
-        }
-        for e in &mut exprs {
-            e.walk_mut(&mut |n| {
-                if let Expr::Field(i) = n {
-                    *i = position[*i];
+                    fields[*i] = Some(input.column(*i).data_type);
                 }
             });
         }
         Ok(BoundExprs { exprs, fields })
     }
+}
 
-    /// Decode the fields the expressions read into `row`.
-    fn decode(&self, fields: &[&str], row: &mut Row) -> Result<()> {
-        row.0.clear();
-        for &(i, ty) in &self.fields {
-            row.0.push(parse_field(fields[i], ty)?);
+/// `lines` as the batch a stage's expressions run over: a column per
+/// field they read (`fields`, as [`BoundExprs`] has them), decoded a
+/// column at a time; NULL for a field none reads.
+fn decode(fields: &[Option<DataType>], lines: &[&[&str]]) -> Result<Batch> {
+    let column = |(i, ty): (usize, &Option<DataType>)| match ty {
+        Some(ty) => {
+            let values = lines.iter().map(|line| parse_field(line[i], *ty));
+            Ok(Column::from_values(values.collect::<Result<_>>()?))
         }
-        Ok(())
-    }
+        None => Ok(Column::Const(Value::Null, lines.len())),
+    };
+    let columns = fields.iter().enumerate().map(column);
+    Ok(Batch::new(columns.collect::<Result<_>>()?, lines.len()))
 }
 
 // ---- the record reader ----
@@ -881,41 +856,42 @@ impl Scan {
         self.keep.as_ref().map_or(self.arity, Vec::len)
     }
 
-    /// Call `emit` with the cut fields of each line of `split` that
-    /// satisfies the predicate; returns how many lines were read.
-    fn run<'a>(
-        &self,
-        split: &'a str,
-        mut emit: impl FnMut(&[&'a str]) -> Result<()>,
-    ) -> Result<u64> {
-        let mut row = Row::new();
-        let mut cut = Vec::with_capacity(self.width());
-        read_records(split, self.arity, |_, fields| {
-            if let Some(pred) = &self.pred {
-                pred.decode(fields, &mut row)?;
-                if !evaluate_predicate(&pred.exprs[0], &row)? {
-                    return Ok(());
-                }
+    /// How many lines `split` holds, and the cut fields of those that
+    /// satisfy the predicate, in order, [`Scan::width`] to a line. The
+    /// predicate runs once per split, over the split's batch.
+    fn run<'a>(&self, split: &'a str) -> Result<(u64, Vec<&'a str>)> {
+        let mut fields: Vec<&'a str> = Vec::new();
+        let read = read_records(split, self.arity, |_, f| {
+            fields.extend_from_slice(f);
+            Ok(())
+        })?;
+        let lines: Vec<&[&str]> = fields.chunks_exact(self.arity).collect();
+        let kept = match &self.pred {
+            None => (0..lines.len() as u32).collect(),
+            Some(pred) => {
+                let b = decode(&pred.fields, &lines)?;
+                select(&pred.exprs[0], &b, &b.sel, &[])?
             }
+        };
+        let mut cut = Vec::with_capacity(kept.len() * self.width());
+        for j in kept {
+            let line = lines[j as usize];
             match &self.keep {
-                None => emit(fields),
-                Some(keep) => {
-                    cut.clear();
-                    cut.extend(keep.iter().map(|&i| fields[i]));
-                    emit(&cut)
-                }
+                None => cut.extend_from_slice(line),
+                Some(keep) => cut.extend(keep.iter().map(|&i| line[i])),
             }
-        })
+        }
+        Ok((read, cut))
     }
 }
 
 /// The map-only job: the scan alone, writing the lines it cuts.
 impl Mapper for Scan {
     fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
-        self.run(split, |cut| {
-            out.push((String::new(), text_line("", cut)));
-            Ok(())
-        })
+        let (read, cut) = self.run(split)?;
+        let lines = cut.chunks_exact(self.width());
+        out.extend(lines.map(|line| (String::new(), text_line("", line))));
+        Ok(read)
     }
 }
 
@@ -941,13 +917,14 @@ impl Mapper for JoinMapper {
             true => ("L", &self.sides[0]),
             false => ("R", &self.sides[1]),
         };
-        scan.run(split, |cut| {
-            let key = parse_field(cut[*field], *ty)?;
+        let (read, cut) = scan.run(split)?;
+        for line in cut.chunks_exact(scan.width()) {
+            let key = parse_field(line[*field], *ty)?;
             if !key.is_null() {
-                out.push((join_key(key, self.as_double), text_line(tag, cut)));
+                out.push((join_key(key, self.as_double), text_line(tag, line)));
             }
-            Ok(())
-        })
+        }
+        Ok(read)
     }
 }
 
@@ -980,41 +957,45 @@ struct JoinReducer {
 }
 
 impl JoinReducer {
-    /// Whether the residual predicate keeps the joined `line`.
-    fn keeps(&self, line: &str, row: &mut Row) -> Result<bool> {
+    /// The joined lines of one key the residual predicate keeps, or
+    /// `None` for all: it runs once over all of them.
+    fn kept(&self, joined: &[String]) -> Result<Option<Vec<u32>>> {
         let Some(pred) = &self.residual else {
-            return Ok(true);
+            return Ok(None);
         };
-        pred.decode(&line_fields(line, self.arity)?, row)?;
-        evaluate_predicate(&pred.exprs[0], row)
+        let fields = joined.iter().map(|line| line_fields(line, self.arity));
+        let fields = fields.collect::<Result<Vec<_>>>()?;
+        let lines: Vec<&[&str]> = fields.iter().map(Vec::as_slice).collect();
+        let b = decode(&pred.fields, &lines)?;
+        Ok(Some(select(&pred.exprs[0], &b, &b.sel, &[])?))
     }
 }
 
 impl Reducer for JoinReducer {
     fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) {
         let side = |tag| values.iter().filter_map(move |v| v.strip_prefix(tag));
-        let mut row = Row::new();
-        for l in side('L') {
-            for r in side('R') {
-                let line = format!("{l}{FIELD_SEP}{r}");
-                match self.keeps(&line, &mut row) {
-                    Ok(true) => out.push(line),
-                    Ok(false) => {}
-                    Err(e) => {
-                        self.failed.lock().get_or_insert(e);
-                        return;
-                    }
-                }
+        let joined = side('L').flat_map(|l| side('R').map(move |r| format!("{l}{FIELD_SEP}{r}")));
+        let mut joined: Vec<String> = joined.collect();
+        match self.kept(&joined) {
+            Ok(None) => out.append(&mut joined),
+            Ok(Some(kept)) => {
+                out.extend(
+                    kept.iter()
+                        .map(|&j| std::mem::take(&mut joined[j as usize])),
+                );
+            }
+            Err(e) => {
+                self.failed.lock().get_or_insert(e);
             }
         }
     }
 }
 
-/// The map side of GROUP BY: runs the scan of its input and keeps a
-/// hash table of accumulators per split (Hive's map-side aggregation),
-/// shipped as one `(group key, partial states)` pair per group, both
-/// through `hana_types::encode_row` — values keep their types from here
-/// to the driver.
+/// The map side of GROUP BY: runs the scan of its input, groups what
+/// survives a split at a time (Hive's map-side aggregation, through the
+/// group-by every engine shares) and ships one `(group key, partial
+/// states)` pair per group, both through `hana_types::encode_row` —
+/// values keep their types from here to the driver.
 struct AggMapper {
     scan: Scan,
     agg: Agg,
@@ -1023,28 +1004,10 @@ struct AggMapper {
 impl Mapper for AggMapper {
     fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
         let agg = &self.agg;
-        let mut groups: FxHashMap<Vec<Value>, Vec<Accumulator>> = FxHashMap::default();
-        let mut row = Row::new();
-        // One key buffer probes the table; a new group clones it.
-        let mut key = Vec::with_capacity(agg.group_keys);
-        let read = self.scan.run(split, |fields| {
-            agg.exprs.decode(fields, &mut row)?;
-            key.clear();
-            for g in &agg.exprs.exprs[..agg.group_keys] {
-                key.push(evaluate(g, &row)?);
-            }
-            match groups.get_mut(&key) {
-                Some(accs) => agg.accumulate(accs, &row),
-                None => {
-                    let mut accs: Vec<Accumulator> =
-                        agg.funcs.iter().map(AggFunc::accumulator).collect();
-                    agg.accumulate(&mut accs, &row)?;
-                    groups.insert(key.clone(), accs);
-                    Ok(())
-                }
-            }
-        })?;
-        for (key, accs) in groups {
+        let (read, cut) = self.scan.run(split)?;
+        let lines: Vec<&[&str]> = cut.chunks_exact(self.scan.width()).collect();
+        let (groups, _) = group_batch(&decode(&agg.fields, &lines)?, &agg.keys, &agg.aggs, &[])?;
+        for (key, accs) in groups.into_items() {
             let states: Vec<Value> = accs.iter().flat_map(Accumulator::state).collect();
             out.push((encode_row(&key), encode_row(&states)));
         }

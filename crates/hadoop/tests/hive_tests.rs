@@ -387,6 +387,11 @@ fn an_unknown_column_is_a_compile_error_before_any_job() {
          WHERE c_custkey + o_nope > 1 GROUP BY c_name",
         "SELECT COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey GROUP BY nope",
         "SELECT SUM(nope) FROM orders WHERE o_totalprice > 0",
+        // The driver's epilogue is compiled with the jobs.
+        "SELECT nope FROM customer WHERE c_custkey > 1",
+        "SELECT c_name FROM customer JOIN orders ON c_custkey = o_custkey ORDER BY nope",
+        "SELECT c_name, COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey \
+         GROUP BY c_name ORDER BY nope",
     ] {
         let err = hive.execute(sql).unwrap_err();
         assert!(err.to_string().contains("unknown column"), "{sql}: {err}");
@@ -785,4 +790,90 @@ fn join_keys_meet_as_values_not_as_their_text() {
     // A scan's predicate compares the same way.
     let rs = hive.execute("SELECT d FROM dbls WHERE d = 0").unwrap();
     assert_eq!(rs.len(), 1);
+}
+
+#[test]
+fn a_short_circuit_answers_like_the_local_engine_in_every_stage() {
+    let hive = Hive::new(fast_cluster());
+    let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Double)]);
+    hive.create_table("v", schema.clone()).unwrap();
+    let xs = [
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Double(0.25),
+        Value::Double(1.0),
+        Value::Double(-2.0),
+        Value::Null,
+        Value::Double(0.4),
+    ];
+    let rows: Vec<Row> = (0i64..)
+        .zip(xs)
+        .map(|(k, x)| Row::from_values([Value::Int(k), x]))
+        .collect();
+    hive.load("v", &rows).unwrap();
+    // The local engine answers as `hana_sql::evaluate` does, row by row
+    // (`batch_equivalence` holds it to that).
+    let local = |pred: &str| -> hana_types::Result<Vec<Row>> {
+        let Statement::Query(q) =
+            parse_statement(&format!("SELECT * FROM v WHERE {pred}")).unwrap()
+        else {
+            panic!()
+        };
+        let pred = q.filter.unwrap().resolve(&schema, &[]).unwrap();
+        let mut kept = Vec::new();
+        for r in &rows {
+            if hana_sql::evaluate_predicate(&pred, r)? {
+                kept.push(r.clone());
+            }
+        }
+        Ok(kept)
+    };
+    // Only the short circuit keeps `1 / x` from dividing by zero.
+    for (pred, fails) in [("x = 0 OR 1 / x > 2", false), ("1 / x > 2", true)] {
+        let want = local(pred);
+        assert_eq!(want.is_err(), fails, "{pred}: {want:?}");
+        let hit = |r: &Row| match &want {
+            Ok(kept) => kept.contains(r),
+            Err(_) => false,
+        };
+        let keys = |f: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+            let kept = rows.iter().filter(|r| f(r));
+            kept.map(|r| Row::from_values([r[0].clone()])).collect()
+        };
+        let case = format!("CASE WHEN {pred} THEN 'hit' ELSE 'miss' END");
+        let statements = [
+            // Pushed into the scan of `v`.
+            (format!("SELECT k FROM v WHERE {pred}"), keys(&hit)),
+            // Spanning both sides: the join's reducer runs it.
+            (
+                format!(
+                    "SELECT a.k FROM v a JOIN v b ON a.k = b.k WHERE {}",
+                    pred.replace("x = 0", "a.x = 0").replace("/ x", "/ b.x")
+                ),
+                keys(&hit),
+            ),
+            // Inside a group key: the map task's group-by runs it.
+            (
+                format!("SELECT {case}, COUNT(*) FROM v GROUP BY {case}"),
+                ["hit", "miss"]
+                    .into_iter()
+                    .map(|g| {
+                        let n = rows.iter().filter(|r| hit(r) == (g == "hit")).count();
+                        Row::from_values([Value::from(g), Value::Int(n as i64)])
+                    })
+                    .filter(|r| r[1] != Value::Int(0))
+                    .collect(),
+            ),
+        ];
+        for (sql, want_rows) in statements {
+            match (hive.execute(&sql), &want) {
+                (Ok(rs), Ok(_)) => {
+                    assert!(!want_rows.is_empty(), "{sql}: a vacuous case");
+                    assert_eq!(sorted_rows(&rs), want_rows, "{sql}");
+                }
+                (Err(got), Err(want)) => assert_eq!(got.kind(), want.kind(), "{sql}: {got}"),
+                (got, want) => panic!("{sql}: hive {got:?}, local {want:?}"),
+            }
+        }
+    }
 }

@@ -393,19 +393,7 @@ impl IqEngine {
             .get(&Self::key(table))
             .ok_or_else(|| HanaError::Catalog(format!("unknown extended table '{table}'")))?;
         let preds = resolve_predicates(&t.schema, predicates)?;
-        let proj_cols: Vec<usize> = match projection {
-            None => (0..t.schema.len()).collect(),
-            Some(names) => names
-                .iter()
-                .map(|n| t.schema.require(n))
-                .collect::<Result<_>>()?,
-        };
-        let out_schema = Schema::new(
-            proj_cols
-                .iter()
-                .map(|&c| t.schema.column(c).clone())
-                .collect(),
-        )?;
+        let (proj_cols, out_schema) = projected(&t.schema, projection)?;
         let visible_chunks: Vec<&Chunk> =
             t.chunks.iter().filter(|c| c.created_cid <= cid).collect();
         let per_chunk = hana_exec::ExecContext::global().scatter(visible_chunks, |chunk| {
@@ -442,16 +430,13 @@ impl IqEngine {
                 let r = self.execute(right, cid)?;
                 let lc = l.schema.require(left_col)?;
                 let rc = r.schema.require(right_col)?;
+                let schema = joined(&l.schema, &r.schema)?;
                 let mut build: HashMap<Value, Vec<usize>> = HashMap::new();
                 for (i, row) in l.rows.iter().enumerate() {
                     if !row[lc].is_null() {
                         build.entry(row[lc].clone()).or_default().push(i);
                     }
                 }
-                let schema = l
-                    .schema
-                    .join(&r.schema)
-                    .or_else(|_| l.schema.qualified("l").join(&r.schema.qualified("r")))?;
                 let mut rows = Vec::new();
                 for rrow in &r.rows {
                     if let Some(matches) = build.get(&rrow[rc]) {
@@ -470,6 +455,25 @@ impl IqEngine {
                 let inp = self.execute(input, cid)?;
                 aggregate_rows(&inp, group_by, aggregates)
             }
+        }
+    }
+
+    /// The schema of the rows [`IqEngine::execute`] returns for `plan`,
+    /// found without running it: what a driver resolves the epilogue it
+    /// applies to them against.
+    pub fn output_schema(&self, plan: &IqPlan) -> Result<Schema> {
+        match plan {
+            IqPlan::Scan {
+                table, projection, ..
+            } => Ok(projected(&self.table_schema(table)?, projection.as_deref())?.1),
+            IqPlan::Join { left, right, .. } => {
+                joined(&self.output_schema(left)?, &self.output_schema(right)?)
+            }
+            IqPlan::Aggregate {
+                input,
+                group_by,
+                aggregates,
+            } => aggregate_schema(&self.output_schema(input)?, group_by, aggregates),
         }
     }
 
@@ -523,6 +527,54 @@ impl IqEngine {
     }
 }
 
+/// The positions of the `projection` columns of `schema` (`None`: all of
+/// them), and the schema they form.
+fn projected(schema: &Schema, projection: Option<&[String]>) -> Result<(Vec<usize>, Schema)> {
+    let cols: Vec<usize> = match projection {
+        None => (0..schema.len()).collect(),
+        Some(names) => names
+            .iter()
+            .map(|n| schema.require(n))
+            .collect::<Result<_>>()?,
+    };
+    let out = Schema::new(cols.iter().map(|&c| schema.column(c).clone()).collect())?;
+    Ok((cols, out))
+}
+
+/// The schema of a join's rows: the left columns then the right ones,
+/// qualified `l.` / `r.` when a name would repeat.
+fn joined(l: &Schema, r: &Schema) -> Result<Schema> {
+    l.join(r)
+        .or_else(|_| l.qualified("l").join(&r.qualified("r")))
+}
+
+/// The schema of an aggregation's rows over rows of `input`, named by
+/// the platform's shared convention: a group column `_gN` of its input
+/// column's type, then an aggregate `_aN` (a count a BIGINT, any other
+/// a DOUBLE).
+fn aggregate_schema(
+    input: &Schema,
+    group_by: &[String],
+    aggregates: &[(AggFunc, Option<String>)],
+) -> Result<Schema> {
+    let mut out_cols = Vec::with_capacity(group_by.len() + aggregates.len());
+    for (i, g) in group_by.iter().enumerate() {
+        let name = format!("_g{i}");
+        out_cols.push(ColumnDef {
+            name,
+            ..input.column(input.require(g)?).clone()
+        });
+    }
+    for (i, (f, _)) in aggregates.iter().enumerate() {
+        let dt = match f {
+            AggFunc::Count | AggFunc::CountStar => DataType::BigInt,
+            _ => DataType::Double,
+        };
+        out_cols.push(ColumnDef::new(&format!("_a{i}"), dt));
+    }
+    Schema::new(out_cols)
+}
+
 /// Resolve predicate column names to indices.
 fn resolve_predicates(
     schema: &Schema,
@@ -534,7 +586,7 @@ fn resolve_predicates(
         .collect()
 }
 
-/// Hash aggregation shared with the plan executor.
+/// Hash aggregation of the rows of `input` ([`aggregate_schema`]).
 pub fn aggregate_rows(
     input: &ResultSet,
     group_by: &[String],
@@ -556,24 +608,7 @@ pub fn aggregate_rows(
             ))
         })
         .collect::<Result<_>>()?;
-
-    let mut out_cols: Vec<ColumnDef> = group_idx
-        .iter()
-        .map(|&i| input.schema.column(i).clone())
-        .collect();
-    for (i, (f, col)) in aggregates.iter().enumerate() {
-        let name = match col {
-            Some(c) => format!("{}_{}", f.sql_name().to_ascii_lowercase(), c),
-            None => format!("count_star_{i}"),
-        };
-        let dt = match f {
-            AggFunc::Count | AggFunc::CountStar => DataType::BigInt,
-            AggFunc::Avg => DataType::Double,
-            _ => DataType::Double,
-        };
-        out_cols.push(ColumnDef::new(&name, dt));
-    }
-    let out_schema = Schema::new(out_cols)?;
+    let out_schema = aggregate_schema(&input.schema, group_by, aggregates)?;
 
     let mut groups: HashMap<Vec<Value>, Vec<hana_types::Accumulator>> = HashMap::new();
     for row in &input.rows {

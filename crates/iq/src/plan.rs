@@ -3,8 +3,8 @@
 //! Per §3.1, SAP HANA pushes whole sub-plans below the distributed
 //! exchange operator to the IQ query processor: scans with predicates,
 //! group-bys, joins and nested sub-plans. [`IqPlan`] is the shape of
-//! those shipped sub-plans; the driver epilogue (`finish_query`) sorts
-//! and limits what they return.
+//! those shipped sub-plans; the driver epilogue
+//! (`hana_sql::finish::Epilogue`) sorts and limits what they return.
 
 use hana_columnar::ColumnPredicate;
 use hana_types::AggFunc;

@@ -1,20 +1,23 @@
 //! The plan executor.
 //!
-//! Operators hand each other [`Batches`]; rows are built once, by
-//! `Finish` or at the result boundary of a plan without one.
+//! Operators hand each other [`Batches`]; rows are built once, after
+//! `Finish` or at the result boundary of a plan without one. A column
+//! leaf unpacks the stored vids of its hits here.
 
-use hana_columnar::{ColumnPredicate, ColumnTable, RowIdBitmap};
+use hana_columnar::{
+    ColumnPredicate, ColumnTable, DeltaColumn, MainColumn, RowIdBitmap, BLOCK_ROWS, NULL_VID,
+};
 use hana_exec::ExecContext;
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
+use hana_sql::batch::{
+    eval_batch, group_batch, select, AggCall, Batch, Batches, Column, Dictionary, Groups,
+};
 use hana_sql::finish::named;
 use hana_sql::{Expr, JoinKind, Query, TableRef};
-use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
+use hana_types::{FxHashMap, HanaError, Result, ResultSet, Row, Schema, Value};
 
-use crate::aggregate::{group_batch, AggCall, Groups};
-use crate::batch::{Batch, Batches, Column};
 use crate::catalog::{Catalog, TableSource};
-use crate::eval::{eval_batch, select};
 use crate::join::{hash_join, EquiJoin};
 use crate::plan::{
     bind_predicate, bind_predicates, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
@@ -129,11 +132,9 @@ pub fn execute_plan_bound(
     let PlanOp::Finish { input, epilogue } = &plan.op else {
         return Ok(run_node(&run, plan)?.into_result_set());
     };
-    // The epilogue runs over rows: they are built here, once.
+    // The epilogue runs over one batch; rows are built after it, once.
     let span = hana_obs::span("finish");
-    let inp = run_node(&run, input)?.into_result_set();
-    let (rows, schema) = epilogue.apply(inp.rows, values)?;
-    let rs = ResultSet::new(schema, rows);
+    let rs = epilogue.apply(run_node(&run, input)?.concat(), values)?;
     span.set_rows(rs.rows.len() as u64);
     span.set_bytes_with(|| rs.approx_bytes());
     Ok(rs)
@@ -475,12 +476,12 @@ fn column_leaf(
     let batch = |rows: &[u32]| {
         let columns = match rows[0] < main_rows {
             true => (projection.iter())
-                .map(|&c| Column::main(t.main_column(c), rows))
+                .map(|&c| main_vids(t.main_column(c), rows))
                 .collect(),
             false => {
                 let local: Vec<u32> = rows.iter().map(|&r| r - main_rows).collect();
                 (projection.iter())
-                    .map(|&c| Column::delta(t.delta_column(c), &local))
+                    .map(|&c| delta_vids(t.delta_column(c), &local))
                     .collect()
             }
         };
@@ -491,6 +492,52 @@ fn column_leaf(
         0 | 1 => pieces.into_iter().map(batch).collect(),
         _ => run.exec.scatter(pieces, batch),
     })
+}
+
+/// Main-fragment rows `rows` (ascending) as vids, unpacked one block at
+/// a time; a block with under a quarter of its rows hit (a point read's
+/// one, a selective scan's few) decodes those rows only.
+fn main_vids(col: &MainColumn, rows: &[u32]) -> Column {
+    let codec = col.codec();
+    let mut vids = Vec::with_capacity(rows.len());
+    let mut buf = [0u32; BLOCK_ROWS];
+    let mut rest = rows;
+    while let Some(&first) = rest.first() {
+        let block = first as usize / BLOCK_ROWS;
+        let end = (block + 1) * BLOCK_ROWS;
+        let in_block = rest.partition_point(|&r| (r as usize) < end);
+        if in_block < BLOCK_ROWS / 4 {
+            vids.extend(rest[..in_block].iter().map(|&r| codec.get(r as usize)));
+        } else {
+            codec.unpack_block(block, &mut buf);
+            vids.extend(
+                rest[..in_block]
+                    .iter()
+                    .map(|&r| buf[r as usize % BLOCK_ROWS]),
+            );
+        }
+        rest = &rest[in_block..];
+    }
+    Column::Dict(Dictionary::Main(col.dictionary().values().clone()), vids)
+}
+
+/// Delta-fragment rows `rows` (fragment-local), each distinct value
+/// decoded once into a dictionary of their own.
+fn delta_vids(col: &DeltaColumn, rows: &[u32]) -> Column {
+    let (dict, vids) = (col.dictionary(), col.vids());
+    let mut local: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut values = Vec::new();
+    let codes = rows
+        .iter()
+        .map(|&r| match vids[r as usize] {
+            NULL_VID => NULL_VID,
+            vid => *local.entry(vid).or_insert_with(|| {
+                values.push(dict.value(vid).clone());
+                values.len() as u32
+            }),
+        })
+        .collect();
+    Column::Dict(Dictionary::Local(values.into()), codes)
 }
 
 /// Aggregate over a distributed scan: each node groups its fragment
@@ -716,5 +763,50 @@ fn remote_column(join: &PlanNode, local: &PlanNode, key: usize, binding: &str) -
     Expr::Column {
         qualifier: Some(binding.to_string()),
         name: unqualified(name).to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hana_types::DataType;
+
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.get(i).into_owned()).collect()
+    }
+
+    #[test]
+    fn main_and_delta_columns_decode_the_stored_rows() {
+        let mut t = hana_columnar::ColumnTable::new("t", Schema::of(&[("x", DataType::Varchar)]));
+        let text = |i: usize| match i % 5 {
+            0 => Value::Null,
+            k => Value::from(format!("v{k}")),
+        };
+        for i in 0..3 * BLOCK_ROWS {
+            t.insert(&[text(i)], 1).unwrap();
+        }
+        t.merge_delta();
+        for i in 0..100 {
+            t.insert(&[text(i)], 1).unwrap();
+        }
+        // One hit in the first block, a run in the second, all of the third.
+        let main: Vec<u32> = [5]
+            .into_iter()
+            .chain(BLOCK_ROWS as u32 + 7..BLOCK_ROWS as u32 + 40)
+            .chain(2 * BLOCK_ROWS as u32..3 * BLOCK_ROWS as u32)
+            .collect();
+        let col = main_vids(t.main_column(0), &main);
+        let want: Vec<Value> = main.iter().map(|&r| t.value(r as usize, 0)).collect();
+        assert_eq!(values(&col), want);
+        let delta: Vec<u32> = (0..100).step_by(3).collect();
+        let col = delta_vids(t.delta_column(0), &delta);
+        let Column::Dict(d, _) = &col else { panic!() };
+        assert_eq!(
+            d.values().len(),
+            4,
+            "distinct non-NULL values, decoded once"
+        );
+        let want: Vec<Value> = delta.iter().map(|&r| text(r as usize)).collect();
+        assert_eq!(values(&col), want);
     }
 }

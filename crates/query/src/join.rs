@@ -13,10 +13,9 @@
 use std::hash::Hash;
 
 use hana_exec::ExecContext;
+use hana_sql::batch::{Batch, Batches, Column, NULL_ROW};
 use hana_sql::JoinKind;
 use hana_types::{FxBuildHasher, FxHashMap, Result, Schema, Value};
-
-use crate::batch::{Batch, Batches, Column, NULL_ROW};
 
 /// `build_side` attribute of a `hash_join` span: the table went over
 /// the left input.

@@ -13,13 +13,10 @@
 //! platform facade (`hana-core`) implements [`Catalog`] and routes SQL
 //! here.
 
-mod aggregate;
-mod batch;
 mod catalog;
 mod context;
 mod cost;
 mod estimator;
-mod eval;
 mod executor;
 mod join;
 mod locate;

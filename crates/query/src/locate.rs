@@ -1,7 +1,8 @@
 //! Locating rows for UPDATE/DELETE with the SELECT access path.
 
 use hana_exec::ExecContext;
-use hana_sql::{evaluate_predicate, Expr, Query, TableRef};
+use hana_sql::batch::{select, Batch};
+use hana_sql::{Expr, Query, TableRef};
 use hana_types::{HanaError, Result, Row};
 
 use crate::catalog::{Catalog, TableSource};
@@ -105,14 +106,15 @@ pub fn locate_rows(
     };
     let candidates: usize = located.iter().map(|l| l.ids.len()).sum();
     span.attr("candidate_rows", candidates as u64);
-    for pred in residual {
+    if !residual.is_empty() {
         for l in &mut located {
-            let keep = l.rows.iter().map(|r| evaluate_predicate(pred, r));
-            let keep = keep.collect::<Result<Vec<bool>>>()?;
-            let mut flags = keep.iter();
-            l.ids.retain(|_| *flags.next().expect("one flag per id"));
-            let mut flags = keep.iter();
-            l.rows.retain(|_| *flags.next().expect("one flag per row"));
+            // The candidates as one batch, narrowed conjunct by conjunct.
+            let mut b = Batch::from_rows(std::mem::take(&mut l.rows), node.schema.len());
+            for pred in &residual {
+                b.sel = select(pred, &b, &b.sel, &[])?;
+            }
+            l.ids = b.sel.iter().map(|&j| l.ids[j as usize]).collect();
+            b.push_rows(&mut l.rows);
         }
     }
     span.set_rows(located.iter().map(|l| l.ids.len() as u64).sum());

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use hana_columnar::ColumnPredicate;
 use hana_hadoop::{Hive, MrFunctionRegistry};
 use hana_iq::{IqEngine, IqPlan};
-use hana_sql::finish::{collect_aggregates, finish_query};
+use hana_sql::batch::Batch;
+use hana_sql::finish::{collect_aggregates, Epilogue};
 use hana_sql::{BinOp, Expr, JoinKind, Query, TableRef};
 use hana_types::{AggFunc, HanaError, Result, ResultSet, Row, Schema};
 
@@ -127,6 +128,10 @@ pub trait SdaAdapter: Send + Sync {
 
 // ---------------------------------------------------------------- hive
 
+/// Registry counter of the rows every `hiveodbc` adapter has fetched
+/// into HANA: the rows its `row_cost_us` is charged for.
+pub const ODBC_ROWS: &str = "hana_sda_odbc_rows_total";
+
 /// Names of shipped temp tables: drawn, not read off the clock, so
 /// concurrent relocations — through any adapter over one Hive — never
 /// pick the same one.
@@ -141,7 +146,8 @@ static TEMP_TABLES: AtomicU64 = AtomicU64::new(0);
 /// "the results fetched from the remote source are joined with local
 /// tables in HANA", and that fetch is not free. The cost is charged to
 /// the Hive cluster's modelled time (`MrCluster::modelled`), beside the
-/// job start-up costs it trades against; nothing sleeps.
+/// job start-up costs it trades against; nothing sleeps. The rows it is
+/// charged for are counted in [`ODBC_ROWS`].
 pub struct HiveOdbcAdapter {
     hive: Arc<Hive>,
     dsn: String,
@@ -175,6 +181,7 @@ impl HiveOdbcAdapter {
     }
 
     fn charge_transfer(&self, rows: usize) {
+        hana_obs::registry().counter(ODBC_ROWS).add(rows as u64);
         let micros = self.row_cost_us.saturating_mul(rows as u64);
         self.hive
             .cluster()
@@ -338,10 +345,12 @@ impl IqAdapter {
         &self.engine
     }
 
-    /// Compile the scan/join/aggregate part of `q` into an [`IqPlan`].
-    /// Residual predicates or unsupported shapes are an error — the
-    /// federated optimizer must not ship such queries here.
-    pub fn compile(&self, q: &Query) -> Result<IqPlan> {
+    /// Compile the scan/join/aggregate part of `q` into an [`IqPlan`],
+    /// and the rest into the epilogue the driver applies to what the
+    /// plan returns. Residual predicates or unsupported shapes are an
+    /// error — the federated optimizer must not ship such queries here —
+    /// and so is an unknown column: all before the plan runs.
+    pub fn compile(&self, q: &Query) -> Result<(IqPlan, Epilogue)> {
         let from = q
             .from
             .as_ref()
@@ -422,7 +431,8 @@ impl IqAdapter {
                 aggregates,
             };
         }
-        Ok(plan)
+        let epilogue = Epilogue::new(&self.engine.output_schema(&plan)?, q, &[])?;
+        Ok((plan, epilogue))
     }
 }
 
@@ -482,19 +492,9 @@ impl SdaAdapter for IqAdapter {
 
     fn execute(&self, q: &Query, ctx: &RemoteContext) -> Result<ResultSet> {
         ctx.check_deadline("IQ plan compilation")?;
-        let plan = self.compile(q)?;
+        let (plan, epilogue) = self.compile(q)?;
         let rs = self.engine.execute(&plan, ctx.cid())?;
-        // The aggregate stage (if any) produced positional columns named
-        // by the engine; rename to the shared `_g/_a` convention before
-        // the driver epilogue.
-        let aggs = collect_aggregates(q);
-        let rs = if !q.group_by.is_empty() || !aggs.is_empty() {
-            rename_positional(rs, q.group_by.len())?
-        } else {
-            rs
-        };
-        let (rows, schema) = finish_query(rs.rows, &rs.schema, q)?;
-        Ok(ResultSet::new(schema, rows))
+        epilogue.apply(Batch::from_rows(rs.rows, rs.schema.len()), &[])
     }
 
     fn create_temp_table(
@@ -543,27 +543,4 @@ impl SdaAdapter for IqAdapter {
     fn column_distinct(&self, table: &str, column: &str) -> Option<u64> {
         self.engine.column_distinct(table, column).ok()
     }
-}
-
-/// Rename an aggregate result's columns to `_g0.._gN, _a0.._aM`.
-fn rename_positional(rs: ResultSet, groups: usize) -> Result<ResultSet> {
-    let cols = rs
-        .schema
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let name = if i < groups {
-                format!("_g{i}")
-            } else {
-                format!("_a{}", i - groups)
-            };
-            hana_types::ColumnDef {
-                name,
-                data_type: c.data_type,
-                nullable: c.nullable,
-            }
-        })
-        .collect();
-    Ok(ResultSet::new(Schema::new(cols)?, rs.rows))
 }

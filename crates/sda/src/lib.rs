@@ -33,7 +33,9 @@ mod pushdown;
 mod registry;
 mod retry;
 
-pub use adapter::{HadoopMrAdapter, HiveOdbcAdapter, IqAdapter, RemoteStats, SdaAdapter};
+pub use adapter::{
+    HadoopMrAdapter, HiveOdbcAdapter, IqAdapter, RemoteStats, SdaAdapter, ODBC_ROWS,
+};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{CacheOutcome, RemoteCache, RemoteCacheConfig};
 pub use capability::CapabilitySet;

@@ -1,4 +1,4 @@
-//! Hash aggregation over column batches: one operator for every input.
+//! Hash aggregation over column batches: one group-by for every engine.
 //!
 //! Each batch is grouped on its own: a key column that carries a
 //! dictionary keys on its vids, any other on its values interned to
@@ -15,33 +15,31 @@
 
 use std::borrow::Cow;
 use std::hash::Hash;
-use std::sync::Arc;
 
-use hana_columnar::OrderedDictionary;
-use hana_sql::Expr;
 use hana_types::{Accumulator, AggFunc, FxHashMap, Result, Row, Value};
 
-use crate::batch::{Batch, Column, Dictionary};
-use crate::eval::eval_batch;
+use super::{eval_batch, Batch, Column, Dictionary};
+use crate::ast::Expr;
 
 /// An aggregate call and its argument (`COUNT(*)` has none).
-pub(crate) type AggCall = (AggFunc, Option<Expr>);
+pub type AggCall = (AggFunc, Option<Expr>);
 
 /// "No group yet" in a dense group table.
 const NONE: u32 = u32::MAX;
 
 /// The keys of a group table, one per group.
 enum Keys {
-    /// Vids of main-fragment dictionaries packed in key order (the last
-    /// key the least significant digit, base `dictionary length + 1`).
-    Vids(Vec<u64>, Vec<Arc<OrderedDictionary>>),
+    /// Vids of main-fragment dictionaries ([`Dictionary::Main`]) packed
+    /// in key order (the last key the least significant digit, base
+    /// `dictionary length + 1`).
+    Vids(Vec<u64>, Vec<Dictionary>),
     /// Key values.
     Values(Vec<Vec<Value>>),
 }
 
 /// Digit `k` of packed vids over `dicts`.
-fn vid(packed: u64, k: usize, dicts: &[Arc<OrderedDictionary>]) -> u32 {
-    let base = |d: &Arc<OrderedDictionary>| d.len() as u64 + 1;
+fn vid(packed: u64, k: usize, dicts: &[Dictionary]) -> u32 {
+    let base = |d: &Dictionary| d.values().len() as u64 + 1;
     let below: u64 = dicts[k + 1..].iter().map(base).product();
     (packed / below % base(&dicts[k])) as u32
 }
@@ -60,7 +58,7 @@ impl Keys {
             Keys::Vids(packed, dicts) => {
                 let key = |&p: &u64| {
                     (0..dicts.len())
-                        .map(|k| dicts[k].decode(vid(p, k, &dicts)))
+                        .map(|k| dicts[k].value(vid(p, k, &dicts)).clone())
                         .collect()
                 };
                 packed.iter().map(key).collect()
@@ -71,7 +69,7 @@ impl Keys {
 
 /// Groups of some input in first-seen order: their keys, and
 /// accumulators `width` per group in the same order.
-pub(crate) struct Groups {
+pub struct Groups {
     keys: Keys,
     accs: Vec<Accumulator>,
     width: usize,
@@ -81,6 +79,11 @@ impl Groups {
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    /// Whether there is no group.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Accumulator states shipped between nodes, one item a group.
@@ -106,9 +109,9 @@ impl Groups {
     /// dictionaries, on key values otherwise.
     pub fn merge(aggs: &[AggCall], parts: Vec<Groups>) -> Groups {
         let w = aggs.len();
-        let one_dictionary_set = |g: &Groups, dicts: &[Arc<OrderedDictionary>]| match &g.keys {
+        let one_dictionary_set = |g: &Groups, dicts: &[Dictionary]| match &g.keys {
             Keys::Vids(_, d) => {
-                d.len() == dicts.len() && d.iter().zip(dicts).all(|(a, b)| Arc::ptr_eq(a, b))
+                d.len() == dicts.len() && d.iter().zip(dicts).all(|(a, b)| a.same(b))
             }
             Keys::Values(_) => false,
         };
@@ -148,7 +151,7 @@ impl Groups {
     /// BY) over no rows still yields its one row.
     pub fn finish(self, keys: usize, aggs: &[AggCall]) -> Batch {
         let w = self.width;
-        if self.len() == 0 && keys == 0 {
+        if self.is_empty() && keys == 0 {
             let fresh = aggs
                 .iter()
                 .map(|(f, _)| Column::from_values(vec![f.accumulator().finish()]));
@@ -161,7 +164,7 @@ impl Groups {
                 order.sort_unstable_by_key(|&g| packed[g]);
                 let key = |k: usize| {
                     let vids = order.iter().map(|&g| vid(packed[g], k, &dicts)).collect();
-                    Column::Dict(Dictionary::Main(Arc::clone(&dicts[k])), vids)
+                    Column::Dict(dicts[k].clone(), vids)
                 };
                 let agg = |a: usize| {
                     Column::from_values(
@@ -222,7 +225,7 @@ fn merge_keyed<K: Hash + Eq + Clone>(
 /// Group the rows in play of one batch by `keys` and accumulate `aggs`,
 /// their slots reading `values`; also the number of key columns grouped
 /// on their vids.
-pub(crate) fn group_batch(
+pub fn group_batch(
     b: &Batch,
     keys: &[Expr],
     aggs: &[AggCall],
@@ -239,7 +242,7 @@ pub(crate) fn group_batch(
     let (gids, firsts) = densify(&packed, card);
     let main_dicts: Option<Vec<_>> = (key_cols.iter())
         .map(|c| match &**c {
-            Column::Dict(Dictionary::Main(d), _) => Some(Arc::clone(d)),
+            Column::Dict(d @ Dictionary::Main(_), _) => Some(d.clone()),
             _ => None,
         })
         .collect();
@@ -349,9 +352,9 @@ fn codes(col: &Column) -> (Cow<'_, [u32]>, u64) {
 mod tests {
     use super::*;
 
-    fn main_dict(values: impl IntoIterator<Item = i64>) -> Arc<OrderedDictionary> {
-        let values: Vec<Value> = values.into_iter().map(Value::Int).collect();
-        Arc::new(OrderedDictionary::build(&values))
+    /// A main fragment's dictionary of `values`, which ascend.
+    fn main_dict(values: impl IntoIterator<Item = i64>) -> Dictionary {
+        Dictionary::Main(values.into_iter().map(Value::Int).collect())
     }
 
     #[test]
@@ -359,10 +362,7 @@ mod tests {
         // Four keys of 2^20 + 1 codes each do not pack in 64 bits.
         let n = 40;
         let dict = main_dict(0..1 << 20);
-        let col = Column::Dict(
-            Dictionary::Main(dict),
-            (0..n as u32).map(|i| i % 3 + 1).collect(),
-        );
+        let col = Column::Dict(dict, (0..n as u32).map(|i| i % 3 + 1).collect());
         let keys: Vec<Cow<Column>> = (0..4).map(|_| Cow::Owned(col.clone())).collect();
         let (packed, card, exact) = pack(&keys, n);
         assert!(!exact);

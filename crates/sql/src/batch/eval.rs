@@ -1,26 +1,27 @@
-//! Expressions over column batches: the executor's one evaluator.
+//! Expressions over column batches: the one runtime evaluator of every
+//! engine but ESP's per-event paths.
 //!
-//! [`eval_batch`] computes a plan's expression (columns resolved to
+//! [`eval_batch`] computes a resolved expression (columns resolved to
 //! positions, slots read from the run's values) for the rows `sel` of a
 //! batch, column at a time. Int, Double and Date
 //! arithmetic and comparisons run as typed loops; a predicate over a
 //! dictionary column and a constant is decided once per dictionary
 //! entry and mapped over the vids; every other combination loops over
-//! the scalar primitives `hana_sql::evaluate` uses (`Value::{add, sub,
-//! mul, div, sql_cmp, sql_like}`, `hana_sql::scalar_function`), so the
-//! semantics are shared, not rewritten. AND / OR, CASE, IN and the
-//! arguments of a scalar function are computed only on the rows
-//! `evaluate` computes them on: an error surfaces on exactly the inputs
-//! it surfaces on there.
+//! the scalar primitives [`evaluate`](crate::evaluate) uses
+//! (`Value::{add, sub, mul, div, sql_cmp, sql_like}`,
+//! [`scalar_function`]), so the semantics are shared, not rewritten.
+//! AND / OR, CASE, IN and the arguments of a scalar function are
+//! computed only on the rows `evaluate` computes them on: an error
+//! surfaces on exactly the inputs it surfaces on there.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use hana_sql::{scalar_function, BinOp, Expr, UnaryOp};
 use hana_types::{HanaError, Result, Value};
 
-use crate::batch::{Batch, Column, Dictionary, Numbers};
-use crate::plan::Operand;
+use super::{Batch, Column, Dictionary, Numbers};
+use crate::ast::{BinOp, Expr, UnaryOp};
+use crate::eval::scalar_function;
 
 /// Truth values, one byte a row: SQL's three, and "not a boolean".
 const F: u8 = 0;
@@ -30,7 +31,7 @@ const NOT_BOOL: u8 = 3;
 
 /// `e` over rows `sel` of `b`, its slots reading `values`: one value
 /// per row of `sel`, in order.
-pub(crate) fn eval_batch<'a>(
+pub fn eval_batch<'a>(
     e: &Expr,
     b: &'a Batch,
     sel: &[u32],
@@ -129,7 +130,12 @@ pub(crate) fn eval_batch<'a>(
             Column::from_values(sel.iter().map(call).collect::<Result<_>>()?)
         }
         Expr::Case { whens, else_expr } => case((whens, else_expr.as_deref()), b, sel, values)?,
-        Expr::Parameter(i) => Column::Const(Operand::Slot(*i).value(values)?.clone(), n),
+        Expr::Parameter(i) => {
+            let v = values.get(*i).ok_or_else(|| {
+                HanaError::Plan(format!("no value bound for parameter {}", i + 1))
+            })?;
+            Column::Const(v.clone(), n)
+        }
         Expr::Column { .. } => {
             return Err(HanaError::Plan(format!(
                 "internal error: column '{e}' reached the evaluator unresolved"
@@ -142,7 +148,7 @@ pub(crate) fn eval_batch<'a>(
 
 /// The rows of `sel` predicate `pred` holds on (NULL does not hold; a
 /// value that is not a boolean is an error).
-pub(crate) fn select(pred: &Expr, b: &Batch, sel: &[u32], values: &[Value]) -> Result<Vec<u32>> {
+pub fn select(pred: &Expr, b: &Batch, sel: &[u32], values: &[Value]) -> Result<Vec<u32>> {
     let v = eval_batch(pred, b, sel, values)?;
     let t = truth(&v);
     if let Some(j) = t.iter().position(|&x| x == NOT_BOOL) {

@@ -1,4 +1,4 @@
-//! Column batches: what the executor's operators hand each other.
+//! Column batches: what the operators of every engine hand each other.
 //!
 //! A [`Batch`] is a set of equally long [`Column`]s plus a selection
 //! vector naming the rows still in play: a filter narrows the selection
@@ -6,49 +6,62 @@
 //! packed vids with a handle to the fragment's immutable dictionary
 //! until an operator needs values; delta rows are decoded at the leaf
 //! into a dictionary of their own (the delta dictionary is mutable).
-//! Rows are built once, at `Finish` or the executor's result boundary.
+//! Engines that read rows — Hive's splits, DML's located rows, an ESP
+//! window — hand them over with [`Batch::from_rows`]. [`eval_batch`] /
+//! [`select`] evaluate over a batch and [`group_batch`] groups one;
+//! rows are built once, at the result boundary or after an epilogue.
+
+mod aggregate;
+mod eval;
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use hana_columnar::{DeltaColumn, MainColumn, OrderedDictionary, BLOCK_ROWS, NULL_VID};
-use hana_types::{Date, FxHashMap, ResultSet, Row, Schema, Value};
+use hana_types::{Date, ResultSet, Row, Schema, Value};
+
+pub use aggregate::{group_batch, AggCall, Groups};
+pub use eval::{eval_batch, select};
+
+/// The vid of NULL in every dictionary column.
+const NULL_VID: u32 = 0;
 
 /// A gather index that pads with NULL (the unmatched side of an outer
 /// join).
-pub(crate) const NULL_ROW: u32 = u32::MAX;
+pub const NULL_ROW: u32 = u32::MAX;
 
 static NULL: Value = Value::Null;
 
 /// The values a dictionary column's vids index: vid `v > 0` is
 /// `values()[v - 1]`, vid 0 is NULL.
 #[derive(Debug, Clone)]
-pub(crate) enum Dictionary {
-    /// A main fragment's ordered dictionary.
-    Main(Arc<OrderedDictionary>),
+pub enum Dictionary {
+    /// A main fragment's ordered dictionary: values in ascending order,
+    /// so that vid order is value order.
+    Main(Arc<[Value]>),
     /// The distinct values of the delta rows one leaf read.
     Local(Arc<[Value]>),
 }
 
 impl Dictionary {
     /// Every non-NULL value, in vid order.
+    #[inline]
     pub fn values(&self) -> &[Value] {
         match self {
-            Dictionary::Main(d) => d.values(),
-            Dictionary::Local(v) => v,
+            Dictionary::Main(v) | Dictionary::Local(v) => v,
         }
     }
 
     /// Whether `other` is this very dictionary.
     pub fn same(&self, other: &Dictionary) -> bool {
         match (self, other) {
-            (Dictionary::Main(a), Dictionary::Main(b)) => Arc::ptr_eq(a, b),
-            (Dictionary::Local(a), Dictionary::Local(b)) => Arc::ptr_eq(a, b),
+            (Dictionary::Main(a), Dictionary::Main(b))
+            | (Dictionary::Local(a), Dictionary::Local(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
 
     /// The value of `vid`.
+    #[inline]
     pub fn value(&self, vid: u32) -> &Value {
         match vid {
             NULL_VID => &NULL,
@@ -59,7 +72,7 @@ impl Dictionary {
 
 /// One column of a batch.
 #[derive(Debug, Clone)]
-pub(crate) enum Column {
+pub enum Column {
     /// Vids into a dictionary.
     Dict(Dictionary, Vec<u32>),
     /// Integers, none NULL.
@@ -77,7 +90,7 @@ pub(crate) enum Column {
 }
 
 /// A column as numbers of one type, when it is one.
-pub(crate) enum Numbers<'a> {
+pub enum Numbers<'a> {
     Int(Cow<'a, [i64]>),
     Double(Cow<'a, [f64]>),
     Date(Cow<'a, [Date]>),
@@ -148,54 +161,8 @@ impl Column {
         typed.unwrap_or(Column::Values(values))
     }
 
-    /// Main-fragment rows `rows` (ascending) as vids, unpacked one
-    /// block at a time; a block with under a quarter of its rows hit (a
-    /// point read's one, a selective scan's few) decodes those rows
-    /// only.
-    pub fn main(col: &MainColumn, rows: &[u32]) -> Column {
-        let codec = col.codec();
-        let mut vids = Vec::with_capacity(rows.len());
-        let mut buf = [0u32; BLOCK_ROWS];
-        let mut rest = rows;
-        while let Some(&first) = rest.first() {
-            let block = first as usize / BLOCK_ROWS;
-            let end = (block + 1) * BLOCK_ROWS;
-            let in_block = rest.partition_point(|&r| (r as usize) < end);
-            if in_block < BLOCK_ROWS / 4 {
-                vids.extend(rest[..in_block].iter().map(|&r| codec.get(r as usize)));
-            } else {
-                codec.unpack_block(block, &mut buf);
-                vids.extend(
-                    rest[..in_block]
-                        .iter()
-                        .map(|&r| buf[r as usize % BLOCK_ROWS]),
-                );
-            }
-            rest = &rest[in_block..];
-        }
-        Column::Dict(Dictionary::Main(Arc::clone(col.dictionary())), vids)
-    }
-
-    /// Delta-fragment rows `rows` (fragment-local), each distinct value
-    /// decoded once into a dictionary of their own.
-    pub fn delta(col: &DeltaColumn, rows: &[u32]) -> Column {
-        let (dict, vids) = (col.dictionary(), col.vids());
-        let mut local: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut values = Vec::new();
-        let codes = rows
-            .iter()
-            .map(|&r| match vids[r as usize] {
-                NULL_VID => NULL_VID,
-                vid => *local.entry(vid).or_insert_with(|| {
-                    values.push(dict.value(vid).clone());
-                    values.len() as u32
-                }),
-            })
-            .collect();
-        Column::Dict(Dictionary::Local(values.into()), codes)
-    }
-
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             Column::Dict(_, v) => v.len(),
@@ -208,7 +175,13 @@ impl Column {
         }
     }
 
+    /// Whether the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The value at row `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> Cow<'_, Value> {
         match self {
             Column::Dict(d, v) => Cow::Borrowed(d.value(v[i])),
@@ -222,6 +195,7 @@ impl Column {
     }
 
     /// Whether row `i` is NULL.
+    #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         match self {
             Column::Dict(_, v) => v[i] == NULL_VID,
@@ -361,7 +335,7 @@ impl Column {
 
 /// Equally long columns and the rows of them still in play.
 #[derive(Debug, Clone)]
-pub(crate) struct Batch {
+pub struct Batch {
     /// The columns, in schema order.
     pub columns: Vec<Column>,
     /// Rows every column has.
@@ -398,6 +372,7 @@ impl Batch {
     }
 
     /// Column `i` at rows `sel` (borrowed when `sel` is every row).
+    #[inline]
     pub fn column(&self, i: usize, sel: &[u32]) -> Cow<'_, Column> {
         match sel.len() == self.len {
             true => Cow::Borrowed(&self.columns[i]),
@@ -446,7 +421,7 @@ impl Batch {
 }
 
 /// An operator's output: its schema and its rows as batches.
-pub(crate) struct Batches {
+pub struct Batches {
     /// Output schema.
     pub schema: Schema,
     /// The rows, batch after batch.
@@ -504,7 +479,6 @@ impl Batches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hana_types::DataType;
 
     fn values(c: &Column) -> Vec<Value> {
         (0..c.len()).map(|i| c.get(i).into_owned()).collect()
@@ -520,41 +494,6 @@ mod tests {
         let col = Column::from_values(mixed.clone());
         assert!(matches!(col, Column::Values(_)));
         assert_eq!(format!("{:?}", values(&col)), format!("{mixed:?}"));
-    }
-
-    #[test]
-    fn main_and_delta_columns_decode_the_stored_rows() {
-        let mut t = hana_columnar::ColumnTable::new("t", Schema::of(&[("x", DataType::Varchar)]));
-        let text = |i: usize| match i % 5 {
-            0 => Value::Null,
-            k => Value::from(format!("v{k}")),
-        };
-        for i in 0..3 * BLOCK_ROWS {
-            t.insert(&[text(i)], 1).unwrap();
-        }
-        t.merge_delta();
-        for i in 0..100 {
-            t.insert(&[text(i)], 1).unwrap();
-        }
-        // One hit in the first block, a run in the second, all of the third.
-        let main: Vec<u32> = [5]
-            .into_iter()
-            .chain(BLOCK_ROWS as u32 + 7..BLOCK_ROWS as u32 + 40)
-            .chain(2 * BLOCK_ROWS as u32..3 * BLOCK_ROWS as u32)
-            .collect();
-        let col = Column::main(t.main_column(0), &main);
-        let want: Vec<Value> = main.iter().map(|&r| t.value(r as usize, 0)).collect();
-        assert_eq!(values(&col), want);
-        let delta: Vec<u32> = (0..100).step_by(3).collect();
-        let col = Column::delta(t.delta_column(0), &delta);
-        let Column::Dict(d, _) = &col else { panic!() };
-        assert_eq!(
-            d.values().len(),
-            4,
-            "distinct non-NULL values, decoded once"
-        );
-        let want: Vec<Value> = delta.iter().map(|&r| text(r as usize)).collect();
-        assert_eq!(values(&col), want);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Row-level expression evaluation.
-//!
-//! A single evaluator is shared by every engine that executes predicates
-//! or scalar expressions over rows: the vectorized executor in
-//! `hana-query`, the Hive compiler's map tasks in `hana-hadoop`, and the
-//! CCL filters of `hana-esp`. Aggregate calls are *not* evaluated here —
-//! executors replace them with pre-computed columns before calling in.
+//! Name resolution, and the row-at-a-time evaluator.
 //!
 //! Names are resolved once, by [`Expr::positional`] — a planner does it
-//! when it compiles a plan — and [`evaluate`] reads positions only, so
-//! an unknown or ambiguous column is an error before any row is read.
+//! when it compiles a plan — and evaluation reads positions only, so an
+//! unknown or ambiguous column is an error before any row is read.
+//!
+//! Every engine evaluates over column batches ([`crate::batch`]). The
+//! row evaluator, [`evaluate`], runs only ESP's per-event paths (stream
+//! filter and projection, window admission, pattern steps): one event
+//! is no batch, and a one-row batch costs 340–450 ns a predicate where
+//! `evaluate` costs 40–77, against ESP's ≈ 1 µs an event. Elsewhere it
+//! is the tests' oracle. Both share the scalar primitives (`Value::{add,
+//! …}`, [`scalar_function`]); neither evaluates an aggregate call.
 
 use hana_types::{HanaError, Result, Row, Schema, Value};
 

@@ -4,15 +4,19 @@
 //! joins, and an aggregation stage whose output uses the positional
 //! `_g0.._gN, _a0.._aM` column convention), the *driver* still has to
 //! apply HAVING, evaluate the final select list, deduplicate DISTINCT,
-//! sort and limit. Hive's plan driver, the extended-storage adapter and
-//! the federated executor all share this code.
+//! sort and limit: the query's [`Epilogue`], which every engine resolves
+//! when it compiles the statement (so an unknown column is an error
+//! before any row is read) and applies to a column [`Batch`] through
+//! [`select`] and [`eval_batch`], building rows once, after it.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 
-use hana_types::{AggFunc, ColumnDef, DataType, HanaError, Result, Row, Schema, Value};
+use hana_types::{AggFunc, ColumnDef, DataType, HanaError, Result, ResultSet, Schema, Value};
 
 use crate::ast::{BinOp, Expr, Query, SelectItem};
-use crate::eval::{evaluate, evaluate_predicate, resolve_column};
+use crate::batch::{eval_batch, select, Batch, Column};
+use crate::eval::resolve_column;
 
 /// All aggregate calls in the query (select list, HAVING, ORDER BY), in
 /// deterministic first-seen order. `COUNT(*)` normalizes to
@@ -176,7 +180,7 @@ pub struct Projection {
     exprs: Option<Vec<Expr>>,
     schema: Schema,
     /// The select list, kept when an expression holds a slot: a run
-    /// reads those, and names the output anew.
+    /// names the output anew.
     slotted: Option<Vec<SelectItem>>,
 }
 
@@ -219,31 +223,19 @@ impl Projection {
         &self.schema
     }
 
-    /// The output row of one input row (of a projection without slots,
-    /// or one bound to a run's values).
-    pub fn project(&self, row: &Row) -> Result<Row> {
-        match &self.exprs {
-            None => Ok(row.clone()),
-            Some(exprs) => exprs
-                .iter()
-                .map(|e| evaluate(e, row))
-                .collect::<Result<_>>()
-                .map(Row),
-        }
+    /// One positional expression per output column; `None` for
+    /// `SELECT *`, which passes rows through.
+    pub fn exprs(&self) -> Option<&[Expr]> {
+        self.exprs.as_deref()
     }
 
-    /// The projection of a run whose slots hold `values`: borrowed as it
-    /// is when it holds none.
-    fn bound(&self, values: &[Value]) -> Result<Cow<'_, Projection>> {
-        let (Some(select), Some(exprs)) = (&self.slotted, &self.exprs) else {
-            return Ok(Cow::Borrowed(self));
-        };
-        let bind = |e: &Expr| Ok(e.bound(values)?.into_owned());
-        Ok(Cow::Owned(Projection {
-            exprs: Some(exprs.iter().map(bind).collect::<Result<_>>()?),
-            schema: named(&self.schema, select, values)?.into_owned(),
-            slotted: None,
-        }))
+    /// The output schema of a run whose slots hold `values`: borrowed
+    /// as planned unless an output name depends on a slot.
+    fn schema_for(&self, values: &[Value]) -> Result<Cow<'_, Schema>> {
+        match &self.slotted {
+            Some(select) => named(&self.schema, select, values),
+            None => Ok(Cow::Borrowed(&self.schema)),
+        }
     }
 }
 
@@ -303,8 +295,8 @@ fn sort_keys(q: &Query, input: &Schema, projection: &Projection) -> Result<Vec<S
 /// A query's driver epilogue — HAVING, the select list, DISTINCT, ORDER
 /// BY, LIMIT — resolved once over the rows it finishes, with its output
 /// schema. Slots stay slots: [`Epilogue::apply`] reads them from the
-/// values of a run. A plan's `Finish` holds one; Hive, IQ and ESP
-/// windows build and apply one per query ([`finish_query`]).
+/// values of a run. A plan's `Finish` holds one; Hive, the IQ adapter
+/// and ESP windows build one when they compile a statement.
 #[derive(Debug, Clone)]
 pub struct Epilogue {
     having: Option<Expr>,
@@ -340,53 +332,48 @@ impl Epilogue {
         self.projection.schema()
     }
 
-    /// HAVING, projection, DISTINCT, ORDER BY and LIMIT over `rows`, for
-    /// a run whose slots hold `values`: the output rows and their schema.
-    pub fn apply(&self, rows: Vec<Row>, values: &[Value]) -> Result<(Vec<Row>, Schema)> {
-        let projection = self.projection.bound(values)?;
-        let having = self.having.as_ref().map(|h| h.bound(values)).transpose()?;
-        let keys = self.keys.iter().map(|k| k.expr.bound(values));
-        let keys = keys.collect::<Result<Vec<_>>>()?;
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-        for input in &rows {
-            if let Some(h) = &having {
-                if !evaluate_predicate(h, input)? {
-                    continue;
+    /// HAVING, projection, DISTINCT, ORDER BY and LIMIT over the rows in
+    /// play of `input`, for a run whose slots hold `values`: the output
+    /// rows, built here, under their schema.
+    pub fn apply(&self, mut input: Batch, values: &[Value]) -> Result<ResultSet> {
+        if let Some(h) = &self.having {
+            input.sel = select(h, &input, &input.sel, values)?;
+        }
+        let projected = match &self.projection.exprs {
+            None => None,
+            Some(exprs) => {
+                let column = |e| Ok(eval_batch(e, &input, &input.sel, values)?.into_owned());
+                let columns = exprs.iter().map(column).collect::<Result<_>>()?;
+                Some(Batch::new(columns, input.rows()))
+            }
+        };
+        let output = projected.as_ref().unwrap_or(&input);
+        let key = |k: &SortKey| {
+            let b = if k.output { output } else { &input };
+            Ok(eval_batch(&k.expr, b, &b.sel, values)?.into_owned())
+        };
+        let keys = self.keys.iter().map(key).collect::<Result<Vec<Column>>>()?;
+        let mut rows = Vec::with_capacity(output.rows());
+        projected.unwrap_or(input).push_rows(&mut rows);
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        if self.distinct {
+            let mut seen = HashSet::new();
+            order.retain(|&i| seen.insert(&rows[i]));
+        }
+        order.sort_by(|&a, &b| {
+            for (k, col) in self.keys.iter().zip(&keys) {
+                let ord = col.get(a).cmp(&col.get(b));
+                if !ord.is_eq() {
+                    return if k.asc { ord } else { ord.reverse() };
                 }
             }
-            let row = projection.project(input)?;
-            let read = |(k, e): (&SortKey, &Cow<Expr>)| match k.output {
-                true => evaluate(e, &row),
-                false => evaluate(e, input),
-            };
-            let key = self.keys.iter().zip(&keys).map(read);
-            keyed.push((key.collect::<Result<_>>()?, row));
-        }
-        if self.distinct {
-            let mut seen = std::collections::HashSet::new();
-            keyed.retain(|(_, r)| seen.insert(r.clone()));
-        }
-        if !keys.is_empty() {
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (k, (a, b)) in self.keys.iter().zip(a.iter().zip(b)) {
-                    let ord = a.cmp(b);
-                    if !ord.is_eq() {
-                        return if k.asc { ord } else { ord.reverse() };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        let limit = self.limit.unwrap_or(usize::MAX);
-        let rows = keyed.into_iter().take(limit).map(|(_, r)| r).collect();
-        Ok((rows, projection.schema.clone()))
+            std::cmp::Ordering::Equal
+        });
+        order.truncate(self.limit.unwrap_or(usize::MAX));
+        let rows = order.iter().map(|&i| std::mem::take(&mut rows[i]));
+        let schema = self.projection.schema_for(values)?.into_owned();
+        Ok(ResultSet::new(schema, rows.collect()))
     }
-}
-
-/// Finish a query from the aggregated (or raw) intermediate: HAVING,
-/// projection, DISTINCT, ORDER BY, LIMIT. The one-stop driver epilogue.
-pub fn finish_query(rows: Vec<Row>, schema: &Schema, q: &Query) -> Result<(Vec<Row>, Schema)> {
-    Epilogue::new(schema, q, &[])?.apply(rows, &[])
 }
 
 /// Best-effort static type inference for derived columns.
@@ -456,8 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn finish_query_full_epilogue() {
-        use hana_types::Value;
+    fn the_full_epilogue_runs_over_a_batch() {
+        use hana_types::{Row, Value};
         let q = query(
             "SELECT _g0 AS status, _a0 AS cnt FROM t GROUP BY status_placeholder \
              HAVING COUNT(*) > 1 ORDER BY cnt DESC LIMIT 1",
@@ -471,9 +458,10 @@ mod tests {
         ];
         // HAVING COUNT(*) needs the canonical agg list; this query's
         // collect finds CountStar, which substitutes to _a0.
-        let (rows, schema) = finish_query(rows, &schema, &q).unwrap();
-        assert_eq!(schema.index_of("cnt"), Some(1));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], Value::from("C"));
+        let epilogue = Epilogue::new(&schema, &q, &[]).unwrap();
+        let rs = epilogue.apply(Batch::from_rows(rows, 2), &[]).unwrap();
+        assert_eq!(rs.schema.index_of("cnt"), Some(1));
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(rs.rows[0][0], Value::from("C"));
     }
 }

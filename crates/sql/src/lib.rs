@@ -18,6 +18,7 @@
 //! ```
 
 mod ast;
+pub mod batch;
 mod bind;
 mod eval;
 pub mod finish;
