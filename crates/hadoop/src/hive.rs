@@ -31,28 +31,32 @@
 //! Tables and the intermediates between jobs are Hive text files
 //! (`^A`-separated fields, `\N` for NULL). Every reader of them — each
 //! map function, the driver's final read, the fetch task — goes through
-//! one record reader, [`read_records`], which finds line and field
-//! boundaries in a single pass. As in Hive's vectorized operators,
-//! expressions run over column batches: a map task decodes the fields
-//! they read a split at a time and filters ([`select`]) or groups
-//! ([`group_batch`]) the batch, and a join's reducer runs the spanning
-//! conjuncts over one key's joined lines at once. Join keys and partial
-//! aggregates travel typed, through [`hana_types::encode_row`]. A line
-//! that does not decode, or an expression that cannot be evaluated,
-//! fails the job.
+//! one record reader, [`read_fields`], which finds line and field
+//! boundaries in a single pass and slices only the fields its caller
+//! reads (a scan: those of its predicate and its cut), while still
+//! counting every line's fields. As in Hive's vectorized readers, a
+//! field is decoded at most once, straight into the typed column the
+//! batch layer evaluates: a VARCHAR field into a split-local dictionary
+//! (whose groups merge by value), INT, DOUBLE and DATE into typed
+//! vectors. A map task filters ([`select`]) or groups ([`group_batch`])
+//! that batch, a join mapper takes its key from it, and a join's reducer
+//! runs the spanning conjuncts over one key's joined lines at once. Join
+//! keys and partial aggregates travel typed, through
+//! [`hana_types::encode_row`]. A line that does not decode, or an
+//! expression that cannot be evaluated, fails the job.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use hana_sql::batch::{group_batch, select, AggCall, Batch, Column, Groups};
+use hana_sql::batch::{group_batch, select, AggCall, Batch, Column, Dictionary, Groups};
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, Epilogue};
 use hana_sql::{equi_keys, parse_statement, Expr, JoinKind, Query, Statement, TableRef};
 use hana_types::{
-    decode_values, encode_row, Accumulator, AggFunc, DataType, HanaError, Result, ResultSet, Row,
-    Schema, Value,
+    decode_values, encode_row, Accumulator, AggFunc, DataType, Date, FxHashMap, HanaError, Result,
+    ResultSet, Row, Schema, Value,
 };
 
 use crate::hdfs::Hdfs;
@@ -297,15 +301,10 @@ impl Hive {
         else {
             return Ok(None);
         };
-        let schema = &table.schema;
-        let epilogue = Epilogue::new(schema, q, &[])?;
+        let epilogue = Epilogue::new(&table.schema, q, &[])?;
         let files = self.cluster.hdfs().list(&table.location);
-        let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
-            decode_fields(fields, schema)
-        })?;
-        Ok(Some(
-            epilogue.apply(Batch::from_rows(rows, schema.len()), &[])?,
-        ))
+        let batch = read_batch(self.cluster.hdfs(), &files, &table.schema)?;
+        Ok(Some(epilogue.apply(batch, &[])?))
     }
 
     // ---- the compiler: statement -> jobs, no job launched ----
@@ -351,17 +350,15 @@ impl Hive {
         for ((b, preds), keep) in bindings.iter().zip(pushed).zip(keep) {
             let full = b.table.schema.qualified(&b.name);
             let pred = preds.into_iter().reduce(Expr::and);
-            let cols = keep.iter().map(|&i| full.column(i).clone()).collect();
+            let pred = pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?;
+            schemas.push(Schema::new(
+                keep.iter().map(|&i| full.column(i).clone()).collect(),
+            )?);
             sources.push(Input {
                 name: format!("{} as {}", b.table.name, b.name),
                 files: self.cluster.hdfs().list(&b.table.location),
-                scan: Scan {
-                    arity: full.len(),
-                    pred: pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?,
-                    keep: (keep.len() < full.len()).then_some(keep),
-                },
+                scan: Scan::new(full.len(), keep, pred),
             });
-            schemas.push(Schema::new(cols)?);
         }
 
         // Pairwise repartition joins, left-deep.
@@ -468,20 +465,17 @@ impl Hive {
             };
             input = self.join_stage(input, right, join, residual, idx)?;
         }
-        let rows = match agg {
+        let batch = match agg {
             Some(agg) => self.aggregate_stage(input, agg)?,
             None => {
                 let files = match last {
                     0 => self.map_only(input)?,
                     _ => input.files,
                 };
-                let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
-                    decode_fields(fields, &schema)
-                })?;
-                Batch::from_rows(rows, schema.len())
+                read_batch(self.cluster.hdfs(), &files, &schema)?
             }
         };
-        epilogue.apply(rows, &[])
+        epilogue.apply(batch, &[])
     }
 
     fn tmp_dir(&self, stage: &str) -> String {
@@ -533,23 +527,15 @@ impl Hive {
             as_double: join.left.1 == DataType::Double || join.right.1 == DataType::Double,
             sides: [(left.scan, join.left), (right.scan, join.right)],
         };
-        let reducer = Arc::new(JoinReducer {
-            residual,
-            arity,
-            failed: Mutex::new(None),
-        });
+        let reducer = JoinReducer { residual, arity };
         let spec = JobSpec {
             name: name.clone(),
             inputs: left.files.into_iter().chain(right.files).collect(),
             output_dir: self.tmp_dir(&format!("join-{join_idx}")),
             num_reducers: 3,
         };
-        let reduce: Arc<dyn Reducer> = reducer.clone();
         self.cluster
-            .run_job(&spec, Arc::new(mapper), Some(reduce))?;
-        if let Some(e) = reducer.failed.lock().take() {
-            return Err(e);
-        }
+            .run_job(&spec, Arc::new(mapper), Some(Arc::new(reducer)))?;
         Ok(joined(self.cluster.hdfs().list(&spec.output_dir)))
     }
 
@@ -674,21 +660,132 @@ impl BoundExprs {
         }
         Ok(BoundExprs { exprs, fields })
     }
+
+    /// The same expressions over lines cut to the fields `read`
+    /// (ascending), which hold every field they read.
+    fn over(mut self, read: &[usize]) -> BoundExprs {
+        let slot = |i: &usize| {
+            read.binary_search(i)
+                .expect("the cut holds every field read")
+        };
+        for e in &mut self.exprs {
+            e.walk_mut(&mut |n| {
+                if let Expr::Field(i) = n {
+                    *i = slot(i);
+                }
+            });
+        }
+        self.fields = read.iter().map(|&i| self.fields[i]).collect();
+        self
+    }
 }
 
-/// `lines` as the batch a stage's expressions run over: a column per
-/// field they read (`fields`, as [`BoundExprs`] has them), decoded a
-/// column at a time; NULL for a field none reads.
-fn decode(fields: &[Option<DataType>], lines: &[&[&str]]) -> Result<Batch> {
-    let column = |(i, ty): (usize, &Option<DataType>)| match ty {
-        Some(ty) => {
-            let values = lines.iter().map(|line| parse_field(line[i], *ty));
-            Ok(Column::from_values(values.collect::<Result<_>>()?))
+/// `n` lines as the batch a stage's expressions run over: per entry of
+/// `types` (as [`BoundExprs`] has them), a column of that type holding
+/// `field(entry, line)` of each line, or NULL where it is `None`. A
+/// field that does not parse fails the batch with [`parse_field`]'s
+/// error — of the first such line, and of its first such field.
+fn decode<'a>(
+    types: &[Option<DataType>],
+    n: usize,
+    field: impl Fn(usize, usize) -> &'a str,
+) -> Result<Batch> {
+    let mut columns = Vec::with_capacity(types.len());
+    let mut first_error: Option<(usize, HanaError)> = None;
+    for (i, ty) in types.iter().enumerate() {
+        let column = match ty {
+            Some(ty) => decode_column(*ty, (0..n).map(|j| field(i, j))),
+            None => Ok(Column::Const(Value::Null, n)),
+        };
+        match column {
+            Ok(c) => columns.push(c),
+            Err((line, e)) if first_error.as_ref().is_none_or(|(l, _)| line < *l) => {
+                first_error = Some((line, e));
+            }
+            Err(_) => {}
         }
-        None => Ok(Column::Const(Value::Null, lines.len())),
+    }
+    match first_error {
+        Some((_, e)) => Err(e),
+        None => Ok(Batch::new(columns, n)),
+    }
+}
+
+/// One field of every line as a column of `ty`, each field read as
+/// [`parse_field`] reads it: VARCHAR as vids into a dictionary of its
+/// distinct values, INT, DOUBLE and DATE as typed vectors until the
+/// first NULL, any other type as values. A field that does not parse
+/// stops the column with its line and error.
+fn decode_column<'a>(ty: DataType, fields: impl Iterator<Item = &'a str>) -> Decoded {
+    // `parse_typed`'s own parsers, without its NULL test.
+    let (int, double) = (|f: &str| f.parse().ok(), |f: &str| f.parse().ok());
+    let date = |f: &str| Date::parse(f).ok();
+    match ty {
+        DataType::Varchar => Ok(dictionary(fields)),
+        DataType::Int | DataType::BigInt => typed(ty, fields, int, Column::Int, Value::Int),
+        DataType::Double => typed(ty, fields, double, Column::Double, Value::Double),
+        DataType::Date => typed(ty, fields, date, Column::Date, Value::Date),
+        _ => values(ty, fields.enumerate(), Vec::new()),
+    }
+}
+
+/// A decoded column, or the line of the first field that does not
+/// parse and its error.
+type Decoded = std::result::Result<Column, (usize, HanaError)>;
+
+/// VARCHAR fields as a split-local dictionary column: one `String` per
+/// distinct value, `\N` as vid 0 (NULL in every dictionary).
+fn dictionary<'a>(fields: impl Iterator<Item = &'a str>) -> Column {
+    let mut vids: FxHashMap<&str, u32> = FxHashMap::default();
+    let mut distinct = Vec::new();
+    let mut vid = |f: &'a str| {
+        let next = distinct.len() as u32 + 1;
+        let v = *vids.entry(f).or_insert(next);
+        if v == next {
+            distinct.push(Value::Varchar(f.to_string()));
+        }
+        v
     };
-    let columns = fields.iter().enumerate().map(column);
-    Ok(Batch::new(columns.collect::<Result<_>>()?, lines.len()))
+    let column = fields.map(|f| if f == NULL_FIELD { 0 } else { vid(f) });
+    let column = column.collect();
+    Column::Dict(Dictionary::Local(distinct.into()), column)
+}
+
+/// Fields `parse` reads as `T` — text [`Value::parse_typed`] reads as
+/// `value(T)`, and no NULL — as the typed vector `column`. From the
+/// first field it does not read, a NULL or an error, the column is
+/// values.
+fn typed<'a, T>(
+    ty: DataType,
+    fields: impl Iterator<Item = &'a str>,
+    parse: impl Fn(&str) -> Option<T>,
+    column: fn(Vec<T>) -> Column,
+    value: fn(T) -> Value,
+) -> Decoded {
+    let mut fields = fields.enumerate();
+    let mut out = Vec::with_capacity(fields.size_hint().0);
+    for (j, f) in &mut fields {
+        match parse(f) {
+            Some(x) => out.push(x),
+            None => {
+                let rest = std::iter::once((j, f)).chain(fields);
+                return values(ty, rest, out.into_iter().map(value).collect());
+            }
+        }
+    }
+    Ok(column(out))
+}
+
+/// `done` followed by `fields` read by [`parse_field`], as values.
+fn values<'a>(
+    ty: DataType,
+    fields: impl Iterator<Item = (usize, &'a str)>,
+    mut done: Vec<Value>,
+) -> Decoded {
+    for (j, f) in fields {
+        done.push(parse_field(f, ty).map_err(|e| (j, e))?);
+    }
+    Ok(Column::Values(done))
 }
 
 // ---- the record reader ----
@@ -708,66 +805,161 @@ fn zero_lanes(w: u64) -> u64 {
     !((w & LOW7).wrapping_add(LOW7) | w | LOW7)
 }
 
-/// Hive's record reader: calls `record(line, fields)` for each line of
-/// `split` in order — the lines `str::lines` yields, each cut at every
-/// `^A` as `split('\u{1}')` cuts it — and returns how many lines there
-/// were. One pass finds line and field boundaries together, testing
-/// eight bytes per step for `^A` and `\n`; neither byte occurs inside a
-/// multi-byte UTF-8 character, so every boundary is a character
-/// boundary. A line with other than `arity` fields is corrupt; it, or
-/// an error from `record`, ends the read with that error.
+/// [`read_fields`] with every field wanted.
 pub fn read_records<'a>(
     split: &'a str,
     arity: usize,
+    record: impl FnMut(&'a str, &[&'a str]) -> Result<()>,
+) -> Result<u64> {
+    read_fields(split, arity, &(0..arity).collect::<Vec<_>>(), record)
+}
+
+/// Hive's record reader: calls `record(line, fields)` for each line of
+/// `split` in order — the lines `str::lines` yields — with the fields at
+/// positions `wanted` (ascending, below `arity`) of the line cut at every
+/// `^A` as `split('\u{1}')` cuts it, and returns how many lines there
+/// were. One pass finds line and field boundaries together, testing
+/// eight bytes per step for `^A` and `\n`; neither byte occurs inside a
+/// multi-byte UTF-8 character, so every boundary is a character
+/// boundary. Only wanted fields are sliced — a step of separators that
+/// ends and starts none is counted, not visited — but every field of
+/// every line is counted: a line with other than `arity` fields is
+/// corrupt, whichever fields are wanted; it, or an error from `record`,
+/// ends the read with that error.
+pub fn read_fields<'a>(
+    split: &'a str,
+    arity: usize,
+    wanted: &[usize],
     mut record: impl FnMut(&'a str, &[&'a str]) -> Result<()>,
 ) -> Result<u64> {
-    let bytes = split.as_bytes();
-    let mut fields = Vec::with_capacity(arity);
-    let (mut line_start, mut field_start, mut records) = (0, 0, 0);
-    // A `^A` or `\n` at `at`, or the end of the split.
-    let mut boundary = |at: usize| {
-        let end = match bytes.get(at) {
-            Some(&SEP) => {
-                fields.push(&split[field_start..at]);
-                field_start = at + 1;
-                return Ok(());
-            }
-            // `\r\n` ends a line too, as it does for `str::lines`.
-            Some(_) if at > line_start && bytes[at - 1] == b'\r' => at - 1,
-            Some(_) => at,
-            // A last line without a line break.
-            None if at > line_start => at,
-            None => return Ok(()),
+    assert!(
+        wanted.windows(2).all(|w| w[0] < w[1]) && wanted.last().is_none_or(|&f| f < arity),
+        "wanted fields ascend below the arity"
+    );
+    let mut next = vec![usize::MAX; arity + 1];
+    for f in (0..arity).rev() {
+        next[f] = match wanted.binary_search(&f) {
+            Ok(_) => f,
+            Err(_) => next[f + 1],
         };
-        fields.push(&split[field_start..end]);
-        let line = &split[line_start..end];
-        if fields.len() != arity {
-            return Err(corrupt(line, fields.len(), arity));
-        }
-        record(line, &fields)?;
-        fields.clear();
-        records += 1;
-        (line_start, field_start) = (at + 1, at + 1);
-        Ok(())
+    }
+    let mut at = Cursor {
+        split,
+        arity,
+        next,
+        fields: Vec::with_capacity(wanted.len()),
+        line_start: 0,
+        field_start: 0,
+        field: 0,
+        records: 0,
     };
+    let bytes = split.as_bytes();
     let mut words = bytes.chunks_exact(8);
     let mut base = 0;
     for word in &mut words {
         let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
-        let mut hits = zero_lanes(w ^ LANES) | zero_lanes(w ^ (LANES * u64::from(b'\n')));
-        while hits != 0 {
-            boundary(base + hits.trailing_zeros() as usize / 8)?;
-            hits &= hits - 1;
+        let seps = zero_lanes(w ^ LANES);
+        let breaks = zero_lanes(w ^ (LANES * u64::from(b'\n')));
+        let n = seps.count_ones() as usize;
+        if breaks == 0 && at.next_wanted() > at.field + n {
+            at.field += n;
+        } else {
+            let mut hits = seps | breaks;
+            while hits != 0 {
+                let hit = base + hits.trailing_zeros() as usize / 8;
+                match seps & hits & hits.wrapping_neg() {
+                    0 => at.line_break(hit, &mut record)?,
+                    _ => at.separator(hit),
+                }
+                hits &= hits - 1;
+            }
         }
         base += 8;
     }
     for (i, &b) in words.remainder().iter().enumerate() {
-        if b == SEP || b == b'\n' {
-            boundary(base + i)?;
+        match b {
+            SEP => at.separator(base + i),
+            b'\n' => at.line_break(base + i, &mut record)?,
+            _ => {}
         }
     }
-    boundary(bytes.len())?;
-    Ok(records)
+    // A last line without a line break.
+    if at.line_start < bytes.len() {
+        at.end_line(bytes.len(), &mut record)?;
+    }
+    Ok(at.records)
+}
+
+/// Where [`read_fields`] is in its split.
+struct Cursor<'a> {
+    split: &'a str,
+    arity: usize,
+    /// Per field of a line, the first wanted field at or after it
+    /// (`usize::MAX` for none), and `usize::MAX` past the last field.
+    next: Vec<usize>,
+    /// The wanted fields of the current line, so far.
+    fields: Vec<&'a str>,
+    line_start: usize,
+    field_start: usize,
+    /// The current field of the current line.
+    field: usize,
+    /// Lines read.
+    records: u64,
+}
+
+impl<'a> Cursor<'a> {
+    /// The first wanted field at or after the current one.
+    #[inline]
+    fn next_wanted(&self) -> usize {
+        self.next.get(self.field).copied().unwrap_or(usize::MAX)
+    }
+
+    /// Close the current field at byte `end`.
+    #[inline]
+    fn close_field(&mut self, end: usize) {
+        if self.next_wanted() == self.field {
+            self.fields.push(&self.split[self.field_start..end]);
+        }
+    }
+
+    /// A `^A` at `at`.
+    #[inline]
+    fn separator(&mut self, at: usize) {
+        self.close_field(at);
+        self.field += 1;
+        self.field_start = at + 1;
+    }
+
+    /// A `\n` at `at`; `\r\n` ends a line too, as it does for
+    /// `str::lines`.
+    fn line_break(
+        &mut self,
+        at: usize,
+        record: &mut impl FnMut(&'a str, &[&'a str]) -> Result<()>,
+    ) -> Result<()> {
+        let cr = at > self.line_start && self.split.as_bytes()[at - 1] == b'\r';
+        self.end_line(at - usize::from(cr), record)?;
+        (self.line_start, self.field_start) = (at + 1, at + 1);
+        Ok(())
+    }
+
+    /// The current line ends at byte `end`.
+    fn end_line(
+        &mut self,
+        end: usize,
+        record: &mut impl FnMut(&'a str, &[&'a str]) -> Result<()>,
+    ) -> Result<()> {
+        self.close_field(end);
+        let line = &self.split[self.line_start..end];
+        if self.field + 1 != self.arity {
+            return Err(corrupt(line, self.field + 1, self.arity));
+        }
+        record(line, &self.fields)?;
+        self.fields.clear();
+        self.field = 0;
+        self.records += 1;
+        Ok(())
+    }
 }
 
 /// The fields of `line`, one line without its line break. The reader
@@ -794,7 +986,7 @@ fn corrupt(line: &str, found: usize, expected: usize) -> HanaError {
     ))
 }
 
-/// Decode every line of `files` on the driver.
+/// Decode every line of `files` on the driver, a row at a time.
 pub(crate) fn read_rows(
     hdfs: &Hdfs,
     files: &[String],
@@ -812,12 +1004,30 @@ pub(crate) fn read_rows(
     Ok(rows)
 }
 
+/// Every line of `files` on the driver, as one batch of a column per
+/// field of `schema`: a table the fetch task reads, or what a
+/// statement's last job wrote.
+fn read_batch(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
+    let texts = files.iter().map(|f| hdfs.read_text(f));
+    let texts = texts.collect::<Result<Vec<String>>>()?;
+    let arity = schema.len();
+    let (mut fields, mut lines) = (Vec::new(), 0);
+    for text in &texts {
+        lines += read_records(text, arity, |_, f| {
+            fields.extend_from_slice(f);
+            Ok(())
+        })? as usize;
+    }
+    let types: Vec<_> = schema.columns().iter().map(|c| Some(c.data_type)).collect();
+    decode(&types, lines, |i, j| fields[j * arity + i])
+}
+
 /// `fields` as one line of Hive text, after `prefix`.
-fn text_line(prefix: &str, fields: &[&str]) -> String {
-    let len = fields.iter().map(|f| f.len() + 1).sum::<usize>();
+fn text_line<'a>(prefix: &str, fields: impl Iterator<Item = &'a str> + Clone) -> String {
+    let len = fields.clone().map(|f| f.len() + 1).sum::<usize>();
     let mut line = String::with_capacity(prefix.len() + len);
     line.push_str(prefix);
-    for (i, f) in fields.iter().enumerate() {
+    for (i, f) in fields.enumerate() {
         if i > 0 {
             line.push(FIELD_SEP);
         }
@@ -829,75 +1039,156 @@ fn text_line(prefix: &str, fields: &[&str]) -> String {
 // ---- the operators inside the jobs ----
 
 /// Hive's TableScan → Filter → Select over the lines of one input: keep
-/// the lines that satisfy `pred`, cut to the fields `keep`. It runs in
-/// the map function of the job that reads the input; over the output of
-/// an earlier job it is the identity.
+/// the lines that satisfy the predicate, cut to the fields a later
+/// operator names. It runs in the map function of the job that reads the
+/// input; over the output of an earlier job it is the identity.
 struct Scan {
     /// Fields of an input line.
     arity: usize,
-    /// The conjuncts pushed into the scan; `None` keeps every line.
+    /// The fields of a line the reader slices, ascending: those the
+    /// predicate reads and those the scan emits.
+    read: Vec<usize>,
+    /// The conjuncts pushed into the scan, over the sliced fields;
+    /// `None` keeps every line.
     pred: Option<BoundExprs>,
-    /// Fields of a surviving line to emit; `None` emits them all.
-    keep: Option<Vec<usize>>,
+    /// Per field the scan emits, its position among the sliced ones.
+    cut: Vec<usize>,
 }
 
 impl Scan {
-    /// Lines of `arity` fields, read as they are.
-    fn identity(arity: usize) -> Scan {
+    /// The scan of lines of `arity` fields that keeps the lines `pred`
+    /// (over the whole line) holds on and emits their fields `keep`
+    /// (ascending).
+    fn new(arity: usize, keep: Vec<usize>, pred: Option<BoundExprs>) -> Scan {
+        let mut read = keep.clone();
+        if let Some(p) = &pred {
+            let fields = p.fields.iter().enumerate();
+            read.extend(fields.filter_map(|(i, ty)| ty.map(|_| i)));
+        }
+        read.sort_unstable();
+        read.dedup();
+        let slot = |i: &usize| {
+            read.binary_search(i)
+                .expect("the scan slices what it emits")
+        };
+        let cut = keep.iter().map(slot).collect();
         Scan {
             arity,
-            pred: None,
-            keep: None,
+            pred: pred.map(|p| p.over(&read)),
+            read,
+            cut,
         }
+    }
+
+    /// Lines of `arity` fields, read as they are.
+    fn identity(arity: usize) -> Scan {
+        Scan::new(arity, (0..arity).collect(), None)
     }
 
     /// Fields of an emitted line.
     fn width(&self) -> usize {
-        self.keep.as_ref().map_or(self.arity, Vec::len)
+        self.cut.len()
     }
 
-    /// How many lines `split` holds, and the cut fields of those that
-    /// satisfy the predicate, in order, [`Scan::width`] to a line. The
-    /// predicate runs once per split, over the split's batch.
-    fn run<'a>(&self, split: &'a str) -> Result<(u64, Vec<&'a str>)> {
+    /// The lines of `split` the predicate keeps, with the fields it
+    /// sliced and the columns it decoded. The predicate runs once per
+    /// split, over the split's batch.
+    fn run<'s, 'a>(&'s self, split: &'a str) -> Result<Scanned<'s, 'a>> {
         let mut fields: Vec<&'a str> = Vec::new();
-        let read = read_records(split, self.arity, |_, f| {
+        let lines = read_fields(split, self.arity, &self.read, |_, f| {
             fields.extend_from_slice(f);
             Ok(())
         })?;
-        let lines: Vec<&[&str]> = fields.chunks_exact(self.arity).collect();
+        let stride = self.read.len();
+        let mut decoded = vec![None; stride];
         let kept = match &self.pred {
-            None => (0..lines.len() as u32).collect(),
+            None => (0..lines as u32).collect(),
             Some(pred) => {
-                let b = decode(&pred.fields, &lines)?;
-                select(&pred.exprs[0], &b, &b.sel, &[])?
+                let b = decode(&pred.fields, lines as usize, |i, j| fields[j * stride + i])?;
+                let kept = select(&pred.exprs[0], &b, &b.sel, &[])?;
+                let read = b.columns.into_iter().zip(&pred.fields);
+                for (d, (c, ty)) in decoded.iter_mut().zip(read) {
+                    *d = ty.map(|_| c);
+                }
+                kept
             }
         };
-        let mut cut = Vec::with_capacity(kept.len() * self.width());
-        for j in kept {
-            let line = lines[j as usize];
-            match &self.keep {
-                None => cut.extend_from_slice(line),
-                Some(keep) => cut.extend(keep.iter().map(|&i| line[i])),
+        Ok(Scanned {
+            scan: self,
+            lines,
+            fields,
+            decoded,
+            kept,
+        })
+    }
+}
+
+/// One split after its scan's predicate.
+struct Scanned<'s, 'a> {
+    scan: &'s Scan,
+    /// Lines in the split.
+    lines: u64,
+    /// The sliced fields of every line, `scan.read.len()` to a line.
+    fields: Vec<&'a str>,
+    /// Per sliced field, its column over every line if the predicate
+    /// decoded it and no batch has taken it since.
+    decoded: Vec<Option<Column>>,
+    /// The lines the predicate keeps, ascending.
+    kept: Vec<u32>,
+}
+
+impl<'a> Scanned<'_, 'a> {
+    /// The emitted fields of the `j`-th kept line.
+    fn line(&self, j: usize) -> impl Iterator<Item = &'a str> + Clone + '_ {
+        let at = self.kept[j] as usize * self.scan.read.len();
+        self.scan.cut.iter().map(move |&i| self.fields[at + i])
+    }
+
+    /// The kept lines as the batch of a stage whose expressions read the
+    /// emitted fields `types` ([`decode`]); a field the predicate decoded
+    /// is not decoded again.
+    fn batch(&mut self, types: &[Option<DataType>]) -> Result<Batch> {
+        let Scanned {
+            scan,
+            lines,
+            fields,
+            decoded,
+            kept,
+        } = self;
+        let reused = types.iter().zip(&scan.cut);
+        let reused = reused.map(|(ty, &i)| ty.and_then(|_| decoded[i].take()));
+        let reused: Vec<Option<Column>> = reused.collect();
+        let rest = types.iter().zip(&reused);
+        let rest: Vec<_> = rest.map(|(ty, r)| ty.filter(|_| r.is_none())).collect();
+        let stride = scan.read.len();
+        let field = |i: usize, j: usize| fields[kept[j] as usize * stride + scan.cut[i]];
+        let mut b = decode(&rest, kept.len(), field)?;
+        for (c, r) in b.columns.iter_mut().zip(reused) {
+            if let Some(r) = r {
+                *c = if kept.len() as u64 == *lines {
+                    r
+                } else {
+                    r.gather(kept)
+                };
             }
         }
-        Ok((read, cut))
+        Ok(b)
     }
 }
 
 /// The map-only job: the scan alone, writing the lines it cuts.
 impl Mapper for Scan {
     fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
-        let (read, cut) = self.run(split)?;
-        let lines = cut.chunks_exact(self.width());
-        out.extend(lines.map(|line| (String::new(), text_line("", line))));
-        Ok(read)
+        let scanned = self.run(split)?;
+        let lines = (0..scanned.kept.len()).map(|j| text_line("", scanned.line(j)));
+        out.extend(lines.map(|line| (String::new(), line)));
+        Ok(scanned.lines)
     }
 }
 
-/// The map side of a repartition join: runs the scan of its side,
-/// decodes the key field only and ships the cut line tagged with its
-/// side. NULL keys join nothing.
+/// The map side of a repartition join: runs the scan of its side, takes
+/// the key from the key field's decoded column and ships the cut line
+/// tagged with its side. NULL keys join nothing.
 struct JoinMapper {
     /// The scan of the left and of the right input, and the position
     /// and type of the key among the fields it emits.
@@ -917,14 +1208,17 @@ impl Mapper for JoinMapper {
             true => ("L", &self.sides[0]),
             false => ("R", &self.sides[1]),
         };
-        let (read, cut) = scan.run(split)?;
-        for line in cut.chunks_exact(scan.width()) {
-            let key = parse_field(line[*field], *ty)?;
+        let mut scanned = scan.run(split)?;
+        let mut types = vec![None; scan.width()];
+        types[*field] = Some(*ty);
+        let keys = scanned.batch(&types)?.columns.swap_remove(*field);
+        keys.for_each(|j, key| {
             if !key.is_null() {
-                out.push((join_key(key, self.as_double), text_line(tag, line)));
+                let line = text_line(tag, scanned.line(j));
+                out.push((join_key(key.clone(), self.as_double), line));
             }
-        }
-        Ok(read)
+        });
+        Ok(scanned.lines)
     }
 }
 
@@ -950,10 +1244,6 @@ struct JoinReducer {
     residual: Option<BoundExprs>,
     /// Fields of a joined line.
     arity: usize,
-    /// The first residual predicate that failed to evaluate: a reduce
-    /// function cannot fail its job, so the driver fails the statement
-    /// once the job is done.
-    failed: Mutex<Option<HanaError>>,
 }
 
 impl JoinReducer {
@@ -965,29 +1255,26 @@ impl JoinReducer {
         };
         let fields = joined.iter().map(|line| line_fields(line, self.arity));
         let fields = fields.collect::<Result<Vec<_>>>()?;
-        let lines: Vec<&[&str]> = fields.iter().map(Vec::as_slice).collect();
-        let b = decode(&pred.fields, &lines)?;
+        let b = decode(&pred.fields, fields.len(), |i, j| fields[j][i])?;
         Ok(Some(select(&pred.exprs[0], &b, &b.sel, &[])?))
     }
 }
 
 impl Reducer for JoinReducer {
-    fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) {
+    fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
         let side = |tag| values.iter().filter_map(move |v| v.strip_prefix(tag));
         let joined = side('L').flat_map(|l| side('R').map(move |r| format!("{l}{FIELD_SEP}{r}")));
         let mut joined: Vec<String> = joined.collect();
-        match self.kept(&joined) {
-            Ok(None) => out.append(&mut joined),
-            Ok(Some(kept)) => {
-                out.extend(
-                    kept.iter()
-                        .map(|&j| std::mem::take(&mut joined[j as usize])),
-                );
-            }
-            Err(e) => {
-                self.failed.lock().get_or_insert(e);
+        match self.kept(&joined)? {
+            None => out.append(&mut joined),
+            Some(kept) => {
+                let kept = kept
+                    .iter()
+                    .map(|&j| std::mem::take(&mut joined[j as usize]));
+                out.extend(kept);
             }
         }
+        Ok(())
     }
 }
 
@@ -1004,14 +1291,14 @@ struct AggMapper {
 impl Mapper for AggMapper {
     fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
         let agg = &self.agg;
-        let (read, cut) = self.scan.run(split)?;
-        let lines: Vec<&[&str]> = cut.chunks_exact(self.scan.width()).collect();
-        let (groups, _) = group_batch(&decode(&agg.fields, &lines)?, &agg.keys, &agg.aggs, &[])?;
+        let mut scanned = self.scan.run(split)?;
+        let b = scanned.batch(&agg.fields)?;
+        let (groups, _) = group_batch(&b, &agg.keys, &agg.aggs, &[])?;
         for (key, accs) in groups.into_items() {
             let states: Vec<Value> = accs.iter().flat_map(Accumulator::state).collect();
             out.push((encode_row(&key), encode_row(&states)));
         }
-        Ok(read)
+        Ok(scanned.lines)
     }
 }
 
@@ -1021,18 +1308,18 @@ impl Mapper for AggMapper {
 struct AggReducer(Vec<AggFunc>);
 
 impl Reducer for AggReducer {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
-        const MAP_WROTE_IT: &str = "the map tasks of this job encoded it";
+    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
         let mut accs: Vec<Accumulator> = self.0.iter().map(AggFunc::accumulator).collect();
         for v in values {
-            let states = decode_values(v).expect(MAP_WROTE_IT);
+            let states = decode_values(v)?;
             for ((acc, f), state) in accs.iter_mut().zip(&self.0).zip(states.chunks(5)) {
-                acc.merge(&f.accumulator_from_state(state).expect(MAP_WROTE_IT));
+                acc.merge(&f.accumulator_from_state(state)?);
             }
         }
-        let mut row = decode_values(key).expect(MAP_WROTE_IT);
+        let mut row = decode_values(key)?;
         row.extend(accs.iter().map(Accumulator::finish));
         out.push(encode_row(&row));
+        Ok(())
     }
 }
 
@@ -1058,25 +1345,12 @@ fn to_line(row: &Row) -> String {
 
 /// Decode one field. Only `\N` is NULL in a VARCHAR column: `''` and
 /// `'null'` are strings.
-fn parse_field(field: &str, ty: DataType) -> Result<Value> {
+pub(crate) fn parse_field(field: &str, ty: DataType) -> Result<Value> {
     match ty {
         _ if field == NULL_FIELD => Ok(Value::Null),
         DataType::Varchar => Ok(Value::Varchar(field.to_string())),
         _ => Value::parse_typed(field, ty),
     }
-}
-
-/// Decode the fields of a line against `schema`.
-pub(crate) fn decode_fields(fields: &[&str], schema: &Schema) -> Result<Row> {
-    let decoded = fields.iter().zip(schema.columns());
-    let decoded = decoded.map(|(f, c)| parse_field(f, c.data_type));
-    decoded.collect::<Result<Vec<Value>>>().map(Row)
-}
-
-/// Parse one ^A-separated line, without its line break, against a
-/// schema.
-pub fn parse_row(line: &str, schema: &Schema) -> Result<Row> {
-    decode_fields(&line_fields(line, schema.len())?, schema)
 }
 
 /// Per binding, the (ascending) columns that `exprs` name; every column
@@ -1137,4 +1411,153 @@ fn single_source_of(e: &Expr, bindings: &[Binding]) -> Option<usize> {
         }
     }
     source
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Fields of every type: values, the NULL spellings, text that does
+    /// not parse, and numbers and dates in their odd corners.
+    const POOL: &[&str] = &[
+        "\\N",
+        "",
+        "null",
+        "NULL",
+        "0",
+        "-7",
+        "+5",
+        "42",
+        "9223372036854775808",
+        "NaN",
+        "-0.0",
+        "0.0",
+        "1.5e3",
+        "inf",
+        "1995-06-17",
+        "1994-1-2",
+        "1995-02-30",
+        "true",
+        "f",
+        "abc",
+        " 1",
+    ];
+
+    const TYPES: [DataType; 7] = [
+        DataType::Bool,
+        DataType::Int,
+        DataType::BigInt,
+        DataType::Double,
+        DataType::Varchar,
+        DataType::Date,
+        DataType::Timestamp,
+    ];
+
+    /// `decode` of the lines `rows` against `types` equals `parse_field`
+    /// read a line at a time, in line order: the same values — `Debug`
+    /// tells `-0.0` from `0.0` — or the error of the first field that
+    /// does not parse. A column of a typed kind with no NULL is a typed
+    /// vector, and a VARCHAR column a dictionary.
+    fn decodes_as_parse_field(types: &[DataType], rows: &[Vec<&str>]) {
+        let oracle: Result<Vec<Vec<Value>>> = rows
+            .iter()
+            .map(|row| {
+                let fields = row.iter().zip(types);
+                fields.map(|(f, ty)| parse_field(f, *ty)).collect()
+            })
+            .collect();
+        let wanted: Vec<Option<DataType>> = types.iter().copied().map(Some).collect();
+        let decoded = decode(&wanted, rows.len(), |i, j| rows[j][i]);
+        let (oracle, b) = match (oracle, decoded) {
+            (Ok(oracle), Ok(b)) => (oracle, b),
+            (Err(want), Err(got)) => {
+                assert_eq!(got.message(), want.message(), "{types:?} {rows:?}");
+                return;
+            }
+            (want, got) => panic!("{types:?} {rows:?}: oracle {want:?}, decode {got:?}"),
+        };
+        for (i, (col, ty)) in b.columns.iter().zip(types).enumerate() {
+            let values: Vec<Value> = (0..rows.len()).map(|j| col.get(j).into_owned()).collect();
+            let want: Vec<Value> = oracle.iter().map(|row| row[i].clone()).collect();
+            assert_eq!(format!("{values:?}"), format!("{want:?}"), "{ty:?}");
+            let nulls = want.iter().any(Value::is_null);
+            let kind_ok = match (ty, col) {
+                (DataType::Varchar, Column::Dict(Dictionary::Local(_), _)) => true,
+                (DataType::Int | DataType::BigInt, Column::Int(_)) => !nulls,
+                (DataType::Double, Column::Double(_)) => !nulls,
+                (DataType::Date, Column::Date(_)) => !nulls,
+                (DataType::Varchar, _) => false,
+                (_, Column::Values(_)) => {
+                    nulls
+                        || !matches!(
+                            ty,
+                            DataType::Int | DataType::BigInt | DataType::Double | DataType::Date
+                        )
+                }
+                _ => false,
+            };
+            assert!(kind_ok || rows.is_empty(), "{ty:?} decoded as {col:?}");
+        }
+    }
+
+    #[test]
+    fn corner_columns_decode_as_parse_field() {
+        let columns: &[&[&str]] = &[
+            // A NULL on the first line, on the last line, all NULL.
+            &["\\N", "1", "2"],
+            &["1", "2", "\\N"],
+            &["\\N", "\\N"],
+            &["", "null", "NULL"],
+            // A value that does not parse after a NULL, and before one.
+            &["1", "\\N", "abc", "2"],
+            &["abc", "\\N"],
+            &["NaN", "-0.0", "0.0", "inf"],
+            &["1995-06-17", "1994-1-2", "\\N", "1995-02-30"],
+            &[],
+        ];
+        for ty in TYPES {
+            for col in columns {
+                let rows: Vec<Vec<&str>> = col.iter().map(|f| vec![*f]).collect();
+                decodes_as_parse_field(&[ty], &rows);
+            }
+        }
+        // Two columns: the error is the first line's, not the first
+        // column's.
+        let rows = vec![vec!["1", "2"], vec!["3", "x"], vec!["y", "4"]];
+        decodes_as_parse_field(&[DataType::Int, DataType::Int], &rows);
+        let err = decode(&[Some(DataType::Int); 2], 3, |i, j| rows[j][i]).unwrap_err();
+        assert_eq!(err.message(), "cannot parse 'x' as INTEGER");
+    }
+
+    proptest! {
+        /// Random tables of one to three columns of any type over fields
+        /// drawn from the pool.
+        #[test]
+        fn typed_decode_equals_parse_field(
+            types in prop::collection::vec(0..TYPES.len(), 1..4),
+            rows in prop::collection::vec(prop::collection::vec(0..POOL.len(), 3), 0..12),
+        ) {
+            let types: Vec<DataType> = types.iter().map(|&t| TYPES[t]).collect();
+            let rows: Vec<Vec<&str>> = rows
+                .iter()
+                .map(|r| r[..types.len()].iter().map(|&f| POOL[f]).collect())
+                .collect();
+            decodes_as_parse_field(&types, &rows);
+        }
+
+        /// Columns of mostly well-formed values, so that typed vectors
+        /// and dictionaries of several entries form before the odd field.
+        #[test]
+        fn mostly_valid_columns_decode_as_parse_field(
+            ty in 0..TYPES.len(),
+            fields in prop::collection::vec(0usize..100, 0..20),
+        ) {
+            const VALID: [&str; 8] = ["1", "-2", "30", "4.5", "1995-06-17", "2001-12-31", "t", "abc"];
+            let field = |i: usize| if i < 90 { VALID[i % VALID.len()] } else { POOL[i % POOL.len()] };
+            let rows: Vec<Vec<&str>> = fields.iter().map(|&i| vec![field(i)]).collect();
+            decodes_as_parse_field(&[TYPES[ty]], &rows);
+        }
+    }
 }

@@ -50,8 +50,8 @@ pub trait Mapper: Send + Sync {
 
 /// User reduce function: one key + all its values -> output lines.
 pub trait Reducer: Send + Sync {
-    /// Reduce one key group.
-    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>);
+    /// Reduce one key group. An error fails the job.
+    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()>;
 }
 
 impl<F> Mapper for F
@@ -298,17 +298,22 @@ impl MrCluster {
                         let (keys, values): (Vec<String>, Vec<String>) = kvs.into_iter().unzip();
                         let mut lines = Vec::new();
                         let mut run = 0;
+                        let mut reduced = Ok(());
                         for (end, key) in keys.iter().enumerate() {
                             if keys.get(end + 1) != Some(key) {
-                                reducer.reduce(key, &values[run..=end], &mut lines);
+                                reduced = reducer.reduce(key, &values[run..=end], &mut lines);
+                                if reduced.is_err() {
+                                    break;
+                                }
                                 run = end + 1;
                             }
                         }
-                        output_records.fetch_add(lines.len() as u64, Ordering::Relaxed);
-                        if let Err(e) = self
-                            .hdfs
-                            .append_lines(&format!("{}/part-r-{p:05}", spec.output_dir), &lines)
-                        {
+                        let written = reduced.and_then(|()| {
+                            output_records.fetch_add(lines.len() as u64, Ordering::Relaxed);
+                            let part = format!("{}/part-r-{p:05}", spec.output_dir);
+                            self.hdfs.append_lines(&part, &lines)
+                        });
+                        if let Err(e) = written {
                             *reduce_err.lock() = Some(e);
                         }
                     });
@@ -379,9 +384,10 @@ mod tests {
 
     struct SumReducer;
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
+        fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
             let n: i64 = values.iter().map(|v| v.parse::<i64>().unwrap_or(0)).sum();
             out.push(format!("{key}\t{n}"));
+            Ok(())
         }
     }
 
@@ -604,6 +610,40 @@ mod tests {
             err.to_string().contains("cannot map 'a bad record'"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_reducer_error_fails_the_job() {
+        /// Sums like `SumReducer`, but a key spelled "bad" is an error.
+        struct PickySum;
+        impl Reducer for PickySum {
+            fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
+                match key {
+                    "bad" => Err(HanaError::Execution(format!("cannot reduce '{key}'"))),
+                    _ => SumReducer.reduce(key, values, out),
+                }
+            }
+        }
+        let mr = cluster();
+        mr.hdfs()
+            .append_lines("/in/ok", &["good words", "more good words"])
+            .unwrap();
+        mr.hdfs()
+            .append_lines("/in/x", &["good words", "one bad word"])
+            .unwrap();
+        let spec = |input: &str| JobSpec {
+            name: "picky-sum".into(),
+            inputs: vec![input.into()],
+            output_dir: "/out/r".into(),
+            num_reducers: 2,
+        };
+        let reduce = || Some(Arc::new(PickySum) as Arc<dyn Reducer>);
+        let stats = mr.run_job(&spec("/in/ok"), Arc::new(WordMapper), reduce());
+        assert_eq!(stats.unwrap().output_records, 3);
+        let err = mr
+            .run_job(&spec("/in/x"), Arc::new(WordMapper), reduce())
+            .unwrap_err();
+        assert_eq!(err.message(), "cannot reduce 'bad'", "{err}");
     }
 
     #[test]

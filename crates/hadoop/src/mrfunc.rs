@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use hana_types::{HanaError, Result, ResultSet, Schema};
+use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
 
-use crate::hive::{decode_fields, read_rows, FIELD_SEP};
+use crate::hive::{parse_field, read_rows, FIELD_SEP};
 use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer};
 
 /// A registered MR program.
@@ -107,6 +107,13 @@ impl MrFunctionRegistry {
         })?;
         Ok(ResultSet::new(schema.clone(), rows))
     }
+}
+
+/// Decode the fields of an output line against `schema`.
+fn decode_fields(fields: &[&str], schema: &Schema) -> Result<Row> {
+    let decoded = fields.iter().zip(schema.columns());
+    let decoded = decoded.map(|(f, c)| parse_field(f, c.data_type));
+    decoded.collect::<Result<Vec<Value>>>().map(Row)
 }
 
 /// Helper for tests and examples: serialize values as an output line.

@@ -250,7 +250,12 @@ fn virtual_function_registry_runs_custom_jobs() {
     };
     struct MaxReducer;
     impl hana_hadoop::Reducer for MaxReducer {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
+        fn reduce(
+            &self,
+            key: &str,
+            values: &[String],
+            out: &mut Vec<String>,
+        ) -> hana_types::Result<()> {
             let max = values
                 .iter()
                 .filter_map(|v| v.parse::<f64>().ok())
@@ -259,6 +264,7 @@ fn virtual_function_registry_runs_custom_jobs() {
                 key.to_string(),
                 max.to_string(),
             ]));
+            Ok(())
         }
     }
     registry.register(
@@ -876,4 +882,140 @@ fn a_short_circuit_answers_like_the_local_engine_in_every_stage() {
             }
         }
     }
+}
+
+// ---- VARCHAR fields decode into split-local dictionaries ----
+
+#[test]
+fn split_local_dictionaries_answer_like_the_local_engine() {
+    // 64-byte blocks: a handful of lines per split, so every split
+    // meets the values of `s` in another order and numbers its
+    // dictionary differently; groups and join keys must meet by value.
+    let cfg = MrConfig {
+        worker_slots: 3,
+        job_startup: Duration::ZERO,
+        task_startup: Duration::ZERO,
+    };
+    let cluster = Arc::new(MrCluster::new(Arc::new(Hdfs::with_config(3, 64, 1)), cfg));
+    let hive = Hive::new(cluster);
+    let schema = Schema::of(&[
+        ("k", DataType::Int),
+        ("s", DataType::Varchar),
+        ("v", DataType::Int),
+    ]);
+    hive.create_table("t", schema.clone()).unwrap();
+    let names = [
+        Value::from("beta"),
+        Value::from("alpha"),
+        Value::from(""),
+        Value::Null,
+        Value::from("null"),
+        Value::from("bravo"),
+        Value::from("gamma"),
+    ];
+    let rows: Vec<Row> = (0..120i64)
+        .map(|i| {
+            let s = names[((i * 5 + i / 7) % names.len() as i64) as usize].clone();
+            Row::from_values([Value::Int(i), s, Value::Int(i % 11)])
+        })
+        .collect();
+    hive.load("t", &rows).unwrap();
+    hive.create_table(
+        "d",
+        Schema::of(&[("ds", DataType::Varchar), ("w", DataType::Int)]),
+    )
+    .unwrap();
+    let dims: Vec<Row> = names
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.is_null())
+        .map(|(i, s)| Row::from_values([s.clone(), Value::Int(100 + i as i64)]))
+        .collect();
+    hive.load("d", &dims).unwrap();
+    // The first split's first values differ from the second's.
+    let firsts: Vec<&Value> = rows.iter().map(|r| &r[1]).take(8).collect();
+    assert_ne!(firsts[0], firsts[4], "a vacuous interleaving");
+
+    // The local engine's row evaluator decides each predicate.
+    let local = |pred: &str| -> Vec<Row> {
+        let Statement::Query(q) =
+            parse_statement(&format!("SELECT * FROM t WHERE {pred}")).unwrap()
+        else {
+            panic!()
+        };
+        let pred = q.filter.unwrap().resolve(&schema, &[]).unwrap();
+        let kept = rows
+            .iter()
+            .filter(|r| hana_sql::evaluate_predicate(&pred, r).unwrap());
+        let mut kept: Vec<Row> = kept.map(|r| Row::from_values([r[0].clone()])).collect();
+        kept.sort();
+        kept
+    };
+    for pred in [
+        "s IN ('alpha', '', 'gamma')",
+        "s LIKE 'b%'",
+        "s <> 'beta'",
+        "s = 'null'",
+        "s NOT IN ('alpha', 'null')",
+    ] {
+        let want = local(pred);
+        assert!(!want.is_empty(), "{pred}: a vacuous case");
+        let rs = hive
+            .execute(&format!("SELECT k FROM t WHERE {pred}"))
+            .unwrap();
+        assert_eq!(sorted_rows(&rs), want, "{pred}");
+    }
+
+    // GROUP BY the dictionary column: one group per value, NULL included.
+    let mut groups: std::collections::BTreeMap<Value, (i64, i64)> = Default::default();
+    for r in &rows {
+        let g = groups.entry(r[1].clone()).or_default();
+        g.0 += 1;
+        g.1 += r[2].as_i64().unwrap();
+    }
+    let want: Vec<Row> = groups
+        .into_iter()
+        .map(|(s, (n, sum))| Row::from_values([s, Value::Int(n), Value::Int(sum)]))
+        .collect();
+    assert_eq!(want.len(), names.len());
+    let rs = hive
+        .execute("SELECT s, COUNT(*), SUM(v) FROM t WHERE v >= 0 GROUP BY s")
+        .unwrap();
+    assert_eq!(sorted_rows(&rs), want);
+
+    // A join on the dictionary column: NULL joins nothing, '' and 'null'
+    // are strings. The second statement's scan decodes the key for its
+    // own predicate, and the join takes that column.
+    let joined = |keep: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+        let kept = rows.iter().filter(|r| keep(r));
+        let mut want: Vec<Row> = kept
+            .flat_map(|r| {
+                let hits = dims.iter().filter(|d| !r[1].is_null() && d[0] == r[1]);
+                hits.map(|d| Row::from_values([r[0].clone(), d[1].clone()]))
+            })
+            .collect();
+        want.sort();
+        want
+    };
+    let small_v = |r: &Row| r[2].as_i64().unwrap() < 9;
+    for (sql, want) in [
+        (
+            "SELECT k, w FROM t JOIN d ON s = ds WHERE v < 9",
+            joined(&small_v),
+        ),
+        (
+            "SELECT k, w FROM t JOIN d ON s = ds WHERE s <> 'beta'",
+            joined(&|r| r[1] != Value::from("beta")),
+        ),
+    ] {
+        assert!(!want.is_empty(), "{sql}: a vacuous join");
+        assert_eq!(sorted_rows(&hive.execute(sql).unwrap()), want, "{sql}");
+    }
+    // And a group-by over the join, keyed on both sides' columns.
+    let rs = hive
+        .execute("SELECT ds, COUNT(*) FROM t JOIN d ON s = ds GROUP BY ds")
+        .unwrap();
+    let non_null = rows.iter().filter(|r| !r[1].is_null()).count() as i64;
+    let counted: i64 = rs.rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
+    assert_eq!((rs.len(), counted), (names.len() - 1, non_null));
 }

@@ -1,9 +1,9 @@
 //! Hive's record reader finds line and field boundaries in one pass,
 //! eight bytes at a time, and answers exactly what `str::lines` followed
 //! by `split('\u{1}')` answers — including the arity error of the first
-//! line with another field count.
+//! line with another field count, whichever fields it slices.
 
-use hana_hadoop::read_records;
+use hana_hadoop::{read_fields, read_records};
 use proptest::prelude::*;
 
 /// The slow way: each line's fields up to the first line of another
@@ -75,6 +75,47 @@ proptest! {
         let (records, error) = one_pass(&text, arity);
         prop_assert_eq!(&error, &None);
         prop_assert_eq!((records, error), two_pass(&text, arity));
+    }
+
+    /// A projected read hands back the full read's fields at the wanted
+    /// positions — runs of separators it skips included — and fails with
+    /// the full read's arity error whichever positions are wanted.
+    #[test]
+    fn a_projected_read_is_the_full_read_at_the_wanted_fields(
+        lines in prop::collection::vec("[ab\u{1}\u{1}\u{1} é😀\r]{0,40}", 0..10),
+        final_newline in any::<bool>(),
+        arity in 1usize..12,
+        mask in any::<u16>(),
+        table in prop::collection::vec(prop::collection::vec("[ab é\r]{0,3}", 12), 0..8),
+    ) {
+        let wanted: Vec<usize> = (0..arity).filter(|&i| mask >> i & 1 == 1).collect();
+        // Random lines, most of another arity, then a table of this one
+        // whose short fields put several separators in most steps.
+        let mut body = lines.join("\n");
+        if final_newline && !lines.is_empty() {
+            body.push('\n');
+        }
+        let rows: Vec<String> = table.iter().map(|fields| fields[..arity].join("\u{1}")).collect();
+        let table = rows.join("\n");
+        for (shift, body) in (0..8).flat_map(|shift| [(shift, &body), (shift, &table)]) {
+            let text = format!("{}{body}", "x".repeat(shift));
+            let (full, full_error) = one_pass(&text, arity);
+            let mut projected = Vec::new();
+            let read = read_fields(&text, arity, &wanted, |line, fields| {
+                projected.push((line.to_string(), fields.iter().map(|f| f.to_string()).collect()));
+                Ok(())
+            });
+            let error = read.as_ref().err().map(|e| e.message().to_string());
+            prop_assert_eq!(&error, &full_error, "shift {}", shift);
+            if let Ok(n) = read {
+                prop_assert_eq!(n, projected.len() as u64);
+            }
+            let want: Vec<(String, Vec<String>)> = full
+                .into_iter()
+                .map(|(line, fields)| (line, wanted.iter().map(|&i| fields[i].clone()).collect()))
+                .collect();
+            prop_assert_eq!(projected, want, "shift {} wanted {:?}", shift, wanted);
+        }
     }
 }
 

@@ -6,8 +6,10 @@
 //! packed vids with a handle to the fragment's immutable dictionary
 //! until an operator needs values; delta rows are decoded at the leaf
 //! into a dictionary of their own (the delta dictionary is mutable).
-//! Engines that read rows — Hive's splits, DML's located rows, an ESP
-//! window — hand them over with [`Batch::from_rows`]. [`eval_batch`] /
+//! Hive decodes the text of a split straight into columns, VARCHAR
+//! fields into a dictionary of the split's own. Engines that read rows —
+//! DML's located rows, an ESP window — hand them over with
+//! [`Batch::from_rows`]. [`eval_batch`] /
 //! [`select`] evaluate over a batch and [`group_batch`] groups one;
 //! rows are built once, at the result boundary or after an epilogue.
 
@@ -38,7 +40,8 @@ pub enum Dictionary {
     /// A main fragment's ordered dictionary: values in ascending order,
     /// so that vid order is value order.
     Main(Arc<[Value]>),
-    /// The distinct values of the delta rows one leaf read.
+    /// The distinct values of the delta rows one leaf read, or of one
+    /// VARCHAR field of the lines of one Hive split.
     Local(Arc<[Value]>),
 }
 

@@ -150,12 +150,18 @@ fn main() {
     // ---- offline analysis on the archive (Hadoop) -------------------
     struct MaxLoad;
     impl Reducer for MaxLoad {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) {
+        fn reduce(
+            &self,
+            key: &str,
+            values: &[String],
+            out: &mut Vec<String>,
+        ) -> hana_data_platform::Result<()> {
             let max = values
                 .iter()
                 .filter_map(|v| v.parse::<f64>().ok())
                 .fold(f64::MIN, f64::max);
             out.push(format!("{key},{max:.1}"));
+            Ok(())
         }
     }
     let mapper = |_k: &str, line: &str, out: &mut Vec<KV>| {
