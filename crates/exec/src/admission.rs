@@ -1,29 +1,30 @@
-//! Workload-class admission control for the execution pool.
+//! Admission control: one workload class's slot pool.
 //!
 //! The session layer classifies each statement into a workload class
-//! (OLTP point lookups, OLAP scans/aggregates, …) and asks the
-//! [`AdmissionController`] for a slot before touching the pool. Each
-//! class has a concurrency limit, a bounded FIFO wait queue and a
-//! priority; a shared total limit (optional) caps the classes
-//! together. Admission is strictly work-conserving: a slot is never
-//! left idle while an admissible waiter exists, and among admissible
-//! waiters contending for shared headroom, higher-priority classes are
-//! served first.
+//! (OLTP point lookups and DML, OLAP scans and aggregates) and asks that
+//! class's [`AdmissionController`] for a slot before touching the pool.
+//! A controller has a concurrency limit, a bounded FIFO wait queue and a
+//! queue timeout, behind a mutex and condition variable of its own:
+//! pools share no slot and no lock, so one class's load never delays
+//! another class's statements. Within a pool admission is
+//! work-conserving and FIFO — a slot never idles while a statement
+//! waits, and waiters are admitted in arrival order.
 //!
 //! Rejections are immediate (`QueueFull`) or timed (`Timeout`); the
 //! caller maps them onto its error taxonomy (the platform uses the
 //! retryable `overloaded` kind — backing off and resubmitting is the
-//! intended client response).
+//! intended client response). A pool's `hana_admission_*_<class>`
+//! instruments are resolved when it is built.
 
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Configuration of one workload class.
+use hana_obs::{Counter, Gauge, Histogram};
+
+/// The limits of one workload class.
 #[derive(Debug, Clone)]
 pub struct ClassConfig {
-    /// Class name; becomes the `{class}` label on the admission
-    /// metrics (`hana_admission_running_{class}`, …).
-    pub name: String,
     /// Statements of this class running at once, at most.
     pub max_concurrent: usize,
     /// Statements allowed to wait for a slot; arrivals beyond this are
@@ -31,20 +32,16 @@ pub struct ClassConfig {
     pub max_queue: usize,
     /// How long a statement may wait before [`Rejection::Timeout`].
     pub queue_timeout: Duration,
-    /// Larger wins when classes contend for shared headroom.
-    pub priority: u8,
 }
 
 impl ClassConfig {
-    /// A class with the given name and concurrency limit, a queue of
-    /// the same size, a one-second timeout and priority 0.
-    pub fn new(name: &str, max_concurrent: usize) -> ClassConfig {
+    /// A class with the given concurrency limit, a queue of the same
+    /// size and a one-second timeout.
+    pub fn new(max_concurrent: usize) -> ClassConfig {
         ClassConfig {
-            name: name.to_string(),
             max_concurrent: max_concurrent.max(1),
             max_queue: max_concurrent.max(1),
             queue_timeout: Duration::from_secs(1),
-            priority: 0,
         }
     }
 
@@ -59,12 +56,6 @@ impl ClassConfig {
         self.queue_timeout = timeout;
         self
     }
-
-    /// Set the priority (larger wins).
-    pub fn with_priority(mut self, priority: u8) -> ClassConfig {
-        self.priority = priority;
-        self
-    }
 }
 
 /// Why a statement was not admitted.
@@ -73,19 +64,17 @@ pub enum Rejection {
     /// The class is at capacity and its wait queue is full.
     QueueFull {
         /// The class that rejected the statement.
-        class: String,
+        class: &'static str,
         /// The configured queue bound that was hit.
         max_queue: usize,
     },
     /// The statement waited the full queue timeout without a slot.
     Timeout {
         /// The class that rejected the statement.
-        class: String,
+        class: &'static str,
         /// How long the statement waited.
         waited: Duration,
     },
-    /// The class name is not configured.
-    UnknownClass(String),
 }
 
 impl std::fmt::Display for Rejection {
@@ -99,233 +88,185 @@ impl std::fmt::Display for Rejection {
                 f,
                 "statement waited {waited:?} for a '{class}' slot without being admitted"
             ),
-            Rejection::UnknownClass(c) => write!(f, "unknown workload class '{c}'"),
         }
     }
 }
 
-struct ClassState {
-    cfg: ClassConfig,
+/// A pool's instruments in the global `hana-obs` registry:
+/// `hana_admission_{running,peak_running,queued}_<class>` gauges,
+/// `hana_admission_{admitted,queued,rejected,timeout}_total_<class>`
+/// counters and the `hana_admission_wait_ns_<class>` histogram.
+struct Instruments {
+    running: Arc<Gauge>,
+    peak_running: Arc<Gauge>,
+    queued: Arc<Gauge>,
+    admitted_total: Arc<Counter>,
+    queued_total: Arc<Counter>,
+    rejected_total: Arc<Counter>,
+    timeout_total: Arc<Counter>,
+    wait_ns: Arc<Histogram>,
+}
+
+impl Instruments {
+    fn of(class: &str) -> Instruments {
+        let obs = hana_obs::registry();
+        let name = |metric: &str| format!("hana_admission_{metric}_{class}");
+        Instruments {
+            running: obs.gauge(&name("running")),
+            peak_running: obs.gauge(&name("peak_running")),
+            queued: obs.gauge(&name("queued")),
+            admitted_total: obs.counter(&name("admitted_total")),
+            queued_total: obs.counter(&name("queued_total")),
+            rejected_total: obs.counter(&name("rejected_total")),
+            timeout_total: obs.counter(&name("timeout_total")),
+            wait_ns: obs.histogram(&name("wait_ns")),
+        }
+    }
+}
+
+struct Slots {
     running: usize,
     /// Peak of `running` since construction (proof, in tests and
     /// benches, that the limit actually bound the concurrency).
     peak_running: usize,
-    /// Tickets of waiting statements, FIFO. A waiter is admitted only
-    /// when its ticket is at the front, so arrival order holds within
-    /// a class.
-    queue: Vec<u64>,
-}
-
-struct ControllerState {
-    classes: Vec<ClassState>,
-    total_running: usize,
+    /// Tickets of waiting statements in arrival order. Only the front
+    /// ticket may take a freed slot, so arrival order holds.
+    queue: VecDeque<u64>,
     next_ticket: u64,
 }
 
-/// Per-class concurrency limits with bounded, prioritized wait queues.
+/// One workload class's slots: a concurrency limit with a bounded FIFO
+/// wait queue and a queue timeout.
 pub struct AdmissionController {
-    state: Mutex<ControllerState>,
-    cv: Condvar,
-    /// Shared cap across all classes (`None` = per-class limits only).
-    total_limit: Option<usize>,
+    class: &'static str,
+    cfg: ClassConfig,
+    slots: Mutex<Slots>,
+    /// Signalled when the front waiter may be able to take a slot.
+    admissible: Condvar,
+    obs: Instruments,
 }
 
 impl AdmissionController {
-    /// A controller over the given classes. `total_limit`, when set,
-    /// caps the sum of running statements across classes.
-    pub fn new(classes: Vec<ClassConfig>, total_limit: Option<usize>) -> AdmissionController {
+    /// The pool of workload class `class` (its metric label) with the
+    /// given limits.
+    pub fn new(class: &'static str, cfg: ClassConfig) -> AdmissionController {
         AdmissionController {
-            state: Mutex::new(ControllerState {
-                classes: classes
-                    .into_iter()
-                    .map(|cfg| ClassState {
-                        cfg,
-                        running: 0,
-                        peak_running: 0,
-                        queue: Vec::new(),
-                    })
-                    .collect(),
-                total_running: 0,
+            class,
+            cfg,
+            slots: Mutex::new(Slots {
+                running: 0,
+                peak_running: 0,
+                queue: VecDeque::new(),
                 next_ticket: 0,
             }),
-            cv: Condvar::new(),
-            total_limit,
+            admissible: Condvar::new(),
+            obs: Instruments::of(class),
         }
     }
 
-    /// Block until a slot for `class` frees up (or the class's queue
-    /// timeout elapses) and return a permit that holds the slot until
-    /// dropped.
-    pub fn admit(&self, class: &str) -> Result<AdmissionPermit<'_>, Rejection> {
-        let obs = hana_obs::registry();
+    /// Block until a slot frees up (or the queue timeout elapses) and
+    /// return a permit that holds the slot until dropped.
+    pub fn admit(&self) -> Result<AdmissionPermit<'_>, Rejection> {
         let start = Instant::now();
-        let mut st = self.state.lock().unwrap();
-        let idx = st
-            .classes
-            .iter()
-            .position(|c| c.cfg.name == class)
-            .ok_or_else(|| Rejection::UnknownClass(class.to_string()))?;
-
-        if self.admissible(&st, idx, None) {
-            let stats = self.grant(&mut st, idx);
-            drop(st);
-            return Ok(self.permit(idx, class, start, stats, obs));
+        let mut slots = self.lock();
+        // A new arrival never overtakes a queued statement.
+        if slots.queue.is_empty() && slots.running < self.cfg.max_concurrent {
+            self.grant(&mut slots);
+            return Ok(self.permit(start));
         }
-
-        // Must wait: reject immediately when the queue is full.
-        if st.classes[idx].queue.len() >= st.classes[idx].cfg.max_queue {
-            obs.counter(&format!("hana_admission_rejected_total_{class}"))
-                .inc();
+        if slots.queue.len() >= self.cfg.max_queue {
+            drop(slots);
+            self.obs.rejected_total.inc();
             return Err(Rejection::QueueFull {
-                class: class.to_string(),
-                max_queue: st.classes[idx].cfg.max_queue,
+                class: self.class,
+                max_queue: self.cfg.max_queue,
             });
         }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.classes[idx].queue.push(ticket);
-        obs.gauge(&format!("hana_admission_queued_{class}"))
-            .set(st.classes[idx].queue.len() as i64);
-        obs.counter(&format!("hana_admission_queued_total_{class}"))
-            .inc();
+        let ticket = slots.next_ticket;
+        slots.next_ticket += 1;
+        slots.queue.push_back(ticket);
+        self.obs.queued.set(slots.queue.len() as i64);
+        self.obs.queued_total.inc();
 
-        let timeout = st.classes[idx].cfg.queue_timeout;
-        let deadline = start + timeout;
+        let deadline = start + self.cfg.queue_timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
-                // Give up: withdraw the ticket and wake others (our
-                // departure may unblock a lower-priority waiter).
-                let pos = st.classes[idx].queue.iter().position(|&t| t == ticket);
-                if let Some(pos) = pos {
-                    st.classes[idx].queue.remove(pos);
-                }
-                obs.gauge(&format!("hana_admission_queued_{class}"))
-                    .set(st.classes[idx].queue.len() as i64);
-                obs.counter(&format!("hana_admission_timeout_total_{class}"))
-                    .inc();
-                self.cv.notify_all();
+                slots.queue.retain(|&t| t != ticket);
+                self.obs.queued.set(slots.queue.len() as i64);
+                // We could not be admitted (no slot, or not at the
+                // front), so our leaving makes no one else admissible.
+                drop(slots);
+                self.obs.timeout_total.inc();
                 return Err(Rejection::Timeout {
-                    class: class.to_string(),
+                    class: self.class,
                     waited: start.elapsed(),
                 });
             }
-            let (guard, _res) = self.cv.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-            if st.classes[idx].queue.first() == Some(&ticket)
-                && self.admissible(&st, idx, Some(ticket))
-            {
-                st.classes[idx].queue.remove(0);
-                obs.gauge(&format!("hana_admission_queued_{class}"))
-                    .set(st.classes[idx].queue.len() as i64);
-                let stats = self.grant(&mut st, idx);
-                drop(st);
-                obs.histogram(&format!("hana_admission_wait_ns_{class}"))
-                    .record(start.elapsed().as_nanos() as u64);
-                return Ok(self.permit(idx, class, start, stats, obs));
+            slots = self
+                .admissible
+                .wait_timeout(slots, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            if slots.queue.front() == Some(&ticket) && slots.running < self.cfg.max_concurrent {
+                slots.queue.pop_front();
+                self.obs.queued.set(slots.queue.len() as i64);
+                self.grant(&mut slots);
+                // Two releases may have woken us together: the next
+                // waiter may take the other slot.
+                self.unlock(slots);
+                self.obs.wait_ns.record(start.elapsed().as_nanos() as u64);
+                return Ok(self.permit(start));
             }
         }
     }
 
-    /// Whether a statement of class `idx` could start right now.
-    ///
-    /// Three conditions: class headroom; FIFO order (an already-queued
-    /// waiter ahead of us wins — `ticket` is our own queue entry, if
-    /// any); and, when a shared total limit applies, no higher-priority
-    /// class with headroom has waiters that the remaining shared slots
-    /// should serve first.
-    fn admissible(&self, st: &ControllerState, idx: usize, ticket: Option<u64>) -> bool {
-        let class = &st.classes[idx];
-        if class.running >= class.cfg.max_concurrent {
-            return false;
+    /// Take a slot.
+    fn grant(&self, slots: &mut Slots) {
+        slots.running += 1;
+        self.obs.running.set(slots.running as i64);
+        if slots.running > slots.peak_running {
+            slots.peak_running = slots.running;
+            self.obs.peak_running.set(slots.peak_running as i64);
         }
-        match ticket {
-            // A new arrival must not overtake queued statements.
-            None if !class.queue.is_empty() => return false,
-            // A queued statement is only considered at the front.
-            Some(t) if class.queue.first() != Some(&t) => return false,
-            _ => {}
-        }
-        if let Some(total) = self.total_limit {
-            let available = total.saturating_sub(st.total_running);
-            if available == 0 {
-                return false;
-            }
-            // Reserve shared slots for higher-priority waiters that
-            // could use them.
-            let higher_demand: usize = st
-                .classes
-                .iter()
-                .filter(|c| c.cfg.priority > class.cfg.priority)
-                .map(|c| {
-                    c.queue
-                        .len()
-                        .min(c.cfg.max_concurrent.saturating_sub(c.running))
-                })
-                .sum();
-            if available <= higher_demand {
-                return false;
-            }
-        }
-        true
+        self.obs.admitted_total.inc();
     }
 
-    /// Take a slot; returns `(running, peak_running)` after the grant
-    /// so callers can publish gauges outside the lock.
-    fn grant(&self, st: &mut ControllerState, idx: usize) -> (usize, usize) {
-        st.classes[idx].running += 1;
-        st.total_running += 1;
-        if st.classes[idx].running > st.classes[idx].peak_running {
-            st.classes[idx].peak_running = st.classes[idx].running;
-        }
-        (st.classes[idx].running, st.classes[idx].peak_running)
+    /// The slots. Every update under the lock is a single step that
+    /// leaves them valid, so a guard poisoned by a panicking holder is
+    /// recovered rather than propagated (a permit releases in `Drop`).
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Build the permit and publish admission metrics. Must be called
-    /// WITHOUT the state lock held.
-    fn permit<'a>(
-        &'a self,
-        idx: usize,
-        class: &str,
-        start: Instant,
-        (running, peak): (usize, usize),
-        obs: &hana_obs::Registry,
-    ) -> AdmissionPermit<'a> {
-        obs.gauge(&format!("hana_admission_running_{class}"))
-            .set(running as i64);
-        obs.gauge(&format!("hana_admission_peak_running_{class}"))
-            .set(peak as i64);
-        obs.counter(&format!("hana_admission_admitted_total_{class}"))
-            .inc();
+    fn permit(&self, start: Instant) -> AdmissionPermit<'_> {
         AdmissionPermit {
-            controller: self,
-            idx,
-            class: class.to_string(),
+            pool: self,
             admitted_after: start.elapsed(),
         }
     }
 
-    /// `(running, queued, peak_running)` for a class, for tests and
-    /// observability refreshes.
-    pub fn class_stats(&self, class: &str) -> Option<(usize, usize, usize)> {
-        let st = self.state.lock().unwrap();
-        st.classes
-            .iter()
-            .find(|c| c.cfg.name == class)
-            .map(|c| (c.running, c.queue.len(), c.peak_running))
+    /// Release the lock, waking the waiters only when the front one
+    /// could take a slot now.
+    fn unlock(&self, slots: MutexGuard<'_, Slots>) {
+        let wake = !slots.queue.is_empty() && slots.running < self.cfg.max_concurrent;
+        drop(slots);
+        if wake {
+            self.admissible.notify_all();
+        }
     }
 
-    /// Total statements currently running across all classes.
-    pub fn total_running(&self) -> usize {
-        self.state.lock().unwrap().total_running
+    /// `(running, queued, peak_running)`, for tests and observability
+    /// refreshes.
+    pub fn class_stats(&self) -> (usize, usize, usize) {
+        let slots = self.lock();
+        (slots.running, slots.queue.len(), slots.peak_running)
     }
 }
 
 /// Holds one admitted slot; dropping releases it and wakes waiters.
 pub struct AdmissionPermit<'a> {
-    controller: &'a AdmissionController,
-    idx: usize,
-    class: String,
+    pool: &'a AdmissionController,
     admitted_after: Duration,
 }
 
@@ -334,17 +275,12 @@ impl AdmissionPermit<'_> {
     pub fn admitted_after(&self) -> Duration {
         self.admitted_after
     }
-
-    /// The class this permit belongs to.
-    pub fn class(&self) -> &str {
-        &self.class
-    }
 }
 
 impl std::fmt::Debug for AdmissionPermit<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdmissionPermit")
-            .field("class", &self.class)
+            .field("class", &self.pool.class)
             .field("admitted_after", &self.admitted_after)
             .finish()
     }
@@ -352,74 +288,54 @@ impl std::fmt::Debug for AdmissionPermit<'_> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut st = self.controller.state.lock().unwrap();
-        st.classes[self.idx].running -= 1;
-        st.total_running -= 1;
-        hana_obs::registry()
-            .gauge(&format!("hana_admission_running_{}", self.class))
-            .set(st.classes[self.idx].running as i64);
-        drop(st);
-        self.controller.cv.notify_all();
+        let mut slots = self.pool.lock();
+        slots.running -= 1;
+        self.pool.obs.running.set(slots.running as i64);
+        self.pool.unlock(slots);
     }
-}
-
-/// Build a controller from `(name, limit)` pairs with default queues,
-/// timeouts and priorities — test/bench convenience.
-pub fn controller_of(pairs: &[(&str, usize)]) -> AdmissionController {
-    AdmissionController::new(
-        pairs.iter().map(|(n, l)| ClassConfig::new(n, *l)).collect(),
-        None,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn admits_within_limit_and_rejects_when_queue_full() {
-        let ctl = AdmissionController::new(vec![ClassConfig::new("olap", 1).with_queue(0)], None);
-        let p = ctl.admit("olap").unwrap();
-        assert_eq!(ctl.class_stats("olap"), Some((1, 0, 1)));
-        let err = ctl.admit("olap").unwrap_err();
+        let ctl = AdmissionController::new("olap", ClassConfig::new(1).with_queue(0));
+        let p = ctl.admit().unwrap();
+        assert_eq!(ctl.class_stats(), (1, 0, 1));
+        let err = ctl.admit().unwrap_err();
         assert!(matches!(err, Rejection::QueueFull { max_queue: 0, .. }));
         drop(p);
-        assert_eq!(ctl.class_stats("olap"), Some((0, 0, 1)));
-        let _p2 = ctl.admit("olap").unwrap();
+        assert_eq!(ctl.class_stats(), (0, 0, 1));
+        let _p2 = ctl.admit().unwrap();
     }
 
     #[test]
     fn queue_timeout_rejects_after_waiting() {
         let ctl = AdmissionController::new(
-            vec![ClassConfig::new("olap", 1)
+            "olap",
+            ClassConfig::new(1)
                 .with_queue(4)
-                .with_timeout(Duration::from_millis(20))],
-            None,
+                .with_timeout(Duration::from_millis(20)),
         );
-        let _held = ctl.admit("olap").unwrap();
+        let _held = ctl.admit().unwrap();
         let start = Instant::now();
-        let err = ctl.admit("olap").unwrap_err();
+        let err = ctl.admit().unwrap_err();
         assert!(matches!(err, Rejection::Timeout { .. }));
         assert!(start.elapsed() >= Duration::from_millis(20));
         // The withdrawn ticket must not strand the queue.
-        assert_eq!(ctl.class_stats("olap"), Some((1, 0, 1)));
-    }
-
-    #[test]
-    fn unknown_class_is_rejected() {
-        let ctl = controller_of(&[("oltp", 4)]);
-        assert!(matches!(ctl.admit("nope"), Err(Rejection::UnknownClass(_))));
+        assert_eq!(ctl.class_stats(), (1, 0, 1));
     }
 
     #[test]
     fn concurrency_is_bounded_under_contention() {
         let ctl = Arc::new(AdmissionController::new(
-            vec![ClassConfig::new("olap", 2)
+            "olap",
+            ClassConfig::new(2)
                 .with_queue(64)
-                .with_timeout(Duration::from_secs(10))],
-            None,
+                .with_timeout(Duration::from_secs(10)),
         ));
         let running = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
@@ -428,7 +344,7 @@ mod tests {
                 let (ctl, running, peak) =
                     (Arc::clone(&ctl), Arc::clone(&running), Arc::clone(&peak));
                 std::thread::spawn(move || {
-                    let _p = ctl.admit("olap").unwrap();
+                    let _p = ctl.admit().unwrap();
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(2));
@@ -444,55 +360,44 @@ mod tests {
             "observed {} concurrent, limit is 2",
             peak.load(Ordering::SeqCst)
         );
-        assert_eq!(ctl.class_stats("olap").unwrap().2, 2, "peak gauge");
+        assert_eq!(ctl.class_stats().2, 2, "peak gauge");
     }
 
     #[test]
-    fn shared_total_limit_prefers_higher_priority() {
-        // One shared slot; oltp outranks olap. Hold the slot via olap,
-        // queue one waiter of each class, then release: the oltp waiter
-        // must win the freed slot.
+    fn two_slots_freed_together_admit_two_waiters() {
+        let timeout = Duration::from_secs(5);
         let ctl = Arc::new(AdmissionController::new(
-            vec![
-                ClassConfig::new("oltp", 4)
-                    .with_queue(8)
-                    .with_timeout(Duration::from_secs(5))
-                    .with_priority(10),
-                ClassConfig::new("olap", 4)
-                    .with_queue(8)
-                    .with_timeout(Duration::from_secs(5))
-                    .with_priority(1),
-            ],
-            Some(1),
+            "olap",
+            ClassConfig::new(2).with_timeout(timeout),
         ));
-        let held = ctl.admit("olap").unwrap();
-
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let spawn = |class: &'static str| {
-            let (ctl, order) = (Arc::clone(&ctl), Arc::clone(&order));
-            std::thread::spawn(move || {
-                let _p = ctl.admit(class).unwrap();
-                order.lock().unwrap().push(class);
-                std::thread::sleep(Duration::from_millis(5));
-            })
-        };
-        let h_olap = spawn("olap");
-        // Ensure the olap waiter queues first, then add the oltp waiter.
-        while ctl.class_stats("olap").unwrap().1 == 0 {
-            std::thread::yield_now();
+        // Waiters woken together race for the lock; repeat so that a
+        // slot left idle by that race would show.
+        for _round in 0..20 {
+            let held = [ctl.admit().unwrap(), ctl.admit().unwrap()];
+            let waiters: Vec<_> = (0..2)
+                .map(|i| {
+                    let waiter_ctl = Arc::clone(&ctl);
+                    let h = std::thread::spawn(move || {
+                        let permit = waiter_ctl.admit().unwrap();
+                        // Hold the slot until both waiters are in (or
+                        // the other one has timed out).
+                        let until = Instant::now() + timeout * 2;
+                        while waiter_ctl.class_stats().0 < 2 && Instant::now() < until {
+                            std::thread::yield_now();
+                        }
+                        permit.admitted_after()
+                    });
+                    while ctl.class_stats().1 != i + 1 {
+                        std::thread::yield_now();
+                    }
+                    h
+                })
+                .collect();
+            drop(held);
+            for h in waiters {
+                assert!(h.join().unwrap() < timeout);
+            }
         }
-        let h_oltp = spawn("oltp");
-        while ctl.class_stats("oltp").unwrap().1 == 0 {
-            std::thread::yield_now();
-        }
-
-        drop(held);
-        h_oltp.join().unwrap();
-        h_olap.join().unwrap();
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["oltp", "olap"],
-            "higher priority takes the freed shared slot despite queuing later"
-        );
+        assert_eq!(ctl.class_stats(), (0, 0, 2));
     }
 }

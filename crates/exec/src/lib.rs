@@ -5,8 +5,9 @@
 //! [`Morsel`]s of row ids and handed to [`ExecContext::scatter`], one
 //! fork-join over a fixed [`WorkerPool`] and the only place that
 //! decides whether work runs serially or in parallel; statements queue
-//! for the pool through the [`AdmissionController`]. Throughput and
-//! utilization are reported into `hana-obs`.
+//! for the pool through their workload class's [`AdmissionController`],
+//! one independent slot pool per class. Throughput and utilization are
+//! reported into `hana-obs`.
 //!
 //! ```
 //! use hana_exec::{ExecConfig, ExecContext};
@@ -24,7 +25,7 @@ mod context;
 mod morsel;
 mod pool;
 
-pub use admission::{controller_of, AdmissionController, AdmissionPermit, ClassConfig, Rejection};
+pub use admission::{AdmissionController, AdmissionPermit, ClassConfig, Rejection};
 pub use config::{ExecConfig, DEFAULT_MORSEL_ROWS};
 pub use context::ExecContext;
 pub use morsel::{align_morsel_rows, morsels, Morsel};

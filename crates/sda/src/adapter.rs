@@ -14,12 +14,12 @@ use hana_hadoop::{Hive, MrFunctionRegistry};
 use hana_iq::{IqEngine, IqPlan};
 use hana_sql::batch::Batch;
 use hana_sql::finish::{collect_aggregates, Epilogue};
-use hana_sql::{BinOp, Expr, JoinKind, Query, TableRef};
+use hana_sql::{equi_keys, resolve_column, Expr, JoinKind, Query, TableRef};
 use hana_types::{AggFunc, HanaError, Result, ResultSet, Row, Schema};
 
 use crate::capability::CapabilitySet;
 use crate::context::RemoteContext;
-use crate::pushdown::split_pushdown;
+use crate::pushdown::expr_to_column_predicate;
 
 /// MetaStore-style statistics of a remote table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -355,10 +355,7 @@ impl IqAdapter {
             .from
             .as_ref()
             .ok_or_else(|| HanaError::Plan("query without FROM".into()))?;
-        let (first_binding, first_table) = named(from)?;
-
-        // Partition WHERE into per-binding pushdowns.
-        let mut bindings = vec![(first_binding.clone(), first_table.clone())];
+        let mut bindings = vec![named(from)?];
         for j in &q.joins {
             if j.kind != JoinKind::Inner {
                 return Err(HanaError::Unsupported(
@@ -367,38 +364,58 @@ impl IqAdapter {
             }
             bindings.push(named(&j.table)?);
         }
-        let (pushed, residual) = match &q.filter {
-            Some(f) => split_pushdown(f),
-            None => (Vec::new(), Vec::new()),
-        };
-        if !residual.is_empty() {
-            return Err(HanaError::Unsupported(format!(
-                "predicates not pushable to IQ: {residual:?}"
-            )));
-        }
-        // Attribute each predicate to the binding whose schema has it.
-        let mut per: Vec<Vec<(String, ColumnPredicate)>> = vec![Vec::new(); bindings.len()];
-        'pred: for (col, p) in pushed {
-            for (i, (_, table)) in bindings.iter().enumerate() {
-                if self.engine.table_schema(table)?.index_of(&col).is_some() {
-                    per[i].push((col, p));
-                    continue 'pred;
-                }
-            }
-            return Err(HanaError::Plan(format!(
-                "predicate column '{col}' not found in any shipped table"
-            )));
+        // Each binding's columns as `binding.column`, so that names resolve
+        // as they do over a local join: by qualifier first.
+        let qualified: Vec<Schema> = bindings
+            .iter()
+            .map(|(binding, table)| Ok(self.engine.table_schema(table)?.qualified(binding)))
+            .collect::<Result<_>>()?;
+        let mut all = qualified[0].clone();
+        let mut starts = vec![0];
+        for s in &qualified[1..] {
+            starts.push(all.len());
+            all = all.join(s)?;
         }
 
-        let mut plan = IqPlan::scan_where(&first_table, per[0].clone());
-        for (i, j) in q.joins.iter().enumerate() {
-            let (lk, rk) = equi_columns(&j.on)?;
-            plan = IqPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(IqPlan::scan_where(&bindings[i + 1].1, per[i + 1].clone())),
-                left_col: lk,
-                right_col: rk,
+        // Give each conjunct to the binding its column resolves to.
+        let mut per: Vec<Vec<(String, ColumnPredicate)>> = vec![Vec::new(); bindings.len()];
+        for c in q.filter.iter().flat_map(|f| f.conjuncts()) {
+            let Some((col, p)) = expr_to_column_predicate(c) else {
+                return Err(HanaError::Unsupported(format!(
+                    "predicate not pushable to IQ: {c}"
+                )));
             };
+            // A pushable conjunct reads exactly one column.
+            let qualifier = c.columns()[0].0.as_deref();
+            let at = resolve_column(&all, qualifier, &col)?;
+            per[starts.partition_point(|&s| s <= at) - 1].push((col, p));
+        }
+
+        // Join keys resolve over the bindings joined so far and the next.
+        let mut plan = IqPlan::scan_where(&bindings[0].1, std::mem::take(&mut per[0]));
+        let mut left = qualified[0].clone();
+        for (i, j) in q.joins.iter().enumerate() {
+            let right = &qualified[i + 1];
+            let (lk, rk) = equi_keys(&j.on, &left, right).ok_or_else(|| {
+                HanaError::Unsupported(format!(
+                    "IQ joins need a simple equi-join ON clause, got {}",
+                    j.on
+                ))
+            })?;
+            let right_plan =
+                IqPlan::scan_where(&bindings[i + 1].1, std::mem::take(&mut per[i + 1]));
+            plan = IqPlan::Join {
+                left_col: self.engine.output_schema(&plan)?.column(lk.at).name.clone(),
+                right_col: self
+                    .engine
+                    .output_schema(&right_plan)?
+                    .column(rk.at)
+                    .name
+                    .clone(),
+                left: Box::new(plan),
+                right: Box::new(right_plan),
+            };
+            left = left.join(right)?;
         }
 
         // Aggregation: group-by columns and aggregate args must be plain
@@ -445,24 +462,6 @@ fn named(t: &TableRef) -> Result<(String, String)> {
             "IQ FROM supports named tables only, got {other}"
         ))),
     }
-}
-
-fn equi_columns(on: &Expr) -> Result<(String, String)> {
-    if let Expr::Binary {
-        left,
-        op: BinOp::Eq,
-        right,
-    } = on
-    {
-        if let (Expr::Column { name: l, .. }, Expr::Column { name: r, .. }) =
-            (left.as_ref(), right.as_ref())
-        {
-            return Ok((l.clone(), r.clone()));
-        }
-    }
-    Err(HanaError::Unsupported(format!(
-        "IQ joins need a simple equi-join ON clause, got {on}"
-    )))
 }
 
 impl SdaAdapter for IqAdapter {

@@ -243,7 +243,7 @@ impl RemoteCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let fetch = fetch_all(&temp);
                 let rs = adapter.execute(&fetch, ctx)?;
-                return Ok((restore_schema(rs, q), CacheOutcome::Hit));
+                return Ok((rs, CacheOutcome::Hit));
             }
             // Stale: discard, then fall through to re-materialize.
             let _ = adapter.drop_remote_table(&temp);
@@ -280,7 +280,7 @@ impl RemoteCache {
             },
         );
         let rs = adapter.execute(&fetch_all(&temp), ctx)?;
-        Ok((restore_schema(rs, q), CacheOutcome::Materialized))
+        Ok((rs, CacheOutcome::Materialized))
     }
 
     /// Copy a fresh result into the bounded local fallback store.
@@ -373,11 +373,4 @@ fn fetch_all(temp: &str) -> Query {
         }),
         ..Query::default()
     }
-}
-
-/// The materialized table's column names come from the CTAS result;
-/// rows/arity are identical to the original query's output, so reuse the
-/// original result names when the arity matches.
-fn restore_schema(rs: ResultSet, _q: &Query) -> ResultSet {
-    rs
 }

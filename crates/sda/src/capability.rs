@@ -57,13 +57,15 @@ impl CapabilitySet {
 
     /// Capabilities of the tightly-integrated IQ extended storage
     /// (§3.1: inserts/updates/deletes, order by, group by, joins,
-    /// nested queries, full transactions).
+    /// nested queries, full transactions). Its plan compiler joins
+    /// inner only, so an outer join over extended tables runs locally
+    /// over shipped scans.
     pub fn iq() -> CapabilitySet {
         CapabilitySet {
             cap_select: true,
             cap_where: true,
             cap_joins: true,
-            cap_joins_outer: true,
+            cap_joins_outer: false,
             cap_group_by: true,
             cap_order_by: true,
             cap_limit: true,
@@ -242,7 +244,8 @@ mod tests {
         let mr = CapabilitySet::hadoop_mr();
         assert!(!mr.supports_query(&query("SELECT a FROM t")));
         let iq = CapabilitySet::iq();
-        assert!(iq.supports_query(&query("SELECT a FROM t LEFT OUTER JOIN u ON a = b")));
+        assert!(!iq.supports_query(&query("SELECT a FROM t LEFT OUTER JOIN u ON a = b")));
+        assert!(iq.supports_query(&query("SELECT a FROM t JOIN u ON a = b")));
         assert!(!iq.supports_query(&query("SELECT x.a FROM (SELECT a FROM t) x")));
     }
 }

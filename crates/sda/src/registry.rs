@@ -12,10 +12,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use hana_obs::{Counter, Histogram};
 use hana_types::{HanaError, Result, ResultSet, Schema};
 
 use crate::adapter::SdaAdapter;
-use crate::breaker::{BreakerState, BreakerStats, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::cache::{CacheOutcome, RemoteCache, RemoteCacheConfig};
 use crate::context::RemoteContext;
 use crate::retry::run_with_retry;
@@ -59,11 +60,43 @@ pub struct VirtualFunction {
     pub schema: Schema,
 }
 
-/// Per-source resilience state: one circuit breaker plus counters.
+/// Per-source resilience state: one circuit breaker, counters, and the
+/// source's instruments in the global `hana-obs` registry, resolved
+/// when the state is built.
 struct SourceResilience {
     breaker: CircuitBreaker,
     retries: AtomicU64,
     stale_fallbacks: AtomicU64,
+    /// `hana_sda_attempts_total_<source>`.
+    attempts_total: Arc<Counter>,
+    /// `hana_sda_retries_total_<source>`.
+    retries_total: Arc<Counter>,
+    /// `hana_sda_breaker_trips_total_<source>`.
+    breaker_trips_total: Arc<Counter>,
+    /// `hana_sda_breaker_rejections_total_<source>`.
+    breaker_rejections_total: Arc<Counter>,
+    /// `hana_sda_stale_fallbacks_total_<source>`.
+    stale_fallbacks_total: Arc<Counter>,
+    /// `hana_sda_roundtrip_ns_<source>`.
+    roundtrip_ns: Arc<Histogram>,
+}
+
+impl SourceResilience {
+    fn new(source: &str, breaker: BreakerConfig) -> SourceResilience {
+        let obs = hana_obs::registry();
+        let counter = |metric: &str| obs.counter(&format!("hana_sda_{metric}_total_{source}"));
+        SourceResilience {
+            breaker: CircuitBreaker::new(breaker),
+            retries: AtomicU64::new(0),
+            stale_fallbacks: AtomicU64::new(0),
+            attempts_total: counter("attempts"),
+            retries_total: counter("retries"),
+            breaker_trips_total: counter("breaker_trips"),
+            breaker_rejections_total: counter("breaker_rejections"),
+            stale_fallbacks_total: counter("stale_fallbacks"),
+            roundtrip_ns: obs.histogram(&format!("hana_sda_roundtrip_ns_{source}")),
+        }
+    }
 }
 
 /// Observable per-source resilience statistics
@@ -272,22 +305,17 @@ impl SdaRegistry {
     ) -> Result<(ResultSet, CacheOutcome)> {
         let source = self.source(source_name)?;
         let res = self.resilience_for(&source.name);
-        let obs = hana_obs::registry();
         let span = hana_obs::span("sda_execute");
+        let stale_fallback = || {
+            let rs = self.cache.stale_lookup(q, source.adapter.host())?;
+            res.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
+            res.stale_fallbacks_total.inc();
+            span.attr("stale_fallback", 1);
+            Some((rs, CacheOutcome::StaleFallback))
+        };
         if !res.breaker.try_acquire() {
-            obs.counter(&format!(
-                "hana_sda_breaker_rejections_total_{}",
-                source.name
-            ))
-            .inc();
-            if let Some(rs) = self.cache.stale_lookup(q, source.adapter.host()) {
-                res.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
-                obs.counter(&format!("hana_sda_stale_fallbacks_total_{}", source.name))
-                    .inc();
-                span.attr("stale_fallback", 1);
-                return Ok((rs, CacheOutcome::StaleFallback));
-            }
-            return Err(self.breaker_open_error(&source.name, &res));
+            res.breaker_rejections_total.inc();
+            return stale_fallback().ok_or_else(|| self.breaker_open_error(&source.name, &res));
         }
         let policy = ctx.retry().copied().unwrap_or(self.cache.config().retry);
         let attempts_before = ctx.attempts();
@@ -306,17 +334,11 @@ impl SdaRegistry {
         let attempts = (ctx.attempts() - attempts_before) as u64;
         let retries = attempts.saturating_sub(1);
         res.retries.fetch_add(retries, Ordering::Relaxed);
-        obs.histogram(&format!("hana_sda_roundtrip_ns_{}", source.name))
-            .record(started.elapsed().as_nanos() as u64);
-        obs.counter(&format!("hana_sda_attempts_total_{}", source.name))
-            .add(attempts.max(1));
-        obs.counter(&format!("hana_sda_retries_total_{}", source.name))
-            .add(retries);
-        let tripped = res.breaker.stats().opened - opened_before;
-        if tripped > 0 {
-            obs.counter(&format!("hana_sda_breaker_trips_total_{}", source.name))
-                .add(tripped);
-        }
+        res.roundtrip_ns.record(started.elapsed().as_nanos() as u64);
+        res.attempts_total.add(attempts.max(1));
+        res.retries_total.add(retries);
+        res.breaker_trips_total
+            .add(res.breaker.stats().opened - opened_before);
         span.attr("attempts", attempts.max(1));
         span.attr("retries", retries);
         match outcome {
@@ -325,16 +347,7 @@ impl SdaRegistry {
                 span.set_bytes(rs.approx_bytes());
                 Ok((rs, cache_outcome))
             }
-            Err(e) if e.is_retryable() => {
-                if let Some(rs) = self.cache.stale_lookup(q, source.adapter.host()) {
-                    res.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    obs.counter(&format!("hana_sda_stale_fallbacks_total_{}", source.name))
-                        .inc();
-                    span.attr("stale_fallback", 1);
-                    return Ok((rs, CacheOutcome::StaleFallback));
-                }
-                Err(e)
-            }
+            Err(e) if e.is_retryable() => stale_fallback().ok_or(e),
             Err(e) => Err(e),
         }
     }
@@ -383,13 +396,11 @@ impl SdaRegistry {
             return Arc::clone(r);
         }
         let mut map = self.resilience.write();
-        Arc::clone(map.entry(key.to_string()).or_insert_with(|| {
-            Arc::new(SourceResilience {
-                breaker: CircuitBreaker::new(self.cache.config().breaker),
-                retries: AtomicU64::new(0),
-                stale_fallbacks: AtomicU64::new(0),
-            })
-        }))
+        Arc::clone(
+            map.entry(key.to_string()).or_insert_with(|| {
+                Arc::new(SourceResilience::new(key, self.cache.config().breaker))
+            }),
+        )
     }
 
     /// Run `f`, feeding its outcome to the source's breaker: successes

@@ -271,8 +271,8 @@ impl Session {
                 result
             }
             // DDL and transaction control bypass admission: they hold
-            // no pool slots worth rationing, and blocking a COMMIT
-            // behind a full OLAP queue would invert priorities.
+            // no pool slots worth rationing, and a COMMIT must never
+            // queue behind a full pool.
             other => self.platform.execute_parsed(&self.auth, other, sql_text),
         }
     }

@@ -3,18 +3,23 @@
 //! Every statement is classified from its *plan shape* before it
 //! touches the execution pool: aggregations, federated operators and
 //! large estimated scans are OLAP; short point lookups and DML are
-//! OLTP. The [`WorkloadManager`] then admission-controls the statement
-//! through the hana-exec [`AdmissionController`] — OLTP outranks OLAP
-//! by default, so analytical bursts queue (and eventually shed with a
-//! retryable `overloaded` error) while point lookups keep flowing.
+//! OLTP. The [`WorkloadManager`] then admits the statement through its
+//! class's hana-exec [`AdmissionController`]. The two pools share no
+//! slot and no lock, so an analytical burst queues (and eventually
+//! sheds with a retryable `overloaded` error) in the OLAP pool while
+//! point lookups keep flowing through the OLTP one.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hana_exec::{AdmissionController, AdmissionPermit, ClassConfig, Rejection};
+use hana_exec::{AdmissionController, AdmissionPermit, ClassConfig};
 use hana_obs::{Counter, Histogram};
 use hana_query::{PlanNode, PlanOp};
 use hana_types::{HanaError, Result};
+
+/// Plans whose largest scan estimates at least this many rows are OLAP
+/// even without an aggregate.
+const OLAP_ROW_THRESHOLD: f64 = 100_000.0;
 
 /// Workload classes the session layer distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,54 +40,46 @@ impl WorkloadClass {
     }
 }
 
-/// Workload-management configuration.
+/// Workload-management configuration: the limits of each class's pool.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
-    /// OLTP class limits (default: 64 concurrent, queue 256, 2 s
-    /// timeout, priority 10).
+    /// OLTP limits (default: 64 concurrent, queue 256, 2 s timeout).
     pub oltp: ClassConfig,
-    /// OLAP class limits (default: 8 concurrent, queue 32, 5 s
-    /// timeout, priority 1).
+    /// OLAP limits (default: 8 concurrent, queue 32, 5 s timeout).
     pub olap: ClassConfig,
-    /// Optional shared cap across both classes.
-    pub total_limit: Option<usize>,
-    /// Plans whose largest scan estimates at least this many rows are
-    /// OLAP even without an aggregate.
-    pub olap_row_threshold: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> WorkloadConfig {
         WorkloadConfig {
-            oltp: ClassConfig::new("oltp", 64)
+            oltp: ClassConfig::new(64)
                 .with_queue(256)
-                .with_timeout(Duration::from_secs(2))
-                .with_priority(10),
-            olap: ClassConfig::new("olap", 8)
+                .with_timeout(Duration::from_secs(2)),
+            olap: ClassConfig::new(8)
                 .with_queue(32)
-                .with_timeout(Duration::from_secs(5))
-                .with_priority(1),
-            total_limit: None,
-            olap_row_threshold: 100_000.0,
+                .with_timeout(Duration::from_secs(5)),
         }
     }
 }
 
-/// The per-class instruments of the global `hana-obs` registry,
-/// resolved once: `hana_session_latency_ns_<class>`,
+/// One class: its admission pool and its session instruments in the
+/// global `hana-obs` registry, resolved once:
+/// `hana_session_latency_ns_<class>`,
 /// `hana_session_statements_total_<class>`,
 /// `hana_session_errors_total_<class>`.
-struct ClassInstruments {
+struct Class {
+    pool: AdmissionController,
     latency: Arc<Histogram>,
     statements: Arc<Counter>,
     errors: Arc<Counter>,
 }
 
-impl ClassInstruments {
-    fn of(class: WorkloadClass) -> ClassInstruments {
+impl Class {
+    fn new(class: WorkloadClass, cfg: ClassConfig) -> Class {
         let obs = hana_obs::registry();
         let name = class.name();
-        ClassInstruments {
+        Class {
+            pool: AdmissionController::new(name, cfg),
             latency: obs.histogram(&format!("hana_session_latency_ns_{name}")),
             statements: obs.counter(&format!("hana_session_statements_total_{name}")),
             errors: obs.counter(&format!("hana_session_errors_total_{name}")),
@@ -90,44 +87,42 @@ impl ClassInstruments {
     }
 }
 
-/// Classifies statements and admission-controls them per class.
+/// Classifies statements and admits them through their class's pool.
 pub struct WorkloadManager {
-    controller: AdmissionController,
-    olap_row_threshold: f64,
-    oltp: ClassInstruments,
-    olap: ClassInstruments,
+    oltp: Class,
+    olap: Class,
 }
 
 impl WorkloadManager {
     /// A manager over the given configuration.
     pub fn new(cfg: WorkloadConfig) -> WorkloadManager {
         WorkloadManager {
-            controller: AdmissionController::new(vec![cfg.oltp, cfg.olap], cfg.total_limit),
-            olap_row_threshold: cfg.olap_row_threshold,
-            oltp: ClassInstruments::of(WorkloadClass::Oltp),
-            olap: ClassInstruments::of(WorkloadClass::Olap),
+            oltp: Class::new(WorkloadClass::Oltp, cfg.oltp),
+            olap: Class::new(WorkloadClass::Olap, cfg.olap),
+        }
+    }
+
+    fn class(&self, class: WorkloadClass) -> &Class {
+        match class {
+            WorkloadClass::Oltp => &self.oltp,
+            WorkloadClass::Olap => &self.olap,
         }
     }
 
     /// Record one executed statement of `class`: its latency since
     /// `start` and its outcome.
     pub fn record(&self, class: WorkloadClass, start: Instant, ok: bool) {
-        let instruments = match class {
-            WorkloadClass::Oltp => &self.oltp,
-            WorkloadClass::Olap => &self.olap,
-        };
-        instruments
-            .latency
-            .record(start.elapsed().as_nanos() as u64);
-        instruments.statements.inc();
+        let class = self.class(class);
+        class.latency.record(start.elapsed().as_nanos() as u64);
+        class.statements.inc();
         if !ok {
-            instruments.errors.inc();
+            class.errors.inc();
         }
     }
 
     /// Classify a compiled plan by shape and cardinality estimates.
     pub fn classify(&self, plan: &PlanNode) -> WorkloadClass {
-        if is_olap_shape(plan, self.olap_row_threshold) {
+        if is_olap_shape(plan) {
             WorkloadClass::Olap
         } else {
             WorkloadClass::Oltp
@@ -139,30 +134,25 @@ impl WorkloadManager {
     /// taxonomy (`overloaded`, retryable).
     pub fn admit(&self, class: WorkloadClass) -> Result<AdmissionPermit<'_>> {
         let span = hana_obs::span("admission");
-        match self.controller.admit(class.name()) {
-            Ok(permit) => {
-                span.attr("wait_ns", permit.admitted_after().as_nanos() as u64);
-                Ok(permit)
-            }
-            Err(r) => Err(reject_to_error(r)),
-        }
+        let permit = self
+            .class(class)
+            .pool
+            .admit()
+            .map_err(|r| HanaError::overloaded(r.to_string()))?;
+        span.attr("wait_ns", permit.admitted_after().as_nanos() as u64);
+        Ok(permit)
     }
 
     /// `(running, queued, peak_running)` for a class.
     pub fn class_stats(&self, class: WorkloadClass) -> (usize, usize, usize) {
-        self.controller
-            .class_stats(class.name())
-            .unwrap_or((0, 0, 0))
+        self.class(class).pool.class_stats()
     }
 }
 
-fn reject_to_error(r: Rejection) -> HanaError {
-    HanaError::overloaded(r.to_string())
-}
-
 /// Whether the plan is analytical: any aggregation or federated
-/// operator, or a scan whose cardinality estimate reaches `threshold`.
-fn is_olap_shape(n: &PlanNode, threshold: f64) -> bool {
+/// operator, or a scan whose cardinality estimate reaches
+/// [`OLAP_ROW_THRESHOLD`].
+fn is_olap_shape(n: &PlanNode) -> bool {
     match &n.op {
         PlanOp::Aggregate { .. } => true,
         // Federated and semi/relocation joins ship data across the
@@ -175,17 +165,12 @@ fn is_olap_shape(n: &PlanNode, threshold: f64) -> bool {
         | PlanOp::IndexSeek { .. }
         | PlanOp::RowScan { .. }
         | PlanOp::DistScan { .. }
-        | PlanOp::HybridScan { .. } => n.est_rows >= threshold,
+        | PlanOp::HybridScan { .. } => n.est_rows >= OLAP_ROW_THRESHOLD,
         PlanOp::FunctionScan { .. } => false,
-        PlanOp::HashJoin { left, right, .. } => {
-            is_olap_shape(left, threshold) || is_olap_shape(right, threshold)
+        PlanOp::HashJoin { left, right, .. } | PlanOp::NestedLoopJoin { left, right, .. } => {
+            is_olap_shape(left) || is_olap_shape(right)
         }
-        PlanOp::NestedLoopJoin { left, right, .. } => {
-            is_olap_shape(left, threshold) || is_olap_shape(right, threshold)
-        }
-        PlanOp::Filter { input, .. } | PlanOp::Finish { input, .. } => {
-            is_olap_shape(input, threshold)
-        }
+        PlanOp::Filter { input, .. } | PlanOp::Finish { input, .. } => is_olap_shape(input),
     }
 }
 
@@ -259,7 +244,7 @@ mod tests {
     #[test]
     fn rejections_map_to_retryable_overloaded() {
         let m = WorkloadManager::new(WorkloadConfig {
-            olap: ClassConfig::new("olap", 1)
+            olap: ClassConfig::new(1)
                 .with_queue(0)
                 .with_timeout(Duration::from_millis(10)),
             ..WorkloadConfig::default()

@@ -102,6 +102,47 @@ fn hot_and_cold_deletes_and_snapshots() {
     assert_eq!(rs.scalar().unwrap(), &Value::Int(10));
 }
 
+/// A join of two extended tables answers as the same join of column
+/// tables holding the same rows: a qualified predicate filters the table
+/// its qualifier names (both tables have a `w`), the ON clause reads
+/// either way round, and a LEFT OUTER JOIN keeps its unmatched row.
+#[test]
+fn extended_joins_answer_like_their_column_table_twins() {
+    let hana = HanaPlatform::new_in_memory();
+    let s = hana.connect("SYSTEM", "manager").unwrap();
+    let a_rows = [[1, 10, 5], [2, 20, 6], [3, 30, 7]];
+    let c_rows = [[1, 100, 6], [2, 200, 5]];
+    for (storage, a, c) in [("USING EXTENDED STORAGE", "ea", "ec"), ("", "ca", "cc")] {
+        let column = if storage.is_empty() { "COLUMN " } else { "" };
+        for (t, k, v, rows) in [(a, "ka", "va", &a_rows[..]), (c, "kc", "vc", &c_rows[..])] {
+            hana.execute_sql(
+                &s,
+                &format!(
+                    "CREATE {column}TABLE {t} ({k} INTEGER, {v} INTEGER, w INTEGER) {storage}"
+                ),
+            )
+            .unwrap();
+            let rows: Vec<Row> = rows
+                .iter()
+                .map(|r| Row::from_values(r.map(|x| Value::Int(x as i64))))
+                .collect();
+            hana.load_rows(&s, t, &rows).unwrap();
+        }
+    }
+    for sql in [
+        "SELECT a.ka, c.vc FROM {a} a JOIN {c} c ON a.ka = c.kc WHERE c.w = 5 ORDER BY a.ka",
+        "SELECT a.ka, c.vc FROM {a} a JOIN {c} c ON c.kc = a.ka ORDER BY a.ka",
+        "SELECT a.ka, c.vc FROM {a} a LEFT OUTER JOIN {c} c ON a.ka = c.kc ORDER BY a.ka",
+    ] {
+        let run = |a: &str, c: &str| {
+            hana.execute_sql(&s, &sql.replace("{a}", a).replace("{c}", c))
+                .unwrap_or_else(|e| panic!("{sql} over {a}, {c}: {e}"))
+                .rows
+        };
+        assert_eq!(run("ea", "ec"), run("ca", "cc"), "{sql}");
+    }
+}
+
 #[test]
 fn bitmap_index_serves_low_cardinality_predicates() {
     let hana = HanaPlatform::new_in_memory();

@@ -46,10 +46,9 @@ fn admission_bounds_olap_while_oltp_keeps_running() {
         platform,
         256,
         WorkloadConfig {
-            olap: ClassConfig::new("olap", OLAP_LIMIT)
+            olap: ClassConfig::new(OLAP_LIMIT)
                 .with_queue(OLAP_THREADS * 4)
-                .with_timeout(Duration::from_secs(30))
-                .with_priority(1),
+                .with_timeout(Duration::from_secs(30)),
             ..WorkloadConfig::default()
         },
     ));
@@ -154,10 +153,9 @@ fn admission_rejections_follow_error_taxonomy() {
         platform,
         64,
         WorkloadConfig {
-            olap: ClassConfig::new("olap", 1)
+            olap: ClassConfig::new(1)
                 .with_queue(0)
-                .with_timeout(Duration::from_millis(50))
-                .with_priority(1),
+                .with_timeout(Duration::from_millis(50)),
             ..WorkloadConfig::default()
         },
     ));
@@ -177,6 +175,40 @@ fn admission_rejections_follow_error_taxonomy() {
     session
         .execute("SELECT v, COUNT(*) FROM accounts GROUP BY v")
         .unwrap();
+}
+
+/// DDL and transaction control take no admission slot: with both pools
+/// full and no queue, CREATE / DROP / BEGIN / COMMIT still run while DML
+/// is refused.
+#[test]
+fn ddl_and_transaction_control_bypass_admission() {
+    let platform = platform_with_accounts(10);
+    let full = || ClassConfig::new(1).with_queue(0);
+    let manager = SessionManager::with_config(
+        platform,
+        64,
+        WorkloadConfig {
+            oltp: full(),
+            olap: full(),
+        },
+    );
+    let _oltp = manager.workload().admit(WorkloadClass::Oltp).unwrap();
+    let _olap = manager.workload().admit(WorkloadClass::Olap).unwrap();
+    let session = manager.connect("SYSTEM", "manager").unwrap();
+    let err = session
+        .execute("INSERT INTO accounts (k, v) VALUES (100, 1)")
+        .unwrap_err();
+    assert_eq!(err.kind(), "overloaded", "DML waits for an OLTP slot");
+    for sql in [
+        "CREATE COLUMN TABLE other (x INT)",
+        "BEGIN",
+        "COMMIT",
+        "DROP TABLE other",
+    ] {
+        session
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
 }
 
 /// DDL (CREATE/DROP) and MERGE DELTA bump the catalog version and evict
