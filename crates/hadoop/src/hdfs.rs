@@ -7,6 +7,7 @@
 //! (Figs 14/15) and the ESP raw-event archive (§3.2) run on top of this.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -187,11 +188,7 @@ impl Hdfs {
     pub fn delete_dir(&self, dir: &str) -> usize {
         let prefix = Self::dir_prefix(dir);
         let mut files = self.files.write();
-        let doomed: Vec<String> = files
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
+        let doomed = Self::under(&files, &prefix);
         for k in &doomed {
             if let Some(f) = files.remove(k) {
                 self.unaccount(&f);
@@ -208,15 +205,17 @@ impl Hdfs {
         p
     }
 
+    /// The files whose names start with `prefix`, sorted: the range of
+    /// the namespace they sort into, not a walk over all of it.
+    fn under(files: &BTreeMap<String, HdfsFile>, prefix: &str) -> Vec<String> {
+        let names = files.range::<str, _>((Bound::Included(prefix), Bound::Unbounded));
+        let names = names.map(|(k, _)| k).take_while(|k| k.starts_with(prefix));
+        names.cloned().collect()
+    }
+
     /// List the files under `dir` (recursive), sorted.
     pub fn list(&self, dir: &str) -> Vec<String> {
-        let prefix = Self::dir_prefix(dir);
-        self.files
-            .read()
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect()
+        Self::under(&self.files.read(), &Self::dir_prefix(dir))
     }
 
     /// File length in bytes.
@@ -376,10 +375,21 @@ mod tests {
         fs.write("/warehouse/t1/part-0", b"a").unwrap();
         fs.write("/warehouse/t1/part-1", b"b").unwrap();
         fs.write("/warehouse/t2/part-0", b"c").unwrap();
-        assert_eq!(fs.list("/warehouse/t1").len(), 2);
+        // Names that sort around t1's files but are not under it.
+        fs.write("/warehouse/t1.bak", b"d").unwrap();
+        fs.write("/warehouse/t10/part-0", b"e").unwrap();
+        fs.write("/warehouse/t0/part-0", b"f").unwrap();
+        assert_eq!(
+            fs.list("/warehouse/t1"),
+            ["/warehouse/t1/part-0", "/warehouse/t1/part-1"]
+        );
         assert_eq!(fs.delete_dir("/warehouse/t1"), 2);
         assert!(!fs.exists("/warehouse/t1/part-0"));
         assert!(fs.exists("/warehouse/t2/part-0"));
+        assert_eq!(fs.list("/warehouse").len(), 4);
+        assert_eq!(fs.delete_dir("hdfs://nn:8020/warehouse/"), 4);
+        assert!(fs.list("/").is_empty());
+        fs.write("/warehouse/t2/part-0", b"c").unwrap();
         assert!(fs.delete("/warehouse/t2/part-0"));
         assert!(!fs.delete("/warehouse/t2/part-0"));
         assert_eq!(fs.used_bytes(), 0);

@@ -28,22 +28,30 @@
 //! driver after the last job, as Hive's plan driver does for small final
 //! result sets: the compiled plan's [`Epilogue`].
 //!
-//! Tables and the intermediates between jobs are Hive text files
-//! (`^A`-separated fields, `\N` for NULL). Every reader of them — each
-//! map function, the driver's final read, the fetch task — goes through
-//! one record reader, [`read_fields`], which finds line and field
-//! boundaries in a single pass and slices only the fields its caller
-//! reads (a scan: those of its predicate and its cut), while still
-//! counting every line's fields. As in Hive's vectorized readers, a
-//! field is decoded at most once, straight into the typed column the
+//! Tables are Hive text files (`^A`-separated fields, `\N` for NULL),
+//! read by one record reader, [`read_fields`], which finds line and
+//! field boundaries in a single pass and slices only the fields its
+//! caller reads (a scan: those of its predicate and its cut), while
+//! still counting every line's fields. As in Hive's vectorized readers,
+//! a field is decoded at most once, straight into the typed column the
 //! batch layer evaluates: a VARCHAR field into a split-local dictionary
 //! (whose groups merge by value), INT, DOUBLE and DATE into typed
 //! vectors. A map task filters ([`select`]) or groups ([`group_batch`])
-//! that batch, a join mapper takes its key from it, and a join's reducer
-//! runs the spanning conjuncts over one key's joined lines at once. Join
-//! keys and partial aggregates travel typed, through
-//! [`hana_types::encode_row`]. A line that does not decode, or an
-//! expression that cannot be evaluated, fails the job.
+//! that batch.
+//!
+//! Text stays at the tables (and the fetch task). What a scan emits
+//! leaves its map task as fixed-width records (`record.rs`, Hive's
+//! BinarySortable keys and LazyBinary rows): a join mapper ships the key
+//! and the cut row, a group-by mapper the group key and its partial
+//! states. A join's reducer writes each joined row as the two sides'
+//! record bytes one after the other, and runs the spanning conjuncts
+//! over columns decoded from them; a group-by's reducer merges partial
+//! states read as values, not text. Those records are also the files
+//! between jobs — one a line, so they split by block as text does — and
+//! what a statement's final read decodes straight into batch columns
+//! after the last job. Each statement's jobs write under one scratch directory, deleted
+//! when the statement ends, however it ends. A line or record that does
+//! not decode, or an expression that cannot be evaluated, fails the job.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,12 +63,13 @@ use hana_sql::batch::{group_batch, select, AggCall, Batch, Column, Dictionary, G
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, Epilogue};
 use hana_sql::{equi_keys, parse_statement, Expr, JoinKind, Query, Statement, TableRef};
 use hana_types::{
-    decode_values, encode_row, Accumulator, AggFunc, DataType, Date, FxHashMap, HanaError, Result,
-    ResultSet, Row, Schema, Value,
+    Accumulator, AggFunc, DataType, Date, FxHashMap, HanaError, Result, ResultSet, Row, Schema,
+    Value,
 };
 
 use crate::hdfs::Hdfs;
-use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer, KV};
+use crate::mapreduce::{JobSpec, MapOutput, Mapper, MrCluster, ReduceOutput, Reducer};
+use crate::record::{self, Field, Fields};
 
 /// Hive's default field separator (^A).
 pub const FIELD_SEP: char = '\u{1}';
@@ -109,7 +118,7 @@ pub struct Hive {
     cluster: Arc<MrCluster>,
     metastore: RwLock<HashMap<String, HiveTable>>,
     tick: AtomicU64,
-    tmp_counter: AtomicU64,
+    statements: AtomicU64,
 }
 
 impl Hive {
@@ -119,7 +128,7 @@ impl Hive {
             cluster,
             metastore: RwLock::new(HashMap::new()),
             tick: AtomicU64::new(1),
-            tmp_counter: AtomicU64::new(0),
+            statements: AtomicU64::new(0),
         }
     }
 
@@ -351,13 +360,13 @@ impl Hive {
             let full = b.table.schema.qualified(&b.name);
             let pred = preds.into_iter().reduce(Expr::and);
             let pred = pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?;
-            schemas.push(Schema::new(
-                keep.iter().map(|&i| full.column(i).clone()).collect(),
-            )?);
+            let cut = Schema::new(keep.iter().map(|&i| full.column(i).clone()).collect())?;
+            let types = cut.columns().iter().map(|c| c.data_type).collect();
+            schemas.push(cut);
             sources.push(Input {
                 name: format!("{} as {}", b.table.name, b.name),
                 files: self.cluster.hdfs().list(&b.table.location),
-                scan: Scan::new(full.len(), keep, pred),
+                source: Source::Table(Scan::new(full.len(), keep, types, pred)),
             });
         }
 
@@ -452,6 +461,13 @@ impl Hive {
             schema,
             epilogue,
         } = plan;
+        let scratch = Scratch {
+            hdfs: self.cluster.hdfs(),
+            dir: format!(
+                "/tmp/hive/stmt-{}",
+                self.statements.fetch_add(1, Ordering::Relaxed)
+            ),
+        };
         let last = joins.len();
         let mut sources = sources.into_iter();
         let mut input = sources.next().expect("FROM binds one table");
@@ -463,49 +479,46 @@ impl Hive {
             } else {
                 None
             };
-            input = self.join_stage(input, right, join, residual, idx)?;
+            input = self.join_stage(&scratch, input, right, join, residual, idx)?;
         }
         let batch = match agg {
-            Some(agg) => self.aggregate_stage(input, agg)?,
+            Some(agg) => self.aggregate_stage(&scratch, input, agg)?,
             None => {
                 let files = match last {
-                    0 => self.map_only(input)?,
+                    0 => self.map_only(&scratch, input)?,
                     _ => input.files,
                 };
-                read_batch(self.cluster.hdfs(), &files, &schema)?
+                read_output(self.cluster.hdfs(), &files, &schema)?
             }
         };
         epilogue.apply(batch, &[])
     }
 
-    fn tmp_dir(&self, stage: &str) -> String {
-        format!(
-            "/tmp/hive/{stage}-{}",
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        )
-    }
-
     /// The map-only job of a statement with neither a join nor a GROUP
     /// BY: the scan alone. Returns its output files; no input, no job.
-    fn map_only(&self, input: Input) -> Result<Vec<String>> {
+    fn map_only(&self, scratch: &Scratch, input: Input) -> Result<Vec<String>> {
+        let Source::Table(scan) = input.source else {
+            unreachable!("a statement's first input is a table")
+        };
         if input.files.is_empty() {
             return Ok(input.files);
         }
         let spec = JobSpec {
             name: format!("scan {}", input.name),
             inputs: input.files,
-            output_dir: self.tmp_dir("scan"),
+            output_dir: scratch.dir("scan"),
             num_reducers: 0,
         };
-        self.cluster.run_job(&spec, Arc::new(input.scan), None)?;
+        self.cluster.run_job(&spec, Arc::new(scan), None)?;
         Ok(self.cluster.hdfs().list(&spec.output_dir))
     }
 
-    /// Repartition join: each map task runs the scan of the side it was
-    /// scheduled for and ships `(key, tagged cut line)`; the reducers
-    /// emit the concatenated matches that `residual` keeps.
+    /// Repartition join: each map task reads the side it was scheduled
+    /// for and ships `(key, tagged row)`; the reducers write the
+    /// concatenated matches that `residual` keeps.
     fn join_stage(
         &self,
+        scratch: &Scratch,
         left: Input,
         right: Input,
         join: Join,
@@ -513,11 +526,12 @@ impl Hive {
         join_idx: usize,
     ) -> Result<Input> {
         let name = format!("repartition-join-{join_idx}");
-        let arity = left.scan.width() + right.scan.width();
+        let left_width = left.source.width();
+        let arity = left_width + right.source.width();
         let joined = |files| Input {
             name: name.clone(),
             files,
-            scan: Scan::identity(arity),
+            source: Source::Records(arity),
         };
         if left.files.is_empty() && right.files.is_empty() {
             return Ok(joined(Vec::new()));
@@ -525,13 +539,16 @@ impl Hive {
         let mapper = JoinMapper {
             left_inputs: left.files.len(),
             as_double: join.left.1 == DataType::Double || join.right.1 == DataType::Double,
-            sides: [(left.scan, join.left), (right.scan, join.right)],
+            sides: [(left.source, join.left.0), (right.source, join.right.0)],
         };
-        let reducer = JoinReducer { residual, arity };
+        let reducer = JoinReducer {
+            residual,
+            left_width,
+        };
         let spec = JobSpec {
             name: name.clone(),
             inputs: left.files.into_iter().chain(right.files).collect(),
-            output_dir: self.tmp_dir(&format!("join-{join_idx}")),
+            output_dir: scratch.dir(&format!("join-{join_idx}")),
             num_reducers: 3,
         };
         self.cluster
@@ -539,46 +556,56 @@ impl Hive {
         Ok(joined(self.cluster.hdfs().list(&spec.output_dir)))
     }
 
-    /// Group-by MR job: each map task runs the scan of its input,
-    /// aggregates what survives and ships one partial state per group;
-    /// the reducers merge and finish them.
-    fn aggregate_stage(&self, input: Input, agg: Agg) -> Result<Batch> {
+    /// Group-by MR job: each map task reads its input, aggregates what
+    /// survives and ships one partial state per group; the reducers
+    /// merge and finish them.
+    fn aggregate_stage(&self, scratch: &Scratch, input: Input, agg: Agg) -> Result<Batch> {
         let funcs: Vec<AggFunc> = agg.aggs.iter().map(|(f, _)| *f).collect();
-        let width = agg.schema.len();
         // When no group reaches a reducer: the group-by's answer to no
         // rows (a global aggregate's one row, a grouped one's none).
         let nothing = Groups::from_items(&agg.aggs, Vec::new()).finish(agg.keys.len(), &agg.aggs);
         if input.files.is_empty() {
             return Ok(nothing);
         }
+        let schema = agg.schema.clone();
         let spec = JobSpec {
             name: "group-by".into(),
             inputs: input.files,
-            output_dir: self.tmp_dir("agg"),
+            output_dir: scratch.dir("agg"),
             num_reducers: if agg.keys.is_empty() { 1 } else { 3 },
         };
         let mapper = AggMapper {
-            scan: input.scan,
+            source: input.source,
             agg,
         };
         let reducer = AggReducer(funcs);
         self.cluster
             .run_job(&spec, Arc::new(mapper), Some(Arc::new(reducer)))?;
-
-        // An output line is one `encode_row`, which escapes `^A`: one
-        // field.
         let files = self.cluster.hdfs().list(&spec.output_dir);
-        let rows = read_rows(self.cluster.hdfs(), &files, 1, |fields| {
-            let values = decode_values(fields[0])?;
-            if values.len() != width {
-                return Err(corrupt(fields[0], values.len(), width));
-            }
-            Ok(Row(values))
-        })?;
-        Ok(match rows.is_empty() {
-            true => nothing,
-            false => Batch::from_rows(rows, width),
-        })
+        let b = read_output(self.cluster.hdfs(), &files, &schema)?;
+        Ok(if b.len == 0 { nothing } else { b })
+    }
+}
+
+/// One statement's scratch directory under `/tmp/hive` (Hive's
+/// `hive.exec.scratchdir`): each of its jobs writes a directory of its
+/// stage beneath it, and it is deleted when the statement ends, on
+/// success or on error.
+struct Scratch<'h> {
+    hdfs: &'h Hdfs,
+    dir: String,
+}
+
+impl Scratch<'_> {
+    /// The output directory of the statement's job of `stage`.
+    fn dir(&self, stage: &str) -> String {
+        format!("{}/{stage}", self.dir)
+    }
+}
+
+impl Drop for Scratch<'_> {
+    fn drop(&mut self) {
+        self.hdfs.delete_dir(&self.dir);
     }
 }
 
@@ -607,13 +634,30 @@ struct Plan {
     epilogue: Epilogue,
 }
 
-/// What a job reads: files, and the scan its map function runs over
-/// their lines before anything else.
+/// What a job reads: files, and how its map function reads them.
 struct Input {
     /// `<table> as <binding>`, or the job that wrote the files.
     name: String,
     files: Vec<String>,
-    scan: Scan,
+    source: Source,
+}
+
+/// How a map function reads the lines of an input.
+enum Source {
+    /// A table's text, through the scan a later operator needs of it.
+    Table(Scan),
+    /// An earlier job's records of this many fields.
+    Records(usize),
+}
+
+impl Source {
+    /// Fields of a row it reads.
+    fn width(&self) -> usize {
+        match self {
+            Source::Table(scan) => scan.width(),
+            Source::Records(arity) => *arity,
+        }
+    }
 }
 
 /// `(field, type)` of the equi-join key among the fields the scan of
@@ -962,51 +1006,30 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The fields of `line`, one line without its line break. The reader
-/// finds no line in the empty text; as one line, it is one empty field.
-fn line_fields(line: &str, arity: usize) -> Result<Vec<&str>> {
-    let mut fields = Vec::with_capacity(arity);
-    let lines = read_records(line, arity, |_, f| {
-        fields.extend_from_slice(f);
-        Ok(())
-    })?;
-    match lines {
-        1 => Ok(fields),
-        0 if arity == 1 => Ok(vec![line]),
-        0 => Err(corrupt(line, 1, arity)),
-        n => Err(HanaError::Execution(format!(
-            "one line expected, found {n}: '{line}'"
-        ))),
-    }
-}
-
 fn corrupt(line: &str, found: usize, expected: usize) -> HanaError {
     HanaError::Execution(format!(
         "line has {found} fields, schema {expected} columns: '{line}'"
     ))
 }
 
-/// Decode every line of `files` on the driver, a row at a time.
-pub(crate) fn read_rows(
-    hdfs: &Hdfs,
-    files: &[String],
-    arity: usize,
-    decode: impl Fn(&[&str]) -> Result<Row>,
-) -> Result<Vec<Row>> {
-    let mut rows = Vec::new();
-    for file in files {
-        let text = hdfs.read_text(file)?;
-        read_records(&text, arity, |_, fields| {
-            rows.push(decode(fields)?);
-            Ok(())
-        })?;
-    }
-    Ok(rows)
+/// The records of a split or file, one a line: cut at `\n` only, since a
+/// record may end in a carriage return (a string's last byte), which
+/// `str::lines` would strip.
+fn records(text: &str) -> impl Iterator<Item = &str> {
+    text.split_terminator('\n')
 }
 
-/// Every line of `files` on the driver, as one batch of a column per
-/// field of `schema`: a table the fetch task reads, or what a
-/// statement's last job wrote.
+/// Every record a statement's last job wrote into `files`, decoded
+/// once, as one batch of a column per field of `schema`.
+fn read_output(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
+    let texts = files.iter().map(|f| hdfs.read_text(f));
+    let texts = texts.collect::<Result<Vec<String>>>()?;
+    let types: Vec<_> = schema.columns().iter().map(|c| Some(c.data_type)).collect();
+    record::decode(texts.iter().flat_map(|t| records(t)), &types)
+}
+
+/// Every line of the text files of a table, as one batch of a column
+/// per field of `schema`: what the fetch task reads.
 fn read_batch(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
     let texts = files.iter().map(|f| hdfs.read_text(f));
     let texts = texts.collect::<Result<Vec<String>>>()?;
@@ -1022,26 +1045,12 @@ fn read_batch(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
     decode(&types, lines, |i, j| fields[j * arity + i])
 }
 
-/// `fields` as one line of Hive text, after `prefix`.
-fn text_line<'a>(prefix: &str, fields: impl Iterator<Item = &'a str> + Clone) -> String {
-    let len = fields.clone().map(|f| f.len() + 1).sum::<usize>();
-    let mut line = String::with_capacity(prefix.len() + len);
-    line.push_str(prefix);
-    for (i, f) in fields.enumerate() {
-        if i > 0 {
-            line.push(FIELD_SEP);
-        }
-        line.push_str(f);
-    }
-    line
-}
-
 // ---- the operators inside the jobs ----
 
-/// Hive's TableScan → Filter → Select over the lines of one input: keep
+/// Hive's TableScan → Filter → Select over the lines of one table: keep
 /// the lines that satisfy the predicate, cut to the fields a later
 /// operator names. It runs in the map function of the job that reads the
-/// input; over the output of an earlier job it is the identity.
+/// table.
 struct Scan {
     /// Fields of an input line.
     arity: usize,
@@ -1053,13 +1062,15 @@ struct Scan {
     pred: Option<BoundExprs>,
     /// Per field the scan emits, its position among the sliced ones.
     cut: Vec<usize>,
+    /// Per field the scan emits, its type.
+    types: Vec<DataType>,
 }
 
 impl Scan {
     /// The scan of lines of `arity` fields that keeps the lines `pred`
     /// (over the whole line) holds on and emits their fields `keep`
-    /// (ascending).
-    fn new(arity: usize, keep: Vec<usize>, pred: Option<BoundExprs>) -> Scan {
+    /// (ascending), of `types`.
+    fn new(arity: usize, keep: Vec<usize>, types: Vec<DataType>, pred: Option<BoundExprs>) -> Scan {
         let mut read = keep.clone();
         if let Some(p) = &pred {
             let fields = p.fields.iter().enumerate();
@@ -1077,12 +1088,8 @@ impl Scan {
             pred: pred.map(|p| p.over(&read)),
             read,
             cut,
+            types,
         }
-    }
-
-    /// Lines of `arity` fields, read as they are.
-    fn identity(arity: usize) -> Scan {
-        Scan::new(arity, (0..arity).collect(), None)
     }
 
     /// Fields of an emitted line.
@@ -1138,10 +1145,50 @@ struct Scanned<'s, 'a> {
 }
 
 impl<'a> Scanned<'_, 'a> {
-    /// The emitted fields of the `j`-th kept line.
-    fn line(&self, j: usize) -> impl Iterator<Item = &'a str> + Clone + '_ {
-        let at = self.kept[j] as usize * self.scan.read.len();
-        self.scan.cut.iter().map(move |&i| self.fields[at + i])
+    /// The kept lines with every emitted field but the VARCHAR ones
+    /// decoded: the columns their records are written from
+    /// ([`Scanned::put`]). A VARCHAR field is copied from its text.
+    fn emitted(&mut self) -> Result<Batch> {
+        let types = self.scan.types.iter();
+        let types: Vec<_> = types
+            .map(|&t| (t != DataType::Varchar).then_some(t))
+            .collect();
+        self.batch(&types)
+    }
+
+    /// Emitted VARCHAR field `i` of kept line `j`: its text, or `None`
+    /// for NULL.
+    fn text(&self, i: usize, j: usize) -> Option<&'a str> {
+        let f = self.fields[self.kept[j] as usize * self.scan.read.len() + self.scan.cut[i]];
+        (f != NULL_FIELD).then_some(f)
+    }
+
+    /// Whether emitted field `i` of kept line `j` is NULL; `b` is what
+    /// [`Scanned::emitted`] returned.
+    fn is_null(&self, b: &Batch, i: usize, j: usize) -> bool {
+        match self.scan.types[i] {
+            DataType::Varchar => self.text(i, j).is_none(),
+            _ => b.columns[i].is_null(j),
+        }
+    }
+
+    /// Append emitted field `i` of kept line `j` to a record: as a key
+    /// field ([`record::put_key`]) when `key` says whether an integer
+    /// meets a DOUBLE, as a value when it is `None`.
+    fn put(&self, b: &Batch, i: usize, j: usize, key: Option<bool>, rec: &mut String) {
+        match (self.scan.types[i], key) {
+            (DataType::Varchar, _) => match self.text(i, j) {
+                Some(s) => record::put_str(rec, s),
+                None => record::put(rec, &Value::Null),
+            },
+            (_, Some(as_double)) => record::put_key(rec, &b.columns[i].get(j), as_double),
+            (_, None) => record::put(rec, &b.columns[i].get(j)),
+        }
+    }
+
+    /// Append every emitted field of kept line `j` to a record.
+    fn put_row(&self, b: &Batch, j: usize, rec: &mut String) {
+        (0..self.scan.types.len()).for_each(|i| self.put(b, i, j, None, rec));
     }
 
     /// The kept lines as the batch of a stage whose expressions read the
@@ -1176,23 +1223,26 @@ impl<'a> Scanned<'_, 'a> {
     }
 }
 
-/// The map-only job: the scan alone, writing the lines it cuts.
+/// The map-only job: the scan alone, writing the rows it cuts as
+/// records.
 impl Mapper for Scan {
-    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
-        let scanned = self.run(split)?;
-        let lines = (0..scanned.kept.len()).map(|j| text_line("", scanned.line(j)));
-        out.extend(lines.map(|line| (String::new(), line)));
+    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut MapOutput) -> Result<u64> {
+        let mut scanned = self.run(split)?;
+        let b = scanned.emitted()?;
+        for j in 0..b.len {
+            out.emit_with(|_| {}, |rec| scanned.put_row(&b, j, rec));
+        }
         Ok(scanned.lines)
     }
 }
 
-/// The map side of a repartition join: runs the scan of its side, takes
-/// the key from the key field's decoded column and ships the cut line
-/// tagged with its side. NULL keys join nothing.
+/// The map side of a repartition join: reads the row of its side — a
+/// table's through its scan, an earlier job's as the record it is — and
+/// ships it tagged with its side under its key. NULL keys join nothing.
 struct JoinMapper {
-    /// The scan of the left and of the right input, and the position
-    /// and type of the key among the fields it emits.
-    sides: [(Scan, (usize, DataType)); 2],
+    /// How the left and the right input is read, and the position of
+    /// the key among the fields of its rows.
+    sides: [(Source, usize); 2],
     /// How many of `JobSpec::inputs` are the left side's, which come
     /// first: a task's side is the input it was scheduled for, never its
     /// file — `FROM t a JOIN t b` lists t's files on both sides (Hadoop's
@@ -1203,122 +1253,154 @@ struct JoinMapper {
 }
 
 impl Mapper for JoinMapper {
-    fn map_split(&self, input: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
-        let (tag, (scan, (field, ty))) = match input < self.left_inputs {
-            true => ("L", &self.sides[0]),
-            false => ("R", &self.sides[1]),
+    fn map_split(&self, input: usize, _: &str, split: &str, out: &mut MapOutput) -> Result<u64> {
+        let (tag, (source, field)) = match input < self.left_inputs {
+            true => ('L', &self.sides[0]),
+            false => ('R', &self.sides[1]),
         };
-        let mut scanned = scan.run(split)?;
-        let mut types = vec![None; scan.width()];
-        types[*field] = Some(*ty);
-        let keys = scanned.batch(&types)?.columns.swap_remove(*field);
-        keys.for_each(|j, key| {
-            if !key.is_null() {
-                let line = text_line(tag, scanned.line(j));
-                out.push((join_key(key.clone(), self.as_double), line));
+        let as_double = self.as_double;
+        match source {
+            Source::Table(scan) => {
+                let mut scanned = scan.run(split)?;
+                let b = scanned.emitted()?;
+                for j in (0..b.len).filter(|&j| !scanned.is_null(&b, *field, j)) {
+                    out.emit_with(
+                        |k| scanned.put(&b, *field, j, Some(as_double), k),
+                        |v| {
+                            v.push(tag);
+                            scanned.put_row(&b, j, v);
+                        },
+                    );
+                }
+                Ok(scanned.lines)
             }
-        });
-        Ok(scanned.lines)
+            Source::Records(arity) => {
+                let mut n = 0;
+                for rec in records(split) {
+                    n += 1;
+                    let mut fields = Fields::new(rec);
+                    (0..*field).try_for_each(|_| fields.skip())?;
+                    let key = fields.next()?;
+                    (field + 1..*arity).try_for_each(|_| fields.skip())?;
+                    fields.end()?;
+                    if !matches!(key, Field::Null) {
+                        out.emit_with(
+                            |k| record::put_key(k, &key.value(), as_double),
+                            |v| {
+                                v.push(tag);
+                                v.push_str(rec);
+                            },
+                        );
+                    }
+                }
+                Ok(n)
+            }
+        }
     }
 }
 
-/// The shuffle key of a join key: two are equal exactly when the values
-/// are (`Value`'s equality, which the local hash join uses), so INT `1`
-/// meets DOUBLE `1.0` and `-0.0` meets `0.0`. With `as_double` an
-/// integer ships as the double it equals; without, integers stay exact.
-fn join_key(key: Value, as_double: bool) -> String {
-    let key = match key {
-        Value::Int(i) if as_double => Value::Double(i as f64),
-        // A float pattern matches by `==`: `-0.0` too.
-        Value::Double(0.0) => Value::Double(0.0),
-        key => key,
-    };
-    encode_row(&[key])
-}
-
-/// The reduce side of a repartition join: left lines × right lines of
-/// one key, those the residual predicate keeps.
+/// The reduce side of a repartition join: left rows × right rows of one
+/// key, those the residual predicate keeps, each written as the left
+/// record's bytes and then the right one's.
 struct JoinReducer {
-    /// The conjuncts that span sources, over the joined line — Hive's
+    /// The conjuncts that span sources, over the joined row — Hive's
     /// Filter after Join; only the last join has them.
     residual: Option<BoundExprs>,
-    /// Fields of a joined line.
-    arity: usize,
-}
-
-impl JoinReducer {
-    /// The joined lines of one key the residual predicate keeps, or
-    /// `None` for all: it runs once over all of them.
-    fn kept(&self, joined: &[String]) -> Result<Option<Vec<u32>>> {
-        let Some(pred) = &self.residual else {
-            return Ok(None);
-        };
-        let fields = joined.iter().map(|line| line_fields(line, self.arity));
-        let fields = fields.collect::<Result<Vec<_>>>()?;
-        let b = decode(&pred.fields, fields.len(), |i, j| fields[j][i])?;
-        Ok(Some(select(&pred.exprs[0], &b, &b.sel, &[])?))
-    }
+    /// Fields of a left row.
+    left_width: usize,
 }
 
 impl Reducer for JoinReducer {
-    fn reduce(&self, _key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
+    fn reduce(&self, _key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()> {
         let side = |tag| values.iter().filter_map(move |v| v.strip_prefix(tag));
-        let joined = side('L').flat_map(|l| side('R').map(move |r| format!("{l}{FIELD_SEP}{r}")));
-        let mut joined: Vec<String> = joined.collect();
-        match self.kept(&joined)? {
-            None => out.append(&mut joined),
-            Some(kept) => {
-                let kept = kept
-                    .iter()
-                    .map(|&j| std::mem::take(&mut joined[j as usize]));
-                out.extend(kept);
+        let joined = |out: &mut ReduceOutput, a: &str, b: &str| {
+            out.push_with(|row| {
+                row.push_str(a);
+                row.push_str(b);
+            })
+        };
+        let Some(pred) = &self.residual else {
+            for a in side('L') {
+                side('R').for_each(|b| joined(out, a, b));
             }
+            return Ok(());
+        };
+        // Once over every joined row of the key: each side's fields it
+        // reads decoded once per row of that side.
+        let (left, right): (Vec<&str>, Vec<&str>) = (side('L').collect(), side('R').collect());
+        let pairs =
+            (0..left.len() as u32).flat_map(|l| (0..right.len() as u32).map(move |r| (l, r)));
+        let (l, r): (Vec<u32>, Vec<u32>) = pairs.unzip();
+        let (left_types, right_types) = pred.fields.split_at(self.left_width);
+        let lb = record::decode(left.iter().copied(), left_types)?;
+        let rb = record::decode(right.iter().copied(), right_types)?;
+        let b = Batch::new(lb.gather(&l).chain(rb.gather(&r)).collect(), l.len());
+        for j in select(&pred.exprs[0], &b, &b.sel, &[])? {
+            joined(
+                out,
+                left[l[j as usize] as usize],
+                right[r[j as usize] as usize],
+            );
         }
         Ok(())
     }
 }
 
-/// The map side of GROUP BY: runs the scan of its input, groups what
-/// survives a split at a time (Hive's map-side aggregation, through the
-/// group-by every engine shares) and ships one `(group key, partial
-/// states)` pair per group, both through `hana_types::encode_row` —
-/// values keep their types from here to the driver.
+/// The map side of GROUP BY: reads its input's rows — a table's through
+/// its scan, an earlier job's records — groups them a split at a time
+/// (Hive's map-side aggregation, through the group-by every engine
+/// shares) and ships one `(group key, partial states)` pair per group,
+/// both as records: values keep their types from here to the epilogue.
 struct AggMapper {
-    scan: Scan,
+    source: Source,
     agg: Agg,
 }
 
 impl Mapper for AggMapper {
-    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+    fn map_split(&self, _: usize, _: &str, split: &str, out: &mut MapOutput) -> Result<u64> {
         let agg = &self.agg;
-        let mut scanned = self.scan.run(split)?;
-        let b = scanned.batch(&agg.fields)?;
+        let (lines, b) = match &self.source {
+            Source::Table(scan) => {
+                let mut scanned = scan.run(split)?;
+                (scanned.lines, scanned.batch(&agg.fields)?)
+            }
+            Source::Records(_) => {
+                let b = record::decode(records(split), &agg.fields)?;
+                (b.len as u64, b)
+            }
+        };
         let (groups, _) = group_batch(&b, &agg.keys, &agg.aggs, &[])?;
         for (key, accs) in groups.into_items() {
-            let states: Vec<Value> = accs.iter().flat_map(Accumulator::state).collect();
-            out.push((encode_row(&key), encode_row(&states)));
+            out.emit_with(
+                |k| key.iter().for_each(|v| record::put_key(k, v, false)),
+                |v| {
+                    let states = accs.iter().flat_map(Accumulator::state);
+                    states.for_each(|s| record::put(v, &s));
+                },
+            );
         }
-        Ok(scanned.lines)
+        Ok(lines)
     }
 }
 
 /// The reduce side of GROUP BY: merges the partial states of one group
-/// and writes the group key and the finished aggregates as one
-/// `encode_row` line.
+/// and writes the group key's record bytes and then the finished
+/// aggregates.
 struct AggReducer(Vec<AggFunc>);
 
 impl Reducer for AggReducer {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
+    fn reduce(&self, key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()> {
         let mut accs: Vec<Accumulator> = self.0.iter().map(AggFunc::accumulator).collect();
         for v in values {
-            let states = decode_values(v)?;
+            let states = record::values(v, 5 * self.0.len())?;
             for ((acc, f), state) in accs.iter_mut().zip(&self.0).zip(states.chunks(5)) {
                 acc.merge(&f.accumulator_from_state(state)?);
             }
         }
-        let mut row = decode_values(key)?;
-        row.extend(accs.iter().map(Accumulator::finish));
-        out.push(encode_row(&row));
+        out.push_with(|row| {
+            row.push_str(key);
+            accs.iter().for_each(|acc| record::put(row, &acc.finish()));
+        });
         Ok(())
     }
 }

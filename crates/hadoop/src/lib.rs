@@ -8,10 +8,10 @@
 //! statistics, a HiveQL→MR-DAG compiler that runs each table scan —
 //! pushed predicate, column cut — inside the map phase of the join or
 //! group-by job that reads it and aggregates map-side, a one-pass
-//! record reader for its text files that slices only the fields a
-//! reader reads, a decoder into typed columns, fetch-task fast path,
-//! two-phase CTAS), and a registry of custom MR programs that back
-//! `CREATE VIRTUAL FUNCTION`.
+//! record reader for its text tables that slices only the fields a
+//! reader reads, a decoder into typed columns, fixed-width records
+//! between its stages, fetch-task fast path, two-phase CTAS), and a
+//! registry of custom MR programs that back `CREATE VIRTUAL FUNCTION`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,8 +36,11 @@ mod hdfs;
 mod hive;
 mod mapreduce;
 mod mrfunc;
+mod record;
 
 pub use hdfs::{Hdfs, DEFAULT_BLOCK_SIZE};
 pub use hive::{read_fields, read_records, CtasStats, Hive, HiveTable, TableStats, FIELD_SEP};
-pub use mapreduce::{partition_of, JobSpec, JobStats, Mapper, MrCluster, MrConfig, Reducer, KV};
+pub use mapreduce::{
+    partition_of, JobSpec, JobStats, MapOutput, Mapper, MrCluster, MrConfig, ReduceOutput, Reducer,
+};
 pub use mrfunc::{output_line, MrFunction, MrFunctionRegistry};

@@ -12,6 +12,17 @@
 //! different inputs. Tasks run on a bounded worker pool (crossbeam
 //! scoped threads).
 //!
+//! **What moves.** A map task emits `(key, value)` pairs into one
+//! [`MapOutput`] buffer: no allocation per pair, and the engine looks at
+//! neither half but to hash and compare keys as bytes. Text programs
+//! emit text; Hive emits its fixed-width records (`record.rs`). Each
+//! reducer receives its pairs sorted by (key, map task, emit order) — a
+//! total order, so a job's output depends on its input alone, not on
+//! which task finished first — and writes its lines into one
+//! [`ReduceOutput`] buffer, copied once into its part file. A map-only
+//! job drops keys as they are emitted and appends each task's buffer, in
+//! task order, to `part-m-00000`: one copy, into HDFS blocks.
+//!
 //! **Why overheads are modeled.** The paper's Figure 14/15 experiment
 //! measures the benefit of *not re-running* Hive's MR DAGs; that benefit
 //! exists because each job pays fixed scheduling/JVM-startup costs.
@@ -32,8 +43,88 @@ use hana_types::{HanaError, Result};
 
 use crate::hdfs::Hdfs;
 
-/// A map output / reduce input pair.
-pub type KV = (String, String);
+/// What a map task emits: `(key, value)` pairs in emit order, held in
+/// one buffer. A pair is its key, its value and a line break; in a
+/// map-only job keys are dropped as they are emitted, so the buffer is
+/// the task's output lines as they are written.
+pub struct MapOutput {
+    buf: String,
+    /// Per pair, where its key and where its value start.
+    pairs: Vec<(usize, usize)>,
+    /// Whether keys are kept (the job reduces).
+    keys: bool,
+}
+
+impl MapOutput {
+    fn new(keys: bool) -> MapOutput {
+        MapOutput {
+            buf: String::new(),
+            pairs: Vec::new(),
+            keys,
+        }
+    }
+
+    /// Emit one pair.
+    pub fn emit(&mut self, key: impl AsRef<str>, value: impl AsRef<str>) {
+        self.emit_with(|k| k.push_str(key.as_ref()), |v| v.push_str(value.as_ref()));
+    }
+
+    /// Emit one pair written in place: `key` and then `value` append
+    /// their bytes to the buffer.
+    pub fn emit_with(&mut self, key: impl FnOnce(&mut String), value: impl FnOnce(&mut String)) {
+        let k = self.buf.len();
+        key(&mut self.buf);
+        if !self.keys {
+            self.buf.truncate(k);
+        }
+        let v = self.buf.len();
+        value(&mut self.buf);
+        self.buf.push('\n');
+        self.pairs.push((k, v));
+    }
+
+    /// Pairs emitted.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Whether no pair was emitted.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    fn key(&self, i: usize) -> &str {
+        let (k, v) = self.pairs[i];
+        &self.buf[k..v]
+    }
+
+    fn value(&self, i: usize) -> &str {
+        let end = self.pairs.get(i + 1).map_or(self.buf.len(), |p| p.0);
+        &self.buf[self.pairs[i].1..end - 1]
+    }
+}
+
+/// What a reduce task writes into its part file: one line per record,
+/// in one buffer.
+#[derive(Default)]
+pub struct ReduceOutput {
+    text: String,
+    records: u64,
+}
+
+impl ReduceOutput {
+    /// Write one line.
+    pub fn push(&mut self, line: impl AsRef<str>) {
+        self.push_with(|text| text.push_str(line.as_ref()));
+    }
+
+    /// Write one line in place: `line` appends its bytes.
+    pub fn push_with(&mut self, line: impl FnOnce(&mut String)) {
+        line(&mut self.text);
+        self.text.push('\n');
+        self.records += 1;
+    }
+}
 
 /// User map function, called once per input split.
 ///
@@ -45,20 +136,27 @@ pub trait Mapper: Send + Sync {
     /// Map `split`, one input split of `JobSpec::inputs[input]` (file
     /// `path`), and return how many records it held. An error fails the
     /// job.
-    fn map_split(&self, input: usize, path: &str, split: &str, out: &mut Vec<KV>) -> Result<u64>;
+    fn map_split(&self, input: usize, path: &str, split: &str, out: &mut MapOutput) -> Result<u64>;
 }
 
 /// User reduce function: one key + all its values -> output lines.
 pub trait Reducer: Send + Sync {
-    /// Reduce one key group. An error fails the job.
-    fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()>;
+    /// Reduce one key group, whose values come in (map task, emit
+    /// order). An error fails the job.
+    fn reduce(&self, key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()>;
 }
 
 impl<F> Mapper for F
 where
-    F: Fn(&str, &str, &mut Vec<KV>) + Send + Sync,
+    F: Fn(&str, &str, &mut MapOutput) + Send + Sync,
 {
-    fn map_split(&self, _input: usize, path: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+    fn map_split(
+        &self,
+        _input: usize,
+        path: &str,
+        split: &str,
+        out: &mut MapOutput,
+    ) -> Result<u64> {
         let mut records = 0;
         for line in split.lines() {
             self(path, line, out);
@@ -122,6 +220,12 @@ pub struct JobStats {
     /// `job_startup` plus one `task_startup` per wave of map tasks and
     /// per wave of reduce tasks over the worker slots.
     pub modelled: Duration,
+}
+
+/// One map task's output and, per reducer, the pairs bound for it.
+struct Mapped {
+    out: MapOutput,
+    parts: Vec<Vec<u32>>,
 }
 
 /// The cluster: an HDFS plus the job execution engine.
@@ -221,10 +325,10 @@ impl MrCluster {
         }
         modelled += self.charge_phase(tasks.len());
         let input_records = AtomicU64::new(0);
-        let map_output_records = AtomicU64::new(0);
         let nparts = spec.num_reducers.max(1);
-        // Partitioned map output: nparts buckets, each a Vec<KV>.
-        let partitions: Vec<Mutex<Vec<KV>>> = (0..nparts).map(|_| Mutex::new(Vec::new())).collect();
+        let reduces = spec.num_reducers > 0;
+        // Per task, its output: reducers read them in task order.
+        let mapped: Vec<Mutex<Option<Mapped>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
         let next_task = AtomicU64::new(0);
         let map_err: Mutex<Option<HanaError>> = Mutex::new(None);
 
@@ -237,30 +341,26 @@ impl MrCluster {
                     }
                     let (input, path, block) = tasks[idx];
                     // A task reads its own split and nothing else.
-                    let mut out = Vec::new();
-                    let mapped = self
+                    let mut out = MapOutput::new(reduces);
+                    let mapped_split = self
                         .hdfs
                         .read_split(path, block)
                         .and_then(|split| mapper.map_split(input, path, &split, &mut out));
-                    match mapped {
+                    match mapped_split {
                         Ok(records) => input_records.fetch_add(records, Ordering::Relaxed),
                         Err(e) => {
                             *map_err.lock() = Some(e);
                             return;
                         }
                     };
-                    map_output_records.fetch_add(out.len() as u64, Ordering::Relaxed);
                     // Partition by key hash.
-                    let mut buckets: Vec<Vec<KV>> = (0..nparts).map(|_| Vec::new()).collect();
-                    for kv in out {
-                        let p = partition_of(&kv.0, nparts);
-                        buckets[p].push(kv);
-                    }
-                    for (p, bucket) in buckets.into_iter().enumerate() {
-                        if !bucket.is_empty() {
-                            partitions[p].lock().extend(bucket);
+                    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); nparts];
+                    if reduces {
+                        for i in 0..out.len() {
+                            parts[partition_of(out.key(i), nparts)].push(i as u32);
                         }
                     }
+                    *mapped[idx].lock() = Some(Mapped { out, parts });
                 });
             }
         })
@@ -268,17 +368,23 @@ impl MrCluster {
         if let Some(e) = map_err.lock().take() {
             return Err(e);
         }
+        let mapped: Vec<Mapped> = mapped
+            .into_iter()
+            .map(|m| m.into_inner().expect("every task ran"))
+            .collect();
+        let map_output_records = mapped.iter().map(|m| m.out.len() as u64).sum();
         self.total_map_tasks
             .fetch_add(tasks.len() as u64, Ordering::Relaxed);
 
         // ---- reduce phase (or direct write when map-only) ----
         let output_records = AtomicU64::new(0);
-        if spec.num_reducers == 0 {
-            let kvs = std::mem::take(&mut *partitions[0].lock());
-            let lines: Vec<String> = kvs.into_iter().map(|(_, v)| v).collect();
-            output_records.fetch_add(lines.len() as u64, Ordering::Relaxed);
-            self.hdfs
-                .append_lines(&format!("{}/part-m-00000", spec.output_dir), &lines)?;
+        if !reduces {
+            let part = format!("{}/part-m-00000", spec.output_dir);
+            self.hdfs.append(&part, b"")?;
+            for m in &mapped {
+                self.hdfs.append(&part, m.out.buf.as_bytes())?;
+            }
+            output_records.store(map_output_records, Ordering::Relaxed);
         } else {
             let reducer = reducer.expect("checked above");
             modelled += self.charge_phase(nparts);
@@ -291,28 +397,13 @@ impl MrCluster {
                         if p >= nparts || reduce_err.lock().is_some() {
                             return;
                         }
-                        let mut kvs = std::mem::take(&mut *partitions[p].lock());
-                        // Shuffle sort: equal keys become one run, whose
-                        // values are the reducer's input.
-                        kvs.sort_by(|a, b| a.0.cmp(&b.0));
-                        let (keys, values): (Vec<String>, Vec<String>) = kvs.into_iter().unzip();
-                        let mut lines = Vec::new();
-                        let mut run = 0;
-                        let mut reduced = Ok(());
-                        for (end, key) in keys.iter().enumerate() {
-                            if keys.get(end + 1) != Some(key) {
-                                reduced = reducer.reduce(key, &values[run..=end], &mut lines);
-                                if reduced.is_err() {
-                                    break;
-                                }
-                                run = end + 1;
-                            }
-                        }
-                        let written = reduced.and_then(|()| {
-                            output_records.fetch_add(lines.len() as u64, Ordering::Relaxed);
-                            let part = format!("{}/part-r-{p:05}", spec.output_dir);
-                            self.hdfs.append_lines(&part, &lines)
-                        });
+                        let mut out = ReduceOutput::default();
+                        let written =
+                            reduce_partition(&mapped, p, &*reducer, &mut out).and_then(|()| {
+                                output_records.fetch_add(out.records, Ordering::Relaxed);
+                                let part = format!("{}/part-r-{p:05}", spec.output_dir);
+                                self.hdfs.append(&part, out.text.as_bytes())
+                            });
                         if let Err(e) = written {
                             *reduce_err.lock() = Some(e);
                         }
@@ -331,7 +422,7 @@ impl MrCluster {
             map_tasks: tasks.len(),
             reduce_tasks: spec.num_reducers,
             input_records: input_records.into_inner(),
-            map_output_records: map_output_records.into_inner(),
+            map_output_records,
             output_records: output_records.into_inner(),
             elapsed: start.elapsed(),
             modelled,
@@ -346,6 +437,50 @@ impl MrCluster {
         }
         Ok(lines)
     }
+}
+
+/// Reduce partition `p` of the map outputs into `out`: its pairs sorted
+/// by (key, map task, emit order), each run of one key one call.
+fn reduce_partition(
+    mapped: &[Mapped],
+    p: usize,
+    reducer: &dyn Reducer,
+    out: &mut ReduceOutput,
+) -> Result<()> {
+    // (first eight key bytes, task, pair): most comparisons end at the
+    // prefix, and the rest are a total order.
+    let mut refs: Vec<(u64, u32, u32)> = Vec::new();
+    for (t, m) in mapped.iter().enumerate() {
+        let pairs = m.parts[p].iter();
+        refs.extend(pairs.map(|&i| (prefix(m.out.key(i as usize)), t as u32, i)));
+    }
+    let key = |&(_, t, i): &(u64, u32, u32)| mapped[t as usize].out.key(i as usize);
+    refs.sort_unstable_by(|a, b| {
+        (a.0.cmp(&b.0))
+            .then_with(|| key(a).cmp(key(b)))
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    let mut values: Vec<&str> = Vec::new();
+    let mut run = refs.iter().peekable();
+    while let Some(first) = run.next() {
+        let k = key(first);
+        values.clear();
+        values.push(mapped[first.1 as usize].out.value(first.2 as usize));
+        while let Some(next) = run.next_if(|r| r.0 == first.0 && key(r) == k) {
+            values.push(mapped[next.1 as usize].out.value(next.2 as usize));
+        }
+        reducer.reduce(k, &values, out)?;
+    }
+    Ok(())
+}
+
+/// The first eight bytes of `key`, big-endian and zero-padded: ordered
+/// as the keys are, where they differ.
+fn prefix(key: &str) -> u64 {
+    let mut b = [0u8; 8];
+    let n = key.len().min(8);
+    b[..n].copy_from_slice(&key.as_bytes()[..n]);
+    u64::from_be_bytes(b)
 }
 
 /// Stable key partitioner (FNV-1a).
@@ -368,7 +503,7 @@ mod tests {
     /// distinct word: pre-aggregation inside the map task.
     struct WordMapper;
     impl Mapper for WordMapper {
-        fn map_split(&self, _: usize, _: &str, split: &str, out: &mut Vec<KV>) -> Result<u64> {
+        fn map_split(&self, _: usize, _: &str, split: &str, out: &mut MapOutput) -> Result<u64> {
             let mut counts: BTreeMap<String, i64> = BTreeMap::new();
             let mut records = 0;
             for line in split.lines() {
@@ -377,14 +512,16 @@ mod tests {
                     *counts.entry(w.to_lowercase()).or_default() += 1;
                 }
             }
-            out.extend(counts.into_iter().map(|(w, n)| (w, n.to_string())));
+            for (w, n) in counts {
+                out.emit(w, n.to_string());
+            }
             Ok(records)
         }
     }
 
     struct SumReducer;
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
+        fn reduce(&self, key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()> {
             let n: i64 = values.iter().map(|v| v.parse::<i64>().unwrap_or(0)).sum();
             out.push(format!("{key}\t{n}"));
             Ok(())
@@ -438,9 +575,9 @@ mod tests {
         mr.hdfs()
             .append_lines("/in/x", &["keep 1", "drop 2", "keep 3"])
             .unwrap();
-        let mapper = |_k: &str, line: &str, out: &mut Vec<KV>| {
+        let mapper = |_k: &str, line: &str, out: &mut MapOutput| {
             if line.starts_with("keep") {
-                out.push((String::new(), line.to_uppercase()));
+                out.emit("the key is dropped", line.to_uppercase());
             }
         };
         let spec = JobSpec {
@@ -452,8 +589,7 @@ mod tests {
         let stats = mr.run_job(&spec, Arc::new(mapper), None).unwrap();
         assert_eq!(stats.output_records, 2);
         let out = mr.read_output("/out/f").unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|l| l.starts_with("KEEP")));
+        assert_eq!(out, ["KEEP 1", "KEEP 3"]);
     }
 
     #[test]
@@ -465,11 +601,11 @@ mod tests {
                 input: usize,
                 _: &str,
                 split: &str,
-                out: &mut Vec<KV>,
+                out: &mut MapOutput,
             ) -> Result<u64> {
                 let mut records = 0;
                 for line in split.lines() {
-                    out.push((String::new(), format!("{input}:{line}")));
+                    out.emit("", format!("{input}:{line}"));
                     records += 1;
                 }
                 Ok(records)
@@ -485,9 +621,8 @@ mod tests {
         };
         let stats = mr.run_job(&spec, Arc::new(TagByInput), None).unwrap();
         assert_eq!(stats.input_records, 4);
-        let mut out = mr.read_output("/out/t").unwrap();
-        out.sort();
-        assert_eq!(out, ["0:a", "0:b", "1:a", "1:b"]);
+        let out = mr.read_output("/out/t").unwrap();
+        assert_eq!(out, ["0:a", "0:b", "1:a", "1:b"], "in task order");
     }
 
     #[test]
@@ -509,6 +644,61 @@ mod tests {
         let out = mr.read_output("/out/c").unwrap();
         // 50 distinct word{i} keys + "filler".
         assert_eq!(out.len(), 51);
+    }
+
+    #[test]
+    fn a_reducer_sees_its_values_in_map_task_and_emit_order() {
+        // Emits every line twice under one of three keys, tagged with
+        // the line and the copy.
+        let mapper = |_k: &str, line: &str, out: &mut MapOutput| {
+            let n: usize = line[4..].parse().unwrap();
+            for copy in ["a", "b"] {
+                out.emit(format!("key{}", n % 3), format!("{n}{copy}"));
+            }
+        };
+        struct Concat;
+        impl Reducer for Concat {
+            fn reduce(&self, key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()> {
+                out.push(format!("{key}:{}", values.join(",")));
+                Ok(())
+            }
+        }
+        // 64-byte blocks of 8-byte lines: more than 40 splits, 8 lines
+        // each, so the tasks that finish first differ from run to run.
+        let mr = cluster();
+        let lines: Vec<String> = (0..400).map(|i| format!("line{i:03}")).collect();
+        mr.hdfs().append_lines("/in/n", &lines).unwrap();
+        let spec = JobSpec {
+            name: "order".into(),
+            inputs: vec!["/in/n".into()],
+            output_dir: "/out/o".into(),
+            num_reducers: 2,
+        };
+        let read = |mr: &MrCluster| -> Vec<Vec<u8>> {
+            let parts = mr.hdfs().list("/out/o");
+            parts.iter().map(|p| mr.hdfs().read(p).unwrap()).collect()
+        };
+        let stats = mr
+            .run_job(&spec, Arc::new(mapper), Some(Arc::new(Concat)))
+            .unwrap();
+        assert!(stats.map_tasks > 40, "{} map tasks", stats.map_tasks);
+        let first = read(&mr);
+        let mut out = mr.read_output("/out/o").unwrap();
+        out.sort();
+        for (g, line) in out.iter().enumerate() {
+            // Lines in file order are map tasks in order, and a task
+            // emits its lines in order: the values of one key ascend.
+            let want: Vec<String> = (0..400)
+                .filter(|n| n % 3 == g)
+                .flat_map(|n| [format!("{n}a"), format!("{n}b")])
+                .collect();
+            assert_eq!(*line, format!("key{g}:{}", want.join(",")));
+        }
+        for _ in 0..20 {
+            mr.run_job(&spec, Arc::new(mapper), Some(Arc::new(Concat)))
+                .unwrap();
+            assert_eq!(read(&mr), first, "part files are byte-identical");
+        }
     }
 
     #[test]
@@ -583,7 +773,7 @@ mod tests {
     fn a_mapper_error_fails_the_job() {
         struct Picky;
         impl Mapper for Picky {
-            fn map_split(&self, _: usize, _: &str, split: &str, _: &mut Vec<KV>) -> Result<u64> {
+            fn map_split(&self, _: usize, _: &str, split: &str, _: &mut MapOutput) -> Result<u64> {
                 let lines: Vec<&str> = split.lines().collect();
                 match lines.iter().find(|l| l.contains("bad")) {
                     Some(l) => Err(HanaError::Execution(format!("cannot map '{l}'"))),
@@ -617,7 +807,7 @@ mod tests {
         /// Sums like `SumReducer`, but a key spelled "bad" is an error.
         struct PickySum;
         impl Reducer for PickySum {
-            fn reduce(&self, key: &str, values: &[String], out: &mut Vec<String>) -> Result<()> {
+            fn reduce(&self, key: &str, values: &[&str], out: &mut ReduceOutput) -> Result<()> {
                 match key {
                     "bad" => Err(HanaError::Execution(format!("cannot reduce '{key}'"))),
                     _ => SumReducer.reduce(key, values, out),
@@ -653,6 +843,28 @@ mod tests {
                 let p = partition_of(key, n);
                 assert!(p < n);
                 assert_eq!(p, partition_of(key, n));
+            }
+        }
+    }
+
+    #[test]
+    fn key_prefixes_order_as_keys_do() {
+        let keys = [
+            "",
+            "a",
+            "a\0",
+            "a\0\u{1}",
+            "ab",
+            "abcdefgh",
+            "abcdefghi",
+            "b",
+        ];
+        for a in keys {
+            for b in keys {
+                let (pa, pb) = (prefix(a), prefix(b));
+                if pa != pb {
+                    assert_eq!(pa.cmp(&pb), a.cmp(b), "{a:?} {b:?}");
+                }
             }
         }
     }

@@ -16,7 +16,8 @@ use parking_lot::RwLock;
 
 use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
 
-use crate::hive::{parse_field, read_rows, FIELD_SEP};
+use crate::hdfs::Hdfs;
+use crate::hive::{parse_field, read_records, FIELD_SEP};
 use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer};
 
 /// A registered MR program.
@@ -29,7 +30,8 @@ pub struct MrFunction {
     pub reducer: Option<Arc<dyn Reducer>>,
     /// Reduce task count (`mapred.reducer.count`).
     pub num_reducers: usize,
-    /// Schema of the output lines (^A-separated).
+    /// Schema of the output lines (^A-separated text: a program's output
+    /// is read as a Hive text file is).
     pub output_schema: Schema,
 }
 
@@ -102,11 +104,23 @@ impl MrFunctionRegistry {
             .run_job(&spec, Arc::clone(&func.mapper), func.reducer.clone())?;
         let files = self.cluster.hdfs().list(&out_dir);
         let schema = &func.output_schema;
-        let rows = read_rows(self.cluster.hdfs(), &files, schema.len(), |fields| {
-            decode_fields(fields, schema)
-        })?;
-        Ok(ResultSet::new(schema.clone(), rows))
+        let rows = read_rows(self.cluster.hdfs(), &files, schema);
+        self.cluster.hdfs().delete_dir(&out_dir);
+        Ok(ResultSet::new(schema.clone(), rows?))
     }
+}
+
+/// Decode every line of `files` against `schema`, a row at a time.
+fn read_rows(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    for file in files {
+        let text = hdfs.read_text(file)?;
+        read_records(&text, schema.len(), |_, fields| {
+            rows.push(decode_fields(fields, schema)?);
+            Ok(())
+        })?;
+    }
+    Ok(rows)
 }
 
 /// Decode the fields of an output line against `schema`.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig, MrFunction, MrFunctionRegistry, KV};
+use hana_hadoop::{Hdfs, Hive, MapOutput, MrCluster, MrConfig, MrFunction, MrFunctionRegistry};
 use hana_sql::{parse_statement, Statement};
 use hana_types::{DataType, Row, Schema, Value};
 
@@ -243,9 +243,9 @@ fn virtual_function_registry_runs_custom_jobs() {
         )
         .unwrap();
     // The "custom jar": parse lines, keep max pressure per equipment.
-    let mapper = |_k: &str, line: &str, out: &mut Vec<KV>| {
+    let mapper = |_k: &str, line: &str, out: &mut MapOutput| {
         if let Some((id, p)) = line.split_once(',') {
-            out.push((id.to_string(), p.to_string()));
+            out.emit(id, p);
         }
     };
     struct MaxReducer;
@@ -253,8 +253,8 @@ fn virtual_function_registry_runs_custom_jobs() {
         fn reduce(
             &self,
             key: &str,
-            values: &[String],
-            out: &mut Vec<String>,
+            values: &[&str],
+            out: &mut hana_hadoop::ReduceOutput,
         ) -> hana_types::Result<()> {
             let max = values
                 .iter()
@@ -721,6 +721,16 @@ fn scans_and_spanning_conjuncts_run_inside_the_join_and_group_by_jobs() {
          WHERE NOT (c_custkey + o_orderkey)",
     );
     assert!(rs.is_err(), "{rs:?}");
+
+    // Each statement's intermediate files went with it, the failed one's
+    // too: HDFS holds the tables and nothing else.
+    let hdfs = hive.cluster().hdfs();
+    assert_eq!(hdfs.list("/tmp/hive"), Vec::<String>::new());
+    let tables = hdfs
+        .list("/warehouse")
+        .into_iter()
+        .map(|f| hdfs.len(&f).unwrap());
+    assert_eq!(hdfs.used_bytes(), tables.sum::<usize>());
 }
 
 #[test]
@@ -1018,4 +1028,44 @@ fn split_local_dictionaries_answer_like_the_local_engine() {
     let non_null = rows.iter().filter(|r| !r[1].is_null()).count() as i64;
     let counted: i64 = rs.rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
     assert_eq!((rs.len(), counted), (names.len() - 1, non_null));
+
+    // Three jobs: the second join and the group-by read the records the
+    // job before wrote, cut into many 64-byte splits. `d` matches each
+    // non-NULL `s` once and `u.k` each `t.v` once, so each group counts
+    // the rows of its value and sums their `v`.
+    let before = hive.cluster().counters();
+    let rs = hive
+        .execute(
+            "SELECT ds, COUNT(*), SUM(u.k), MIN(w) FROM t JOIN d ON s = ds \
+             JOIN t u ON t.v = u.k GROUP BY ds",
+        )
+        .unwrap();
+    let after = hive.cluster().counters();
+    assert_eq!(after.0 - before.0, 3, "two joins and a group-by");
+    let t_splits = hive
+        .cluster()
+        .hdfs()
+        .block_count("/warehouse/t/data-00000")
+        .unwrap();
+    assert!(
+        after.1 - before.1 > 2 * t_splits as u64 + 20,
+        "the intermediates span many splits: {} map tasks, t has {t_splits} blocks",
+        after.1 - before.1
+    );
+    let want: Vec<Row> = dims
+        .iter()
+        .map(|dim| {
+            let hits = rows.iter().filter(|r| r[1] == dim[0]);
+            let (n, sum) = hits.fold((0, 0), |(n, sum), r| (n + 1, sum + r[2].as_i64().unwrap()));
+            Row::from_values([
+                dim[0].clone(),
+                Value::Int(n),
+                Value::Int(sum),
+                dim[1].clone(),
+            ])
+        })
+        .collect();
+    let mut want = want;
+    want.sort();
+    assert_eq!(sorted_rows(&rs), want);
 }

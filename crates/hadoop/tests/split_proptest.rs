@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hana_hadoop::{Hdfs, JobSpec, MrCluster, MrConfig, KV};
+use hana_hadoop::{Hdfs, JobSpec, MapOutput, MrCluster, MrConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,8 +52,8 @@ proptest! {
             };
             // A text output line cannot end in a carriage return: spell it.
             let spell = |line: &str| line.replace('\r', "<CR>");
-            let echo = move |_path: &str, line: &str, out: &mut Vec<KV>| {
-                out.push((String::new(), spell(line)));
+            let echo = move |_path: &str, line: &str, out: &mut MapOutput| {
+                out.emit("", spell(line));
             };
             let stats = mr.run_job(&spec, Arc::new(echo), None).unwrap();
             prop_assert_eq!(stats.map_tasks, nblocks.max(1));

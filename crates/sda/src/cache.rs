@@ -13,6 +13,10 @@
 //!   replicate the entire Hive table");
 //! * entries expire after `remote_cache_validity` ticks of the remote
 //!   source's clock; expired entries are discarded and re-materialized;
+//! * an entry records the MetaStore modification tick of every remote
+//!   table its query reads, and a hit requires each one unchanged: a
+//!   write to one of them (a Hive `load`) makes the entry stale, and it
+//!   is re-materialized like an expired one;
 //! * the whole feature is off unless `enable_remote_cache` is set.
 //!
 //! Orthogonally to remote materialization, every result that flows
@@ -31,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use hana_sql::Query;
+use hana_sql::{Query, TableRef};
 use hana_types::{Result, ResultSet};
 
 use crate::adapter::SdaAdapter;
@@ -138,6 +142,9 @@ pub enum CacheOutcome {
 struct CacheEntry {
     temp_table: String,
     created_tick: u64,
+    /// Per remote table the query reads, its modification tick when the
+    /// result was materialized.
+    read: Vec<(String, Option<u64>)>,
 }
 
 struct FallbackEntry {
@@ -233,11 +240,12 @@ impl RemoteCache {
             let entries = self.entries.lock();
             entries
                 .get(&key)
-                .map(|e| (e.temp_table.clone(), e.created_tick))
+                .map(|e| (e.temp_table.clone(), e.created_tick, e.read.clone()))
         };
 
-        if let Some((temp, created)) = existing {
-            if now.saturating_sub(created) <= cfg.remote_cache_validity {
+        if let Some((temp, created, read)) = existing {
+            let fresh = now.saturating_sub(created) <= cfg.remote_cache_validity;
+            if fresh && read == modified(adapter, q) {
                 // Valid hit: fetch from the materialized copy (Hive's
                 // fetch task — no MR DAG execution).
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -263,6 +271,9 @@ impl RemoteCache {
         key: u64,
     ) -> Result<(ResultSet, CacheOutcome)> {
         self.misses.fetch_add(1, Ordering::Relaxed);
+        // Read before the CTAS: a write that races it makes the entry
+        // stale, never a stale result fresh.
+        let read = modified(adapter, q);
         let temp = format!(
             "hana_rmat_{:x}_{}",
             key,
@@ -277,6 +288,7 @@ impl RemoteCache {
             CacheEntry {
                 temp_table: temp.clone(),
                 created_tick: adapter.current_tick(),
+                read,
             },
         );
         let rs = adapter.execute(&fetch_all(&temp), ctx)?;
@@ -362,6 +374,29 @@ impl Default for RemoteCache {
     fn default() -> Self {
         RemoteCache::new(RemoteCacheConfig::default())
     }
+}
+
+/// Per named table `q` reads (FROM and JOIN, derived tables included),
+/// its modification tick at the source — `None` for one the source has
+/// no statistics for.
+fn modified(adapter: &Arc<dyn SdaAdapter>, q: &Query) -> Vec<(String, Option<u64>)> {
+    fn tables<'q>(q: &'q Query, out: &mut Vec<&'q str>) {
+        let refs = q.from.iter().chain(q.joins.iter().map(|j| &j.table));
+        for t in refs {
+            match t {
+                TableRef::Named { name, .. } => out.push(name),
+                TableRef::Subquery { query, .. } => tables(query, out),
+                TableRef::Function { .. } => {}
+            }
+        }
+    }
+    let mut names = Vec::new();
+    tables(q, &mut names);
+    let tick = |t: &str| adapter.table_stats(t).ok().map(|s| s.last_modified);
+    names
+        .into_iter()
+        .map(|t| (t.to_string(), tick(t)))
+        .collect()
 }
 
 /// `SELECT * FROM temp` — the cached-read query.

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig, MrFunction, MrFunctionRegistry, KV};
+use hana_hadoop::{Hdfs, Hive, MapOutput, MrCluster, MrConfig, MrFunction, MrFunctionRegistry};
 use hana_iq::IqEngine;
 use hana_sda::{
     CacheOutcome, HadoopMrAdapter, HiveOdbcAdapter, IqAdapter, RemoteCacheConfig, RemoteContext,
@@ -196,12 +196,12 @@ fn hadoop_adapter_invokes_driver_class() {
         .hdfs()
         .append_lines("/sensors/day1", &["P-1,95.0", "P-2,99.5"])
         .unwrap();
-    let mapper = |_k: &str, line: &str, out: &mut Vec<KV>| {
+    let mapper = |_k: &str, line: &str, out: &mut MapOutput| {
         if let Some((id, p)) = line.split_once(',') {
-            out.push((
-                String::new(),
+            out.emit(
+                "",
                 hana_hadoop::output_line(&[id.to_string(), p.to_string()]),
-            ));
+            );
         }
     };
     registry_mr.register(

@@ -18,7 +18,9 @@
 use std::sync::Arc;
 
 use hana_data_platform::esp::{parse_archive_line, Sink};
-use hana_data_platform::hadoop::{Hdfs, JobSpec, MrCluster, MrConfig, Reducer, KV};
+use hana_data_platform::hadoop::{
+    Hdfs, JobSpec, MapOutput, MrCluster, MrConfig, ReduceOutput, Reducer,
+};
 use hana_data_platform::pal::kmeans;
 use hana_data_platform::platform::HanaPlatform;
 use hana_data_platform::{DataType, Row, Schema, Value};
@@ -153,8 +155,8 @@ fn main() {
         fn reduce(
             &self,
             key: &str,
-            values: &[String],
-            out: &mut Vec<String>,
+            values: &[&str],
+            out: &mut ReduceOutput,
         ) -> hana_data_platform::Result<()> {
             let max = values
                 .iter()
@@ -164,10 +166,10 @@ fn main() {
             Ok(())
         }
     }
-    let mapper = |_k: &str, line: &str, out: &mut Vec<KV>| {
+    let mapper = |_k: &str, line: &str, out: &mut MapOutput| {
         let parts: Vec<&str> = line.split(',').collect();
         if parts.len() == 3 && parts[1] == "status" {
-            out.push((parts[0].to_string(), parts[2].to_string()));
+            out.emit(parts[0], parts[2]);
         }
     };
     let stats = mr

@@ -172,3 +172,27 @@ fn cache_validity_refreshes_stale_results() {
     };
     assert_eq!(count(&after), count(&before) + 1, "refresh saw the new row");
 }
+
+#[test]
+fn a_hive_write_makes_a_cached_result_stale() {
+    let (hana, s, hive) = setup();
+    hana.set_remote_cache(true, 1_000_000);
+    let plain = "SELECT COUNT(*) AS n FROM orders WHERE o_total > -100000";
+    let hinted = format!("{plain} WITH HINT (USE_REMOTE_CACHE)");
+    let n = |sql: &str| hana.execute_sql(&s, sql).unwrap().rows[0][0].clone();
+    assert_eq!(n(&hinted), Value::Int(3000), "materialized");
+    assert_eq!(n(&hinted), Value::Int(3000), "a hit");
+    assert_eq!(hana.catalog().sda().cache.stats(), (1, 1));
+    // Well inside the validity window, but the table has changed.
+    let row = Row::from_values([Value::Int(3000), Value::from("OPEN"), Value::Double(1.0)]);
+    hive.load("orders", &[row]).unwrap();
+    assert_eq!(n(plain), Value::Int(3001));
+    assert_eq!(
+        n(&hinted),
+        Value::Int(3001),
+        "re-materialized, not a stale hit"
+    );
+    assert_eq!(hana.catalog().sda().cache.stats(), (1, 2));
+    assert_eq!(n(&hinted), Value::Int(3001), "and a hit again");
+    assert_eq!(hana.catalog().sda().cache.stats(), (2, 2));
+}
