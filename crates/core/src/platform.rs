@@ -77,7 +77,7 @@ impl HanaPlatform {
     }
 
     /// [`open_durable`](Self::open_durable) with an explicit WAL
-    /// configuration (group-commit window, segment size, failpoints).
+    /// configuration (segment size, failpoints).
     pub fn open_durable_with(
         dir: &Path,
         config: hana_txn::WalConfig,

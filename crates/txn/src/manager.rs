@@ -59,9 +59,10 @@ pub struct TransactionManager {
     /// Serializes the commit point: CID assignment and the enqueue of
     /// the commit record happen under this lock, so commit records land
     /// in the log in CID order and any log prefix recovers to a
-    /// contiguous committed prefix. The fsync wait happens *outside*
-    /// the lock — that is what lets group commit batch concurrent
-    /// committers into one fsync.
+    /// contiguous committed prefix. The durability wait happens
+    /// *outside* the lock — that is what lets a committer that finds a
+    /// flush running join the next one, so concurrent commits share an
+    /// fsync.
     commit_order: Mutex<()>,
     /// Held shared by every commit from CID assignment until its
     /// participants have applied;
@@ -221,10 +222,12 @@ impl TransactionManager {
 
         // Commit point: assign the CID and enqueue the commit record
         // under the ordering lock (so records hit the log in CID order),
-        // then wait for durability *outside* it — concurrent committers
-        // pile into one group-commit fsync here. The apply gate is held
-        // (shared) until phase 2 is done, so a checkpoint cut never
-        // lands between this CID becoming visible and its rows applying.
+        // then wait for durability *outside* it — this thread leads the
+        // flush if none is running, else it waits for the running one,
+        // and the commits queued meanwhile share the next. The apply
+        // gate is held (shared) until phase 2 is done, so a checkpoint
+        // cut never lands between this CID becoming visible and its
+        // rows applying.
         let _applying = self.apply_gate.read();
         let (cid, ticket) = {
             let _order = self.commit_order.lock();
@@ -234,7 +237,11 @@ impl TransactionManager {
                 .submit_durable(LogRecord::Commit { tid: txn.tid, cid });
             (cid, ticket)
         };
-        if let Err(e) = ticket.wait() {
+        let durable = {
+            let _wait = hana_obs::span("commit_wait");
+            ticket.wait()
+        };
+        if let Err(e) = durable {
             // The commit record never became durable: the transaction
             // did not happen. Roll everyone back.
             for q in participants {
@@ -496,7 +503,8 @@ mod tests {
     fn applied_commit_id_waits_for_in_flight_phase_two() {
         struct CutDuringApply {
             tm: Arc<TransactionManager>,
-            cut: Mutex<Option<std::thread::JoinHandle<u64>>>,
+            request_cut: std::sync::mpsc::Sender<()>,
+            cut_done: Mutex<std::sync::mpsc::Receiver<()>>,
         }
         impl TwoPhaseParticipant for CutDuringApply {
             fn name(&self) -> &str {
@@ -507,20 +515,14 @@ mod tests {
             }
             fn commit(&self, _tid: u64, cid: u64) -> Result<()> {
                 assert_eq!(self.tm.last_commit_id(), cid, "CID visible before apply");
-                let (done, pending) = std::sync::mpsc::channel();
-                let tm = Arc::clone(&self.tm);
-                let cut = std::thread::spawn(move || {
-                    let cid = tm.applied_commit_id();
-                    let _ = done.send(());
-                    cid
-                });
+                self.request_cut.send(()).unwrap();
                 assert!(
-                    pending
+                    self.cut_done
+                        .lock()
                         .recv_timeout(std::time::Duration::from_millis(100))
                         .is_err(),
                     "checkpoint cut completed while the commit was still applying"
                 );
-                *self.cut.lock() = Some(cut);
                 Ok(())
             }
             fn abort(&self, _tid: u64) -> Result<()> {
@@ -529,17 +531,53 @@ mod tests {
         }
 
         let tm = Arc::new(TransactionManager::new());
+        let (request_cut, cut_requested) = std::sync::mpsc::channel();
+        let (done, cut_done) = std::sync::mpsc::channel();
         let p = Arc::new(CutDuringApply {
             tm: Arc::clone(&tm),
-            cut: Mutex::new(None),
+            request_cut,
+            cut_done: Mutex::new(cut_done),
         });
-        let t = tm.begin();
-        let receipt = tm
-            .commit(t, &[Arc::clone(&p) as Arc<dyn TwoPhaseParticipant>])
-            .unwrap();
-        let cut = p.cut.lock().take().expect("phase 2 ran");
-        assert_eq!(cut.join().unwrap(), receipt.cid);
-        assert_eq!(tm.applied_commit_id(), receipt.cid, "idle: cut = last cid");
+        std::thread::scope(|s| {
+            // The cut runs on a thread of its own, asked for in phase 2.
+            let cutter = Arc::clone(&tm);
+            let cut = s.spawn(move || {
+                cut_requested.recv().unwrap();
+                let cid = cutter.applied_commit_id();
+                let _ = done.send(());
+                cid
+            });
+            let t = tm.begin();
+            let receipt = tm
+                .commit(t, &[Arc::clone(&p) as Arc<dyn TwoPhaseParticipant>])
+                .unwrap();
+            assert_eq!(cut.join().unwrap(), receipt.cid);
+            assert_eq!(tm.applied_commit_id(), receipt.cid, "idle: cut = last cid");
+        });
+    }
+
+    /// The fsync runs on the committing thread, so a traced commit
+    /// shows it as a child of its wait.
+    #[test]
+    fn a_lone_durable_commit_records_its_fsync_under_commit_wait() {
+        let dir = std::env::temp_dir().join(format!("hana-txn-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tm = TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap()));
+        let tracer = hana_obs::Tracer::new();
+        {
+            let _g = tracer.install();
+            let t = tm.begin();
+            tm.commit(t, &[]).unwrap();
+        }
+        let spans = tracer.spans();
+        let wait = spans.iter().find(|s| s.name == "commit_wait").unwrap();
+        let fsyncs: Vec<_> = spans.iter().filter(|s| s.name == "fsync").collect();
+        assert_eq!(fsyncs.len(), 1, "{spans:?}");
+        assert_eq!(fsyncs[0].parent, Some(wait.id));
+        assert!(fsyncs[0].attrs.contains(&("txns".to_string(), 1)));
+        assert!(fsyncs[0].bytes.is_some_and(|b| b > 0));
+        drop(tm);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

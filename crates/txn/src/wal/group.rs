@@ -1,51 +1,25 @@
-//! Group commit: a committer thread batches concurrent durable-append
-//! requests into one write + one fsync.
+//! Group commit without a window or a thread: the committing thread
+//! leads the flush.
 //!
-//! Appenders enqueue framed bytes under the queue lock (preserving
-//! append order); callers that need durability also enqueue a waiter
-//! and block on it. The committer drains the queue, sleeps out the
-//! batching window (`WalConfig::group_commit_window`) so
-//! stragglers can join, writes the whole batch once and fsyncs once —
-//! then wakes every waiter in the batch. A write/fsync failure fails
-//! the whole batch and poisons the log: no later append can succeed,
-//! because its ordering prefix was lost.
+//! Appenders add framed bytes to one shared buffer under the queue lock
+//! (which fixes the log order). A durable append gets a ticket naming
+//! the queue position its bytes end at. Redeeming it either finds those
+//! bytes already synced, or — when no flush is running — makes the
+//! caller the leader: it takes the whole buffer, drops the queue lock,
+//! writes and fsyncs it once under the writer lock, publishes how far
+//! the log is synced and wakes everyone. A caller that finds a flush
+//! running waits for it and checks again, so the next group is whatever
+//! arrived during that fsync: batching happens under load, and a lone
+//! committer never waits for company. A failed write or fsync poisons
+//! the log: every ticket in or after that flush fails, because its
+//! ordering prefix was lost.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use hana_types::{HanaError, Result};
 
+use super::frame::encode_frame;
 use super::segment::LogWriter;
-
-/// One blocked durable append.
-pub(crate) struct Waiter {
-    done: Mutex<Option<std::result::Result<(), String>>>,
-    cond: Condvar,
-}
-
-impl Waiter {
-    fn new() -> Arc<Waiter> {
-        Arc::new(Waiter {
-            done: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, result: std::result::Result<(), String>) {
-        *self.done.lock().expect("waiter lock") = Some(result);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self) -> Result<()> {
-        let mut done = self.done.lock().expect("waiter lock");
-        while done.is_none() {
-            done = self.cond.wait(done).expect("waiter lock");
-        }
-        done.take().expect("checked above").map_err(HanaError::Io)
-    }
-}
 
 /// A handle to one durable append: created at enqueue time (fixing the
 /// record's position in the log), redeemed with [`DurableTicket::wait`]
@@ -53,182 +27,189 @@ impl Waiter {
 pub struct DurableTicket(pub(crate) TicketInner);
 
 pub(crate) enum TicketInner {
-    /// Already decided (in-memory logs, per-commit mode, poisoned log).
+    /// Already decided (in-memory logs, non-durable appends, poisoned log).
     Ready(std::result::Result<(), String>),
-    /// Waiting on the group committer.
-    Pending(Arc<Waiter>),
+    /// Durable once `log` is synced through queue position `end`.
+    Pending { log: Arc<GroupLog>, end: u64 },
 }
 
 impl DurableTicket {
-    /// Block until the record is durable (or the log failed).
+    /// Block until the record is durable (or the log failed), leading
+    /// the flush when none is running.
     pub fn wait(self) -> Result<()> {
         match self.0 {
             TicketInner::Ready(r) => r.map_err(HanaError::Io),
-            TicketInner::Pending(w) => w.wait(),
+            TicketInner::Pending { log, end } => log.wait_synced(end),
         }
     }
 }
 
-struct QueueState {
+struct Queue {
+    /// Framed bytes not yet taken by a leader.
     buf: Vec<u8>,
-    waiters: Vec<Arc<Waiter>>,
-    closed: bool,
+    /// Queue position past the last enqueued byte.
+    enqueued: u64,
+    /// Queue position through which the log is on disk.
+    synced: u64,
+    /// Durable tickets (and syncs) whose bytes are in `buf`.
+    tickets: u64,
+    /// A leader is writing and syncing a taken buffer.
+    flushing: bool,
     poisoned: Option<String>,
 }
 
-struct Shared {
-    state: Mutex<QueueState>,
-    cond: Condvar,
+/// The durable log's shared state: the append queue and the writer.
+pub(crate) struct GroupLog {
+    queue: Mutex<Queue>,
+    /// Signalled whenever a flush ends.
+    flushed: Condvar,
+    writer: Mutex<LogWriter>,
 }
 
-/// The group-commit engine: shared queue + committer thread.
-pub(crate) struct GroupCommitter {
-    shared: Arc<Shared>,
-    seq: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl GroupCommitter {
-    /// Spawn the committer thread over `writer`.
-    pub(crate) fn spawn(mut writer: LogWriter, window: Duration) -> GroupCommitter {
-        let seq = writer.seq_handle();
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
+impl GroupLog {
+    pub(crate) fn new(writer: LogWriter) -> Arc<GroupLog> {
+        Arc::new(GroupLog {
+            queue: Mutex::new(Queue {
                 buf: Vec::new(),
-                waiters: Vec::new(),
-                closed: false,
+                enqueued: 0,
+                synced: 0,
+                tickets: 0,
+                flushing: false,
                 poisoned: None,
             }),
-            cond: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("hana-wal-committer".into())
-            .spawn(move || committer_loop(&thread_shared, &mut writer, window))
-            .expect("spawn WAL committer");
-        GroupCommitter {
-            shared,
-            seq,
-            handle: Some(handle),
-        }
+            flushed: Condvar::new(),
+            writer: Mutex::new(writer),
+        })
     }
 
     /// Sequence number of the writer's active segment.
     pub(crate) fn active_seq(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
+        self.writer.lock().expect("WAL writer lock").active_seq()
     }
 
-    /// Enqueue framed bytes; `durable` also enqueues a waiter whose
-    /// ticket resolves when the batch containing these bytes is synced.
-    pub(crate) fn enqueue(&self, bytes: &[u8], durable: bool) -> DurableTicket {
-        let mut st = self.shared.state.lock().expect("WAL queue lock");
-        if let Some(why) = &st.poisoned {
-            return DurableTicket(TicketInner::Ready(Err(why.clone())));
+    /// Frame `payload` onto the buffer. Returns the frame's length and a
+    /// ticket that, for `durable`, resolves once the flush holding the
+    /// frame is synced; a poisoned log enqueues nothing and says why.
+    pub(crate) fn enqueue(
+        self: &Arc<Self>,
+        payload: &[u8],
+        durable: bool,
+    ) -> std::result::Result<(u64, DurableTicket), String> {
+        let mut q = self.queue.lock().expect("WAL queue lock");
+        if let Some(why) = &q.poisoned {
+            return Err(why.clone());
         }
-        st.buf.extend_from_slice(bytes);
-        let ticket = if durable {
-            let w = Waiter::new();
-            st.waiters.push(Arc::clone(&w));
-            DurableTicket(TicketInner::Pending(w))
-        } else {
-            DurableTicket(TicketInner::Ready(Ok(())))
+        let before = q.buf.len();
+        encode_frame(payload, &mut q.buf);
+        let len = (q.buf.len() - before) as u64;
+        q.enqueued += len;
+        if !durable {
+            return Ok((len, DurableTicket(TicketInner::Ready(Ok(())))));
+        }
+        q.tickets += 1;
+        let ticket = TicketInner::Pending {
+            log: Arc::clone(self),
+            end: q.enqueued,
         };
-        drop(st);
-        self.shared.cond.notify_all();
-        ticket
+        Ok((len, DurableTicket(ticket)))
     }
 
     /// Durable barrier: everything enqueued before this call is on disk
     /// when it returns.
     pub(crate) fn sync(&self) -> Result<()> {
-        self.enqueue(&[], true).wait()
+        let end = {
+            let mut q = self.queue.lock().expect("WAL queue lock");
+            // Bytes already taken ride the running flush, which counted
+            // its own tickets.
+            if !q.buf.is_empty() {
+                q.tickets += 1;
+            }
+            q.enqueued
+        };
+        self.wait_synced(end)
     }
 
     /// Whether the log failed a write/fsync and refuses new appends.
     pub(crate) fn poisoned(&self) -> Option<String> {
-        self.shared
-            .state
-            .lock()
-            .expect("WAL queue lock")
-            .poisoned
-            .clone()
+        self.queue.lock().expect("WAL queue lock").poisoned.clone()
     }
-}
 
-impl Drop for GroupCommitter {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("WAL queue lock");
-            st.closed = true;
-        }
-        self.shared.cond.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn committer_loop(shared: &Shared, writer: &mut LogWriter, window: Duration) {
-    let reg = hana_obs::registry();
-    loop {
-        // Wait for work (or shutdown).
-        {
-            let mut st = shared.state.lock().expect("WAL queue lock");
-            while st.buf.is_empty() && st.waiters.is_empty() && !st.closed {
-                st = shared.cond.wait(st).expect("WAL queue lock");
+    /// Block until the log is synced through `end`, leading a flush
+    /// whenever none is running.
+    fn wait_synced(&self, end: u64) -> Result<()> {
+        let mut q = self.queue.lock().expect("WAL queue lock");
+        loop {
+            if q.synced >= end {
+                return Ok(());
             }
-            if st.buf.is_empty() && st.waiters.is_empty() && st.closed {
-                return;
+            if let Some(why) = &q.poisoned {
+                return Err(HanaError::Io(why.clone()));
             }
-        }
-        // Batching window: let concurrent committers pile into this
-        // batch before paying for the fsync. The lock is *not* held.
-        if !window.is_zero() {
-            std::thread::sleep(window);
-        }
-        // Drain the batch.
-        let (bytes, waiters) = {
-            let mut st = shared.state.lock().expect("WAL queue lock");
-            (std::mem::take(&mut st.buf), std::mem::take(&mut st.waiters))
-        };
-        // One write, one fsync for the whole batch; durability is only
-        // needed when someone is waiting on it.
-        let result = writer.write_batch(&bytes).and_then(|()| {
-            if waiters.is_empty() {
-                Ok(())
-            } else {
-                writer.sync()
+            if q.flushing {
+                q = self.flushed.wait(q).expect("WAL queue lock");
+                continue;
             }
-        });
-        match result {
-            Ok(()) => {
-                if !waiters.is_empty() {
-                    reg.counter("hana_wal_group_commits_total").inc();
-                    reg.histogram("hana_wal_group_commit_txns")
-                        .record(waiters.len() as u64);
-                }
-                for w in waiters {
-                    w.complete(Ok(()));
-                }
-            }
-            Err(e) => {
-                // The batch is lost: fail its waiters and poison the
-                // log — later records would be durable without their
-                // prefix, breaking committed-prefix recovery.
-                let why = format!("WAL append lost: {e}");
-                {
-                    let mut st = shared.state.lock().expect("WAL queue lock");
-                    st.poisoned = Some(why.clone());
-                    st.buf.clear();
-                    for w in st.waiters.drain(..) {
-                        w.complete(Err(why.clone()));
+            // Lead: everything enqueued so far goes out in this flush.
+            q.flushing = true;
+            let mut bytes = std::mem::take(&mut q.buf);
+            let flush_end = q.enqueued;
+            let txns = std::mem::take(&mut q.tickets);
+            drop(q);
+            let result = {
+                let mut writer = self.writer.lock().expect("WAL writer lock");
+                flush(&mut writer, &bytes, txns)
+            };
+            q = self.queue.lock().expect("WAL queue lock");
+            q.flushing = false;
+            match result {
+                Ok(()) => {
+                    q.synced = flush_end;
+                    // Hand the allocation back for the next group.
+                    if q.buf.is_empty() {
+                        bytes.clear();
+                        q.buf = bytes;
                     }
                 }
-                hana_obs::warn(why.clone());
-                for w in waiters {
-                    w.complete(Err(why.clone()));
+                Err(e) => {
+                    // Later records would be durable without their
+                    // prefix, breaking committed-prefix recovery.
+                    let why = format!("WAL append lost: {e}");
+                    hana_obs::warn(why.clone());
+                    q.poisoned = Some(why);
+                    q.buf.clear();
                 }
             }
+            self.flushed.notify_all();
+        }
+    }
+}
+
+/// One write and one fsync for a taken buffer of `txns` tickets.
+fn flush(writer: &mut LogWriter, bytes: &[u8], txns: u64) -> Result<()> {
+    let span = hana_obs::span("fsync");
+    span.attr("txns", txns);
+    span.set_bytes(bytes.len() as u64);
+    writer.write_batch(bytes)?;
+    writer.sync()?;
+    let reg = hana_obs::registry();
+    reg.counter("hana_wal_group_commits_total").inc();
+    reg.histogram("hana_wal_group_commit_txns").record(txns);
+    Ok(())
+}
+
+impl Drop for GroupLog {
+    /// The last handle (the log or an unredeemed ticket) writes and
+    /// syncs whatever non-durable appends are still buffered. A lock
+    /// poisoned by a panic mid-flush leaves the log as it is.
+    fn drop(&mut self) {
+        let (Ok(q), Ok(writer)) = (self.queue.get_mut(), self.writer.get_mut()) else {
+            return;
+        };
+        if q.poisoned.is_some() || q.buf.is_empty() {
+            return;
+        }
+        if let Err(e) = flush(writer, &q.buf, q.tickets) {
+            hana_obs::warn(format!("WAL append lost at close: {e}"));
         }
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! The log records transaction lifecycle events as CRC-framed records in
 //! rolling segment files (see [`frame`] and [`segment`]). Durable
-//! appends go through a group committer ([`group`]) that batches
-//! concurrent commit points into one fsync. Checkpoints ([`checkpoint`])
+//! appends share flushes ([`group`]): the committing thread that finds
+//! no flush running writes and fsyncs everything queued so far, for
+//! every ticket behind it. Checkpoints ([`checkpoint`])
 //! snapshot engine state so recovery replays only the log suffix.
 //!
 //! Replaying a (possibly torn) log classifies every transaction as
@@ -23,14 +24,14 @@ pub use group::DurableTicket;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use hana_types::{HanaError, Result};
 
-use self::frame::encode_frame;
-use self::group::{GroupCommitter, TicketInner};
+use self::group::{GroupLog, TicketInner};
 use self::segment::{LogWriter, Storage, DEFAULT_SEGMENT_BYTES};
 
 /// One log record. `cid` values order commits for point-in-time recovery.
@@ -125,9 +126,6 @@ impl fmt::Display for LogRecord {
 /// Durability configuration, fixed when the log is opened.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Group-commit batching window. Zero disables the committer thread:
-    /// every durable append pays its own write + fsync.
-    pub group_commit_window: Duration,
     /// Size at which the active segment rolls over (directory mode).
     pub segment_bytes: u64,
     /// Injected failure point for crash testing: after this many
@@ -139,7 +137,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> WalConfig {
         WalConfig {
-            group_commit_window: Duration::from_micros(200),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             fsyncs_until_fail: None,
         }
@@ -160,15 +157,8 @@ pub struct WalCheckpoint {
 enum Backend {
     /// No file: records live only in memory (unit tests).
     Volatile,
-    /// Committer thread batching appends into shared fsyncs.
-    Grouped(GroupCommitter),
-    /// Per-commit fsync: each durable append pays its own sync.
-    Direct(Mutex<DirectState>),
-}
-
-struct DirectState {
-    writer: LogWriter,
-    poisoned: Option<String>,
+    /// Segment files, flushed by whichever committer leads.
+    Durable(Arc<GroupLog>),
 }
 
 struct AppendState {
@@ -295,21 +285,13 @@ impl Wal {
             config.segment_bytes,
             config.fsyncs_until_fail,
         )?;
-        let backend = if config.group_commit_window.is_zero() {
-            Backend::Direct(Mutex::new(DirectState {
-                writer,
-                poisoned: None,
-            }))
-        } else {
-            Backend::Grouped(GroupCommitter::spawn(writer, config.group_commit_window))
-        };
         Ok(Wal {
             state: Mutex::new(AppendState {
                 records,
                 end_offsets,
                 next_offset,
             }),
-            backend,
+            backend: Backend::Durable(GroupLog::new(writer)),
             storage: Some(storage),
             checkpoint_dir,
             latest_checkpoint: Mutex::new(latest),
@@ -373,13 +355,13 @@ impl Wal {
     pub fn poisoned(&self) -> Option<String> {
         match &self.backend {
             Backend::Volatile => None,
-            Backend::Grouped(g) => g.poisoned(),
-            Backend::Direct(d) => d.lock().poisoned.clone(),
+            Backend::Durable(g) => g.poisoned(),
         }
     }
 
     /// Enqueue `rec` for append without waiting for durability. The
-    /// record is durable no later than the next synced batch.
+    /// record reaches the file with the next flush, [`Wal::sync`] or
+    /// drop of the log.
     pub fn append(&self, rec: LogRecord) -> Result<()> {
         self.submit(rec, false).wait()
     }
@@ -387,7 +369,7 @@ impl Wal {
     /// Enqueue `rec` and return a ticket that resolves once the record
     /// is on disk. The record's position in the log is fixed *now* (by
     /// append order); the caller blocks on the ticket when ready —
-    /// that split is what lets the group committer share fsyncs.
+    /// that split is what lets concurrent committers share one fsync.
     pub fn submit_durable(&self, rec: LogRecord) -> DurableTicket {
         self.submit(rec, true)
     }
@@ -407,47 +389,16 @@ impl Wal {
         let mut st = self.state.lock();
         let ticket = match &self.backend {
             Backend::Volatile => DurableTicket(TicketInner::Ready(Ok(()))),
-            Backend::Grouped(g) => {
-                let mut framed = Vec::new();
-                encode_frame(rec.serialize().as_bytes(), &mut framed);
-                let t = g.enqueue(&framed, durable);
-                if matches!(&t.0, TicketInner::Ready(Err(_))) {
-                    return t; // poisoned: nothing was enqueued
+            Backend::Durable(g) => match g.enqueue(rec.serialize().as_bytes(), durable) {
+                Ok((len, ticket)) => {
+                    st.next_offset += len;
+                    let off = st.next_offset;
+                    st.end_offsets.push(off);
+                    ticket
                 }
-                st.next_offset += framed.len() as u64;
-                let off = st.next_offset;
-                st.end_offsets.push(off);
-                t
-            }
-            Backend::Direct(d) => {
-                let mut framed = Vec::new();
-                encode_frame(rec.serialize().as_bytes(), &mut framed);
-                let mut ds = d.lock();
-                if let Some(why) = &ds.poisoned {
-                    return DurableTicket(TicketInner::Ready(Err(why.clone())));
-                }
-                let result = ds.writer.write_batch(&framed).and_then(|()| {
-                    if durable {
-                        ds.writer.sync()
-                    } else {
-                        Ok(())
-                    }
-                });
-                match result {
-                    Ok(()) => {
-                        st.next_offset += framed.len() as u64;
-                        let off = st.next_offset;
-                        st.end_offsets.push(off);
-                        DurableTicket(TicketInner::Ready(Ok(())))
-                    }
-                    Err(e) => {
-                        let why = format!("WAL append lost: {e}");
-                        ds.poisoned = Some(why.clone());
-                        hana_obs::warn(why.clone());
-                        return DurableTicket(TicketInner::Ready(Err(why)));
-                    }
-                }
-            }
+                // Poisoned: nothing was enqueued.
+                Err(why) => return DurableTicket(TicketInner::Ready(Err(why))),
+            },
         };
         st.records.push(rec);
         ticket
@@ -458,14 +409,7 @@ impl Wal {
     pub fn sync(&self) -> Result<()> {
         match &self.backend {
             Backend::Volatile => Ok(()),
-            Backend::Grouped(g) => g.sync(),
-            Backend::Direct(d) => {
-                let mut ds = d.lock();
-                if let Some(why) = &ds.poisoned {
-                    return Err(HanaError::Io(why.clone()));
-                }
-                ds.writer.sync()
-            }
+            Backend::Durable(g) => g.sync(),
         }
     }
 
@@ -531,11 +475,10 @@ impl Wal {
         let Some(Storage::Dir(dir)) = &self.storage else {
             return;
         };
-        let active_seq = match &self.backend {
-            Backend::Grouped(g) => g.active_seq(),
-            Backend::Direct(d) => d.lock().writer.active_seq(),
-            Backend::Volatile => return,
+        let Backend::Durable(g) = &self.backend else {
+            return;
         };
+        let active_seq = g.active_seq();
         let mut pruned = 0u64;
         if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
@@ -718,20 +661,15 @@ mod tests {
     }
 
     #[test]
-    fn per_commit_mode_works_too() {
-        let dir = tmp_dir("direct");
-        let cfg = WalConfig {
-            group_commit_window: Duration::ZERO,
-            ..WalConfig::default()
-        };
+    fn appends_without_a_sync_reach_disk_at_drop() {
+        let dir = tmp_dir("drop");
         {
-            let wal = Wal::open_dir_with(&dir, cfg.clone()).unwrap();
+            let wal = Wal::open_dir(&dir).unwrap();
             wal.append(LogRecord::Begin { tid: 1 }).unwrap();
-            wal.append_durable(LogRecord::Commit { tid: 1, cid: 1 })
-                .unwrap();
         }
-        let wal = Wal::open_dir_with(&dir, cfg).unwrap();
-        assert_eq!(wal.recover().committed, vec![(1, 1)]);
+        let wal = Wal::open_dir(&dir).unwrap();
+        assert_eq!(wal.records(), vec![LogRecord::Begin { tid: 1 }]);
+        assert_eq!(wal.truncated_bytes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -815,7 +753,6 @@ mod tests {
     fn injected_fsync_failure_poisons_the_log() {
         let dir = tmp_dir("poison");
         let cfg = WalConfig {
-            group_commit_window: Duration::ZERO,
             fsyncs_until_fail: Some(1),
             ..WalConfig::default()
         };
@@ -829,6 +766,43 @@ mod tests {
         assert!(wal.poisoned().is_some());
         // Every later append fails fast: the prefix is gone.
         assert!(wal.append(LogRecord::Begin { tid: 3 }).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_flush_acknowledges_none_of_its_tickets() {
+        let dir = tmp_dir("failed-flush");
+        let cfg = WalConfig {
+            fsyncs_until_fail: Some(1),
+            ..WalConfig::default()
+        };
+        {
+            let wal = Wal::open_dir_with(&dir, cfg).unwrap();
+            wal.append_durable(LogRecord::Commit { tid: 1, cid: 1 })
+                .unwrap();
+            // Both threads submit before either waits, so their tickets
+            // share the next flush, which fails.
+            let both = std::sync::Barrier::new(2);
+            let results: Vec<Result<()>> = std::thread::scope(|s| {
+                let waits: Vec<_> = (2..=3u64)
+                    .map(|tid| {
+                        let (wal, both) = (&wal, &both);
+                        s.spawn(move || {
+                            let ticket = wal.submit_durable(LogRecord::Commit { tid, cid: tid });
+                            both.wait();
+                            ticket.wait()
+                        })
+                    })
+                    .collect();
+                waits.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(results.iter().all(|r| r.is_err()), "{results:?}");
+            // A later submit fails at once, without a flush.
+            let late = wal.submit_durable(LogRecord::Commit { tid: 4, cid: 4 });
+            assert!(matches!(late.0, TicketInner::Ready(Err(_))));
+        }
+        let wal = Wal::open_dir(&dir).unwrap();
+        assert_eq!(wal.recover().committed, vec![(1, 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,10 @@
 //! Segmented log storage: `wal-NNNNNN.seg` files in a directory (or a
 //! single fixed file in legacy mode), a torn-tail-tolerant loader and
-//! the append/fsync writer the group committer drives.
+//! the append/fsync writer a flush leader drives.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use hana_types::{HanaError, Result};
@@ -161,9 +159,7 @@ pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
 pub(crate) struct LogWriter {
     storage: Storage,
     active: File,
-    /// Shared so callers can observe the active segment even while the
-    /// writer lives inside the group-committer thread.
-    active_seq: Arc<AtomicU64>,
+    active_seq: u64,
     active_len: u64,
     segment_bytes: u64,
     /// Injected failure: after this many successful syncs, every write
@@ -190,10 +186,10 @@ impl LogWriter {
         let mut active = OpenOptions::new().create(true).append(true).open(&path)?;
         let active_len = active.seek(SeekFrom::End(0))?;
         Ok(LogWriter {
-            active_seq: Arc::new(AtomicU64::new(match &storage {
+            active_seq: match &storage {
                 Storage::SingleFile(_) => 0,
                 Storage::Dir(_) => last_seq.max(1),
-            })),
+            },
             storage,
             active,
             active_len,
@@ -202,14 +198,9 @@ impl LogWriter {
         })
     }
 
-    /// Shared handle to the active segment's sequence number.
-    pub(crate) fn seq_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.active_seq)
-    }
-
     /// Sequence number of the active segment.
     pub(crate) fn active_seq(&self) -> u64 {
-        self.active_seq.load(Ordering::SeqCst)
+        self.active_seq
     }
 
     /// Append one batch of already-framed bytes. Rolls to a fresh
@@ -261,8 +252,8 @@ impl LogWriter {
         // Seal the full segment before switching so no acknowledged
         // bytes live only in its OS cache.
         self.active.sync_data()?;
-        let seq = self.active_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let path = dir.join(segment_name(seq));
+        self.active_seq += 1;
+        let path = dir.join(segment_name(self.active_seq));
         self.active = OpenOptions::new().create(true).append(true).open(&path)?;
         self.active_len = 0;
         sync_dir(dir);

@@ -21,7 +21,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use hana_txn::{LogRecord, RecoveryReport, Wal, WalConfig};
 use proptest::test_runner::TestRng;
@@ -35,15 +34,6 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Per-commit-fsync config: deterministic on-disk layout, no committer
-/// thread per reopened copy.
-fn direct_config() -> WalConfig {
-    WalConfig {
-        group_commit_window: Duration::ZERO,
-        ..WalConfig::default()
-    }
 }
 
 /// The torture seed: `CRASH_TORTURE_SEED` if set, else a fixed default.
@@ -111,14 +101,14 @@ fn committed_workload(dir: &Path, config: WalConfig, txns: u64) -> Vec<PathBuf> 
 #[test]
 fn every_byte_truncation_recovers_a_committed_prefix() {
     let dir = scratch("matrix");
-    let paths = committed_workload(&dir, direct_config(), 40);
+    let paths = committed_workload(&dir, WalConfig::default(), 40);
     let total = total_bytes(&paths);
     let copy = scratch("matrix-copy");
 
     let mut prev: Vec<(u64, u64)> = Vec::new();
     for k in 0..=total {
         truncated_copy(&paths, &copy, k);
-        let wal = Wal::open_dir_with(&copy, direct_config()).unwrap();
+        let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
         let report = wal.recover();
         assert!(report.in_doubt.is_empty());
         assert_contiguous_prefix(&report, k);
@@ -138,18 +128,18 @@ fn every_byte_truncation_recovers_a_committed_prefix() {
 #[test]
 fn recovery_is_idempotent_at_every_truncation_point() {
     let dir = scratch("idem");
-    let paths = committed_workload(&dir, direct_config(), 12);
+    let paths = committed_workload(&dir, WalConfig::default(), 12);
     let total = total_bytes(&paths);
     let copy = scratch("idem-copy");
 
     for k in 0..=total {
         truncated_copy(&paths, &copy, k);
-        let first = Wal::open_dir_with(&copy, direct_config())
+        let first = Wal::open_dir_with(&copy, WalConfig::default())
             .unwrap()
             .recover();
         // Reopen the *repaired* copy: the torn tail was truncated away,
         // so the second recovery must see the same history, cleanly.
-        let wal = Wal::open_dir_with(&copy, direct_config()).unwrap();
+        let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
         assert_eq!(
             wal.truncated_bytes(),
             0,
@@ -165,7 +155,6 @@ fn recovery_is_idempotent_at_every_truncation_point() {
 fn truncation_matrix_holds_across_segment_rolls() {
     let dir = scratch("segroll");
     let config = WalConfig {
-        group_commit_window: Duration::ZERO,
         segment_bytes: 256, // force frequent rolls
         ..WalConfig::default()
     };
@@ -190,7 +179,6 @@ fn seeded_random_workloads_survive_random_crashes() {
     for case in 0..8 {
         let dir = scratch(&format!("rand-{case}"));
         let config = WalConfig {
-            group_commit_window: Duration::ZERO,
             segment_bytes: 128 + rng.below(4096),
             ..WalConfig::default()
         };
@@ -249,7 +237,6 @@ fn fsync_failures_poison_but_never_lose_acked_commits() {
     for case in 0..6 {
         let dir = scratch(&format!("fsync-{case}"));
         let config = WalConfig {
-            group_commit_window: Duration::ZERO,
             fsyncs_until_fail: Some(rng.below(12)),
             ..WalConfig::default()
         };
@@ -290,13 +277,10 @@ fn fsync_failures_poison_but_never_lose_acked_commits() {
 #[test]
 fn group_commit_batches_crash_to_a_committed_prefix() {
     let dir = scratch("group");
-    let config = WalConfig {
-        group_commit_window: Duration::from_micros(300),
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     {
         let wal = Arc::new(Wal::open_dir_with(&dir, config.clone()).unwrap());
-        // 8 threads × 25 txns race through the group committer; every
+        // 8 threads × 25 txns race to lead and share flushes; every
         // ticket is awaited, so all 200 commits are durably acked.
         let handles: Vec<_> = (0..8u64)
             .map(|t| {

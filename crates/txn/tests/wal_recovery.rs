@@ -75,7 +75,6 @@ fn corruption_in_a_sealed_segment_is_still_an_error() {
 
     let dir = scratch("midflip");
     let config = WalConfig {
-        group_commit_window: std::time::Duration::ZERO,
         segment_bytes: 128, // force several sealed segments
         ..WalConfig::default()
     };

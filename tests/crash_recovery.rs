@@ -11,7 +11,6 @@
 //! `#[ignore]`d for the dedicated CI lane.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use hana_data_platform::platform::{HanaPlatform, Session};
 use hana_data_platform::txn::{LogRecord, Wal, WalConfig};
@@ -26,15 +25,6 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Per-commit fsync keeps the on-disk layout deterministic and skips
-/// the committer thread on the many reopens the matrix does.
-fn direct() -> WalConfig {
-    WalConfig {
-        group_commit_window: Duration::ZERO,
-        ..WalConfig::default()
-    }
 }
 
 fn copy_dir(src: &Path, dst: &Path) {
@@ -107,7 +97,7 @@ fn ints(hana: &HanaPlatform, s: &Session, sql: &str) -> Vec<i64> {
 /// Single-node workload: DDL, per-statement inserts, a bulk load and a
 /// merge (both checkpoint barriers), then a post-checkpoint suffix.
 fn run_single_node_workload(dir: &Path) {
-    let (hana, _) = HanaPlatform::open_durable_with(dir, direct()).unwrap();
+    let (hana, _) = HanaPlatform::open_durable_with(dir, WalConfig::default()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(&s, "CREATE COLUMN TABLE t (v INTEGER)")
         .unwrap();
@@ -140,7 +130,7 @@ fn check_single_node_matrix(src: &Path, points: impl Iterator<Item = u64>) {
     let mut prev_k = 0u64;
     for k in points {
         crashed_copy(src, &copy, k);
-        let (hana, _) = HanaPlatform::open_durable_with(&copy, direct()).unwrap();
+        let (hana, _) = HanaPlatform::open_durable_with(&copy, WalConfig::default()).unwrap();
         let s = hana.connect("SYSTEM", "manager").unwrap();
         let m = if hana.catalog().has_table("t") {
             let got = ints(&hana, &s, "SELECT v FROM t ORDER BY v");
@@ -156,7 +146,7 @@ fn check_single_node_matrix(src: &Path, points: impl Iterator<Item = u64>) {
         );
         // Idempotence: recovering the recovered directory is a no-op.
         drop(hana);
-        let (again, _) = HanaPlatform::open_durable_with(&copy, direct()).unwrap();
+        let (again, _) = HanaPlatform::open_durable_with(&copy, WalConfig::default()).unwrap();
         let s2 = again.connect("SYSTEM", "manager").unwrap();
         if m > 0 {
             assert_eq!(
@@ -181,7 +171,7 @@ fn single_node_crash_matrix_sampled() {
     check_single_node_matrix(&dir, points);
 
     // The full log recovers the full state, row table included.
-    let (hana, _) = HanaPlatform::open_durable_with(&dir, direct()).unwrap();
+    let (hana, _) = HanaPlatform::open_durable_with(&dir, WalConfig::default()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     assert_eq!(ints(&hana, &s, "SELECT v FROM t ORDER BY v").len(), 18);
     let rs = hana.execute_sql(&s, "SELECT s FROM r WHERE k = 1").unwrap();
@@ -255,7 +245,7 @@ fn checkpoints_racing_commits_lose_no_acknowledged_write() {
 /// batch's rows go durably to the partition logs before the coordinator
 /// commit; the coordinator log carries only markers.
 fn run_dist_workload(dir: &Path) -> Vec<usize> {
-    let (hana, _) = HanaPlatform::open_durable_with(dir, direct()).unwrap();
+    let (hana, _) = HanaPlatform::open_durable_with(dir, WalConfig::default()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(
         &s,
@@ -279,7 +269,7 @@ fn run_dist_workload(dir: &Path) -> Vec<usize> {
 }
 
 fn dist_count(copy: &Path) -> usize {
-    let (hana, _) = HanaPlatform::open_durable_with(copy, direct()).unwrap();
+    let (hana, _) = HanaPlatform::open_durable_with(copy, WalConfig::default()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     if !hana.catalog().has_table("d") {
         return 0;
@@ -369,7 +359,7 @@ fn torn_partition_log_tails_recover_to_the_previous_batch() {
     // that load may or may not be on disk — tear their tails too.
     let copy = scratch("dist-torn-copy");
     copy_dir(&dir, &copy);
-    let wal = Wal::open_dir_with(&copy, direct()).unwrap();
+    let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
     let records = wal.records();
     let offsets = wal.record_end_offsets();
     drop(wal);

@@ -4,7 +4,6 @@
 //! SQL) exactly as it went in.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -25,10 +24,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn open(dir: &Path) -> (HanaPlatform, Session) {
-    let config = WalConfig {
-        group_commit_window: Duration::ZERO,
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     let (hana, _) = HanaPlatform::open_durable_with(dir, config)
         .unwrap_or_else(|e| panic!("database does not open: {e}"));
     let s = hana.connect("SYSTEM", "manager").unwrap();
@@ -142,10 +138,7 @@ fn a_literal_backslash_n_is_not_turned_into_a_newline_by_redo() {
 #[test]
 fn a_log_in_an_older_format_is_refused_by_name() {
     use hana_data_platform::txn::{LogRecord, Wal};
-    let config = WalConfig {
-        group_commit_window: Duration::ZERO,
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     let refusal = |dir: &Path| {
         let err = HanaPlatform::open_durable_with(dir, config.clone())
             .err()

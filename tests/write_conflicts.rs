@@ -7,7 +7,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use hana_data_platform::platform::{HanaPlatform, Session};
 use hana_data_platform::txn::WalConfig;
@@ -26,10 +25,7 @@ fn scratch() -> PathBuf {
 }
 
 fn open(dir: &Path) -> (HanaPlatform, Session) {
-    let config = WalConfig {
-        group_commit_window: Duration::ZERO,
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     let (hana, _) = HanaPlatform::open_durable_with(dir, config).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     (hana, s)
