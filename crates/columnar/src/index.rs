@@ -2,12 +2,15 @@
 //! structures for exact point seeks and range seeks on the OLTP hot
 //! path, instead of full column scans.
 //!
-//! Mirroring the table's fragments, an index keeps a **sorted** array
-//! for the rows present at its last rebuild (binary-searchable, rebuilt
-//! at delta merge) and an ordered **delta** map that absorbs routed
-//! inserts in between. Deletes need no index maintenance at all: seeks
-//! re-check MVCC visibility per hit, exactly like scans do, so a
-//! deleted row simply stops matching.
+//! Mirroring the table's fragments, an index keeps a **sorted** main
+//! side for the rows present at its last rebuild (rebuilt at delta
+//! merge) and an ordered **delta** map that absorbs routed inserts in
+//! between. The main side is two flat arrays sorted by (key, row id):
+//! the keys row-major, `width` values an entry, and the row ids beside
+//! them, so a binary-search probe compares one contiguous slice and a
+//! seek allocates nothing but its hits. Deletes need no index
+//! maintenance at all: seeks re-check MVCC visibility per hit, exactly
+//! like scans do, so a deleted row simply stops matching.
 //!
 //! Keys are multi-column. A seek supplies an equality prefix plus an
 //! optional range predicate on the next indexed column; both sides use
@@ -15,7 +18,9 @@
 //! a seek returns bit-identical results to the equivalent predicate
 //! scan (property-tested in `tests/proptests.rs`).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use hana_types::Value;
 
@@ -36,11 +41,14 @@ pub struct SecondaryIndex {
     def: IndexDef,
     /// Resolved column positions of `def.columns` in the table schema.
     cols: Vec<usize>,
-    /// `(key, row id)` sorted by key then row id — the rows present at
-    /// the last rebuild.
-    main: Vec<(Vec<Value>, usize)>,
+    /// Keys of the rows present at the last rebuild, row-major: entry
+    /// `i` is `main_keys[i * width..(i + 1) * width]`. Sorted by key,
+    /// then row id.
+    main_keys: Vec<Value>,
+    /// Row id of each main entry, in `main_keys` order.
+    main_rows: Vec<u32>,
     /// Rows inserted since the last rebuild, in key order.
-    delta: BTreeMap<Vec<Value>, Vec<usize>>,
+    delta: BTreeMap<Vec<Value>, Vec<u32>>,
 }
 
 impl SecondaryIndex {
@@ -49,7 +57,8 @@ impl SecondaryIndex {
         SecondaryIndex {
             def,
             cols,
-            main: Vec::new(),
+            main_keys: Vec::new(),
+            main_rows: Vec::new(),
             delta: BTreeMap::new(),
         }
     }
@@ -71,29 +80,52 @@ impl SecondaryIndex {
 
     /// Route one inserted row into the delta side.
     pub fn append(&mut self, key: Vec<Value>, row_id: usize) {
-        self.delta.entry(key).or_default().push(row_id);
+        self.delta.entry(key).or_default().push(row_id as u32);
     }
 
-    /// Rebuild the sorted main side from `(key, row id)` pairs covering
-    /// *every* current row, and clear the delta (delta-merge barrier).
-    pub fn rebuild(&mut self, mut entries: Vec<(Vec<Value>, usize)>) {
-        entries.sort_unstable();
-        self.main = entries;
+    /// Rebuild the sorted main side from the keys of *every* current
+    /// row — row-major, row `r`'s key at `keys[r * width..]` — and
+    /// clear the delta (delta-merge barrier). The keys are sorted
+    /// through a permutation of the row ids and moved, not cloned, into
+    /// place.
+    pub fn rebuild(&mut self, mut keys: Vec<Value>) {
+        let w = self.cols.len();
+        let mut rows: Vec<u32> = (0..(keys.len() / w) as u32).collect();
+        let key = |r: u32| &keys[r as usize * w..(r as usize + 1) * w];
+        rows.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        let mut sorted = Vec::with_capacity(keys.len());
+        for &r in &rows {
+            let r = r as usize;
+            sorted.extend(
+                keys[r * w..(r + 1) * w]
+                    .iter_mut()
+                    .map(|v| std::mem::replace(v, Value::Null)),
+            );
+        }
+        self.main_keys = sorted;
+        self.main_rows = rows;
         self.delta.clear();
     }
 
     /// Total indexed entries (monitoring).
     pub fn entry_count(&self) -> usize {
-        self.main.len() + self.delta.values().map(Vec::len).sum::<usize>()
+        self.main_rows.len() + self.delta.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// The key of main entry `i`.
+    fn main_key(&self, i: usize) -> &[Value] {
+        let w = self.cols.len();
+        &self.main_keys[i * w..(i + 1) * w]
     }
 
     /// Seek row ids whose key starts with the equality `prefix` and —
     /// if `range` is given — whose next key column satisfies the range
-    /// predicate. Visibility is *not* applied here; callers intersect
-    /// with their snapshot (see `ColumnTable::index_seek`).
+    /// predicate, in key order (main hits, then delta hits).
+    /// Visibility is *not* applied here; callers intersect with their
+    /// snapshot (see `ColumnTable::index_seek`).
     ///
     /// `prefix.len() + (range ? 1 : 0)` must not exceed the key width.
-    pub fn seek(&self, prefix: &[Value], range: Option<&ColumnPredicate>) -> Vec<usize> {
+    pub fn seek(&self, prefix: &[Value], range: Option<&ColumnPredicate>) -> Vec<u32> {
         let k = prefix.len();
         debug_assert!(k + usize::from(range.is_some()) <= self.cols.len());
         // SQL equality never matches NULL: `Eq(Null)` scans to nothing,
@@ -104,22 +136,44 @@ impl SecondaryIndex {
         }
         let mut out = Vec::new();
 
-        // Sorted main side: binary-search the first key >= the prefix
-        // (optionally tightened by the range's lower bound — NULL keys
-        // sort before every bound, so a lower bound also skips them),
-        // then walk forward while the prefix still matches.
-        let start_key = seek_start(prefix, range);
-        let start = self.main.partition_point(|(key, _)| key < &start_key);
-        for (key, row_id) in &self.main[start..] {
-            match key_match(key, prefix, range) {
-                KeyMatch::Hit => out.push(*row_id),
+        // Sorted main side: binary-search the first key at or after the
+        // seek's start, then walk forward while the prefix still
+        // matches.
+        let lower = lower_bound(range);
+        let (mut lo, mut hi) = (0, self.main_rows.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before_start(self.main_key(mid), prefix, lower) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        for (i, &row_id) in (lo..).zip(&self.main_rows[lo..]) {
+            match key_match(self.main_key(i), prefix, range) {
+                KeyMatch::Hit => out.push(row_id),
                 KeyMatch::Miss => {}
                 KeyMatch::Stop => break,
             }
         }
 
-        // Ordered delta side: same walk over the BTreeMap range.
-        for (key, row_ids) in self.delta.range(start_key..) {
+        // Ordered delta side: same walk over the BTreeMap range. Only a
+        // lower range bound needs a start key of its own.
+        if self.delta.is_empty() {
+            return out;
+        }
+        let start: Vec<Value>;
+        let start: &[Value] = match lower {
+            None => prefix,
+            Some(lo) => {
+                start = prefix.iter().chain([lo]).cloned().collect();
+                &start
+            }
+        };
+        for (key, row_ids) in self
+            .delta
+            .range::<[Value], _>((Bound::Included(start), Bound::Unbounded))
+        {
             match key_match(key, prefix, range) {
                 KeyMatch::Hit => out.extend_from_slice(row_ids),
                 KeyMatch::Miss => {}
@@ -140,28 +194,35 @@ enum KeyMatch {
     Stop,
 }
 
-/// The smallest key vector at or after which hits can start.
-fn seek_start(prefix: &[Value], range: Option<&ColumnPredicate>) -> Vec<Value> {
-    let mut start: Vec<Value> = prefix.to_vec();
-    // A lower range bound narrows the start position further. The bound
-    // value itself is included even for the exclusive `Gt`: equal keys
-    // are then rejected by `key_match`, which keeps this bound logic
-    // trivially conservative.
+/// The lower range bound that narrows a seek's start past its prefix.
+/// The bound value itself is included even for the exclusive `Gt`:
+/// equal keys are then rejected by `key_match`, which keeps this bound
+/// logic trivially conservative. NULL keys sort before every bound, so
+/// a lower bound also skips them.
+fn lower_bound(range: Option<&ColumnPredicate>) -> Option<&Value> {
     match range {
         Some(ColumnPredicate::Gt(lo) | ColumnPredicate::Ge(lo))
-        | Some(ColumnPredicate::Between(lo, _)) => start.push(lo.clone()),
-        _ => {}
+        | Some(ColumnPredicate::Between(lo, _)) => Some(lo),
+        _ => None,
     }
-    start
+}
+
+/// Whether a stored key sorts before the seek's start, the key
+/// `prefix` followed by `lower`.
+fn before_start(key: &[Value], prefix: &[Value], lower: Option<&Value>) -> bool {
+    match key[..prefix.len()].cmp(prefix) {
+        Ordering::Equal => lower.is_some_and(|lo| &key[prefix.len()] < lo),
+        ord => ord == Ordering::Less,
+    }
 }
 
 /// Test a stored key against the equality prefix + range predicate.
 fn key_match(key: &[Value], prefix: &[Value], range: Option<&ColumnPredicate>) -> KeyMatch {
     let k = prefix.len();
     match key[..k].cmp(prefix) {
-        std::cmp::Ordering::Less => return KeyMatch::Miss,
-        std::cmp::Ordering::Greater => return KeyMatch::Stop,
-        std::cmp::Ordering::Equal => {}
+        Ordering::Less => return KeyMatch::Miss,
+        Ordering::Greater => return KeyMatch::Stop,
+        Ordering::Equal => {}
     }
     let Some(pred) = range else {
         return KeyMatch::Hit;
@@ -206,28 +267,31 @@ mod tests {
     #[test]
     fn seek_spans_main_and_delta() {
         let mut ix = index();
-        ix.rebuild(vec![(key(1, "x"), 0), (key(2, "y"), 1), (key(2, "z"), 2)]);
+        ix.rebuild([key(2, "y"), key(1, "x"), key(2, "z")].concat());
         ix.append(key(2, "y"), 3);
         ix.append(key(3, "w"), 4);
-        assert_eq!(ix.seek(&[Value::Int(2)], None), vec![1, 2, 3]);
+        assert_eq!(ix.seek(&[Value::Int(2)], None), vec![0, 2, 3]);
         assert_eq!(
             ix.seek(&[Value::Int(2), Value::from("y")], None),
-            vec![1, 3]
+            vec![0, 3]
         );
-        assert_eq!(ix.seek(&[Value::Int(9)], None), Vec::<usize>::new());
+        assert_eq!(ix.seek(&[Value::Int(9)], None), Vec::<u32>::new());
         assert_eq!(ix.entry_count(), 5);
     }
 
     #[test]
     fn range_seek_respects_bounds_and_nulls() {
         let mut ix = index();
-        ix.rebuild(vec![
-            (vec![Value::Int(1), Value::Null], 0),
-            (key(1, "a"), 1),
-            (key(1, "m"), 2),
-            (key(1, "z"), 3),
-            (key(2, "a"), 4),
-        ]);
+        ix.rebuild(
+            [
+                vec![Value::Int(1), Value::Null],
+                key(1, "a"),
+                key(1, "m"),
+                key(1, "z"),
+                key(2, "a"),
+            ]
+            .concat(),
+        );
         let got = ix.seek(
             &[Value::Int(1)],
             Some(&ColumnPredicate::Between(

@@ -251,20 +251,24 @@ impl ColumnTable {
 
     /// Materialize the given rows, projected to `projection` columns
     /// (empty projection = all columns).
-    pub fn collect_rows(&self, rows: &RowIdBitmap, projection: &[usize]) -> Vec<Row> {
+    pub fn collect_rows(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+        projection: &[usize],
+    ) -> Vec<Row> {
         let proj: Vec<usize> = if projection.is_empty() {
             (0..self.schema.len()).collect()
         } else {
             projection.to_vec()
         };
-        rows.iter()
+        rows.into_iter()
             .map(|row| Row::from_values(proj.iter().map(|&c| self.value(row, c))))
             .collect()
     }
 
     /// All rows visible under `cid` (convenience for full-table reads).
     pub fn snapshot_rows(&self, cid: u64) -> Vec<Row> {
-        self.collect_rows(&self.visible(cid), &[])
+        self.collect_rows(self.visible(cid).iter(), &[])
     }
 
     /// Merge the delta fragments into the main fragments, re-encoding the
@@ -374,7 +378,7 @@ impl ColumnTable {
             },
             cols,
         );
-        ix.rebuild(self.index_entries(&ix));
+        ix.rebuild(self.index_keys(&ix));
         self.indexes.push(ix);
         Ok(())
     }
@@ -403,55 +407,53 @@ impl ColumnTable {
         self.indexes.iter().map(|ix| ix.def().clone()).collect()
     }
 
-    /// Look up an index by name.
+    /// Look up an index by name (names are stored lower-cased).
     pub fn index(&self, name: &str) -> Option<&SecondaryIndex> {
-        let name = name.to_ascii_lowercase();
-        self.indexes.iter().find(|ix| ix.def().name == name)
+        self.indexes
+            .iter()
+            .find(|ix| ix.def().name.eq_ignore_ascii_case(name))
     }
 
-    /// Seek an index: rows matching the equality `prefix` (plus an
-    /// optional range predicate on the next indexed column), masked by
-    /// snapshot visibility. Only the hit rows are visibility-checked —
-    /// a point seek never touches the full row domain.
+    /// Seek an index: the ids of the rows matching the equality
+    /// `prefix` (plus an optional range predicate on the next indexed
+    /// column) that are visible under `cid`, ascending and each once —
+    /// the order a scan returns them in. Only the hit rows are
+    /// visibility-checked and nothing is sized by the table: a point
+    /// seek costs its hits, not the row domain.
     pub fn index_seek(
         &self,
         index: &str,
         prefix: &[Value],
         range: Option<&ColumnPredicate>,
         cid: u64,
-    ) -> Result<RowIdBitmap> {
+    ) -> Result<Vec<u32>> {
         let ix = self
             .index(index)
             .ok_or_else(|| HanaError::Catalog(format!("no index '{index}' on '{}'", self.name)))?;
-        let mut out = RowIdBitmap::new(self.versions.len());
-        for row in ix.seek(prefix, range) {
-            if self.versions.visible(row, cid) {
-                out.set(row);
-            }
-        }
-        Ok(out)
+        let mut hits = ix.seek(prefix, range);
+        hits.retain(|&row| self.versions.visible(row as usize, cid));
+        // Key order is row order for one key (main ids, then the later
+        // delta ids); a range over several keys interleaves them.
+        hits.sort_unstable();
+        Ok(hits)
     }
 
-    /// `(key, row id)` pairs for every current row of `ix`'s columns.
-    fn index_entries(&self, ix: &SecondaryIndex) -> Vec<(Vec<Value>, usize)> {
-        (0..self.versions.len())
-            .map(|row| {
-                let key = ix
-                    .columns()
-                    .iter()
-                    .map(|&c| self.value(row, c))
-                    .collect::<Vec<_>>();
-                (key, row)
-            })
-            .collect()
+    /// Every current row's key of `ix`'s columns, row-major in row-id
+    /// order.
+    fn index_keys(&self, ix: &SecondaryIndex) -> Vec<Value> {
+        let cols = ix.columns();
+        let mut keys = Vec::with_capacity(self.versions.len() * cols.len());
+        for row in 0..self.versions.len() {
+            keys.extend(cols.iter().map(|&c| self.value(row, c)));
+        }
+        keys
     }
 
     /// Rebuild every index's sorted main side (delta-merge barrier).
     fn rebuild_indexes(&mut self) {
         let mut indexes = std::mem::take(&mut self.indexes);
         for ix in &mut indexes {
-            let entries = self.index_entries(ix);
-            ix.rebuild(entries);
+            ix.rebuild(self.index_keys(ix));
         }
         self.indexes = indexes;
     }
@@ -605,7 +607,8 @@ mod tests {
         let seek = |t: &ColumnTable, v: i64, cid: u64| {
             t.index_seek("ix_id", &[Value::Int(v)], None, cid)
                 .unwrap()
-                .iter()
+                .into_iter()
+                .map(|r| r as usize)
                 .collect::<Vec<_>>()
         };
         let scan =
@@ -623,6 +626,47 @@ mod tests {
         t.drop_index("ix_id").unwrap();
         assert!(t.index_seek("ix_id", &[Value::Int(3)], None, 2).is_err());
         assert!(t.drop_index("ix_id").is_err());
+    }
+
+    #[test]
+    fn index_seek_returns_ascending_visible_ids_like_the_scan() {
+        let mut t = table();
+        let tags = ["d", "a", "c", "e", "b"];
+        let insert = |t: &mut ColumnTable, i: i64| {
+            let tag = tags[(i % 5) as usize];
+            t.insert(&[Value::Int(i % 2), Value::from(tag)], 1).unwrap();
+        };
+        for i in 0..60 {
+            insert(&mut t, i);
+        }
+        t.create_index("ix_id_tag", &["id".into(), "tag".into()])
+            .unwrap();
+        t.merge_delta();
+        for i in 60..90 {
+            insert(&mut t, i);
+        }
+        for row in [5, 9, 27, 65, 69] {
+            t.delete(row, 2).unwrap();
+        }
+        let prefix = [Value::Int(1)];
+        let range = ColumnPredicate::Between(Value::from("b"), Value::from("d"));
+        // Key order interleaves the row ids, in main and in delta.
+        let raw = t.index("ix_id_tag").unwrap().seek(&prefix, Some(&range));
+        assert!(!raw.is_sorted(), "{raw:?}");
+        assert!(raw.iter().any(|&r| r >= 60) && raw.iter().any(|&r| r < 60));
+
+        let hits = t.index_seek("ix_id_tag", &prefix, Some(&range), 2).unwrap();
+        assert!(hits.windows(2).all(|w| w[0] < w[1]), "{hits:?}");
+        let scanned = t
+            .scan_all(
+                ExecContext::global(),
+                &[(0, ColumnPredicate::Eq(Value::Int(1))), (1, range)],
+                2,
+            )
+            .unwrap();
+        let hits: Vec<usize> = hits.into_iter().map(|r| r as usize).collect();
+        assert_eq!(hits, scanned.iter().collect::<Vec<_>>());
+        assert!(hits.iter().all(|&r| ![5, 9, 27, 65, 69].contains(&r)));
     }
 
     #[test]

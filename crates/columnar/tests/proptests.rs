@@ -337,7 +337,8 @@ fn assert_seek_matches_scan(
     let seek: Vec<usize> = t
         .index_seek("ix", prefix, range, cid)
         .unwrap()
-        .iter()
+        .into_iter()
+        .map(|r| r as usize)
         .collect();
     let mut preds: Vec<(usize, ColumnPredicate)> = prefix
         .iter()

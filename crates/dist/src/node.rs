@@ -95,7 +95,7 @@ impl DistNode {
             .map(|(c, p)| t.schema().require(c).map(|i| (i, p.clone())))
             .collect::<Result<_>>()?;
         let hits = t.scan_all(&self.exec, &resolved, cid)?;
-        let rows = t.collect_rows(&hits, &[]);
+        let rows = t.collect_rows(hits.iter(), &[]);
         Ok((hits, rows))
     }
 

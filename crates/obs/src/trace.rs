@@ -104,6 +104,16 @@ impl Tracer {
     /// Start a span with an explicit parent (the [`span`] free function
     /// derives the parent from the thread's innermost open span).
     pub fn start_span(self: &Arc<Tracer>, name: &str, parent: Option<u64>) -> Span {
+        self.open(self.now_ns(), name.to_string(), parent)
+    }
+
+    /// Nanoseconds since this tracer's epoch.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Record a span that started at `start_ns`.
+    fn open(self: &Arc<Tracer>, start_ns: u64, name: String, parent: Option<u64>) -> Span {
         let id = {
             let mut st = self.state.lock().unwrap();
             let id = st.spans.len() as u64;
@@ -111,8 +121,8 @@ impl Tracer {
             st.spans.push(SpanRecord {
                 id,
                 parent,
-                name: name.to_string(),
-                start_ns: self.epoch.elapsed().as_nanos() as u64,
+                name,
+                start_ns,
                 end_ns: None,
                 rows: None,
                 bytes: None,
@@ -144,11 +154,11 @@ impl Tracer {
         crate::QueryProfile::from_spans(&st.spans, st.started, st.finished)
     }
 
-    fn finish_span(&self, id: u64) {
-        let end = self.epoch.elapsed().as_nanos() as u64;
+    /// Finish span `id` at `end_ns`, or now.
+    fn finish_span(&self, id: u64, end_ns: Option<u64>) {
         let mut st = self.state.lock().unwrap();
         st.finished += 1;
-        st.spans[id as usize].end_ns = Some(end);
+        st.spans[id as usize].end_ns = Some(end_ns.unwrap_or_else(|| self.now_ns()));
     }
 
     fn update_span(&self, id: u64, f: impl FnOnce(&mut SpanRecord)) {
@@ -186,20 +196,30 @@ pub fn span(name: &str) -> Span {
 
 /// [`span`] whose name is built only when a tracer records it: a hot
 /// path that formats its span name pays nothing without one.
+///
+/// A span's wall includes its own bookkeeping — the clock is read
+/// before the span is recorded and again as the last step of finishing
+/// it — so a parent's time outside its children is its own code, not
+/// its children's tracing.
 pub fn span_with(name: impl FnOnce() -> String) -> Span {
     let Some(tracer) = current_tracer() else {
         return Span { inner: None };
     };
+    let start_ns = tracer.now_ns();
     let name = name();
-    let token = tracer.token;
-    let parent = OPEN_SPANS.with(|s| {
+    let parent = innermost_open(tracer.token);
+    tracer.open(start_ns, name, parent)
+}
+
+/// The innermost span of tracer `token` open on this thread.
+fn innermost_open(token: u64) -> Option<u64> {
+    OPEN_SPANS.with(|s| {
         s.borrow()
             .iter()
             .rev()
             .find(|(t, _)| *t == token)
             .map(|&(_, id)| id)
-    });
-    tracer.start_span(&name, parent)
+    })
 }
 
 /// RAII span guard: finished exactly once, when dropped (or via the
@@ -256,18 +276,36 @@ impl Span {
 
     /// Finish explicitly (equivalent to dropping).
     pub fn finish(self) {}
+
+    /// Finish this span and open `name` as its next sibling at the same
+    /// instant, so consecutive phases of one parent tile it with no
+    /// gap. Inert without a tracer, like [`span`].
+    pub fn next(mut self, name: &str) -> Span {
+        let Some((tracer, id)) = self.inner.take() else {
+            return span(name);
+        };
+        let now = tracer.now_ns();
+        close(&tracer, id, Some(now));
+        let parent = innermost_open(tracer.token);
+        tracer.open(now, name.to_string(), parent)
+    }
+}
+
+/// Pop span `id` off this thread's open stack and finish it.
+fn close(tracer: &Tracer, id: u64, end_ns: Option<u64>) {
+    OPEN_SPANS.with(|s| {
+        let mut stack = s.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|&e| e == (tracer.token, id)) {
+            stack.remove(pos);
+        }
+    });
+    tracer.finish_span(id, end_ns);
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((tracer, id)) = self.inner.take() {
-            OPEN_SPANS.with(|s| {
-                let mut stack = s.borrow_mut();
-                if let Some(pos) = stack.iter().rposition(|&e| e == (tracer.token, id)) {
-                    stack.remove(pos);
-                }
-            });
-            tracer.finish_span(id);
+            close(&tracer, id, None);
         }
     }
 }
@@ -337,6 +375,35 @@ mod tests {
         assert!(spans[1].start_ns >= spans[0].start_ns);
         assert!(spans[1].end_ns.unwrap() <= spans[0].end_ns.unwrap());
         assert_eq!(tracer.span_counts(), (2, 2));
+    }
+
+    #[test]
+    fn next_ends_a_phase_where_its_sibling_starts() {
+        assert!(
+            !span("a").next("b").is_recording(),
+            "inert without a tracer"
+        );
+        let tracer = Tracer::new();
+        {
+            let _g = tracer.install();
+            let _root = span("root");
+            span("a").next("b").next("c");
+        }
+        let spans = tracer.spans();
+        let names: Vec<_> = spans.iter().map(|s| (s.name.as_str(), s.parent)).collect();
+        assert_eq!(
+            names,
+            [
+                ("root", None),
+                ("a", Some(0)),
+                ("b", Some(0)),
+                ("c", Some(0))
+            ]
+        );
+        assert_eq!(spans[1].end_ns, Some(spans[2].start_ns));
+        assert_eq!(spans[2].end_ns, Some(spans[3].start_ns));
+        assert!(spans[3].end_ns <= spans[0].end_ns);
+        assert_eq!(tracer.span_counts(), (4, 4));
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! `Finish` or at the result boundary of a plan without one. A column
 //! leaf unpacks the stored vids of its hits here.
 
-use hana_columnar::{
-    ColumnPredicate, ColumnTable, DeltaColumn, MainColumn, RowIdBitmap, BLOCK_ROWS, NULL_VID,
-};
+use hana_columnar::{ColumnPredicate, ColumnTable, DeltaColumn, MainColumn, BLOCK_ROWS, NULL_VID};
 use hana_exec::ExecContext;
 use hana_rowstore::RowTable;
 use hana_sda::{RemoteContext, RetryPolicy};
@@ -465,10 +463,7 @@ fn column_leaf(
     projection: &[usize],
     span: &hana_obs::Span,
 ) -> Result<Vec<Batch>> {
-    let hits: Vec<u32> = column_leaf_hits(run, t, op, span)?
-        .iter()
-        .map(|r| r as u32)
-        .collect();
+    let hits = column_leaf_hits(run, t, op, span)?;
     let main_rows = t.main_rows() as u32;
     let (main, delta) = hits.split_at(hits.partition_point(|&r| r < main_rows));
     let morsel = run.exec.config().morsel_rows.max(1);
@@ -625,17 +620,19 @@ fn bound_exprs(exprs: &[Expr], values: &[Value]) -> Result<Vec<Expr>> {
 }
 
 /// The row ids a column-fragment leaf selects in `t` under `cid`,
-/// before any value is read: the pushed-down predicates of a
+/// ascending, before any value is read: the pushed-down predicates of a
 /// `ColumnScan` (or the hot side of a `HybridScan`) through the table's
-/// morsel scan (`ColumnTable::scan_all`), or an `IndexSeek`'s ordered
-/// seek. SELECT reads these hits as batches, and UPDATE/DELETE take
-/// them as their victims ([`crate::locate_rows`]).
+/// morsel scan (`ColumnTable::scan_all`, whose bitmap is turned into
+/// ids here), or an `IndexSeek`'s ordered seek, which returns its hits
+/// as ids and touches nothing sized by the table. SELECT reads these
+/// hits as batches, and UPDATE/DELETE take them as their victims
+/// ([`crate::locate_rows`]).
 pub(crate) fn column_leaf_hits(
     run: &Run,
     t: &ColumnTable,
     op: &PlanOp,
     span: &hana_obs::Span,
-) -> Result<RowIdBitmap> {
+) -> Result<Vec<u32>> {
     let &Run {
         exec, cid, values, ..
     } = run;
@@ -644,7 +641,8 @@ pub(crate) fn column_leaf_hits(
         PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
             let resolved = resolve_preds(t.schema(), preds, values)?;
             span.set_workers(exec.config().workers as u64);
-            t.scan_all(exec, &resolved, cid)
+            let hits = t.scan_all(exec, &resolved, cid)?;
+            Ok(hits.iter().map(|r| r as u32).collect())
         }
         PlanOp::IndexSeek {
             index,
@@ -659,15 +657,15 @@ pub(crate) fn column_leaf_hits(
                 .collect::<Result<_>>()?;
             let range = range.as_ref().map(|(_, p)| bind_predicate(p, values));
             let mut hits = t.index_seek(index, &prefix_vals, range.transpose()?.as_ref(), cid)?;
-            if span.is_recording() {
-                span.attr("seek_hits", hits.count() as u64);
-            }
+            span.attr("seek_hits", hits.len() as u64);
             // Residual predicates the index key does not cover are
-            // re-checked per hit — seek output stays bit-identical to
-            // the equivalent scan.
+            // re-checked per hit — seek output stays identical to the
+            // equivalent scan.
             if !residual.is_empty() {
                 let resolved = resolve_preds(t.schema(), residual, values)?;
-                hits.retain(|row| resolved.iter().all(|(i, p)| p.matches(&t.value(row, *i))));
+                hits.retain(|&row| {
+                    (resolved.iter()).all(|(i, p)| p.matches(&t.value(row as usize, *i)))
+                });
             }
             Ok(hits)
         }

@@ -71,11 +71,13 @@ pub fn locate_rows(
         (PlanOp::ColumnScan { .. } | PlanOp::IndexSeek { .. }, TableSource::Column(t))
         | (PlanOp::HybridScan { .. }, TableSource::Hybrid { hot: t, .. }) => {
             let t = t.read();
-            let hits = column_leaf_hits(&run, &t, &node.op, &span)?;
+            let ids: Vec<usize> = (column_leaf_hits(&run, &t, &node.op, &span)?.into_iter())
+                .map(|r| r as usize)
+                .collect();
             vec![Located {
                 fragment: 0,
-                ids: hits.iter().collect(),
-                rows: t.collect_rows(&hits, &[]),
+                rows: t.collect_rows(ids.iter().copied(), &[]),
+                ids,
             }]
         }
         (PlanOp::RowScan { preds, .. }, TableSource::Row(t)) => {

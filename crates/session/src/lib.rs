@@ -9,6 +9,11 @@
 //! per-class admission control keeps analytical bursts from starving
 //! point lookups.
 //!
+//! Under an installed `hana_obs::Tracer`, each statement is a root
+//! `statement` span tiled by its phases: `parse` (text only), `lift`
+//! (prepared DML: `bind`), `cache_get`, `plan` (cache miss only),
+//! `admit` and `execute`. Without a tracer the spans are inert.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use hana_core::HanaPlatform;
@@ -34,6 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hana_core::HanaPlatform;
+use hana_obs::{span, Span};
 use hana_query::PlanNode;
 use hana_sql::{parse_statement, Query, Statement};
 use hana_types::{HanaError, Result, ResultSet, Value};
@@ -225,16 +231,22 @@ impl Session {
         prepared: &PreparedStatement,
         params: &[Value],
     ) -> Result<ResultSet> {
+        let _statement = span("statement");
+        let mut phase = Phase::default();
         check_arity(prepared.param_count, params)?;
         match &prepared.prepared {
-            Prepared::Query(shape) => self.execute_shape(shape, params),
+            Prepared::Query(shape) => {
+                phase.enter("lift");
+                self.execute_shape(shape, params, &mut phase)
+            }
             Prepared::Other(stmt) => {
+                phase.enter("bind");
                 let bound = stmt.bind_params(params)?;
                 // The WAL/DDL log must see the *bound* text (literals,
                 // not `?`); statements the renderer doesn't cover can't
                 // carry parameters, so their original text is exact.
                 let text = bound.to_sql_text().unwrap_or_else(|| prepared.sql.clone());
-                self.execute_statement(bound, &text)
+                self.execute_statement(bound, &text, &mut phase)
             }
         }
     }
@@ -244,44 +256,54 @@ impl Session {
     /// ad-hoc or prepared — that differs from it only in the values it
     /// compares with.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
+        let _statement = span("statement");
+        let mut phase = Phase::default();
+        phase.enter("parse");
         match parse_statement(sql)? {
             Statement::Query(q) => {
+                phase.enter("lift");
                 let (shape, params) = Shape::of(q);
                 check_arity(params, &[])?;
-                self.execute_shape(&shape, &[])
+                self.execute_shape(&shape, &[], &mut phase)
             }
-            other => self.execute_statement(other, sql),
+            other => self.execute_statement(other, sql, &mut phase),
         }
     }
 
-    fn execute_statement(&self, stmt: Statement, sql_text: &str) -> Result<ResultSet> {
-        let _session_span = hana_obs::span("session_statement");
+    fn execute_statement(
+        &self,
+        stmt: Statement,
+        sql_text: &str,
+        phase: &mut Phase,
+    ) -> Result<ResultSet> {
         match stmt {
             // DML is transactional work: admitted as OLTP so analytical
             // floods cannot starve writes, but never plan-cached (DML
             // goes through the platform's WAL/txn path wholesale).
             dml @ (Statement::Insert { .. }
             | Statement::Update { .. }
-            | Statement::Delete { .. }) => {
-                let _permit = self.workload.admit(WorkloadClass::Oltp)?;
-                let start = Instant::now();
-                let result = self.platform.execute_parsed(&self.auth, dml, sql_text);
-                self.workload
-                    .record(WorkloadClass::Oltp, start, result.is_ok());
-                result
-            }
+            | Statement::Delete { .. }) => self.admitted(WorkloadClass::Oltp, phase, || {
+                self.platform.execute_parsed(&self.auth, dml, sql_text)
+            }),
             // DDL and transaction control bypass admission: they hold
             // no pool slots worth rationing, and a COMMIT must never
             // queue behind a full pool.
-            other => self.platform.execute_parsed(&self.auth, other, sql_text),
+            other => {
+                phase.enter("execute");
+                self.platform.execute_parsed(&self.auth, other, sql_text)
+            }
         }
     }
 
     /// The one route of a query: the plan of its shape, run with the
     /// user's parameters followed by the lifted values. A cache hit
     /// copies no AST, renders nothing and plans nothing.
-    fn execute_shape(&self, shape: &Shape, params: &[Value]) -> Result<ResultSet> {
-        let _session_span = hana_obs::span("session_statement");
+    fn execute_shape(
+        &self,
+        shape: &Shape,
+        params: &[Value],
+        phase: &mut Phase,
+    ) -> Result<ResultSet> {
         let values: Cow<[Value]> = if shape.lifted.is_empty() {
             Cow::Borrowed(params)
         } else {
@@ -289,19 +311,18 @@ impl Session {
         };
         let key = shape.key(&values);
         let version = self.platform.catalog_version();
-        let mut plan = self.cached_plan(&key, version, shape, &values)?;
+        let mut plan = self.cached_plan(&key, version, shape, &values, phase)?;
         // A cached plan is correct for any values; it stays *good* while
         // its range leaves are priced within 10× of what these values
         // select. Beyond that, bindings of this size get their own.
         if let Some(class) = self.platform.plan_drift(&plan, &values) {
-            plan = self.cached_plan(&format!("{key} #{class}"), version, shape, &values)?;
+            let key = format!("{key} #{class}");
+            plan = self.cached_plan(&key, version, shape, &values, phase)?;
         }
         let class = self.workload.classify(&plan);
-        let _permit = self.workload.admit(class)?;
-        let start = Instant::now();
-        let result = self.platform.execute_plan_bound(&self.auth, &plan, &values);
-        self.workload.record(class, start, result.is_ok());
-        result
+        self.admitted(class, phase, || {
+            self.platform.execute_plan_bound(&self.auth, &plan, &values)
+        })
     }
 
     /// The plan cached under `key`, compiled for `values` and inserted
@@ -312,20 +333,57 @@ impl Session {
         version: u64,
         shape: &Shape,
         values: &[Value],
+        phase: &mut Phase,
     ) -> Result<Arc<PlanNode>> {
+        phase.enter("cache_get");
         if let Some(plan) = self.cache.get(key, version) {
             return Ok(plan);
         }
+        phase.enter("plan");
         let compiled = Arc::new(self.platform.plan_shape(&self.auth, &shape.query, values)?);
         self.cache
             .insert(key.to_string(), version, Arc::clone(&compiled));
         Ok(compiled)
     }
 
+    /// `run` on an execution slot of `class`: the wait for the slot in
+    /// the `admit` phase, the statement in the `execute` phase.
+    fn admitted(
+        &self,
+        class: WorkloadClass,
+        phase: &mut Phase,
+        run: impl FnOnce() -> Result<ResultSet>,
+    ) -> Result<ResultSet> {
+        phase.enter("admit");
+        let _permit = self.workload.admit(class)?;
+        phase.enter("execute");
+        let start = Instant::now();
+        let result = run();
+        self.workload.record(class, start, result.is_ok());
+        result
+    }
+
     /// Shortcut: this session's view of the platform's observability
     /// snapshot.
     pub fn observability_snapshot(&self) -> hana_obs::RegistrySnapshot {
         self.platform.observability_snapshot()
+    }
+}
+
+/// The children of a `statement` span, one open at a time: entering a
+/// phase ends the one before at the same instant, so the phases —
+/// `parse`, `lift` or `bind`, `cache_get`, `plan`, `admit`, `execute` —
+/// tile the statement, and the last one stays open until the statement
+/// has dropped what it built. Inert without a tracer.
+#[derive(Default)]
+struct Phase(Option<Span>);
+
+impl Phase {
+    fn enter(&mut self, name: &str) {
+        self.0 = Some(match self.0.take() {
+            Some(open) => open.next(name),
+            None => span(name),
+        });
     }
 }
 

@@ -1,0 +1,167 @@
+//! A session statement explains its own time: `Session::execute` and
+//! `Session::execute_prepared` open a root `statement` span whose
+//! children — `parse` (text only), `lift`, `cache_get`, `plan` (cache
+//! miss only), `admit`, `execute` — cover it. Without a tracer the
+//! spans are inert.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use hana_core::HanaPlatform;
+use hana_obs::{SpanRecord, Tracer};
+use hana_session::{Session, SessionManager};
+use hana_types::{Row, Value};
+
+/// A session over an `accounts` table of `rows` rows, loaded, merged
+/// and indexed on `k`.
+fn accounts(rows: i64) -> (SessionManager, Session) {
+    let platform = Arc::new(HanaPlatform::new_in_memory());
+    let admin = platform.connect("SYSTEM", "manager").unwrap();
+    platform
+        .execute_sql(
+            &admin,
+            "CREATE COLUMN TABLE accounts (k INTEGER, v INTEGER)",
+        )
+        .unwrap();
+    let data: Vec<Row> = (0..rows)
+        .map(|k| Row::from_values([Value::Int(k), Value::Int(k % 97)]))
+        .collect();
+    platform.load_rows(&admin, "accounts", &data).unwrap();
+    platform
+        .execute_sql(&admin, "MERGE DELTA OF accounts")
+        .unwrap();
+    platform
+        .execute_sql(&admin, "CREATE INDEX ix_accounts_k ON accounts (k)")
+        .unwrap();
+    let manager = SessionManager::new(platform);
+    let session = manager.connect("SYSTEM", "manager").unwrap();
+    (manager, session)
+}
+
+/// The spans of one call run under a fresh tracer.
+fn traced(f: impl FnOnce()) -> Vec<SpanRecord> {
+    let tracer = Tracer::new();
+    {
+        let _installed = tracer.install();
+        f();
+    }
+    tracer.spans()
+}
+
+/// One traced statement's root wall and its children's walls by name.
+struct Split {
+    root_ns: u64,
+    children: BTreeMap<String, u64>,
+}
+
+fn split(spans: &[SpanRecord]) -> Split {
+    let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent.is_none()).collect();
+    assert_eq!(roots.len(), 1, "one root span: {spans:?}");
+    let root = roots[0];
+    assert_eq!(root.name, "statement");
+    let mut children = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.parent == Some(root.id)) {
+        *children.entry(s.name.clone()).or_insert(0) += s.wall_ns();
+    }
+    Split {
+        root_ns: root.wall_ns(),
+        children,
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// `reads` traced point reads of each kind, the prepared one first.
+fn traced_reads(session: &Session, rows: i64, reads: i64) -> [Vec<Split>; 2] {
+    let lookup = session
+        .prepare("SELECT v FROM accounts WHERE k = ?")
+        .unwrap();
+    let key = |i: i64| (i * 7_919) % rows;
+    let prepared = |i: i64| {
+        let rs = session.execute_prepared(&lookup, &[Value::Int(key(i))]);
+        assert_eq!(rs.unwrap().rows[0][0], Value::Int(key(i) % 97));
+    };
+    let adhoc = |i: i64| {
+        let rs = session.execute(&format!("SELECT v FROM accounts WHERE k = {}", key(i)));
+        assert_eq!(rs.unwrap().rows[0][0], Value::Int(key(i) % 97));
+    };
+    // Warm: the shape's one plan is cached, so no read below plans.
+    for i in 0..32 {
+        prepared(i);
+        adhoc(i);
+    }
+    let runs = |read: &dyn Fn(i64)| {
+        (0..reads)
+            .map(|i| split(&traced(|| read(i))))
+            .collect::<Vec<_>>()
+    };
+    [runs(&prepared), runs(&adhoc)]
+}
+
+#[test]
+fn a_point_reads_children_cover_its_statement_span() {
+    let (_manager, session) = accounts(20_000);
+    let [prepared, adhoc] = traced_reads(&session, 20_000, 200);
+    for (kind, splits, names) in [
+        (
+            "prepared",
+            &prepared,
+            &["admit", "cache_get", "execute", "lift"][..],
+        ),
+        (
+            "ad hoc",
+            &adhoc,
+            &["admit", "cache_get", "execute", "lift", "parse"][..],
+        ),
+    ] {
+        for s in splits {
+            let got: Vec<&str> = s.children.keys().map(String::as_str).collect();
+            assert_eq!(got, names, "{kind}: a cache hit binds and plans nothing");
+        }
+        let coverage = median(
+            (splits.iter())
+                .map(|s| s.children.values().sum::<u64>() as f64 / s.root_ns as f64)
+                .collect(),
+        );
+        assert!(
+            coverage >= 0.95,
+            "{kind}: the children cover {coverage:.3} of the statement span"
+        );
+    }
+}
+
+/// Under a tracer, the `execute` child of a point read costs about the
+/// same over 200 000 rows as over 2 000: the index seek hands back the
+/// row it found, and nothing on the read's path is sized by the table.
+/// The other children do not see the table at all.
+#[test]
+fn a_point_reads_execute_span_does_not_grow_with_the_table() {
+    let fastest_execute = |rows: i64| {
+        let (_manager, session) = accounts(rows);
+        let [prepared, adhoc] = traced_reads(&session, rows, 300);
+        let fastest = |splits: &[Split]| {
+            (splits.iter())
+                .map(|s| s.children["execute"])
+                .min()
+                .unwrap()
+        };
+        [fastest(&prepared), fastest(&adhoc)]
+    };
+    let small = fastest_execute(2_000);
+    let large = fastest_execute(200_000);
+    for (kind, small, large) in [
+        ("prepared", small[0], large[0]),
+        ("ad hoc", small[1], large[1]),
+    ] {
+        eprintln!(
+            "{kind}: fastest execute span {small} ns over 2 000 rows, {large} ns over 200 000"
+        );
+        assert!(
+            large < 2 * small,
+            "{kind}: execute took {large} ns over 200 000 rows, {small} ns over 2 000"
+        );
+    }
+}
