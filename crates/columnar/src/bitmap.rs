@@ -55,17 +55,72 @@ impl RowIdBitmap {
         self.words[row / 64] |= 1 << (row % 64);
     }
 
-    /// Clear the bit for `row`.
-    pub fn unset(&mut self, row: usize) {
+    /// Make the bit for `row` equal `hit`.
+    #[inline]
+    pub(crate) fn put(&mut self, row: usize, hit: bool) {
         debug_assert!(row < self.len);
-        self.words[row / 64] &= !(1 << (row % 64));
+        let (w, b) = (row / 64, row % 64);
+        self.words[w] = (self.words[w] & !(1 << b)) | ((hit as u64) << b);
     }
 
-    /// Set bits for `rows` in `[start, end)`.
+    /// Set bits for `rows` in `[start, end)`, whole words at a time.
     pub fn set_range(&mut self, start: usize, end: usize) {
-        for row in start..end.min(self.len) {
-            self.set(row);
+        let end = end.min(self.len);
+        if start >= end {
+            return;
         }
+        // Bits `from..` of a word, and bits `..to` of one.
+        let from = |b: usize| u64::MAX << b;
+        let upto = |b: usize| u64::MAX >> (63 - b);
+        let (first, last) = (start / 64, (end - 1) / 64);
+        if first == last {
+            self.words[first] |= from(start % 64) & upto((end - 1) % 64);
+            return;
+        }
+        self.words[first] |= from(start % 64);
+        self.words[first + 1..last].fill(u64::MAX);
+        self.words[last] |= upto((end - 1) % 64);
+    }
+
+    /// OR `word` in at bit `pos`: its bit `j` lands on row `pos + j`,
+    /// across two words when `pos` is not a multiple of 64. Bits past
+    /// the universe must be clear.
+    #[inline]
+    pub(crate) fn or_word(&mut self, pos: usize, word: u64) {
+        let (w, b) = (pos / 64, pos % 64);
+        self.words[w] |= word << b;
+        if b != 0 && word >> (64 - b) != 0 {
+            self.words[w + 1] |= word >> (64 - b);
+        }
+    }
+
+    /// OR in at `pos` one bit per item of `items`, set where `hit`
+    /// accepts it: each 64 items make one word, built without a branch
+    /// per item — 64 verdicts as bytes, then each 8 of them gathered
+    /// into a byte of the word by one multiply.
+    #[inline]
+    pub(crate) fn or_hits(&mut self, pos: usize, items: &[u32], hit: impl Fn(u32) -> bool) {
+        debug_assert!(pos + items.len() <= self.len);
+        for (k, chunk) in items.chunks(64).enumerate() {
+            let mut hits = [0u8; 64];
+            for (h, &x) in hits.iter_mut().zip(chunk) {
+                *h = hit(x) as u8;
+            }
+            let mut word = 0u64;
+            for (g, bytes) in hits.chunks_exact(8).enumerate() {
+                // Byte `i` of `eight` (0 or 1) lands on bit `56 + i`.
+                let eight = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+            }
+            if word != 0 {
+                self.or_word(pos + 64 * k, word);
+            }
+        }
+    }
+
+    /// The words, row `64 * w + j` at bit `j` of word `w`.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Test the bit for `row`.
@@ -102,20 +157,6 @@ impl RowIdBitmap {
         self.clear_tail();
     }
 
-    /// Clear every set bit whose row fails `keep`.
-    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if !keep(w * 64 + bit) {
-                    *word &= !(1 << bit);
-                }
-            }
-        }
-    }
-
     /// Join bitmaps over adjacent row ranges into one over their union
     /// (part `i`'s row 0 follows part `i - 1`'s last row). Every part
     /// but the last must cover a multiple of 64 rows, so parts own
@@ -137,6 +178,24 @@ impl RowIdBitmap {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
             len: self.len,
+        }
+    }
+
+    /// Append `base + row` for every set row, ascending: a full word
+    /// appends its 64 ids as a run, any other its set bits.
+    pub fn extend_ids(&self, base: u32, out: &mut Vec<u32>) {
+        out.reserve(self.count());
+        for (w, &word) in self.words.iter().enumerate() {
+            let at = base + 64 * w as u32;
+            if word == u64::MAX {
+                out.extend(at..at + 64);
+                continue;
+            }
+            let mut bits = word;
+            while bits != 0 {
+                out.push(at + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
     }
 
@@ -208,7 +267,7 @@ mod tests {
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(128));
         assert_eq!(b.count(), 3);
-        b.unset(64);
+        b.put(64, false);
         assert_eq!(b.count(), 2);
     }
 
@@ -240,9 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_concat() {
-        let mut a = RowIdBitmap::all_set(128);
-        a.retain(|row| row % 3 == 0);
+    fn concat_joins_whole_words() {
+        let mut a = RowIdBitmap::new(128);
+        (0..128).step_by(3).for_each(|row| a.set(row));
         assert_eq!(a.count(), 43);
         let mut b = RowIdBitmap::new(70);
         b.set(0);
@@ -252,6 +311,44 @@ mod tests {
         let expected: Vec<usize> = a.iter().chain([128, 197]).collect();
         assert_eq!(joined.iter().collect::<Vec<_>>(), expected);
         assert_eq!(RowIdBitmap::concat([]), RowIdBitmap::new(0));
+    }
+
+    #[test]
+    fn extend_ids_appends_full_words_and_single_bits() {
+        let mut b = RowIdBitmap::new(200);
+        b.set_range(3, 131);
+        b.set(199);
+        let mut ids = vec![7];
+        b.extend_ids(1000, &mut ids);
+        let want: Vec<u32> = [7].into_iter().chain(1003..1131).chain([1199]).collect();
+        assert_eq!(ids, want);
+        assert_eq!(b.iter().collect::<Vec<_>>().len(), ids.len() - 1);
+    }
+
+    #[test]
+    fn set_range_and_unaligned_words() {
+        for (start, end) in [
+            (0, 0),
+            (5, 6),
+            (3, 64),
+            (60, 70),
+            (64, 128),
+            (1, 199),
+            (130, 250),
+        ] {
+            let mut b = RowIdBitmap::new(200);
+            b.set_range(start, end);
+            let want: Vec<usize> = (start..end.min(200)).collect();
+            assert_eq!(b.iter().collect::<Vec<_>>(), want, "{start}..{end}");
+        }
+        let mut b = RowIdBitmap::new(200);
+        b.or_word(100, 0b1011 | 1 << 63);
+        assert_eq!(b.iter().collect::<Vec<_>>(), [100, 101, 103, 163]);
+        b.or_hits(5, &[1u32, 0, 1, 1], |v| v == 1);
+        assert_eq!(b.iter().take(3).collect::<Vec<_>>(), [5, 7, 8]);
+        b.put(7, false);
+        b.put(9, true);
+        assert_eq!(b.iter().take(3).collect::<Vec<_>>(), [5, 8, 9]);
     }
 
     #[test]

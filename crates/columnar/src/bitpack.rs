@@ -119,12 +119,13 @@ impl BitPackedVec {
     ///
     /// This is the vectorized replacement for calling [`get`](Self::get)
     /// in a loop: the bit cursor advances monotonically, so the
-    /// per-element bounds check, division and modulo disappear, and for
+    /// per-element bounds check, division and modulo disappear. For
     /// widths that divide 64 an aligned fast path unpacks a whole word
-    /// per inner loop without any cross-word spill handling.
+    /// per inner loop; any other width reads each element from the two
+    /// words it may span as one 128-bit window, without a branch.
     ///
     /// Panics if `start + out.len()` exceeds the vector length.
-    pub fn unpack_range(&self, start: usize, out: &mut [u64]) {
+    pub fn unpack_range<T: Unpacked>(&self, start: usize, out: &mut [T]) {
         let n = out.len();
         assert!(
             start.checked_add(n).is_some_and(|end| end <= self.len),
@@ -137,11 +138,13 @@ impl BitPackedVec {
         }
         let bits = self.bits as usize;
         if bits == 0 {
-            out.fill(0);
+            out.fill(T::from_bits(0));
             return;
         }
         if bits == 64 {
-            out.copy_from_slice(&self.words[start..start + n]);
+            for (slot, &w) in out.iter_mut().zip(&self.words[start..start + n]) {
+                *slot = T::from_bits(w);
+            }
             return;
         }
         let mask = (1u64 << bits) - 1;
@@ -153,7 +156,7 @@ impl BitPackedVec {
             let per_word = 64 / bits;
             let mut i = 0;
             while i < n && !bit_pos.is_multiple_of(64) {
-                out[i] = (self.words[bit_pos / 64] >> (bit_pos % 64)) & mask;
+                out[i] = T::from_bits((self.words[bit_pos / 64] >> (bit_pos % 64)) & mask);
                 bit_pos += bits;
                 i += 1;
             }
@@ -161,7 +164,7 @@ impl BitPackedVec {
             while n - i >= per_word {
                 let mut w = self.words[word];
                 for slot in &mut out[i..i + per_word] {
-                    *slot = w & mask;
+                    *slot = T::from_bits(w & mask);
                     w >>= bits;
                 }
                 word += 1;
@@ -169,21 +172,25 @@ impl BitPackedVec {
             }
             let mut w = if i < n { self.words[word] } else { 0 };
             for slot in &mut out[i..n] {
-                *slot = w & mask;
+                *slot = T::from_bits(w & mask);
                 w >>= bits;
             }
             return;
         }
-        // Unaligned widths: single forward cursor, one shift (plus a
-        // spill OR when the element crosses a word boundary) per element.
+        // Unaligned widths: a single forward cursor. Every element that
+        // starts before the last word reads it and the next as one
+        // window; the few in the last word read that word alone.
+        let last_word = self.words.len() - 1;
         for slot in out.iter_mut() {
             let word = bit_pos >> 6;
-            let off = bit_pos & 63;
-            let mut v = self.words[word] >> off;
-            if off + bits > 64 {
-                v |= self.words[word + 1] << (64 - off);
-            }
-            *slot = v & mask;
+            let off = (bit_pos & 63) as u32;
+            let v = if word < last_word {
+                let window = (self.words[word + 1] as u128) << 64 | self.words[word] as u128;
+                (window >> off) as u64
+            } else {
+                self.words[word] >> off
+            };
+            *slot = T::from_bits(v & mask);
             bit_pos += bits;
         }
     }
@@ -199,6 +206,27 @@ impl BitPackedVec {
     /// Heap footprint of the packed payload in bytes.
     pub fn payload_bytes(&self) -> usize {
         self.words.len() * 8
+    }
+}
+
+/// An element type [`BitPackedVec::unpack_range`] writes: `u64`, or
+/// `u32` for value IDs, which never need more bits.
+pub trait Unpacked: Copy {
+    /// The element holding `bits`.
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Unpacked for u64 {
+    #[inline]
+    fn from_bits(bits: u64) -> u64 {
+        bits
+    }
+}
+
+impl Unpacked for u32 {
+    #[inline]
+    fn from_bits(bits: u64) -> u32 {
+        bits as u32
     }
 }
 

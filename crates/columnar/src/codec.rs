@@ -22,7 +22,7 @@
 
 use crate::bitmap::RowIdBitmap;
 use crate::bitpack::{width_for, BitPackedVec, BLOCK_ROWS};
-use crate::predicate::{MatchKind, VidMatch};
+use crate::predicate::VidMatch;
 
 /// Zone map over one [`BLOCK_ROWS`]-row block of a value-ID vector.
 ///
@@ -243,10 +243,6 @@ impl VidCodec {
     /// Bulk-decode block `block` (rows `block * BLOCK_ROWS ..`) into
     /// `out`, returning the number of rows written (a full
     /// `BLOCK_ROWS` except possibly for the last block).
-    ///
-    /// This is the shared decode kernel behind vectorized scans and the
-    /// executor's column leaf: downstream code operates on a dense
-    /// `u32` vid block instead of calling [`get`](Self::get) per row.
     pub fn unpack_block(&self, block: usize, out: &mut [u32; BLOCK_ROWS]) -> usize {
         let start = block * BLOCK_ROWS;
         let len = self.len();
@@ -255,16 +251,21 @@ impl VidCodec {
             "block {block} out of bounds"
         );
         let rows = (len - start).min(BLOCK_ROWS);
+        self.unpack_rows(start, &mut out[..rows]);
+        rows
+    }
+
+    /// Bulk-decode rows `start..start + out.len()` into `out`.
+    ///
+    /// This is the shared decode kernel behind vectorized scans and the
+    /// executor's column leaf: downstream code operates on a dense
+    /// `u32` vid run instead of calling [`get`](Self::get) per row.
+    pub fn unpack_rows(&self, start: usize, out: &mut [u32]) {
+        let end = start + out.len();
+        assert!(end <= self.len(), "rows {start}..{end} out of bounds");
         match &self.repr {
-            VidRepr::Plain(v) => {
-                let mut buf = [0u64; BLOCK_ROWS];
-                v.unpack_range(start, &mut buf[..rows]);
-                for (slot, &x) in out[..rows].iter_mut().zip(&buf[..rows]) {
-                    *slot = x as u32;
-                }
-            }
+            VidRepr::Plain(v) => v.unpack_range(start, out),
             VidRepr::Rle { run_vids, run_ends } => {
-                let end = start + rows;
                 let mut run = run_ends.partition_point(|&e| e as usize <= start);
                 let mut row = start;
                 while row < end {
@@ -280,8 +281,7 @@ impl VidCodec {
                 vids,
                 ..
             } => {
-                out[..rows].fill(*dominant);
-                let end = start + rows;
+                out.fill(*dominant);
                 let lo = positions.partition_point(|&p| (p as usize) < start);
                 let hi = positions.partition_point(|&p| (p as usize) < end);
                 for (i, &p) in positions[lo..hi].iter().enumerate() {
@@ -289,7 +289,6 @@ impl VidCodec {
                 }
             }
         }
-        rows
     }
 
     /// Visit every `(row, vid)` pair in order.
@@ -337,9 +336,10 @@ impl VidCodec {
     ///
     /// Plain fragments scan blockwise: the block synopsis is consulted
     /// first (skipping blocks the match cannot intersect), survivors are
-    /// bulk-unpacked, and range matches run as a single unsigned
-    /// compare per row. RLE skips whole runs; Sparse tests the dominant
-    /// value once. RLE/Sparse fragments whose folded synopsis cannot
+    /// bulk-unpacked, and every 64 rows' verdicts — an unsigned range
+    /// compare, or a lookup in a per-vid table for a mask — build one
+    /// bitmap word without a branch per row. RLE sets whole runs a word
+    /// at a time; Sparse tests the dominant value once. RLE/Sparse fragments whose folded synopsis cannot
     /// intersect are skipped without touching the payload at all.
     pub fn scan_into(&self, m: &VidMatch, out: &mut RowIdBitmap, offset: usize) {
         self.scan_range_into(m, out, offset, 0, self.len());
@@ -404,18 +404,17 @@ impl VidCodec {
                 }
                 let lo = positions.partition_point(|&p| (p as usize) < start);
                 let hi = positions.partition_point(|&p| (p as usize) < end);
+                let exceptions = positions[lo..hi].iter().enumerate();
+                let at = |p: u32| offset + p as usize - start;
                 if m.test(*dominant) {
+                    // The dominant fill, then each exception's verdict.
                     out.set_range(offset, offset + end - start);
-                    for (i, &p) in positions[lo..hi].iter().enumerate() {
-                        if !m.test(vids.get(lo + i) as u32) {
-                            out.unset(offset + p as usize - start);
-                        }
+                    for (i, &p) in exceptions {
+                        out.put(at(p), m.test(vids.get(lo + i) as u32));
                     }
                 } else {
-                    for (i, &p) in positions[lo..hi].iter().enumerate() {
-                        if m.test(vids.get(lo + i) as u32) {
-                            out.set(offset + p as usize - start);
-                        }
+                    for (i, &p) in exceptions {
+                        out.or_word(at(p), m.test(vids.get(lo + i) as u32) as u64);
                     }
                 }
             }
@@ -439,7 +438,8 @@ impl VidCodec {
         true
     }
 
-    /// Blockwise skip-scan over a Plain fragment.
+    /// Blockwise skip-scan over a Plain fragment: each surviving block
+    /// is unpacked and its verdicts ORed in a bitmap word at a time.
     fn scan_plain_blocks(
         &self,
         v: &BitPackedVec,
@@ -451,7 +451,8 @@ impl VidCodec {
     ) {
         let mut scanned = 0u64;
         let mut skipped = 0u64;
-        let mut buf = [0u64; BLOCK_ROWS];
+        let mut buf = [0u32; BLOCK_ROWS];
+        let test = m.word_test();
         let first = start / BLOCK_ROWS;
         let last = end.div_ceil(BLOCK_ROWS);
         for block in first..last {
@@ -466,27 +467,7 @@ impl VidCodec {
             let rows = b_end - b_start;
             let b_out = offset + b_start - start;
             v.unpack_range(b_start, &mut buf[..rows]);
-            match &m.kind {
-                // Hot path: inclusive vid range, nulls excluded, folds
-                // to one unsigned compare per row (NULL_VID wraps to
-                // u64::MAX - lo and never matches).
-                MatchKind::Range(lo, hi) if !m.null_matches => {
-                    let span = (*hi - *lo) as u64;
-                    let lo = *lo as u64;
-                    for (i, &vid) in buf[..rows].iter().enumerate() {
-                        if vid.wrapping_sub(lo) <= span {
-                            out.set(b_out + i);
-                        }
-                    }
-                }
-                _ => {
-                    for (i, &vid) in buf[..rows].iter().enumerate() {
-                        if m.test(vid as u32) {
-                            out.set(b_out + i);
-                        }
-                    }
-                }
-            }
+            test.scan(&buf[..rows], out, b_out);
         }
         record_block_counts(scanned, skipped);
     }

@@ -157,11 +157,7 @@ impl DeltaColumn {
         if m.is_empty() || start >= end {
             return;
         }
-        for (row, &vid) in self.vids[start..end].iter().enumerate() {
-            if m.test(vid) {
-                out.set(offset + row);
-            }
-        }
+        m.word_test().scan(&self.vids[start..end], out, offset);
     }
 
     /// Approximate heap footprint in bytes.

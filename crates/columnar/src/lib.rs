@@ -35,7 +35,7 @@ mod table;
 mod timeseries;
 
 pub use bitmap::{RowIdBitmap, SetBits};
-pub use bitpack::{width_for, BitPackedVec, BLOCK_ROWS};
+pub use bitpack::{width_for, BitPackedVec, Unpacked, BLOCK_ROWS};
 pub use codec::{BlockSynopsis, VidCodec, VidRepr};
 pub use column::{plain_columnar_bytes, row_layout_bytes, DeltaColumn, MainColumn};
 pub use dictionary::{DeltaDictionary, OrderedDictionary, NULL_VID};

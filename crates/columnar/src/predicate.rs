@@ -9,6 +9,7 @@
 
 use hana_types::Value;
 
+use crate::bitmap::RowIdBitmap;
 use crate::dictionary::{DeltaDictionary, OrderedDictionary, NULL_VID};
 
 /// A predicate over a single column. Its operands are values wherever
@@ -183,6 +184,41 @@ pub enum MatchKind {
     Mask(Vec<bool>),
 }
 
+/// A [`VidMatch`] as a scan applies it to a fragment's vids: a verdict
+/// per vid computed without a branch, so 64 verdicts make one bitmap
+/// word (`VidMatch::test`'s NULL branch and bounds check leave the loop).
+pub(crate) enum WordTest {
+    /// A vid in `lo ..= lo + span` (`lo >= 1`, so NULL's vid 0 is not);
+    /// NULL too when `null`.
+    Range { lo: u32, span: u32, null: bool },
+    /// The verdict of every vid, NULL's first; a vid past the end reads
+    /// the last entry, which is `false`.
+    Table(Vec<bool>),
+}
+
+impl WordTest {
+    /// OR into `out`, from bit `pos` on, the rows of `vids` that match.
+    #[inline]
+    pub(crate) fn scan(&self, vids: &[u32], out: &mut RowIdBitmap, pos: usize) {
+        match *self {
+            WordTest::Range {
+                lo,
+                span,
+                null: false,
+            } => out.or_hits(pos, vids, |v| v.wrapping_sub(lo) <= span),
+            WordTest::Range {
+                lo,
+                span,
+                null: true,
+            } => out.or_hits(pos, vids, |v| (v.wrapping_sub(lo) <= span) | (v == 0)),
+            WordTest::Table(ref verdicts) => {
+                let last = verdicts.len() - 1;
+                out.or_hits(pos, vids, |v| verdicts[(v as usize).min(last)])
+            }
+        }
+    }
+}
+
 impl VidMatch {
     /// No value matches at all.
     pub fn empty() -> VidMatch {
@@ -214,6 +250,24 @@ impl VidMatch {
             MatchKind::Empty => false,
             MatchKind::Range(lo, hi) => (*lo..=*hi).contains(&vid),
             MatchKind::Mask(m) => m.get(vid as usize - 1).copied().unwrap_or(false),
+        }
+    }
+
+    /// The verdict compiled for one fragment scan, NULL's included.
+    pub(crate) fn word_test(&self) -> WordTest {
+        let null = self.null_matches;
+        match &self.kind {
+            MatchKind::Range(lo, hi) if (*lo).max(1) <= *hi => WordTest::Range {
+                lo: (*lo).max(1),
+                span: *hi - (*lo).max(1),
+                null,
+            },
+            // Only NULL can match.
+            MatchKind::Empty | MatchKind::Range(..) => WordTest::Table(vec![null, false]),
+            MatchKind::Mask(m) => {
+                let verdicts = std::iter::once(null).chain(m.iter().copied());
+                WordTest::Table(verdicts.chain([false]).collect())
+            }
         }
     }
 

@@ -12,22 +12,39 @@ use crate::predicate::ColumnPredicate;
 /// Commit ID sentinel meaning "never" (row not deleted).
 pub const NEVER: u64 = u64::MAX;
 
-/// Per-row MVCC metadata.
+/// Per-row MVCC metadata, summarised per 64-row word.
 ///
 /// The platform applies write-sets at commit time (see `hana-txn`), so a
 /// row's `created`/`deleted` fields always hold *commit* IDs — a snapshot
-/// at commit ID `s` sees a row iff `created <= s < deleted`.
+/// at commit ID `s` sees a row iff `created <= s < deleted`. For each
+/// word of 64 rows (rows `64 * w ..`) it also keeps the largest
+/// `created` and the smallest `deleted`, which [`RowVersions::push`]
+/// and [`RowVersions::delete`], its only mutators, maintain: a snapshot
+/// with `max_created <= s < min_deleted` sees every row of the word.
 #[derive(Debug, Clone, Default)]
 pub struct RowVersions {
     created: Vec<u64>,
     deleted: Vec<u64>,
+    max_created: Vec<u64>,
+    min_deleted: Vec<u64>,
 }
 
 impl RowVersions {
     /// Record a newly inserted row.
     pub fn push(&mut self, created_cid: u64) {
+        let row = self.created.len();
         self.created.push(created_cid);
         self.deleted.push(NEVER);
+        match row % 64 {
+            0 => {
+                self.max_created.push(created_cid);
+                self.min_deleted.push(NEVER);
+            }
+            _ => {
+                let max = &mut self.max_created[row / 64];
+                *max = (*max).max(created_cid);
+            }
+        }
     }
 
     /// Mark `row` deleted as of `cid`. Errors if already deleted.
@@ -39,12 +56,34 @@ impl RowVersions {
             return Err(HanaError::Storage(format!("row {row} already deleted")));
         }
         self.deleted[row] = cid;
+        let min = &mut self.min_deleted[row / 64];
+        *min = (*min).min(cid);
         Ok(())
     }
 
     /// Visibility of `row` under snapshot `cid`.
     pub fn visible(&self, row: usize, cid: u64) -> bool {
         self.created[row] <= cid && self.deleted[row] > cid
+    }
+
+    /// Of the rows of word `w` whose bits `rows` holds (bit `j` for row
+    /// `64 * w + j`), those visible under snapshot `cid`. The word's
+    /// summary decides all 64 at once unless it holds a row created
+    /// after `cid` or deleted at or before it; only then are its rows
+    /// checked one by one.
+    #[inline]
+    pub(crate) fn visible_in_word(&self, w: usize, rows: u64, cid: u64) -> u64 {
+        if self.max_created[w] <= cid && cid < self.min_deleted[w] {
+            return rows;
+        }
+        let mut visible = 0;
+        let mut rest = rows;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            visible |= (self.visible(64 * w + j, cid) as u64) << j;
+        }
+        visible
     }
 
     /// Number of rows ever inserted.
@@ -183,49 +222,82 @@ impl ColumnTable {
 
     /// Bitmap of rows visible under snapshot `cid`.
     pub fn visible(&self, cid: u64) -> RowIdBitmap {
-        let mut b = RowIdBitmap::new(self.versions.len());
-        for row in 0..self.versions.len() {
-            if self.versions.visible(row, cid) {
-                b.set(row);
-            }
-        }
+        let mut b = RowIdBitmap::all_set(self.versions.len());
+        self.keep_visible(&mut b, 0, cid);
         b
     }
 
+    /// Clear the bits of `rows` (bit `i` for row `first + i`, `first` a
+    /// multiple of 64) whose row `cid` cannot see, a word at a time.
+    fn keep_visible(&self, rows: &mut RowIdBitmap, first: usize, cid: u64) {
+        debug_assert_eq!(first % 64, 0);
+        for (i, word) in rows.words_mut().iter_mut().enumerate() {
+            if *word != 0 {
+                *word = self.versions.visible_in_word(first / 64 + i, *word, cid);
+            }
+        }
+    }
+
     /// The table's one scan: rows visible under snapshot `cid` that
-    /// satisfy every predicate of `preds` (none = all visible rows).
-    ///
-    /// The row domain is sliced into `exec`'s morsels; each morsel
-    /// intersects the predicates' range scans over its slice of the
-    /// main and delta fragments in a bitmap of its own length, then
-    /// checks visibility once, for the surviving rows only. Morsel
-    /// boundaries are 64-row aligned, so the per-morsel bitmaps join
-    /// word by word, and the result does not depend on the morsel size
-    /// or on whether [`ExecContext::scatter`] ran the morsels on the
-    /// pool or inline — a table of one morsel is the serial scan.
+    /// satisfy every predicate of `preds` (none = all visible rows), as
+    /// one bitmap — [`ColumnTable::scan_morsels`] with its morsels'
+    /// bitmaps joined word by word. The result does not depend on the
+    /// morsel size or on whether [`ExecContext::scatter`] ran the
+    /// morsels on the pool or inline — a table of one morsel is the
+    /// serial scan.
     pub fn scan_all(
         &self,
         exec: &ExecContext,
         preds: &[(usize, ColumnPredicate)],
         cid: u64,
     ) -> Result<RowIdBitmap> {
+        let parts = self.scan_morsels(exec, preds, cid, |_, hits| hits)?;
+        Ok(RowIdBitmap::concat(parts))
+    }
+
+    /// The table's one scan, morsel by morsel: the row domain is sliced
+    /// into `exec`'s morsels (64-row aligned), and one task per morsel
+    /// intersects the predicates' range scans over its slice of the
+    /// main and delta fragments in a bitmap of its own length (bit `i`
+    /// for row `m.start + i`), keeps the rows `cid` sees a word at a
+    /// time (`RowVersions::visible_in_word`), and hands the morsel
+    /// and its bitmap to `f` on the same task. `f`'s results come back
+    /// in morsel order.
+    pub fn scan_morsels<T: Send>(
+        &self,
+        exec: &ExecContext,
+        preds: &[(usize, ColumnPredicate)],
+        cid: u64,
+        f: impl Fn(Morsel, RowIdBitmap) -> T + Sync,
+    ) -> Result<Vec<T>> {
         if let Some((col, _)) = preds.iter().find(|(col, _)| *col >= self.columns.len()) {
             return Err(HanaError::Storage(format!(
                 "column index {col} out of range for '{}'",
                 self.name
             )));
         }
-        let parts = exec.scatter(exec.morsels(self.versions.len()), |m| {
-            let mut acc = RowIdBitmap::all_set(m.len());
-            for (col, pred) in preds {
-                let mut hits = RowIdBitmap::new(m.len());
-                self.scan_morsel(*col, pred, m, &mut hits);
-                acc.and(&hits);
+        Ok(exec.scatter(exec.morsels(self.versions.len()), |m| {
+            f(m, self.morsel_hits(m, preds, cid))
+        }))
+    }
+
+    /// The hits of one morsel of [`ColumnTable::scan_morsels`].
+    fn morsel_hits(&self, m: Morsel, preds: &[(usize, ColumnPredicate)], cid: u64) -> RowIdBitmap {
+        let scan = |(col, pred): &(usize, ColumnPredicate)| {
+            let mut hits = RowIdBitmap::new(m.len());
+            self.scan_morsel(*col, pred, m, &mut hits);
+            hits
+        };
+        let mut acc = match preds.split_first() {
+            None => RowIdBitmap::all_set(m.len()),
+            Some((first, rest)) => {
+                let mut acc = scan(first);
+                rest.iter().for_each(|p| acc.and(&scan(p)));
+                acc
             }
-            acc.retain(|row| self.versions.visible(m.start + row, cid));
-            acc
-        });
-        Ok(RowIdBitmap::concat(parts))
+        };
+        self.keep_visible(&mut acc, m.start, cid);
+        acc
     }
 
     /// Scan one column within table rows `[m.start, m.end)`, over the
@@ -334,15 +406,42 @@ impl ColumnTable {
     /// delta (nulls excluded) — the input of
     /// [`ColumnStats::from_frequencies`](crate::ColumnStats::from_frequencies)
     /// when a synopsis is collected.
+    ///
+    /// Rows are counted per vid, and each dictionary entry read once:
+    /// the main fragment's in dictionary (value) order, the delta's
+    /// sorted, the two merged with a value in both counted once.
     pub fn value_frequencies(&self, col: usize) -> Vec<(Value, u64)> {
-        let mut freq: std::collections::BTreeMap<Value, u64> = std::collections::BTreeMap::new();
-        for row in 0..self.row_count() {
-            let v = self.value(row, col);
-            if !v.is_null() {
-                *freq.entry(v).or_insert(0) += 1;
+        let pair = &self.columns[col];
+        let counted = |values: &[Value], counts: Vec<u64>| -> Vec<(Value, u64)> {
+            let each = values.iter().zip(&counts[1..]).filter(|(_, &n)| n > 0);
+            each.map(|(v, &n)| (v.clone(), n)).collect()
+        };
+        let main_values = pair.main.dictionary().values();
+        let mut counts = vec![0u64; main_values.len() + 1];
+        pair.main
+            .codec()
+            .for_each(|_, vid| counts[vid as usize] += 1);
+        let main = counted(main_values, counts);
+        let delta_values = pair.delta.dictionary().values();
+        let mut counts = vec![0u64; delta_values.len() + 1];
+        pair.delta
+            .vids()
+            .iter()
+            .for_each(|&vid| counts[vid as usize] += 1);
+        let mut delta = counted(delta_values, counts);
+        delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // Merge by value; a value in both keeps the main fragment's.
+        let mut out = Vec::with_capacity(main.len() + delta.len());
+        let mut delta = delta.into_iter().peekable();
+        for (v, n) in main {
+            while let Some(d) = delta.next_if(|(d, _)| *d < v) {
+                out.push(d);
             }
+            let same = delta.next_if(|(d, _)| *d == v).map_or(0, |(_, m)| m);
+            out.push((v, n + same));
         }
-        freq.into_iter().collect()
+        out.extend(delta);
+        out
     }
 
     // ---- secondary indexes ----
@@ -667,6 +766,34 @@ mod tests {
         let hits: Vec<usize> = hits.into_iter().map(|r| r as usize).collect();
         assert_eq!(hits, scanned.iter().collect::<Vec<_>>());
         assert!(hits.iter().all(|&r| ![5, 9, 27, 65, 69].contains(&r)));
+    }
+
+    #[test]
+    fn value_frequencies_count_main_and_delta_rows_like_a_row_scan() {
+        let mut t = table();
+        let tag = |i: i64| match i % 7 {
+            0 => Value::Null,
+            k => Value::from(format!("t{}", (k * i) % 9)),
+        };
+        for i in 0..300 {
+            t.insert(&[Value::Int(i % 13), tag(i)], 1).unwrap();
+        }
+        t.merge_delta();
+        for i in 300..420 {
+            t.insert(&[Value::Int(i % 17), tag(i)], 1).unwrap();
+        }
+        t.delete(7, 2).unwrap();
+        for col in 0..2 {
+            let mut want: std::collections::BTreeMap<Value, u64> = Default::default();
+            for row in 0..t.row_count() {
+                let v = t.value(row, col);
+                if !v.is_null() {
+                    *want.entry(v).or_insert(0) += 1;
+                }
+            }
+            let want: Vec<(Value, u64)> = want.into_iter().collect();
+            assert_eq!(t.value_frequencies(col), want, "column {col}");
+        }
     }
 
     #[test]

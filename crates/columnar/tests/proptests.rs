@@ -428,3 +428,134 @@ proptest! {
         assert_seek_matches_scan(&t, &[pa, pb], None, del_cid);
     }
 }
+
+/// The rows `created <= s < deleted` and `v BETWEEN lo AND lo + 3`
+/// keep, row by row — the oracle of the scan's visibility words.
+fn visible_oracle(
+    created: &[u64],
+    deleted: &[u64],
+    values: &[i64],
+    s: u64,
+    lo: Option<i64>,
+) -> Vec<usize> {
+    (0..created.len())
+        .filter(|&i| created[i] <= s && s < deleted[i])
+        .filter(|&i| lo.is_none_or(|lo| (lo..=lo + 3).contains(&values[i])))
+        .collect()
+}
+
+proptest! {
+    /// The scan decides visibility a 64-row word at a time from each
+    /// word's largest `created` and smallest `deleted` CID, and checks
+    /// rows one by one only where those cannot decide: it returns the
+    /// rows a per-row `created <= s < deleted` oracle returns, at every
+    /// snapshot, worker count and morsel size. Rows are inserted at
+    /// rising CIDs; rows are deleted before the merge (in the delta)
+    /// and after it (in main and delta). The last word is partial, a
+    /// word straddles main and delta, and the first word's only change
+    /// after its inserts is one delete.
+    #[test]
+    fn visibility_words_equal_the_per_row_oracle(
+        n in 130usize..400,
+        merge_at in 70usize..130,
+        values in prop::collection::vec(0i64..8, 400),
+        early in prop::collection::vec(64usize..400, 0..12),
+        late in prop::collection::vec(0usize..400, 0..12),
+        lo in 0i64..8,
+    ) {
+        // Off word boundaries: a straddling word and a partial last one.
+        let n = if n % 64 == 0 { n + 1 } else { n };
+        let merge_at = if merge_at % 64 == 0 { merge_at + 1 } else { merge_at };
+        let mut t = ColumnTable::new("p", Schema::of(&[("v", DataType::Int)]));
+        let mut created = Vec::new();
+        let mut deleted = vec![hana_columnar::NEVER; n];
+        let mut cid = 1;
+        let mut delete = |t: &mut ColumnTable, row: usize, cid: u64| {
+            if deleted[row] == hana_columnar::NEVER {
+                t.delete(row, cid).unwrap();
+                deleted[row] = cid;
+            }
+        };
+        for (i, &v) in values[..n].iter().enumerate() {
+            t.insert(&[Value::Int(v)], cid).unwrap();
+            created.push(cid);
+            cid += 1;
+            if i + 1 == merge_at {
+                // Deletes among the rows so far, then the merge.
+                for &row in early.iter().filter(|&&r| r < merge_at) {
+                    delete(&mut t, row, cid);
+                    cid += 1;
+                }
+                t.merge_delta();
+            }
+        }
+        // The first word: one late delete and nothing else since.
+        delete(&mut t, 5, cid);
+        cid += 1;
+        for &row in early.iter().chain(&late).filter(|&&r| r < n) {
+            delete(&mut t, row, cid);
+            cid += 1;
+        }
+        prop_assert!(t.main_rows() == merge_at && t.row_count() == n);
+
+        // Every CID a row was deleted at, the CIDs the first and last
+        // row of each word and every 16th row were created at, and the
+        // one before each.
+        let firsts_and_lasts = created.iter().enumerate()
+            .filter(|&(i, _)| i % 16 == 0 || i % 64 == 63 || i + 1 == n)
+            .map(|(_, c)| c);
+        let mut snapshots: Vec<u64> = firsts_and_lasts.chain(&deleted)
+            .filter(|&&c| c != hana_columnar::NEVER)
+            .flat_map(|&c| [c - 1, c])
+            .chain([cid])
+            .collect();
+        snapshots.sort_unstable();
+        snapshots.dedup();
+        for s in snapshots {
+            for lo in [None, Some(lo)] {
+                let preds: Vec<(usize, ColumnPredicate)> = lo
+                    .map(|lo| (0, ColumnPredicate::Between(Value::Int(lo), Value::Int(lo + 3))))
+                    .into_iter()
+                    .collect();
+                let want = visible_oracle(&created, &deleted, &values, s, lo);
+                for exec in grid() {
+                    let got: Vec<usize> = t.scan_all(exec, &preds, s).unwrap().iter().collect();
+                    prop_assert_eq!(&got, &want, "snapshot {} preds {:?} {:?}", s, lo, exec.config());
+                }
+            }
+        }
+        prop_assert_eq!(t.visible(cid).iter().collect::<Vec<_>>(), visible_oracle(&created, &deleted, &values, cid, None));
+    }
+}
+
+/// A delta that starts inside a 64-row word (here at row 100) ORs its
+/// hits into the morsel's bitmap off a word boundary: each word of 64
+/// verdicts lands across two bitmap words, at every morsel size.
+#[test]
+fn a_delta_starting_inside_a_word_ors_its_hits_unaligned() {
+    let mut t = ColumnTable::new("p", Schema::of(&[("v", DataType::Int)]));
+    let v = |i: usize| Value::Int((i % 5) as i64);
+    for i in 0..100 {
+        t.insert(&[v(i)], 1).unwrap();
+    }
+    t.merge_delta();
+    for i in 100..300 {
+        t.insert(&[v(i)], 1).unwrap();
+    }
+    assert_eq!(t.main_rows(), 100);
+    for pred in [
+        ColumnPredicate::Eq(Value::Int(3)),
+        ColumnPredicate::InList(vec![Value::Int(0), Value::Int(4)]),
+        ColumnPredicate::Ge(Value::Int(0)),
+    ] {
+        let want: Vec<usize> = (0..300).filter(|&i| pred.matches(&v(i))).collect();
+        for exec in grid() {
+            let got: Vec<usize> = t
+                .scan_all(exec, &[(0, pred.clone())], 1)
+                .unwrap()
+                .iter()
+                .collect();
+            assert_eq!(got, want, "{pred:?} {:?}", exec.config());
+        }
+    }
+}

@@ -416,11 +416,17 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             }
         }
         PlanOp::Filter { input, pred } => {
-            let mut inp = run_node(run, input)?;
-            for b in &mut inp.batches {
-                b.sel = select(pred, b, &b.sel, values)?;
-            }
-            Ok(batches(inp.batches))
+            // One task per input batch (a leaf's morsel, a join's piece).
+            let narrow = |mut b: Batch| -> Result<Batch> {
+                b.sel = select(pred, &b, &b.sel, values)?;
+                Ok(b)
+            };
+            let inp = run_node(run, input)?.batches;
+            Ok(batches(
+                exec.scatter(inp, narrow)
+                    .into_iter()
+                    .collect::<Result<_>>()?,
+            ))
         }
         PlanOp::Aggregate {
             input,
@@ -452,10 +458,12 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
     }
 }
 
-/// A column-table leaf's rows in play, one batch per morsel of hits
-/// and fragment: the hits of [`column_leaf_hits`] with the
-/// `projection` columns read as vids, main rows block by block, delta
-/// rows decoded.
+/// A column-table leaf's rows in play as batches, the `projection`
+/// columns read as vids (main rows block by block, delta rows decoded),
+/// one batch per fragment of each piece of hits. A scan forks once: each
+/// morsel's task scans it ([`scan_leaf`]) and reads its own hits. An
+/// index seek's hits are cut into morsel-sized pieces, read in parallel
+/// when there is more than one.
 fn column_leaf(
     run: &Run,
     t: &ColumnTable,
@@ -463,57 +471,88 @@ fn column_leaf(
     projection: &[usize],
     span: &hana_obs::Span,
 ) -> Result<Vec<Batch>> {
+    let batches = |rows: &[u32]| leaf_batches(t, projection, rows);
+    if let PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } = op {
+        return Ok(scan_leaf(run, t, preds, span, batches)?.concat());
+    }
     let hits = column_leaf_hits(run, t, op, span)?;
-    let main_rows = t.main_rows() as u32;
-    let (main, delta) = hits.split_at(hits.partition_point(|&r| r < main_rows));
-    let morsel = run.exec.config().morsel_rows.max(1);
-    let pieces: Vec<&[u32]> = main.chunks(morsel).chain(delta.chunks(morsel)).collect();
-    let batch = |rows: &[u32]| {
-        let columns = match rows[0] < main_rows {
-            true => (projection.iter())
-                .map(|&c| main_vids(t.main_column(c), rows))
-                .collect(),
-            false => {
-                let local: Vec<u32> = rows.iter().map(|&r| r - main_rows).collect();
-                (projection.iter())
-                    .map(|&c| delta_vids(t.delta_column(c), &local))
-                    .collect()
-            }
-        };
-        Batch::new(columns, rows.len())
-    };
+    let pieces: Vec<&[u32]> = hits.chunks(run.exec.config().morsel_rows.max(1)).collect();
     // A point read is one piece: nothing to fork.
     Ok(match pieces.len() {
-        0 | 1 => pieces.into_iter().map(batch).collect(),
-        _ => run.exec.scatter(pieces, batch),
+        0 | 1 => pieces.into_iter().flat_map(batches).collect(),
+        _ => run.exec.scatter(pieces, batches).concat(),
     })
 }
 
-/// Main-fragment rows `rows` (ascending) as vids, unpacked one block at
-/// a time; a block with under a quarter of its rows hit (a point read's
-/// one, a selective scan's few) decodes those rows only.
+/// Rows `rows` of `t` (ascending), projected: a batch of the main
+/// fragment's rows and one of the delta's, each when there are any.
+fn leaf_batches(t: &ColumnTable, projection: &[usize], rows: &[u32]) -> Vec<Batch> {
+    let main_rows = t.main_rows() as u32;
+    let (main, delta) = rows.split_at(rows.partition_point(|&r| r < main_rows));
+    let mut out = Vec::with_capacity(2);
+    if !main.is_empty() {
+        let columns = projection
+            .iter()
+            .map(|&c| main_vids(t.main_column(c), main));
+        out.push(Batch::new(columns.collect(), main.len()));
+    }
+    if !delta.is_empty() {
+        let local: Vec<u32> = delta.iter().map(|&r| r - main_rows).collect();
+        let columns = projection
+            .iter()
+            .map(|&c| delta_vids(t.delta_column(c), &local));
+        out.push(Batch::new(columns.collect(), delta.len()));
+    }
+    out
+}
+
+/// Main-fragment rows `rows` (ascending) as vids: a run of consecutive
+/// rows (a whole morsel, when every row is hit) unpacked straight into
+/// place, any other rows one block at a time — picked from the unpacked
+/// block, or, when under a quarter of the block's rows are hit (a point
+/// read's one, a selective scan's few), decoded one by one.
 fn main_vids(col: &MainColumn, rows: &[u32]) -> Column {
     let codec = col.codec();
     let mut vids = Vec::with_capacity(rows.len());
     let mut buf = [0u32; BLOCK_ROWS];
     let mut rest = rows;
     while let Some(&first) = rest.first() {
+        let run = consecutive(rest);
+        if run >= 64 {
+            let at = vids.len();
+            vids.resize(at + run, 0);
+            codec.unpack_rows(first as usize, &mut vids[at..]);
+            rest = &rest[run..];
+            continue;
+        }
         let block = first as usize / BLOCK_ROWS;
         let end = (block + 1) * BLOCK_ROWS;
-        let in_block = rest.partition_point(|&r| (r as usize) < end);
-        if in_block < BLOCK_ROWS / 4 {
-            vids.extend(rest[..in_block].iter().map(|&r| codec.get(r as usize)));
+        let (hit, after) = rest.split_at(rest.partition_point(|&r| (r as usize) < end));
+        if hit.len() < BLOCK_ROWS / 4 {
+            vids.extend(hit.iter().map(|&r| codec.get(r as usize)));
         } else {
             codec.unpack_block(block, &mut buf);
-            vids.extend(
-                rest[..in_block]
-                    .iter()
-                    .map(|&r| buf[r as usize % BLOCK_ROWS]),
-            );
+            vids.extend(hit.iter().map(|&r| buf[r as usize % BLOCK_ROWS]));
         }
-        rest = &rest[in_block..];
+        rest = after;
     }
     Column::Dict(Dictionary::Main(col.dictionary().values().clone()), vids)
+}
+
+/// How many of `rows` (ascending, distinct) from the first on are
+/// consecutive.
+fn consecutive(rows: &[u32]) -> usize {
+    let first = rows[0] as usize;
+    // `rows[i] - first >= i`, with equality exactly on the run.
+    let (mut lo, mut hi) = (1, rows.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match rows[mid] as usize - first == mid {
+            true => lo = mid + 1,
+            false => hi = mid,
+        }
+    }
+    lo
 }
 
 /// Delta-fragment rows `rows` (fragment-local), each distinct value
@@ -619,30 +658,44 @@ fn bound_exprs(exprs: &[Expr], values: &[Value]) -> Result<Vec<Expr>> {
     exprs.iter().map(bind).collect()
 }
 
+/// A `ColumnScan` leaf's (or a `HybridScan`'s hot side's) one pass over
+/// `t` under `run`'s snapshot: its pushed-down predicates through the
+/// table's morsel scan ([`ColumnTable::scan_morsels`]), and `f` applied,
+/// on the task that scanned each morsel, to the morsel's hit row ids,
+/// ascending; the results in morsel order.
+fn scan_leaf<T: Send>(
+    run: &Run,
+    t: &ColumnTable,
+    preds: &[PlanPredicate],
+    span: &hana_obs::Span,
+    f: impl Fn(&[u32]) -> T + Sync,
+) -> Result<Vec<T>> {
+    span.attr("input_rows", t.row_count() as u64);
+    span.set_workers(run.exec.config().workers as u64);
+    let resolved = resolve_preds(t.schema(), preds, run.values)?;
+    t.scan_morsels(run.exec, &resolved, run.cid, |m, hits| {
+        let mut ids = Vec::new();
+        hits.extend_ids(m.start as u32, &mut ids);
+        f(&ids)
+    })
+}
+
 /// The row ids a column-fragment leaf selects in `t` under `cid`,
-/// ascending, before any value is read: the pushed-down predicates of a
-/// `ColumnScan` (or the hot side of a `HybridScan`) through the table's
-/// morsel scan (`ColumnTable::scan_all`, whose bitmap is turned into
-/// ids here), or an `IndexSeek`'s ordered seek, which returns its hits
-/// as ids and touches nothing sized by the table. SELECT reads these
-/// hits as batches, and UPDATE/DELETE take them as their victims
-/// ([`crate::locate_rows`]).
+/// ascending, before any value is read: a `ColumnScan`'s (or a
+/// `HybridScan`'s hot side's) [`scan_leaf`], morsel after morsel, or an
+/// `IndexSeek`'s ordered seek, which returns its hits as ids and touches
+/// nothing sized by the table. UPDATE/DELETE take these hits as their
+/// victims ([`crate::locate_rows`]).
 pub(crate) fn column_leaf_hits(
     run: &Run,
     t: &ColumnTable,
     op: &PlanOp,
     span: &hana_obs::Span,
 ) -> Result<Vec<u32>> {
-    let &Run {
-        exec, cid, values, ..
-    } = run;
-    span.attr("input_rows", t.row_count() as u64);
+    let &Run { cid, values, .. } = run;
     match op {
         PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
-            let resolved = resolve_preds(t.schema(), preds, values)?;
-            span.set_workers(exec.config().workers as u64);
-            let hits = t.scan_all(exec, &resolved, cid)?;
-            Ok(hits.iter().map(|r| r as u32).collect())
+            Ok(scan_leaf(run, t, preds, span, <[u32]>::to_vec)?.concat())
         }
         PlanOp::IndexSeek {
             index,
@@ -651,6 +704,7 @@ pub(crate) fn column_leaf_hits(
             residual,
             ..
         } => {
+            span.attr("input_rows", t.row_count() as u64);
             let prefix_vals: Vec<Value> = prefix
                 .iter()
                 .map(|(_, o)| o.value(values).cloned())

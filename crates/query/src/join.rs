@@ -4,16 +4,22 @@
 //! join always builds right, so unmatched left rows fall out of the
 //! probe): one `key -> first build row` map plus a `next` chain in build
 //! order, so output order is a function of the two inputs alone — probe
-//! order, then build order. Keys that are integers on both sides hash as
-//! integers; any other pair hashes by `Value`, so `Int(2)` meets
-//! `Double(2.0)`. The probe runs morsel-wise through
-//! `ExecContext::scatter`, and its output is a gather of both sides by
-//! `(probe, build)` row-index vectors; LEFT OUTER pads with NULLs.
+//! order, then build order. A build side whose keys are all integers
+//! (or NULL) hashes them as integers; any other hashes by `Value`, and
+//! so does a probe value an integer table does not hold as one, so
+//! `Int(2)` meets `Double(2.0)`; NULL meets nothing. A probe key read
+//! from a dictionary smaller than the rows in play that read it is
+//! looked up once per dictionary entry, into a `vid -> first build row`
+//! array, and its rows probe with one load each. The probe runs
+//! morsel-wise through `ExecContext::scatter`, and its output is a
+//! gather of both sides by `(probe, build)` row-index vectors; LEFT
+//! OUTER pads with NULLs.
 
 use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
 
-use hana_exec::ExecContext;
-use hana_sql::batch::{Batch, Batches, Column, NULL_ROW};
+use hana_exec::{ExecContext, Morsel};
+use hana_sql::batch::{Batch, Batches, Column, Dictionary, NULL_ROW};
 use hana_sql::JoinKind;
 use hana_types::{FxBuildHasher, FxHashMap, Result, Schema, Value};
 
@@ -27,24 +33,67 @@ pub const BUILD_RIGHT: u64 = 1;
 /// End of a build-row chain.
 const END: u32 = NULL_ROW;
 
-/// A build side's first row per key, and the next row of each row with
-/// the same key.
-struct Table<K> {
-    heads: FxHashMap<K, u32>,
-    next: Vec<u32>,
+/// `key -> first row` over keys in row order, NULLs (`None`) left out;
+/// `chain(row, next)` learns each keyed row's next row with its key.
+fn heads<K: Hash + Eq>(
+    keys: Vec<Option<K>>,
+    mut chain: impl FnMut(usize, u32),
+) -> FxHashMap<K, u32> {
+    let mut heads = FxHashMap::with_capacity_and_hasher(keys.len(), FxBuildHasher::default());
+    for (i, key) in keys.into_iter().enumerate().rev() {
+        if let Some(k) = key {
+            chain(i, heads.insert(k, i as u32).unwrap_or(END));
+        }
+    }
+    heads
 }
 
-impl<K: Hash + Eq> Table<K> {
-    /// Keys in build-row order; `None` (NULL) never matches.
-    fn build(keys: Vec<Option<K>>) -> Table<K> {
-        let mut heads = FxHashMap::with_capacity_and_hasher(keys.len(), FxBuildHasher::default());
-        let mut next = vec![END; keys.len()];
-        for (i, key) in keys.into_iter().enumerate().rev() {
-            if let Some(k) = key {
-                next[i] = heads.insert(k, i as u32).unwrap_or(END);
-            }
+/// A build side's first row per key.
+enum Heads {
+    /// Every key is an integer or NULL.
+    Int(FxHashMap<i64, u32>),
+    /// Keys of any type.
+    Value(FxHashMap<Value, u32>),
+}
+
+/// The hash table over a build side's `key` column: its first row per
+/// key, and the next row of each row with the same key.
+struct Table<'a> {
+    key: &'a Column,
+    heads: Heads,
+    next: Vec<u32>,
+    /// The keys hashed by `Value`, for the probe values an integer
+    /// table does not hold as integers; built the first time one comes.
+    by_value: OnceLock<FxHashMap<Value, u32>>,
+}
+
+impl<'a> Table<'a> {
+    fn build(key: &'a Column) -> Table<'a> {
+        let mut next = vec![END; key.len()];
+        let chain = |i: usize, n: u32| next[i] = n;
+        let heads = match int_keys(key) {
+            Some(keys) => Heads::Int(heads(keys, chain)),
+            None => Heads::Value(heads(value_keys(key), chain)),
+        };
+        Table {
+            key,
+            heads,
+            next,
+            by_value: OnceLock::new(),
         }
-        Table { heads, next }
+    }
+
+    /// The first build row whose key equals `v`, or `END`.
+    fn first(&self, v: &Value) -> u32 {
+        let head = match (&self.heads, v) {
+            (_, Value::Null) => None,
+            (Heads::Int(h), Value::Int(i)) => h.get(i),
+            (Heads::Int(_), v) => (self.by_value)
+                .get_or_init(|| heads(value_keys(self.key), |_, _| {}))
+                .get(v),
+            (Heads::Value(h), v) => h.get(v),
+        };
+        head.copied().unwrap_or(END)
     }
 
     /// `(probe row, build row)` of every match of probe rows `rows`,
@@ -67,6 +116,32 @@ impl<K: Hash + Eq> Table<K> {
         }
         (probe, build)
     }
+
+    /// Probe rows `rows` of `key`: through `entries`, the first build
+    /// row of each of its dictionary's vids, when there is one; through
+    /// the integer map for integers an integer table holds; else value
+    /// by value.
+    fn probe_column(
+        &self,
+        key: &Column,
+        entries: Option<&[u32]>,
+        rows: &[u32],
+        outer: bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        match (key, entries, &self.heads) {
+            (Column::Dict(_, vids), Some(e), _) => {
+                self.probe(rows, |r| e[vids[r as usize] as usize], outer)
+            }
+            (Column::Dict(d, vids), None, _) => {
+                self.probe(rows, |r| self.first(d.value(vids[r as usize])), outer)
+            }
+            (Column::Int(v), _, Heads::Int(h)) => {
+                let first = |r: u32| h.get(&v[r as usize]).copied().unwrap_or(END);
+                self.probe(rows, first, outer)
+            }
+            (col, _, _) => self.probe(rows, |r| self.first(&col.get(r as usize)), outer),
+        }
+    }
 }
 
 /// Every row's key as an integer, when every key is an integer or NULL.
@@ -85,6 +160,12 @@ fn int_keys(col: &Column) -> Option<Vec<Option<i64>>> {
     }
 }
 
+/// Every row's key as a value, NULL as `None`.
+fn value_keys(col: &Column) -> Vec<Option<Value>> {
+    let key = |j| Some(col.get(j).into_owned()).filter(|k| !k.is_null());
+    (0..col.len()).map(key).collect()
+}
+
 /// An equi-join condition: the key at `left_key` of the left rows
 /// equals the key at `right_key` of the right rows.
 pub(crate) struct EquiJoin {
@@ -94,8 +175,9 @@ pub(crate) struct EquiJoin {
 }
 
 /// Equi-join `l` and `r` into `left ++ right` rows of `out_schema`. The
-/// span reports `build_rows`, `probe_rows` and `build_side`
-/// ([`BUILD_LEFT`] / [`BUILD_RIGHT`]).
+/// span reports `build_rows`, `probe_rows`, `build_side`
+/// ([`BUILD_LEFT`] / [`BUILD_RIGHT`]) and `probe_entries` (the probe
+/// key's dictionary entries looked up, 0 when every row probed itself).
 pub(crate) fn hash_join(
     exec: &ExecContext,
     l: Batches,
@@ -133,39 +215,62 @@ pub(crate) fn hash_join(
         };
         Batch::new(columns, p.len())
     };
-    let int = int_keys(&build.columns[bi]).and_then(|bk| {
-        let pk = probe.batches.iter().map(|b| int_keys(&b.columns[pi]));
-        Some((bk, pk.collect::<Option<Vec<_>>>()?))
+    let table = Table::build(&build.columns[bi]);
+    let entries = probe_entries(exec, &table, &probe, pi, span);
+    let batches = exec.scatter(items, |(i, rows)| {
+        let b = &probe.batches[i];
+        let e = entries[i].as_deref();
+        joined(b, table.probe_column(&b.columns[pi], e, rows, outer))
     });
-    let batches = match int {
-        Some((bk, pk)) => {
-            let table = Table::build(bk);
-            let first = |keys: &[Option<i64>], r: u32| {
-                let head = keys[r as usize].and_then(|k| table.heads.get(&k));
-                head.copied().unwrap_or(END)
-            };
-            exec.scatter(items, |(i, rows)| {
-                let b = &probe.batches[i];
-                joined(b, table.probe(rows, |r| first(&pk[i], r), outer))
-            })
-        }
-        None => {
-            let col = &build.columns[bi];
-            let keys: Vec<Value> = (0..build.len).map(|j| col.get(j).into_owned()).collect();
-            let table = Table::build(keys.iter().map(|k| (!k.is_null()).then_some(k)).collect());
-            exec.scatter(items, |(i, rows)| {
-                let b = &probe.batches[i];
-                let key = &b.columns[pi];
-                let first = |r: u32| {
-                    let head = table.heads.get(&*key.get(r as usize));
-                    head.copied().unwrap_or(END)
-                };
-                joined(b, table.probe(rows, first, outer))
-            })
-        }
-    };
     Ok(Batches {
         schema: out_schema.clone(),
         batches: batches.into_iter().filter(|b| b.len > 0).collect(),
     })
+}
+
+/// For each probe batch whose key column `pi` reads a dictionary smaller
+/// than the rows in play that read it (in every probe batch), the first
+/// build row of each of its vids — every entry looked up once, exactly
+/// as a row holding its value would be, NULL's (vid 0) meeting nothing.
+/// Batches over one dictionary share its array. The span's
+/// `probe_entries` counts the entries looked up.
+fn probe_entries(
+    exec: &ExecContext,
+    table: &Table,
+    probe: &Batches,
+    pi: usize,
+    span: &hana_obs::Span,
+) -> Vec<Option<Arc<[u32]>>> {
+    let dict = |b: &Batch| match &b.columns[pi] {
+        Column::Dict(d, _) => Some(d.clone()),
+        _ => None,
+    };
+    let mut rows_in_play: Vec<(Dictionary, usize)> = Vec::new();
+    for b in &probe.batches {
+        let Some(d) = dict(b) else { continue };
+        match rows_in_play.iter_mut().find(|(e, _)| e.same(&d)) {
+            Some((_, n)) => *n += b.sel.len(),
+            None => rows_in_play.push((d, b.sel.len())),
+        }
+    }
+    let mut arrays: Vec<(Dictionary, Arc<[u32]>)> = Vec::new();
+    for (d, rows) in rows_in_play {
+        if d.values().len() < rows {
+            let vids = exec.morsels(d.values().len() + 1);
+            let look_up = |m: Morsel| -> Vec<u32> {
+                (m.start..m.end)
+                    .map(|v| table.first(d.value(v as u32)))
+                    .collect()
+            };
+            arrays.push((d.clone(), exec.scatter(vids, look_up).concat().into()));
+        }
+    }
+    let looked_up = arrays.iter().map(|(d, _)| d.values().len() as u64);
+    span.attr("probe_entries", looked_up.sum());
+    let array_of = |b: &Batch| {
+        let d = dict(b)?;
+        let (_, a) = arrays.iter().find(|(e, _)| e.same(&d))?;
+        Some(a.clone())
+    };
+    probe.batches.iter().map(array_of).collect()
 }

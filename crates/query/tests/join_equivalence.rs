@@ -6,6 +6,12 @@
 //!   it returns the same rows in the same order every time (the
 //!   benchmark's "every execution equals the set-up pass" relies on a
 //!   plan over fixed data being deterministic).
+//! * A probe key read from a dictionary smaller than its rows in play
+//!   is looked up once per entry, and the join still equals the
+//!   nested loop row for row, in order: NULL entries, entries the build
+//!   side lacks, a main and a delta dictionary, LEFT OUTER, a `Double`
+//!   entry meeting an `Int` build key — and a dictionary larger than
+//!   the rows in play probes per row.
 //! * Leaf column pruning changes what a leaf materialises, never what a
 //!   query returns: the planner's pruned plan ≡ the same plan with every
 //!   leaf widened back to the full table schema.
@@ -16,10 +22,10 @@ use parking_lot::RwLock;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use hana_columnar::ColumnTable;
+use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_iq::IqEngine;
 use hana_query::{
-    execute_plan, Catalog, DistJoinStrategy, EstSource, PlanNode, PlanOp, PlannerContext,
+    execute_plan, Catalog, DistJoinStrategy, EstSource, Operand, PlanNode, PlanOp, PlannerContext,
     TableFunction, TableSource,
 };
 use hana_sda::SdaRegistry;
@@ -391,5 +397,160 @@ proptest! {
         let want = execute_plan(&full, &cat, 1).unwrap();
         prop_assert_eq!(&got.schema, &want.schema, "{}", sql);
         prop_assert_eq!(rendered(&got.rows), rendered(&want.rows), "{}", sql);
+    }
+}
+
+// ---- per-entry probes ≡ nested loop ----
+
+/// `SELECT * FROM t JOIN r ON t.k = r.k` (or LEFT JOIN), `t`'s rows in
+/// play narrowed by `t.payload < below`: `t` is the probe side whenever
+/// it has more rows in play than `r` (always, for LEFT JOIN).
+fn probe_plan(kind: JoinKind, t_type: DataType, below: i64) -> PlanNode {
+    let t_schema = Schema::of(&[("t.k", t_type), ("t.payload", DataType::Int)]);
+    let t = PlanNode {
+        op: PlanOp::ColumnScan {
+            binding: "t".into(),
+            table: "t".into(),
+            preds: vec![(
+                "payload".into(),
+                ColumnPredicate::Lt(Operand::Lit(Value::Int(below))),
+            )],
+            projection: vec![0, 1],
+        },
+        schema: t_schema,
+        est_rows: 1.0,
+        est_source: EstSource::Heuristic,
+    };
+    let r = PlanNode {
+        op: PlanOp::FunctionScan {
+            binding: "r".into(),
+            function: "r".into(),
+            args: Vec::new(),
+        },
+        schema: side_schema("r"),
+        est_rows: 1.0,
+        est_source: EstSource::Heuristic,
+    };
+    PlanNode {
+        schema: t.schema.join(&r.schema).unwrap(),
+        op: PlanOp::HashJoin {
+            left: Box::new(t),
+            right: Box::new(r),
+            left_key: 0,
+            right_key: 0,
+            kind,
+            dist: DistJoinStrategy::Repartition,
+        },
+        est_rows: 1.0,
+        est_source: EstSource::Heuristic,
+    }
+}
+
+/// A two-column table `(k, payload)` of `keys`, payload the row number:
+/// the first `main` rows merged into the main fragment, the rest left
+/// in the delta, whose leaf batch carries a dictionary of its own.
+fn keyed_table(t_type: DataType, keys: &[Value], main: usize) -> ColumnTable {
+    let schema = Schema::of(&[("k", t_type), ("payload", DataType::Int)]);
+    let mut t = ColumnTable::new("t", schema);
+    for (i, k) in keys.iter().enumerate() {
+        t.insert(&[k.clone(), Value::Int(i as i64)], 1).unwrap();
+        if i + 1 == main {
+            t.merge_delta();
+        }
+    }
+    t
+}
+
+/// Run `plan` under a tracer: its rows and its join's `probe_entries`.
+fn run_traced(plan: &PlanNode, cat: &TestCatalog) -> (Vec<Row>, u64) {
+    let tracer = hana_obs::Tracer::new();
+    let rows = {
+        let _installed = tracer.install();
+        execute_plan(plan, cat, 1).unwrap().rows
+    };
+    let profile = tracer.profile();
+    let join = profile.find("hash_join").expect("hash_join span");
+    let entries = join.attrs.iter().find(|(n, _)| n == "probe_entries");
+    (rows, entries.expect("probe_entries attr").1)
+}
+
+/// One per-entry case: the join of `t` (`keys`, `main` of them merged)
+/// and `r` (`build` keys) equals the nested loop over `t`'s rows in
+/// play, row for row in order; `per_entry` says whether the probe key's
+/// entries were looked up (the dictionaries were smaller than the rows).
+fn assert_probe(
+    kind: JoinKind,
+    t_type: DataType,
+    keys: &[Value],
+    main: usize,
+    build: &[Value],
+    below: i64,
+    per_entry: bool,
+) {
+    let t = keyed_table(t_type, keys, main);
+    let l: Vec<Row> = (keys.iter().enumerate())
+        .filter(|&(i, _)| (i as i64) < below)
+        .map(|(i, k)| Row::from_values([k.clone(), Value::Int(i as i64)]))
+        .collect();
+    let r: Vec<Row> = (build.iter().enumerate())
+        .map(|(i, k)| Row::from_values([k.clone(), Value::Int(100 + i as i64)]))
+        .collect();
+    let want = nested_loop(&l, &r, kind);
+    let cat = catalog(Vec::new(), r, t);
+    let (got, entries) = run_traced(&probe_plan(kind, t_type, below), &cat);
+    assert_eq!(rendered(&got), rendered(&want), "{kind:?} {keys:?}");
+    assert_eq!(entries > 0, per_entry, "probe_entries {entries}");
+}
+
+/// Ints `0..distinct` over `n` rows, every `null_every`-th row NULL.
+fn ints(n: usize, distinct: i64, null_every: usize) -> Vec<Value> {
+    (0..n)
+        .map(|i| match i % null_every {
+            0 => Value::Null,
+            _ => Value::Int((i as i64 * 7) % distinct),
+        })
+        .collect()
+}
+
+#[test]
+fn per_entry_probes_skip_nulls_and_absent_keys_in_both_fragments() {
+    // Keys 0..6 with NULLs, in a main and a delta dictionary; the build
+    // side holds 1, 3, 5 (twice) and 9, which no probe row has.
+    let keys = ints(300, 6, 11);
+    let build = [1, 3, 5, 5, 9].map(Value::Int);
+    for main in [300, 170, 0] {
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            assert_probe(kind, DataType::Int, &keys, main, &build, 300, true);
+        }
+    }
+}
+
+#[test]
+fn a_double_entry_meets_an_integer_build_key() {
+    // `t.k` is DOUBLE: its dictionary holds 2.0, 2.5 and -0.0; the
+    // build side's integers meet 2.0 and 0.0 (-0.0 = 0).
+    let keys: Vec<Value> = (0..200)
+        .map(|i| match i % 4 {
+            0 => Value::Double(2.0),
+            1 => Value::Double(2.5),
+            2 => Value::Double(-0.0),
+            _ => Value::Null,
+        })
+        .collect();
+    let build = [2, 0, 7].map(Value::Int);
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+        assert_probe(kind, DataType::Double, &keys, 120, &build, 200, true);
+    }
+}
+
+#[test]
+fn a_dictionary_larger_than_the_rows_in_play_probes_per_row() {
+    // 150 distinct keys, 40 rows in play: every row looks itself up.
+    let keys: Vec<Value> = (0..300).map(|i| Value::Int(i % 150)).collect();
+    let build: Vec<Value> = (0..20).map(|i| Value::Int(i * 3)).collect();
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+        assert_probe(kind, DataType::Int, &keys, 300, &build, 40, false);
+        // Main and delta: each dictionary is weighed against its rows.
+        assert_probe(kind, DataType::Int, &keys, 20, &build, 40, false);
     }
 }

@@ -11,14 +11,18 @@
 //! groups as their values would sort. Any other partials — main and
 //! delta, node and node — merge by key values, decoded once per group.
 //! Aggregate arguments come from [`eval_batch`]; the accumulators are
-//! `hana_types::Accumulator`, flat, `aggs.len()` per group.
+//! `hana_types::Accumulator`, flat, `aggs.len()` per group. `SUM`,
+//! `AVG` and `COUNT` over a NULL-free integer or double argument, and
+//! `COUNT(*)`, add into typed per-group arrays, in row order, and hand
+//! each fresh accumulator the result (`Accumulator::set_sums`); every
+//! other call adds its values one by one.
 
 use std::borrow::Cow;
 use std::hash::Hash;
 
 use hana_types::{Accumulator, AggFunc, FxHashMap, Result, Row, Value};
 
-use super::{eval_batch, Batch, Column, Dictionary};
+use super::{eval_batch, Batch, Column, Dictionary, Numbers};
 use crate::ast::Expr;
 
 /// An aggregate call and its argument (`COUNT(*)` has none).
@@ -37,11 +41,19 @@ enum Keys {
     Values(Vec<Vec<Value>>),
 }
 
-/// Digit `k` of packed vids over `dicts`.
-fn vid(packed: u64, k: usize, dicts: &[Dictionary]) -> u32 {
-    let base = |d: &Dictionary| d.values().len() as u64 + 1;
-    let below: u64 = dicts[k + 1..].iter().map(base).product();
-    (packed / below % base(&dicts[k])) as u32
+/// The vids packed over `dicts` in each of `packed`, one vector per
+/// key: each key's digits peeled off from the least significant, one
+/// division each.
+fn unpack_vids(packed: impl Iterator<Item = u64>, dicts: &[Dictionary]) -> Vec<Vec<u32>> {
+    let bases: Vec<u64> = dicts.iter().map(|d| d.values().len() as u64 + 1).collect();
+    let mut vids: Vec<Vec<u32>> = vec![Vec::new(); dicts.len()];
+    for mut p in packed {
+        for (k, &base) in bases.iter().enumerate().rev() {
+            vids[k].push((p % base) as u32);
+            p /= base;
+        }
+    }
+    vids
 }
 
 impl Keys {
@@ -56,12 +68,12 @@ impl Keys {
         match self {
             Keys::Values(v) => v,
             Keys::Vids(packed, dicts) => {
-                let key = |&p: &u64| {
-                    (0..dicts.len())
-                        .map(|k| dicts[k].value(vid(p, k, &dicts)).clone())
-                        .collect()
+                let vids = unpack_vids(packed.iter().copied(), &dicts);
+                let key = |g: usize| {
+                    let value = |(d, v): (&Dictionary, &Vec<u32>)| d.value(v[g]).clone();
+                    dicts.iter().zip(&vids).map(value).collect()
                 };
-                packed.iter().map(key).collect()
+                (0..packed.len()).map(key).collect()
             }
         }
     }
@@ -107,8 +119,11 @@ impl Groups {
     /// Fold `parts` into one, merging the accumulators of groups with
     /// equal keys: on packed vids when every part packs over the same
     /// dictionaries, on key values otherwise.
-    pub fn merge(aggs: &[AggCall], parts: Vec<Groups>) -> Groups {
+    pub fn merge(aggs: &[AggCall], mut parts: Vec<Groups>) -> Groups {
         let w = aggs.len();
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
         let one_dictionary_set = |g: &Groups, dicts: &[Dictionary]| match &g.keys {
             Keys::Vids(_, d) => {
                 d.len() == dicts.len() && d.iter().zip(dicts).all(|(a, b)| a.same(b))
@@ -162,10 +177,8 @@ impl Groups {
             Keys::Vids(packed, dicts) => {
                 let mut order: Vec<usize> = (0..packed.len()).collect();
                 order.sort_unstable_by_key(|&g| packed[g]);
-                let key = |k: usize| {
-                    let vids = order.iter().map(|&g| vid(packed[g], k, &dicts)).collect();
-                    Column::Dict(dicts[k].clone(), vids)
-                };
+                let vids = unpack_vids(order.iter().map(|&g| packed[g]), &dicts);
+                let key = |(d, v): (&Dictionary, Vec<u32>)| Column::Dict(d.clone(), v);
                 let agg = |a: usize| {
                     Column::from_values(
                         order
@@ -174,7 +187,7 @@ impl Groups {
                             .collect(),
                     )
                 };
-                let columns = (0..dicts.len()).map(key).chain((0..w).map(agg));
+                let columns = dicts.iter().zip(vids).map(key).chain((0..w).map(agg));
                 Batch::new(columns.collect(), order.len())
             }
             Keys::Values(values) => {
@@ -258,12 +271,39 @@ pub fn group_batch(
         .flat_map(|_| aggs.iter().map(|(f, _)| f.accumulator()));
     let mut accs: Vec<Accumulator> = fresh.collect();
     let w = aggs.len();
-    for (a, (_, arg)) in aggs.iter().enumerate() {
+    // Each argument SUM / AVG / COUNT read, evaluated and summed once
+    // however many of them read it.
+    let mut summed: Vec<(&Expr, Summed)> = Vec::new();
+    for (a, (f, arg)) in aggs.iter().enumerate() {
         let acc = |j: usize| gids[j] as usize * w + a;
-        match arg {
-            // COUNT(*)
-            None => (0..gids.len()).for_each(|j| accs[acc(j)].add(&Value::Null)),
-            Some(e) => eval_batch(e, b, sel, values)?.for_each(|j, v| accs[acc(j)].add(v)),
+        let typed = match arg {
+            None if *f == AggFunc::CountStar => Cow::Owned(sums(&gids, firsts.len(), None)),
+            // Adding no value to any other accumulator changes nothing.
+            None => continue,
+            Some(e) if matches!(f, AggFunc::Sum | AggFunc::Avg | AggFunc::Count) => {
+                let i = match summed.iter().position(|(x, _)| *x == e) {
+                    Some(i) => i,
+                    None => {
+                        let col = eval_batch(e, b, sel, values)?;
+                        summed.push((e, Summed::of(col, &gids, firsts.len())));
+                        summed.len() - 1
+                    }
+                };
+                match &summed[i].1 {
+                    Summed::Typed(sums) => Cow::Borrowed(&sums[..]),
+                    Summed::Values(col) => {
+                        col.for_each(|j, v| accs[acc(j)].add(v));
+                        continue;
+                    }
+                }
+            }
+            Some(e) => {
+                eval_batch(e, b, sel, values)?.for_each(|j, v| accs[acc(j)].add(v));
+                continue;
+            }
+        };
+        for (g, &(count, sum, int_sum)) in typed.iter().enumerate() {
+            accs[g * w + a].set_sums(count, sum, int_sum);
         }
     }
     let groups = Groups {
@@ -272,6 +312,54 @@ pub fn group_batch(
         width: w,
     };
     Ok((groups, vid_keys))
+}
+
+/// An argument of `SUM`, `AVG` or `COUNT` over one batch: the typed
+/// per-group sums of NULL-free integers or doubles, or the values,
+/// which are added one by one.
+enum Summed<'a> {
+    Typed(Vec<(i64, f64, Option<i64>)>),
+    Values(Cow<'a, Column>),
+}
+
+impl<'a> Summed<'a> {
+    fn of(col: Cow<'a, Column>, gids: &[u32], groups: usize) -> Summed<'a> {
+        match col.numbers() {
+            Some(x @ (Numbers::Int(_) | Numbers::Double(_))) => {
+                Summed::Typed(sums(gids, groups, Some(&x)))
+            }
+            _ => Summed::Values(col),
+        }
+    }
+}
+
+/// Per group of `gids` (below `groups`), what `Accumulator::add` folds
+/// the rows' numbers `x` into — `(count, double sum, exact integer
+/// sum)`, added in row order from `0.0` — or, without numbers, the
+/// rows `COUNT(*)` counts.
+fn sums(gids: &[u32], groups: usize, x: Option<&Numbers>) -> Vec<(i64, f64, Option<i64>)> {
+    let mut out = vec![(0i64, 0.0f64, Some(0i64)); groups];
+    match x {
+        None => gids.iter().for_each(|&g| out[g as usize].0 += 1),
+        Some(Numbers::Int(x)) => {
+            for (&g, &x) in gids.iter().zip(x.iter()) {
+                let (count, sum, int_sum) = &mut out[g as usize];
+                *count += 1;
+                *sum += x as f64;
+                *int_sum = int_sum.and_then(|s| s.checked_add(x));
+            }
+        }
+        Some(Numbers::Double(x)) => {
+            for (&g, &x) in gids.iter().zip(x.iter()) {
+                let (count, sum, int_sum) = &mut out[g as usize];
+                *count += 1;
+                *sum += x;
+                *int_sum = None;
+            }
+        }
+        Some(Numbers::Date(_)) => unreachable!("dates are added one by one"),
+    }
+    out
 }
 
 /// The codes of `keys` packed into one integer per row, below the
@@ -396,5 +484,126 @@ mod tests {
             sorted,
             [values[1].clone(), values[2].clone(), values[0].clone()]
         );
+    }
+
+    /// Two values with the same bits (doubles) or equal otherwise.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+            (Value::Double(_), _) | (_, Value::Double(_)) => false,
+            _ => a == b,
+        }
+    }
+
+    /// Group `arg` by `key` (first-seen order) with every summed call,
+    /// and check each accumulator against a fold of `Accumulator::add`
+    /// over its group's values in row order: `finish()` and `state()`
+    /// equal, doubles bit for bit.
+    fn assert_typed_equals_add(key: Column, arg: Column) {
+        let n = key.len();
+        let b = Batch::new(vec![key, arg], n);
+        let aggs: Vec<AggCall> = vec![
+            (AggFunc::Sum, Some(Expr::Field(1))),
+            (AggFunc::Avg, Some(Expr::Field(1))),
+            (AggFunc::Count, Some(Expr::Field(1))),
+            (AggFunc::CountStar, None),
+        ];
+        let (groups, _) = group_batch(&b, &[Expr::Field(0)], &aggs, &[]).unwrap();
+        let mut firsts: Vec<Value> = Vec::new();
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        for j in 0..n {
+            let k = b.columns[0].get(j).into_owned();
+            match firsts.iter().position(|f| *f == k) {
+                Some(g) => rows[g].push(j),
+                None => {
+                    firsts.push(k);
+                    rows.push(vec![j]);
+                }
+            }
+        }
+        assert_eq!(groups.len(), firsts.len());
+        for (g, rows) in rows.iter().enumerate() {
+            for (a, (f, arg)) in aggs.iter().enumerate() {
+                let mut want = f.accumulator();
+                for &j in rows {
+                    match arg {
+                        Some(_) => want.add(&b.columns[1].get(j)),
+                        None => want.add(&Value::Null),
+                    }
+                }
+                let got = &groups.accs[g * aggs.len() + a];
+                let what = format!("{f:?} group {g}");
+                assert!(
+                    same(&got.finish(), &want.finish()),
+                    "{what}: {:?} vs {:?}",
+                    got.finish(),
+                    want.finish()
+                );
+                let (gs, ws) = (got.state(), want.state());
+                assert!(
+                    gs.iter().zip(&ws).all(|(x, y)| same(x, y)),
+                    "{what}: {gs:?} vs {ws:?}"
+                );
+            }
+        }
+    }
+
+    /// Group keys `0, 1, 2, 0, 1, 2, …` over `n` rows.
+    fn keys(n: usize) -> Column {
+        Column::Int((0..n as i64).map(|i| i % 3).collect())
+    }
+
+    #[test]
+    fn typed_integer_sums_equal_a_fold_of_add() {
+        // Group 0 passes i64::MAX: its exact sum is gone, as with `add`,
+        // and its SUM turns into a double.
+        let ints = vec![i64::MAX, 4, -7, 1, 5, 9, 3, -2, 0];
+        assert_typed_equals_add(keys(ints.len()), Column::Int(ints.clone()));
+        let (groups, _) = group_batch(
+            &Batch::new(vec![keys(9), Column::Int(ints)], 9),
+            &[Expr::Field(0)],
+            &[(AggFunc::Sum, Some(Expr::Field(1)))],
+            &[],
+        )
+        .unwrap();
+        assert!(matches!(groups.accs[0].finish(), Value::Double(_)));
+        assert_eq!(groups.accs[1].finish(), Value::Int(4 + 5 - 2));
+    }
+
+    #[test]
+    fn typed_double_sums_equal_a_fold_of_add() {
+        // -0.0 alone, values past f64::MAX, and sums that round.
+        let doubles = vec![-0.0, 1e308, 0.1, -0.0, 1e308, 0.2, -0.0, -1e308, 0.3];
+        assert_typed_equals_add(keys(doubles.len()), Column::Double(doubles));
+        let big = vec![f64::MAX, f64::MAX, -f64::MAX, 1.5];
+        assert_typed_equals_add(Column::Int(vec![0; 4]), Column::Double(big));
+    }
+
+    #[test]
+    fn dictionary_arguments_decode_per_entry_or_per_row_alike() {
+        let main = main_dict([-3, 0, 8, i64::MAX]);
+        // Fewer entries than rows (per entry), and more (per row).
+        let many: Vec<u32> = (0..40).map(|i| i % 4 + 1).collect();
+        assert_typed_equals_add(keys(40), Column::Dict(main.clone(), many));
+        assert_typed_equals_add(keys(3), Column::Dict(main, vec![4, 2, 4]));
+        let doubles = Dictionary::Local([-0.0, 0.5, 1e308].map(Value::Double).into());
+        let vids: Vec<u32> = (0..30).map(|i| i % 3 + 1).collect();
+        assert_typed_equals_add(keys(30), Column::Dict(doubles.clone(), vids));
+        assert_typed_equals_add(keys(2), Column::Dict(doubles, vec![3, 1]));
+    }
+
+    #[test]
+    fn arguments_with_nulls_add_one_by_one() {
+        let main = main_dict([2, 5]);
+        let vids: Vec<u32> = (0..12).map(|i| i % 3).collect();
+        assert_typed_equals_add(keys(12), Column::Dict(main, vids));
+        let values = vec![
+            Value::Int(1),
+            Value::Null,
+            Value::Double(2.5),
+            Value::Int(4),
+        ];
+        assert_typed_equals_add(keys(4), Column::Values(values));
+        assert_typed_equals_add(keys(5), Column::Const(Value::Null, 5));
     }
 }

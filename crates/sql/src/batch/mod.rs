@@ -134,6 +134,26 @@ fn date(v: &Value) -> Option<Date> {
     }
 }
 
+/// The `T` of every row of a dictionary column, if each holds one: one
+/// pass over the vids, whose NULL (vid 0) fails the same lookup a
+/// missing entry would; a dictionary smaller than the rows decodes each
+/// entry once, then gathers.
+fn decode<T: Copy>(
+    d: &Dictionary,
+    vids: &[u32],
+    as_t: impl Fn(&Value) -> Option<T>,
+) -> Option<Vec<T>> {
+    let values = d.values();
+    if values.len() < vids.len() {
+        let entries: Vec<Option<T>> = std::iter::once(None)
+            .chain(values.iter().map(as_t))
+            .collect();
+        return vids.iter().map(|&v| entries[v as usize]).collect();
+    }
+    let entry = |v: u32| values.get((v as usize).wrapping_sub(1)).and_then(&as_t);
+    vids.iter().map(|&v| entry(v)).collect()
+}
+
 /// The concatenation of every part `f` views as a slice, if it views
 /// them all.
 fn concat_as<'a, T: Clone + 'a>(
@@ -231,21 +251,12 @@ impl Column {
             Column::Const(Value::Int(x), n) => Some(Numbers::Int(vec![*x; *n].into())),
             Column::Const(Value::Double(x), n) => Some(Numbers::Double(vec![*x; *n].into())),
             Column::Const(Value::Date(x), n) => Some(Numbers::Date(vec![*x; *n].into())),
-            Column::Dict(d, vids) => {
-                fn decode<T>(
-                    d: &Dictionary,
-                    vids: &[u32],
-                    f: fn(&Value) -> Option<T>,
-                ) -> Option<Vec<T>> {
-                    vids.iter().map(|&v| f(d.value(v))).collect()
-                }
-                match d.value(*vids.first()?) {
-                    Value::Int(_) => decode(d, vids, int).map(|v| Numbers::Int(v.into())),
-                    Value::Double(_) => decode(d, vids, double).map(|v| Numbers::Double(v.into())),
-                    Value::Date(_) => decode(d, vids, date).map(|v| Numbers::Date(v.into())),
-                    _ => None,
-                }
-            }
+            Column::Dict(d, vids) => match d.value(*vids.first()?) {
+                Value::Int(_) => decode(d, vids, int).map(|v| Numbers::Int(v.into())),
+                Value::Double(_) => decode(d, vids, double).map(|v| Numbers::Double(v.into())),
+                Value::Date(_) => decode(d, vids, date).map(|v| Numbers::Date(v.into())),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -255,7 +266,7 @@ impl Column {
         fn pick<T: Copy>(v: &[T], idx: &[u32]) -> Vec<T> {
             idx.iter().map(|&i| v[i as usize]).collect()
         }
-        let pads = idx.contains(&NULL_ROW);
+        let pads = || idx.contains(&NULL_ROW);
         match self {
             Column::Dict(d, v) => {
                 let vid = |&i: &u32| {
@@ -267,11 +278,11 @@ impl Column {
                 };
                 Column::Dict(d.clone(), idx.iter().map(vid).collect())
             }
-            Column::Int(v) if !pads => Column::Int(pick(v, idx)),
-            Column::Double(v) if !pads => Column::Double(pick(v, idx)),
-            Column::Date(v) if !pads => Column::Date(pick(v, idx)),
-            Column::Bool(v) if !pads => Column::Bool(pick(v, idx)),
-            Column::Const(v, _) if !pads => Column::Const(v.clone(), idx.len()),
+            Column::Int(v) if !pads() => Column::Int(pick(v, idx)),
+            Column::Double(v) if !pads() => Column::Double(pick(v, idx)),
+            Column::Date(v) if !pads() => Column::Date(pick(v, idx)),
+            Column::Bool(v) if !pads() => Column::Bool(pick(v, idx)),
+            Column::Const(v, _) if !pads() => Column::Const(v.clone(), idx.len()),
             _ => {
                 let value = |&i: &u32| match i {
                     NULL_ROW => Value::Null,

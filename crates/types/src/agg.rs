@@ -126,6 +126,19 @@ impl Accumulator {
         }
     }
 
+    /// Set a fresh `SUM`, `AVG`, `COUNT` or `COUNT(*)` accumulator to
+    /// what [`Accumulator::add`]ing `count` non-NULL numbers one by one
+    /// leaves: their double `sum`, added in that order from `0.0`, and
+    /// their exact integer sum (`None` once an input was not an integer
+    /// or the sum overflowed). `COUNT(*)` rows leave `0.0` and
+    /// `Some(0)`. `finish` and `state` then equal the fold's.
+    pub fn set_sums(&mut self, count: i64, sum: f64, int_sum: Option<i64>) {
+        debug_assert!(self.count == 0 && !matches!(self.func, AggFunc::Min | AggFunc::Max));
+        self.count = count;
+        self.sum = sum;
+        self.int_sum = int_sum;
+    }
+
     /// Retract one previously added value. MIN/MAX do not support
     /// retraction (the ESP engine recomputes those windows instead).
     pub fn remove(&mut self, v: &Value) -> Result<()> {

@@ -339,6 +339,25 @@ fn profile_query_shows_build_side_and_leaf_columns() {
         .unwrap();
     let scan = profile.find("column_scan[t]").expect("leaf span");
     assert_eq!(attr(scan, "columns"), 3);
+
+    // The join says how it probed: `t.v` reads 7 dictionary entries over
+    // 1 000 rows, so each entry is looked up once — in the main
+    // fragment's dictionary after a merge — and a probe key with as many
+    // entries as rows (`t.k`) probes row by row.
+    hana.execute_sql(&s, "MERGE DELTA OF t").unwrap();
+    let (rs, profile) = hana
+        .profile_query(&s, "SELECT t.k, d.name FROM t JOIN d ON t.v = d.id")
+        .unwrap();
+    assert_eq!(rs.len(), 1_000);
+    let join = profile.find("hash_join").expect("hash_join span");
+    assert!(attr(join, "probe_entries") > 0, "{}", profile.render());
+    assert_eq!(attr(join, "probe_entries"), 7);
+    let (rs, profile) = hana
+        .profile_query(&s, "SELECT t.k, d.name FROM t JOIN d ON t.k = d.id")
+        .unwrap();
+    assert_eq!(rs.len(), 7);
+    let join = profile.find("hash_join").expect("hash_join span");
+    assert_eq!(attr(join, "probe_entries"), 0, "{}", profile.render());
 }
 
 /// An operator span reports the bytes it hands on only when traced, and

@@ -40,6 +40,7 @@ fn platform_with_accounts(n: i64) -> Arc<HanaPlatform> {
 fn admission_bounds_olap_while_oltp_keeps_running() {
     const OLAP_LIMIT: usize = 2;
     const OLAP_THREADS: usize = 8;
+    const OLAP_STATEMENTS: usize = 10;
 
     let platform = platform_with_accounts(50_000);
     let manager = Arc::new(SessionManager::with_config(
@@ -95,7 +96,11 @@ fn admission_bounds_olap_while_oltp_keeps_running() {
             );
             std::thread::spawn(move || {
                 let session = manager.connect("SYSTEM", "manager").unwrap();
-                for _ in 0..3 {
+                // Enough statements that a thread is still holding or
+                // asking for a slot when its scheduler slice ends, however
+                // fast one statement runs: with as many cores as slots,
+                // that is when the others queue.
+                for _ in 0..OLAP_STATEMENTS {
                     let rs = session
                         .execute("SELECT v, COUNT(*), SUM(k) FROM accounts GROUP BY v ORDER BY v")
                         .unwrap();
