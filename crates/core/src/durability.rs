@@ -22,11 +22,12 @@
 //! Bulk transactions (bulk load, streaming-ingest epoch) log one record
 //! of the same field structure, see [`bulk_payload`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
 use hana_columnar::IndexDef;
+use hana_dist::DistTable;
 use hana_query::TableSource;
 use hana_sql::{ColumnSpec, CreateTable, PartitionBy, TableKind};
 use hana_types::{
@@ -72,6 +73,9 @@ pub(crate) fn bulk_payload(
         None => format!("{BULK_DIST_MARKER}{table}\u{1}{pipeline}\u{1}{epoch}"),
     }
 }
+
+/// Partition-logged rows by transaction ([`DistTable::redo_rows`]).
+type RowsByTid = HashMap<u64, Vec<Row>>;
 
 /// A parsed [`bulk_payload`].
 struct BulkRecord<'a> {
@@ -162,13 +166,18 @@ impl Backup {
 }
 
 impl HanaPlatform {
-    /// Restore the checkpoint and replay the committed log suffix. The
-    /// platform's own WAL is put in passive mode for the duration so
-    /// replaying a statement does not log it a second time.
-    pub(crate) fn recover_from_wal(&self, wal: &hana_txn::Wal) -> Result<usize> {
+    /// Restore the checkpoint and replay the committed log suffix
+    /// (`records` of `wal`, classified by `report`). The platform's own
+    /// WAL is put in passive mode for the duration so replaying a
+    /// statement does not log it a second time.
+    pub(crate) fn recover_from_wal(
+        &self,
+        wal: &hana_txn::Wal,
+        records: Vec<hana_txn::LogRecord>,
+        report: &hana_txn::RecoveryReport,
+    ) -> Result<usize> {
         wal.set_passive(true);
         let result = (|| {
-            let report = wal.recover();
             let session = self.connect("SYSTEM", "manager")?;
             let mut after_cid = 0;
             if let Some(ckpt) = wal.latest_checkpoint() {
@@ -176,7 +185,7 @@ impl HanaPlatform {
                 after_cid = ckpt.cid;
                 self.restore(&session, &backup)?;
             }
-            self.replay_records(&session, wal, &report, after_cid)
+            self.replay_records(&session, records, report, after_cid)
         })();
         wal.set_passive(false);
         result
@@ -209,7 +218,7 @@ impl HanaPlatform {
     /// statement that triggered it (the log alone still recovers).
     pub(crate) fn maybe_checkpoint(&self) {
         let wal = self.tm.wal();
-        if !wal.is_durable_dir() || wal.passive() {
+        if wal.dir().is_none() || wal.passive() {
             return;
         }
         if let Err(e) = self.write_checkpoint() {
@@ -346,21 +355,21 @@ impl HanaPlatform {
     /// statements.
     pub fn recover_replay(path: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
         let wal = hana_txn::Wal::with_file(path)?;
-        let report = match upto_cid {
-            Some(cid) => wal.recover_to(cid),
-            None => wal.recover(),
-        };
+        let (records, report) = wal.recover_records(upto_cid.unwrap_or(u64::MAX))?;
         let platform = HanaPlatform::new_in_memory();
         let session = platform.connect("SYSTEM", "manager")?;
-        let replayed = platform.replay_records(&session, &wal, &report, 0)?;
+        let replayed = platform.replay_records(&session, records, &report, 0)?;
         Ok((platform, replayed))
     }
 
     /// Re-apply the committed records of `wal` whose commit IDs are
     /// greater than `after_cid` — the "roll forward from a backup" half
     /// of point-in-time recovery: restore a [`Backup`], then replay the
-    /// log after [`Backup::cid`]. When `wal` is the platform's own log
-    /// the replay runs in passive mode so nothing is logged twice.
+    /// log after [`Backup::cid`]. The records are read back from the
+    /// log's files once, after flushing what was appended, so a live
+    /// log replays everything logged before the call; a volatile log
+    /// has nothing to replay. When `wal` is the platform's own log the
+    /// replay runs in passive mode so nothing is logged twice.
     pub fn replay_wal_after(
         &self,
         session: &Session,
@@ -368,50 +377,66 @@ impl HanaPlatform {
         after_cid: u64,
     ) -> Result<usize> {
         self.security.check(session, Privilege::Operate)?;
-        let report = wal.recover();
+        let (records, report) = wal.recover_records(u64::MAX)?;
         let own = Arc::clone(self.tm.wal());
         let replaying_own_log = std::ptr::eq(own.as_ref(), wal as *const _);
         if replaying_own_log {
             own.set_passive(true);
         }
-        let result = self.replay_records(session, wal, &report, after_cid);
+        let result = self.replay_records(session, records, &report, after_cid);
         if replaying_own_log {
             own.set_passive(false);
         }
         result
     }
 
-    /// Shared redo loop: walk `wal`'s data records, keep those of
-    /// committed transactions past `after_cid`, and re-apply each
-    /// through the normal execution path: bulk records through
-    /// [`load_rows`](Self::load_rows) or — exactly once, via the ledger —
+    /// Shared redo loop: walk the data records of a log (`records`,
+    /// classified by `report`), keep those of committed transactions
+    /// past `after_cid`, and re-apply each through the normal execution
+    /// path: bulk records through [`load_rows`](Self::load_rows) or —
+    /// exactly once, via the ledger —
     /// [`commit_ingest_batch`](Self::commit_ingest_batch), with the rows
-    /// of a distributed load read back from the partition logs;
-    /// everything else as SQL.
+    /// of a distributed load read back from the partition logs (each
+    /// read once); everything else as SQL.
     fn replay_records(
         &self,
         session: &Session,
-        wal: &hana_txn::Wal,
+        records: Vec<hana_txn::LogRecord>,
         report: &hana_txn::RecoveryReport,
         after_cid: u64,
     ) -> Result<usize> {
-        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
+        let replay: HashSet<u64> = report
+            .committed
+            .iter()
+            .filter(|&&(_, cid)| cid > after_cid)
+            .map(|&(tid, _)| tid)
+            .collect();
+        // The partition logs of each distributed table replayed into,
+        // read on the table's first bulk record.
+        let mut partition_rows: Vec<(Arc<DistTable>, RowsByTid)> = Vec::new();
         let mut replayed = 0usize;
-        for rec in wal.records() {
+        for rec in records {
             let hana_txn::LogRecord::Data { tid, payload, .. } = rec else {
                 continue;
             };
-            let Some(&cid) = committed.get(&tid) else {
-                continue;
-            };
-            if cid <= after_cid {
+            if !replay.contains(&tid) {
                 continue;
             }
             if let Some(bulk) = parse_bulk(&payload)? {
                 let target = self.write_target(bulk.table)?;
                 let rows = match (bulk.rows, &target.dist) {
                     (Some(text), _) => decode_rows(text, &target.schema)?,
-                    (None, Some(dt)) => dt.redo_rows(tid)?,
+                    (None, Some(dt)) => {
+                        let read = partition_rows.iter().position(|(t, _)| Arc::ptr_eq(t, dt));
+                        let at = match read {
+                            Some(at) => at,
+                            None => {
+                                partition_rows.push((Arc::clone(dt), dt.redo_rows(&replay)?));
+                                partition_rows.len() - 1
+                            }
+                        };
+                        partition_rows[at].1.remove(&tid).unwrap_or_default()
+                    }
                     (None, None) => {
                         return Err(HanaError::Io(format!(
                             "DISTLOAD record for non-distributed table '{}'",

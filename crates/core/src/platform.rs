@@ -57,7 +57,10 @@ pub struct HanaPlatform {
 }
 
 impl HanaPlatform {
-    /// A platform with a volatile WAL and a fresh extended store.
+    /// A platform with a volatile WAL and a fresh extended store. The
+    /// log counts its appends (`hana_wal_appends_total`) but stores no
+    /// record and builds no payload: nothing here can be recovered or
+    /// replayed, and [`Wal::records`](hana_txn::Wal::records) is empty.
     pub fn new_in_memory() -> HanaPlatform {
         Self::build(TransactionManager::new())
     }
@@ -83,8 +86,9 @@ impl HanaPlatform {
         config: hana_txn::WalConfig,
     ) -> Result<(HanaPlatform, usize)> {
         let wal = Arc::new(hana_txn::Wal::open_dir_with(dir, config)?);
-        let platform = Self::build(TransactionManager::with_shared_wal(Arc::clone(&wal)));
-        let replayed = platform.recover_from_wal(&wal)?;
+        let (records, report) = wal.recover_records(u64::MAX)?;
+        let platform = Self::build(TransactionManager::recovered(Arc::clone(&wal), &report));
+        let replayed = platform.recover_from_wal(&wal, records, &report)?;
         Ok((platform, replayed))
     }
 
@@ -676,7 +680,7 @@ impl HanaPlatform {
         let result = f(self, txn.tid, txn.snapshot.cid());
         match result {
             Ok(n) => {
-                self.tm.log_data(txn.tid, "hana", sql_text)?;
+                self.tm.log_data(txn.tid, "hana", || sql_text.to_string())?;
                 if auto {
                     self.tm.commit(txn, &self.participants())?;
                 }
@@ -693,7 +697,7 @@ impl HanaPlatform {
 
     fn log_ddl(&self, sql: &str) -> Result<()> {
         let txn = self.tm.begin();
-        self.tm.log_data(txn.tid, "hana", sql)?;
+        self.tm.log_data(txn.tid, "hana", || sql.to_string())?;
         self.tm.commit(txn, &[])?;
         Ok(())
     }

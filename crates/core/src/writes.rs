@@ -576,7 +576,7 @@ impl HanaPlatform {
             self.buffer(txn.tid, target, Vec::new(), routed)?;
             let inline = (!in_partition_logs).then_some(rows);
             self.tm
-                .log_data(txn.tid, "hana", &bulk_payload(table, ingest, inline))?;
+                .log_data(txn.tid, "hana", || bulk_payload(table, ingest, inline))?;
             Ok((txn.tid, in_partition_logs))
         })?;
         if let (true, Some(dt)) = (in_partition_logs, &target.dist) {
@@ -665,7 +665,7 @@ impl HanaPlatform {
             let cold = target.cold();
             self.buffer(txn.tid, &cold, Vec::new(), cold.route(rows))?;
             self.tm
-                .log_data(txn.tid, "hana", &format!("-- aging {table}"))
+                .log_data(txn.tid, "hana", || format!("-- aging {table}"))
         })?;
         Ok(moved)
     }

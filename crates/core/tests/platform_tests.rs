@@ -434,6 +434,28 @@ fn point_in_time_recovery_replays_wal() {
     std::fs::remove_file(&wal).ok();
 }
 
+/// A volatile log counts what the platform appends and keeps none of
+/// it: a bulk load builds no payload, and nothing can be read back.
+#[test]
+fn volatile_log_keeps_nothing() {
+    let (hana, s) = platform();
+    hana.execute_sql(&s, "CREATE COLUMN TABLE v (k INTEGER, s VARCHAR(20))")
+        .unwrap();
+    let rows: Vec<Row> = (0..10_000)
+        .map(|k| Row::from_values([Value::Int(k), Value::from(format!("row {k}"))]))
+        .collect();
+    let appends = hana_obs::registry().counter("hana_wal_appends_total");
+    let before = appends.get();
+    hana.load_rows(&s, "v", &rows).unwrap();
+    // Begin, the bulk record and the commit, at least.
+    assert!(appends.get() >= before + 3, "appends went uncounted");
+    let wal = hana.transaction_manager().wal();
+    assert_eq!(wal.records().unwrap(), Vec::new());
+    assert!(wal.record_end_offsets().is_empty());
+    let rs = hana.execute_sql(&s, "SELECT COUNT(*) FROM v").unwrap();
+    assert_eq!(rs.scalar().unwrap(), &Value::Int(10_000));
+}
+
 #[test]
 fn secondary_indexes_survive_checkpoint_and_restart() {
     let dir = std::env::temp_dir().join(format!("hana-ixdur-{}", std::process::id()));

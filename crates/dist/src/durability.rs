@@ -19,6 +19,7 @@
 //! partition tail torn mid-append can only affect transactions whose
 //! commit record cannot exist either.
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -110,27 +111,31 @@ impl DistTable {
         }
     }
 
-    /// The partition-logged row images of coordinator-committed
-    /// transaction `tid`, in node order — recovery re-applies them
-    /// through the platform's bulk write path.
-    pub fn redo_rows(&self, tid: u64) -> Result<Vec<Row>> {
+    /// The partition-logged row images of the coordinator-committed
+    /// transactions `tids`, by transaction, each in node order —
+    /// recovery re-applies them through the platform's bulk write path.
+    /// Reads every partition log once.
+    pub fn redo_rows(&self, tids: &HashSet<u64>) -> Result<HashMap<u64, Vec<Row>>> {
+        let mut rows: HashMap<u64, Vec<Row>> = HashMap::new();
         let Some(wals) = self.partition_wals() else {
-            return Ok(Vec::new());
+            return Ok(rows);
         };
-        let mut rows = Vec::new();
+        let mut redone = 0u64;
         for wal in &wals.wals {
-            for rec in wal.records() {
-                match rec {
-                    LogRecord::Data {
-                        tid: t, payload, ..
-                    } if t == tid => rows.push(decode_row(&payload, self.schema())?),
-                    _ => {}
+            for rec in wal.records()? {
+                if let LogRecord::Data { tid, payload, .. } = rec {
+                    if tids.contains(&tid) {
+                        rows.entry(tid)
+                            .or_default()
+                            .push(decode_row(&payload, self.schema())?);
+                        redone += 1;
+                    }
                 }
             }
         }
         hana_obs::registry()
             .counter("hana_dist_partition_redo_rows_total")
-            .add(rows.len() as u64);
+            .add(redone);
         Ok(rows)
     }
 }

@@ -75,31 +75,36 @@ pub struct TransactionManager {
 }
 
 impl TransactionManager {
-    /// A manager with a volatile WAL.
+    /// A manager with a volatile WAL, which has nothing to resume from.
     pub fn new() -> TransactionManager {
-        TransactionManager::with_shared_wal(Arc::new(Wal::in_memory()))
+        TransactionManager::recovered(Arc::new(Wal::in_memory()), &RecoveryReport::default())
     }
 
     /// A manager whose WAL is appended to the single file `path`.
     pub fn with_log_file(path: &Path) -> Result<TransactionManager> {
-        Ok(TransactionManager::with_shared_wal(Arc::new(
-            Wal::with_file(path)?,
-        )))
+        TransactionManager::with_shared_wal(Arc::new(Wal::with_file(path)?))
     }
 
     /// A manager sharing `wal` with other components (the platform holds
-    /// a handle for data logging and checkpoints).
-    pub fn with_shared_wal(wal: Arc<Wal>) -> TransactionManager {
+    /// a handle for data logging and checkpoints). Fails if the log
+    /// cannot be read.
+    pub fn with_shared_wal(wal: Arc<Wal>) -> Result<TransactionManager> {
+        let report = wal.recover()?;
+        Ok(TransactionManager::recovered(wal, &report))
+    }
+
+    /// A manager sharing `wal`, resuming after `report` — what
+    /// [`Wal::recover`] (or [`Wal::recover_records`]) returned for it,
+    /// so a caller that replays the log reads it once.
+    pub fn recovered(wal: Arc<Wal>, report: &RecoveryReport) -> TransactionManager {
         // Resume CIDs after the highest committed CID (checkpoint
         // included) and TIDs after the highest TID ever allocated — a
         // reused TID would merge two distinct transactions at replay.
-        let report = wal.recover();
-        let max_cid = report.max_committed_cid();
         let ckpt_tid = wal.latest_checkpoint().map(|c| c.max_tid).unwrap_or(0);
         let max_tid = report.max_tid().max(ckpt_tid);
         TransactionManager {
             next_tid: AtomicU64::new(max_tid + 1),
-            last_cid: AtomicU64::new(max_cid),
+            last_cid: AtomicU64::new(report.max_committed_cid()),
             wal,
             commit_order: Mutex::new(()),
             apply_gate: RwLock::new(()),
@@ -154,11 +159,13 @@ impl TransactionManager {
     /// Append a logical redo record for `tid`. The record is not
     /// individually fsynced — it becomes durable with (and strictly
     /// before) the transaction's commit record, which is all redo needs.
-    pub fn log_data(&self, tid: u64, engine: &str, payload: &str) -> Result<()> {
-        self.wal.append(LogRecord::Data {
+    /// `payload` runs only when the log stores the record: a volatile
+    /// log (or a passive one, replaying) builds no payload.
+    pub fn log_data(&self, tid: u64, engine: &str, payload: impl FnOnce() -> String) -> Result<()> {
+        self.wal.append_with(|| LogRecord::Data {
             tid,
             engine: engine.to_string(),
-            payload: payload.to_string(),
+            payload: payload(),
         })
     }
 
@@ -307,14 +314,14 @@ impl TransactionManager {
 
     /// Replay the WAL and surface in-doubt transactions (crash recovery
     /// is "recovered jointly" for HANA and the extended store, §3.1).
-    pub fn recover(&self) -> RecoveryReport {
-        let report = self.wal.recover();
+    pub fn recover(&self) -> Result<RecoveryReport> {
+        let report = self.wal.recover()?;
         *self.in_doubt.lock() = report.in_doubt.clone();
-        report
+        Ok(report)
     }
 
     /// Point-in-time variant of [`TransactionManager::recover`].
-    pub fn recover_to(&self, cid: u64) -> RecoveryReport {
+    pub fn recover_to(&self, cid: u64) -> Result<RecoveryReport> {
         self.wal.recover_to(cid)
     }
 
@@ -562,7 +569,8 @@ mod tests {
     fn a_lone_durable_commit_records_its_fsync_under_commit_wait() {
         let dir = std::env::temp_dir().join(format!("hana-txn-span-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tm = TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap()));
+        let tm =
+            TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap())).unwrap();
         let tracer = hana_obs::Tracer::new();
         {
             let _g = tracer.install();
@@ -610,7 +618,7 @@ mod tests {
             wal.append(LogRecord::Commit { tid: 2, cid: 7 }).unwrap();
         }
         let tm = TransactionManager::with_log_file(&path).unwrap();
-        let report = tm.recover();
+        let report = tm.recover().unwrap();
         assert_eq!(report.committed, vec![(2, 7)]);
         assert_eq!(tm.in_doubt(), vec![(1, vec!["iq".to_string()])]);
         // New CIDs continue after the recovered maximum, and TIDs resume

@@ -16,6 +16,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
+use hana_obs::{Counter, Histogram};
 use hana_types::{HanaError, Result};
 
 use super::frame::encode_frame;
@@ -64,6 +65,13 @@ pub(crate) struct GroupLog {
     /// Signalled whenever a flush ends.
     flushed: Condvar,
     writer: Mutex<LogWriter>,
+    groups: GroupInstruments,
+}
+
+/// `hana_wal_group_commits_total` and `hana_wal_group_commit_txns`.
+struct GroupInstruments {
+    commits: Arc<Counter>,
+    txns: Arc<Histogram>,
 }
 
 impl GroupLog {
@@ -79,39 +87,42 @@ impl GroupLog {
             }),
             flushed: Condvar::new(),
             writer: Mutex::new(writer),
+            groups: GroupInstruments {
+                commits: hana_obs::registry().counter("hana_wal_group_commits_total"),
+                txns: hana_obs::registry().histogram("hana_wal_group_commit_txns"),
+            },
         })
     }
 
-    /// Sequence number of the writer's active segment.
-    pub(crate) fn active_seq(&self) -> u64 {
-        self.writer.lock().expect("WAL writer lock").active_seq()
+    /// Run `f` on the writer, holding its lock: no flush writes while
+    /// it runs, so the files end on a whole frame.
+    pub(crate) fn with_writer<T>(&self, f: impl FnOnce(&mut LogWriter) -> T) -> T {
+        f(&mut self.writer.lock().expect("WAL writer lock"))
     }
 
-    /// Frame `payload` onto the buffer. Returns the frame's length and a
-    /// ticket that, for `durable`, resolves once the flush holding the
-    /// frame is synced; a poisoned log enqueues nothing and says why.
+    /// Frame `payload` onto the buffer. Returns a ticket that, for
+    /// `durable`, resolves once the flush holding the frame is synced;
+    /// a poisoned log enqueues nothing and says why.
     pub(crate) fn enqueue(
         self: &Arc<Self>,
         payload: &[u8],
         durable: bool,
-    ) -> std::result::Result<(u64, DurableTicket), String> {
+    ) -> std::result::Result<DurableTicket, String> {
         let mut q = self.queue.lock().expect("WAL queue lock");
         if let Some(why) = &q.poisoned {
             return Err(why.clone());
         }
         let before = q.buf.len();
         encode_frame(payload, &mut q.buf);
-        let len = (q.buf.len() - before) as u64;
-        q.enqueued += len;
+        q.enqueued += (q.buf.len() - before) as u64;
         if !durable {
-            return Ok((len, DurableTicket(TicketInner::Ready(Ok(())))));
+            return Ok(DurableTicket(TicketInner::Ready(Ok(()))));
         }
         q.tickets += 1;
-        let ticket = TicketInner::Pending {
+        Ok(DurableTicket(TicketInner::Pending {
             log: Arc::clone(self),
             end: q.enqueued,
-        };
-        Ok((len, DurableTicket(ticket)))
+        }))
     }
 
     /// Durable barrier: everything enqueued before this call is on disk
@@ -157,7 +168,7 @@ impl GroupLog {
             drop(q);
             let result = {
                 let mut writer = self.writer.lock().expect("WAL writer lock");
-                flush(&mut writer, &bytes, txns)
+                flush(&mut writer, &self.groups, &bytes, txns)
             };
             q = self.queue.lock().expect("WAL queue lock");
             q.flushing = false;
@@ -185,15 +196,14 @@ impl GroupLog {
 }
 
 /// One write and one fsync for a taken buffer of `txns` tickets.
-fn flush(writer: &mut LogWriter, bytes: &[u8], txns: u64) -> Result<()> {
+fn flush(writer: &mut LogWriter, groups: &GroupInstruments, bytes: &[u8], txns: u64) -> Result<()> {
     let span = hana_obs::span("fsync");
     span.attr("txns", txns);
     span.set_bytes(bytes.len() as u64);
     writer.write_batch(bytes)?;
     writer.sync()?;
-    let reg = hana_obs::registry();
-    reg.counter("hana_wal_group_commits_total").inc();
-    reg.histogram("hana_wal_group_commit_txns").record(txns);
+    groups.commits.inc();
+    groups.txns.record(txns);
     Ok(())
 }
 
@@ -208,7 +218,7 @@ impl Drop for GroupLog {
         if q.poisoned.is_some() || q.buf.is_empty() {
             return;
         }
-        if let Err(e) = flush(writer, &q.buf, q.tickets) {
+        if let Err(e) = flush(writer, &self.groups, &q.buf, q.tickets) {
             hana_obs::warn(format!("WAL append lost at close: {e}"));
         }
     }

@@ -14,6 +14,10 @@
 //! crash hit between prepare and commit. The reader tolerates a torn
 //! tail (crash mid-append) on the last segment by truncating it; damage
 //! anywhere else is corruption and fails the open.
+//!
+//! The files are the log's only copy of its records: a read of a live
+//! log flushes what was appended and reads the segments back, and a
+//! volatile log counts its appends and stores nothing.
 
 mod checkpoint;
 mod frame;
@@ -24,15 +28,17 @@ pub use group::DurableTicket;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use hana_obs::Counter;
 use hana_types::{HanaError, Result};
 
 use self::group::{GroupLog, TicketInner};
-use self::segment::{LogWriter, Storage, DEFAULT_SEGMENT_BYTES};
+use self::segment::{LoadedPayload, LogWriter, Storage, DEFAULT_SEGMENT_BYTES};
 
 /// One log record. `cid` values order commits for point-in-time recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,41 +161,33 @@ pub struct WalCheckpoint {
 }
 
 enum Backend {
-    /// No file: records live only in memory (unit tests).
+    /// No file: appends are counted and dropped.
     Volatile,
     /// Segment files, flushed by whichever committer leads.
-    Durable(Arc<GroupLog>),
-}
-
-struct AppendState {
-    records: Vec<LogRecord>,
-    /// Cumulative end offset (across segments) of each record's frame,
-    /// parallel to `records` — the crash-point harness keys truncation
-    /// points on these.
-    end_offsets: Vec<u64>,
-    next_offset: u64,
+    Durable {
+        log: Arc<GroupLog>,
+        storage: Storage,
+    },
 }
 
 /// The write-ahead log. Shared by reference: all methods take `&self`.
 pub struct Wal {
-    state: Mutex<AppendState>,
     backend: Backend,
-    storage: Option<Storage>,
-    checkpoint_dir: Option<PathBuf>,
     latest_checkpoint: Mutex<Option<WalCheckpoint>>,
     truncated_bytes: u64,
-    config: WalConfig,
     /// Passive mode: appends become no-ops. Engaged only while recovery
     /// replays already-logged statements through the normal write path,
     /// so replay does not re-log (and thus double-apply on the *next*
     /// recovery) what the log already contains.
-    passive: std::sync::atomic::AtomicBool,
+    passive: AtomicBool,
+    /// `hana_wal_appends_total`.
+    appends: Arc<Counter>,
 }
 
 impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
-            .field("records", &self.state.lock().records.len())
+            .field("volatile", &matches!(self.backend, Backend::Volatile))
             .field("truncated_bytes", &self.truncated_bytes)
             .finish()
     }
@@ -201,29 +199,33 @@ impl Default for Wal {
     }
 }
 
+/// Decode one frame's payload.
+fn decode(payload: &[u8]) -> Result<LogRecord> {
+    let text =
+        std::str::from_utf8(payload).map_err(|_| HanaError::Io("non-UTF-8 WAL record".into()))?;
+    LogRecord::deserialize(text)
+}
+
 impl Wal {
-    /// A volatile, in-memory log (unit tests, throwaway instances).
+    /// A volatile log (unit tests, throwaway instances): it counts its
+    /// appends and stores nothing, so [`Wal::records`] is always empty.
     pub fn in_memory() -> Wal {
+        Wal::with_backend(Backend::Volatile, None, 0)
+    }
+
+    fn with_backend(backend: Backend, latest: Option<WalCheckpoint>, truncated_bytes: u64) -> Wal {
         Wal {
-            state: Mutex::new(AppendState {
-                records: Vec::new(),
-                end_offsets: Vec::new(),
-                next_offset: 0,
-            }),
-            backend: Backend::Volatile,
-            storage: None,
-            checkpoint_dir: None,
-            latest_checkpoint: Mutex::new(None),
-            truncated_bytes: 0,
-            config: WalConfig::default(),
-            passive: std::sync::atomic::AtomicBool::new(false),
+            backend,
+            latest_checkpoint: Mutex::new(latest),
+            truncated_bytes,
+            passive: AtomicBool::new(false),
+            appends: hana_obs::registry().counter("hana_wal_appends_total"),
         }
     }
 
     /// A durable log appended to the single file `path` (created if
-    /// missing, never rolled). Existing records are loaded so recovery
-    /// can run over them; a torn final record is truncated away with a
-    /// warning rather than failing the open.
+    /// missing, never rolled). A torn final record is truncated away
+    /// with a warning rather than failing the open.
     pub fn with_file(path: &Path) -> Result<Wal> {
         Wal::open_storage(
             Storage::SingleFile(path.to_path_buf()),
@@ -247,37 +249,28 @@ impl Wal {
             std::fs::create_dir_all(dir)?;
         }
         let loaded = segment::load(&storage, true)?;
-        let mut records = Vec::with_capacity(loaded.payloads.len());
-        let mut end_offsets = Vec::with_capacity(loaded.payloads.len());
-        let mut next_offset = 0u64;
-        for p in &loaded.payloads {
-            let text = std::str::from_utf8(&p.payload)
-                .map_err(|_| HanaError::Io("non-UTF-8 WAL record".into()))?;
-            records.push(LogRecord::deserialize(text)?);
-            end_offsets.push(p.end_offset);
-            next_offset = p.end_offset;
-        }
         // A checkpoint sidecar is only trusted once the log itself shows
         // commits (or a checkpoint record) reaching its CID — guards a
         // sidecar that outlived a truncated log tail.
-        let cid_limit = records
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { cid, .. } | LogRecord::Checkpoint { cid } => Some(*cid),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let (checkpoint_dir, latest) = match &storage {
-            Storage::Dir(dir) => (
-                Some(dir.clone()),
-                checkpoint::load_latest(dir, cid_limit).map(|c| WalCheckpoint {
-                    cid: c.cid,
-                    max_tid: c.max_tid,
-                    payload: c.payload,
-                }),
-            ),
-            Storage::SingleFile(_) => (None, None),
+        let mut cid_limit = 0;
+        for p in &loaded.payloads {
+            // Only commit and checkpoint records carry a CID.
+            if !(p.payload.starts_with(b"C\t") || p.payload.starts_with(b"K\t")) {
+                continue;
+            }
+            if let LogRecord::Commit { cid, .. } | LogRecord::Checkpoint { cid } =
+                decode(&p.payload)?
+            {
+                cid_limit = cid_limit.max(cid);
+            }
+        }
+        let latest = match &storage {
+            Storage::Dir(dir) => checkpoint::load_latest(dir, cid_limit).map(|c| WalCheckpoint {
+                cid: c.cid,
+                max_tid: c.max_tid,
+                payload: c.payload,
+            }),
+            Storage::SingleFile(_) => None,
         };
         let writer = LogWriter::open(
             storage.clone(),
@@ -285,45 +278,35 @@ impl Wal {
             config.segment_bytes,
             config.fsyncs_until_fail,
         )?;
-        Ok(Wal {
-            state: Mutex::new(AppendState {
-                records,
-                end_offsets,
-                next_offset,
-            }),
-            backend: Backend::Durable(GroupLog::new(writer)),
-            storage: Some(storage),
-            checkpoint_dir,
-            latest_checkpoint: Mutex::new(latest),
-            truncated_bytes: loaded.truncated_bytes,
-            config,
-            passive: std::sync::atomic::AtomicBool::new(false),
-        })
+        let log = GroupLog::new(writer);
+        Ok(Wal::with_backend(
+            Backend::Durable { log, storage },
+            latest,
+            loaded.truncated_bytes,
+        ))
     }
 
     /// Engage/disengage passive mode (recovery replay only): while
     /// passive, every append is dropped. See the field docs.
     pub fn set_passive(&self, on: bool) {
-        self.passive.store(on, std::sync::atomic::Ordering::SeqCst);
+        self.passive.store(on, Ordering::SeqCst);
     }
 
     /// Whether the log is in passive (recovery replay) mode.
     pub fn passive(&self) -> bool {
-        self.passive.load(std::sync::atomic::Ordering::SeqCst)
+        self.passive.load(Ordering::SeqCst)
     }
 
-    /// The segment directory for directory-backed logs.
+    /// The segment directory for directory-backed logs (which alone
+    /// keep checkpoint sidecars and prune segments).
     pub fn dir(&self) -> Option<PathBuf> {
-        match &self.storage {
-            Some(Storage::Dir(d)) => Some(d.clone()),
+        match &self.backend {
+            Backend::Durable {
+                storage: Storage::Dir(d),
+                ..
+            } => Some(d.clone()),
             _ => None,
         }
-    }
-
-    /// Whether this log persists to a segment directory (and therefore
-    /// supports checkpoint sidecars and segment pruning).
-    pub fn is_durable_dir(&self) -> bool {
-        self.checkpoint_dir.is_some()
     }
 
     /// Bytes dropped from a torn tail at open time (0 for a clean log).
@@ -331,31 +314,55 @@ impl Wal {
         self.truncated_bytes
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &WalConfig {
-        &self.config
-    }
-
     /// Segment files in replay order (empty for in-memory logs).
     pub fn segment_paths(&self) -> Vec<PathBuf> {
-        self.storage
-            .as_ref()
-            .and_then(|s| s.segment_paths().ok())
-            .unwrap_or_default()
+        let Backend::Durable { storage, .. } = &self.backend else {
+            return Vec::new();
+        };
+        let segments = storage.segments().unwrap_or_default();
+        segments.into_iter().map(|(_, path)| path).collect()
     }
 
-    /// Cumulative end offset of each record's frame, parallel to
-    /// [`Wal::records`] — crash harnesses truncate copies of the log at
-    /// these (and every other) byte positions.
+    /// Every frame in the log's files, oldest first, with its end offset
+    /// counted since open (pruned segments included). Flushes what was
+    /// appended first and reads under the writer lock, so the read holds
+    /// every record appended before the call and never a half-written
+    /// frame.
+    fn frames(&self) -> Result<Vec<LoadedPayload>> {
+        let Backend::Durable { log, storage } = &self.backend else {
+            return Ok(Vec::new());
+        };
+        log.sync()?;
+        log.with_writer(|w| {
+            let mut frames = segment::load(storage, false)?.payloads;
+            for f in &mut frames {
+                f.end_offset += w.pruned_bytes();
+            }
+            Ok(frames)
+        })
+    }
+
+    /// Cumulative end offset since open of each record's frame, parallel
+    /// to [`Wal::records`] — crash harnesses truncate copies of the log
+    /// at these (and every other) byte positions. The bytes of pruned
+    /// segments still count, so the last offset is the bytes appended
+    /// since open. A read failure is reported through `obs::warn` and
+    /// yields an empty list.
     pub fn record_end_offsets(&self) -> Vec<u64> {
-        self.state.lock().end_offsets.clone()
+        match self.frames() {
+            Ok(frames) => frames.iter().map(|f| f.end_offset).collect(),
+            Err(e) => {
+                hana_obs::warn(format!("WAL read-back failed: {e}"));
+                Vec::new()
+            }
+        }
     }
 
     /// Why the log refuses appends, if a write/fsync failed.
     pub fn poisoned(&self) -> Option<String> {
         match &self.backend {
             Backend::Volatile => None,
-            Backend::Durable(g) => g.poisoned(),
+            Backend::Durable { log, .. } => log.poisoned(),
         }
     }
 
@@ -363,6 +370,12 @@ impl Wal {
     /// record reaches the file with the next flush, [`Wal::sync`] or
     /// drop of the log.
     pub fn append(&self, rec: LogRecord) -> Result<()> {
+        self.submit(|| rec, false).wait()
+    }
+
+    /// [`Wal::append`] of the record `rec` builds, which runs only when
+    /// the log stores it: a volatile or passive log builds nothing.
+    pub fn append_with(&self, rec: impl FnOnce() -> LogRecord) -> Result<()> {
         self.submit(rec, false).wait()
     }
 
@@ -371,37 +384,25 @@ impl Wal {
     /// append order); the caller blocks on the ticket when ready —
     /// that split is what lets concurrent committers share one fsync.
     pub fn submit_durable(&self, rec: LogRecord) -> DurableTicket {
-        self.submit(rec, true)
+        self.submit(|| rec, true)
     }
 
     /// Append `rec` and wait for it to be durable.
     pub fn append_durable(&self, rec: LogRecord) -> Result<()> {
-        self.submit(rec, true).wait()
+        self.submit(|| rec, true).wait()
     }
 
-    fn submit(&self, rec: LogRecord, durable: bool) -> DurableTicket {
+    fn submit(&self, rec: impl FnOnce() -> LogRecord, durable: bool) -> DurableTicket {
         if self.passive() {
             return DurableTicket(TicketInner::Ready(Ok(())));
         }
-        hana_obs::registry().counter("hana_wal_appends_total").inc();
-        // The state lock spans mirror push + backend enqueue so the
-        // in-memory record order always matches the on-disk byte order.
-        let mut st = self.state.lock();
-        let ticket = match &self.backend {
-            Backend::Volatile => DurableTicket(TicketInner::Ready(Ok(()))),
-            Backend::Durable(g) => match g.enqueue(rec.serialize().as_bytes(), durable) {
-                Ok((len, ticket)) => {
-                    st.next_offset += len;
-                    let off = st.next_offset;
-                    st.end_offsets.push(off);
-                    ticket
-                }
-                // Poisoned: nothing was enqueued.
-                Err(why) => return DurableTicket(TicketInner::Ready(Err(why))),
-            },
+        self.appends.inc();
+        let Backend::Durable { log, .. } = &self.backend else {
+            return DurableTicket(TicketInner::Ready(Ok(())));
         };
-        st.records.push(rec);
-        ticket
+        // The queue lock inside `enqueue` fixes the record's position.
+        log.enqueue(rec().serialize().as_bytes(), durable)
+            .unwrap_or_else(|why| DurableTicket(TicketInner::Ready(Err(why))))
     }
 
     /// Durable barrier: every record appended before this call is on
@@ -409,26 +410,35 @@ impl Wal {
     pub fn sync(&self) -> Result<()> {
         match &self.backend {
             Backend::Volatile => Ok(()),
-            Backend::Durable(g) => g.sync(),
+            Backend::Durable { log, .. } => log.sync(),
         }
     }
 
-    /// All records, oldest first (after a pruning checkpoint: the
-    /// surviving suffix).
-    pub fn records(&self) -> Vec<LogRecord> {
-        self.state.lock().records.clone()
+    /// All records in the log's files, oldest first (after a pruning
+    /// checkpoint: those of the surviving segments), read back from
+    /// them: every record appended before the call is included. A
+    /// volatile log has none.
+    pub fn records(&self) -> Result<Vec<LogRecord>> {
+        self.frames()?.iter().map(|f| decode(&f.payload)).collect()
     }
 
     /// Classify every transaction seen in the log.
-    pub fn recover(&self) -> RecoveryReport {
+    pub fn recover(&self) -> Result<RecoveryReport> {
         self.recover_to(u64::MAX)
     }
 
     /// Point-in-time recovery: only commits with `cid <= upto_cid` count
     /// as committed; later commits are rolled back (treated as aborted).
-    pub fn recover_to(&self, upto_cid: u64) -> RecoveryReport {
+    pub fn recover_to(&self, upto_cid: u64) -> Result<RecoveryReport> {
+        Ok(self.recover_records(upto_cid)?.1)
+    }
+
+    /// [`Wal::recover_to`] together with the records it classified, so
+    /// a replay reads the log once.
+    pub fn recover_records(&self, upto_cid: u64) -> Result<(Vec<LogRecord>, RecoveryReport)> {
         let start = Instant::now();
-        let mut report = RecoveryReport::from_records(&self.state.lock().records, upto_cid);
+        let records = self.records()?;
+        let mut report = RecoveryReport::from_records(&records, upto_cid);
         if let Some(ckpt) = self.latest_checkpoint.lock().as_ref() {
             if ckpt.cid <= upto_cid {
                 report.checkpoint_cid = ckpt.cid;
@@ -438,7 +448,7 @@ impl Wal {
         reg.counter("hana_wal_recoveries_total").inc();
         reg.histogram("hana_wal_recovery_replay_ns")
             .record(start.elapsed().as_nanos() as u64);
-        report
+        Ok((records, report))
     }
 
     /// The newest usable checkpoint snapshot, if any.
@@ -448,80 +458,36 @@ impl Wal {
 
     /// Durably record a checkpoint: `payload` (an opaque engine
     /// snapshot covering every commit `<= cid`) is written to a sidecar
-    /// file, then a [`LogRecord::Checkpoint`] marks the log. With
-    /// `prune`, sealed segments older than the active one are deleted —
-    /// callers must only ask for that when no transaction is active, as
-    /// pruned records are gone from [`Wal::records`] too.
+    /// file, then a [`LogRecord::Checkpoint`] marks the log. A log
+    /// without a directory has no sidecar and keeps no snapshot: only
+    /// the record marks it. With `prune`, sealed segments older than
+    /// the active one are deleted — callers must only ask for that when
+    /// no transaction is active, as pruned records are gone from
+    /// [`Wal::records`] too. Covered commits left in the active segment
+    /// stay; replay skips them by CID.
     pub fn checkpoint(&self, cid: u64, max_tid: u64, payload: &[u8], prune: bool) -> Result<()> {
-        if let Some(dir) = &self.checkpoint_dir {
+        let dir = self.dir();
+        if let Some(dir) = &dir {
             let seq = checkpoint::max_seq(dir) + 1;
             checkpoint::write(dir, seq, cid, max_tid, payload)?;
         }
         self.append_durable(LogRecord::Checkpoint { cid })?;
+        if dir.is_none() {
+            return Ok(());
+        }
         *self.latest_checkpoint.lock() = Some(WalCheckpoint {
             cid,
             max_tid,
             payload: payload.to_vec(),
         });
-        if prune {
-            self.prune_to_active_segment(cid);
-        }
-        Ok(())
-    }
-
-    /// Delete sealed segments (everything but the active one) and drop
-    /// the in-memory mirror of records the checkpoint covers.
-    fn prune_to_active_segment(&self, ckpt_cid: u64) {
-        let Some(Storage::Dir(dir)) = &self.storage else {
-            return;
-        };
-        let Backend::Durable(g) = &self.backend else {
-            return;
-        };
-        let active_seq = g.active_seq();
-        let mut pruned = 0u64;
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy().to_string();
-                if let Some(seq) = name
-                    .strip_prefix("wal-")
-                    .and_then(|s| s.strip_suffix(".seg"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    if seq < active_seq && std::fs::remove_file(entry.path()).is_ok() {
-                        pruned += 1;
-                    }
-                }
+        if let (true, Backend::Durable { log, .. }) = (prune, &self.backend) {
+            // The checkpoint is durable either way; a segment that could
+            // not be deleted is only dead weight.
+            if let Err(e) = log.with_writer(LogWriter::prune_sealed) {
+                hana_obs::warn(format!("WAL segment pruning failed: {e}"));
             }
         }
-        if pruned > 0 {
-            segment::sync_dir(dir);
-            hana_obs::registry()
-                .counter("hana_wal_segments_pruned_total")
-                .add(pruned);
-        }
-        // Keep only records the checkpoint does not cover: finished
-        // transactions at or below the checkpoint CID are snapshot state.
-        let mut st = self.state.lock();
-        let report = RecoveryReport::from_records(&st.records, u64::MAX);
-        let covered: std::collections::HashSet<u64> = report
-            .committed
-            .iter()
-            .filter(|&&(_, cid)| cid <= ckpt_cid)
-            .map(|&(tid, _)| tid)
-            .collect();
-        let keep: Vec<LogRecord> = st
-            .records
-            .iter()
-            .filter(|r| match r {
-                LogRecord::Checkpoint { cid } => *cid >= ckpt_cid,
-                rec => !covered.contains(&rec.tid()),
-            })
-            .cloned()
-            .collect();
-        st.records = keep;
-        st.end_offsets.clear();
+        Ok(())
     }
 }
 
@@ -654,8 +620,8 @@ mod tests {
                 .unwrap();
         }
         let wal = Wal::open_dir(&dir).unwrap();
-        assert_eq!(wal.records().len(), 2);
-        assert_eq!(wal.recover().committed, vec![(1, 1)]);
+        assert_eq!(wal.records().unwrap().len(), 2);
+        assert_eq!(wal.recover().unwrap().committed, vec![(1, 1)]);
         assert_eq!(wal.truncated_bytes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -668,7 +634,7 @@ mod tests {
             wal.append(LogRecord::Begin { tid: 1 }).unwrap();
         }
         let wal = Wal::open_dir(&dir).unwrap();
-        assert_eq!(wal.records(), vec![LogRecord::Begin { tid: 1 }]);
+        assert_eq!(wal.records().unwrap(), vec![LogRecord::Begin { tid: 1 }]);
         assert_eq!(wal.truncated_bytes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -690,7 +656,7 @@ mod tests {
         }
         let wal = Wal::open_dir_with(&dir, cfg).unwrap();
         assert!(wal.segment_paths().len() > 1, "log should have rolled");
-        assert_eq!(wal.recover().committed.len(), 20);
+        assert_eq!(wal.recover().unwrap().committed.len(), 20);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -718,7 +684,7 @@ mod tests {
         let ckpt = wal.latest_checkpoint().expect("checkpoint survives reopen");
         assert_eq!(ckpt.cid, 10);
         assert_eq!(ckpt.payload, b"engine snapshot");
-        let report = wal.recover();
+        let report = wal.recover().unwrap();
         assert_eq!(report.checkpoint_cid, 10);
         // Replay needs only the suffix past the checkpoint; commits the
         // snapshot covers are filtered out by CID, whether or not their
@@ -745,7 +711,7 @@ mod tests {
         checkpoint::write(&dir, 7, 99, 99, b"from the future").unwrap();
         let wal = Wal::open_dir(&dir).unwrap();
         assert!(wal.latest_checkpoint().is_none());
-        assert_eq!(wal.recover().checkpoint_cid, 0);
+        assert_eq!(wal.recover().unwrap().checkpoint_cid, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -802,7 +768,7 @@ mod tests {
             assert!(matches!(late.0, TicketInner::Ready(Err(_))));
         }
         let wal = Wal::open_dir(&dir).unwrap();
-        assert_eq!(wal.recover().committed, vec![(1, 1)]);
+        assert_eq!(wal.recover().unwrap().committed, vec![(1, 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,8 +5,10 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
+use hana_obs::{Counter, Histogram};
 use hana_types::{HanaError, Result};
 
 use super::frame::{decode_frame, FrameOutcome};
@@ -29,11 +31,12 @@ pub(crate) enum Storage {
 }
 
 impl Storage {
-    /// Segment files in replay order.
-    pub(crate) fn segment_paths(&self) -> Result<Vec<PathBuf>> {
+    /// Segment files in replay order, with their sequence numbers (0
+    /// for the single file).
+    pub(crate) fn segments(&self) -> Result<Vec<(u64, PathBuf)>> {
         match self {
             Storage::SingleFile(p) => Ok(if p.exists() {
-                vec![p.clone()]
+                vec![(0, p.clone())]
             } else {
                 Vec::new()
             }),
@@ -53,7 +56,10 @@ impl Storage {
                     }
                 }
                 seqs.sort_unstable();
-                Ok(seqs.iter().map(|&s| dir.join(segment_name(s))).collect())
+                Ok(seqs
+                    .into_iter()
+                    .map(|s| (s, dir.join(segment_name(s))))
+                    .collect())
             }
         }
     }
@@ -79,16 +85,18 @@ pub(crate) struct LoadedLog {
     pub last_seq: u64,
 }
 
-/// Load all segments, tolerating a torn tail on the *last* one: the
-/// damaged suffix is truncated away (crash mid-append) and reported via
-/// `obs::warn`. Damage anywhere else is real corruption and errors.
+/// Load all segments, tolerating a torn tail on the *last* one. With
+/// `repair` (at open) the damaged suffix is truncated away (crash
+/// mid-append) and reported via `obs::warn`; without it (a read of a
+/// live log) the read just stops there, touching and reporting nothing.
+/// Damage anywhere else is real corruption and errors.
 pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
-    let paths = storage.segment_paths()?;
+    let segments = storage.segments()?;
     let mut payloads = Vec::new();
     let mut truncated = 0u64;
     let mut base = 0u64;
-    let last = paths.len().saturating_sub(1);
-    for (i, path) in paths.iter().enumerate() {
+    let last = segments.len().saturating_sub(1);
+    for (i, (_, path)) in segments.iter().enumerate() {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
         let mut off = 0usize;
@@ -107,14 +115,14 @@ pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
                 FrameOutcome::Torn | FrameOutcome::Corrupt if i == last => {
                     // A crash can only tear the tail of the active
                     // segment: drop the damaged suffix and carry on.
-                    let lost = (bytes.len() - off) as u64;
-                    truncated += lost;
-                    hana_obs::warn(format!(
-                        "WAL torn tail: truncating {lost} trailing byte(s) of {} \
-                         (crash mid-append); committed prefix is intact",
-                        path.display()
-                    ));
                     if repair {
+                        let lost = (bytes.len() - off) as u64;
+                        truncated += lost;
+                        hana_obs::warn(format!(
+                            "WAL torn tail: truncating {lost} trailing byte(s) of {} \
+                             (crash mid-append); committed prefix is intact",
+                            path.display()
+                        ));
                         let f = OpenOptions::new().write(true).open(path)?;
                         f.set_len(off as u64)?;
                         f.sync_data()?;
@@ -131,21 +139,7 @@ pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
         }
         base += off as u64;
     }
-    let last_seq = match storage {
-        Storage::SingleFile(_) => 0,
-        Storage::Dir(dir) => paths
-            .iter()
-            .filter_map(|p| {
-                p.strip_prefix(dir)
-                    .ok()
-                    .and_then(|n| n.to_str())
-                    .and_then(|n| n.strip_prefix("wal-"))
-                    .and_then(|n| n.strip_suffix(".seg"))
-                    .and_then(|n| n.parse::<u64>().ok())
-            })
-            .max()
-            .unwrap_or(0),
-    };
+    let last_seq = segments.last().map_or(0, |&(seq, _)| seq);
     Ok(LoadedLog {
         payloads,
         truncated_bytes: truncated,
@@ -154,17 +148,23 @@ pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
 }
 
 /// The append side: owns the active segment file, rolls it at the size
-/// threshold (directory mode), fsyncs on demand and hosts the injected
-/// fsync-failure point the crash harness drives.
+/// threshold (directory mode), fsyncs on demand, prunes sealed segments
+/// and hosts the injected fsync-failure point the crash harness drives.
 pub(crate) struct LogWriter {
     storage: Storage,
     active: File,
     active_seq: u64,
     active_len: u64,
     segment_bytes: u64,
+    /// Bytes of the segments pruned since open: a frame's end offset
+    /// since open is this plus its offset in the surviving segments.
+    pruned_bytes: u64,
     /// Injected failure: after this many successful syncs, every write
     /// and sync fails (the batch is dropped, modelling a lost fsync).
     fsyncs_until_fail: Option<u64>,
+    /// `hana_wal_fsyncs_total` and `hana_wal_fsync_ns`.
+    fsyncs: Arc<Counter>,
+    fsync_ns: Arc<Histogram>,
 }
 
 impl LogWriter {
@@ -185,6 +185,7 @@ impl LogWriter {
         };
         let mut active = OpenOptions::new().create(true).append(true).open(&path)?;
         let active_len = active.seek(SeekFrom::End(0))?;
+        let obs = hana_obs::registry();
         Ok(LogWriter {
             active_seq: match &storage {
                 Storage::SingleFile(_) => 0,
@@ -194,13 +195,42 @@ impl LogWriter {
             active,
             active_len,
             segment_bytes,
+            pruned_bytes: 0,
             fsyncs_until_fail,
+            fsyncs: obs.counter("hana_wal_fsyncs_total"),
+            fsync_ns: obs.histogram("hana_wal_fsync_ns"),
         })
     }
 
-    /// Sequence number of the active segment.
-    pub(crate) fn active_seq(&self) -> u64 {
-        self.active_seq
+    /// Bytes of the segments pruned since open.
+    pub(crate) fn pruned_bytes(&self) -> u64 {
+        self.pruned_bytes
+    }
+
+    /// Delete every sealed segment (all but the active one) and add
+    /// their bytes to [`pruned_bytes`](Self::pruned_bytes). A
+    /// single-file log has nothing to prune.
+    pub(crate) fn prune_sealed(&mut self) -> Result<()> {
+        let Storage::Dir(dir) = &self.storage else {
+            return Ok(());
+        };
+        let mut pruned = 0u64;
+        for (seq, path) in self.storage.segments()? {
+            if seq >= self.active_seq {
+                continue;
+            }
+            let len = fs::metadata(&path)?.len();
+            fs::remove_file(&path)?;
+            self.pruned_bytes += len;
+            pruned += 1;
+        }
+        if pruned > 0 {
+            sync_dir(dir);
+            hana_obs::registry()
+                .counter("hana_wal_segments_pruned_total")
+                .add(pruned);
+        }
+        Ok(())
     }
 
     /// Append one batch of already-framed bytes. Rolls to a fresh
@@ -234,10 +264,8 @@ impl LogWriter {
         }
         let start = Instant::now();
         self.active.sync_data()?;
-        let reg = hana_obs::registry();
-        reg.counter("hana_wal_fsyncs_total").inc();
-        reg.histogram("hana_wal_fsync_ns")
-            .record(start.elapsed().as_nanos() as u64);
+        self.fsyncs.inc();
+        self.fsync_ns.record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
 

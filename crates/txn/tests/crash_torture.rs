@@ -109,7 +109,7 @@ fn every_byte_truncation_recovers_a_committed_prefix() {
     for k in 0..=total {
         truncated_copy(&paths, &copy, k);
         let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
-        let report = wal.recover();
+        let report = wal.recover().unwrap();
         assert!(report.in_doubt.is_empty());
         assert_contiguous_prefix(&report, k);
         // Monotone: everything recovered at k-1 is still there at k.
@@ -136,7 +136,8 @@ fn recovery_is_idempotent_at_every_truncation_point() {
         truncated_copy(&paths, &copy, k);
         let first = Wal::open_dir_with(&copy, WalConfig::default())
             .unwrap()
-            .recover();
+            .recover()
+            .unwrap();
         // Reopen the *repaired* copy: the torn tail was truncated away,
         // so the second recovery must see the same history, cleanly.
         let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
@@ -145,7 +146,11 @@ fn recovery_is_idempotent_at_every_truncation_point() {
             0,
             "byte {k}: repair left a torn tail behind"
         );
-        assert_eq!(wal.recover().committed, first.committed, "byte {k}");
+        assert_eq!(
+            wal.recover().unwrap().committed,
+            first.committed,
+            "byte {k}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&copy).ok();
@@ -166,7 +171,7 @@ fn truncation_matrix_holds_across_segment_rolls() {
     for k in 0..=total {
         truncated_copy(&paths, &copy, k);
         let wal = Wal::open_dir_with(&copy, config.clone()).unwrap();
-        let report = wal.recover();
+        let report = wal.recover().unwrap();
         assert_contiguous_prefix(&report, k);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -216,7 +221,10 @@ fn seeded_random_workloads_survive_random_crashes() {
         for _ in 0..40 {
             let k = rng.below(total + 1);
             truncated_copy(&paths, &copy, k);
-            let report = Wal::open_dir_with(&copy, config.clone()).unwrap().recover();
+            let report = Wal::open_dir_with(&copy, config.clone())
+                .unwrap()
+                .recover()
+                .unwrap();
             assert_contiguous_prefix(&report, k);
             // Everything recovered must be a real commit from the run.
             for c in &report.committed {
@@ -224,7 +232,7 @@ fn seeded_random_workloads_survive_random_crashes() {
             }
         }
         // The full log recovers every committed transaction.
-        let full = Wal::open_dir_with(&dir, config).unwrap().recover();
+        let full = Wal::open_dir_with(&dir, config).unwrap().recover().unwrap();
         assert_eq!(full.committed, committed);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&copy).ok();
@@ -263,7 +271,7 @@ fn fsync_failures_poison_but_never_lose_acked_commits() {
             }
         }
         // Reopen without failpoints: every acknowledged commit is there.
-        let report = Wal::open_dir(&dir).unwrap().recover();
+        let report = Wal::open_dir(&dir).unwrap().recover().unwrap();
         for c in &acked {
             assert!(
                 report.committed.contains(c),
@@ -307,6 +315,7 @@ fn group_commit_batches_crash_to_a_committed_prefix() {
         Wal::open_dir_with(&dir, config.clone())
             .unwrap()
             .recover()
+            .unwrap()
             .committed
             .len(),
         200
@@ -318,12 +327,18 @@ fn group_commit_batches_crash_to_a_committed_prefix() {
     for _ in 0..60 {
         let k = rng.below(total + 1);
         truncated_copy(&paths, &copy, k);
-        let report = Wal::open_dir_with(&copy, config.clone()).unwrap().recover();
+        let report = Wal::open_dir_with(&copy, config.clone())
+            .unwrap()
+            .recover()
+            .unwrap();
         for &(tid, cid) in &report.committed {
             assert_eq!(tid, cid);
             assert!(tid >= 1 && tid <= 200);
         }
-        let again = Wal::open_dir_with(&copy, config.clone()).unwrap().recover();
+        let again = Wal::open_dir_with(&copy, config.clone())
+            .unwrap()
+            .recover()
+            .unwrap();
         assert_eq!(again.committed, report.committed);
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -29,7 +29,7 @@ fn fsyncs_paid(tag: &str, commits: u64, work: impl FnOnce(&Wal)) -> u64 {
     let before = fsyncs.get();
     work(&wal);
     let paid = fsyncs.get() - before;
-    assert_eq!(wal.recover().committed.len() as u64, commits);
+    assert_eq!(wal.recover().unwrap().committed.len() as u64, commits);
     drop(wal);
     std::fs::remove_dir_all(&dir).ok();
     paid

@@ -360,7 +360,7 @@ fn torn_partition_log_tails_recover_to_the_previous_batch() {
     let copy = scratch("dist-torn-copy");
     copy_dir(&dir, &copy);
     let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
-    let records = wal.records();
+    let records = wal.records().unwrap();
     let offsets = wal.record_end_offsets();
     drop(wal);
     let last_commit = records
