@@ -60,6 +60,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use hana_sql::batch::{group_batch, select, AggCall, Batch, Column, Dictionary, Groups};
+use hana_sql::block::{QueryBlock, SchemaLookup};
 use hana_sql::finish::{aggregate_output_schema, collect_aggregates, Epilogue};
 use hana_sql::{equi_keys, parse_statement, Expr, JoinKind, Query, Statement, TableRef};
 use hana_types::{
@@ -119,6 +120,20 @@ pub struct Hive {
     metastore: RwLock<HashMap<String, HiveTable>>,
     tick: AtomicU64,
     statements: AtomicU64,
+}
+
+/// The MetaStore, as a statement's FROM clause reads it: a table's
+/// entry as of compile time.
+impl SchemaLookup for Hive {
+    type Handle = HiveTable;
+
+    fn table(&self, name: &str) -> Result<(HiveTable, Schema)> {
+        let ms = self.metastore.read();
+        let table = ms.get(&name.to_ascii_lowercase());
+        let table =
+            table.ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{name}'")))?;
+        Ok((table.clone(), table.schema.clone()))
+    }
 }
 
 impl Hive {
@@ -189,11 +204,7 @@ impl Hive {
 
     /// Table schema.
     pub fn table_schema(&self, name: &str) -> Result<Schema> {
-        self.metastore
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .map(|t| t.schema.clone())
-            .ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{name}'")))
+        Ok(self.table(name)?.1)
     }
 
     /// MetaStore statistics for a table.
@@ -302,12 +313,7 @@ impl Hive {
         let Some(TableRef::Named { name, .. }) = &q.from else {
             return Ok(None);
         };
-        let Some(table) = self
-            .metastore
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-        else {
+        let Ok((table, _)) = self.table(name) else {
             return Ok(None);
         };
         let epilogue = Epilogue::new(&table.schema, q, &[])?;
@@ -319,54 +325,37 @@ impl Hive {
     // ---- the compiler: statement -> jobs, no job launched ----
 
     fn compile(&self, q: &Query) -> Result<Plan> {
-        let from = q
-            .from
-            .as_ref()
-            .ok_or_else(|| HanaError::Plan("query without FROM".into()))?;
-        let mut bindings = vec![self.bind_table(from)?];
-        for j in &q.joins {
-            if j.kind != JoinKind::Inner {
-                return Err(HanaError::Unsupported(
-                    "hive compiler supports inner joins only".into(),
-                ));
-            }
-            bindings.push(self.bind_table(&j.table)?);
+        if q.joins.iter().any(|j| j.kind != JoinKind::Inner) {
+            return Err(HanaError::Unsupported(
+                "hive compiler supports inner joins only".into(),
+            ));
         }
-
-        // Predicate push-down: a WHERE conjunct over one source moves
-        // into that source's table scan, the rest wait for the joins.
-        let mut pushed: Vec<Vec<Expr>> = vec![Vec::new(); bindings.len()];
-        let mut residual: Vec<Expr> = Vec::new();
-        for c in q.filter.iter().flat_map(Expr::conjuncts) {
-            match single_source_of(c, &bindings) {
-                Some(i) => pushed[i].push(c.clone()),
-                None => residual.push(c.clone()),
-            }
-        }
-
-        // Column pruning: a scan emits the columns some later operator
-        // names. Its own predicate is evaluated before the cut.
-        let later = q.select.iter().map(|s| &s.expr);
-        let later = later.chain(q.joins.iter().map(|j| &j.on));
-        let later = later.chain(&residual).chain(&q.group_by).chain(&q.having);
-        let later = later.chain(q.order_by.iter().map(|(e, _)| e));
-        let keep = named_columns(q, later, &bindings);
+        let block = QueryBlock::analyse(q, self)?;
 
         // One filtered, pruned scan per source, run by the map function
-        // of the first job that reads the source.
-        let mut sources = Vec::with_capacity(bindings.len());
-        let mut schemas = Vec::with_capacity(bindings.len());
-        for ((b, preds), keep) in bindings.iter().zip(pushed).zip(keep) {
-            let full = b.table.schema.qualified(&b.name);
-            let pred = preds.into_iter().reduce(Expr::and);
-            let pred = pred.map(|p| BoundExprs::bind(&full, vec![p])).transpose()?;
-            let cut = Schema::new(keep.iter().map(|&i| full.column(i).clone()).collect())?;
+        // of the first job that reads the source. Predicate push-down: a
+        // WHERE conjunct over one source runs in that source's scan, the
+        // rest wait for the joins — with no join, the whole WHERE runs in
+        // the one scan. Column pruning: a scan emits the columns some
+        // later operator names; its own predicate runs before the cut.
+        let mut sources = Vec::with_capacity(block.bindings.len());
+        let mut schemas = Vec::with_capacity(block.bindings.len());
+        for b in &block.bindings {
+            let pred = match q.joins.is_empty() {
+                true => q.filter.clone(),
+                false => b.preds.iter().cloned().reduce(Expr::and),
+            };
+            let pred = pred
+                .map(|p| BoundExprs::bind(&b.schema, vec![p]))
+                .transpose()?;
+            let keep = b.emitted();
+            let cut = Schema::new(keep.iter().map(|&i| b.schema.column(i).clone()).collect())?;
             let types = cut.columns().iter().map(|c| c.data_type).collect();
             schemas.push(cut);
             sources.push(Input {
-                name: format!("{} as {}", b.table.name, b.name),
-                files: self.cluster.hdfs().list(&b.table.location),
-                source: Source::Table(Scan::new(full.len(), keep, types, pred)),
+                name: format!("{} as {}", b.handle.name, b.name),
+                files: self.cluster.hdfs().list(&b.handle.location),
+                source: Source::Table(Scan::new(b.schema.len(), keep, types, pred)),
             });
         }
 
@@ -392,8 +381,9 @@ impl Hive {
         }
 
         // Conditions spanning sources, over the joined row.
-        let residual = residual.into_iter().reduce(Expr::and);
+        let residual = block.residual.into_iter().reduce(Expr::and);
         let residual = residual
+            .filter(|_| !q.joins.is_empty())
             .map(|p| BoundExprs::bind(&schema, vec![p]))
             .transpose()?;
 
@@ -429,24 +419,6 @@ impl Hive {
             agg,
             schema,
             epilogue,
-        })
-    }
-
-    fn bind_table(&self, t: &TableRef) -> Result<Binding> {
-        let TableRef::Named { name, alias } = t else {
-            return Err(HanaError::Unsupported(format!(
-                "hive FROM supports named tables only, got {t:?}"
-            )));
-        };
-        let table = self
-            .metastore
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned();
-        Ok(Binding {
-            name: alias.clone().unwrap_or_else(|| name.clone()),
-            table: table
-                .ok_or_else(|| HanaError::Catalog(format!("unknown hive table '{name}'")))?,
         })
     }
 
@@ -607,13 +579,6 @@ impl Drop for Scratch<'_> {
     fn drop(&mut self) {
         self.hdfs.delete_dir(&self.dir);
     }
-}
-
-/// One FROM / JOIN entry: the name the statement calls it and its
-/// MetaStore entry as of compile time.
-struct Binding {
-    name: String,
-    table: HiveTable,
 }
 
 /// A compiled statement: the jobs of its DAG, ready to launch.
@@ -1029,8 +994,9 @@ fn read_output(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> 
 }
 
 /// Every line of the text files of a table, as one batch of a column
-/// per field of `schema`: what the fetch task reads.
-fn read_batch(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
+/// per field of `schema`: what the fetch task reads, and a virtual
+/// function's output.
+pub(crate) fn read_batch(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Batch> {
     let texts = files.iter().map(|f| hdfs.read_text(f));
     let texts = texts.collect::<Result<Vec<String>>>()?;
     let arity = schema.len();
@@ -1427,72 +1393,12 @@ fn to_line(row: &Row) -> String {
 
 /// Decode one field. Only `\N` is NULL in a VARCHAR column: `''` and
 /// `'null'` are strings.
-pub(crate) fn parse_field(field: &str, ty: DataType) -> Result<Value> {
+fn parse_field(field: &str, ty: DataType) -> Result<Value> {
     match ty {
         _ if field == NULL_FIELD => Ok(Value::Null),
         DataType::Varchar => Ok(Value::Varchar(field.to_string())),
         _ => Value::parse_typed(field, ty),
     }
-}
-
-/// Per binding, the (ascending) columns that `exprs` name; every column
-/// when the statement has no select list. A reference marks the binding
-/// its qualifier names; an unqualified one — or one whose qualifier is
-/// no binding with that column — marks every binding with a column of
-/// that name, so that what was ambiguous over the full schemas still is
-/// over the pruned ones. A binding nothing names (`COUNT(*)`) keeps its
-/// first column: a line needs a field.
-fn named_columns<'a>(
-    q: &Query,
-    exprs: impl Iterator<Item = &'a Expr>,
-    bindings: &[Binding],
-) -> Vec<Vec<usize>> {
-    let arity = |b: &Binding| b.table.schema.len();
-    if q.select.is_empty() || q.select.iter().any(|s| matches!(s.expr, Expr::Wildcard)) {
-        return bindings.iter().map(|b| (0..arity(b)).collect()).collect();
-    }
-    let mut named: Vec<Vec<bool>> = bindings.iter().map(|b| vec![false; arity(b)]).collect();
-    for (qualifier, name) in exprs.flat_map(Expr::columns) {
-        let hits = bindings.iter().enumerate();
-        let hits = hits.filter_map(|(b, binding)| Some((b, binding.table.schema.index_of(name)?)));
-        let hits: Vec<(usize, usize)> = hits.collect();
-        let owner = hits
-            .iter()
-            .find(|(b, _)| Some(&bindings[*b].name) == qualifier.as_ref());
-        for &(b, i) in owner.map_or(&hits[..], std::slice::from_ref) {
-            named[b][i] = true;
-        }
-    }
-    let kept = named.into_iter().map(|named| {
-        let kept: Vec<usize> = (0..named.len()).filter(|&i| named[i]).collect();
-        if kept.is_empty() {
-            vec![0]
-        } else {
-            kept
-        }
-    });
-    kept.collect()
-}
-
-/// The binding whose scan a WHERE conjunct can run in: the one every
-/// column of `e` resolves in — any conjunct, when there is one binding
-/// — or `None`, for a conjunct the joins must wait for.
-fn single_source_of(e: &Expr, bindings: &[Binding]) -> Option<usize> {
-    if bindings.len() == 1 {
-        return Some(0);
-    }
-    let mut source: Option<usize> = None;
-    for (q, _) in e.columns() {
-        // Unqualified: attribution by TPC-H style prefix match is
-        // unsafe, so it waits for the joins.
-        let idx = bindings.iter().position(|b| Some(&b.name) == q.as_ref())?;
-        match source {
-            None => source = Some(idx),
-            Some(s) if s == idx => {}
-            _ => return None,
-        }
-    }
-    source
 }
 
 #[cfg(test)]
@@ -1582,6 +1488,30 @@ mod tests {
             };
             assert!(kind_ok || rows.is_empty(), "{ty:?} decoded as {col:?}");
         }
+    }
+
+    /// An unqualified column that only the right table has places its
+    /// conjunct in the right table's scan, which reads the column and
+    /// cuts it: nothing after the join names it.
+    #[test]
+    fn an_unqualified_conjunct_filters_the_scan_of_its_one_table() {
+        let hdfs = Arc::new(Hdfs::new(1));
+        let hive = Hive::new(Arc::new(MrCluster::new(hdfs, Default::default())));
+        let int2 = |a, b| Schema::of(&[(a, DataType::Int), (b, DataType::Int)]);
+        hive.create_table("a", int2("ka", "va")).unwrap();
+        hive.create_table("c", int2("kc", "cw")).unwrap();
+        let sql = "SELECT va FROM a JOIN c ON a.ka = c.kc WHERE cw = 3";
+        let Statement::Query(q) = parse_statement(sql).unwrap() else {
+            unreachable!("a query")
+        };
+        let plan = hive.compile(&q).unwrap();
+        let scan = |i: usize| match &plan.sources[i].source {
+            Source::Table(scan) => (scan.pred.is_some(), scan.read.clone(), scan.width()),
+            Source::Records(_) => unreachable!("a binding's input is its table"),
+        };
+        assert_eq!(scan(0), (false, vec![0, 1], 2));
+        assert_eq!(scan(1), (true, vec![0, 1], 1));
+        assert!(plan.residual.is_none());
     }
 
     #[test]

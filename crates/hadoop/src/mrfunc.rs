@@ -14,10 +14,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use hana_types::{HanaError, Result, ResultSet, Row, Schema, Value};
+use hana_types::{HanaError, Result, ResultSet, Schema};
 
-use crate::hdfs::Hdfs;
-use crate::hive::{parse_field, read_records, FIELD_SEP};
+use crate::hive::{read_batch, FIELD_SEP};
 use crate::mapreduce::{JobSpec, Mapper, MrCluster, Reducer};
 
 /// A registered MR program.
@@ -102,32 +101,15 @@ impl MrFunctionRegistry {
         };
         self.cluster
             .run_job(&spec, Arc::clone(&func.mapper), func.reducer.clone())?;
+        // Read as the fetch task reads a table's text.
         let files = self.cluster.hdfs().list(&out_dir);
         let schema = &func.output_schema;
-        let rows = read_rows(self.cluster.hdfs(), &files, schema);
+        let batch = read_batch(self.cluster.hdfs(), &files, schema);
         self.cluster.hdfs().delete_dir(&out_dir);
-        Ok(ResultSet::new(schema.clone(), rows?))
+        let mut rows = Vec::new();
+        batch?.push_rows(&mut rows);
+        Ok(ResultSet::new(schema.clone(), rows))
     }
-}
-
-/// Decode every line of `files` against `schema`, a row at a time.
-fn read_rows(hdfs: &Hdfs, files: &[String], schema: &Schema) -> Result<Vec<Row>> {
-    let mut rows = Vec::new();
-    for file in files {
-        let text = hdfs.read_text(file)?;
-        read_records(&text, schema.len(), |_, fields| {
-            rows.push(decode_fields(fields, schema)?);
-            Ok(())
-        })?;
-    }
-    Ok(rows)
-}
-
-/// Decode the fields of an output line against `schema`.
-fn decode_fields(fields: &[&str], schema: &Schema) -> Result<Row> {
-    let decoded = fields.iter().zip(schema.columns());
-    let decoded = decoded.map(|(f, c)| parse_field(f, c.data_type));
-    decoded.collect::<Result<Vec<Value>>>().map(Row)
 }
 
 /// Helper for tests and examples: serialize values as an output line.

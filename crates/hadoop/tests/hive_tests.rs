@@ -675,6 +675,29 @@ fn pruned_plan_answers_like_the_plan_with_every_column_kept() {
     }
 }
 
+/// A WHERE conjunct answers wherever it runs: one whose unqualified
+/// column only one table has runs in that table's scan and answers as
+/// its qualified form, and one that names no column still filters, with
+/// a join and without.
+#[test]
+fn conjuncts_answer_alike_wherever_they_run() {
+    let hive = hive_with_overlapping_names();
+    // `w` is a column of `b` and `c`, but only `b` is joined here.
+    let join = "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE";
+    let unqualified = hive.execute(&format!("{join} w = 3")).unwrap();
+    let qualified = hive.execute(&format!("{join} b.w = 3")).unwrap();
+    assert!(!unqualified.is_empty(), "a vacuous case");
+    assert_eq!(sorted_rows(&unqualified), sorted_rows(&qualified));
+
+    let hive = setup_hive();
+    for sql in [
+        "SELECT c_name FROM customer WHERE 1 = 0",
+        "SELECT c_name FROM customer JOIN orders ON c_custkey = o_custkey WHERE 1 = 0",
+    ] {
+        assert_eq!(hive.execute(sql).unwrap().len(), 0, "{sql}");
+    }
+}
+
 // ---- the DAG is Hive's own: scans run inside the jobs that read them ----
 
 /// `(jobs, reduce tasks)` a statement launched, and its answer.

@@ -42,13 +42,14 @@
 //! [`PlanNode`]).
 
 use hana_columnar::{ColumnPredicate, ColumnTable, TableStatistics};
+use hana_sql::block::{self, QueryBlock, SchemaLookup};
 use hana_sql::finish::{
     aggregate_output_schema, collect_aggregates, infer_type, output_names, Epilogue,
 };
 use hana_sql::{equi_keys, EquiKey, Expr, JoinKind, Query, SelectItem, TableRef};
-use hana_types::{ColumnDef, HanaError, Result, Schema, Value};
+use hana_types::{ColumnDef, Result, Schema, Value};
 
-use crate::catalog::TableSource;
+use crate::catalog::{Catalog, TableSource};
 use crate::context::PlannerContext;
 use crate::cost::{CostModel, JoinSituation};
 use crate::estimator;
@@ -64,27 +65,48 @@ pub struct Planner<'a> {
     values: &'a [Value],
 }
 
-/// One resolved FROM/JOIN binding.
-struct Binding {
-    name: String,
-    table: String,
-    source: BindingKind,
-    /// Schema qualified with the binding name.
+/// A query block over the catalog.
+type Block<'q> = QueryBlock<'q, BindingKind>;
+
+/// A block binding as the planner scans it.
+struct Binding<'b> {
+    of: &'b block::Binding<BindingKind>,
+    /// `of.schema` cut to `projection`.
     schema: Schema,
     /// The position in the source's columns of each `schema` column.
     projection: Vec<usize>,
-    /// Conjuncts assigned to this binding.
-    preds: Vec<Expr>,
-    /// The conjuncts that lower to column predicates, as the plan keeps
-    /// them...
+    /// The binding's conjuncts that lower to column predicates, as the
+    /// plan keeps them...
     lowered: Vec<PlanPredicate>,
     /// ...and with their slots read: what estimates are made from.
     bound: Vec<(String, ColumnPredicate)>,
 }
 
-enum BindingKind {
+/// What a FROM entry of a local query is.
+pub enum BindingKind {
     Table(TableSource),
     Function { function: String, args: Vec<Expr> },
+}
+
+/// The catalog's tables, and its table functions with their arguments
+/// resolved (literals and slots: they name no column).
+impl SchemaLookup for dyn Catalog + '_ {
+    type Handle = BindingKind;
+
+    fn table(&self, name: &str) -> Result<(BindingKind, Schema)> {
+        let source = self.resolve_table(name)?;
+        let schema = source.schema();
+        Ok((BindingKind::Table(source), schema))
+    }
+
+    fn function(&self, name: &str, args: &[Expr]) -> Result<(BindingKind, Schema)> {
+        let schema = self.resolve_function(name)?.schema();
+        let none = Schema::default();
+        let args = args.iter().map(|a| a.positional(&none));
+        let function = name.to_string();
+        let args = args.collect::<Result<_>>()?;
+        Ok((BindingKind::Function { function, args }, schema))
+    }
 }
 
 /// An equi-join of the plan so far with one more binding: the key
@@ -120,23 +142,10 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_shape(&self, q: &Query) -> Result<PlanNode> {
-        let mut bindings = self.resolve_bindings(q)?;
-        prune_unreferenced(q, &mut bindings);
-
-        // Partition WHERE conjuncts: per-binding vs residual.
-        let mut residual: Vec<Expr> = Vec::new();
-        if let Some(f) = &q.filter {
-            for c in f.conjuncts() {
-                match self.owning_binding(&bindings, c) {
-                    Some(i) => bindings[i].preds.push(c.clone()),
-                    None => residual.push(c.clone()),
-                }
-            }
-        }
-        for b in &mut bindings {
-            b.lowered = b.preds.iter().filter_map(crate::pushdown_expr).collect();
-            b.bound = bind_predicates(&b.lowered, self.values)?;
-        }
+        let block = Block::analyse(q, self.ctx.catalog)?;
+        let bindings = block.bindings.iter().map(|b| self.binding(b));
+        let bindings = bindings.collect::<Result<Vec<_>>>()?;
+        let mut residual = block.residual.clone();
 
         // 1. Whole-query shipping.
         if let Some(node) = self.try_whole_ship(q, &bindings)? {
@@ -148,7 +157,7 @@ impl<'a> Planner<'a> {
         //    through the greedy cost-based join ordering.
         let prefix_len = self.remote_prefix_len(q, &bindings);
         let greedy = if prefix_len < 2 {
-            self.try_greedy_fold(q, &bindings, &mut residual)?
+            self.try_greedy_fold(&block, &bindings, &mut residual)?
         } else {
             None
         };
@@ -156,7 +165,7 @@ impl<'a> Planner<'a> {
             Some(node) => node,
             None => {
                 let mut acc = if prefix_len >= 2 {
-                    self.ship_prefix(q, &bindings, prefix_len)?
+                    self.ship_prefix(&block, &bindings, prefix_len)?
                 } else {
                     self.leaf(&bindings[0], &q.hints)?
                 };
@@ -166,7 +175,7 @@ impl<'a> Planner<'a> {
                 for (idx, join) in q.joins.iter().enumerate().skip(consumed.saturating_sub(1)) {
                     let b = &bindings[idx + 1];
                     let keys = equi_keys(&join.on, &acc.schema, &b.schema);
-                    match (&b.source, keys) {
+                    match (&b.of.handle, keys) {
                         // Remote single table with an equi join:
                         // strategy choice.
                         (BindingKind::Table(ts), Some((lk, rk)))
@@ -174,11 +183,11 @@ impl<'a> Planner<'a> {
                                 && !matches!(ts, TableSource::Hybrid { .. })
                                 && join.kind == JoinKind::Inner =>
                         {
-                            let on = self.equi_join(&bindings, lk, rk, join.kind);
+                            let on = self.equi_join(&block, lk, rk, join.kind);
                             acc = self.plan_remote_join(acc, b, ts, on, &q.hints)?;
                         }
                         (_, Some((lk, rk))) => {
-                            let on = self.equi_join(&bindings, lk, rk, join.kind);
+                            let on = self.equi_join(&block, lk, rk, join.kind);
                             let right = self.leaf(b, &q.hints)?;
                             acc = self.join_node(acc, right, on)?;
                         }
@@ -266,20 +275,21 @@ impl<'a> Planner<'a> {
     /// user's written order.
     fn try_greedy_fold(
         &self,
-        q: &Query,
+        block: &Block,
         bindings: &[Binding],
         residual: &mut Vec<Expr>,
     ) -> Result<Option<PlanNode>> {
+        let q = block.query();
         // `SELECT *` exposes the join column order directly: do not
         // reorder.
         if bindings.len() < 3
-            || selects_star(q)
+            || q.selects_star()
             || q.joins.iter().any(|j| j.kind != JoinKind::Inner)
         {
             return Ok(None);
         }
         for b in bindings {
-            match &b.source {
+            match &b.of.handle {
                 BindingKind::Table(ts) if ts.remote_source().is_none() => {}
                 _ => return Ok(None),
             }
@@ -312,8 +322,8 @@ impl<'a> Planner<'a> {
                     let Some((lk, rk)) = equi_keys(&j.on, &acc.schema, &b.schema) else {
                         continue;
                     };
-                    let lndv = self.key_ndv_of(bindings, lk);
-                    let rndv = self.key_ndv_of(bindings, rk);
+                    let lndv = self.key_ndv_of(block, lk);
+                    let rndv = self.key_ndv_of(block, rk);
                     let est = estimator::join_out(acc.est_rows, ests[bi].0, lndv, rndv);
                     if best.as_ref().is_none_or(|(.., e)| est < *e) {
                         best = Some((ji, bi, lk, rk, est));
@@ -327,7 +337,7 @@ impl<'a> Planner<'a> {
             };
             used_joins[ji] = true;
             used_bindings[bi] = true;
-            let on = self.equi_join(bindings, lk, rk, JoinKind::Inner);
+            let on = self.equi_join(block, lk, rk, JoinKind::Inner);
             let right = self.leaf(&bindings[bi], &q.hints)?;
             acc = self.join_node(acc, right, on)?;
         }
@@ -339,80 +349,32 @@ impl<'a> Planner<'a> {
         Ok(Some(acc))
     }
 
-    // ---- binding resolution ----
+    // ---- bindings ----
 
-    fn resolve_bindings(&self, q: &Query) -> Result<Vec<Binding>> {
-        let from = q
-            .from
-            .as_ref()
-            .ok_or_else(|| HanaError::Plan("query without FROM clause".into()))?;
-        let mut bindings = vec![self.resolve_ref(from)?];
-        for j in &q.joins {
-            bindings.push(self.resolve_ref(&j.table)?);
-        }
-        Ok(bindings)
-    }
-
-    fn resolve_ref(&self, t: &TableRef) -> Result<Binding> {
-        match t {
-            TableRef::Named { name, alias } => {
-                let source = self.ctx.catalog.resolve_table(name)?;
-                let binding = alias.clone().unwrap_or_else(|| name.clone());
-                let schema = source.schema().qualified(&binding);
-                Ok(Binding {
-                    name: binding,
-                    table: name.clone(),
-                    source: BindingKind::Table(source),
-                    projection: (0..schema.len()).collect(),
-                    schema,
-                    preds: Vec::new(),
-                    lowered: Vec::new(),
-                    bound: Vec::new(),
-                })
-            }
-            TableRef::Function { name, args, alias } => {
-                let f = self.ctx.catalog.resolve_function(name)?;
-                let binding = alias.clone().unwrap_or_else(|| name.clone());
-                let schema = f.schema().qualified(&binding);
-                // Arguments are literals and slots: they name no column.
-                let none = Schema::default();
-                let args = args.iter().map(|a| a.positional(&none));
-                Ok(Binding {
-                    name: binding,
-                    table: name.clone(),
-                    source: BindingKind::Function {
-                        function: name.clone(),
-                        args: args.collect::<Result<_>>()?,
-                    },
-                    projection: (0..schema.len()).collect(),
-                    schema,
-                    preds: Vec::new(),
-                    lowered: Vec::new(),
-                    bound: Vec::new(),
-                })
-            }
-            TableRef::Subquery { .. } => Err(HanaError::Unsupported(
-                "derived tables are not supported by the federated planner yet".into(),
-            )),
-        }
-    }
-
-    /// The unique binding that owns every column of `e`, if any.
-    fn owning_binding(&self, bindings: &[Binding], e: &Expr) -> Option<usize> {
-        let cols = e.columns();
-        if cols.is_empty() {
-            return None;
-        }
-        let mut owner = None;
-        for (q, name) in cols {
-            let (idx, _) = binding_of_column(bindings, q.as_deref(), name)?;
-            match owner {
-                None => owner = Some(idx),
-                Some(o) if o == idx => {}
-                _ => return None,
-            }
-        }
-        owner
+    /// A block binding as a scan of it reads it: a local column table or
+    /// a remote table cut to the columns the query reads, its conjuncts
+    /// lowered where they can be.
+    fn binding<'b>(&self, of: &'b block::Binding<BindingKind>) -> Result<Binding<'b>> {
+        let prunable = matches!(
+            of.handle,
+            BindingKind::Table(
+                TableSource::Column(_) | TableSource::Virtual { .. } | TableSource::Extended { .. }
+            )
+        );
+        let projection = match prunable {
+            true => of.columns(),
+            false => (0..of.schema.len()).collect(),
+        };
+        let cols = projection.iter().map(|&i| of.schema.column(i).clone());
+        let lowered: Vec<PlanPredicate> =
+            of.preds.iter().filter_map(crate::pushdown_expr).collect();
+        Ok(Binding {
+            of,
+            schema: Schema::new(cols.collect())?,
+            projection,
+            bound: bind_predicates(&lowered, self.values)?,
+            lowered,
+        })
     }
 
     // ---- whole-query shipping ----
@@ -420,7 +382,7 @@ impl<'a> Planner<'a> {
     fn try_whole_ship(&self, q: &Query, bindings: &[Binding]) -> Result<Option<PlanNode>> {
         let mut source: Option<&str> = None;
         for b in bindings {
-            let BindingKind::Table(ts) = &b.source else {
+            let BindingKind::Table(ts) = &b.of.handle else {
                 return Ok(None);
             };
             if matches!(ts, TableSource::Hybrid { .. }) {
@@ -451,12 +413,12 @@ impl<'a> Planner<'a> {
         let mut shipped = q.clone();
         shipped.from = Some(TableRef::Named {
             name: bindings[0].remote_table_name(),
-            alias: Some(bindings[0].name.clone()),
+            alias: Some(bindings[0].of.name.clone()),
         });
         for (i, j) in shipped.joins.iter_mut().enumerate() {
             j.table = TableRef::Named {
                 name: bindings[i + 1].remote_table_name(),
-                alias: Some(bindings[i + 1].name.clone()),
+                alias: Some(bindings[i + 1].of.name.clone()),
             };
         }
         // Estimate: first table after filters (rough but monotone).
@@ -491,7 +453,7 @@ impl<'a> Planner<'a> {
     /// Length of the initial run of bindings on one shared remote
     /// source whose joins are source-internal equi joins.
     fn remote_prefix_len(&self, q: &Query, bindings: &[Binding]) -> usize {
-        let first_source = match &bindings[0].source {
+        let first_source = match &bindings[0].of.handle {
             BindingKind::Table(ts) => match ts.remote_source() {
                 Some(s) if !matches!(ts, TableSource::Hybrid { .. }) => s.to_string(),
                 _ => return 0,
@@ -508,7 +470,7 @@ impl<'a> Planner<'a> {
         let mut len = 1;
         for (i, j) in q.joins.iter().enumerate() {
             let b = &bindings[i + 1];
-            let same_source = matches!(&b.source, BindingKind::Table(ts)
+            let same_source = matches!(&b.of.handle, BindingKind::Table(ts)
                 if ts.remote_source() == Some(first_source.as_str())
                     && !matches!(ts, TableSource::Hybrid { .. }));
             if !same_source || j.kind != JoinKind::Inner {
@@ -525,8 +487,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Build the shipped prefix sub-query and its plan node.
-    fn ship_prefix(&self, q: &Query, bindings: &[Binding], len: usize) -> Result<PlanNode> {
-        let source = match &bindings[0].source {
+    fn ship_prefix(&self, block: &Block, bindings: &[Binding], len: usize) -> Result<PlanNode> {
+        let q = block.query();
+        let source = match &bindings[0].of.handle {
             BindingKind::Table(ts) => ts.remote_source().expect("checked").to_string(),
             _ => unreachable!("prefix starts with a table"),
         };
@@ -534,9 +497,10 @@ impl<'a> Planner<'a> {
         // binding (dedup by output name), named as its binding names it.
         let mut needed: Vec<(Option<String>, String, &ColumnDef)> = Vec::new();
         for (qual, name) in query_exprs(q).flat_map(Expr::columns) {
-            if let Some((i, c)) = binding_of_column(bindings, qual.as_deref(), name) {
+            if let Some((i, c)) = block.resolve(qual.as_deref(), name) {
                 if i < len && !needed.iter().any(|(_, n, _)| n == name) {
-                    needed.push((qual.clone(), name.to_string(), bindings[i].schema.column(c)));
+                    let column = block.bindings[i].schema.column(c);
+                    needed.push((qual.clone(), name.to_string(), column));
                 }
             }
         }
@@ -555,7 +519,7 @@ impl<'a> Planner<'a> {
                 .collect(),
             from: Some(TableRef::Named {
                 name: remote_table_name(&bindings[0]),
-                alias: Some(bindings[0].name.clone()),
+                alias: Some(bindings[0].of.name.clone()),
             }),
             joins: q.joins[..len - 1]
                 .iter()
@@ -564,14 +528,14 @@ impl<'a> Planner<'a> {
                     kind: j.kind,
                     table: TableRef::Named {
                         name: remote_table_name(&bindings[i + 1]),
-                        alias: Some(bindings[i + 1].name.clone()),
+                        alias: Some(bindings[i + 1].of.name.clone()),
                     },
                     on: j.on.clone(),
                 })
                 .collect(),
             filter: bindings[..len]
                 .iter()
-                .flat_map(|b| b.preds.iter().cloned())
+                .flat_map(|b| b.of.preds.iter().cloned())
                 .reduce(|a, b| a.and(b)),
             hints: q.hints.clone(),
             ..Query::default()
@@ -601,10 +565,10 @@ impl<'a> Planner<'a> {
     fn leaf(&self, b: &Binding, hints: &[String]) -> Result<PlanNode> {
         let (est, est_source) = self.binding_estimate(b);
         let lowered = b.lowered.clone();
-        let node = match &b.source {
+        let node = match &b.of.handle {
             BindingKind::Function { function, args } => PlanNode {
                 op: PlanOp::FunctionScan {
-                    binding: b.name.clone(),
+                    binding: b.of.name.clone(),
                     function: function.clone(),
                     args: args.clone(),
                 },
@@ -618,8 +582,8 @@ impl<'a> Planner<'a> {
                         Some(node) => node,
                         None => PlanNode {
                             op: PlanOp::ColumnScan {
-                                binding: b.name.clone(),
-                                table: b.table.clone(),
+                                binding: b.of.name.clone(),
+                                table: b.of.table.clone(),
                                 preds: lowered,
                                 projection: b.projection.clone(),
                             },
@@ -631,8 +595,8 @@ impl<'a> Planner<'a> {
                 }
                 TableSource::Row(_) => PlanNode {
                     op: PlanOp::RowScan {
-                        binding: b.name.clone(),
-                        table: b.table.clone(),
+                        binding: b.of.name.clone(),
+                        table: b.of.table.clone(),
                         preds: lowered,
                     },
                     schema: b.schema.clone(),
@@ -641,8 +605,8 @@ impl<'a> Planner<'a> {
                 },
                 TableSource::Distributed(_) => PlanNode {
                     op: PlanOp::DistScan {
-                        binding: b.name.clone(),
-                        table: b.table.clone(),
+                        binding: b.of.name.clone(),
+                        table: b.of.table.clone(),
                         preds: lowered,
                     },
                     schema: b.schema.clone(),
@@ -651,8 +615,8 @@ impl<'a> Planner<'a> {
                 },
                 TableSource::Hybrid { .. } => PlanNode {
                     op: PlanOp::HybridScan {
-                        binding: b.name.clone(),
-                        table: b.table.clone(),
+                        binding: b.of.name.clone(),
+                        table: b.of.table.clone(),
                         preds: lowered,
                     },
                     schema: b.schema.clone(),
@@ -665,15 +629,15 @@ impl<'a> Planner<'a> {
                     // strategy: ship a remote scan sub-query. The
                     // remote side evaluates full SQL, so *every*
                     // binding predicate ships — no local re-check.
-                    // The columns `prune_unreferenced` left are the
-                    // select list (`*` when it left them all).
+                    // The columns the query reads of the binding are
+                    // the select list (`*` when it reads them all).
                     let pruned = b.schema.len() < schema.len();
                     let shipped = b.projection.iter().filter(|_| pruned);
                     let sub = Query {
                         select: shipped
                             .map(|&i| SelectItem {
                                 expr: Expr::Column {
-                                    qualifier: Some(b.name.clone()),
+                                    qualifier: Some(b.of.name.clone()),
                                     name: schema.column(i).name.clone(),
                                 },
                                 alias: None,
@@ -681,9 +645,9 @@ impl<'a> Planner<'a> {
                             .collect(),
                         from: Some(TableRef::Named {
                             name: b.remote_table_name(),
-                            alias: Some(b.name.clone()),
+                            alias: Some(b.of.name.clone()),
                         }),
-                        filter: b.preds.iter().cloned().reduce(|a, c| a.and(c)),
+                        filter: b.of.preds.iter().cloned().reduce(|a, c| a.and(c)),
                         hints: hints.to_vec(),
                         ..Query::default()
                     };
@@ -704,7 +668,7 @@ impl<'a> Planner<'a> {
         // cannot evaluate (arithmetic, functions, OR trees — anything
         // `pushdown_expr` refuses) re-apply as Filter operators above
         // the leaf; dropping them would change results.
-        wrap_unlowerable(node, &b.preds)
+        wrap_unlowerable(node, &b.of.preds)
     }
 
     /// Try to turn a column-table leaf into a secondary-index seek.
@@ -786,7 +750,7 @@ impl<'a> Planner<'a> {
         }
         let cand = best?;
         if cand.prefix.is_empty() {
-            let stats = self.ctx.stats.table_stats(&b.table);
+            let stats = self.ctx.stats.table_stats(&b.of.table);
             let fraction = cand.range.map_or(1.0, |i| {
                 let (col, p) = &b.bound[i];
                 estimator::selectivity(stats.as_deref(), col, p)
@@ -803,8 +767,8 @@ impl<'a> Planner<'a> {
             .collect();
         Some(PlanNode {
             op: PlanOp::IndexSeek {
-                binding: b.name.clone(),
-                table: b.table.clone(),
+                binding: b.of.name.clone(),
+                table: b.of.table.clone(),
                 index: cand.ix.def().name.clone(),
                 prefix: cand.prefix,
                 range: cand.range.map(|i| lowered[i].clone()),
@@ -858,7 +822,7 @@ impl<'a> Planner<'a> {
         // A semijoin or a relocated join fetches every remote column
         // (`SELECT *` built at execution time); only a remote-scan leaf
         // ships the pruned select list.
-        let full = ts.schema().qualified(&b.name);
+        let full = ts.schema().qualified(&b.of.name);
         let situation = JoinSituation {
             local_rows: acc.est_rows,
             remote_total,
@@ -901,9 +865,9 @@ impl<'a> Planner<'a> {
                     local_key: on.left_key,
                     source,
                     remote_table: b.remote_table_name(),
-                    remote_preds: b.preds.clone(),
+                    remote_preds: b.of.preds.clone(),
                     remote_key,
-                    remote_binding: b.name.clone(),
+                    remote_binding: b.of.name.clone(),
                 },
                 schema,
                 est_rows: est,
@@ -915,9 +879,9 @@ impl<'a> Planner<'a> {
                     local_key: on.left_key,
                     source,
                     remote_table: b.remote_table_name(),
-                    remote_preds: b.preds.clone(),
+                    remote_preds: b.of.preds.clone(),
                     remote_key,
-                    remote_binding: b.name.clone(),
+                    remote_binding: b.of.name.clone(),
                 },
                 schema,
                 est_rows: est,
@@ -933,9 +897,9 @@ impl<'a> Planner<'a> {
     /// with the provenance of the estimate: live row count × one
     /// selectivity per predicate (see [`estimator::scan_estimate`]).
     fn binding_estimate(&self, b: &Binding) -> (f64, EstSource) {
-        match &b.source {
+        match &b.of.handle {
             BindingKind::Function { .. } => (100.0, EstSource::Heuristic),
-            BindingKind::Table(ts) => self.table_estimate(ts, &b.table, &b.bound),
+            BindingKind::Table(ts) => self.table_estimate(ts, &b.of.table, &b.bound),
         }
     }
 
@@ -1109,9 +1073,9 @@ impl<'a> Planner<'a> {
 
     /// Distinct-count of a join key from the persisted synopsis of its
     /// owning binding's table.
-    fn key_ndv_of(&self, bindings: &[Binding], key: EquiKey) -> Option<f64> {
-        let (idx, _) = binding_of_column(bindings, key.qualifier, key.name)?;
-        let stats = self.ctx.stats.table_stats(&bindings[idx].table)?;
+    fn key_ndv_of(&self, block: &Block, key: EquiKey) -> Option<f64> {
+        let (idx, _) = block.resolve(key.qualifier, key.name)?;
+        let stats = self.ctx.stats.table_stats(&block.bindings[idx].table)?;
         estimator::key_ndv(&stats, key.name)
     }
 
@@ -1160,14 +1124,14 @@ impl<'a> Planner<'a> {
     /// persisted synopses.
     fn equi_join(
         &self,
-        bindings: &[Binding],
+        block: &Block,
         left_key: EquiKey,
         right_key: EquiKey,
         kind: JoinKind,
     ) -> JoinStep {
         JoinStep {
-            left_ndv: self.key_ndv_of(bindings, left_key),
-            right_ndv: self.key_ndv_of(bindings, right_key),
+            left_ndv: self.key_ndv_of(block, left_key),
+            right_ndv: self.key_ndv_of(block, right_key),
             left_key: left_key.at,
             right_key: right_key.at,
             kind,
@@ -1256,16 +1220,16 @@ fn prune_mask(
     mask
 }
 
-impl Binding {
+impl Binding<'_> {
     /// The table name to use in a shipped sub-query (the *remote* name
     /// for virtual/extended tables).
     fn remote_table_name(&self) -> String {
-        match &self.source {
+        match &self.of.handle {
             BindingKind::Table(TableSource::Virtual { remote_table, .. })
             | BindingKind::Table(TableSource::Extended { remote_table, .. }) => {
                 remote_table.clone()
             }
-            _ => self.table.clone(),
+            _ => self.of.table.clone(),
         }
     }
 }
@@ -1293,11 +1257,6 @@ fn wrap_unlowerable(mut node: PlanNode, preds: &[Expr]) -> Result<PlanNode> {
     Ok(node)
 }
 
-/// `SELECT *`: an empty or wildcard select list names every column.
-fn selects_star(q: &Query) -> bool {
-    q.select.is_empty() || q.select.iter().any(|s| matches!(s.expr, Expr::Wildcard))
-}
-
 /// Every expression of the query that can name a column.
 fn query_exprs(q: &Query) -> impl Iterator<Item = &Expr> {
     let select = q.select.iter().map(|s| &s.expr);
@@ -1309,95 +1268,6 @@ fn query_exprs(q: &Query) -> impl Iterator<Item = &Expr> {
         .chain(&q.group_by)
         .chain(&q.having)
         .chain(order)
-}
-
-/// Prune the schema of every local column-table binding and of every
-/// virtual or extended-storage binding to the columns the query names,
-/// so that a local leaf decodes and clones only those and a remote-scan
-/// leaf ships them as its select list (`SELECT *` keeps all; a binding
-/// nothing names, as under `COUNT(*)`, keeps its first column — a row
-/// needs one).
-///
-/// A reference marks the binding its qualifier names; an unqualified
-/// one, or one whose qualifier is no binding of that column (which
-/// `resolve_column` then suffix-matches), marks every binding with a
-/// column of that name — so what resolved, or was ambiguous, over the
-/// full schemas still is over the pruned ones.
-fn prune_unreferenced(q: &Query, bindings: &mut [Binding]) {
-    if selects_star(q) {
-        return;
-    }
-    let mut keep: Vec<Vec<bool>> = bindings
-        .iter()
-        .map(|b| vec![false; b.schema.len()])
-        .collect();
-    // One scratch key and hit list for the whole walk: this runs per
-    // planned statement, point lookups included.
-    let (mut key, mut hits) = (String::new(), Vec::new());
-    let mut mark = |e: &Expr| {
-        let Expr::Column { qualifier, name } = e else {
-            return;
-        };
-        // (binding, column) of every binding with a column of that name.
-        hits.clear();
-        for (bi, b) in bindings.iter().enumerate() {
-            key.clear();
-            key.extend([b.name.as_str(), ".", name.as_str()]);
-            if let Some(i) = b.schema.index_of(&key) {
-                hits.push((bi, i));
-            }
-        }
-        let owner = hits
-            .iter()
-            .find(|(bi, _)| Some(&bindings[*bi].name) == qualifier.as_ref());
-        for &(bi, i) in owner.map_or(&hits[..], std::slice::from_ref) {
-            keep[bi][i] = true;
-        }
-    };
-    query_exprs(q).for_each(|e| e.walk(&mut mark));
-    for (b, mut keep) in bindings.iter_mut().zip(keep) {
-        let prunable = matches!(
-            b.source,
-            BindingKind::Table(
-                TableSource::Column(_) | TableSource::Virtual { .. } | TableSource::Extended { .. }
-            )
-        );
-        if !prunable {
-            continue;
-        }
-        if !keep.contains(&false) {
-            continue;
-        }
-        if !keep.contains(&true) {
-            keep[0] = true;
-        }
-        let kept = |i: &usize| keep[*i];
-        b.projection = (0..keep.len()).filter(kept).collect();
-        let cols = b.projection.iter().map(|&i| b.schema.column(i).clone());
-        b.schema = Schema::new(cols.collect()).expect("subset of a valid schema");
-    }
-}
-
-/// Which binding owns column `(qualifier, name)`, and at which position
-/// of its schema? `None` if ambiguous or unknown.
-fn binding_of_column(
-    bindings: &[Binding],
-    qualifier: Option<&str>,
-    name: &str,
-) -> Option<(usize, usize)> {
-    let mut found = None;
-    for (i, b) in bindings.iter().enumerate() {
-        if qualifier.is_some_and(|q| q != b.name) {
-            continue;
-        }
-        if let Some(c) = b.schema.index_of(&format!("{}.{name}", b.name)) {
-            if found.is_some() {
-                return None; // ambiguous
-            }
-            found = Some((i, c));
-        }
-    }
-    found
 }
 
 fn join_schemas(bindings: &[Binding]) -> Schema {

@@ -13,9 +13,10 @@ use hana_columnar::ColumnPredicate;
 use hana_hadoop::{Hive, MrFunctionRegistry};
 use hana_iq::{IqEngine, IqPlan};
 use hana_sql::batch::Batch;
+use hana_sql::block::{Binding, QueryBlock, SchemaLookup};
 use hana_sql::finish::{collect_aggregates, Epilogue};
-use hana_sql::{equi_keys, resolve_column, Expr, JoinKind, Query, TableRef};
-use hana_types::{AggFunc, HanaError, Result, ResultSet, Row, Schema};
+use hana_sql::{equi_keys, resolve_column, Expr, JoinKind, Query};
+use hana_types::{HanaError, Result, ResultSet, Row, Schema};
 
 use crate::capability::CapabilitySet;
 use crate::context::RemoteContext;
@@ -350,117 +351,97 @@ impl IqAdapter {
     /// plan returns. Residual predicates or unsupported shapes are an
     /// error — the federated optimizer must not ship such queries here —
     /// and so is an unknown column: all before the plan runs.
+    ///
+    /// The plan's rows are named as the block's binding-qualified
+    /// schemas name them, and a group key, aggregate argument or join
+    /// key is the column of the plan's output at the position it
+    /// resolves to there, whatever IQ calls that column.
     pub fn compile(&self, q: &Query) -> Result<(IqPlan, Epilogue)> {
-        let from = q
-            .from
-            .as_ref()
-            .ok_or_else(|| HanaError::Plan("query without FROM".into()))?;
-        let mut bindings = vec![named(from)?];
-        for j in &q.joins {
-            if j.kind != JoinKind::Inner {
-                return Err(HanaError::Unsupported(
-                    "IQ plan compiler supports inner joins only".into(),
-                ));
-            }
-            bindings.push(named(&j.table)?);
+        if q.joins.iter().any(|j| j.kind != JoinKind::Inner) {
+            return Err(HanaError::Unsupported(
+                "IQ plan compiler supports inner joins only".into(),
+            ));
         }
-        // Each binding's columns as `binding.column`, so that names resolve
-        // as they do over a local join: by qualifier first.
-        let qualified: Vec<Schema> = bindings
-            .iter()
-            .map(|(binding, table)| Ok(self.engine.table_schema(table)?.qualified(binding)))
-            .collect::<Result<_>>()?;
-        let mut all = qualified[0].clone();
-        let mut starts = vec![0];
-        for s in &qualified[1..] {
-            starts.push(all.len());
-            all = all.join(s)?;
-        }
-
-        // Give each conjunct to the binding its column resolves to.
-        let mut per: Vec<Vec<(String, ColumnPredicate)>> = vec![Vec::new(); bindings.len()];
-        for c in q.filter.iter().flat_map(|f| f.conjuncts()) {
-            let Some((col, p)) = expr_to_column_predicate(c) else {
-                return Err(HanaError::Unsupported(format!(
-                    "predicate not pushable to IQ: {c}"
-                )));
-            };
-            // A pushable conjunct reads exactly one column.
-            let qualifier = c.columns()[0].0.as_deref();
-            let at = resolve_column(&all, qualifier, &col)?;
-            per[starts.partition_point(|&s| s <= at) - 1].push((col, p));
-        }
-
-        // Join keys resolve over the bindings joined so far and the next.
-        let mut plan = IqPlan::scan_where(&bindings[0].1, std::mem::take(&mut per[0]));
-        let mut left = qualified[0].clone();
-        for (i, j) in q.joins.iter().enumerate() {
-            let right = &qualified[i + 1];
-            let (lk, rk) = equi_keys(&j.on, &left, right).ok_or_else(|| {
+        let block = QueryBlock::analyse(q, self)?;
+        let scan = |b: &Binding<()>| -> Result<IqPlan> {
+            let pushed = b.preds.iter().map(|c| {
+                expr_to_column_predicate(c).ok_or_else(|| {
+                    HanaError::Unsupported(format!("predicate not pushable to IQ: {c}"))
+                })
+            });
+            Ok(IqPlan::scan_where(&b.table, pushed.collect::<Result<_>>()?))
+        };
+        let mut plan = scan(&block.bindings[0])?;
+        let mut joined = block.bindings[0].schema.clone();
+        for (j, b) in block.joins() {
+            let (lk, rk) = equi_keys(&j.on, &joined, &b.schema).ok_or_else(|| {
                 HanaError::Unsupported(format!(
                     "IQ joins need a simple equi-join ON clause, got {}",
                     j.on
                 ))
             })?;
-            let right_plan =
-                IqPlan::scan_where(&bindings[i + 1].1, std::mem::take(&mut per[i + 1]));
+            let right = scan(b)?;
             plan = IqPlan::Join {
-                left_col: self.engine.output_schema(&plan)?.column(lk.at).name.clone(),
-                right_col: self
-                    .engine
-                    .output_schema(&right_plan)?
-                    .column(rk.at)
-                    .name
-                    .clone(),
+                left_col: self.output_name(&plan, lk.at)?,
+                right_col: self.output_name(&right, rk.at)?,
                 left: Box::new(plan),
-                right: Box::new(right_plan),
+                right: Box::new(right),
             };
-            left = left.join(right)?;
+            joined = joined.join(&b.schema)?;
+        }
+        if let Some(c) = block.residual.first() {
+            // An unknown or ambiguous column is that error.
+            c.positional(&joined)?;
+            return Err(HanaError::Unsupported(format!(
+                "predicate not pushable to IQ: {c}"
+            )));
         }
 
+        let aggs = collect_aggregates(q);
+        if q.group_by.is_empty() && aggs.is_empty() {
+            let epilogue = Epilogue::new(&joined, q, &[])?;
+            return Ok((plan, epilogue));
+        }
         // Aggregation: group-by columns and aggregate args must be plain
         // columns for pushdown.
-        let aggs = collect_aggregates(q);
-        if !q.group_by.is_empty() || !aggs.is_empty() {
-            let group_by: Vec<String> = q
-                .group_by
-                .iter()
-                .map(|g| match g {
-                    Expr::Column { name, .. } => Ok(name.clone()),
-                    other => Err(HanaError::Unsupported(format!(
-                        "IQ group-by supports plain columns, got {other}"
-                    ))),
-                })
-                .collect::<Result<_>>()?;
-            let aggregates: Vec<(AggFunc, Option<String>)> = aggs
-                .iter()
-                .map(|(f, arg)| match arg {
-                    None => Ok((*f, None)),
-                    Some(Expr::Column { name, .. }) => Ok((*f, Some(name.clone()))),
-                    Some(other) => Err(HanaError::Unsupported(format!(
-                        "IQ aggregates support plain columns, got {other}"
-                    ))),
-                })
-                .collect::<Result<_>>()?;
-            plan = IqPlan::Aggregate {
-                input: Box::new(plan),
-                group_by,
-                aggregates,
-            };
-        }
+        let out = self.engine.output_schema(&plan)?;
+        let column = |e: &Expr, what: &str| match e {
+            Expr::Column { qualifier, name } => {
+                let at = resolve_column(&joined, qualifier.as_deref(), name)?;
+                Ok(out.column(at).name.clone())
+            }
+            other => Err(HanaError::Unsupported(format!(
+                "IQ {what} support plain columns, got {other}"
+            ))),
+        };
+        let group_by = q.group_by.iter().map(|g| column(g, "group-by keys"));
+        let group_by = group_by.collect::<Result<_>>()?;
+        let aggregates = aggs.iter().map(|(f, arg)| {
+            let arg = arg.as_ref().map(|a| column(a, "aggregates"));
+            Ok((*f, arg.transpose()?))
+        });
+        let aggregates = aggregates.collect::<Result<_>>()?;
+        plan = IqPlan::Aggregate {
+            input: Box::new(plan),
+            group_by,
+            aggregates,
+        };
         let epilogue = Epilogue::new(&self.engine.output_schema(&plan)?, q, &[])?;
         Ok((plan, epilogue))
     }
+
+    /// The name IQ gives column `at` of what `plan` returns.
+    fn output_name(&self, plan: &IqPlan, at: usize) -> Result<String> {
+        Ok(self.engine.output_schema(plan)?.column(at).name.clone())
+    }
 }
 
-fn named(t: &TableRef) -> Result<(String, String)> {
-    match t {
-        TableRef::Named { name, alias } => {
-            Ok((alias.clone().unwrap_or_else(|| name.clone()), name.clone()))
-        }
-        other => Err(HanaError::Unsupported(format!(
-            "IQ FROM supports named tables only, got {other}"
-        ))),
+/// The extended storage's tables, by name.
+impl SchemaLookup for IqAdapter {
+    type Handle = ();
+
+    fn table(&self, name: &str) -> Result<((), Schema)> {
+        Ok(((), self.engine.table_schema(name)?))
     }
 }
 

@@ -20,6 +20,7 @@
 mod ast;
 pub mod batch;
 mod bind;
+pub mod block;
 mod eval;
 pub mod finish;
 mod lexer;

@@ -105,7 +105,8 @@ fn hot_and_cold_deletes_and_snapshots() {
 /// A join of two extended tables answers as the same join of column
 /// tables holding the same rows: a qualified predicate filters the table
 /// its qualifier names (both tables have a `w`), the ON clause reads
-/// either way round, and a LEFT OUTER JOIN keeps its unmatched row.
+/// either way round, a LEFT OUTER JOIN keeps its unmatched row, and a
+/// select item, ORDER BY or GROUP BY key reads the `w` it qualifies.
 #[test]
 fn extended_joins_answer_like_their_column_table_twins() {
     let hana = HanaPlatform::new_in_memory();
@@ -133,6 +134,11 @@ fn extended_joins_answer_like_their_column_table_twins() {
         "SELECT a.ka, c.vc FROM {a} a JOIN {c} c ON a.ka = c.kc WHERE c.w = 5 ORDER BY a.ka",
         "SELECT a.ka, c.vc FROM {a} a JOIN {c} c ON c.kc = a.ka ORDER BY a.ka",
         "SELECT a.ka, c.vc FROM {a} a LEFT OUTER JOIN {c} c ON a.ka = c.kc ORDER BY a.ka",
+        // `w` names a column of both tables: each reference reads the
+        // one its qualifier names, in the select list, ORDER BY and
+        // GROUP BY alike.
+        "SELECT a.w, c.vc FROM {a} a JOIN {c} c ON a.ka = c.kc ORDER BY a.w",
+        "SELECT c.w, SUM(a.va) FROM {a} a JOIN {c} c ON a.ka = c.kc GROUP BY c.w ORDER BY c.w",
     ] {
         let run = |a: &str, c: &str| {
             hana.execute_sql(&s, &sql.replace("{a}", a).replace("{c}", c))
