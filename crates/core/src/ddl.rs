@@ -9,13 +9,59 @@ use parking_lot::RwLock;
 use hana_columnar::ColumnTable;
 use hana_query::TableSource;
 use hana_rowstore::RowTable;
-use hana_sql::{ColumnSpec, CreateTable, PartitionBy, TableKind};
+use hana_sql::{ColumnSpec, CreateTable, PartitionBy, Statement, TableKind};
 use hana_types::{ColumnDef, DataType, HanaError, Result, Schema};
 
 use crate::catalog::{TableEntry, TableKindInfo};
 use crate::platform::{HanaPlatform, INTERNAL_IQ_SOURCE};
 
 impl HanaPlatform {
+    /// Apply a DDL statement the log records — what executing it does
+    /// after the privilege check, and what redo does with its text.
+    pub(crate) fn apply_ddl(&self, stmt: Statement) -> Result<()> {
+        match stmt {
+            Statement::CreateTable(ct) => self.create_table(ct),
+            Statement::DropTable { name } => self.drop_table(&name),
+            Statement::CreateIndex {
+                name,
+                table,
+                columns,
+            } => {
+                let entry = self.catalog.table(&table)?;
+                indexed_fragment(&entry.source)
+                    .ok_or_else(|| {
+                        HanaError::Unsupported(format!(
+                            "'{table}' does not support secondary indexes"
+                        ))
+                    })?
+                    .write()
+                    .create_index(&name, &columns)?;
+                // Index metadata changes which plans are valid: bump the
+                // catalog version so cached plans re-prepare.
+                self.catalog.bump_version();
+                Ok(())
+            }
+            Statement::DropIndex { name, table } => {
+                let owner = match table {
+                    Some(t) => t,
+                    None => self.find_index_owner(&name)?,
+                };
+                let entry = self.catalog.table(&owner)?;
+                indexed_fragment(&entry.source)
+                    .ok_or_else(|| {
+                        HanaError::Catalog(format!("table '{owner}' has no index '{name}'"))
+                    })?
+                    .write()
+                    .drop_index(&name)?;
+                self.catalog.bump_version();
+                Ok(())
+            }
+            _ => Err(HanaError::Io(
+                "a DDL log record holds a statement that is no DDL".into(),
+            )),
+        }
+    }
+
     pub(crate) fn create_table(&self, ct: CreateTable) -> Result<()> {
         let schema = schema_from_specs(&ct.columns)?;
         let column = |schema| Arc::new(RwLock::new(ColumnTable::new(&ct.name, schema)));

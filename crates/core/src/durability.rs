@@ -1,6 +1,7 @@
 //! Coordinated backup and recovery (§3.1, §5): the consistent
 //! [`Backup`] across the in-memory and extended stores, its checkpoint
-//! codec, restore, and redo of the committed log suffix.
+//! codec, restore, and the entry points that redo the committed log
+//! suffix (the records and the redo routine are in [`crate::redo`]).
 //!
 //! A checkpoint is a [`Backup`] serialized to bytes for the WAL's
 //! checkpoint sidecar: a flat text record stream in which `\u{1d}`
@@ -19,15 +20,13 @@
 //! X <rows...>                 -- cold (extended) rows of the last T
 //! ```
 //!
-//! Bulk transactions (bulk load, streaming-ingest epoch) log one record
-//! of the same field structure, see [`bulk_payload`].
+//! A restore — the checkpoint's at open, or [`HanaPlatform::restore`] —
+//! creates the tables and applies their rows through the redo routine,
+//! so it logs nothing either.
 
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::Arc;
 
 use hana_columnar::IndexDef;
-use hana_dist::DistTable;
 use hana_query::TableSource;
 use hana_sql::{ColumnSpec, CreateTable, PartitionBy, TableKind};
 use hana_types::{
@@ -37,8 +36,8 @@ use hana_types::{
 
 use crate::catalog::TableKindInfo;
 use crate::ddl::indexed_fragment;
-use crate::ingest::IngestCommit;
 use crate::platform::HanaPlatform;
+use crate::redo::{Redo, RowOp, Side};
 use crate::security::{Privilege, Session};
 
 const REC_SEP: char = '\u{1d}';
@@ -46,89 +45,19 @@ const FIELD_SEP: char = '\u{1}';
 
 const MAGIC: &str = "HANACKPT2";
 
-/// Payload prefix of a bulk transaction whose rows are inline:
-/// `LOAD <table> <pipeline> <epoch> <rows>`, `\u{1}`-separated.
-/// `pipeline` is empty (and `epoch` 0) for a plain bulk load.
-const BULK_MARKER: &str = "LOAD\u{1}";
-
-/// Payload prefix of a bulk transaction into a distributed table whose
-/// rows sit in the per-partition logs; the coordinator record carries
-/// only the `<table> <pipeline> <epoch>` header.
-const BULK_DIST_MARKER: &str = "--DISTLOAD\u{1}";
-
-/// The WAL payload of one bulk transaction into `table`: `ingest` is
-/// the `(pipeline, epoch)` of a streaming-ingest batch, `rows` is
-/// `None` when the partition logs already hold them.
-pub(crate) fn bulk_payload(
-    table: &str,
-    ingest: Option<(&str, u64)>,
-    rows: Option<&[Row]>,
-) -> String {
-    let (pipeline, epoch) = ingest.unwrap_or(("", 0));
-    match rows {
-        Some(rows) => format!(
-            "{BULK_MARKER}{table}\u{1}{pipeline}\u{1}{epoch}\u{1}{}",
-            encode_rows(rows)
-        ),
-        None => format!("{BULK_DIST_MARKER}{table}\u{1}{pipeline}\u{1}{epoch}"),
-    }
-}
-
-/// Partition-logged rows by transaction ([`DistTable::redo_rows`]).
-type RowsByTid = HashMap<u64, Vec<Row>>;
-
-/// A parsed [`bulk_payload`].
-struct BulkRecord<'a> {
-    table: &'a str,
-    ingest: Option<(&'a str, u64)>,
-    /// The encoded inline rows; `None` = in the partition logs.
-    rows: Option<&'a str>,
-}
-
 /// What recovery says about a record no reader exists for any more (the
-/// rows inside are in the lossy text format).
-fn older_format(what: &str) -> HanaError {
+/// rows inside are in the lossy text format, or the record is SQL).
+pub(crate) fn older_format(what: &str) -> HanaError {
     HanaError::Io(format!(
         "{what} was written by an older durable format this build cannot read; \
          start from an empty data directory"
     ))
 }
 
-fn parse_bulk(payload: &str) -> Result<Option<BulkRecord<'_>>> {
-    if payload.starts_with("INGEST\u{1}") || payload.starts_with("INGESTD\u{1}") {
-        return Err(older_format("ingest log record"));
-    }
-    let (rest, inline) = match payload.strip_prefix(BULK_MARKER) {
-        Some(rest) => (rest, true),
-        None => match payload.strip_prefix(BULK_DIST_MARKER) {
-            Some(rest) => (rest, false),
-            None => return Ok(None),
-        },
-    };
-    // Frames are CRC-checked, so a header of the wrong shape is the
-    // older two-field `LOAD <table> <rows>` / `--DISTLOAD <table>`.
-    let legacy = || older_format("bulk-load log record");
-    let mut parts = rest.splitn(4, FIELD_SEP);
-    let table = parts.next().ok_or_else(legacy)?;
-    let pipeline = parts.next().ok_or_else(legacy)?;
-    let epoch: u64 = parts
-        .next()
-        .and_then(|e| e.parse().ok())
-        .ok_or_else(legacy)?;
-    let rows = parts.next();
-    if rows.is_some() != inline {
-        return Err(HanaError::Io("corrupt bulk-load record".into()));
-    }
-    Ok(Some(BulkRecord {
-        table,
-        ingest: (!pipeline.is_empty()).then_some((pipeline, epoch)),
-        rows,
-    }))
-}
-
 /// A logical, transactionally consistent backup spanning the in-memory
 /// store and the extended storage (§3.1: "consistent backup and recovery
 /// of both engines").
+#[derive(Clone)]
 pub struct Backup {
     /// The snapshot commit ID everything was captured under.
     pub cid: u64,
@@ -139,6 +68,7 @@ pub struct Backup {
     pub(crate) ingest_epochs: Vec<(String, u64)>,
 }
 
+#[derive(Clone)]
 pub(crate) struct BackupEntry {
     pub(crate) name: String,
     pub(crate) kind: TableKindInfo,
@@ -166,29 +96,20 @@ impl Backup {
 }
 
 impl HanaPlatform {
-    /// Restore the checkpoint and replay the committed log suffix
-    /// (`records` of `wal`, classified by `report`). The platform's own
-    /// WAL is put in passive mode for the duration so replaying a
-    /// statement does not log it a second time.
+    /// Restore the checkpoint of the platform's own log, then redo the
+    /// committed log suffix after it (`records`, classified by
+    /// `report`). Returns the number of redone transactions.
     pub(crate) fn recover_from_wal(
         &self,
-        wal: &hana_txn::Wal,
         records: Vec<hana_txn::LogRecord>,
         report: &hana_txn::RecoveryReport,
     ) -> Result<usize> {
-        wal.set_passive(true);
-        let result = (|| {
-            let session = self.connect("SYSTEM", "manager")?;
-            let mut after_cid = 0;
-            if let Some(ckpt) = wal.latest_checkpoint() {
-                let backup = decode_backup(&ckpt.payload)?;
-                after_cid = ckpt.cid;
-                self.restore(&session, &backup)?;
-            }
-            self.replay_records(&session, records, report, after_cid)
-        })();
-        wal.set_passive(false);
-        result
+        let mut after_cid = 0;
+        if let Some(ckpt) = self.tm.wal().latest_checkpoint() {
+            after_cid = ckpt.cid;
+            self.apply_backup(decode_backup(&ckpt.payload)?)?;
+        }
+        self.redo_log(records, report, after_cid)
     }
 
     /// Take a consistent logical backup across the in-memory store and
@@ -212,13 +133,12 @@ impl HanaPlatform {
         Ok(cid)
     }
 
-    /// Checkpoint barrier: merge-delta and bulk load call this. A no-op
-    /// on non-durable platforms and during recovery replay; a checkpoint
-    /// failure is surfaced as a warning, never as a failure of the
-    /// statement that triggered it (the log alone still recovers).
+    /// Checkpoint barrier: merge-delta and bulk load call this.
+    /// A no-op on non-durable platforms; a checkpoint failure is
+    /// surfaced as a warning, never as a failure of the statement that
+    /// triggered it (the log alone still recovers).
     pub(crate) fn maybe_checkpoint(&self) {
-        let wal = self.tm.wal();
-        if wal.dir().is_none() || wal.passive() {
+        if self.tm.wal().dir().is_none() {
             return;
         }
         if let Err(e) = self.write_checkpoint() {
@@ -278,58 +198,76 @@ impl HanaPlatform {
     }
 
     /// Restore a backup: captured tables are dropped, recreated and
-    /// reloaded (in-memory and extended partitions together).
+    /// reloaded (in-memory and extended partitions together) through
+    /// the redo routine, which logs nothing — so a durable platform
+    /// checkpoints the restored state before this returns.
     pub fn restore(&self, session: &Session, backup: &Backup) -> Result<()> {
         self.security.check(session, Privilege::Operate)?;
+        self.check_redo_target()?;
+        self.apply_backup(backup.clone())?;
+        self.checkpoint_redone()
+    }
+
+    /// Restore and roll-forward apply rows without logging them, so
+    /// only a checkpoint makes them durable. A single-file log keeps no
+    /// checkpoint: a platform logging to one refuses them up front,
+    /// before anything is applied.
+    fn check_redo_target(&self) -> Result<()> {
+        let wal = self.tm.wal();
+        if wal.is_volatile() || wal.dir().is_some() {
+            return Ok(());
+        }
+        Err(HanaError::Unsupported(
+            "restore and roll-forward log nothing, and a single-file log \
+             keeps no checkpoint to make them durable: use a segment directory"
+                .into(),
+        ))
+    }
+
+    /// Checkpoint what restore or roll-forward applied, on a durable
+    /// platform; its failure is the caller's, as the state is not yet
+    /// recoverable.
+    fn checkpoint_redone(&self) -> Result<()> {
+        if self.tm.wal().dir().is_some() {
+            self.write_checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Recreate the tables of `backup` and apply its rows as one redone
+    /// transaction; then build its indexes over them and refresh the
+    /// tables' statistics.
+    fn apply_backup(&self, mut backup: Backup) -> Result<()> {
         // Ledger first: any epoch captured in the snapshot must dedup
         // if the log suffix (or a producer) re-delivers it.
         for (pipeline, epoch) in &backup.ingest_epochs {
             self.ingest.note(pipeline, *epoch);
         }
+        let mut rows = Vec::new();
         for e in &backup.entries {
             if self.catalog.has_table(&e.name) {
                 self.drop_table(&e.name)?;
             }
-            let specs: Vec<ColumnSpec> = e
-                .schema
-                .columns()
-                .iter()
-                .map(|c| ColumnSpec {
-                    name: c.name.clone(),
-                    type_name: c.data_type.sql_name().to_string(),
-                    not_null: !c.nullable,
-                    primary_key: false,
-                })
-                .collect();
-            let ext = |hybrid, aging_column| {
-                Some(hana_sql::ExtendedSpec {
-                    hybrid,
-                    aging_column,
-                })
-            };
-            let (kind, extended, partition) = match &e.kind {
-                TableKindInfo::Column | TableKindInfo::Virtual => (TableKind::Column, None, None),
-                TableKindInfo::Row => (TableKind::Row, None, None),
-                TableKindInfo::Extended => (TableKind::Column, ext(false, None), None),
-                TableKindInfo::Hybrid { aging_column, .. } => (
-                    TableKind::Column,
-                    ext(true, Some(aging_column.clone())),
-                    None,
-                ),
-                TableKindInfo::Distributed { partition } => {
-                    (TableKind::Column, None, Some(partition.clone()))
+            self.create_table(create_spec(e))?;
+        }
+        for e in &mut backup.entries {
+            let sides = [
+                (Side::Local, &mut e.rows),
+                (Side::Extended, &mut e.cold_rows),
+            ];
+            for (side, images) in sides {
+                if !images.is_empty() {
+                    rows.push(Redo::Rows {
+                        op: RowOp::Insert,
+                        table: e.name.clone(),
+                        side,
+                        rows: std::mem::take(images),
+                    });
                 }
-            };
-            self.create_table(CreateTable {
-                name: e.name.clone(),
-                kind,
-                columns: specs,
-                extended,
-                partition,
-            })?;
-            if !e.rows.is_empty() {
-                self.load_rows(session, &e.name, &e.rows)?;
             }
+        }
+        self.redo_txn(rows)?;
+        for e in &backup.entries {
             if !e.indexes.is_empty() {
                 let entry = self.catalog.table(&e.name)?;
                 if let Some(t) = indexed_fragment(&entry.source) {
@@ -338,38 +276,32 @@ impl HanaPlatform {
                     }
                 }
             }
-            if !e.cold_rows.is_empty() {
-                // Straight into the cold partition.
-                let cold = self.write_target(&e.name)?.cold();
-                self.in_txn(|txn| {
-                    self.buffer(txn.tid, &cold, Vec::new(), cold.route(e.cold_rows.clone()))
-                })?;
-            }
+            self.refresh_statistics(&e.name)?;
         }
         Ok(())
     }
 
-    /// Rebuild a platform by replaying the WAL at `path` up to
+    /// Rebuild a platform by redoing the single-file WAL at `path` up to
     /// `upto_cid` (`None` = everything) — logical point-in-time
-    /// recovery. Returns the platform and the number of replayed
-    /// statements.
+    /// recovery. Returns the platform and the number of redone
+    /// transactions.
     pub fn recover_replay(path: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
         let wal = hana_txn::Wal::with_file(path)?;
         let (records, report) = wal.recover_records(upto_cid.unwrap_or(u64::MAX))?;
         let platform = HanaPlatform::new_in_memory();
-        let session = platform.connect("SYSTEM", "manager")?;
-        let replayed = platform.replay_records(&session, records, &report, 0)?;
-        Ok((platform, replayed))
+        let redone = platform.redo_log(records, &report, 0)?;
+        Ok((platform, redone))
     }
 
-    /// Re-apply the committed records of `wal` whose commit IDs are
+    /// Redo the committed transactions of `wal` whose commit IDs are
     /// greater than `after_cid` — the "roll forward from a backup" half
-    /// of point-in-time recovery: restore a [`Backup`], then replay the
+    /// of point-in-time recovery: restore a [`Backup`], then redo the
     /// log after [`Backup::cid`]. The records are read back from the
     /// log's files once, after flushing what was appended, so a live
-    /// log replays everything logged before the call; a volatile log
-    /// has nothing to replay. When `wal` is the platform's own log the
-    /// replay runs in passive mode so nothing is logged twice.
+    /// log redoes everything logged before the call; a volatile log
+    /// has nothing to redo. Redo logs nothing, so a durable platform
+    /// checkpoints the redone state before this returns. Returns the
+    /// number of redone transactions.
     pub fn replay_wal_after(
         &self,
         session: &Session,
@@ -377,100 +309,52 @@ impl HanaPlatform {
         after_cid: u64,
     ) -> Result<usize> {
         self.security.check(session, Privilege::Operate)?;
+        self.check_redo_target()?;
         let (records, report) = wal.recover_records(u64::MAX)?;
-        let own = Arc::clone(self.tm.wal());
-        let replaying_own_log = std::ptr::eq(own.as_ref(), wal as *const _);
-        if replaying_own_log {
-            own.set_passive(true);
-        }
-        let result = self.replay_records(session, records, &report, after_cid);
-        if replaying_own_log {
-            own.set_passive(false);
-        }
-        result
+        let redone = self.redo_log(records, &report, after_cid)?;
+        self.checkpoint_redone()?;
+        Ok(redone)
     }
+}
 
-    /// Shared redo loop: walk the data records of a log (`records`,
-    /// classified by `report`), keep those of committed transactions
-    /// past `after_cid`, and re-apply each through the normal execution
-    /// path: bulk records through [`load_rows`](Self::load_rows) or —
-    /// exactly once, via the ledger —
-    /// [`commit_ingest_batch`](Self::commit_ingest_batch), with the rows
-    /// of a distributed load read back from the partition logs (each
-    /// read once); everything else as SQL.
-    fn replay_records(
-        &self,
-        session: &Session,
-        records: Vec<hana_txn::LogRecord>,
-        report: &hana_txn::RecoveryReport,
-        after_cid: u64,
-    ) -> Result<usize> {
-        let replay: HashSet<u64> = report
-            .committed
-            .iter()
-            .filter(|&&(_, cid)| cid > after_cid)
-            .map(|&(tid, _)| tid)
-            .collect();
-        // The partition logs of each distributed table replayed into,
-        // read on the table's first bulk record.
-        let mut partition_rows: Vec<(Arc<DistTable>, RowsByTid)> = Vec::new();
-        let mut replayed = 0usize;
-        for rec in records {
-            let hana_txn::LogRecord::Data { tid, payload, .. } = rec else {
-                continue;
-            };
-            if !replay.contains(&tid) {
-                continue;
-            }
-            if let Some(bulk) = parse_bulk(&payload)? {
-                let target = self.write_target(bulk.table)?;
-                let rows = match (bulk.rows, &target.dist) {
-                    (Some(text), _) => decode_rows(text, &target.schema)?,
-                    (None, Some(dt)) => {
-                        let read = partition_rows.iter().position(|(t, _)| Arc::ptr_eq(t, dt));
-                        let at = match read {
-                            Some(at) => at,
-                            None => {
-                                partition_rows.push((Arc::clone(dt), dt.redo_rows(&replay)?));
-                                partition_rows.len() - 1
-                            }
-                        };
-                        partition_rows[at].1.remove(&tid).unwrap_or_default()
-                    }
-                    (None, None) => {
-                        return Err(HanaError::Io(format!(
-                            "DISTLOAD record for non-distributed table '{}'",
-                            bulk.table
-                        )))
-                    }
-                };
-                match bulk.ingest {
-                    None => {
-                        self.load_rows(session, bulk.table, &rows)?;
-                    }
-                    // The normal commit path dedups against the ledger
-                    // (an epoch already inside the restored checkpoint,
-                    // or logged twice, applies exactly once) and, with
-                    // the WAL passive, logs nothing a second time.
-                    Some((pipeline, epoch)) => {
-                        match self
-                            .commit_ingest_batch(session, pipeline, epoch, bulk.table, &rows)?
-                        {
-                            IngestCommit::Committed { .. } => hana_obs::registry()
-                                .counter("hana_ingest_epochs_replayed_total")
-                                .inc(),
-                            IngestCommit::Deduplicated { .. } => continue,
-                        }
-                    }
-                }
-            } else if payload.starts_with("--") {
-                continue; // structural marker, nothing to redo
-            } else {
-                self.execute_sql(session, &payload)?;
-            }
-            replayed += 1;
+/// The `CREATE TABLE` a backup entry's table was made with.
+fn create_spec(e: &BackupEntry) -> CreateTable {
+    let columns: Vec<ColumnSpec> = e
+        .schema
+        .columns()
+        .iter()
+        .map(|c| ColumnSpec {
+            name: c.name.clone(),
+            type_name: c.data_type.sql_name().to_string(),
+            not_null: !c.nullable,
+            primary_key: false,
+        })
+        .collect();
+    let ext = |hybrid, aging_column| {
+        Some(hana_sql::ExtendedSpec {
+            hybrid,
+            aging_column,
+        })
+    };
+    let (kind, extended, partition) = match &e.kind {
+        TableKindInfo::Column | TableKindInfo::Virtual => (TableKind::Column, None, None),
+        TableKindInfo::Row => (TableKind::Row, None, None),
+        TableKindInfo::Extended => (TableKind::Column, ext(false, None), None),
+        TableKindInfo::Hybrid { aging_column, .. } => (
+            TableKind::Column,
+            ext(true, Some(aging_column.clone())),
+            None,
+        ),
+        TableKindInfo::Distributed { partition } => {
+            (TableKind::Column, None, Some(partition.clone()))
         }
-        Ok(replayed)
+    };
+    CreateTable {
+        name: e.name.clone(),
+        kind,
+        columns,
+        extended,
+        partition,
     }
 }
 

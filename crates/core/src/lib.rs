@@ -26,6 +26,7 @@ mod ddl;
 mod durability;
 mod ingest;
 mod platform;
+mod redo;
 mod repository;
 mod security;
 mod writes;

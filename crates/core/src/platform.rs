@@ -26,8 +26,8 @@ use hana_txn::{TransactionManager, TwoPhaseParticipant, TxnHandle};
 use hana_types::{ColumnDef, DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::catalog::{PlatformCatalog, TableEntry, TableKindInfo};
-use crate::ddl::indexed_fragment;
 use crate::ingest::IngestDriver;
+use crate::redo::ddl_payload;
 use crate::repository::{ArtifactKind, DeliveryUnit, Repository};
 use crate::security::{Privilege, SecurityManager, Session};
 use crate::writes::LocalWrites;
@@ -73,8 +73,8 @@ impl HanaPlatform {
 
     /// Open (or create) a durable platform over the segmented log
     /// directory `dir` and recover its state: restore the latest
-    /// checkpoint snapshot, then replay every committed suffix record.
-    /// Returns the platform and the number of replayed statements.
+    /// checkpoint snapshot, then redo every committed transaction after
+    /// it. Returns the platform and the number of redone transactions.
     pub fn open_durable(dir: &Path) -> Result<(HanaPlatform, usize)> {
         Self::open_durable_with(dir, hana_txn::WalConfig::default())
     }
@@ -85,10 +85,9 @@ impl HanaPlatform {
         dir: &Path,
         config: hana_txn::WalConfig,
     ) -> Result<(HanaPlatform, usize)> {
-        let wal = Arc::new(hana_txn::Wal::open_dir_with(dir, config)?);
-        let (records, report) = wal.recover_records(u64::MAX)?;
-        let platform = Self::build(TransactionManager::recovered(Arc::clone(&wal), &report));
-        let replayed = platform.recover_from_wal(&wal, records, &report)?;
+        let (wal, records, report) = hana_txn::Wal::open_dir_recovered(dir, config)?;
+        let platform = Self::build(TransactionManager::recovered(Arc::new(wal), &report));
+        let replayed = platform.recover_from_wal(records, &report)?;
         Ok((platform, replayed))
     }
 
@@ -307,7 +306,8 @@ impl HanaPlatform {
 
     /// Execute an already-parsed statement. The session layer parses a
     /// prepared statement once and replays the (bound) AST here on each
-    /// execution, skipping the lexer/parser on the hot path.
+    /// execution, skipping the lexer/parser on the hot path. `sql_text`
+    /// is what a DDL statement logs; DML logs the rows it writes.
     pub fn execute_parsed(
         &self,
         session: &Session,
@@ -423,53 +423,12 @@ impl HanaPlatform {
                     lines,
                 ))
             }
-            Statement::CreateTable(ct) => {
+            ddl @ (Statement::CreateTable(_)
+            | Statement::DropTable { .. }
+            | Statement::CreateIndex { .. }
+            | Statement::DropIndex { .. }) => {
                 self.security.check(session, Privilege::Ddl)?;
-                self.create_table(ct)?;
-                self.log_ddl(sql_text)?;
-                Ok(ok_result())
-            }
-            Statement::DropTable { name } => {
-                self.security.check(session, Privilege::Ddl)?;
-                self.drop_table(&name)?;
-                self.log_ddl(sql_text)?;
-                Ok(ok_result())
-            }
-            Statement::CreateIndex {
-                name,
-                table,
-                columns,
-            } => {
-                self.security.check(session, Privilege::Ddl)?;
-                let entry = self.catalog.table(&table)?;
-                indexed_fragment(&entry.source)
-                    .ok_or_else(|| {
-                        HanaError::Unsupported(format!(
-                            "'{table}' does not support secondary indexes"
-                        ))
-                    })?
-                    .write()
-                    .create_index(&name, &columns)?;
-                // Index metadata changes which plans are valid: bump the
-                // catalog version so cached plans re-prepare.
-                self.catalog.bump_version();
-                self.log_ddl(sql_text)?;
-                Ok(ok_result())
-            }
-            Statement::DropIndex { name, table } => {
-                self.security.check(session, Privilege::Ddl)?;
-                let owner = match table {
-                    Some(t) => t,
-                    None => self.find_index_owner(&name)?,
-                };
-                let entry = self.catalog.table(&owner)?;
-                indexed_fragment(&entry.source)
-                    .ok_or_else(|| {
-                        HanaError::Catalog(format!("table '{owner}' has no index '{name}'"))
-                    })?
-                    .write()
-                    .drop_index(&name)?;
-                self.catalog.bump_version();
+                self.apply_ddl(ddl)?;
                 self.log_ddl(sql_text)?;
                 Ok(ok_result())
             }
@@ -562,14 +521,14 @@ impl HanaPlatform {
                 rows,
             } => {
                 self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, _| {
+                let n = self.run_dml(session, |p, tid, _| {
                     p.dml_insert(tid, &table, columns.as_deref(), &rows)
                 })?;
                 Ok(count_result(n))
             }
             Statement::Delete { table, filter } => {
                 self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
+                let n = self.run_dml(session, |p, tid, cid| {
                     p.dml_delete(tid, cid, &table, filter.as_ref())
                 })?;
                 Ok(count_result(n))
@@ -580,7 +539,7 @@ impl HanaPlatform {
                 filter,
             } => {
                 self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
+                let n = self.run_dml(session, |p, tid, cid| {
                     p.dml_update(tid, cid, &table, &assignments, filter.as_ref())
                 })?;
                 Ok(count_result(n))
@@ -669,18 +628,16 @@ impl HanaPlatform {
     }
 
     /// Run a buffered DML statement inside the session's (or a fresh
-    /// auto-commit) transaction, logging it for recovery.
+    /// auto-commit) transaction; the statement logs the rows it buffers.
     fn run_dml(
         &self,
         session: &Session,
-        sql_text: &str,
         f: impl FnOnce(&Self, u64, u64) -> Result<usize>,
     ) -> Result<usize> {
         let (txn, auto) = self.txn_for(session);
         let result = f(self, txn.tid, txn.snapshot.cid());
         match result {
             Ok(n) => {
-                self.tm.log_data(txn.tid, "hana", || sql_text.to_string())?;
                 if auto {
                     self.tm.commit(txn, &self.participants())?;
                 }
@@ -695,9 +652,10 @@ impl HanaPlatform {
         }
     }
 
+    /// Log a DDL statement's own text, in a transaction of its own.
     fn log_ddl(&self, sql: &str) -> Result<()> {
         let txn = self.tm.begin();
-        self.tm.log_data(txn.tid, "hana", || sql.to_string())?;
+        self.tm.log_data(txn.tid, "hana", || ddl_payload(sql))?;
         self.tm.commit(txn, &[])?;
         Ok(())
     }
@@ -895,7 +853,7 @@ fn count_result(n: usize) -> ResultSet {
     )
 }
 
-/// Split a script on semicolons outside string literals, so each
+/// Split a script on semicolons outside string literals, so each DDL
 /// statement's exact text reaches the recovery log.
 fn split_sql_script(text: &str) -> Vec<String> {
     let mut out = Vec::new();

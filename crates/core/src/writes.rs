@@ -4,7 +4,8 @@
 //! buffers through [`HanaPlatform::buffer`]; the in-memory half is the
 //! "hana" two-phase-commit participant [`LocalWrites`], whose buffered
 //! operations apply atomically at commit under the transaction's
-//! commit ID.
+//! commit ID. What a statement buffers it also logs, as typed records
+//! of row images (see [`crate::redo`]); restore and redo log nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,9 +23,9 @@ use hana_txn::{CommitReceipt, TwoPhaseParticipant, TxnHandle, Vote};
 use hana_types::{HanaError, Result, Row, Schema, Value};
 
 use crate::catalog::TableKindInfo;
-use crate::durability::bulk_payload;
 use crate::ingest::IngestCommit;
 use crate::platform::HanaPlatform;
+use crate::redo::{bulk_payload, rows_payload, RowOp, Side};
 use crate::security::{Privilege, Session};
 
 /// An in-memory fragment rows are inserted into and deleted from.
@@ -253,7 +254,7 @@ pub(crate) struct WriteTarget {
     local: Vec<Fragment>,
     /// The extended-store table behind it: the whole table, or the cold
     /// partition of a hybrid table.
-    iq: Option<String>,
+    pub(crate) iq: Option<String>,
     /// The router, see [`route`](Self::route).
     pub(crate) dist: Option<Arc<DistTable>>,
     pub(crate) schema: Schema,
@@ -357,7 +358,7 @@ impl HanaPlatform {
 
     /// The rows of `target`'s in-memory fragments that `filter` selects
     /// under `cid`, found with the access path SELECT would use.
-    fn locate(
+    pub(crate) fn locate(
         &self,
         table: &str,
         target: &WriteTarget,
@@ -384,6 +385,29 @@ impl HanaPlatform {
                 Err(e)
             }
         }
+    }
+
+    /// Log, as one record of transaction `tid`, the row images `rows`
+    /// inserted into or deleted from `side` of `table` (nothing for no
+    /// rows). No record may outlive a failed buffer call in a
+    /// transaction that goes on, as an explicit one does after a failed
+    /// statement: DML logs an insert once it is buffered (the extended
+    /// store can refuse it), and images for in-memory fragments, whose
+    /// buffering cannot fail, just before.
+    fn log_rows<'a>(
+        &self,
+        tid: u64,
+        op: RowOp,
+        table: &str,
+        side: Side,
+        rows: impl IntoIterator<Item = &'a Row>,
+    ) -> Result<()> {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return Ok(());
+        }
+        self.tm
+            .log_data(tid, "hana", || rows_payload(op, table, side, rows))
     }
 
     // ---- DML ----
@@ -431,7 +455,13 @@ impl HanaPlatform {
             rows.push(Row(row));
         }
         let n = rows.len();
+        // Logged once buffered, as the extended store can refuse rows;
+        // only a log that stores the record needs the copy.
+        let images = (!self.tm.wal().is_volatile()).then(|| rows.clone());
         self.buffer(tid, &target, Vec::new(), target.route(rows))?;
+        if let Some(images) = images {
+            self.log_rows(tid, RowOp::Insert, table, Side::Local, &images)?;
+        }
         Ok(n)
     }
 
@@ -459,9 +489,17 @@ impl HanaPlatform {
         };
         let victims = self.locate(table, &target, filter, cid)?;
         let mut n: usize = victims.iter().map(|hit| hit.ids.len()).sum();
+        let images = victims.iter().flat_map(|hit| &hit.rows);
+        self.log_rows(tid, RowOp::Delete, table, Side::Local, images)?;
         self.buffer(tid, &target, victims, Vec::new())?;
         if let Some(iq_table) = &target.iq {
-            n += self.iq.buffer_delete(tid, iq_table, &pushed, cid)?;
+            // Victims' images are read only for a log that stores them.
+            let mut all = |_: &Row| true;
+            let keep: Option<&mut dyn FnMut(&Row) -> bool> =
+                (!self.tm.wal().is_volatile()).then_some(&mut all);
+            let (deleted, images) = self.iq.buffer_delete(tid, iq_table, &pushed, cid, keep)?;
+            n += deleted;
+            self.log_rows(tid, RowOp::Delete, table, Side::Extended, &images)?;
         }
         Ok(n)
     }
@@ -507,6 +545,9 @@ impl HanaPlatform {
         let mut images = Vec::new();
         rows.push_rows(&mut images);
         let n = images.len();
+        let old = victims.iter().flat_map(|hit| &hit.rows);
+        self.log_rows(tid, RowOp::Delete, table, Side::Local, old)?;
+        self.log_rows(tid, RowOp::Insert, table, Side::Local, &images)?;
         self.buffer(tid, &target, victims, target.route(images))?;
         Ok(n)
     }
@@ -550,7 +591,7 @@ impl HanaPlatform {
     /// exchange to their home nodes (accounted and fault-checked like
     /// any shuffle) and, on a durable platform, are written to their
     /// partitions' logs and fsynced *before* the coordinator's commit
-    /// record, which then carries only a marker — a committed
+    /// record, whose `bulk` record then carries no rows — a committed
     /// coordinator record guarantees every partition has its rows.
     /// Returns the commit ID.
     fn bulk_commit(
@@ -568,8 +609,7 @@ impl HanaPlatform {
                     let ctx = RemoteContext::snapshot(txn.snapshot.cid());
                     let delivered =
                         hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
-                    in_partition_logs =
-                        !self.tm.wal().passive() && dt.log_buckets(txn.tid, &delivered)?;
+                    in_partition_logs = dt.log_buckets(txn.tid, &delivered)?;
                     delivered
                 }
             };
@@ -661,11 +701,11 @@ impl HanaPlatform {
         }
         let moved = rows.len();
         self.in_txn(|txn| {
+            self.log_rows(txn.tid, RowOp::Delete, table, Side::Local, &rows)?;
             self.buffer(txn.tid, &target, victims, Vec::new())?;
+            self.log_rows(txn.tid, RowOp::Insert, table, Side::Extended, &rows)?;
             let cold = target.cold();
-            self.buffer(txn.tid, &cold, Vec::new(), cold.route(rows))?;
-            self.tm
-                .log_data(txn.tid, "hana", || format!("-- aging {table}"))
+            self.buffer(txn.tid, &cold, Vec::new(), cold.route(rows))
         })?;
         Ok(moved)
     }

@@ -209,48 +209,51 @@ impl IqEngine {
         Ok(())
     }
 
-    /// Buffer deletions (resolved row IDs) for transaction `tid`.
+    /// Buffer for transaction `tid` the deletion of the rows of `table`
+    /// that `predicates` select under `snapshot_cid` and `keep` accepts
+    /// (it sees each candidate's image once, in row order; `None`
+    /// accepts every candidate and reads no image). Returns how many
+    /// rows were buffered, and the images `keep` accepted.
     pub fn buffer_delete(
         &self,
         tid: u64,
         table: &str,
         predicates: &[(String, ColumnPredicate)],
         snapshot_cid: u64,
-    ) -> Result<usize> {
+        mut keep: Option<&mut dyn FnMut(&Row) -> bool>,
+    ) -> Result<(usize, Vec<Row>)> {
         self.check_up()?;
-        let rows = self.matching_rows(table, predicates, snapshot_cid)?;
-        let n = rows.len();
+        let tables = self.tables.read();
+        let t = tables
+            .get(&Self::key(table))
+            .ok_or_else(|| HanaError::Catalog(format!("unknown extended table '{table}'")))?;
+        let preds = resolve_predicates(&t.schema, predicates)?;
+        let all: Vec<usize> = (0..t.schema.len()).collect();
+        let (mut ids, mut images) = (Vec::new(), Vec::new());
+        for chunk in t.chunks.iter().filter(|c| c.created_cid <= snapshot_cid) {
+            let hits = self.scan_chunk(t, chunk, &preds, snapshot_cid)?;
+            let Some(keep) = keep.as_mut() else {
+                ids.extend(hits.into_iter().map(|local| chunk.base_row + local));
+                continue;
+            };
+            let rows = self.project(chunk, &hits, &all)?;
+            for (local, row) in hits.into_iter().zip(rows) {
+                if keep(&row) {
+                    ids.push(chunk.base_row + local);
+                    images.push(row);
+                }
+            }
+        }
+        let n = ids.len();
         self.pending
             .lock()
             .entry(tid)
             .or_default()
             .push(PendingOp::Delete {
                 table: Self::key(table),
-                rows,
+                rows: ids,
             });
-        Ok(n)
-    }
-
-    fn matching_rows(
-        &self,
-        table: &str,
-        predicates: &[(String, ColumnPredicate)],
-        cid: u64,
-    ) -> Result<Vec<usize>> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(&Self::key(table))
-            .ok_or_else(|| HanaError::Catalog(format!("unknown extended table '{table}'")))?;
-        let preds = resolve_predicates(&t.schema, predicates)?;
-        let mut out = Vec::new();
-        for chunk in &t.chunks {
-            if chunk.created_cid > cid {
-                continue;
-            }
-            let hits = self.scan_chunk(t, chunk, &preds, cid)?;
-            out.extend(hits.into_iter().map(|local| chunk.base_row + local));
-        }
-        Ok(out)
+        Ok((n, images))
     }
 
     /// Chunk-local matching row positions (visibility included).
@@ -359,6 +362,11 @@ impl IqEngine {
         cid: u64,
     ) -> Result<Vec<Row>> {
         let hits = self.scan_chunk(table, chunk, preds, cid)?;
+        self.project(chunk, &hits, proj_cols)
+    }
+
+    /// The `proj_cols` of the chunk-local rows `hits`.
+    fn project(&self, chunk: &Chunk, hits: &[usize], proj_cols: &[usize]) -> Result<Vec<Row>> {
         if hits.is_empty() {
             return Ok(Vec::new());
         }
@@ -367,8 +375,8 @@ impl IqEngine {
             .map(|&c| chunk.read_column(&self.cache, c))
             .collect::<Result<_>>()?;
         Ok(hits
-            .into_iter()
-            .map(|local| Row::from_values(cols.iter().map(|c| c[local].clone())))
+            .iter()
+            .map(|&local| Row::from_values(cols.iter().map(|c| c[local].clone())))
             .collect())
     }
 

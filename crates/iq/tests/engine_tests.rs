@@ -198,19 +198,37 @@ fn aborted_transaction_leaves_no_trace() {
 fn transactional_delete() {
     let tm = TransactionManager::new();
     let iq = Arc::new(engine_with_data(30));
+    let participants: Vec<Arc<dyn TwoPhaseParticipant>> = vec![iq.clone()];
+    // Without `keep`, every selected row goes and no image is read.
     let txn = tm.begin();
-    let n = iq
+    let deleted = iq
         .buffer_delete(
             txn.tid,
             "orders",
             &[("o_status".into(), ColumnPredicate::Eq(Value::from("OPEN")))],
             txn.snapshot.cid().max(1),
+            None,
         )
         .unwrap();
-    assert_eq!(n, 10);
-    let participants: Vec<Arc<dyn TwoPhaseParticipant>> = vec![iq.clone()];
+    assert_eq!(deleted, (10, Vec::new()));
     let receipt = tm.commit(txn, &participants).unwrap();
     assert_eq!(iq.row_count("orders", receipt.cid).unwrap(), 20);
+
+    // `keep` sees the images in row order and picks the victims.
+    let txn = tm.begin();
+    let mut seen = 0;
+    let mut first_three = |_: &Row| {
+        seen += 1;
+        seen <= 3
+    };
+    let (n, images) = iq
+        .buffer_delete(txn.tid, "orders", &[], receipt.cid, Some(&mut first_three))
+        .unwrap();
+    assert_eq!((n, seen), (3, 20));
+    let ids: Vec<i64> = images.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    assert_eq!(ids, [1, 2, 4], "OPEN rows (multiples of 3) are gone");
+    let receipt = tm.commit(txn, &participants).unwrap();
+    assert_eq!(iq.row_count("orders", receipt.cid).unwrap(), 17);
 }
 
 #[test]

@@ -156,7 +156,7 @@ impl Shape {
 enum Prepared {
     /// A query: planned per shape, executed with values beside it.
     Query(Shape),
-    /// Anything else runs from its bound text (the WAL logs it).
+    /// Anything else: bound and run; the WAL logs the rows DML writes.
     Other(Statement),
 }
 
@@ -242,11 +242,10 @@ impl Session {
             Prepared::Other(stmt) => {
                 phase.enter("bind");
                 let bound = stmt.bind_params(params)?;
-                // The WAL/DDL log must see the *bound* text (literals,
-                // not `?`); statements the renderer doesn't cover can't
-                // carry parameters, so their original text is exact.
-                let text = bound.to_sql_text().unwrap_or_else(|| prepared.sql.clone());
-                self.execute_statement(bound, &text, &mut phase)
+                // No log reads the bound text: DML logs the rows it
+                // writes, and DDL — which takes no parameters — its own
+                // text, which is the prepared one.
+                self.execute_statement(bound, &prepared.sql, &mut phase)
             }
         }
     }

@@ -385,6 +385,23 @@ fn a_hit_binds_renders_plans_and_clones_nothing() {
     let after = probe::counts();
     let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
     assert_eq!(delta, [0, 1, 0, 0], "ad-hoc: the key is rendered, once");
+
+    // Prepared DML binds its values but renders nothing: the log takes
+    // the rows it writes, not its text.
+    let insert = s
+        .prepare("INSERT INTO accounts (k, v, note) VALUES (?, ?, ?)")
+        .unwrap();
+    let update = s.prepare("UPDATE accounts SET v = ? WHERE k = ?").unwrap();
+    let before = probe::counts();
+    for k in 100..110 {
+        let params = [Value::Int(k), Value::Int(k), Value::from("p")];
+        s.execute_prepared(&insert, &params).unwrap();
+        s.execute_prepared(&update, &[Value::Int(-k), Value::Int(k)])
+            .unwrap();
+    }
+    let renders =
+        probe::counts()[probe::Work::Render as usize] - before[probe::Work::Render as usize];
+    assert_eq!(renders, 0, "prepared INSERT and UPDATE render nothing");
 }
 
 /// The band: one prepared handle over a skewed indexed column seeks the

@@ -6,8 +6,8 @@
 //! with into further slots, so that statements differing only in those
 //! values share one *shape*; the planner plans the shape once and the
 //! executor reads the values beside it. What cannot run on a shape —
-//! DML (the WAL logs bound text) and a sub-query shipped to a remote
-//! source — substitutes the values back as literals:
+//! DML (which has no shape path yet) and a sub-query shipped to a
+//! remote source — substitutes the values back as literals:
 //! [`Statement::bind_params`], [`Query::bind`], [`Expr::bound`].
 
 use std::borrow::Cow;

@@ -211,11 +211,9 @@ impl fmt::Display for Query {
 
 impl Statement {
     /// Canonical SQL text for queries and DML — the statements a
-    /// prepared handle can carry parameters in. The session layer
-    /// executes bound prepared statements from this rendering so the
-    /// platform's WAL and DDL log record replayable SQL (with bound
-    /// literals, not `?`). `None` for DDL/control statements, which
-    /// execute from their original text.
+    /// prepared handle can carry parameters in, with bound literals,
+    /// not `?`. No log reads it: the WAL records the rows DML writes.
+    /// `None` for DDL/control statements.
     pub fn to_sql_text(&self) -> Option<String> {
         use std::fmt::Write as _;
         crate::probe::note(crate::probe::Work::Render);

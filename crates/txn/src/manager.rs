@@ -160,13 +160,51 @@ impl TransactionManager {
     /// individually fsynced — it becomes durable with (and strictly
     /// before) the transaction's commit record, which is all redo needs.
     /// `payload` runs only when the log stores the record: a volatile
-    /// log (or a passive one, replaying) builds no payload.
+    /// log builds no payload.
     pub fn log_data(&self, tid: u64, engine: &str, payload: impl FnOnce() -> String) -> Result<()> {
         self.wal.append_with(|| LogRecord::Data {
             tid,
             engine: engine.to_string(),
             payload: payload(),
         })
+    }
+
+    /// Redo: apply writes the log already holds, and log nothing.
+    /// `buffer` stages them with every participant under a fresh TID;
+    /// each participant then prepares and — unless it voted read-only —
+    /// commits them under a fresh CID, which is returned. No record is
+    /// appended and no snapshot is registered. On a failure every
+    /// participant is rolled back, as a no-vote would roll it back.
+    pub fn redo(
+        &self,
+        participants: &[Arc<dyn TwoPhaseParticipant>],
+        buffer: impl FnOnce(u64) -> Result<()>,
+    ) -> Result<u64> {
+        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
+        let prepared = buffer(tid).and_then(|()| {
+            participants
+                .iter()
+                .map(|p| Ok((p, p.prepare(tid)?)))
+                .collect::<Result<Vec<_>>>()
+        });
+        let votes = match prepared {
+            Ok(votes) => votes,
+            Err(e) => {
+                for p in participants {
+                    let _ = p.abort(tid);
+                }
+                return Err(e);
+            }
+        };
+        // As in `commit`: no checkpoint cut between the CID and the apply.
+        let _applying = self.apply_gate.read();
+        let cid = self.last_cid.fetch_add(1, Ordering::SeqCst) + 1;
+        for (p, vote) in votes {
+            if vote == Vote::Prepared {
+                p.commit(tid, cid)?;
+            }
+        }
+        Ok(cid)
     }
 
     /// Durably checkpoint `payload`, an opaque engine snapshot covering
@@ -584,6 +622,41 @@ mod tests {
         assert_eq!(fsyncs[0].parent, Some(wait.id));
         assert!(fsyncs[0].attrs.contains(&("txns".to_string(), 1)));
         assert!(fsyncs[0].bytes.is_some_and(|b| b > 0));
+        drop(tm);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Redo applies under a fresh TID and CID and appends nothing to
+    /// the log; a no-vote rolls every participant back.
+    #[test]
+    fn redo_commits_under_a_fresh_cid_and_logs_nothing() {
+        let dir = std::env::temp_dir().join(format!("hana-txn-redo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tm =
+            TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap())).unwrap();
+        let hana = Mock::named("hana");
+        let iq = Mock::named("iq");
+        iq.read_only.store(true, Ordering::SeqCst);
+        let mut staged = 0;
+        let cid = tm
+            .redo(&parts(&[&hana, &iq]), |tid| {
+                staged = tid;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((cid, tm.last_commit_id()), (1, 1));
+        assert_eq!(hana.committed.lock().as_slice(), &[(staged, 1)]);
+        assert!(
+            iq.committed.lock().is_empty(),
+            "a read-only vote skips phase 2"
+        );
+        assert!(tm.wal().records().unwrap().is_empty(), "redo logs nothing");
+        assert_eq!(tm.active_count(), 0);
+
+        iq.fail_prepare.store(true, Ordering::SeqCst);
+        assert!(tm.redo(&parts(&[&hana, &iq]), |_| Ok(())).is_err());
+        assert_eq!(hana.aborted.lock().len(), 1);
+        assert_eq!(tm.last_commit_id(), 1, "no CID for a failed redo");
         drop(tm);
         std::fs::remove_dir_all(&dir).ok();
     }

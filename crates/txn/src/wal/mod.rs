@@ -28,7 +28,6 @@ pub use group::DurableTicket;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,11 +174,6 @@ pub struct Wal {
     backend: Backend,
     latest_checkpoint: Mutex<Option<WalCheckpoint>>,
     truncated_bytes: u64,
-    /// Passive mode: appends become no-ops. Engaged only while recovery
-    /// replays already-logged statements through the normal write path,
-    /// so replay does not re-log (and thus double-apply on the *next*
-    /// recovery) what the log already contains.
-    passive: AtomicBool,
     /// `hana_wal_appends_total`.
     appends: Arc<Counter>,
 }
@@ -187,7 +181,7 @@ pub struct Wal {
 impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
-            .field("volatile", &matches!(self.backend, Backend::Volatile))
+            .field("volatile", &self.is_volatile())
             .field("truncated_bytes", &self.truncated_bytes)
             .finish()
     }
@@ -218,7 +212,6 @@ impl Wal {
             backend,
             latest_checkpoint: Mutex::new(latest),
             truncated_bytes,
-            passive: AtomicBool::new(false),
             appends: hana_obs::registry().counter("hana_wal_appends_total"),
         }
     }
@@ -227,10 +220,8 @@ impl Wal {
     /// missing, never rolled). A torn final record is truncated away
     /// with a warning rather than failing the open.
     pub fn with_file(path: &Path) -> Result<Wal> {
-        Wal::open_storage(
-            Storage::SingleFile(path.to_path_buf()),
-            WalConfig::default(),
-        )
+        let storage = Storage::SingleFile(path.to_path_buf());
+        Ok(Wal::open_storage(storage, WalConfig::default())?.0)
     }
 
     /// A durable segmented log in directory `dir`, with the default
@@ -241,10 +232,31 @@ impl Wal {
 
     /// A durable segmented log in directory `dir` with explicit config.
     pub fn open_dir_with(dir: &Path, config: WalConfig) -> Result<Wal> {
-        Wal::open_storage(Storage::Dir(dir.to_path_buf()), config)
+        Ok(Wal::open_storage(Storage::Dir(dir.to_path_buf()), config)?.0)
     }
 
-    fn open_storage(storage: Storage, config: WalConfig) -> Result<Wal> {
+    /// [`Wal::open_dir_with`], returning with the log the records it
+    /// holds and their classification ([`Wal::recover`]): the one read
+    /// of the segments that repairs a torn tail and bounds the
+    /// checkpoint also hands recovery what it redoes. The log keeps no
+    /// copy of them.
+    pub fn open_dir_recovered(
+        dir: &Path,
+        config: WalConfig,
+    ) -> Result<(Wal, Vec<LogRecord>, RecoveryReport)> {
+        let start = Instant::now();
+        let (wal, payloads) = Wal::open_storage(Storage::Dir(dir.to_path_buf()), config)?;
+        let records = payloads
+            .iter()
+            .map(|p| decode(&p.payload))
+            .collect::<Result<Vec<_>>>()?;
+        let report = wal.classify(&records, u64::MAX, start);
+        Ok((wal, records, report))
+    }
+
+    /// Open `storage`, repairing a torn tail; returns the log and the
+    /// frames the repairing read found.
+    fn open_storage(storage: Storage, config: WalConfig) -> Result<(Wal, Vec<LoadedPayload>)> {
         if let Storage::Dir(dir) = &storage {
             std::fs::create_dir_all(dir)?;
         }
@@ -279,22 +291,17 @@ impl Wal {
             config.fsyncs_until_fail,
         )?;
         let log = GroupLog::new(writer);
-        Ok(Wal::with_backend(
+        let wal = Wal::with_backend(
             Backend::Durable { log, storage },
             latest,
             loaded.truncated_bytes,
-        ))
+        );
+        Ok((wal, loaded.payloads))
     }
 
-    /// Engage/disengage passive mode (recovery replay only): while
-    /// passive, every append is dropped. See the field docs.
-    pub fn set_passive(&self, on: bool) {
-        self.passive.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether the log is in passive (recovery replay) mode.
-    pub fn passive(&self) -> bool {
-        self.passive.load(Ordering::SeqCst)
+    /// Whether the log stores nothing ([`Wal::in_memory`]).
+    pub fn is_volatile(&self) -> bool {
+        matches!(self.backend, Backend::Volatile)
     }
 
     /// The segment directory for directory-backed logs (which alone
@@ -374,7 +381,7 @@ impl Wal {
     }
 
     /// [`Wal::append`] of the record `rec` builds, which runs only when
-    /// the log stores it: a volatile or passive log builds nothing.
+    /// the log stores it: a volatile log builds nothing.
     pub fn append_with(&self, rec: impl FnOnce() -> LogRecord) -> Result<()> {
         self.submit(rec, false).wait()
     }
@@ -393,9 +400,6 @@ impl Wal {
     }
 
     fn submit(&self, rec: impl FnOnce() -> LogRecord, durable: bool) -> DurableTicket {
-        if self.passive() {
-            return DurableTicket(TicketInner::Ready(Ok(())));
-        }
         self.appends.inc();
         let Backend::Durable { log, .. } = &self.backend else {
             return DurableTicket(TicketInner::Ready(Ok(())));
@@ -438,7 +442,14 @@ impl Wal {
     pub fn recover_records(&self, upto_cid: u64) -> Result<(Vec<LogRecord>, RecoveryReport)> {
         let start = Instant::now();
         let records = self.records()?;
-        let mut report = RecoveryReport::from_records(&records, upto_cid);
+        let report = self.classify(&records, upto_cid, start);
+        Ok((records, report))
+    }
+
+    /// Classify `records` (read since `start`) up to `upto_cid`, from
+    /// the latest checkpoint on.
+    fn classify(&self, records: &[LogRecord], upto_cid: u64, start: Instant) -> RecoveryReport {
+        let mut report = RecoveryReport::from_records(records, upto_cid);
         if let Some(ckpt) = self.latest_checkpoint.lock().as_ref() {
             if ckpt.cid <= upto_cid {
                 report.checkpoint_cid = ckpt.cid;
@@ -448,7 +459,7 @@ impl Wal {
         reg.counter("hana_wal_recoveries_total").inc();
         reg.histogram("hana_wal_recovery_replay_ns")
             .record(start.elapsed().as_nanos() as u64);
-        Ok((records, report))
+        report
     }
 
     /// The newest usable checkpoint snapshot, if any.
@@ -623,6 +634,24 @@ mod tests {
         assert_eq!(wal.records().unwrap().len(), 2);
         assert_eq!(wal.recover().unwrap().committed, vec![(1, 1)]);
         assert_eq!(wal.truncated_bytes(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_dir_recovered_hands_back_the_records_its_repair_read() {
+        let dir = tmp_dir("recovered");
+        {
+            let wal = Wal::open_dir(&dir).unwrap();
+            wal.append(LogRecord::Begin { tid: 1 }).unwrap();
+            wal.append_durable(LogRecord::Commit { tid: 1, cid: 1 })
+                .unwrap();
+            wal.append(LogRecord::Begin { tid: 2 }).unwrap();
+        }
+        let (wal, records, report) = Wal::open_dir_recovered(&dir, WalConfig::default()).unwrap();
+        assert_eq!(records, wal.records().unwrap());
+        assert_eq!(records.len(), 3);
+        assert_eq!(report, wal.recover().unwrap());
+        assert_eq!(report.committed, vec![(1, 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,6 +46,17 @@ pub fn encode_rows(rows: &[Row]) -> String {
     out
 }
 
+/// Encode a record: a head of plain values followed by a row list, in
+/// one text; [`decode_record`] is the exact inverse.
+pub fn encode_record<'a>(head: &[Value], rows: impl IntoIterator<Item = &'a Row>) -> String {
+    let mut out = encode_row(head);
+    for row in rows {
+        out.push(ROW_SEP);
+        push_row(&mut out, row.values());
+    }
+    out
+}
+
 fn push_row(out: &mut String, row: &[Value]) {
     use std::fmt::Write as _;
     for (i, v) in row.iter().enumerate() {
@@ -117,6 +128,13 @@ pub fn decode_values(text: &str) -> Result<Vec<Value>> {
         return Ok(Vec::new());
     }
     text.split(VAL_SEP).map(decode_value).collect()
+}
+
+/// The head values of a record [`encode_record`] wrote, and its row
+/// list still encoded (read it with [`decode_rows`]).
+pub fn decode_record(text: &str) -> Result<(Vec<Value>, &str)> {
+    let (head, rows) = text.split_once(ROW_SEP).unwrap_or((text, ""));
+    Ok((decode_values(head)?, rows))
 }
 
 /// Decode one row and check it against `schema` (arity, nullability,

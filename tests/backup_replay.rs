@@ -3,9 +3,9 @@
 //! backup's snapshot CID must yield state identical to the uninterrupted
 //! execution, over random DML mixes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use hana_data_platform::platform::{HanaPlatform, Session};
+use hana_data_platform::platform::{Backup, HanaPlatform, Session};
 use hana_data_platform::{Row, Value};
 use proptest::test_runner::TestRng;
 
@@ -67,44 +67,47 @@ fn table_state(hana: &HanaPlatform, s: &Session) -> [Vec<Row>; 3] {
     .map(|q| hana.execute_sql(s, q).unwrap().rows)
 }
 
+/// Uninterrupted execution, logged to the single file `log`: DDL, then
+/// `ops` random DML statements with a backup captured before statement
+/// `backup_at`. Returns the platform and the backup.
+fn run_workload(rng: &mut TestRng, log: &Path, ops: u64, backup_at: u64) -> (HanaPlatform, Backup) {
+    let a = HanaPlatform::with_log_file(log).unwrap();
+    let sa = a.connect("SYSTEM", "manager").unwrap();
+    a.execute_sql(&sa, "CREATE COLUMN TABLE w (k INTEGER, v INTEGER)")
+        .unwrap();
+    a.execute_sql(&sa, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(20))")
+        .unwrap();
+    a.execute_sql(
+        &sa,
+        "CREATE COLUMN TABLE x (k INTEGER, s VARCHAR(20), d DOUBLE)",
+    )
+    .unwrap();
+    a.execute_sql(&sa, "CREATE INDEX ix_x ON x (k)").unwrap();
+    let seed: Vec<Row> = (0..8)
+        .map(|i| Row::from_values([Value::Int(i % 5), Value::Int(i)]))
+        .collect();
+    a.load_rows(&sa, "w", &seed).unwrap();
+
+    let mut backup = None;
+    for i in 0..ops {
+        if i == backup_at {
+            backup = Some(a.backup(&sa).unwrap());
+        }
+        // DML may legitimately match nothing; it must still parse.
+        a.execute_sql(&sa, &random_dml(rng, i)).unwrap();
+    }
+    (a, backup.unwrap())
+}
+
 #[test]
 fn restore_plus_replay_equals_uninterrupted_execution() {
     let mut rng = TestRng::deterministic("restore_plus_replay");
     for case in 0..10 {
         let dir = scratch(&format!("case-{case}"));
-        let log = dir.join("wal.log");
-
-        // Uninterrupted execution: DDL, then a random DML mix with a
-        // backup captured at a random midpoint.
-        let a = HanaPlatform::with_log_file(&log).unwrap();
-        let sa = a.connect("SYSTEM", "manager").unwrap();
-        a.execute_sql(&sa, "CREATE COLUMN TABLE w (k INTEGER, v INTEGER)")
-            .unwrap();
-        a.execute_sql(&sa, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(20))")
-            .unwrap();
-        a.execute_sql(
-            &sa,
-            "CREATE COLUMN TABLE x (k INTEGER, s VARCHAR(20), d DOUBLE)",
-        )
-        .unwrap();
-        a.execute_sql(&sa, "CREATE INDEX ix_x ON x (k)").unwrap();
-        let seed: Vec<Row> = (0..8)
-            .map(|i| Row::from_values([Value::Int(i % 5), Value::Int(i)]))
-            .collect();
-        a.load_rows(&sa, "w", &seed).unwrap();
-
         let ops = 10 + rng.below(25);
         let backup_at = rng.below(ops);
-        let mut backup = None;
-        for i in 0..ops {
-            if i == backup_at {
-                backup = Some(a.backup(&sa).unwrap());
-            }
-            // DML may legitimately match nothing; it must still parse.
-            a.execute_sql(&sa, &random_dml(&mut rng, i)).unwrap();
-        }
-        let backup = backup.unwrap();
-        let expected = table_state(&a, &sa);
+        let (a, backup) = run_workload(&mut rng, &dir.join("wal.log"), ops, backup_at);
+        let expected = table_state(&a, &a.connect("SYSTEM", "manager").unwrap());
 
         // Interrupted execution: a fresh platform restores the
         // mid-workload backup, then rolls the log forward past the
@@ -122,4 +125,48 @@ fn restore_plus_replay_equals_uninterrupted_execution() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Restore and roll-forward log nothing: a durable target checkpoints
+/// what they applied before they return, so a reopen with no further
+/// checkpoint finds it all. A target logging to a single file, which
+/// keeps no checkpoint, refuses both before applying anything.
+#[test]
+fn restore_and_roll_forward_into_a_durable_platform_survive_a_reopen() {
+    let mut rng = TestRng::deterministic("durable_target");
+    let dir = scratch("durable-target");
+    let (a, backup) = run_workload(&mut rng, &dir.join("wal.log"), 30, 6);
+    let expected = table_state(&a, &a.connect("SYSTEM", "manager").unwrap());
+
+    // Each step runs on a fresh open of the target and is dropped
+    // without a checkpoint of its own.
+    let target = dir.join("target");
+    let open = || {
+        let (b, _) = HanaPlatform::open_durable(&target).unwrap();
+        let sb = b.connect("SYSTEM", "manager").unwrap();
+        (b, sb)
+    };
+    let (b, sb) = open();
+    b.restore(&sb, &backup).unwrap();
+    drop(b);
+    let (b, sb) = open();
+    let redone = b
+        .replay_wal_after(&sb, a.transaction_manager().wal(), backup.cid)
+        .unwrap();
+    assert!(redone > 0, "the workload wrote after the backup");
+    assert_eq!(table_state(&b, &sb), expected);
+    drop(b);
+    let (b, sb) = open();
+    assert_eq!(table_state(&b, &sb), expected, "lost at reopen");
+
+    let file_logged = HanaPlatform::with_log_file(&dir.join("other.log")).unwrap();
+    let s = file_logged.connect("SYSTEM", "manager").unwrap();
+    let err = file_logged.restore(&s, &backup).unwrap_err();
+    assert_eq!(err.kind(), "unsupported", "{err}");
+    let err = file_logged
+        .replay_wal_after(&s, a.transaction_manager().wal(), backup.cid)
+        .unwrap_err();
+    assert_eq!(err.kind(), "unsupported", "{err}");
+    assert!(file_logged.execute_sql(&s, "SELECT * FROM w").is_err());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -393,3 +393,102 @@ fn torn_partition_log_tails_recover_to_the_previous_batch() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&copy).ok();
 }
+
+/// A flipped bit in a typed redo record is caught by its frame's
+/// checksum. In the last segment, recovery stops in front of the
+/// damaged frame and recovers exactly the commits ahead of it; in a
+/// sealed segment, the database refuses to open. No damaged row is ever
+/// applied: every reopened table is one of the states the workload
+/// passed through.
+#[test]
+fn a_flipped_bit_in_a_typed_record_recovers_a_prefix_or_refuses_to_open() {
+    use hana_data_platform::types::decode_record;
+    let dir = scratch("flip");
+    let config = WalConfig {
+        segment_bytes: 1800,
+        ..WalConfig::default()
+    };
+    let select = "SELECT k, s FROM t ORDER BY k, s";
+    // `states[j]`: the table after the first `j` commits (no table yet
+    // for `j = 0`); every statement is one auto-commit transaction.
+    let mut states: Vec<Option<Vec<Row>>> = vec![None];
+    {
+        let (hana, _) = HanaPlatform::open_durable_with(&dir, config.clone()).unwrap();
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        hana.execute_sql(&s, "CREATE COLUMN TABLE t (k INTEGER, s VARCHAR(16))")
+            .unwrap();
+        states.push(Some(Vec::new()));
+        for i in 0..32 {
+            let sql = match i % 4 {
+                0 | 1 => format!("INSERT INTO t VALUES ({i}, 'row {i}')"),
+                2 => format!("UPDATE t SET s = 'upd {i}' WHERE k = {}", i - 2),
+                _ => format!("DELETE FROM t WHERE k = {}", i - 2),
+            };
+            hana.execute_sql(&s, &sql).unwrap();
+            states.push(Some(hana.execute_sql(&s, select).unwrap().rows));
+        }
+    }
+    let wal = Wal::open_dir_with(&dir, config.clone()).unwrap();
+    let records = wal.records().unwrap();
+    let ends = wal.record_end_offsets();
+    drop(wal);
+    let (segments, total) = coordinator_segments(&dir);
+    assert!(segments.len() > 1, "the workload spans sealed segments");
+    let last_start = total - std::fs::metadata(segments.last().unwrap()).unwrap().len();
+
+    let copy = scratch("flip-copy");
+    let (mut sealed, mut last) = (0, 0);
+    for (at, rec) in records.iter().enumerate() {
+        let LogRecord::Data { payload, .. } = rec else {
+            continue;
+        };
+        let (head, _) = decode_record(payload).expect("a typed record");
+        let kind = head[0].to_string();
+        assert!(
+            ["insert", "delete", "ddl"].contains(&kind.as_str()),
+            "{kind}"
+        );
+        // The bit: in the middle of the payload, behind the 8-byte header.
+        let start = if at == 0 { 0 } else { ends[at - 1] };
+        let byte = start + 8 + (ends[at] - start - 8) / 2;
+        let _ = std::fs::remove_dir_all(&copy);
+        copy_dir(&dir, &copy);
+        let (mut file, mut offset) = (0, byte);
+        let (paths, _) = coordinator_segments(&copy);
+        while offset >= std::fs::metadata(&paths[file]).unwrap().len() {
+            offset -= std::fs::metadata(&paths[file]).unwrap().len();
+            file += 1;
+        }
+        let mut bytes = std::fs::read(&paths[file]).unwrap();
+        bytes[offset as usize] ^= 1 << (at % 8);
+        std::fs::write(&paths[file], bytes).unwrap();
+
+        let opened = HanaPlatform::open_durable_with(&copy, config.clone());
+        if start < last_start {
+            sealed += 1;
+            let err = opened
+                .err()
+                .expect("a damaged sealed segment must not open");
+            assert!(err.to_string().contains("corrupt WAL frame"), "{err}");
+            continue;
+        }
+        last += 1;
+        let (hana, _) = opened.unwrap();
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        let got = hana
+            .catalog()
+            .has_table("t")
+            .then(|| hana.execute_sql(&s, select).unwrap().rows);
+        let commits_ahead = records[..at]
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Commit { .. }))
+            .count();
+        assert_eq!(
+            got, states[commits_ahead],
+            "flip in record {at}: not the {commits_ahead}-commit prefix"
+        );
+    }
+    assert!(sealed > 0 && last > 0, "sealed {sealed}, last {last}");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}

@@ -1,7 +1,9 @@
 //! Durability must not depend on `render ∘ parse` being the identity:
 //! every value a table can hold comes back from a checkpoint and from
-//! log redo (LOAD / INGEST / DISTLOAD payloads, partition logs, replayed
-//! SQL) exactly as it went in.
+//! log redo exactly as it went in. Redo applies typed records of row
+//! images (inserted and deleted rows, bulk loads and ingest epochs with
+//! their rows inline or in the partition logs) and never parses logged
+//! SQL; a log holding an older build's SQL or bulk markers is refused.
 
 use std::path::{Path, PathBuf};
 
@@ -298,4 +300,74 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Aging after the last checkpoint is redone: the rows it moved are in
+/// the cold partition after a reopen, and no longer in the hot one; so
+/// is a later delete of a cold row.
+#[test]
+fn aging_after_the_last_checkpoint_is_redone() {
+    let dir = scratch("aging");
+    let state = |hana: &HanaPlatform, s: &Session| {
+        let count = hana
+            .execute_sql(s, "SELECT COUNT(*) FROM h")
+            .unwrap()
+            .scalar()
+            .unwrap()
+            .clone();
+        let cold = hana.iq().row_count("h__cold", u64::MAX - 1).unwrap();
+        (count, cold, rows_of(hana, s, "h"))
+    };
+    let aged = {
+        let (hana, s) = open(&dir);
+        hana.execute_sql(
+            &s,
+            "CREATE COLUMN TABLE h (k INTEGER, s VARCHAR(8), aged BOOLEAN) \
+             USING HYBRID EXTENDED STORAGE AGING ON aged",
+        )
+        .unwrap();
+        for k in 0..8 {
+            let aged = k % 3 != 0;
+            hana.execute_sql(&s, &format!("INSERT INTO h VALUES ({k}, 'v{k}', {aged})"))
+                .unwrap();
+        }
+        hana.write_checkpoint().unwrap();
+        assert_eq!(hana.run_aging(&s, "h").unwrap(), 5);
+        state(&hana, &s)
+    };
+    assert_eq!((aged.0.clone(), aged.1), (Value::Int(8), 5), "live");
+    let deleted = {
+        let (hana, s) = open(&dir);
+        assert_eq!(state(&hana, &s), aged, "aging, after a reopen");
+        hana.execute_sql(&s, "DELETE FROM h WHERE k = 7").unwrap();
+        state(&hana, &s)
+    };
+    assert_eq!(deleted.1, 4, "a cold row deleted, live");
+    let (hana, s) = open(&dir);
+    assert_eq!(state(&hana, &s), deleted, "cold delete, after a reopen");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A statement the extended store refuses inside an explicit
+/// transaction leaves no record behind: the transaction goes on, and
+/// redo applies exactly what it committed.
+#[test]
+fn a_refused_extended_insert_leaves_no_record_in_its_transaction() {
+    let dir = scratch("refused");
+    let live = {
+        let (hana, s) = open(&dir);
+        hana.execute_sql(&s, "CREATE TABLE x (k INTEGER) USING EXTENDED STORAGE")
+            .unwrap();
+        hana.execute_sql(&s, "BEGIN").unwrap();
+        hana.iq().set_failing(true);
+        assert!(hana.execute_sql(&s, "INSERT INTO x VALUES (1)").is_err());
+        hana.iq().set_failing(false);
+        hana.execute_sql(&s, "INSERT INTO x VALUES (2)").unwrap();
+        hana.execute_sql(&s, "COMMIT").unwrap();
+        rows_of(&hana, &s, "x")
+    };
+    assert_eq!(live, vec![Row::from_values([Value::Int(2)])]);
+    let (hana, s) = open(&dir);
+    assert_eq!(rows_of(&hana, &s, "x"), live, "after a reopen");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -158,3 +158,55 @@ fn contended_increments_add_up_to_the_acknowledged_commits() {
     assert_eq!(rows_of(&hana, &s), [kv(1, acknowledged)], "recovered");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Snapshot isolation survives redo: A's write is evaluated under A's
+/// snapshot, which predates B's insert, so the live table keeps B's row
+/// untouched — and redo, which applies the rows A wrote rather than
+/// re-running A's statement under a later snapshot, keeps it too, also
+/// when B's row equals the one A deleted. For a column, a row and a
+/// distributed table.
+#[test]
+fn a_concurrent_insert_is_not_redone_into_an_older_snapshots_write() {
+    // B inserts, A writes, the table A and B leave behind.
+    let writes = [
+        ("(2, 0)", "DELETE FROM t WHERE v = 0", vec![kv(2, 0)]),
+        (
+            "(2, 0)",
+            "UPDATE t SET v = 1 WHERE v = 0",
+            vec![kv(1, 1), kv(2, 0)],
+        ),
+        ("(1, 0)", "DELETE FROM t WHERE k = 1", vec![kv(1, 0)]),
+    ];
+    let tables = [
+        "CREATE COLUMN TABLE t (k INTEGER, v INTEGER)",
+        "CREATE ROW TABLE t (k INTEGER, v INTEGER)",
+        "CREATE COLUMN TABLE t (k INTEGER, v INTEGER) PARTITION BY HASH(k) PARTITIONS 2",
+    ];
+    let inputs: Vec<_> = tables
+        .iter()
+        .flat_map(|t| {
+            let with_table = move |(b, a, rows): &(_, _, Vec<Row>)| ((*t, *b, *a), rows.clone());
+            writes.iter().map(with_table)
+        })
+        .collect();
+    let mut recovered = Vec::new();
+    for ((table, b_inserts, a_writes), expected) in &inputs {
+        let dir = scratch();
+        {
+            let (hana, a) = open(&dir);
+            let b = hana.connect("SYSTEM", "manager").unwrap();
+            hana.execute_sql(&a, table).unwrap();
+            hana.execute_sql(&a, "INSERT INTO t VALUES (1, 0)").unwrap();
+            hana.execute_sql(&a, "BEGIN").unwrap();
+            hana.execute_sql(&b, &format!("INSERT INTO t VALUES {b_inserts}"))
+                .unwrap();
+            hana.execute_sql(&a, a_writes).unwrap();
+            hana.execute_sql(&a, "COMMIT").unwrap();
+            assert_eq!(&rows_of(&hana, &a), expected, "{table}; {a_writes}: live");
+        }
+        let (hana, s) = open(&dir);
+        recovered.push(((*table, *b_inserts, *a_writes), rows_of(&hana, &s)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(recovered, inputs, "recovered vs live");
+}
