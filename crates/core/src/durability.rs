@@ -1,7 +1,8 @@
 //! Coordinated backup and recovery (§3.1, §5): the consistent
 //! [`Backup`] across the in-memory and extended stores, its checkpoint
-//! codec, restore, and the entry points that redo the committed log
-//! suffix (the records and the redo routine are in [`crate::redo`]).
+//! codec, restore, and the one recovery routine behind open,
+//! point-in-time recovery and roll-forward (the records and the redo
+//! routine are in [`crate::redo`]).
 //!
 //! A checkpoint is a [`Backup`] serialized to bytes for the WAL's
 //! checkpoint sidecar: a flat text record stream in which `\u{1d}`
@@ -29,6 +30,7 @@ use std::path::Path;
 use hana_columnar::IndexDef;
 use hana_query::TableSource;
 use hana_sql::{ColumnSpec, CreateTable, PartitionBy, TableKind};
+use hana_txn::{CheckpointCut, LogRecord, RecoveryReport, Wal};
 use hana_types::{
     decode_row, decode_rows, encode_row, encode_rows, ColumnDef, DataType, HanaError, Result, Row,
     Schema,
@@ -96,41 +98,57 @@ impl Backup {
 }
 
 impl HanaPlatform {
-    /// Restore the checkpoint of the platform's own log, then redo the
-    /// committed log suffix after it (`records`, classified by
-    /// `report`). Returns the number of redone transactions.
-    pub(crate) fn recover_from_wal(
+    /// The one recovery routine: bring a platform that holds every
+    /// commit up to `held` (0, or the CID of a backup it restored) to
+    /// the end of `records`, the log `wal` holds, as `report`
+    /// classified them (up to a point in time). It starts from the
+    /// log's own checkpoint when that is newer than `held` and inside
+    /// the classification (`report.checkpoint_cid`), else from `held`;
+    /// a start below [`Wal::redo_floor`], whose records a checkpoint
+    /// may have pruned, is refused before anything applies. From the
+    /// start it redoes the committed suffix. Returns the number of
+    /// redone transactions.
+    pub(crate) fn recover_log(
         &self,
-        records: Vec<hana_txn::LogRecord>,
-        report: &hana_txn::RecoveryReport,
+        wal: &Wal,
+        records: Vec<LogRecord>,
+        report: &RecoveryReport,
+        held: u64,
     ) -> Result<usize> {
-        let mut after_cid = 0;
-        if let Some(ckpt) = self.tm.wal().latest_checkpoint() {
-            after_cid = ckpt.cid;
-            self.apply_backup(decode_backup(&ckpt.payload)?)?;
+        let checkpoint = wal
+            .latest_checkpoint()
+            .filter(|c| c.cid > held && c.cid == report.checkpoint_cid);
+        let start = checkpoint.as_ref().map_or(held, |c| c.cid);
+        let floor = wal.redo_floor()?;
+        if start < floor {
+            return Err(HanaError::Unsupported(format!(
+                "a checkpoint pruned the log: redo cannot start at CID {start}, \
+                 the oldest CID it can start from is {floor}"
+            )));
         }
-        self.redo_log(records, report, after_cid)
+        if let Some(c) = checkpoint {
+            self.apply_backup(decode_backup(&c.payload)?)?;
+        }
+        self.redo_log(records, report, start)
     }
 
     /// Take a consistent logical backup across the in-memory store and
     /// the extended storage (one snapshot CID for both).
     pub fn backup(&self, session: &Session) -> Result<Backup> {
         self.security.check(session, Privilege::Operate)?;
-        self.snapshot_backup()
+        Ok(self.snapshot_backup()?.0)
     }
 
     /// Durably checkpoint the platform: capture a transactionally
     /// consistent snapshot of every table, write it as the WAL's
-    /// checkpoint sidecar and prune sealed log segments, so the next
-    /// recovery restores the snapshot and replays only the log suffix.
-    /// Returns the snapshot commit ID. Errors if the platform's WAL is
-    /// not a durable segment directory.
+    /// checkpoint sidecar and prune the log segments sealed before the
+    /// cut, so the next recovery restores the snapshot and replays only
+    /// the log suffix. Returns the snapshot commit ID. A volatile log
+    /// keeps no checkpoint.
     pub fn write_checkpoint(&self) -> Result<u64> {
-        let backup = self.snapshot_backup()?;
-        let cid = backup.cid;
-        let payload = encode_backup(&backup);
-        self.tm.checkpoint(cid, &payload)?;
-        Ok(cid)
+        let (backup, cut) = self.snapshot_backup()?;
+        self.tm.checkpoint(&cut, &encode_backup(&backup))?;
+        Ok(cut.cid)
     }
 
     /// Checkpoint barrier: merge-delta and bulk load call this.
@@ -138,7 +156,7 @@ impl HanaPlatform {
     /// surfaced as a warning, never as a failure of the statement that
     /// triggered it (the log alone still recovers).
     pub(crate) fn maybe_checkpoint(&self) {
-        if self.tm.wal().dir().is_none() {
+        if self.tm.wal().is_volatile() {
             return;
         }
         if let Err(e) = self.write_checkpoint() {
@@ -146,7 +164,8 @@ impl HanaPlatform {
         }
     }
 
-    fn snapshot_backup(&self) -> Result<Backup> {
+    /// A backup at a [`CheckpointCut`], and the cut.
+    fn snapshot_backup(&self) -> Result<(Backup, CheckpointCut)> {
         // Epoch fence (see `IngestLedger`): no ingest epoch can commit
         // between reading the snapshot cid and reading the ledger, so
         // the captured table rows and ledger agree on exactly which
@@ -158,7 +177,8 @@ impl HanaPlatform {
         // Cut at a commit ID whose predecessors have all applied: a
         // commit still between CID assignment and phase 2 would be
         // recorded as covered without its rows.
-        let cid = self.tm.applied_commit_id();
+        let cut = self.tm.checkpoint_cut();
+        let cid = cut.cid;
         let mut entries = Vec::new();
         for (name, _) in self.catalog.list_tables() {
             let entry = self.catalog.table(&name)?;
@@ -190,11 +210,12 @@ impl HanaPlatform {
                 indexes,
             });
         }
-        Ok(Backup {
+        let backup = Backup {
             cid,
             entries,
             ingest_epochs: self.ingest.entries(),
-        })
+        };
+        Ok((backup, cut))
     }
 
     /// Restore a backup: captured tables are dropped, recreated and
@@ -203,32 +224,15 @@ impl HanaPlatform {
     /// checkpoints the restored state before this returns.
     pub fn restore(&self, session: &Session, backup: &Backup) -> Result<()> {
         self.security.check(session, Privilege::Operate)?;
-        self.check_redo_target()?;
         self.apply_backup(backup.clone())?;
         self.checkpoint_redone()
-    }
-
-    /// Restore and roll-forward apply rows without logging them, so
-    /// only a checkpoint makes them durable. A single-file log keeps no
-    /// checkpoint: a platform logging to one refuses them up front,
-    /// before anything is applied.
-    fn check_redo_target(&self) -> Result<()> {
-        let wal = self.tm.wal();
-        if wal.is_volatile() || wal.dir().is_some() {
-            return Ok(());
-        }
-        Err(HanaError::Unsupported(
-            "restore and roll-forward log nothing, and a single-file log \
-             keeps no checkpoint to make them durable: use a segment directory"
-                .into(),
-        ))
     }
 
     /// Checkpoint what restore or roll-forward applied, on a durable
     /// platform; its failure is the caller's, as the state is not yet
     /// recoverable.
     fn checkpoint_redone(&self) -> Result<()> {
-        if self.tm.wal().dir().is_some() {
+        if !self.tm.wal().is_volatile() {
             self.write_checkpoint()?;
         }
         Ok(())
@@ -281,37 +285,34 @@ impl HanaPlatform {
         Ok(())
     }
 
-    /// Rebuild a platform by redoing the single-file WAL at `path` up to
-    /// `upto_cid` (`None` = everything) — logical point-in-time
-    /// recovery. Returns the platform and the number of redone
-    /// transactions.
-    pub fn recover_replay(path: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
-        let wal = hana_txn::Wal::with_file(path)?;
+    /// Rebuild a platform from the log in the segment directory `dir`
+    /// as of `upto_cid` (`None` = everything) — logical point-in-time
+    /// recovery through the one recovery routine (`recover_log`): from the
+    /// log's checkpoint when the target is at or past it, else from the
+    /// log's start, which a pruned log refuses. Returns the volatile
+    /// platform and the number of redone transactions.
+    pub fn recover_replay(dir: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
+        let wal = Wal::open_dir(dir)?;
         let (records, report) = wal.recover_records(upto_cid.unwrap_or(u64::MAX))?;
         let platform = HanaPlatform::new_in_memory();
-        let redone = platform.redo_log(records, &report, 0)?;
+        let redone = platform.recover_log(&wal, records, &report, 0)?;
         Ok((platform, redone))
     }
 
-    /// Redo the committed transactions of `wal` whose commit IDs are
-    /// greater than `after_cid` — the "roll forward from a backup" half
-    /// of point-in-time recovery: restore a [`Backup`], then redo the
-    /// log after [`Backup::cid`]. The records are read back from the
+    /// Roll the platform forward from a restored [`Backup`] at
+    /// `after_cid` through the committed transactions of `wal`, via the
+    /// one recovery routine (`recover_log`): when `wal`'s checkpoint is
+    /// newer than `after_cid` it is restored first, as the log may
+    /// have been pruned through it. The records are read back from the
     /// log's files once, after flushing what was appended, so a live
     /// log redoes everything logged before the call; a volatile log
     /// has nothing to redo. Redo logs nothing, so a durable platform
     /// checkpoints the redone state before this returns. Returns the
     /// number of redone transactions.
-    pub fn replay_wal_after(
-        &self,
-        session: &Session,
-        wal: &hana_txn::Wal,
-        after_cid: u64,
-    ) -> Result<usize> {
+    pub fn replay_wal_after(&self, session: &Session, wal: &Wal, after_cid: u64) -> Result<usize> {
         self.security.check(session, Privilege::Operate)?;
-        self.check_redo_target()?;
         let (records, report) = wal.recover_records(u64::MAX)?;
-        let redone = self.redo_log(records, &report, after_cid)?;
+        let redone = self.recover_log(wal, records, &report, after_cid)?;
         self.checkpoint_redone()?;
         Ok(redone)
     }

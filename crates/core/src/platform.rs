@@ -65,14 +65,11 @@ impl HanaPlatform {
         Self::build(TransactionManager::new())
     }
 
-    /// A platform whose WAL persists to `path` (enables
-    /// [`HanaPlatform::recover_replay`]).
-    pub fn with_log_file(path: &Path) -> Result<HanaPlatform> {
-        Ok(Self::build(TransactionManager::with_log_file(path)?))
-    }
-
     /// Open (or create) a durable platform over the segmented log
-    /// directory `dir` and recover its state: restore the latest
+    /// directory `dir` — every durable log is one — and recover its
+    /// state through the one recovery routine (`recover_log`, shared
+    /// with [`recover_replay`](Self::recover_replay) and
+    /// [`replay_wal_after`](Self::replay_wal_after)): restore the latest
     /// checkpoint snapshot, then redo every committed transaction after
     /// it. Returns the platform and the number of redone transactions.
     pub fn open_durable(dir: &Path) -> Result<(HanaPlatform, usize)> {
@@ -86,8 +83,9 @@ impl HanaPlatform {
         config: hana_txn::WalConfig,
     ) -> Result<(HanaPlatform, usize)> {
         let (wal, records, report) = hana_txn::Wal::open_dir_recovered(dir, config)?;
-        let platform = Self::build(TransactionManager::recovered(Arc::new(wal), &report));
-        let replayed = platform.recover_from_wal(records, &report)?;
+        let wal = Arc::new(wal);
+        let platform = Self::build(TransactionManager::recovered(Arc::clone(&wal), &report));
+        let replayed = platform.recover_log(&wal, records, &report, 0)?;
         Ok((platform, replayed))
     }
 

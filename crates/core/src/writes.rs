@@ -170,6 +170,10 @@ impl TwoPhaseParticipant for LocalWrites {
         let Some(ops) = pending.get(&tid).filter(|v| !v.is_empty()) else {
             return Ok(Vote::ReadOnly);
         };
+        // A key whose row this transaction deleted before (an UPDATE's
+        // old image) is free for its inserts, as commit applies a
+        // fragment's operations in order.
+        let mut freed: Vec<(usize, Value)> = Vec::new();
         let mut batch_keys: Vec<hana_types::Value> = Vec::new();
         for op in ops.iter() {
             match op {
@@ -180,7 +184,7 @@ impl TwoPhaseParticipant for LocalWrites {
                     table.read().schema().check_row(row)?;
                 }
                 LocalOp::Insert {
-                    into: Fragment::Row(table),
+                    into: into @ Fragment::Row(table),
                     row,
                 } => {
                     let t = table.read();
@@ -194,7 +198,9 @@ impl TwoPhaseParticipant for LocalWrites {
                                 t.name()
                             )));
                         }
-                        if t.get(key, latest).is_some() || batch_keys.contains(key) {
+                        let taken = t.get(key, latest).is_some()
+                            && !freed.iter().any(|(at, k)| *at == into.addr() && k == key);
+                        if taken || batch_keys.contains(key) {
                             return Err(hana_types::HanaError::Storage(format!(
                                 "duplicate primary key {key} in '{}'",
                                 t.name()
@@ -212,6 +218,11 @@ impl TwoPhaseParticipant for LocalWrites {
                         )));
                     }
                     claims.insert(key, tid);
+                    if let Fragment::Row(t) = from {
+                        let t = t.read();
+                        let pk = t.pk_column().zip(t.slot_values(*id));
+                        freed.extend(pk.map(|(pk, row)| (from.addr(), row.values()[pk].clone())));
+                    }
                 }
             }
         }
@@ -601,7 +612,7 @@ impl HanaPlatform {
         rows: &[Row],
         ingest: Option<(&str, u64)>,
     ) -> Result<u64> {
-        let ((tid, in_partition_logs), receipt) = self.in_txn(|txn| {
+        let ((), receipt) = self.in_txn(|txn| {
             let mut in_partition_logs = false;
             let routed = match &target.dist {
                 None => target.route(rows.to_vec()),
@@ -616,14 +627,8 @@ impl HanaPlatform {
             self.buffer(txn.tid, target, Vec::new(), routed)?;
             let inline = (!in_partition_logs).then_some(rows);
             self.tm
-                .log_data(txn.tid, "hana", || bulk_payload(table, ingest, inline))?;
-            Ok((txn.tid, in_partition_logs))
+                .log_data(txn.tid, "hana", || bulk_payload(table, ingest, inline))
         })?;
-        if let (true, Some(dt)) = (in_partition_logs, &target.dist) {
-            // Best-effort bookkeeping marker in the partition logs; the
-            // coordinator's commit record is the source of truth.
-            dt.log_commit(tid, receipt.cid);
-        }
         Ok(receipt.cid)
     }
 

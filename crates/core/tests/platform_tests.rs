@@ -394,15 +394,27 @@ fn backup_restore_spans_engines() {
     assert_eq!(hana.iq().row_count("mixed__cold", u64::MAX - 1).unwrap(), 2);
 }
 
+/// Point-in-time recovery over a segment directory: a full recovery
+/// starts from the log's checkpoint, a target before an unpruned
+/// checkpoint redoes the log from its start, and a target below a
+/// pruning checkpoint is refused, naming the oldest CID the log can
+/// start from.
 #[test]
 fn point_in_time_recovery_replays_wal() {
-    let dir = std::env::temp_dir().join(format!("hana-pitr-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let wal = dir.join("platform.wal");
-    let _ = std::fs::remove_file(&wal);
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("hana-pitr-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let count = |hana: &HanaPlatform| {
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        let rs = hana.execute_sql(&s, "SELECT COUNT(*) FROM t").unwrap();
+        rs.scalar().unwrap().clone()
+    };
+    let dir = scratch("whole");
     let checkpoint_cid;
     {
-        let hana = HanaPlatform::with_log_file(&wal).unwrap();
+        let (hana, _) = HanaPlatform::open_durable(&dir).unwrap();
         let s = hana.connect("SYSTEM", "manager").unwrap();
         hana.execute_sql(&s, "CREATE COLUMN TABLE t (a INTEGER)")
             .unwrap();
@@ -410,6 +422,7 @@ fn point_in_time_recovery_replays_wal() {
         hana.execute_sql(&s, "INSERT INTO t VALUES (2)").unwrap();
         checkpoint_cid = hana.transaction_manager().last_commit_id();
         hana.execute_sql(&s, "INSERT INTO t VALUES (3)").unwrap();
+        // A checkpoint barrier; one 4 MiB segment, so it prunes nothing.
         hana.load_rows(
             &s,
             "t",
@@ -421,17 +434,57 @@ fn point_in_time_recovery_replays_wal() {
         .unwrap();
     }
     // Full recovery sees everything.
-    let (full, replayed) = HanaPlatform::recover_replay(&wal, None).unwrap();
-    assert!(replayed >= 5);
-    let s = full.connect("SYSTEM", "manager").unwrap();
-    let rs = full.execute_sql(&s, "SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(rs.scalar().unwrap(), &Value::Int(5));
-    // Point-in-time recovery stops at the checkpoint.
-    let (pit, _) = HanaPlatform::recover_replay(&wal, Some(checkpoint_cid)).unwrap();
-    let s = pit.connect("SYSTEM", "manager").unwrap();
-    let rs = pit.execute_sql(&s, "SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(rs.scalar().unwrap(), &Value::Int(2));
-    std::fs::remove_file(&wal).ok();
+    let (full, _) = HanaPlatform::recover_replay(&dir, None).unwrap();
+    assert_eq!(count(&full), Value::Int(5));
+    // Point-in-time recovery stops at the earlier CID.
+    let (pit, replayed) = HanaPlatform::recover_replay(&dir, Some(checkpoint_cid)).unwrap();
+    assert!(
+        replayed >= 3,
+        "the DDL and two inserts, from the log's start"
+    );
+    assert_eq!(count(&pit), Value::Int(2));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Small segments roll, so the MERGE DELTA checkpoint prunes.
+    let dir = scratch("pruned");
+    let config = hana_txn::WalConfig {
+        segment_bytes: 256,
+        ..hana_txn::WalConfig::default()
+    };
+    let early;
+    {
+        let (hana, _) = HanaPlatform::open_durable_with(&dir, config).unwrap();
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        hana.execute_sql(&s, "CREATE COLUMN TABLE t (a INTEGER)")
+            .unwrap();
+        hana.execute_sql(&s, "INSERT INTO t VALUES (1)").unwrap();
+        early = hana.transaction_manager().last_commit_id();
+        for a in 2..=12 {
+            hana.execute_sql(&s, &format!("INSERT INTO t VALUES ({a})"))
+                .unwrap();
+        }
+        hana.execute_sql(&s, "MERGE DELTA OF t").unwrap();
+        hana.execute_sql(&s, "INSERT INTO t VALUES (13)").unwrap();
+    }
+    let ckpt = hana_txn::Wal::open_dir(&dir)
+        .unwrap()
+        .latest_checkpoint()
+        .unwrap()
+        .cid;
+    let err = HanaPlatform::recover_replay(&dir, Some(early))
+        .err()
+        .unwrap();
+    assert_eq!(err.kind(), "unsupported", "{err}");
+    assert!(
+        err.to_string()
+            .contains(&format!("the oldest CID it can start from is {ckpt}")),
+        "{err}"
+    );
+    let (full, replayed) = HanaPlatform::recover_replay(&dir, None).unwrap();
+    assert_eq!((count(&full), replayed), (Value::Int(13), 1));
+    let (at_ckpt, _) = HanaPlatform::recover_replay(&dir, Some(ckpt)).unwrap();
+    assert_eq!(count(&at_ckpt), Value::Int(12));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A volatile log counts what the platform appends and keeps none of

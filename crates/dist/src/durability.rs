@@ -8,12 +8,9 @@
 //! 1. routed rows are appended to their home partition's log;
 //! 2. every touched partition log is fsynced (`sync`) *before* the
 //!    coordinator makes its commit record durable — so a commit record
-//!    in the coordinator log proves the partition redo is on disk;
-//! 3. after the commit point, a `Commit` marker is appended to the
-//!    partition logs without its own fsync (pure bookkeeping — the
-//!    coordinator log is the source of truth for outcomes).
+//!    in the coordinator log proves the partition redo is on disk.
 //!
-//! Recovery therefore replays a partition log's `Data` records only for
+//! The coordinator log alone decides outcomes. Recovery therefore replays a partition log's `Data` records only for
 //! transactions the *coordinator* log committed: a partition record
 //! whose coordinator commit never became durable is ignored, and a
 //! partition tail torn mid-append can only affect transactions whose
@@ -95,20 +92,6 @@ impl DistTable {
             wal.sync()?;
         }
         Ok(true)
-    }
-
-    /// Post-commit bookkeeping: mark `tid` committed in every partition
-    /// log (not individually fsynced — the coordinator log decides).
-    pub fn log_commit(&self, tid: u64, cid: u64) {
-        if let Some(wals) = self.partition_wals() {
-            for w in &wals.wals {
-                if let Err(e) = w.append(LogRecord::Commit { tid, cid }) {
-                    hana_obs::warn(format!(
-                        "partition WAL commit marker for txn {tid} lost: {e}"
-                    ));
-                }
-            }
-        }
     }
 
     /// The partition-logged row images of the coordinator-committed

@@ -3,10 +3,15 @@
 //! Transaction, snapshot and distributed-commit management — the §3.1
 //! "Transactions" machinery of the paper: the coordinator generates
 //! transaction IDs and commit IDs, drives an improved two-phase commit
-//! across the in-memory store and extended (IQ) stores, recovers jointly
-//! from a shared write-ahead log (including point-in-time recovery), and
-//! surfaces **in-doubt** transactions for manual abortion after a crash
-//! of the extended store.
+//! across the in-memory store and extended (IQ) stores, logs to one
+//! shared write-ahead log — a directory of rolling segments, or a
+//! volatile log that stores nothing — whose classified records
+//! ([`Wal::recover_records`], up to a point in time) and checkpoints
+//! the platform redoes, and surfaces **in-doubt** transactions for
+//! manual abortion after a crash of the extended store. A checkpoint
+//! prunes only segments sealed before its cut, and only when no
+//! transaction was active at it ([`TransactionManager::checkpoint_cut`]),
+//! so every record of every later commit survives.
 //!
 //! ```
 //! use hana_txn::TransactionManager;
@@ -23,7 +28,7 @@ mod participant;
 mod snapshot;
 mod wal;
 
-pub use manager::{CommitReceipt, TransactionManager, TxnHandle};
+pub use manager::{CheckpointCut, CommitReceipt, TransactionManager, TxnHandle};
 pub use participant::{TwoPhaseParticipant, Vote};
 pub use snapshot::Snapshot;
 pub use wal::{DurableTicket, LogRecord, RecoveryReport, Wal, WalCheckpoint, WalConfig};

@@ -17,7 +17,6 @@
 //!   failed extended store.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,6 +50,17 @@ pub struct CommitReceipt {
     pub read_only_skipped: Vec<String>,
 }
 
+/// Where a checkpoint cuts the committed history
+/// ([`TransactionManager::checkpoint_cut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointCut {
+    /// Every commit up to and including this CID has applied.
+    pub cid: u64,
+    /// The log segment active at the cut, when no transaction was: the
+    /// segments below it hold no record of a commit above `cid`.
+    prune_below: Option<u64>,
+}
+
 /// Central coordinator: allocates TIDs and CIDs, drives 2PC, owns the WAL.
 pub struct TransactionManager {
     next_tid: AtomicU64,
@@ -66,10 +76,11 @@ pub struct TransactionManager {
     commit_order: Mutex<()>,
     /// Held shared by every commit from CID assignment until its
     /// participants have applied;
-    /// [`applied_commit_id`](Self::applied_commit_id) takes it
-    /// exclusively to read a CID none of whose predecessors is still in
-    /// flight.
+    /// [`checkpoint_cut`](Self::checkpoint_cut) takes it exclusively to
+    /// read a CID none of whose predecessors is still in flight.
     apply_gate: RwLock<()>,
+    /// Transactions from `begin` until their CID is assigned (or they
+    /// abort): the ones whose log records a checkpoint must not prune.
     active: Mutex<HashMap<u64, Snapshot>>,
     in_doubt: Mutex<Vec<(u64, Vec<String>)>>,
 }
@@ -80,20 +91,8 @@ impl TransactionManager {
         TransactionManager::recovered(Arc::new(Wal::in_memory()), &RecoveryReport::default())
     }
 
-    /// A manager whose WAL is appended to the single file `path`.
-    pub fn with_log_file(path: &Path) -> Result<TransactionManager> {
-        TransactionManager::with_shared_wal(Arc::new(Wal::with_file(path)?))
-    }
-
-    /// A manager sharing `wal` with other components (the platform holds
-    /// a handle for data logging and checkpoints). Fails if the log
-    /// cannot be read.
-    pub fn with_shared_wal(wal: Arc<Wal>) -> Result<TransactionManager> {
-        let report = wal.recover()?;
-        Ok(TransactionManager::recovered(wal, &report))
-    }
-
-    /// A manager sharing `wal`, resuming after `report` — what
+    /// A manager sharing `wal` (the platform holds a handle for data
+    /// logging and checkpoints), resuming after `report` — what
     /// [`Wal::recover`] (or [`Wal::recover_records`]) returned for it,
     /// so a caller that replays the log reads it once.
     pub fn recovered(wal: Arc<Wal>, report: &RecoveryReport) -> TransactionManager {
@@ -122,13 +121,14 @@ impl TransactionManager {
     pub fn begin(&self) -> TxnHandle {
         let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
         let snapshot = Snapshot::at(self.last_cid.load(Ordering::SeqCst));
+        // Active before its first record, so no checkpoint prunes it.
+        self.active.lock().insert(tid, snapshot);
         // A Begin record is bookkeeping, not a commit point: losing it
         // only costs diagnostics, so a failed log is surfaced as a
         // warning here and as a hard error at the commit point.
         if let Err(e) = self.wal.append(LogRecord::Begin { tid }) {
             hana_obs::warn(format!("WAL Begin append failed for txn {tid}: {e}"));
         }
-        self.active.lock().insert(tid, snapshot);
         TxnHandle { tid, snapshot }
     }
 
@@ -142,18 +142,26 @@ impl TransactionManager {
         self.last_cid.load(Ordering::SeqCst)
     }
 
-    /// A commit ID whose every predecessor (itself included) has been
-    /// applied by its participants — the only safe cut for a checkpoint.
+    /// Cut for a checkpoint at a commit ID whose every predecessor
+    /// (itself included) has been applied by its participants.
     /// [`last_commit_id`](Self::last_commit_id) runs ahead of it while a
     /// commit sits between CID assignment and phase 2: a snapshot cut
     /// there would record the CID as covered without its rows, and
     /// recovery would then skip the log records that carry them. Waits
     /// for in-flight commits to finish applying; commits arriving
     /// meanwhile queue behind the cut, which holds the gate only to read
-    /// the counter.
-    pub fn applied_commit_id(&self) -> u64 {
+    /// the counter and, when no transaction is active, the log's active
+    /// segment: every record of a later commit lands in it or after it.
+    pub fn checkpoint_cut(&self) -> CheckpointCut {
         let _quiesced = self.apply_gate.write();
-        self.last_cid.load(Ordering::SeqCst)
+        // The segment first: a transaction that begins after the idle
+        // check appends only after it.
+        let segment = self.wal.active_segment();
+        let idle = self.active.lock().is_empty();
+        CheckpointCut {
+            cid: self.last_cid.load(Ordering::SeqCst),
+            prune_below: idle.then_some(segment),
+        }
     }
 
     /// Append a logical redo record for `tid`. The record is not
@@ -208,15 +216,14 @@ impl TransactionManager {
     }
 
     /// Durably checkpoint `payload`, an opaque engine snapshot covering
-    /// every commit up to and including `cid` (which the caller read
-    /// from [`applied_commit_id`](Self::applied_commit_id) before
-    /// capturing the snapshot, so every covered commit's rows are in it).
-    /// Sealed log segments are pruned only when no transaction is
-    /// active.
-    pub fn checkpoint(&self, cid: u64, payload: &[u8]) -> Result<()> {
+    /// every commit up to and including `cut.cid` (the caller took the
+    /// cut before capturing the snapshot, so every covered commit's rows
+    /// are in it). The log segments sealed before the cut are pruned
+    /// when no transaction was active at it.
+    pub fn checkpoint(&self, cut: &CheckpointCut, payload: &[u8]) -> Result<()> {
         let max_tid = self.next_tid.load(Ordering::SeqCst).saturating_sub(1);
-        let prune = self.active.lock().is_empty();
-        self.wal.checkpoint(cid, max_tid, payload, prune)
+        self.wal
+            .checkpoint(cut.cid, max_tid, payload, cut.prune_below)
     }
 
     /// Commit `txn` across `participants` with the improved 2PC.
@@ -230,7 +237,7 @@ impl TransactionManager {
         txn: TxnHandle,
         participants: &[Arc<dyn TwoPhaseParticipant>],
     ) -> Result<CommitReceipt> {
-        if self.active.lock().remove(&txn.tid).is_none() {
+        if !self.active.lock().contains_key(&txn.tid) {
             return Err(HanaError::Transaction(format!(
                 "transaction {} is not active",
                 txn.tid
@@ -256,6 +263,7 @@ impl TransactionManager {
                     for q in participants {
                         let _ = q.abort(txn.tid);
                     }
+                    self.active.lock().remove(&txn.tid);
                     self.wal.append(LogRecord::Abort { tid: txn.tid })?;
                     return Err(HanaError::Transaction(format!(
                         "participant '{}' failed to prepare: {e}",
@@ -272,7 +280,8 @@ impl TransactionManager {
         // and the commits queued meanwhile share the next. The apply
         // gate is held (shared) until phase 2 is done, so a checkpoint
         // cut never lands between this CID becoming visible and its
-        // rows applying.
+        // rows applying; the transaction stays active until its CID is
+        // assigned under it, so a cut either covers it or saw it active.
         let _applying = self.apply_gate.read();
         let (cid, ticket) = {
             let _order = self.commit_order.lock();
@@ -282,6 +291,7 @@ impl TransactionManager {
                 .submit_durable(LogRecord::Commit { tid: txn.tid, cid });
             (cid, ticket)
         };
+        self.active.lock().remove(&txn.tid);
         let durable = {
             let _wait = hana_obs::span("commit_wait");
             ticket.wait()
@@ -356,11 +366,6 @@ impl TransactionManager {
         let report = self.wal.recover()?;
         *self.in_doubt.lock() = report.in_doubt.clone();
         Ok(report)
-    }
-
-    /// Point-in-time variant of [`TransactionManager::recover`].
-    pub fn recover_to(&self, cid: u64) -> Result<RecoveryReport> {
-        self.wal.recover_to(cid)
     }
 
     /// Currently known in-doubt transactions.
@@ -454,6 +459,14 @@ mod tests {
         }
     }
 
+    /// A manager over the segment directory `dir`, resuming after what
+    /// the log holds.
+    fn durable(dir: &std::path::Path) -> TransactionManager {
+        let wal = Arc::new(Wal::open_dir(dir).unwrap());
+        let report = wal.recover().unwrap();
+        TransactionManager::recovered(wal, &report)
+    }
+
     fn parts(ms: &[&Arc<Mock>]) -> Vec<Arc<dyn TwoPhaseParticipant>> {
         ms.iter()
             .map(|m| Arc::clone(*m) as Arc<dyn TwoPhaseParticipant>)
@@ -545,7 +558,7 @@ mod tests {
     /// hoped for: the CID is already visible, the cut stays pending, and
     /// it completes — at that CID — only once the apply has returned.
     #[test]
-    fn applied_commit_id_waits_for_in_flight_phase_two() {
+    fn checkpoint_cut_waits_for_in_flight_phase_two() {
         struct CutDuringApply {
             tm: Arc<TransactionManager>,
             request_cut: std::sync::mpsc::Sender<()>,
@@ -588,7 +601,7 @@ mod tests {
             let cutter = Arc::clone(&tm);
             let cut = s.spawn(move || {
                 cut_requested.recv().unwrap();
-                let cid = cutter.applied_commit_id();
+                let cid = cutter.checkpoint_cut().cid;
                 let _ = done.send(());
                 cid
             });
@@ -597,7 +610,7 @@ mod tests {
                 .commit(t, &[Arc::clone(&p) as Arc<dyn TwoPhaseParticipant>])
                 .unwrap();
             assert_eq!(cut.join().unwrap(), receipt.cid);
-            assert_eq!(tm.applied_commit_id(), receipt.cid, "idle: cut = last cid");
+            assert_eq!(tm.checkpoint_cut().cid, receipt.cid, "idle: cut = last cid");
         });
     }
 
@@ -607,8 +620,7 @@ mod tests {
     fn a_lone_durable_commit_records_its_fsync_under_commit_wait() {
         let dir = std::env::temp_dir().join(format!("hana-txn-span-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tm =
-            TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap())).unwrap();
+        let tm = durable(&dir);
         let tracer = hana_obs::Tracer::new();
         {
             let _g = tracer.install();
@@ -626,14 +638,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A cut prunes only the segments sealed before it, and nothing
+    /// while a transaction is active — until its CID is assigned.
+    #[test]
+    fn a_cut_prunes_only_when_no_transaction_is_active() {
+        let dir = std::env::temp_dir().join(format!("hana-txn-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = crate::WalConfig {
+            segment_bytes: 16,
+            ..crate::WalConfig::default()
+        };
+        let wal = Arc::new(Wal::open_dir_with(&dir, config).unwrap());
+        let tm = TransactionManager::recovered(Arc::clone(&wal), &RecoveryReport::default());
+        let open = tm.begin();
+        for _ in 0..3 {
+            let t = tm.begin();
+            tm.commit(t, &[]).unwrap();
+        }
+        assert_eq!(tm.checkpoint_cut().prune_below, None, "{open:?} is active");
+        let held = Mock::named("hana");
+        held.fail_prepare.store(true, Ordering::SeqCst);
+        assert!(tm.commit(open, &parts(&[&held])).is_err());
+        let cut = tm.checkpoint_cut();
+        assert_eq!(cut.prune_below, Some(wal.active_segment()));
+        tm.checkpoint(&cut, b"snapshot").unwrap();
+        // The segment active at the cut survives; the ones before it go.
+        let first = wal.segment_paths()[0].clone();
+        let kept = format!("wal-{:06}.seg", cut.prune_below.unwrap());
+        assert!(first.ends_with(kept) && !first.ends_with("wal-000001.seg"));
+        assert_eq!(wal.redo_floor().unwrap(), cut.cid);
+        drop((tm, wal));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Redo applies under a fresh TID and CID and appends nothing to
     /// the log; a no-vote rolls every participant back.
     #[test]
     fn redo_commits_under_a_fresh_cid_and_logs_nothing() {
         let dir = std::env::temp_dir().join(format!("hana-txn-redo-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tm =
-            TransactionManager::with_shared_wal(Arc::new(Wal::open_dir(&dir).unwrap())).unwrap();
+        let tm = durable(&dir);
         let hana = Mock::named("hana");
         let iq = Mock::named("iq");
         iq.read_only.store(true, Ordering::SeqCst);
@@ -676,11 +720,9 @@ mod tests {
         // Simulate a crash between prepare and commit by building the WAL
         // by hand, then recovering a fresh manager over it.
         let dir = std::env::temp_dir().join(format!("hana-txn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("recovery.log");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
         {
-            let wal = Wal::with_file(&path).unwrap();
+            let wal = Wal::open_dir(&dir).unwrap();
             wal.append(LogRecord::Begin { tid: 1 }).unwrap();
             wal.append(LogRecord::Prepare {
                 tid: 1,
@@ -690,7 +732,7 @@ mod tests {
             wal.append(LogRecord::Begin { tid: 2 }).unwrap();
             wal.append(LogRecord::Commit { tid: 2, cid: 7 }).unwrap();
         }
-        let tm = TransactionManager::with_log_file(&path).unwrap();
+        let tm = durable(&dir);
         let report = tm.recover().unwrap();
         assert_eq!(report.committed, vec![(2, 7)]);
         assert_eq!(tm.in_doubt(), vec![(1, vec!["iq".to_string()])]);
@@ -701,6 +743,7 @@ mod tests {
         assert!(t.tid > 2);
         let r = tm.commit(t, &[]).unwrap();
         assert!(r.cid > 7);
-        std::fs::remove_file(&path).ok();
+        drop(tm);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

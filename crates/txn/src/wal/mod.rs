@@ -37,7 +37,7 @@ use hana_obs::Counter;
 use hana_types::{HanaError, Result};
 
 use self::group::{GroupLog, TicketInner};
-use self::segment::{LoadedPayload, LogWriter, Storage, DEFAULT_SEGMENT_BYTES};
+use self::segment::{LoadedPayload, LogWriter, DEFAULT_SEGMENT_BYTES};
 
 /// One log record. `cid` values order commits for point-in-time recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +131,7 @@ impl fmt::Display for LogRecord {
 /// Durability configuration, fixed when the log is opened.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Size at which the active segment rolls over (directory mode).
+    /// Size at which the active segment rolls over.
     pub segment_bytes: u64,
     /// Injected failure point for crash testing: after this many
     /// successful fsyncs the writer fails permanently, dropping the
@@ -163,10 +163,7 @@ enum Backend {
     /// No file: appends are counted and dropped.
     Volatile,
     /// Segment files, flushed by whichever committer leads.
-    Durable {
-        log: Arc<GroupLog>,
-        storage: Storage,
-    },
+    Durable { log: Arc<GroupLog>, dir: PathBuf },
 }
 
 /// The write-ahead log. Shared by reference: all methods take `&self`.
@@ -216,14 +213,6 @@ impl Wal {
         }
     }
 
-    /// A durable log appended to the single file `path` (created if
-    /// missing, never rolled). A torn final record is truncated away
-    /// with a warning rather than failing the open.
-    pub fn with_file(path: &Path) -> Result<Wal> {
-        let storage = Storage::SingleFile(path.to_path_buf());
-        Ok(Wal::open_storage(storage, WalConfig::default())?.0)
-    }
-
     /// A durable segmented log in directory `dir`, with the default
     /// configuration.
     pub fn open_dir(dir: &Path) -> Result<Wal> {
@@ -232,7 +221,7 @@ impl Wal {
 
     /// A durable segmented log in directory `dir` with explicit config.
     pub fn open_dir_with(dir: &Path, config: WalConfig) -> Result<Wal> {
-        Ok(Wal::open_storage(Storage::Dir(dir.to_path_buf()), config)?.0)
+        Ok(Wal::open(dir, config)?.0)
     }
 
     /// [`Wal::open_dir_with`], returning with the log the records it
@@ -245,7 +234,7 @@ impl Wal {
         config: WalConfig,
     ) -> Result<(Wal, Vec<LogRecord>, RecoveryReport)> {
         let start = Instant::now();
-        let (wal, payloads) = Wal::open_storage(Storage::Dir(dir.to_path_buf()), config)?;
+        let (wal, payloads) = Wal::open(dir, config)?;
         let records = payloads
             .iter()
             .map(|p| decode(&p.payload))
@@ -254,13 +243,11 @@ impl Wal {
         Ok((wal, records, report))
     }
 
-    /// Open `storage`, repairing a torn tail; returns the log and the
-    /// frames the repairing read found.
-    fn open_storage(storage: Storage, config: WalConfig) -> Result<(Wal, Vec<LoadedPayload>)> {
-        if let Storage::Dir(dir) = &storage {
-            std::fs::create_dir_all(dir)?;
-        }
-        let loaded = segment::load(&storage, true)?;
+    /// Open the log in `dir`, repairing a torn tail; returns the log
+    /// and the frames the repairing read found.
+    fn open(dir: &Path, config: WalConfig) -> Result<(Wal, Vec<LoadedPayload>)> {
+        std::fs::create_dir_all(dir)?;
+        let loaded = segment::load(dir, true)?;
         // A checkpoint sidecar is only trusted once the log itself shows
         // commits (or a checkpoint record) reaching its CID — guards a
         // sidecar that outlived a truncated log tail.
@@ -276,23 +263,21 @@ impl Wal {
                 cid_limit = cid_limit.max(cid);
             }
         }
-        let latest = match &storage {
-            Storage::Dir(dir) => checkpoint::load_latest(dir, cid_limit).map(|c| WalCheckpoint {
-                cid: c.cid,
-                max_tid: c.max_tid,
-                payload: c.payload,
-            }),
-            Storage::SingleFile(_) => None,
-        };
+        let latest = checkpoint::load_latest(dir, cid_limit).map(|c| WalCheckpoint {
+            cid: c.cid,
+            max_tid: c.max_tid,
+            payload: c.payload,
+        });
         let writer = LogWriter::open(
-            storage.clone(),
+            dir.to_path_buf(),
             loaded.last_seq,
             config.segment_bytes,
             config.fsyncs_until_fail,
         )?;
         let log = GroupLog::new(writer);
+        let dir = dir.to_path_buf();
         let wal = Wal::with_backend(
-            Backend::Durable { log, storage },
+            Backend::Durable { log, dir },
             latest,
             loaded.truncated_bytes,
         );
@@ -304,15 +289,11 @@ impl Wal {
         matches!(self.backend, Backend::Volatile)
     }
 
-    /// The segment directory for directory-backed logs (which alone
-    /// keep checkpoint sidecars and prune segments).
+    /// The segment directory of a durable log.
     pub fn dir(&self) -> Option<PathBuf> {
         match &self.backend {
-            Backend::Durable {
-                storage: Storage::Dir(d),
-                ..
-            } => Some(d.clone()),
-            _ => None,
+            Backend::Durable { dir, .. } => Some(dir.clone()),
+            Backend::Volatile => None,
         }
     }
 
@@ -323,10 +304,10 @@ impl Wal {
 
     /// Segment files in replay order (empty for in-memory logs).
     pub fn segment_paths(&self) -> Vec<PathBuf> {
-        let Backend::Durable { storage, .. } = &self.backend else {
+        let Backend::Durable { dir, .. } = &self.backend else {
             return Vec::new();
         };
-        let segments = storage.segments().unwrap_or_default();
+        let segments = segment::segments(dir).unwrap_or_default();
         segments.into_iter().map(|(_, path)| path).collect()
     }
 
@@ -336,12 +317,12 @@ impl Wal {
     /// every record appended before the call and never a half-written
     /// frame.
     fn frames(&self) -> Result<Vec<LoadedPayload>> {
-        let Backend::Durable { log, storage } = &self.backend else {
+        let Backend::Durable { log, dir } = &self.backend else {
             return Ok(Vec::new());
         };
         log.sync()?;
         log.with_writer(|w| {
-            let mut frames = segment::load(storage, false)?.payloads;
+            let mut frames = segment::load(dir, false)?.payloads;
             for f in &mut frames {
                 f.end_offset += w.pruned_bytes();
             }
@@ -428,17 +409,12 @@ impl Wal {
 
     /// Classify every transaction seen in the log.
     pub fn recover(&self) -> Result<RecoveryReport> {
-        self.recover_to(u64::MAX)
+        Ok(self.recover_records(u64::MAX)?.1)
     }
 
-    /// Point-in-time recovery: only commits with `cid <= upto_cid` count
-    /// as committed; later commits are rolled back (treated as aborted).
-    pub fn recover_to(&self, upto_cid: u64) -> Result<RecoveryReport> {
-        Ok(self.recover_records(upto_cid)?.1)
-    }
-
-    /// [`Wal::recover_to`] together with the records it classified, so
-    /// a replay reads the log once.
+    /// The log's records and their classification up to `upto_cid`
+    /// (point-in-time recovery: only commits with `cid <= upto_cid`
+    /// count as committed, later ones as aborted), read once.
     pub fn recover_records(&self, upto_cid: u64) -> Result<(Vec<LogRecord>, RecoveryReport)> {
         let start = Instant::now();
         let records = self.records()?;
@@ -467,34 +443,69 @@ impl Wal {
         self.latest_checkpoint.lock().clone()
     }
 
+    /// The segment appends go to now (0 for a volatile log). Every
+    /// segment below it was sealed before the call: the ones a
+    /// checkpoint cut taken now may prune ([`Wal::checkpoint`]).
+    pub fn active_segment(&self) -> u64 {
+        match &self.backend {
+            Backend::Volatile => 0,
+            Backend::Durable { log, .. } => log.with_writer(|w| w.active_seq()),
+        }
+    }
+
+    /// The oldest commit ID a redo of this log can start from: 0 while
+    /// no checkpoint has pruned it (segment 1 is still there), else its
+    /// latest checkpoint's, as a pruned log holds every record of the
+    /// commits above that and not all of those at or below it. A
+    /// pruned log whose checkpoint cannot be read has no start.
+    pub fn redo_floor(&self) -> Result<u64> {
+        let Backend::Durable { dir, .. } = &self.backend else {
+            return Ok(0);
+        };
+        if segment::segments(dir)?
+            .first()
+            .is_none_or(|&(seq, _)| seq <= 1)
+        {
+            return Ok(0);
+        }
+        self.latest_checkpoint().map(|c| c.cid).ok_or_else(|| {
+            HanaError::Io(format!(
+                "a checkpoint pruned the log in {} and none of its snapshots can be read",
+                dir.display()
+            ))
+        })
+    }
+
     /// Durably record a checkpoint: `payload` (an opaque engine
     /// snapshot covering every commit `<= cid`) is written to a sidecar
-    /// file, then a [`LogRecord::Checkpoint`] marks the log. A log
-    /// without a directory has no sidecar and keeps no snapshot: only
-    /// the record marks it. With `prune`, sealed segments older than
-    /// the active one are deleted — callers must only ask for that when
-    /// no transaction is active, as pruned records are gone from
-    /// [`Wal::records`] too. Covered commits left in the active segment
-    /// stay; replay skips them by CID.
-    pub fn checkpoint(&self, cid: u64, max_tid: u64, payload: &[u8], prune: bool) -> Result<()> {
-        let dir = self.dir();
-        if let Some(dir) = &dir {
-            let seq = checkpoint::max_seq(dir) + 1;
-            checkpoint::write(dir, seq, cid, max_tid, payload)?;
-        }
-        self.append_durable(LogRecord::Checkpoint { cid })?;
-        if dir.is_none() {
+    /// file, then a [`LogRecord::Checkpoint`] marks the log. A volatile
+    /// log keeps nothing. With `prune_below`, the segments below that
+    /// sequence are deleted; the caller passes the
+    /// [`active_segment`](Self::active_segment) it read at its cut, and
+    /// only when no transaction was active then, so that every record
+    /// of every commit above `cid` survives. Covered commits left in
+    /// the surviving segments stay; replay skips them by CID.
+    pub fn checkpoint(
+        &self,
+        cid: u64,
+        max_tid: u64,
+        payload: &[u8],
+        prune_below: Option<u64>,
+    ) -> Result<()> {
+        let Backend::Durable { log, dir } = &self.backend else {
             return Ok(());
-        }
+        };
+        checkpoint::write(dir, checkpoint::max_seq(dir) + 1, cid, max_tid, payload)?;
+        self.append_durable(LogRecord::Checkpoint { cid })?;
         *self.latest_checkpoint.lock() = Some(WalCheckpoint {
             cid,
             max_tid,
             payload: payload.to_vec(),
         });
-        if let (true, Backend::Durable { log, .. }) = (prune, &self.backend) {
+        if let Some(below) = prune_below {
             // The checkpoint is durable either way; a segment that could
             // not be deleted is only dead weight.
-            if let Err(e) = log.with_writer(LogWriter::prune_sealed) {
+            if let Err(e) = log.with_writer(|w| w.prune_below(below)) {
                 hana_obs::warn(format!("WAL segment pruning failed: {e}"));
             }
         }
@@ -703,7 +714,8 @@ mod tests {
                 wal.append_durable(LogRecord::Commit { tid, cid: tid })
                     .unwrap();
             }
-            wal.checkpoint(10, 10, b"engine snapshot", true).unwrap();
+            wal.checkpoint(10, 10, b"engine snapshot", Some(wal.active_segment()))
+                .unwrap();
             assert!(wal.segment_paths().len() <= 1, "pruned to active segment");
             wal.append(LogRecord::Begin { tid: 11 }).unwrap();
             wal.append_durable(LogRecord::Commit { tid: 11, cid: 11 })

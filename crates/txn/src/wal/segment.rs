@@ -1,6 +1,6 @@
-//! Segmented log storage: `wal-NNNNNN.seg` files in a directory (or a
-//! single fixed file in legacy mode), a torn-tail-tolerant loader and
-//! the append/fsync writer a flush leader drives.
+//! Segmented log storage: `wal-NNNNNN.seg` files in a directory, a
+//! torn-tail-tolerant loader and the append/fsync writer a flush leader
+//! drives.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -21,48 +21,29 @@ pub(crate) fn segment_name(seq: u64) -> String {
     format!("wal-{seq:06}.seg")
 }
 
-/// Where the log's bytes live.
-#[derive(Debug, Clone)]
-pub(crate) enum Storage {
-    /// One fixed file, never rolled (the legacy `Wal::with_file` shape).
-    SingleFile(PathBuf),
-    /// A directory of rolling segments.
-    Dir(PathBuf),
-}
-
-impl Storage {
-    /// Segment files in replay order, with their sequence numbers (0
-    /// for the single file).
-    pub(crate) fn segments(&self) -> Result<Vec<(u64, PathBuf)>> {
-        match self {
-            Storage::SingleFile(p) => Ok(if p.exists() {
-                vec![(0, p.clone())]
-            } else {
-                Vec::new()
-            }),
-            Storage::Dir(dir) => {
-                let mut seqs: Vec<u64> = Vec::new();
-                if dir.exists() {
-                    for entry in fs::read_dir(dir)? {
-                        let name = entry?.file_name();
-                        let name = name.to_string_lossy();
-                        if let Some(seq) = name
-                            .strip_prefix("wal-")
-                            .and_then(|s| s.strip_suffix(".seg"))
-                            .and_then(|s| s.parse::<u64>().ok())
-                        {
-                            seqs.push(seq);
-                        }
-                    }
-                }
-                seqs.sort_unstable();
-                Ok(seqs
-                    .into_iter()
-                    .map(|s| (s, dir.join(segment_name(s))))
-                    .collect())
+/// The segment files of `dir` in replay order, with their sequence
+/// numbers. The first segment of a log is 1, so a first sequence above
+/// 1 means a checkpoint pruned the segments before it.
+pub(crate) fn segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut seqs: Vec<u64> = Vec::new();
+    if dir.exists() {
+        for entry in fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if let Some(seq) = name
+                .strip_prefix("wal-")
+                .and_then(|s| s.strip_suffix(".seg"))
+                .and_then(|s| s.parse::<u64>().ok())
+            {
+                seqs.push(seq);
             }
         }
     }
+    seqs.sort_unstable();
+    Ok(seqs
+        .into_iter()
+        .map(|s| (s, dir.join(segment_name(s))))
+        .collect())
 }
 
 /// One decoded payload and where its frame ends (cumulative byte offset
@@ -90,8 +71,8 @@ pub(crate) struct LoadedLog {
 /// mid-append) and reported via `obs::warn`; without it (a read of a
 /// live log) the read just stops there, touching and reporting nothing.
 /// Damage anywhere else is real corruption and errors.
-pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
-    let segments = storage.segments()?;
+pub(crate) fn load(dir: &Path, repair: bool) -> Result<LoadedLog> {
+    let segments = segments(dir)?;
     let mut payloads = Vec::new();
     let mut truncated = 0u64;
     let mut base = 0u64;
@@ -148,10 +129,10 @@ pub(crate) fn load(storage: &Storage, repair: bool) -> Result<LoadedLog> {
 }
 
 /// The append side: owns the active segment file, rolls it at the size
-/// threshold (directory mode), fsyncs on demand, prunes sealed segments
-/// and hosts the injected fsync-failure point the crash harness drives.
+/// threshold, fsyncs on demand, prunes sealed segments and hosts the
+/// injected fsync-failure point the crash harness drives.
 pub(crate) struct LogWriter {
-    storage: Storage,
+    dir: PathBuf,
     active: File,
     active_seq: u64,
     active_len: u64,
@@ -168,31 +149,24 @@ pub(crate) struct LogWriter {
 }
 
 impl LogWriter {
-    /// Open (append mode) the active segment of `storage`, creating the
+    /// Open (append mode) the active segment of `dir`, creating the
     /// first one if the log is empty.
     pub(crate) fn open(
-        storage: Storage,
+        dir: PathBuf,
         last_seq: u64,
         segment_bytes: u64,
         fsyncs_until_fail: Option<u64>,
     ) -> Result<LogWriter> {
-        let path = match &storage {
-            Storage::SingleFile(p) => p.clone(),
-            Storage::Dir(dir) => {
-                fs::create_dir_all(dir)?;
-                dir.join(segment_name(last_seq.max(1)))
-            }
-        };
+        fs::create_dir_all(&dir)?;
+        let active_seq = last_seq.max(1);
+        let path = dir.join(segment_name(active_seq));
         let mut active = OpenOptions::new().create(true).append(true).open(&path)?;
         let active_len = active.seek(SeekFrom::End(0))?;
         let obs = hana_obs::registry();
         Ok(LogWriter {
-            active_seq: match &storage {
-                Storage::SingleFile(_) => 0,
-                Storage::Dir(_) => last_seq.max(1),
-            },
-            storage,
+            dir,
             active,
+            active_seq,
             active_len,
             segment_bytes,
             pruned_bytes: 0,
@@ -202,21 +176,22 @@ impl LogWriter {
         })
     }
 
+    /// Sequence number of the segment appends go to.
+    pub(crate) fn active_seq(&self) -> u64 {
+        self.active_seq
+    }
+
     /// Bytes of the segments pruned since open.
     pub(crate) fn pruned_bytes(&self) -> u64 {
         self.pruned_bytes
     }
 
-    /// Delete every sealed segment (all but the active one) and add
-    /// their bytes to [`pruned_bytes`](Self::pruned_bytes). A
-    /// single-file log has nothing to prune.
-    pub(crate) fn prune_sealed(&mut self) -> Result<()> {
-        let Storage::Dir(dir) = &self.storage else {
-            return Ok(());
-        };
+    /// Delete every segment below `below` (never the active one) and
+    /// add their bytes to [`pruned_bytes`](Self::pruned_bytes).
+    pub(crate) fn prune_below(&mut self, below: u64) -> Result<()> {
         let mut pruned = 0u64;
-        for (seq, path) in self.storage.segments()? {
-            if seq >= self.active_seq {
+        for (seq, path) in segments(&self.dir)? {
+            if seq >= below.min(self.active_seq) {
                 continue;
             }
             let len = fs::metadata(&path)?.len();
@@ -225,7 +200,7 @@ impl LogWriter {
             pruned += 1;
         }
         if pruned > 0 {
-            sync_dir(dir);
+            sync_dir(&self.dir);
             hana_obs::registry()
                 .counter("hana_wal_segments_pruned_total")
                 .add(pruned);
@@ -240,10 +215,8 @@ impl LogWriter {
         if self.failed() {
             return Err(HanaError::Io("WAL writer failed (injected)".into()));
         }
-        if let Storage::Dir(_) = &self.storage {
-            if self.active_len >= self.segment_bytes {
-                self.roll()?;
-            }
+        if self.active_len >= self.segment_bytes {
+            self.roll()?;
         }
         self.active.write_all(bytes)?;
         self.active_len += bytes.len() as u64;
@@ -274,17 +247,14 @@ impl LogWriter {
     }
 
     fn roll(&mut self) -> Result<()> {
-        let Storage::Dir(dir) = &self.storage else {
-            return Ok(());
-        };
         // Seal the full segment before switching so no acknowledged
         // bytes live only in its OS cache.
         self.active.sync_data()?;
         self.active_seq += 1;
-        let path = dir.join(segment_name(self.active_seq));
+        let path = self.dir.join(segment_name(self.active_seq));
         self.active = OpenOptions::new().create(true).append(true).open(&path)?;
         self.active_len = 0;
-        sync_dir(dir);
+        sync_dir(&self.dir);
         hana_obs::registry()
             .counter("hana_wal_segment_rolls_total")
             .inc();

@@ -1,11 +1,11 @@
 //! Torn-tail regression (always-on): a log whose last frame was cut
 //! short by a crash must open cleanly — the tail is truncated away with
-//! a warning, never surfaced as an open error — and the repaired file
-//! must not regrow the damage on the next append.
+//! a warning, never surfaced as an open error — and the repaired
+//! segment must not regrow the damage on the next append.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use hana_txn::{LogRecord, Wal};
+use hana_txn::{LogRecord, Wal, WalConfig};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -18,8 +18,20 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_three_txns(path: &std::path::Path) -> u64 {
-    let wal = Wal::with_file(path).unwrap();
+/// Segments small enough that every transaction rolls to a new one.
+fn small_segments() -> WalConfig {
+    WalConfig {
+        segment_bytes: 64,
+        ..WalConfig::default()
+    }
+}
+
+fn open_small(dir: &Path) -> Wal {
+    Wal::open_dir_with(dir, small_segments()).unwrap()
+}
+
+fn write_three_txns(dir: &Path) -> u64 {
+    let wal = open_small(dir);
     for tid in 1..=3 {
         wal.append(LogRecord::Begin { tid }).unwrap();
         wal.append(LogRecord::Data {
@@ -35,21 +47,28 @@ fn write_three_txns(path: &std::path::Path) -> u64 {
 }
 
 #[test]
-fn hand_truncated_single_file_log_opens_with_a_repaired_tail() {
+fn hand_truncated_last_segment_opens_with_a_repaired_tail() {
     let dir = scratch("torn");
-    let path = dir.join("wal.log");
-    let full = write_three_txns(&path);
+    let full = write_three_txns(&dir);
 
-    // Tear the file mid-frame: 5 bytes into the last commit record.
-    let mut data = std::fs::read(&path).unwrap();
-    assert_eq!(data.len() as u64, full);
+    // Tear the last segment mid-frame: 5 bytes into the last commit
+    // record.
+    let segments = open_small(&dir).segment_paths();
+    assert!(segments.len() > 1, "the log should have rolled");
+    let sizes: u64 = segments
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert_eq!(sizes, full);
+    let path = segments.last().unwrap();
+    let mut data = std::fs::read(path).unwrap();
     let torn_at = data.len() - 5;
     data.truncate(torn_at);
-    std::fs::write(&path, &data).unwrap();
+    std::fs::write(path, &data).unwrap();
 
     // Opening must succeed, report the torn bytes, and recover the two
     // fully-framed transactions plus the now-uncommitted third.
-    let wal = Wal::with_file(&path).unwrap();
+    let wal = open_small(&dir);
     assert!(wal.truncated_bytes() > 0, "torn tail went unnoticed");
     let report = wal.recover().unwrap();
     assert_eq!(report.committed, vec![(1, 1), (2, 2)]);
@@ -57,22 +76,20 @@ fn hand_truncated_single_file_log_opens_with_a_repaired_tail() {
 
     // The repair physically removed the tail: appending now must not
     // interleave new frames with stale half-written bytes.
-    let wal = Wal::with_file(&path).unwrap();
+    let wal = open_small(&dir);
     assert_eq!(wal.truncated_bytes(), 0, "repair did not persist");
     wal.append(LogRecord::Begin { tid: 9 }).unwrap();
     wal.append_durable(LogRecord::Commit { tid: 9, cid: 3 })
         .unwrap();
     drop(wal);
 
-    let report = Wal::with_file(&path).unwrap().recover().unwrap();
+    let report = open_small(&dir).recover().unwrap();
     assert_eq!(report.committed, vec![(1, 1), (2, 2), (9, 3)]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corruption_in_a_sealed_segment_is_still_an_error() {
-    use hana_txn::WalConfig;
-
     let dir = scratch("midflip");
     let config = WalConfig {
         segment_bytes: 128, // force several sealed segments
@@ -140,61 +157,41 @@ fn interleaved_appends(wal: &Wal, rounds: u64) -> Vec<LogRecord> {
 /// every byte appended since open, pruned segments included.
 #[test]
 fn live_read_back_equals_reopen() {
-    use hana_txn::WalConfig;
-
     let dir = scratch("readback");
-    let config = WalConfig {
-        segment_bytes: 64, // rolls every few records
-        ..WalConfig::default()
-    };
-    let open_dir = || Wal::open_dir_with(&dir.join("log"), config.clone()).unwrap();
-    let file = dir.join("wal.log");
-    let logs: [(&str, &dyn Fn() -> Wal); 2] = [
-        ("directory", &open_dir),
-        ("single file", &|| Wal::with_file(&file).unwrap()),
-    ];
-    for (kind, open) in logs {
-        let wal = open();
-        let mut appended = interleaved_appends(&wal, 12);
-        let records = wal.records().unwrap();
-        let offsets = wal.record_end_offsets();
-        assert_eq!(records, appended, "{kind}: live records");
-        drop(wal);
-        let wal = open();
-        assert_eq!(wal.records().unwrap(), records, "{kind}: reopened records");
-        assert_eq!(
-            wal.record_end_offsets(),
-            offsets,
-            "{kind}: reopened offsets"
-        );
-        drop(wal);
+    let wal = open_small(&dir);
+    let mut appended = interleaved_appends(&wal, 12);
+    let records = wal.records().unwrap();
+    let offsets = wal.record_end_offsets();
+    assert_eq!(records, appended, "live records");
+    drop(wal);
+    let wal = open_small(&dir);
+    assert_eq!(wal.records().unwrap(), records, "reopened records");
+    assert_eq!(wal.record_end_offsets(), offsets, "reopened offsets");
+    drop(wal);
 
-        // On a fresh log, a pruning checkpoint leaves the last offset at
-        // the bytes appended since open.
-        let _ = std::fs::remove_dir_all(dir.join("log"));
-        let _ = std::fs::remove_file(&file);
-        let wal = open();
-        appended = interleaved_appends(&wal, 6);
-        wal.checkpoint(6, 6, b"snapshot", true).unwrap();
-        appended.push(LogRecord::Checkpoint { cid: 6 });
-        let since_open: u64 = appended.iter().map(frame_bytes).sum();
-        assert_eq!(
-            wal.record_end_offsets().last(),
-            Some(&since_open),
-            "{kind}: offsets after a pruning checkpoint"
-        );
-        let live = wal.records().unwrap();
-        assert!(appended.ends_with(&live), "{kind}: survivors are a suffix");
-        if kind == "directory" {
-            assert!(live.len() < appended.len(), "sealed segments were pruned");
-        }
-        drop(wal);
-        assert_eq!(
-            open().records().unwrap(),
-            live,
-            "{kind}: reopened survivors"
-        );
-    }
+    // On a fresh log, a pruning checkpoint leaves the last offset at
+    // the bytes appended since open.
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = open_small(&dir);
+    appended = interleaved_appends(&wal, 6);
+    wal.checkpoint(6, 6, b"snapshot", Some(wal.active_segment()))
+        .unwrap();
+    appended.push(LogRecord::Checkpoint { cid: 6 });
+    let since_open: u64 = appended.iter().map(frame_bytes).sum();
+    assert_eq!(
+        wal.record_end_offsets().last(),
+        Some(&since_open),
+        "offsets after a pruning checkpoint"
+    );
+    let live = wal.records().unwrap();
+    assert!(appended.ends_with(&live), "survivors are a suffix");
+    assert!(live.len() < appended.len(), "sealed segments were pruned");
+    drop(wal);
+    assert_eq!(
+        open_small(&dir).records().unwrap(),
+        live,
+        "reopened survivors"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -202,7 +199,6 @@ fn live_read_back_equals_reopen() {
 /// prefix of the final log each time, and never a torn frame.
 #[test]
 fn concurrent_read_back_sees_prefixes() {
-    use hana_txn::WalConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
 

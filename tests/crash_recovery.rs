@@ -189,56 +189,87 @@ fn single_node_crash_matrix_exhaustive() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint racing in-flight commits must not record a commit ID
-/// as covered before its rows have applied: recovery skips the log
-/// records of covered commits, so such a cut drops an acknowledged
-/// write. Committers run under group commit (every commit sits between
-/// CID assignment and apply for at least the batching window) while a
-/// checkpointer cuts snapshots back to back; every acknowledged insert
-/// must be there after reopen.
-#[test]
-fn checkpoints_racing_commits_lose_no_acknowledged_write() {
-    const WRITERS: i64 = 4;
-    const PER_WRITER: i64 = 150;
+/// `writers` threads insert `per_writer` rows each into a durable
+/// platform opened with `config`, while another thread runs
+/// `checkpoint` up to `checkpoints` times as long as they write; after
+/// a reopen every acknowledged insert must be there, once.
+fn race_checkpoints(
+    config: WalConfig,
+    writers: i64,
+    per_writer: i64,
+    checkpoints: usize,
+    checkpoint: impl Fn(&HanaPlatform, &Session) + Send,
+) {
     let dir = scratch("ckpt-race");
     {
-        let (hana, _) = HanaPlatform::open_durable_with(&dir, WalConfig::default()).unwrap();
+        let (hana, _) = HanaPlatform::open_durable_with(&dir, config.clone()).unwrap();
         let s = hana.connect("SYSTEM", "manager").unwrap();
         hana.execute_sql(&s, "CREATE COLUMN TABLE t (v INTEGER)")
             .unwrap();
-        let writing = std::sync::atomic::AtomicI64::new(WRITERS);
+        let writing = std::sync::atomic::AtomicI64::new(writers);
         std::thread::scope(|scope| {
-            for w in 0..WRITERS {
+            for w in 0..writers {
                 let (hana, writing) = (&hana, &writing);
                 scope.spawn(move || {
                     let s = hana.connect("SYSTEM", "manager").unwrap();
-                    for i in 0..PER_WRITER {
+                    for i in 0..per_writer {
                         hana.execute_sql(&s, &format!("INSERT INTO t VALUES ({})", w * 1_000 + i))
                             .unwrap();
                     }
                     writing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
                 });
             }
-            scope.spawn(|| {
-                while writing.load(std::sync::atomic::Ordering::SeqCst) > 0 {
-                    hana.write_checkpoint().unwrap();
+            let (hana, s, writing) = (&hana, &s, &writing);
+            scope.spawn(move || {
+                for _ in 0..checkpoints {
+                    if writing.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+                        break;
+                    }
+                    checkpoint(hana, s);
                 }
             });
         });
     }
-    let (hana, _) = HanaPlatform::open_durable_with(&dir, WalConfig::default()).unwrap();
+    let (hana, _) = HanaPlatform::open_durable_with(&dir, config).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     let got = ints(&hana, &s, "SELECT v FROM t ORDER BY v");
-    let lost: Vec<i64> = (0..WRITERS)
-        .flat_map(|w| (0..PER_WRITER).map(move |i| w * 1_000 + i))
+    let lost: Vec<i64> = (0..writers)
+        .flat_map(|w| (0..per_writer).map(move |i| w * 1_000 + i))
         .filter(|v| got.binary_search(v).is_err())
         .collect();
     assert!(
         lost.is_empty(),
         "recovery dropped acknowledged inserts {lost:?}"
     );
-    assert_eq!(got.len() as i64, WRITERS * PER_WRITER, "duplicated inserts");
+    assert_eq!(got.len() as i64, writers * per_writer, "duplicated inserts");
+    drop(hana);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint racing in-flight commits must not record a commit ID
+/// as covered before its rows have applied: recovery skips the log
+/// records of covered commits, so such a cut drops an acknowledged
+/// write. Nor may it prune a record of a commit it does not cover: it
+/// deletes only segments sealed before its cut, and only when no
+/// transaction was active at the cut. Committers run under group
+/// commit while a checkpointer cuts snapshots back to back — plain
+/// checkpoints over one segment, then, for ten rounds, MERGE DELTAs
+/// over 256-byte segments that roll every commit or two; every
+/// acknowledged insert must be there after reopen.
+#[test]
+fn checkpoints_racing_commits_lose_no_acknowledged_write() {
+    race_checkpoints(WalConfig::default(), 4, 150, usize::MAX, |hana, _| {
+        hana.write_checkpoint().unwrap();
+    });
+    let small = WalConfig {
+        segment_bytes: 256,
+        ..WalConfig::default()
+    };
+    for _round in 0..10 {
+        race_checkpoints(small.clone(), 2, 60, 30, |hana, s| {
+            hana.execute_sql(s, "MERGE DELTA OF t").unwrap();
+        });
+    }
 }
 
 /// Distributed workload: a 4-partition table loaded in batches. Each

@@ -181,7 +181,7 @@ fn a_log_in_an_older_format_is_refused_by_name() {
     // A checkpoint with the previous magic.
     let dir = scratch("legacy-ckpt");
     let wal = Wal::open_dir_with(&dir, config.clone()).unwrap();
-    wal.checkpoint(1, 1, "HANACKPT1\u{1d}1".as_bytes(), false)
+    wal.checkpoint(1, 1, "HANACKPT1\u{1d}1".as_bytes(), None)
         .unwrap();
     drop(wal);
     refusal(&dir);

@@ -210,3 +210,38 @@ fn a_concurrent_insert_is_not_redone_into_an_older_snapshots_write() {
     }
     assert_eq!(recovered, inputs, "recovered vs live");
 }
+
+/// An UPDATE of a row table with a PRIMARY KEY deletes the old images
+/// before it inserts the new ones, so the keys it deletes are free for
+/// its own inserts — a key shift included — while a key another live
+/// row holds is still refused. Redo prepares through the same check.
+#[test]
+fn updates_of_a_primary_keyed_row_table_reuse_the_keys_they_delete() {
+    let dir = scratch();
+    let pk_rows = |hana: &HanaPlatform, s: &Session| {
+        hana.execute_sql(s, "SELECT k, v FROM p ORDER BY k")
+            .unwrap()
+            .rows
+    };
+    {
+        let (hana, s) = open(&dir);
+        hana.execute_sql(&s, "CREATE ROW TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        hana.execute_sql(&s, "INSERT INTO p VALUES (1, 1)").unwrap();
+        hana.execute_sql(&s, "UPDATE p SET v = 5 WHERE k = 1")
+            .unwrap();
+        assert_eq!(pk_rows(&hana, &s), vec![kv(1, 5)]);
+        hana.execute_sql(&s, "INSERT INTO p VALUES (2, 2)").unwrap();
+        hana.execute_sql(&s, "UPDATE p SET k = k + 1").unwrap();
+        assert_eq!(pk_rows(&hana, &s), vec![kv(2, 5), kv(3, 2)]);
+        let err = hana
+            .execute_sql(&s, "UPDATE p SET k = 3 WHERE k = 2")
+            .unwrap_err();
+        assert!(err.to_string().contains("duplicate primary key 3"), "{err}");
+        assert_eq!(pk_rows(&hana, &s), vec![kv(2, 5), kv(3, 2)]);
+    }
+    let (hana, s) = open(&dir);
+    assert_eq!(pk_rows(&hana, &s), vec![kv(2, 5), kv(3, 2)], "after redo");
+    drop(hana);
+    std::fs::remove_dir_all(&dir).ok();
+}
