@@ -46,10 +46,7 @@ pub enum TableKindInfo {
     /// Virtual table at a remote source.
     Virtual,
     /// Partitioned across the in-process node landscape.
-    Distributed {
-        /// The `PARTITION BY` clause, kept for backup/restore DDL.
-        partition: hana_sql::PartitionBy,
-    },
+    Distributed,
 }
 
 /// One catalog entry.
@@ -59,6 +56,9 @@ pub struct TableEntry {
     pub source: TableSource,
     /// Kind metadata.
     pub kind: TableKindInfo,
+    /// The statement the table was created with, as the log recorded
+    /// it; a checkpoint writes it back as the table's `ddl` record.
+    pub ddl: Arc<str>,
 }
 
 /// The platform catalog.
@@ -164,7 +164,7 @@ impl PlatformCatalog {
                     TableKindInfo::Extended => "EXTENDED",
                     TableKindInfo::Hybrid { .. } => "HYBRID",
                     TableKindInfo::Virtual => "VIRTUAL",
-                    TableKindInfo::Distributed { .. } => "DISTRIBUTED",
+                    TableKindInfo::Distributed => "DISTRIBUTED",
                 };
                 (n.clone(), kind.to_string())
             })

@@ -18,9 +18,10 @@ use crate::platform::{HanaPlatform, INTERNAL_IQ_SOURCE};
 impl HanaPlatform {
     /// Apply a DDL statement the log records — what executing it does
     /// after the privilege check, and what redo does with its text.
-    pub(crate) fn apply_ddl(&self, stmt: Statement) -> Result<()> {
+    /// `text` is that text: a created table keeps it.
+    pub(crate) fn apply_ddl(&self, stmt: Statement, text: &str) -> Result<()> {
         match stmt {
-            Statement::CreateTable(ct) => self.create_table(ct),
+            Statement::CreateTable(ct) => self.create_table(ct, text),
             Statement::DropTable { name } => self.drop_table(&name),
             Statement::CreateIndex {
                 name,
@@ -62,7 +63,7 @@ impl HanaPlatform {
         }
     }
 
-    pub(crate) fn create_table(&self, ct: CreateTable) -> Result<()> {
+    fn create_table(&self, ct: CreateTable, ddl: &str) -> Result<()> {
         let schema = schema_from_specs(&ct.columns)?;
         let column = |schema| Arc::new(RwLock::new(ColumnTable::new(&ct.name, schema)));
         let (source, kind) = match (&ct.partition, &ct.extended) {
@@ -87,10 +88,8 @@ impl HanaPlatform {
                     let pdir = base.join("dist").join(ct.name.to_ascii_lowercase());
                     dt.attach_wal(&pdir)?;
                 }
-                let kind = TableKindInfo::Distributed {
-                    partition: p.clone(),
-                };
-                (TableSource::Distributed(Arc::new(dt)), kind)
+                let source = TableSource::Distributed(Arc::new(dt));
+                (source, TableKindInfo::Distributed)
             }
             (None, None) => match ct.kind {
                 TableKind::Column => (TableSource::Column(column(schema)), TableKindInfo::Column),
@@ -138,8 +137,9 @@ impl HanaPlatform {
                 (source, kind)
             }
         };
+        let ddl = ddl.into();
         self.catalog
-            .add_table(&ct.name, TableEntry { source, kind })
+            .add_table(&ct.name, TableEntry { source, kind, ddl })
     }
 
     pub(crate) fn drop_table(&self, name: &str) -> Result<()> {

@@ -426,7 +426,7 @@ impl HanaPlatform {
             | Statement::CreateIndex { .. }
             | Statement::DropIndex { .. }) => {
                 self.security.check(session, Privilege::Ddl)?;
-                self.apply_ddl(ddl)?;
+                self.apply_ddl(ddl, sql_text)?;
                 self.log_ddl(sql_text)?;
                 Ok(ok_result())
             }
@@ -481,6 +481,7 @@ impl HanaPlatform {
                             schema: vt.schema,
                         },
                         kind: TableKindInfo::Virtual,
+                        ddl: sql_text.into(),
                     },
                 )?;
                 Ok(ok_result())

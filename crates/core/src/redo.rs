@@ -1,5 +1,5 @@
-//! Redo: the typed records the platform logs, and the one routine that
-//! applies them.
+//! Redo: the typed records the platform logs and checkpoints, and the
+//! one routine that applies them.
 //!
 //! Every `LogRecord::Data` payload the platform writes is one record of
 //! [`hana_types::encode_record`]: a head of plain values naming what
@@ -10,12 +10,16 @@
 //! delete <table> <side>                       <rows deleted>
 //! bulk   <table> <pipeline> <epoch> <inline>  <rows, when inline>
 //! ddl    <the statement's own text>
+//! epoch  <pipeline> <epoch>                   (checkpoints only)
 //! ```
 //!
 //! `side` is `local` or `extended` ([`Side`]). A bulk record's
 //! `pipeline` is NULL for a plain bulk load; when `inline` is false its
 //! rows are in the partition logs of a distributed table, made durable
-//! before the commit record.
+//! before the commit record. A checkpoint is a sequence of these
+//! records too ([`crate::durability`]): per table its `ddl`, its live
+//! rows as `insert` records and its indexes as `ddl`, plus one `epoch`
+//! record per ingest pipeline, the highest epoch the snapshot holds.
 //!
 //! [`HanaPlatform::redo_log`] applies the committed transactions of a
 //! log in CID order, each through [`HanaPlatform::redo_txn`]. Redo
@@ -99,6 +103,17 @@ pub(crate) fn ddl_payload(text: &str) -> String {
     encode_record(&[Value::from("ddl"), Value::from(text)], &[])
 }
 
+/// The payload of an ingest-ledger entry: `pipeline` committed every
+/// epoch up to `epoch`.
+pub(crate) fn epoch_payload(pipeline: &str, epoch: u64) -> String {
+    let head = [
+        Value::from("epoch"),
+        Value::from(pipeline),
+        Value::Int(epoch as i64),
+    ];
+    encode_record(&head, &[])
+}
+
 /// One record, rows decoded: what [`HanaPlatform::redo_txn`] applies.
 pub(crate) enum Redo {
     Rows {
@@ -117,14 +132,14 @@ pub(crate) enum Redo {
 
 /// A payload's head values and its rows, still encoded. Anything but a
 /// typed record — the SQL text, `LOAD` and `--` markers an older build
-/// logged — is refused by name, before any parser sees it.
-fn decode_head(payload: &str) -> Result<(Vec<Value>, &str)> {
-    let legacy = || older_format("log record");
+/// logged, an older checkpoint format — is refused by name (`what`),
+/// before any parser sees it.
+pub(crate) fn decode_head<'a>(payload: &'a str, what: &str) -> Result<(Vec<Value>, &'a str)> {
+    const KINDS: [&str; 5] = ["insert", "delete", "bulk", "ddl", "epoch"];
+    let legacy = || older_format(what);
     let (head, rows) = decode_record(payload).map_err(|_| legacy())?;
     match head.first() {
-        Some(Value::Varchar(kind)) if ["insert", "delete", "bulk", "ddl"].contains(&&**kind) => {
-            Ok((head, rows))
-        }
+        Some(Value::Varchar(kind)) if KINDS.contains(&&**kind) => Ok((head, rows)),
         _ => Err(legacy()),
     }
 }
@@ -231,7 +246,7 @@ impl HanaPlatform {
             let LogRecord::Data { tid, payload, .. } = rec else {
                 continue;
             };
-            decode_head(&payload)?;
+            decode_head(&payload, "log record")?;
             if redo.contains(&tid) {
                 payloads.entry(tid).or_default().push(payload);
             }
@@ -244,7 +259,10 @@ impl HanaPlatform {
             };
             let records = txn
                 .iter()
-                .map(|payload| self.decode_redo(tid, payload, &redo, &mut partition_rows))
+                .map(|payload| {
+                    let (head, rows) = decode_head(payload, "log record")?;
+                    self.decode_redo(tid, &head, rows, &redo, &mut partition_rows)
+                })
                 .collect::<Result<_>>()?;
             self.redo_txn(records)?;
             redone += 1;
@@ -252,20 +270,21 @@ impl HanaPlatform {
         Ok(redone)
     }
 
-    /// Decode the record `payload` of transaction `tid` against the
-    /// current catalog. The rows of a bulk load into a distributed
-    /// table come from its partition logs, read on the table's first
-    /// such record for every transaction in `redo`.
-    fn decode_redo(
+    /// Decode a record of transaction `tid` — its `head` and its
+    /// encoded `rows` ([`decode_head`]) — against the current catalog.
+    /// The rows of a bulk load into a distributed table come from its
+    /// partition logs, read on the table's first such record for every
+    /// transaction in `redo`.
+    pub(crate) fn decode_redo(
         &self,
         tid: u64,
-        payload: &str,
+        head: &[Value],
+        rows: &str,
         redo: &HashSet<u64>,
         partition_rows: &mut Vec<(Arc<DistTable>, RowsByTid)>,
     ) -> Result<Redo> {
         use Value::{Bool, Int, Varchar};
-        let (head, rows) = decode_head(payload)?;
-        Ok(match head.as_slice() {
+        Ok(match head {
             [Varchar(op), Varchar(table), Varchar(side)] if op == "insert" || op == "delete" => {
                 Redo::Rows {
                     op: if op == "insert" {
@@ -339,7 +358,7 @@ impl HanaPlatform {
         self.tm.redo(&self.participants(), |tid| {
             for rec in records {
                 match rec {
-                    Redo::Ddl(text) => self.apply_ddl(parse_statement(&text)?)?,
+                    Redo::Ddl(text) => self.apply_ddl(parse_statement(&text)?, &text)?,
                     Redo::Rows {
                         op: RowOp::Insert,
                         table,
@@ -440,12 +459,13 @@ mod tests {
             Row::from_values([Value::Int(2), Value::Null]),
         ];
         let payload = rows_payload(RowOp::Delete, "t", Side::Extended, &rows);
-        let (head, encoded) = decode_head(&payload).unwrap();
+        let (head, encoded) = decode_head(&payload, "log record").unwrap();
         assert_eq!(head, ["delete", "t", "extended"].map(Value::from));
         let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Varchar)]);
         assert_eq!(decode_rows(encoded, &schema).unwrap(), rows);
 
-        let (head, _) = decode_head(&bulk_payload("t", Some(("feed", 7)), None)).unwrap();
+        let bulk = bulk_payload("t", Some(("feed", 7)), None);
+        let (head, _) = decode_head(&bulk, "log record").unwrap();
         let expected = [
             Value::from("bulk"),
             Value::from("t"),
@@ -456,8 +476,14 @@ mod tests {
         assert_eq!(head, expected);
 
         let text = "CREATE COLUMN TABLE t (s VARCHAR(4)) -- 'a\u{1}'";
-        let (head, _) = decode_head(&ddl_payload(text)).unwrap();
+        let (head, _) = decode_head(&ddl_payload(text), "log record").unwrap();
         assert_eq!(head, [Value::from("ddl"), Value::from(text)]);
+
+        let (head, _) = decode_head(&epoch_payload("feed", 12), "checkpoint").unwrap();
+        assert_eq!(
+            head,
+            [Value::from("epoch"), Value::from("feed"), Value::Int(12)]
+        );
     }
 
     #[test]
@@ -472,7 +498,7 @@ mod tests {
             "Sdrop\u{1f}St",
             "",
         ] {
-            let err = decode_head(legacy).expect_err(legacy);
+            let err = decode_head(legacy, "log record").expect_err(legacy);
             assert!(err.to_string().contains("older durable format"), "{err}");
         }
     }

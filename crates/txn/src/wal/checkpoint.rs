@@ -8,6 +8,12 @@
 //! checkpoints or the old set plus one complete new file, never a
 //! half-written one that validates. The content is one CRC-framed blob,
 //! so a damaged file is detected and skipped at load time.
+//!
+//! A checkpoint that prunes the log keeps only its own sidecar: an
+//! older one would be a fallback whose log suffix is gone, and a
+//! recovery from it would silently lose the commits in between. A
+//! checkpoint that deletes no segment keeps the older sidecars, which
+//! the log still covers.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -123,6 +129,17 @@ pub(crate) fn load_latest(dir: &Path, cid_limit: u64) -> Option<CheckpointData> 
         });
     }
     None
+}
+
+/// Delete every checkpoint older than `seq`: a pruning checkpoint calls
+/// this before it deletes a segment, because an older snapshot is a
+/// valid fallback only while the log still holds what follows it.
+pub(crate) fn remove_older(dir: &Path, seq: u64) -> Result<()> {
+    for (_, path) in list(dir).into_iter().filter(|&(s, _)| s < seq) {
+        fs::remove_file(path)?;
+    }
+    sync_dir(dir);
+    Ok(())
 }
 
 /// Highest checkpoint sequence on disk (0 when none).

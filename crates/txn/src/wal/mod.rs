@@ -480,11 +480,15 @@ impl Wal {
     /// snapshot covering every commit `<= cid`) is written to a sidecar
     /// file, then a [`LogRecord::Checkpoint`] marks the log. A volatile
     /// log keeps nothing. With `prune_below`, the segments below that
-    /// sequence are deleted; the caller passes the
-    /// [`active_segment`](Self::active_segment) it read at its cut, and
-    /// only when no transaction was active then, so that every record
-    /// of every commit above `cid` survives. Covered commits left in
-    /// the surviving segments stay; replay skips them by CID.
+    /// sequence are deleted, and every older sidecar before them; the
+    /// caller passes the [`active_segment`](Self::active_segment) it
+    /// read at its cut, and only when no transaction was active then,
+    /// so that every record of every commit above `cid` survives.
+    /// Covered commits left in the surviving segments stay; replay
+    /// skips them by CID. A checkpoint that deletes no segment keeps
+    /// the older sidecars: the log still holds what follows each. A
+    /// pruned log whose one sidecar is damaged does not open
+    /// ([`redo_floor`](Self::redo_floor)).
     pub fn checkpoint(
         &self,
         cid: u64,
@@ -495,7 +499,8 @@ impl Wal {
         let Backend::Durable { log, dir } = &self.backend else {
             return Ok(());
         };
-        checkpoint::write(dir, checkpoint::max_seq(dir) + 1, cid, max_tid, payload)?;
+        let seq = checkpoint::max_seq(dir) + 1;
+        checkpoint::write(dir, seq, cid, max_tid, payload)?;
         self.append_durable(LogRecord::Checkpoint { cid })?;
         *self.latest_checkpoint.lock() = Some(WalCheckpoint {
             cid,
@@ -504,8 +509,11 @@ impl Wal {
         });
         if let Some(below) = prune_below {
             // The checkpoint is durable either way; a segment that could
-            // not be deleted is only dead weight.
-            if let Err(e) = log.with_writer(|w| w.prune_below(below)) {
+            // not be deleted is only dead weight. The older sidecars go
+            // before the first segment does: recovering from one of
+            // them would need it.
+            let older = || checkpoint::remove_older(dir, seq);
+            if let Err(e) = log.with_writer(|w| w.prune_below(below, older)) {
                 hana_obs::warn(format!("WAL segment pruning failed: {e}"));
             }
         }
@@ -737,6 +745,37 @@ mod tests {
             .collect();
         assert_eq!(to_replay, vec![&(11, 11)]);
         assert_eq!(report.max_committed_cid(), 11);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_a_checkpoint_that_deletes_a_segment_deletes_the_older_sidecars() {
+        let dir = tmp_dir("ckpt-sidecars");
+        let cfg = WalConfig {
+            segment_bytes: 64,
+            ..WalConfig::default()
+        };
+        let wal = Wal::open_dir_with(&dir, cfg).unwrap();
+        let commit = |tid| {
+            wal.append(LogRecord::Begin { tid }).unwrap();
+            wal.append_durable(LogRecord::Commit { tid, cid: tid })
+                .unwrap();
+        };
+        let sidecars = || checkpoint::list(&dir).len();
+        commit(1);
+        wal.checkpoint(1, 1, b"one", None).unwrap();
+        // Nothing below the active segment to delete: both stay.
+        wal.checkpoint(1, 1, b"two", Some(1)).unwrap();
+        assert_eq!(sidecars(), 2);
+        for tid in 2..=6 {
+            commit(tid);
+        }
+        wal.checkpoint(6, 6, b"three", Some(wal.active_segment()))
+            .unwrap();
+        assert_eq!(sidecars(), 1);
+        drop(wal);
+        let wal = Wal::open_dir(&dir).unwrap();
+        assert_eq!(wal.latest_checkpoint().unwrap().payload, b"three");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -187,24 +187,32 @@ impl LogWriter {
     }
 
     /// Delete every segment below `below` (never the active one) and
-    /// add their bytes to [`pruned_bytes`](Self::pruned_bytes).
-    pub(crate) fn prune_below(&mut self, below: u64) -> Result<()> {
-        let mut pruned = 0u64;
-        for (seq, path) in segments(&self.dir)? {
-            if seq >= below.min(self.active_seq) {
-                continue;
-            }
-            let len = fs::metadata(&path)?.len();
-            fs::remove_file(&path)?;
+    /// add their bytes to [`pruned_bytes`](Self::pruned_bytes). When
+    /// there is one to delete, `first` runs before the first deletion,
+    /// and its failure deletes none.
+    pub(crate) fn prune_below(
+        &mut self,
+        below: u64,
+        first: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let doomed: Vec<PathBuf> = segments(&self.dir)?
+            .into_iter()
+            .filter(|&(seq, _)| seq < below.min(self.active_seq))
+            .map(|(_, path)| path)
+            .collect();
+        if doomed.is_empty() {
+            return Ok(());
+        }
+        first()?;
+        for path in &doomed {
+            let len = fs::metadata(path)?.len();
+            fs::remove_file(path)?;
             self.pruned_bytes += len;
-            pruned += 1;
         }
-        if pruned > 0 {
-            sync_dir(&self.dir);
-            hana_obs::registry()
-                .counter("hana_wal_segments_pruned_total")
-                .add(pruned);
-        }
+        sync_dir(&self.dir);
+        hana_obs::registry()
+            .counter("hana_wal_segments_pruned_total")
+            .add(doomed.len() as u64);
         Ok(())
     }
 

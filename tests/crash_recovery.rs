@@ -523,3 +523,63 @@ fn a_flipped_bit_in_a_typed_record_recovers_a_prefix_or_refuses_to_open() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&copy).ok();
 }
+
+/// A checkpoint that prunes the log leaves its own sidecar and no
+/// other: an older one could only be a fallback whose log suffix the
+/// pruning deleted. With the one sidecar damaged, the database refuses
+/// to open; it never opens with fewer rows than were acknowledged.
+#[test]
+fn a_pruning_checkpoint_leaves_one_sidecar_and_a_damaged_one_refuses_to_open() {
+    let dir = scratch("one-sidecar");
+    let config = WalConfig {
+        segment_bytes: 256,
+        ..WalConfig::default()
+    };
+    let sidecars = |dir: &Path| -> Vec<PathBuf> {
+        let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
+            .collect();
+        found.sort();
+        found
+    };
+    {
+        let (hana, _) = HanaPlatform::open_durable_with(&dir, config.clone()).unwrap();
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        hana.execute_sql(&s, "CREATE COLUMN TABLE t (k INTEGER)")
+            .unwrap();
+        let mut k = 0;
+        for batch in [20, 20, 5] {
+            for _ in 0..batch {
+                hana.execute_sql(&s, &format!("INSERT INTO t VALUES ({k})"))
+                    .unwrap();
+                k += 1;
+            }
+            if batch == 20 {
+                hana.execute_sql(&s, "MERGE DELTA OF t").unwrap();
+                assert_eq!(sidecars(&dir).len(), 1, "after the merge before row {k}");
+            }
+        }
+        assert_eq!(ints(&hana, &s, "SELECT COUNT(*) FROM t"), [45]);
+    }
+    let (segments, _) = coordinator_segments(&dir);
+    assert!(
+        !segments[0].ends_with("wal-000001.seg"),
+        "the merges pruned the log"
+    );
+    let newest = sidecars(&dir).pop().unwrap();
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x20;
+    std::fs::write(&newest, bytes).unwrap();
+    match HanaPlatform::open_durable_with(&dir, config) {
+        Err(e) => assert!(e.to_string().contains("none of its snapshots"), "{e}"),
+        Ok((hana, _)) => {
+            let s = hana.connect("SYSTEM", "manager").unwrap();
+            let count = ints(&hana, &s, "SELECT COUNT(*) FROM t");
+            panic!("opened over a damaged sidecar with {count:?} of 45 rows");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use hana_data_platform::platform::{HanaPlatform, Session};
+use hana_data_platform::query::TableSource;
 use hana_data_platform::txn::WalConfig;
 use hana_data_platform::{Date, Row, Value};
 
@@ -71,6 +72,33 @@ fn empty_and_null_looking_strings_survive_a_checkpoint() {
     );
     let (hana, s) = open(&dir);
     assert_eq!(rows_of(&hana, &s, "t"), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A row table's PRIMARY KEY is part of the definition a checkpoint and
+/// a backup carry: after a reopen from the checkpoint, and after a
+/// restore, a second row with the same key is still refused.
+#[test]
+fn a_row_table_keeps_its_primary_key_through_a_checkpoint() {
+    let dir = scratch("pk");
+    let duplicate = "INSERT INTO p VALUES (1, 3)";
+    {
+        let (hana, s) = open(&dir);
+        hana.execute_sql(&s, "CREATE ROW TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        hana.execute_sql(&s, "INSERT INTO p VALUES (1, 1)").unwrap();
+        hana.write_checkpoint().unwrap();
+    }
+    let (hana, s) = open(&dir);
+    assert!(hana.execute_sql(&s, duplicate).is_err(), "reopened");
+    let backup = hana.backup(&s).unwrap();
+    let restored = HanaPlatform::new_in_memory();
+    let rs = restored.connect("SYSTEM", "manager").unwrap();
+    restored.restore(&rs, &backup).unwrap();
+    assert!(restored.execute_sql(&rs, duplicate).is_err(), "restored");
+    let one = vec![Row::from_values([Value::Int(1), Value::Int(1)])];
+    assert_eq!(rows_of(&hana, &s, "p"), one);
+    assert_eq!(rows_of(&restored, &rs, "p"), one);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -178,14 +206,23 @@ fn a_log_in_an_older_format_is_refused_by_name() {
         refusal(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
-    // A checkpoint with the previous magic.
-    let dir = scratch("legacy-ckpt");
-    let wal = Wal::open_dir_with(&dir, config.clone()).unwrap();
-    wal.checkpoint(1, 1, "HANACKPT1\u{1d}1".as_bytes(), None)
-        .unwrap();
-    drop(wal);
-    refusal(&dir);
-    std::fs::remove_dir_all(&dir).ok();
+    // Checkpoints in the two formats of their own that came before the
+    // log's records, and one that is not even text.
+    for (i, legacy) in [
+        &b"HANACKPT1\x1d1"[..],
+        b"HANACKPT2\x1d1\x1dT\x01t\x01column",
+        &[0xFF, 0xFE],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = scratch(&format!("legacy-ckpt{i}"));
+        let wal = Wal::open_dir_with(&dir, config.clone()).unwrap();
+        wal.checkpoint(1, 1, legacy, None).unwrap();
+        drop(wal);
+        refusal(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 const STRINGS: [&str; 14] = [
@@ -254,35 +291,64 @@ fn edge_row(rng: &mut TestRng, k: i64) -> Row {
     ])
 }
 
+/// The number of rows in each partition of a distributed table.
+fn partition_sizes(hana: &HanaPlatform, table: &str) -> Vec<usize> {
+    match hana.catalog().table(table).unwrap().source {
+        TableSource::Distributed(dt) => dt.nodes().iter().map(|n| n.row_count()).collect(),
+        _ => panic!("'{table}' is not distributed"),
+    }
+}
+
 proptest! {
-    /// Bulk load into a local table, a partitioned load (rows in the
-    /// partition logs, a marker in the coordinator log) and a streaming
-    /// ingest epoch, then reopen twice: from the checkpoint the last
-    /// load barrier cut plus the log suffix, and from the log alone.
+    /// Every table kind holds the same rows after a reopen from the
+    /// checkpoint the last load barrier cut plus the log suffix, and
+    /// after a reopen from the log alone: a bulk load into a local
+    /// table, a partitioned load (rows in the partition logs, a marker
+    /// in the coordinator log), a streaming-ingest epoch (after the
+    /// last barrier, so it is redone from its record), a row table
+    /// with a primary key, a table in extended storage, a hybrid table
+    /// aged into hot and cold rows, a range-partitioned table (each row
+    /// back in its partition) and a column table whose secondary
+    /// indexes are seeked again.
     #[test]
     fn every_value_round_trips_through_checkpoint_and_redo(seed in any::<u64>(), n in 1usize..40) {
         let mut rng = TestRng::deterministic(&format!("durable_values-{seed}"));
         let dir = scratch("prop");
         let cols = "(k INTEGER, b BOOLEAN, i BIGINT, d DOUBLE, s VARCHAR(32), dt DATE, ts TIMESTAMP)";
-        let tables = ["loc", "dst", "ing"];
-        let expected: Vec<Vec<Row>> = {
+        let pk_cols = "(k INTEGER PRIMARY KEY, b BOOLEAN, i BIGINT, d DOUBLE, s VARCHAR(32), dt DATE, ts TIMESTAMP)";
+        let tables = ["loc", "dst", "ing", "pk", "ext", "hyb", "rng", "idx"];
+        let seek = "EXPLAIN SELECT * FROM idx WHERE k = 1";
+        let (expected, ranges): (Vec<Vec<Row>>, Vec<usize>) = {
             let (hana, s) = open(&dir);
-            hana.execute_sql(&s, &format!("CREATE COLUMN TABLE loc {cols}")).unwrap();
-            hana.execute_sql(
-                &s,
-                &format!("CREATE COLUMN TABLE dst {cols} PARTITION BY HASH(k) PARTITIONS 3"),
-            )
-            .unwrap();
-            hana.execute_sql(&s, &format!("CREATE COLUMN TABLE ing {cols}")).unwrap();
-            for table in ["loc", "dst"] {
+            for ddl in [
+                format!("CREATE COLUMN TABLE loc {cols}"),
+                format!("CREATE COLUMN TABLE dst {cols} PARTITION BY HASH(k) PARTITIONS 3"),
+                format!("CREATE COLUMN TABLE ing {cols}"),
+                format!("CREATE ROW TABLE pk {pk_cols}"),
+                format!("CREATE COLUMN TABLE ext {cols} USING EXTENDED STORAGE"),
+                format!("CREATE COLUMN TABLE hyb {cols} USING HYBRID EXTENDED STORAGE AGING ON b"),
+                format!("CREATE COLUMN TABLE rng {cols} PARTITION BY RANGE(k) SPLIT AT (5, 20)"),
+                format!("CREATE COLUMN TABLE idx {cols}"),
+                "CREATE INDEX ix_ks ON idx (k, s)".to_string(),
+                "CREATE INDEX ix_d ON idx (d)".to_string(),
+            ] {
+                hana.execute_sql(&s, &ddl).unwrap();
+            }
+            // Each load is a checkpoint barrier: the last one's snapshot
+            // holds every table, aged and indexed, but not the epoch.
+            for table in ["pk", "ext", "hyb", "rng", "idx", "loc", "dst"] {
                 let rows: Vec<Row> = (0..n).map(|k| edge_row(&mut rng, k as i64)).collect();
                 hana.load_rows(&s, table, &rows).unwrap();
+                if table == "hyb" {
+                    hana.run_aging(&s, "hyb").unwrap();
+                }
             }
-            // After the last checkpoint barrier, so the reopen with
-            // sidecars intact replays it from its INGEST record.
             let rows: Vec<Row> = (0..n).map(|k| edge_row(&mut rng, k as i64)).collect();
             hana.commit_ingest_batch(&s, "feed", 1, "ing", &rows).unwrap();
-            tables.iter().map(|t| rows_of(&hana, &s, t)).collect()
+            let explain = format!("{:?}", hana.execute_sql(&s, seek).unwrap().rows);
+            prop_assert!(explain.contains("Index Seek"), "{}", explain);
+            let expected = tables.iter().map(|t| rows_of(&hana, &s, t)).collect();
+            (expected, partition_sizes(&hana, "rng"))
         };
         for log_only in [false, true] {
             if log_only {
@@ -297,6 +363,9 @@ proptest! {
                 );
             }
             prop_assert_eq!(hana.ingest_epoch("feed"), 1);
+            prop_assert_eq!(partition_sizes(&hana, "rng"), ranges.clone());
+            let explain = format!("{:?}", hana.execute_sql(&s, seek).unwrap().rows);
+            prop_assert!(explain.contains("Index Seek"), "log only: {}: {}", log_only, explain);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
