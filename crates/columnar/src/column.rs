@@ -5,7 +5,7 @@ use hana_types::Value;
 use crate::bitmap::RowIdBitmap;
 use crate::codec::VidCodec;
 use crate::dictionary::{DeltaDictionary, OrderedDictionary};
-use crate::predicate::ColumnPredicate;
+use crate::predicate::VidMatch;
 
 /// Read-optimized, immutable column fragment: an ordered dictionary plus
 /// a compressed value-ID vector. The dictionary's values are shared: a
@@ -64,18 +64,19 @@ impl MainColumn {
         &self.codec
     }
 
-    /// Scan restricted to fragment rows `start..end`: a matching row
-    /// sets the bit at `offset + (row - start)`.
+    /// Scan restricted to fragment rows `start..end` with `m`, a
+    /// predicate compiled once per scan against this fragment's
+    /// dictionary ([`compile_ordered`](crate::ColumnPredicate::compile_ordered)): a
+    /// matching row sets the bit at `offset + (row - start)`.
     pub fn scan_range_into(
         &self,
-        pred: &ColumnPredicate,
+        m: &VidMatch,
         out: &mut RowIdBitmap,
         offset: usize,
         start: usize,
         end: usize,
     ) {
-        let m = pred.compile_ordered(&self.dict);
-        self.codec.scan_range_into(&m, out, offset, start, end);
+        self.codec.scan_range_into(m, out, offset, start, end);
     }
 
     /// Approximate heap footprint in bytes.
@@ -142,17 +143,18 @@ impl DeltaColumn {
         &self.vids
     }
 
-    /// Scan restricted to fragment rows `start..end`: a matching row
-    /// sets the bit at `offset + (row - start)`.
+    /// Scan restricted to fragment rows `start..end` with `m`, a
+    /// predicate compiled once per scan against this fragment's
+    /// dictionary ([`compile_delta`](crate::ColumnPredicate::compile_delta)): a
+    /// matching row sets the bit at `offset + (row - start)`.
     pub fn scan_range_into(
         &self,
-        pred: &ColumnPredicate,
+        m: &VidMatch,
         out: &mut RowIdBitmap,
         offset: usize,
         start: usize,
         end: usize,
     ) {
-        let m = pred.compile_delta(&self.dict);
         let end = end.min(self.vids.len());
         if m.is_empty() || start >= end {
             return;
@@ -193,6 +195,7 @@ pub fn row_layout_bytes(rows: usize, schema_width: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::ColumnPredicate;
 
     fn vals(xs: &[i64]) -> Vec<Value> {
         xs.iter().map(|&x| Value::Int(x)).collect()
@@ -216,10 +219,22 @@ mod tests {
         let m = MainColumn::build(&v);
         assert_eq!(m.get(1), Value::Null);
         let mut out = RowIdBitmap::new(3);
-        m.scan_range_into(&ColumnPredicate::IsNull, &mut out, 0, 0, 3);
+        m.scan_range_into(
+            &ColumnPredicate::IsNull.compile_ordered(m.dictionary()),
+            &mut out,
+            0,
+            0,
+            3,
+        );
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
         let mut out = RowIdBitmap::new(3);
-        m.scan_range_into(&ColumnPredicate::IsNotNull, &mut out, 0, 0, 3);
+        m.scan_range_into(
+            &ColumnPredicate::IsNotNull.compile_ordered(m.dictionary()),
+            &mut out,
+            0,
+            0,
+            3,
+        );
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 
@@ -234,7 +249,13 @@ mod tests {
         assert_eq!(d.get(0), Value::Int(9));
         assert_eq!(d.get(4), Value::Null);
         let mut out = RowIdBitmap::new(5);
-        d.scan_range_into(&ColumnPredicate::Ge(Value::Int(4)), &mut out, 0, 0, 5);
+        d.scan_range_into(
+            &ColumnPredicate::Ge(Value::Int(4)).compile_delta(d.dictionary()),
+            &mut out,
+            0,
+            0,
+            5,
+        );
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
     }
 
@@ -254,8 +275,8 @@ mod tests {
         ] {
             let mut a = RowIdBitmap::new(v.len());
             let mut b = RowIdBitmap::new(v.len());
-            m.scan_range_into(&pred, &mut a, 0, 0, v.len());
-            d.scan_range_into(&pred, &mut b, 0, 0, v.len());
+            m.scan_range_into(&pred.compile_ordered(m.dictionary()), &mut a, 0, 0, v.len());
+            d.scan_range_into(&pred.compile_delta(d.dictionary()), &mut b, 0, 0, v.len());
             assert_eq!(a, b, "{pred:?}");
         }
     }

@@ -111,6 +111,7 @@ impl ColumnPredicate {
             ColumnPredicate::Between(lo, hi) => {
                 Self::from_bounds(dict, Some((lo, true)), Some((hi, true)))
             }
+            ColumnPredicate::InList(list) => VidMatch::of_vids(list.iter().map(|v| dict.lookup(v))),
             // General shapes fall back to a per-distinct-value mask.
             _ => self.mask_over(dict.values()),
         }
@@ -127,6 +128,7 @@ impl ColumnPredicate {
                 Some(vid) if vid != NULL_VID => VidMatch::range(vid, vid),
                 _ => VidMatch::empty(),
             },
+            ColumnPredicate::InList(list) => VidMatch::of_vids(list.iter().map(|v| dict.lookup(v))),
             _ => self.mask_over(dict.values()),
         }
     }
@@ -237,6 +239,31 @@ impl VidMatch {
             } else {
                 MatchKind::Range(lo, hi)
             },
+        }
+    }
+
+    /// Exactly the value IDs found by `lookups` (an `IN` list's entries
+    /// looked up one by one): a range when they are adjacent, else a
+    /// mask up to the largest. NULL and absent entries match nothing.
+    fn of_vids(lookups: impl Iterator<Item = Option<u32>>) -> VidMatch {
+        let mut vids: Vec<u32> = lookups.flatten().filter(|&v| v != NULL_VID).collect();
+        vids.sort_unstable();
+        vids.dedup();
+        match (vids.first(), vids.last()) {
+            (Some(&lo), Some(&hi)) if (hi - lo) as usize + 1 == vids.len() => {
+                VidMatch::range(lo, hi)
+            }
+            (Some(_), Some(&hi)) => {
+                let mut mask = vec![false; hi as usize];
+                for vid in vids {
+                    mask[vid as usize - 1] = true;
+                }
+                VidMatch {
+                    null_matches: false,
+                    kind: MatchKind::Mask(mask),
+                }
+            }
+            _ => VidMatch::empty(),
         }
     }
 
@@ -357,6 +384,41 @@ mod tests {
         assert!(m.test(1) && !m.test(2) && m.test(3));
         let m = ColumnPredicate::Like("%AI%".into()).compile_ordered(&d);
         assert!(m.test(1) && m.test(2) && !m.test(3));
+    }
+
+    #[test]
+    fn in_lists_compile_by_lookup_to_the_scalar_verdicts() {
+        let values: Vec<Value> = [10i64, 20, 30, 40].iter().map(|&v| Value::Int(v)).collect();
+        let ordered = OrderedDictionary::build(&values);
+        let mut delta = DeltaDictionary::new();
+        for v in values.iter().rev() {
+            delta.insert_or_get(v);
+        }
+        for list in [
+            vec![Value::Int(20), Value::Int(30)],
+            vec![Value::Int(40), Value::Int(10), Value::Int(10)],
+            vec![Value::Double(20.0), Value::Null, Value::Int(99)],
+            vec![Value::Null],
+            vec![],
+        ] {
+            let pred = ColumnPredicate::InList(list);
+            let on_ordered = pred.compile_ordered(&ordered);
+            let on_delta = pred.compile_delta(&delta);
+            assert!(!on_ordered.test(NULL_VID) && !on_delta.test(NULL_VID));
+            for v in &values {
+                let want = pred.matches(v);
+                assert_eq!(
+                    on_ordered.test(ordered.lookup(v).unwrap()),
+                    want,
+                    "{pred:?} {v:?}"
+                );
+                assert_eq!(
+                    on_delta.test(delta.lookup(v).unwrap()),
+                    want,
+                    "{pred:?} {v:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use hana_types::{HanaError, Result, Row, Schema, Value};
 use crate::bitmap::RowIdBitmap;
 use crate::column::{DeltaColumn, MainColumn};
 use crate::index::{IndexDef, SecondaryIndex};
-use crate::predicate::ColumnPredicate;
+use crate::predicate::{ColumnPredicate, VidMatch};
 
 /// Commit ID sentinel meaning "never" (row not deleted).
 pub const NEVER: u64 = u64::MAX;
@@ -102,6 +102,14 @@ impl RowVersions {
 struct ColumnPair {
     main: MainColumn,
     delta: DeltaColumn,
+}
+
+/// A pushed-down predicate of one scan, compiled against its column's
+/// main and delta dictionaries.
+struct CompiledPredicate {
+    col: usize,
+    main: VidMatch,
+    delta: VidMatch,
 }
 
 /// A dictionary-encoded, MVCC-versioned, delta/main column table — the
@@ -255,14 +263,15 @@ impl ColumnTable {
         Ok(RowIdBitmap::concat(parts))
     }
 
-    /// The table's one scan, morsel by morsel: the row domain is sliced
-    /// into `exec`'s morsels (64-row aligned), and one task per morsel
-    /// intersects the predicates' range scans over its slice of the
-    /// main and delta fragments in a bitmap of its own length (bit `i`
-    /// for row `m.start + i`), keeps the rows `cid` sees a word at a
-    /// time (`RowVersions::visible_in_word`), and hands the morsel
-    /// and its bitmap to `f` on the same task. `f`'s results come back
-    /// in morsel order.
+    /// The table's one scan, morsel by morsel: each predicate is
+    /// compiled once against its column's main and delta dictionaries,
+    /// the row domain is sliced into `exec`'s morsels (64-row aligned),
+    /// and one task per morsel intersects the predicates' range scans
+    /// over its slice of the main and delta fragments in a bitmap of its
+    /// own length (bit `i` for row `m.start + i`), keeps the rows `cid`
+    /// sees a word at a time (`RowVersions::visible_in_word`), and hands
+    /// the morsel and its bitmap to `f` on the same task. `f`'s results
+    /// come back in morsel order.
     pub fn scan_morsels<T: Send>(
         &self,
         exec: &ExecContext,
@@ -276,16 +285,27 @@ impl ColumnTable {
                 self.name
             )));
         }
+        let compiled: Vec<CompiledPredicate> = preds
+            .iter()
+            .map(|(col, pred)| {
+                let pair = &self.columns[*col];
+                CompiledPredicate {
+                    col: *col,
+                    main: pred.compile_ordered(pair.main.dictionary()),
+                    delta: pred.compile_delta(pair.delta.dictionary()),
+                }
+            })
+            .collect();
         Ok(exec.scatter(exec.morsels(self.versions.len()), |m| {
-            f(m, self.morsel_hits(m, preds, cid))
+            f(m, self.morsel_hits(m, &compiled, cid))
         }))
     }
 
     /// The hits of one morsel of [`ColumnTable::scan_morsels`].
-    fn morsel_hits(&self, m: Morsel, preds: &[(usize, ColumnPredicate)], cid: u64) -> RowIdBitmap {
-        let scan = |(col, pred): &(usize, ColumnPredicate)| {
+    fn morsel_hits(&self, m: Morsel, preds: &[CompiledPredicate], cid: u64) -> RowIdBitmap {
+        let scan = |pred: &CompiledPredicate| {
             let mut hits = RowIdBitmap::new(m.len());
-            self.scan_morsel(*col, pred, m, &mut hits);
+            self.scan_morsel(pred, m, &mut hits);
             hits
         };
         let mut acc = match preds.split_first() {
@@ -303,16 +323,17 @@ impl ColumnTable {
     /// Scan one column within table rows `[m.start, m.end)`, over the
     /// main and delta portions of the range; row `m.start + i` sets bit
     /// `i` of `out`.
-    fn scan_morsel(&self, col: usize, pred: &ColumnPredicate, m: Morsel, out: &mut RowIdBitmap) {
-        let pair = &self.columns[col];
+    fn scan_morsel(&self, pred: &CompiledPredicate, m: Morsel, out: &mut RowIdBitmap) {
+        let pair = &self.columns[pred.col];
         let main_end = m.end.min(self.main_rows);
         if m.start < main_end {
-            pair.main.scan_range_into(pred, out, 0, m.start, main_end);
+            pair.main
+                .scan_range_into(&pred.main, out, 0, m.start, main_end);
         }
         if m.end > self.main_rows {
             let first = m.start.max(self.main_rows);
             pair.delta.scan_range_into(
-                pred,
+                &pred.delta,
                 out,
                 first - m.start,
                 first - self.main_rows,

@@ -374,15 +374,19 @@ mod tests {
         // slot left idle by that race would show.
         for _round in 0..20 {
             let held = [ctl.admit().unwrap(), ctl.admit().unwrap()];
+            // Counts the waiters admitted: the pool's active count also
+            // includes the held permits not yet dropped.
+            let admitted = Arc::new(AtomicUsize::new(0));
             let waiters: Vec<_> = (0..2)
                 .map(|i| {
-                    let waiter_ctl = Arc::clone(&ctl);
+                    let (waiter_ctl, admitted) = (Arc::clone(&ctl), Arc::clone(&admitted));
                     let h = std::thread::spawn(move || {
                         let permit = waiter_ctl.admit().unwrap();
+                        admitted.fetch_add(1, Ordering::SeqCst);
                         // Hold the slot until both waiters are in (or
                         // the other one has timed out).
                         let until = Instant::now() + timeout * 2;
-                        while waiter_ctl.class_stats().0 < 2 && Instant::now() < until {
+                        while admitted.load(Ordering::SeqCst) < 2 && Instant::now() < until {
                             std::thread::yield_now();
                         }
                         permit.admitted_after()

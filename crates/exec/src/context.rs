@@ -23,8 +23,9 @@ static GLOBAL: OnceLock<Arc<ExecContext>> = OnceLock::new();
 /// `hana_exec_morsels_total`, `hana_exec_tasks_total`,
 /// `hana_exec_scatters_total`, the `hana_exec_scatter_ns` latency
 /// histogram, and the `hana_exec_pool_utilization_permille` /
-/// `hana_exec_pool_queue_depth` gauges (refreshed on every scatter and
-/// by [`ExecContext::pool_metrics`]).
+/// `hana_exec_pool_queue_depth` gauges (refreshed by
+/// [`ExecContext::pool_metrics`], which
+/// `HanaPlatform::observability_snapshot` calls).
 pub struct ExecContext {
     config: ExecConfig,
     pool: Arc<WorkerPool>,
@@ -77,6 +78,7 @@ impl ExecContext {
     /// however few. With a single worker or a single item there is
     /// nothing to overlap, so the items run inline on the calling
     /// thread — same results, same counters, no queue or wake-up.
+    /// Otherwise the calling thread is one of the pool's runners.
     pub fn scatter<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
@@ -93,17 +95,12 @@ impl ExecContext {
         };
         self.obs_scatter_ns
             .record(started.elapsed().as_nanos() as u64);
-        self.publish_pool_gauges();
         out
     }
 
     /// Pool utilization/load counters (also refreshes the pool gauges
     /// in the global `hana-obs` registry).
     pub fn pool_metrics(&self) -> PoolMetricsSnapshot {
-        self.publish_pool_gauges()
-    }
-
-    fn publish_pool_gauges(&self) -> PoolMetricsSnapshot {
         let m = self.pool.metrics_snapshot();
         self.obs_utilization.set((m.utilization * 1000.0) as i64);
         self.obs_queue_depth.set(m.queue_depth as i64);

@@ -1,44 +1,36 @@
-//! Fixed worker pool with one shared job queue and one primitive.
+//! Fixed worker pool with one shared queue and one primitive.
 //!
 //! [`WorkerPool::scatter`] is the fork-join used by parallel scans and
-//! aggregations: it fans a `Vec` of items out as one task per item,
-//! blocks the calling thread until every task finished, and re-raises
-//! the first task panic in the caller. Because the caller provably
-//! outlives all tasks, `scatter` accepts borrowing (non-`'static`)
-//! items and closures.
+//! aggregations. Its items are claimed through one atomic cursor: the
+//! calling thread starts claiming at once, and at most one helper per
+//! worker joins it from the queue. The caller blocks only for items a
+//! helper has already claimed, re-raises the first item panic after
+//! they all finished, and returns the results in item order. Because
+//! the caller outlives every claimed item, `scatter` accepts borrowing
+//! (non-`'static`) items and closures.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Lock one of the pool's mutexes. Jobs and `scatter` closures run with
-/// none of them held, so none can be poisoned.
+/// Lock one of the pool's mutexes. Items run with none of them held,
+/// so none can be poisoned.
 fn held<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("no task code runs under the pool's locks")
-}
-
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Id of the pool the current thread is a worker of (0 = none).
-    static CURRENT_POOL: Cell<u64> = const { Cell::new(0) };
+    m.lock().expect("no item runs under the pool's locks")
 }
 
 #[derive(Default)]
 struct Queue {
-    jobs: VecDeque<Job>,
+    /// One entry per helper job: the scatter it helps.
+    jobs: VecDeque<Arc<Fork>>,
     shutdown: bool,
 }
 
 struct Shared {
-    pool_id: u64,
     queue: Mutex<Queue>,
     wake: Condvar,
     tasks: AtomicU64,
@@ -46,19 +38,11 @@ struct Shared {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
-    CURRENT_POOL.with(|c| c.set(shared.pool_id));
     let mut queue = held(&shared.queue);
     loop {
-        if let Some(job) = queue.jobs.pop_front() {
+        if let Some(fork) = queue.jobs.pop_front() {
             drop(queue);
-            let started = Instant::now();
-            // A panicking job must not kill the worker; `scatter` wraps
-            // jobs in its own catch and re-raises in the caller.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            shared
-                .busy_nanos
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            shared.tasks.fetch_add(1, Ordering::Relaxed);
+            fork.drain(&shared);
             queue = held(&shared.queue);
         } else if queue.shutdown {
             break;
@@ -66,7 +50,105 @@ fn worker_loop(shared: Arc<Shared>) {
             queue = shared
                 .wake
                 .wait(queue)
-                .expect("no task code runs under the pool's locks");
+                .expect("no item runs under the pool's locks");
+        }
+    }
+}
+
+/// One scatter as its runners share it: the claim cursor over its
+/// items, the count of finished items, and an erased pointer to the
+/// caller's [`Work`] with the function that runs one of its items.
+struct Fork {
+    len: usize,
+    next: AtomicUsize,
+    finished: AtomicUsize,
+    lock: Mutex<()>,
+    all_done: Condvar,
+    work: *const (),
+    run_item: unsafe fn(*const (), usize),
+}
+
+// SAFETY: `work` is dereferenced only through `run_item`, for an item
+// claimed from `next`, and `scatter` does not return while a claimed
+// item runs. What it points to holds `Send` items and results and a
+// `Sync` closure (`scatter`'s bounds), so any runner may use it.
+unsafe impl Send for Fork {}
+// SAFETY: as for `Send`; every other field is a lock or an atomic.
+unsafe impl Sync for Fork {}
+
+impl Fork {
+    /// Claim and run items until the cursor runs out, booking them in
+    /// the pool's counters. A runner that claims nothing touches
+    /// nothing the scatter's caller borrowed.
+    fn drain(&self, stats: &Shared) {
+        let started = Instant::now();
+        let mut ran = 0;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                break;
+            }
+            // SAFETY: this runner claimed `i`, so it alone moves item
+            // `i` out and writes slot `i`; `scatter` does not return
+            // before `finished` counts it, so `work` is still alive.
+            unsafe { (self.run_item)(self.work, i) };
+            ran += 1;
+            if self.finished.fetch_add(1, Ordering::Release) + 1 == self.len {
+                let _guard = held(&self.lock);
+                self.all_done.notify_all();
+            }
+        }
+        if ran > 0 {
+            stats.tasks.fetch_add(ran, Ordering::Relaxed);
+            stats
+                .busy_nanos
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Block until every item has finished (the caller has drained the
+    /// cursor, so the rest are running on helpers).
+    fn wait(&self) {
+        let mut guard = held(&self.lock);
+        while self.finished.load(Ordering::Acquire) < self.len {
+            guard = self
+                .all_done
+                .wait(guard)
+                .expect("no item runs under the pool's locks");
+        }
+    }
+}
+
+/// The caller's side of one scatter, reached by its runners through
+/// [`Fork::work`]: the items (each moved out by the runner that claims
+/// it), one result slot per item, the closure and the first panic.
+struct Work<'a, I, T, F> {
+    items: *const I,
+    results: *mut Option<T>,
+    f: &'a F,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<I, T, F: Fn(I) -> T> Work<'_, I, T, F> {
+    /// Run item `i` into slot `i`, keeping its panic if it is the first.
+    ///
+    /// # Safety
+    ///
+    /// `work` points to a live `Work` of these types, and the calling
+    /// runner claimed `i`: no other runner touches item `i` or slot `i`.
+    unsafe fn run(work: *const (), i: usize) {
+        // SAFETY: see the function's contract.
+        let work = unsafe { &*work.cast::<Self>() };
+        // SAFETY: item `i` is initialized and read exactly once, by its
+        // claimer (`scatter` no longer drops it).
+        let item = unsafe { work.items.add(i).read() };
+        match catch_unwind(AssertUnwindSafe(|| (work.f)(item))) {
+            // SAFETY: slot `i` is in bounds and written only here; it
+            // holds `None`, so nothing is leaked by not dropping it.
+            Ok(value) => unsafe { work.results.add(i).write(Some(value)) },
+            Err(payload) => {
+                held(&work.panic).get_or_insert(payload);
+            }
         }
     }
 }
@@ -76,20 +158,22 @@ fn worker_loop(shared: Arc<Shared>) {
 pub struct PoolMetricsSnapshot {
     /// Number of worker threads.
     pub workers: usize,
-    /// Total tasks executed since pool start.
+    /// Scatter items run since pool start, by workers and callers alike.
     pub tasks_executed: u64,
-    /// Tasks currently queued.
+    /// Helper jobs currently queued.
     pub queue_depth: usize,
-    /// Sum of per-worker time spent running tasks, in nanoseconds.
+    /// Sum of the time runners (workers and callers) spent claiming and
+    /// running items, in nanoseconds.
     pub busy_nanos: u64,
     /// Wall-clock nanoseconds since pool start.
     pub wall_nanos: u64,
-    /// `busy / (wall * workers)` — mean fraction of worker time spent
-    /// running tasks, in `[0, 1]`.
+    /// `busy / (wall * workers)`, capped at 1 — mean fraction of worker
+    /// time spent running items, callers' share included.
     pub utilization: f64,
 }
 
-/// A fixed set of worker threads draining one shared FIFO job queue.
+/// A fixed set of worker threads draining one shared FIFO queue of
+/// helper jobs.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -102,7 +186,6 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Arc<WorkerPool> {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            pool_id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
             tasks: AtomicU64::new(0),
@@ -130,92 +213,66 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Whether the calling thread is one of this pool's workers.
-    pub fn on_worker_thread(&self) -> bool {
-        CURRENT_POOL.with(Cell::get) == self.shared.pool_id
-    }
-
-    /// Fork-join: run `f` over every item on the pool, blocking until
-    /// all tasks complete, and return the results in item order. The
-    /// first task panic is re-raised here after all tasks finish.
-    ///
-    /// Called from one of this pool's own worker threads, the items run
-    /// inline on the caller instead (blocking a worker on its own pool
-    /// could deadlock a fully busy pool).
-    pub fn scatter<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
+    /// Fork-join: run `f` over every item and return the results in
+    /// item order. The calling thread claims items from the start; up
+    /// to `min(n - 1, workers)` helper jobs queued on the pool claim
+    /// from the same cursor. The caller then waits only for the items
+    /// helpers claimed, and re-raises the first item panic once all
+    /// have finished. Called from inside an item (a nested scatter), it
+    /// cannot deadlock: its caller runs every item no helper takes.
+    pub fn scatter<I, T, F>(&self, mut items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        if self.on_worker_thread() {
-            return items.into_iter().map(f).collect();
-        }
-
-        struct ScatterState<T> {
-            results: Mutex<Vec<Option<T>>>,
-            remaining: Mutex<usize>,
-            done: Condvar,
-            panic: Mutex<Option<Box<dyn Any + Send>>>,
-        }
-
-        let n = items.len();
-        let state = Arc::new(ScatterState::<T> {
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
+        let len = items.len();
+        let mut results: Vec<Option<T>> = (0..len).map(|_| None).collect();
+        let work = Work {
+            items: items.as_ptr(),
+            results: results.as_mut_ptr(),
+            f: &f,
             panic: Mutex::new(None),
+        };
+        // SAFETY: from here on each item is moved out by the runner that
+        // claims it, and this thread drains the cursor before it returns,
+        // so every item is read exactly once; `items` only frees its
+        // buffer, after all runners are done with it.
+        unsafe { items.set_len(0) };
+        let fork = Arc::new(Fork {
+            len,
+            next: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            all_done: Condvar::new(),
+            work: std::ptr::from_ref(&work).cast(),
+            run_item: Work::<I, T, F>::run,
         });
-
-        let f = &f;
-        let jobs: Vec<Job> = items
-            .into_iter()
-            .enumerate()
-            .map(|(idx, item)| {
-                let state = Arc::clone(&state);
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                        Ok(value) => held(&state.results)[idx] = Some(value),
-                        Err(payload) => {
-                            let mut slot = held(&state.panic);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                    }
-                    let mut remaining = held(&state.remaining);
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        state.done.notify_all();
-                    }
-                });
-                // SAFETY: this thread blocks below until `remaining`
-                // hits zero, i.e. until every job (and its borrows of
-                // `f` and the items) has finished — the scoped-thread
-                // pattern. The panic path also waits for all jobs
-                // before re-raising.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
-            })
-            .collect();
-        held(&self.shared.queue).jobs.extend(jobs);
-        self.shared.wake.notify_all();
-
-        let mut remaining = held(&state.remaining);
-        while *remaining > 0 {
-            remaining = state
-                .done
-                .wait(remaining)
-                .expect("no task code runs under the pool's locks");
+        let helpers = len.saturating_sub(1).min(self.workers);
+        if helpers > 0 {
+            held(&self.shared.queue)
+                .jobs
+                .extend(std::iter::repeat_n(&fork, helpers).cloned());
+            for _ in 0..helpers {
+                self.shared.wake.notify_one();
+            }
         }
-        drop(remaining);
+        fork.drain(&self.shared);
+        if helpers > 0 {
+            // The cursor has run out: a helper still queued would claim
+            // nothing.
+            held(&self.shared.queue)
+                .jobs
+                .retain(|queued| !Arc::ptr_eq(queued, &fork));
+            fork.wait();
+        }
 
-        if let Some(payload) = held(&state.panic).take() {
+        if let Some(payload) = held(&work.panic).take() {
             resume_unwind(payload);
         }
-        let mut results = held(&state.results);
         results
-            .iter_mut()
-            .map(|slot| slot.take().expect("scatter task completed without result"))
+            .into_iter()
+            .map(|slot| slot.expect("every claimed item filled its slot"))
             .collect()
     }
 
@@ -256,6 +313,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[test]
@@ -278,8 +336,10 @@ mod tests {
     #[test]
     fn scatter_propagates_panic() {
         let pool = WorkerPool::new(2);
+        let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scatter(vec![1, 2, 3], |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
                 if i == 2 {
                     panic!("boom");
                 }
@@ -287,25 +347,62 @@ mod tests {
             })
         }));
         assert!(result.is_err());
+        // Every item ran before the panic was re-raised.
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
         // Pool is still usable after a task panic.
         assert_eq!(pool.scatter(vec![5], |i| i + 1), vec![6]);
     }
 
     #[test]
     fn nested_scatter_runs_inline_on_the_worker() {
-        // One worker: an inner scatter that queued its items behind the
-        // outer task it is called from would never finish.
+        // One worker: an inner scatter that waited for a helper queued
+        // behind the outer item it is called from would never finish.
         let pool = WorkerPool::new(1);
         let sums = pool.scatter(vec![10usize, 20], |base| {
-            assert!(pool.on_worker_thread());
-            let inner = pool.scatter((0..4).collect(), |i: usize| {
-                assert!(pool.on_worker_thread());
-                base + i
-            });
+            let inner = pool.scatter((0..4).collect(), |i: usize| base + i);
             inner.iter().sum::<usize>()
         });
         assert_eq!(sums, vec![46, 86]);
-        assert!(!pool.on_worker_thread());
+    }
+
+    #[test]
+    fn a_scatter_finishes_on_its_caller_while_every_worker_is_busy() {
+        let hold = Duration::from_secs(10);
+        let pool = WorkerPool::new(1);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel::<()>()).unzip();
+        let waiting = Arc::new(AtomicUsize::new(0));
+        let held_items = {
+            let (pool, waiting) = (Arc::clone(&pool), Arc::clone(&waiting));
+            std::thread::spawn(move || {
+                pool.scatter(receivers, |rx| {
+                    waiting.fetch_add(1, Ordering::SeqCst);
+                    rx.recv_timeout(hold).is_ok()
+                })
+            })
+        };
+        // Both held items are running: one on the spawning thread, one
+        // on the only worker.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while waiting.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let started = Instant::now();
+        let doubled = pool.scatter((0..4).collect(), |i: usize| i * 2);
+        let took = started.elapsed();
+        for tx in senders {
+            let _ = tx.send(());
+        }
+        assert_eq!(doubled, vec![0, 2, 4, 6]);
+        assert!(
+            took < hold / 4,
+            "a scatter waited {took:?} for a busy worker"
+        );
+        assert_eq!(
+            held_items.join().unwrap(),
+            vec![true, true],
+            "released by the signal"
+        );
     }
 
     #[test]
