@@ -81,13 +81,6 @@ impl HanaPlatform {
                     ));
                 }
                 let dt = hana_dist::DistTable::new(&ct.name, schema, partition_spec(p))?;
-                if let Some(base) = self.tm.wal().dir() {
-                    // Durable platform: give every partition its own log
-                    // under the coordinator's directory so scale-out loads
-                    // are durable per partition.
-                    let pdir = base.join("dist").join(ct.name.to_ascii_lowercase());
-                    dt.attach_wal(&pdir)?;
-                }
                 let source = TableSource::Distributed(Arc::new(dt));
                 (source, TableKindInfo::Distributed)
             }
@@ -144,19 +137,6 @@ impl HanaPlatform {
 
     pub(crate) fn drop_table(&self, name: &str) -> Result<()> {
         let entry = self.catalog.remove_table(name)?;
-        if let TableSource::Distributed(dt) = &entry.source {
-            if let Some(wals) = dt.partition_wals() {
-                // The table is gone; its partition logs are dead weight.
-                let dir = wals.dir().to_path_buf();
-                drop(wals);
-                if let Err(e) = std::fs::remove_dir_all(&dir) {
-                    hana_obs::warn(format!(
-                        "could not remove partition logs at {}: {e}",
-                        dir.display()
-                    ));
-                }
-            }
-        }
         match entry.kind {
             TableKindInfo::Extended => self.iq.drop_table(name)?,
             TableKindInfo::Hybrid { cold_table, .. } => self.iq.drop_table(&cold_table)?,

@@ -20,7 +20,6 @@
 //! redo routine (so it logs nothing either), then builds the indexes
 //! over the loaded rows.
 
-use std::collections::HashSet;
 use std::path::Path;
 
 use hana_query::TableSource;
@@ -36,8 +35,9 @@ use crate::security::{Privilege, Session};
 const REC_SEP: char = '\u{1d}';
 
 /// What recovery says about a record no reader exists for any more (the
-/// rows inside are in the lossy text format, the record is SQL, or the
-/// checkpoint is in a format of its own).
+/// rows inside are in the lossy text format, the record is SQL, a bulk
+/// record's rows are in per-partition logs, or the checkpoint is in a
+/// format of its own).
 pub(crate) fn older_format(what: &str) -> HanaError {
     HanaError::Io(format!(
         "{what} was written by an older durable format this build cannot read; \
@@ -241,10 +241,8 @@ impl HanaPlatform {
                         _ => return Err(corrupt(&head)),
                     }
                 }
-                // An insert record reads no partition log.
                 [Value::Varchar(kind), ..] if kind == "insert" => {
-                    let none = HashSet::new();
-                    rows.push(self.decode_redo(0, &head, images, &none, &mut Vec::new())?);
+                    rows.push(self.decode_redo(&head, images)?)
                 }
                 _ => return Err(corrupt(&head)),
             }

@@ -14,9 +14,11 @@
 //! ```
 //!
 //! `side` is `local` or `extended` ([`Side`]). A bulk record's
-//! `pipeline` is NULL for a plain bulk load; when `inline` is false its
-//! rows are in the partition logs of a distributed table, made durable
-//! before the commit record. A checkpoint is a sequence of these
+//! `pipeline` is NULL for a plain bulk load. Its `inline` is always
+//! true: the rows of every load, into a distributed table too, are in
+//! the record. An older build logged a distributed load with `inline`
+//! false and its rows in per-partition logs; redo refuses such a record
+//! as an older format. A checkpoint is a sequence of these
 //! records too ([`crate::durability`]): per table its `ddl`, its live
 //! rows as `insert` records and its indexes as `ddl`, plus one `epoch`
 //! record per ingest pipeline, the highest epoch the snapshot holds.
@@ -27,9 +29,7 @@
 //! record's statement.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use hana_dist::DistTable;
 use hana_sql::{parse_statement, BinOp, Expr};
 use hana_txn::{LogRecord, RecoveryReport};
 use hana_types::{
@@ -76,14 +76,9 @@ pub(crate) fn rows_payload<'a>(
     encode_record(&[op, table, side].map(Value::from), rows)
 }
 
-/// The payload of one bulk transaction into `table`: `ingest` is the
-/// `(pipeline, epoch)` of a streaming-ingest batch, `rows` is `None`
-/// when the partition logs hold them.
-pub(crate) fn bulk_payload(
-    table: &str,
-    ingest: Option<(&str, u64)>,
-    rows: Option<&[Row]>,
-) -> String {
+/// The payload of one bulk transaction of `rows` into `table`:
+/// `ingest` is the `(pipeline, epoch)` of a streaming-ingest batch.
+pub(crate) fn bulk_payload(table: &str, ingest: Option<(&str, u64)>, rows: &[Row]) -> String {
     let (pipeline, epoch) = match ingest {
         Some((p, e)) => (Value::from(p), e),
         None => (Value::Null, 0),
@@ -93,9 +88,9 @@ pub(crate) fn bulk_payload(
         Value::from(table),
         pipeline,
         Value::Int(epoch as i64),
-        Value::Bool(rows.is_some()),
+        Value::Bool(true),
     ];
-    encode_record(&head, rows.unwrap_or_default())
+    encode_record(&head, rows)
 }
 
 /// The payload of a DDL statement: the text the user wrote.
@@ -143,9 +138,6 @@ pub(crate) fn decode_head<'a>(payload: &'a str, what: &str) -> Result<(Vec<Value
         _ => Err(legacy()),
     }
 }
-
-/// Partition-logged rows by transaction ([`DistTable::redo_rows`]).
-type RowsByTid = HashMap<u64, Vec<Row>>;
 
 /// A filter that selects at least the rows equal to one of `images`,
 /// narrowed column by column: `IS NULL` where all of them are NULL, the
@@ -251,7 +243,6 @@ impl HanaPlatform {
                 payloads.entry(tid).or_default().push(payload);
             }
         }
-        let mut partition_rows = Vec::new();
         let mut redone = 0;
         for &(tid, _) in report.committed.iter().filter(|&&(_, c)| c > after_cid) {
             let Some(txn) = payloads.remove(&tid) else {
@@ -261,7 +252,7 @@ impl HanaPlatform {
                 .iter()
                 .map(|payload| {
                     let (head, rows) = decode_head(payload, "log record")?;
-                    self.decode_redo(tid, &head, rows, &redo, &mut partition_rows)
+                    self.decode_redo(&head, rows)
                 })
                 .collect::<Result<_>>()?;
             self.redo_txn(records)?;
@@ -270,19 +261,11 @@ impl HanaPlatform {
         Ok(redone)
     }
 
-    /// Decode a record of transaction `tid` — its `head` and its
-    /// encoded `rows` ([`decode_head`]) — against the current catalog.
-    /// The rows of a bulk load into a distributed table come from its
-    /// partition logs, read on the table's first such record for every
-    /// transaction in `redo`.
-    pub(crate) fn decode_redo(
-        &self,
-        tid: u64,
-        head: &[Value],
-        rows: &str,
-        redo: &HashSet<u64>,
-        partition_rows: &mut Vec<(Arc<DistTable>, RowsByTid)>,
-    ) -> Result<Redo> {
+    /// Decode a record — its `head` and its encoded `rows`
+    /// ([`decode_head`]) — against the current catalog. A bulk record
+    /// without its rows inline is an older build's distributed load and
+    /// is refused.
+    pub(crate) fn decode_redo(&self, head: &[Value], rows: &str) -> Result<Redo> {
         use Value::{Bool, Int, Varchar};
         Ok(match head {
             [Varchar(op), Varchar(table), Varchar(side)] if op == "insert" || op == "delete" => {
@@ -304,26 +287,10 @@ impl HanaPlatform {
             [Varchar(kind), Varchar(table), pipeline, Int(epoch), Bool(inline)]
                 if kind == "bulk" =>
             {
-                let target = self.write_target(table)?;
-                let rows = match (inline, &target.dist) {
-                    (true, _) => decode_rows(rows, &target.schema)?,
-                    (false, Some(dt)) => {
-                        let read = partition_rows.iter().position(|(t, _)| Arc::ptr_eq(t, dt));
-                        let at = match read {
-                            Some(at) => at,
-                            None => {
-                                partition_rows.push((Arc::clone(dt), dt.redo_rows(redo)?));
-                                partition_rows.len() - 1
-                            }
-                        };
-                        partition_rows[at].1.remove(&tid).unwrap_or_default()
-                    }
-                    (false, None) => {
-                        return Err(HanaError::Io(format!(
-                            "bulk record without rows for non-distributed table '{table}'"
-                        )))
-                    }
-                };
+                if !inline {
+                    return Err(older_format("log record"));
+                }
+                let rows = decode_rows(rows, &self.write_target(table)?.schema)?;
                 let ingest = match pipeline {
                     Varchar(p) => {
                         let epoch = u64::try_from(*epoch)
@@ -464,16 +431,17 @@ mod tests {
         let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Varchar)]);
         assert_eq!(decode_rows(encoded, &schema).unwrap(), rows);
 
-        let bulk = bulk_payload("t", Some(("feed", 7)), None);
-        let (head, _) = decode_head(&bulk, "log record").unwrap();
+        let bulk = bulk_payload("t", Some(("feed", 7)), &rows);
+        let (head, encoded) = decode_head(&bulk, "log record").unwrap();
         let expected = [
             Value::from("bulk"),
             Value::from("t"),
             Value::from("feed"),
             Value::Int(7),
-            Value::Bool(false),
+            Value::Bool(true),
         ];
         assert_eq!(head, expected);
+        assert_eq!(decode_rows(encoded, &schema).unwrap(), rows);
 
         let text = "CREATE COLUMN TABLE t (s VARCHAR(4)) -- 'a\u{1}'";
         let (head, _) = decode_head(&ddl_payload(text), "log record").unwrap();

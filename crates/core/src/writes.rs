@@ -600,10 +600,8 @@ impl HanaPlatform {
     /// buffer → log → commit, aborting on any failure before the commit
     /// point. Rows bound for a distributed table cross the repartition
     /// exchange to their home nodes (accounted and fault-checked like
-    /// any shuffle) and, on a durable platform, are written to their
-    /// partitions' logs and fsynced *before* the coordinator's commit
-    /// record, whose `bulk` record then carries no rows — a committed
-    /// coordinator record guarantees every partition has its rows.
+    /// any shuffle); the coordinator's `bulk` record carries the rows of
+    /// every table, so one log decides and redoes every load.
     /// Returns the commit ID.
     fn bulk_commit(
         &self,
@@ -613,21 +611,16 @@ impl HanaPlatform {
         ingest: Option<(&str, u64)>,
     ) -> Result<u64> {
         let ((), receipt) = self.in_txn(|txn| {
-            let mut in_partition_logs = false;
             let routed = match &target.dist {
                 None => target.route(rows.to_vec()),
                 Some(dt) => {
                     let ctx = RemoteContext::snapshot(txn.snapshot.cid());
-                    let delivered =
-                        hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
-                    in_partition_logs = dt.log_buckets(txn.tid, &delivered)?;
-                    delivered
+                    hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?
                 }
             };
             self.buffer(txn.tid, target, Vec::new(), routed)?;
-            let inline = (!in_partition_logs).then_some(rows);
             self.tm
-                .log_data(txn.tid, "hana", || bulk_payload(table, ingest, inline))
+                .log_data(txn.tid, "hana", || bulk_payload(table, ingest, rows))
         })?;
         Ok(receipt.cid)
     }

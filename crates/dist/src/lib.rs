@@ -19,14 +19,12 @@
 //! partition-wise partial aggregation, broadcast-build distributed hash
 //! join); DDL/DML routing lives in `hana-core`.
 
-mod durability;
 mod exchange;
 mod link;
 mod node;
 mod partition;
 mod table;
 
-pub use durability::PartitionWals;
 pub use exchange::{broadcast, gather, repartition, transfer_accounted};
 pub use link::{FaultPlan, Link, LinkStats, DEFAULT_CHUNK_ROWS};
 pub use node::{DistNode, NodeHits};

@@ -2,12 +2,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use hana_columnar::ColumnPredicate;
 use hana_types::{Result, Row, Schema, Value};
 
-use crate::durability::PartitionWals;
 use crate::link::Link;
 use crate::node::{DistNode, NodeHits};
 use crate::partition::PartitionSpec;
@@ -38,9 +35,6 @@ pub struct DistTable {
     key_col: usize,
     nodes: Vec<Arc<DistNode>>,
     links: Vec<Arc<Link>>,
-    /// Per-partition WALs, attached by the platform on durable setups
-    /// (see [`crate::durability`]).
-    wal: RwLock<Option<Arc<PartitionWals>>>,
 }
 
 impl DistTable {
@@ -69,13 +63,7 @@ impl DistTable {
             key_col,
             nodes,
             links,
-            wal: RwLock::new(None),
         })
-    }
-
-    /// The partition-WAL slot (used by [`crate::durability`]).
-    pub(crate) fn wal_slot(&self) -> &RwLock<Option<Arc<PartitionWals>>> {
-        &self.wal
     }
 
     /// Table name.

@@ -486,8 +486,9 @@ impl Wal {
     /// so that every record of every commit above `cid` survives.
     /// Covered commits left in the surviving segments stay; replay
     /// skips them by CID. A checkpoint that deletes no segment keeps
-    /// the older sidecars: the log still holds what follows each. A
-    /// pruned log whose one sidecar is damaged does not open
+    /// its own sidecar and the one before it, a fallback whose suffix
+    /// the log still holds, and deletes the rest. A pruned log whose one
+    /// sidecar is damaged does not open
     /// ([`redo_floor`](Self::redo_floor)).
     pub fn checkpoint(
         &self,
@@ -507,14 +508,23 @@ impl Wal {
             max_tid,
             payload: payload.to_vec(),
         });
+        // The checkpoint is durable either way; a segment or sidecar
+        // that could not be deleted is only dead weight.
+        let mut pruned = false;
         if let Some(below) = prune_below {
-            // The checkpoint is durable either way; a segment that could
-            // not be deleted is only dead weight. The older sidecars go
-            // before the first segment does: recovering from one of
-            // them would need it.
-            let older = || checkpoint::remove_older(dir, seq);
+            // The older sidecars go before the first segment does:
+            // recovering from one of them would need it.
+            let older = || {
+                pruned = true;
+                checkpoint::remove_older(dir, seq)
+            };
             if let Err(e) = log.with_writer(|w| w.prune_below(below, older)) {
                 hana_obs::warn(format!("WAL segment pruning failed: {e}"));
+            }
+        }
+        if !pruned {
+            if let Err(e) = checkpoint::remove_older(dir, seq - 1) {
+                hana_obs::warn(format!("WAL sidecar removal failed: {e}"));
             }
         }
         Ok(())
@@ -761,21 +771,28 @@ mod tests {
             wal.append_durable(LogRecord::Commit { tid, cid: tid })
                 .unwrap();
         };
-        let sidecars = || checkpoint::list(&dir).len();
+        let sidecars = || {
+            let list = checkpoint::list(&dir);
+            list.into_iter().map(|(seq, _)| seq).collect::<Vec<_>>()
+        };
         commit(1);
         wal.checkpoint(1, 1, b"one", None).unwrap();
         // Nothing below the active segment to delete: both stay.
         wal.checkpoint(1, 1, b"two", Some(1)).unwrap();
-        assert_eq!(sidecars(), 2);
+        assert_eq!(sidecars(), [2, 1]);
+        // A third that deletes no segment keeps itself and the one
+        // before it.
+        wal.checkpoint(1, 1, b"three", None).unwrap();
+        assert_eq!(sidecars(), [3, 2]);
         for tid in 2..=6 {
             commit(tid);
         }
-        wal.checkpoint(6, 6, b"three", Some(wal.active_segment()))
+        wal.checkpoint(6, 6, b"four", Some(wal.active_segment()))
             .unwrap();
-        assert_eq!(sidecars(), 1);
+        assert_eq!(sidecars(), [4]);
         drop(wal);
         let wal = Wal::open_dir(&dir).unwrap();
-        assert_eq!(wal.latest_checkpoint().unwrap().payload, b"three");
+        assert_eq!(wal.latest_checkpoint().unwrap().payload, b"four");
         std::fs::remove_dir_all(&dir).ok();
     }
 

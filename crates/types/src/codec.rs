@@ -1,5 +1,5 @@
 //! The durable row codec: an exact text encoding of rows for WAL
-//! payloads, checkpoint records and partition logs.
+//! payloads and checkpoint records.
 //!
 //! Unlike the delimited line format ([`Row::to_delimited`] +
 //! [`Value::parse_typed`]), which renders NULL, `''` and `'null'` alike

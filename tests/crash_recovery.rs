@@ -5,14 +5,16 @@
 //!
 //! A "crash at byte `k`" is a copy of the WAL directory with the
 //! coordinator segments truncated to their first `k` bytes (checkpoint
-//! sidecars and partition logs copied intact — they are written
-//! atomically / synced before the coordinator's commit record). The
-//! sampled matrices run everywhere; the exhaustive every-byte matrix is
-//! `#[ignore]`d for the dedicated CI lane.
+//! sidecars copied intact — they are written atomically). The
+//! coordinator log is the only log: a distributed load's rows are in
+//! its `bulk` record, like any other load's. The sampled matrices run
+//! everywhere; the exhaustive every-byte matrix is `#[ignore]`d for the
+//! dedicated CI lane.
 
 use std::path::{Path, PathBuf};
 
 use hana_data_platform::platform::{HanaPlatform, Session};
+use hana_data_platform::query::TableSource;
 use hana_data_platform::txn::{LogRecord, Wal, WalConfig};
 use hana_data_platform::{Row, Value};
 
@@ -272,10 +274,11 @@ fn checkpoints_racing_commits_lose_no_acknowledged_write() {
     }
 }
 
-/// Distributed workload: a 4-partition table loaded in batches. Each
-/// batch's rows go durably to the partition logs before the coordinator
-/// commit; the coordinator log carries only markers.
-fn run_dist_workload(dir: &Path) -> Vec<usize> {
+/// Distributed workload: a 4-partition table loaded in batches, each
+/// one transaction whose `bulk` record in the coordinator log carries
+/// its rows. Returns the row count at every batch boundary and the live
+/// table's per-partition row counts.
+fn run_dist_workload(dir: &Path) -> (Vec<usize>, Vec<usize>) {
     let (hana, _) = HanaPlatform::open_durable_with(dir, WalConfig::default()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(
@@ -296,11 +299,22 @@ fn run_dist_workload(dir: &Path) -> Vec<usize> {
         n += rows.len();
         counts.push(n);
     }
-    counts
+    (counts, partition_sizes(&hana, "d"))
+}
+
+fn partition_sizes(hana: &HanaPlatform, table: &str) -> Vec<usize> {
+    match hana.catalog().table(table).unwrap().source {
+        TableSource::Distributed(dt) => dt.nodes().iter().map(|n| n.row_count()).collect(),
+        _ => panic!("'{table}' is not distributed"),
+    }
 }
 
 fn dist_count(copy: &Path) -> usize {
     let (hana, _) = HanaPlatform::open_durable_with(copy, WalConfig::default()).unwrap();
+    count_d(&hana)
+}
+
+fn count_d(hana: &HanaPlatform) -> usize {
     let s = hana.connect("SYSTEM", "manager").unwrap();
     if !hana.catalog().has_table("d") {
         return 0;
@@ -332,7 +346,7 @@ fn check_dist_matrix(src: &Path, valid_counts: &[usize], points: impl Iterator<I
 #[test]
 fn dist_crash_matrix_sampled() {
     let dir = scratch("dist");
-    let counts = run_dist_workload(&dir);
+    let (counts, _) = run_dist_workload(&dir);
     let (_, total) = coordinator_segments(&dir);
     let step = (total / 40).max(1);
     let points = (0..=total).step_by(step as usize).chain([total]);
@@ -344,20 +358,23 @@ fn dist_crash_matrix_sampled() {
 #[ignore = "exhaustive every-byte matrix; run via the crash-torture CI lane"]
 fn dist_crash_matrix_exhaustive() {
     let dir = scratch("dist-full");
-    let counts = run_dist_workload(&dir);
+    let (counts, _) = run_dist_workload(&dir);
     let (_, total) = coordinator_segments(&dir);
     check_dist_matrix(&dir, &counts, 0..=total);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn dist_recovery_from_log_alone_redoes_partition_rows() {
+fn dist_recovery_from_log_alone_restores_every_partition() {
     let dir = scratch("dist-nockpt");
-    let counts = run_dist_workload(&dir);
+    let (counts, sizes) = run_dist_workload(&dir);
+    // The coordinator log is the only log: nothing is written beside it
+    // for the partitions.
+    assert!(!dir.join("dist").exists(), "a load wrote under dist/");
     // Crash semantics allow losing the checkpoint sidecars (they are
     // only an optimization): with every sidecar gone, recovery must
-    // rebuild the full state from the coordinator log's DISTLOAD
-    // markers by redoing rows out of the partition logs.
+    // rebuild the full state from the coordinator log's `bulk` records,
+    // each row back on its home partition.
     let copy = scratch("dist-nockpt-copy");
     copy_dir(&dir, &copy);
     for entry in std::fs::read_dir(&copy).unwrap() {
@@ -366,61 +383,53 @@ fn dist_recovery_from_log_alone_redoes_partition_rows() {
             std::fs::remove_file(p).unwrap();
         }
     }
-    let redo_before = hana_data_platform::obs::registry()
-        .counter("hana_dist_partition_redo_rows_total")
-        .get();
-    assert_eq!(dist_count(&copy), *counts.last().unwrap());
-    let redo_after = hana_data_platform::obs::registry()
-        .counter("hana_dist_partition_redo_rows_total")
-        .get();
-    assert!(
-        redo_after >= redo_before + *counts.last().unwrap() as u64,
-        "recovery did not redo rows from the partition logs"
-    );
+    let (hana, _) = HanaPlatform::open_durable_with(&copy, WalConfig::default()).unwrap();
+    assert_eq!(count_d(&hana), *counts.last().unwrap());
+    assert_eq!(partition_sizes(&hana, "d"), sizes);
+    drop(hana);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&copy).ok();
 }
 
+/// A crash anywhere inside the last distributed batch — at every byte
+/// from the end of batch 4's commit record up to the end of batch 5's —
+/// reopens with exactly batch 4's rows or refuses to open: a torn
+/// `bulk` record fails its frame checksum, so no cut recovers part of a
+/// batch. The cut at the end of batch 5's commit record recovers it all.
 #[test]
-fn torn_partition_log_tails_recover_to_the_previous_batch() {
+fn a_torn_last_distributed_batch_recovers_the_previous_batch_or_refuses() {
     let dir = scratch("dist-torn");
-    let counts = run_dist_workload(&dir);
-    // Truncate the coordinator to just before the *last* load's commit
-    // record. The sync-before-commit protocol means partition rows of
-    // that load may or may not be on disk — tear their tails too.
-    let copy = scratch("dist-torn-copy");
-    copy_dir(&dir, &copy);
-    let wal = Wal::open_dir_with(&copy, WalConfig::default()).unwrap();
+    let (counts, _) = run_dist_workload(&dir);
+    let wal = Wal::open_dir_with(&dir, WalConfig::default()).unwrap();
     let records = wal.records().unwrap();
     let offsets = wal.record_end_offsets();
     drop(wal);
-    let last_commit = records
+    let commits: Vec<u64> = records
         .iter()
-        .rposition(|r| matches!(r, LogRecord::Commit { .. }))
-        .expect("workload committed");
-    let cut = offsets[last_commit - 1];
-    drop(records);
-    crashed_copy(&dir, &copy, cut);
-    for part in 0..4 {
-        let pdir = copy.join("dist").join("d").join(format!("part-{part:03}"));
-        for entry in std::fs::read_dir(&pdir).unwrap() {
-            let p = entry.unwrap().path();
-            if p.extension().is_some_and(|e| e == "seg") {
-                let len = std::fs::metadata(&p).unwrap().len();
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&p)
-                    .unwrap()
-                    .set_len(len.saturating_sub(7 + part * 9))
-                    .unwrap();
-            }
-        }
+        .zip(&offsets)
+        .filter(|(r, _)| matches!(r, LogRecord::Commit { .. }))
+        .map(|(_, &end)| end)
+        .collect();
+    let [.., batch4, batch5] = commits[..] else {
+        panic!("the workload committed fewer than two batches");
+    };
+    let (previous, last) = (counts[counts.len() - 2], counts[counts.len() - 1]);
+    let copy = scratch("dist-torn-copy");
+    let mut refused = 0;
+    for k in batch4..=batch5 {
+        crashed_copy(&dir, &copy, k);
+        let Ok((hana, _)) = HanaPlatform::open_durable_with(&copy, WalConfig::default()) else {
+            refused += 1;
+            continue;
+        };
+        let want = if k == batch5 { last } else { previous };
+        assert_eq!(
+            count_d(&hana),
+            want,
+            "crash at byte {k} of {batch4}..={batch5}"
+        );
     }
-    let recovered = dist_count(&copy);
-    assert!(
-        counts.contains(&recovered) && recovered < *counts.last().unwrap(),
-        "expected a strictly earlier batch boundary, got {recovered} of {counts:?}"
-    );
+    assert!(refused < batch5 - batch4, "every cut refused to open");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&copy).ok();
 }

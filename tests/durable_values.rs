@@ -2,8 +2,8 @@
 //! every value a table can hold comes back from a checkpoint and from
 //! log redo exactly as it went in. Redo applies typed records of row
 //! images (inserted and deleted rows, bulk loads and ingest epochs with
-//! their rows inline or in the partition logs) and never parses logged
-//! SQL; a log holding an older build's SQL or bulk markers is refused.
+//! their rows inline) and never parses logged SQL; a log holding an
+//! older build's SQL, bulk markers or partition-logged loads is refused.
 
 use std::path::{Path, PathBuf};
 
@@ -168,6 +168,7 @@ fn a_literal_backslash_n_is_not_turned_into_a_newline_by_redo() {
 #[test]
 fn a_log_in_an_older_format_is_refused_by_name() {
     use hana_data_platform::txn::{LogRecord, Wal};
+    use hana_data_platform::types::encode_record;
     let config = WalConfig::default();
     let refusal = |dir: &Path| {
         let err = HanaPlatform::open_durable_with(dir, config.clone())
@@ -175,12 +176,25 @@ fn a_log_in_an_older_format_is_refused_by_name() {
             .expect("an older format must not open");
         assert!(err.to_string().contains("older durable format"), "{err}");
     };
-    // The four bulk records of the previous format, committed.
+    // The four bulk records of the previous format and a typed `bulk`
+    // record whose rows an older build kept in per-partition logs,
+    // committed.
+    let partition_logged = encode_record(
+        &[
+            Value::from("bulk"),
+            Value::from("t"),
+            Value::Null,
+            Value::Int(0),
+            Value::Bool(false),
+        ],
+        &[],
+    );
     for (i, legacy) in [
         "LOAD\u{1}t\u{1}1\u{1f}a",
         "--DISTLOAD\u{1}t",
         "INGEST\u{1}feed\u{1}3\u{1}t\u{1}1\u{1f}a",
         "INGESTD\u{1}feed\u{1}3\u{1}t",
+        &partition_logged,
     ]
     .into_iter()
     .enumerate()
@@ -303,8 +317,8 @@ proptest! {
     /// Every table kind holds the same rows after a reopen from the
     /// checkpoint the last load barrier cut plus the log suffix, and
     /// after a reopen from the log alone: a bulk load into a local
-    /// table, a partitioned load (rows in the partition logs, a marker
-    /// in the coordinator log), a streaming-ingest epoch (after the
+    /// table, a partitioned load (its rows in the coordinator log's
+    /// `bulk` record, routed home by redo), a streaming-ingest epoch (after the
     /// last barrier, so it is redone from its record), a row table
     /// with a primary key, a table in extended storage, a hybrid table
     /// aged into hot and cold rows, a range-partitioned table (each row
