@@ -134,6 +134,8 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
                     left_key: 0,  // d.d_id
                     right_key: 0, // f.f_dim
                     kind: JoinKind::Inner,
+                    // The one-row dimension side is the table.
+                    build: hana_query::BuildSide::Left,
                     dist: hana_query::DistJoinStrategy::Repartition,
                 },
                 schema: joined,

@@ -25,7 +25,8 @@ static GLOBAL: OnceLock<Arc<ExecContext>> = OnceLock::new();
 /// histogram, and the `hana_exec_pool_utilization_permille` /
 /// `hana_exec_pool_queue_depth` gauges (refreshed by
 /// [`ExecContext::pool_metrics`], which
-/// `HanaPlatform::observability_snapshot` calls).
+/// `HanaPlatform::observability_snapshot` calls; utilization is over the
+/// interval since the previous refresh).
 pub struct ExecContext {
     config: ExecConfig,
     pool: Arc<WorkerPool>,

@@ -163,12 +163,14 @@ pub struct PoolMetricsSnapshot {
     /// Helper jobs currently queued.
     pub queue_depth: usize,
     /// Sum of the time runners (workers and callers) spent claiming and
-    /// running items, in nanoseconds.
+    /// running items since pool start, in nanoseconds.
     pub busy_nanos: u64,
     /// Wall-clock nanoseconds since pool start.
     pub wall_nanos: u64,
-    /// `busy / (wall * workers)`, capped at 1 — mean fraction of worker
-    /// time spent running items, callers' share included.
+    /// `busy / (wall * workers)` over the interval since the previous
+    /// snapshot (since pool start for the first), capped at 1 — mean
+    /// fraction of worker time spent running items in it, callers'
+    /// share included.
     pub utilization: f64,
 }
 
@@ -179,6 +181,8 @@ pub struct WorkerPool {
     handles: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
     workers: usize,
+    /// `(busy_nanos, wall_nanos)` of the previous snapshot.
+    last: Mutex<(u64, u64)>,
 }
 
 impl WorkerPool {
@@ -205,6 +209,7 @@ impl WorkerPool {
             handles: Mutex::new(handles),
             started: Instant::now(),
             workers,
+            last: Mutex::new((0, 0)),
         })
     }
 
@@ -276,11 +281,15 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Current utilization/load counters.
+    /// Current load counters, and the utilization since the previous
+    /// snapshot.
     pub fn metrics_snapshot(&self) -> PoolMetricsSnapshot {
         let busy_nanos = self.shared.busy_nanos.load(Ordering::Relaxed);
         let wall_nanos = self.started.elapsed().as_nanos() as u64;
-        let capacity = (wall_nanos as f64) * (self.workers as f64);
+        let (busy_then, wall_then) =
+            std::mem::replace(&mut *held(&self.last), (busy_nanos, wall_nanos));
+        let capacity = (wall_nanos.saturating_sub(wall_then) as f64) * (self.workers as f64);
+        let busy = busy_nanos.saturating_sub(busy_then) as f64;
         PoolMetricsSnapshot {
             workers: self.workers,
             tasks_executed: self.shared.tasks.load(Ordering::Relaxed),
@@ -288,7 +297,7 @@ impl WorkerPool {
             busy_nanos,
             wall_nanos,
             utilization: if capacity > 0.0 {
-                (busy_nanos as f64 / capacity).min(1.0)
+                (busy / capacity).min(1.0)
             } else {
                 0.0
             },
@@ -420,5 +429,31 @@ mod tests {
         assert_eq!(m.tasks_executed, 64);
         assert_eq!(m.queue_depth, 0);
         assert!(m.utilization >= 0.0 && m.utilization <= 1.0);
+    }
+
+    #[test]
+    fn utilization_covers_the_interval_since_the_previous_snapshot() {
+        let pool = WorkerPool::new(2);
+        std::thread::sleep(Duration::from_millis(50));
+        pool.metrics_snapshot();
+        pool.scatter((0..4).collect(), |_: usize| {
+            std::thread::sleep(Duration::from_millis(25))
+        });
+        // Helpers account their time just after their last item.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.shared.tasks.load(Ordering::Relaxed) < 4 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        let busy = pool.metrics_snapshot();
+        std::thread::sleep(Duration::from_millis(50));
+        let idle = pool.metrics_snapshot();
+        assert!(busy.utilization > 0.0, "{busy:?}");
+        assert_eq!(idle.utilization, 0.0, "nothing ran since the last snapshot");
+        assert_eq!(
+            idle.busy_nanos, busy.busy_nanos,
+            "busy time stays cumulative"
+        );
+        assert!(idle.wall_nanos > busy.wall_nanos);
     }
 }

@@ -4,9 +4,19 @@
 //! O(1) read) times one selectivity per pushed-down predicate — taken
 //! from the column's persisted synopsis when one covers it, and the
 //! predicate's default selectivity when none does, the same rule remote
-//! and function bindings use. Planning never reads table data.
+//! and function bindings use. The bounds a synopsis-covered column is
+//! held to (`>= a AND < b`, a `BETWEEN`) are one range, priced once: two
+//! bounds on one column are not independent. Planning never reads table
+//! data.
 
-use hana_columnar::{ColumnPredicate, TableStatistics};
+use hana_columnar::{ColumnPredicate, ColumnStats, TableStatistics};
+use hana_types::Value;
+
+/// The synopsis of a (possibly binding-qualified) column, if one covers it.
+fn column_stats<'s>(stats: Option<&'s TableStatistics>, col: &str) -> Option<&'s ColumnStats> {
+    let bare = col.rsplit('.').next().unwrap_or(col);
+    stats.and_then(|s| s.column(bare))
+}
 
 /// Selectivity (`0..=1`) of one pushed-down predicate on a (possibly
 /// binding-qualified) column.
@@ -15,23 +25,60 @@ pub(crate) fn selectivity(
     col: &str,
     pred: &ColumnPredicate,
 ) -> f64 {
-    let bare = col.rsplit('.').next().unwrap_or(col);
-    match stats.and_then(|s| s.column(bare)) {
+    match column_stats(stats, col) {
         Some(c) => c.selectivity(pred),
         None => pred.default_selectivity(),
     }
 }
 
+/// The lower and upper bound a range predicate holds its column to
+/// (inclusive or not, as the synopsis prices them alike).
+fn bounds(pred: &ColumnPredicate) -> Option<(Option<&Value>, Option<&Value>)> {
+    match pred {
+        ColumnPredicate::Gt(v) | ColumnPredicate::Ge(v) => Some((Some(v), None)),
+        ColumnPredicate::Lt(v) | ColumnPredicate::Le(v) => Some((None, Some(v))),
+        ColumnPredicate::Between(lo, hi) => Some((Some(lo), Some(hi))),
+        _ => None,
+    }
+}
+
 /// Estimated output rows of a scan over `live_rows` rows with the given
-/// pushed-down predicates.
+/// pushed-down predicates: each synopsis-covered column's bounds
+/// narrowed to one range (the greatest lower and least upper bound),
+/// every other predicate on its own.
 pub(crate) fn scan_estimate(
     live_rows: f64,
     stats: Option<&TableStatistics>,
     preds: &[(String, ColumnPredicate)],
 ) -> f64 {
-    let est = preds.iter().fold(live_rows, |est, (col, pred)| {
-        est * selectivity(stats, col, pred)
-    });
+    let mut est = live_rows;
+    let mut ranges: Vec<(&ColumnStats, Option<&Value>, Option<&Value>)> = Vec::new();
+    for (col, pred) in preds {
+        let Some(c) = column_stats(stats, col) else {
+            est *= pred.default_selectivity();
+            continue;
+        };
+        let Some((lo, hi)) = bounds(pred) else {
+            est *= c.selectivity(pred);
+            continue;
+        };
+        match ranges.iter_mut().find(|(r, ..)| std::ptr::eq(*r, c)) {
+            Some((_, l, h)) => {
+                *l = (*l).max(lo);
+                *h = match (*h, hi) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            None => ranges.push((c, lo, hi)),
+        }
+    }
+    for (c, lo, hi) in ranges {
+        est *= match c.row_count {
+            0 => 0.0,
+            n => c.estimate_range(lo, hi) / n as f64,
+        };
+    }
     est.max(if preds.is_empty() { 1.0 } else { 0.0 })
 }
 

@@ -16,9 +16,9 @@ use hana_sql::{Expr, JoinKind, Query, TableRef};
 use hana_types::{FxHashMap, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::catalog::{Catalog, TableSource};
-use crate::join::{hash_join, EquiJoin};
+use crate::join::{hash_join, BuildKeys, EquiJoin};
 use crate::plan::{
-    bind_predicate, bind_predicates, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
+    bind_predicate, bind_predicates, BuildSide, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
 };
 
 /// What one run of a plan reads besides the plan: where it executes,
@@ -139,8 +139,15 @@ pub fn execute_plan_bound(
 }
 
 fn run_node(run: &Run, plan: &PlanNode) -> Result<Batches> {
+    run_keyed(run, plan, None)
+}
+
+/// [`run_node`] with an inner join's build `keys` for the probe key at
+/// a position of the node's rows, which a `Filter` passes down and a
+/// `ColumnScan` leaf applies; any other operator runs without them.
+fn run_keyed(run: &Run, plan: &PlanNode, keys: Option<(usize, &BuildKeys)>) -> Result<Batches> {
     let span = hana_obs::span_with(|| span_name(&plan.op));
-    let out = run_operator(run, plan, &span)?;
+    let out = run_operator(run, plan, keys, &span)?;
     span.set_rows(out.rows() as u64);
     span.set_bytes_with(|| out.approx_bytes());
     Ok(out)
@@ -155,7 +162,12 @@ fn aligned(schema: &Schema, rs: ResultSet) -> Batches {
     }
 }
 
-fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Batches> {
+fn run_operator(
+    run: &Run,
+    plan: &PlanNode,
+    keys: Option<(usize, &BuildKeys)>,
+    span: &hana_obs::Span,
+) -> Result<Batches> {
     let &Run {
         exec,
         catalog,
@@ -179,7 +191,10 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             let t = t.read();
             span.attr("columns", projection.len() as u64);
             span.attr("table_columns", t.schema().len() as u64);
-            Ok(batches(column_leaf(run, &t, &plan.op, projection, span)?))
+            let keys = keys.map(|(at, keys)| (projection[at], keys));
+            Ok(batches(column_leaf(
+                run, &t, &plan.op, projection, keys, span,
+            )?))
         }
         PlanOp::RowScan { table, preds, .. } => {
             let TableSource::Row(t) = catalog.resolve_table(table)? else {
@@ -215,7 +230,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             // Hot partition: local column scan.
             let hot = hot.read();
             let every: Vec<usize> = (0..hot.schema().len()).collect();
-            let mut parts = column_leaf(run, &hot, &plan.op, &every, span)?;
+            let mut parts = column_leaf(run, &hot, &plan.op, &every, None, span)?;
             // Cold partition: pushdown scan at the extended store.
             let iq = catalog.iq_engine(&source)?;
             let named = bind_predicates(preds, values)?;
@@ -255,6 +270,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
             left_key,
             right_key,
             kind,
+            build,
             dist,
         } => {
             // Distributed fast path, when the planner chose it: the
@@ -267,14 +283,21 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                 span.attr("broadcast_join", 1);
                 return dist_broadcast_join(run, plan, r, span);
             }
-            let l = run_node(run, left)?;
-            let r = run_node(run, right)?;
+            let (built, probe) = match build {
+                BuildSide::Left => (left, right),
+                BuildSide::Right => (right, left),
+            };
+            let built = run_node(run, built)?;
             let on = EquiJoin {
                 left_key: *left_key,
                 right_key: *right_key,
                 kind: *kind,
+                build: *build,
             };
-            hash_join(exec, l, r, on, &plan.schema, span)
+            let (_, at) = on.keys();
+            let probe_with =
+                |keys: Option<&BuildKeys>| run_keyed(run, probe, keys.map(|k| (at, k)));
+            hash_join(exec, built, probe_with, on, &plan.schema, span)
         }
         PlanOp::NestedLoopJoin { left, right, on } => {
             let l = run_node(run, left)?;
@@ -343,13 +366,16 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                 catalog
                     .sda()
                     .execute_remote(source, &sub, &RemoteContext::snapshot(cid))?;
+            // The table goes over the local rows, whose keys reduced
+            // the remote ones.
             let on = EquiJoin {
                 left_key: *local_key,
                 right_key: *remote_key,
                 kind: JoinKind::Inner,
+                build: BuildSide::Left,
             };
             let reduced = Batches::from_rows(reduced.schema, reduced.rows);
-            hash_join(exec, l, reduced, on, &plan.schema, span)
+            hash_join(exec, l, |_| Ok(reduced), on, &plan.schema, span)
         }
         PlanOp::RelocateJoin {
             local,
@@ -421,7 +447,7 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
                 b.sel = select(pred, &b, &b.sel, values)?;
                 Ok(b)
             };
-            let inp = run_node(run, input)?.batches;
+            let inp = run_keyed(run, input, keys)?.batches;
             Ok(batches(
                 exec.scatter(inp, narrow)
                     .into_iter()
@@ -461,19 +487,28 @@ fn run_operator(run: &Run, plan: &PlanNode, span: &hana_obs::Span) -> Result<Bat
 /// A column-table leaf's rows in play as batches, the `projection`
 /// columns read as vids (main rows block by block, delta rows decoded),
 /// one batch per fragment of each piece of hits. A scan forks once: each
-/// morsel's task scans it ([`scan_leaf`]) and reads its own hits. An
-/// index seek's hits are cut into morsel-sized pieces, read in parallel
-/// when there is more than one.
+/// morsel's task scans it ([`scan_leaf`], with `keys`, an inner join's
+/// build keys for a table column, as one more predicate) and reads its
+/// own hits. An index seek's hits are cut into morsel-sized pieces, read
+/// in parallel when there is more than one.
 fn column_leaf(
     run: &Run,
     t: &ColumnTable,
     op: &PlanOp,
     projection: &[usize],
+    keys: Option<(usize, &BuildKeys)>,
     span: &hana_obs::Span,
 ) -> Result<Vec<Batch>> {
     let batches = |rows: &[u32]| leaf_batches(t, projection, rows);
     if let PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } = op {
-        return Ok(scan_leaf(run, t, preds, span, batches)?.concat());
+        let mut resolved = resolve_preds(t.schema(), preds, run.values)?;
+        if let Some((col, keys)) = keys {
+            if let Some(filter) = key_filter(t, col, keys) {
+                span.attr("key_filter", keys.len() as u64);
+                resolved.push((col, filter));
+            }
+        }
+        return Ok(scan_leaf(run, t, &resolved, span, batches)?.concat());
     }
     let hits = column_leaf_hits(run, t, op, span)?;
     let pieces: Vec<&[u32]> = hits.chunks(run.exec.config().morsel_rows.max(1)).collect();
@@ -658,22 +693,40 @@ fn bound_exprs(exprs: &[Expr], values: &[Value]) -> Result<Vec<Expr>> {
     exprs.iter().map(bind).collect()
 }
 
+/// The build keys of an inner join as a predicate on column `col` of
+/// `t`, weighed against the column's main and delta dictionaries
+/// ([`BuildKeys::filter`]).
+fn key_filter(t: &ColumnTable, col: usize, keys: &BuildKeys) -> Option<ColumnPredicate> {
+    let (main, delta) = (
+        t.main_column(col).dictionary(),
+        t.delta_column(col).dictionary(),
+    );
+    keys.filter(main.len() + delta.len(), || {
+        let values = || {
+            main.min()
+                .into_iter()
+                .chain(main.max())
+                .chain(delta.values())
+        };
+        Some((values().min()?.clone(), values().max()?.clone()))
+    })
+}
+
 /// A `ColumnScan` leaf's (or a `HybridScan`'s hot side's) one pass over
-/// `t` under `run`'s snapshot: its pushed-down predicates through the
+/// `t` under `run`'s snapshot: its resolved predicates through the
 /// table's morsel scan ([`ColumnTable::scan_morsels`]), and `f` applied,
 /// on the task that scanned each morsel, to the morsel's hit row ids,
 /// ascending; the results in morsel order.
 fn scan_leaf<T: Send>(
     run: &Run,
     t: &ColumnTable,
-    preds: &[PlanPredicate],
+    resolved: &[(usize, ColumnPredicate)],
     span: &hana_obs::Span,
     f: impl Fn(&[u32]) -> T + Sync,
 ) -> Result<Vec<T>> {
     span.attr("input_rows", t.row_count() as u64);
     span.set_workers(run.exec.config().workers as u64);
-    let resolved = resolve_preds(t.schema(), preds, run.values)?;
-    t.scan_morsels(run.exec, &resolved, run.cid, |m, hits| {
+    t.scan_morsels(run.exec, resolved, run.cid, |m, hits| {
         let mut ids = Vec::new();
         hits.extend_ids(m.start as u32, &mut ids);
         f(&ids)
@@ -695,7 +748,8 @@ pub(crate) fn column_leaf_hits(
     let &Run { cid, values, .. } = run;
     match op {
         PlanOp::ColumnScan { preds, .. } | PlanOp::HybridScan { preds, .. } => {
-            Ok(scan_leaf(run, t, preds, span, <[u32]>::to_vec)?.concat())
+            let resolved = resolve_preds(t.schema(), preds, values)?;
+            Ok(scan_leaf(run, t, &resolved, span, <[u32]>::to_vec)?.concat())
         }
         PlanOp::IndexSeek {
             index,
@@ -793,12 +847,14 @@ fn dist_broadcast_join(
         let b = Batches::from_rows(build_schema.clone(), build);
         // Each fragment-local join reports its own build and probe rows.
         let local = hana_obs::span_with(|| format!("hash_join[{}#p{node}]", dt.name()));
+        // The table goes over the broadcast copy.
         let on = EquiJoin {
             left_key: *left_key,
             right_key: *right_key,
             kind: *kind,
+            build: BuildSide::Right,
         };
-        let out = hash_join(run.exec, l, b, on, &join.schema, &local)?;
+        let out = hash_join(run.exec, b, |_| Ok(l), on, &join.schema, &local)?;
         local.set_rows(out.rows() as u64);
         joined_parts.push((node, out.into_result_set().rows));
     }

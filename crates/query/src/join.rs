@@ -1,27 +1,34 @@
 //! Equi hash join over column batches.
 //!
-//! The table goes over whichever input has fewer rows (a `LeftOuter`
-//! join always builds right, so unmatched left rows fall out of the
-//! probe): one `key -> first build row` map plus a `next` chain in build
-//! order, so output order is a function of the two inputs alone — probe
-//! order, then build order. A build side whose keys are all integers
-//! (or NULL) hashes them as integers; any other hashes by `Value`, and
-//! so does a probe value an integer table does not hold as one, so
-//! `Int(2)` meets `Double(2.0)`; NULL meets nothing. A probe key read
-//! from a dictionary smaller than the rows in play that read it is
-//! looked up once per dictionary entry, into a `vid -> first build row`
-//! array, and its rows probe with one load each. The probe runs
-//! morsel-wise through `ExecContext::scatter`, and its output is a
-//! gather of both sides by `(probe, build)` row-index vectors; LEFT
-//! OUTER pads with NULLs.
+//! The planner fixes which input the table goes over
+//! ([`BuildSide`], from the two inputs' estimates; a `LeftOuter` join
+//! always builds right, so unmatched left rows fall out of the probe),
+//! and the build input runs first. The table is one `key -> first build
+//! row` map plus a `next` chain in build order, so output order is a
+//! function of the plan and the two inputs alone — probe order, then
+//! build order. A build side whose keys are all integers (or NULL)
+//! hashes them as integers; any other hashes by `Value`, and so does a
+//! probe value an integer table does not hold as one, so `Int(2)` meets
+//! `Double(2.0)`; NULL meets nothing. An inner join hands its probe
+//! input the table's distinct keys ([`BuildKeys`]), which a column leaf
+//! below it reads only the rows of that can match
+//! ([`BuildKeys::filter`]). A probe key read from a dictionary smaller
+//! than the rows in play that read it is looked up once per dictionary
+//! entry, into a `vid -> first build row` array, and its rows probe with
+//! one load each. The probe runs morsel-wise through
+//! `ExecContext::scatter`, and its output is a gather of both sides by
+//! `(probe, build)` row-index vectors; LEFT OUTER pads with NULLs.
 
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
+use hana_columnar::ColumnPredicate;
 use hana_exec::{ExecContext, Morsel};
 use hana_sql::batch::{Batch, Batches, Column, Dictionary, NULL_ROW};
 use hana_sql::JoinKind;
 use hana_types::{FxBuildHasher, FxHashMap, Result, Schema, Value};
+
+use crate::plan::BuildSide;
 
 /// `build_side` attribute of a `hash_join` span: the table went over
 /// the left input.
@@ -32,6 +39,14 @@ pub const BUILD_RIGHT: u64 = 1;
 
 /// End of a build-row chain.
 const END: u32 = NULL_ROW;
+
+/// The most build keys a key filter lists one by one; above it the
+/// filter is their range.
+const KEY_LIST_CAP: usize = 4_096;
+
+/// A key filter is built only when the build keys number at most one
+/// in this many of the probe column's dictionary entries.
+const KEYS_PER_ENTRY: usize = 4;
 
 /// `key -> first row` over keys in row order, NULLs (`None`) left out;
 /// `chain(row, next)` learns each keyed row's next row with its key.
@@ -166,40 +181,115 @@ fn value_keys(col: &Column) -> Vec<Option<Value>> {
     (0..col.len()).map(key).collect()
 }
 
-/// An equi-join condition: the key at `left_key` of the left rows
-/// equals the key at `right_key` of the right rows.
+/// The distinct non-NULL keys of a built table: an inner join's probe
+/// rows that hold none of them match nothing.
+pub(crate) struct BuildKeys<'t>(&'t Heads);
+
+impl BuildKeys<'_> {
+    /// How many distinct keys the build side holds.
+    pub(crate) fn len(&self) -> usize {
+        match self.0 {
+            Heads::Int(h) => h.len(),
+            Heads::Value(h) => h.len(),
+        }
+    }
+
+    /// The keys as a predicate on a probe column with `entries`
+    /// dictionary entries (main and delta): `None` when they number
+    /// more than a quarter of the entries, so the scan would drop too
+    /// few rows to pay for the filter. Otherwise a `Between` when the
+    /// keys are consecutive integers, an `InList` of up to
+    /// [`KEY_LIST_CAP`] keys, and above it their least and greatest; a
+    /// range that covers `range()`, the column's own least and greatest
+    /// value, is `None` too. Every row the filter drops holds NULL or a
+    /// value no key equals, so it joins nothing; an empty build side
+    /// drops every row.
+    pub(crate) fn filter(
+        &self,
+        entries: usize,
+        range: impl FnOnce() -> Option<(Value, Value)>,
+    ) -> Option<ColumnPredicate> {
+        let n = self.len();
+        if n * KEYS_PER_ENTRY > entries {
+            return None;
+        }
+        if n == 0 {
+            return Some(ColumnPredicate::InList(Vec::new()));
+        }
+        let (lo, hi, dense) = match self.0 {
+            Heads::Int(h) => {
+                let (&lo, &hi) = (h.keys().min()?, h.keys().max()?);
+                let dense = hi as i128 - lo as i128 + 1 == n as i128;
+                (Value::Int(lo), Value::Int(hi), dense)
+            }
+            Heads::Value(h) => (h.keys().min()?.clone(), h.keys().max()?.clone(), false),
+        };
+        if !dense && n <= KEY_LIST_CAP {
+            // Ascending integers: consecutive dictionary lookups share
+            // most of their search path.
+            let list = match self.0 {
+                Heads::Int(h) => {
+                    let mut keys: Vec<i64> = h.keys().copied().collect();
+                    keys.sort_unstable();
+                    keys.into_iter().map(Value::Int).collect()
+                }
+                Heads::Value(h) => h.keys().cloned().collect(),
+            };
+            return Some(ColumnPredicate::InList(list));
+        }
+        match range() {
+            Some((min, max)) if lo <= min && max <= hi => None,
+            _ => Some(ColumnPredicate::Between(lo, hi)),
+        }
+    }
+}
+
+/// An equi-join condition — the key at `left_key` of the left rows
+/// equals the key at `right_key` of the right rows — and the input the
+/// table goes over.
 pub(crate) struct EquiJoin {
     pub left_key: usize,
     pub right_key: usize,
     pub kind: JoinKind,
+    pub build: BuildSide,
 }
 
-/// Equi-join `l` and `r` into `left ++ right` rows of `out_schema`. The
-/// span reports `build_rows`, `probe_rows`, `build_side`
-/// ([`BUILD_LEFT`] / [`BUILD_RIGHT`]) and `probe_entries` (the probe
-/// key's dictionary entries looked up, 0 when every row probed itself).
+impl EquiJoin {
+    /// The key positions in the build and the probe input's rows.
+    pub(crate) fn keys(&self) -> (usize, usize) {
+        match self.build {
+            BuildSide::Left => (self.left_key, self.right_key),
+            BuildSide::Right => (self.right_key, self.left_key),
+        }
+    }
+}
+
+/// Equi-join `build`, the input `on.build` names, with the rows `probe`
+/// returns into `left ++ right` rows of `out_schema`. `probe` runs once
+/// the table is built and, for an inner join, is handed its keys. The span reports `build_rows`, `probe_rows`,
+/// `build_side` ([`BUILD_LEFT`] / [`BUILD_RIGHT`]) and `probe_entries`
+/// (the probe key's dictionary entries looked up, 0 when every row
+/// probed itself).
 pub(crate) fn hash_join(
     exec: &ExecContext,
-    l: Batches,
-    r: Batches,
+    build: Batches,
+    probe: impl FnOnce(Option<&BuildKeys>) -> Result<Batches>,
     on: EquiJoin,
     out_schema: &Schema,
     span: &hana_obs::Span,
 ) -> Result<Batches> {
-    let (kind, li, ri) = (on.kind, on.left_key, on.right_key);
-    let build_left = kind == JoinKind::Inner && l.rows() < r.rows();
-    let (build, bi, probe, pi) = match build_left {
-        true => (l, li, r, ri),
-        false => (r, ri, l, li),
-    };
-    span.attr("build_rows", build.rows() as u64);
+    let build_left = on.build == BuildSide::Left;
+    let (bi, pi) = on.keys();
+    let build = build.concat();
+    let table = Table::build(&build.columns[bi]);
+    let probe = probe((on.kind == JoinKind::Inner).then_some(&BuildKeys(&table.heads)))?;
+    span.attr("build_rows", build.len as u64);
     span.attr("probe_rows", probe.rows() as u64);
     span.attr(
         "build_side",
         if build_left { BUILD_LEFT } else { BUILD_RIGHT },
     );
-    let build = build.concat();
-    let outer = kind == JoinKind::LeftOuter;
+    let outer = on.kind == JoinKind::LeftOuter;
 
     // Probe morsels: slices of each probe batch's rows in play.
     let mut items = Vec::new();
@@ -215,7 +305,6 @@ pub(crate) fn hash_join(
         };
         Batch::new(columns, p.len())
     };
-    let table = Table::build(&build.columns[bi]);
     let entries = probe_entries(exec, &table, &probe, pi, span);
     let batches = exec.scatter(items, |(i, rows)| {
         let b = &probe.batches[i];

@@ -35,8 +35,8 @@ pub use hana_types::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{BUILD_LEFT, BUILD_RIGHT};
 pub use locate::{locate_rows, Located};
 pub use plan::{
-    bind_predicates, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,
-    PlanPredicate,
+    bind_predicates, BuildSide, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode,
+    PlanOp, PlanPredicate,
 };
 pub use planner::Planner;
 pub use stats::{MemoryStatsProvider, NoStats, StatsProvider, NO_STATS};

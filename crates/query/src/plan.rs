@@ -116,6 +116,26 @@ impl EstSource {
     }
 }
 
+/// The input of a hash join its table goes over, fixed by the planner
+/// from the two inputs' estimates; the other input probes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildSide {
+    /// The table goes over the left input.
+    Left,
+    /// The table goes over the right input.
+    Right,
+}
+
+impl BuildSide {
+    /// Display name used in EXPLAIN.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BuildSide::Left => "left",
+            BuildSide::Right => "right",
+        }
+    }
+}
+
 /// How a hash join above a distributed probe side moves data — decided
 /// at plan time from the two sides' estimated rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,9 +269,9 @@ pub enum PlanOp {
     },
     /// In-memory hash join (equi).
     HashJoin {
-        /// Build side.
+        /// Left input.
         left: Box<PlanNode>,
-        /// Probe side.
+        /// Right input.
         right: Box<PlanNode>,
         /// Join key position in the left rows.
         left_key: usize,
@@ -259,6 +279,9 @@ pub enum PlanOp {
         right_key: usize,
         /// Join kind.
         kind: JoinKind,
+        /// The input the table goes over (`Right` for a `LeftOuter`
+        /// join); it runs first.
+        build: BuildSide,
         /// Exchange strategy when the probe side is distributed
         /// (ignored for purely local joins).
         dist: DistJoinStrategy,
@@ -489,6 +512,7 @@ impl PlanNode {
                 left_key,
                 right_key,
                 kind,
+                build,
                 dist,
             } => {
                 let k = match kind {
@@ -506,9 +530,10 @@ impl PlanNode {
                     indent,
                     out,
                     &format!(
-                        "Hash Join ({k}) ON {} = {}{xch} ({})",
+                        "Hash Join ({k}) ON {} = {}, build {}{xch} ({})",
                         left.schema.column(*left_key).name,
                         right.schema.column(*right_key).name,
+                        build.name(),
                         self.est_label()
                     ),
                 );

@@ -21,8 +21,9 @@
 //! [`StatsProvider`](crate::StatsProvider)'s synopsis where one covers
 //! the column, the predicate's default selectivity where none does),
 //! equi-joins from key distinct-counts (containment assumption), and
-//! distributed joins pick broadcast-vs-repartition from those estimates
-//! at plan time. Table data is never read, and no setting outside the
+//! every hash join's build side and a distributed join's
+//! broadcast-vs-repartition exchange are picked from those estimates at
+//! plan time. Table data is never read, and no setting outside the
 //! [`PlannerContext`] is consulted. Every estimate carries an
 //! [`EstSource`] marker: `stats` when a synopsis backed it,
 //! `heuristic` when only row counts and default selectivities did.
@@ -54,8 +55,8 @@ use crate::context::PlannerContext;
 use crate::cost::{CostModel, JoinSituation};
 use crate::estimator;
 use crate::plan::{
-    bind_predicates, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode, PlanOp,
-    PlanPredicate,
+    bind_predicates, BuildSide, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode,
+    PlanOp, PlanPredicate,
 };
 
 /// The planner.
@@ -1163,6 +1164,12 @@ impl<'a> Planner<'a> {
             )
         };
         let dist = self.dist_join_strategy(&left, &right);
+        // The table goes over the input estimated smaller; a LEFT OUTER
+        // join builds right, so unmatched left rows fall out of the probe.
+        let build = match kind == JoinKind::Inner && left.est_rows < right.est_rows {
+            true => BuildSide::Left,
+            false => BuildSide::Right,
+        };
         Ok(PlanNode {
             op: PlanOp::HashJoin {
                 left: Box::new(left),
@@ -1170,6 +1177,7 @@ impl<'a> Planner<'a> {
                 left_key,
                 right_key,
                 kind,
+                build,
                 dist,
             },
             schema,

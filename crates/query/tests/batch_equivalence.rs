@@ -20,11 +20,12 @@ use parking_lot::RwLock;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use hana_columnar::ColumnTable;
+use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_exec::{ExecConfig, ExecContext};
 use hana_iq::IqEngine;
 use hana_query::{
-    execute_plan_with, Catalog, DistJoinStrategy, EstSource, PlanNode, PlanOp, TableSource,
+    bind_predicates, execute_plan_with, BuildSide, Catalog, DistJoinStrategy, EstSource, Operand,
+    PlanNode, PlanOp, TableSource,
 };
 use hana_sda::SdaRegistry;
 use hana_sql::{evaluate, evaluate_predicate, parse_statement, Expr, JoinKind, Statement};
@@ -265,8 +266,20 @@ fn filtered(input: PlanNode, pred: Expr) -> PlanNode {
     )
 }
 
-fn join(cat: &TestCatalog, kind: JoinKind) -> PlanNode {
-    let (l, r) = (scan(cat, "a"), scan(cat, "b"));
+/// Table `name` read through a pushed-down predicate on its key.
+fn keyed_scan(cat: &TestCatalog, name: &str, pred: ColumnPredicate<Operand>) -> PlanNode {
+    let mut leaf = scan(cat, name);
+    if let PlanOp::ColumnScan { preds, .. } = &mut leaf.op {
+        preds.push(("k".into(), pred));
+    }
+    leaf
+}
+
+fn join(cat: &TestCatalog, kind: JoinKind, build: BuildSide) -> PlanNode {
+    join_of(scan(cat, "a"), scan(cat, "b"), kind, build)
+}
+
+fn join_of(l: PlanNode, r: PlanNode, kind: JoinKind, build: BuildSide) -> PlanNode {
     let schema = l.schema.join(&r.schema).unwrap();
     let op = PlanOp::HashJoin {
         left: Box::new(l),
@@ -274,6 +287,7 @@ fn join(cat: &TestCatalog, kind: JoinKind) -> PlanNode {
         left_key: 4,  // a.k
         right_key: 4, // b.k
         kind,
+        build,
         dist: DistJoinStrategy::Repartition,
     };
     node(op, schema)
@@ -343,7 +357,18 @@ fn rows(cat: &TestCatalog, name: &str) -> Vec<Row> {
 
 fn oracle(cat: &TestCatalog, plan: &PlanNode) -> Result<Vec<Row>> {
     match &plan.op {
-        PlanOp::ColumnScan { table, .. } => Ok(rows(cat, table)),
+        PlanOp::ColumnScan { table, preds, .. } => {
+            let schema = if table == "a" { &cat.a } else { &cat.b }
+                .read()
+                .schema()
+                .clone();
+            let preds = bind_predicates(preds, &[])?;
+            let holds = |r: &Row| {
+                let at = |c: &str| schema.index_of(c).expect("a column of the table");
+                preds.iter().all(|(c, p)| p.matches(&r[at(c)]))
+            };
+            Ok(rows(cat, table).into_iter().filter(holds).collect())
+        }
         PlanOp::Filter { input, pred } => {
             let pred = pred.resolve(&input.schema, &[])?;
             let mut kept = Vec::new();
@@ -523,12 +548,62 @@ proptest! {
     fn joins_match_the_row_oracle(seed in any::<u64>(), outer in any::<bool>()) {
         let mut rng = TestRng::deterministic(&format!("join-{seed}"));
         let cat = catalog(&mut rng);
-        let kind = if outer { JoinKind::LeftOuter } else { JoinKind::Inner };
-        check(&cat, &join(&cat, kind), "join");
+        // A LEFT OUTER join always builds right.
+        let (kind, build) = match (outer, seed.is_multiple_of(2)) {
+            (true, _) => (JoinKind::LeftOuter, BuildSide::Right),
+            (false, true) => (JoinKind::Inner, BuildSide::Left),
+            (false, false) => (JoinKind::Inner, BuildSide::Right),
+        };
+        check(&cat, &join(&cat, kind, build), "join");
         let sql = format!("({} OR {})", pred(&mut rng, 2, "a"), pred(&mut rng, 2, "b"));
-        check(&cat, &filtered(join(&cat, kind), expr(&sql)), &sql);
+        check(&cat, &filtered(join(&cat, kind, build), expr(&sql)), &sql);
         let (keys, aggs) = (random_keys(&mut rng, "b"), random_aggs(&mut rng, "a"));
         let what = format!("join GROUP BY {keys:?} {aggs:?}");
-        check(&cat, &aggregate(join(&cat, kind), keys, aggs), &what);
+        check(&cat, &aggregate(join(&cat, kind, build), keys, aggs), &what);
+    }
+
+    /// An inner join built on a side cut to one or two keys hands them
+    /// to the other side's leaf — under a `Filter` or not — as a key
+    /// filter: `Int` keys against `b.k`'s doubles, `Double` keys against
+    /// `a.k`'s integers.
+    #[test]
+    fn joins_built_on_few_keys_match_the_row_oracle(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(&format!("keys-{seed}"));
+        let cat = catalog(&mut rng);
+        let lit = |v: Value| Operand::Lit(v);
+        let int = |rng: &mut TestRng| Value::Int(rng.below(6) as i64);
+        let half = |rng: &mut TestRng| Value::Double(rng.below(9) as f64 / 2.0);
+        for _ in 0..3 {
+            let build_left = rng.below(2) == 0;
+            let key = if build_left { int } else { half };
+            let cut = match rng.below(3) {
+                0 => ColumnPredicate::Eq(lit(key(&mut rng))),
+                1 => ColumnPredicate::InList(vec![lit(key(&mut rng)), lit(key(&mut rng))]),
+                _ => {
+                    let lo = key(&mut rng);
+                    ColumnPredicate::Between(lit(lo.clone()), lit(lo))
+                }
+            };
+            // Filters that raise no error on any row: the key filter may
+            // keep a Filter from meeting a row the join discards.
+            let kept = pick(
+                &mut rng,
+                &["{p}.i IS NOT NULL", "({p}.d > 1 OR {p}.s LIKE 'a%')", "{p}.t >= DATE '1995-02-01'"],
+            );
+            let (built, probed, build) = match build_left {
+                true => ("a", "b", BuildSide::Left),
+                false => ("b", "a", BuildSide::Right),
+            };
+            let mut probe = scan(&cat, probed);
+            if rng.below(2) == 0 {
+                probe = filtered(probe, expr(&kept.replace("{p}", probed)));
+            }
+            let built = keyed_scan(&cat, built, cut.clone());
+            let plan = match build_left {
+                true => join_of(built, probe, JoinKind::Inner, build),
+                false => join_of(probe, built, JoinKind::Inner, build),
+            };
+            check(&cat, &plan, &format!("{cut:?} {build:?} {kept}"));
+        }
     }
 }

@@ -25,8 +25,8 @@ use proptest::test_runner::TestRng;
 use hana_columnar::{ColumnPredicate, ColumnTable};
 use hana_iq::IqEngine;
 use hana_query::{
-    execute_plan, Catalog, DistJoinStrategy, EstSource, Operand, PlanNode, PlanOp, PlannerContext,
-    TableFunction, TableSource,
+    execute_plan, BuildSide, Catalog, DistJoinStrategy, EstSource, Operand, PlanNode, PlanOp,
+    PlannerContext, TableFunction, TableSource,
 };
 use hana_sda::SdaRegistry;
 use hana_sql::finish::Epilogue;
@@ -115,7 +115,7 @@ fn arb_side(max: usize) -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-fn join_plan(kind: JoinKind) -> PlanNode {
+fn join_plan(kind: JoinKind, build: BuildSide) -> PlanNode {
     let leaf = |binding: &str| PlanNode {
         op: PlanOp::FunctionScan {
             binding: binding.into(),
@@ -135,6 +135,7 @@ fn join_plan(kind: JoinKind) -> PlanNode {
             left_key: 0,  // l.k
             right_key: 0, // r.k
             kind,
+            build,
             dist: DistJoinStrategy::Repartition,
         },
         est_rows: 1.0,
@@ -173,15 +174,20 @@ fn sorted(mut v: Vec<String>) -> Vec<String> {
 proptest! {
     #[test]
     fn hash_join_equals_nested_loop_on_either_build_side(
-        // Independent sizes: each side is the smaller one in some cases.
         l in arb_side(24),
         r in arb_side(24),
         outer in any::<bool>(),
+        build_left in any::<bool>(),
     ) {
-        let kind = if outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        // A LEFT OUTER join always builds right.
+        let (kind, build) = match (outer, build_left) {
+            (true, _) => (JoinKind::LeftOuter, BuildSide::Right),
+            (false, true) => (JoinKind::Inner, BuildSide::Left),
+            (false, false) => (JoinKind::Inner, BuildSide::Right),
+        };
         let want = nested_loop(&l, &r, kind);
         let cat = catalog(l, r, ColumnTable::new("t", Schema::of(&[("c0", DataType::Int)])));
-        let plan = join_plan(kind);
+        let plan = join_plan(kind, build);
         let first = execute_plan(&plan, &cat, 1).unwrap();
         let second = execute_plan(&plan, &cat, 1).unwrap();
         prop_assert_eq!(first.schema.len(), 4);
@@ -402,12 +408,12 @@ proptest! {
 
 // ---- per-entry probes ≡ nested loop ----
 
-/// `SELECT * FROM t JOIN r ON t.k = r.k` (or LEFT JOIN), `t`'s rows in
-/// play narrowed by `t.payload < below`: `t` is the probe side whenever
-/// it has more rows in play than `r` (always, for LEFT JOIN).
-fn probe_plan(kind: JoinKind, t_type: DataType, below: i64) -> PlanNode {
+/// `SELECT * FROM t JOIN r ON t.k = r.k` (or LEFT JOIN), built on `r`,
+/// `t`'s rows in play narrowed by `t.payload < below` at the leaf and,
+/// with `filter`, by a `Filter` between the leaf and the join.
+fn probe_plan(kind: JoinKind, t_type: DataType, below: i64, filter: Option<&str>) -> PlanNode {
     let t_schema = Schema::of(&[("t.k", t_type), ("t.payload", DataType::Int)]);
-    let t = PlanNode {
+    let mut t = PlanNode {
         op: PlanOp::ColumnScan {
             binding: "t".into(),
             table: "t".into(),
@@ -421,6 +427,23 @@ fn probe_plan(kind: JoinKind, t_type: DataType, below: i64) -> PlanNode {
         est_rows: 1.0,
         est_source: EstSource::Heuristic,
     };
+    if let Some(sql) = filter {
+        let Ok(Statement::Query(q)) = parse_statement(&format!("SELECT * FROM t WHERE {sql}"))
+        else {
+            panic!("not a query: {sql}")
+        };
+        let pred = q.filter.unwrap().positional(&t.schema).unwrap();
+        let schema = t.schema.clone();
+        t = PlanNode {
+            op: PlanOp::Filter {
+                pred,
+                input: Box::new(t),
+            },
+            schema,
+            est_rows: 1.0,
+            est_source: EstSource::Heuristic,
+        };
+    }
     let r = PlanNode {
         op: PlanOp::FunctionScan {
             binding: "r".into(),
@@ -439,6 +462,7 @@ fn probe_plan(kind: JoinKind, t_type: DataType, below: i64) -> PlanNode {
             left_key: 0,
             right_key: 0,
             kind,
+            build: BuildSide::Right,
             dist: DistJoinStrategy::Repartition,
         },
         est_rows: 1.0,
@@ -497,7 +521,7 @@ fn assert_probe(
         .collect();
     let want = nested_loop(&l, &r, kind);
     let cat = catalog(Vec::new(), r, t);
-    let (got, entries) = run_traced(&probe_plan(kind, t_type, below), &cat);
+    let (got, entries) = run_traced(&probe_plan(kind, t_type, below, None), &cat);
     assert_eq!(rendered(&got), rendered(&want), "{kind:?} {keys:?}");
     assert_eq!(entries > 0, per_entry, "probe_entries {entries}");
 }
@@ -552,5 +576,166 @@ fn a_dictionary_larger_than_the_rows_in_play_probes_per_row() {
         assert_probe(kind, DataType::Int, &keys, 300, &build, 40, false);
         // Main and delta: each dictionary is weighed against its rows.
         assert_probe(kind, DataType::Int, &keys, 20, &build, 40, false);
+    }
+}
+
+// ---- key filters ≡ nested loop ----
+
+/// A `Filter` between the probe leaf and the join: its SQL over `t`, and
+/// which payloads it keeps.
+type RowFilter<'a> = (&'a str, fn(i64) -> bool);
+
+/// One key-filter case: the inner join of `t` (`keys` of `t_type`, the
+/// first `main` merged, the rows with `payload < below` in play, read
+/// through `filter` when given) with `r` (`build` keys), built on `r`,
+/// equals the nested loop over `t`'s rows in play, row for row in order;
+/// `applied` says whether `t`'s leaf applied the build keys (its
+/// `key_filter` attribute). Returns the rows the leaf handed over.
+fn assert_keyed(
+    t_type: DataType,
+    keys: &[Value],
+    main: usize,
+    build: &[Value],
+    below: i64,
+    filter: Option<RowFilter>,
+    applied: bool,
+) -> usize {
+    let t = keyed_table(t_type, keys, main);
+    let kept = |i: i64| i < below && filter.is_none_or(|(_, keep)| keep(i));
+    let l: Vec<Row> = (keys.iter().enumerate())
+        .filter(|&(i, _)| kept(i as i64))
+        .map(|(i, k)| Row::from_values([k.clone(), Value::Int(i as i64)]))
+        .collect();
+    let r: Vec<Row> = (build.iter().enumerate())
+        .map(|(i, k)| Row::from_values([k.clone(), Value::Int(100 + i as i64)]))
+        .collect();
+    let want = nested_loop(&l, &r, JoinKind::Inner);
+    let cat = catalog(Vec::new(), r, t);
+    let plan = probe_plan(JoinKind::Inner, t_type, below, filter.map(|(sql, _)| sql));
+    let tracer = hana_obs::Tracer::new();
+    let got = {
+        let _installed = tracer.install();
+        execute_plan(&plan, &cat, 1).unwrap().rows
+    };
+    assert_eq!(
+        rendered(&got),
+        rendered(&want),
+        "{keys:?} against {build:?}"
+    );
+    let profile = tracer.profile();
+    let leaf = profile.find("column_scan[t]").expect("leaf span");
+    let key_filter = leaf.attrs.iter().find(|(n, _)| n == "key_filter");
+    assert_eq!(key_filter.is_some(), applied, "{}", profile.render());
+    let read = leaf.rows.expect("leaf rows") as usize;
+    if applied {
+        // The leaf keeps every row a build key can match, and drops some.
+        let can_match = |k: &Value| build.iter().any(|b| !b.is_null() && b == k);
+        let in_play =
+            (keys.iter().enumerate()).filter(|&(i, k)| (i as i64) < below && can_match(k));
+        assert!(read >= in_play.count(), "{}", profile.render());
+        assert!(
+            read < keys.len().min(below as usize),
+            "{}",
+            profile.render()
+        );
+    }
+    read
+}
+
+/// Distinct ints `0..n`, one a row, in a scrambled order.
+fn distinct_ints(n: i64) -> Vec<Value> {
+    (0..n).map(|i| Value::Int((i * 7_919) % n)).collect()
+}
+
+#[test]
+fn an_empty_or_all_null_build_side_reads_no_probe_row() {
+    let keys = ints(300, 150, 11);
+    for build in [vec![], vec![Value::Null; 3]] {
+        for main in [300, 170, 0] {
+            assert_eq!(
+                assert_keyed(DataType::Int, &keys, main, &build, 300, None, true),
+                0
+            );
+        }
+    }
+}
+
+#[test]
+fn build_keys_absent_from_the_probe_dictionary_read_no_probe_row() {
+    let keys = distinct_ints(200);
+    let build = [500, 900, -4, 1_000].map(Value::Int);
+    for main in [200, 0] {
+        assert_eq!(
+            assert_keyed(DataType::Int, &keys, main, &build, 200, None, true),
+            0
+        );
+    }
+}
+
+#[test]
+fn listed_and_dense_build_keys_filter_main_and_delta_rows() {
+    let keys = distinct_ints(400);
+    // Scattered keys (an IN list), then consecutive ones (a range), in
+    // the main fragment, across both, and only in the delta.
+    let scattered: Vec<Value> = (0..40).map(|i| Value::Int(i * 9 + 3)).collect();
+    let dense: Vec<Value> = (100..160).chain(100..110).map(Value::Int).collect();
+    for build in [&scattered, &dense] {
+        for main in [400, 250, 0] {
+            assert_keyed(DataType::Int, &keys, main, build, 400, None, true);
+        }
+    }
+}
+
+#[test]
+fn build_keys_above_the_cap_filter_by_their_range_unless_it_covers_the_column() {
+    // 20 000 distinct probe entries: up to 5 000 build keys pass the
+    // quarter, and over 4 096 only their least and greatest are kept.
+    // Rows in play are cut at the leaf so the nested loop stays small.
+    let keys = distinct_ints(20_000);
+    let odd: Vec<Value> = (0..4_500).map(|i| Value::Int(2 * i + 1)).collect();
+    assert_keyed(DataType::Int, &keys, 20_000, &odd, 400, None, true);
+    let mut covering: Vec<Value> = (0..4_500).map(|i| Value::Int(2 * i)).collect();
+    covering.push(Value::Int(19_999));
+    assert_keyed(DataType::Int, &keys, 20_000, &covering, 400, None, false);
+}
+
+#[test]
+fn build_keys_above_a_quarter_of_the_probe_dictionary_filter_nothing() {
+    let keys = distinct_ints(200);
+    let many: Vec<Value> = (0..51).map(|i| Value::Int(i * 3)).collect();
+    let quarter: Vec<Value> = (0..50).map(|i| Value::Int(i * 3)).collect();
+    assert_keyed(DataType::Int, &keys, 200, &many, 200, None, false);
+    assert_keyed(DataType::Int, &keys, 200, &quarter, 200, None, true);
+}
+
+#[test]
+fn integer_build_keys_meet_double_probe_keys_and_the_reverse() {
+    // Halves 0.0 .. 149.5 and -0.0: an integer key meets its double,
+    // and a dense integer range lets halves through for the join to drop.
+    let mut halves: Vec<Value> = (0..300).map(|i| Value::Double(i as f64 / 2.0)).collect();
+    halves[0] = Value::Double(-0.0);
+    for build in [vec![2, 0, 7, 400], vec![10, 11, 12, 13]] {
+        let build: Vec<Value> = build.into_iter().map(Value::Int).collect();
+        for main in [300, 120, 0] {
+            assert_keyed(DataType::Double, &halves, main, &build, 300, None, true);
+        }
+    }
+    let keys = distinct_ints(200);
+    let doubles = [2.0, 3.5, -0.0, 150.0].map(Value::Double);
+    let mixed = [Value::Double(4.0), Value::Int(5), Value::Double(6.5)];
+    for build in [&doubles[..], &mixed[..]] {
+        for main in [200, 90, 0] {
+            assert_keyed(DataType::Int, &keys, main, build, 200, None, true);
+        }
+    }
+}
+
+#[test]
+fn a_filter_between_the_join_and_the_leaf_passes_the_build_keys_down() {
+    let keys = distinct_ints(300);
+    let build: Vec<Value> = (0..30).map(|i| Value::Int(i * 11)).collect();
+    let filter: RowFilter = ("t.payload > 20", |i| i > 20);
+    for main in [300, 100, 0] {
+        assert_keyed(DataType::Int, &keys, main, &build, 300, Some(filter), true);
     }
 }

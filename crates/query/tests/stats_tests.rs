@@ -223,6 +223,31 @@ proptest! {
     }
 }
 
+/// Two bounds on one synopsis-covered column are one range, priced
+/// once; bounds on two columns stay independent.
+#[test]
+fn two_bounds_on_one_column_are_priced_as_one_range() {
+    let mut cat = StatsCatalog::new();
+    // `k = v = i` for i in 0..1000: a tenth of the rows lie in [100, 200).
+    let t = column_table("t", 1_000, 1_000);
+    cat.stats.put(t.collect_statistics());
+    cat.tables
+        .insert("t".into(), TableSource::Column(Arc::new(RwLock::new(t))));
+    let est = |sql: &str| plan(&cat, sql).est_rows;
+    let range = est("SELECT v FROM t WHERE v >= 100 AND v < 200");
+    // As independent selectivities: 0.9 x 0.2 x 1000 = 180.
+    assert!((80.0..=120.0).contains(&range), "est {range}");
+    assert_eq!(range, est("SELECT v FROM t WHERE v BETWEEN 100 AND 200"));
+    assert_eq!(
+        range,
+        est("SELECT v FROM t WHERE v < 200 AND v >= 50 AND v > 100")
+    );
+    let one_sided = est("SELECT v FROM t WHERE v >= 100 AND v >= 500");
+    assert!((450.0..=550.0).contains(&one_sided), "est {one_sided}");
+    let two_columns = est("SELECT v FROM t WHERE k < 500 AND v >= 500");
+    assert!((200.0..=300.0).contains(&two_columns), "est {two_columns}");
+}
+
 // ---------------------------------------------------------------------
 // Greedy join ordering.
 // ---------------------------------------------------------------------
