@@ -143,8 +143,9 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
                 est_source: EstSource::Heuristic,
             }
         }
-        FederationStrategy::SemiJoin => PlanNode {
-            op: PlanOp::SemiJoin {
+        strategy => PlanNode {
+            op: PlanOp::RemoteJoin {
+                strategy,
                 local: Box::new(local),
                 local_key: 0, // d.d_id
                 source: "iq".into(),
@@ -157,21 +158,6 @@ fn strategy_plan(cat: &BenchCatalog, strategy: FederationStrategy) -> PlanNode {
             est_rows: 100.0,
             est_source: EstSource::Heuristic,
         },
-        FederationStrategy::TableRelocation => PlanNode {
-            op: PlanOp::RelocateJoin {
-                local: Box::new(local),
-                local_key: 0, // d.d_id
-                source: "iq".into(),
-                remote_table: "fact".into(),
-                remote_preds: Vec::<Expr>::new(),
-                remote_key: 0, // f_dim
-                remote_binding: "f".into(),
-            },
-            schema: joined,
-            est_rows: 100.0,
-            est_source: EstSource::Heuristic,
-        },
-        FederationStrategy::UnionPlan => unreachable!("not a join strategy"),
     }
 }
 

@@ -4,49 +4,33 @@
 //! access to the extended storage" and §4.2: "the plan generator attempts
 //! to minimize both the amount of transferred data and the response time
 //! of the query". Costs are unit-less; only their ratios matter for
-//! strategy choice.
+//! strategy choice, so the unit costs are constants.
+
+use hana_sda::CapabilitySet;
 
 use crate::plan::FederationStrategy;
 
-/// Tunable cost constants.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Processing one local row.
-    pub local_row: f64,
-    /// Transferring one row from a remote source to HANA.
-    pub transfer_row: f64,
-    /// Shipping one row *to* a remote source (temp-table load).
-    pub ship_row: f64,
-    /// Fixed cost of one remote round trip.
-    pub remote_request: f64,
-    /// Executing one row remotely (scan/join work at the source).
-    pub remote_row: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            local_row: 1.0,
-            transfer_row: 20.0,
-            ship_row: 25.0,
-            remote_request: 500.0,
-            remote_row: 2.0,
-        }
-    }
-}
+/// Processing one local row.
+const LOCAL_ROW: f64 = 1.0;
+/// Transferring one row from a remote source to HANA.
+const TRANSFER_ROW: f64 = 20.0;
+/// Shipping one row *to* a remote source (temp-table load).
+const SHIP_ROW: f64 = 25.0;
+/// Fixed cost of one remote round trip.
+const REMOTE_REQUEST: f64 = 500.0;
+/// Executing one row remotely (scan/join work at the source).
+const REMOTE_ROW: f64 = 2.0;
 
 /// Inputs to a remote-join strategy decision.
 ///
-/// With persisted statistics the planner fills the widths from average
-/// row bytes and the key distinct-counts from the column synopses;
-/// without them it falls back to column-count width proxies and leaves
-/// the distinct-counts at `0.0` (unknown).
+/// With persisted statistics the planner fills the local width from
+/// average row bytes and the local key's distinct count from its
+/// synopsis; without them it falls back to the column count and leaves
+/// the distinct count at `0.0` (unknown).
 #[derive(Debug, Clone, Copy)]
-pub struct JoinSituation {
+pub(crate) struct JoinSituation {
     /// Estimated rows of the (already filtered) local side.
     pub local_rows: f64,
-    /// Total rows of the remote table.
-    pub remote_total: f64,
     /// Estimated rows of the remote table after pushed-down predicates.
     pub remote_filtered: f64,
     /// Estimated join output rows.
@@ -58,81 +42,69 @@ pub struct JoinSituation {
     pub remote_width: f64,
     /// Distinct join-key values on the local side (`0.0` = unknown).
     pub local_key_ndv: f64,
-    /// Distinct join-key values on the remote side (`0.0` = unknown).
-    pub remote_key_ndv: f64,
 }
 
-impl Default for JoinSituation {
-    fn default() -> Self {
-        JoinSituation {
-            local_rows: 0.0,
-            remote_total: 0.0,
-            remote_filtered: 0.0,
-            join_out: 0.0,
-            local_width: 1.0,
-            remote_width: 1.0,
-            local_key_ndv: 0.0,
-            remote_key_ndv: 0.0,
-        }
-    }
+/// A width in column-equivalents as a share of a four-column row.
+fn width(w: f64) -> f64 {
+    (w / 4.0).max(0.25)
 }
 
-impl CostModel {
-    /// Cost of evaluating one strategy in the given situation.
-    pub fn strategy_cost(&self, s: FederationStrategy, j: &JoinSituation) -> f64 {
-        let width = |w: f64| (w / 4.0).max(0.25);
-        match s {
-            // Pull the filtered remote rows, join locally.
-            FederationStrategy::RemoteScan => {
-                self.remote_request
-                    + j.remote_filtered * self.remote_row
-                    + j.remote_filtered * self.transfer_row * width(j.remote_width)
-                    + (j.local_rows + j.remote_filtered) * self.local_row
-            }
-            // Ship local keys, remote reduces, pull reduced rows.
-            FederationStrategy::SemiJoin => {
-                // Shipped keys are distinct: the synopsis count when
-                // known, else the row count as an upper bound.
-                let keys = if j.local_key_ndv > 0.0 {
-                    j.local_key_ndv.min(j.local_rows)
-                } else {
-                    j.local_rows
-                };
-                let reduced = j.join_out.min(j.remote_filtered);
-                2.0 * self.remote_request
-                    + keys * self.ship_row * 0.25 // keys are narrow
-                    + j.remote_filtered * self.remote_row
-                    + reduced * self.transfer_row * width(j.remote_width)
-                    + (j.local_rows + reduced) * self.local_row
-            }
-            // Ship whole local rows; remote joins; pull wide results.
-            FederationStrategy::TableRelocation => {
-                2.0 * self.remote_request
-                    + j.local_rows * self.ship_row * width(j.local_width)
-                    + (j.remote_filtered + j.local_rows) * self.remote_row
-                    + j.join_out * self.transfer_row * width(j.local_width + j.remote_width)
-            }
-            // Hybrid scans: both partitions read with the same preds.
-            FederationStrategy::UnionPlan => {
-                self.remote_request
-                    + j.remote_filtered * (self.remote_row + self.transfer_row)
-                    + j.local_rows * self.local_row
-            }
-        }
+impl JoinSituation {
+    /// Pull the filtered remote rows, join locally.
+    fn remote_scan(&self) -> f64 {
+        REMOTE_REQUEST
+            + self.remote_filtered * REMOTE_ROW
+            + self.remote_filtered * TRANSFER_ROW * width(self.remote_width)
+            + (self.local_rows + self.remote_filtered) * LOCAL_ROW
     }
 
-    /// Pick the cheapest of the given strategies; returns
-    /// `(strategy, cost)`.
-    pub fn pick(
-        &self,
-        options: &[FederationStrategy],
-        j: &JoinSituation,
-    ) -> (FederationStrategy, f64) {
-        options
-            .iter()
-            .map(|&s| (s, self.strategy_cost(s, j)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one strategy")
+    /// Ship the local keys, the remote reduces, pull the reduced rows.
+    fn semijoin(&self) -> f64 {
+        // Shipped keys are distinct: the synopsis count when known, else
+        // the row count as an upper bound.
+        let keys = if self.local_key_ndv > 0.0 {
+            self.local_key_ndv.min(self.local_rows)
+        } else {
+            self.local_rows
+        };
+        let reduced = self.join_out.min(self.remote_filtered);
+        2.0 * REMOTE_REQUEST
+            + keys * SHIP_ROW * 0.25 // keys are narrow
+            + self.remote_filtered * REMOTE_ROW
+            + reduced * TRANSFER_ROW * width(self.remote_width)
+            + (self.local_rows + reduced) * LOCAL_ROW
+    }
+
+    /// Ship the whole local rows, the remote joins, pull the wide result.
+    fn relocation(&self) -> f64 {
+        2.0 * REMOTE_REQUEST
+            + self.local_rows * SHIP_ROW * width(self.local_width)
+            + (self.remote_filtered + self.local_rows) * REMOTE_ROW
+            + self.join_out * TRANSFER_ROW * width(self.local_width + self.remote_width)
+    }
+
+    /// The cheapest of a remote scan and of what else a source with
+    /// `caps` can run: a semijoin, a table relocation. A tie goes to the
+    /// one named first.
+    pub(crate) fn pick(&self, caps: &CapabilitySet) -> FederationStrategy {
+        let offered = [
+            (FederationStrategy::RemoteScan, true, self.remote_scan()),
+            (
+                FederationStrategy::SemiJoin,
+                caps.cap_semi_join,
+                self.semijoin(),
+            ),
+            (
+                FederationStrategy::TableRelocation,
+                caps.cap_joins,
+                self.relocation(),
+            ),
+        ];
+        let offered = offered.into_iter().filter(|&(_, ok, _)| ok);
+        let (strategy, ..) = offered
+            .min_by(|a, b| a.2.total_cmp(&b.2))
+            .expect("a remote scan is always offered");
+        strategy
     }
 }
 
@@ -144,81 +116,69 @@ mod tests {
     /// row; the remote table is large. The semijoin must win.
     #[test]
     fn selective_local_side_picks_semijoin() {
-        let m = CostModel::default();
         let j = JoinSituation {
             local_rows: 1.0,
-            remote_total: 1_000_000.0,
             remote_filtered: 1_000_000.0,
             join_out: 10.0,
             local_width: 4.0,
             remote_width: 8.0,
-            ..JoinSituation::default()
+            local_key_ndv: 0.0,
         };
-        let (s, _) = m.pick(
-            &[
-                FederationStrategy::RemoteScan,
-                FederationStrategy::SemiJoin,
-                FederationStrategy::TableRelocation,
-            ],
-            &j,
-        );
-        assert_eq!(s, FederationStrategy::SemiJoin);
+        assert_eq!(j.pick(&CapabilitySet::iq()), FederationStrategy::SemiJoin);
     }
 
     /// A heavily filtered remote side that is small after pushdown makes
     /// the plain remote scan cheapest.
     #[test]
     fn small_filtered_remote_picks_remote_scan() {
-        let m = CostModel::default();
         let j = JoinSituation {
             local_rows: 100_000.0,
-            remote_total: 1_000_000.0,
             remote_filtered: 50.0,
             join_out: 50.0,
             local_width: 4.0,
             remote_width: 4.0,
-            ..JoinSituation::default()
+            local_key_ndv: 0.0,
         };
-        let (s, _) = m.pick(
-            &[
-                FederationStrategy::RemoteScan,
-                FederationStrategy::SemiJoin,
-                FederationStrategy::TableRelocation,
-            ],
-            &j,
-        );
-        assert_eq!(s, FederationStrategy::RemoteScan);
+        assert_eq!(j.pick(&CapabilitySet::iq()), FederationStrategy::RemoteScan);
     }
 
-    /// With a moderately small local side, a huge unfiltered remote side
-    /// and a tiny join result, relocation beats pulling and key-shipping
-    /// when the reduced transfer dominates.
+    /// A source that can run neither a semijoin nor a join is read by a
+    /// remote scan, however cheap the others would be.
+    #[test]
+    fn a_source_without_joins_is_scanned() {
+        let j = JoinSituation {
+            local_rows: 1.0,
+            remote_filtered: 1_000_000.0,
+            join_out: 10.0,
+            local_width: 4.0,
+            remote_width: 8.0,
+            local_key_ndv: 0.0,
+        };
+        let caps = CapabilitySet {
+            cap_semi_join: false,
+            cap_joins: false,
+            ..CapabilitySet::iq()
+        };
+        assert_eq!(j.pick(&caps), FederationStrategy::RemoteScan);
+    }
+
+    /// Every strategy costs more with more remote rows.
     #[test]
     fn costs_are_monotonic_in_transfer_volume() {
-        let m = CostModel::default();
         let small = JoinSituation {
             local_rows: 10.0,
-            remote_total: 10_000.0,
             remote_filtered: 10_000.0,
             join_out: 10.0,
             local_width: 2.0,
             remote_width: 4.0,
-            ..JoinSituation::default()
+            local_key_ndv: 0.0,
         };
         let big = JoinSituation {
             remote_filtered: 1_000_000.0,
-            remote_total: 1_000_000.0,
             ..small
         };
-        for s in [
-            FederationStrategy::RemoteScan,
-            FederationStrategy::SemiJoin,
-            FederationStrategy::TableRelocation,
-        ] {
-            assert!(
-                m.strategy_cost(s, &big) > m.strategy_cost(s, &small),
-                "{s:?} must cost more with more remote rows"
-            );
-        }
+        assert!(big.remote_scan() > small.remote_scan());
+        assert!(big.semijoin() > small.semijoin());
+        assert!(big.relocation() > small.relocation());
     }
 }

@@ -18,7 +18,8 @@ use hana_types::{FxHashMap, HanaError, Result, ResultSet, Row, Schema, Value};
 use crate::catalog::{Catalog, TableSource};
 use crate::join::{hash_join, BuildKeys, EquiJoin};
 use crate::plan::{
-    bind_predicate, bind_predicates, BuildSide, DistJoinStrategy, PlanNode, PlanOp, PlanPredicate,
+    bind_predicate, bind_predicates, BuildSide, DistJoinStrategy, FederationStrategy, PlanNode,
+    PlanOp, PlanPredicate,
 };
 
 /// What one run of a plan reads besides the plan: where it executes,
@@ -57,13 +58,6 @@ pub fn execute_query_with(
     execute_plan_with(exec, &plan, catalog, cid)
 }
 
-/// Render the plan for a query (EXPLAIN).
-pub fn explain_query(q: &Query, catalog: &dyn Catalog, cid: u64) -> Result<String> {
-    let _ = cid;
-    let plan = crate::PlannerContext::new(catalog).planner().plan(q)?;
-    Ok(plan.explain())
-}
-
 /// Execute a physical plan using the process-wide [`ExecContext`].
 pub fn execute_plan(plan: &PlanNode, catalog: &dyn Catalog, cid: u64) -> Result<ResultSet> {
     execute_plan_with(ExecContext::global(), plan, catalog, cid)
@@ -81,8 +75,12 @@ pub(crate) fn span_name(op: &PlanOp) -> String {
         PlanOp::FunctionScan { function, .. } => format!("function_scan[{function}]"),
         PlanOp::HashJoin { .. } => "hash_join".into(),
         PlanOp::NestedLoopJoin { .. } => "nested_loop_join".into(),
-        PlanOp::SemiJoin { source, .. } => format!("semi_join[{source}]"),
-        PlanOp::RelocateJoin { source, .. } => format!("relocate_join[{source}]"),
+        PlanOp::RemoteJoin {
+            strategy: FederationStrategy::SemiJoin,
+            source,
+            ..
+        } => format!("semi_join[{source}]"),
+        PlanOp::RemoteJoin { source, .. } => format!("relocate_join[{source}]"),
         PlanOp::Filter { .. } => "filter".into(),
         PlanOp::Aggregate { group_by, .. } => {
             if group_by.is_empty() {
@@ -319,7 +317,8 @@ fn run_operator(
             }
             Ok(batches(out))
         }
-        PlanOp::SemiJoin {
+        PlanOp::RemoteJoin {
+            strategy,
             local,
             local_key,
             source,
@@ -329,64 +328,47 @@ fn run_operator(
             remote_binding,
         } => {
             let l = run_node(run, local)?;
-            // Distinct non-null local join keys.
-            let mut keys: Vec<Value> = Vec::new();
-            for b in &l.batches {
-                let col = b.column(*local_key, &b.sel);
-                keys.extend(
-                    (0..col.len())
-                        .map(|j| col.get(j))
-                        .filter(|v| !v.is_null())
-                        .map(|v| v.into_owned()),
-                );
+            let preds = bound_exprs(remote_preds, values)?;
+            let key = remote_column(plan, local, *remote_key, remote_binding);
+            let remote = TableRef::Named {
+                name: remote_table.clone(),
+                alias: Some(remote_binding.clone()),
+            };
+            let rctx = RemoteContext::snapshot(cid);
+            if *strategy == FederationStrategy::SemiJoin {
+                // The table goes over the local rows; its distinct
+                // non-NULL keys reduce the remote table (the IN-clause
+                // variant of §3.1), and a table without keys makes no
+                // remote call.
+                let reduce = |keys: Option<&BuildKeys>| {
+                    let keys = keys.map(BuildKeys::ascending).unwrap_or_default();
+                    if keys.is_empty() {
+                        return Ok(Batches {
+                            schema: Schema::default(),
+                            batches: Vec::new(),
+                        });
+                    }
+                    let in_pred = Expr::InList {
+                        expr: Box::new(key),
+                        list: keys.into_iter().map(Expr::Literal).collect(),
+                        negated: false,
+                    };
+                    let sub = Query {
+                        from: Some(remote),
+                        filter: Some(preds.into_iter().fold(in_pred, |acc, p| acc.and(p))),
+                        ..Query::default()
+                    };
+                    let (reduced, _) = catalog.sda().execute_remote(source, &sub, &rctx)?;
+                    Ok(Batches::from_rows(reduced.schema, reduced.rows))
+                };
+                let on = EquiJoin {
+                    left_key: *local_key,
+                    right_key: *remote_key,
+                    kind: JoinKind::Inner,
+                    build: BuildSide::Left,
+                };
+                return hash_join(exec, l, reduce, on, &plan.schema, span);
             }
-            keys.sort();
-            keys.dedup();
-            if keys.is_empty() {
-                return Ok(batches(Vec::new()));
-            }
-            // Remote reduction: the IN-clause variant of §3.1.
-            let in_pred = Expr::InList {
-                expr: Box::new(remote_column(plan, local, *remote_key, remote_binding)),
-                list: keys.into_iter().map(Expr::Literal).collect(),
-                negated: false,
-            };
-            let filter = bound_exprs(remote_preds, values)?
-                .into_iter()
-                .fold(in_pred, |acc, p| acc.and(p));
-            let sub = Query {
-                from: Some(TableRef::Named {
-                    name: remote_table.clone(),
-                    alias: Some(remote_binding.clone()),
-                }),
-                filter: Some(filter),
-                ..Query::default()
-            };
-            let (reduced, _) =
-                catalog
-                    .sda()
-                    .execute_remote(source, &sub, &RemoteContext::snapshot(cid))?;
-            // The table goes over the local rows, whose keys reduced
-            // the remote ones.
-            let on = EquiJoin {
-                left_key: *local_key,
-                right_key: *remote_key,
-                kind: JoinKind::Inner,
-                build: BuildSide::Left,
-            };
-            let reduced = Batches::from_rows(reduced.schema, reduced.rows);
-            hash_join(exec, l, |_| Ok(reduced), on, &plan.schema, span)
-        }
-        PlanOp::RelocateJoin {
-            local,
-            local_key,
-            source,
-            remote_table,
-            remote_preds,
-            remote_key,
-            remote_binding,
-        } => {
-            let l = run_node(run, local)?;
             // Ship the local rows with bare column names.
             let bare: Vec<hana_types::ColumnDef> = l
                 .schema
@@ -399,10 +381,6 @@ fn run_operator(
                 })
                 .collect();
             let ship_schema = Schema::new(bare)?;
-            let filter = bound_exprs(remote_preds, values)?
-                .into_iter()
-                .reduce(|a, b| a.and(b));
-            let rctx = RemoteContext::snapshot(cid);
             let adapter = catalog.sda().source(source)?.adapter;
             let rows = l.into_result_set().rows;
             let temp = adapter.create_temp_table(ship_schema.clone(), &rows, &rctx)?;
@@ -413,17 +391,14 @@ fn run_operator(
                 }),
                 joins: vec![hana_sql::JoinClause {
                     kind: JoinKind::Inner,
-                    table: TableRef::Named {
-                        name: remote_table.clone(),
-                        alias: Some(remote_binding.clone()),
-                    },
+                    table: remote,
                     on: Expr::Binary {
                         left: Box::new(Expr::col(&ship_schema.column(*local_key).name)),
                         op: hana_sql::BinOp::Eq,
-                        right: Box::new(remote_column(plan, local, *remote_key, remote_binding)),
+                        right: Box::new(key),
                     },
                 }],
-                filter,
+                filter: preds.into_iter().reduce(|a, b| a.and(b)),
                 ..Query::default()
             };
             // The temp table goes whether or not the remote join worked.

@@ -194,6 +194,22 @@ impl BuildKeys<'_> {
         }
     }
 
+    /// The keys in ascending order.
+    pub(crate) fn ascending(&self) -> Vec<Value> {
+        match self.0 {
+            Heads::Int(h) => {
+                let mut keys: Vec<i64> = h.keys().copied().collect();
+                keys.sort_unstable();
+                keys.into_iter().map(Value::Int).collect()
+            }
+            Heads::Value(h) => {
+                let mut keys: Vec<Value> = h.keys().cloned().collect();
+                keys.sort_unstable();
+                keys
+            }
+        }
+    }
+
     /// The keys as a predicate on a probe column with `entries`
     /// dictionary entries (main and delta): `None` when they number
     /// more than a quarter of the entries, so the scan would drop too
@@ -225,17 +241,9 @@ impl BuildKeys<'_> {
             Heads::Value(h) => (h.keys().min()?.clone(), h.keys().max()?.clone(), false),
         };
         if !dense && n <= KEY_LIST_CAP {
-            // Ascending integers: consecutive dictionary lookups share
-            // most of their search path.
-            let list = match self.0 {
-                Heads::Int(h) => {
-                    let mut keys: Vec<i64> = h.keys().copied().collect();
-                    keys.sort_unstable();
-                    keys.into_iter().map(Value::Int).collect()
-                }
-                Heads::Value(h) => h.keys().cloned().collect(),
-            };
-            return Some(ColumnPredicate::InList(list));
+            // Ascending: consecutive dictionary lookups share most of
+            // their search path.
+            return Some(ColumnPredicate::InList(self.ascending()));
         }
         match range() {
             Some((min, max)) if lo <= min && max <= hi => None,

@@ -9,9 +9,10 @@
 //! executor whose operators hand each other column batches (hash joins,
 //! hash aggregation) and build rows once, at the result.
 //!
-//! The entry points are [`execute_query`] and [`explain_query`]; the
-//! platform facade (`hana-core`) implements [`Catalog`] and routes SQL
-//! here.
+//! The entry points are [`execute_query`], and [`PlannerContext`] with
+//! [`execute_plan_bound`] for a plan compiled once and run many times
+//! (EXPLAIN is [`PlanNode::explain`] of the planned query); the platform
+//! facade (`hana-core`) implements [`Catalog`] and routes SQL here.
 
 mod catalog;
 mod context;
@@ -26,10 +27,8 @@ mod stats;
 
 pub use catalog::{Catalog, TableFunction, TableSource};
 pub use context::PlannerContext;
-pub use cost::{CostModel, JoinSituation};
 pub use executor::{
     execute_plan, execute_plan_bound, execute_plan_with, execute_query, execute_query_with,
-    explain_query,
 };
 pub use hana_types::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{BUILD_LEFT, BUILD_RIGHT};

@@ -295,10 +295,14 @@ pub enum PlanOp {
         /// ON condition over the joined rows (`true` = cross join).
         on: Expr,
     },
-    /// Semi-join reduction: execute `local`, ship its distinct join
-    /// keys to the remote source as a temp table, join there to reduce
-    /// the remote table, then hash-join locally.
-    SemiJoin {
+    /// A join of a local input with a remote table at its source, by
+    /// `strategy`: a `SemiJoin` ships the local input's distinct join
+    /// keys as an IN-list that reduces the remote table, then hash-joins
+    /// locally; a `TableRelocation` ships the local rows into a remote
+    /// temp table and executes the join there.
+    RemoteJoin {
+        /// `SemiJoin` or `TableRelocation`.
+        strategy: FederationStrategy,
         /// Local input (already planned).
         local: Box<PlanNode>,
         /// Join key position in the local rows.
@@ -312,24 +316,6 @@ pub enum PlanOp {
         /// Join key position among the remote table's columns.
         remote_key: usize,
         /// Remote binding name (for schema qualification).
-        remote_binding: String,
-    },
-    /// Table relocation: ship the local rows to the remote source and
-    /// execute the join there.
-    RelocateJoin {
-        /// Local input (already planned).
-        local: Box<PlanNode>,
-        /// Join key position in the local rows.
-        local_key: usize,
-        /// SDA source of the remote side.
-        source: String,
-        /// Remote table.
-        remote_table: String,
-        /// Predicates pushed to the remote side (as SQL expressions).
-        remote_preds: Vec<Expr>,
-        /// Join key position among the remote table's columns.
-        remote_key: usize,
-        /// Remote binding name.
         remote_binding: String,
     },
     /// Residual filter.
@@ -553,7 +539,8 @@ impl PlanNode {
                 left.render(indent + 1, values, out);
                 right.render(indent + 1, values, out);
             }
-            PlanOp::SemiJoin {
+            PlanOp::RemoteJoin {
+                strategy,
                 local,
                 local_key,
                 source,
@@ -561,32 +548,15 @@ impl PlanNode {
                 remote_key,
                 ..
             } => {
-                let remote = &self.schema.column(local.schema.len() + remote_key).name;
-                Self::line(
-                    indent,
-                    out,
-                    &format!(
-                        "Semijoin: ship {} keys -> {source}.{remote_table}.{remote} ({})",
-                        local.schema.column(*local_key).name,
-                        self.est_label()
-                    ),
-                );
-                local.render(indent + 1, values, out);
-            }
-            PlanOp::RelocateJoin {
-                local,
-                source,
-                remote_table,
-                ..
-            } => {
-                Self::line(
-                    indent,
-                    out,
-                    &format!(
-                        "Table Relocation: ship local rows -> join @ {source}.{remote_table} ({})",
-                        self.est_label()
-                    ),
-                );
+                let text = match strategy {
+                    FederationStrategy::SemiJoin => {
+                        let remote = &self.schema.column(local.schema.len() + remote_key).name;
+                        let local = &local.schema.column(*local_key).name;
+                        format!("Semijoin: ship {local} keys -> {source}.{remote_table}.{remote}")
+                    }
+                    _ => format!("Table Relocation: ship local rows -> join @ {source}.{remote_table}"),
+                };
+                Self::line(indent, out, &format!("{text} ({})", self.est_label()));
                 local.render(indent + 1, values, out);
             }
             PlanOp::Filter { input, pred } => {
@@ -634,12 +604,10 @@ impl PlanNode {
         match &self.op {
             PlanOp::RemoteQuery { .. } => out.push(FederationStrategy::RemoteScan),
             PlanOp::HybridScan { .. } => out.push(FederationStrategy::UnionPlan),
-            PlanOp::SemiJoin { local, .. } => {
-                out.push(FederationStrategy::SemiJoin);
-                local.collect_strategies(out);
-            }
-            PlanOp::RelocateJoin { local, .. } => {
-                out.push(FederationStrategy::TableRelocation);
+            PlanOp::RemoteJoin {
+                strategy, local, ..
+            } => {
+                out.push(*strategy);
                 local.collect_strategies(out);
             }
             PlanOp::HashJoin { left, right, .. } => {

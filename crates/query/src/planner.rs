@@ -52,7 +52,7 @@ use hana_types::{ColumnDef, Result, Schema, Value};
 
 use crate::catalog::{Catalog, TableSource};
 use crate::context::PlannerContext;
-use crate::cost::{CostModel, JoinSituation};
+use crate::cost::JoinSituation;
 use crate::estimator;
 use crate::plan::{
     bind_predicates, BuildSide, DistJoinStrategy, EstSource, FederationStrategy, Operand, PlanNode,
@@ -798,98 +798,57 @@ impl<'a> Planner<'a> {
         let adapter = self.ctx.catalog.sda().source(&source)?.adapter;
         let caps = adapter.capabilities();
         let remote_table = b.remote_table_name();
-        let (remote_total, remote_known) = match self.remote_rows_opt(&source, &remote_table) {
-            Some(n) => (n, true),
-            None => (10_000.0, false),
-        };
-        let sel: f64 = b
-            .bound
-            .iter()
-            .map(|(col, p)| {
-                adapter
-                    .estimate_selectivity(&remote_table, col, p)
-                    .unwrap_or_else(|| p.default_selectivity())
-            })
-            .product();
-        let remote_filtered = (remote_total * sel).max(1.0);
+        let (remote_filtered, _) = self.binding_estimate(b);
         // Key synopses: local side from the persisted statistics, remote
         // side from the source's own metadata, when either exists.
-        let local_key_ndv = on.left_ndv;
         let remote_key_ndv = adapter
             .column_distinct(&remote_table, &ts.schema().column(remote_key).name)
             .map(|n| n as f64);
         let join_out =
-            estimator::join_out(acc.est_rows, remote_filtered, local_key_ndv, remote_key_ndv);
+            estimator::join_out(acc.est_rows, remote_filtered, on.left_ndv, remote_key_ndv);
         // A semijoin or a relocated join fetches every remote column
         // (`SELECT *` built at execution time); only a remote-scan leaf
         // ships the pruned select list.
         let full = ts.schema().qualified(&b.of.name);
         let situation = JoinSituation {
             local_rows: acc.est_rows,
-            remote_total,
             remote_filtered,
             join_out,
             local_width: self.node_width(&acc),
             remote_width: full.len() as f64,
-            local_key_ndv: local_key_ndv.unwrap_or(0.0),
-            remote_key_ndv: remote_key_ndv.unwrap_or(0.0),
+            local_key_ndv: on.left_ndv.unwrap_or(0.0),
         };
-        let est_source = if acc.est_source == EstSource::Stats && remote_known {
-            EstSource::Stats
-        } else {
-            EstSource::Heuristic
+        let remote_known = self.remote_rows(&source, &remote_table).is_some();
+        let est_source = match remote_known {
+            true => acc.est_source,
+            false => EstSource::Heuristic,
         };
-        let mut options = vec![FederationStrategy::RemoteScan];
-        if caps.cap_semi_join {
-            options.push(FederationStrategy::SemiJoin);
+        let strategy = situation.pick(&caps);
+        if strategy == FederationStrategy::RemoteScan {
+            let right = self.leaf(b, hints)?;
+            on.right_ndv = remote_key_ndv;
+            let mut node = self.join_node(acc, right, on)?;
+            // The strategy decision already priced this join with the
+            // remote key's distinct count; keep it.
+            node.est_rows = join_out;
+            node.est_source = est_source;
+            return Ok(node);
         }
-        if caps.cap_joins {
-            options.push(FederationStrategy::TableRelocation);
-        }
-        let (strategy, _) = CostModel::default().pick(&options, &situation);
-        let schema = acc.schema.join(&full)?;
-        let est = situation.join_out;
-        match strategy {
-            FederationStrategy::RemoteScan => {
-                let right = self.leaf(b, hints)?;
-                on.right_ndv = remote_key_ndv;
-                let mut node = self.join_node(acc, right, on)?;
-                // The strategy decision already priced this join with
-                // the adapter-estimated remote cardinality; keep it.
-                node.est_rows = est;
-                node.est_source = est_source;
-                Ok(node)
-            }
-            FederationStrategy::SemiJoin => Ok(PlanNode {
-                op: PlanOp::SemiJoin {
-                    local: Box::new(acc),
-                    local_key: on.left_key,
-                    source,
-                    remote_table: b.remote_table_name(),
-                    remote_preds: b.of.preds.clone(),
-                    remote_key,
-                    remote_binding: b.of.name.clone(),
-                },
-                schema,
-                est_rows: est,
-                est_source,
-            }),
-            FederationStrategy::TableRelocation => Ok(PlanNode {
-                op: PlanOp::RelocateJoin {
-                    local: Box::new(acc),
-                    local_key: on.left_key,
-                    source,
-                    remote_table: b.remote_table_name(),
-                    remote_preds: b.of.preds.clone(),
-                    remote_key,
-                    remote_binding: b.of.name.clone(),
-                },
-                schema,
-                est_rows: est,
-                est_source,
-            }),
-            FederationStrategy::UnionPlan => unreachable!("not offered here"),
-        }
+        Ok(PlanNode {
+            schema: acc.schema.join(&full)?,
+            op: PlanOp::RemoteJoin {
+                strategy,
+                local: Box::new(acc),
+                local_key: on.left_key,
+                source,
+                remote_table,
+                remote_preds: b.of.preds.clone(),
+                remote_key,
+                remote_binding: b.of.name.clone(),
+            },
+            est_rows: join_out,
+            est_source,
+        })
     }
 
     // ---- estimation ----
@@ -905,7 +864,11 @@ impl<'a> Planner<'a> {
     }
 
     /// Estimated rows of `table` under the pushed-down predicates
-    /// `lowered`, and where the estimate came from.
+    /// `lowered`, and where the estimate came from. A local table is
+    /// priced from its synopsis; a virtual or extended one from its
+    /// source's row count and selectivity estimates (the one price a
+    /// remote scan leaf and a remote-join strategy choice read); a
+    /// hybrid one at default selectivities.
     fn table_estimate(
         &self,
         ts: &TableSource,
@@ -958,7 +921,7 @@ impl<'a> Planner<'a> {
                 ..
             } => {
                 let hot_rows = hot.read().row_count() as f64;
-                let cold_rows = self.remote_rows(source, cold_table);
+                let cold_rows = self.remote_rows(source, cold_table).unwrap_or(REMOTE_ROWS);
                 let sel: f64 = lowered
                     .iter()
                     .map(|(_, p)| p.default_selectivity())
@@ -975,10 +938,23 @@ impl<'a> Planner<'a> {
                 remote_table,
                 ..
             } => {
-                let total = self.remote_rows(source, remote_table);
+                // Priced as the source prices each predicate, at its
+                // default selectivity where the source cannot.
+                let adapter = self
+                    .ctx
+                    .catalog
+                    .sda()
+                    .source(source)
+                    .ok()
+                    .map(|s| s.adapter);
+                let known =
+                    |col: &str, p| adapter.as_ref()?.estimate_selectivity(remote_table, col, p);
+                let total = self
+                    .remote_rows(source, remote_table)
+                    .unwrap_or(REMOTE_ROWS);
                 let sel: f64 = lowered
                     .iter()
-                    .map(|(_, p)| p.default_selectivity())
+                    .map(|(col, p)| known(col, p).unwrap_or_else(|| p.default_selectivity()))
                     .product();
                 ((total * sel).max(1.0), EstSource::Heuristic)
             }
@@ -1052,12 +1028,11 @@ impl<'a> Planner<'a> {
                 self.leaf_drift(left, values, classes, far);
                 return self.leaf_drift(right, values, classes, far);
             }
-            PlanOp::SemiJoin { local: input, .. }
-            | PlanOp::RelocateJoin { local: input, .. }
+            PlanOp::RemoteJoin { local: input, .. }
             | PlanOp::Filter { input, .. }
             | PlanOp::Aggregate { input, .. }
             | PlanOp::Finish { input, .. } => return self.leaf_drift(input, values, classes, far),
-            // Priced from default selectivities, whatever the values.
+            // A shipped sub-query or a table function: not re-priced.
             PlanOp::RemoteQuery { .. } | PlanOp::FunctionScan { .. } => return,
         };
         let (Ok(ts), Ok(bound)) = (
@@ -1186,7 +1161,8 @@ impl<'a> Planner<'a> {
         })
     }
 
-    fn remote_rows_opt(&self, source: &str, table: &str) -> Option<f64> {
+    /// The row count the source keeps for `table`, if it keeps one.
+    fn remote_rows(&self, source: &str, table: &str) -> Option<f64> {
         self.ctx
             .catalog
             .sda()
@@ -1195,11 +1171,10 @@ impl<'a> Planner<'a> {
             .and_then(|s| s.adapter.table_stats(table).ok())
             .map(|s| s.row_count as f64)
     }
-
-    fn remote_rows(&self, source: &str, table: &str) -> f64 {
-        self.remote_rows_opt(source, table).unwrap_or(10_000.0)
-    }
 }
+
+/// The rows a remote table is priced at when its source keeps no count.
+const REMOTE_ROWS: f64 = 10_000.0;
 
 /// `stats` when a synopsis backed the estimate, `heuristic` otherwise.
 fn provenance(stats: Option<&TableStatistics>) -> EstSource {

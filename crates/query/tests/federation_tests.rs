@@ -5,18 +5,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
+use hana_columnar::ColumnPredicate;
 use hana_columnar::ColumnTable;
 use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig};
 use hana_iq::IqEngine;
 use hana_query::{
-    execute_query, explain_query, Catalog, FederationStrategy, PlannerContext, TableSource,
+    execute_plan, execute_query, BuildSide, Catalog, DistJoinStrategy, EstSource,
+    FederationStrategy, Operand, PlanNode, PlanOp, PlanPredicate, PlannerContext, TableSource,
 };
 use hana_rowstore::RowTable;
-use hana_sda::{HiveOdbcAdapter, IqAdapter, SdaAdapter, SdaRegistry};
-use hana_sql::{parse_statement, Statement};
-use hana_types::{DataType, HanaError, Result, Row, Schema, Value};
+use hana_sda::{
+    CapabilitySet, HiveOdbcAdapter, IqAdapter, RemoteContext, RemoteStats, SdaAdapter, SdaRegistry,
+};
+use hana_sql::{parse_statement, JoinKind, Query, Statement};
+use hana_types::{DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 /// A catalog assembling every storage kind for the tests.
 struct TestCatalog {
@@ -49,8 +53,43 @@ fn query(sql: &str) -> hana_sql::Query {
     q
 }
 
+/// An IQ adapter that writes down the text of every query it runs.
+struct Recording {
+    inner: IqAdapter,
+    shipped: Mutex<Vec<String>>,
+}
+
+impl SdaAdapter for Recording {
+    fn adapter_name(&self) -> &'static str {
+        self.inner.adapter_name()
+    }
+    fn host(&self) -> &str {
+        self.inner.host()
+    }
+    fn capabilities(&self) -> CapabilitySet {
+        self.inner.capabilities()
+    }
+    fn remote_schema(&self, table: &str) -> Result<Schema> {
+        self.inner.remote_schema(table)
+    }
+    fn table_stats(&self, table: &str) -> Result<RemoteStats> {
+        self.inner.table_stats(table)
+    }
+    fn execute(&self, q: &Query, ctx: &RemoteContext) -> Result<ResultSet> {
+        self.shipped.lock().push(q.to_string());
+        self.inner.execute(q, ctx)
+    }
+    fn estimate_selectivity(&self, table: &str, column: &str, p: &ColumnPredicate) -> Option<f64> {
+        self.inner.estimate_selectivity(table, column, p)
+    }
+    fn column_distinct(&self, table: &str, column: &str) -> Option<u64> {
+        self.inner.column_distinct(table, column)
+    }
+}
+
 /// Build a world:
 /// * local column table `dim` (100 rows) and row table `codes`,
+/// * local column table `keyed` (`k_id` 3, NULL, 1, 3, NULL, 2, 1),
 /// * extended (IQ) table `fact` (20k rows),
 /// * Hive virtual tables `ev_orders` (2k rows) and `ev_customer` (100),
 /// * hybrid table `sales` (50 hot + 5000 cold rows).
@@ -67,6 +106,19 @@ fn world() -> TestCatalog {
             .unwrap();
     }
     dim.merge_delta();
+
+    // Local column table with NULL and repeated keys.
+    let mut keyed = ColumnTable::new(
+        "keyed",
+        Schema::of(&[("k_id", DataType::Int), ("k_tag", DataType::Varchar)]),
+    );
+    let ids = [Some(3), None, Some(1), Some(3), None, Some(2), Some(1)];
+    for (i, id) in ids.into_iter().enumerate() {
+        let id = id.map_or(Value::Null, Value::Int);
+        keyed
+            .insert(&[id, Value::from(format!("tag-{i}"))], 1)
+            .unwrap();
+    }
 
     // Local row table.
     let mut codes = RowTable::new(
@@ -189,6 +241,10 @@ fn world() -> TestCatalog {
     tables.insert(
         "dim".to_string(),
         TableSource::Column(Arc::new(RwLock::new(dim))),
+    );
+    tables.insert(
+        "keyed".to_string(),
+        TableSource::Column(Arc::new(RwLock::new(keyed))),
     );
     tables.insert(
         "codes".to_string(),
@@ -318,6 +374,160 @@ fn remote_scan_when_remote_filter_is_selective() {
     assert_eq!(rs.len(), 3);
 }
 
+/// The remote-scan leaf of that plan is priced as the strategy choice
+/// priced its table: from the extended store's zone maps (3 rows), not
+/// at a default selectivity (6 000 of 20 000).
+#[test]
+fn a_remote_leaf_is_priced_as_its_join_was() {
+    let cat = world();
+    let q = query(
+        "SELECT d.d_name, f.f_val FROM dim d JOIN fact f ON d.d_id = f.f_dim \
+         WHERE f.f_val < 3",
+    );
+    let plan = PlannerContext::new(&cat).planner().plan(&q).unwrap();
+    let leaf = remote_leaf(&plan).expect("a remote-scan leaf");
+    let returned = execute_plan(leaf, &cat, 1).unwrap().len() as f64;
+    assert_eq!(returned, 3.0);
+    assert!(
+        leaf.est_rows <= returned * 10.0 && returned <= leaf.est_rows * 10.0,
+        "estimated {} rows, returned {returned}:\n{}",
+        leaf.est_rows,
+        plan.explain()
+    );
+}
+
+fn remote_leaf(node: &PlanNode) -> Option<&PlanNode> {
+    match &node.op {
+        PlanOp::RemoteQuery { .. } => Some(node),
+        PlanOp::HashJoin { left, right, .. } => remote_leaf(left).or_else(|| remote_leaf(right)),
+        PlanOp::Filter { input, .. } | PlanOp::Finish { input, .. } => remote_leaf(input),
+        _ => None,
+    }
+}
+
+/// `keyed k` (under `preds`) joined with the extended `fact f` on
+/// `k.k_id = f.f_dim`: by a semijoin, or by a hash join over a remote
+/// scan of the whole table.
+fn keyed_join(strategy: FederationStrategy, preds: Vec<PlanPredicate>) -> PlanNode {
+    let local_schema = Schema::of(&[("k_id", DataType::Int), ("k_tag", DataType::Varchar)]);
+    let local_schema = local_schema.qualified("k");
+    let fact = Schema::of(&[
+        ("f_dim", DataType::Int),
+        ("f_val", DataType::Double),
+        ("f_flag", DataType::Varchar),
+    ])
+    .qualified("f");
+    let local = PlanNode {
+        op: PlanOp::ColumnScan {
+            binding: "k".into(),
+            table: "keyed".into(),
+            preds,
+            projection: vec![0, 1],
+        },
+        schema: local_schema.clone(),
+        est_rows: 7.0,
+        est_source: EstSource::Heuristic,
+    };
+    let schema = local_schema.join(&fact).unwrap();
+    let op = match strategy {
+        FederationStrategy::RemoteScan => {
+            let remote = PlanNode {
+                op: PlanOp::RemoteQuery {
+                    source: "iqstore".into(),
+                    query: query("SELECT * FROM fact f"),
+                    label: "remote scan".into(),
+                },
+                schema: fact,
+                est_rows: 20_000.0,
+                est_source: EstSource::Heuristic,
+            };
+            PlanOp::HashJoin {
+                left: Box::new(local),
+                right: Box::new(remote),
+                left_key: 0,
+                right_key: 0,
+                kind: JoinKind::Inner,
+                build: BuildSide::Left,
+                dist: DistJoinStrategy::Repartition,
+            }
+        }
+        strategy => PlanOp::RemoteJoin {
+            strategy,
+            local: Box::new(local),
+            local_key: 0, // k.k_id
+            source: "iqstore".into(),
+            remote_table: "fact".into(),
+            remote_preds: Vec::new(),
+            remote_key: 0, // f_dim
+            remote_binding: "f".into(),
+        },
+    };
+    PlanNode {
+        op,
+        schema,
+        est_rows: 600.0,
+        est_source: EstSource::Heuristic,
+    }
+}
+
+/// `cat`'s extended store behind an adapter that records what it runs.
+fn recording(cat: &TestCatalog) -> Arc<Recording> {
+    let rec = Arc::new(Recording {
+        inner: IqAdapter::new(Arc::clone(&cat.iq)),
+        shipped: Mutex::new(Vec::new()),
+    });
+    let adapter: Arc<dyn SdaAdapter> = rec.clone();
+    cat.sda.replace_adapter("iqstore", adapter).unwrap();
+    rec
+}
+
+/// A semijoin whose local side is empty makes no remote round trip.
+#[test]
+fn a_semijoin_over_no_local_row_ships_nothing() {
+    let cat = world();
+    let rec = recording(&cat);
+    let before = cat.sda.source_stats("iqstore").unwrap();
+    let none = ColumnPredicate::Gt(Operand::Lit(Value::Int(100)));
+    let plan = keyed_join(FederationStrategy::SemiJoin, vec![("k_id".into(), none)]);
+    let rs = execute_plan(&plan, &cat, 1).unwrap();
+    assert_eq!(rs.len(), 0);
+    assert_eq!(cat.sda.source_stats("iqstore").unwrap(), before);
+    assert_eq!(*rec.shipped.lock(), Vec::<String>::new());
+}
+
+/// Local keys 3, NULL, 1, 3, NULL, 2, 1 ship as 1, 2, 3 — each non-NULL
+/// key once, ascending — and the semijoin returns the rows a hash join
+/// over a remote scan of the whole table does.
+#[test]
+fn a_semijoin_ships_each_non_null_key_once_in_order() {
+    let cat = world();
+    let rec = recording(&cat);
+    let semijoin = execute_plan(
+        &keyed_join(FederationStrategy::SemiJoin, Vec::new()),
+        &cat,
+        1,
+    )
+    .unwrap();
+    assert_eq!(
+        *rec.shipped.lock(),
+        ["SELECT * FROM fact f WHERE f.f_dim IN (1, 2, 3)"]
+    );
+    let scan = execute_plan(
+        &keyed_join(FederationStrategy::RemoteScan, Vec::new()),
+        &cat,
+        1,
+    )
+    .unwrap();
+    // Five non-NULL local rows, 200 fact rows per key.
+    assert_eq!(semijoin.len(), 5 * 200);
+    let sorted = |rs: ResultSet| {
+        let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+    assert_eq!(sorted(semijoin), sorted(scan));
+}
+
 /// All tables at one Hive source with supported shapes: the whole query
 /// ships (Figure 12) — including the aggregation.
 #[test]
@@ -391,12 +601,12 @@ fn hybrid_scan_unions_hot_and_cold() {
 #[test]
 fn explain_shows_shipped_sql_and_exchange_boundary() {
     let cat = world();
-    let text = explain_query(
-        &query("SELECT o_id FROM orders_v WHERE o_total > 1990"),
-        &cat,
-        1,
-    )
-    .unwrap();
+    let q = query("SELECT o_id FROM orders_v WHERE o_total > 1990");
+    let text = PlannerContext::new(&cat)
+        .planner()
+        .plan(&q)
+        .unwrap()
+        .explain();
     assert!(text.contains("Remote Row Scan"), "{text}");
     assert!(text.contains("Shipped: SELECT"), "{text}");
 }

@@ -10,7 +10,9 @@ use parking_lot::RwLock;
 use hana_columnar::ColumnTable;
 use hana_hadoop::{Hdfs, Hive, MrCluster, MrConfig};
 use hana_iq::IqEngine;
-use hana_query::{execute_plan, Catalog, EstSource, PlanNode, PlanOp, TableSource};
+use hana_query::{
+    execute_plan, Catalog, EstSource, FederationStrategy, PlanNode, PlanOp, TableSource,
+};
 use hana_sda::{HiveOdbcAdapter, RemoteContext, SdaAdapter, SdaRegistry};
 use hana_types::{DataType, HanaError, Result, Row, Schema, Value};
 
@@ -89,7 +91,8 @@ fn relocation(cat: &TestCatalog, remote_table: &str) -> PlanNode {
         est_source: EstSource::Heuristic,
     };
     PlanNode {
-        op: PlanOp::RelocateJoin {
+        op: PlanOp::RemoteJoin {
+            strategy: FederationStrategy::TableRelocation,
             local: Box::new(local),
             local_key: 0, // d.d_id
             source: "hive1".into(),

@@ -119,8 +119,8 @@ pub trait SdaAdapter: Send + Sync {
     }
 
     /// Distinct-count of a remote column, if the source maintains one.
-    /// Feeds the join-key synopsis of the federated cost model
-    /// (`JoinSituation::remote_key_ndv`); `None` leaves it unknown.
+    /// Prices the output of a join on it when the planner chooses a
+    /// remote-join strategy; `None` leaves it unknown.
     fn column_distinct(&self, table: &str, column: &str) -> Option<u64> {
         let _ = (table, column);
         None

@@ -155,9 +155,9 @@ impl WorkloadManager {
 fn is_olap_shape(n: &PlanNode) -> bool {
     match &n.op {
         PlanOp::Aggregate { .. } => true,
-        // Federated and semi/relocation joins ship data across the
+        // Remote scans and remote joins ship data across the
         // landscape — never point lookups.
-        PlanOp::RemoteQuery { .. } | PlanOp::SemiJoin { .. } | PlanOp::RelocateJoin { .. } => true,
+        PlanOp::RemoteQuery { .. } | PlanOp::RemoteJoin { .. } => true,
         // Index seeks are the OLTP hot path, but a wide range seek can
         // still return a large fraction of the table — classify by the
         // estimate like any other access path.

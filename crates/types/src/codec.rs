@@ -1,11 +1,12 @@
 //! The durable row codec: an exact text encoding of rows for WAL
-//! payloads and checkpoint records.
+//! payloads and checkpoint records, and nothing else (Hive's
+//! intermediate records have a codec of their own, `hadoop::record`).
 //!
 //! Unlike the delimited line format ([`Row::to_delimited`] +
 //! [`Value::parse_typed`]), which renders NULL, `''` and `'null'` alike
 //! and cannot carry its own delimiters, this pair is a bijection on
-//! every [`Value`] — which is also why Hive's map tasks ship their
-//! partial aggregate states through it: each field starts with a one-character type tag
+//! every [`Value`], so a replayed row is the row that was logged: each
+//! field starts with a one-character type tag
 //! (`N`ull, `B`ool, `I`nt, `D`ouble, `S`tring, d`A`te, `T`imestamp),
 //! doubles print in their shortest round-tripping form, and strings
 //! escape the backslash and the four control characters the durable

@@ -4,7 +4,7 @@
 //! names it — EXPLAIN included.
 
 use hana_data_platform::platform::{HanaPlatform, Session};
-use hana_data_platform::query::explain_query;
+use hana_data_platform::query::PlannerContext;
 use hana_data_platform::sql::{parse_statement, Statement};
 use hana_data_platform::{Row, Value};
 
@@ -150,7 +150,10 @@ fn explain_fails_on_an_unknown_or_ambiguous_column_in_every_clause() {
         let Ok(Statement::Query(q)) = parse_statement(sql) else {
             panic!("not a query: {sql}")
         };
-        explain_query(&q, hana.catalog().as_ref(), 0)
+        let plan = PlannerContext::new(hana.catalog().as_ref())
+            .planner()
+            .plan(&q);
+        plan.map(|p| p.explain())
     };
     // `t` and `e` both have `k` and `v`: a bare one in a join of the two
     // is ambiguous.
