@@ -78,6 +78,48 @@ fn build_synopses(vids: &[u32]) -> Vec<BlockSynopsis> {
         .collect()
 }
 
+/// Payload of `len` values bit-packed at `bits` each: whole words.
+fn packed_bytes(len: usize, bits: usize) -> usize {
+    (len * bits).div_ceil(64) * 8
+}
+
+/// Bit-pack `vids`, the largest of which is `max`.
+fn pack(vids: impl Iterator<Item = u32>, max: u32) -> BitPackedVec {
+    let mut packed = BitPackedVec::with_width(width_for(max as u64));
+    for v in vids {
+        packed.push(v as u64);
+    }
+    packed
+}
+
+fn rle(vids: &[u32]) -> VidRepr {
+    let mut run_vids = Vec::new();
+    let mut run_ends = Vec::new();
+    for (i, &v) in vids.iter().enumerate() {
+        if run_vids.last() == Some(&v) {
+            *run_ends.last_mut().expect("runs in sync") = i as u32 + 1;
+        } else {
+            run_vids.push(v);
+            run_ends.push(i as u32 + 1);
+        }
+    }
+    VidRepr::Rle { run_vids, run_ends }
+}
+
+/// Sparse around `dominant`; `max` is the largest other vid.
+fn sparse(vids: &[u32], dominant: u32, max: u32) -> VidRepr {
+    let positions: Vec<u32> = (0..vids.len() as u32)
+        .filter(|&row| vids[row as usize] != dominant)
+        .collect();
+    let exceptions = pack(positions.iter().map(|&row| vids[row as usize]), max);
+    VidRepr::Sparse {
+        dominant,
+        positions,
+        vids: exceptions,
+        len: vids.len(),
+    }
+}
+
 /// The physical representation behind a [`VidCodec`].
 #[derive(Debug, Clone)]
 pub enum VidRepr {
@@ -114,63 +156,49 @@ pub struct VidCodec {
 impl VidCodec {
     /// Encode `vids`, picking the representation with the smallest
     /// payload and building the block synopses in the same pass.
+    ///
+    /// Each candidate's payload is computed from counts first — the
+    /// largest vid, the number of runs, a per-vid histogram — and only
+    /// the cheapest is built. Equal sizes prefer Plain, then RLE, then
+    /// Sparse; Sparse elides the most frequent vid, the smallest one on
+    /// a tie, so a vector encodes the same way in every process.
     pub fn encode(vids: &[u32]) -> VidCodec {
         let blocks = build_synopses(vids);
-        let plain = VidRepr::Plain(BitPackedVec::from_slice(
-            &vids.iter().map(|&v| v as u64).collect::<Vec<_>>(),
-        ));
-        if vids.is_empty() {
-            return VidCodec {
-                repr: plain,
-                blocks,
-            };
+        let max = vids.iter().copied().max().unwrap_or(0);
+        let runs = 1 + vids.windows(2).filter(|w| w[0] != w[1]).count();
+        // Vids are dictionary ranks: the histogram is as long as the
+        // dictionary.
+        let mut counts = vec![0u32; max as usize + 1];
+        for &v in vids {
+            counts[v as usize] += 1;
         }
-
-        // Candidate: RLE.
-        let mut run_vids = Vec::new();
-        let mut run_ends = Vec::new();
-        for (i, &v) in vids.iter().enumerate() {
-            if run_vids.last() == Some(&v) {
-                *run_ends.last_mut().expect("runs in sync") = i as u32 + 1;
-            } else {
-                run_vids.push(v);
-                run_ends.push(i as u32 + 1);
+        let (mut dominant, mut most) = (0, counts[0]);
+        for (v, &n) in counts.iter().enumerate() {
+            if n > most {
+                (dominant, most) = (v, n);
             }
         }
-        let rle = VidRepr::Rle { run_vids, run_ends };
-
-        // Candidate: Sparse around the most frequent vid.
-        let mut freq = std::collections::HashMap::new();
-        for &v in vids {
-            *freq.entry(v).or_insert(0usize) += 1;
-        }
-        let (&dominant, _) = freq
-            .iter()
-            .max_by_key(|&(_, c)| *c)
-            .expect("non-empty input");
-        let positions: Vec<u32> = vids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != dominant)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let exc_vids = BitPackedVec::from_slice(
-            &positions
-                .iter()
-                .map(|&p| vids[p as usize] as u64)
-                .collect::<Vec<_>>(),
-        );
-        let sparse = VidRepr::Sparse {
-            dominant,
-            positions,
-            vids: exc_vids,
-            len: vids.len(),
+        let exception_max = (0..counts.len())
+            .rev()
+            .find(|&v| v != dominant && counts[v] > 0)
+            .unwrap_or(0) as u32;
+        let exceptions = vids.len() - most as usize;
+        // `VidRepr::payload_bytes` of each candidate; an empty vector
+        // packs to nothing, so it is Plain.
+        let vid_bits = width_for(max as u64) as usize;
+        let pos_bits = width_for(vids.len() as u64) as usize;
+        let plain_bytes = packed_bytes(vids.len(), vid_bits);
+        let rle_bytes = (runs * (vid_bits + pos_bits)).div_ceil(8);
+        let sparse_bytes = (exceptions * pos_bits).div_ceil(8)
+            + packed_bytes(exceptions, width_for(exception_max as u64) as usize)
+            + 4;
+        let repr = if plain_bytes <= rle_bytes && plain_bytes <= sparse_bytes {
+            VidRepr::Plain(pack(vids.iter().copied(), max))
+        } else if rle_bytes <= sparse_bytes {
+            rle(vids)
+        } else {
+            sparse(vids, dominant as u32, exception_max)
         };
-
-        let repr = [plain, rle, sparse]
-            .into_iter()
-            .min_by_key(VidRepr::payload_bytes)
-            .expect("three candidates");
         VidCodec { repr, blocks }
     }
 
@@ -542,6 +570,87 @@ mod tests {
         c.for_each(|row, vid| seen.push((row, vid)));
         assert_eq!(seen, vids.iter().copied().enumerate().collect::<Vec<_>>());
         c
+    }
+
+    /// The three candidates built in full, Plain, RLE and Sparse in
+    /// that order, Sparse around the smallest of the most frequent vids.
+    fn built_candidates(vids: &[u32]) -> [VidRepr; 3] {
+        let packed = |xs: Vec<u32>| {
+            BitPackedVec::from_slice(&xs.iter().map(|&v| v as u64).collect::<Vec<_>>())
+        };
+        let mut counts = std::collections::BTreeMap::new();
+        for &v in vids {
+            *counts.entry(v).or_insert(0usize) += 1;
+        }
+        let most = counts.values().copied().max().unwrap_or(0);
+        let dominant = counts
+            .iter()
+            .find(|&(_, &n)| n == most)
+            .map_or(0, |(&v, _)| v);
+        let positions: Vec<u32> = (0..vids.len() as u32)
+            .filter(|&i| vids[i as usize] != dominant)
+            .collect();
+        let exceptions = positions.iter().map(|&i| vids[i as usize]).collect();
+        [
+            VidRepr::Plain(packed(vids.to_vec())),
+            rle(vids),
+            VidRepr::Sparse {
+                dominant,
+                positions,
+                vids: packed(exceptions),
+                len: vids.len(),
+            },
+        ]
+    }
+
+    fn kind(repr: &VidRepr) -> &'static str {
+        match repr {
+            VidRepr::Plain(_) => "plain",
+            VidRepr::Rle { .. } => "rle",
+            VidRepr::Sparse { .. } => "sparse",
+        }
+    }
+
+    proptest::proptest! {
+        /// Sized from counts, `encode` picks the kind and payload that
+        /// building all three candidates and keeping the first smallest
+        /// gives.
+        #[test]
+        fn encode_picks_what_building_every_candidate_picks(
+            shape in 0u8..4,
+            seed in proptest::collection::vec(0u32..300, 1..24),
+            len in 0usize..3000,
+        ) {
+            let vids: Vec<u32> = (0..len)
+                .map(|i| match shape {
+                    0 => seed[i % seed.len()],
+                    1 => seed[(i / 97) % seed.len()],
+                    2 if i % 41 == 0 => seed[i % seed.len()],
+                    2 => seed[0],
+                    _ => seed[(i * 7 + i / 13) % seed.len()],
+                })
+                .collect();
+            let c = check_round_trip(&vids);
+            let built = built_candidates(&vids);
+            let best = built.iter().min_by_key(|r| r.payload_bytes()).unwrap();
+            proptest::prop_assert_eq!(c.name(), kind(best));
+            proptest::prop_assert_eq!(c.payload_bytes(), best.payload_bytes());
+        }
+    }
+
+    #[test]
+    fn a_tie_for_the_most_frequent_vid_elides_the_smallest() {
+        // 7 and 9 tie; the large vid makes Plain and RLE dearer than
+        // Sparse. Either order of the tie, every encoding elides 7.
+        for vids in [[7, 9, 7, 9, 1 << 20], [9, 7, 9, 7, 1 << 20]] {
+            for _ in 0..16 {
+                let c = VidCodec::encode(&vids);
+                match c.repr() {
+                    VidRepr::Sparse { dominant, .. } => assert_eq!(*dominant, 7),
+                    other => panic!("{} chosen", kind(other)),
+                }
+            }
+        }
     }
 
     #[test]

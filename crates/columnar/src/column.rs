@@ -4,7 +4,7 @@ use hana_types::Value;
 
 use crate::bitmap::RowIdBitmap;
 use crate::codec::VidCodec;
-use crate::dictionary::{DeltaDictionary, OrderedDictionary};
+use crate::dictionary::{DeltaDictionary, OrderedDictionary, NULL_VID};
 use crate::predicate::VidMatch;
 
 /// Read-optimized, immutable column fragment: an ordered dictionary plus
@@ -26,16 +26,36 @@ impl MainColumn {
         }
     }
 
-    /// Build from raw values (the delta-merge path).
+    /// Build from raw values: a delta holding them, merged into an
+    /// empty main.
     pub fn build(values: &[Value]) -> MainColumn {
-        let dict = OrderedDictionary::build(values.iter());
-        let vids: Vec<u32> = values
-            .iter()
-            .map(|v| dict.lookup(v).expect("value came from this input"))
-            .collect();
+        let mut delta = DeltaColumn::new();
+        for v in values {
+            delta.append(v);
+        }
+        MainColumn::empty().merge(&delta)
+    }
+
+    /// This fragment with `delta`'s rows appended after its own. The
+    /// dictionaries merge once; the row vids are this fragment's,
+    /// unpacked and translated, then the delta's, translated, and the
+    /// codec is picked from their counts.
+    pub(crate) fn merge(&self, delta: &DeltaColumn) -> MainColumn {
+        let merge = self.dict.merge(&delta.dict);
+        let mut vids = vec![NULL_VID; self.len() + delta.len()];
+        let (main_vids, new_vids) = vids.split_at_mut(self.len());
+        self.codec.unpack_rows(0, main_vids);
+        if let Some(to_new) = &merge.main_to_new {
+            for vid in main_vids.iter_mut() {
+                *vid = to_new[*vid as usize];
+            }
+        }
+        for (vid, &old) in new_vids.iter_mut().zip(&delta.vids) {
+            *vid = merge.delta_to_new[old as usize];
+        }
         MainColumn {
             codec: VidCodec::encode(&vids),
-            dict,
+            dict: merge.dict,
         }
     }
 
@@ -82,14 +102,6 @@ impl MainColumn {
     /// Approximate heap footprint in bytes.
     pub fn payload_bytes(&self) -> usize {
         self.dict.payload_bytes() + self.codec.payload_bytes()
-    }
-
-    /// Extract all values (used by delta merge to rebuild fragments).
-    pub fn materialize(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.len());
-        self.codec
-            .for_each(|_, vid| out.push(self.dict.decode(vid)));
-        out
     }
 }
 
@@ -166,16 +178,6 @@ impl DeltaColumn {
     pub fn payload_bytes(&self) -> usize {
         self.dict.payload_bytes() + self.vids.len() * 4
     }
-
-    /// Extract all values (used by delta merge).
-    pub fn materialize(&self) -> Vec<Value> {
-        self.vids.iter().map(|&vid| self.dict.decode(vid)).collect()
-    }
-
-    /// Drop all rows (after a delta merge).
-    pub fn clear(&mut self) {
-        *self = DeltaColumn::new();
-    }
 }
 
 /// Uncompressed 8-bytes-per-value baseline used for the Figure 2
@@ -209,7 +211,6 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(&m.get(i), x);
         }
-        assert_eq!(m.materialize(), v);
         assert_eq!(m.dictionary().len(), 3);
     }
 

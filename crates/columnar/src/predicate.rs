@@ -336,9 +336,13 @@ impl VidMatch {
 mod tests {
     use super::*;
 
+    fn ordered(values: &[Value]) -> OrderedDictionary {
+        crate::MainColumn::build(values).dictionary().clone()
+    }
+
     fn dict() -> OrderedDictionary {
         let vals: Vec<Value> = [10i64, 20, 30, 40].iter().map(|&v| Value::Int(v)).collect();
-        OrderedDictionary::build(&vals)
+        ordered(&vals)
     }
 
     #[test]
@@ -374,11 +378,7 @@ mod tests {
 
     #[test]
     fn compile_in_and_like_to_mask() {
-        let d = OrderedDictionary::build(&[
-            Value::from("AIR"),
-            Value::from("MAIL"),
-            Value::from("SHIP"),
-        ]);
+        let d = ordered(&[Value::from("AIR"), Value::from("MAIL"), Value::from("SHIP")]);
         let m = ColumnPredicate::InList(vec![Value::from("AIR"), Value::from("SHIP")])
             .compile_ordered(&d);
         assert!(m.test(1) && !m.test(2) && m.test(3));
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn in_lists_compile_by_lookup_to_the_scalar_verdicts() {
         let values: Vec<Value> = [10i64, 20, 30, 40].iter().map(|&v| Value::Int(v)).collect();
-        let ordered = OrderedDictionary::build(&values);
+        let ordered = ordered(&values);
         let mut delta = DeltaDictionary::new();
         for v in values.iter().rev() {
             delta.insert_or_get(v);

@@ -364,8 +364,11 @@ impl ColumnTable {
         self.collect_rows(self.visible(cid).iter(), &[])
     }
 
-    /// Merge the delta fragments into the main fragments, re-encoding the
-    /// columns. Row IDs are preserved; the delta becomes empty.
+    /// Merge the delta fragments into the main fragments
+    /// (`MainColumn::merge`: each column's dictionaries merge once and
+    /// its row vids are remapped), then rebuild the indexes' main sides.
+    /// Row IDs are preserved; the delta becomes empty. Traced as the
+    /// phases `merge_columns` and `rebuild_indexes`.
     ///
     /// Merge durations are recorded in the global observability
     /// registry (`hana_columnar_delta_merge_ns` histogram and
@@ -376,15 +379,22 @@ impl ColumnTable {
         }
         let merged_rows = self.delta_rows() as u64;
         let started = std::time::Instant::now();
+        let span = hana_obs::span("merge_columns");
+        let mut entries_added = 0;
         for pair in &mut self.columns {
-            let mut values = pair.main.materialize();
-            values.extend(pair.delta.materialize());
-            pair.main = MainColumn::build(&values);
-            pair.delta.clear();
+            let main = pair.main.merge(&pair.delta);
+            entries_added += main.dictionary().len() - pair.main.dictionary().len();
+            pair.main = main;
+            pair.delta = DeltaColumn::new();
         }
         self.main_rows = self.versions.len();
         self.merges += 1;
+        span.attr("rows", self.main_rows as u64);
+        span.attr("delta_rows", merged_rows);
+        span.attr("entries_added", entries_added as u64);
+        let span = span.next("rebuild_indexes");
         self.rebuild_indexes();
+        drop(span);
         let obs = hana_obs::registry();
         obs.histogram("hana_columnar_delta_merge_ns")
             .record(started.elapsed().as_nanos() as u64);

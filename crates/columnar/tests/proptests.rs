@@ -5,7 +5,7 @@ use hana_columnar::{
     RowIdBitmap, VidCodec, VidMatch, BLOCK_ROWS,
 };
 use hana_exec::{ExecConfig, ExecContext};
-use hana_types::{DataType, Schema, Value};
+use hana_types::{DataType, Date, Schema, Value};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -25,6 +25,75 @@ fn scan_range_scalar(
             out.set(offset + row - start);
         }
     }
+}
+
+/// A row of a `(n DOUBLE, s VARCHAR, d DATE)` table: NULLs, integral
+/// and fractional doubles next to the equal `Int`s, both zeros, short
+/// strings and dates.
+fn mixed_row() -> impl Strategy<Value = Vec<Value>> {
+    (
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..12).prop_map(Value::Int),
+            (-6i64..24).prop_map(|h| Value::Double(h as f64 / 2.0)),
+            Just(Value::Double(-0.0)),
+            Just(Value::Double(0.0)),
+        ],
+        prop_oneof![Just(Value::Null), "[a-d]{0,2}".prop_map(Value::from)],
+        prop_oneof![
+            Just(Value::Null),
+            (0i32..30).prop_map(|d| Value::Date(Date(d))),
+        ],
+    )
+        .prop_map(|(n, s, d)| vec![n, s, d])
+}
+
+/// The merge as first written, kept as the oracle: every row's value
+/// materialised, sorted and deduplicated into the dictionary, and each
+/// row's vid found by binary search.
+fn merge_oracle(values: &[Value]) -> (Vec<Value>, Vec<u32>) {
+    let mut dict: Vec<Value> = values.iter().filter(|v| !v.is_null()).cloned().collect();
+    dict.sort_unstable();
+    dict.dedup();
+    let vids = values
+        .iter()
+        .map(|v| match v {
+            Value::Null => 0,
+            v => dict.binary_search(v).unwrap() as u32 + 1,
+        })
+        .collect();
+    (dict, vids)
+}
+
+/// Merge `t`'s delta and check every column against [`merge_oracle`]
+/// over the values read before the merge; per column, whether the
+/// merged dictionary still shares the main's values.
+fn check_merge(t: &mut ColumnTable) -> Vec<bool> {
+    let cols = t.schema().len();
+    let before: Vec<Vec<Value>> = (0..cols)
+        .map(|c| (0..t.row_count()).map(|r| t.value(r, c)).collect())
+        .collect();
+    let dicts: Vec<_> = (0..cols)
+        .map(|c| Arc::clone(t.main_column(c).dictionary().values()))
+        .collect();
+    t.merge_delta();
+    assert_eq!(t.delta_rows(), 0);
+    let mut shared = Vec::with_capacity(cols);
+    for (c, values) in before.iter().enumerate() {
+        let main = t.main_column(c);
+        let (dict, vids) = merge_oracle(values);
+        assert_eq!(&main.dictionary().values()[..], &dict[..]);
+        let mut got = vec![0; main.len()];
+        main.codec().unpack_rows(0, &mut got);
+        assert_eq!(&got, &vids);
+        let codec = VidCodec::encode(&vids);
+        assert_eq!(main.codec().name(), codec.name());
+        assert_eq!(main.codec().payload_bytes(), codec.payload_bytes());
+        let after: Vec<Value> = (0..values.len()).map(|r| t.value(r, c)).collect();
+        assert_eq!(&after, values);
+        shared.push(Arc::ptr_eq(main.dictionary().values(), &dicts[c]));
+    }
+    shared
 }
 
 /// One worker and one morsel for any table these tests build: the
@@ -138,17 +207,52 @@ proptest! {
         prop_assert_eq!(got.iter().collect::<Vec<_>>(), expected);
     }
 
-    /// Delta merge never changes query results or stored values.
+    /// A delta merge builds each column exactly as the sort-everything
+    /// oracle does from the materialised values — the same dictionary,
+    /// vids and codec — and changes no stored value. The main is itself
+    /// merged first (or empty); the delta brings NULLs, `Int`/`Double`
+    /// twins and `-0.0`, strings and dates, values new to the main and
+    /// values only in it, or is all NULL, or repeats main rows only
+    /// (no new value: the dictionary stays shared), or widens the bit
+    /// width. Deleted rows are merged like live ones.
     #[test]
-    fn merge_is_transparent(values in prop::collection::vec(0i64..100, 1..300)) {
-        let mut t = ColumnTable::new("p", Schema::of(&[("v", DataType::Int)]));
-        for &v in &values {
-            t.insert(&[Value::Int(v)], 1).unwrap();
+    fn merge_is_transparent(
+        main_rows in prop::collection::vec(mixed_row(), 0..150),
+        delta_rows in prop::collection::vec(mixed_row(), 1..150),
+        mode in 0u8..4,
+        wide in prop::collection::vec(0i64..5_000, 1..150),
+        deletes in prop::collection::vec(0usize..300, 0..20),
+    ) {
+        let mut t = ColumnTable::new("p", Schema::of(&[
+            ("n", DataType::Double),
+            ("s", DataType::Varchar),
+            ("d", DataType::Date),
+        ]));
+        for row in &main_rows {
+            t.insert(row, 1).unwrap();
         }
-        let before: Vec<Value> = (0..values.len()).map(|r| t.value(r, 0)).collect();
-        t.merge_delta();
-        let after: Vec<Value> = (0..values.len()).map(|r| t.value(r, 0)).collect();
-        prop_assert_eq!(before, after);
+        check_merge(&mut t);
+        let delta: Vec<Vec<Value>> = match mode {
+            0 => delta_rows,
+            1 => delta_rows.iter().map(|_| vec![Value::Null; 3]).collect(),
+            2 if !main_rows.is_empty() => (0..delta_rows.len())
+                .map(|i| main_rows[(i * 7) % main_rows.len()].clone())
+                .collect(),
+            2 => vec![vec![Value::Null; 3]],
+            _ => wide.iter().map(|&n| vec![Value::Int(n), Value::Null, Value::Null]).collect(),
+        };
+        for row in &delta {
+            t.insert(row, 2).unwrap();
+        }
+        for &row in &deletes {
+            if row < t.row_count() && t.is_live(row) {
+                t.delete(row, 3).unwrap();
+            }
+        }
+        let shared = check_merge(&mut t);
+        if mode == 2 {
+            prop_assert!(shared.iter().all(|&s| s), "no new value: the dictionary stays");
+        }
     }
 
     /// The one table scan returns the same bitmap — and the rows a
@@ -311,7 +415,8 @@ proptest! {
         prop_assert_eq!(fast.iter().collect::<Vec<_>>(), shifted);
     }
 
-    /// MainColumn::build + materialize is the identity (nulls included).
+    /// MainColumn::build, read back row by row, is the identity (nulls
+    /// included).
     #[test]
     fn main_column_identity(values in prop::collection::vec(
         prop_oneof![
@@ -322,7 +427,7 @@ proptest! {
         0..200,
     )) {
         let m = MainColumn::build(&values);
-        prop_assert_eq!(m.materialize(), values);
+        prop_assert_eq!((0..m.len()).map(|r| m.get(r)).collect::<Vec<_>>(), values);
     }
 }
 

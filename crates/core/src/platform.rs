@@ -573,6 +573,10 @@ impl HanaPlatform {
             }
             Statement::MergeDelta { table } => {
                 self.security.check(session, Privilege::Ddl)?;
+                // Traced as `merge_delta[<table>]`: the column table's
+                // `merge_columns` and `rebuild_indexes`, then
+                // `statistics` and `checkpoint`.
+                let _merge = hana_obs::span_with(|| format!("merge_delta[{table}]"));
                 let entry = self.catalog.table(&table)?;
                 match &entry.source {
                     TableSource::Column(t) => {
@@ -594,12 +598,14 @@ impl HanaPlatform {
                 // persisted synopses (which bumps the catalog version,
                 // invalidating cached plans). Sources without
                 // collectable columns still get the version bump.
+                let phase = hana_obs::span("statistics");
                 if !self.refresh_statistics(&table)? {
                     self.catalog.bump_version();
                 }
                 // MERGE DELTA is a checkpoint barrier: the merged main
                 // fragment is exactly the state worth snapshotting, and
                 // pruning here keeps the replay suffix short.
+                let _phase = phase.next("checkpoint");
                 self.maybe_checkpoint();
                 Ok(ok_result())
             }

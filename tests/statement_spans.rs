@@ -2,7 +2,8 @@
 //! `Session::execute_prepared` open a root `statement` span whose
 //! children — `parse` (text only), `lift`, `cache_get`, `plan` (cache
 //! miss only), `admit`, `execute` — cover it. Without a tracer the
-//! spans are inert.
+//! spans are inert. A MERGE DELTA opens `merge_delta[<table>]`, whose
+//! phases cover it the same way.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -164,4 +165,73 @@ fn a_point_reads_execute_span_does_not_grow_with_the_table() {
             "{kind}: execute took {large} ns over 200 000 rows, {small} ns over 2 000"
         );
     }
+}
+
+/// A traced MERGE DELTA explains its own time: its
+/// `merge_delta[<table>]` span's children — `merge_columns` and
+/// `rebuild_indexes` from the column table, then `statistics` and
+/// `checkpoint` — cover it, and `merge_columns` reports the rows it
+/// merged and the dictionary entries the delta added.
+#[test]
+fn a_merge_deltas_children_cover_its_span() {
+    let dir = std::env::temp_dir().join(format!("hana-merge-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (platform, _) = HanaPlatform::open_durable(&dir).unwrap();
+    let admin = platform.connect("SYSTEM", "manager").unwrap();
+    let sql = |q: &str| platform.execute_sql(&admin, q).unwrap();
+    sql("CREATE COLUMN TABLE accounts (k INTEGER, v INTEGER)");
+    let load = |keys: std::ops::Range<i64>| {
+        let data: Vec<Row> = keys
+            .map(|k| Row::from_values([Value::Int(k), Value::Int(k % 97)]))
+            .collect();
+        platform.load_rows(&admin, "accounts", &data).unwrap();
+    };
+    load(0..20_000);
+    sql("MERGE DELTA OF accounts");
+    sql("CREATE INDEX ix_accounts_k ON accounts (k)");
+    let mut coverage = Vec::new();
+    for round in 0..3 {
+        let first = 20_000 + round * 3_000;
+        load(first..first + 3_000);
+        let spans = traced(|| {
+            sql("MERGE DELTA OF accounts");
+        });
+        let merge = (spans.iter())
+            .find(|s| s.name == "merge_delta[accounts]")
+            .unwrap_or_else(|| panic!("no merge span: {spans:?}"));
+        let children: Vec<&SpanRecord> = (spans.iter())
+            .filter(|s| s.parent == Some(merge.id))
+            .collect();
+        let names: Vec<&str> = children.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "merge_columns",
+                "rebuild_indexes",
+                "statistics",
+                "checkpoint"
+            ]
+        );
+        let attrs = |name: &str| (children.iter().find(|s| s.name == name).unwrap().attrs).clone();
+        let rows = (first + 3_000) as u64;
+        assert_eq!(
+            attrs("merge_columns"),
+            [
+                ("rows".to_string(), rows),
+                ("delta_rows".to_string(), 3_000),
+                ("entries_added".to_string(), 3_000),
+            ]
+        );
+        let covered: u64 = children.iter().map(|s| s.wall_ns()).sum();
+        coverage.push(covered as f64 / merge.wall_ns() as f64);
+    }
+    drop(platform);
+    let _ = std::fs::remove_dir_all(&dir);
+    eprintln!("merge span coverage per round: {coverage:.3?}");
+    let coverage = median(coverage);
+    assert!(
+        coverage >= 0.95,
+        "the children cover {coverage:.3} of the merge span"
+    );
 }
