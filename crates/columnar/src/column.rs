@@ -121,6 +121,14 @@ impl DeltaColumn {
         DeltaColumn::default()
     }
 
+    /// An empty delta fragment with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> DeltaColumn {
+        DeltaColumn {
+            dict: DeltaDictionary::new(),
+            vids: Vec::with_capacity(rows),
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.vids.len()
@@ -135,6 +143,18 @@ impl DeltaColumn {
     pub fn append(&mut self, v: &Value) {
         let vid = self.dict.insert_or_get(v);
         self.vids.push(vid);
+    }
+
+    /// Append `batch`'s rows after this fragment's: its dictionary is
+    /// absorbed, one lookup per distinct value, and its vids are
+    /// remapped. Into an empty fragment, the batch becomes the fragment.
+    pub(crate) fn extend(&mut self, batch: DeltaColumn) {
+        if self.vids.is_empty() {
+            *self = batch;
+            return;
+        }
+        let to_self = self.dict.absorb(batch.dict);
+        (self.vids).extend(batch.vids.iter().map(|&vid| to_self[vid as usize]));
     }
 
     /// The value at `row`.

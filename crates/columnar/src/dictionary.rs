@@ -11,10 +11,10 @@
 //! get IDs starting at 1.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use hana_types::Value;
+use hana_types::{FxHasher, Value};
 
 /// Reserved value ID for SQL NULL.
 pub const NULL_VID: u32 = 0;
@@ -204,11 +204,24 @@ pub(crate) struct DictionaryMerge {
     pub(crate) delta_to_new: Vec<u32>,
 }
 
-/// Insertion-ordered dictionary of the delta store.
+/// Insertion-ordered dictionary of the delta store. Each value is held
+/// once; its hash index is a table of vids probed linearly from the
+/// value's [`FxHasher`] hash, at most half full, and compares the
+/// values it meets. `Value`'s `Hash` and `Eq` let `Int(2)` and
+/// `Double(2.0)` share an entry.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaDictionary {
     values: Vec<Value>,
-    index: HashMap<Value, u32>,
+    /// Per slot, a vid (`NULL_VID` for an empty slot) and the low half
+    /// of its value's hash; the length is zero or a power of two.
+    slots: Vec<(u32, u32)>,
+}
+
+/// A value's hash.
+fn hash(v: &Value) -> u64 {
+    let mut h = FxHasher::default();
+    v.hash(&mut h);
+    h.finish()
 }
 
 impl DeltaDictionary {
@@ -233,12 +246,68 @@ impl DeltaDictionary {
         if v.is_null() {
             return NULL_VID;
         }
-        if let Some(&vid) = self.index.get(v) {
+        let h = hash(v);
+        match self.find(v, h) {
+            Ok(vid) => vid,
+            Err(slot) => self.push(slot, h, v.clone()),
+        }
+    }
+
+    /// Take `batch`'s values in, each looked up once and, when new,
+    /// moved in. Returns the translation of `batch`'s vids into this
+    /// dictionary's (entry 0, NULL, maps to [`NULL_VID`]).
+    pub(crate) fn absorb(&mut self, batch: DeltaDictionary) -> Vec<u32> {
+        let mut to_self = Vec::with_capacity(batch.len() + 1);
+        to_self.push(NULL_VID);
+        for v in batch.values {
+            let h = hash(&v);
+            let vid = match self.find(&v, h) {
+                Ok(vid) => vid,
+                Err(slot) => self.push(slot, h, v),
+            };
+            to_self.push(vid);
+        }
+        to_self
+    }
+
+    /// `v`'s vid, or the empty slot where it would go.
+    fn find(&self, v: &Value, h: u64) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = h as usize & mask;
+        loop {
+            match self.slots[at] {
+                (NULL_VID, _) => return Err(at),
+                (vid, low) if low == h as u32 && self.values[vid as usize - 1] == *v => {
+                    return Ok(vid)
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Append the new, non-null value `v`, whose hash is `h` and whose
+    /// empty slot `find` returned; returns its vid.
+    fn push(&mut self, slot: usize, h: u64, v: Value) -> u32 {
+        self.values.push(v);
+        let vid = self.values.len() as u32;
+        if 2 * self.values.len() <= self.slots.len() {
+            self.slots[slot] = (vid, h as u32);
             return vid;
         }
-        self.values.push(v.clone());
-        let vid = self.values.len() as u32;
-        self.index.insert(v.clone(), vid);
+        // Grow: every vid moves to its place in a table twice as large.
+        let size = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(NULL_VID, 0); size]);
+        let placed = old.into_iter().filter(|&(vid, _)| vid != NULL_VID);
+        for entry in placed.chain([(vid, h as u32)]) {
+            let mut at = entry.1 as usize & (size - 1);
+            while self.slots[at].0 != NULL_VID {
+                at = (at + 1) & (size - 1);
+            }
+            self.slots[at] = entry;
+        }
         vid
     }
 
@@ -247,7 +316,7 @@ impl DeltaDictionary {
         if v.is_null() {
             return Some(NULL_VID);
         }
-        self.index.get(v).copied()
+        self.find(v, hash(v)).ok()
     }
 
     /// The value for a (non-NULL) value ID.
@@ -271,9 +340,9 @@ impl DeltaDictionary {
 
     /// Approximate heap footprint in bytes.
     pub fn payload_bytes(&self) -> usize {
-        // Values are stored twice (vector + hash index).
-        2 * (self.values.iter().map(Value::storage_bytes).sum::<usize>()
-            + self.values.len() * std::mem::size_of::<Value>())
+        self.values.iter().map(Value::storage_bytes).sum::<usize>()
+            + self.values.len() * std::mem::size_of::<Value>()
+            + self.slots.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -365,6 +434,21 @@ mod tests {
             d.vid_range(Some((&Value::Int(30), true)), None),
             Some((3, 4))
         );
+    }
+
+    #[test]
+    fn absorb_looks_each_value_up_once_and_translates_the_batch() {
+        let mut d = delta(&(0..100).map(Value::Int).collect::<Vec<_>>());
+        let batch = delta(&[Value::Double(2.0), Value::from("x"), Value::Int(7)]);
+        assert_eq!(d.absorb(batch), vec![NULL_VID, 3, 101, 8]);
+        assert_eq!(d.len(), 101);
+        assert!(
+            matches!(d.value(3), Value::Int(2)),
+            "the delta's entry stays"
+        );
+        assert_eq!(d.lookup(&Value::from("x")), Some(101));
+        assert_eq!(d.lookup(&Value::Double(99.0)), Some(100));
+        assert_eq!(d.lookup(&Value::Int(100)), None);
     }
 
     #[test]

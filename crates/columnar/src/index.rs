@@ -73,11 +73,6 @@ impl SecondaryIndex {
         &self.cols
     }
 
-    /// Extract this index's key from a full table row.
-    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
-        self.cols.iter().map(|&c| row[c].clone()).collect()
-    }
-
     /// Route one inserted row into the delta side.
     pub fn append(&mut self, key: Vec<Value>, row_id: usize) {
         self.delta.entry(key).or_default().push(row_id as u32);

@@ -42,5 +42,5 @@ pub use dictionary::{DeltaDictionary, OrderedDictionary, NULL_VID};
 pub use index::{IndexDef, SecondaryIndex};
 pub use predicate::{ColumnPredicate, MatchKind, VidMatch};
 pub use stats::{ColumnStats, StatsBucket, TableStatistics, DEFAULT_STATS_BUCKETS};
-pub use table::{ColumnTable, RowVersions, NEVER};
+pub use table::{ColumnTable, InsertBatch, RowVersions, NEVER};
 pub use timeseries::{Compensation, CompressedDoubles, TimeSeriesTable};

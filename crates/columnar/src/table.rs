@@ -18,7 +18,7 @@ pub const NEVER: u64 = u64::MAX;
 /// row's `created`/`deleted` fields always hold *commit* IDs — a snapshot
 /// at commit ID `s` sees a row iff `created <= s < deleted`. For each
 /// word of 64 rows (rows `64 * w ..`) it also keeps the largest
-/// `created` and the smallest `deleted`, which [`RowVersions::push`]
+/// `created` and the smallest `deleted`, which [`RowVersions::push_rows`]
 /// and [`RowVersions::delete`], its only mutators, maintain: a snapshot
 /// with `max_created <= s < min_deleted` sees every row of the word.
 #[derive(Debug, Clone, Default)]
@@ -30,21 +30,23 @@ pub struct RowVersions {
 }
 
 impl RowVersions {
-    /// Record a newly inserted row.
-    pub fn push(&mut self, created_cid: u64) {
-        let row = self.created.len();
-        self.created.push(created_cid);
-        self.deleted.push(NEVER);
-        match row % 64 {
-            0 => {
-                self.max_created.push(created_cid);
-                self.min_deleted.push(NEVER);
-            }
-            _ => {
-                let max = &mut self.max_created[row / 64];
-                *max = (*max).max(created_cid);
-            }
+    /// Record `n` rows inserted under `created_cid`, at once.
+    pub fn push_rows(&mut self, created_cid: u64, n: usize) {
+        let first = self.created.len();
+        if n == 0 {
+            return;
         }
+        self.created.resize(first + n, created_cid);
+        self.deleted.resize(first + n, NEVER);
+        // A partly filled last word takes the new rows in too; the
+        // words after it are theirs alone.
+        if !first.is_multiple_of(64) {
+            let max = &mut self.max_created[first / 64];
+            *max = (*max).max(created_cid);
+        }
+        let words = (first + n).div_ceil(64);
+        self.max_created.resize(words, created_cid);
+        self.min_deleted.resize(words, NEVER);
     }
 
     /// Mark `row` deleted as of `cid`. Errors if already deleted.
@@ -94,6 +96,52 @@ impl RowVersions {
     /// Whether no rows were ever inserted.
     pub fn is_empty(&self) -> bool {
         self.created.is_empty()
+    }
+}
+
+/// Rows checked against a schema and encoded for one
+/// [`ColumnTable::append`], in the delta's own shape: per column, a
+/// dictionary of the distinct values the rows hold plus one vid per
+/// row.
+#[derive(Debug, Clone, Default)]
+pub struct InsertBatch {
+    columns: Vec<DeltaColumn>,
+    rows: usize,
+}
+
+impl InsertBatch {
+    /// Check each of `rows` against `schema` once — arity, NOT NULL and
+    /// type, with [`Schema::check_row`]'s errors — and encode it. The
+    /// rows are read by reference: each distinct value is cloned into
+    /// its column's dictionary, and nothing else is copied.
+    pub fn encode<'a>(
+        schema: &Schema,
+        rows: impl IntoIterator<Item = &'a [Value]>,
+    ) -> Result<InsertBatch> {
+        let rows = rows.into_iter();
+        let hint = rows.size_hint().0;
+        let mut columns: Vec<DeltaColumn> = (0..schema.len())
+            .map(|_| DeltaColumn::with_capacity(hint))
+            .collect();
+        let mut n = 0;
+        for row in rows {
+            schema.check_row(row)?;
+            for (col, v) in columns.iter_mut().zip(row) {
+                col.append(v);
+            }
+            n += 1;
+        }
+        Ok(InsertBatch { columns, rows: n })
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
     }
 }
 
@@ -190,22 +238,46 @@ impl ColumnTable {
         self.merges
     }
 
-    /// Insert a row with the given commit ID; returns its row ID.
+    /// Insert a row with the given commit ID; returns its row ID. The
+    /// row is appended as a batch of one.
     pub fn insert(&mut self, row: &[Value], cid: u64) -> Result<usize> {
-        self.schema.check_row(row)?;
-        for (pair, v) in self.columns.iter_mut().zip(row) {
-            pair.delta.append(v);
+        let batch = InsertBatch::encode(&self.schema, [row])?;
+        self.append(batch, cid)
+    }
+
+    /// Append `batch`'s rows, visible from commit ID `cid` on; returns
+    /// the first new row's id. Each column's delta absorbs the batch's
+    /// dictionary, one lookup per distinct value, and remaps its vids
+    /// (an empty delta becomes the batch's column); the rows' versions
+    /// are pushed at once.
+    pub fn append(&mut self, batch: InsertBatch, cid: u64) -> Result<usize> {
+        if batch.columns.len() != self.columns.len() {
+            return Err(HanaError::Storage(format!(
+                "a batch of {} columns cannot append to '{}' of {}",
+                batch.columns.len(),
+                self.name,
+                self.columns.len()
+            )));
         }
-        self.versions.push(cid);
-        let row_id = self.versions.len() - 1;
+        let first = self.versions.len();
+        for (pair, column) in self.columns.iter_mut().zip(batch.columns) {
+            pair.delta.extend(column);
+        }
+        self.versions.push_rows(cid, batch.rows);
         // Routed DML maintenance: every secondary index absorbs the new
-        // row on its ordered delta side. Deletes need no maintenance —
+        // rows on its ordered delta side. Deletes need no maintenance —
         // seeks re-check MVCC visibility per hit.
+        let (columns, main_rows) = (&self.columns, self.main_rows);
         for ix in &mut self.indexes {
-            let key = ix.key_of(row);
-            ix.append(key, row_id);
+            for row in first..first + batch.rows {
+                let key = ix.columns().iter();
+                let key = key
+                    .map(|&c| columns[c].delta.get(row - main_rows))
+                    .collect();
+                ix.append(key, row);
+            }
         }
-        Ok(row_id)
+        Ok(first)
     }
 
     /// Mark a row deleted as of `cid`.
@@ -479,7 +551,7 @@ impl ColumnTable {
 
     /// Create a secondary index over `columns` (key order). The index
     /// is built from the table's current rows (main and delta) and kept
-    /// maintained by [`ColumnTable::insert`] and
+    /// maintained by [`ColumnTable::append`] and
     /// [`ColumnTable::merge_delta`] from then on.
     pub fn create_index(&mut self, name: &str, columns: &[String]) -> Result<()> {
         let name = name.to_ascii_lowercase();

@@ -1,11 +1,11 @@
 //! Property-based tests for the column-store invariants.
 
 use hana_columnar::{
-    BitPackedVec, ColumnPredicate, ColumnTable, CompressedDoubles, MainColumn, MatchKind,
-    RowIdBitmap, VidCodec, VidMatch, BLOCK_ROWS,
+    BitPackedVec, ColumnPredicate, ColumnTable, CompressedDoubles, InsertBatch, MainColumn,
+    MatchKind, RowIdBitmap, VidCodec, VidMatch, BLOCK_ROWS,
 };
 use hana_exec::{ExecConfig, ExecContext};
-use hana_types::{DataType, Date, Schema, Value};
+use hana_types::{ColumnDef, DataType, Date, Schema, Value};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -662,5 +662,142 @@ fn a_delta_starting_inside_a_word_ors_its_hits_unaligned() {
                 .collect();
             assert_eq!(got, want, "{pred:?} {:?}", exec.config());
         }
+    }
+}
+
+/// The `(n DOUBLE, s VARCHAR, d DATE)` table of [`mixed_row`], indexed
+/// on `n`.
+fn mixed_table() -> ColumnTable {
+    let mut t = ColumnTable::new(
+        "p",
+        Schema::of(&[
+            ("n", DataType::Double),
+            ("s", DataType::Varchar),
+            ("d", DataType::Date),
+        ]),
+    );
+    t.create_index("ix", &["n".into()]).unwrap();
+    t
+}
+
+/// Check `t` against `model` — its rows in row-id order, each with the
+/// CID it was created under — at snapshot `cid`: the visible rows, the
+/// hits of one compiled predicate per column kind, an index seek per
+/// probe, and each column's value frequencies.
+fn check_against_model(t: &ColumnTable, model: &[(Vec<Value>, u64)], cid: u64, probes: &[Value]) {
+    let seen: Vec<usize> = (0..model.len()).filter(|&r| model[r].1 <= cid).collect();
+    assert_eq!(t.row_count(), model.len());
+    assert_eq!(t.visible(cid).iter().collect::<Vec<_>>(), seen, "cid {cid}");
+    let rows: Vec<Vec<Value>> = t.snapshot_rows(cid).into_iter().map(|r| r.0).collect();
+    let want: Vec<Vec<Value>> = seen.iter().map(|&r| model[r].0.clone()).collect();
+    assert_eq!(rows, want, "cid {cid}");
+    let preds = [
+        (
+            0,
+            ColumnPredicate::Between(Value::Int(0), Value::Double(4.5)),
+        ),
+        (0, ColumnPredicate::IsNull),
+        (1, ColumnPredicate::Eq(Value::from("a"))),
+        (1, ColumnPredicate::Ne(Value::from("b"))),
+        (2, ColumnPredicate::Ge(Value::Date(Date(10)))),
+    ];
+    for (col, pred) in preds {
+        let got: Vec<usize> = t
+            .scan_all(serial(), &[(col, pred.clone())], cid)
+            .unwrap()
+            .iter()
+            .collect();
+        let want: Vec<usize> = (seen.iter().copied())
+            .filter(|&r| pred.matches(&model[r].0[col]))
+            .collect();
+        assert_eq!(got, want, "{pred:?} on column {col} at cid {cid}");
+    }
+    for probe in probes {
+        assert_seek_matches_scan(t, std::slice::from_ref(probe), None, cid);
+    }
+    for col in 0..3 {
+        let mut want: Vec<(Value, u64)> = Vec::new();
+        let mut values: Vec<&Value> = model.iter().map(|(row, _)| &row[col]).collect();
+        values.retain(|v| !v.is_null());
+        values.sort();
+        for v in values {
+            match want.last_mut() {
+                Some((last, n)) if last == v => *n += 1,
+                _ => want.push((v.clone(), 1)),
+            }
+        }
+        assert_eq!(t.value_frequencies(col), want, "column {col}");
+    }
+}
+
+proptest! {
+    /// Appending encoded batches is filling a `Vec<Row>` model row by
+    /// row: the rows, their visibility at CIDs below, at and above each
+    /// append, predicate scans over the delta, index seeks and value
+    /// frequencies agree after every append and after the merge that
+    /// follows. The first batch goes into an empty delta, the later
+    /// ones into a non-empty one; a batch brings NULLs, `Int`/`Double`
+    /// twins and `-0.0`, or repeats values already in the delta, or
+    /// has an all-NULL column, or is empty.
+    #[test]
+    fn appended_batches_match_a_row_by_row_model(
+        batches in prop::collection::vec(
+            (prop::collection::vec(mixed_row(), 0..40), 0u8..4),
+            1..5,
+        ),
+        probes in prop::collection::vec(prop_oneof![
+            (-3i64..12).prop_map(Value::Int),
+            (-6i64..24).prop_map(|h| Value::Double(h as f64 / 2.0)),
+        ], 1..4),
+    ) {
+        let mut t = mixed_table();
+        let mut model: Vec<(Vec<Value>, u64)> = Vec::new();
+        for (i, (rows, mode)) in batches.into_iter().enumerate() {
+            let cid = 10 * (i as u64 + 1);
+            let rows: Vec<Vec<Value>> = match mode {
+                0 => rows,
+                1 if !model.is_empty() => (0..rows.len())
+                    .map(|j| model[(j * 7) % model.len()].0.clone())
+                    .collect(),
+                2 => rows.into_iter().map(|mut r| { r[1] = Value::Null; r }).collect(),
+                _ => Vec::new(),
+            };
+            let batch = InsertBatch::encode(t.schema(), rows.iter().map(Vec::as_slice)).unwrap();
+            prop_assert_eq!(batch.len(), rows.len());
+            let first = t.append(batch, cid).unwrap();
+            prop_assert_eq!(first, model.len());
+            model.extend(rows.into_iter().map(|r| (r, cid)));
+            for at in [cid - 1, cid, cid + 1] {
+                check_against_model(&t, &model, at, &probes);
+            }
+        }
+        check_merge(&mut t);
+        let last = 10 * model.len() as u64 + 100;
+        check_against_model(&t, &model, last, &probes);
+    }
+}
+
+/// A batch is checked row by row as it is encoded, with the errors of
+/// `Schema::check_row`: one bad row refuses the batch, and the table
+/// never sees it.
+#[test]
+fn a_bad_row_refuses_its_batch() {
+    let t = ColumnTable::new(
+        "p",
+        Schema::new(vec![
+            ColumnDef::not_null("k", DataType::Int),
+            ColumnDef::new("s", DataType::Varchar),
+        ])
+        .unwrap(),
+    );
+    let good = [Value::Int(1), Value::from("a")];
+    for bad in [
+        vec![Value::Int(2), Value::Int(3)],
+        vec![Value::Null, Value::from("b")],
+        vec![Value::Int(2)],
+    ] {
+        let rows = [&good[..], &bad[..], &good[..]];
+        let got = InsertBatch::encode(t.schema(), rows).unwrap_err();
+        assert_eq!(got, t.schema().check_row(&bad).unwrap_err());
     }
 }

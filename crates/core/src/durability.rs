@@ -65,8 +65,9 @@ impl HanaPlatform {
     /// the classification (`report.checkpoint_cid`), else from `held`;
     /// a start below [`Wal::redo_floor`], whose records a checkpoint
     /// may have pruned, is refused before anything applies. From the
-    /// start it redoes the committed suffix. Returns the number of
-    /// redone transactions.
+    /// start it redoes the committed suffix. Traced as `restore` (the
+    /// checkpoint's, when it starts from one) and `redo`. Returns the
+    /// number of redone transactions.
     pub(crate) fn recover_log(
         &self,
         wal: &Wal,
@@ -86,10 +87,12 @@ impl HanaPlatform {
             )));
         }
         if let Some(c) = checkpoint {
+            let _restore = hana_obs::span("restore");
             let payload =
                 std::str::from_utf8(&c.payload).map_err(|_| older_format("checkpoint"))?;
             self.apply_backup(payload)?;
         }
+        let _redo = hana_obs::span("redo");
         self.redo_log(records, report, start)
     }
 
@@ -213,8 +216,10 @@ impl HanaPlatform {
     /// Apply a backup's records: note its ledger entries, create its
     /// tables (replacing a live table of the same name), redo all its
     /// rows as one transaction, then build its indexes over them and
-    /// refresh the tables' statistics.
+    /// refresh the tables' statistics. Traced as the phases `tables`,
+    /// `rows`, `indexes` and `statistics`.
     fn apply_backup(&self, payload: &str) -> Result<()> {
+        let phase = hana_obs::span("tables");
         let (mut tables, mut rows, mut indexes) = (Vec::new(), Vec::new(), Vec::new());
         let corrupt = |head: &[Value]| HanaError::Io(format!("corrupt checkpoint record {head:?}"));
         for record in payload.split(REC_SEP).filter(|r| !r.is_empty()) {
@@ -247,10 +252,13 @@ impl HanaPlatform {
                 _ => return Err(corrupt(&head)),
             }
         }
+        let phase = phase.next("rows");
         self.redo_txn(rows)?;
+        let phase = phase.next("indexes");
         for (index, text) in indexes {
             self.apply_ddl(index, &text)?;
         }
+        let _phase = phase.next("statistics");
         for table in tables {
             self.refresh_statistics(&table)?;
         }

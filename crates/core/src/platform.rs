@@ -77,14 +77,19 @@ impl HanaPlatform {
     }
 
     /// [`open_durable`](Self::open_durable) with an explicit WAL
-    /// configuration (segment size, failpoints).
+    /// configuration (segment size, failpoints). Traced as `open`:
+    /// `log_read` (the log read back, and the platform built over it),
+    /// then `recover_log`'s `restore` and `redo`.
     pub fn open_durable_with(
         dir: &Path,
         config: hana_txn::WalConfig,
     ) -> Result<(HanaPlatform, usize)> {
+        let _open = hana_obs::span("open");
+        let phase = hana_obs::span("log_read");
         let (wal, records, report) = hana_txn::Wal::open_dir_recovered(dir, config)?;
         let wal = Arc::new(wal);
         let platform = Self::build(TransactionManager::recovered(Arc::clone(&wal), &report));
+        drop(phase);
         let replayed = platform.recover_log(&wal, records, &report, 0)?;
         Ok((platform, replayed))
     }

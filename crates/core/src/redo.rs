@@ -336,7 +336,7 @@ impl HanaPlatform {
                         if side == Side::Extended {
                             target = target.cold();
                         }
-                        self.buffer(tid, &target, Vec::new(), target.route(rows))?;
+                        self.buffer(tid, &target, &[], target.route(rows))?;
                     }
                     Redo::Rows {
                         op: RowOp::Delete,
@@ -359,7 +359,7 @@ impl HanaPlatform {
                             None => loaded.push(table.clone()),
                         }
                         let target = self.write_target(&table)?;
-                        self.buffer(tid, &target, Vec::new(), target.route(rows))?;
+                        self.buffer(tid, &target, &[], target.route(rows))?;
                     }
                 }
             }
@@ -395,7 +395,7 @@ impl HanaPlatform {
                     let taken = candidates.zip(&rows).filter(|(_, row)| wanted.take(row));
                     hit.ids = taken.map(|(id, _)| id).collect();
                 }
-                self.buffer(tid, &target, located, Vec::new())?;
+                self.buffer(tid, &target, &located, Vec::new())?;
             }
             (Side::Extended, Some(iq_table)) => {
                 let pushed = filter.map(|f| hana_sda::split_pushdown(&f).0);

@@ -7,12 +7,13 @@
 //! commit ID. What a statement buffers it also logs, as typed records
 //! of row images (see [`crate::redo`]); restore and redo log nothing.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use hana_columnar::ColumnTable;
+use hana_columnar::{ColumnTable, InsertBatch};
 use hana_dist::DistTable;
 use hana_query::{locate_rows, Located, TableSource};
 use hana_rowstore::RowTable;
@@ -51,20 +52,25 @@ impl Fragment {
     /// Apply `ops`, all of them against this fragment, under `cid` and
     /// one write lock: a reader sees all of them or none, never an
     /// updated row's old image deleted and its new image still missing.
-    fn apply(&self, ops: &[LocalOp], cid: u64) -> Result<()> {
+    /// A batch is moved out of its operation into the fragment.
+    fn apply(&self, ops: &mut [LocalOp], cid: u64) -> Result<()> {
         match self {
             Fragment::Column(t) => {
                 let mut t = t.write();
-                ops.iter().try_for_each(|op| match op {
-                    LocalOp::Insert { row, .. } => t.insert(row, cid).map(drop),
+                ops.iter_mut().try_for_each(|op| match op {
+                    LocalOp::Append { batch, .. } => t.append(std::mem::take(batch), cid).map(drop),
                     LocalOp::Delete { id, .. } => t.delete(*id, cid),
+                    LocalOp::Insert { .. } => {
+                        unreachable!("a row insert grouped with a column fragment")
+                    }
                 })
             }
             Fragment::Row(t) => {
                 let mut t = t.write();
-                ops.iter().try_for_each(|op| match op {
+                ops.iter_mut().try_for_each(|op| match op {
                     LocalOp::Insert { row, .. } => t.insert(row, cid).map(drop),
                     LocalOp::Delete { id, .. } => t.delete_slot(*id, cid),
+                    LocalOp::Append { .. } => unreachable!("a batch grouped with a row fragment"),
                 })
             }
         }
@@ -79,19 +85,39 @@ impl Fragment {
     }
 }
 
-/// One buffered local operation.
+/// One buffered local operation. Its rows were checked against the
+/// table's schema when it was staged ([`WriteTarget::stage`]).
 pub(crate) enum LocalOp {
-    /// Insert `row` into a fragment.
-    Insert { into: Fragment, row: Vec<Value> },
+    /// Append one statement's rows, encoded, to a column fragment.
+    Append {
+        into: Arc<RwLock<ColumnTable>>,
+        batch: InsertBatch,
+    },
+    /// Insert `row` into a row fragment.
+    Insert {
+        into: Arc<RwLock<RowTable>>,
+        row: Vec<Value>,
+    },
     /// Delete the (statement-time-resolved) row id / slot `id`.
     Delete { from: Fragment, id: usize },
 }
 
 impl LocalOp {
-    fn fragment(&self) -> &Fragment {
+    /// The fragment the operation applies to.
+    fn fragment(&self) -> Fragment {
         match self {
-            LocalOp::Insert { into, .. } => into,
-            LocalOp::Delete { from, .. } => from,
+            LocalOp::Append { into, .. } => Fragment::Column(Arc::clone(into)),
+            LocalOp::Insert { into, .. } => Fragment::Row(Arc::clone(into)),
+            LocalOp::Delete { from, .. } => from.clone(),
+        }
+    }
+
+    /// That fragment's address.
+    fn addr(&self) -> usize {
+        match self {
+            LocalOp::Append { into, .. } => Arc::as_ptr(into) as usize,
+            LocalOp::Insert { into, .. } => Arc::as_ptr(into) as usize,
+            LocalOp::Delete { from, .. } => from.addr(),
         }
     }
 }
@@ -139,9 +165,14 @@ impl LocalWrites {
         LocalWrites::default()
     }
 
-    /// Buffer an operation for transaction `tid`.
-    pub(crate) fn buffer(&self, tid: u64, op: LocalOp) {
-        self.state.lock().pending.entry(tid).or_default().push(op);
+    /// Buffer operations for transaction `tid`.
+    pub(crate) fn buffer(&self, tid: u64, mut ops: Vec<LocalOp>) {
+        self.state
+            .lock()
+            .pending
+            .entry(tid)
+            .or_default()
+            .append(&mut ops);
     }
 
     /// Buffered operation count for `tid`.
@@ -161,10 +192,11 @@ impl TwoPhaseParticipant for LocalWrites {
         // In-memory stores become durable through the coordinator's WAL
         // (logical logging). Prepare validates constraints *before* the
         // commit point so a no-vote can still abort the transaction:
-        // schema conformance, primary-key uniqueness (against the
-        // latest state and within the buffered batch) and write-write
-        // conflicts. A no-vote leaves its claims to the `abort` the
-        // coordinator sends every participant.
+        // primary-key uniqueness (against the latest state and within
+        // the buffered batch) and write-write conflicts. Rows were
+        // checked against their schema when staged. A no-vote leaves
+        // its claims to the `abort` the coordinator sends every
+        // participant.
         let mut state = self.state.lock();
         let WriteState { pending, claims } = &mut *state;
         let Some(ops) = pending.get(&tid).filter(|v| !v.is_empty()) else {
@@ -177,18 +209,9 @@ impl TwoPhaseParticipant for LocalWrites {
         let mut batch_keys: Vec<hana_types::Value> = Vec::new();
         for op in ops.iter() {
             match op {
-                LocalOp::Insert {
-                    into: Fragment::Column(table),
-                    row,
-                } => {
-                    table.read().schema().check_row(row)?;
-                }
-                LocalOp::Insert {
-                    into: into @ Fragment::Row(table),
-                    row,
-                } => {
-                    let t = table.read();
-                    t.schema().check_row(row)?;
+                LocalOp::Append { .. } => {}
+                LocalOp::Insert { into, row } => {
+                    let t = into.read();
                     if let Some(pk) = t.pk_column() {
                         let key = &row[pk];
                         let latest = hana_txn::Snapshot::at(u64::MAX - 1);
@@ -198,8 +221,9 @@ impl TwoPhaseParticipant for LocalWrites {
                                 t.name()
                             )));
                         }
+                        let at = Arc::as_ptr(into) as usize;
                         let taken = t.get(key, latest).is_some()
-                            && !freed.iter().any(|(at, k)| *at == into.addr() && k == key);
+                            && !freed.iter().any(|(a, k)| *a == at && k == key);
                         if taken || batch_keys.contains(key) {
                             return Err(hana_types::HanaError::Storage(format!(
                                 "duplicate primary key {key} in '{}'",
@@ -235,9 +259,9 @@ impl TwoPhaseParticipant for LocalWrites {
         };
         // Fragment by fragment (the sort is stable: each fragment sees
         // its operations in statement order).
-        ops.sort_by_key(|op| op.fragment().addr());
+        ops.sort_by_key(LocalOp::addr);
         let applied = ops
-            .chunk_by(|a, b| a.fragment().addr() == b.fragment().addr())
+            .chunk_by_mut(|a, b| a.addr() == b.addr())
             .try_for_each(|run| run[0].fragment().apply(run, cid));
         // Only now may another transaction's `prepare` look at these
         // rows: it finds them deleted.
@@ -273,13 +297,60 @@ pub(crate) struct WriteTarget {
 
 impl WriteTarget {
     /// Bucket `rows` by the fragment that takes them: a distributed
-    /// table sends each row to its home node's fragment; every other
-    /// table has one insert target.
-    pub(crate) fn route(&self, rows: Vec<Row>) -> Vec<Vec<Row>> {
+    /// table sends each row to its home node's fragment, which takes
+    /// the rows over; every other table has one insert target, which
+    /// reads them where they are.
+    pub(crate) fn route<'a>(&self, rows: impl Into<Cow<'a, [Row]>>) -> Vec<Cow<'a, [Row]>> {
         match &self.dist {
-            Some(dt) => dt.bucket(rows),
-            None => vec![rows],
+            Some(dt) => (dt.bucket(rows.into().into_owned()).into_iter())
+                .map(Cow::Owned)
+                .collect(),
+            None => vec![rows.into()],
         }
+    }
+
+    /// One statement's writes to this table, not yet buffered: the
+    /// deletion of `victims` and the insertion of the `routed` rows.
+    /// Every row bound for an in-memory fragment is checked against
+    /// the schema here, once: a column fragment's rows are read where
+    /// they are and encoded into one [`InsertBatch`] per fragment, and
+    /// a row fragment's are checked one by one. Rows bound for the
+    /// extended store are kept for it; it checks its own. Fails before
+    /// anything is buffered.
+    pub(crate) fn stage(&self, victims: &[Located], routed: Vec<Cow<'_, [Row]>>) -> Result<Staged> {
+        let mut staged = Staged::default();
+        for hit in victims {
+            let from = &self.local[hit.fragment];
+            let deletes = hit.ids.iter().map(|&id| LocalOp::Delete {
+                from: from.clone(),
+                id,
+            });
+            staged.local.extend(deletes);
+        }
+        for (home, rows) in routed.into_iter().enumerate() {
+            match self.local.get(home) {
+                _ if rows.is_empty() => {}
+                Some(Fragment::Column(into)) => {
+                    let batch = InsertBatch::encode(&self.schema, rows.iter().map(Row::values))?;
+                    let into = Arc::clone(into);
+                    staged.local.push(LocalOp::Append { into, batch });
+                }
+                Some(Fragment::Row(into)) => {
+                    for Row(row) in rows.into_owned() {
+                        self.schema.check_row(&row)?;
+                        let into = Arc::clone(into);
+                        staged.local.push(LocalOp::Insert { into, row });
+                    }
+                }
+                None if self.iq.is_some() => staged.cold.extend(rows.into_owned()),
+                None => {
+                    return Err(HanaError::Storage(
+                        "no partition of the table can hold the rows".into(),
+                    ))
+                }
+            }
+        }
+        Ok(staged)
     }
 
     /// The same table with only its extended-store side: rows buffered
@@ -291,6 +362,16 @@ impl WriteTarget {
             ..self
         }
     }
+}
+
+/// One statement's writes to a table, staged by
+/// [`WriteTarget::stage`] and not yet buffered.
+#[derive(Default)]
+pub(crate) struct Staged {
+    /// The operations on the in-memory fragments, rows checked.
+    local: Vec<LocalOp>,
+    /// Rows for the extended store.
+    cold: Vec<Row>,
 }
 
 impl HanaPlatform {
@@ -332,39 +413,35 @@ impl HanaPlatform {
     /// fragments and the insertion of the `routed` rows (bucketed by
     /// [`WriteTarget::route`] or the repartition exchange) into theirs —
     /// or hand them to the extended store when the target has no
-    /// in-memory side. Nothing is visible before commit.
+    /// in-memory side. It [stages](WriteTarget::stage) them, then
+    /// buffers what it staged. Nothing is visible before commit.
     pub(crate) fn buffer(
         &self,
         tid: u64,
         target: &WriteTarget,
-        victims: Vec<Located>,
-        routed: Vec<Vec<Row>>,
+        victims: &[Located],
+        routed: Vec<Cow<'_, [Row]>>,
     ) -> Result<()> {
-        for hit in victims {
-            let from = &target.local[hit.fragment];
-            for id in hit.ids {
-                let from = from.clone();
-                self.local_writes.buffer(tid, LocalOp::Delete { from, id });
+        let staged = target.stage(victims, routed)?;
+        self.buffer_staged(tid, target, staged)
+    }
+
+    /// Buffer what [`WriteTarget::stage`] staged against `target` under
+    /// transaction `tid`: the local operations cannot fail; the
+    /// extended store can refuse its rows.
+    pub(crate) fn buffer_staged(
+        &self,
+        tid: u64,
+        target: &WriteTarget,
+        staged: Staged,
+    ) -> Result<()> {
+        self.local_writes.buffer(tid, staged.local);
+        match &target.iq {
+            Some(iq_table) if !staged.cold.is_empty() => {
+                self.iq.buffer_insert(tid, iq_table, staged.cold)
             }
+            _ => Ok(()),
         }
-        for (home, rows) in routed.into_iter().enumerate() {
-            match (target.local.get(home), &target.iq) {
-                _ if rows.is_empty() => {}
-                (Some(into), _) => {
-                    for Row(row) in rows {
-                        let into = into.clone();
-                        self.local_writes.buffer(tid, LocalOp::Insert { into, row });
-                    }
-                }
-                (None, Some(iq_table)) => self.iq.buffer_insert(tid, iq_table, rows)?,
-                (None, None) => {
-                    return Err(HanaError::Storage(
-                        "no partition of the table can hold the rows".into(),
-                    ))
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The rows of `target`'s in-memory fragments that `filter` selects
@@ -402,9 +479,9 @@ impl HanaPlatform {
     /// inserted into or deleted from `side` of `table` (nothing for no
     /// rows). No record may outlive a failed buffer call in a
     /// transaction that goes on, as an explicit one does after a failed
-    /// statement: DML logs an insert once it is buffered (the extended
-    /// store can refuse it), and images for in-memory fragments, whose
-    /// buffering cannot fail, just before.
+    /// statement: DML logs an insert once it is buffered (staging checks
+    /// its rows, and the extended store can refuse them), and images
+    /// of staged writes, whose buffering cannot fail, just before.
     fn log_rows<'a>(
         &self,
         tid: u64,
@@ -462,18 +539,13 @@ impl HanaPlatform {
                     full
                 }
             };
-            schema.check_row(&row)?;
             rows.push(Row(row));
         }
-        let n = rows.len();
-        // Logged once buffered, as the extended store can refuse rows;
-        // only a log that stores the record needs the copy.
-        let images = (!self.tm.wal().is_volatile()).then(|| rows.clone());
-        self.buffer(tid, &target, Vec::new(), target.route(rows))?;
-        if let Some(images) = images {
-            self.log_rows(tid, RowOp::Insert, table, Side::Local, &images)?;
-        }
-        Ok(n)
+        // Logged once buffered: staging checks the rows, and the
+        // extended store can refuse them.
+        self.buffer(tid, &target, &[], target.route(&rows))?;
+        self.log_rows(tid, RowOp::Insert, table, Side::Local, &rows)?;
+        Ok(rows.len())
     }
 
     pub(crate) fn dml_delete(
@@ -502,7 +574,7 @@ impl HanaPlatform {
         let mut n: usize = victims.iter().map(|hit| hit.ids.len()).sum();
         let images = victims.iter().flat_map(|hit| &hit.rows);
         self.log_rows(tid, RowOp::Delete, table, Side::Local, images)?;
-        self.buffer(tid, &target, victims, Vec::new())?;
+        self.buffer(tid, &target, &victims, Vec::new())?;
         if let Some(iq_table) = &target.iq {
             // Victims' images are read only for a log that stores them.
             let mut all = |_: &Row| true;
@@ -555,12 +627,14 @@ impl HanaPlatform {
         }
         let mut images = Vec::new();
         rows.push_rows(&mut images);
-        let n = images.len();
+        // Staged (which checks the new images) before anything is
+        // logged, and logged before it is buffered.
+        let staged = target.stage(&victims, target.route(&images))?;
         let old = victims.iter().flat_map(|hit| &hit.rows);
         self.log_rows(tid, RowOp::Delete, table, Side::Local, old)?;
         self.log_rows(tid, RowOp::Insert, table, Side::Local, &images)?;
-        self.buffer(tid, &target, victims, target.route(images))?;
-        Ok(n)
+        self.buffer_staged(tid, &target, staged)?;
+        Ok(images.len())
     }
 
     // ---- bulk load ----
@@ -568,57 +642,63 @@ impl HanaPlatform {
     /// Bulk-load rows through a single transaction. For extended tables
     /// this is the §3.1 **direct load** path ("directly moves the data
     /// into the external store without taking a detour via the in-memory
-    /// store").
+    /// store"). Traced as `bulk_load[<table>]`, whose phases are
+    /// `encode`, `commit`, `statistics` and `checkpoint`.
     pub fn load_rows(&self, session: &Session, table: &str, rows: &[Row]) -> Result<usize> {
         self.security.check(session, Privilege::Write)?;
-        let target = self.bulk_target(table, rows)?;
-        self.bulk_commit(table, &target, rows, None)?;
+        let _load = hana_obs::span_with(|| format!("bulk_load[{table}]"));
+        let phase = hana_obs::span("encode");
+        let target = self.write_target(table)?;
+        let staged = self.bulk_stage(&target, rows)?;
+        let phase = phase.next("commit");
+        self.bulk_commit(table, &target, staged, rows, None)?;
         // Bulk load is a natural statistics trigger (§3.1 synopses):
-        // restore and ESP ingestion funnel through here too, so
-        // recovered tables come back with fresh statistics.
+        // ESP table sinks funnel through here too.
+        let phase = phase.next("statistics");
         self.refresh_statistics(table)?;
         // Bulk load is also a checkpoint barrier: the snapshot it
         // triggers keeps recovery from replaying the (potentially large)
         // load payload ever again.
+        let _phase = phase.next("checkpoint");
         self.maybe_checkpoint();
         Ok(rows.len())
     }
 
-    /// Resolve `table` for a bulk transaction and check `rows` against
-    /// its schema.
-    fn bulk_target(&self, table: &str, rows: &[Row]) -> Result<WriteTarget> {
-        let target = self.write_target(table)?;
-        for row in rows {
-            target.schema.check_row(row.values())?;
-        }
-        Ok(target)
+    /// Stage `rows` for a bulk transaction on `target`, before it
+    /// begins: rows bound for a distributed table cross the repartition
+    /// exchange to their home nodes (accounted and fault-checked like
+    /// any shuffle); the others are read where they are. Every row is
+    /// checked once, in [`WriteTarget::stage`].
+    fn bulk_stage(&self, target: &WriteTarget, rows: &[Row]) -> Result<Staged> {
+        let routed = match &target.dist {
+            None => target.route(rows),
+            Some(dt) => {
+                let ctx = RemoteContext::snapshot(self.tm.current_snapshot().cid());
+                let policy = RetryPolicy::default();
+                let homed = hana_dist::repartition(dt, &ctx, &policy, rows.to_vec())?;
+                homed.into_iter().map(Cow::Owned).collect()
+            }
+        };
+        target.stage(&[], routed)
     }
 
     /// The one bulk transaction sequence, shared by
     /// [`load_rows`](Self::load_rows) and
     /// [`commit_ingest_batch`](Self::commit_ingest_batch): begin →
-    /// buffer → log → commit, aborting on any failure before the commit
-    /// point. Rows bound for a distributed table cross the repartition
-    /// exchange to their home nodes (accounted and fault-checked like
-    /// any shuffle); the coordinator's `bulk` record carries the rows of
-    /// every table, so one log decides and redoes every load.
-    /// Returns the commit ID.
+    /// buffer what [`bulk_stage`](Self::bulk_stage) staged → log →
+    /// commit, aborting on any failure before the commit point. The
+    /// coordinator's `bulk` record carries the rows of every table, so
+    /// one log decides and redoes every load. Returns the commit ID.
     fn bulk_commit(
         &self,
         table: &str,
         target: &WriteTarget,
+        staged: Staged,
         rows: &[Row],
         ingest: Option<(&str, u64)>,
     ) -> Result<u64> {
         let ((), receipt) = self.in_txn(|txn| {
-            let routed = match &target.dist {
-                None => target.route(rows.to_vec()),
-                Some(dt) => {
-                    let ctx = RemoteContext::snapshot(txn.snapshot.cid());
-                    hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?
-                }
-            };
-            self.buffer(txn.tid, target, Vec::new(), routed)?;
+            self.buffer_staged(txn.tid, target, staged)?;
             self.tm
                 .log_data(txn.tid, "hana", || bulk_payload(table, ingest, rows))
         })?;
@@ -651,7 +731,10 @@ impl HanaPlatform {
         rows: &[Row],
     ) -> Result<IngestCommit> {
         self.security.check(session, Privilege::Stream)?;
-        let target = self.bulk_target(table, rows)?;
+        // Staged before the ledger is read: a bad row is an error, not
+        // a duplicate.
+        let target = self.write_target(table)?;
+        let staged = self.bulk_stage(&target, rows)?;
         let _fence = self.ingest.fence();
         let last = self.ingest.last_epoch(pipeline);
         if epoch <= last {
@@ -660,7 +743,7 @@ impl HanaPlatform {
                 .inc();
             return Ok(IngestCommit::Deduplicated { last_epoch: last });
         }
-        let cid = self.bulk_commit(table, &target, rows, Some((pipeline, epoch)))?;
+        let cid = self.bulk_commit(table, &target, staged, rows, Some((pipeline, epoch)))?;
         self.ingest.note(pipeline, epoch);
         hana_obs::registry()
             .counter("hana_ingest_epochs_committed_total")
@@ -700,10 +783,10 @@ impl HanaPlatform {
         let moved = rows.len();
         self.in_txn(|txn| {
             self.log_rows(txn.tid, RowOp::Delete, table, Side::Local, &rows)?;
-            self.buffer(txn.tid, &target, victims, Vec::new())?;
+            self.buffer(txn.tid, &target, &victims, Vec::new())?;
             self.log_rows(txn.tid, RowOp::Insert, table, Side::Extended, &rows)?;
             let cold = target.cold();
-            self.buffer(txn.tid, &cold, Vec::new(), cold.route(rows))
+            self.buffer(txn.tid, &cold, &[], cold.route(rows))
         })?;
         Ok(moved)
     }
@@ -715,6 +798,13 @@ mod tests {
     use hana_txn::TransactionManager;
     use hana_types::{DataType, Schema};
 
+    /// An append of the one-value row `v` to `table`.
+    fn append(table: &Arc<RwLock<ColumnTable>>, v: Value) -> LocalOp {
+        let batch = InsertBatch::encode(table.read().schema(), [&[v][..]]).unwrap();
+        let into = Arc::clone(table);
+        LocalOp::Append { into, batch }
+    }
+
     #[test]
     fn writes_apply_only_at_commit() {
         let tm = TransactionManager::new();
@@ -724,13 +814,7 @@ mod tests {
         )));
         let writes = Arc::new(LocalWrites::new());
         let txn = tm.begin();
-        writes.buffer(
-            txn.tid,
-            LocalOp::Insert {
-                into: Fragment::Column(Arc::clone(&table)),
-                row: vec![Value::Int(1)],
-            },
-        );
+        writes.buffer(txn.tid, vec![append(&table, Value::Int(1))]);
         assert_eq!(table.read().row_count(), 0, "not yet");
         let parts: Vec<Arc<dyn TwoPhaseParticipant>> = vec![writes.clone()];
         let receipt = tm.commit(txn, &parts).unwrap();
@@ -747,13 +831,7 @@ mod tests {
         )));
         let writes = Arc::new(LocalWrites::new());
         let txn = tm.begin();
-        writes.buffer(
-            txn.tid,
-            LocalOp::Insert {
-                into: Fragment::Column(Arc::clone(&table)),
-                row: vec![Value::Int(1)],
-            },
-        );
+        writes.buffer(txn.tid, vec![append(&table, Value::Int(1))]);
         assert_eq!(writes.pending_ops(txn.tid), 1);
         let parts: Vec<Arc<dyn TwoPhaseParticipant>> = vec![writes.clone()];
         tm.abort(txn, &parts).unwrap();

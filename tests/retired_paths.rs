@@ -479,6 +479,28 @@ const GUARDS: &[Guard] = &[
         why: "a merge builds a new main and a new delta: DeltaColumn has no clear",
         ..ROW
     },
+    Guard {
+        name: "delta-dictionary-hashes-with-fx",
+        ledger: 48,
+        paths: &["crates/columnar/src/dictionary.rs"],
+        rule: Lines(&[Text("std::collections::HashMap"), Text(r"\bHashMap\b")], NONE),
+        why: "the delta dictionary's index is probed with FxHasher, the engine's one hasher: no SipHash HashMap",
+        ..ROW
+    },
+    // The write path.
+    Guard {
+        name: "column-fragment-takes-one-batch",
+        ledger: 48,
+        paths: &["crates/core/src/writes.rs"],
+        rule: Lines(&[Text("into: Fragment"), Text(".to_vec()")], NONE),
+        except: &[Line(
+            "crates/core/src/writes.rs",
+            "let homed = hana_dist::repartition(",
+        )],
+        why: "a statement's rows reach a column fragment as one encoded batch, read where they are: \
+              no per-row insert op into any fragment, no copy of the rows but the exchange's",
+        ..ROW
+    },
     // The write-ahead log: its files, its committing thread.
     Guard {
         name: "wal-no-window-no-thread",

@@ -2,16 +2,26 @@
 //! `Session::execute_prepared` open a root `statement` span whose
 //! children — `parse` (text only), `lift`, `cache_get`, `plan` (cache
 //! miss only), `admit`, `execute` — cover it. Without a tracer the
-//! spans are inert. A MERGE DELTA opens `merge_delta[<table>]`, whose
-//! phases cover it the same way.
+//! spans are inert. A MERGE DELTA opens `merge_delta[<table>]`, a bulk
+//! load `bulk_load[<table>]` and a durable reopen `open`, whose phases
+//! cover them the same way.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hana_core::HanaPlatform;
 use hana_obs::{SpanRecord, Tracer};
 use hana_session::{Session, SessionManager};
 use hana_types::{Row, Value};
+
+/// Every test here times spans, so they run one at a time: none times
+/// another's work.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A session over an `accounts` table of `rows` rows, loaded, merged
 /// and indexed on `k`.
@@ -104,6 +114,7 @@ fn traced_reads(session: &Session, rows: i64, reads: i64) -> [Vec<Split>; 2] {
 
 #[test]
 fn a_point_reads_children_cover_its_statement_span() {
+    let _alone = alone();
     let (_manager, session) = accounts(20_000);
     let [prepared, adhoc] = traced_reads(&session, 20_000, 200);
     for (kind, splits, names) in [
@@ -140,6 +151,7 @@ fn a_point_reads_children_cover_its_statement_span() {
 /// The other children do not see the table at all.
 #[test]
 fn a_point_reads_execute_span_does_not_grow_with_the_table() {
+    let _alone = alone();
     let fastest_execute = |rows: i64| {
         let (_manager, session) = accounts(rows);
         let [prepared, adhoc] = traced_reads(&session, rows, 300);
@@ -174,6 +186,7 @@ fn a_point_reads_execute_span_does_not_grow_with_the_table() {
 /// merged and the dictionary entries the delta added.
 #[test]
 fn a_merge_deltas_children_cover_its_span() {
+    let _alone = alone();
     let dir = std::env::temp_dir().join(format!("hana-merge-spans-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -234,4 +247,117 @@ fn a_merge_deltas_children_cover_its_span() {
         coverage >= 0.95,
         "the children cover {coverage:.3} of the merge span"
     );
+}
+
+/// The children of the one span named `name` in `spans`, and the share
+/// of its wall they cover.
+fn children_of<'a>(spans: &'a [SpanRecord], name: &str) -> (Vec<&'a SpanRecord>, f64) {
+    let parent = (spans.iter())
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("no {name} span: {spans:?}"));
+    let children: Vec<&SpanRecord> = (spans.iter())
+        .filter(|s| s.parent == Some(parent.id))
+        .collect();
+    let covered: u64 = children.iter().map(|s| s.wall_ns()).sum();
+    (children, covered as f64 / parent.wall_ns() as f64)
+}
+
+fn names<'a>(spans: &[&'a SpanRecord]) -> Vec<&'a str> {
+    spans.iter().map(|s| s.name.as_str()).collect()
+}
+
+/// A traced bulk load explains its own time: its `bulk_load[<table>]`
+/// span's children — `encode` (every row checked and encoded), `commit`,
+/// `statistics` and `checkpoint` — cover it.
+#[test]
+fn a_bulk_loads_children_cover_its_span() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("hana-load-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (platform, _) = HanaPlatform::open_durable(&dir).unwrap();
+    let admin = platform.connect("SYSTEM", "manager").unwrap();
+    platform
+        .execute_sql(
+            &admin,
+            "CREATE COLUMN TABLE accounts (k INTEGER, v INTEGER)",
+        )
+        .unwrap();
+    let mut coverage = Vec::new();
+    for round in 0..3 {
+        let data: Vec<Row> = (round * 20_000..(round + 1) * 20_000)
+            .map(|k| Row::from_values([Value::Int(k), Value::Int(k % 97)]))
+            .collect();
+        let spans = traced(|| {
+            platform.load_rows(&admin, "accounts", &data).unwrap();
+        });
+        let (children, covered) = children_of(&spans, "bulk_load[accounts]");
+        assert_eq!(
+            names(&children),
+            ["encode", "commit", "statistics", "checkpoint"]
+        );
+        coverage.push(covered);
+    }
+    drop(platform);
+    let _ = std::fs::remove_dir_all(&dir);
+    eprintln!("bulk load span coverage per round: {coverage:.3?}");
+    let coverage = median(coverage);
+    assert!(
+        coverage >= 0.95,
+        "the children cover {coverage:.3} of the bulk load span"
+    );
+}
+
+/// A traced durable reopen explains its own time: `open`'s children —
+/// `log_read`, `restore` (the checkpoint's) and `redo` (the log after
+/// it) — cover it, and `restore`'s — `tables`, `rows`, `indexes` and
+/// `statistics` — cover the restore.
+#[test]
+fn a_durable_reopens_children_cover_its_span() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("hana-open-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    {
+        let (platform, _) = HanaPlatform::open_durable(&dir).unwrap();
+        let admin = platform.connect("SYSTEM", "manager").unwrap();
+        let sql = |q: &str| platform.execute_sql(&admin, q).unwrap();
+        sql("CREATE COLUMN TABLE accounts (k INTEGER, v INTEGER)");
+        sql("CREATE INDEX ix_accounts_k ON accounts (k)");
+        let data: Vec<Row> = (0..20_000)
+            .map(|k| Row::from_values([Value::Int(k), Value::Int(k % 97)]))
+            .collect();
+        // The load checkpoints; the inserts after it are redone.
+        platform.load_rows(&admin, "accounts", &data).unwrap();
+        for k in 20_000..20_050 {
+            sql(&format!("INSERT INTO accounts VALUES ({k}, 1)"));
+        }
+    }
+    let (mut open, mut restore) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        let mut reopened = None;
+        let spans = traced(|| {
+            reopened = Some(HanaPlatform::open_durable(&dir).unwrap());
+        });
+        let (platform, redone) = reopened.unwrap();
+        assert_eq!(redone, 50);
+        drop(platform);
+        let (children, covered) = children_of(&spans, "open");
+        assert_eq!(names(&children), ["log_read", "restore", "redo"]);
+        open.push(covered);
+        let (children, covered) = children_of(&spans, "restore");
+        assert_eq!(
+            names(&children),
+            ["tables", "rows", "indexes", "statistics"]
+        );
+        restore.push(covered);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    eprintln!("open span coverage per reopen: {open:.3?}; restore: {restore:.3?}");
+    for (name, coverage) in [("open", median(open)), ("restore", median(restore))] {
+        assert!(
+            coverage >= 0.95,
+            "the children cover {coverage:.3} of the {name} span"
+        );
+    }
 }
