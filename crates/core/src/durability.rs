@@ -140,9 +140,6 @@ impl HanaPlatform {
         // snapshot, so the fence need not cover reading them.
         let (cut, epochs) = {
             let _fence = self.ingest.fence();
-            // Cut at a commit ID whose predecessors have all applied: a
-            // commit still between CID assignment and phase 2 would be
-            // recorded as covered without its rows.
             (self.tm.checkpoint_cut(), self.ingest.entries())
         };
         let cid = cut.cid;

@@ -842,7 +842,7 @@ impl HanaPlatform {
                 .map(|(n, k)| format!("{n}:{k}"))
                 .collect::<Vec<_>>()
                 .join(", "),
-            self.tm.last_commit_id(),
+            self.tm.current_snapshot().cid(),
             hits,
             misses,
             reads,

@@ -385,7 +385,7 @@ impl HanaPlatform {
         let target = self.write_target(table)?;
         let filter = image_filter(&target.schema, &images);
         let mut wanted = Wanted::new(images);
-        let cid = self.tm.last_commit_id();
+        let cid = self.tm.current_snapshot().cid();
         match (side, &target.iq) {
             (Side::Local, _) => {
                 let mut located = self.locate(table, &target, filter.as_ref(), cid)?;

@@ -52,7 +52,7 @@ impl Fragment {
     /// Apply `ops`, all of them against this fragment, under `cid` and
     /// one write lock: a reader sees all of them or none, never an
     /// updated row's old image deleted and its new image still missing.
-    /// A batch is moved out of its operation into the fragment.
+    /// A batch or row is moved out of its operation into the fragment.
     fn apply(&self, ops: &mut [LocalOp], cid: u64) -> Result<()> {
         match self {
             Fragment::Column(t) => {
@@ -68,7 +68,7 @@ impl Fragment {
             Fragment::Row(t) => {
                 let mut t = t.write();
                 ops.iter_mut().try_for_each(|op| match op {
-                    LocalOp::Insert { row, .. } => t.insert(row, cid).map(drop),
+                    LocalOp::Insert { row, .. } => t.insert(std::mem::take(row), cid).map(drop),
                     LocalOp::Delete { id, .. } => t.delete_slot(*id, cid),
                     LocalOp::Append { .. } => unreachable!("a batch grouped with a row fragment"),
                 })

@@ -431,7 +431,7 @@ fn point_in_time_recovery_replays_wal() {
             .unwrap();
         hana.execute_sql(&s, "INSERT INTO t VALUES (1)").unwrap();
         hana.execute_sql(&s, "INSERT INTO t VALUES (2)").unwrap();
-        checkpoint_cid = hana.transaction_manager().last_commit_id();
+        checkpoint_cid = hana.transaction_manager().current_snapshot().cid();
         hana.execute_sql(&s, "INSERT INTO t VALUES (3)").unwrap();
         // A checkpoint barrier; one 4 MiB segment, so it prunes nothing.
         hana.load_rows(
@@ -469,7 +469,7 @@ fn point_in_time_recovery_replays_wal() {
         hana.execute_sql(&s, "CREATE COLUMN TABLE t (a INTEGER)")
             .unwrap();
         hana.execute_sql(&s, "INSERT INTO t VALUES (1)").unwrap();
-        early = hana.transaction_manager().last_commit_id();
+        early = hana.transaction_manager().current_snapshot().cid();
         for a in 2..=12 {
             hana.execute_sql(&s, &format!("INSERT INTO t VALUES ({a})"))
                 .unwrap();

@@ -129,7 +129,7 @@ fn world() -> TestCatalog {
     .unwrap();
     for i in 0..10i64 {
         codes
-            .insert(&[Value::Int(i), Value::from(format!("label-{i}"))], 1)
+            .insert(vec![Value::Int(i), Value::from(format!("label-{i}"))], 1)
             .unwrap();
     }
 

@@ -69,10 +69,10 @@ impl RowTable {
         self.rows.len()
     }
 
-    /// Insert a row committed at `cid`; enforces primary-key uniqueness
-    /// among versions visible at `cid`.
-    pub fn insert(&mut self, row: &[Value], cid: u64) -> Result<usize> {
-        self.schema.check_row(row)?;
+    /// Insert `row`, already checked against the schema, committed at
+    /// `cid`; enforces a non-NULL primary key, unique among versions
+    /// visible at `cid`.
+    pub fn insert(&mut self, row: Vec<Value>, cid: u64) -> Result<usize> {
         if let Some(pk) = self.pk_col {
             let key = &row[pk];
             if key.is_null() {
@@ -95,14 +95,14 @@ impl RowTable {
             }
         }
         let slot = self.rows.len();
-        self.rows.push(VersionedRow {
-            values: Row::from_values(row.iter().cloned()),
-            created: cid,
-            deleted: NEVER,
-        });
         if let Some(pk) = self.pk_col {
             self.pk_index.entry(row[pk].clone()).or_default().push(slot);
         }
+        self.rows.push(VersionedRow {
+            values: Row(row),
+            created: cid,
+            deleted: NEVER,
+        });
         Ok(slot)
     }
 
@@ -140,7 +140,7 @@ impl RowTable {
             return Ok(false);
         };
         self.delete_slot(slot, cid)?;
-        self.insert(new_row, cid)?;
+        self.insert(new_row.to_vec(), cid)?;
         Ok(true)
     }
 
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn point_lookup_under_snapshots() {
         let mut t = table();
-        t.insert(&[Value::Int(1), Value::Double(100.0)], 10)
+        t.insert(vec![Value::Int(1), Value::Double(100.0)], 10)
             .unwrap();
         assert!(t.get(&Value::Int(1), Snapshot::at(9)).is_none());
         let row = t.get(&Value::Int(1), Snapshot::at(10)).unwrap();
@@ -269,18 +269,23 @@ mod tests {
     #[test]
     fn duplicate_pk_rejected_null_pk_rejected() {
         let mut t = table();
-        t.insert(&[Value::Int(1), Value::Double(1.0)], 1).unwrap();
-        assert!(t.insert(&[Value::Int(1), Value::Double(2.0)], 2).is_err());
-        assert!(t.insert(&[Value::Null, Value::Double(2.0)], 2).is_err());
+        t.insert(vec![Value::Int(1), Value::Double(1.0)], 1)
+            .unwrap();
+        assert!(t
+            .insert(vec![Value::Int(1), Value::Double(2.0)], 2)
+            .is_err());
+        assert!(t.insert(vec![Value::Null, Value::Double(2.0)], 2).is_err());
         // After deleting, the key can be reused.
         assert!(t.delete_by_key(&Value::Int(1), 3).unwrap());
-        t.insert(&[Value::Int(1), Value::Double(3.0)], 4).unwrap();
+        t.insert(vec![Value::Int(1), Value::Double(3.0)], 4)
+            .unwrap();
     }
 
     #[test]
     fn update_creates_version_chain() {
         let mut t = table();
-        t.insert(&[Value::Int(7), Value::Double(50.0)], 10).unwrap();
+        t.insert(vec![Value::Int(7), Value::Double(50.0)], 10)
+            .unwrap();
         assert!(t
             .update_by_key(&Value::Int(7), &[Value::Int(7), Value::Double(75.0)], 20)
             .unwrap());
@@ -303,7 +308,7 @@ mod tests {
     fn scan_and_filter() {
         let mut t = table();
         for i in 0..10i64 {
-            t.insert(&[Value::Int(i), Value::Double(i as f64 * 10.0)], 1)
+            t.insert(vec![Value::Int(i), Value::Double(i as f64 * 10.0)], 1)
                 .unwrap();
         }
         t.delete_by_key(&Value::Int(5), 2).unwrap();
@@ -317,7 +322,8 @@ mod tests {
     #[test]
     fn vacuum_drops_dead_versions_and_keeps_lookups_working() {
         let mut t = table();
-        t.insert(&[Value::Int(1), Value::Double(1.0)], 1).unwrap();
+        t.insert(vec![Value::Int(1), Value::Double(1.0)], 1)
+            .unwrap();
         t.update_by_key(&Value::Int(1), &[Value::Int(1), Value::Double(2.0)], 2)
             .unwrap();
         t.update_by_key(&Value::Int(1), &[Value::Int(1), Value::Double(3.0)], 3)
@@ -334,8 +340,8 @@ mod tests {
     #[test]
     fn table_without_pk_scans_only() {
         let mut t = RowTable::new("log", Schema::of(&[("msg", DataType::Varchar)]), None).unwrap();
-        t.insert(&[Value::from("a")], 1).unwrap();
-        t.insert(&[Value::from("a")], 1).unwrap(); // duplicates fine
+        t.insert(vec![Value::from("a")], 1).unwrap();
+        t.insert(vec![Value::from("a")], 1).unwrap(); // duplicates fine
         assert_eq!(t.scan(Snapshot::at(1)).len(), 2);
         assert!(t.get(&Value::from("a"), Snapshot::at(1)).is_none());
     }

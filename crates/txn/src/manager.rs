@@ -16,11 +16,11 @@
 //!   and can be manually aborted, exactly as the paper describes for a
 //!   failed extended store.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use hana_types::{HanaError, Result};
 
@@ -64,25 +64,38 @@ pub struct CheckpointCut {
 /// Central coordinator: allocates TIDs and CIDs, drives 2PC, owns the WAL.
 pub struct TransactionManager {
     next_tid: AtomicU64,
-    last_cid: AtomicU64,
     wal: Arc<Wal>,
-    /// Serializes the commit point: CID assignment and the enqueue of
-    /// the commit record happen under this lock, so commit records land
-    /// in the log in CID order and any log prefix recovers to a
-    /// contiguous committed prefix. The durability wait happens
-    /// *outside* the lock — that is what lets a committer that finds a
-    /// flush running join the next one, so concurrent commits share an
-    /// fsync.
-    commit_order: Mutex<()>,
-    /// Held shared by every commit from CID assignment until its
-    /// participants have applied;
-    /// [`checkpoint_cut`](Self::checkpoint_cut) takes it exclusively to
-    /// read a CID none of whose predecessors is still in flight.
-    apply_gate: RwLock<()>,
-    /// Transactions from `begin` until their CID is assigned (or they
-    /// abort): the ones whose log records a checkpoint must not prune.
-    active: Mutex<HashMap<u64, Snapshot>>,
+    /// Serializes the commit point and holds the last CID assigned,
+    /// which no reader sees: CID assignment and the enqueue of the
+    /// commit record happen under this lock, so commit records land in
+    /// the log in CID order and any log prefix recovers to a contiguous
+    /// committed prefix. The durability wait happens *outside* the lock
+    /// — that is what lets a committer that finds a flush running join
+    /// the next one, so concurrent commits share an fsync.
+    commit_order: StdMutex<u64>,
+    /// The commit watermark, the one CID a reader observes: the largest
+    /// CID all of whose predecessors, itself included, have finished
+    /// phase 2. Advanced under `commit_order`, once per assigned CID and
+    /// in CID order ([`publish`](Self::publish)), signalling `published`.
+    applied: AtomicU64,
+    published: Condvar,
+    /// Transactions from `begin` until the watermark passes their CID
+    /// (or they abort): the ones whose log records a checkpoint must
+    /// not prune.
+    active: Mutex<HashSet<u64>>,
     in_doubt: Mutex<Vec<(u64, Vec<String>)>>,
+}
+
+/// A transaction (TID, CID) whose CID is assigned. Dropped on every way
+/// out of a commit or redo, a panicking participant's included, it
+/// publishes the CID, so no later commit waits forever, then retires it.
+struct Assigned<'a>(&'a TransactionManager, u64, u64);
+
+impl Drop for Assigned<'_> {
+    fn drop(&mut self) {
+        self.0.publish(self.2);
+        self.0.active.lock().remove(&self.1);
+    }
 }
 
 impl TransactionManager {
@@ -94,21 +107,24 @@ impl TransactionManager {
     /// A manager sharing `wal` (the platform holds a handle for data
     /// logging and checkpoints), resuming after `report` — what
     /// [`Wal::recover`] (or [`Wal::recover_records`]) returned for it,
-    /// so a caller that replays the log reads it once.
+    /// so a caller that replays the log reads it once — with the
+    /// report's in-doubt transactions listed (crash recovery is
+    /// "recovered jointly" for HANA and the extended store, §3.1).
     pub fn recovered(wal: Arc<Wal>, report: &RecoveryReport) -> TransactionManager {
         // Resume CIDs after the highest committed CID (checkpoint
         // included) and TIDs after the highest TID ever allocated — a
         // reused TID would merge two distinct transactions at replay.
         let ckpt_tid = wal.latest_checkpoint().map(|c| c.max_tid).unwrap_or(0);
         let max_tid = report.max_tid().max(ckpt_tid);
+        let cid = report.max_committed_cid();
         TransactionManager {
             next_tid: AtomicU64::new(max_tid + 1),
-            last_cid: AtomicU64::new(report.max_committed_cid()),
             wal,
-            commit_order: Mutex::new(()),
-            apply_gate: RwLock::new(()),
-            active: Mutex::new(HashMap::new()),
-            in_doubt: Mutex::new(Vec::new()),
+            commit_order: StdMutex::new(cid),
+            applied: AtomicU64::new(cid),
+            published: Condvar::new(),
+            active: Mutex::new(HashSet::new()),
+            in_doubt: Mutex::new(report.in_doubt.clone()),
         }
     }
 
@@ -117,12 +133,12 @@ impl TransactionManager {
         &self.wal
     }
 
-    /// Begin a transaction; its snapshot sees everything committed so far.
+    /// Begin a transaction; its snapshot sees everything applied so far.
     pub fn begin(&self) -> TxnHandle {
         let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
-        let snapshot = Snapshot::at(self.last_cid.load(Ordering::SeqCst));
+        let snapshot = self.current_snapshot();
         // Active before its first record, so no checkpoint prunes it.
-        self.active.lock().insert(tid, snapshot);
+        self.active.lock().insert(tid);
         // A Begin record is bookkeeping, not a commit point: losing it
         // only costs diagnostics, so a failed log is surfaced as a
         // warning here and as a hard error at the commit point.
@@ -132,34 +148,23 @@ impl TransactionManager {
         TxnHandle { tid, snapshot }
     }
 
-    /// The snapshot an auto-commit read should use right now.
+    /// The snapshot an auto-commit read should use right now: every
+    /// commit up to the watermark, and nothing of a commit above it.
     pub fn current_snapshot(&self) -> Snapshot {
-        Snapshot::at(self.last_cid.load(Ordering::SeqCst))
+        Snapshot::at(self.applied.load(Ordering::SeqCst))
     }
 
-    /// The most recently assigned commit ID.
-    pub fn last_commit_id(&self) -> u64 {
-        self.last_cid.load(Ordering::SeqCst)
-    }
-
-    /// Cut for a checkpoint at a commit ID whose every predecessor
-    /// (itself included) has been applied by its participants.
-    /// [`last_commit_id`](Self::last_commit_id) runs ahead of it while a
-    /// commit sits between CID assignment and phase 2: a snapshot cut
-    /// there would record the CID as covered without its rows, and
-    /// recovery would then skip the log records that carry them. Waits
-    /// for in-flight commits to finish applying; commits arriving
-    /// meanwhile queue behind the cut, which holds the gate only to read
-    /// the counter and, when no transaction is active, the log's active
-    /// segment: every record of a later commit lands in it or after it.
+    /// Cut for a checkpoint at the watermark, without waiting for
+    /// anything. The log's active segment is read first, then whether
+    /// any transaction is active, then the watermark: a commit above
+    /// the cut was still active at the idle check (it stays active
+    /// until the watermark passes it) or began after it, and then
+    /// appended every record after the segment was read.
     pub fn checkpoint_cut(&self) -> CheckpointCut {
-        let _quiesced = self.apply_gate.write();
-        // The segment first: a transaction that begins after the idle
-        // check appends only after it.
         let segment = self.wal.active_segment();
         let idle = self.active.lock().is_empty();
         CheckpointCut {
-            cid: self.last_cid.load(Ordering::SeqCst),
+            cid: self.applied.load(Ordering::SeqCst),
             prune_below: idle.then_some(segment),
         }
     }
@@ -180,9 +185,10 @@ impl TransactionManager {
     /// Redo: apply writes the log already holds, and log nothing.
     /// `buffer` stages them with every participant under a fresh TID;
     /// each participant then prepares and — unless it voted read-only —
-    /// commits them under a fresh CID, which is returned. No record is
-    /// appended and no snapshot is registered. On a failure every
-    /// participant is rolled back, as a no-vote would roll it back.
+    /// commits them under a fresh CID, which the watermark passes before
+    /// it is returned. No record is appended and no snapshot is
+    /// registered. On a failure every participant is rolled back, as a
+    /// no-vote would roll it back.
     pub fn redo(
         &self,
         participants: &[Arc<dyn TwoPhaseParticipant>],
@@ -204,15 +210,30 @@ impl TransactionManager {
                 return Err(e);
             }
         };
-        // As in `commit`: no checkpoint cut between the CID and the apply.
-        let _applying = self.apply_gate.read();
-        let cid = self.last_cid.fetch_add(1, Ordering::SeqCst) + 1;
+        let cid = {
+            let mut last = self.commit_order.lock().expect("commit order");
+            *last += 1;
+            *last
+        };
+        let _assigned = Assigned(self, tid, cid);
         for (p, vote) in votes {
             if vote == Vote::Prepared {
                 p.commit(tid, cid)?;
             }
         }
         Ok(cid)
+    }
+
+    /// Advance the watermark to `cid` once it has reached `cid - 1`.
+    /// A phase 2 takes microseconds, but one that waits for a table lock
+    /// (a MERGE DELTA's) holds every later commit back with it.
+    fn publish(&self, cid: u64) {
+        let _wait = hana_obs::span("publish");
+        let behind = |_: &mut u64| self.applied.load(Ordering::SeqCst) + 1 != cid;
+        let order = self.commit_order.lock().expect("commit order");
+        let _order = (self.published.wait_while(order, behind)).expect("commit order");
+        self.applied.store(cid, Ordering::SeqCst);
+        self.published.notify_all();
     }
 
     /// Durably checkpoint `payload`, an opaque engine snapshot covering
@@ -237,7 +258,7 @@ impl TransactionManager {
         txn: TxnHandle,
         participants: &[Arc<dyn TwoPhaseParticipant>],
     ) -> Result<CommitReceipt> {
-        if !self.active.lock().contains_key(&txn.tid) {
+        if !self.active.lock().contains(&txn.tid) {
             return Err(HanaError::Transaction(format!(
                 "transaction {} is not active",
                 txn.tid
@@ -245,7 +266,7 @@ impl TransactionManager {
         }
 
         // Phase 1: prepare everyone, logging each yes-vote.
-        let mut votes: Vec<(String, Vote)> = Vec::with_capacity(participants.len());
+        let mut votes = Vec::with_capacity(participants.len());
         for p in participants {
             match p.prepare(txn.tid) {
                 Ok(vote) => {
@@ -255,16 +276,12 @@ impl TransactionManager {
                             participant: p.name().to_string(),
                         })?;
                     }
-                    votes.push((p.name().to_string(), vote));
+                    votes.push(vote);
                 }
                 Err(e) => {
                     // A no-vote aborts every participant (including the
                     // one that failed, to release its resources).
-                    for q in participants {
-                        let _ = q.abort(txn.tid);
-                    }
-                    self.active.lock().remove(&txn.tid);
-                    self.wal.append(LogRecord::Abort { tid: txn.tid })?;
+                    self.abort(txn, participants)?;
                     return Err(HanaError::Transaction(format!(
                         "participant '{}' failed to prepare: {e}",
                         p.name()
@@ -277,21 +294,19 @@ impl TransactionManager {
         // under the ordering lock (so records hit the log in CID order),
         // then wait for durability *outside* it — this thread leads the
         // flush if none is running, else it waits for the running one,
-        // and the commits queued meanwhile share the next. The apply
-        // gate is held (shared) until phase 2 is done, so a checkpoint
-        // cut never lands between this CID becoming visible and its
-        // rows applying; the transaction stays active until its CID is
-        // assigned under it, so a cut either covers it or saw it active.
-        let _applying = self.apply_gate.read();
+        // and the commits queued meanwhile share the next.
         let (cid, ticket) = {
-            let _order = self.commit_order.lock();
-            let cid = self.last_cid.fetch_add(1, Ordering::SeqCst) + 1;
-            let ticket = self
-                .wal
-                .submit_durable(LogRecord::Commit { tid: txn.tid, cid });
-            (cid, ticket)
+            let mut last = self.commit_order.lock().expect("commit order");
+            *last += 1;
+            let ticket = self.wal.submit_durable(LogRecord::Commit {
+                tid: txn.tid,
+                cid: *last,
+            });
+            (*last, ticket)
         };
-        self.active.lock().remove(&txn.tid);
+        // Read-your-commit: the watermark passes the CID before the
+        // caller hears back.
+        let _assigned = Assigned(self, txn.tid, cid);
         let durable = {
             let _wait = hana_obs::span("commit_wait");
             ticket.wait()
@@ -314,12 +329,7 @@ impl TransactionManager {
         // Phase 2 (post-ack): notify writers; read-only voters skip it.
         let mut notified = Vec::new();
         let mut skipped = Vec::new();
-        for p in participants {
-            let vote = votes
-                .iter()
-                .find(|(n, _)| n == p.name())
-                .map(|&(_, v)| v)
-                .unwrap_or(Vote::Prepared);
+        for (p, vote) in participants.iter().zip(votes) {
             if vote == Vote::ReadOnly {
                 skipped.push(p.name().to_string());
                 continue;
@@ -348,7 +358,7 @@ impl TransactionManager {
         txn: TxnHandle,
         participants: &[Arc<dyn TwoPhaseParticipant>],
     ) -> Result<()> {
-        if self.active.lock().remove(&txn.tid).is_none() {
+        if !self.active.lock().remove(&txn.tid) {
             return Err(HanaError::Transaction(format!(
                 "transaction {} is not active",
                 txn.tid
@@ -358,14 +368,6 @@ impl TransactionManager {
             let _ = p.abort(txn.tid);
         }
         self.wal.append(LogRecord::Abort { tid: txn.tid })
-    }
-
-    /// Replay the WAL and surface in-doubt transactions (crash recovery
-    /// is "recovered jointly" for HANA and the extended store, §3.1).
-    pub fn recover(&self) -> Result<RecoveryReport> {
-        let report = self.wal.recover()?;
-        *self.in_doubt.lock() = report.in_doubt.clone();
-        Ok(report)
     }
 
     /// Currently known in-doubt transactions.
@@ -486,7 +488,7 @@ mod tests {
         assert_eq!(hana.committed.lock().len(), 2);
         assert_eq!(iq.committed.lock().len(), 1);
         assert_eq!(tm.active_count(), 0);
-        assert_eq!(tm.last_commit_id(), r2.cid);
+        assert_eq!(tm.current_snapshot().cid(), r2.cid);
     }
 
     #[test]
@@ -515,7 +517,7 @@ mod tests {
         assert_eq!(iq.aborted.lock().len(), 1);
         assert!(hana.committed.lock().is_empty());
         // The CID was never consumed.
-        assert_eq!(tm.last_commit_id(), 0);
+        assert_eq!(tm.current_snapshot().cid(), 0);
     }
 
     #[test]
@@ -552,19 +554,22 @@ mod tests {
         assert!(tm.abort_in_doubt(tid, &[]).is_err());
     }
 
-    /// A checkpoint cut requested while a commit sits between CID
-    /// assignment and phase 2 must wait for the apply. Phase 2 itself
-    /// requests the cut, so the interleaving is forced rather than
-    /// hoped for: the CID is already visible, the cut stays pending, and
-    /// it completes — at that CID — only once the apply has returned.
+    /// A participant blocked inside phase 2 holds its CID back from
+    /// every reader: a snapshot and a new transaction exclude it, and a
+    /// checkpoint cut taken meanwhile returns at once, one below it,
+    /// pruning nothing. Released, the commit returns with the watermark
+    /// at its CID. Every wait here times out, so a defect fails the test
+    /// instead of hanging it.
     #[test]
-    fn checkpoint_cut_waits_for_in_flight_phase_two() {
-        struct CutDuringApply {
-            tm: Arc<TransactionManager>,
-            request_cut: std::sync::mpsc::Sender<()>,
-            cut_done: Mutex<std::sync::mpsc::Receiver<()>>,
+    fn a_commit_in_phase_two_is_invisible_and_holds_up_no_cut() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::time::Duration;
+        const PATIENCE: Duration = Duration::from_secs(5);
+        struct Blocked {
+            entered: Sender<u64>,
+            release: Mutex<Receiver<()>>,
         }
-        impl TwoPhaseParticipant for CutDuringApply {
+        impl TwoPhaseParticipant for Blocked {
             fn name(&self) -> &str {
                 "hana"
             }
@@ -572,15 +577,8 @@ mod tests {
                 Ok(Vote::Prepared)
             }
             fn commit(&self, _tid: u64, cid: u64) -> Result<()> {
-                assert_eq!(self.tm.last_commit_id(), cid, "CID visible before apply");
-                self.request_cut.send(()).unwrap();
-                assert!(
-                    self.cut_done
-                        .lock()
-                        .recv_timeout(std::time::Duration::from_millis(100))
-                        .is_err(),
-                    "checkpoint cut completed while the commit was still applying"
-                );
+                self.entered.send(cid).unwrap();
+                let _ = self.release.lock().recv_timeout(PATIENCE);
                 Ok(())
             }
             fn abort(&self, _tid: u64) -> Result<()> {
@@ -588,30 +586,45 @@ mod tests {
             }
         }
 
-        let tm = Arc::new(TransactionManager::new());
-        let (request_cut, cut_requested) = std::sync::mpsc::channel();
-        let (done, cut_done) = std::sync::mpsc::channel();
-        let p = Arc::new(CutDuringApply {
-            tm: Arc::clone(&tm),
-            request_cut,
-            cut_done: Mutex::new(cut_done),
+        let tm = &TransactionManager::new();
+        let t = tm.begin();
+        tm.commit(t, &[]).unwrap();
+        let (entered, in_phase_two) = channel();
+        let (release, released) = channel();
+        let blocked: Arc<dyn TwoPhaseParticipant> = Arc::new(Blocked {
+            entered,
+            release: Mutex::new(released),
         });
-        std::thread::scope(|s| {
-            // The cut runs on a thread of its own, asked for in phase 2.
-            let cutter = Arc::clone(&tm);
-            let cut = s.spawn(move || {
-                cut_requested.recv().unwrap();
-                let cid = cutter.checkpoint_cut().cid;
-                let _ = done.send(());
-                cid
+        let (cid, snapshot, reader, cut, committed) = std::thread::scope(|s| {
+            let committer = s.spawn(|| {
+                let t = tm.begin();
+                let receipt = tm.commit(t, &[blocked]).unwrap();
+                (receipt.cid, tm.current_snapshot().cid())
             });
-            let t = tm.begin();
-            let receipt = tm
-                .commit(t, &[Arc::clone(&p) as Arc<dyn TwoPhaseParticipant>])
-                .unwrap();
-            assert_eq!(cut.join().unwrap(), receipt.cid);
-            assert_eq!(tm.checkpoint_cut().cid, receipt.cid, "idle: cut = last cid");
+            let cid = in_phase_two.recv_timeout(PATIENCE).unwrap();
+            let snapshot = tm.current_snapshot();
+            let (cut_taken, cut) = channel();
+            s.spawn(move || cut_taken.send(tm.checkpoint_cut()));
+            let cut = cut.recv_timeout(Duration::from_millis(500));
+            let reader = tm.begin();
+            release.send(()).unwrap();
+            (cid, snapshot, reader, cut, committer.join().unwrap())
         });
+        assert!(
+            !snapshot.sees(cid),
+            "{snapshot:?} sees CID {cid} before it applied"
+        );
+        assert!(
+            !reader.snapshot.sees(cid),
+            "a new transaction sees CID {cid}"
+        );
+        let cut = cut.expect("the cut waited for phase 2");
+        assert_eq!((cut.cid, cut.prune_below), (cid - 1, None));
+        assert_eq!(
+            committed,
+            (cid, cid),
+            "commit returned before its CID was visible"
+        );
     }
 
     /// The fsync runs on the committing thread, so a traced commit
@@ -639,7 +652,7 @@ mod tests {
     }
 
     /// A cut prunes only the segments sealed before it, and nothing
-    /// while a transaction is active — until its CID is assigned.
+    /// while a transaction is active — until the watermark passes it.
     #[test]
     fn a_cut_prunes_only_when_no_transaction_is_active() {
         let dir = std::env::temp_dir().join(format!("hana-txn-cut-{}", std::process::id()));
@@ -688,7 +701,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert_eq!((cid, tm.last_commit_id()), (1, 1));
+        assert_eq!((cid, tm.current_snapshot().cid()), (1, 1));
         assert_eq!(hana.committed.lock().as_slice(), &[(staged, 1)]);
         assert!(
             iq.committed.lock().is_empty(),
@@ -700,7 +713,7 @@ mod tests {
         iq.fail_prepare.store(true, Ordering::SeqCst);
         assert!(tm.redo(&parts(&[&hana, &iq]), |_| Ok(())).is_err());
         assert_eq!(hana.aborted.lock().len(), 1);
-        assert_eq!(tm.last_commit_id(), 1, "no CID for a failed redo");
+        assert_eq!(tm.current_snapshot().cid(), 1, "no CID for a failed redo");
         drop(tm);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -733,7 +746,7 @@ mod tests {
             wal.append(LogRecord::Commit { tid: 2, cid: 7 }).unwrap();
         }
         let tm = durable(&dir);
-        let report = tm.recover().unwrap();
+        let report = tm.wal().recover().unwrap();
         assert_eq!(report.committed, vec![(2, 7)]);
         assert_eq!(tm.in_doubt(), vec![(1, vec!["iq".to_string()])]);
         // New CIDs continue after the recovered maximum, and TIDs resume

@@ -204,7 +204,7 @@ proptest! {
                 prop_assert_eq!(multiset(&all_rows(&hana, &s)), multiset(&before), "{}", dml);
             }
         }
-        assert_rows_at_home(&hana, hana.transaction_manager().last_commit_id());
+        assert_rows_at_home(&hana, hana.transaction_manager().current_snapshot().cid());
     }
 }
 
@@ -279,7 +279,7 @@ fn located_rows_carry_every_column() {
     hana.load_rows(&s, "t", &rows).unwrap();
     hana.execute_sql(&s, "CREATE INDEX ix_k ON t (k)").unwrap();
 
-    let cid = hana.transaction_manager().last_commit_id();
+    let cid = hana.transaction_manager().current_snapshot().cid();
     let exec = hana_exec::ExecContext::global();
     let schema: Schema = hana.catalog().table("t").unwrap().source.schema();
     for sql in [

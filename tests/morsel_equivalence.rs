@@ -51,11 +51,11 @@ fn rows_do_not_depend_on_workers_or_morsel_size() {
     )
     .unwrap();
     // Rows a snapshot at `before` must not see.
-    let before = hana.transaction_manager().last_commit_id();
+    let before = hana.transaction_manager().current_snapshot().cid();
     hana.load_rows(&s, "t", &(190..200).map(row).collect::<Vec<_>>())
         .unwrap();
     hana.execute_sql(&s, "DELETE FROM t WHERE k = 5").unwrap();
-    let now = hana.transaction_manager().last_commit_id();
+    let now = hana.transaction_manager().current_snapshot().cid();
 
     let serial = ExecContext::new(ExecConfig::default().with_workers(1));
     let parallel = ExecContext::new(ExecConfig::default().with_workers(4).with_morsel_rows(64));

@@ -618,6 +618,24 @@ const GUARDS: &[Guard] = &[
         why: "one log: a distributed load writes its rows in the coordinator's bulk record",
         ..ROW
     },
+    // The commit watermark.
+    Guard {
+        name: "no-apply-gate",
+        ledger: 49,
+        paths: &["crates/txn/src"],
+        rule: Lines(&[Text("apply_gate")], NONE),
+        why: "a checkpoint cut reads the commit watermark: no lock holds commits back from it",
+        ..ROW
+    },
+    Guard {
+        name: "one-observable-cid",
+        ledger: 49,
+        paths: &["crates", "tests", "src", "examples"],
+        rule: Lines(&[Text("last_commit_id")], NONE),
+        except: &[File("tests/retired_paths.rs")],
+        why: "a reader observes one CID, the watermark: current_snapshot().cid()",
+        ..ROW
+    },
 ];
 
 fn is_word(c: char) -> bool {

@@ -4,7 +4,8 @@
 //! miss only), `admit`, `execute` — cover it. Without a tracer the
 //! spans are inert. A MERGE DELTA opens `merge_delta[<table>]`, a bulk
 //! load `bulk_load[<table>]` and a durable reopen `open`, whose phases
-//! cover them the same way.
+//! cover them the same way, and a durable INSERT commits under its
+//! `execute`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -360,4 +361,60 @@ fn a_durable_reopens_children_cover_its_span() {
             "the children cover {coverage:.3} of the {name} span"
         );
     }
+}
+
+/// A traced durable INSERT explains its own time the same way: `parse`,
+/// `admit` and `execute` cover its statement span, and its commit's
+/// `commit_wait` (the fsync) and `publish` (its CID passing the commit
+/// watermark) run under `execute`.
+#[test]
+fn a_durable_inserts_children_cover_its_statement_span() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("hana-insert-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (platform, _) = HanaPlatform::open_durable(&dir).unwrap();
+    let manager = SessionManager::new(Arc::new(platform));
+    let session = manager.connect("SYSTEM", "manager").unwrap();
+    session
+        .execute("CREATE COLUMN TABLE accounts (k INTEGER, v INTEGER)")
+        .unwrap();
+    let mut coverage = Vec::new();
+    for k in 0..50 {
+        let spans = traced(|| {
+            session
+                .execute(&format!("INSERT INTO accounts VALUES ({k}, 1)"))
+                .unwrap();
+        });
+        let s = split(&spans);
+        let got: Vec<&str> = s.children.keys().map(String::as_str).collect();
+        assert_eq!(got, ["admit", "execute", "parse"]);
+        let root = spans.iter().find(|s| s.parent.is_none()).unwrap().id;
+        let execute = (spans.iter())
+            .find(|s| s.name == "execute" && s.parent == Some(root))
+            .unwrap()
+            .id;
+        let under_execute = |span: &SpanRecord| {
+            let mut parent = span.parent;
+            while let Some(id) = parent.filter(|&id| id != execute) {
+                parent = spans.iter().find(|s| s.id == id).and_then(|s| s.parent);
+            }
+            parent == Some(execute)
+        };
+        let waits: Vec<&SpanRecord> = (spans.iter())
+            .filter(|s| s.name == "commit_wait" || s.name == "publish")
+            .collect();
+        for name in ["commit_wait", "publish"] {
+            assert!(waits.iter().any(|s| s.name == name), "no {name}: {spans:?}");
+        }
+        assert!(waits.iter().all(|s| under_execute(s)), "{spans:?}");
+        coverage.push(s.children.values().sum::<u64>() as f64 / s.root_ns as f64);
+    }
+    drop((session, manager));
+    let _ = std::fs::remove_dir_all(&dir);
+    let coverage = median(coverage);
+    assert!(
+        coverage >= 0.95,
+        "the children cover {coverage:.3} of a durable INSERT's statement span"
+    );
 }
